@@ -3,13 +3,20 @@
 
 Run from the repository root:
 
-  python3 perfbench/check.py spread [--workloads W,...] [--seeds 1-10]
+  python3 perfbench/check.py spread [--workloads W,...] [--seeds 1-10] [--save FILE]
       One untraced run per seed and workload, each with BENCHMARK.json's
       run_seconds. For every end-to-end metric, prints the median and the
       interquartile range as a share of the median (the quartiles of
       statistics.quantiles(values, n=4)) next to the metric's bound, and
-      the machine-drift probe's range. Exits 1 if a spread other than
-      setup_s exceeds its bound.
+      the machine-drift probe's range. --save writes every value to FILE
+      as JSON, for compare. Exits 1 if a spread exceeds its bound.
+
+  python3 perfbench/check.py compare FIRST.json SECOND.json
+      Two sets saved by spread, of the same code: for every workload and
+      end-to-end metric in both, prints each set's median and by what
+      share of the first median the second is worse, next to the bound,
+      and each set's median drift probe. Exits 1 if a metric is worse by
+      more than its bound.
 
   python3 perfbench/check.py determinism [--workloads W,...] [--seed N]
       Two runs of one seed, untraced and traced: every deterministic value
@@ -56,12 +63,16 @@ def seeds_of(text):
 
 def spread(args, bench):
     wide = False
+    saved = {}
     for workload in args.workloads:
         values = {m["name"]: [] for m in bench["end_to_end"]}
         probes = []
+        infos = []
+        saved[workload] = {"values": values, "drift_probe_s": probes, "info": infos}
         for seed in seeds_of(args.seeds):
             result, info = run(workload, seed, bench["run_seconds"], 0)
             probes.append(float(info["drift_probe_s"].split()[0]))
+            infos.append(info)
             for name in values:
                 values[name].append(result["metrics"][name]["value"])
             print(f"  {workload} seed {seed}: " + " ".join(
@@ -73,11 +84,35 @@ def spread(args, bench):
             share = (q3 - q1) / statistics.median(v)
             verdict = "ok" if share <= m["bound"] / 3 else (
                 "within bound" if share <= m["bound"] else "TOO WIDE")
-            if share > m["bound"] and m["name"] != "setup_s":
-                wide = True
+            wide |= share > m["bound"]
             print(f"  {m['name']:22} median {statistics.median(v):12.6g}  "
                   f"iqr/median {share:.4f}  bound {m['bound']}  {verdict}")
+    if args.save:
+        with open(args.save, "w") as f:
+            json.dump(saved, f, indent=1)
     return 1 if wide else 0
+
+
+def compare(args, bench):
+    if len(args.sets) != 2:
+        sys.exit("compare takes two files saved by spread --save")
+    first, second = ([json.load(open(path)) for path in args.sets])
+    bad = False
+    for workload in first:
+        if workload not in second:
+            continue
+        a, b = first[workload], second[workload]
+        print(f"{workload}: drift probe median {statistics.median(a['drift_probe_s']):.4f} s "
+              f"then {statistics.median(b['drift_probe_s']):.4f} s")
+        for m in bench["end_to_end"]:
+            ma = statistics.median(a["values"][m["name"]])
+            mb = statistics.median(b["values"][m["name"]])
+            worse = (mb - ma) / ma if m["better"] == "lower" else (ma - mb) / ma
+            over = worse > m["bound"]
+            bad |= over
+            print(f"  {m['name']:22} {ma:12.6g} then {mb:12.6g}  worse by {worse:+.4f}  "
+                  f"bound {m['bound']}  {'TOO FAR' if over else 'ok'}")
+    return 1 if bad else 0
 
 
 def deterministic(result, bench):
@@ -115,13 +150,16 @@ def main():
     bench = spec()
     parser = argparse.ArgumentParser(description=__doc__,
                                      formatter_class=argparse.RawDescriptionHelpFormatter)
-    parser.add_argument("check", choices=["spread", "determinism"])
+    parser.add_argument("check", choices=["spread", "determinism", "compare"])
+    parser.add_argument("sets", nargs="*", help="compare: two files saved by spread")
     parser.add_argument("--workloads", default=",".join(w["name"] for w in bench["workloads"]))
     parser.add_argument("--seeds", default="1-10")
     parser.add_argument("--seed", type=int, default=7)
+    parser.add_argument("--save", help="spread: write every value to this JSON file")
     args = parser.parse_args()
     args.workloads = args.workloads.split(",")
-    return spread(args, bench) if args.check == "spread" else determinism(args, bench)
+    return {"spread": spread, "determinism": determinism, "compare": compare}[args.check](
+        args, bench)
 
 
 if __name__ == "__main__":

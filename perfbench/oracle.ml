@@ -15,6 +15,7 @@ module W = Workloads
 type expectation = {
   may_deliver : bool;  (** Some acceptable verdict passes the flow. *)
   may_drop : bool;  (** Some acceptable verdict, or a link change, stops it. *)
+  link_excused : bool;  (** Only a link change can stop it. *)
 }
 
 (* A flow may follow either side of a change that was in flight around
@@ -63,9 +64,11 @@ let input (w : W.t) (site : W.site) a (flow : Five_tuple.t) =
   { D.flow; src_response; dst_response = ask dst ~peer:flow.Five_tuple.src }
 
 (* Expectations for every arrival (warm-up arrivals accept anything),
-   plus up to [sample] (decision in force, input) pairs for the pf
+   plus up to [pf_sample] (decision in force, input) pairs for the pf
    replay. *)
-let expect ?(sample = 512) (w : W.t) (site : W.site) ~flows =
+let pf_sample = 512
+
+let expect (w : W.t) (site : W.site) ~flows =
   let revs = revisions w ~controller:site.W.controller in
   let topology_changes =
     List.filter_map
@@ -77,7 +80,7 @@ let expect ?(sample = 512) (w : W.t) (site : W.site) ~flows =
   in
   let inputs = ref [] and sampled = ref 0 in
   let expectation a (ar : W.arrival) =
-    if not (W.is_timed w ar) then { may_deliver = true; may_drop = true }
+    if not (W.is_timed w ar) then { may_deliver = true; may_drop = true; link_excused = false }
     else begin
       let due = Sim.Time.to_ns ar.W.due in
       let lo = due - before_ns and hi = due + after_ns in
@@ -87,15 +90,17 @@ let expect ?(sample = 512) (w : W.t) (site : W.site) ~flows =
         (fun i (from, d) ->
           let until = if i + 1 < Array.length revs then fst revs.(i + 1) else max_int in
           if from <= hi && until > lo then verdicts := D.allows d inp :: !verdicts;
-          if from <= due && until > due && !sampled < sample then begin
+          if from <= due && until > due && !sampled < pf_sample then begin
             inputs := (d, inp) :: !inputs;
             incr sampled
           end)
         revs;
       let link_change = List.exists (fun t -> t >= lo && t <= hi) topology_changes in
+      let verdict_drops = List.mem false !verdicts in
       {
         may_deliver = List.mem true !verdicts;
-        may_drop = List.mem false !verdicts || link_change;
+        may_drop = verdict_drops || link_change;
+        link_excused = link_change && not verdict_drops;
       }
     end
   in
