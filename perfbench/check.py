@@ -8,7 +8,8 @@ Run from the repository root:
       run_seconds. For every end-to-end metric, prints the median and the
       interquartile range as a share of the median (the quartiles of
       statistics.quantiles(values, n=4)) next to the metric's bound, and
-      the machine-drift probe's range. --save writes every value to FILE
+      the machine-drift probe's range; then the same for the unbounded
+      good_flows_per_s info line. --save writes every value to FILE
       as JSON, for compare. Exits 1 if a spread exceeds its bound.
 
   python3 perfbench/check.py compare FIRST.json SECOND.json
@@ -87,6 +88,11 @@ def spread(args, bench):
             wide |= share > m["bound"]
             print(f"  {m['name']:22} median {statistics.median(v):12.6g}  "
                   f"iqr/median {share:.4f}  bound {m['bound']}  {verdict}")
+        # Printed by every run, bounded by none (DESIGN.md, Measured steadiness).
+        gfps = [float(i["good_flows_per_s"].split()[0]) for i in infos]
+        q1, _, q3 = statistics.quantiles(gfps, n=4)
+        print(f"  {'good_flows_per_s':22} median {statistics.median(gfps):12.6g}  "
+              f"iqr/median {(q3 - q1) / statistics.median(gfps):.4f}  no bound")
     if args.save:
         with open(args.save, "w") as f:
             json.dump(saved, f, indent=1)
