@@ -220,6 +220,34 @@ let bench_flow_table =
       Staged.stage (fun () ->
           ignore (Openflow.Flow_table.lookup table ~in_port:1 probe)))
 
+(* Table upkeep on a filled table: install a timed entry, expire it,
+   then install and strict-delete another. Each call leaves the table as
+   it found it, so the cost per call is comparable across sizes. *)
+let bench_flow_table_churn =
+  Test.make_indexed ~name:"datapath/flow-table-churn" ~args:[ 10; 100; 1000 ]
+    (fun n ->
+      let population = Workload.Population.create ~clients:250 ~servers:200 () in
+      let tuples = Workload.Flowgen.distinct_tuples ~population ~count:(n + 2) in
+      let entry ?idle_timeout ft =
+        Openflow.Flow_entry.make ?idle_timeout
+          ~fields:(Openflow.Match_fields.of_five_tuple ft)
+          [ Openflow.Action.Output 1 ]
+      in
+      let table = Openflow.Flow_table.create () in
+      List.iteri
+        (fun i ft ->
+          if i < n then
+            Openflow.Flow_table.add table
+              (entry ~idle_timeout:(Sim.Time.s 3600) ft))
+        tuples;
+      let timed = entry ~idle_timeout:(Sim.Time.ms 1) (List.nth tuples n) in
+      let plain = entry (List.nth tuples (n + 1)) in
+      Staged.stage (fun () ->
+          Openflow.Flow_table.add table timed;
+          ignore (Openflow.Flow_table.expire table ~now:(Sim.Time.ms 2));
+          Openflow.Flow_table.add table plain;
+          Openflow.Flow_table.remove table ~fields:plain.fields))
+
 let bench_switch_process_hit =
   let sw = Openflow.Switch.create ~dpid:1 ~ports:[ 1; 2 ] () in
   let ft = flow "10.0.0.1" "10.0.0.2" in
@@ -871,6 +899,7 @@ let tests =
        bench_fastpath_post_reload;
        bench_decision_vs_rules;
        bench_flow_table;
+       bench_flow_table_churn;
        bench_switch_process_hit;
        bench_switch_process_with_timeouts;
        bench_pf_eval;

@@ -2,6 +2,8 @@ open Netcore
 
 type controller_id = int
 
+module Ip_tbl = Hashtbl.Make (Ipv4)
+
 type host_state = {
   h_name : string;
   h_mac : Mac.t;
@@ -15,6 +17,7 @@ type t = {
   ctrl_latency : Sim.Time.t;
   switches : (Message.switch_id, Switch.t) Hashtbl.t;
   hosts : (string, host_state) Hashtbl.t;
+  host_of_ip : string Ip_tbl.t;
   controllers : (controller_id, Message.to_controller -> unit) Hashtbl.t;
   domains : (Message.switch_id, controller_id) Hashtbl.t;
   trace : Sim.Trace.t;
@@ -38,6 +41,7 @@ let create ?(ctrl_latency = Sim.Time.us 50) ?table_capacity ~engine ~topology
       ctrl_latency;
       switches = Hashtbl.create 16;
       hosts = Hashtbl.create 16;
+      host_of_ip = Ip_tbl.create 16;
       controllers = Hashtbl.create 4;
       domains = Hashtbl.create 16;
       trace = Sim.Trace.create ();
@@ -195,7 +199,13 @@ let attach_host t ~name ~mac ~ip ~rx =
   (match Topology.host_attachment t.topology name with
   | None -> invalid_arg ("Network.attach_host: " ^ name ^ " is not wired")
   | Some _ -> ());
-  Hashtbl.replace t.hosts name { h_name = name; h_mac = mac; h_ip = ip; h_rx = rx }
+  (* A re-attached host may have moved to a new address. *)
+  (match Hashtbl.find_opt t.hosts name with
+  | Some old when Ip_tbl.find_opt t.host_of_ip old.h_ip = Some name ->
+      Ip_tbl.remove t.host_of_ip old.h_ip
+  | Some _ | None -> ());
+  Hashtbl.replace t.hosts name { h_name = name; h_mac = mac; h_ip = ip; h_rx = rx };
+  Ip_tbl.replace t.host_of_ip ip name
 
 let host_state t name =
   match Hashtbl.find_opt t.hosts name with
@@ -205,10 +215,7 @@ let host_state t name =
 let host_mac t name = (host_state t name).h_mac
 let host_ip t name = (host_state t name).h_ip
 
-let host_by_ip t ip =
-  Hashtbl.fold
-    (fun name h acc -> if Ipv4.equal h.h_ip ip then Some name else acc)
-    t.hosts None
+let host_by_ip t ip = Ip_tbl.find_opt t.host_of_ip ip
 
 let send_from_host t ~name pkt =
   let _ = host_state t name in

@@ -57,6 +57,9 @@ val attach_host :
 val host_mac : t -> string -> Mac.t
 val host_ip : t -> string -> Ipv4.t
 val host_by_ip : t -> Ipv4.t -> string option
+(** The host attached with this address, from an index kept by
+    {!attach_host}: O(1). Re-attaching a host under a new address drops
+    its old one. *)
 
 val send_from_host : t -> name:string -> Packet.t -> unit
 (** Inject a packet at a host's NIC; it reaches the edge switch after

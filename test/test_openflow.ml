@@ -155,6 +155,60 @@ let test_table_miss_counting () =
   check Alcotest.int "one miss" 1 (FT.misses t);
   check Alcotest.int "one hit" 1 (FT.hits t)
 
+(* Allocation and footprint gates. Both measures are deterministic:
+   the same code path allocates the same words on every run. *)
+let tuple_fields i =
+  MF.of_five_tuple
+    (Five_tuple.tcp ~src:(Ipv4.of_int (0x0a000000 + i)) ~dst:(ip "10.9.9.9")
+       ~src_port:1000 ~dst_port:80)
+
+(* Minor words per add + expire + strict delete on a table pre-filled
+   with [n] long-lived five-tuple entries. *)
+let churn_words n =
+  let out = [ Openflow.Action.Output 1 ] in
+  let t = FT.create () in
+  for i = 1 to n do
+    FT.add t (entry ~idle:(Sim.Time.s 3600) (tuple_fields i) out)
+  done;
+  let timed = entry ~idle:(Sim.Time.ms 1) (tuple_fields (-1)) out in
+  let plain = entry (tuple_fields (-2)) out in
+  let rounds = 1000 in
+  let expired = ref 0 in
+  let before = Gc.minor_words () in
+  for _ = 1 to rounds do
+    FT.add t timed;
+    expired := !expired + FT.expire t ~now:(Sim.Time.ms 2);
+    FT.add t plain;
+    FT.remove t ~fields:plain.FE.fields
+  done;
+  let words = (Gc.minor_words () -. before) /. float_of_int rounds in
+  check Alcotest.int "every round expired its entry" rounds !expired;
+  check Alcotest.int "prefill intact" n (FT.size t);
+  words
+
+let test_table_churn_alloc_flat () =
+  let small = churn_words 10 and large = churn_words 1000 in
+  if large > 2.0 *. small then
+    Alcotest.failf "%.0f words/op at 1000 entries vs %.0f at 10" large small
+
+let test_table_replace_footprint () =
+  let fresh () =
+    entry ~idle:(Sim.Time.s 30) (tuple_fields 1) [ Openflow.Action.Output 1 ]
+  in
+  let once = FT.create () in
+  FT.add once (fresh ());
+  let churned = FT.create () in
+  for _ = 1 to 10_000 do
+    FT.add churned (fresh ())
+  done;
+  check Alcotest.int "one live entry" 1 (FT.size churned);
+  (* Each leaked heap slot would hold at least 9 words, so a leak shows
+     as ~90k words; 512 leaves room for stale cells of the heap array. *)
+  let words t = Obj.reachable_words (Obj.repr t) in
+  if words churned > words once + 512 then
+    Alcotest.failf "%d words after 10000 re-adds vs %d after one"
+      (words churned) (words once)
+
 (* Reference model: the table semantics against a naive list scan. *)
 let prop_table_matches_reference =
   let gen =
@@ -411,6 +465,30 @@ let test_network_egress_accounting () =
     (Openflow.Network.egress_packets net ~node:(Topo.Sw 1) ~port:2);
   check Alcotest.int "delivered" 3 (Openflow.Network.delivered net)
 
+let test_network_host_by_ip () =
+  let engine = Sim.Engine.create () in
+  let t = Topo.create () in
+  Topo.add_switch t 1;
+  List.iter (Topo.add_host t) [ "h1"; "h2" ];
+  Topo.link t (Topo.Host "h1", 0) (Topo.Sw 1, 1);
+  Topo.link t (Topo.Host "h2", 0) (Topo.Sw 1, 2);
+  let net = Openflow.Network.create ~engine ~topology:t () in
+  let attach name addr =
+    Openflow.Network.attach_host net ~name ~mac:(Mac.of_int 1) ~ip:(ip addr)
+      ~rx:(fun _ -> ())
+  in
+  let owner addr = Openflow.Network.host_by_ip net (ip addr) in
+  let name = Alcotest.(option string) in
+  attach "h1" "10.0.0.1";
+  attach "h2" "10.0.0.2";
+  check name "h1 by address" (Some "h1") (owner "10.0.0.1");
+  check name "unknown address" None (owner "10.0.0.9");
+  (* Re-attaching h1 under a new address retires the old one. *)
+  attach "h1" "10.0.0.3";
+  check name "old address gone" None (owner "10.0.0.1");
+  check name "new address" (Some "h1") (owner "10.0.0.3");
+  check name "h2 untouched" (Some "h2") (owner "10.0.0.2")
+
 (* Mixed indexable/wildcard entries: the hash fast path must agree with
    a naive highest-priority scan on random tables and probes. *)
 let prop_fast_path_agrees_with_naive =
@@ -464,10 +542,12 @@ let prop_fast_path_agrees_with_naive =
       | Some a, Some b -> a == b
       | _ -> false)
 
-(* Stateful model test: random interleavings of add / strict-remove /
-   expire / lookup against a naive reference implementation. Exercises
-   the exact-match index, the wildcard list and the expiry bound under
-   mutation. *)
+(* Stateful model test: random interleavings of add / strict delete /
+   wildcard delete / expire / lookup against a naive reference, with
+   and without a capacity bound. After every operation the table's
+   size, its entries in order and its capacity victims must equal the
+   model's. Pins priority order, the recency tie-break, idle and hard
+   expiry, and least-recently-hit eviction. *)
 module Model = struct
   type entry = {
     fields : MF.t;
@@ -479,15 +559,35 @@ module Model = struct
     hard : int option;
   }
 
-  type t = { mutable entries : entry list (* newest first per priority *) }
+  type t = {
+    capacity : int option;
+    mutable entries : entry list; (* newest first per priority *)
+    mutable evicted : int list; (* victim tags, newest first *)
+  }
 
-  let create () = { entries = [] }
+  let create ?capacity () = { capacity; entries = []; evicted = [] }
+
+  (* Least recently hit; the first in table order wins ties. *)
+  let evict_lru t =
+    match t.entries with
+    | [] -> ()
+    | first :: _ ->
+        let victim =
+          List.fold_left
+            (fun acc e -> if e.last_hit < acc.last_hit then e else acc)
+            first t.entries
+        in
+        t.entries <- List.filter (fun e -> e != victim) t.entries;
+        t.evicted <- victim.tag :: t.evicted
 
   let add t e =
     t.entries <-
       List.filter
         (fun x -> not (x.priority = e.priority && MF.equal x.fields e.fields))
         t.entries;
+    (match t.capacity with
+    | Some cap when List.length t.entries >= cap -> evict_lru t
+    | _ -> ());
     let rec insert = function
       | [] -> [ e ]
       | x :: rest as l ->
@@ -497,6 +597,9 @@ module Model = struct
 
   let remove t fields =
     t.entries <- List.filter (fun x -> not (MF.equal x.fields fields)) t.entries
+
+  let remove_matching t fields =
+    t.entries <- List.filter (fun x -> not (MF.covers fields x.fields)) t.entries
 
   let expired e ~now =
     (match e.idle with Some i -> now > e.last_hit + i | None -> false)
@@ -511,24 +614,34 @@ module Model = struct
 end
 
 type op =
-  | Op_add of bool * int * int * int * int option (* indexable, prio, a, dp, idle_ms *)
+  | Op_add of bool * int * int * int * int option * int option
+      (* indexable, prio, a, dp, idle_ms, hard_ms *)
   | Op_remove of bool * int * int
+  | Op_remove_matching of int option * int option (* a, dp; None is wild *)
   | Op_expire of int (* advance ms *)
   | Op_lookup of int * int
 
 let gen_op =
   QCheck.Gen.(
-    let* kind = int_bound 9 in
+    let* kind = int_bound 12 in
     let* indexable = bool in
-    let* prio = int_range 1 20 in
+    let* prio = int_range 1 4 in
     let* a = int_range 1 3 in
     let* dp = int_range 80 82 in
     if kind < 4 then
       let* idle = option (int_range 1 20) in
-      return (Op_add (indexable, prio, a, dp, idle))
-    else if kind < 6 then return (Op_remove (indexable, a, dp))
-    else if kind < 8 then
-      let* adv = int_range 1 15 in
+      let* hard = option ~ratio:0.3 (int_range 1 30) in
+      return (Op_add (indexable, prio, a, dp, idle, hard))
+    else if kind < 5 then return (Op_remove (indexable, a, dp))
+    else if kind < 6 then
+      let* wild_a = bool in
+      let* wild_dp = bool in
+      return
+        (Op_remove_matching
+           ( (if wild_a then None else Some a),
+             if wild_dp then None else Some dp ))
+    else if kind < 9 then
+      let* adv = int_range 1 8 in
       return (Op_expire adv)
     else return (Op_lookup (a, dp)))
 
@@ -545,68 +658,97 @@ let fields_of ~indexable ~a ~dp =
       MF.tp_dst = Some dp;
     }
 
+let ms_to_ns = Option.map (fun m -> m * 1_000_000)
+
 let prop_table_stateful_model =
   QCheck.Test.make ~name:"flow table agrees with model under mutation"
-    ~count:300
-    (QCheck.make QCheck.Gen.(list_size (int_range 1 40) gen_op))
-    (fun ops ->
-      let table = FT.create () in
-      let model = Model.create () in
+    ~count:400
+    (QCheck.make
+       QCheck.Gen.(
+         pair
+           (option ~ratio:0.4 (int_range 1 5))
+           (list_size (int_range 1 50) gen_op)))
+    (fun (capacity, ops) ->
+      let table = FT.create ?capacity () in
+      let model = Model.create ?capacity () in
+      let evicted = ref [] in
+      FT.set_on_evict table (fun e -> evicted := e.FE.cookie :: !evicted);
       let now = ref 0 in
       let tag = ref 0 in
+      let step op =
+        match op with
+        | Op_add (indexable, prio, a, dp, idle_ms, hard_ms) ->
+            incr tag;
+            let fields = fields_of ~indexable ~a ~dp in
+            let to_time = Option.map Sim.Time.ms in
+            FT.add table
+              (FE.make ~priority:prio ?idle_timeout:(to_time idle_ms)
+                 ?hard_timeout:(to_time hard_ms)
+                 ~installed_at:(Sim.Time.ms !now) ~cookie:!tag ~fields
+                 [ Openflow.Action.Output 1 ]);
+            Model.add model
+              {
+                Model.fields;
+                priority = prio;
+                tag = !tag;
+                last_hit = !now * 1_000_000;
+                installed = !now * 1_000_000;
+                idle = ms_to_ns idle_ms;
+                hard = ms_to_ns hard_ms;
+              };
+            true
+        | Op_remove (indexable, a, dp) ->
+            let fields = fields_of ~indexable ~a ~dp in
+            FT.remove table ~fields;
+            Model.remove model fields;
+            true
+        | Op_remove_matching (a, dp) ->
+            let fields =
+              {
+                MF.any with
+                MF.nw_src =
+                  Option.map
+                    (fun a -> Prefix.of_string (Printf.sprintf "10.0.0.%d/32" a))
+                    a;
+                MF.tp_dst = dp;
+              }
+            in
+            FT.remove_matching table ~fields;
+            Model.remove_matching model fields;
+            true
+        | Op_expire adv ->
+            now := !now + adv;
+            ignore (FT.expire table ~now:(Sim.Time.ms !now));
+            Model.expire model ~now:(!now * 1_000_000);
+            true
+        | Op_lookup (a, dp) ->
+            let probe =
+              pkt ~src:(Printf.sprintf "10.0.0.%d" a) ~dst:"10.0.9.9"
+                ~sp:1000 ~dp ()
+            in
+            ignore (FT.expire table ~now:(Sim.Time.ms !now));
+            let got = FT.lookup table ~in_port:0 probe in
+            let want = Model.lookup model ~now:(!now * 1_000_000) probe in
+            (* Compare by cookie/tag identity. On a hit, update both
+               models' idle timers the way the switch would. *)
+            (match got with
+            | Some e -> FE.hit e ~now:(Sim.Time.ms !now) ~size:1
+            | None -> ());
+            (match want with
+            | Some m -> m.Model.last_hit <- !now * 1_000_000
+            | None -> ());
+            (match (got, want) with
+            | None, None -> true
+            | Some e, Some m -> e.FE.cookie = m.Model.tag
+            | _ -> false)
+      in
       List.for_all
         (fun op ->
-          match op with
-          | Op_add (indexable, prio, a, dp, idle_ms) ->
-              incr tag;
-              let fields = fields_of ~indexable ~a ~dp in
-              let idle = Option.map (fun m -> Sim.Time.ms m) idle_ms in
-              FT.add table
-                (FE.make ~priority:prio ?idle_timeout:idle
-                   ~installed_at:(Sim.Time.ms !now) ~cookie:!tag ~fields
-                   [ Openflow.Action.Output 1 ]);
-              Model.add model
-                {
-                  Model.fields;
-                  priority = prio;
-                  tag = !tag;
-                  last_hit = !now * 1_000_000;
-                  installed = !now * 1_000_000;
-                  idle = Option.map (fun m -> m * 1_000_000) idle_ms;
-                  hard = None;
-                };
-              true
-          | Op_remove (indexable, a, dp) ->
-              let fields = fields_of ~indexable ~a ~dp in
-              FT.remove table ~fields;
-              Model.remove model fields;
-              true
-          | Op_expire adv ->
-              now := !now + adv;
-              ignore (FT.expire table ~now:(Sim.Time.ms !now));
-              Model.expire model ~now:(!now * 1_000_000);
-              true
-          | Op_lookup (a, dp) ->
-              let probe =
-                pkt ~src:(Printf.sprintf "10.0.0.%d" a) ~dst:"10.0.9.9"
-                  ~sp:1000 ~dp ()
-              in
-              ignore (FT.expire table ~now:(Sim.Time.ms !now));
-              let got = FT.lookup table ~in_port:0 probe in
-              let want = Model.lookup model ~now:(!now * 1_000_000) probe in
-              (* Compare by cookie/tag identity. On a hit, update both
-                 models' idle timers the way the switch would. *)
-              (match got with
-              | Some e ->
-                  FE.hit e ~now:(Sim.Time.ms !now) ~size:1
-              | None -> ());
-              (match want with
-              | Some m -> m.Model.last_hit <- !now * 1_000_000
-              | None -> ());
-              (match (got, want) with
-              | None, None -> true
-              | Some e, Some m -> e.FE.cookie = m.Model.tag
-              | _ -> false))
+          step op
+          && FT.size table = List.length model.Model.entries
+          && List.map (fun e -> e.FE.cookie) (FT.entries table)
+             = List.map (fun m -> m.Model.tag) model.Model.entries
+          && !evicted = model.Model.evicted)
         ops)
 
 let () =
@@ -636,6 +778,10 @@ let () =
             test_table_capacity_evicts_lru;
           Alcotest.test_case "wildcard delete" `Quick test_table_wildcard_delete;
           Alcotest.test_case "miss counting" `Quick test_table_miss_counting;
+          Alcotest.test_case "churn allocation flat in size" `Quick
+            test_table_churn_alloc_flat;
+          Alcotest.test_case "replace footprint bounded" `Quick
+            test_table_replace_footprint;
         ] );
       ( "switch",
         [
@@ -667,6 +813,7 @@ let () =
             test_network_delivers_with_latency;
           Alcotest.test_case "egress accounting" `Quick
             test_network_egress_accounting;
+          Alcotest.test_case "host by ip" `Quick test_network_host_by_ip;
         ] );
       ( "properties",
         qc
