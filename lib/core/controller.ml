@@ -25,13 +25,9 @@ let sharded ?(service = Sim.Time.zero) ?(coalesce = true) count =
   { shard_count = count; shard_service = service; coalesce }
 
 type config = {
-  query_keys : string list;
   query_timeout : Sim.Time.t;
   entry_idle_timeout : Sim.Time.t option;
-  entry_hard_timeout : Sim.Time.t option;
   install_along_path : bool;
-  cache_denials : bool;
-  precompile_quick_blocks : bool;
   require_signed_responses : bool;
   query_retries : int;
   query_targets : query_targets;
@@ -43,22 +39,9 @@ type config = {
 
 let default_config =
   {
-    query_keys =
-      [
-        Identxx.Key_value.user_id;
-        Identxx.Key_value.group_id;
-        Identxx.Key_value.app_name;
-        Identxx.Key_value.exe_hash;
-        Identxx.Key_value.version;
-        Identxx.Key_value.requirements;
-        Identxx.Key_value.req_sig;
-      ];
     query_timeout = Sim.Time.ms 5;
     entry_idle_timeout = Some (Sim.Time.s 30);
-    entry_hard_timeout = None;
     install_along_path = true;
-    cache_denials = true;
-    precompile_quick_blocks = true;
     require_signed_responses = false;
     query_retries = 0;
     query_targets = Both;
@@ -66,8 +49,8 @@ let default_config =
     (* Off by default: the baseline controller runs the unmodified
        Figure-1 exchange for every table-miss flow. *)
     fastpath = Fastpath.disabled;
-    (* None: the legacy single sequential loop, byte-identical to the
-       pre-shard controller. *)
+    (* None: one sequential loop, no run queues, connection table or
+       batching. *)
     proactive = false;
     shards = None;
   }
@@ -450,7 +433,6 @@ let install_path t flow =
             (fun (dpid, _in_port, out_port) ->
               t.send_sw dpid
                 (Msg.add_flow ?idle_timeout:t.cfg.entry_idle_timeout
-                   ?hard_timeout:t.cfg.entry_hard_timeout
                    ~fields:(Openflow.Match_fields.of_five_tuple flow)
                    [ Openflow.Action.Output out_port ]))
             hops;
@@ -460,7 +442,6 @@ let install_path t flow =
 let install_drop t ~dpid flow =
   t.send_sw dpid
     (Msg.add_flow ?idle_timeout:t.cfg.entry_idle_timeout
-       ?hard_timeout:t.cfg.entry_hard_timeout
        ~fields:(Openflow.Match_fields.of_five_tuple flow)
        Openflow.Action.drop)
 
@@ -596,17 +577,15 @@ let apply_verdict ?(span = Obs.Span.null) ?started ?trace_id t sx ~flow
       end
   | Pf.Ast.Block -> (
       Obs.Registry.Counter.inc sx.s_m.c_blocked;
-      if t.cfg.cache_denials then
-        match packets with
-        | (dpid, _, _) :: _ ->
-            install_drop t ~dpid flow;
-            if Obs.Span.is_live span then
-              Obs.Span.event span ~at:now_s "install-drop";
-            if Obs.Recorder.enabled t.recorder then
-              Obs.Recorder.record_lazy t.recorder ~at:now_s "install"
-                (lazy
-                  [ ("flow", Five_tuple.to_string flow); ("kind", "drop") ])
-        | [] -> ()));
+      match packets with
+      | (dpid, _, _) :: _ ->
+          install_drop t ~dpid flow;
+          if Obs.Span.is_live span then
+            Obs.Span.event span ~at:now_s "install-drop";
+          if Obs.Recorder.enabled t.recorder then
+            Obs.Recorder.record_lazy t.recorder ~at:now_s "install"
+              (lazy [ ("flow", Five_tuple.to_string flow); ("kind", "drop") ])
+      | [] -> ()));
   Obs.Span.finish t.spans ~at:now_s span
 
 let trace_id_of ctx =
@@ -625,11 +604,11 @@ let finalize t sx p =
 let maybe_finalize t sx p =
   if (not p.await_src) && not p.await_dst then finalize t sx p
 
-(* A coalesced exchange settled badly — timeout, breaker-open, or a
-   rejected (unauthenticatable) response. Every waiter fails, not just
-   the initiating flow: the awaited end resolves absent, the flow's
-   root span is force-sampled (an error trace per waiter), and the
-   flow decides with what it has. Runs on the waiter's own shard. *)
+(* A coalesced exchange settled badly: the initiator timed out, or its
+   timeout tripped the host's breaker. Every waiter fails, not just the
+   initiating flow: the awaited end resolves absent, the flow's root
+   span is force-sampled (an error trace per waiter), and the flow
+   decides with what it has. Runs on the waiter's own shard. *)
 let fail_waiter t ~cause ~host w =
   let sx = t.shards_.(w.w_sid) in
   match Flow_tbl.find_opt sx.s_pending w.w_flow with
@@ -678,22 +657,23 @@ let post_to_waiters t ws fn =
 
 (* --- querying daemons (Figure 1, step 3) --- *)
 
-(* Send an ident++ query to [target_ip] about [flow]. [reply_to] is the
-   flow's other end: per §3.2 the controller uses it as the query's
-   source address, so the response naturally routes back through the
-   network (and its interception points). Returns false when no query
-   could be issued (unknown host). *)
+(* The keys a query hints when the policy reads none: the identity
+   and application keys of §3.3. *)
+let default_query_keys =
+  Identxx.Key_value.
+    [ user_id; group_id; app_name; exe_hash; version; requirements; req_sig ]
+
 (* The key list a query hints: the keys the current policy actually
-   reads, falling back to the configured defaults (§3.2: the list is
-   only a hint; daemons may answer with more). Also the attribute-cache
-   key for the host's answer. *)
+   reads, falling back to {!default_query_keys} (§3.2: the list is only
+   a hint; daemons may answer with more). Also the attribute-cache key
+   for the host's answer. *)
 let hint_keys t =
   match Policy_store.env t.policy with
   | Ok env -> (
       match Pf.Env.referenced_keys env with
-      | [] -> t.cfg.query_keys
+      | [] -> default_query_keys
       | keys -> keys)
-  | Error _ -> t.cfg.query_keys
+  | Error _ -> default_query_keys
 
 (* The coalescing key alongside the host: two queries share an exchange
    only when they hint the same key list. *)
@@ -726,6 +706,18 @@ let wire_send ?trace t sx ~(flow : Five_tuple.t) ~target_ip ~reply_to
            { Msg.out_packet = pkt; out_port = `Port attachment.Topo.port })
   | Topo.Host _ -> ()
 
+(* Where a query to [ip] enters the network: the switch port its host
+   hangs off, if the address is a known, attached host. *)
+let attachment_of t ip =
+  match Net.host_by_ip t.network ip with
+  | None -> None
+  | Some host -> Topo.host_attachment (Net.topology t.network) host
+
+(* Send an ident++ query to [target_ip] about [flow]. [reply_to] is the
+   flow's other end: per §3.2 the controller uses it as the query's
+   source address, so the response naturally routes back through the
+   network (and its interception points). [`Unreachable] when no query
+   could be issued (unknown host). *)
 let send_query ?trace t sx ~(flow : Five_tuple.t) ~target_ip ~reply_to ~end_ =
   match resolve_local_answer t target_ip with
   | Some section ->
@@ -734,28 +726,24 @@ let send_query ?trace t sx ~(flow : Five_tuple.t) ~target_ip ~reply_to ~end_ =
       let response = Identxx.Response.make ~flow [ section ] in
       `Local response
   | None -> (
-      match Net.host_by_ip t.network target_ip with
+      match attachment_of t target_ip with
       | None -> `Unreachable
-      | Some host -> (
-          match Topo.host_attachment (Net.topology t.network) host with
-          | None -> `Unreachable
-          | Some attachment -> (
-              match t.conn with
-              | None ->
+      | Some attachment -> (
+          match t.conn with
+          | None ->
+              wire_send ?trace t sx ~flow ~target_ip ~reply_to attachment;
+              `Sent None
+          | Some ct -> (
+              (* Multiplex through the per-host connection: only the
+                 first flow needing this (host, shape) actually sends;
+                 everyone else parks on the exchange. *)
+              let shape = shape_of_keys (hint_keys t) in
+              let w = { w_flow = flow; w_sid = sx.sid; w_end = end_ } in
+              match Shard.Conn_table.join ct ~host:target_ip ~shape w with
+              | `First ->
                   wire_send ?trace t sx ~flow ~target_ip ~reply_to attachment;
-                  `Sent None
-              | Some ct -> (
-                  (* Multiplex through the per-host connection: only the
-                     first flow needing this (host, shape) actually
-                     sends; everyone else parks on the exchange. *)
-                  let shape = shape_of_keys (hint_keys t) in
-                  let w = { w_flow = flow; w_sid = sx.sid; w_end = end_ } in
-                  match Shard.Conn_table.join ct ~host:target_ip ~shape w with
-                  | `First ->
-                      wire_send ?trace t sx ~flow ~target_ip ~reply_to
-                        attachment;
-                      `Sent (Some shape)
-                  | `Coalesced _ -> `Joined))))
+                  `Sent (Some shape)
+              | `Coalesced _ -> `Joined)))
 
 let start_flow t sx ~dpid ~in_port pkt (flow : Five_tuple.t) =
   Obs.Registry.Counter.inc sx.s_m.c_flows;
@@ -964,14 +952,10 @@ let start_flow t sx ~dpid ~in_port pkt (flow : Five_tuple.t) =
           (* A retry round, and this flow initiated the exchange: put
              the query back on the wire without re-joining (coalesced
              waiters ride this resend). *)
-          match Net.host_by_ip t.network target with
-          | None -> ()
-          | Some host -> (
-              match Topo.host_attachment (Net.topology t.network) host with
-              | None -> ()
-              | Some att ->
-                  wire_send ?trace:(qtrace qn) t sx ~flow ~target_ip:target
-                    ~reply_to:reply att)
+          Option.iter
+            (wire_send ?trace:(qtrace qn) t sx ~flow ~target_ip:target
+               ~reply_to:reply)
+            (attachment_of t target)
         else
           match
             send_query ?trace:(qtrace qn) t sx ~flow ~target_ip:target
@@ -1119,20 +1103,6 @@ let start_flow t sx ~dpid ~in_port pkt (flow : Five_tuple.t) =
 
 (* --- intercepted / owned ident++ traffic --- *)
 
-let find_pending_for_response sx ~from_ip (r : Identxx.Response.t) =
-  Flow_tbl.fold
-    (fun flow p acc ->
-      if acc <> None then acc
-      else if
-        Proto.equal flow.Five_tuple.proto r.Identxx.Response.proto
-        && flow.Five_tuple.src_port = r.Identxx.Response.src_port
-        && flow.Five_tuple.dst_port = r.Identxx.Response.dst_port
-        && (Ipv4.equal from_ip flow.Five_tuple.src
-           || Ipv4.equal from_ip flow.Five_tuple.dst)
-      then Some (flow, p)
-      else acc)
-    sx.s_pending None
-
 (* Where a well-formed signature section must sit for the response to
    count as authenticated: last — except that a daemon answering a
    traced query appends its (unauthenticated, purely diagnostic) trace
@@ -1224,76 +1194,63 @@ let deliver_to_waiter t ~dtrace response w =
         maybe_finalize t sx p
       end
 
-(* Coalescing path: a response from [from_ip] settles the oldest
-   in-flight exchange on its connection and fans out to every waiter,
-   in join order, each on its own shard. *)
-let handle_response_coalesced t sx ct ~dpid ~from_ip ~to_ip response pkt =
-  match Shard.Conn_table.settle_oldest ct ~host:from_ip with
-  | None -> handle_transit t sx ~dpid ~from_ip ~to_ip response pkt
-  | Some (_shape, ws) ->
-      if
-        t.cfg.require_signed_responses
-        && Identxx.Signed.verify (Decision.keystore t.decision) response
-           <> Identxx.Signed.Valid (expected_signature_index response)
-      then begin
-        (* One rejected wire response fails the whole exchange: every
-           waiter — not just the initiating flow — decides now with
-           this end absent, each with a force-sampled error trace. *)
-        Obs.Registry.Counter.inc sx.s_m.c_rejected;
-        Log.debug (fun m ->
-            m "rejecting unauthenticated response from %s"
-              (Ipv4.to_string from_ip));
-        post_to_waiters t ws
-          (fail_waiter t ~cause:"response-rejected" ~host:from_ip)
-      end
-      else begin
-        Obs.Registry.Counter.inc sx.s_m.c_responses;
-        let dtrace = Identxx.Response.trace_info response in
-        let response = Identxx.Response.strip_trace response in
-        (* Close breaker state and cache the attributes in every shard
-           view that was waiting on this answer. *)
-        let now = Sim.Engine.now (Net.engine t.network) in
-        let sids =
-          List.sort_uniq compare (sx.sid :: List.map (fun w -> w.w_sid) ws)
-        in
-        List.iter
-          (fun sid ->
-            let fp = t.shards_.(sid).s_fp in
-            Fastpath.note_response fp from_ip;
-            Fastpath.store_attrs fp ~now ~host:from_ip ~keys:(hint_keys t)
-              ?signer:
-                (Identxx.Response.latest response Identxx.Signed.signer_key)
-              response)
-          sids;
-        (* Deliveries are posted in join order, so the initiator (who
-           carries the daemon's timing piggyback) settles first. *)
-        let first = ref true in
-        post_to_waiters t ws (fun w ->
-            let dt = if !first then dtrace else None in
-            first := false;
-            deliver_to_waiter t ~dtrace:dt response w)
-      end
+(* The shard owning [flow]'s pending entry: where its packet-ins run. *)
+let owner t flow =
+  match t.driver with
+  | None -> t.shards_.(0)
+  | Some d -> t.shards_.(Shard.Engine.shard_of_flow d flow)
 
-let handle_response_direct t sx ~dpid ~from_ip ~to_ip response pkt =
-  match find_pending_for_response sx ~from_ip response with
-  | Some (flow, p)
+(* The pending flow a daemon answer names. The daemon echoes the flow's
+   proto and ports; [from_ip] is the answering end and [to_ip] the
+   query's reply-to, i.e. the other end. So the flow is one of two exact
+   keys; when both are pending, the one awaiting its source wins, then
+   the other. *)
+let named_pending t ~from_ip ~to_ip (r : Identxx.Response.t) =
+  let find src dst =
+    let flow =
+      {
+        Five_tuple.src;
+        dst;
+        proto = r.Identxx.Response.proto;
+        src_port = r.Identxx.Response.src_port;
+        dst_port = r.Identxx.Response.dst_port;
+      }
+    in
+    Flow_tbl.find_opt (owner t flow).s_pending flow
+  in
+  match find from_ip to_ip with
+  | Some p when p.await_src -> Some p
+  | as_src -> (
+      match find to_ip from_ip with Some _ as as_dst -> as_dst | None -> as_src)
+
+(* The one response path: an answer pairs with the flow it names, on
+   that flow's shard. If the flow initiated a coalesced exchange with
+   the answering host, the answer settles it for every waiter, in join
+   order and each on its own shard; otherwise the flow is the only
+   waiter. An answer that fails authentication settles nothing: the
+   waiters decide on a later valid answer or at the initiator's
+   timeout, so an off-path spoofer cannot force early fail-closed
+   decisions. An answer naming no pending flow is transit. *)
+let handle_response t sx ~dpid ~from_ip ~to_ip response pkt =
+  match named_pending t ~from_ip ~to_ip response with
+  | None -> handle_transit t sx ~dpid ~from_ip ~to_ip response pkt
+  | Some p
     when t.cfg.require_signed_responses
          && Identxx.Signed.verify (Decision.keystore t.decision) response
-            <> Identxx.Signed.Valid (expected_signature_index response) -> (
-      (* A response we cannot authenticate is ignored: the flow decides
-         at the timeout with whatever arrived (fail closed for
-         information-dependent policy). *)
-      ignore flow;
-      Obs.Registry.Counter.inc sx.s_m.c_rejected;
+            <> Identxx.Signed.Valid (expected_signature_index response) ->
+      Obs.Registry.Counter.inc (owner t p.p_flow).s_m.c_rejected;
       Obs.Span.force_sample p.p_span;
       if Obs.Span.is_live p.p_span then
         Obs.Span.event p.p_span ~at:(time_now_s t)
           ~attrs:[ ("host", Ipv4.to_string from_ip) ]
           "response-rejected";
       Log.debug (fun m ->
-          m "rejecting unauthenticated response from %s" (Ipv4.to_string from_ip)))
-  | Some (flow, p) ->
-      Obs.Registry.Counter.inc sx.s_m.c_responses;
+          m "rejecting unauthenticated response from %s"
+            (Ipv4.to_string from_ip))
+  | Some p ->
+      let flow = p.p_flow in
+      let osx = owner t flow in
+      Obs.Registry.Counter.inc osx.s_m.c_responses;
       (* Pull the daemon's piggybacked timings out, then strip them:
          per-flow trace ids must not reach policy evaluation or the
          attribute cache (a cached trace section would both leak into
@@ -1301,50 +1258,42 @@ let handle_response_direct t sx ~dpid ~from_ip ~to_ip response pkt =
          matching). *)
       let dtrace = Identxx.Response.trace_info response in
       let response = Identxx.Response.strip_trace response in
-      (* An (authenticated, if required) answer: close any breaker state
-         and remember the attributes for subsequent flows. *)
-      Fastpath.note_response sx.s_fp from_ip;
-      Fastpath.store_attrs sx.s_fp
-        ~now:(Sim.Engine.now (Net.engine t.network))
-        ~host:from_ip ~keys:(hint_keys t)
-        ?signer:(Identxx.Response.latest response Identxx.Signed.signer_key)
-        response;
-      let at = time_now_s t in
-      let answered qspan sent =
-        if not (Float.is_nan sent) then
-          Obs.Registry.Histogram.observe sx.s_m.h_query_rtt (at -. sent);
-        if Obs.Span.is_live qspan then begin
-          stitch_daemon_spans t qspan dtrace;
-          Obs.Span.set_attr qspan "outcome" "answered";
-          Obs.Span.finish t.spans ~at qspan
-        end;
-        if Obs.Recorder.enabled t.recorder then
-          Obs.Recorder.record_lazy t.recorder ~at "query-settled"
-            (lazy
-              [
-                ("flow", Five_tuple.to_string flow);
-                ("host", Ipv4.to_string from_ip);
-                ("outcome", "answered");
-              ])
+      let ws =
+        match
+          ( t.conn,
+            List.find_opt (fun (h, _) -> Ipv4.equal h from_ip) p.p_exchanges )
+        with
+        | Some ct, Some ((_, shape) as ex) ->
+            (* Forget it once settled: a duplicate answer naming this
+               flow must not settle a newer exchange with the host. *)
+            p.p_exchanges <- List.filter (fun e -> e != ex) p.p_exchanges;
+            Shard.Conn_table.settle ct ~host:from_ip ~shape
+        | _ ->
+            let w_end =
+              if Ipv4.equal from_ip flow.Five_tuple.src then `Src else `Dst
+            in
+            [ { w_flow = flow; w_sid = osx.sid; w_end } ]
       in
-      if Ipv4.equal from_ip flow.Five_tuple.src then begin
-        answered p.src_qspan p.src_sent;
-        p.src_resp <- Some response;
-        p.await_src <- false
-      end
-      else begin
-        answered p.dst_qspan p.dst_sent;
-        p.dst_resp <- Some response;
-        p.await_dst <- false
-      end;
-      maybe_finalize t sx p
-  | None -> handle_transit t sx ~dpid ~from_ip ~to_ip response pkt
-
-let handle_response t sx ~dpid ~from_ip ~to_ip response pkt =
-  match t.conn with
-  | Some ct ->
-      handle_response_coalesced t sx ct ~dpid ~from_ip ~to_ip response pkt
-  | None -> handle_response_direct t sx ~dpid ~from_ip ~to_ip response pkt
+      (* An (authenticated, if required) answer: close breaker state and
+         remember the attributes in every shard view that waited on it. *)
+      let now = Sim.Engine.now (Net.engine t.network) in
+      let keys = hint_keys t in
+      let signer = Identxx.Response.latest response Identxx.Signed.signer_key in
+      Array.iter
+        (fun vx ->
+          if List.exists (fun w -> w.w_sid = vx.sid) ws then begin
+            Fastpath.note_response vx.s_fp from_ip;
+            Fastpath.store_attrs vx.s_fp ~now ~host:from_ip ~keys ?signer
+              response
+          end)
+        t.shards_;
+      (* The initiator settles first and alone carries the daemon's
+         timing piggyback (the timings are real once). *)
+      let first = ref true in
+      post_to_waiters t ws (fun w ->
+          let dtrace = if !first then dtrace else None in
+          first := false;
+          deliver_to_waiter t ~dtrace response w)
 
 let handle_foreign_query t sx ~dpid ~from_ip ~to_ip (q : Identxx.Query.t) pkt =
   (* "Intercepted queries are not allowed to cause new queries." *)
@@ -1382,41 +1331,10 @@ let handle_packet_in t sx (pi : Msg.packet_in) =
           | Some p -> p.p_packets <- (pi.Msg.dpid, pi.Msg.in_port, pkt) :: p.p_packets
           | None -> start_flow t sx ~dpid:pi.Msg.dpid ~in_port:pi.Msg.in_port pkt flow))
 
-(* Which shard owns an arriving daemon response. The coalesced path
-   pairs it with the connection's oldest exchange (FIFO wire), so it
-   must run where that exchange's initiator parked; without the conn
-   table, find the shard whose pending table is awaiting this host. *)
-let response_owner t ~from_ip =
-  let via_conn =
-    match t.conn with
-    | Some ct ->
-        Option.map
-          (fun (w : waiter) -> w.w_sid)
-          (Shard.Conn_table.peek_oldest ct ~host:from_ip)
-    | None -> None
-  in
-  match via_conn with
-  | Some sid -> sid
-  | None ->
-      let n = Array.length t.shards_ in
-      let rec scan sid =
-        if sid >= n then 0
-        else if
-          Flow_tbl.fold
-            (fun flow p acc ->
-              acc
-              || (p.await_src && Ipv4.equal flow.Five_tuple.src from_ip)
-              || (p.await_dst && Ipv4.equal flow.Five_tuple.dst from_ip))
-            t.shards_.(sid).s_pending false
-        then sid
-        else scan (sid + 1)
-      in
-      scan 0
-
 (* The sharded front-end: classify the packet-in once (cheap, pure)
    and post the real work to the owning shard's run queue. Data
-   packets partition by flow-key hash; responses go to the exchange
-   initiator's shard; foreign/transit traffic pins to shard 0. *)
+   packets partition by flow-key hash; responses go to the shard of
+   the flow they name; foreign/transit traffic pins to shard 0. *)
 let dispatch_packet_in t d (pi : Msg.packet_in) =
   let pkt = pi.Msg.packet in
   let post sid =
@@ -1424,7 +1342,11 @@ let dispatch_packet_in t d (pi : Msg.packet_in) =
         handle_packet_in t t.shards_.(sid) pi)
   in
   match Identxx.Wire.classify pkt with
-  | Identxx.Wire.Response { from_ip; _ } -> post (response_owner t ~from_ip)
+  | Identxx.Wire.Response { from_ip; to_ip; response } ->
+      post
+        (match named_pending t ~from_ip ~to_ip response with
+        | Some p -> (owner t p.p_flow).sid
+        | None -> 0)
   | Identxx.Wire.Query _ -> post 0
   | Identxx.Wire.Not_identxx -> (
       match Packet.five_tuple pkt with
@@ -1454,43 +1376,41 @@ let switch_stats t dpid = List.assoc_opt dpid t.last_stats
 let precompiled_priority = 0xffff
 
 let sync_precompiled t =
-  if t.cfg.precompile_quick_blocks then begin
-    let matches =
-      match Policy_store.env t.policy with
-      | Ok env -> Precompile.drop_matches env
-      | Error _ -> []
-    in
-    let switches = Net.switches_in_domain t.network t.id in
-    (* Remove entries no longer derived from policy, add new ones. *)
-    List.iter
-      (fun fields ->
-        if not (List.mem fields matches) then
-          List.iter
-            (fun dpid ->
-              Net.send_to_switch t.network dpid
-                (Msg.Flow_mod
-                   {
-                     Msg.command = Msg.Delete_strict;
-                     fields;
-                     priority = precompiled_priority;
-                     actions = [];
-                     idle_timeout = None;
-                     hard_timeout = None;
-                     cookie = 0;
-                   }))
-            switches)
-      t.precompiled;
-    List.iter
-      (fun fields ->
+  let matches =
+    match Policy_store.env t.policy with
+    | Ok env -> Precompile.drop_matches env
+    | Error _ -> []
+  in
+  let switches = Net.switches_in_domain t.network t.id in
+  (* Remove entries no longer derived from policy, add new ones. *)
+  List.iter
+    (fun fields ->
+      if not (List.mem fields matches) then
         List.iter
           (fun dpid ->
             Net.send_to_switch t.network dpid
-              (Msg.add_flow ~priority:precompiled_priority ~fields
-                 Openflow.Action.drop))
+              (Msg.Flow_mod
+                 {
+                   Msg.command = Msg.Delete_strict;
+                   fields;
+                   priority = precompiled_priority;
+                   actions = [];
+                   idle_timeout = None;
+                   hard_timeout = None;
+                   cookie = 0;
+                 }))
           switches)
-      matches;
-    t.precompiled <- matches
-  end
+    t.precompiled;
+  List.iter
+    (fun fields ->
+      List.iter
+        (fun dpid ->
+          Net.send_to_switch t.network dpid
+            (Msg.add_flow ~priority:precompiled_priority ~fields
+               Openflow.Action.drop))
+        switches)
+    matches;
+  t.precompiled <- matches
 
 (* --- the proactive flow-table compiler (static slice -> wildcards) --- *)
 
@@ -1848,8 +1768,8 @@ let create ?(config = default_config) ?keystore ?functions ?obs ?spans
     match spans with Some s -> s | None -> Obs.Span.create ~enabled:false ()
   in
   let labels = [ ("controller", string_of_int id) ] in
-  (* One shard context (the legacy sequential path, byte-identical to
-     the unsharded controller) unless config.shards asks for more. *)
+  (* One shard context (the unsharded sequential path) unless
+     config.shards asks for more. *)
   let nshards, sharded =
     match config.shards with
     | None -> (1, false)

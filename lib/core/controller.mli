@@ -42,23 +42,17 @@ val sharded : ?service:Sim.Time.t -> ?coalesce:bool -> int -> shard_config
     on. *)
 
 type config = {
-  query_keys : string list;  (** Hint list placed in queries. *)
   query_timeout : Sim.Time.t;  (** Wait this long for daemon responses. *)
   entry_idle_timeout : Sim.Time.t option;  (** For installed entries. *)
-  entry_hard_timeout : Sim.Time.t option;
   install_along_path : bool;
       (** Install entries at every switch on the path (Figure 1 step 4)
           vs. only at the packet-in switch (ablation). *)
-  cache_denials : bool;  (** Install drop entries for blocked flows. *)
-  precompile_quick_blocks : bool;
-      (** Push leading network-only [block quick] rules into the
-          switches as maximum-priority drop entries (see
-          {!Precompile}), so that traffic dies at line rate without
-          packet-ins. *)
   require_signed_responses : bool;
       (** Ignore responses that do not carry a valid {!Identxx.Signed}
           section from a keystore-known signer — spoofed responses then
-          cannot influence decisions (a §5.3-style hardening). *)
+          cannot influence decisions (a §5.3-style hardening). An
+          ignored response settles nothing: the flows awaiting it decide
+          on a later valid answer or at the query timeout. *)
   query_retries : int;
       (** Re-send unanswered queries this many times, each after
           [query_timeout], before deciding with what arrived (0 = a
@@ -82,15 +76,22 @@ type config = {
       (** [Some s] partitions flow setup across [s.shard_count] run
           queues by flow-key hash, multiplexes daemon connections with
           query coalescing, and batches flow-mod installs per tick.
-          [None] (the default) is the original sequential path,
-          byte-identical to the pre-shard controller. See DESIGN.md
-          §12. *)
+          [None] (the default) is one sequential loop with no run
+          queues, connection table or batching; both pair daemon
+          answers the same way. See DESIGN.md §12. *)
 }
 
 val default_config : config
 (** Both ends queried, 5 ms query timeout, 30 s idle timeout on entries,
-    path installation, denial caching and quick-block precompilation on,
-    default pass (vanilla PF). *)
+    path installation, default pass (vanilla PF).
+
+    Whatever the configuration, the controller installs a drop entry at
+    the ingress switch for every blocked flow, and pushes the policy's
+    leading network-only [block quick] rules into the switches as
+    maximum-priority drop entries (see {!Precompile}), so that traffic
+    dies at line rate without packet-ins. Installed entries carry no
+    hard timeout. Queries hint the keys the policy reads, or the
+    identity and application keys of §3.3 when it reads none. *)
 
 type t
 

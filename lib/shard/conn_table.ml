@@ -13,20 +13,17 @@ module Key_tbl = Hashtbl.Make (struct
 end)
 
 type 'w exchange = {
-  seq : int;  (* global join order of the exchange's first waiter *)
   mutable waiters : 'w list;  (* reverse join order *)
   mutable waiter_count : int;
 }
 
 type 'w t = {
   tbl : 'w exchange Key_tbl.t;
-  mutable next_seq : int;
   mutable started : int;
   mutable coalesced : int;
 }
 
-let create () =
-  { tbl = Key_tbl.create 64; next_seq = 0; started = 0; coalesced = 0 }
+let create () = { tbl = Key_tbl.create 64; started = 0; coalesced = 0 }
 
 let join t ~host ~shape w =
   let key = { host; shape } in
@@ -37,8 +34,7 @@ let join t ~host ~shape w =
       t.coalesced <- t.coalesced + 1;
       `Coalesced ex.waiter_count
   | None ->
-      let ex = { seq = t.next_seq; waiters = [ w ]; waiter_count = 1 } in
-      t.next_seq <- t.next_seq + 1;
+      let ex = { waiters = [ w ]; waiter_count = 1 } in
       t.started <- t.started + 1;
       Key_tbl.replace t.tbl key ex;
       `First
@@ -50,53 +46,6 @@ let settle t ~host ~shape =
   | Some ex ->
       Key_tbl.remove t.tbl key;
       List.rev ex.waiters
-
-let settle_oldest t ~host =
-  let best = ref None in
-  Key_tbl.iter
-    (fun key ex ->
-      if Netcore.Ipv4.equal key.host host then
-        match !best with
-        | Some (_, b) when b.seq <= ex.seq -> ()
-        | _ -> best := Some (key, ex))
-    t.tbl;
-  match !best with
-  | None -> None
-  | Some (key, ex) ->
-      Key_tbl.remove t.tbl key;
-      Some (key.shape, List.rev ex.waiters)
-
-let settle_host t ~host =
-  let hits = ref [] in
-  Key_tbl.iter
-    (fun key ex ->
-      if Netcore.Ipv4.equal key.host host then hits := (key, ex) :: !hits)
-    t.tbl;
-  let hits = List.sort (fun (_, a) (_, b) -> compare a.seq b.seq) !hits in
-  List.map
-    (fun (key, ex) ->
-      Key_tbl.remove t.tbl key;
-      (key.shape, List.rev ex.waiters))
-    hits
-
-let peek_oldest t ~host =
-  let best = ref None in
-  Key_tbl.iter
-    (fun key ex ->
-      if Netcore.Ipv4.equal key.host host then
-        match !best with
-        | Some (_, b) when b.seq <= ex.seq -> ()
-        | _ -> best := Some (key, ex))
-    t.tbl;
-  match !best with
-  | None -> None
-  | Some (_, ex) -> (
-      match List.rev ex.waiters with w :: _ -> Some w | [] -> None)
-
-let peek t ~host ~shape =
-  match Key_tbl.find_opt t.tbl { host; shape } with
-  | None -> []
-  | Some ex -> List.rev ex.waiters
 
 let in_flight t = Key_tbl.length t.tbl
 let waiters t = Key_tbl.fold (fun _ ex acc -> acc + ex.waiter_count) t.tbl 0

@@ -7,10 +7,12 @@
 
     The table is generic in the waiter type ['w]: the controller parks
     a per-flow handle (flow key + owning shard + which end of the flow
-    the exchange resolves) and interprets it on settle. Determinism:
-    waiters are returned in join order, and {!settle_host} returns
-    exchanges in the order their first waiter joined, so settle-time
-    fan-out is reproducible. *)
+    the exchange resolves) and interprets it on settle. The table never
+    pairs a response with an exchange: the caller does, by the flow the
+    response names — only that flow's initiator knows the (host, shape)
+    it started, and settles exactly that exchange. Determinism: waiters
+    are returned in join order, so settle-time fan-out is
+    reproducible. *)
 
 type 'w t
 
@@ -27,28 +29,10 @@ val join :
 
 val settle : 'w t -> host:Netcore.Ipv4.t -> shape:string -> 'w list
 (** Remove the (host, shape) exchange and return its waiters in join
-    order (the initiator first); [[]] when none is in flight. Called on
-    any terminal outcome — response, rejection, timeout, breaker — so
-    every waiter sees exactly one settlement. *)
-
-val settle_oldest : 'w t -> host:Netcore.Ipv4.t -> (string * 'w list) option
-(** Remove and return the oldest in-flight exchange to [host] (the
-    multiplexed connection is FIFO, so an arriving response pairs with
-    the earliest outstanding wire query regardless of shape). *)
-
-val settle_host : 'w t -> host:Netcore.Ipv4.t -> (string * 'w list) list
-(** Remove {e every} exchange in flight to [host] and return
-    [(shape, waiters)] pairs ordered by exchange start. Used when the
-    whole host goes silent (timeout, breaker trip): one dead host fails
-    all shapes at once. *)
-
-val peek : 'w t -> host:Netcore.Ipv4.t -> shape:string -> 'w list
-(** The current waiter list in join order, without settling. *)
-
-val peek_oldest : 'w t -> host:Netcore.Ipv4.t -> 'w option
-(** The initiator (first waiter) of the oldest in-flight exchange to
-    [host], without settling — how a dispatcher routes an arriving
-    response to the shard that will pair it ({!settle_oldest}). *)
+    order (the initiator first); [[]] when none is in flight. The
+    initiator calls it on its exchange's terminal outcome — a valid
+    answer naming the initiator's flow, or the initiator's timeout or
+    breaker trip — so every waiter sees exactly one settlement. *)
 
 val in_flight : 'w t -> int
 (** Exchanges currently in flight (gauge). *)

@@ -29,8 +29,8 @@ val service : t -> Sim.Time.t
 
 val shard_of_flow : t -> Netcore.Five_tuple.t -> int
 (** The owning shard for a flow: [Five_tuple.hash mod shard_count].
-    Deterministic, direction-sensitive — responses are routed back to
-    the owner via the pending-table scan, not by re-hashing. *)
+    Deterministic, direction-sensitive — a daemon response is routed
+    to the owner by hashing the flow it names. *)
 
 val current : t -> int option
 (** The shard whose message is executing right now, if any — lets

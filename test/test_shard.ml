@@ -108,44 +108,6 @@ let test_conn_join_settle () =
   check Alcotest.int "wire exchanges" 2 (Shard.Conn_table.started t);
   check Alcotest.int "coalesced joins" 1 (Shard.Conn_table.coalesced t)
 
-let test_conn_fifo_pairing () =
-  (* The multiplexed connection is FIFO: responses pair with exchanges
-     oldest-first, whatever their shape. *)
-  let t = Shard.Conn_table.create () in
-  let h = ip "10.0.0.1" in
-  ignore (Shard.Conn_table.join t ~host:h ~shape:"b" "w1");
-  ignore (Shard.Conn_table.join t ~host:h ~shape:"a" "w2");
-  ignore (Shard.Conn_table.join t ~host:h ~shape:"b" "w3");
-  check
-    Alcotest.(option string)
-    "peek_oldest sees the initiator" (Some "w1")
-    (Shard.Conn_table.peek_oldest t ~host:h);
-  (match Shard.Conn_table.settle_oldest t ~host:h with
-  | Some (shape, ws) ->
-      check Alcotest.string "oldest shape first" "b" shape;
-      check Alcotest.(list string) "its waiters" [ "w1"; "w3" ] ws
-  | None -> Alcotest.fail "expected an exchange");
-  (match Shard.Conn_table.settle_oldest t ~host:h with
-  | Some (shape, ws) ->
-      check Alcotest.string "then the next" "a" shape;
-      check Alcotest.(list string) "its waiter" [ "w2" ] ws
-  | None -> Alcotest.fail "expected the second exchange");
-  check Alcotest.bool "drained" true
-    (Shard.Conn_table.settle_oldest t ~host:h = None)
-
-let test_conn_settle_host () =
-  let t = Shard.Conn_table.create () in
-  let h = ip "10.0.0.1" and other = ip "10.0.0.2" in
-  ignore (Shard.Conn_table.join t ~host:h ~shape:"b" "w1");
-  ignore (Shard.Conn_table.join t ~host:other ~shape:"b" "x1");
-  ignore (Shard.Conn_table.join t ~host:h ~shape:"a" "w2");
-  check
-    Alcotest.(list (pair string (list string)))
-    "all the host's exchanges, start order"
-    [ ("b", [ "w1" ]); ("a", [ "w2" ]) ]
-    (Shard.Conn_table.settle_host t ~host:h);
-  check Alcotest.int "other host untouched" 1 (Shard.Conn_table.in_flight t)
-
 (* --- Shard.Batch unit tests --- *)
 
 let stats_req xid = Openflow.Message.Stats_request { xid }
@@ -221,36 +183,51 @@ let stats_t =
         st.C.responses_received st.C.query_timeouts)
     ( = )
 
-let test_determinism_oracle () =
-  (* Same scenario under 1, 2 and 8 shards: byte-identical audit trail,
-     identical aggregated stats, identical delivery counts. *)
+(* Run the burst under each shard configuration and require every run
+   to match the first: byte-identical audit trail, identical aggregated
+   stats, identical delivery counts, nothing left pending. *)
+let burst_oracle configs =
   let runs =
     List.map
-      (fun n ->
-        let c, net = run_burst ~shards:(Some (C.sharded n)) () in
+      (fun shards ->
+        let c, net = run_burst ~shards () in
         ( Format.asprintf "%a" Audit.pp (C.audit c),
           C.stats c,
           (Net.delivered net, Net.dropped net, Net.packet_ins net),
           C.pending_count c ))
-      [ 1; 2; 8 ]
+      configs
   in
-  match runs with
-  | [ (a1, s1, d1, p1); (a2, s2, d2, p2); (a8, s8, d8, p8) ] ->
-      check Alcotest.string "audit identical 1 vs 2 shards" a1 a2;
-      check Alcotest.string "audit identical 1 vs 8 shards" a1 a8;
-      check stats_t "stats identical 1 vs 2 shards" s1 s2;
-      check stats_t "stats identical 1 vs 8 shards" s1 s8;
-      check
-        Alcotest.(triple int int int)
-        "delivery identical 1 vs 2 shards" d1 d2;
-      check
-        Alcotest.(triple int int int)
-        "delivery identical 1 vs 8 shards" d1 d8;
-      check Alcotest.int "no stuck flows (1)" 0 p1;
-      check Alcotest.int "no stuck flows (2)" 0 p2;
-      check Alcotest.int "no stuck flows (8)" 0 p8;
-      check Alcotest.int "all 15 flows decided" 15 s1.C.flows_seen
-  | _ -> assert false
+  let a0, s0, d0, _ = List.hd runs in
+  List.iteri
+    (fun i (a, s, d, p) ->
+      let what = Printf.sprintf " (run %d)" i in
+      check Alcotest.string ("audit identical" ^ what) a0 a;
+      check stats_t ("stats identical" ^ what) s0 s;
+      check Alcotest.(triple int int int) ("delivery identical" ^ what) d0 d;
+      check Alcotest.int ("no stuck flows" ^ what) 0 p)
+    runs;
+  check Alcotest.int "all 15 flows decided" 15 s0.C.flows_seen;
+  s0
+
+let test_determinism_oracle () =
+  (* Same scenario under 1, 2 and 8 coalescing shards. *)
+  ignore
+    (burst_oracle (List.map (fun n -> Some (C.sharded n)) [ 1; 2; 8 ]))
+
+let test_pairing_oracle () =
+  (* Without coalescing, every flow queries both ends itself, and every
+     client's first ephemeral port is the same: 15 answers from the hot
+     host name the same ports and differ only in the client address.
+     Pairing by the named flow delivers each to its own flow, so the
+     unsharded path and 1, 2 or 8 shards agree, and no flow decides
+     with its destination end absent. *)
+  let st =
+    burst_oracle
+      (None
+      :: List.map (fun n -> Some (C.sharded ~coalesce:false n)) [ 1; 2; 8 ])
+  in
+  check Alcotest.int "every answer paired" 30 st.C.responses_received;
+  check Alcotest.int "no timeouts" 0 st.C.query_timeouts
 
 (* Span-drop attribution must be shard-count invariant: the same burst
    through a capacity-4 collector finishes the same 15 root spans and
@@ -296,20 +273,43 @@ let test_span_drop_invariance () =
       check Alcotest.int "retained invariant 1 vs 8" k1 k8
   | _ -> assert false
 
-(* K concurrent misses needing the same host: one wire exchange, K
-   decisions. *)
-let coalesce_net ?(silent = false) ~clients () =
+(* One switch, a target host 0 and clients 1..n, on two coalescing
+   shards: concurrent flows to the target share one wire exchange with
+   it. By default only the target is queried. *)
+let target_net ?(require_signed = false) ?(targets = C.Dst_only) ~clients () =
   let config =
     {
       C.default_config with
       C.shards = Some (C.sharded 2);
-      C.query_targets = C.Dst_only;
+      C.query_targets = targets;
+      C.require_signed_responses = require_signed;
     }
   in
-  let engine, network, controller, hosts =
-    Deploy.linear_network ~config ~switches:1 ~hosts_per_switch:(clients + 1)
-      ()
+  Deploy.linear_network ~config ~switches:1 ~hosts_per_switch:(clients + 1) ()
+
+(* Client [h] opens a flow to [target]'s port 80. *)
+let open_flow network h ~target =
+  let proc = Identxx.Host.run h ~user:"u" ~exe:"/bin/app" () in
+  let flow =
+    Identxx.Host.connect h ~proc ~dst:(Identxx.Host.ip target) ~dst_port:80 ()
   in
+  Net.send_from_host network ~name:(Identxx.Host.name h)
+    (Identxx.Host.first_packet h ~flow);
+  flow
+
+(* An answer about [flow] claiming to come from its destination, with
+   the given pairs and no signature. *)
+let forge network ~target flow pairs =
+  Net.send_from_host network ~name:(Identxx.Host.name target)
+    (Identxx.Wire.response_packet ~to_ip:flow.Five_tuple.src
+       ~from_ip:(Identxx.Host.ip target) ~dst_port:49152
+       (Identxx.Response.make ~flow
+          [ List.map (fun (k, v) -> Identxx.Key_value.pair k v) pairs ]))
+
+(* K concurrent misses needing the same host: one wire exchange, K
+   decisions. *)
+let coalesce_net ?(silent = false) ~clients () =
+  let engine, network, controller, hosts = target_net ~clients () in
   Policy_store.add_exn (C.policy controller) ~name:"00" "pass all";
   let target = hosts.(0) in
   if silent then
@@ -317,14 +317,7 @@ let coalesce_net ?(silent = false) ~clients () =
       (Identxx.Host.daemon target)
       Identxx.Daemon.Silent;
   for i = 1 to clients do
-    let h = hosts.(i) in
-    let proc = Identxx.Host.run h ~user:"u" ~exe:"/bin/app" () in
-    let flow =
-      Identxx.Host.connect h ~proc ~dst:(Identxx.Host.ip target) ~dst_port:80
-        ()
-    in
-    Net.send_from_host network ~name:(Identxx.Host.name h)
-      (Identxx.Host.first_packet h ~flow)
+    ignore (open_flow network hosts.(i) ~target)
   done;
   Sim.Engine.run engine;
   controller
@@ -353,6 +346,74 @@ let test_fail_all_waiters () =
   check Alcotest.int "all three flows decided" 3
     (st.C.allowed + st.C.blocked);
   check Alcotest.int "nothing pending" 0 (C.pending_count c)
+
+let test_stale_answer_settles_nothing () =
+  (* An answer naming a flow whose exchange with the host already
+     settled must not settle the next exchange with that host, whether
+     the named flow is still pending on its other end or decided: it
+     changes nothing, and the new exchange's waiters decide on their
+     own answer. Pairing by position would hand them the forged
+     attributes. *)
+  let engine, network, controller, hosts =
+    target_net ~targets:C.Both ~clients:4 ()
+  in
+  Policy_store.add_exn (C.policy controller) ~name:"00"
+    "block all\npass all with eq(@dst[clearance], top)";
+  let target = hosts.(0) in
+  (* The target answers [stale] at once; its silent source keeps it
+     pending until the 5 ms timeout. *)
+  Identxx.Daemon.set_behaviour
+    (Identxx.Host.daemon hosts.(1))
+    Identxx.Daemon.Silent;
+  let stale = open_flow network hosts.(1) ~target in
+  let new_exchange_at ms clients =
+    Sim.Engine.schedule engine ~delay:(Sim.Time.ms ms) (fun () ->
+        List.iter
+          (fun i -> ignore (open_flow network hosts.(i) ~target))
+          clients;
+        Sim.Engine.schedule engine ~delay:(Sim.Time.us 1) (fun () ->
+            forge network ~target stale [ ("clearance", "top") ]))
+  in
+  new_exchange_at 1 [ 2; 3 ];
+  new_exchange_at 10 [ 4 ];
+  Sim.Engine.run engine;
+  let st = C.stats controller in
+  check Alcotest.int "one coalesced waiter" 1 (C.coalesced_queries controller);
+  check Alcotest.int "no flow passed on the forged answer" 0 st.C.allowed;
+  check Alcotest.int "all four blocked" 4 st.C.blocked;
+  check Alcotest.int "only the silent source timed out" 1
+    st.C.query_timeouts;
+  check Alcotest.int "nothing pending" 0 (C.pending_count controller)
+
+let test_rejected_answer_settles_nothing () =
+  (* With signatures required, an unsigned answer naming the initiator
+     is ignored: it settles nothing, and the genuine signed answer that
+     follows decides every waiter on the real attributes. *)
+  let engine, network, controller, hosts =
+    target_net ~require_signed:true ~clients:3 ()
+  in
+  Policy_store.add_exn (C.policy controller) ~name:"00"
+    "block all\npass all with eq(@dst[name], srv)";
+  let target = hosts.(0) in
+  let key = Idcrypto.Sign.generate "target-host" in
+  Idcrypto.Sign.register (C.keystore controller) key;
+  Identxx.Host.set_signing_key target (Some key);
+  let srv = Identxx.Host.run target ~user:"www" ~exe:"/bin/srv" () in
+  Identxx.Host.listen target ~proc:srv ~port:80 ();
+  let initiator = open_flow network hosts.(1) ~target in
+  ignore (open_flow network hosts.(2) ~target);
+  ignore (open_flow network hosts.(3) ~target);
+  Sim.Engine.schedule engine ~delay:(Sim.Time.us 1) (fun () ->
+      forge network ~target initiator [ ("name", "evil") ]);
+  Sim.Engine.run engine;
+  let st = C.stats controller in
+  check Alcotest.int "one wire exchange" 1 (C.wire_exchanges controller);
+  check Alcotest.int "forgery rejected" 1 st.C.responses_rejected;
+  check Alcotest.int "genuine answer accepted" 1 st.C.responses_received;
+  check Alcotest.int "every waiter passed on the genuine answer" 3
+    st.C.allowed;
+  check Alcotest.int "no timeouts" 0 st.C.query_timeouts;
+  check Alcotest.int "nothing pending" 0 (C.pending_count controller)
 
 let test_breaker_trip_propagates () =
   (* A breaker trip observed by one shard must open the host's breaker
@@ -426,10 +487,6 @@ let () =
         [
           Alcotest.test_case "join, coalesce, settle order" `Quick
             test_conn_join_settle;
-          Alcotest.test_case "fifo response pairing" `Quick
-            test_conn_fifo_pairing;
-          Alcotest.test_case "whole-host settlement" `Quick
-            test_conn_settle_host;
         ] );
       ( "batch",
         [ Alcotest.test_case "grouped ordered flush" `Quick test_batch_ordering ] );
@@ -437,11 +494,17 @@ let () =
         [
           Alcotest.test_case "determinism oracle (1/2/8 shards)" `Quick
             test_determinism_oracle;
+          Alcotest.test_case "pairing oracle (unsharded, 1/2/8 uncoalesced)"
+            `Quick test_pairing_oracle;
           Alcotest.test_case "span-drop attribution invariant (1/2/8 shards)"
             `Quick test_span_drop_invariance;
           Alcotest.test_case "query coalescing" `Quick test_coalescing;
           Alcotest.test_case "failure fails all waiters" `Quick
             test_fail_all_waiters;
+          Alcotest.test_case "stale answer settles nothing" `Quick
+            test_stale_answer_settles_nothing;
+          Alcotest.test_case "rejected answer settles nothing" `Quick
+            test_rejected_answer_settles_nothing;
           Alcotest.test_case "breaker trip propagates" `Quick
             test_breaker_trip_propagates;
         ] );
