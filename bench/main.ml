@@ -72,19 +72,18 @@ let fastpath_network ?(observe = false) ?spans ?recorder ~fastpath () =
     }
   in
   let s = Deploy.simple_network ?spans ?recorder ~config () in
-  (* Representative deployment config, so the cold exchange carries its
-     genuine per-flow cost: both daemons sign their answers (§3.4) and
-     carry an administrator configuration of realistic size — the
-     attributes a site actually publishes (patch level, requirements
-     program, inventory tags) — which the caches let warm flows skip
-     re-shipping, re-verifying and re-decoding. *)
-  Sim.Trace.set_enabled (Openflow.Network.trace s.Deploy.network) false;
   (* Metrics recording is on by default in every controller. The
      fastpath group measures with it off, so its numbers stay
      comparable across commits regardless of what the observability
      layer grows; the obs group re-enables it to price the recording
      in (spans stay at their default: disabled). *)
   if not observe then Obs.Registry.set_enabled (C.metrics s.Deploy.controller) false;
+  (* Representative deployment config, so the cold exchange carries its
+     genuine per-flow cost: both daemons sign their answers (§3.4) and
+     carry an administrator configuration of realistic size — the
+     attributes a site actually publishes (patch level, requirements
+     program, inventory tags) — which the caches let warm flows skip
+     re-shipping, re-verifying and re-decoding. *)
   let admin_config =
     String.concat "\n"
       ("os-patch : 8831"

@@ -646,6 +646,12 @@ let () =
       }
     in
     with_capture pcap (fun arm ->
+        (* The trace printed at the end is the network's hop log, which
+           starts off: turn it on before the scenario's first hop. *)
+        let arm net =
+          Sim.Trace.set_enabled (Net.trace net) true;
+          arm net
+        in
         let name, build =
           match scenario with
           | `Fig1 -> ("fig1", fig1 ?extra_flow)

@@ -17,6 +17,7 @@ let policy =
 
 let () =
   let s = Deploy.simple_network () in
+  Sim.Trace.set_enabled (Net.trace s.network) true;
   Identxx_core.Policy_store.add_exn (C.policy s.controller) ~name:"00-quickstart"
     policy;
 

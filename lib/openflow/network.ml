@@ -82,24 +82,13 @@ let controller_of t dpid =
   let cid = Option.value ~default:0 (Hashtbl.find_opt t.domains dpid) in
   Hashtbl.find_opt t.controllers cid
 
-(* Formatting an event string costs more than the rest of a packet hop,
-   so skip it entirely when tracing is off (benchmarks disable it). *)
-let record t fmt =
-  if Sim.Trace.enabled t.trace then
-    Format.kasprintf
-      (fun msg ->
-        (* actor is embedded in the message by callers via %s prefix *)
-        Sim.Trace.record t.trace ~at:(Sim.Engine.now t.engine) ~actor:"" msg)
-      fmt
-  else Format.ikfprintf (fun _ -> ()) Format.str_formatter fmt
-
+(* The hop log is off unless a reader turns it on. Every call site tests
+   [Sim.Trace.enabled] before building its arguments, so a disabled log
+   costs one load and one branch per hop and formats nothing. *)
 let record_actor t actor fmt =
-  if Sim.Trace.enabled t.trace then
-    Format.kasprintf
-      (fun msg ->
-        Sim.Trace.record t.trace ~at:(Sim.Engine.now t.engine) ~actor msg)
-      fmt
-  else Format.ikfprintf (fun _ -> ()) Format.str_formatter fmt
+  Format.kasprintf
+    (fun msg -> Sim.Trace.record t.trace ~at:(Sim.Engine.now t.engine) ~actor msg)
+    fmt
 
 let bump_egress t node port size =
   let key = (node, port) in
@@ -111,9 +100,10 @@ let bump_egress t node port size =
 let rec emit t ~from_node ~port pkt =
   if t.loss_rate > 0.0 && Sim.Prng.float t.loss_prng 1.0 < t.loss_rate then begin
     t.dropped <- t.dropped + 1;
-    record_actor t
-      (Topology.node_to_string from_node)
-      "drop (loss) %a" Packet.pp pkt
+    if Sim.Trace.enabled t.trace then
+      record_actor t
+        (Topology.node_to_string from_node)
+        "drop (loss) %a" Packet.pp pkt
   end
   else emit_frame t ~from_node ~port pkt
 
@@ -128,9 +118,10 @@ and emit_frame t ~from_node ~port pkt =
   match Topology.wire t.topology from_node port with
   | None ->
       t.dropped <- t.dropped + 1;
-      record_actor t
-        (Topology.node_to_string from_node)
-        "drop: port %d unwired" port
+      if Sim.Trace.enabled t.trace then
+        record_actor t
+          (Topology.node_to_string from_node)
+          "drop: port %d unwired" port
   | Some (far, latency) ->
       Sim.Engine.schedule t.engine ~delay:latency (fun () ->
           arrive t ~at:far pkt)
@@ -141,10 +132,12 @@ and arrive t ~(at : Topology.endpoint) pkt =
       match Hashtbl.find_opt t.hosts name with
       | None ->
           t.dropped <- t.dropped + 1;
-          record_actor t name "drop: host has no receive callback"
+          if Sim.Trace.enabled t.trace then
+            record_actor t name "drop: host has no receive callback"
       | Some h ->
           t.delivered <- t.delivered + 1;
-          record_actor t name "rx %a" Packet.pp pkt;
+          if Sim.Trace.enabled t.trace then
+            record_actor t name "rx %a" Packet.pp pkt;
           h.h_rx pkt)
   | Topology.Sw dpid -> switch_rx t dpid ~in_port:at.port pkt
 
@@ -155,28 +148,32 @@ and switch_rx t dpid ~in_port pkt =
       List.iter (fun p -> emit t ~from_node:(Topology.Sw dpid) ~port:p pkt) ports
   | Switch.Dropped ->
       t.dropped <- t.dropped + 1;
-      record_actor t
-        (Topology.node_to_string (Topology.Sw dpid))
-        "drop (policy) %a" Packet.pp pkt
+      if Sim.Trace.enabled t.trace then
+        record_actor t
+          (Topology.node_to_string (Topology.Sw dpid))
+          "drop (policy) %a" Packet.pp pkt
   | Switch.Send_to_controller -> (
       match controller_of t dpid with
       | None ->
           t.dropped <- t.dropped + 1;
-          record_actor t
-            (Topology.node_to_string (Topology.Sw dpid))
-            "drop: table miss and no controller"
+          if Sim.Trace.enabled t.trace then
+            record_actor t
+              (Topology.node_to_string (Topology.Sw dpid))
+              "drop: table miss and no controller"
       | Some ctrl ->
           t.packet_ins <- t.packet_ins + 1;
-          record_actor t
-            (Topology.node_to_string (Topology.Sw dpid))
-            "packet-in -> controller %a" Packet.pp pkt;
+          if Sim.Trace.enabled t.trace then
+            record_actor t
+              (Topology.node_to_string (Topology.Sw dpid))
+              "packet-in -> controller %a" Packet.pp pkt;
           Sim.Engine.schedule t.engine ~delay:t.ctrl_latency (fun () ->
               ctrl
                 (Message.Packet_in
                    { Message.dpid; in_port; reason = `No_match; packet = pkt })))
 
 let send_to_switch t dpid msg =
-  record_actor t "controller" "-> s%d %a" dpid Message.pp_to_switch msg;
+  if Sim.Trace.enabled t.trace then
+    record_actor t "controller" "-> s%d %a" dpid Message.pp_to_switch msg;
   Sim.Engine.schedule t.engine ~delay:t.ctrl_latency (fun () ->
       let sw = Hashtbl.find t.switches dpid in
       match Switch.apply sw ~now:(Sim.Engine.now t.engine) msg with
@@ -189,9 +186,10 @@ let send_to_switch t dpid msg =
           match controller_of t dpid with
           | None -> ()
           | Some ctrl ->
-              record_actor t
-                (Topology.node_to_string (Topology.Sw dpid))
-                "%a" Message.pp_to_controller reply;
+              if Sim.Trace.enabled t.trace then
+                record_actor t
+                  (Topology.node_to_string (Topology.Sw dpid))
+                  "%a" Message.pp_to_controller reply;
               Sim.Engine.schedule t.engine ~delay:t.ctrl_latency (fun () ->
                   ctrl reply)))
 
@@ -219,7 +217,8 @@ let host_by_ip t ip = Ip_tbl.find_opt t.host_of_ip ip
 
 let send_from_host t ~name pkt =
   let _ = host_state t name in
-  record_actor t name "tx %a" Packet.pp pkt;
+  if Sim.Trace.enabled t.trace then
+    record_actor t name "tx %a" Packet.pp pkt;
   (* The host's single NIC is port 0 on the host node by convention of the
      topology builder; emit resolves the actual wiring. *)
   let host_node = Topology.Host name in
@@ -246,5 +245,3 @@ let egress_packets t ~node ~port =
 
 let egress_bytes t ~node ~port =
   snd (Option.value ~default:(0, 0) (Hashtbl.find_opt t.egress (node, port)))
-
-let _ = record

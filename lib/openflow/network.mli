@@ -28,7 +28,10 @@ val switch : t -> Message.switch_id -> Switch.t
 (** @raise Not_found for an unknown dpid. *)
 
 val trace : t -> Sim.Trace.t
-(** Every packet and control event is recorded here. *)
+(** The hop log: while enabled, every packet and control event is
+    recorded here. It starts disabled; a reader turns it on with
+    {!Sim.Trace.set_enabled} before the first hop it wants to see. A
+    disabled log formats nothing. *)
 
 (** {2 Controllers} *)
 

@@ -1,7 +1,7 @@
 type entry = { at : Time.t; actor : string; event : string }
 type t = { mutable entries : entry list; mutable enabled : bool }
 
-let create () = { entries = []; enabled = true }
+let create () = { entries = []; enabled = false }
 let enabled t = t.enabled
 let set_enabled t v = t.enabled <- v
 

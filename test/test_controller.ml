@@ -61,6 +61,7 @@ let test_fig1_event_sequence () =
   let s = Deploy.simple_network () in
   Identxx_core.Policy_store.add_exn (C.policy s.controller)
     ~name:"00-policy" (app_policy [ "firefox" ]);
+  Sim.Trace.set_enabled (Net.trace s.network) true;
   ignore (run_flow s ~user:"alice" ~exe:"/usr/bin/firefox");
   let entries = Sim.Trace.entries (Net.trace s.network) in
   let index_of pred =

@@ -280,6 +280,10 @@ let prop_stats_mean_matches_naive =
 
 let test_trace_records_in_order () =
   let t = Sim.Trace.create () in
+  Sim.Trace.record t ~at:Sim.Time.zero ~actor:"a" "unseen";
+  check Alcotest.int "a fresh trace records nothing" 0
+    (List.length (Sim.Trace.entries t));
+  Sim.Trace.set_enabled t true;
   Sim.Trace.record t ~at:(Sim.Time.ms 1) ~actor:"a" "one";
   Sim.Trace.record t ~at:(Sim.Time.ms 2) ~actor:"b" "two";
   let entries = Sim.Trace.entries t in
