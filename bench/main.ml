@@ -457,6 +457,30 @@ let bench_proto =
                  (Printf.sprintf "value-%d-%d" s i))))
   in
   let encoded = Identxx.Response.encode r in
+  (* A signed answer of the size the daemons send: built-in pairs, app
+     config, a runtime pair and a 25-pair administrator config, four
+     sections and ~1.8 KB covered by the signature. *)
+  let kp = Idcrypto.Sign.generate "bench-host" in
+  let ks = Idcrypto.Sign.keystore () in
+  Idcrypto.Sign.register ks kp;
+  let answer =
+    let kv = Identxx.Key_value.pair in
+    Identxx.Response.make ~flow:fl
+      [
+        [
+          kv "userID" "alice"; kv "groupID" "staff,dev"; kv "pid" "4242";
+          kv "exe-path" "/usr/bin/firefox"; kv "name" "firefox";
+          kv "app-name" "firefox";
+          kv "exe-hash" (Idcrypto.Sha256.hexdigest "firefox-binary");
+        ];
+        [ kv "version" "91.0"; kv "requirements" "pass from any to any port 443" ];
+        [ kv "url" "https://example.com/" ];
+        kv "os-patch" "8831"
+        :: List.init 24 (fun i ->
+               kv (Printf.sprintf "site-attr-%02d" i) (String.make 48 'v'));
+      ]
+  in
+  let signed = Identxx.Signed.sign ~keypair:kp answer in
   let q = Identxx.Query.make ~flow:fl ~keys:[ "userID"; "name"; "exe-hash" ] in
   let qe = Identxx.Query.encode q in
   [
@@ -468,6 +492,10 @@ let bench_proto =
       (Staged.stage (fun () -> ignore (Identxx.Response.encode r)));
     Test.make ~name:"proto/response-decode"
       (Staged.stage (fun () -> ignore (Identxx.Response.decode encoded)));
+    Test.make ~name:"proto/response-sign"
+      (Staged.stage (fun () -> ignore (Identxx.Signed.sign ~keypair:kp answer)));
+    Test.make ~name:"proto/response-verify"
+      (Staged.stage (fun () -> ignore (Identxx.Signed.verify ks signed)));
   ]
 
 let bench_crypto =

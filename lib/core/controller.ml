@@ -1316,9 +1316,10 @@ let handle_foreign_query t sx ~dpid ~from_ip ~to_ip (q : Identxx.Query.t) pkt =
       forward_toward t ~dpid ~dst_ip:from_ip reply
   | None -> forward_toward t ~dpid ~dst_ip:to_ip pkt
 
-let handle_packet_in t sx (pi : Msg.packet_in) =
+(* [cls] is [Identxx.Wire.classify pi.packet], decoded by the caller. *)
+let handle_packet_in t sx (pi : Msg.packet_in) cls =
   let pkt = pi.Msg.packet in
-  match Identxx.Wire.classify pkt with
+  match cls with
   | Identxx.Wire.Response { from_ip; to_ip; response } ->
       handle_response t sx ~dpid:pi.Msg.dpid ~from_ip ~to_ip response pkt
   | Identxx.Wire.Query { from_ip; to_ip; query } ->
@@ -1331,17 +1332,19 @@ let handle_packet_in t sx (pi : Msg.packet_in) =
           | Some p -> p.p_packets <- (pi.Msg.dpid, pi.Msg.in_port, pkt) :: p.p_packets
           | None -> start_flow t sx ~dpid:pi.Msg.dpid ~in_port:pi.Msg.in_port pkt flow))
 
-(* The sharded front-end: classify the packet-in once (cheap, pure)
-   and post the real work to the owning shard's run queue. Data
-   packets partition by flow-key hash; responses go to the shard of
-   the flow they name; foreign/transit traffic pins to shard 0. *)
+(* The sharded front-end: classify the packet-in once (pure) and post
+   the real work, with that classification, to the owning shard's run
+   queue. Data packets partition by flow-key hash; responses go to the
+   shard of the flow they name; foreign/transit traffic pins to shard
+   0. *)
 let dispatch_packet_in t d (pi : Msg.packet_in) =
   let pkt = pi.Msg.packet in
+  let cls = Identxx.Wire.classify pkt in
   let post sid =
     Shard.Engine.post d ~shard:sid (fun () ->
-        handle_packet_in t t.shards_.(sid) pi)
+        handle_packet_in t t.shards_.(sid) pi cls)
   in
-  match Identxx.Wire.classify pkt with
+  match cls with
   | Identxx.Wire.Response { from_ip; to_ip; response } ->
       post
         (match named_pending t ~from_ip ~to_ip response with
@@ -1356,7 +1359,9 @@ let dispatch_packet_in t d (pi : Msg.packet_in) =
 let handle_message t = function
   | Msg.Packet_in pi -> (
       match t.driver with
-      | None -> handle_packet_in t t.shards_.(0) pi
+      | None ->
+          handle_packet_in t t.shards_.(0) pi
+            (Identxx.Wire.classify pi.Msg.packet)
       | Some d -> dispatch_packet_in t d pi)
   | Msg.Stats_reply reply ->
       t.last_stats <- (reply.Msg.st_dpid, reply) :: List.remove_assq reply.Msg.st_dpid t.last_stats

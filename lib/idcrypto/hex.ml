@@ -10,12 +10,13 @@ let encode s =
   done;
   Bytes.unsafe_to_string b
 
+(* A digit's value, or -1. *)
 let value c =
   match c with
-  | '0' .. '9' -> Ok (Char.code c - Char.code '0')
-  | 'a' .. 'f' -> Ok (Char.code c - Char.code 'a' + 10)
-  | 'A' .. 'F' -> Ok (Char.code c - Char.code 'A' + 10)
-  | _ -> Error (Printf.sprintf "Hex.decode: bad digit %C" c)
+  | '0' .. '9' -> Char.code c - Char.code '0'
+  | 'a' .. 'f' -> Char.code c - Char.code 'a' + 10
+  | 'A' .. 'F' -> Char.code c - Char.code 'A' + 10
+  | _ -> -1
 
 let decode s =
   let n = String.length s in
@@ -25,11 +26,14 @@ let decode s =
     let rec go i =
       if i >= n then Ok (Bytes.unsafe_to_string b)
       else
-        match (value s.[i], value s.[i + 1]) with
-        | Ok hi, Ok lo ->
-            Bytes.set b (i / 2) (Char.chr ((hi lsl 4) lor lo));
-            go (i + 2)
-        | Error e, _ | _, Error e -> Error e
+        let hi = value s.[i] and lo = value s.[i + 1] in
+        if hi < 0 then Error (Printf.sprintf "Hex.decode: bad digit %C" s.[i])
+        else if lo < 0 then
+          Error (Printf.sprintf "Hex.decode: bad digit %C" s.[i + 1])
+        else begin
+          Bytes.set b (i / 2) (Char.chr ((hi lsl 4) lor lo));
+          go (i + 2)
+        end
     in
     go 0
 

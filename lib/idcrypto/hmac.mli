@@ -9,3 +9,28 @@ val hexmac : key:string -> string -> string
 
 val verify : key:string -> tag:string -> string -> bool
 (** Constant-time comparison of [tag] against [mac ~key msg]. *)
+
+(** {2 Incremental}
+
+    [mac ~key msg] is [init ~key], [feed] of [msg], then [finalize]:
+    a message may be fed in any number of pieces without first being
+    assembled. *)
+
+type ctx
+(** A keyed, streaming HMAC. *)
+
+val init : key:string -> ctx
+
+val feed : ctx -> string -> unit
+(** Absorb bytes. May be called repeatedly. *)
+
+val feed_bytes : ctx -> Bytes.t -> int -> int -> unit
+(** [feed_bytes ctx b off len] absorbs a slice. *)
+
+val finalize : ctx -> string
+(** The 32-byte tag over everything fed. The context must not be reused
+    afterwards. *)
+
+val check : ctx -> tag:string -> bool
+(** Constant-time comparison of [tag] against [finalize ctx]; the
+    context must not be reused afterwards. *)

@@ -15,7 +15,32 @@ let canonical data =
     data;
   Buffer.contents buf
 
-let sign ~secret data = Hmac.hexmac ~key:secret (canonical data)
+(* [digits] holds one element's "<decimal length>:" prefix, written right
+   to left; 19 digits cover any string length. *)
+type stream = { hmac : Hmac.ctx; digits : Bytes.t }
+
+let stream ~secret = { hmac = Hmac.init ~key:secret; digits = Bytes.create 20 }
+
+(* Write [n]'s decimal digits into [b] ending at [i]; the first digit's
+   index. *)
+let rec put_digits b n i =
+  Bytes.set b i (Char.unsafe_chr (Char.code '0' + (n mod 10)));
+  if n >= 10 then put_digits b (n / 10) (i - 1) else i
+
+let add st d =
+  let b = st.digits in
+  let last = Bytes.length b - 1 in
+  Bytes.set b last ':';
+  let first = put_digits b (String.length d) (last - 1) in
+  Hmac.feed_bytes st.hmac b first (last + 1 - first);
+  Hmac.feed st.hmac d
+
+let finish st = Hex.encode (Hmac.finalize st.hmac)
+
+let sign ~secret data =
+  let st = stream ~secret in
+  List.iter (add st) data;
+  finish st
 
 type keystore = (string, string) Hashtbl.t
 
@@ -24,10 +49,19 @@ let register ks kp = Hashtbl.replace ks kp.public kp.secret
 let register_public ks ~public ~secret = Hashtbl.replace ks public secret
 let known ks public = Hashtbl.mem ks public
 
-let verify ks ~public ~signature data =
+let verifier ks ~public =
   match Hashtbl.find_opt ks public with
+  | None -> None
+  | Some secret -> Some (stream ~secret)
+
+let matches st ~signature =
+  match Hex.decode signature with
+  | Error _ -> false
+  | Ok tag -> Hmac.check st.hmac ~tag
+
+let verify ks ~public ~signature data =
+  match verifier ks ~public with
   | None -> false
-  | Some secret -> (
-      match Hex.decode signature with
-      | Error _ -> false
-      | Ok tag -> Hmac.verify ~key:secret ~tag (canonical data))
+  | Some st ->
+      List.iter (add st) data;
+      matches st ~signature

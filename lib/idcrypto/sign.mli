@@ -24,10 +24,29 @@ val generate : ?seed:string -> string -> keypair
 val canonical : string list -> string
 (** The unambiguous byte encoding that tags are computed over:
     each element is length-prefixed, so [["ab";"c"]] and [["a";"bc"]]
-    encode differently. *)
+    encode differently. The signing functions stream these bytes
+    without building them; this function is their written spec. *)
 
 val sign : secret:string -> string list -> string
 (** Hex tag over [canonical data]. *)
+
+(** {2 Streaming}
+
+    The tag of {!sign} and {!verify}, computed one element at a time
+    without building [canonical data]: [sign ~secret data] is
+    [stream ~secret], {!add} of each element in order, then {!finish}. *)
+
+type stream
+(** A signature over the elements added so far. *)
+
+val stream : secret:string -> stream
+
+val add : stream -> string -> unit
+(** Append one element: its decimal length, [':'], then its bytes — the
+    same bytes {!canonical} writes for it. *)
+
+val finish : stream -> string
+(** Hex tag over the elements added. The stream must not be reused. *)
 
 type keystore
 (** Maps public handles to verification material. *)
@@ -44,3 +63,11 @@ val verify :
   keystore -> public:string -> signature:string -> string list -> bool
 (** [verify ks ~public ~signature data] checks the tag. False when the
     handle is unknown, the tag malformed, or the data differs. *)
+
+val verifier : keystore -> public:string -> stream option
+(** A stream keyed for the principal [public] names, to be checked with
+    {!matches}; [None] when the handle is unknown. *)
+
+val matches : stream -> signature:string -> bool
+(** Whether [signature] is the hex tag over the elements added (upper-
+    or lower-case digits). The stream must not be reused. *)

@@ -45,62 +45,97 @@ let keys t =
          end)
 
 let encode t =
-  let buf = Buffer.create 256 in
-  Buffer.add_string buf
-    (Printf.sprintf "%s %d %d\n"
-       (String.uppercase_ascii (Proto.to_string t.proto))
-       t.src_port t.dst_port);
+  let header =
+    String.concat " "
+      [
+        String.uppercase_ascii (Proto.to_string t.proto);
+        string_of_int t.src_port;
+        string_of_int t.dst_port;
+      ]
+  in
+  (* The header's newline, one blank line between sections, and
+     "<key>: <value>\n" per pair. *)
+  let pairs_len =
+    List.fold_left
+      (List.fold_left (fun n (p : Key_value.pair) ->
+           n + String.length p.key + String.length p.value + 3))
+      0 t.sections
+  in
+  let b =
+    Bytes.create
+      (String.length header + 1
+      + max 0 (List.length t.sections - 1)
+      + pairs_len)
+  in
+  let pos = ref 0 in
+  let put s =
+    Bytes.blit_string s 0 b !pos (String.length s);
+    pos := !pos + String.length s
+  in
+  let put_char c =
+    Bytes.set b !pos c;
+    incr pos
+  in
+  put header;
+  put_char '\n';
   List.iteri
     (fun i section ->
-      if i > 0 then Buffer.add_char buf '\n';
+      if i > 0 then put_char '\n';
       List.iter
         (fun (p : Key_value.pair) ->
-          Buffer.add_string buf p.key;
-          Buffer.add_string buf ": ";
-          Buffer.add_string buf p.value;
-          Buffer.add_char buf '\n')
+          put p.key;
+          put ": ";
+          put p.value;
+          put_char '\n')
         section)
     t.sections;
-  Buffer.contents buf
+  Bytes.unsafe_to_string b
 
-let parse_pair line =
-  match String.index_opt line ':' with
-  | None -> Error ("response: missing ':' in " ^ line)
-  | Some i ->
-      let key = String.sub line 0 i in
-      let value =
-        let v = String.sub line (i + 1) (String.length line - i - 1) in
-        if String.length v > 0 && v.[0] = ' ' then
-          String.sub v 1 (String.length v - 1)
-        else v
-      in
-      if Key_value.valid_key key && Key_value.valid_value value then
-        Ok { Key_value.key; value }
-      else Error ("response: malformed pair " ^ line)
+(* The first [c] in [s] from [i] up to [stop], or [stop]. *)
+let rec index_to s c i stop =
+  if i >= stop || s.[i] = c then i else index_to s c (i + 1) stop
 
 let decode s =
-  match String.split_on_char '\n' s with
-  | [] -> Error "response: empty"
-  | header :: rest -> (
-      match Query.parse_header header with
-      | Error e -> Error e
-      | Ok (proto, src_port, dst_port) ->
-          let rec sections current acc = function
-            | [] ->
-                let acc = if current = [] then acc else List.rev current :: acc in
-                Ok (List.rev acc)
-            | "" :: rest ->
-                if current = [] then sections [] acc rest
-                else sections [] (List.rev current :: acc) rest
-            | line :: rest -> (
-                match parse_pair line with
-                | Error _ as e -> e
-                | Ok pair -> sections (pair :: current) acc rest)
-          in
-          (* A trailing newline yields a final "" element; harmless. *)
-          (match sections [] [] rest with
-          | Error _ as e -> e
-          | Ok sections -> Ok { proto; src_port; dst_port; sections }))
+  let n = String.length s in
+  let h = index_to s '\n' 0 n in
+  match Query.parse_header (String.sub s 0 h) with
+  | Error e -> Error e
+  | Ok (proto, src_port, dst_port) ->
+      let close current acc =
+        match current with [] -> acc | _ -> List.rev current :: acc
+      in
+      (* One line per '\n' after the header, the last running to the end
+         of the payload: a blank line ends the current section, any other
+         line is "<key>:<value>" with one optional space after the colon.
+         Only each key and value is copied out. *)
+      let rec lines i current acc =
+        if i > n then
+          Ok
+            {
+              proto;
+              src_port;
+              dst_port;
+              sections = List.rev (close current acc);
+            }
+        else
+          let e = index_to s '\n' i n in
+          if e = i then lines (e + 1) [] (close current acc)
+          else
+            let c = index_to s ':' i e in
+            if c = e then Error ("response: missing ':' in " ^ String.sub s i (e - i))
+            else if c = i || index_to s '\r' i e < e then
+              Error ("response: malformed pair " ^ String.sub s i (e - i))
+            else
+              let v = if c + 1 < e && s.[c + 1] = ' ' then c + 2 else c + 1 in
+              let pair =
+                {
+                  Key_value.key = String.sub s i (c - i);
+                  value = String.sub s v (e - v);
+                }
+              in
+              lines (e + 1) (pair :: current) acc
+      in
+      lines (h + 1) [] []
 
 (* --- daemon-side trace piggyback ---
 

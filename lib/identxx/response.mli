@@ -52,6 +52,10 @@ val encode : t -> string
     v} *)
 
 val decode : string -> (t, string) result
+(** Inverse of {!encode}, read in one pass over the payload: runs of
+    blank lines make no empty sections, and one space after a pair's
+    [':'] is stripped. [Error] names the first malformed line. *)
+
 val equal : t -> t -> bool
 val pp : Format.formatter -> t -> unit
 

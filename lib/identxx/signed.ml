@@ -1,49 +1,55 @@
 let signer_key = "response-signer"
 let sig_key = "response-sig"
 
-(* The byte string a signature covers: header fields plus the encoded
-   prefix sections, length-prefixed by Sign.canonical downstream. *)
-let covered (r : Response.t) prefix_sections =
-  let header =
-    Printf.sprintf "%s %d %d"
-      (Netcore.Proto.to_string r.Response.proto)
-      r.Response.src_port r.Response.dst_port
+(* Stream what a signature covers into [st]: the flow's header, then
+   every pair of the first [n] sections, as the element list
+   [PROTO SRC DST; k1; v1; ...] that Sign.canonical length-prefixes. *)
+let add_covered st (r : Response.t) n =
+  Idcrypto.Sign.add st
+    (String.concat " "
+       [
+         Netcore.Proto.to_string r.Response.proto;
+         string_of_int r.Response.src_port;
+         string_of_int r.Response.dst_port;
+       ]);
+  let rec pairs = function
+    | [] -> ()
+    | (p : Key_value.pair) :: rest ->
+        Idcrypto.Sign.add st p.key;
+        Idcrypto.Sign.add st p.value;
+        pairs rest
   in
-  header
-  :: List.concat_map
-       (fun section ->
-         List.concat_map
-           (fun (p : Key_value.pair) -> [ p.key; p.value ])
-           section)
-       prefix_sections
+  let rec sections n = function
+    | section :: rest when n > 0 ->
+        pairs section;
+        sections (n - 1) rest
+    | _ -> ()
+  in
+  sections n r.Response.sections
 
 let sign ~(keypair : Idcrypto.Sign.keypair) (r : Response.t) =
-  let tag =
-    Idcrypto.Sign.sign ~secret:keypair.Idcrypto.Sign.secret
-      (covered r r.Response.sections)
-  in
+  let st = Idcrypto.Sign.stream ~secret:keypair.Idcrypto.Sign.secret in
+  add_covered st r (List.length r.Response.sections);
   Response.append_section r
     [
       Key_value.pair signer_key keypair.Idcrypto.Sign.public;
-      Key_value.pair sig_key tag;
+      Key_value.pair sig_key (Idcrypto.Sign.finish st);
     ]
 
 type verdict = Valid of int | Unsigned | Invalid
 
 let verify keystore (r : Response.t) =
-  (* Find the first section carrying a signature. *)
-  let rec split prefix = function
-    | [] -> None
+  (* The first section carrying a signature covers the [n] before it. *)
+  let rec find n = function
+    | [] -> Unsigned
     | section :: rest -> (
         match (Key_value.find section signer_key, Key_value.find section sig_key) with
-        | Some signer, Some tag -> Some (List.rev prefix, signer, tag, rest)
-        | _ -> split (section :: prefix) rest)
+        | Some public, Some signature -> (
+            match Idcrypto.Sign.verifier keystore ~public with
+            | None -> Invalid
+            | Some st ->
+                add_covered st r n;
+                if Idcrypto.Sign.matches st ~signature then Valid n else Invalid)
+        | _ -> find (n + 1) rest)
   in
-  match split [] r.Response.sections with
-  | None -> Unsigned
-  | Some (prefix, signer, tag, _rest) ->
-      if
-        Idcrypto.Sign.verify keystore ~public:signer ~signature:tag
-          (covered r prefix)
-      then Valid (List.length prefix)
-      else Invalid
+  find 0 r.Response.sections

@@ -23,7 +23,9 @@ let test_hex_rejects_bad_input () =
       match Idcrypto.Hex.decode s with
       | Error _ -> ()
       | Ok _ -> Alcotest.failf "accepted %S" s)
-    [ "a"; "zz"; "0g"; "abc" ]
+    [ "a"; "zz"; "0g"; "abc" ];
+  check Alcotest.(result string string) "names the first bad digit"
+    (Error "Hex.decode: bad digit 'z'") (Idcrypto.Hex.decode "00zg")
 
 (* --- SHA-256 (FIPS 180-4 / NIST vectors) --- *)
 
@@ -169,6 +171,42 @@ let prop_sign_verify_roundtrip =
       let signature = Idcrypto.Sign.sign ~secret:kp.Idcrypto.Sign.secret data in
       Idcrypto.Sign.verify ks ~public:kp.Idcrypto.Sign.public ~signature data)
 
+(* Elements of every length class: empty, and one-, two- and
+   three-digit length prefixes. *)
+let gen_element =
+  QCheck.Gen.(
+    frequency
+      [
+        (1, return "");
+        (3, string_size (int_range 1 9));
+        (2, string_size (int_range 10 99));
+        (1, string_size (int_range 100 300));
+      ])
+
+let prop_streamed_tag_is_canonical_mac =
+  QCheck.Test.make ~name:"streamed tag equals mac over canonical" ~count:300
+    (QCheck.make
+       QCheck.Gen.(pair (string_size (int_range 0 100)) (list_size (int_range 0 8) gen_element))
+       ~print:QCheck.Print.(pair String.escaped (list String.escaped)))
+    (fun (secret, data) ->
+      Idcrypto.Sign.sign ~secret data
+      = Idcrypto.Hex.encode
+          (Idcrypto.Hmac.mac ~key:secret (Idcrypto.Sign.canonical data)))
+
+let prop_hmac_incremental_split =
+  QCheck.Test.make ~name:"incremental hmac equals one-shot at any split"
+    ~count:300
+    QCheck.(triple string (string_of_size (QCheck.Gen.int_range 0 300)) (pair small_nat small_nat))
+    (fun (key, msg, (a, b)) ->
+      let n = String.length msg in
+      let a = a mod (n + 1) in
+      let b = a + (b mod (n - a + 1)) in
+      let t = Idcrypto.Hmac.init ~key in
+      Idcrypto.Hmac.feed t (String.sub msg 0 a);
+      Idcrypto.Hmac.feed_bytes t (Bytes.of_string msg) a (b - a);
+      Idcrypto.Hmac.feed t (String.sub msg b (n - b));
+      Idcrypto.Hmac.finalize t = Idcrypto.Hmac.mac ~key msg)
+
 let () =
   let qc = List.map QCheck_alcotest.to_alcotest in
   Alcotest.run "idcrypto"
@@ -204,5 +242,7 @@ let () =
             prop_sha256_streaming_split;
             prop_sha256_injective_on_samples;
             prop_sign_verify_roundtrip;
+            prop_streamed_tag_is_canonical_mac;
+            prop_hmac_incremental_split;
           ] );
     ]

@@ -653,6 +653,70 @@ let test_signed_trace_section_keeps_signature () =
   check Alcotest.bool "strip recovers the signed response" true
     (Identxx.Response.strip_trace traced = signed)
 
+(* An answer of the size the daemons send: the process's built-in
+   pairs, its app config, one runtime pair and the host's 25-pair
+   administrator config — four sections, ~1.8 KB on the wire. *)
+let enterprise_response () =
+  Identxx.Response.make ~flow:(flow ~sp:40000 ~dp:80 "10.0.0.1" "10.0.0.2")
+    [
+      [
+        KV.pair "userID" "alice";
+        KV.pair "groupID" "staff,dev";
+        KV.pair "pid" "4242";
+        KV.pair "exe-path" "/usr/bin/firefox";
+        KV.pair "name" "firefox";
+        KV.pair "app-name" "firefox";
+        KV.pair "exe-hash" (Idcrypto.Sha256.hexdigest "firefox-binary");
+      ];
+      [
+        KV.pair "version" "91.0";
+        KV.pair "requirements" "pass from any to any port 443";
+      ];
+      [ KV.pair "url" "https://example.com/" ];
+      KV.pair "os-patch" "8831"
+      :: List.init 24 (fun i ->
+             KV.pair (Printf.sprintf "site-attr-%02d" i) (String.make 48 'v'));
+    ]
+
+(* doc/PROTOCOL.md §6's worked example of the covered byte string. *)
+let test_signed_covered_string () =
+  let kp = Idcrypto.Sign.generate "host-key" in
+  let r =
+    Identxx.Response.make ~flow:(flow "10.0.0.1" "10.0.0.2")
+      [ [ KV.pair "userID" "alice" ] ]
+  in
+  check Alcotest.(option string) "tag over the specified bytes"
+    (Some
+       (Idcrypto.Hmac.hexmac ~key:kp.Idcrypto.Sign.secret
+          "12:tcp 40000 806:userID5:alice"))
+    (Identxx.Response.latest (Identxx.Signed.sign ~keypair:kp r)
+       Identxx.Signed.sig_key)
+
+(* The tag and wire bytes of a signed enterprise-sized answer, pinned
+   to what the list-building signer and Buffer-based encoder produced:
+   any change to what the signature covers, how it is computed or how
+   the answer is encoded shows here. *)
+let test_signed_known_answer () =
+  let kp = Idcrypto.Sign.generate "kat-host" in
+  let ks = Idcrypto.Sign.keystore () in
+  Idcrypto.Sign.register ks kp;
+  let signed = Identxx.Signed.sign ~keypair:kp (enterprise_response ()) in
+  check Alcotest.(option string) "response-sig"
+    (Some "db5ed11b6af9ea477185b8b3139e4ca8729827713d9902638646aa871b142178")
+    (Identxx.Response.latest signed Identxx.Signed.sig_key);
+  let wire = Identxx.Response.encode signed in
+  check Alcotest.int "wire length" 1944 (String.length wire);
+  check Alcotest.string "wire sha256"
+    "05e86596a7a7aa7e03ffb1d0f2785c8634ac912621449656575f3912bcfe090c"
+    (Idcrypto.Sha256.hexdigest wire);
+  match Identxx.Response.decode wire with
+  | Error e -> Alcotest.fail e
+  | Ok back ->
+      check Alcotest.bool "decodes to the signed answer" true
+        (Identxx.Response.equal signed back);
+      check Alcotest.bool "verifies over all four sections" true
+        (Identxx.Signed.verify ks back = Identxx.Signed.Valid 4)
+
 (* --- RFC 1413 compatibility --- *)
 
 let test_rfc1413_userid () =
@@ -750,6 +814,96 @@ let prop_append_preserves_existing =
           prefix (Identxx.Response.all_values r k) (Identxx.Response.all_values r' k))
         (Identxx.Response.keys r))
 
+(* The line-list decoder the one-pass [Response.decode] replaced, kept
+   as its oracle: split on '\n', the first line is the header, blank
+   lines separate sections, every other line is one pair. *)
+let reference_decode s =
+  let parse_pair line =
+    match String.index_opt line ':' with
+    | None -> Error ("response: missing ':' in " ^ line)
+    | Some i ->
+        let key = String.sub line 0 i in
+        let value =
+          let v = String.sub line (i + 1) (String.length line - i - 1) in
+          if String.length v > 0 && v.[0] = ' ' then
+            String.sub v 1 (String.length v - 1)
+          else v
+        in
+        if KV.valid_key key && KV.valid_value value then
+          Ok { KV.key; value }
+        else Error ("response: malformed pair " ^ line)
+  in
+  match String.split_on_char '\n' s with
+  | [] -> Error "response: empty"
+  | header :: rest -> (
+      match Identxx.Query.parse_header header with
+      | Error e -> Error e
+      | Ok (proto, src_port, dst_port) -> (
+          let rec sections current acc = function
+            | [] ->
+                let acc = if current = [] then acc else List.rev current :: acc in
+                Ok (List.rev acc)
+            | "" :: rest ->
+                if current = [] then sections [] acc rest
+                else sections [] (List.rev current :: acc) rest
+            | line :: rest -> (
+                match parse_pair line with
+                | Error _ as e -> e
+                | Ok pair -> sections (pair :: current) acc rest)
+          in
+          match sections [] [] rest with
+          | Error _ as e -> e
+          | Ok sections ->
+              Ok { Identxx.Response.proto; src_port; dst_port; sections }))
+
+(* Payloads near the grammar's edges: valid encodings, the same with a
+   few characters replaced, inserted or deleted, and a plausible header
+   over random lines. The alphabet leans on the framing characters. *)
+let gen_payload =
+  QCheck.Gen.(
+    let framing =
+      frequency
+        [
+          (4, return ':'); (4, return ' '); (4, return '\n'); (2, return '\r');
+          (6, char_range 'a' 'z'); (1, char_range '0' '9'); (1, char);
+        ]
+    in
+    let edit s =
+      let* pos = int_bound (String.length s) in
+      let* c = framing in
+      let* op = int_bound 2 in
+      let n = String.length s in
+      return
+        (match op with
+        | 0 when pos < n -> String.mapi (fun i x -> if i = pos then c else x) s
+        | 1 when pos < n ->
+            String.sub s 0 pos ^ String.sub s (pos + 1) (n - pos - 1)
+        | _ -> String.sub s 0 pos ^ String.make 1 c ^ String.sub s pos (n - pos))
+    in
+    let rec edits k s = if k = 0 then return s else edit s >>= edits (k - 1) in
+    let header =
+      oneofl [ "TCP 1 2"; "udp 40000 80"; " TCP 1 2 "; "TCP 1 2\r"; "TCP 1"; "" ]
+    in
+    frequency
+      [
+        (2, map Identxx.Response.encode gen_response);
+        ( 5,
+          let* r = gen_response in
+          let* k = int_range 1 4 in
+          edits k (Identxx.Response.encode r) );
+        ( 3,
+          let* h = header in
+          let* body = string_size ~gen:framing (int_bound 40) in
+          let* nl = bool in
+          return (h ^ "\n" ^ body ^ if nl then "\n" else "") );
+        (1, string_size ~gen:framing (int_bound 30));
+      ])
+
+let prop_decode_matches_reference =
+  QCheck.Test.make ~name:"decode agrees with the line-list decoder" ~count:2000
+    (QCheck.make gen_payload ~print:String.escaped)
+    (fun p -> Identxx.Response.decode p = reference_decode p)
+
 let () =
   let qc = List.map QCheck_alcotest.to_alcotest in
   Alcotest.run "identxx"
@@ -836,6 +990,10 @@ let () =
             test_signed_post_signature_sections_uncovered;
           Alcotest.test_case "trace section keeps signature" `Quick
             test_signed_trace_section_keeps_signature;
+          Alcotest.test_case "covered string as specified" `Quick
+            test_signed_covered_string;
+          Alcotest.test_case "known answer, enterprise size" `Quick
+            test_signed_known_answer;
         ] );
       ( "rfc1413",
         [
@@ -849,5 +1007,6 @@ let () =
             prop_response_roundtrip;
             prop_latest_is_last_of_all_values;
             prop_append_preserves_existing;
+            prop_decode_matches_reference;
           ] );
     ]
