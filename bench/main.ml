@@ -214,7 +214,9 @@ let bench_flow_table =
                ~fields:(Openflow.Match_fields.of_five_tuple ft)
                [ Openflow.Action.Output 1 ]))
         tuples;
-      (* Probe the median entry: cost of a wildcard-table scan. *)
+      (* Probe the median entry. Five-tuple-shaped entries live in
+         per-tuple buckets, so this is the cost of the exact-match path;
+         datapath/wildcard-lookup prices the wildcard scan. *)
       let probe = Packet.of_five_tuple (List.nth tuples (n / 2)) in
       Staged.stage (fun () ->
           ignore (Openflow.Flow_table.lookup table ~in_port:1 probe)))
@@ -246,6 +248,64 @@ let bench_flow_table_churn =
           ignore (Openflow.Flow_table.expire table ~now:(Sim.Time.ms 2));
           Openflow.Flow_table.add table plain;
           Openflow.Flow_table.remove table ~fields:plain.fields))
+
+(* [n] wildcard entries at distinct priorities, each on its own /24
+   destination (10.1.1.0/24, 10.1.2.0/24, ...): the shape of a compiled
+   proactive table, whose entries all live in the table's ordered
+   wildcard band. *)
+let wildcard_dst i = Ipv4.of_octets 10 (1 + (i / 256)) (i mod 256) 0
+
+let wildcard_table n =
+  let table = Openflow.Flow_table.create () in
+  for i = 1 to n do
+    Openflow.Flow_table.add table
+      (Openflow.Flow_entry.make ~priority:(100 + i)
+         ~fields:
+           {
+             Openflow.Match_fields.any with
+             nw_dst = Some (Prefix.make (wildcard_dst i) 24);
+           }
+         [ Openflow.Action.Output 1 ])
+  done;
+  table
+
+(* A lookup that matches the median wildcard: it scans past the n/2
+   entries of higher priority first. *)
+let bench_wildcard_lookup =
+  Test.make_indexed ~name:"datapath/wildcard-lookup" ~args:[ 10; 100; 1000 ]
+    (fun n ->
+      let table = wildcard_table n in
+      let i = (n / 2) + 1 in
+      let probe =
+        Packet.tcp_syn ~src:(Ipv4.of_string "10.0.0.1")
+          ~dst:(Ipv4.succ (wildcard_dst i))
+          ~src_port:40000 ~dst_port:80 ()
+      in
+      (match Openflow.Flow_table.lookup table ~in_port:1 probe with
+      | Some e when e.priority = 100 + i -> ()
+      | _ -> failwith "datapath/wildcard-lookup: probe misses the median entry");
+      Staged.stage (fun () ->
+          ignore (Openflow.Flow_table.lookup table ~in_port:1 probe)))
+
+(* A proactive flow-mod pair in the middle of a wildcard table: add an
+   entry, then strict-delete it, leaving the table as it was. *)
+let bench_wildcard_churn =
+  Test.make_indexed ~name:"datapath/wildcard-churn" ~args:[ 10; 100; 1000 ]
+    (fun n ->
+      let table = wildcard_table n in
+      let fields =
+        {
+          Openflow.Match_fields.any with
+          nw_src = Some (Prefix.of_string "10.2.0.0/24");
+        }
+      in
+      let e =
+        Openflow.Flow_entry.make ~priority:(100 + (n / 2)) ~fields
+          [ Openflow.Action.Output 2 ]
+      in
+      Staged.stage (fun () ->
+          Openflow.Flow_table.add table e;
+          Openflow.Flow_table.remove table ~fields))
 
 let bench_switch_process_hit =
   let sw = Openflow.Switch.create ~dpid:1 ~ports:[ 1; 2 ] () in
@@ -927,6 +987,8 @@ let tests =
        bench_decision_vs_rules;
        bench_flow_table;
        bench_flow_table_churn;
+       bench_wildcard_lookup;
+       bench_wildcard_churn;
        bench_switch_process_hit;
        bench_switch_process_with_timeouts;
        bench_pf_eval;

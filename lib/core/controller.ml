@@ -1510,20 +1510,51 @@ let atom_of_fields (m : Openflow.Match_fields.t) =
             | Some v -> (v, v));
   }
 
+(* A destination a pass entry specialises to: the host's address, the
+   /32 that names it, and the actions that reach it from one switch. *)
+type host_route = {
+  hr_ip : Ipv4.t;
+  hr_dst : Prefix.t;
+  hr_actions : Openflow.Action.t list;
+}
+
+(* Every topology host with an attached endpoint, in topology order. *)
+let attached_hosts t =
+  List.filter_map
+    (fun host ->
+      match Net.host_ip t.network host with
+      | ip -> Some (host, ip)
+      | exception (Not_found | Invalid_argument _) -> None)
+    (Topo.hosts (Net.topology t.network))
+
+(* The attached hosts switch [dpid] can reach, each with its output
+   port. *)
+let host_routes t ~dpid hosts =
+  List.filter_map
+    (fun (host, ip) ->
+      Option.map
+        (fun port ->
+          {
+            hr_ip = ip;
+            hr_dst = Prefix.host ip;
+            hr_actions = [ Openflow.Action.Output port ];
+          })
+        (Topo.next_hop (Net.topology t.network) ~from:dpid ~dst_host:host))
+    hosts
+
 (* One abstract entry, lowered for one switch: concrete
    (fields, priority, actions) triples.
 
    A wildcard pass entry cannot name an output port, so it lowers to a
-   punt plus one host-specialized forwarding entry per reachable
-   destination the match admits (nw_dst narrowed to the host /32, at
-   priority + 1 — the gap the compiler's step-2 priorities leave).
-   Traffic toward unknown destinations still punts, which is the
-   reactive behaviour. Block entries drop in hardware unless their
+   punt plus one host-specialized forwarding entry per route in
+   [routes] whose destination the match admits (nw_dst narrowed to the
+   host /32, at priority + 1 — the gap the compiler's step-2 priorities
+   leave). Traffic toward unknown destinations still punts, which is
+   the reactive behaviour. Block entries drop in hardware unless their
    space overlaps the keep-state reverse space, and pass entries punt
    where they overlap the keep-state forward space (see
    [state_spaces]). *)
-let lower_entry t ~dpid ~hosts ~state:(state_fwd, state_rev)
-    (e : Compiler.entry) =
+let lower_entry ~routes ~state:(state_fwd, state_rev) (e : Compiler.entry) =
   let fields = e.Compiler.e_fields and prio = e.Compiler.e_priority in
   let punt = (fields, prio, [ Openflow.Action.To_controller ]) in
   match e.Compiler.e_decision with
@@ -1538,32 +1569,19 @@ let lower_entry t ~dpid ~hosts ~state:(state_fwd, state_rev)
   | Compiler.Decide Pf.Ast.Pass ->
       let specials =
         List.filter_map
-          (fun host ->
-            (* Skip topology hosts without an attached endpoint. *)
-            match
-              (try Some (Net.host_ip t.network host)
-               with Not_found | Invalid_argument _ -> None)
-            with
-            | None -> None
-            | Some ip ->
-                let admits =
-                  match fields.Openflow.Match_fields.nw_dst with
-                  | None -> true
-                  | Some p -> Prefix.mem ip p
-                in
-                if not admits then None
-                else
-                  Option.map
-                    (fun port ->
-                      ( {
-                          fields with
-                          Openflow.Match_fields.nw_dst = Some (Prefix.host ip);
-                        },
-                        prio + 1,
-                        [ Openflow.Action.Output port ] ))
-                    (Topo.next_hop (Net.topology t.network) ~from:dpid
-                       ~dst_host:host))
-          hosts
+          (fun r ->
+            let admits =
+              match fields.Openflow.Match_fields.nw_dst with
+              | None -> true
+              | Some p -> Prefix.mem r.hr_ip p
+            in
+            if admits then
+              Some
+                ( { fields with Openflow.Match_fields.nw_dst = Some r.hr_dst },
+                  prio + 1,
+                  r.hr_actions )
+            else None)
+          routes
       in
       specials @ [ punt ]
 
@@ -1598,9 +1616,19 @@ let sync_proactive ?(force = false) t =
       else Compiler.delta ~old_:t.proactive_tbl cur
     in
     let switches = Net.switches_in_domain t.network t.id in
-    let hosts = Topo.hosts (Net.topology t.network) in
+    let hosts = attached_hosts t in
+    (* Deletes mirror what the old table installed, whichever hosts were
+       reachable then: every attached host's specialisation, under the
+       old keep-state spaces. A strict delete of an absent entry is a
+       no-op. *)
+    let every_host =
+      List.map
+        (fun (_, ip) -> { hr_ip = ip; hr_dst = Prefix.host ip; hr_actions = [] })
+        hosts
+    in
     List.iter
       (fun dpid ->
+        let routes = host_routes t ~dpid hosts in
         List.iter
           (fun e ->
             List.iter
@@ -1616,12 +1644,10 @@ let sync_proactive ?(force = false) t =
                        hard_timeout = None;
                        cookie = 0;
                      }))
-              (lower_entry t ~dpid ~hosts ~state e))
+              (lower_entry ~routes:every_host ~state:t.proactive_state e))
           d.Compiler.d_del;
         let adds =
-          List.concat_map
-            (fun e -> lower_entry t ~dpid ~hosts ~state e)
-            d.Compiler.d_add
+          List.concat_map (lower_entry ~routes ~state) d.Compiler.d_add
         in
         let adds =
           if cur.Compiler.entries = [] then adds

@@ -419,7 +419,22 @@ let decode ?(check = true) s =
   in
   Ok { eth_src; eth_dst; vlan; eth_payload }
 
-let size t = String.length (encode t)
+(* The encoded length, from header sizes and payload lengths alone:
+   what [encode] would produce, without producing it. *)
+let size t =
+  let body =
+    match t.eth_payload with
+    | Raw_eth (_, s) -> String.length s
+    | Ip ip ->
+        20
+        +
+        (match ip.payload with
+        | Tcp tcp -> 20 + String.length tcp.tcp_payload
+        | Udp udp -> 8 + String.length udp.udp_payload
+        | Icmp icmp -> 4 + String.length icmp.icmp_payload
+        | Raw_ip (_, s) -> String.length s)
+  in
+  14 + (if Vlan.is_tagged t.vlan then 4 else 0) + body
 
 let equal a b = a = b
 

@@ -86,6 +86,8 @@ val five_tuple : t -> Five_tuple.t option
 
 val proto : t -> Proto.t option
 val size : t -> int
+(** Length in bytes of [encode t], computed from the header and payload
+    lengths without encoding. O(1); allocates nothing. *)
 
 val encode : t -> string
 (** Serialize to wire bytes, computing all checksums. *)

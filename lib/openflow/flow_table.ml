@@ -19,8 +19,10 @@ type t = {
       (* Entries whose match is exactly one 5-tuple (the shape
          controllers install to cache per-flow decisions), keyed by that
          tuple. Each bucket is in table order. *)
-  mutable wildcards : slot list;
-      (* Every other entry, in table order. *)
+  mutable band : slot array;
+  mutable band_len : int;
+      (* Every other entry, in table order, in [band.(0 .. band_len-1)];
+         the cells beyond hold [vacant]. *)
   mutable count : int;
   mutable next_seq : int;
   deadlines : slot Sim.Heap.t;
@@ -41,7 +43,8 @@ let create ?capacity () =
   {
     capacity;
     buckets = Flow_tbl.create 64;
-    wildcards = [];
+    band = [||];
+    band_len = 0;
     count = 0;
     next_seq = 0;
     deadlines = Sim.Heap.create ();
@@ -90,6 +93,10 @@ let rec insert s = function
   | x :: rest when before x s -> x :: insert s rest
   | l -> s :: l
 
+(* Fills the band's unused cells, so they keep no removed entry alive. *)
+let vacant =
+  { entry = Flow_entry.make ~fields:Match_fields.any []; seq = -1; alive = false }
+
 let kill t s =
   s.alive <- false;
   t.count <- t.count - 1;
@@ -107,22 +114,83 @@ let rec cull t gone = function
       else if rest' == rest then l
       else s :: rest'
 
-(* Apply [f] to the ordered list that holds entries of index key [key]. *)
-let update t key f =
-  match key with
-  | None -> t.wildcards <- f t.wildcards
-  | Some k -> (
-      let bucket = Option.value ~default:[] (Flow_tbl.find_opt t.buckets k) in
-      match f bucket with
-      | b when b == bucket -> ()
-      | [] -> Flow_tbl.remove t.buckets k
-      | b -> Flow_tbl.replace t.buckets k b)
+(* Apply [f] to the bucket of five-tuple key [k]. *)
+let update_bucket t k f =
+  let bucket = Option.value ~default:[] (Flow_tbl.find_opt t.buckets k) in
+  match f bucket with
+  | b when b == bucket -> ()
+  | [] -> Flow_tbl.remove t.buckets k
+  | b -> Flow_tbl.replace t.buckets k b
 
-let drop_slot t s = update t (index_key_of s.entry.fields) (cull t (( == ) s))
+(* The band's helpers are closed functions taking their operands as
+   arguments: a local closure would be allocated on every flow-mod. *)
+
+(* The first index in [lo, hi) at or below priority [p]: the band is
+   sorted by priority descending, so a binary search finds it. *)
+let rec band_search band p lo hi =
+  if lo >= hi then lo
+  else
+    let mid = (lo + hi) lsr 1 in
+    if band.(mid).entry.priority > p then band_search band p (mid + 1) hi
+    else band_search band p lo mid
+
+let band_start t p = band_search t.band p 0 t.band_len
+
+(* Kill the band slot at [i] and close the gap. *)
+let band_delete t i =
+  kill t t.band.(i);
+  let last = t.band_len - 1 in
+  Array.blit t.band (i + 1) t.band i (last - i);
+  t.band.(last) <- vacant;
+  t.band_len <- last
+
+(* A new slot comes before every slot of its priority (its [seq] is the
+   newest), so it goes at [band_start]. *)
+let band_insert t s =
+  if t.band_len = Array.length t.band then begin
+    let grown = Array.make (max 8 (2 * t.band_len)) vacant in
+    Array.blit t.band 0 grown 0 t.band_len;
+    t.band <- grown
+  end;
+  let i = band_start t s.entry.priority in
+  Array.blit t.band i t.band (i + 1) (t.band_len - i);
+  t.band.(i) <- s;
+  t.band_len <- t.band_len + 1
+
+let rec band_delete_in_run t p pred arg i =
+  if i < t.band_len && t.band.(i).entry.priority = p then
+    if pred t.band.(i) arg then band_delete t i
+    else band_delete_in_run t p pred arg (i + 1)
+
+(* Kill the first slot of priority [p] satisfying [pred arg], scanning
+   only the contiguous run of that priority. *)
+let band_delete_first t p pred arg =
+  band_delete_in_run t p pred arg (band_start t p)
+
+(* Kill every band slot satisfying [pred arg], compacting in place. *)
+let band_filter t pred arg =
+  let kept = ref 0 in
+  for i = 0 to t.band_len - 1 do
+    let s = t.band.(i) in
+    if pred s arg then kill t s
+    else begin
+      if !kept < i then t.band.(!kept) <- s;
+      incr kept
+    end
+  done;
+  Array.fill t.band !kept (t.band_len - !kept) vacant;
+  t.band_len <- !kept
+
+let drop_slot t s =
+  match index_key_of s.entry.fields with
+  | Some k -> update_bucket t k (cull t (( == ) s))
+  | None -> band_delete_first t s.entry.priority ( == ) s
 
 let iter_slots t f =
   Flow_tbl.iter (fun _ b -> List.iter f b) t.buckets;
-  List.iter f t.wildcards
+  for i = 0 to t.band_len - 1 do
+    f t.band.(i)
+  done
 
 let push_deadline t s =
   match deadline_of s.entry with
@@ -154,48 +222,65 @@ let evict_lru t =
       t.eviction_count <- t.eviction_count + 1;
       Option.iter (fun f -> f s.entry) t.on_evict
 
+let same_fields s fields = Match_fields.equal s.entry.fields fields
+
 let add t (entry : Flow_entry.t) =
   let key = index_key_of entry.fields in
   (* Replace an identical (fields, priority) entry. *)
-  update t key
-    (cull t (fun s ->
-         s.entry.priority = entry.priority
-         && Match_fields.equal s.entry.fields entry.fields));
+  (match key with
+  | Some k ->
+      update_bucket t k
+        (cull t (fun s ->
+             s.entry.priority = entry.priority && same_fields s entry.fields))
+  | None -> band_delete_first t entry.priority same_fields entry.fields);
   (match t.capacity with
   | Some cap when t.count >= cap -> evict_lru t
   | _ -> ());
   let s = { entry; seq = t.next_seq; alive = true } in
   t.next_seq <- t.next_seq + 1;
   t.count <- t.count + 1;
-  update t key (insert s);
+  (match key with
+  | Some k -> update_bucket t k (insert s)
+  | None -> band_insert t s);
   if is_timed entry then begin
     t.timed <- t.timed + 1;
     push_deadline t s
   end;
   compact t
 
+let rec find_in_bucket ~in_port pkt flow = function
+  | [] -> None
+  | s :: rest ->
+      if Match_fields.matches_flow s.entry.fields ~in_port pkt flow then Some s
+      else find_in_bucket ~in_port pkt flow rest
+
+(* A wildcard wins only if it comes before the exact hit in table
+   order; the scan stops at the first one that cannot. *)
+let rec scan_band t ~in_port pkt flow exact i =
+  if i = t.band_len then exact
+  else
+    let w = t.band.(i) in
+    match exact with
+    | Some e when before e w -> exact
+    | _ ->
+        if Match_fields.matches_flow w.entry.fields ~in_port pkt flow then
+          Some w
+        else scan_band t ~in_port pkt flow exact (i + 1)
+
 let lookup t ~in_port pkt =
   (* An indexable entry matches exactly the packets of its own key, so
-     the candidates are the packet's bucket and the wildcards. *)
+     the candidates are the packet's bucket and the wildcards. The
+     5-tuple is derived once and handed to every match test. *)
+  let flow = Packet.five_tuple pkt in
   let exact =
-    match Packet.five_tuple pkt with
-    | Some key ->
-        Option.bind (Flow_tbl.find_opt t.buckets key)
-          (List.find_opt (fun s -> Match_fields.matches s.entry.fields ~in_port pkt))
+    match flow with
+    | Some key -> (
+        match Flow_tbl.find_opt t.buckets key with
+        | Some bucket -> find_in_bucket ~in_port pkt flow bucket
+        | None -> None)
     | None -> None
   in
-  (* A wildcard wins only if it comes before the exact hit in table
-     order; the scan stops at the first one that cannot. *)
-  let rec scan = function
-    | [] -> exact
-    | w :: rest -> (
-        match exact with
-        | Some e when before e w -> exact
-        | _ ->
-            if Match_fields.matches w.entry.fields ~in_port pkt then Some w
-            else scan rest)
-  in
-  match scan t.wildcards with
+  match scan_band t ~in_port pkt flow exact 0 with
   | Some s ->
       t.hit_count <- t.hit_count + 1;
       Some s.entry
@@ -205,15 +290,18 @@ let lookup t ~in_port pkt =
 
 let remove t ~fields =
   (* Entries with equal fields share one index key. *)
-  update t (index_key_of fields)
-    (cull t (fun s -> Match_fields.equal s.entry.fields fields));
+  (match index_key_of fields with
+  | Some k -> update_bucket t k (cull t (fun s -> same_fields s fields))
+  | None -> band_filter t same_fields fields);
   compact t
 
+let covered s fields = Match_fields.covers fields s.entry.fields
+
 let remove_matching t ~fields =
-  let gone s = Match_fields.covers fields s.entry.fields in
-  t.wildcards <- cull t gone t.wildcards;
+  band_filter t covered fields;
   Flow_tbl.filter_map_inplace
-    (fun _ b -> match cull t gone b with [] -> None | b -> Some b)
+    (fun _ b ->
+      match cull t (fun s -> covered s fields) b with [] -> None | b -> Some b)
     t.buckets;
   compact t
 
@@ -239,7 +327,8 @@ let expire t ~now =
   evicted
 
 let entries t =
-  let all = Flow_tbl.fold (fun _ b acc -> b @ acc) t.buckets t.wildcards in
+  let band = List.init t.band_len (Array.get t.band) in
+  let all = Flow_tbl.fold (fun _ b acc -> b @ acc) t.buckets band in
   List.stable_sort (fun a b -> if before a b then -1 else 1) all
   |> List.map (fun s -> s.entry)
 

@@ -4,12 +4,13 @@
     Table order is priority descending, then installation descending
     (newer wins ties). Five-tuple-shaped entries (layer 2 and ingress
     port wildcarded, /32 addresses, protocol and both ports given) live
-    in per-tuple buckets of a hash table; every other entry lives in one
-    ordered wildcard list. Timed entries sit in a min-heap of deadline
-    lower bounds; removal leaves a dead heap slot behind, and the heap
-    is rebuilt once dead slots outnumber live ones (amortised O(1) per
-    removal). Costs below are for [n] entries, [b] entries in one
-    bucket (usually 1) and [w] wildcard entries. *)
+    in per-tuple buckets of a hash table; every other entry lives in the
+    wildcard band, a growable array kept in table order. Timed entries
+    sit in a min-heap of deadline lower bounds; removal leaves a dead
+    heap slot behind, and the heap is rebuilt once dead slots outnumber
+    live ones (amortised O(1) per removal). Costs below are for [n]
+    entries, [b] entries in one bucket (usually 1), [w] wildcard
+    entries and [r] wildcard entries of one priority. *)
 
 open Netcore
 
@@ -23,19 +24,25 @@ val create : ?capacity:int -> unit -> t
 val add : t -> Flow_entry.t -> unit
 (** Install an entry. An entry with identical fields and priority
     replaces the old one (OpenFlow overlap semantics for identical
-    matches). O(b + log n) for a five-tuple-shaped entry, O(w + log n)
-    otherwise; O(n) more when a full table must evict. *)
+    matches). O(b + log n) for a five-tuple-shaped entry; otherwise an
+    O(log w + r) position search plus a memmove of the band's tail,
+    allocating only the slot the table keeps (and, amortised, the
+    band's growth); O(n) more when a full table must evict. *)
 
 val lookup : t -> in_port:int -> Packet.t -> Flow_entry.t option
 (** Highest-priority matching entry; ties broken by most recent
     installation. Does not update counters — callers decide (see
-    {!Switch}). O(b) plus a scan of the wildcards in table order that
-    stops at the first one the bucket's match outranks (at once when
-    no wildcard ranks as high; O(w) when the bucket has no match). *)
+    {!Switch}). The packet's 5-tuple is derived once per lookup. O(b)
+    plus a scan of the wildcards in table order that stops at the first
+    one the bucket's match outranks (at once when no wildcard ranks as
+    high; O(w) when the bucket has no match); the scan allocates
+    nothing per wildcard. *)
 
 val remove : t -> fields:Match_fields.t -> unit
-(** Strict delete: removes entries whose fields equal [fields].
-    O(b) for five-tuple-shaped [fields], O(w) otherwise. *)
+(** Strict delete: removes entries whose fields equal [fields],
+    whatever their priority. O(b) for five-tuple-shaped [fields];
+    otherwise an O(w) scan that compacts the band in place, allocating
+    nothing. *)
 
 val remove_matching : t -> fields:Match_fields.t -> unit
 (** Wildcard delete: removes entries covered by [fields] (OpenFlow
@@ -44,7 +51,8 @@ val remove_matching : t -> fields:Match_fields.t -> unit
 val expire : t -> now:Sim.Time.t -> int
 (** Drop timed-out entries; returns how many were evicted. O(1) when
     nothing is due; otherwise O(b + log n) per entry whose deadline
-    bound has passed (a hit entry is pushed back at its true deadline). *)
+    bound has passed (a hit entry is pushed back at its true deadline),
+    plus O(log w + r) to find an expired wildcard in the band. *)
 
 val entries : t -> Flow_entry.t list
 (** All live entries in table order. O(n log n): sorted on demand. *)

@@ -70,14 +70,14 @@ let of_five_tuple (ft : Five_tuple.t) =
 let field_matches field value ~eq =
   match field with None -> true | Some f -> eq f value
 
-let matches t ~in_port (pkt : Packet.t) =
+let matches_flow t ~in_port (pkt : Packet.t) flow =
   field_matches t.in_port in_port ~eq:Int.equal
   && field_matches t.dl_src pkt.eth_src ~eq:Mac.equal
   && field_matches t.dl_dst pkt.eth_dst ~eq:Mac.equal
   && field_matches t.dl_type (ethertype_of_packet pkt) ~eq:Ethertype.equal
   && field_matches t.dl_vlan pkt.vlan ~eq:Vlan.equal
   &&
-  match Packet.five_tuple pkt with
+  match (flow : Five_tuple.t option) with
   | Some ft ->
       (match t.nw_src with None -> true | Some p -> Prefix.mem ft.src p)
       && (match t.nw_dst with None -> true | Some p -> Prefix.mem ft.dst p)
@@ -88,6 +88,8 @@ let matches t ~in_port (pkt : Packet.t) =
       (* Non-IP packets only match when all network fields are wild. *)
       t.nw_src = None && t.nw_dst = None && t.nw_proto = None
       && t.tp_src = None && t.tp_dst = None
+
+let matches t ~in_port pkt = matches_flow t ~in_port pkt (Packet.five_tuple pkt)
 
 let covers_field general specific ~eq =
   match (general, specific) with

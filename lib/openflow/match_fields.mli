@@ -30,6 +30,12 @@ val of_five_tuple : Five_tuple.t -> t
 
 val matches : t -> in_port:int -> Packet.t -> bool
 
+val matches_flow :
+  t -> in_port:int -> Packet.t -> Five_tuple.t option -> bool
+(** [matches_flow t ~in_port pkt flow] is [matches t ~in_port pkt] given
+    [flow = Packet.five_tuple pkt], so a caller testing many matches
+    against one packet derives its 5-tuple once. *)
+
 val covers : t -> t -> bool
 (** [covers general specific]: every packet matched by [specific] is
     matched by [general]. Conservative for prefix fields (exact CIDR

@@ -629,6 +629,60 @@ let test_e2e_policy_change_rediffs () =
       | None -> Alcotest.fail "no compiled entry for the new rule")
     (Net.switches_in_domain network 0)
 
+(* Host-specialised forwarding entries still installed anywhere in the
+   domain, as "s<dpid> <entry>". *)
+let forwarding_entries network =
+  List.concat_map
+    (fun dpid ->
+      Openflow.Flow_table.entries
+        (Openflow.Switch.table (Net.switch network dpid))
+      |> List.filter (fun (e : Openflow.Flow_entry.t) ->
+             Openflow.Action.output_ports e.Openflow.Flow_entry.actions <> [])
+      |> List.map (fun e ->
+             Format.asprintf "s%d %a" dpid Openflow.Flow_entry.pp e))
+    (Net.switches_in_domain network 0)
+
+(* A reload deletes the specialised pass entries of every host, not
+   just of those reachable at reload time: s4 (and h4 behind it) is cut
+   off before the pass rule goes, yet s1 must not keep its
+   10.0.4.1/32 entry. *)
+let test_e2e_reload_after_partition () =
+  let engine, network, controller, _ =
+    Deploy.linear_network ~config:proactive_config ~switches:4
+      ~hosts_per_switch:1 ()
+  in
+  PS.add_exn (C.policy controller) ~name:"00"
+    "pass proto tcp from any to any port 80";
+  Sim.Engine.run engine;
+  Alcotest.(check bool)
+    "pass rule specialised per host" true
+    (List.length (forwarding_entries network) >= 16);
+  Topo.unlink (Net.topology network) (Topo.Sw 3, 1);
+  PS.add_exn (C.policy controller) ~name:"00" "block all";
+  Sim.Engine.run engine;
+  Alcotest.(check (list string))
+    "no forwarding entry outlives the rule" [] (forwarding_entries network)
+
+(* Adding keep state re-lowers the unchanged pass entry as a punt; the
+   reload must still delete the specialisations the old lowering
+   installed, or they would forward around the state table. *)
+let test_e2e_keep_state_reload_deletes_specials () =
+  let engine, network, controller, _ =
+    Deploy.linear_network ~config:proactive_config ~switches:2
+      ~hosts_per_switch:1 ()
+  in
+  PS.add_exn (C.policy controller) ~name:"00"
+    "pass proto tcp from any to any port 80";
+  Sim.Engine.run engine;
+  Alcotest.(check bool)
+    "pass rule specialised per host" true
+    (forwarding_entries network <> []);
+  PS.add_exn (C.policy controller) ~name:"00"
+    "pass proto tcp from any to any port 80 keep state";
+  Sim.Engine.run engine;
+  Alcotest.(check (list string))
+    "keep state leaves no forwarding entry" [] (forwarding_entries network)
+
 let () =
   Alcotest.run "compiler"
     [
@@ -665,5 +719,9 @@ let () =
             test_e2e_eviction_telemetry;
           Alcotest.test_case "policy change re-diffs" `Quick
             test_e2e_policy_change_rediffs;
+          Alcotest.test_case "reload after partition" `Quick
+            test_e2e_reload_after_partition;
+          Alcotest.test_case "keep-state reload deletes specials" `Quick
+            test_e2e_keep_state_reload_deletes_specials;
         ] );
     ]

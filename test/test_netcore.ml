@@ -350,6 +350,59 @@ let prop_checksums_validate =
       | Ok _ -> true
       | Error _ -> false)
 
+(* Every frame shape, tagged or not, with payloads from empty to past
+   the ~1.8 KB of a signed ident++ answer. *)
+let gen_any_frame =
+  QCheck.Gen.(
+    let* src = gen_ip in
+    let* dst = gen_ip in
+    let* sp = gen_port in
+    let* dp = gen_port in
+    let* payload =
+      map (fun n -> String.make n 'p')
+        (oneof [ return 0; int_bound 64; int_range 1800 2400 ])
+    in
+    let* vlan = oneof [ return Vlan.untagged; map Vlan.of_id (int_bound 4095) ] in
+    let ip_payload =
+      oneofl
+        [
+          Packet.Tcp
+            {
+              tcp_src = sp;
+              tcp_dst = dp;
+              seq = 7l;
+              ack_no = 0l;
+              flags = Packet.flags_psh_ack;
+              window = 512;
+              tcp_payload = payload;
+            };
+          Packet.Udp { udp_src = sp; udp_dst = dp; udp_payload = payload };
+          Packet.Icmp { icmp_type = 8; icmp_code = 0; icmp_payload = payload };
+          Packet.Raw_ip (Proto.Other 47, payload);
+        ]
+    in
+    let* eth_payload =
+      oneof
+        [
+          map
+            (fun payload ->
+              Packet.Ip { ip_src = src; ip_dst = dst; ttl = 64; payload })
+            ip_payload;
+          map
+            (fun et -> Packet.Raw_eth (et, payload))
+            (oneofl [ Ethertype.Arp; Ethertype.Other 0x88cc ]);
+        ]
+    in
+    return
+      { Packet.eth_src = Mac.of_int 1; eth_dst = Mac.of_int 2; vlan; eth_payload })
+
+let prop_size_is_encoded_length =
+  QCheck.Test.make ~name:"packet size is the encoded length" ~count:500
+    (QCheck.make gen_any_frame ~print:(fun p ->
+         Format.asprintf "%a (%d bytes encoded)" Packet.pp p
+           (String.length (Packet.encode p))))
+    (fun pkt -> Packet.size pkt = String.length (Packet.encode pkt))
+
 let gen_prefix =
   QCheck.Gen.(
     let* ip = gen_ip in
@@ -451,6 +504,7 @@ let () =
           [
             prop_packet_roundtrip;
             prop_checksums_validate;
+            prop_size_is_encoded_length;
             prop_prefix_mem_first_last;
             prop_prefix_subset_reflexive;
             prop_ipv4_string_roundtrip;
