@@ -414,6 +414,39 @@ let bench_fdd_lookup =
       in
       Staged.stage (fun () -> ignore (Analysis.Fdd.lookup fdd fl)))
 
+(* The deep lint (shadowing, conflicts, fallthrough) over the same
+   rulesets, and over a five-rule policy whose one table holds 64 /24s:
+   that table shape is where per-rule flow-space unions get large. *)
+let bench_decls_of text =
+  match Pf.Parser.parse text with Ok d -> d | Error e -> failwith e
+
+let bench_check_deep =
+  Test.make_indexed ~name:"analysis/check-deep" ~args:[ 10; 100; 1000 ]
+    (fun n ->
+      let decls =
+        bench_decls_of (ruleset n "pass all with eq(@src[name], firefox)")
+      in
+      Staged.stage (fun () -> ignore (Analysis.Check.run decls)))
+
+let bench_check_deep_table =
+  Test.make_indexed ~name:"analysis/check-deep-table" ~args:[ 64 ] (fun n ->
+      let lan =
+        String.concat " "
+          (List.init n (fun i -> Printf.sprintf "10.%d.%d.0/24" i (7 * i mod 256)))
+      in
+      let decls =
+        bench_decls_of
+          (Printf.sprintf
+             "table <lan> { %s }\n\
+              block all\n\
+              pass from <lan> to <lan> port 1000:2000\n\
+              block from any to <lan> port 22\n\
+              pass from <lan> to any\n\
+              block from <lan> to <lan>"
+             lan)
+      in
+      Staged.stage (fun () -> ignore (Analysis.Check.run decls)))
+
 (* The Figure-2 deployment (admin header + vendor fragment), embedded
    inline because the bench binary reads no files. The "new" revision
    is a plausible operator edit: the update CDN moved and the vendor
@@ -999,6 +1032,8 @@ let tests =
        bench_fdd_lookup;
        bench_fdd_equiv;
        bench_fdd_diff;
+       bench_check_deep;
+       bench_check_deep_table;
        bench_compile_table;
        bench_compile_incremental;
        bench_proactive_hit;

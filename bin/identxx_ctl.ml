@@ -522,12 +522,12 @@ let verdict_json named = function
         may_default
 
 let region_fraction (rg : Analysis.Fdd.region) =
-  let w top (lo, hi) = float_of_int (hi - lo + 1) /. float_of_int (top + 1) in
-  w 255 rg.Analysis.Fdd.r_proto
-  *. w 0xFFFF_FFFF rg.Analysis.Fdd.r_src
-  *. w 0xFFFF_FFFF rg.Analysis.Fdd.r_dst
-  *. w 0xFFFF rg.Analysis.Fdd.r_sport
-  *. w 0xFFFF rg.Analysis.Fdd.r_dport
+  let w = Analysis.Fdd.width in
+  w 0 rg.Analysis.Fdd.r_proto
+  *. w 1 rg.Analysis.Fdd.r_src
+  *. w 2 rg.Analysis.Fdd.r_dst
+  *. w 3 rg.Analysis.Fdd.r_sport
+  *. w 4 rg.Analysis.Fdd.r_dport
 
 let analyze_format =
   Arg.(

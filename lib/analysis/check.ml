@@ -6,7 +6,7 @@
    third-party security companies (§3.3-§3.5) — so rules that are
    shadowed, conflicting, or unanswerable are easy to ship and hard to
    spot. These checks reason about rule match-spaces symbolically
-   (see {!Flowspace}) under real quick/last-match semantics. *)
+   (see {!Fdd.Space}) under real quick/last-match semantics. *)
 
 open Netcore
 
@@ -166,7 +166,7 @@ let undefined_references decls resolved =
    cover other rules. *)
 type rule_info = {
   rule : Pf.Ast.rule;
-  space : Flowspace.t;
+  space : Fdd.Space.t;
   resolvable : bool;
   definite : bool;
 }
@@ -182,7 +182,7 @@ let rule_infos decls resolved =
           (fun name -> lookup name <> None)
           (Pf.Ast.tables_of_rule r)
       in
-      let space = Flowspace.of_rule ~lookup r in
+      let space = Fdd.Space.of_rule ~lookup r in
       { rule = r; space; resolvable; definite = resolvable && Pf.Ast.cond_free r })
     (Pf.Ast.rules decls)
 
@@ -194,70 +194,64 @@ let lines_of ~where infos =
    quick and every flow it matches is re-matched by a later
    unconditional rule, whose verdict overrides under last-match (a
    later quick rule also overrides: the earlier match never became the
-   final verdict). Generalizes the dead-after-quick-all lint. *)
+   final verdict). Generalizes the dead-after-quick-all lint. The
+   earlier-quick union is a prefix fold and the later union a suffix
+   fold, so each rule costs one coverage test. *)
 let shadowing ~where infos =
-  let rec go before acc = function
-    | [] -> List.rev acc
-    | info :: after ->
+  let quick_definite i = i.definite && i.rule.Pf.Ast.quick in
+  let add keep cover i = if keep i then Fdd.Space.union cover i.space else cover in
+  let laters =
+    List.fold_right
+      (fun i acc -> add (fun i -> i.definite) (List.hd acc) i :: acc)
+      infos [ Fdd.Space.empty ]
+  in
+  let rec go before quick_cover acc infos laters =
+    match (infos, laters) with
+    | info :: after, _ :: (later :: _ as laters) ->
         let acc =
           if not info.resolvable then acc
-          else if Flowspace.is_empty info.space then
+          else if Fdd.Space.is_empty info.space then
             finding ~line:info.rule.Pf.Ast.line Warning "unmatchable-rule"
               "no flow can match this rule (its flow-space is empty)"
             :: acc
-          else
-            let quick_before =
-              List.filter
-                (fun i -> i.definite && i.rule.Pf.Ast.quick)
-                (List.rev before)
+          else if
+            Fdd.Space.covers
+              ~outer:(if info.rule.Pf.Ast.quick then Fdd.Space.empty else later)
+              ~inner:(Fdd.Space.diff info.space quick_cover)
+          then
+            let touching keep =
+              List.filter (fun i -> keep i && Fdd.Space.overlaps i.space info.space)
             in
-            let later =
-              if info.rule.Pf.Ast.quick then []
-              else List.filter (fun i -> i.definite) after
+            let because =
+              match
+                ( touching quick_definite (List.rev before),
+                  if info.rule.Pf.Ast.quick then []
+                  else touching (fun i -> i.definite) after )
+              with
+              | qb, [] ->
+                  Printf.sprintf
+                    "earlier quick rules (%s) decide every flow before it \
+                     is reached"
+                    (lines_of ~where qb)
+              | [], lt ->
+                  Printf.sprintf
+                    "later rules (%s) override it on every flow it matches"
+                    (lines_of ~where lt)
+              | qb, lt ->
+                  Printf.sprintf
+                    "earlier quick rules (%s) and later rules (%s) leave \
+                     it no flow to decide"
+                    (lines_of ~where qb) (lines_of ~where lt)
             in
-            let providers = quick_before @ later in
-            let cover =
-              List.fold_left
-                (fun acc i -> Flowspace.union acc i.space)
-                Flowspace.empty providers
-            in
-            if
-              providers <> []
-              && Flowspace.covers ~outer:cover ~inner:info.space
-            then
-              let touching =
-                List.filter
-                  (fun i -> Flowspace.overlaps i.space info.space)
-                  providers
-              in
-              let because =
-                match
-                  ( List.filter (fun i -> List.memq i quick_before) touching,
-                    List.filter (fun i -> List.memq i later) touching )
-                with
-                | qb, [] ->
-                    Printf.sprintf
-                      "earlier quick rules (%s) decide every flow before it \
-                       is reached"
-                      (lines_of ~where qb)
-                | [], lt ->
-                    Printf.sprintf
-                      "later rules (%s) override it on every flow it matches"
-                      (lines_of ~where lt)
-                | qb, lt ->
-                    Printf.sprintf
-                      "earlier quick rules (%s) and later rules (%s) leave \
-                       it no flow to decide"
-                      (lines_of ~where qb) (lines_of ~where lt)
-              in
-              finding ~line:info.rule.Pf.Ast.line Warning "shadowed-rule"
-                ("this rule never decides a flow: " ^ because)
-              :: acc
-            else acc
+            finding ~line:info.rule.Pf.Ast.line Warning "shadowed-rule"
+              ("this rule never decides a flow: " ^ because)
+            :: acc
+          else acc
         in
-        go (info :: before) acc after
+        go (info :: before) (add quick_definite quick_cover info) acc after laters
+    | _ -> List.rev acc
   in
-  go [] [] infos
+  go [] Fdd.Space.empty [] infos laters
 
 (* Two unconditional rules with opposite actions whose spaces partially
    overlap (neither contains the other): the verdict on the overlap is
@@ -275,15 +269,17 @@ let conflicts ~where infos =
             (fun acc b ->
               if a.rule.Pf.Ast.action = b.rule.Pf.Ast.action then acc
               else
-                let overlap = Flowspace.inter a.space b.space in
+                let overlap = Fdd.Space.inter a.space b.space in
+                (* Canonical spaces: containment is equality with the
+                   overlap. *)
                 if
-                  Flowspace.is_empty overlap
-                  || Flowspace.covers ~outer:a.space ~inner:b.space
-                  || Flowspace.covers ~outer:b.space ~inner:a.space
+                  Fdd.Space.is_empty overlap
+                  || Fdd.Space.equal overlap a.space
+                  || Fdd.Space.equal overlap b.space
                 then acc
                 else
                   finding ~line:b.rule.Pf.Ast.line
-                    ?witness:(Flowspace.witness overlap) Warning
+                    ?witness:(Fdd.Space.witness overlap) Warning
                     "rule-conflict"
                     (Printf.sprintf
                        "partially overlaps the %s rule at %s with the \
@@ -318,15 +314,12 @@ let default_fallthrough decls resolved =
            the whole flow-space";
       ]
   | first :: _ as regions ->
-      let residual =
-        Flowspace.of_atoms (List.concat_map Fdd.region_to_atoms regions)
-      in
       [
         finding ~witness:(Fdd.region_witness first) Info "default-fallthrough"
           (Printf.sprintf
              "flows decided by no unconditional rule fall through to the \
               implicit default: %s"
-             (Flowspace.to_string residual));
+             (Fdd.regions_to_string regions));
       ]
 
 (* --- cross-config key check --- *)

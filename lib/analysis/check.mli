@@ -5,7 +5,7 @@
     administrator's header/footer, vendors' [allowed]/[verify] rules,
     third-party rule-makers), which makes shadowed, conflicting, and
     unanswerable rules easy to ship. These checks reason symbolically
-    about rule match-spaces ({!Flowspace}) under real quick/last-match
+    about rule match-spaces ({!Fdd.Space}) under real quick/last-match
     semantics.
 
     Finding codes and severities:

@@ -37,7 +37,8 @@ type st = {
   deps : int list;
 }
 
-type leaf = L_state of st | L_verdict of verdict
+(* [L_space] leaves make a diagram a flow space: in or out. *)
+type leaf = L_state of st | L_verdict of verdict | L_space of bool
 
 type node =
   | Leaf of leaf
@@ -211,15 +212,12 @@ let apply_cond stt ~action ~line ~quick =
 (* --- applying one rule to the whole diagram --- *)
 
 (* Split the diagram along the rule's header intervals: inside every
-   dimension, rewrite the leaf state with [tr]; anywhere outside, keep
-   the existing subdiagram. Memoized on (level, node). *)
+   dimension, rewrite the leaf with [tr]; anywhere outside, keep the
+   existing subdiagram. Memoized on (level, node). *)
 let apply_rule root dims tr =
   let memo = Hashtbl.create 64 in
   let rec inside level id =
-    if level = levels then
-      match get id with
-      | Leaf (L_state s) -> mk_state (tr s)
-      | _ -> invalid_arg "Fdd: rule applied to a finalized diagram"
+    if level = levels then tr id
     else
       let key = (level, id) in
       match Hashtbl.find_opt memo key with
@@ -300,7 +298,10 @@ let compile_rules ?(default = Pf.Ast.Pass) ~lookup rules =
                   apply_cond ~action:r.action ~line:r.line ~quick:r.quick
                 end
               in
-              apply_rule acc dims tr
+              apply_rule acc dims (fun id ->
+                  match get id with
+                  | Leaf (L_state s) -> mk_state (tr s)
+                  | _ -> invalid_arg "Fdd: rule applied to a finalized diagram")
             end)
       init rules
   in
@@ -310,7 +311,7 @@ let compile_rules ?(default = Pf.Ast.Pass) ~lookup rules =
   map_leaves
     (function
       | L_state s -> mk_verdict (finalize_state line_inputs s)
-      | L_verdict v -> mk_verdict v)
+      | l -> intern (Leaf l))
     root
 
 let compile ?default env =
@@ -329,7 +330,7 @@ let lookup root flow =
   let rec go id =
     match get id with
     | Leaf (L_verdict v) -> v
-    | Leaf (L_state _) -> invalid_arg "Fdd.lookup: unfinalized diagram"
+    | Leaf _ -> invalid_arg "Fdd.lookup: not a finalized diagram"
     | N { level; parts } ->
         let v = dim_value flow level in
         (* first part with hi >= v *)
@@ -372,7 +373,7 @@ let volume pred root =
         let v =
           match get id with
           | Leaf (L_verdict v) -> if pred v then 1.0 else 0.0
-          | Leaf (L_state _) -> 0.0
+          | Leaf _ -> 0.0
           | N { level; parts } ->
               let lo = ref 0 and acc = ref 0.0 in
               Array.iter
@@ -538,7 +539,8 @@ let diff ?(limit = 64) a b =
 
 (* --- region enumeration --- *)
 
-let iter_regions ?(limit = max_int) root f =
+(* Every root-to-leaf path as (region, leaf id), in ascending order. *)
+let iter_leaves ?(limit = max_int) root f =
   let bounds = Array.init levels (fun l -> (0, dim_top.(l))) in
   let n = ref 0 and truncated = ref false in
   let rec go level id =
@@ -549,7 +551,7 @@ let iter_regions ?(limit = max_int) root f =
       end
       else begin
         incr n;
-        f (region_of bounds) (leaf_verdict id)
+        f (region_of bounds) id
       end
     else
       List.iter
@@ -560,6 +562,9 @@ let iter_regions ?(limit = max_int) root f =
   in
   (try go 0 root with Exit -> ());
   !truncated
+
+let iter_regions ?limit root f =
+  iter_leaves ?limit root (fun rg id -> f rg (leaf_verdict id))
 
 type slice = {
   s_static : (region * Pf.Ast.action * int list) list;
@@ -592,7 +597,7 @@ let fallthrough root =
   ignore (iter_regions root (fun rg v -> if may_default v then acc := rg :: !acc));
   List.rev !acc
 
-(* --- regions as flow-space atoms --- *)
+(* --- regions as text --- *)
 
 (* Greedy aligned decomposition of an address interval into CIDR
    blocks: repeatedly take the largest block aligned at [lo] that does
@@ -621,24 +626,52 @@ let prefixes_of_interval (ilo, ihi) =
   done;
   List.rev !acc
 
-let proto_set_of_interval (lo, hi) =
-  if lo = 0 && hi = dim_top.(0) then Flowspace.proto_any
-  else if hi - lo < 128 then
-    Flowspace.In (List.init (hi - lo + 1) (fun i -> Proto.of_int (lo + i)))
+(* A protocol interval as a set: listed when narrow, as the excluded
+   protocols when wide. *)
+let proto_set_to_string (lo, hi) =
+  let names vs =
+    String.concat "|" (List.map (fun v -> Proto.to_string (Proto.of_int v)) vs)
+  in
+  if lo = 0 && hi = dim_top.(0) then "any"
+  else if hi - lo < 128 then names (List.init (hi - lo + 1) (( + ) lo))
   else
-    Flowspace.NotIn
-      (List.init lo (fun i -> Proto.of_int i)
-      @ List.init (dim_top.(0) - hi) (fun i -> Proto.of_int (hi + 1 + i)))
+    "!("
+    ^ names (List.init lo Fun.id @ List.init (dim_top.(0) - hi) (( + ) (hi + 1)))
+    ^ ")"
 
-let region_to_atoms rg =
-  let proto = proto_set_of_interval rg.r_proto in
-  List.concat_map
-    (fun src ->
-      List.map
-        (fun dst ->
-          { Flowspace.proto; src; dst; sport = rg.r_sport; dport = rg.r_dport })
-        (prefixes_of_interval rg.r_dst))
-    (prefixes_of_interval rg.r_src)
+let port_set_to_string (lo, hi) =
+  if lo = 0 && hi = dim_top.(3) then "any"
+  else if lo = hi then string_of_int lo
+  else Printf.sprintf "%d:%d" lo hi
+
+(* Regions print as atoms: one per (source block, destination block)
+   pair of their CIDR decompositions, the first four shown. *)
+let regions_to_string regions =
+  let atoms =
+    List.concat_map
+      (fun rg ->
+        let dsts = prefixes_of_interval rg.r_dst in
+        List.concat_map
+          (fun src -> List.map (fun dst -> (rg, src, dst)) dsts)
+          (prefixes_of_interval rg.r_src))
+      regions
+  in
+  let atom_to_string (rg, src, dst) =
+    Printf.sprintf "proto %s from %s port %s to %s port %s"
+      (proto_set_to_string rg.r_proto)
+      (Prefix.to_string src)
+      (port_set_to_string rg.r_sport)
+      (Prefix.to_string dst)
+      (port_set_to_string rg.r_dport)
+  in
+  let n = List.length atoms in
+  if n = 0 then "(empty)"
+  else
+    String.concat "; "
+      (List.map atom_to_string (List.filteri (fun i _ -> i < 4) atoms))
+    ^ if n > 4 then Printf.sprintf "; ... (%d more)" (n - 4) else ""
+
+let region_to_string rg = regions_to_string [ rg ]
 
 let region_witness rg =
   Five_tuple.make
@@ -646,9 +679,6 @@ let region_witness rg =
     ~src:(Ipv4.of_int (fst rg.r_src))
     ~dst:(Ipv4.of_int (fst rg.r_dst))
     ~src_port:(fst rg.r_sport) ~dst_port:(fst rg.r_dport)
-
-let region_to_string rg =
-  Flowspace.to_string (Flowspace.of_atoms (region_to_atoms rg))
 
 let lines_to_string lines =
   String.concat ","
@@ -665,6 +695,119 @@ let verdict_to_string = function
         | [] -> "flow-time evaluation"
         | _ -> String.concat ", " (List.map Pf.Ast.cond_input_to_string inputs))
         (if may_default then "; may fall through to default" else "")
+
+(* --- flow spaces: diagrams whose leaves are in or out --- *)
+
+module Space = struct
+  type nonrec t = t
+
+  let empty = intern (Leaf (L_space false))
+  let all = intern (Leaf (L_space true))
+  let is_empty s = s = empty
+  let equal = Int.equal
+  let level_of id = match get id with N { level; _ } -> level | Leaf _ -> levels
+
+  let of_rule ~lookup r =
+    match dims_of_rule ~lookup r with
+    | None -> empty
+    | Some dims -> apply_rule empty dims (fun _ -> all)
+
+  (* One memoized product walk. [settle a b] is the result when it
+     follows without descending, or -1. *)
+  let combine settle a b =
+    let memo = Hashtbl.create 16 in
+    let rec go a b =
+      match settle a b with
+      | -1 -> (
+          match Hashtbl.find_opt memo (a, b) with
+          | Some r -> r
+          | None ->
+              let level = min (level_of a) (level_of b) in
+              let parts = ref [] in
+              merge_segments (segments level a) (segments level b)
+                (fun _ hi ca cb -> parts := (hi, go ca cb) :: !parts);
+              let r = mk_node level (List.rev !parts) in
+              Hashtbl.add memo (a, b) r;
+              r)
+      | r -> r
+    in
+    go a b
+
+  let union =
+    combine (fun a b ->
+        if a = all || b = all then all
+        else if a = empty || a = b then b
+        else if b = empty then a
+        else -1)
+
+  let inter =
+    combine (fun a b ->
+        if a = empty || b = empty then empty
+        else if a = all || a = b then b
+        else if b = all then a
+        else -1)
+
+  let diff =
+    combine (fun a b ->
+        if a = empty || b = all || a = b then empty
+        else if b = empty then a
+        else -1)
+
+  let covers ~outer ~inner = is_empty (diff inner outer)
+  let overlaps a b = not (is_empty (inter a b))
+
+  let overlaps_box s (box : interval array) =
+    let rec go id =
+      match get id with
+      | Leaf l -> l = L_space true
+      | N { level; parts } ->
+          let lo, hi = box.(level) in
+          let rec scan i plo =
+            i < Array.length parts
+            && plo <= hi
+            &&
+            let phi, c = parts.(i) in
+            (phi >= lo && go c) || scan (i + 1) (phi + 1)
+          in
+          scan 0 0
+    in
+    go s
+
+  (* Tried first in the proto dimension, so witnesses read as the
+     common protocols. *)
+  let preferred_protos = List.map Proto.to_int [ Proto.Tcp; Proto.Udp; Proto.Icmp ]
+
+  let witness s =
+    if is_empty s then None
+    else begin
+      let pt = Array.make levels 0 in
+      let rec go level id =
+        if level < levels then begin
+          let live = List.filter (fun (_, _, c) -> c <> empty) (segments level id) in
+          let pick v =
+            List.find_map
+              (fun (lo, hi, c) -> if lo <= v && v <= hi then Some (v, c) else None)
+              live
+          in
+          let lowest = List.map (fun (lo, _, _) -> lo) live in
+          let v, c =
+            Option.get
+              (List.find_map pick
+                 ((if level = 0 then preferred_protos else []) @ lowest))
+          in
+          pt.(level) <- v;
+          go (level + 1) c
+        end
+      in
+      go 0 s;
+      Some (flow_of_point pt)
+    end
+
+  let to_string s =
+    let acc = ref [] in
+    ignore (iter_leaves s (fun rg id -> if id = all then acc := rg :: !acc));
+    regions_to_string (List.rev !acc)
+end
 
 (* --- structural export for the flow-table compiler --- *)
 

@@ -154,15 +154,78 @@ val fallthrough : t -> region list
 val region_witness : region -> Netcore.Five_tuple.t
 (** The lowest flow inside a region. *)
 
-val region_to_atoms : region -> Flowspace.atom list
-(** Decompose a region into {!Flowspace} atoms (address intervals split
-    into aligned CIDR blocks). *)
-
 val region_to_string : region -> string
+(** The region as atoms: [proto … from … port … to … port …], one per
+    pair of CIDR blocks its address intervals decompose into. *)
+
+val regions_to_string : region list -> string
+(** The atoms of every region, the first four shown, then
+    [; ... (N more)]; ["(empty)"] for no region. *)
 
 val verdict_to_string : verdict -> string
 (** ["pass"], ["block"], or ["reactive"] with the deciding lines /
     influencing inputs in parentheses. *)
+
+(** {2 Flow spaces}
+
+    A set of flows: a diagram in the same store whose leaves are {e in}
+    and {e out}, canonical like a compiled policy. {!Check}, the
+    dataplane-offload selection and keep-state demotion reason in it. *)
+
+module Space : sig
+  type t
+
+  val empty : t
+
+  val of_rule :
+    lookup:(string -> Netcore.Prefix.t list option) -> Pf.Ast.rule -> t
+  (** The flows a rule's header constraints cover. [with] conditions
+      are not represented, so the result over-approximates the rule's
+      match set (it is exact for condition-free rules). A table
+      [lookup] returning [None] (unknown table) yields {!empty}. *)
+
+  val union : t -> t -> t
+  val inter : t -> t -> t
+
+  val diff : t -> t -> t
+  (** [diff a b] is the flows of [a] outside [b]. *)
+
+  val is_empty : t -> bool
+  val equal : t -> t -> bool
+
+  val covers : outer:t -> inner:t -> bool
+  (** Every flow in [inner] is in [outer]. *)
+
+  val overlaps : t -> t -> bool
+
+  val overlaps_box : t -> interval array -> bool
+  (** Whether the space meets a box: one interval per dimension, in
+      diagram order (proto, src, dst, sport, dport). Hot paths test
+      {!is_empty} first, so that an empty space costs no box. *)
+
+  val witness : t -> Netcore.Five_tuple.t option
+  (** The lowest flow in the space, comparing dimensions in diagram
+      order, except that tcp, then udp, then icmp are tried before the
+      lowest protocol. [None] iff the space is empty. *)
+
+  val to_string : t -> string
+  (** The space's regions, as {!regions_to_string}. *)
+end
+
+(** {2 Header geometry} *)
+
+val dim_top : int array
+(** Inclusive upper bound of each dimension, in diagram order. *)
+
+val width : int -> interval -> float
+(** [width level iv] is [iv]'s share of dimension [level]. *)
+
+val prefixes_of_interval : interval -> Netcore.Prefix.t list
+(** The fewest aligned CIDR blocks covering an address interval,
+    ascending. *)
+
+val lines_to_string : int list -> string
+(** Rule lines joined by commas, line [0] as [default]. *)
 
 (** {2 Structural export}
 

@@ -29,35 +29,14 @@ let default_region_budget = 512
 let priority_floor = 0x5000
 let proactive_cookie = 0xFDD
 
-let dim_top = [| 255; 0xFFFF_FFFF; 0xFFFF_FFFF; 0xFFFF; 0xFFFF |]
 let dim_name = [| "proto"; "src"; "dst"; "sport"; "dport" |]
-
-(* Greedy aligned decomposition of an address interval into CIDR
-   blocks, largest block aligned at the running lower bound first. *)
-let prefixes_of_interval (ilo, ihi) =
-  let acc = ref [] and lo = ref ilo in
-  while !lo <= ihi do
-    let len = ref 32 in
-    let block l = 1 lsl (32 - l) in
-    while
-      !len > 0
-      && !lo land (block (!len - 1) - 1) = 0
-      && !lo + block (!len - 1) - 1 <= ihi
-    do
-      decr len
-    done;
-    acc := Prefix.make (Ipv4.of_int !lo) !len :: !acc;
-    lo := !lo + block !len
-  done;
-  List.rev !acc
-
 (* Entries an exact expansion of one interval needs. Computed before
    materializing anything: port widths can be 65536. *)
 let cost_of level (lo, hi) =
-  if lo = 0 && hi = dim_top.(level) then 1
+  if lo = 0 && hi = Fdd.dim_top.(level) then 1
   else
     match level with
-    | 1 | 2 -> List.length (prefixes_of_interval (lo, hi))
+    | 1 | 2 -> List.length (Fdd.prefixes_of_interval (lo, hi))
     | _ -> hi - lo + 1
 
 let addr_space = 4294967296.0 (* 2^32 *)
@@ -65,7 +44,7 @@ let addr_space = 4294967296.0 (* 2^32 *)
 (* The expansion of one interval of one dimension: a list of
    (field-setter, volume fraction) pairs. *)
 let atoms_of level (lo, hi) : ((MF.t -> MF.t) * float) list =
-  if lo = 0 && hi = dim_top.(level) then [ ((fun m -> m), 1.0) ]
+  if lo = 0 && hi = Fdd.dim_top.(level) then [ ((fun m -> m), 1.0) ]
   else
     match level with
     | 0 ->
@@ -77,13 +56,13 @@ let atoms_of level (lo, hi) : ((MF.t -> MF.t) * float) list =
           (fun p ->
             ( (fun m -> { m with MF.nw_src = Some p }),
               float_of_int (Prefix.size p) /. addr_space ))
-          (prefixes_of_interval (lo, hi))
+          (Fdd.prefixes_of_interval (lo, hi))
     | 2 ->
         List.map
           (fun p ->
             ( (fun m -> { m with MF.nw_dst = Some p }),
               float_of_int (Prefix.size p) /. addr_space ))
-          (prefixes_of_interval (lo, hi))
+          (Fdd.prefixes_of_interval (lo, hi))
     | 3 ->
         List.init (hi - lo + 1) (fun i ->
             let v = lo + i in
@@ -92,9 +71,6 @@ let atoms_of level (lo, hi) : ((MF.t -> MF.t) * float) list =
         List.init (hi - lo + 1) (fun i ->
             let v = lo + i in
             ((fun m -> { m with MF.tp_dst = Some v }), 1.0 /. 65536.0))
-
-let width_frac level (lo, hi) =
-  float_of_int (hi - lo + 1) /. (float_of_int dim_top.(level) +. 1.0)
 
 (* A rule during planning: match built bottom-up (only dimensions at or
    below the emitting node are set), plus the static volume it claims,
@@ -188,7 +164,7 @@ let rec plan_of cache budget tree =
           let default_frac =
             List.fold_left
               (fun acc (iv, c, _) ->
-                if gkey c = default_key then acc +. width_frac level iv else acc)
+                if gkey c = default_key then acc +. Fdd.width level iv else acc)
               0.0 parts
           in
           let default_plan =
@@ -475,9 +451,7 @@ let entry_to_string e =
     match e.e_lines with
     | [] -> ""
     | ls ->
-        Printf.sprintf "  (line %s)"
-          (String.concat ","
-             (List.map (function 0 -> "default" | l -> string_of_int l) ls))
+        Printf.sprintf "  (line %s)" (Fdd.lines_to_string ls)
   in
   Printf.sprintf "%5d %-5s %s%s" e.e_priority
     (decision_to_string e.e_decision)

@@ -275,7 +275,7 @@ type t = {
       (* Drop matches currently pushed to the dataplane. *)
   mutable proactive_tbl : Compiler.table;
       (* The abstract compiled table currently installed. *)
-  mutable proactive_state : Analysis.Flowspace.t * Analysis.Flowspace.t;
+  mutable proactive_state : Analysis.Fdd.Space.t * Analysis.Fdd.Space.t;
       (* (forward, reverse) spaces of keep-state pass rules at last
          sync: pass entries overlapping the forward space and block
          entries overlapping the reverse space were installed as punts,
@@ -1462,53 +1462,39 @@ let proactive_guards =
      though the ruleset statically blocks it (state matching precedes
      the ruleset).
 
-   [of_rule_env] over-approximates conditional rules, which errs toward
-   punting — slower, never wrong. *)
+   [Fdd.Space.of_rule] over-approximates conditional rules, which errs
+   toward punting — slower, never wrong. The reverse space is the same
+   rules with source and destination swapped. *)
 let state_spaces env =
+  let space = Analysis.Fdd.Space.of_rule ~lookup:(Pf.Env.table env) in
   List.fold_left
     (fun (fwd, rev) (r : Pf.Ast.rule) ->
       if r.Pf.Ast.keep_state && r.Pf.Ast.action = Pf.Ast.Pass then
-        let atoms =
-          Analysis.Flowspace.atoms (Analysis.Flowspace.of_rule_env env r)
-        in
-        let reversed =
-          List.map
-            (fun (a : Analysis.Flowspace.atom) ->
-              {
-                a with
-                Analysis.Flowspace.src = a.Analysis.Flowspace.dst;
-                dst = a.Analysis.Flowspace.src;
-                sport = a.Analysis.Flowspace.dport;
-                dport = a.Analysis.Flowspace.sport;
-              })
-            atoms
-        in
-        ( Analysis.Flowspace.union fwd (Analysis.Flowspace.of_atoms atoms),
-          Analysis.Flowspace.union rev (Analysis.Flowspace.of_atoms reversed) )
+        ( Analysis.Fdd.Space.union fwd (space r),
+          Analysis.Fdd.Space.union rev
+            (space { r with Pf.Ast.from_ = r.Pf.Ast.to_; to_ = r.Pf.Ast.from_ }) )
       else (fwd, rev))
-    (Analysis.Flowspace.empty, Analysis.Flowspace.empty)
+    (Analysis.Fdd.Space.empty, Analysis.Fdd.Space.empty)
     (Pf.Env.rules env)
 
-let atom_of_fields (m : Openflow.Match_fields.t) =
-  let any = Analysis.Flowspace.atom_any in
-  {
-    Analysis.Flowspace.proto =
-      (match m.Openflow.Match_fields.nw_proto with
-      | None -> Analysis.Flowspace.proto_any
-      | Some p -> Analysis.Flowspace.proto_only p);
-    src = (match m.Openflow.Match_fields.nw_src with
-          | None -> any.Analysis.Flowspace.src
-          | Some p -> p);
-    dst = (match m.Openflow.Match_fields.nw_dst with
-          | None -> any.Analysis.Flowspace.dst
-          | Some p -> p);
-    sport = (match m.Openflow.Match_fields.tp_src with
-            | None -> Analysis.Flowspace.port_any
-            | Some v -> (v, v));
-    dport = (match m.Openflow.Match_fields.tp_dst with
-            | None -> Analysis.Flowspace.port_any
-            | Some v -> (v, v));
-  }
+(* Whether an entry's match meets a state space. Most policies keep no
+   state: the empty space answers without building the box. *)
+let meets_state space (m : Openflow.Match_fields.t) =
+  let field level f = function
+    | None -> (0, Analysis.Fdd.dim_top.(level))
+    | Some v -> f v
+  in
+  let point v = (v, v) in
+  let prefix p = (Ipv4.to_int (Prefix.first p), Ipv4.to_int (Prefix.last p)) in
+  (not (Analysis.Fdd.Space.is_empty space))
+  && Analysis.Fdd.Space.overlaps_box space
+       [|
+         field 0 (fun p -> point (Proto.to_int p)) m.Openflow.Match_fields.nw_proto;
+         field 1 prefix m.Openflow.Match_fields.nw_src;
+         field 2 prefix m.Openflow.Match_fields.nw_dst;
+         field 3 point m.Openflow.Match_fields.tp_src;
+         field 4 point m.Openflow.Match_fields.tp_dst;
+       |]
 
 (* A destination a pass entry specialises to: the host's address, the
    /32 that names it, and the actions that reach it from one switch. *)
@@ -1560,11 +1546,10 @@ let lower_entry ~routes ~state:(state_fwd, state_rev) (e : Compiler.entry) =
   match e.Compiler.e_decision with
   | Compiler.Punt -> [ punt ]
   | Compiler.Decide Pf.Ast.Block ->
-      if Analysis.Flowspace.overlaps [ atom_of_fields fields ] state_rev then
-        [ punt ]
+      if meets_state state_rev fields then [ punt ]
       else [ (fields, prio, Openflow.Action.drop) ]
   | Compiler.Decide Pf.Ast.Pass
-    when Analysis.Flowspace.overlaps [ atom_of_fields fields ] state_fwd ->
+    when meets_state state_fwd fields ->
       [ punt ]
   | Compiler.Decide Pf.Ast.Pass ->
       let specials =
@@ -1593,7 +1578,7 @@ let sync_proactive ?(force = false) t =
       | Ok env ->
           (Some (Analysis.Fdd.compile ~default:t.cfg.default env),
            state_spaces env)
-      | Error _ -> (None, (Analysis.Flowspace.empty, Analysis.Flowspace.empty))
+      | Error _ -> (None, (Analysis.Fdd.Space.empty, Analysis.Fdd.Space.empty))
     in
     let cur =
       match fdd with
@@ -1607,7 +1592,11 @@ let sync_proactive ?(force = false) t =
         (* The dataplane was (possibly partially) wiped out from under
            us: re-add everything, nothing to delete. *)
         { Compiler.d_add = cur.Compiler.entries; d_del = [] }
-      else if t.proactive_state <> state then
+      else if
+        not
+          (Analysis.Fdd.Space.equal (fst t.proactive_state) (fst state)
+          && Analysis.Fdd.Space.equal (snd t.proactive_state) (snd state))
+      then
         (* Same abstract entry, different lowering: start over. *)
         {
           Compiler.d_add = cur.Compiler.entries;
@@ -1873,7 +1862,7 @@ let create ?(config = default_config) ?keystore ?functions ?obs ?spans
       last_stats = [];
       precompiled = [];
       proactive_tbl = empty_table;
-      proactive_state = (Analysis.Flowspace.empty, Analysis.Flowspace.empty);
+      proactive_state = (Analysis.Fdd.Space.empty, Analysis.Fdd.Space.empty);
       proactive_cache = Compiler.create_cache ();
       pm = (if config.proactive then Some (make_pro_metrics obs ~labels) else None);
     }

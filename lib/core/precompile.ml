@@ -76,24 +76,21 @@ let matches_of_rule env (rule : Pf.Ast.rule) =
    flows differently first. Rule order gives the precise condition: the
    flow-spaces must be disjoint. Earlier compilable quick rules are
    drops themselves (consistent), and non-quick rules never decide
-   before a later quick match. [Flowspace.of_rule_env] over-approximates
+   before a later quick match. [Fdd.Space.of_rule] over-approximates
    conditional rules, so disjointness is conservative. This generalizes
    the old "stop at the first non-compilable quick rule" cutoff: a
    network-only block behind an unrelated informational quick rule now
    still offloads. *)
 let drop_matches env =
+  let space = Analysis.Fdd.Space.of_rule ~lookup:(Pf.Env.table env) in
   let rec go blockers = function
     | [] -> []
     | (rule : Pf.Ast.rule) :: rest ->
         if not rule.Pf.Ast.quick then go blockers rest
         else if compilable_rule env rule then
-          let space = Analysis.Flowspace.of_rule_env env rule in
-          if Analysis.Flowspace.overlaps space blockers then go blockers rest
+          if Analysis.Fdd.Space.overlaps (space rule) blockers then
+            go blockers rest
           else matches_of_rule env rule @ go blockers rest
-        else
-          go
-            (Analysis.Flowspace.union blockers
-               (Analysis.Flowspace.of_rule_env env rule))
-            rest
+        else go (Analysis.Fdd.Space.union blockers (space rule)) rest
   in
-  go Analysis.Flowspace.empty (Pf.Env.rules env)
+  go Analysis.Fdd.Space.empty (Pf.Env.rules env)

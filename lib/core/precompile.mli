@@ -23,7 +23,7 @@
     every earlier non-compilable [quick] rule's (over-approximated)
     flow-space — an overlapping earlier quick rule could decide one of
     its flows differently, so that rule stays reactive. Disjointness is
-    decided symbolically with {!Analysis.Flowspace}; this strictly
+    decided symbolically with {!Analysis.Fdd.Space}; this strictly
     generalizes the previous behaviour of stopping compilation at the
     first non-compilable quick rule. *)
 

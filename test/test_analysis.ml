@@ -1,19 +1,12 @@
-(* Flow-space algebra and whole-ruleset static checks: the analysis
-   library that backs `identxx_ctl analyze --deep` and `dune build
-   @lint`. *)
+(* Flow spaces on the decision diagram and whole-ruleset static
+   checks: the analysis library that backs `identxx_ctl analyze --deep`
+   and `dune build @lint`. *)
 
 open Netcore
-module F = Analysis.Flowspace
+module S = Analysis.Fdd.Space
 module C = Analysis.Check
 
 let prefix = Prefix.of_string
-
-let prefix_list =
-  Alcotest.testable
-    (fun fmt ps ->
-      Format.pp_print_string fmt
-        (String.concat " " (List.map Prefix.to_string ps)))
-    (fun a b -> List.map Prefix.to_string a = List.map Prefix.to_string b)
 
 let contains_substring hay needle =
   let nh = String.length hay and nn = String.length needle in
@@ -33,7 +26,7 @@ let env_of s =
 let space_of_rule ?(tables = []) s =
   match parse_rules s with
   | [ Pf.Ast.Rule_decl r ] ->
-      F.of_rule ~lookup:(fun n -> List.assoc_opt n tables) r
+      S.of_rule ~lookup:(fun n -> List.assoc_opt n tables) r
   | _ -> Alcotest.fail "expected a single rule"
 
 let findings_of ?configs s = C.run ?configs (parse_rules s)
@@ -45,102 +38,25 @@ let has_code c fs =
 let no_code c fs =
   Alcotest.(check bool) (c ^ " absent") true (find_code c fs = None)
 
-(* --- proto sets --- *)
-
-let test_proto_sets () =
-  Alcotest.(check bool) "any non-empty" false (F.proto_set_empty F.proto_any);
-  let tcp = F.proto_only Proto.Tcp in
-  Alcotest.(check bool)
-    "tcp inter udp empty" true
-    (F.proto_set_empty (F.proto_inter tcp (F.proto_only Proto.Udp)));
-  Alcotest.(check bool)
-    "tcp \\ tcp empty" true
-    (F.proto_set_empty (F.proto_sub tcp tcp));
-  Alcotest.(check bool)
-    "any \\ tcp keeps udp" false
-    (F.proto_set_empty (F.proto_inter (F.proto_sub F.proto_any tcp)
-                          (F.proto_only Proto.Udp)));
-  (* co-finite \ co-finite goes finite *)
-  let not_tcp = F.proto_sub F.proto_any tcp in
-  let not_udp = F.proto_sub F.proto_any (F.proto_only Proto.Udp) in
-  let diff = F.proto_sub not_tcp not_udp in
-  Alcotest.(check bool)
-    "(¬tcp) \\ (¬udp) = {udp}" false (F.proto_set_empty diff);
-  Alcotest.(check bool)
-    "…and contains no tcp" true
-    (F.proto_set_empty (F.proto_inter diff tcp))
-
-(* --- intervals --- *)
-
-let test_intervals () =
-  Alcotest.(check bool) "empty iff lo>hi" true (F.interval_empty (5, 4));
-  Alcotest.(check bool)
-    "inter overlap" false
-    (F.interval_empty (F.interval_inter (10, 20) (15, 30)));
-  Alcotest.(check (list (pair int int)))
-    "sub middle splits" [ (10, 14); (18, 20) ]
-    (F.interval_sub (10, 20) (15, 17));
-  Alcotest.(check (list (pair int int)))
-    "sub covering is empty" [] (F.interval_sub (10, 20) (0, 65535));
-  Alcotest.(check (list (pair int int)))
-    "sub disjoint is identity" [ (10, 20) ]
-    (F.interval_sub (10, 20) (30, 40))
-
-(* --- prefix subtraction / complement --- *)
-
-let test_prefix_sub () =
-  Alcotest.check prefix_list "p \\ p = 0" []
-    (F.prefix_sub (prefix "10.0.0.0/8") (prefix "10.0.0.0/8"));
-  Alcotest.check prefix_list "disjoint is identity"
-    [ prefix "10.0.0.0/8" ]
-    (F.prefix_sub (prefix "10.0.0.0/8") (prefix "192.168.0.0/16"));
-  (* carving a /10 out of a /8 leaves one sibling per level *)
-  let residue = F.prefix_sub (prefix "10.0.0.0/8") (prefix "10.64.0.0/10") in
-  Alcotest.check prefix_list "10/8 \\ 10.64/10"
-    [ prefix "10.128.0.0/9"; prefix "10.0.0.0/10" ]
-    residue;
-  (* the residue is disjoint from the subtrahend and unions back *)
-  List.iter
-    (fun p ->
-      Alcotest.(check bool) "residue disjoint" false
-        (Prefix.overlaps p (prefix "10.64.0.0/10")))
-    residue;
-  Alcotest.check prefix_list "smaller \\ larger = 0" []
-    (F.prefix_sub (prefix "10.64.0.0/10") (prefix "10.0.0.0/8"))
-
-let test_prefix_complement () =
-  Alcotest.check prefix_list "complement of all" []
-    (F.prefix_complement [ prefix "0.0.0.0/0" ]);
-  let comp = F.prefix_complement [ prefix "128.0.0.0/1" ] in
-  Alcotest.check prefix_list "complement of 128/1" [ prefix "0.0.0.0/1" ] comp;
-  (* complement of a /2 has one prefix per level *)
-  let comp = F.prefix_complement [ prefix "192.0.0.0/2" ] in
-  List.iter
-    (fun p ->
-      Alcotest.(check bool) "disjoint from input" false
-        (Prefix.overlaps p (prefix "192.0.0.0/2")))
-    comp;
-  Alcotest.(check int) "two pieces" 2 (List.length comp)
-
 (* --- space algebra --- *)
 
 let test_space_algebra () =
   let a = space_of_rule "pass from 10.0.0.0/8 to any port 80:90" in
   let b = space_of_rule "block from 10.0.0.0/16 to any port 85" in
-  Alcotest.(check bool) "overlap" true (F.overlaps a b);
-  Alcotest.(check bool) "b inside a" true (F.covers ~outer:a ~inner:b);
-  Alcotest.(check bool) "a not inside b" false (F.covers ~outer:b ~inner:a);
-  Alcotest.(check bool) "a \\ a empty" true (F.is_empty (F.sub a a));
-  let residual = F.sub a b in
-  Alcotest.(check bool) "residual non-empty" false (F.is_empty residual);
-  Alcotest.(check bool) "residual misses b" false (F.overlaps residual b);
+  Alcotest.(check bool) "overlap" true (S.overlaps a b);
+  Alcotest.(check bool) "b inside a" true (S.covers ~outer:a ~inner:b);
+  Alcotest.(check bool) "a not inside b" false (S.covers ~outer:b ~inner:a);
+  Alcotest.(check bool) "a \\ a empty" true (S.is_empty (S.diff a a));
+  let residual = S.diff a b in
+  Alcotest.(check bool) "residual non-empty" false (S.is_empty residual);
+  Alcotest.(check bool) "residual misses b" false (S.overlaps residual b);
   Alcotest.(check bool)
     "residual ∪ b ⊇ a" true
-    (F.covers ~outer:(F.union residual b) ~inner:a)
+    (S.covers ~outer:(S.union residual b) ~inner:a)
 
 let test_space_witness () =
   let s = space_of_rule "pass proto udp from 10.0.0.0/8 to 192.168.1.0/24 port 53" in
-  (match F.witness s with
+  (match S.witness s with
   | None -> Alcotest.fail "expected witness"
   | Some w ->
       Alcotest.(check bool) "witness in src" true
@@ -151,26 +67,166 @@ let test_space_witness () =
       Alcotest.(check bool) "witness proto" true
         (w.Five_tuple.proto = Proto.Udp));
   Alcotest.(check bool) "empty has none" true
-    (F.witness F.empty = None)
+    (S.witness S.empty = None)
 
 let test_space_negation () =
   let s = space_of_rule "pass from !10.0.0.0/8 to any" in
   let inside = space_of_rule "pass from 10.1.2.0/24 to any" in
   let outside = space_of_rule "pass from 192.168.0.0/16 to any" in
-  Alcotest.(check bool) "negation excludes 10/8" false (F.overlaps s inside);
+  Alcotest.(check bool) "negation excludes 10/8" false (S.overlaps s inside);
   Alcotest.(check bool) "negation keeps the rest" true
-    (F.covers ~outer:s ~inner:outside)
+    (S.covers ~outer:s ~inner:outside)
 
 let test_space_of_table_rule () =
   let tables = [ ("lan", [ prefix "10.0.0.0/8"; prefix "192.168.0.0/16" ]) ] in
   let s = space_of_rule ~tables "pass from <lan> to any" in
   Alcotest.(check bool) "covers both member prefixes" true
-    (F.covers ~outer:s
-       ~inner:(F.union
+    (S.covers ~outer:s
+       ~inner:(S.union
                  (space_of_rule "pass from 10.0.0.0/8 to any")
                  (space_of_rule "pass from 192.168.0.0/16 to any")));
   Alcotest.(check bool) "unknown table is empty" true
-    (F.is_empty (space_of_rule "pass from <ghost> to any"))
+    (S.is_empty (space_of_rule "pass from <ghost> to any"))
+
+let test_space_to_string () =
+  let s = space_of_rule "pass proto tcp from 10.0.0.0/7 to any port 22" in
+  Alcotest.(check string)
+    "atoms" "proto tcp from 10.0.0.0/7 port any to 0.0.0.0/0 port 22"
+    (S.to_string s);
+  Alcotest.(check string) "empty" "(empty)" (S.to_string S.empty)
+
+(* --- random condition-free rules --- *)
+
+let lan_decl = "table <lan> { 10.1.0.0/16 192.168.0.0/16 }\n"
+let lan_lookup = function
+  | "lan" -> Some [ prefix "10.1.0.0/16"; prefix "192.168.0.0/16" ]
+  | _ -> None
+
+(* Overlapping prefixes, ports and protocols, so random rules nest,
+   cross and miss each other. *)
+let addrs =
+  [ "any"; "10.0.0.0/8"; "10.1.0.0/16"; "10.1.2.0/24"; "10.1.2.128/25";
+    "10.1.2.3"; "192.168.0.0/16"; "0.0.0.0/1"; "!10.0.0.0/8";
+    "!10.1.2.0/24"; "{ 10.1.2.0/24, 192.168.0.0/16 }"; "<lan>"; "!<lan>";
+    "!any" ]
+
+let ports =
+  [ ""; " port 22"; " port 80"; " port 80:90"; " port 85:100";
+    " port 0:1023"; " port 65535"; " port 1000:2000" ]
+
+let protos = [ ""; " proto tcp"; " proto udp"; " proto icmp" ]
+
+type rule_parts = {
+  block : bool;
+  quick : bool;
+  proto : string;
+  src : string;
+  sport : string;
+  dst : string;
+  dport : string;
+}
+
+let rule_text ?(as_pass = false) r =
+  Printf.sprintf "%s%s%s from %s%s to %s%s"
+    (if r.block && not as_pass then "block" else "pass")
+    (if r.quick then " quick" else "")
+    r.proto r.src r.sport r.dst r.dport
+
+let gen_rule =
+  QCheck.Gen.(
+    map
+      (fun ((block, quick, proto), (src, sport), (dst, dport)) ->
+        { block; quick; proto; src; sport; dst; dport })
+      (triple
+         (triple bool bool (oneofl protos))
+         (pair (oneofl addrs) (oneofl ports))
+         (pair (oneofl addrs) (oneofl ports))))
+
+let parse_rule text =
+  match parse_rules (lan_decl ^ text) with
+  | [ _; Pf.Ast.Rule_decl r ] -> r
+  | _ -> Alcotest.failf "expected one rule: %s" text
+
+(* Per dimension: every boundary of the pools above and its
+   neighbours, so sampled points hit region corners. *)
+let corner_values =
+  let addr_bounds =
+    List.concat_map
+      (fun p ->
+        let p = prefix p in
+        let lo = Ipv4.to_int (Prefix.first p) and hi = Ipv4.to_int (Prefix.last p) in
+        [ lo; hi; lo - 1; hi + 1 ])
+      [ "10.0.0.0/8"; "10.1.0.0/16"; "10.1.2.0/24"; "10.1.2.128/25";
+        "10.1.2.3/32"; "192.168.0.0/16"; "0.0.0.0/1" ]
+    |> List.filter (fun v -> v >= 0 && v <= 0xFFFF_FFFF)
+  in
+  let port_bounds =
+    List.concat_map
+      (fun (lo, hi) -> [ lo; hi; lo - 1; hi + 1 ])
+      [ (22, 22); (80, 80); (80, 90); (85, 100); (0, 1023); (65535, 65535); (1000, 2000) ]
+    |> List.filter (fun v -> v >= 0 && v <= 0xFFFF)
+  in
+  [| [ 0; 1; 5; 6; 7; 17; 255 ]; addr_bounds; addr_bounds; port_bounds; port_bounds |]
+
+let gen_point =
+  QCheck.Gen.(
+    let dim top corners =
+      frequency [ (3, oneofl corners); (1, int_range 0 top) ]
+    in
+    map
+      (fun ((proto, src, dst), (sp, dp)) ->
+        Five_tuple.make ~proto:(Proto.of_int proto) ~src:(Ipv4.of_int src)
+          ~dst:(Ipv4.of_int dst) ~src_port:sp ~dst_port:dp)
+      (pair
+         (triple (dim 255 corner_values.(0)) (dim 0xFFFF_FFFF corner_values.(1))
+            (dim 0xFFFF_FFFF corner_values.(2)))
+         (pair (dim 0xFFFF corner_values.(3)) (dim 0xFFFF corner_values.(4)))))
+
+let mem s (fl : Five_tuple.t) =
+  let pt v = (v, v) in
+  S.overlaps_box s
+    [|
+      pt (Proto.to_int fl.proto); pt (Ipv4.to_int fl.src); pt (Ipv4.to_int fl.dst);
+      pt fl.src_port; pt fl.dst_port;
+    |]
+
+(* The space of a rule is what a one-rule pass ruleset with default
+   block passes; the set operations are the pointwise connectives; a
+   witness lies in its space and exists iff the space is non-empty. *)
+let prop_space_ops =
+  QCheck.Test.make ~name:"space operations agree with Eval pointwise"
+    ~count:300
+    (QCheck.make
+       QCheck.Gen.(triple gen_rule gen_rule (list_size (return 40) gen_point))
+       ~print:(fun (a, b, _) -> rule_text a ^ " / " ^ rule_text b))
+    (fun (ra, rb, points) ->
+      let a = S.of_rule ~lookup:lan_lookup (parse_rule (rule_text ra)) in
+      let b = S.of_rule ~lookup:lan_lookup (parse_rule (rule_text rb)) in
+      let env =
+        match Pf.Env.of_string (lan_decl ^ rule_text ~as_pass:true ra) with
+        | Ok env -> env
+        | Error e -> QCheck.Test.fail_reportf "env: %s" e
+      in
+      let passes fl =
+        match Pf.Eval.eval ~default:Pf.Ast.Block env (Pf.Eval.ctx ()) fl with
+        | Ok v -> v.Pf.Eval.decision = Pf.Ast.Pass
+        | Error e -> QCheck.Test.fail_reportf "eval: %s" e
+      in
+      let u = S.union a b and i = S.inter a b and d = S.diff a b in
+      let witness_ok s =
+        match S.witness s with
+        | None -> S.is_empty s
+        | Some w -> (not (S.is_empty s)) && mem s w
+      in
+      List.for_all
+        (fun fl ->
+          let ina = mem a fl and inb = mem b fl in
+          ina = passes fl
+          && mem u fl = (ina || inb)
+          && mem i fl = (ina && inb)
+          && mem d fl = (ina && not inb))
+        points
+      && List.for_all witness_ok [ a; b; u; i; d ])
 
 (* --- whole-ruleset checks --- *)
 
@@ -310,6 +366,75 @@ let test_report_locator () =
     ("b.control", 1)
     (Analysis.Report.locator files 3)
 
+(* An exact oracle for shadowing: on condition-free rules every static
+   region of the diagram has exactly one deciding line (0 for the
+   default), and a rule is reported shadowed or unmatchable iff it
+   decides no region. *)
+let prop_shadow_oracle =
+  QCheck.Test.make ~name:"shadowing matches the diagram's deciders"
+    ~count:300
+    (QCheck.make
+       QCheck.Gen.(list_size (int_range 1 8) gen_rule)
+       ~print:(fun rs -> String.concat "\n" (List.map rule_text rs)))
+    (fun rs ->
+      let decls = parse_rules (lan_decl ^ String.concat "\n" (List.map rule_text rs)) in
+      let rules = Pf.Ast.rules decls in
+      let slice =
+        Analysis.Fdd.static_slice ~limit:max_int
+          (Analysis.Fdd.compile_rules ~lookup:lan_lookup rules)
+      in
+      let deciders =
+        List.map
+          (fun (_, _, lines) ->
+            match lines with
+            | [ l ] -> l
+            | _ -> QCheck.Test.fail_report "a region with several deciders")
+          slice.Analysis.Fdd.s_static
+      in
+      let flagged =
+        List.filter_map
+          (fun (f : C.finding) ->
+            if f.C.code = "shadowed-rule" || f.C.code = "unmatchable-rule" then
+              Some f.C.line
+            else None)
+          (C.run decls)
+      in
+      slice.Analysis.Fdd.s_reactive = []
+      && List.for_all
+           (fun (r : Pf.Ast.rule) ->
+             List.mem r.Pf.Ast.line flagged
+             = not (List.mem r.Pf.Ast.line deciders))
+           rules)
+
+(* Atom subtraction over a 64-prefix table once took minutes here; the
+   diagram answers at once, with the same findings as on small
+   tables. *)
+let test_table_policy_scales () =
+  let lan =
+    String.concat " "
+      (List.init 64 (fun i -> Printf.sprintf "10.%d.%d.0/24" i (7 * i mod 256)))
+  in
+  let fs =
+    findings_of
+      (Printf.sprintf
+         "table <lan> { %s }\n\
+          block all\n\
+          pass from <lan> to <lan> port 1000:2000\n\
+          block from any to <lan> port 22\n\
+          pass from <lan> to any\n\
+          block from <lan> to <lan>"
+         lan)
+  in
+  Alcotest.(check (list (pair int string)))
+    "findings"
+    [ (0, "default-fallthrough"); (3, "shadowed-rule"); (5, "rule-conflict") ]
+    (List.map (fun (f : C.finding) -> (f.C.line, f.C.code)) fs);
+  match find_code "rule-conflict" fs with
+  | Some { C.witness = Some w; _ } ->
+      Alcotest.(check string)
+        "witness" "tcp 10.0.0.0:0 -> 10.0.0.0:22" (Five_tuple.to_string w)
+  | _ -> Alcotest.fail "expected a conflict witness"
+
 (* --- integration: policy store strict mode, precompile offload --- *)
 
 let test_policy_store_strict () =
@@ -362,14 +487,12 @@ let () =
     [
       ( "flowspace",
         [
-          Alcotest.test_case "proto sets" `Quick test_proto_sets;
-          Alcotest.test_case "intervals" `Quick test_intervals;
-          Alcotest.test_case "prefix subtraction" `Quick test_prefix_sub;
-          Alcotest.test_case "prefix complement" `Quick test_prefix_complement;
           Alcotest.test_case "space algebra" `Quick test_space_algebra;
           Alcotest.test_case "witness" `Quick test_space_witness;
           Alcotest.test_case "negation" `Quick test_space_negation;
           Alcotest.test_case "table rules" `Quick test_space_of_table_rule;
+          Alcotest.test_case "to_string" `Quick test_space_to_string;
+          QCheck_alcotest.to_alcotest prop_space_ops;
         ] );
       ( "checks",
         [
@@ -386,6 +509,9 @@ let () =
           Alcotest.test_case "exit code contract" `Quick
             test_exit_code_contract;
           Alcotest.test_case "report locator" `Quick test_report_locator;
+          Alcotest.test_case "table policy scales" `Quick
+            test_table_policy_scales;
+          QCheck_alcotest.to_alcotest prop_shadow_oracle;
         ] );
       ( "integration",
         [
