@@ -1,30 +1,33 @@
-let normalize_key key =
+(* The hash states after absorbing the key's inner and outer pads. *)
+type key = { ipad : Sha256.midstate; opad : Sha256.midstate }
+
+let prepare key =
   let key =
     if String.length key > Sha256.block_size then Sha256.digest key else key
   in
-  let b = Bytes.make Sha256.block_size '\000' in
-  Bytes.blit_string key 0 b 0 (String.length key);
-  Bytes.unsafe_to_string b
+  (* The key, zero-padded to one block, XOR [byte]. *)
+  let pad byte =
+    let b = Bytes.make Sha256.block_size (Char.chr byte) in
+    String.iteri
+      (fun i c -> Bytes.set b i (Char.chr (Char.code c lxor byte)))
+      key;
+    let ctx = Sha256.init () in
+    Sha256.feed_bytes ctx b 0 Sha256.block_size;
+    Sha256.midstate ctx
+  in
+  { ipad = pad 0x36; opad = pad 0x5c }
 
-let xor_with s byte =
-  String.map (fun c -> Char.chr (Char.code c lxor byte)) s
+(* The inner hash, already keyed, and the outer state it is wrapped in. *)
+type ctx = { inner : Sha256.ctx; outer : Sha256.midstate }
 
-(* The inner hash, already keyed, and the outer pad it is wrapped in. *)
-type ctx = { inner : Sha256.ctx; opad : string }
-
-let init ~key =
-  let key = normalize_key key in
-  let inner = Sha256.init () in
-  Sha256.feed inner (xor_with key 0x36);
-  { inner; opad = xor_with key 0x5c }
-
+let start key = { inner = Sha256.resume key.ipad; outer = key.opad }
+let init ~key = start (prepare key)
 let feed t s = Sha256.feed t.inner s
 let feed_bytes t b off len = Sha256.feed_bytes t.inner b off len
 
 let finalize t =
   let inner_digest = Sha256.finalize t.inner in
-  let outer = Sha256.init () in
-  Sha256.feed outer t.opad;
+  let outer = Sha256.resume t.outer in
   Sha256.feed outer inner_digest;
   Sha256.finalize outer
 

@@ -20,6 +20,7 @@ type ctx
 (** A keyed, streaming HMAC. *)
 
 val init : key:string -> ctx
+(** [init ~key] is [start (prepare key)]. *)
 
 val feed : ctx -> string -> unit
 (** Absorb bytes. May be called repeatedly. *)
@@ -34,3 +35,19 @@ val finalize : ctx -> string
 val check : ctx -> tag:string -> bool
 (** Constant-time comparison of [tag] against [finalize ctx]; the
     context must not be reused afterwards. *)
+
+(** {2 Prepared keys}
+
+    A signer or verifier that uses one key for many tags prepares it
+    once: each tag then hashes only its message blocks and one outer
+    block. *)
+
+type key
+(** A key's inner and outer pads, already absorbed into two hash
+    states. *)
+
+val prepare : string -> key
+(** Keys longer than the SHA-256 block size are hashed first. *)
+
+val start : key -> ctx
+(** A fresh HMAC under the prepared key. *)

@@ -1,29 +1,17 @@
-(* SHA-256 per FIPS 180-4. 32-bit words live in the low 32 bits of native
-   ints (OCaml ints are 63-bit here), masked after every addition. *)
+(* SHA-256 per FIPS 180-4. The block compression is a C stub
+   (sha256_stubs.c); streaming, padding and bounds checks live here. The
+   8 chaining words sit in the low 32 bits of native ints. *)
 
-let mask = 0xffff_ffff
-
-let k =
-  [|
-    0x428a2f98; 0x71374491; 0xb5c0fbcf; 0xe9b5dba5; 0x3956c25b; 0x59f111f1;
-    0x923f82a4; 0xab1c5ed5; 0xd807aa98; 0x12835b01; 0x243185be; 0x550c7dc3;
-    0x72be5d74; 0x80deb1fe; 0x9bdc06a7; 0xc19bf174; 0xe49b69c1; 0xefbe4786;
-    0x0fc19dc6; 0x240ca1cc; 0x2de92c6f; 0x4a7484aa; 0x5cb0a9dc; 0x76f988da;
-    0x983e5152; 0xa831c66d; 0xb00327c8; 0xbf597fc7; 0xc6e00bf3; 0xd5a79147;
-    0x06ca6351; 0x14292967; 0x27b70a85; 0x2e1b2138; 0x4d2c6dfc; 0x53380d13;
-    0x650a7354; 0x766a0abb; 0x81c2c92e; 0x92722c85; 0xa2bfe8a1; 0xa81a664b;
-    0xc24b8b70; 0xc76c51a3; 0xd192e819; 0xd6990624; 0xf40e3585; 0x106aa070;
-    0x19a4c116; 0x1e376c08; 0x2748774c; 0x34b0bcb5; 0x391c0cb3; 0x4ed8aa4a;
-    0x5b9cca4f; 0x682e6ff3; 0x748f82ee; 0x78a5636f; 0x84c87814; 0x8cc70208;
-    0x90befffa; 0xa4506ceb; 0xbef9a3f7; 0xc67178f2;
-  |]
+(* Absorb the 64 bytes of [b] at [off] into the state; unchecked. *)
+external compress : int array -> Bytes.t -> int -> unit
+  = "idcrypto_sha256_compress"
+[@@noalloc]
 
 type ctx = {
   h : int array; (* 8 state words *)
   block : Bytes.t; (* 64-byte block buffer *)
   mutable fill : int; (* bytes pending in [block] *)
   mutable total : int; (* total bytes absorbed *)
-  w : int array; (* 64-entry message schedule, reused across blocks *)
 }
 
 let init () =
@@ -36,82 +24,36 @@ let init () =
     block = Bytes.create 64;
     fill = 0;
     total = 0;
-    w = Array.make 64 0;
   }
 
-let rotr x n = ((x lsr n) lor (x lsl (32 - n))) land mask
-
-let compress ctx =
-  let w = ctx.w in
-  let b = ctx.block in
-  for i = 0 to 15 do
-    let o = i * 4 in
-    w.(i) <-
-      (Char.code (Bytes.get b o) lsl 24)
-      lor (Char.code (Bytes.get b (o + 1)) lsl 16)
-      lor (Char.code (Bytes.get b (o + 2)) lsl 8)
-      lor Char.code (Bytes.get b (o + 3))
-  done;
-  for i = 16 to 63 do
-    let s0 =
-      rotr w.(i - 15) 7 lxor rotr w.(i - 15) 18 lxor (w.(i - 15) lsr 3)
-    in
-    let s1 =
-      rotr w.(i - 2) 17 lxor rotr w.(i - 2) 19 lxor (w.(i - 2) lsr 10)
-    in
-    w.(i) <- (w.(i - 16) + s0 + w.(i - 7) + s1) land mask
-  done;
-  let h = ctx.h in
-  let a = ref h.(0)
-  and bb = ref h.(1)
-  and c = ref h.(2)
-  and d = ref h.(3)
-  and e = ref h.(4)
-  and f = ref h.(5)
-  and g = ref h.(6)
-  and hh = ref h.(7) in
-  for i = 0 to 63 do
-    let s1 = rotr !e 6 lxor rotr !e 11 lxor rotr !e 25 in
-    let ch = !e land !f lxor (lnot !e land !g) in
-    let t1 = (!hh + s1 + ch + k.(i) + w.(i)) land mask in
-    let s0 = rotr !a 2 lxor rotr !a 13 lxor rotr !a 22 in
-    let maj = !a land !bb lxor (!a land !c) lxor (!bb land !c) in
-    let t2 = (s0 + maj) land mask in
-    hh := !g;
-    g := !f;
-    f := !e;
-    e := (!d + t1) land mask;
-    d := !c;
-    c := !bb;
-    bb := !a;
-    a := (t1 + t2) land mask
-  done;
-  h.(0) <- (h.(0) + !a) land mask;
-  h.(1) <- (h.(1) + !bb) land mask;
-  h.(2) <- (h.(2) + !c) land mask;
-  h.(3) <- (h.(3) + !d) land mask;
-  h.(4) <- (h.(4) + !e) land mask;
-  h.(5) <- (h.(5) + !f) land mask;
-  h.(6) <- (h.(6) + !g) land mask;
-  h.(7) <- (h.(7) + !hh) land mask
+(* Compress whole blocks straight from [b]; the tail under 64 bytes goes
+   to [ctx.block], which must be empty. *)
+let rec absorb ctx b off len =
+  if len >= 64 then begin
+    compress ctx.h b off;
+    absorb ctx b (off + 64) (len - 64)
+  end
+  else if len > 0 then begin
+    Bytes.blit b off ctx.block 0 len;
+    ctx.fill <- len
+  end
 
 let feed_bytes ctx b off len =
-  if off < 0 || len < 0 || off + len > Bytes.length b then
+  (* [off + len] could wrap; [Bytes.length b - off] cannot once [off >= 0]. *)
+  if off < 0 || len < 0 || len > Bytes.length b - off then
     invalid_arg "Sha256.feed_bytes: out of bounds";
   ctx.total <- ctx.total + len;
-  let pos = ref off and remaining = ref len in
-  while !remaining > 0 do
-    let space = 64 - ctx.fill in
-    let chunk = min space !remaining in
-    Bytes.blit b !pos ctx.block ctx.fill chunk;
+  if ctx.fill = 0 then absorb ctx b off len
+  else begin
+    let chunk = min (64 - ctx.fill) len in
+    Bytes.blit b off ctx.block ctx.fill chunk;
     ctx.fill <- ctx.fill + chunk;
-    pos := !pos + chunk;
-    remaining := !remaining - chunk;
     if ctx.fill = 64 then begin
-      compress ctx;
-      ctx.fill <- 0
+      compress ctx.h ctx.block 0;
+      ctx.fill <- 0;
+      absorb ctx b (off + chunk) (len - chunk)
     end
-  done
+  end
 
 let feed ctx s = feed_bytes ctx (Bytes.unsafe_of_string s) 0 (String.length s)
 
@@ -122,14 +64,14 @@ let finalize ctx =
   ctx.fill <- ctx.fill + 1;
   if ctx.fill > 56 then begin
     Bytes.fill ctx.block ctx.fill (64 - ctx.fill) '\000';
-    compress ctx;
+    compress ctx.h ctx.block 0;
     ctx.fill <- 0
   end;
   Bytes.fill ctx.block ctx.fill (64 - ctx.fill) '\000';
   for i = 0 to 7 do
     Bytes.set ctx.block (56 + i) (Char.chr ((bitlen lsr ((7 - i) * 8)) land 0xff))
   done;
-  compress ctx;
+  compress ctx.h ctx.block 0;
   let out = Bytes.create 32 in
   for i = 0 to 7 do
     let v = ctx.h.(i) in
@@ -139,6 +81,15 @@ let finalize ctx =
     Bytes.set out ((4 * i) + 3) (Char.chr (v land 0xff))
   done;
   Bytes.unsafe_to_string out
+
+type midstate = { words : int array; length : int }
+
+let midstate ctx =
+  if ctx.fill <> 0 then invalid_arg "Sha256.midstate: partial block pending";
+  { words = Array.copy ctx.h; length = ctx.total }
+
+let resume m =
+  { h = Array.copy m.words; block = Bytes.create 64; fill = 0; total = m.length }
 
 let digest s =
   let ctx = init () in

@@ -19,7 +19,8 @@ let canonical data =
    to left; 19 digits cover any string length. *)
 type stream = { hmac : Hmac.ctx; digits : Bytes.t }
 
-let stream ~secret = { hmac = Hmac.init ~key:secret; digits = Bytes.create 20 }
+let keyed key = { hmac = Hmac.start key; digits = Bytes.create 20 }
+let stream ~secret = keyed (Hmac.prepare secret)
 
 (* Write [n]'s decimal digits into [b] ending at [i]; the first digit's
    index. *)
@@ -42,17 +43,21 @@ let sign ~secret data =
   List.iter (add st) data;
   finish st
 
-type keystore = (string, string) Hashtbl.t
+(* Public handle to the principal's prepared secret. *)
+type keystore = (string, Hmac.key) Hashtbl.t
 
 let keystore () = Hashtbl.create 16
-let register ks kp = Hashtbl.replace ks kp.public kp.secret
-let register_public ks ~public ~secret = Hashtbl.replace ks public secret
+
+let register_public ks ~public ~secret =
+  Hashtbl.replace ks public (Hmac.prepare secret)
+
+let register ks kp = register_public ks ~public:kp.public ~secret:kp.secret
 let known ks public = Hashtbl.mem ks public
 
 let verifier ks ~public =
   match Hashtbl.find_opt ks public with
   | None -> None
-  | Some secret -> Some (stream ~secret)
+  | Some key -> Some (keyed key)
 
 let matches st ~signature =
   match Hex.decode signature with

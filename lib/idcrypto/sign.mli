@@ -40,6 +40,11 @@ type stream
 (** A signature over the elements added so far. *)
 
 val stream : secret:string -> stream
+(** [stream ~secret] is [keyed (Hmac.prepare secret)]. *)
+
+val keyed : Hmac.key -> stream
+(** A stream under a secret prepared once with {!Hmac.prepare}, for a
+    signer that tags many messages. *)
 
 val add : stream -> string -> unit
 (** Append one element: its decimal length, [':'], then its bytes — the
@@ -49,7 +54,8 @@ val finish : stream -> string
 (** Hex tag over the elements added. The stream must not be reused. *)
 
 type keystore
-(** Maps public handles to verification material. *)
+(** Maps public handles to verification material, each secret prepared
+    once when registered. *)
 
 val keystore : unit -> keystore
 val register : keystore -> keypair -> unit

@@ -18,7 +18,8 @@ type t = {
   processes : Process_table.t;
   exe_hash : string -> string option;
   mutable behaviour : behaviour;
-  mutable signing_key : Idcrypto.Sign.keypair option;
+  mutable signer : (string * Idcrypto.Hmac.key) option;
+      (* Public handle and secret, prepared once when the key is set. *)
   mutable config_files : (string * Config.t) list; (* sorted by name *)
   runtime : (Five_tuple.t * Key_value.section) list ref;
   mutable answered : int;
@@ -38,7 +39,7 @@ let create ?(behaviour = Honest) ~ip ~processes ~exe_hash () =
       processes;
       exe_hash;
       behaviour;
-      signing_key = None;
+      signer = None;
       config_files = [];
       runtime = ref [];
       answered = 0;
@@ -86,7 +87,12 @@ let set_behaviour t b =
   t.behaviour <- b;
   notify_change t
 
-let set_signing_key t k = t.signing_key <- k
+let set_signing_key t k =
+  t.signer <-
+    Option.map
+      (fun (kp : Idcrypto.Sign.keypair) ->
+        (kp.Idcrypto.Sign.public, Idcrypto.Hmac.prepare kp.Idcrypto.Sign.secret))
+      k
 
 let load_config t ~name content =
   match Config.parse content with
@@ -197,12 +203,12 @@ let answer ?trace ?decode t ~peer ~proto ~src_port ~dst_port ~keys:_ =
       let response = Response.make ~flow sections in
       let t_sign = now () in
       let response =
-        match t.signing_key with
-        | Some keypair ->
+        match t.signer with
+        | Some (public, key) ->
             (match t.metrics with
             | Some m -> Obs.Registry.Counter.inc m.m_signed
             | None -> ());
-            Signed.sign ~keypair response
+            Signed.sign_with ~public ~key response
         | None -> response
       in
       let t_done = now () in
@@ -223,7 +229,7 @@ let answer ?trace ?decode t ~peer ~proto ~src_port ~dst_port ~keys:_ =
                   ("assemble", t_assemble, t_sign);
                 ]
               @
-              match t.signing_key with
+              match t.signer with
               | Some _ -> [ ("sign", t_sign, t_done) ]
               | None -> []
             in

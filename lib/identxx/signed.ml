@@ -27,14 +27,19 @@ let add_covered st (r : Response.t) n =
   in
   sections n r.Response.sections
 
-let sign ~(keypair : Idcrypto.Sign.keypair) (r : Response.t) =
-  let st = Idcrypto.Sign.stream ~secret:keypair.Idcrypto.Sign.secret in
+let sign_with ~public ~key (r : Response.t) =
+  let st = Idcrypto.Sign.keyed key in
   add_covered st r (List.length r.Response.sections);
   Response.append_section r
     [
-      Key_value.pair signer_key keypair.Idcrypto.Sign.public;
+      Key_value.pair signer_key public;
       Key_value.pair sig_key (Idcrypto.Sign.finish st);
     ]
+
+let sign ~(keypair : Idcrypto.Sign.keypair) r =
+  sign_with ~public:keypair.Idcrypto.Sign.public
+    ~key:(Idcrypto.Hmac.prepare keypair.Idcrypto.Sign.secret)
+    r
 
 type verdict = Valid of int | Unsigned | Invalid
 

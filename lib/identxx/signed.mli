@@ -26,6 +26,11 @@ val sign : keypair:Idcrypto.Sign.keypair -> Response.t -> Response.t
 (** Append the signature section. The tag covers the flow's
     protocol/ports and every section already present. *)
 
+val sign_with :
+  public:string -> key:Idcrypto.Hmac.key -> Response.t -> Response.t
+(** [sign ~keypair] for a signer holding its secret prepared once:
+    [public] is the keypair's handle, [key] its prepared secret. *)
+
 type verdict =
   | Valid of int  (** Number of sections covered by the signature. *)
   | Unsigned

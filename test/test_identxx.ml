@@ -704,6 +704,11 @@ let test_signed_known_answer () =
   check Alcotest.(option string) "response-sig"
     (Some "db5ed11b6af9ea477185b8b3139e4ca8729827713d9902638646aa871b142178")
     (Identxx.Response.latest signed Identxx.Signed.sig_key);
+  check Alcotest.bool "a prepared key signs alike" true
+    (Identxx.Response.equal signed
+       (Identxx.Signed.sign_with ~public:kp.Idcrypto.Sign.public
+          ~key:(Idcrypto.Hmac.prepare kp.Idcrypto.Sign.secret)
+          (enterprise_response ())));
   let wire = Identxx.Response.encode signed in
   check Alcotest.int "wire length" 1944 (String.length wire);
   check Alcotest.string "wire sha256"
