@@ -6,7 +6,8 @@
    §5.3 already requires delegation requests to be signed with the
    user's key; this deployment extends the same mechanism to responses
    (doc/PROTOCOL.md §6): daemons sign, the controller rejects anything
-   its keystore cannot authenticate.
+   its keystore cannot authenticate, or that a key not bound to the
+   answering host signed.
    Run with: dune exec examples/spoofing_defense.exe *)
 
 module Net = Openflow.Network
@@ -23,12 +24,9 @@ let attack ~signed () =
   let s = Deploy.simple_network ~config () in
   PS.add_exn (C.policy s.controller) ~name:"00" policy;
   if signed then begin
-    let client_key = Idcrypto.Sign.generate "client-host" in
-    let server_key = Idcrypto.Sign.generate "server-host" in
-    Idcrypto.Sign.register (C.keystore s.controller) client_key;
-    Idcrypto.Sign.register (C.keystore s.controller) server_key;
-    Identxx.Host.set_signing_key s.client (Some client_key);
-    Identxx.Host.set_signing_key s.server (Some server_key)
+    (* Each daemon's key is trusted for its own host's address only. *)
+    ignore (Deploy.sign_host s.controller s.client);
+    ignore (Deploy.sign_host s.controller s.server)
   end;
   (* The server's real daemon never claims top-secret clearance. *)
   Identxx.Daemon.set_behaviour (Identxx.Host.daemon s.server)

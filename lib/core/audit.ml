@@ -12,17 +12,42 @@ type entry = {
   trace_id : string option;
 }
 
+type rejection = {
+  r_at : Sim.Time.t;
+  r_flow : Five_tuple.t;
+  r_host : Ipv4.t;
+  r_signer : string option;
+  r_reason : string;
+}
+
 type t = {
   capacity : int;
   mutable entries : entry list; (* newest first *)
   mutable length : int; (* List.length entries, kept so record is O(1) *)
   mutable count : int;
   mutable blocked : int;
+  mutable rejections : rejection list; (* newest first *)
+  mutable rejections_length : int;
 }
 
 let create ?(capacity = 10_000) () =
   if capacity <= 0 then invalid_arg "Audit.create: capacity must be positive";
-  { capacity; entries = []; length = 0; count = 0; blocked = 0 }
+  {
+    capacity;
+    entries = [];
+    length = 0;
+    count = 0;
+    blocked = 0;
+    rejections = [];
+    rejections_length = 0;
+  }
+
+(* Trim lazily: only when a list exceeds capacity by a margin, to keep
+   recording O(1) amortized. *)
+let trimmed t l length =
+  if length > t.capacity + (t.capacity / 4) then
+    (List.filteri (fun i _ -> i < t.capacity) l, t.capacity)
+  else (l, length)
 
 let interesting_keys =
   [
@@ -58,19 +83,21 @@ let record ?trace_id t ~at ~flow ~(verdict : Pf.Eval.verdict) ~src ~dst =
   in
   t.count <- t.count + 1;
   if verdict.Pf.Eval.decision = Pf.Ast.Block then t.blocked <- t.blocked + 1;
-  t.entries <- entry :: t.entries;
-  t.length <- t.length + 1;
-  (* Trim lazily: only when we exceed capacity by a margin, to keep
-     recording O(1) amortized. *)
-  if t.length > t.capacity + (t.capacity / 4) then begin
-    let rec take n = function
-      | [] -> []
-      | _ when n = 0 -> []
-      | x :: rest -> x :: take (n - 1) rest
-    in
-    t.entries <- take t.capacity t.entries;
-    t.length <- t.capacity
-  end
+  let entries, length = trimmed t (entry :: t.entries) (t.length + 1) in
+  t.entries <- entries;
+  t.length <- length
+
+let record_rejection t ~at ~flow ~host ?signer reason =
+  let rejections, length =
+    trimmed t
+      ({ r_at = at; r_flow = flow; r_host = host; r_signer = signer; r_reason = reason }
+      :: t.rejections)
+      (t.rejections_length + 1)
+  in
+  t.rejections <- rejections;
+  t.rejections_length <- length
+
+let rejections t = t.rejections
 
 let entries t = t.entries
 let flagged t = List.filter (fun e -> e.flagged) t.entries
@@ -80,7 +107,9 @@ let clear t =
   t.entries <- [];
   t.length <- 0;
   t.count <- 0;
-  t.blocked <- 0
+  t.blocked <- 0;
+  t.rejections <- [];
+  t.rejections_length <- 0
 
 let pp_info ppf info =
   Format.pp_print_list

@@ -42,6 +42,32 @@ val record :
 val entries : t -> entry list
 (** Newest first. *)
 
+(** {2 Rejected answers}
+
+    An ident++ answer the controller refused to believe settles nothing,
+    so it never reaches a decision entry; it is logged here instead. *)
+
+type rejection = {
+  r_at : Sim.Time.t;
+  r_flow : Five_tuple.t;  (** The pending flow the answer named. *)
+  r_host : Ipv4.t;  (** The address the answer came from. *)
+  r_signer : string option;  (** The signer it claimed, when signed. *)
+  r_reason : string;
+      (** ["unauthenticated"] (unsigned, or a tag that does not verify),
+          ["stale-binding"] (echoed addresses or nonce are not this
+          query's) or ["unbound-signer"] (the signer may not answer for
+          [r_host]). *)
+}
+
+val record_rejection :
+  t -> at:Sim.Time.t -> flow:Five_tuple.t -> host:Ipv4.t -> ?signer:string ->
+  string -> unit
+(** Log a rejected answer with its reason. Kept to the same capacity as
+    decision entries. *)
+
+val rejections : t -> rejection list
+(** Newest first. *)
+
 val flagged : t -> entry list
 (** Only entries whose rule carried [log]. *)
 

@@ -75,6 +75,10 @@ type pending = {
   mutable p_exchanges : (Ipv4.t * string) list;
       (* (host, query shape) wire exchanges this flow initiated in the
          connection table; its timeout settles them for every waiter. *)
+  mutable src_nonce : string option;
+  mutable dst_nonce : string option;
+      (* The nonce each end's query carries, drawn at its first send
+         when answers must be signed; a retry resends it. *)
 }
 
 type stats = {
@@ -282,6 +286,8 @@ type t = {
          and a change in either forces a full reinstall. *)
   proactive_cache : Compiler.cache;
   pm : pro_metrics option; (* Some iff cfg.proactive. *)
+  nonces : Sim.Prng.t;
+      (* Query nonces: seeded, so runs stay deterministic. *)
 }
 
 let policy t = t.policy
@@ -681,12 +687,10 @@ let shape_of_keys keys = String.concat "," keys
 
 (* Actually put a query on the wire toward [target_ip]'s attachment
    point. The caller has already checked reachability. *)
-let wire_send ?trace t sx ~(flow : Five_tuple.t) ~target_ip ~reply_to
+let wire_send ?trace ?nonce t sx ~(flow : Five_tuple.t) ~target_ip ~reply_to
     attachment =
   let query =
-    Identxx.Query.with_trace
-      (Identxx.Query.make ~flow ~keys:(hint_keys t))
-      trace
+    { (Identxx.Query.make ~flow ~keys:(hint_keys t)) with nonce; trace }
   in
   let pkt =
     Identxx.Wire.query_packet ~to_ip:target_ip ~from_ip:reply_to query
@@ -718,7 +722,8 @@ let attachment_of t ip =
    source address, so the response naturally routes back through the
    network (and its interception points). [`Unreachable] when no query
    could be issued (unknown host). *)
-let send_query ?trace t sx ~(flow : Five_tuple.t) ~target_ip ~reply_to ~end_ =
+let send_query ?trace ?nonce t sx ~(flow : Five_tuple.t) ~target_ip ~reply_to
+    ~end_ =
   match resolve_local_answer t target_ip with
   | Some section ->
       (* Answer on the host's behalf without touching the network. *)
@@ -731,7 +736,7 @@ let send_query ?trace t sx ~(flow : Five_tuple.t) ~target_ip ~reply_to ~end_ =
       | Some attachment -> (
           match t.conn with
           | None ->
-              wire_send ?trace t sx ~flow ~target_ip ~reply_to attachment;
+              wire_send ?trace ?nonce t sx ~flow ~target_ip ~reply_to attachment;
               `Sent None
           | Some ct -> (
               (* Multiplex through the per-host connection: only the
@@ -741,9 +746,33 @@ let send_query ?trace t sx ~(flow : Five_tuple.t) ~target_ip ~reply_to ~end_ =
               let w = { w_flow = flow; w_sid = sx.sid; w_end = end_ } in
               match Shard.Conn_table.join ct ~host:target_ip ~shape w with
               | `First ->
-                  wire_send ?trace t sx ~flow ~target_ip ~reply_to attachment;
+                  wire_send ?trace ?nonce t sx ~flow ~target_ip ~reply_to
+                    attachment;
                   `Sent (Some shape)
               | `Coalesced _ -> `Joined)))
+
+(* The nonce [end_]'s query carries: drawn at its first send, then kept
+   for retries. Only a controller that requires signed answers checks
+   the echo, so only it sends one. *)
+let query_nonce t p end_ =
+  if not t.cfg.require_signed_responses then None
+  else
+    match end_ with
+    | `Src when p.src_nonce <> None -> p.src_nonce
+    | `Dst when p.dst_nonce <> None -> p.dst_nonce
+    | `Src | `Dst ->
+        (* 64 random bits, 16 hex digits. *)
+        let x = Sim.Prng.next64 t.nonces in
+        let b = Bytes.create 16 in
+        for i = 0 to 15 do
+          Bytes.unsafe_set b i
+            "0123456789abcdef".[Int64.to_int
+                                  (Int64.shift_right_logical x (60 - (4 * i)))
+                                land 15]
+        done;
+        let n = Some (Bytes.unsafe_to_string b) in
+        (match end_ with `Src -> p.src_nonce <- n | `Dst -> p.dst_nonce <- n);
+        n
 
 let start_flow t sx ~dpid ~in_port pkt (flow : Five_tuple.t) =
   Obs.Registry.Counter.inc sx.s_m.c_flows;
@@ -913,6 +942,8 @@ let start_flow t sx ~dpid ~in_port pkt (flow : Five_tuple.t) =
         src_sent = Float.nan;
         dst_sent = Float.nan;
         p_exchanges = [];
+        src_nonce = None;
+        dst_nonce = None;
       }
     in
     let note_sent end_ =
@@ -948,17 +979,18 @@ let start_flow t sx ~dpid ~in_port pkt (flow : Five_tuple.t) =
         match end_ with `Src -> p.await_src | `Dst -> p.await_dst
       in
       if awaiting then begin
+        let nonce = query_nonce t p end_ in
         if List.exists (fun (h, _) -> Ipv4.equal h target) p.p_exchanges then
           (* A retry round, and this flow initiated the exchange: put
              the query back on the wire without re-joining (coalesced
              waiters ride this resend). *)
           Option.iter
-            (wire_send ?trace:(qtrace qn) t sx ~flow ~target_ip:target
+            (wire_send ?trace:(qtrace qn) ?nonce t sx ~flow ~target_ip:target
                ~reply_to:reply)
             (attachment_of t target)
         else
           match
-            send_query ?trace:(qtrace qn) t sx ~flow ~target_ip:target
+            send_query ?trace:(qtrace qn) ?nonce t sx ~flow ~target_ip:target
               ~reply_to:reply ~end_
           with
           | `Local r ->
@@ -1223,6 +1255,52 @@ let named_pending t ~from_ip ~to_ip (r : Identxx.Response.t) =
   | as_src -> (
       match find to_ip from_ip with Some _ as as_dst -> as_dst | None -> as_src)
 
+(* Under [require_signed_responses], whether [response] may settle
+   [p]'s query to [from_ip]. It must verify and be the answer to this
+   query: its echoed host and peer are the packet's addresses and its
+   nonce the one that query carried. And its signer must be allowed to
+   answer for [from_ip]. A refusal is counted, marked on the flow's span
+   and logged in the audit. *)
+let answer_accepted t p ~from_ip ~to_ip response =
+  let ks = Decision.keystore t.decision in
+  let from_s = Ipv4.to_string from_ip in
+  let refusal =
+    if
+      Identxx.Signed.verify ks response
+      <> Identxx.Signed.Valid (expected_signature_index response)
+    then Some (None, "unauthenticated")
+    else
+      match Identxx.Signed.claim response with
+      | None -> Some (None, "unauthenticated")
+      | Some c ->
+          let sent =
+            if Ipv4.equal from_ip p.p_flow.Five_tuple.src then p.src_nonce
+            else p.dst_nonce
+          in
+          if
+            (not (String.equal c.host from_s))
+            || (not (String.equal c.peer (Ipv4.to_string to_ip)))
+            || not (Option.equal String.equal (Some c.nonce) sent)
+          then Some (Some c.signer, "stale-binding")
+          else if not (Idcrypto.Sign.answers_for ks ~public:c.signer from_s)
+          then Some (Some c.signer, "unbound-signer")
+          else None
+  in
+  match refusal with
+  | None -> true
+  | Some (signer, reason) ->
+      Obs.Registry.Counter.inc (owner t p.p_flow).s_m.c_rejected;
+      Obs.Span.force_sample p.p_span;
+      if Obs.Span.is_live p.p_span then
+        Obs.Span.event p.p_span ~at:(time_now_s t)
+          ~attrs:[ ("host", from_s); ("reason", reason) ]
+          "response-rejected";
+      Audit.record_rejection t.audit
+        ~at:(Sim.Engine.now (Net.engine t.network))
+        ~flow:p.p_flow ~host:from_ip ?signer reason;
+      Log.debug (fun m -> m "rejecting response from %s: %s" from_s reason);
+      false
+
 (* The one response path: an answer pairs with the flow it names, on
    that flow's shard. If the flow initiated a coalesced exchange with
    the answering host, the answer settles it for every waiter, in join
@@ -1234,19 +1312,9 @@ let named_pending t ~from_ip ~to_ip (r : Identxx.Response.t) =
 let handle_response t sx ~dpid ~from_ip ~to_ip response pkt =
   match named_pending t ~from_ip ~to_ip response with
   | None -> handle_transit t sx ~dpid ~from_ip ~to_ip response pkt
-  | Some p
-    when t.cfg.require_signed_responses
-         && Identxx.Signed.verify (Decision.keystore t.decision) response
-            <> Identxx.Signed.Valid (expected_signature_index response) ->
-      Obs.Registry.Counter.inc (owner t p.p_flow).s_m.c_rejected;
-      Obs.Span.force_sample p.p_span;
-      if Obs.Span.is_live p.p_span then
-        Obs.Span.event p.p_span ~at:(time_now_s t)
-          ~attrs:[ ("host", Ipv4.to_string from_ip) ]
-          "response-rejected";
-      Log.debug (fun m ->
-          m "rejecting unauthenticated response from %s"
-            (Ipv4.to_string from_ip))
+  | Some p when t.cfg.require_signed_responses
+                && not (answer_accepted t p ~from_ip ~to_ip response) ->
+      ()
   | Some p ->
       let flow = p.p_flow in
       let osx = owner t flow in
@@ -1865,6 +1933,7 @@ let create ?(config = default_config) ?keystore ?functions ?obs ?spans
       proactive_state = (Analysis.Fdd.Space.empty, Analysis.Fdd.Space.empty);
       proactive_cache = Compiler.create_cache ();
       pm = (if config.proactive then Some (make_pro_metrics obs ~labels) else None);
+      nonces = Sim.Prng.create (0x6e6f6e6365 + id);
     }
   in
   Array.iter

@@ -50,9 +50,14 @@ type config = {
   require_signed_responses : bool;
       (** Ignore responses that do not carry a valid {!Identxx.Signed}
           section from a keystore-known signer — spoofed responses then
-          cannot influence decisions (a §5.3-style hardening). An
-          ignored response settles nothing: the flows awaiting it decide
-          on a later valid answer or at the query timeout. *)
+          cannot influence decisions (a §5.3-style hardening). Each
+          query then carries a fresh nonce ({!Identxx.Query.t}[.nonce]),
+          and an answer is also ignored when its echoed addresses or
+          nonce are not that query's, or when its signer is bound to
+          other hosts ({!Idcrypto.Sign.answers_for}). An ignored
+          response settles nothing: the flows awaiting it decide on a
+          later valid answer or at the query timeout. Each is logged in
+          {!Audit.rejections}. *)
   query_retries : int;
       (** Re-send unanswered queries this many times, each after
           [query_timeout], before deciding with what arrived (0 = a
@@ -229,7 +234,8 @@ type stats = {
   responses_received : int;
   query_timeouts : int;
   query_retries_sent : int;  (** Retry rounds issued. *)
-  responses_rejected : int;  (** Failed signature checks. *)
+  responses_rejected : int;
+      (** Answers refused under [require_signed_responses]. *)
   responses_augmented : int;
   queries_answered_locally : int;
   eval_errors : int;

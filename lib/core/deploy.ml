@@ -28,6 +28,13 @@ let watch_host controller host =
 let watch_hosts controller hosts =
   Array.iter (fun h -> watch_host controller h) hosts
 
+let sign_host ?seed controller host =
+  let key = Idcrypto.Sign.generate ?seed (Identxx.Host.name host ^ "-host") in
+  Idcrypto.Sign.register_for (Controller.keystore controller) key
+    ~hosts:[ Ipv4.to_string (Identxx.Host.ip host) ];
+  Identxx.Host.set_signing_key host (Some key);
+  key
+
 type simple = {
   engine : Sim.Engine.t;
   topology : Openflow.Topology.t;

@@ -25,6 +25,16 @@ val watch_host : Controller.t -> Identxx.Host.t -> unit
 
 val watch_hosts : Controller.t -> Identxx.Host.t array -> unit
 
+val sign_host : ?seed:string -> Controller.t -> Identxx.Host.t -> Idcrypto.Sign.keypair
+(** Give the host's daemon a signing key: generate it (owner
+    ["<host name>-host"]), register it in the controller's keystore
+    bound to the host's address ({!Idcrypto.Sign.register_for}), and
+    install it ({!Identxx.Host.set_signing_key}). Under
+    [require_signed_responses] the controller then accepts this key's
+    answers from that address only. A key registered with plain
+    {!Idcrypto.Sign.register} stays unbound and is accepted from any
+    host. *)
+
 type simple = {
   engine : Sim.Engine.t;
   topology : Openflow.Topology.t;

@@ -27,9 +27,10 @@ let feed_bytes t b off len = Sha256.feed_bytes t.inner b off len
 
 let finalize t =
   let inner_digest = Sha256.finalize t.inner in
-  let outer = Sha256.resume t.outer in
-  Sha256.feed outer inner_digest;
-  Sha256.finalize outer
+  (* The inner hash is done: its context hashes the outer one. *)
+  Sha256.restart t.inner t.outer;
+  Sha256.feed t.inner inner_digest;
+  Sha256.finalize t.inner
 
 let check t ~tag =
   let expected = finalize t in

@@ -91,6 +91,11 @@ let midstate ctx =
 let resume m =
   { h = Array.copy m.words; block = Bytes.create 64; fill = 0; total = m.length }
 
+let restart ctx m =
+  Array.blit m.words 0 ctx.h 0 8;
+  ctx.fill <- 0;
+  ctx.total <- m.length
+
 let digest s =
   let ctx = init () in
   feed ctx s;

@@ -36,6 +36,10 @@ val midstate : ctx -> midstate
 val resume : midstate -> ctx
 (** A fresh context that continues from the midstate. *)
 
+val restart : ctx -> midstate -> unit
+(** Reset [ctx] in place to continue from the midstate, discarding what
+    it held: {!resume} without allocating a context. *)
+
 val digest : string -> string
 (** One-shot hash: 32 raw bytes. *)
 

@@ -37,32 +37,98 @@ let add st d =
   Hmac.feed st.hmac d
 
 let finish st = Hex.encode (Hmac.finalize st.hmac)
+let short_bytes = 16
+let finish_short st = Hex.encode (String.sub (Hmac.finalize st.hmac) 0 short_bytes)
 
 let sign ~secret data =
   let st = stream ~secret in
   List.iter (add st) data;
   finish st
 
-(* Public handle to the principal's prepared secret. *)
-type keystore = (string, Hmac.key) Hashtbl.t
+(* A trusted principal: its secret, prepared once, and the hosts it may
+   answer for ([None]: any host). *)
+type principal = { key : Hmac.key; hosts : string list option }
 
-let keystore () = Hashtbl.create 16
+(* A section whose tag once verified: the tag, its signer and the
+   canonical bytes it covers. *)
+type section = { tag : string; signer : string; bytes : string }
 
-let register_public ks ~public ~secret =
-  Hashtbl.replace ks public (Hmac.prepare secret)
+(* Canonical bytes, held once however many signers' cached sections
+   carry them: hosts configured alike sign identical sections. *)
+module Pool = Weak.Make (struct
+  type t = string
 
+  let equal = String.equal
+  let hash = Hashtbl.hash
+end)
+
+type keystore = {
+  principals : (string, principal) Hashtbl.t;
+  sections : (int, section) Hashtbl.t; (* by {!slice_hash} of the tag *)
+  order : int Queue.t; (* keys in insertion order, for FIFO eviction *)
+  pool : Pool.t;
+}
+
+let section_capacity = 4096
+
+let keystore () =
+  {
+    principals = Hashtbl.create 16;
+    sections = Hashtbl.create 16;
+    order = Queue.create ();
+    pool = Pool.create 16;
+  }
+
+(* A hash of [s]'s slice that allocates nothing, so a tag can be looked
+   up where it sits in a received tag list. *)
+let rec slice_hash s i stop h =
+  if i >= stop then h
+  else
+    slice_hash s (i + 1) stop
+      (((h * 31) + Char.code (String.unsafe_get s i)) land max_int)
+
+let add_principal ks ~public ~secret hosts =
+  (* Tags cached under the handle were checked against its old secret. *)
+  if Hashtbl.mem ks.principals public then
+    Hashtbl.filter_map_inplace
+      (fun _ s -> if s.signer = public then None else Some s)
+      ks.sections;
+  Hashtbl.replace ks.principals public { key = Hmac.prepare secret; hosts }
+
+let register_public ks ~public ~secret = add_principal ks ~public ~secret None
 let register ks kp = register_public ks ~public:kp.public ~secret:kp.secret
-let known ks public = Hashtbl.mem ks public
+
+let register_for ks kp ~hosts =
+  add_principal ks ~public:kp.public ~secret:kp.secret (Some hosts)
+
+let known ks public = Hashtbl.mem ks.principals public
+
+let answers_for ks ~public host =
+  match Hashtbl.find ks.principals public with
+  | { hosts = None; _ } -> true
+  | { hosts = Some hosts; _ } -> List.mem host hosts
+  | exception Not_found -> false
 
 let verifier ks ~public =
-  match Hashtbl.find_opt ks public with
+  match Hashtbl.find_opt ks.principals public with
   | None -> None
-  | Some key -> Some (keyed key)
+  | Some p -> Some (keyed p.key)
 
 let matches st ~signature =
   match Hex.decode signature with
   | Error _ -> false
   | Ok tag -> Hmac.check st.hmac ~tag
+
+let matches_short st ~signature =
+  match Hex.decode signature with
+  | Ok tag when String.length tag = short_bytes ->
+      let full = Hmac.finalize st.hmac in
+      let diff = ref 0 in
+      String.iteri
+        (fun i c -> diff := !diff lor (Char.code c lxor Char.code full.[i]))
+        tag;
+      !diff = 0
+  | Ok _ | Error _ -> false
 
 let verify ks ~public ~signature data =
   match verifier ks ~public with
@@ -70,3 +136,67 @@ let verify ks ~public ~signature data =
   | Some st ->
       List.iter (add st) data;
       matches st ~signature
+
+(* Whether [s] holds [n]'s decimal digits in [i .. j], read right to
+   left. *)
+let rec digits_at s i j n =
+  if j < i then n = 0
+  else
+    String.unsafe_get s j = Char.unsafe_chr (Char.code '0' + (n mod 10))
+    && digits_at s i (j - 1) (n / 10)
+
+let rec digit_count n = if n < 10 then 1 else 1 + digit_count (n / 10)
+
+external get64u : string -> int -> int64 = "%caml_string_get64u"
+
+(* Whether [a] from [i] and [b] from [j] agree on [len] bytes: eight at a
+   time, then one at a time. The caller checks both slices' bounds. *)
+let rec same_bytes a i b j len =
+  if len >= 8 then
+    get64u a i = get64u b j
+    && same_bytes a (i + 8) b (j + 8) (len - 8)
+  else
+    len = 0
+    || String.unsafe_get a i = String.unsafe_get b j
+       && same_bytes a (i + 1) b (j + 1) (len - 1)
+
+let element_at s pos d =
+  let n = String.length d in
+  let k = digit_count n in
+  let colon = pos + k in
+  if pos < 0 || colon + 1 + n > String.length s then -1
+  else if
+    digits_at s pos (colon - 1) n
+    && String.unsafe_get s colon = ':'
+    && same_bytes s (colon + 1) d 0 n
+  then colon + 1 + n
+  else -1
+
+let cached_section ks ~public tags pos len =
+  if pos < 0 || len < 0 || pos > String.length tags - len then ""
+  else
+    match Hashtbl.find ks.sections (slice_hash tags pos (pos + len) 0) with
+    | e ->
+        if
+          String.length e.tag = len
+          && same_bytes e.tag 0 tags pos len
+          && String.equal e.signer public
+        then e.bytes
+        else ""
+    | exception Not_found -> ""
+
+let cache_section ks ~public ~tag data =
+  let key = slice_hash tag 0 (String.length tag) 0 in
+  if not (Hashtbl.mem ks.sections key) then begin
+    (* The queue may hold keys already dropped; evict until a live entry
+       actually goes. *)
+    while Hashtbl.length ks.sections >= section_capacity do
+      Hashtbl.remove ks.sections (Queue.pop ks.order)
+    done;
+    Queue.add key ks.order
+  end;
+  Hashtbl.replace ks.sections key
+    { tag; signer = public; bytes = Pool.merge ks.pool (canonical data) }
+
+let cached_sections ks = Hashtbl.length ks.sections
+

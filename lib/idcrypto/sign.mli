@@ -53,15 +53,33 @@ val add : stream -> string -> unit
 val finish : stream -> string
 (** Hex tag over the elements added. The stream must not be reused. *)
 
+val finish_short : stream -> string
+(** The first 16 bytes (128 bits) of {!finish}'s tag, in hex: HMAC
+    truncated as RFC 2104 §5 allows, for tags that ride in every message
+    and are checked against a cache more often than computed. *)
+
 type keystore
 (** Maps public handles to verification material, each secret prepared
-    once when registered. *)
+    once when registered, and remembers sections whose tags verified
+    (see {!cached_section}). *)
 
 val keystore : unit -> keystore
+
 val register : keystore -> keypair -> unit
+(** Trust a principal. The handle is not bound to any host:
+    {!answers_for} accepts it for every address. Re-registering a
+    handle replaces its secret and forgets its cached sections. *)
 
 val register_public : keystore -> public:string -> secret:string -> unit
-(** Trust a principal by its raw material (used when loading fixtures). *)
+(** {!register} by raw material (used when loading fixtures). *)
+
+val register_for : keystore -> keypair -> hosts:string list -> unit
+(** {!register}, bound to the addresses the principal may answer for
+    (dotted quads, as a response echoes them). *)
+
+val answers_for : keystore -> public:string -> string -> bool
+(** Whether the principal may answer for the host: true for an unbound
+    handle, false for an unknown one. *)
 
 val known : keystore -> string -> bool
 
@@ -77,3 +95,36 @@ val verifier : keystore -> public:string -> stream option
 val matches : stream -> signature:string -> bool
 (** Whether [signature] is the hex tag over the elements added (upper-
     or lower-case digits). The stream must not be reused. *)
+
+val matches_short : stream -> signature:string -> bool
+(** {!matches} for a {!finish_short} tag: exactly 16 bytes of hex. *)
+
+(** {2 Verified sections}
+
+    A verifier that sees the same signed data again need not hash it
+    again. The keystore keeps up to {!section_capacity} entries, oldest
+    out first, from a tag to its signer and the canonical bytes the tag
+    verified over. A later copy of the tag is confirmed by comparing its
+    elements with those bytes, which is cheaper than an HMAC. *)
+
+val section_capacity : int
+(** [4096]. *)
+
+val cached_section : keystore -> public:string -> string -> int -> int -> string
+(** [cached_section ks ~public s pos len] is the canonical bytes cached
+    for signer [public] under the tag [String.sub s pos len], or [""]
+    when there are none. The tag is read where it sits, so a verifier
+    can look up each tag of a received list without copying it.
+    Allocates nothing. *)
+
+val cache_section : keystore -> public:string -> tag:string -> string list -> unit
+(** Remember that [tag] verified, under [public]'s current secret, over
+    [canonical data]. Only a verified tag may be cached. *)
+
+val cached_sections : keystore -> int
+(** Entries currently cached. *)
+
+val element_at : string -> int -> string -> int
+(** [element_at bytes pos d] is the position just past [d]'s canonical
+    encoding when [bytes] holds it at [pos], and [-1] otherwise (also
+    for [pos < 0], so checks chain). Allocates nothing. *)

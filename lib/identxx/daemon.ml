@@ -13,6 +13,9 @@ type metrics = {
   m_seconds : Obs.Registry.Histogram.t;
 }
 
+(* A static section and its section tag (["" when unsigned]). *)
+type tagged = Key_value.section * string
+
 type t = {
   ip : Ipv4.t;
   processes : Process_table.t;
@@ -21,6 +24,12 @@ type t = {
   mutable signer : (string * Idcrypto.Hmac.key) option;
       (* Public handle and secret, prepared once when the key is set. *)
   mutable config_files : (string * Config.t) list; (* sorted by name *)
+  (* The static sections, assembled and tagged at most once between two
+     changes: dropped by {!notify_change} and {!set_signing_key}. *)
+  mutable merged : Config.t option;
+  builtins : (int, tagged) Hashtbl.t; (* by pid *)
+  apps : (string, tagged) Hashtbl.t; (* by exe path *)
+  mutable globals : tagged option;
   runtime : (Five_tuple.t * Key_value.section) list ref;
   mutable answered : int;
   mutable change_listeners : (unit -> unit) list;
@@ -30,7 +39,15 @@ type t = {
          is a constant, so untimed deployments stay deterministic. *)
 }
 
-let notify_change t = List.iter (fun f -> f ()) (List.rev t.change_listeners)
+let forget_sections t =
+  t.merged <- None;
+  Hashtbl.reset t.builtins;
+  Hashtbl.reset t.apps;
+  t.globals <- None
+
+let notify_change t =
+  forget_sections t;
+  List.iter (fun f -> f ()) (List.rev t.change_listeners)
 
 let create ?(behaviour = Honest) ~ip ~processes ~exe_hash () =
   let t =
@@ -41,6 +58,10 @@ let create ?(behaviour = Honest) ~ip ~processes ~exe_hash () =
       behaviour;
       signer = None;
       config_files = [];
+      merged = None;
+      builtins = Hashtbl.create 8;
+      apps = Hashtbl.create 8;
+      globals = None;
       runtime = ref [];
       answered = 0;
       change_listeners = [];
@@ -88,6 +109,7 @@ let set_behaviour t b =
   notify_change t
 
 let set_signing_key t k =
+  forget_sections t;
   t.signer <-
     Option.map
       (fun (kp : Idcrypto.Sign.keypair) ->
@@ -106,9 +128,21 @@ let load_config t ~name content =
       Ok ()
 
 let merged_config t =
-  List.fold_left
-    (fun acc (_, cfg) -> Config.merge acc cfg)
-    Config.empty t.config_files
+  match t.merged with
+  | Some cfg -> cfg
+  | None ->
+      let cfg =
+        List.fold_left
+          (fun acc (_, cfg) -> Config.merge acc cfg)
+          Config.empty t.config_files
+      in
+      t.merged <- Some cfg;
+      cfg
+
+let tagged t section : tagged =
+  match t.signer with
+  | Some (_, key) -> (section, Signed.section_tag key section)
+  | None -> (section, "")
 
 let register_runtime t ~flow section =
   t.runtime := (flow, section) :: !(t.runtime);
@@ -127,16 +161,17 @@ let basename path =
   | Some i -> String.sub path (i + 1) (String.length path - i - 1)
 
 let builtin_section t (proc : Process_table.process) =
+  let name = basename proc.exe_path in
   let pairs =
     [
       Key_value.pair Key_value.user_id proc.user;
       Key_value.pair Key_value.group_id (String.concat "," proc.groups);
       Key_value.pair "pid" (string_of_int proc.pid);
       Key_value.pair Key_value.app_path proc.exe_path;
-      Key_value.pair Key_value.app_name (basename proc.exe_path);
+      Key_value.pair Key_value.app_name name;
       (* The paper's examples use both [name] (Figs 2-3) and [app-name]
          (Fig 5's verify call); emit the alias so either works. *)
-      Key_value.pair "app-name" (basename proc.exe_path);
+      Key_value.pair "app-name" name;
     ]
   in
   match t.exe_hash proc.exe_path with
@@ -148,7 +183,31 @@ let runtime_section t flow =
     (fun (f, s) -> if Five_tuple.equal f flow then s else [])
     (List.rev !(t.runtime))
 
-let answer ?trace ?decode t ~peer ~proto ~src_port ~dst_port ~keys:_ =
+let cached tbl key make =
+  match Hashtbl.find_opt tbl key with
+  | Some v -> v
+  | None ->
+      let v = make () in
+      Hashtbl.replace tbl key v;
+      v
+
+let builtins t (proc : Process_table.process) =
+  cached t.builtins proc.pid (fun () -> tagged t (builtin_section t proc))
+
+let app t cfg (proc : Process_table.process) =
+  cached t.apps proc.exe_path (fun () ->
+      tagged t
+        (Option.value ~default:[] (Config.app cfg ~path:proc.exe_path)))
+
+let globals t cfg =
+  match t.globals with
+  | Some g -> g
+  | None ->
+      let g = tagged t cfg.Config.globals in
+      t.globals <- Some g;
+      g
+
+let answer ?trace ?decode ?nonce t ~peer ~proto ~src_port ~dst_port ~keys:_ =
   match t.behaviour with
   | Silent -> None
   | Lying fabricated ->
@@ -185,22 +244,19 @@ let answer ?trace ?decode t ~peer ~proto ~src_port ~dst_port ~keys:_ =
       in
       let t_assemble = now () in
       let cfg = merged_config t in
-      let sections =
+      let parts =
         match proc with
-        | None -> [ cfg.Config.globals ]
+        | None -> [ globals t cfg ]
         | Some proc ->
-            let app_pairs =
-              Option.value ~default:[]
-                (Config.app cfg ~path:proc.Process_table.exe_path)
-            in
             [
-              builtin_section t proc;
-              app_pairs;
-              runtime_section t flow;
-              cfg.Config.globals;
+              builtins t proc;
+              app t cfg proc;
+              (runtime_section t flow, Signed.per_flow);
+              globals t cfg;
             ]
       in
-      let response = Response.make ~flow sections in
+      let parts = List.filter (fun (section, _) -> section <> []) parts in
+      let response = Response.make ~flow (List.map fst parts) in
       let t_sign = now () in
       let response =
         match t.signer with
@@ -208,7 +264,8 @@ let answer ?trace ?decode t ~peer ~proto ~src_port ~dst_port ~keys:_ =
             (match t.metrics with
             | Some m -> Obs.Registry.Counter.inc m.m_signed
             | None -> ());
-            Signed.sign_with ~public ~key response
+            Signed.sign_with ~public ~key ~tags:(List.map snd parts) ~host:t.ip
+              ~peer ?nonce response
         | None -> response
       in
       let t_done = now () in
@@ -238,12 +295,14 @@ let answer ?trace ?decode t ~peer ~proto ~src_port ~dst_port ~keys:_ =
       in
       Some (response, role)
 
-let answer ?trace ?decode t ~peer ~proto ~src_port ~dst_port ~keys =
+let answer ?trace ?decode ?nonce t ~peer ~proto ~src_port ~dst_port ~keys =
   match t.metrics with
-  | None -> answer ?trace ?decode t ~peer ~proto ~src_port ~dst_port ~keys
+  | None -> answer ?trace ?decode ?nonce t ~peer ~proto ~src_port ~dst_port ~keys
   | Some m ->
       let t0 = t.d_clock () in
-      let r = answer ?trace ?decode t ~peer ~proto ~src_port ~dst_port ~keys in
+      let r =
+        answer ?trace ?decode ?nonce t ~peer ~proto ~src_port ~dst_port ~keys
+      in
       Obs.Registry.Histogram.observe m.m_seconds (t.d_clock () -. t0);
       Obs.Registry.Counter.inc
         (match r with None -> m.m_silent | Some _ -> m.m_answered);

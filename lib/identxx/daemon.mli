@@ -40,8 +40,12 @@ val create :
 val set_behaviour : t -> behaviour -> unit
 
 val set_signing_key : t -> Idcrypto.Sign.keypair option -> unit
-(** When set, every response is authenticated with a final
-    {!Signed.sign} section. *)
+(** When set, every response is authenticated with a final {!Signed}
+    section. The static sections (built-ins, [@app] config, host
+    globals) are assembled and tagged once and cached with their
+    {!Signed.section_tag}s; each answer then computes only its binding
+    tag. The cache is dropped whenever {!on_change} fires and whenever
+    the key is set. *)
 
 val load_config : t -> name:string -> string -> (unit, string) result
 (** Parse and add a configuration file. Files are kept sorted by [name]
@@ -58,6 +62,7 @@ type role = As_source | As_destination
 val answer :
   ?trace:Obs.Trace_context.t ->
   ?decode:float * float ->
+  ?nonce:string ->
   t ->
   peer:Ipv4.t -> proto:Proto.t -> src_port:int -> dst_port:int ->
   keys:string list -> (Response.t * role) option
@@ -75,7 +80,12 @@ val answer :
     {!clock} and piggybacks them on the response with
     {!Response.attach_trace}, after any signature section. [decode],
     when the caller timed {!Query.decode} itself, is reported as one
-    more span. Dishonest daemons ignore both. *)
+    more span. Dishonest daemons ignore both.
+
+    [nonce] is the query's ({!Query.t}[.nonce]); a signing daemon echoes
+    it, with its own address and [peer], under the answer's binding tag.
+    The run-time section is the one per-flow section; the others carry
+    their cached section tags. *)
 
 val queries_answered : t -> int
 
@@ -111,3 +121,9 @@ val on_change : t -> (unit -> unit) -> unit
     fast path subscribes to this to invalidate cached host attributes
     (see DESIGN.md, "Flow-setup fast path"). Connection churn does not
     fire — see {!Process_table.on_change}. *)
+
+val notify_change : t -> unit
+(** Drop the daemon's cached sections and fire the {!on_change}
+    callbacks, for a change in state the daemon reads but does not own:
+    {!Host.install_exe} calls it when an executable's image, and so its
+    [exe-hash], changes. *)

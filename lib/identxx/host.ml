@@ -42,7 +42,8 @@ let processes t = t.processes
 
 let install_exe t ~path ~content =
   Hashtbl.replace t.exes path content;
-  Hashtbl.replace t.hashes path (Idcrypto.Sha256.hexdigest content)
+  Hashtbl.replace t.hashes path (Idcrypto.Sha256.hexdigest content);
+  Daemon.notify_change t.daemon
 
 let exe_hash t ~path = Hashtbl.find_opt t.hashes path
 
@@ -80,7 +81,8 @@ let handle_packet t pkt =
       | Ok query -> (
           let d1 = clock () in
           match
-            Daemon.answer ?trace:query.Query.trace ~decode:(d0, d1) t.daemon
+            Daemon.answer ?trace:query.Query.trace ~decode:(d0, d1)
+              ?nonce:query.Query.nonce t.daemon
               ~peer:from_ip ~proto:query.Query.proto
               ~src_port:query.Query.src_port ~dst_port:query.Query.dst_port
               ~keys:query.Query.keys

@@ -26,7 +26,8 @@ val processes : t -> Process_table.t
 
 val install_exe : t -> path:string -> content:string -> unit
 (** Place a simulated executable image on disk; its SHA-256 becomes the
-    [exe-hash] the daemon reports. *)
+    [exe-hash] the daemon reports. Fires {!Daemon.on_change}, since a
+    replaced image changes what the daemon would answer. *)
 
 val exe_hash : t -> path:string -> string option
 (** Hex SHA-256 of the installed image. *)

@@ -1,10 +1,17 @@
 type pair = { key : string; value : string }
 
-let valid_key k =
-  k <> ""
-  && not (String.exists (fun c -> c = ':' || c = '\n' || c = '\r') k)
+(* Whether [s] from [i] has none of CR, LF and, unless [colon_ok], ':'.
+   Every pair built is checked, so this allocates nothing. *)
+let rec clean_from ~colon_ok s i =
+  i >= String.length s
+  || (match String.unsafe_get s i with
+     | '\n' | '\r' -> false
+     | ':' -> colon_ok
+     | _ -> true)
+     && clean_from ~colon_ok s (i + 1)
 
-let valid_value v = not (String.exists (fun c -> c = '\n' || c = '\r') v)
+let valid_key k = k <> "" && clean_from ~colon_ok:false k 0
+let valid_value v = clean_from ~colon_ok:true v 0
 
 let pair key value =
   if not (valid_key key) then invalid_arg ("Key_value.pair: bad key " ^ key);
@@ -14,10 +21,12 @@ let pair key value =
 
 type section = pair list
 
-let find section key =
-  List.fold_left
-    (fun acc p -> if p.key = key then Some p.value else acc)
-    None section
+let rec find_last acc key = function
+  | [] -> acc
+  | p :: rest ->
+      find_last (if String.equal p.key key then Some p.value else acc) key rest
+
+let find section key = find_last None key section
 
 let user_id = "userID"
 let group_id = "groupID"

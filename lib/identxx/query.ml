@@ -5,6 +5,7 @@ type t = {
   src_port : int;
   dst_port : int;
   keys : string list;
+  nonce : string option;
   trace : Obs.Trace_context.t option;
 }
 
@@ -14,6 +15,19 @@ type t = {
    hints it is free to ignore. That is the whole version-tolerance
    story: no framing change, no flag day. *)
 let trace_key_prefix = "@trace/"
+
+(* The nonce rides the same way: "@nonce/<hex>", a hint an older daemon
+   ignores and a signing daemon echoes inside its binding tag. *)
+let nonce_key_prefix = "@nonce/"
+
+let rec hex_from n i =
+  i >= String.length n
+  || (match n.[i] with '0' .. '9' | 'a' .. 'f' -> true | _ -> false)
+     && hex_from n (i + 1)
+
+let valid_nonce n =
+  let len = String.length n in
+  len >= 1 && len <= 64 && hex_from n 0
 
 let make ~(flow : Five_tuple.t) ~keys =
   List.iter
@@ -26,6 +40,7 @@ let make ~(flow : Five_tuple.t) ~keys =
     src_port = flow.src_port;
     dst_port = flow.dst_port;
     keys;
+    nonce = None;
     trace = None;
   }
 
@@ -46,6 +61,12 @@ let encode t =
       Buffer.add_string buf k;
       Buffer.add_char buf '\n')
     t.keys;
+  (match t.nonce with
+  | None -> ()
+  | Some n ->
+      Buffer.add_string buf nonce_key_prefix;
+      Buffer.add_string buf n;
+      Buffer.add_char buf '\n');
   (match t.trace with
   | None -> ()
   | Some ctx ->
@@ -67,6 +88,25 @@ let parse_header line =
       | _ -> Error "query: malformed header fields")
   | _ -> Error "query: malformed header line"
 
+let rec same_from prefix k i =
+  i >= String.length prefix || (prefix.[i] = k.[i] && same_from prefix k (i + 1))
+
+(* The hint after [prefix] in key [k], when [k] starts with it. Hints
+   are checked on every key of every query, so this allocates only for
+   a match. *)
+let suffix prefix k =
+  if String.length k >= String.length prefix && same_from prefix k 0 then
+    Some
+      (String.sub k (String.length prefix) (String.length k - String.length prefix))
+  else None
+
+let parse_nonce k =
+  match suffix nonce_key_prefix k with
+  | Some n when valid_nonce n -> Some n
+  | Some _ | None -> None
+
+let parse_trace k = Option.bind (suffix trace_key_prefix k) Obs.Trace_context.of_string
+
 let decode s =
   match String.split_on_char '\n' s with
   | [] -> Error "query: empty"
@@ -76,33 +116,30 @@ let decode s =
       | Ok (proto, src_port, dst_port) ->
           let keys = List.filter (fun l -> String.trim l <> "") rest in
           if List.for_all Key_value.valid_key keys then begin
-            (* Recognize the first parsable trace-context hint; every
-               other key — including an unparsable "@trace/..." — stays
-               an ordinary hint, exactly as an old decoder saw it. *)
-            let parse_trace k =
-              if String.starts_with ~prefix:trace_key_prefix k then
-                Obs.Trace_context.of_string
-                  (String.sub k
-                     (String.length trace_key_prefix)
-                     (String.length k - String.length trace_key_prefix))
-              else None
-            in
+            (* Recognize the first parsable nonce and trace-context
+               hints; every other key — including an unparsable
+               "@nonce/..." or "@trace/..." — stays an ordinary hint,
+               exactly as an old decoder saw it. *)
+            let nonce = List.find_map parse_nonce keys in
             let trace = List.find_map parse_trace keys in
             let keys =
-              match trace with
-              | None -> keys
-              | Some _ -> List.filter (fun k -> parse_trace k = None) keys
+              if nonce = None && trace = None then keys
+              else
+                List.filter
+                  (fun k -> parse_nonce k = None && parse_trace k = None)
+                  keys
             in
-            Ok { proto; src_port; dst_port; keys; trace }
+            Ok { proto; src_port; dst_port; keys; nonce; trace }
           end
           else Error "query: malformed key")
 
 let equal a b = a = b
 
 let pp ppf t =
-  Format.fprintf ppf "query %s %d->%d keys=[%s]%s" (Proto.to_string t.proto)
+  Format.fprintf ppf "query %s %d->%d keys=[%s]%s%s" (Proto.to_string t.proto)
     t.src_port t.dst_port
     (String.concat ";" t.keys)
+    (match t.nonce with None -> "" | Some n -> " nonce=" ^ n)
     (match t.trace with
     | None -> ""
     | Some ctx -> " trace=" ^ Obs.Trace_context.to_string ctx)

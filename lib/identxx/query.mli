@@ -13,6 +13,13 @@ type t = {
   src_port : int;
   dst_port : int;
   keys : string list;
+  nonce : string option;
+      (** The querier's nonce: 1 to 64 lower-case hex digits, drawn
+          fresh for each query and resent unchanged on retry. Rides the
+          wire as one extra hint key (["@nonce/<hex>"]) that daemons
+          predating it ignore; a signing daemon echoes it inside its
+          binding tag ({!Signed}), so an answer cannot be replayed onto
+          another query. *)
   trace : Obs.Trace_context.t option;
       (** Distributed-tracing context, when the querier traces
           flow setups. Rides the wire as one extra hint key
@@ -21,11 +28,15 @@ type t = {
 }
 
 val make : flow:Five_tuple.t -> keys:string list -> t
-(** Builds an untraced query ([trace = None]).
+(** Builds a query without a nonce or trace context ([nonce = None],
+    [trace = None]).
     @raise Invalid_argument when a key is malformed. *)
 
 val with_trace : t -> Obs.Trace_context.t option -> t
 (** The same query carrying (or stripped of) a trace context. *)
+
+val nonce_key_prefix : string
+(** ["@nonce/"] — the hint-key spelling of the nonce. *)
 
 val trace_key_prefix : string
 (** ["@trace/"] — the hint-key spelling of the trace context. *)
@@ -42,14 +53,16 @@ val encode : t -> string
 <key 1>
 ...
     v}
-    A query carrying a trace context appends one more key line,
+    A query carrying a nonce appends one more key line,
+    ["@nonce/<hex>"], and one carrying a trace context then appends
     ["@trace/<trace_id>-<span_id>-<s|n>"]. *)
 
 val decode : string -> (t, string) result
-(** A key line matching the {!trace_key_prefix} form becomes [trace];
-    everything else — including a malformed ["@trace/"] token — stays
-    in [keys], so frames without (or with unintelligible) context
-    decode exactly as they always did. *)
+(** The first key line matching the {!nonce_key_prefix} form becomes
+    [nonce] and the first matching the {!trace_key_prefix} form becomes
+    [trace]; everything else — including a malformed ["@nonce/"] or
+    ["@trace/"] token — stays in [keys], so frames without (or with
+    unintelligible) extensions decode exactly as they always did. *)
 
 val parse_header : string -> (Proto.t * int * int, string) result
 (** Parse the shared ["<PROTO> <SRC PORT> <DST PORT>"] first line (also

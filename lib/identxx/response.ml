@@ -95,6 +95,30 @@ let encode t =
 let rec index_to s c i stop =
   if i >= stop || s.[i] = c then i else index_to s c (i + 1) stop
 
+(* The first ':', LF or CR in [s] from [i], or the end. *)
+let rec key_end s i =
+  if i >= String.length s then i
+  else
+    match String.unsafe_get s i with
+    | ':' | '\n' | '\r' -> i
+    | _ -> key_end s (i + 1)
+
+(* The first LF or CR in [s] from [i], or the end. *)
+let rec value_end s i =
+  if i >= String.length s then i
+  else
+    match String.unsafe_get s i with
+    | '\n' | '\r' -> i
+    | _ -> value_end s (i + 1)
+
+(* The error for the malformed line starting at [i]: no ':' at all, or
+   an empty key or a CR. *)
+let line_error s i =
+  let e = index_to s '\n' i (String.length s) in
+  let line = String.sub s i (e - i) in
+  if index_to s ':' i e = e then Error ("response: missing ':' in " ^ line)
+  else Error ("response: malformed pair " ^ line)
+
 let decode s =
   let n = String.length s in
   let h = index_to s '\n' 0 n in
@@ -107,7 +131,7 @@ let decode s =
       (* One line per '\n' after the header, the last running to the end
          of the payload: a blank line ends the current section, any other
          line is "<key>:<value>" with one optional space after the colon.
-         Only each key and value is copied out. *)
+         Each line is read once; only each key and value is copied out. *)
       let rec lines i current acc =
         if i > n then
           Ok
@@ -118,13 +142,12 @@ let decode s =
               sections = List.rev (close current acc);
             }
         else
-          let e = index_to s '\n' i n in
-          if e = i then lines (e + 1) [] (close current acc)
+          let c = key_end s i in
+          if c = i && (c = n || s.[c] = '\n') then lines (c + 1) [] (close current acc)
+          else if c = n || s.[c] <> ':' || c = i then line_error s i
           else
-            let c = index_to s ':' i e in
-            if c = e then Error ("response: missing ':' in " ^ String.sub s i (e - i))
-            else if c = i || index_to s '\r' i e < e then
-              Error ("response: malformed pair " ^ String.sub s i (e - i))
+            let e = value_end s (c + 1) in
+            if e < n && s.[e] = '\r' then line_error s i
             else
               let v = if c + 1 < e && s.[c + 1] = ' ' then c + 2 else c + 1 in
               let pair =

@@ -1,60 +1,193 @@
-let signer_key = "response-signer"
-let sig_key = "response-sig"
+open Netcore
 
-(* Stream what a signature covers into [st]: the flow's header, then
-   every pair of the first [n] sections, as the element list
-   [PROTO SRC DST; k1; v1; ...] that Sign.canonical length-prefixes. *)
-let add_covered st (r : Response.t) n =
+let signer_key = "response-signer"
+let tags_key = "response-tags"
+let host_key = "response-host"
+let peer_key = "response-peer"
+let nonce_key = "response-nonce"
+let sig_key = "response-sig"
+let per_flow = "-"
+
+(* The first element of each covered string: a section tag can never
+   stand in for a binding tag, nor the other way round. *)
+let section_domain = "identxx-section"
+let binding_domain = "identxx-binding"
+
+let rec add_pairs st = function
+  | [] -> ()
+  | (p : Key_value.pair) :: rest ->
+      Idcrypto.Sign.add st p.key;
+      Idcrypto.Sign.add st p.value;
+      add_pairs st rest
+
+let section_tag key section =
+  let st = Idcrypto.Sign.keyed key in
+  Idcrypto.Sign.add st section_domain;
+  add_pairs st section;
+  Idcrypto.Sign.finish_short st
+
+(* The tag list is read in place: field [i] of [tags] is the slice up to
+   the next ',' (or the end), and the fields align with the sections. *)
+let rec field_end tags i =
+  if i >= String.length tags || String.unsafe_get tags i = ',' then i
+  else field_end tags (i + 1)
+
+let is_per_flow tags pos stop =
+  stop = pos + 1 && String.unsafe_get tags pos = per_flow.[0]
+
+(* The pairs of every section whose tag-list field is {!per_flow}. *)
+let rec add_per_flow st tags pos sections =
+  match sections with
+  | section :: rest when pos <= String.length tags ->
+      let stop = field_end tags pos in
+      if is_per_flow tags pos stop then add_pairs st section;
+      add_per_flow st tags (stop + 1) rest
+  | _ -> ()
+
+(* What a binding tag covers, streamed into [st]: the domain, the flow
+   header, the answering host, its peer, the nonce, the tag list as it
+   appears on the wire, then the pairs of every per-flow section in
+   order. *)
+let add_binding st (r : Response.t) ~host ~peer ~nonce tags =
+  Idcrypto.Sign.add st binding_domain;
   Idcrypto.Sign.add st
     (String.concat " "
        [
-         Netcore.Proto.to_string r.Response.proto;
+         Proto.to_string r.Response.proto;
          string_of_int r.Response.src_port;
          string_of_int r.Response.dst_port;
        ]);
-  let rec pairs = function
-    | [] -> ()
-    | (p : Key_value.pair) :: rest ->
-        Idcrypto.Sign.add st p.key;
-        Idcrypto.Sign.add st p.value;
-        pairs rest
-  in
-  let rec sections n = function
-    | section :: rest when n > 0 ->
-        pairs section;
-        sections (n - 1) rest
-    | _ -> ()
-  in
-  sections n r.Response.sections
+  Idcrypto.Sign.add st host;
+  Idcrypto.Sign.add st peer;
+  Idcrypto.Sign.add st nonce;
+  Idcrypto.Sign.add st tags;
+  add_per_flow st tags 0 r.Response.sections
 
-let sign_with ~public ~key (r : Response.t) =
+let sign_with ~public ~key ~tags ~host ~peer ?(nonce = "-") r =
+  let host = Ipv4.to_string host and peer = Ipv4.to_string peer in
+  let tags = String.concat "," tags in
   let st = Idcrypto.Sign.keyed key in
-  add_covered st r (List.length r.Response.sections);
+  add_binding st r ~host ~peer ~nonce tags;
+  (* Addresses and hex need no validation; the caller's handle, tags and
+     nonce do. *)
   Response.append_section r
     [
       Key_value.pair signer_key public;
-      Key_value.pair sig_key (Idcrypto.Sign.finish st);
+      Key_value.pair tags_key tags;
+      { Key_value.key = host_key; value = host };
+      { key = peer_key; value = peer };
+      Key_value.pair nonce_key nonce;
+      { key = sig_key; value = Idcrypto.Sign.finish st };
     ]
 
-let sign ~(keypair : Idcrypto.Sign.keypair) r =
-  sign_with ~public:keypair.Idcrypto.Sign.public
-    ~key:(Idcrypto.Hmac.prepare keypair.Idcrypto.Sign.secret)
-    r
+let sign ~(keypair : Idcrypto.Sign.keypair) ~host ~peer ?nonce r =
+  let key = Idcrypto.Hmac.prepare keypair.Idcrypto.Sign.secret in
+  sign_with ~public:keypair.Idcrypto.Sign.public ~key
+    ~tags:(List.map (section_tag key) r.Response.sections)
+    ~host ~peer ?nonce r
 
 type verdict = Valid of int | Unsigned | Invalid
 
+(* Whether [bytes], a cached section's canonical encoding, holds exactly
+   [section]'s covered elements. *)
+let same_section bytes section =
+  let rec go pos = function
+    | [] -> pos = String.length bytes
+    | (p : Key_value.pair) :: rest ->
+        let pos = Idcrypto.Sign.element_at bytes pos p.key in
+        let pos = Idcrypto.Sign.element_at bytes pos p.value in
+        pos >= 0 && go pos rest
+  in
+  go (Idcrypto.Sign.element_at bytes 0 section_domain) section
+
+(* A static section checks against its tag, the slice [pos, stop) of
+   [tags]: a cached copy of the tag must carry the same bytes; otherwise
+   the tag is computed, and cached when it verifies. *)
+let section_ok ks ~public tags pos stop section =
+  match Idcrypto.Sign.cached_section ks ~public tags pos (stop - pos) with
+  | "" -> (
+      let tag = String.sub tags pos (stop - pos) in
+      match Idcrypto.Sign.verifier ks ~public with
+      | None -> false
+      | Some st ->
+          Idcrypto.Sign.add st section_domain;
+          add_pairs st section;
+          Idcrypto.Sign.matches_short st ~signature:tag
+          && begin
+               Idcrypto.Sign.cache_section ks ~public ~tag
+                 (section_domain
+                 :: List.concat_map
+                      (fun (p : Key_value.pair) -> [ p.key; p.value ])
+                      section);
+               true
+             end)
+  | bytes -> same_section bytes section
+
+(* Whether the tag list names exactly the [n] covered sections and every
+   static one checks. *)
+let rec statics_ok ks ~public tags pos n sections =
+  if n = 0 then pos = String.length tags + 1 || (pos = 0 && tags = "")
+  else
+    match sections with
+    | section :: rest when pos <= String.length tags ->
+        let stop = field_end tags pos in
+        (is_per_flow tags pos stop || section_ok ks ~public tags pos stop section)
+        && statics_ok ks ~public tags (stop + 1) (n - 1) rest
+    | _ -> false
+
+let check ks (r : Response.t) ~public ~signature n section =
+  match
+    ( Key_value.find section tags_key,
+      Key_value.find section host_key,
+      Key_value.find section peer_key,
+      Key_value.find section nonce_key )
+  with
+  | Some tags, Some host, Some peer, Some nonce -> (
+      match Idcrypto.Sign.verifier ks ~public with
+      | None -> Invalid
+      | Some st ->
+          add_binding st r ~host ~peer ~nonce tags;
+          if
+            Idcrypto.Sign.matches st ~signature
+            && statics_ok ks ~public tags 0 n r.Response.sections
+          then Valid n
+          else Invalid)
+  | _ -> Invalid
+
+let rec has key = function
+  | [] -> false
+  | (p : Key_value.pair) :: rest -> String.equal p.key key || has key rest
+
+(* A signature section carries both a signer and a tag. *)
+let is_signature section = has signer_key section && has sig_key section
+
 let verify keystore (r : Response.t) =
-  (* The first section carrying a signature covers the [n] before it. *)
+  (* The first signature section covers the [n] sections before it. *)
   let rec find n = function
     | [] -> Unsigned
-    | section :: rest -> (
-        match (Key_value.find section signer_key, Key_value.find section sig_key) with
-        | Some public, Some signature -> (
-            match Idcrypto.Sign.verifier keystore ~public with
-            | None -> Invalid
-            | Some st ->
-                add_covered st r n;
-                if Idcrypto.Sign.matches st ~signature then Valid n else Invalid)
-        | _ -> find (n + 1) rest)
+    | section :: _ when is_signature section -> (
+        match
+          (Key_value.find section signer_key, Key_value.find section sig_key)
+        with
+        | Some public, Some signature ->
+            check keystore r ~public ~signature n section
+        | _ -> Invalid)
+    | _ :: rest -> find (n + 1) rest
   in
   find 0 r.Response.sections
+
+type claim = { signer : string; host : string; peer : string; nonce : string }
+
+let claim (r : Response.t) =
+  match List.find_opt is_signature r.Response.sections with
+  | None -> None
+  | Some section -> (
+      match
+        ( Key_value.find section signer_key,
+          Key_value.find section host_key,
+          Key_value.find section peer_key,
+          Key_value.find section nonce_key )
+      with
+      | Some signer, Some host, Some peer, Some nonce ->
+          Some { signer; host; peer; nonce }
+      | _ -> None)

@@ -3,33 +3,83 @@
     ident++ responses travel through the network with a spoofable source
     address, and §5.3 already leans on signatures for authenticating
     delegated requests ("the request needs to be signed with the user's
-    private key"). This module extends the same mechanism to whole
-    responses: a daemon holding a keypair appends a final section
+    private key"). This module extends the same mechanism to responses,
+    split the way Figure 3's [req-sig] is: what does not change from
+    flow to flow is signed once, and each flow carries only a short
+    binding. A daemon holding a keypair appends a final section
 
     {v
 response-signer: <public handle>
-response-sig: <tag over the preceding sections and the flow>
+response-tags: <tag>,<tag>,-,<tag>
+response-host: <answering host's address>
+response-peer: <the flow's other end>
+response-nonce: <the query's nonce, or ->
+response-sig: <binding tag>
     v}
 
-    and a verifier checks the tag against its keystore. Sections a
-    transit controller appends {e after} the signature are visible but
-    unauthenticated — in a fully-signed deployment each augmenting
-    controller would add its own signature section the same way. *)
+    [response-tags] names one entry per preceding section. A static
+    section (built-ins, [@app] config, host globals) carries its
+    {e section tag}, computed once over the section alone; a per-flow
+    section carries {!per_flow}. The binding tag covers the flow header,
+    both addresses, the nonce, the tag list and the per-flow sections'
+    pairs (doc/PROTOCOL.md §6). Sections appended {e after} the
+    signature are visible but unauthenticated — in a fully-signed
+    deployment each augmenting controller would add its own signature
+    section the same way. *)
+
+open Netcore
 
 val signer_key : string
 (** ["response-signer"] *)
 
-val sig_key : string
-(** ["response-sig"] *)
+val tags_key : string
+(** ["response-tags"] *)
 
-val sign : keypair:Idcrypto.Sign.keypair -> Response.t -> Response.t
-(** Append the signature section. The tag covers the flow's
-    protocol/ports and every section already present. *)
+val host_key : string
+(** ["response-host"] *)
+
+val peer_key : string
+(** ["response-peer"] *)
+
+val nonce_key : string
+(** ["response-nonce"] *)
+
+val sig_key : string
+(** ["response-sig"], the binding tag. *)
+
+val per_flow : string
+(** ["-"]: the tag-list entry of a section the binding tag covers
+    directly. *)
+
+val section_tag : Idcrypto.Hmac.key -> Key_value.section -> string
+(** The 128-bit hex tag ({!Idcrypto.Sign.finish_short}) over
+    [["identxx-section"; k1; v1; ...]]. A signer computes it once per
+    static section and reuses it for every flow; the binding tag, which
+    covers it, is a full 256 bits. *)
 
 val sign_with :
-  public:string -> key:Idcrypto.Hmac.key -> Response.t -> Response.t
-(** [sign ~keypair] for a signer holding its secret prepared once:
-    [public] is the keypair's handle, [key] its prepared secret. *)
+  public:string ->
+  key:Idcrypto.Hmac.key ->
+  tags:string list ->
+  host:Ipv4.t ->
+  peer:Ipv4.t ->
+  ?nonce:string ->
+  Response.t ->
+  Response.t
+(** Append the signature section. [tags] has one entry per section of
+    the response: its {!section_tag} under [key], or {!per_flow}. [host]
+    is the answering host, [peer] the flow's other end, [nonce] the
+    query's (default ["-"], for a query that carried none). Only the
+    binding tag is computed here. *)
+
+val sign :
+  keypair:Idcrypto.Sign.keypair ->
+  host:Ipv4.t ->
+  peer:Ipv4.t ->
+  ?nonce:string ->
+  Response.t ->
+  Response.t
+(** {!sign_with} with every section static, its tag computed now. *)
 
 type verdict =
   | Valid of int  (** Number of sections covered by the signature. *)
@@ -37,6 +87,27 @@ type verdict =
   | Invalid
 
 val verify : Idcrypto.Sign.keystore -> Response.t -> verdict
-(** Find the first signature section and check its tag over the
-    sections preceding it. [Invalid] when the signer is unknown to the
-    keystore or the tag does not match. *)
+(** Find the first signature section and check it over the sections
+    preceding it: the binding tag, then each static section's tag. A
+    section tag the keystore has already verified for this signer is
+    confirmed by comparing bytes ({!Idcrypto.Sign.cached_section}); any
+    other is computed, and cached when it verifies. [Invalid] when the
+    signer is unknown, a field is missing, the tag list does not name
+    every covered section, or any tag does not match.
+
+    [Valid] says only that the signer vouched for these bytes. Whether
+    they answer {e this} query — the echoed host, peer and nonce, and
+    whether the signer may answer for that host — is the receiver's
+    check ({!claim}). *)
+
+type claim = {
+  signer : string;
+  host : string;
+  peer : string;
+  nonce : string;
+}
+(** What the first signature section echoes, unverified. *)
+
+val claim : Response.t -> claim option
+(** The first signature section's signer and echoed fields; [None] when
+    there is none or a field is missing. Read it after {!verify}. *)

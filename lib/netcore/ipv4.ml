@@ -41,9 +41,31 @@ let of_string s =
 
 let of_string_opt s = try Some (of_string s) with Invalid_argument _ -> None
 
+(* Dotted quad, written straight into a buffer of the exact length. *)
 let to_string a =
-  let x, y, z, w = to_octets a in
-  Printf.sprintf "%d.%d.%d.%d" x y z w
+  let octet i = (a lsr (24 - (8 * i))) land 0xff in
+  let width o = if o >= 100 then 3 else if o >= 10 then 2 else 1 in
+  let len = width (octet 0) + width (octet 1) + width (octet 2) + width (octet 3) + 3 in
+  let b = Bytes.create len in
+  let pos = ref 0 in
+  for i = 0 to 3 do
+    let o = octet i in
+    if i > 0 then begin
+      Bytes.unsafe_set b !pos '.';
+      incr pos
+    end;
+    if o >= 100 then begin
+      Bytes.unsafe_set b !pos (Char.unsafe_chr (48 + (o / 100)));
+      incr pos
+    end;
+    if o >= 10 then begin
+      Bytes.unsafe_set b !pos (Char.unsafe_chr (48 + (o / 10 mod 10)));
+      incr pos
+    end;
+    Bytes.unsafe_set b !pos (Char.unsafe_chr (48 + (o mod 10)));
+    incr pos
+  done;
+  Bytes.unsafe_to_string b
 
 let of_bytes s off =
   if off < 0 || off + 4 > String.length s then

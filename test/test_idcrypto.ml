@@ -382,6 +382,60 @@ let test_sign_canonical_unambiguous () =
   let s2 = Idcrypto.Sign.sign ~secret:kp.Idcrypto.Sign.secret [ "a"; "bc" ] in
   check Alcotest.bool "length-prefixed encoding" false (s1 = s2)
 
+let test_keystore_host_binding () =
+  let ks = Idcrypto.Sign.keystore () in
+  let bound = Idcrypto.Sign.generate "bound" and free = Idcrypto.Sign.generate "free" in
+  Idcrypto.Sign.register_for ks bound ~hosts:[ "10.0.0.2" ];
+  Idcrypto.Sign.register ks free;
+  let answers kp host = Idcrypto.Sign.answers_for ks ~public:kp.Idcrypto.Sign.public host in
+  check Alcotest.bool "bound key, its host" true (answers bound "10.0.0.2");
+  check Alcotest.bool "bound key, another host" false (answers bound "10.0.0.1");
+  check Alcotest.bool "unbound key, any host" true (answers free "10.0.0.1");
+  check Alcotest.bool "unknown key" false
+    (Idcrypto.Sign.answers_for ks ~public:"pkdeadbeef" "10.0.0.2");
+  Idcrypto.Sign.register ks bound;
+  check Alcotest.bool "re-registered unbound" true (answers bound "10.0.0.1")
+
+(* The verified-section cache: a hit needs the same signer and tag, a
+   tag is read in place from a longer list, the cache holds at most
+   [section_capacity] entries (oldest out), and [element_at] matches one
+   canonical element exactly. *)
+let test_keystore_section_cache () =
+  let ks = Idcrypto.Sign.keystore () in
+  let kp = Idcrypto.Sign.generate "signer" in
+  Idcrypto.Sign.register ks kp;
+  let public = kp.Idcrypto.Sign.public in
+  let tag i = Printf.sprintf "%032x" i in
+  Idcrypto.Sign.cache_section ks ~public ~tag:(tag 0) [ "k"; "v" ];
+  let list = "-," ^ tag 0 ^ ",-" in
+  check Alcotest.string "hit in place" (Idcrypto.Sign.canonical [ "k"; "v" ])
+    (Idcrypto.Sign.cached_section ks ~public list 2 32);
+  check Alcotest.string "other signer" ""
+    (Idcrypto.Sign.cached_section ks ~public:"pkother" list 2 32);
+  check Alcotest.string "shifted slice" ""
+    (Idcrypto.Sign.cached_section ks ~public list 3 32);
+  check Alcotest.string "slice out of bounds" ""
+    (Idcrypto.Sign.cached_section ks ~public list 30 32);
+  for i = 1 to Idcrypto.Sign.section_capacity + 10 do
+    Idcrypto.Sign.cache_section ks ~public ~tag:(tag i) [ string_of_int i ]
+  done;
+  check Alcotest.int "bounded" Idcrypto.Sign.section_capacity
+    (Idcrypto.Sign.cached_sections ks);
+  check Alcotest.string "oldest evicted" ""
+    (Idcrypto.Sign.cached_section ks ~public list 2 32);
+  let last = tag (Idcrypto.Sign.section_capacity + 10) in
+  check Alcotest.bool "newest kept" true
+    (Idcrypto.Sign.cached_section ks ~public last 0 32 <> "");
+  let bytes = Idcrypto.Sign.canonical [ "ab"; "" ] in
+  check Alcotest.int "element found" 4 (Idcrypto.Sign.element_at bytes 0 "ab");
+  check Alcotest.int "empty element" 6 (Idcrypto.Sign.element_at bytes 4 "");
+  check Alcotest.int "prefix is not a match" (-1) (Idcrypto.Sign.element_at bytes 0 "a");
+  check Alcotest.int "past the end" (-1) (Idcrypto.Sign.element_at bytes 6 "");
+  check Alcotest.int "negative position chains" (-1) (Idcrypto.Sign.element_at bytes (-1) "ab");
+  Idcrypto.Sign.register ks kp;
+  check Alcotest.int "re-registering drops the signer's entries" 0
+    (Idcrypto.Sign.cached_sections ks)
+
 let prop_sign_verify_roundtrip =
   QCheck.Test.make ~name:"sign/verify roundtrip on random data" ~count:200
     QCheck.(list_of_size (QCheck.Gen.int_range 0 5) string)
@@ -463,6 +517,10 @@ let () =
           Alcotest.test_case "verify cycle" `Quick test_sign_verify_cycle;
           Alcotest.test_case "canonical unambiguous" `Quick
             test_sign_canonical_unambiguous;
+          Alcotest.test_case "keystore host binding" `Quick
+            test_keystore_host_binding;
+          Alcotest.test_case "keystore section cache" `Quick
+            test_keystore_section_cache;
         ] );
       ( "properties",
         qc

@@ -100,6 +100,33 @@ let test_query_trace_wire () =
         "keys unchanged" [ "userID"; "name" ] q'.Identxx.Query.keys
   | Error e -> Alcotest.fail e
 
+let test_query_nonce_wire () =
+  let q =
+    {
+      (Identxx.Query.make
+         ~flow:(flow ~sp:5000 ~dp:80 "1.1.1.1" "2.2.2.2")
+         ~keys:[ "userID" ])
+      with
+      Identxx.Query.nonce = Some "00c0ffee12345678";
+    }
+  in
+  check Alcotest.string "one more hint line"
+    "TCP 5000 80\nuserID\n@nonce/00c0ffee12345678\n"
+    (Identxx.Query.encode q);
+  (match Identxx.Query.decode (Identxx.Query.encode q) with
+  | Ok q' ->
+      check Alcotest.bool "nonce round trips" true (Identxx.Query.equal q q');
+      check Alcotest.(list string) "nonce out of keys" [ "userID" ]
+        q'.Identxx.Query.keys
+  | Error e -> Alcotest.fail e);
+  (* Not hex: an ordinary key, as an old daemon sees it. *)
+  match Identxx.Query.decode "TCP 5000 80\n@nonce/XYZ\n" with
+  | Ok q' ->
+      check Alcotest.(option string) "no nonce" None q'.Identxx.Query.nonce;
+      check Alcotest.(list string) "kept as a key" [ "@nonce/XYZ" ]
+        q'.Identxx.Query.keys
+  | Error e -> Alcotest.fail e
+
 let test_query_trace_unparsable_stays_key () =
   (* Version tolerance in the other direction: an unintelligible
      "@trace/..." token is an ordinary hint key, like an old decoder
@@ -424,6 +451,56 @@ let test_daemon_source_response_sections () =
         (Some (Idcrypto.Sha256.hexdigest "skype-image"))
         (Identxx.Response.latest r "exe-hash")
 
+(* A signing daemon tags its static sections once: a second answer
+   reuses the tags and verifies from a warm keystore; a change drops
+   them, and a reinstalled image's hash reaches the next answer. *)
+let test_daemon_signs_static_sections_once () =
+  let h = make_host "h" "10.0.0.1" in
+  let kp = Idcrypto.Sign.generate "h-host" in
+  let ks = Idcrypto.Sign.keystore () in
+  Idcrypto.Sign.register ks kp;
+  Identxx.Host.set_signing_key h (Some kp);
+  Identxx.Host.install_exe h ~path:"/usr/bin/skype" ~content:"skype-v1";
+  (match
+     Identxx.Daemon.load_config (Identxx.Host.daemon h) ~name:"00-admin"
+       "os-patch : 8831"
+   with
+  | Ok () -> ()
+  | Error e -> Alcotest.fail e);
+  let proc = Identxx.Host.run h ~user:"alice" ~exe:"/usr/bin/skype" () in
+  let changes = ref 0 in
+  Identxx.Daemon.on_change (Identxx.Host.daemon h) (fun () -> incr changes);
+  let ask dst_port =
+    let fl = Identxx.Host.connect h ~proc ~dst:(ip "10.0.0.2") ~dst_port () in
+    match
+      Identxx.Daemon.answer (Identxx.Host.daemon h) ~nonce:"ab" ~peer:(ip "10.0.0.2")
+        ~proto:Proto.Tcp ~src_port:fl.Five_tuple.src_port ~dst_port ~keys:[]
+    with
+    | Some (r, _) -> r
+    | None -> Alcotest.fail "no answer"
+  in
+  let tags r = Identxx.Response.latest r Identxx.Signed.tags_key in
+  let a = ask 80 and b = ask 81 in
+  check Alcotest.bool "first answer valid" true
+    (Identxx.Signed.verify ks a = Identxx.Signed.Valid 2);
+  check Alcotest.bool "second answer valid" true
+    (Identxx.Signed.verify ks b = Identxx.Signed.Valid 2);
+  check Alcotest.(option string) "section tags reused" (tags a) (tags b);
+  check Alcotest.bool "binding tags differ" true
+    (Identxx.Response.latest a Identxx.Signed.sig_key
+    <> Identxx.Response.latest b Identxx.Signed.sig_key);
+  check Alcotest.(option string) "echoes the nonce" (Some "ab")
+    (Identxx.Response.latest a Identxx.Signed.nonce_key);
+  Identxx.Host.install_exe h ~path:"/usr/bin/skype" ~content:"skype-v2";
+  check Alcotest.int "reinstall fires on_change" 1 !changes;
+  let c = ask 82 in
+  check Alcotest.(option string) "new hash reaches the next answer"
+    (Some (Idcrypto.Sha256.hexdigest "skype-v2"))
+    (Identxx.Response.latest c "exe-hash");
+  check Alcotest.bool "built-ins re-tagged" true (tags c <> tags a);
+  check Alcotest.bool "re-tagged answer valid" true
+    (Identxx.Signed.verify ks c = Identxx.Signed.Valid 2)
+
 let test_daemon_destination_response () =
   let h = make_host "srv" "10.0.0.2" in
   let proc = Identxx.Host.run h ~user:"smtp" ~exe:"/usr/sbin/sendmail" () in
@@ -556,6 +633,11 @@ let test_wire_is_identxx () =
 
 (* --- Signed responses --- *)
 
+(* Sign as the flow's source host, 10.0.0.1, answering about 10.0.0.2. *)
+let sign ?nonce kp r =
+  Identxx.Signed.sign ~keypair:kp ~host:(ip "10.0.0.1") ~peer:(ip "10.0.0.2")
+    ?nonce r
+
 let test_signed_roundtrip () =
   let kp = Idcrypto.Sign.generate "host-key" in
   let ks = Idcrypto.Sign.keystore () in
@@ -564,7 +646,7 @@ let test_signed_roundtrip () =
     Identxx.Response.make ~flow:(flow "10.0.0.1" "10.0.0.2")
       [ [ KV.pair "userID" "alice" ]; [ KV.pair "name" "pine" ] ]
   in
-  let signed = Identxx.Signed.sign ~keypair:kp r in
+  let signed = sign kp r in
   check Alcotest.int "one extra section" 3
     (List.length signed.Identxx.Response.sections);
   (match Identxx.Signed.verify ks signed with
@@ -585,7 +667,7 @@ let test_signed_detects_tampering () =
     Identxx.Response.make ~flow:(flow "10.0.0.1" "10.0.0.2")
       [ [ KV.pair "name" "pine" ] ]
   in
-  let signed = Identxx.Signed.sign ~keypair:kp r in
+  let signed = sign kp r in
   (* Tamper with a covered pair. *)
   let tampered =
     {
@@ -614,7 +696,7 @@ let test_signed_post_signature_sections_uncovered () =
     Identxx.Response.make ~flow:(flow "10.0.0.1" "10.0.0.2")
       [ [ KV.pair "name" "pine" ] ]
   in
-  let signed = Identxx.Signed.sign ~keypair:kp r in
+  let signed = sign kp r in
   (* A transit controller appends after the signature: still Valid, but
      the coverage count exposes that the extra section is unsigned. *)
   let augmented =
@@ -635,7 +717,7 @@ let test_signed_trace_section_keeps_signature () =
     Identxx.Response.make ~flow:(flow "10.0.0.1" "10.0.0.2")
       [ [ KV.pair "name" "pine" ] ]
   in
-  let signed = Identxx.Signed.sign ~keypair:kp r in
+  let signed = sign kp r in
   (* The daemon attaches span timings after signing: the signature still
      verifies over its prefix, and stripping the trace section recovers
      the signed response byte-for-byte. *)
@@ -678,41 +760,80 @@ let enterprise_response () =
              KV.pair (Printf.sprintf "site-attr-%02d" i) (String.make 48 'v'));
     ]
 
-(* doc/PROTOCOL.md §6's worked example of the covered byte string. *)
+(* doc/PROTOCOL.md §6's worked examples of the two covered byte
+   strings: one static section and one per-flow section. *)
 let test_signed_covered_string () =
   let kp = Idcrypto.Sign.generate "host-key" in
-  let r =
-    Identxx.Response.make ~flow:(flow "10.0.0.1" "10.0.0.2")
-      [ [ KV.pair "userID" "alice" ] ]
+  let key = Idcrypto.Hmac.prepare kp.Idcrypto.Sign.secret in
+  let static = [ KV.pair "userID" "alice" ] in
+  let per_flow = [ KV.pair "url" "https://example.com/" ] in
+  (* A section tag is the HMAC's first 128 bits. *)
+  let section_tag =
+    String.sub
+      (Idcrypto.Hmac.hexmac ~key:kp.Idcrypto.Sign.secret
+         "15:identxx-section6:userID5:alice")
+      0 32
   in
-  check Alcotest.(option string) "tag over the specified bytes"
+  check Alcotest.string "section tag over the specified bytes" section_tag
+    (Identxx.Signed.section_tag key static);
+  let signed =
+    Identxx.Signed.sign_with ~public:kp.Idcrypto.Sign.public ~key
+      ~tags:[ section_tag; Identxx.Signed.per_flow ]
+      ~host:(ip "10.0.0.1") ~peer:(ip "10.0.0.2") ~nonce:"0123456789abcdef"
+      (Identxx.Response.make ~flow:(flow "10.0.0.1" "10.0.0.2")
+         [ static; per_flow ])
+  in
+  check Alcotest.(option string) "binding tag over the specified bytes"
     (Some
        (Idcrypto.Hmac.hexmac ~key:kp.Idcrypto.Sign.secret
-          "12:tcp 40000 806:userID5:alice"))
-    (Identxx.Response.latest (Identxx.Signed.sign ~keypair:kp r)
-       Identxx.Signed.sig_key)
+          ("15:identxx-binding12:tcp 40000 808:10.0.0.18:10.0.0.2\
+            16:0123456789abcdef34:" ^ section_tag
+         ^ ",-3:url20:https://example.com/")))
+    (Identxx.Response.latest signed Identxx.Signed.sig_key);
+  check Alcotest.(option string) "tag list on the wire"
+    (Some (section_tag ^ ",-"))
+    (Identxx.Response.latest signed Identxx.Signed.tags_key)
 
-(* The tag and wire bytes of a signed enterprise-sized answer, pinned
-   to what the list-building signer and Buffer-based encoder produced:
-   any change to what the signature covers, how it is computed or how
-   the answer is encoded shows here. *)
+(* The tags and wire bytes of an enterprise-sized answer signed as a
+   daemon signs it (built-ins, app config and host globals static, the
+   runtime pair per-flow), pinned: any change to what the tags cover,
+   how they are computed or how the answer is encoded shows here. *)
 let test_signed_known_answer () =
   let kp = Idcrypto.Sign.generate "kat-host" in
   let ks = Idcrypto.Sign.keystore () in
   Idcrypto.Sign.register ks kp;
-  let signed = Identxx.Signed.sign ~keypair:kp (enterprise_response ()) in
+  let key = Idcrypto.Hmac.prepare kp.Idcrypto.Sign.secret in
+  let r = enterprise_response () in
+  let tags =
+    List.mapi
+      (fun i section ->
+        if i = 2 then Identxx.Signed.per_flow
+        else Identxx.Signed.section_tag key section)
+      r.Identxx.Response.sections
+  in
+  let signed =
+    Identxx.Signed.sign_with ~public:kp.Idcrypto.Sign.public ~key ~tags
+      ~host:(ip "10.0.0.1") ~peer:(ip "10.0.0.2") ~nonce:"0123456789abcdef" r
+  in
   check Alcotest.(option string) "response-sig"
-    (Some "db5ed11b6af9ea477185b8b3139e4ca8729827713d9902638646aa871b142178")
+    (Some "7067be6e29747ad5429af48555ae28a9df2dcfd7e3b31571d13f07fbb72ee63b")
     (Identxx.Response.latest signed Identxx.Signed.sig_key);
-  check Alcotest.bool "a prepared key signs alike" true
-    (Identxx.Response.equal signed
-       (Identxx.Signed.sign_with ~public:kp.Idcrypto.Sign.public
-          ~key:(Idcrypto.Hmac.prepare kp.Idcrypto.Sign.secret)
-          (enterprise_response ())));
+  check Alcotest.(option string) "response-tags"
+    (Some
+       "1c298d75b401c9bc2382347da754aa60,54dc2cc7a8c922fd4cf28471c30df0ad,-,3283b715292a09717d24edb9587b26a0")
+    (Identxx.Response.latest signed Identxx.Signed.tags_key);
+  check Alcotest.bool "sign tags every section static" true
+    (Identxx.Response.equal
+       (Identxx.Signed.sign ~keypair:kp ~host:(ip "10.0.0.1")
+          ~peer:(ip "10.0.0.2") r)
+       (Identxx.Signed.sign_with ~public:kp.Idcrypto.Sign.public ~key
+          ~tags:
+            (List.map (Identxx.Signed.section_tag key) r.Identxx.Response.sections)
+          ~host:(ip "10.0.0.1") ~peer:(ip "10.0.0.2") r));
   let wire = Identxx.Response.encode signed in
-  check Alcotest.int "wire length" 1944 (String.length wire);
+  check Alcotest.int "wire length" 2141 (String.length wire);
   check Alcotest.string "wire sha256"
-    "05e86596a7a7aa7e03ffb1d0f2785c8634ac912621449656575f3912bcfe090c"
+    "4c74f106dbe63fa464a822f0d96a184b3100985a34fafd7e382b2c0a88526710"
     (Idcrypto.Sha256.hexdigest wire);
   match Identxx.Response.decode wire with
   | Error e -> Alcotest.fail e
@@ -720,7 +841,43 @@ let test_signed_known_answer () =
       check Alcotest.bool "decodes to the signed answer" true
         (Identxx.Response.equal signed back);
       check Alcotest.bool "verifies over all four sections" true
+        (Identxx.Signed.verify ks back = Identxx.Signed.Valid 4);
+      check Alcotest.int "three static sections cached" 3
+        (Idcrypto.Sign.cached_sections ks);
+      check Alcotest.bool "verifies again from the cache" true
         (Identxx.Signed.verify ks back = Identxx.Signed.Valid 4)
+
+(* A warm verify confirms cached section tags by comparing bytes: it
+   allocates only for the binding tag, whatever the sections' size. *)
+let test_signed_warm_verify_alloc () =
+  let kp = Idcrypto.Sign.generate "kat-host" in
+  let ks = Idcrypto.Sign.keystore () in
+  Idcrypto.Sign.register ks kp;
+  let words r =
+    let signed =
+      Identxx.Signed.sign ~keypair:kp ~host:(ip "10.0.0.1")
+        ~peer:(ip "10.0.0.2") r
+    in
+    ignore (Identxx.Signed.verify ks signed);
+    let before = Gc.minor_words () in
+    for _ = 1 to 100 do
+      ignore (Identxx.Signed.verify ks signed)
+    done;
+    (Gc.minor_words () -. before) /. 100.
+  in
+  let small =
+    words
+      (Identxx.Response.make ~flow:(flow "10.0.0.1" "10.0.0.2")
+         [ [ KV.pair "userID" "alice" ] ])
+  in
+  let large =
+    words
+      (Identxx.Response.make ~flow:(flow "10.0.0.1" "10.0.0.2")
+         [ List.init 200 (fun i -> KV.pair (Printf.sprintf "k%03d" i) (String.make 60 'v')) ])
+  in
+  if large > small +. 1. then
+    Alcotest.failf "warm verify: %.0f words for a 1-pair section, %.0f for 200"
+      small large
 
 (* --- RFC 1413 compatibility --- *)
 
@@ -818,6 +975,125 @@ let prop_append_preserves_existing =
         (fun k ->
           prefix (Identxx.Response.all_values r k) (Identxx.Response.all_values r' k))
         (Identxx.Response.keys r))
+
+(* A split signature over a random answer: each section static or
+   per-flow, random addresses, ports and nonce. *)
+let gen_signed_case =
+  QCheck.Gen.(
+    let* r = gen_response in
+    let* kinds = list_repeat (List.length r.Identxx.Response.sections) bool in
+    let kinds = if List.mem true kinds then kinds else true :: List.tl kinds in
+    let* host = int_range 1 254 in
+    let* peer = int_range 1 254 in
+    let* nonce =
+      string_size
+        ~gen:(oneofl (List.init 16 (fun i -> "0123456789abcdef".[i])))
+        (int_range 1 16)
+    in
+    return (r, kinds, host, peer, nonce))
+
+let print_signed_case (r, kinds, host, peer, nonce) =
+  Printf.sprintf "%s\nstatic=[%s] host=%d peer=%d nonce=%s"
+    (Identxx.Response.encode r)
+    (String.concat ";" (List.map string_of_bool kinds))
+    host peer nonce
+
+(* The response with section [i] replaced. *)
+let with_section (r : Identxx.Response.t) i section =
+  {
+    r with
+    Identxx.Response.sections =
+      List.mapi (fun j s -> if j = i then section else s) r.Identxx.Response.sections;
+  }
+
+(* The response with the signature section's [key] set to [value]. *)
+let with_sig_pair (r : Identxx.Response.t) key value =
+  let last = List.length r.Identxx.Response.sections - 1 in
+  with_section r last
+    (List.map
+       (fun (p : KV.pair) -> if p.key = key then KV.pair key value else p)
+       (List.nth r.Identxx.Response.sections last))
+
+let prop_split_signature =
+  QCheck.Test.make ~name:"split signature: genuine valid, forgeries rejected"
+    ~count:300
+    (QCheck.make gen_signed_case ~print:print_signed_case)
+    (fun (r, kinds, host, peer, nonce) ->
+      let kp = Idcrypto.Sign.generate "prop-host" in
+      let key = Idcrypto.Hmac.prepare kp.Idcrypto.Sign.secret in
+      let fresh () =
+        let ks = Idcrypto.Sign.keystore () in
+        Idcrypto.Sign.register ks kp;
+        ks
+      in
+      let sections = r.Identxx.Response.sections in
+      let n = List.length sections in
+      let tags =
+        List.map2
+          (fun section static ->
+            if static then Identxx.Signed.section_tag key section
+            else Identxx.Signed.per_flow)
+          sections kinds
+      in
+      let signed =
+        Identxx.Signed.sign_with ~public:kp.Idcrypto.Sign.public ~key ~tags
+          ~host:(Ipv4.of_octets 10 0 0 host) ~peer:(Ipv4.of_octets 10 0 1 peer)
+          ~nonce r
+      in
+      let verdict ks r = Identxx.Signed.verify ks r in
+      let invalid ks r = verdict ks r = Identxx.Signed.Invalid in
+      let warm = fresh () in
+      let genuine_cold = verdict warm signed = Identxx.Signed.Valid n in
+      let genuine_warm = verdict warm signed = Identxx.Signed.Valid n in
+      (* The first static section, forged: one value changed. *)
+      let i = Option.get (List.find_index Fun.id kinds) in
+      let forged =
+        with_section signed i
+          (List.mapi
+             (fun j (p : KV.pair) ->
+               if j = 0 then KV.pair p.key (p.value ^ "x") else p)
+             (List.nth sections i))
+      in
+      let moved =
+        [
+          { signed with Identxx.Response.src_port = (r.Identxx.Response.src_port + 1) land 0xffff };
+          { signed with Identxx.Response.dst_port = (r.Identxx.Response.dst_port + 1) land 0xffff };
+          with_sig_pair signed Identxx.Signed.host_key "10.0.2.1";
+          with_sig_pair signed Identxx.Signed.peer_key "10.0.2.1";
+          with_sig_pair signed Identxx.Signed.nonce_key (nonce ^ "0");
+        ]
+      in
+      let section_as_binding =
+        with_sig_pair signed Identxx.Signed.sig_key (List.nth tags i)
+      in
+      (* A tag list naming one section too many or too few, signed. *)
+      let miscounted tags =
+        Identxx.Signed.sign_with ~public:kp.Idcrypto.Sign.public ~key ~tags
+          ~host:(Ipv4.of_octets 10 0 0 host) ~peer:(Ipv4.of_octets 10 0 1 peer)
+          ~nonce r
+      in
+      genuine_cold && genuine_warm
+      && invalid (fresh ()) forged
+      && invalid warm forged
+      && List.for_all (invalid warm) moved
+      && invalid warm section_as_binding
+      && invalid warm (miscounted (tags @ [ List.nth tags i ]))
+      && invalid warm (miscounted (List.tl tags))
+      && begin
+           (* Re-registered under a new secret: the cached tags were
+              checked against the old one and must not vouch now, not
+              even under a binding made with the new secret. *)
+           let secret = "a new secret" in
+           Idcrypto.Sign.register_public warm ~public:kp.Idcrypto.Sign.public
+             ~secret;
+           let rebound =
+             Identxx.Signed.sign_with ~public:kp.Idcrypto.Sign.public
+               ~key:(Idcrypto.Hmac.prepare secret) ~tags
+               ~host:(Ipv4.of_octets 10 0 0 host)
+               ~peer:(Ipv4.of_octets 10 0 1 peer) ~nonce r
+           in
+           invalid warm signed && invalid warm rebound
+         end)
 
 (* The line-list decoder the one-pass [Response.decode] replaced, kept
    as its oracle: split on '\n', the first line is the header, blank
@@ -925,6 +1201,7 @@ let () =
           Alcotest.test_case "rejects garbage" `Quick test_query_decode_rejects_garbage;
           Alcotest.test_case "roundtrip" `Quick test_query_roundtrip;
           Alcotest.test_case "trace wire" `Quick test_query_trace_wire;
+          Alcotest.test_case "nonce wire" `Quick test_query_nonce_wire;
           Alcotest.test_case "unparsable trace stays key" `Quick
             test_query_trace_unparsable_stays_key;
         ] );
@@ -973,6 +1250,8 @@ let () =
           Alcotest.test_case "no process, globals only" `Quick
             test_daemon_no_process_still_answers_globals;
           Alcotest.test_case "silent and lying" `Quick test_daemon_silent_and_lying;
+          Alcotest.test_case "signs static sections once" `Quick
+            test_daemon_signs_static_sections_once;
         ] );
       ( "wire",
         [
@@ -999,6 +1278,8 @@ let () =
             test_signed_covered_string;
           Alcotest.test_case "known answer, enterprise size" `Quick
             test_signed_known_answer;
+          Alcotest.test_case "warm verify allocation flat in size" `Quick
+            test_signed_warm_verify_alloc;
         ] );
       ( "rfc1413",
         [
@@ -1013,5 +1294,6 @@ let () =
             prop_latest_is_last_of_all_values;
             prop_append_preserves_existing;
             prop_decode_matches_reference;
+            prop_split_signature;
           ] );
     ]
