@@ -539,7 +539,8 @@ let () =
       & info [ "shards" ] ~docv:"N"
           ~doc:"Partition flow setup across N shards with query coalescing \
                 and batched installs (see DESIGN.md \xc2\xa712). 0 (the \
-                default) keeps the original sequential path. Counters and \
+                default) runs one shard without coalescing or shard \
+                labels. Counters and \
                 the --json report aggregate across shards, so the numbers \
                 are shard-count invariant.")
   in

@@ -49,9 +49,8 @@ let default_config =
     (* Off by default: the baseline controller runs the unmodified
        Figure-1 exchange for every table-miss flow. *)
     fastpath = Fastpath.disabled;
-    (* None: one sequential loop, no run queues, connection table or
-       batching. *)
     proactive = false;
+    (* One shard without coalescing, and no shard labels. *)
     shards = None;
   }
 
@@ -260,16 +259,14 @@ type t = {
   spans : Obs.Span.t;
   recorder : Obs.Recorder.t;
   shards_ : shard_ctx array;
-      (* Always at least one: the unsharded controller is shard 0. *)
-  driver : Shard.Engine.t option;
-      (* Some iff cfg.shards: the run-queue multiplexer. *)
+      (* Always at least one: an unsharded controller runs one shard. *)
+  shard_engine : Shard.Engine.t;
+      (* The run-queue multiplexer every packet-in goes through. *)
   conn : waiter Shard.Conn_table.t option;
-      (* Some iff cfg.shards with coalesce: the per-host connection
-         table all shards share (it sits below them, on the wire side). *)
-  batch : Shard.Batch.t option;
-  send_sw : Msg.switch_id -> Msg.to_switch -> unit;
-      (* Flow-handling path to the dataplane: direct when unsharded,
-         through the per-tick batcher when sharded. *)
+      (* Some iff coalescing: the per-host connection table all shards
+         share (it sits below them, on the wire side). *)
+  batch : Shard.Batch.t;
+      (* Installs, releases and queries leave in per-tick passes. *)
   mutable src_port_matters : (int * bool) option;
       (* Per-epoch memo of Fastpath.env_matches_src_port. *)
   mutable trace_seq : int;
@@ -352,13 +349,8 @@ let coalesced_queries t =
 let wire_exchanges t =
   match t.conn with None -> 0 | Some ct -> Shard.Conn_table.started ct
 
-let batch_flushes t =
-  match t.batch with None -> 0 | Some b -> Shard.Batch.flushes b
-
-let shard_makespan t =
-  match t.driver with
-  | None -> Sim.Time.zero
-  | Some d -> Shard.Engine.makespan d
+let batch_flushes t = Shard.Batch.flushes t.batch
+let shard_makespan t = Shard.Engine.makespan t.shard_engine
 
 (* --- policy-driven interception (S3.4's undisclosed PF+=2 extensions,
    made concrete: `intercept query ... answer { ... }` and
@@ -417,7 +409,7 @@ let forward_toward t ~dpid ~dst_ip pkt =
       match Topo.next_hop (Net.topology t.network) ~from:dpid ~dst_host:host with
       | None -> ()
       | Some port ->
-          t.send_sw dpid
+          Shard.Batch.add t.batch dpid
             (Msg.Packet_out { Msg.out_packet = pkt; out_port = `Port port }))
 
 (* --- installing the verdict (Figure 1, step 4) --- *)
@@ -437,7 +429,7 @@ let install_path t flow =
           let hops = if t.cfg.install_along_path then hops else [ List.hd hops ] in
           List.iter
             (fun (dpid, _in_port, out_port) ->
-              t.send_sw dpid
+              Shard.Batch.add t.batch dpid
                 (Msg.add_flow ?idle_timeout:t.cfg.entry_idle_timeout
                    ~fields:(Openflow.Match_fields.of_five_tuple flow)
                    [ Openflow.Action.Output out_port ]))
@@ -446,7 +438,7 @@ let install_path t flow =
   | _ -> false
 
 let install_drop t ~dpid flow =
-  t.send_sw dpid
+  Shard.Batch.add t.batch dpid
     (Msg.add_flow ?idle_timeout:t.cfg.entry_idle_timeout
        ~fields:(Openflow.Match_fields.of_five_tuple flow)
        Openflow.Action.drop)
@@ -457,7 +449,7 @@ let release_packets t packets =
      FIFO, so the entries are in place when the packets run. *)
   List.iter
     (fun (dpid, _in_port, pkt) ->
-      t.send_sw dpid
+      Shard.Batch.add t.batch dpid
         (Msg.Packet_out { Msg.out_packet = pkt; out_port = `Table }))
     (List.rev packets)
 
@@ -656,10 +648,9 @@ let fail_waiter t ~cause ~host w =
    delivery is posted — never run inline — so the global execution
    order is the join order whatever the shard count. *)
 let post_to_waiters t ws fn =
-  match t.driver with
-  | None -> List.iter fn ws
-  | Some d ->
-      List.iter (fun w -> Shard.Engine.post d ~shard:w.w_sid (fun () -> fn w)) ws
+  List.iter
+    (fun w -> Shard.Engine.post t.shard_engine ~shard:w.w_sid (fun () -> fn w))
+    ws
 
 (* --- querying daemons (Figure 1, step 3) --- *)
 
@@ -705,7 +696,7 @@ let wire_send ?trace ?nonce t sx ~(flow : Five_tuple.t) ~target_ip ~reply_to
         ]);
   match attachment.Topo.node with
   | Topo.Sw dpid ->
-      t.send_sw dpid
+      Shard.Batch.add t.batch dpid
         (Msg.Packet_out
            { Msg.out_packet = pkt; out_port = `Port attachment.Topo.port })
   | Topo.Host _ -> ()
@@ -823,8 +814,8 @@ let start_flow t sx ~dpid ~in_port pkt (flow : Five_tuple.t) =
         ]
       in
       let attrs =
-        (* The owning shard, when the sharded engine is driving. *)
-        if Option.is_none t.driver then attrs
+        (* The owning shard, when sharding was asked for. *)
+        if Option.is_none t.cfg.shards then attrs
         else attrs @ [ ("shard", string_of_int sx.sid) ]
       in
       let sp = Obs.Span.start t.spans ~at:now_s ~sampled ~attrs "flow-setup" in
@@ -845,7 +836,7 @@ let start_flow t sx ~dpid ~in_port pkt (flow : Five_tuple.t) =
       Obs.Span.set_attr sp "decision" "pass"
     end;
     if install_path t flow then
-      t.send_sw dpid
+      Shard.Batch.add t.batch dpid
         (Msg.Packet_out { Msg.out_packet = pkt; out_port = `Table });
     Obs.Span.finish t.spans ~at:now_s sp
   end
@@ -910,19 +901,13 @@ let start_flow t sx ~dpid ~in_port pkt (flow : Five_tuple.t) =
           ~packets:[ (dpid, in_port, pkt) ]
           ~src ~dst verdict
     | _ ->
-    let timeout_handle = ref None in
-    (* Sharded, the timer posts into the owning shard's mailbox, so
-       timeout handling serialises with the shard's other work (and
-       its installs ride the same batched pass). *)
+    let timeout_handle = ref ignore in
+    (* The timer posts into the owning shard's mailbox, so timeout
+       handling serialises with the shard's other work (and its installs
+       ride the same batched pass). *)
     let arm_timeout () =
-      let fire () = match !timeout_handle with Some f -> f () | None -> () in
-      match t.driver with
-      | None ->
-          Sim.Engine.schedule_cancellable (Net.engine t.network)
-            ~delay:t.cfg.query_timeout fire
-      | Some d ->
-          Shard.Engine.post_after d ~shard:sx.sid ~delay:t.cfg.query_timeout
-            fire
+      Shard.Engine.post_after t.shard_engine ~shard:sx.sid
+        ~delay:t.cfg.query_timeout (fun () -> !timeout_handle ())
     in
     let p =
       {
@@ -1031,7 +1016,6 @@ let start_flow t sx ~dpid ~in_port pkt (flow : Five_tuple.t) =
         ~qn:2
     in
     timeout_handle :=
-      Some
         (fun () ->
           match Flow_tbl.find_opt sx.s_pending flow with
           | Some p' when p' == p ->
@@ -1073,13 +1057,10 @@ let start_flow t sx ~dpid ~in_port pkt (flow : Five_tuple.t) =
                       (* Propagate the trip to every other shard's
                          breaker — an explicit cross-shard message, so
                          the whole controller fails fast on this host. *)
-                      match t.driver with
-                      | Some d ->
-                          Shard.Engine.broadcast d (fun osid ->
-                              if osid <> sx.sid then
-                                Fastpath.note_breaker_open
-                                  t.shards_.(osid).s_fp ~now ip)
-                      | None -> ()
+                      Shard.Engine.broadcast t.shard_engine (fun osid ->
+                          if osid <> sx.sid then
+                            Fastpath.note_breaker_open t.shards_.(osid).s_fp
+                              ~now ip)
                     end;
                     if Obs.Span.is_live qspan then begin
                       Obs.Span.set_attr qspan "outcome" "timeout";
@@ -1227,10 +1208,7 @@ let deliver_to_waiter t ~dtrace response w =
       end
 
 (* The shard owning [flow]'s pending entry: where its packet-ins run. *)
-let owner t flow =
-  match t.driver with
-  | None -> t.shards_.(0)
-  | Some d -> t.shards_.(Shard.Engine.shard_of_flow d flow)
+let owner t flow = t.shards_.(Shard.Engine.shard_of_flow t.shard_engine flow)
 
 (* The pending flow a daemon answer names. The daemon echoes the flow's
    proto and ports; [from_ip] is the answering end and [to_ip] the
@@ -1400,37 +1378,31 @@ let handle_packet_in t sx (pi : Msg.packet_in) cls =
           | Some p -> p.p_packets <- (pi.Msg.dpid, pi.Msg.in_port, pkt) :: p.p_packets
           | None -> start_flow t sx ~dpid:pi.Msg.dpid ~in_port:pi.Msg.in_port pkt flow))
 
-(* The sharded front-end: classify the packet-in once (pure) and post
-   the real work, with that classification, to the owning shard's run
-   queue. Data packets partition by flow-key hash; responses go to the
-   shard of the flow they name; foreign/transit traffic pins to shard
-   0. *)
-let dispatch_packet_in t d (pi : Msg.packet_in) =
-  let pkt = pi.Msg.packet in
-  let cls = Identxx.Wire.classify pkt in
-  let post sid =
-    Shard.Engine.post d ~shard:sid (fun () ->
-        handle_packet_in t t.shards_.(sid) pi cls)
-  in
-  match cls with
-  | Identxx.Wire.Response { from_ip; to_ip; response } ->
-      post
-        (match named_pending t ~from_ip ~to_ip response with
-        | Some p -> (owner t p.p_flow).sid
-        | None -> 0)
-  | Identxx.Wire.Query _ -> post 0
-  | Identxx.Wire.Not_identxx -> (
-      match Packet.five_tuple pkt with
-      | None -> ()
-      | Some flow -> post (Shard.Engine.shard_of_flow d flow))
-
+(* The front-end: classify the packet-in once (pure) and post the real
+   work, with that classification, to the owning shard's run queue.
+   Data packets partition by flow-key hash; responses go to the shard
+   of the flow they name (with one shard, straight to it);
+   foreign/transit traffic pins to shard 0. *)
 let handle_message t = function
   | Msg.Packet_in pi -> (
-      match t.driver with
-      | None ->
-          handle_packet_in t t.shards_.(0) pi
-            (Identxx.Wire.classify pi.Msg.packet)
-      | Some d -> dispatch_packet_in t d pi)
+      let pkt = pi.Msg.packet in
+      let cls = Identxx.Wire.classify pkt in
+      let post sid =
+        Shard.Engine.post t.shard_engine ~shard:sid (fun () ->
+            handle_packet_in t t.shards_.(sid) pi cls)
+      in
+      match cls with
+      | Identxx.Wire.Response _ when Array.length t.shards_ = 1 -> post 0
+      | Identxx.Wire.Response { from_ip; to_ip; response } ->
+          post
+            (match named_pending t ~from_ip ~to_ip response with
+            | Some p -> (owner t p.p_flow).sid
+            | None -> 0)
+      | Identxx.Wire.Query _ -> post 0
+      | Identxx.Wire.Not_identxx -> (
+          match Packet.five_tuple pkt with
+          | None -> ()
+          | Some flow -> post (Shard.Engine.shard_of_flow t.shard_engine flow)))
   | Msg.Stats_reply reply ->
       t.last_stats <- (reply.Msg.st_dpid, reply) :: List.remove_assq reply.Msg.st_dpid t.last_stats
 
@@ -1462,16 +1434,7 @@ let sync_precompiled t =
         List.iter
           (fun dpid ->
             Net.send_to_switch t.network dpid
-              (Msg.Flow_mod
-                 {
-                   Msg.command = Msg.Delete_strict;
-                   fields;
-                   priority = precompiled_priority;
-                   actions = [];
-                   idle_timeout = None;
-                   hard_timeout = None;
-                   cookie = 0;
-                 }))
+              (Msg.delete_strict ~priority:precompiled_priority ~fields))
           switches)
     t.precompiled;
   List.iter
@@ -1516,54 +1479,6 @@ let proactive_guards =
     };
   ]
 
-(* The (forward, reverse) flow spaces of every keep-state pass rule.
-   Both demote compiled entries overlapping them to punts:
-
-   - A {e pass} entry overlapping the forward space must punt, because
-     statically forwarding the connection's first packet would skip the
-     controller and never record connection state ([start_flow]) — the
-     reply would then be blocked where the reactive baseline admits it.
-     Stateful regions are inherently reactive; only their first packet
-     pays the round-trip.
-   - A {e block} entry overlapping the reverse space must punt, because
-     a reply in that space may be readmitted by connection state even
-     though the ruleset statically blocks it (state matching precedes
-     the ruleset).
-
-   [Fdd.Space.of_rule] over-approximates conditional rules, which errs
-   toward punting — slower, never wrong. The reverse space is the same
-   rules with source and destination swapped. *)
-let state_spaces env =
-  let space = Analysis.Fdd.Space.of_rule ~lookup:(Pf.Env.table env) in
-  List.fold_left
-    (fun (fwd, rev) (r : Pf.Ast.rule) ->
-      if r.Pf.Ast.keep_state && r.Pf.Ast.action = Pf.Ast.Pass then
-        ( Analysis.Fdd.Space.union fwd (space r),
-          Analysis.Fdd.Space.union rev
-            (space { r with Pf.Ast.from_ = r.Pf.Ast.to_; to_ = r.Pf.Ast.from_ }) )
-      else (fwd, rev))
-    (Analysis.Fdd.Space.empty, Analysis.Fdd.Space.empty)
-    (Pf.Env.rules env)
-
-(* Whether an entry's match meets a state space. Most policies keep no
-   state: the empty space answers without building the box. *)
-let meets_state space (m : Openflow.Match_fields.t) =
-  let field level f = function
-    | None -> (0, Analysis.Fdd.dim_top.(level))
-    | Some v -> f v
-  in
-  let point v = (v, v) in
-  let prefix p = (Ipv4.to_int (Prefix.first p), Ipv4.to_int (Prefix.last p)) in
-  (not (Analysis.Fdd.Space.is_empty space))
-  && Analysis.Fdd.Space.overlaps_box space
-       [|
-         field 0 (fun p -> point (Proto.to_int p)) m.Openflow.Match_fields.nw_proto;
-         field 1 prefix m.Openflow.Match_fields.nw_src;
-         field 2 prefix m.Openflow.Match_fields.nw_dst;
-         field 3 point m.Openflow.Match_fields.tp_src;
-         field 4 point m.Openflow.Match_fields.tp_dst;
-       |]
-
 (* A destination a pass entry specialises to: the host's address, the
    /32 that names it, and the actions that reach it from one switch. *)
 type host_route = {
@@ -1607,17 +1522,17 @@ let host_routes t ~dpid hosts =
    the reactive behaviour. Block entries drop in hardware unless their
    space overlaps the keep-state reverse space, and pass entries punt
    where they overlap the keep-state forward space (see
-   [state_spaces]). *)
+   {!Precompile.state_spaces}). *)
 let lower_entry ~routes ~state:(state_fwd, state_rev) (e : Compiler.entry) =
   let fields = e.Compiler.e_fields and prio = e.Compiler.e_priority in
   let punt = (fields, prio, [ Openflow.Action.To_controller ]) in
   match e.Compiler.e_decision with
   | Compiler.Punt -> [ punt ]
   | Compiler.Decide Pf.Ast.Block ->
-      if meets_state state_rev fields then [ punt ]
+      if Precompile.meets_state state_rev fields then [ punt ]
       else [ (fields, prio, Openflow.Action.drop) ]
   | Compiler.Decide Pf.Ast.Pass
-    when meets_state state_fwd fields ->
+    when Precompile.meets_state state_fwd fields ->
       [ punt ]
   | Compiler.Decide Pf.Ast.Pass ->
       let specials =
@@ -1645,7 +1560,7 @@ let sync_proactive ?(force = false) t =
       match Policy_store.env t.policy with
       | Ok env ->
           (Some (Analysis.Fdd.compile ~default:t.cfg.default env),
-           state_spaces env)
+           Precompile.state_spaces env)
       | Error _ -> (None, (Analysis.Fdd.Space.empty, Analysis.Fdd.Space.empty))
     in
     let cur =
@@ -1691,16 +1606,7 @@ let sync_proactive ?(force = false) t =
             List.iter
               (fun (fields, priority, _) ->
                 Net.send_to_switch t.network dpid
-                  (Msg.Flow_mod
-                     {
-                       Msg.command = Msg.Delete_strict;
-                       fields;
-                       priority;
-                       actions = [];
-                       idle_timeout = None;
-                       hard_timeout = None;
-                       cookie = 0;
-                     }))
+                  (Msg.delete_strict ~priority ~fields))
               (lower_entry ~routes:every_host ~state:t.proactive_state e))
           d.Compiler.d_del;
         let adds =
@@ -1856,47 +1762,25 @@ let create ?(config = default_config) ?keystore ?functions ?obs ?spans
     match spans with Some s -> s | None -> Obs.Span.create ~enabled:false ()
   in
   let labels = [ ("controller", string_of_int id) ] in
-  (* One shard context (the unsharded sequential path) unless
-     config.shards asks for more. *)
-  let nshards, sharded =
-    match config.shards with
-    | None -> (1, false)
-    | Some s ->
-        if s.shard_count < 1 then invalid_arg "Controller.create: shards < 1";
-        (s.shard_count, true)
-  in
+  (* No shard config means one shard without coalescing; the shard
+     label, span attribute and shard series appear only when sharding
+     was asked for. *)
+  let show_shards = Option.is_some config.shards in
+  let sc = Option.value config.shards ~default:(sharded ~coalesce:false 1) in
   let shard_labels sid =
-    if sharded then labels @ [ ("shard", string_of_int sid) ] else labels
+    if show_shards then labels @ [ ("shard", string_of_int sid) ] else labels
   in
-  let driver =
-    match config.shards with
-    | None -> None
-    | Some s ->
-        Some
-          (Shard.Engine.create ~service:s.shard_service ~shards:nshards
-             (Net.engine network))
+  let shard_engine =
+    Shard.Engine.create ~service:sc.shard_service ~shards:sc.shard_count
+      (Net.engine network)
   in
-  let conn =
-    match config.shards with
-    | Some s when s.coalesce -> Some (Shard.Conn_table.create ())
-    | _ -> None
-  in
+  let conn = if sc.coalesce then Some (Shard.Conn_table.create ()) else None in
   let batch =
-    match config.shards with
-    | None -> None
-    | Some _ ->
-        Some
-          (Shard.Batch.create
-             ~engine:(Net.engine network)
-             ~send:(Net.send_to_switch network) ())
-  in
-  let send_sw =
-    match batch with
-    | Some b -> Shard.Batch.add b
-    | None -> Net.send_to_switch network
+    Shard.Batch.create ~engine:(Net.engine network)
+      ~send:(Net.send_to_switch network) ()
   in
   let shards_ =
-    Array.init nshards (fun sid ->
+    Array.init sc.shard_count (fun sid ->
         {
           sid;
           s_pending = Flow_tbl.create 64;
@@ -1921,10 +1805,9 @@ let create ?(config = default_config) ?keystore ?functions ?obs ?spans
       spans;
       recorder;
       shards_;
-      driver;
+      shard_engine;
       conn;
       batch;
-      send_sw;
       src_port_matters = None;
       trace_seq = 0;
       last_stats = [];
@@ -1971,12 +1854,10 @@ let create ?(config = default_config) ?keystore ?functions ?obs ?spans
   Array.iter
     (fun sx -> Fastpath.register_metrics sx.s_fp ~labels:(shard_labels sx.sid) obs)
     t.shards_;
-  (match driver with
-  | Some d -> Shard.Engine.register_metrics d ~labels obs
-  | None -> ());
-  (match batch with
-  | Some b -> Shard.Batch.register_metrics b ~labels obs
-  | None -> ());
+  if show_shards then begin
+    Shard.Engine.register_metrics shard_engine ~labels obs;
+    Shard.Batch.register_metrics batch ~labels obs
+  end;
   (match conn with
   | Some ct ->
       Obs.Registry.counter_fn obs

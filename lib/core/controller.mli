@@ -78,12 +78,13 @@ type config = {
           reaches the controller. Off by default (the paper's purely
           reactive Figure-1 exchange). See DESIGN.md §11. *)
   shards : shard_config option;
-      (** [Some s] partitions flow setup across [s.shard_count] run
-          queues by flow-key hash, multiplexes daemon connections with
-          query coalescing, and batches flow-mod installs per tick.
-          [None] (the default) is one sequential loop with no run
-          queues, connection table or batching; both pair daemon
-          answers the same way. See DESIGN.md §12. *)
+      (** Every controller runs flow setup on the shard engine: run
+          queues by flow-key hash, flow-mod installs batched per tick.
+          [Some s] asks for [s.shard_count] shards, with query
+          coalescing when [s.coalesce], and labels per-shard metrics
+          and spans with their shard. [None] (the default) is exactly
+          one shard without coalescing, and adds no shard label, span
+          attribute or [identxx_shard_*] series. See DESIGN.md §12. *)
 }
 
 val default_config : config
@@ -144,7 +145,7 @@ val recorder : t -> Obs.Recorder.t
 
 val fastpath : t -> Fastpath.t
 (** Shard 0's fast-path state (caches and breaker) — the whole
-    controller's when unsharded; mostly for tests and tooling. Counters
+    controller's with one shard; mostly for tests and tooling. Counters
     also surface through {!stats}, which aggregates all shards. *)
 
 val shard_count : t -> int
@@ -260,19 +261,19 @@ val stats : t -> stats
 
 val coalesced_queries : t -> int
 (** Duplicate in-flight queries absorbed by connection-table coalescing
-    (0 when unsharded or coalescing is off). *)
+    (0 when coalescing is off). *)
 
 val wire_exchanges : t -> int
 (** Wire query exchanges actually begun by the connection table (0 when
-    unsharded or coalescing is off). *)
+    coalescing is off). *)
 
 val batch_flushes : t -> int
-(** Batched install flushes performed (0 when unsharded). *)
+(** Batched install flushes performed. *)
 
 val shard_makespan : t -> Sim.Time.t
 (** Latest simulated completion time across all shard run queues — the
     parallel-makespan figure the throughput benchmark divides flows by.
-    [Sim.Time.zero] when unsharded or with zero service time. *)
+    With zero service time, the time of the latest post. *)
 
 (** {2 Flow monitoring} *)
 

@@ -71,6 +71,37 @@ let matches_of_rule env (rule : Pf.Ast.rule) =
         dsts)
     srcs
 
+let state_spaces env =
+  let space = Analysis.Fdd.Space.of_rule ~lookup:(Pf.Env.table env) in
+  List.fold_left
+    (fun (fwd, rev) (r : Pf.Ast.rule) ->
+      if r.Pf.Ast.keep_state && r.Pf.Ast.action = Pf.Ast.Pass then
+        ( Analysis.Fdd.Space.union fwd (space r),
+          Analysis.Fdd.Space.union rev
+            (space { r with Pf.Ast.from_ = r.Pf.Ast.to_; to_ = r.Pf.Ast.from_ }) )
+      else (fwd, rev))
+    (Analysis.Fdd.Space.empty, Analysis.Fdd.Space.empty)
+    (Pf.Env.rules env)
+
+(* Most policies keep no state: the empty space answers without
+   building the box. *)
+let meets_state space (m : MF.t) =
+  let field level f = function
+    | None -> (0, Analysis.Fdd.dim_top.(level))
+    | Some v -> f v
+  in
+  let point v = (v, v) in
+  let prefix p = (Ipv4.to_int (Prefix.first p), Ipv4.to_int (Prefix.last p)) in
+  (not (Analysis.Fdd.Space.is_empty space))
+  && Analysis.Fdd.Space.overlaps_box space
+       [|
+         field 0 (fun p -> point (Proto.to_int p)) m.MF.nw_proto;
+         field 1 prefix m.MF.nw_src;
+         field 2 prefix m.MF.nw_dst;
+         field 3 point m.MF.tp_src;
+         field 4 point m.MF.tp_dst;
+       |]
+
 (* A compilable [block quick] rule is safe to offload as a dataplane
    drop iff no earlier non-compilable quick rule can decide one of its
    flows differently first. Rule order gives the precise condition: the
@@ -80,9 +111,14 @@ let matches_of_rule env (rule : Pf.Ast.rule) =
    conditional rules, so disjointness is conservative. This generalizes
    the old "stop at the first non-compilable quick rule" cutoff: a
    network-only block behind an unrelated informational quick rule now
-   still offloads. *)
+   still offloads.
+
+   State matching precedes the ruleset: a drop meeting the keep-state
+   reverse space would sit above the entries a reply needs, so it is
+   withheld. *)
 let drop_matches env =
   let space = Analysis.Fdd.Space.of_rule ~lookup:(Pf.Env.table env) in
+  let _, replies = state_spaces env in
   let rec go blockers = function
     | [] -> []
     | (rule : Pf.Ast.rule) :: rest ->
@@ -90,7 +126,11 @@ let drop_matches env =
         else if compilable_rule env rule then
           if Analysis.Fdd.Space.overlaps (space rule) blockers then
             go blockers rest
-          else matches_of_rule env rule @ go blockers rest
+          else
+            List.filter
+              (fun m -> not (meets_state replies m))
+              (matches_of_rule env rule)
+            @ go blockers rest
         else go (Analysis.Fdd.Space.union blockers (space rule)) rest
   in
   go Analysis.Fdd.Space.empty (Pf.Env.rules env)

@@ -32,7 +32,19 @@ val max_range_expansion : int
 
 val drop_matches : Pf.Env.t -> Openflow.Match_fields.t list
 (** The match fields to install as maximum-priority drop entries. Table
-    references expand to the cross product of their prefixes. *)
+    references expand to the cross product of their prefixes. A drop
+    that meets the keep-state reverse space ({!state_spaces}) is
+    withheld: state matching precedes the ruleset, so a reply that keep
+    state admits must not meet a drop above its reverse entries. *)
+
+val state_spaces : Pf.Env.t -> Analysis.Fdd.Space.t * Analysis.Fdd.Space.t
+(** The (forward, reverse) flow spaces of the keep-state pass rules,
+    over-approximated. A pass entry meeting the forward space must punt
+    (the controller records the state); a drop meeting the reverse space
+    must not sit above the replies keep state admits. *)
+
+val meets_state : Analysis.Fdd.Space.t -> Openflow.Match_fields.t -> bool
+(** Whether an entry's match meets a state space. *)
 
 val compilable_rule : Pf.Env.t -> Pf.Ast.rule -> bool
 (** Whether a single rule satisfies the per-rule conditions above

@@ -308,19 +308,19 @@ let remove_matching t ~fields =
 let expire t ~now =
   let now_ns = Sim.Time.to_ns now in
   let rec go n =
-    match Sim.Heap.peek t.deadlines with
-    | Some (bound, s) when now_ns > bound -> (
-        ignore (Sim.Heap.pop t.deadlines);
-        if not s.alive then go n
-        else
-          match deadline_of s.entry with
-          | Some d when now_ns > d ->
-              drop_slot t s;
-              go (n + 1)
-          | Some _ | None ->
-              push_deadline t s;
-              go n)
-    | Some _ | None -> n
+    if Sim.Heap.is_empty t.deadlines || now_ns <= Sim.Heap.min_key t.deadlines
+    then n
+    else
+      let s = Sim.Heap.take t.deadlines in
+      if not s.alive then go n
+      else
+        match deadline_of s.entry with
+        | Some d when now_ns > d ->
+            drop_slot t s;
+            go (n + 1)
+        | Some _ | None ->
+            push_deadline t s;
+            go n
   in
   let evicted = go 0 in
   compact t;

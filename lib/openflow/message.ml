@@ -55,17 +55,20 @@ let add_flow ?(priority = 0x8000) ?idle_timeout ?hard_timeout ?(cookie = 0)
   Flow_mod
     { command = Add; fields; priority; actions; idle_timeout; hard_timeout; cookie }
 
-let delete_flow ~fields =
+let delete command ~priority ~fields =
   Flow_mod
     {
-      command = Delete;
+      command;
       fields;
-      priority = 0;
+      priority;
       actions = [];
       idle_timeout = None;
       hard_timeout = None;
       cookie = 0;
     }
+
+let delete_flow ~fields = delete Delete ~priority:0 ~fields
+let delete_strict ~priority ~fields = delete Delete_strict ~priority ~fields
 
 let pp_to_controller ppf = function
   | Packet_in p ->

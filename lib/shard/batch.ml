@@ -3,65 +3,108 @@
    switch. Per-dpid arrival order is preserved (the control channel is
    FIFO, and release depends on flow-mods landing before the table-
    lookup packet-out); switches flush in ascending dpid order so the
-   pass is canonical regardless of which shard queued what. *)
+   pass is canonical regardless of which shard queued what.
+
+   Messages are grouped as they arrive, into per-switch arrays kept
+   across ticks in dpid order, so a tick that touches switches already
+   seen allocates nothing here. *)
+
+module Msg = Openflow.Message
+
+(* One switch's messages for the current tick, in arrival order. *)
+type group = {
+  dpid : Msg.switch_id;
+  mutable msgs : Msg.to_switch array;
+  mutable len : int;
+}
 
 type t = {
   engine : Sim.Engine.t;
-  send : Openflow.Message.switch_id -> Openflow.Message.to_switch -> unit;
-  mutable buffer : (Openflow.Message.switch_id * Openflow.Message.to_switch) list;
-      (* reverse arrival order *)
+  send : Msg.switch_id -> Msg.to_switch -> unit;
+  mutable groups : group array; (* one per switch seen, ascending dpid *)
   mutable buffered : int;
   mutable scheduled : bool;
   mutable flushes : int;
   mutable batched : int;
   mutable h_size : Obs.Registry.Histogram.t option;
+  mutable flush_event : unit -> unit; (* [flush t], built once *)
 }
 
-let create ~engine ~send () =
-  {
-    engine;
-    send;
-    buffer = [];
-    buffered = 0;
-    scheduled = false;
-    flushes = 0;
-    batched = 0;
-    h_size = None;
-  }
+(* Fills released slots, so a flushed message is not kept alive. *)
+let vacant = Msg.Barrier
 
 let flush t =
   t.scheduled <- false;
-  if t.buffer <> [] then begin
-    let msgs = List.rev t.buffer in
-    t.buffer <- [];
+  if t.buffered > 0 then begin
     t.buffered <- 0;
     t.flushes <- t.flushes + 1;
-    (* Group per switch, preserving per-dpid arrival order; emit groups
-       in ascending dpid order. *)
-    let dpids =
-      List.sort_uniq compare (List.map fst msgs)
-    in
-    List.iter
-      (fun dpid ->
-        let group = List.filter (fun (d, _) -> d = dpid) msgs in
+    for r = 0 to Array.length t.groups - 1 do
+      let g = t.groups.(r) in
+      if g.len > 0 then begin
         (match t.h_size with
-        | Some h ->
-            Obs.Registry.Histogram.observe h (float_of_int (List.length group))
+        | Some h -> Obs.Registry.Histogram.observe h (float_of_int g.len)
         | None -> ());
-        List.iter
-          (fun (_, msg) ->
-            t.batched <- t.batched + 1;
-            t.send dpid msg)
-          group)
-      dpids
+        for i = 0 to g.len - 1 do
+          t.batched <- t.batched + 1;
+          t.send g.dpid g.msgs.(i);
+          g.msgs.(i) <- vacant
+        done;
+        g.len <- 0
+      end
+    done
+  end
+
+let create ~engine ~send () =
+  let t =
+    {
+      engine;
+      send;
+      groups = [||];
+      buffered = 0;
+      scheduled = false;
+      flushes = 0;
+      batched = 0;
+      h_size = None;
+      flush_event = ignore;
+    }
+  in
+  t.flush_event <- (fun () -> flush t);
+  t
+
+(* The first index in [groups.(lo..hi-1)] whose dpid is at least
+   [dpid]. *)
+let rec search groups dpid lo hi =
+  if lo >= hi then lo
+  else
+    let mid = (lo + hi) / 2 in
+    if groups.(mid).dpid < dpid then search groups dpid (mid + 1) hi
+    else search groups dpid lo mid
+
+(* [dpid]'s group; a new switch's group is entered in dpid order. *)
+let group_of t dpid =
+  let n = Array.length t.groups in
+  let i = search t.groups dpid 0 n in
+  if i < n && t.groups.(i).dpid = dpid then t.groups.(i)
+  else begin
+    let g = { dpid; msgs = Array.make 4 vacant; len = 0 } in
+    t.groups <-
+      Array.concat [ Array.sub t.groups 0 i; [| g |]; Array.sub t.groups i (n - i) ];
+    g
   end
 
 let add t dpid msg =
-  t.buffer <- (dpid, msg) :: t.buffer;
+  let g = group_of t dpid in
+  if g.len = Array.length g.msgs then begin
+    let grown = Array.make (2 * g.len) vacant in
+    Array.blit g.msgs 0 grown 0 g.len;
+    g.msgs <- grown
+  end;
+  g.msgs.(g.len) <- msg;
+  g.len <- g.len + 1;
   t.buffered <- t.buffered + 1;
   if not t.scheduled then begin
     t.scheduled <- true;
-    Sim.Engine.schedule t.engine ~delay:Sim.Time.zero (fun () -> flush t)
+    Sim.Engine.schedule t.engine ~delay:Sim.Time.zero t.flush_event
   end
 
 let pending t = t.buffered

@@ -1,4 +1,4 @@
-(** The per-tick install batcher. In the sharded controller, flow-mod
+(** The per-tick install batcher. In the controller, flow-mod
     installs and packet releases produced while one simulated instant
     drains are not sent switch-by-switch as they occur: they accumulate
     here and flush as {e one batched install pass per switch} at the
@@ -18,6 +18,8 @@ val create :
   engine:Sim.Engine.t ->
   send:(Openflow.Message.switch_id -> Openflow.Message.to_switch -> unit) ->
   unit -> t
+(** [send] delivers one message of a flush; it must not call {!add} on
+    the same batcher. *)
 
 val add : t -> Openflow.Message.switch_id -> Openflow.Message.to_switch -> unit
 (** Queue a message for the tick's pass; the first [add] of a tick

@@ -15,73 +15,84 @@ type shard = {
   queue : (unit -> unit) Queue.t;
   mutable busy_until : Sim.Time.t;
   mutable drained : int;
+  mutable drain : unit -> unit;
+      (* Runs the shard's next message: built once, scheduled per post. *)
 }
 
 type t = {
   engine : Sim.Engine.t;
   shards : shard array;
   service : Sim.Time.t;
-  mutable current : int option;
+  mutable current : int; (* the executing shard; -1 outside any *)
   mutable posted : int;
   mutable cross : int;
 }
 
 let zero = Sim.Time.zero
 
+(* Run [fn] as shard [sid], restoring the executing shard afterwards,
+   also when [fn] raises. *)
+let run_as t sid fn arg =
+  let prev = t.current in
+  t.current <- sid;
+  match fn arg with
+  | () -> t.current <- prev
+  | exception e ->
+      let bt = Printexc.get_raw_backtrace () in
+      t.current <- prev;
+      Printexc.raise_with_backtrace e bt
+
+let drain_one t sh () =
+  if not (Queue.is_empty sh.queue) then begin
+    let fn = Queue.take sh.queue in
+    sh.drained <- sh.drained + 1;
+    run_as t sh.sid fn ()
+  end
+
 let create ?(service = zero) ~shards engine =
   if shards < 1 then invalid_arg "Shard.Engine.create: shards must be >= 1";
-  {
-    engine;
-    shards =
-      Array.init shards (fun sid ->
-          { sid; queue = Queue.create (); busy_until = zero; drained = 0 });
-    service;
-    current = None;
-    posted = 0;
-    cross = 0;
-  }
-
-let shard_count t = Array.length t.shards
-let service t = t.service
-let current t = t.current
+  let t =
+    {
+      engine;
+      shards =
+        Array.init shards (fun sid ->
+            {
+              sid;
+              queue = Queue.create ();
+              busy_until = zero;
+              drained = 0;
+              drain = ignore;
+            });
+      service;
+      current = -1;
+      posted = 0;
+      cross = 0;
+    }
+  in
+  Array.iter (fun sh -> sh.drain <- drain_one t sh) t.shards;
+  t
 
 let shard_of_flow t flow =
   Netcore.Five_tuple.hash flow mod Array.length t.shards
 
-let drain_one t sh () =
-  match Queue.take_opt sh.queue with
-  | None -> ()
-  | Some fn ->
-      let prev = t.current in
-      t.current <- Some sh.sid;
-      sh.drained <- sh.drained + 1;
-      Fun.protect ~finally:(fun () -> t.current <- prev) fn
-
 let post t ~shard fn =
   let sh = t.shards.(shard) in
   t.posted <- t.posted + 1;
-  (match t.current with
-  | Some from when from <> shard -> t.cross <- t.cross + 1
-  | _ -> ());
+  if t.current >= 0 && t.current <> shard then t.cross <- t.cross + 1;
   let at = Sim.Time.max (Sim.Engine.now t.engine) sh.busy_until in
   sh.busy_until <- Sim.Time.add at t.service;
   Queue.push fn sh.queue;
-  Sim.Engine.schedule_at t.engine ~at (drain_one t sh)
+  Sim.Engine.schedule_at t.engine ~at sh.drain
 
 let post_after t ~shard ~delay fn =
   Sim.Engine.schedule_cancellable t.engine ~delay (fun () ->
       post t ~shard fn)
 
 let broadcast t fn =
-  let from = t.current in
   Array.iter
     (fun sh ->
-      (match from with
-      | Some f when f = sh.sid -> ()
-      | _ -> t.cross <- t.cross + 1);
-      let prev = t.current in
-      t.current <- Some sh.sid;
-      Fun.protect ~finally:(fun () -> t.current <- prev) (fun () -> fn sh.sid))
+      if t.current <> sh.sid then t.cross <- t.cross + 1;
+      run_as t sh.sid fn sh.sid)
     t.shards
 
 let queue_depth t sid = Queue.length t.shards.(sid).queue

@@ -1,11 +1,11 @@
 (** N deterministic shard run queues multiplexed onto one
-    {!Sim.Engine} heap — the concurrency model for the sharded
-    controller (DESIGN.md §12).
+    {!Sim.Engine} heap — the concurrency model of every controller's
+    flow setup (DESIGN.md §12).
 
     Each shard is modelled as a sim process with its own mailbox:
     {!post} enqueues a message and schedules its execution at
     [max(now, busy_until)], advancing the shard's [busy_until] by the
-    per-message {!service} time. Two regimes fall out:
+    per-message service time. Two regimes fall out:
 
     - [service = 0] (default): every message executes at the simulated
       instant it was posted, in global post order (the sim heap is
@@ -24,17 +24,10 @@ val create : ?service:Sim.Time.t -> shards:int -> Sim.Engine.t -> t
     {!Sim.Time.zero}).
     @raise Invalid_argument when [shards < 1]. *)
 
-val shard_count : t -> int
-val service : t -> Sim.Time.t
-
 val shard_of_flow : t -> Netcore.Five_tuple.t -> int
 (** The owning shard for a flow: [Five_tuple.hash mod shard_count].
     Deterministic, direction-sensitive — a daemon response is routed
     to the owner by hashing the flow it names. *)
-
-val current : t -> int option
-(** The shard whose message is executing right now, if any — lets
-    reentrant posts count as cross-shard traffic. *)
 
 val post : t -> shard:int -> (unit -> unit) -> unit
 (** Append a message to the shard's mailbox. It runs at

@@ -20,38 +20,34 @@ let schedule_cancellable t ~delay action =
 let cancel ev = ev.cancelled <- true
 let pending t = Heap.size t.queue
 
+(* Dispatch the heap's first event. Reads the key in place and takes
+   the value, so a dispatch allocates nothing of its own. *)
+let dispatch t =
+  let at = Heap.min_key t.queue in
+  let ev = Heap.take t.queue in
+  (* Cancelled events are reaped without advancing the clock — time
+     only moves when something actually happens. *)
+  if not ev.cancelled then begin
+    t.clock <- Time.ns at;
+    ev.action ()
+  end
+
 let step t =
-  match Heap.pop t.queue with
-  | None -> false
-  | Some (at, ev) ->
-      (* Cancelled events are reaped without advancing the clock — time
-         only moves when something actually happens. *)
-      if not ev.cancelled then begin
-        t.clock <- Time.ns at;
-        ev.action ()
-      end;
-      true
+  let live = not (Heap.is_empty t.queue) in
+  if live then dispatch t;
+  live
 
 let run ?until ?max_events t =
+  let deadline = match until with Some u -> Time.to_ns u | None -> max_int in
+  let budget = match max_events with Some m -> m | None -> max_int in
   let dispatched = ref 0 in
-  let continue = ref true in
-  while !continue do
-    match Heap.peek t.queue with
-    | None -> continue := false
-    | Some (at, _) ->
-        let past_deadline =
-          match until with
-          | Some u -> at > Time.to_ns u
-          | None -> false
-        in
-        let over_budget =
-          match max_events with Some m -> !dispatched >= m | None -> false
-        in
-        if past_deadline || over_budget then continue := false
-        else begin
-          ignore (step t);
-          incr dispatched
-        end
+  while
+    (not (Heap.is_empty t.queue))
+    && Heap.min_key t.queue <= deadline
+    && !dispatched < budget
+  do
+    dispatch t;
+    incr dispatched
   done
 
 let reset t =

@@ -42,34 +42,40 @@ let push h ~key value =
     i := parent
   done
 
-let peek h = if h.len = 0 then None else Some (h.data.(0).key, h.data.(0).value)
+let min_key h =
+  if h.len = 0 then invalid_arg "Heap.min_key: empty heap";
+  h.data.(0).key
+
+let take h =
+  if h.len = 0 then invalid_arg "Heap.take: empty heap";
+  let top = h.data.(0) in
+  h.len <- h.len - 1;
+  if h.len > 0 then begin
+    h.data.(0) <- h.data.(h.len);
+    (* sift down *)
+    let i = ref 0 in
+    let continue = ref true in
+    while !continue do
+      let l = (2 * !i) + 1 and r = (2 * !i) + 2 in
+      let smallest = ref !i in
+      if l < h.len && less h.data.(l) h.data.(!smallest) then smallest := l;
+      if r < h.len && less h.data.(r) h.data.(!smallest) then smallest := r;
+      if !smallest = !i then continue := false
+      else begin
+        let tmp = h.data.(!smallest) in
+        h.data.(!smallest) <- h.data.(!i);
+        h.data.(!i) <- tmp;
+        i := !smallest
+      end
+    done
+  end;
+  top.value
 
 let pop h =
   if h.len = 0 then None
-  else begin
-    let top = h.data.(0) in
-    h.len <- h.len - 1;
-    if h.len > 0 then begin
-      h.data.(0) <- h.data.(h.len);
-      (* sift down *)
-      let i = ref 0 in
-      let continue = ref true in
-      while !continue do
-        let l = (2 * !i) + 1 and r = (2 * !i) + 2 in
-        let smallest = ref !i in
-        if l < h.len && less h.data.(l) h.data.(!smallest) then smallest := l;
-        if r < h.len && less h.data.(r) h.data.(!smallest) then smallest := r;
-        if !smallest = !i then continue := false
-        else begin
-          let tmp = h.data.(!smallest) in
-          h.data.(!smallest) <- h.data.(!i);
-          h.data.(!i) <- tmp;
-          i := !smallest
-        end
-      done
-    end;
-    Some (top.key, top.value)
-  end
+  else
+    let key = h.data.(0).key in
+    Some (key, take h)
 
 let clear h =
   h.data <- [||];

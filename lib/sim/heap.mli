@@ -8,8 +8,14 @@ val is_empty : 'a t -> bool
 val size : 'a t -> int
 val push : 'a t -> key:int -> 'a -> unit
 
-val peek : 'a t -> (int * 'a) option
-(** Smallest key, without removing. *)
+val min_key : 'a t -> int
+(** The smallest key, read in place: no allocation, nothing removed.
+    @raise Invalid_argument when the heap is empty. *)
+
+val take : 'a t -> 'a
+(** Remove the smallest-key entry and return its value, without
+    allocating; equal keys come out in insertion order.
+    @raise Invalid_argument when the heap is empty. *)
 
 val pop : 'a t -> (int * 'a) option
 (** Smallest key; equal keys come out in insertion order. *)

@@ -466,16 +466,27 @@ let test_precompile_disjoint_offload () =
      still offloaded when their flow-spaces are disjoint… *)
   let env =
     env_of
-      "pass quick from 10.0.0.0/8 to any with eq(@src[name], ssh) keep state\n\
+      "pass quick from 10.0.0.0/8 to any with eq(@src[name], ssh)\n\
        block quick from 192.168.0.0/16 to any\n\
        block all"
   in
   let drops = Identxx_core.Precompile.drop_matches env in
   Alcotest.(check bool) "disjoint blocker offloaded" true (drops <> []);
-  (* …but not when they overlap: the conditional rule may pass first. *)
+  (* …unless replies admitted by keep state would meet it: a reply from
+     192.168/16 to a 10/8 client whose flow kept state is readmitted
+     before the ruleset, so no drop may sit above its entries… *)
   let env =
     env_of
-      "pass quick from 192.168.0.0/24 to any with eq(@src[name], ssh) keep state\n\
+      "pass quick from 10.0.0.0/8 to any with eq(@src[name], ssh) keep state\n\
+       block quick from 192.168.0.0/16 to any\n\
+       block all"
+  in
+  Alcotest.(check int) "drop meeting keep-state replies withheld" 0
+    (List.length (Identxx_core.Precompile.drop_matches env));
+  (* …and not when they overlap: the conditional rule may pass first. *)
+  let env =
+    env_of
+      "pass quick from 192.168.0.0/24 to any with eq(@src[name], ssh)\n\
        block quick from 192.168.0.0/16 to any\n\
        block all"
   in

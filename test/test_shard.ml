@@ -183,20 +183,23 @@ let stats_t =
         st.C.responses_received st.C.query_timeouts)
     ( = )
 
+(* One scenario run under each shard configuration: each run's audit
+   trail, aggregated stats, delivery counts and pending flows. *)
+let oracle_runs run configs =
+  List.map
+    (fun shards ->
+      let c, net = run shards in
+      ( Format.asprintf "%a" Audit.pp (C.audit c),
+        C.stats c,
+        (Net.delivered net, Net.dropped net, Net.packet_ins net),
+        C.pending_count c ))
+    configs
+
 (* Run the burst under each shard configuration and require every run
    to match the first: byte-identical audit trail, identical aggregated
    stats, identical delivery counts, nothing left pending. *)
 let burst_oracle configs =
-  let runs =
-    List.map
-      (fun shards ->
-        let c, net = run_burst ~shards () in
-        ( Format.asprintf "%a" Audit.pp (C.audit c),
-          C.stats c,
-          (Net.delivered net, Net.dropped net, Net.packet_ins net),
-          C.pending_count c ))
-      configs
-  in
+  let runs = oracle_runs (fun shards -> run_burst ~shards ()) configs in
   let a0, s0, d0, _ = List.hd runs in
   List.iteri
     (fun i (a, s, d, p) ->
@@ -206,28 +209,85 @@ let burst_oracle configs =
       check Alcotest.(triple int int int) ("delivery identical" ^ what) d0 d;
       check Alcotest.int ("no stuck flows" ^ what) 0 p)
     runs;
-  check Alcotest.int "all 15 flows decided" 15 s0.C.flows_seen;
-  s0
+  check Alcotest.int "all 15 flows decided" 15 s0.C.flows_seen
 
 let test_determinism_oracle () =
   (* Same scenario under 1, 2 and 8 coalescing shards. *)
-  ignore
-    (burst_oracle (List.map (fun n -> Some (C.sharded n)) [ 1; 2; 8 ]))
+  burst_oracle (List.map (fun n -> Some (C.sharded n)) [ 1; 2; 8 ])
 
-let test_pairing_oracle () =
-  (* Without coalescing, every flow queries both ends itself, and every
-     client's first ephemeral port is the same: 15 answers from the hot
-     host name the same ports and differ only in the client address.
-     Pairing by the named flow delivers each to its own flow, so the
-     unsharded path and 1, 2 or 8 shards agree, and no flow decides
-     with its destination end absent. *)
-  let st =
-    burst_oracle
-      (None
-      :: List.map (fun n -> Some (C.sharded ~coalesce:false n)) [ 1; 2; 8 ])
+(* [clients] hosts on a 4-switch chain open one flow each to host 0's
+   port 80 per source port in [ports], taken in turn, all at t = 0 (a
+   port of [None] is the host's next ephemeral one). *)
+let port_burst ~clients ~ports shards =
+  let config = { C.default_config with C.shards } in
+  let engine, network, controller, hosts =
+    Deploy.linear_network ~config ~switches:4
+      ~hosts_per_switch:((clients + 4) / 4)
+      ()
   in
-  check Alcotest.int "every answer paired" 30 st.C.responses_received;
-  check Alcotest.int "no timeouts" 0 st.C.query_timeouts
+  Policy_store.add_exn (C.policy controller) ~name:"00"
+    "block all\npass all with eq(@src[name], app) keep state";
+  let target = Identxx.Host.ip hosts.(0) in
+  let procs =
+    Array.map (fun h -> Identxx.Host.run h ~user:"u" ~exe:"/bin/app" ()) hosts
+  in
+  List.iteri
+    (fun k src_port ->
+      let i = 1 + (k mod clients) in
+      let h = hosts.(i) in
+      let flow =
+        Identxx.Host.connect h ~proc:procs.(i) ~dst:target ?src_port
+          ~dst_port:80 ()
+      in
+      Net.send_from_host network ~name:(Identxx.Host.name h)
+        (Identxx.Host.first_packet h ~flow))
+    ports;
+  Sim.Engine.run engine;
+  (controller, network)
+
+(* Without coalescing, every flow queries both ends itself. Source
+   ports drawn from a small pool make answers from the hot host name
+   the same ports and differ only in the client address. Pairing by
+   the named flow delivers each to its own flow, so the unsharded path
+   and 1, 2 or 8 shards agree on every run, and no flow decides with an
+   end absent. *)
+let prop_pairing_oracle =
+  let scenario =
+    QCheck.Gen.(
+      let* clients = int_range 1 15 in
+      let* rounds = int_range 1 3 in
+      let+ ports =
+        list_repeat (clients * rounds)
+          (oneofl [ None; Some 40000; Some 40001; Some 40002 ])
+      in
+      (clients, ports))
+  in
+  let print (clients, ports) =
+    Printf.sprintf "%d clients, source ports [%s]" clients
+      (String.concat "; "
+         (List.map
+            (function None -> "ephemeral" | Some p -> string_of_int p)
+            ports))
+  in
+  QCheck.Test.make ~name:"pairing oracle (unsharded, 1/2/8 uncoalesced)"
+    ~count:25 (QCheck.make ~print scenario) (fun (clients, ports) ->
+      let runs =
+        oracle_runs (port_burst ~clients ~ports)
+          (None
+          :: List.map (fun n -> Some (C.sharded ~coalesce:false n)) [ 1; 2; 8 ])
+      in
+      let a0, s0, d0, _ = List.hd runs in
+      List.iteri
+        (fun i (a, s, d, p) ->
+          if a <> a0 then QCheck.Test.fail_reportf "run %d: audit differs" i;
+          if s <> s0 then QCheck.Test.fail_reportf "run %d: stats differ" i;
+          if d <> d0 then QCheck.Test.fail_reportf "run %d: deliveries differ" i;
+          if p <> 0 then QCheck.Test.fail_reportf "run %d: %d flows pending" i p)
+        runs;
+      if s0.C.query_timeouts <> 0 then
+        QCheck.Test.fail_reportf "%d flows decided with an end silent"
+          s0.C.query_timeouts;
+      s0.C.responses_received = 2 * s0.C.flows_seen)
 
 (* Span-drop attribution must be shard-count invariant: the same burst
    through a capacity-4 collector finishes the same 15 root spans and
@@ -472,6 +532,70 @@ let test_breaker_trip_propagates () =
   check Alcotest.int "still one trip" 1 st.C.breaker_trips;
   check Alcotest.int "all five flows decided" 5 (st.C.allowed + st.C.blocked)
 
+(* A warm fast-path setup on two coalescing shards, the configuration
+   hot-host-burst runs: both ends' answers come from the attribute
+   cache and the verdict from the decision cache, so each table miss
+   costs the engine's post and drain, the decision, and the batched
+   install and release, with no query. Entries expire after a
+   microsecond, so every re-sent first packet is a fresh table miss.
+   Metrics recording is off so the gate prices the setup, not the
+   registry. Measured: 1464 minor words per setup; 1645 while the
+   engine built a drain closure per post, the batcher regrouped its
+   messages at every flush and the simulator boxed the heap's minimum
+   on every read. The budget keeps the cold-exchange gate's headroom
+   (about 1.3%). *)
+let test_warm_fastpath_alloc () =
+  let config =
+    {
+      C.default_config with
+      C.entry_idle_timeout = Some (Sim.Time.us 1);
+      C.require_signed_responses = true;
+      C.fastpath = Fastpath.default_config;
+      C.shards = Some (C.sharded 2);
+    }
+  in
+  let s = Deploy.simple_network ~config () in
+  Obs.Registry.set_enabled (C.metrics s.Deploy.controller) false;
+  Policy_store.add_exn (C.policy s.Deploy.controller) ~name:"00"
+    "block all\npass all with eq(@src[name], app)";
+  let client = s.Deploy.client and server = s.Deploy.server in
+  List.iter
+    (fun host -> ignore (Deploy.sign_host s.Deploy.controller host))
+    [ client; server ];
+  let proc = Identxx.Host.run client ~user:"u" ~exe:"/bin/app" () in
+  let flow =
+    Identxx.Host.connect client ~proc ~dst:(Identxx.Host.ip server)
+      ~dst_port:80 ()
+  in
+  let pkt = Identxx.Host.first_packet client ~flow in
+  let setup () =
+    Net.send_from_host s.Deploy.network ~name:"client" pkt;
+    Sim.Engine.run s.Deploy.engine
+  in
+  for _ = 1 to 10 do
+    setup ()
+  done;
+  let rounds = 200 in
+  (* The registry is off: count cache hits and daemon answers instead. *)
+  let hits () = (C.stats s.Deploy.controller).C.decision_cache_hits in
+  let answered () =
+    Identxx.Daemon.queries_answered (Identxx.Host.daemon client)
+    + Identxx.Daemon.queries_answered (Identxx.Host.daemon server)
+  in
+  let hits0 = hits () and answered0 = answered ()
+  and delivered0 = Net.delivered s.Deploy.network in
+  let before = Gc.minor_words () in
+  for _ = 1 to rounds do
+    setup ()
+  done;
+  let words = (Gc.minor_words () -. before) /. float_of_int rounds in
+  check Alcotest.int "every round a decision-cache hit" rounds (hits () - hits0);
+  check Alcotest.int "no daemon asked" answered0 (answered ());
+  check Alcotest.int "the first packet delivered each round" rounds
+    (Net.delivered s.Deploy.network - delivered0);
+  if words > 1485.0 then
+    Alcotest.failf "%.0f minor words per warm setup" words
+
 let () =
   Alcotest.run "shard"
     [
@@ -494,8 +618,7 @@ let () =
         [
           Alcotest.test_case "determinism oracle (1/2/8 shards)" `Quick
             test_determinism_oracle;
-          Alcotest.test_case "pairing oracle (unsharded, 1/2/8 uncoalesced)"
-            `Quick test_pairing_oracle;
+          QCheck_alcotest.to_alcotest prop_pairing_oracle;
           Alcotest.test_case "span-drop attribution invariant (1/2/8 shards)"
             `Quick test_span_drop_invariance;
           Alcotest.test_case "query coalescing" `Quick test_coalescing;
@@ -507,5 +630,7 @@ let () =
             test_rejected_answer_settles_nothing;
           Alcotest.test_case "breaker trip propagates" `Quick
             test_breaker_trip_propagates;
+          Alcotest.test_case "warm fast-path allocation (2 shards)" `Quick
+            test_warm_fastpath_alloc;
         ] );
     ]

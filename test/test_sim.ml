@@ -41,21 +41,39 @@ let test_heap_orders_by_key () =
   check Alcotest.(list int) "sorted" [ 1; 2; 3; 4; 5 ] (drain [])
 
 let test_heap_fifo_on_ties () =
-  let h = Sim.Heap.create () in
-  List.iteri (fun i v -> Sim.Heap.push h ~key:7 (i, v)) [ "a"; "b"; "c" ];
-  let pop () = match Sim.Heap.pop h with Some (_, (_, v)) -> v | None -> "?" in
-  let first = pop () in
-  let second = pop () in
-  let third = pop () in
-  check Alcotest.(list string) "insertion order" [ "a"; "b"; "c" ]
-    [ first; second; third ]
+  (* Ties leave in insertion order whichever way the minimum is read:
+     [pop], or [min_key] in place followed by [take]. *)
+  List.iter
+    (fun (how, read) ->
+      let h = Sim.Heap.create () in
+      List.iteri (fun i v -> Sim.Heap.push h ~key:7 (i, v)) [ "a"; "b"; "c" ];
+      Sim.Heap.push h ~key:9 (3, "d");
+      let out = List.init 4 (fun _ -> read h) in
+      check
+        Alcotest.(list (pair int string))
+        ("insertion order, " ^ how)
+        [ (7, "a"); (7, "b"); (7, "c"); (9, "d") ]
+        out)
+    [
+      ( "pop",
+        fun h ->
+          match Sim.Heap.pop h with Some (k, (_, v)) -> (k, v) | None -> (-1, "?")
+      );
+      ( "min_key then take",
+        fun h ->
+          let k = Sim.Heap.min_key h in
+          (k, snd (Sim.Heap.take h)) );
+    ]
 
 let test_heap_peek_and_size () =
   let h = Sim.Heap.create () in
   check Alcotest.bool "empty" true (Sim.Heap.is_empty h);
+  Alcotest.check_raises "no minimum when empty"
+    (Invalid_argument "Heap.min_key: empty heap") (fun () ->
+      ignore (Sim.Heap.min_key h));
   Sim.Heap.push h ~key:3 "x";
   Sim.Heap.push h ~key:1 "y";
-  check Alcotest.(option (pair int string)) "peek" (Some (1, "y")) (Sim.Heap.peek h);
+  check Alcotest.int "min_key" 1 (Sim.Heap.min_key h);
   check Alcotest.int "size" 2 (Sim.Heap.size h);
   Sim.Heap.clear h;
   check Alcotest.bool "cleared" true (Sim.Heap.is_empty h)
@@ -119,6 +137,22 @@ let test_engine_until () =
   check Alcotest.(list int) "only events before deadline" [ 1; 2; 3 ]
     (List.rev !fired);
   check Alcotest.int "one pending" 1 (Sim.Engine.pending e)
+
+(* The dispatch loop allocates nothing per event: the heap's minimum
+   is read in place and taken without an option or a pair. *)
+let test_engine_run_alloc () =
+  let e = Sim.Engine.create () in
+  let n = 10_000 in
+  let noop () = () in
+  for i = 1 to n do
+    Sim.Engine.schedule e ~delay:(Sim.Time.ns i) noop
+  done;
+  let before = Gc.minor_words () in
+  Sim.Engine.run e;
+  let words = Gc.minor_words () -. before in
+  check Alcotest.int "all dispatched" 0 (Sim.Engine.pending e);
+  if words > 16. then
+    Alcotest.failf "%.0f minor words to dispatch %d no-op events" words n
 
 let test_engine_max_events () =
   let e = Sim.Engine.create () in
@@ -319,6 +353,8 @@ let () =
           Alcotest.test_case "cancel" `Quick test_engine_cancel;
           Alcotest.test_case "run until" `Quick test_engine_until;
           Alcotest.test_case "max events" `Quick test_engine_max_events;
+          Alcotest.test_case "run allocates nothing per event" `Quick
+            test_engine_run_alloc;
           Alcotest.test_case "fifo among simultaneous" `Quick
             test_engine_same_time_fifo;
           Alcotest.test_case "rejects past" `Quick test_engine_rejects_past;
