@@ -243,8 +243,8 @@ let e5 () =
     "\nShape: the port filter admits the whole scan; ident++ admits none\n\
      (the worm's flows are not from the system user with a patched target).";
   (* Ablation: where does the scan die? Reactive denial caching still
-     costs one controller round per probe; precompiling a leading
-     network-only `block quick` kills the scan in the dataplane. *)
+     costs one controller round per probe; the compiled drop for a
+     `block quick` kills the scan in the dataplane. *)
   let run_scan ~policy =
     let s = Deploy.simple_network () in
     PS.add_exn (C.policy s.Deploy.controller) ~name:"00" policy;
@@ -271,9 +271,9 @@ let e5 () =
   in
   row "\n| enforcement of the 445-block | packet-ins per scan probe |\n|---|---|\n";
   row "| reactive (denial caching) | %.2f |\n" reactive;
-  row "| precompiled block quick (dataplane) | %.2f |\n" proactive;
+  row "| compiled block quick (dataplane) | %.2f |\n" proactive;
   print_endline
-    "\nShape: precompiled quick blocks stop the scan at line rate with zero\n\
+    "\nShape: compiled quick-block drops stop the scan at line rate with zero\n\
      controller involvement; reactive denial caching pays one decision per\n\
      distinct probe flow."
 

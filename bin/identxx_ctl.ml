@@ -452,17 +452,21 @@ let analyze_shallow policy_files format =
    policy set in its own right: files are sorted by basename and
    concatenated exactly like the controller's well-known directory. *)
 
-let load_policy_set files =
+let load_policy_env files =
   let named =
     List.sort
       (fun (a, _) (b, _) -> String.compare a b)
       (List.map (fun path -> (Filename.basename path, read_file path)) files)
   in
   match Pf.Env.of_string (String.concat "\n" (List.map snd named)) with
-  | Ok env -> (named, Analysis.Fdd.compile env)
+  | Ok env -> (named, env)
   | Error e ->
       Printf.eprintf "error: %s\n" e;
       exit 1
+
+let load_policy_set files =
+  let named, env = load_policy_env files in
+  (named, Analysis.Fdd.compile env)
 
 let json_str s =
   let buf = Buffer.create (String.length s + 2) in
@@ -883,7 +887,10 @@ let compile_cmd =
              every enumerated region (exit 1 on any disagreement).")
   in
   let run files max_entries region_budget max_entries_file verify format =
-    let named, fdd = load_policy_set files in
+    let named, env = load_policy_env files in
+    (* What the controller installs: a region a log rule may decide
+       stays with it, so it prints as a punt. *)
+    let fdd = Compiler.offload ~proactive:true env (Analysis.Fdd.compile env) in
     let tbl =
       try Compiler.compile ~max_entries ~region_budget fdd
       with Invalid_argument e ->

@@ -482,10 +482,11 @@ let () =
     Arg.(
       value & flag
       & info [ "proactive" ]
-          ~doc:"Compile the policy's static slice into wildcard flow entries \
-                and keep them installed on every switch (see identxx_ctl \
-                compile): statically-decided flows never cost a packet-in. \
-                Off by default, matching the paper's reactive exchange.")
+          ~doc:"Install the policy's whole static slice, bar the regions a \
+                log rule may decide, as wildcard flow entries on every switch \
+                (see identxx_ctl compile): statically-decided flows never cost \
+                a packet-in. Off by default, matching the paper's reactive \
+                exchange: only block quick drops are installed.")
   in
   let fp = Fastpath.default_config in
   let fastpath =

@@ -262,6 +262,11 @@ let map_leaves f root =
   in
   go root
 
+let map_verdicts f root =
+  map_leaves
+    (function L_verdict v -> mk_verdict (f v) | l -> intern (Leaf l))
+    root
+
 (* --- compilation --- *)
 
 let finalize_state line_inputs stt =

@@ -75,6 +75,11 @@ val compile_rules :
     [lookup]. A rule naming a table [lookup] cannot resolve matches no
     flow (the caller reports the broken table separately). *)
 
+val map_verdicts : (verdict -> verdict) -> t -> t
+(** Rewrite every leaf's verdict, rebuilding the diagram canonically.
+    Leaves [f] maps to themselves keep their node ids, so a map that
+    changes nothing returns the same diagram. *)
+
 val lookup : t -> Netcore.Five_tuple.t -> verdict
 (** The verdict for one flow: a walk of at most five nodes with a
     binary search per node — sublinear in ruleset size, unlike
@@ -169,8 +174,8 @@ val verdict_to_string : verdict -> string
 (** {2 Flow spaces}
 
     A set of flows: a diagram in the same store whose leaves are {e in}
-    and {e out}, canonical like a compiled policy. {!Check}, the
-    dataplane-offload selection and keep-state demotion reason in it. *)
+    and {e out}, canonical like a compiled policy. {!Check} and the
+    controller's keep-state demotion reason in it. *)
 
 module Space : sig
   type t

@@ -277,6 +277,31 @@ let drop_trailing_punts rules =
   in
   List.rev (skip (List.rev rules))
 
+(* A withheld static region punts like any reactive one; one fixed
+   verdict lets adjacent withheld regions merge. *)
+let withheld = Fdd.Reactive { lines = []; inputs = []; may_default = false }
+
+let offload ~proactive env fdd =
+  let unfit = Hashtbl.create 16 in
+  List.iter
+    (fun (r : Pf.Ast.rule) ->
+      if
+        r.Pf.Ast.log
+        || not (proactive || (r.Pf.Ast.action = Pf.Ast.Block && r.Pf.Ast.quick))
+      then Hashtbl.replace unfit r.Pf.Ast.line ())
+    (Pf.Env.rules env);
+  (* Line 0, the implicit default, is no rule: it may decide a
+     proactive region, but it is never a quick block. *)
+  let qualifies line = (proactive || line <> 0) && not (Hashtbl.mem unfit line) in
+  if proactive && Hashtbl.length unfit = 0 then fdd
+  else
+    Fdd.map_verdicts
+      (function
+        | Fdd.Static { lines; _ } when not (List.for_all qualifies lines) ->
+            withheld
+        | v -> v)
+      fdd
+
 let rec take n = function
   | [] -> []
   | _ when n <= 0 -> []

@@ -96,6 +96,19 @@ val compile :
     entry and [truncated] is set.
     @raise Invalid_argument if [max_entries] is outside [1, 4096]. *)
 
+val offload : proactive:bool -> Pf.Env.t -> Analysis.Fdd.t -> Analysis.Fdd.t
+(** The static regions a controller may install, as a diagram for
+    {!compile}: every {!Analysis.Fdd.Static} leaf that does not qualify
+    becomes one fixed {!Analysis.Fdd.Reactive} verdict, and reactive
+    leaves are left as they are. With [proactive], a region qualifies
+    unless one of its possible deciding lines is a [log] rule, whose
+    flows the controller must see to audit them. Without it, only
+    regions every possible deciding line of which is a [block quick]
+    rule without [log] qualify: the drops that decide at line rate
+    whatever the context. Line 0, the implicit default, never qualifies
+    there. A [proactive] policy without [log] rules returns [fdd]
+    itself, so the compile cache keeps hitting. *)
+
 type delta = { d_add : entry list; d_del : entry list }
 
 val delta : old_:table -> table -> delta

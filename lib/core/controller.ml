@@ -272,8 +272,6 @@ type t = {
   mutable trace_seq : int;
       (* Disambiguates trace ids when the same 5-tuple misses twice. *)
   mutable last_stats : (Msg.switch_id * Msg.stats_reply) list;
-  mutable precompiled : Openflow.Match_fields.t list;
-      (* Drop matches currently pushed to the dataplane. *)
   mutable proactive_tbl : Compiler.table;
       (* The abstract compiled table currently installed. *)
   mutable proactive_state : Analysis.Fdd.Space.t * Analysis.Fdd.Space.t;
@@ -1414,41 +1412,8 @@ let request_stats =
 
 let switch_stats t dpid = List.assoc_opt dpid t.last_stats
 
-(* --- proactive dataplane rules ("enforcement at line rate", S6) --- *)
-
-(* Precompiled entries sit above every reactive entry so they keep
-   deciding even as per-flow caches churn. *)
-let precompiled_priority = 0xffff
-
-let sync_precompiled t =
-  let matches =
-    match Policy_store.env t.policy with
-    | Ok env -> Precompile.drop_matches env
-    | Error _ -> []
-  in
-  let switches = Net.switches_in_domain t.network t.id in
-  (* Remove entries no longer derived from policy, add new ones. *)
-  List.iter
-    (fun fields ->
-      if not (List.mem fields matches) then
-        List.iter
-          (fun dpid ->
-            Net.send_to_switch t.network dpid
-              (Msg.delete_strict ~priority:precompiled_priority ~fields))
-          switches)
-    t.precompiled;
-  List.iter
-    (fun fields ->
-      List.iter
-        (fun dpid ->
-          Net.send_to_switch t.network dpid
-            (Msg.add_flow ~priority:precompiled_priority ~fields
-               Openflow.Action.drop))
-        switches)
-    matches;
-  t.precompiled <- matches
-
-(* --- the proactive flow-table compiler (static slice -> wildcards) --- *)
+(* --- proactive dataplane rules ("enforcement at line rate", S6): the
+   compiler lowers the offloaded static slice into wildcards --- *)
 
 let empty_table =
   {
@@ -1511,6 +1476,42 @@ let host_routes t ~dpid hosts =
         (Topo.next_hop (Net.topology t.network) ~from:dpid ~dst_host:host))
     hosts
 
+(* The (forward, reverse) flow spaces of the keep-state pass rules,
+   over-approximated. State matching precedes the ruleset: a pass entry
+   meeting the forward space must punt (the controller records the
+   state), and a drop meeting the reverse space must not sit above the
+   replies keep state admits. *)
+let state_spaces env =
+  let space = Analysis.Fdd.Space.of_rule ~lookup:(Pf.Env.table env) in
+  List.fold_left
+    (fun (fwd, rev) (r : Pf.Ast.rule) ->
+      if r.Pf.Ast.keep_state && r.Pf.Ast.action = Pf.Ast.Pass then
+        ( Analysis.Fdd.Space.union fwd (space r),
+          Analysis.Fdd.Space.union rev
+            (space { r with Pf.Ast.from_ = r.Pf.Ast.to_; to_ = r.Pf.Ast.from_ }) )
+      else (fwd, rev))
+    (Analysis.Fdd.Space.empty, Analysis.Fdd.Space.empty)
+    (Pf.Env.rules env)
+
+(* Whether an entry's match meets a state space. Most policies keep no
+   state: the empty space answers without building the box. *)
+let meets_state space (m : Openflow.Match_fields.t) =
+  let field level f = function
+    | None -> (0, Analysis.Fdd.dim_top.(level))
+    | Some v -> f v
+  in
+  let point v = (v, v) in
+  let prefix p = (Ipv4.to_int (Prefix.first p), Ipv4.to_int (Prefix.last p)) in
+  (not (Analysis.Fdd.Space.is_empty space))
+  && Analysis.Fdd.Space.overlaps_box space
+       [|
+         field 0 (fun p -> point (Proto.to_int p)) m.Openflow.Match_fields.nw_proto;
+         field 1 prefix m.Openflow.Match_fields.nw_src;
+         field 2 prefix m.Openflow.Match_fields.nw_dst;
+         field 3 point m.Openflow.Match_fields.tp_src;
+         field 4 point m.Openflow.Match_fields.tp_dst;
+       |]
+
 (* One abstract entry, lowered for one switch: concrete
    (fields, priority, actions) triples.
 
@@ -1522,17 +1523,17 @@ let host_routes t ~dpid hosts =
    the reactive behaviour. Block entries drop in hardware unless their
    space overlaps the keep-state reverse space, and pass entries punt
    where they overlap the keep-state forward space (see
-   {!Precompile.state_spaces}). *)
+   [state_spaces]). *)
 let lower_entry ~routes ~state:(state_fwd, state_rev) (e : Compiler.entry) =
   let fields = e.Compiler.e_fields and prio = e.Compiler.e_priority in
   let punt = (fields, prio, [ Openflow.Action.To_controller ]) in
   match e.Compiler.e_decision with
   | Compiler.Punt -> [ punt ]
   | Compiler.Decide Pf.Ast.Block ->
-      if Precompile.meets_state state_rev fields then [ punt ]
+      if meets_state state_rev fields then [ punt ]
       else [ (fields, prio, Openflow.Action.drop) ]
   | Compiler.Decide Pf.Ast.Pass
-    when Precompile.meets_state state_fwd fields ->
+    when meets_state state_fwd fields ->
       [ punt ]
   | Compiler.Decide Pf.Ast.Pass ->
       let specials =
@@ -1554,96 +1555,96 @@ let lower_entry ~routes ~state:(state_fwd, state_rev) (e : Compiler.entry) =
       specials @ [ punt ]
 
 let sync_proactive ?(force = false) t =
-  if t.cfg.proactive then begin
-    let t0 = Sys.time () in
-    let fdd, state =
-      match Policy_store.env t.policy with
-      | Ok env ->
-          (Some (Analysis.Fdd.compile ~default:t.cfg.default env),
-           Precompile.state_spaces env)
-      | Error _ -> (None, (Analysis.Fdd.Space.empty, Analysis.Fdd.Space.empty))
-    in
-    let cur =
-      match fdd with
-      | Some fdd -> Compiler.compile ~cache:t.proactive_cache fdd
-      (* Unresolvable policy: install nothing, every flow goes to the
-         controller, which fails closed per rule evaluation. *)
-      | None -> empty_table
-    in
-    let d =
-      if force then
-        (* The dataplane was (possibly partially) wiped out from under
-           us: re-add everything, nothing to delete. *)
-        { Compiler.d_add = cur.Compiler.entries; d_del = [] }
-      else if
-        not
-          (Analysis.Fdd.Space.equal (fst t.proactive_state) (fst state)
-          && Analysis.Fdd.Space.equal (snd t.proactive_state) (snd state))
-      then
-        (* Same abstract entry, different lowering: start over. *)
-        {
-          Compiler.d_add = cur.Compiler.entries;
-          d_del = t.proactive_tbl.Compiler.entries;
-        }
-      else Compiler.delta ~old_:t.proactive_tbl cur
-    in
-    let switches = Net.switches_in_domain t.network t.id in
-    let hosts = attached_hosts t in
-    (* Deletes mirror what the old table installed, whichever hosts were
-       reachable then: every attached host's specialisation, under the
-       old keep-state spaces. A strict delete of an absent entry is a
-       no-op. *)
-    let every_host =
-      List.map
-        (fun (_, ip) -> { hr_ip = ip; hr_dst = Prefix.host ip; hr_actions = [] })
-        hosts
-    in
-    List.iter
-      (fun dpid ->
-        let routes = host_routes t ~dpid hosts in
-        List.iter
-          (fun e ->
-            List.iter
-              (fun (fields, priority, _) ->
-                Net.send_to_switch t.network dpid
-                  (Msg.delete_strict ~priority ~fields))
-              (lower_entry ~routes:every_host ~state:t.proactive_state e))
-          d.Compiler.d_del;
-        let adds =
-          List.concat_map (lower_entry ~routes ~state) d.Compiler.d_add
-        in
-        let adds =
-          if cur.Compiler.entries = [] then adds
-          else
-            adds
-            @ List.map
-                (fun f ->
-                  (f, proactive_guard_priority, [ Openflow.Action.To_controller ]))
-                proactive_guards
-        in
-        List.iter
-          (fun (fields, priority, actions) ->
-            Net.send_to_switch t.network dpid
-              (Msg.add_flow ~priority ~cookie:Compiler.proactive_cookie ~fields
-                 actions))
-          adds)
-      switches;
-    (match t.pm with
-    | Some pm ->
-        Obs.Registry.Counter.inc pm.pc_recompiles;
-        Obs.Registry.Counter.add pm.pc_delta_add (List.length d.Compiler.d_add);
-        Obs.Registry.Counter.add pm.pc_delta_del (List.length d.Compiler.d_del);
-        Obs.Registry.Histogram.observe pm.ph_recompile (Sys.time () -. t0)
-    | None -> ());
-    Log.debug (fun m ->
-        m "proactive sync: %d entries (%+d/-%d), coverage %.3f"
-          (List.length cur.Compiler.entries)
-          (List.length d.Compiler.d_add)
-          (List.length d.Compiler.d_del)
-          cur.Compiler.installed_coverage);
-    t.proactive_tbl <- cur;
-    t.proactive_state <- state
-  end
+  let t0 = Sys.time () in
+  let fdd, state =
+    match Policy_store.env t.policy with
+    | Ok env ->
+        ( Some
+            (Compiler.offload ~proactive:t.cfg.proactive env
+               (Analysis.Fdd.compile ~default:t.cfg.default env)),
+          state_spaces env )
+    | Error _ -> (None, (Analysis.Fdd.Space.empty, Analysis.Fdd.Space.empty))
+  in
+  let cur =
+    match fdd with
+    | Some fdd -> Compiler.compile ~cache:t.proactive_cache fdd
+    (* Unresolvable policy: install nothing, every flow goes to the
+       controller, which fails closed per rule evaluation. *)
+    | None -> empty_table
+  in
+  let d =
+    if force then
+      (* The dataplane was (possibly partially) wiped out from under
+         us: re-add everything, nothing to delete. *)
+      { Compiler.d_add = cur.Compiler.entries; d_del = [] }
+    else if
+      not
+        (Analysis.Fdd.Space.equal (fst t.proactive_state) (fst state)
+        && Analysis.Fdd.Space.equal (snd t.proactive_state) (snd state))
+    then
+      (* Same abstract entry, different lowering: start over. *)
+      {
+        Compiler.d_add = cur.Compiler.entries;
+        d_del = t.proactive_tbl.Compiler.entries;
+      }
+    else Compiler.delta ~old_:t.proactive_tbl cur
+  in
+  let switches = Net.switches_in_domain t.network t.id in
+  let hosts = attached_hosts t in
+  (* Deletes mirror what the old table installed, whichever hosts were
+     reachable then: every attached host's specialisation, under the
+     old keep-state spaces. A strict delete of an absent entry is a
+     no-op. *)
+  let every_host =
+    List.map
+      (fun (_, ip) -> { hr_ip = ip; hr_dst = Prefix.host ip; hr_actions = [] })
+      hosts
+  in
+  List.iter
+    (fun dpid ->
+      let routes = host_routes t ~dpid hosts in
+      List.iter
+        (fun e ->
+          List.iter
+            (fun (fields, priority, _) ->
+              Net.send_to_switch t.network dpid
+                (Msg.delete_strict ~priority ~fields))
+            (lower_entry ~routes:every_host ~state:t.proactive_state e))
+        d.Compiler.d_del;
+      let adds =
+        List.concat_map (lower_entry ~routes ~state) d.Compiler.d_add
+      in
+      let adds =
+        if cur.Compiler.entries = [] then adds
+        else
+          adds
+          @ List.map
+              (fun f ->
+                (f, proactive_guard_priority, [ Openflow.Action.To_controller ]))
+              proactive_guards
+      in
+      List.iter
+        (fun (fields, priority, actions) ->
+          Net.send_to_switch t.network dpid
+            (Msg.add_flow ~priority ~cookie:Compiler.proactive_cookie ~fields
+               actions))
+        adds)
+    switches;
+  (match t.pm with
+  | Some pm ->
+      Obs.Registry.Counter.inc pm.pc_recompiles;
+      Obs.Registry.Counter.add pm.pc_delta_add (List.length d.Compiler.d_add);
+      Obs.Registry.Counter.add pm.pc_delta_del (List.length d.Compiler.d_del);
+      Obs.Registry.Histogram.observe pm.ph_recompile (Sys.time () -. t0)
+  | None -> ());
+  Log.debug (fun m ->
+      m "proactive sync: %d entries (%+d/-%d), coverage %.3f"
+        (List.length cur.Compiler.entries)
+        (List.length d.Compiler.d_add)
+        (List.length d.Compiler.d_del)
+        cur.Compiler.installed_coverage);
+  t.proactive_tbl <- cur;
+  t.proactive_state <- state
 
 let proactive_table t = t.proactive_tbl
 
@@ -1699,10 +1700,7 @@ let flush_cache t =
      policy operations do not change what the hosts would answer. Every
      shard's view is flushed — control-plane operations are global. *)
   Array.iter (fun sx -> Fastpath.flush_decisions sx.s_fp) t.shards_;
-  (* The wildcard delete also removed the precompiled and proactive
-     entries. *)
-  t.precompiled <- [];
-  sync_precompiled t;
+  (* The wildcard delete also removed the compiled entries. *)
   sync_proactive ~force:true t
 
 (* A daemon-side change event (login/logout, process spawn/exit,
@@ -1728,11 +1726,9 @@ let revoke_principal t ~ip =
         (Msg.delete_flow
            ~fields:{ Openflow.Match_fields.any with nw_dst = Some host }))
     (Net.switches_in_domain t.network t.id);
-  (* The per-host deletes cannot have clipped a precompiled wildcard
-     entry unless it was host-specific; re-sync to be sure. The
-     proactive table's host-specialized pass entries were certainly
-     clipped, so it reinstalls in full. *)
-  sync_precompiled t;
+  (* The per-host deletes clip the compiled table wherever an entry
+     is host-specific (its host-specialized pass entries certainly), so
+     it reinstalls in full. *)
   sync_proactive ~force:true t;
   dropped
 
@@ -1811,7 +1807,6 @@ let create ?(config = default_config) ?keystore ?functions ?obs ?spans
       src_port_matters = None;
       trace_seq = 0;
       last_stats = [];
-      precompiled = [];
       proactive_tbl = empty_table;
       proactive_state = (Analysis.Fdd.Space.empty, Analysis.Fdd.Space.empty);
       proactive_cache = Compiler.create_cache ();
@@ -1878,7 +1873,5 @@ let create ?(config = default_config) ?keystore ?functions ?obs ?spans
   (* No initial sync: hosts are typically attached after the controller
      is created, and the first policy change (or an explicit
      [sync_proactive]) installs the table with the full host set. *)
-  Policy_store.on_change policy (fun () ->
-      sync_precompiled t;
-      sync_proactive t);
+  Policy_store.on_change policy (fun () -> sync_proactive t);
   t

@@ -70,13 +70,15 @@ type config = {
           {!Fastpath.disabled} by default: the baseline controller runs
           the full Figure-1 exchange for every table-miss flow. *)
   proactive : bool;
-      (** Compile the policy's static slice ({!Analysis.Fdd}) into
-          wildcard flow entries with {!Compiler} and keep them installed
-          on every switch of the domain, so statically-decided flows
-          never generate a packet-in — only the reactive residue (and
-          ident++ exchange traffic, which a guard entry always punts)
-          reaches the controller. Off by default (the paper's purely
-          reactive Figure-1 exchange). See DESIGN.md §11. *)
+      (** Which static regions of the policy's diagram ({!Analysis.Fdd})
+          the compiled table decides ({!Compiler.offload}). On: every
+          region no [log] rule may decide, so statically-decided flows
+          never generate a packet-in — only the reactive residue, logged
+          regions and ident++ exchange traffic (which a guard entry
+          always punts) reach the controller. Off (the default, the
+          paper's reactive Figure-1 exchange): only the drops that
+          [block quick] rules make in every context. See DESIGN.md
+          §11. *)
   shards : shard_config option;
       (** Every controller runs flow setup on the shard engine: run
           queues by flow-key hash, flow-mod installs batched per tick.
@@ -92,11 +94,14 @@ val default_config : config
     path installation, default pass (vanilla PF).
 
     Whatever the configuration, the controller installs a drop entry at
-    the ingress switch for every blocked flow, and pushes the policy's
-    leading network-only [block quick] rules into the switches as
-    maximum-priority drop entries (see {!Precompile}), so that traffic
-    dies at line rate without packet-ins. Installed entries carry no
-    hard timeout. Queries hint the keys the policy reads, or the
+    the ingress switch for every blocked flow, and installs the compiled
+    drops of the policy's [block quick] rules on every switch (see
+    [proactive]), so that traffic dies at line rate without packet-ins.
+    The compiled band sits below the per-flow entries: as with every
+    other rule, a new [block quick] reaches an already-cached flow only
+    at the next {!flush_cache}, which {!update_file} and {!revoke_file}
+    run and a raw {!Policy_store.add} does not. Installed entries carry
+    no hard timeout. Queries hint the keys the policy reads, or the
     identity and application keys of §3.3 when it reads none. *)
 
 type t
@@ -168,24 +173,21 @@ val audit : t -> Audit.t
 val flush_cache : t -> unit
 (** Delete every flow entry in the domain's switches and forget
     connection state; all flows are re-decided on their next packet.
-    Precompiled quick-block entries are reinstalled afterwards. *)
-
-val sync_precompiled : t -> unit
-(** Resynchronize the proactive drop entries with current policy (runs
-    automatically on every policy change). *)
+    The compiled table is reinstalled afterwards. *)
 
 val sync_proactive : ?force:bool -> t -> unit
-(** Recompile the policy's static slice and push the delta of wildcard
-    entries to the domain's switches (no-op unless [config.proactive]).
-    Runs automatically on every policy change; the per-node compile
-    cache makes an unchanged policy region free to recompile. [force]
+(** Recompile the policy's offloaded static slice and push the delta of
+    wildcard entries to the domain's switches. Runs automatically on
+    every policy change; the per-node compile cache makes an unchanged
+    policy region free to recompile. [force]
     reinstalls every entry instead of diffing — used after the
     dataplane was wiped (cache flush) or partially clipped
     (revocation). *)
 
 val proactive_table : t -> Compiler.table
-(** The abstract compiled table currently installed (empty when
-    [config.proactive] is off or nothing compiled yet). *)
+(** The abstract compiled table currently installed: empty until the
+    first sync; drops and punts alone when [config.proactive] is
+    off. *)
 
 val update_file : t -> name:string -> string -> (unit, string) result
 (** Replace a [.control] file and flush. *)

@@ -48,8 +48,8 @@ val epoch : t -> int
 
 val on_change : t -> (unit -> unit) -> unit
 (** Register a callback fired after every successful {!add} or
-    {!remove} (the controller uses this to resynchronize precompiled
-    dataplane rules). *)
+    {!remove} (the controller uses this to resynchronize its compiled
+    flow table). *)
 
 (** A change-impact report for one epoch bump: the {!Analysis.Fdd}
     differential between the previously compiled policy and the new

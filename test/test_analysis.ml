@@ -462,36 +462,58 @@ let test_policy_store_strict () =
   | Error e -> Alcotest.failf "non-strict add failed: %s" e
 
 let test_precompile_disjoint_offload () =
-  (* A compilable `block quick` AFTER a non-compilable quick rule is
-     still offloaded when their flow-spaces are disjoint… *)
-  let env =
-    env_of
+  let drops policy =
+    let env = env_of policy in
+    Compiler.compile
+      (Compiler.offload ~proactive:false env (Analysis.Fdd.compile env))
+  in
+  let from src =
+    Five_tuple.tcp ~src:(Ipv4.of_string src) ~dst:(Ipv4.of_string "8.8.8.8")
+      ~src_port:40000 ~dst_port:80
+  in
+  (* A `block quick` AFTER a conditional quick rule is still offloaded
+     where their flow-spaces are disjoint… *)
+  let tbl =
+    drops
       "pass quick from 10.0.0.0/8 to any with eq(@src[name], ssh)\n\
        block quick from 192.168.0.0/16 to any\n\
        block all"
   in
-  let drops = Identxx_core.Precompile.drop_matches env in
-  Alcotest.(check bool) "disjoint blocker offloaded" true (drops <> []);
-  (* …unless replies admitted by keep state would meet it: a reply from
-     192.168/16 to a 10/8 client whose flow kept state is readmitted
-     before the ruleset, so no drop may sit above its entries… *)
-  let env =
-    env_of
-      "pass quick from 10.0.0.0/8 to any with eq(@src[name], ssh) keep state\n\
-       block quick from 192.168.0.0/16 to any\n\
-       block all"
-  in
-  Alcotest.(check int) "drop meeting keep-state replies withheld" 0
-    (List.length (Identxx_core.Precompile.drop_matches env));
-  (* …and not when they overlap: the conditional rule may pass first. *)
-  let env =
-    env_of
+  Alcotest.(check bool) "disjoint blocker offloaded" true
+    (Compiler.lookup tbl (from "192.168.7.1") = Compiler.Decide Pf.Ast.Block);
+  (* …and where they overlap, only outside the conditional rule's
+     space: there it may pass first. *)
+  let tbl =
+    drops
       "pass quick from 192.168.0.0/24 to any with eq(@src[name], ssh)\n\
        block quick from 192.168.0.0/16 to any\n\
        block all"
   in
-  Alcotest.(check int) "overlapping blocker withheld" 0
-    (List.length (Identxx_core.Precompile.drop_matches env))
+  Alcotest.(check bool) "overlap withheld" true
+    (Compiler.lookup tbl (from "192.168.0.1") = Compiler.Punt);
+  Alcotest.(check bool) "the rest of the /16 offloaded" true
+    (Compiler.lookup tbl (from "192.168.1.1") = Compiler.Decide Pf.Ast.Block);
+  (* Replies admitted by keep state: a reply from 192.168/16 to a 10/8
+     client whose flow kept state is readmitted before the ruleset, so
+     the controller lowers the drop meeting it to a punt, and no drop
+     sits above the reply's entries. *)
+  let s = Identxx_core.Deploy.simple_network () in
+  Identxx_core.Policy_store.add_exn
+    (Identxx_core.Controller.policy s.Identxx_core.Deploy.controller)
+    ~name:"00-policy"
+    "pass quick from 10.0.0.0/8 to any with eq(@src[name], ssh) keep state\n\
+     block quick from 192.168.0.0/16 to any\n\
+     block all";
+  Sim.Engine.run s.Identxx_core.Deploy.engine;
+  let installed =
+    Openflow.Flow_table.entries
+      (Openflow.Switch.table (Openflow.Network.switch s.Identxx_core.Deploy.network 1))
+  in
+  Alcotest.(check bool) "the block compiled" true (installed <> []);
+  Alcotest.(check bool) "no drop meeting keep-state replies" true
+    (List.for_all
+       (fun e -> e.Openflow.Flow_entry.actions <> Openflow.Action.drop)
+       installed)
 
 let () =
   Alcotest.run "analysis"

@@ -261,12 +261,15 @@ let random_ctx prng fl =
   Pf.Eval.ctx ?src ?dst ()
 
 (* For every flow: a [Decide] must agree with the diagram {e and} with
-   the real evaluator under arbitrary contexts; a [Punt] is correct on
-   reactive regions and acceptable on static ones only when the table
-   spilled or truncated (soundness may cost completeness, never the
-   reverse). *)
-let differential name env ~flows =
-  let fdd = Fdd.compile env in
+   the real evaluator under arbitrary contexts, and no [log] rule may
+   decide it; a [Punt] is correct on reactive regions and acceptable on
+   static ones only when the table spilled or truncated (soundness may
+   cost completeness, never the reverse). The drops-only table a
+   controller without [proactive] installs may decide only drops that
+   a quick rule makes in every context. *)
+let differential ~proactive name env ~flows =
+  let name = if proactive then name else name ^ " (drops only)" in
+  let fdd = Compiler.offload ~proactive env (Fdd.compile env) in
   let tbl = Compiler.compile fdd in
   (match Compiler.verify tbl fdd with
   | Ok n -> Alcotest.(check bool) (name ^ ": regions checked") true (n > 0)
@@ -274,28 +277,29 @@ let differential name env ~flows =
   let prng = Sim.Prng.create 0xc0de in
   for i = 1 to flows do
     let fl = random_flow prng in
+    let fail what =
+      Alcotest.failf "%s: flow %d (%s): %s" name i (Five_tuple.to_string fl) what
+    in
     match (Compiler.lookup tbl fl, Fdd.lookup fdd fl) with
     | Compiler.Decide a, Fdd.Static { action; _ } when action = a ->
+        if (not proactive) && a <> Pf.Ast.Block then fail "drops-only table passes";
         for _ = 1 to 2 do
           let ctx = random_ctx prng fl in
           match Pf.Eval.eval env ctx fl with
-          | Ok v ->
-              if v.Pf.Eval.decision <> a then
-                Alcotest.failf "%s: flow %d (%s): table decides against Eval"
-                  name i (Five_tuple.to_string fl)
+          | Ok v -> (
+              if v.Pf.Eval.decision <> a then fail "table decides against Eval";
+              if v.Pf.Eval.log then fail "table decides a logged flow";
+              match v.Pf.Eval.matched with
+              | Some r when r.Pf.Ast.quick -> ()
+              | _ -> if not proactive then fail "drop not decided by a quick rule")
           | Error e -> Alcotest.failf "%s: eval error: %s" name e
         done
     | Compiler.Decide _, _ ->
-        Alcotest.failf
-          "%s: flow %d (%s): table decides where the diagram disagrees or is \
-           reactive"
-          name i (Five_tuple.to_string fl)
+        fail "table decides where the diagram disagrees or is reactive"
     | Compiler.Punt, Fdd.Reactive _ -> ()
     | Compiler.Punt, Fdd.Static _ ->
         if tbl.Compiler.spills = [] && not tbl.Compiler.truncated then
-          Alcotest.failf
-            "%s: flow %d (%s): punt on a static region without spillover" name
-            i (Five_tuple.to_string fl)
+          fail "punt on a static region without spillover"
   done
 
 let synthetic_corpus =
@@ -316,6 +320,10 @@ let synthetic_corpus =
        from 10.0.0.0/8 to any" );
     ("range-spill", "block all\npass proto tcp from any to any port 1024:60000");
     ("list", "block all\npass from { 10.0.0.1 10.0.0.2/31 } to any port 80:443");
+    ( "log",
+      "block quick log from any to any port 443\nblock quick from \
+       10.0.0.0/8 to any port 1023\npass log from 10.0.0.0/8 to any port \
+       80\nblock from 172.16.0.0/12 to any port 1000" );
   ]
 
 let shipped_policies () =
@@ -330,9 +338,14 @@ let shipped_policies () =
            In_channel.with_open_bin (Filename.concat dir f)
              In_channel.input_all ))
 
+let both_modes name env ~flows =
+  List.iter
+    (fun proactive -> differential ~proactive name env ~flows)
+    [ true; false ]
+
 let test_differential_synthetic () =
   List.iter
-    (fun (name, text) -> differential name (env_of text) ~flows:300)
+    (fun (name, text) -> both_modes name (env_of text) ~flows:300)
     synthetic_corpus
 
 let test_differential_shipped () =
@@ -341,11 +354,11 @@ let test_differential_shipped () =
   List.iter
     (fun (name, text) ->
       match Pf.Env.of_string text with
-      | Ok env -> differential name env ~flows:200
+      | Ok env -> both_modes name env ~flows:200
       | Error _ -> () (* fragments may reference another file's tables *))
     files;
   let concat = String.concat "\n" (List.map snd files) in
-  differential "policies-concat" (env_of concat) ~flows:300
+  both_modes "policies-concat" (env_of concat) ~flows:300
 
 (* --- flow-table eviction mechanics (capacity LRU + hook) --- *)
 

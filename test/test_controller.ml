@@ -1123,7 +1123,7 @@ let test_policy_configured_augment () =
   Alcotest.(check int) "A allowed via policy-configured augment" 1
     (C.stats cA).C.allowed
 
-(* --- proactive quick-block compilation (line-rate enforcement, S6) --- *)
+(* --- proactive quick-block drops (line-rate enforcement, S6) --- *)
 
 let test_precompiled_block_never_reaches_controller () =
   let s = Deploy.simple_network () in
@@ -1148,29 +1148,36 @@ let test_precompiled_block_never_reaches_controller () =
   ignore (run_flow s ~user:"alice" ~exe:"/usr/bin/firefox");
   Alcotest.(check int) "reactive path intact" 1 (C.stats s.controller).C.allowed
 
+(* The drop entries installed on a switch. *)
+let drops table =
+  List.filter
+    (fun e -> e.Openflow.Flow_entry.actions = Openflow.Action.drop)
+    (Openflow.Flow_table.entries table)
+
 let test_precompiled_sync_on_policy_change () =
   let s = Deploy.simple_network () in
   Identxx_core.Policy_store.add_exn (C.policy s.controller) ~name:"00-policy"
     "block quick from any to any port 445\npass all";
   Sim.Engine.run s.engine;
   let table = Openflow.Switch.table (Net.switch s.network 1) in
-  Alcotest.(check int) "one proactive entry" 1 (Openflow.Flow_table.size table);
-  (* Replace the policy: the old proactive entry must disappear and the
-     new one appear. *)
+  Alcotest.(check int) "the drop and two guards" 3 (Openflow.Flow_table.size table);
+  (* Replace the policy: the old drop must disappear and the new one
+     appear. *)
   Identxx_core.Policy_store.add_exn (C.policy s.controller) ~name:"00-policy"
     "block quick from any to any port 23\npass all";
   Sim.Engine.run s.engine;
-  let entries = Openflow.Flow_table.entries table in
-  Alcotest.(check int) "still one proactive entry" 1 (List.length entries);
-  (match entries with
+  Alcotest.(check int) "still the drop and two guards" 3
+    (Openflow.Flow_table.size table);
+  match drops table with
   | [ e ] ->
       Alcotest.(check bool) "matches port 23" true
         (e.Openflow.Flow_entry.fields.Openflow.Match_fields.tp_dst = Some 23)
-  | _ -> Alcotest.fail "expected exactly one entry")
+  | _ -> Alcotest.fail "expected exactly one drop"
 
 let test_precompile_stops_at_informational_quick () =
-  (* A quick rule needing end-host info blocks compilation of anything
-     after it, but leading network-only quick blocks still compile. *)
+  (* A quick rule needing end-host information leaves reactive only
+     what it may decide: the port-23 flows are blocked by line 2 or
+     line 3 in every context, so they drop in hardware too. *)
   let s = Deploy.simple_network () in
   Identxx_core.Policy_store.add_exn (C.policy s.controller) ~name:"00-policy"
     "block quick from any to any port 445\n\
@@ -1179,39 +1186,107 @@ let test_precompile_stops_at_informational_quick () =
      pass all";
   Sim.Engine.run s.engine;
   let table = Openflow.Switch.table (Net.switch s.network 1) in
-  let entries = Openflow.Flow_table.entries table in
-  Alcotest.(check int) "only the leading rule compiled" 1 (List.length entries)
+  Alcotest.(check int) "two drops and two guards" 4
+    (List.length (Openflow.Flow_table.entries table));
+  Alcotest.(check (list (option int))) "ports 445 and 23" [ Some 23; Some 445 ]
+    (List.sort compare
+       (List.map
+          (fun e -> e.Openflow.Flow_entry.fields.Openflow.Match_fields.tp_dst)
+          (drops table)))
+
+(* The drops-only table a controller without [proactive] installs. *)
+let drops_only policy =
+  match Pf.Env.of_string policy with
+  | Ok env ->
+      Compiler.compile
+        (Compiler.offload ~proactive:false env (Analysis.Fdd.compile env))
+  | Error e -> Alcotest.fail e
 
 let test_precompile_expands_tables_and_ranges () =
-  let env =
-    match
-      Pf.Env.of_string
-        "table <bad> { 203.0.113.0/24 198.51.100.0/24 }\n\
-         block quick from <bad> to any port 8000:8003\npass all"
-    with
-    | Ok e -> e
-    | Error e -> Alcotest.fail e
+  let tbl =
+    drops_only
+      "table <bad> { 203.0.113.0/24 198.51.100.0/24 }\n\
+       block quick from <bad> to any port 8000:8003\npass all"
   in
-  let matches = Identxx_core.Precompile.drop_matches env in
-  (* 2 prefixes x 4 ports. *)
-  Alcotest.(check int) "cross product" 8 (List.length matches)
+  (* 2 prefixes x 4 ports, beside the punts the compiler leaves between
+     them. *)
+  Alcotest.(check int) "cross product" 8
+    (List.length
+       (List.filter
+          (fun e -> e.Compiler.e_decision = Compiler.Decide Pf.Ast.Block)
+          tbl.Compiler.entries))
 
-let test_precompile_rejects_negation_and_big_ranges () =
+let test_precompile_keeps_reactive () =
   let check_empty policy =
-    match Pf.Env.of_string policy with
-    | Ok env ->
-        Alcotest.(check int)
-          ("not compilable: " ^ policy)
-          0
-          (List.length (Identxx_core.Precompile.drop_matches env))
-    | Error e -> Alcotest.fail e
+    Alcotest.(check int)
+      ("not offloaded: " ^ policy)
+      0
+      (List.length (drops_only policy).Compiler.entries)
   in
-  check_empty "table <t> {10.0.0.0/8}\nblock quick from !<t> to any";
+  (* Wider than the region budget: the range spills back. *)
   check_empty "block quick from any to any port 1:10000";
+  (* The controller must see a logged flow to audit it. *)
   check_empty "block quick log from any to any port 445";
   check_empty "block quick all with eq(@src[name], x)";
-  (* Non-quick blocks are never precompiled (they can be overridden). *)
-  check_empty "block from any to any port 445"
+  (* Non-quick blocks are never offloaded (they can be overridden). *)
+  check_empty "block from any to any port 445";
+  (* Negations and ranges within the budget are plain regions. *)
+  List.iter
+    (fun policy ->
+      Alcotest.(check bool) ("offloaded: " ^ policy) true
+        ((drops_only policy).Compiler.entries <> []))
+    [
+      "table <t> {10.0.0.0/8}\nblock quick from !<t> to any";
+      "block quick from any to any port 8000:8016";
+    ]
+
+(* A quick block over the server's addresses must not drop the
+   server's ident++ answer: the exchange guards outrank every compiled
+   drop. *)
+let test_quick_drop_spares_answers () =
+  List.iter
+    (fun proactive ->
+      let mode = if proactive then "proactive" else "reactive" in
+      let s =
+        Deploy.simple_network
+          ~config:{ C.default_config with C.proactive }
+          ~client_ip:(ip "192.168.0.1")
+          ~server_ip:(ip "10.0.0.2") ()
+      in
+      Identxx_core.Policy_store.add_exn (C.policy s.controller)
+        ~name:"00-policy"
+        "block quick from 10.0.0.0/8 to any\n\
+         block all\n\
+         pass all with eq(@dst[name], srv)";
+      Sim.Engine.run s.engine;
+      let srv = Identxx.Host.run s.server ~user:"www" ~exe:"/bin/srv" () in
+      Identxx.Host.listen s.server ~proc:srv ~port:80 ();
+      ignore (run_flow s ~user:"u" ~exe:"/bin/app");
+      let st = C.stats s.controller in
+      Alcotest.(check int) (mode ^ ": allowed") 1 st.C.allowed;
+      Alcotest.(check int) (mode ^ ": blocked") 0 st.C.blocked;
+      Alcotest.(check int) (mode ^ ": query timeouts") 0 st.C.query_timeouts)
+    [ false; true ]
+
+(* A region a [log] rule may decide stays with the controller, which
+   audits each flow there, in both modes. *)
+let test_logged_region_stays_reactive () =
+  List.iter
+    (fun proactive ->
+      let mode = if proactive then "proactive" else "reactive" in
+      let s =
+        Deploy.simple_network ~config:{ C.default_config with C.proactive } ()
+      in
+      Identxx_core.Policy_store.add_exn (C.policy s.controller)
+        ~name:"00-policy" "block quick log from any to any port 23\npass all";
+      Sim.Engine.run s.engine;
+      ignore (run_flow ~dst_port:23 s ~user:"u" ~exe:"/bin/telnet");
+      let st = C.stats s.controller in
+      Alcotest.(check int) (mode ^ ": flows seen") 1 st.C.flows_seen;
+      Alcotest.(check int) (mode ^ ": blocked") 1 st.C.blocked;
+      Alcotest.(check int) (mode ^ ": flagged") 1
+        (List.length (Identxx_core.Audit.flagged (C.audit s.controller))))
+    [ false; true ]
 
 let test_tree_network_cross_pod_flow () =
   (* depth-3 binary tree: 7 switches, 4 leaves. A flow between hosts in
@@ -1501,8 +1576,12 @@ let () =
             test_precompile_stops_at_informational_quick;
           Alcotest.test_case "expands tables and ranges" `Quick
             test_precompile_expands_tables_and_ranges;
-          Alcotest.test_case "rejects negation and big ranges" `Quick
-            test_precompile_rejects_negation_and_big_ranges;
+          Alcotest.test_case "what stays reactive" `Quick
+            test_precompile_keeps_reactive;
+          Alcotest.test_case "quick drop spares ident++ answers" `Quick
+            test_quick_drop_spares_answers;
+          Alcotest.test_case "logged region stays reactive" `Quick
+            test_logged_region_stays_reactive;
         ] );
       ( "robustness & monitoring",
         [

@@ -154,22 +154,6 @@ let test_deploy_linear_validation () =
     (Invalid_argument "Deploy.linear_network: switches out of range") (fun () ->
       ignore (Identxx_core.Deploy.linear_network ~switches:0 ~hosts_per_switch:1 ()))
 
-(* --- Precompile unit view --- *)
-
-let test_precompile_compilable_rule () =
-  let env =
-    match Pf.Env.of_string "table <t> {10.0.0.0/8}\nblock quick from <t> to any port 445\npass all" with
-    | Ok e -> e
-    | Error e -> Alcotest.failf "%s" e
-  in
-  match Pf.Env.rules env with
-  | [ blockq; passall ] ->
-      check Alcotest.bool "quick block compiles" true
-        (Identxx_core.Precompile.compilable_rule env blockq);
-      check Alcotest.bool "pass does not" false
-        (Identxx_core.Precompile.compilable_rule env passall)
-  | _ -> Alcotest.fail "expected two rules"
-
 let () =
   Alcotest.run "core_units"
     [
@@ -198,6 +182,4 @@ let () =
       ("services", [ Alcotest.test_case "lookup" `Quick test_services_lookup ]);
       ( "deploy",
         [ Alcotest.test_case "linear validation" `Quick test_deploy_linear_validation ] );
-      ( "precompile",
-        [ Alcotest.test_case "compilable rule" `Quick test_precompile_compilable_rule ] );
     ]

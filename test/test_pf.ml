@@ -862,8 +862,9 @@ let prop_roundtrip_pretty_parse =
       eval env1 f = eval env2 f)
 
 let prop_precompile_sound =
-  (* Soundness of proactive compilation: any flow matched by a compiled
-     drop entry must be blocked by full PF+=2 evaluation. *)
+  (* Soundness of the drops-only table a controller without [proactive]
+     installs: any flow an entry decides is dropped, and blocked by full
+     PF+=2 evaluation. *)
   let gen_policy =
     QCheck.Gen.(
       let* rules =
@@ -887,17 +888,15 @@ let prop_precompile_sound =
       match Pf.Env.of_string policy with
       | Error _ -> false
       | Ok env ->
-          let matches = Identxx_core.Precompile.drop_matches env in
-          let pkt = Packet.of_five_tuple f in
-          let hit =
-            List.exists
-              (fun m -> Openflow.Match_fields.matches m ~in_port:0 pkt)
-              matches
+          let drops =
+            Compiler.compile
+              (Compiler.offload ~proactive:false env (Analysis.Fdd.compile env))
           in
-          (not hit)
-          ||
-          let v = Pf.Eval.eval_exn env (Pf.Eval.ctx ()) f in
-          v.Pf.Eval.decision = Pf.Ast.Block)
+          match Compiler.lookup drops f with
+          | Compiler.Punt -> true
+          | Compiler.Decide a ->
+              let v = Pf.Eval.eval_exn env (Pf.Eval.ctx ()) f in
+              a = Pf.Ast.Block && v.Pf.Eval.decision = Pf.Ast.Block)
 
 let prop_config_render_roundtrip =
   let gen_cfg =
