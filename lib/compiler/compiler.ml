@@ -376,37 +376,20 @@ module EMap = Map.Make (struct
     if c <> 0 then c else MF.compare fa fb
 end)
 
-module FMap = Map.Make (MF)
-
 let delta ~old_ cur =
   let index t =
     List.fold_left (fun m e -> EMap.add (e.e_fields, e.e_priority) e m) EMap.empty t.entries
   in
-  let io = index old_ and ic = index cur in
-  let same a b = a.e_decision = b.e_decision in
-  let dels =
-    List.filter
-      (fun e ->
-        match EMap.find_opt (e.e_fields, e.e_priority) ic with
-        | Some e' -> not (same e e')
-        | None -> true)
-      old_.entries
+  (* An entry changed unless [other] holds it with the same decision. *)
+  let changed other e =
+    match EMap.find_opt (e.e_fields, e.e_priority) other with
+    | Some e' -> e'.e_decision <> e.e_decision
+    | None -> true
   in
-  let deleted_fields =
-    List.fold_left (fun m e -> FMap.add e.e_fields () m) FMap.empty dels
-  in
-  (* Strict delete removes by fields alone, so any surviving entry that
-     shares fields with a deleted one must be re-added. *)
-  let adds =
-    List.filter
-      (fun e ->
-        (match EMap.find_opt (e.e_fields, e.e_priority) io with
-        | Some e' -> not (same e e')
-        | None -> true)
-        || FMap.mem e.e_fields deleted_fields)
-      cur.entries
-  in
-  { d_add = adds; d_del = dels }
+  {
+    d_add = List.filter (changed (index old_)) cur.entries;
+    d_del = List.filter (changed (index cur)) old_.entries;
+  }
 
 (* --- reference semantics --- *)
 

@@ -114,8 +114,10 @@ type delta = { d_add : entry list; d_del : entry list }
 val delta : old_:table -> table -> delta
 (** Minimal flow-mod step from [old_] to the new table: entries to
     strict-delete and entries to add. Entries are compared by fields,
-    priority and decision; an entry re-added under a changed priority
-    appears in both lists (strict delete is by fields). *)
+    priority and decision. A strict delete names its priority (see
+    {!Openflow.Flow_table.remove}), so an entry whose fields reappear
+    at another priority is deleted at the old one and added at the new
+    one, and an unchanged entry is in neither list. *)
 
 val lookup : table -> Netcore.Five_tuple.t -> decision
 (** The abstract table's verdict for one flow: the decision of the

@@ -288,11 +288,14 @@ let lookup t ~in_port pkt =
       t.miss_count <- t.miss_count + 1;
       None
 
-let remove t ~fields =
-  (* Entries with equal fields share one index key. *)
+let remove t ~priority ~fields =
+  (* [add] keeps at most one entry per (fields, priority), and entries
+     with equal fields share one index key. *)
   (match index_key_of fields with
-  | Some k -> update_bucket t k (cull t (fun s -> same_fields s fields))
-  | None -> band_filter t same_fields fields);
+  | Some k ->
+      update_bucket t k
+        (cull t (fun s -> s.entry.priority = priority && same_fields s fields))
+  | None -> band_delete_first t priority same_fields fields);
   compact t
 
 let covered s fields = Match_fields.covers fields s.entry.fields

@@ -38,11 +38,13 @@ val lookup : t -> in_port:int -> Packet.t -> Flow_entry.t option
     high; O(w) when the bucket has no match); the scan allocates
     nothing per wildcard. *)
 
-val remove : t -> fields:Match_fields.t -> unit
-(** Strict delete: removes entries whose fields equal [fields],
-    whatever their priority. O(b) for five-tuple-shaped [fields];
-    otherwise an O(w) scan that compacts the band in place, allocating
-    nothing. *)
+val remove : t -> priority:int -> fields:Match_fields.t -> unit
+(** Strict delete (OpenFlow [DELETE_STRICT]): removes the entry whose
+    fields equal [fields] and whose priority is [priority]; there is at
+    most one, since {!add} replaces an identical one. An entry with the
+    same fields at another priority stays. O(b) for five-tuple-shaped
+    [fields]; otherwise an O(log w + r) search of that priority's run
+    plus a memmove of the band's tail, allocating nothing. *)
 
 val remove_matching : t -> fields:Match_fields.t -> unit
 (** Wildcard delete: removes entries covered by [fields] (OpenFlow

@@ -67,7 +67,9 @@ val add_flow :
 val delete_flow : fields:Match_fields.t -> to_switch
 
 val delete_strict : priority:int -> fields:Match_fields.t -> to_switch
-(** Deletes only the entry with exactly these fields and this priority. *)
+(** OpenFlow [DELETE_STRICT]: deletes only the entry with exactly these
+    fields and this priority. Entries with the same fields at other
+    priorities stay (see {!Flow_table.remove}). *)
 
 val pp_to_controller : Format.formatter -> to_controller -> unit
 val pp_to_switch : Format.formatter -> to_switch -> unit

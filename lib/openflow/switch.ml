@@ -60,7 +60,7 @@ let apply t ~now msg =
           Flow_table.remove_matching t.table ~fields:fm.fields;
           Nothing
       | Message.Delete_strict ->
-          Flow_table.remove t.table ~fields:fm.fields;
+          Flow_table.remove t.table ~priority:fm.priority ~fields:fm.fields;
           Nothing)
   | Message.Stats_request { xid } ->
       let flows =

@@ -4,8 +4,9 @@
    randomized table-vs-FDD-vs-Eval differential over every shipped
    policy, and the end-to-end proactive controller: a statically-passed
    flow crosses the fabric with zero packet-ins, reactive residue still
-   punts, keep-state regions stay controller-mediated, and evictions of
-   compiled entries are counted and spanned. *)
+   punts, keep-state regions stay controller-mediated, evictions of
+   compiled entries are counted and spanned, and after every reload the
+   switches hold what a fresh install of the policy would. *)
 
 open Netcore
 module Fdd = Analysis.Fdd
@@ -201,14 +202,39 @@ let test_incremental_delta () =
     let compare = compare
   end) in
   let set l = S.of_list (List.map entry_key l) in
-  let applied =
-    S.union
-      (S.diff (set a.Compiler.entries) (set d.Compiler.d_del))
-      (set d.Compiler.d_add)
+  let check_applies old_ d cur =
+    let applied =
+      S.union
+        (S.diff (set old_.Compiler.entries) (set d.Compiler.d_del))
+        (set d.Compiler.d_add)
+    in
+    Alcotest.(check bool)
+      "old - del + add = new" true
+      (S.equal applied (set cur.Compiler.entries))
   in
+  check_applies a d b;
+  (* The same fields at two priorities, only one of which goes. A strict
+     delete names its priority, so the survivor is in neither list. *)
+  let at e_priority e_decision =
+    {
+      Compiler.e_fields =
+        { MF.any with MF.nw_proto = Some Proto.Tcp; tp_dst = Some 80 };
+      e_priority;
+      e_decision;
+      e_lines = [];
+    }
+  in
+  let gone = at 0x5004 (Compiler.Decide Pf.Ast.Pass)
+  and survivor = at 0x5002 (Compiler.Decide Pf.Ast.Block) in
+  let old_ = { a with Compiler.entries = [ gone; survivor ] }
+  and cur = { a with Compiler.entries = [ survivor ] } in
+  let d = Compiler.delta ~old_ cur in
   Alcotest.(check bool)
-    "old - del + add = new" true
-    (S.equal applied (set b.Compiler.entries))
+    "only the gone entry is deleted" true
+    (List.map entry_key d.Compiler.d_del = [ entry_key gone ]);
+  Alcotest.(check int) "survivor not re-added" 0
+    (List.length d.Compiler.d_add);
+  check_applies old_ d cur
 
 (* --- the randomized differential: table vs diagram vs evaluator --- *)
 
@@ -696,6 +722,104 @@ let test_e2e_keep_state_reload_deletes_specials () =
   Alcotest.(check (list string))
     "keep state leaves no forwarding entry" [] (forwarding_entries network)
 
+(* Every compiled entry on the domain's switches, as
+   "s<dpid> prio=<p> <fields> -> <actions>", sorted: entries of one
+   priority may sit in either order, depending on install order. *)
+let compiled_entries network =
+  List.concat_map
+    (fun dpid ->
+      Openflow.Flow_table.entries
+        (Openflow.Switch.table (Net.switch network dpid))
+      |> List.filter (fun (e : Openflow.Flow_entry.t) ->
+             e.Openflow.Flow_entry.cookie = Compiler.proactive_cookie)
+      |> List.map (fun (e : Openflow.Flow_entry.t) ->
+             Format.asprintf "s%d prio=%d %a -> %a" dpid
+               e.Openflow.Flow_entry.priority MF.pp e.Openflow.Flow_entry.fields
+               Openflow.Action.pp_list e.Openflow.Flow_entry.actions))
+    (Net.switches_in_domain network 0)
+  |> List.sort String.compare
+
+let reload_network () =
+  Deploy.linear_network ~config:proactive_config ~switches:3
+    ~hosts_per_switch:2 ()
+
+(* What the switches hold after a fresh install of [files]: once they
+   are loaded, every table is wiped and the whole compiled table is
+   installed at once, with nothing to delete. *)
+let fresh_install files =
+  let engine, network, controller, _ = reload_network () in
+  List.iter
+    (fun (name, text) -> PS.add_exn (C.policy controller) ~name text)
+    files;
+  Sim.Engine.run engine;
+  List.iter
+    (fun dpid ->
+      Openflow.Flow_table.clear
+        (Openflow.Switch.table (Net.switch network dpid)))
+    (Net.switches_in_domain network 0);
+  C.sync_proactive ~force:true controller;
+  Sim.Engine.run engine;
+  compiled_entries network
+
+let reload_base =
+  "block all\npass proto tcp from any to any port 80\npass proto tcp from \
+   10.0.2.0/24 to any port 22"
+
+(* Load [reload_base] as file 00, then each of [edits] in turn as file
+   50. After every reload, each switch's compiled entries must equal
+   those of a fresh install of the same two files. *)
+let check_reloads ~what edits =
+  let engine, network, controller, _ = reload_network () in
+  PS.add_exn (C.policy controller) ~name:"00" reload_base;
+  Sim.Engine.run engine;
+  List.iteri
+    (fun i text ->
+      PS.add_exn (C.policy controller) ~name:"50" text;
+      Sim.Engine.run engine;
+      let what = Printf.sprintf "%s, reload %d" what (i + 1) in
+      let fresh = fresh_install [ ("00", reload_base); ("50", text) ] in
+      Alcotest.(check bool) (what ^ ": fresh install has entries") true
+        (fresh <> []);
+      Alcotest.(check (list string))
+        (what ^ ": switches hold a fresh install")
+        fresh (compiled_entries network))
+    edits
+
+(* Two old entries lower to the same host-specialised fields at
+   different priorities; deleting one must leave the other in place. *)
+let test_e2e_reload_matches_fresh_install () =
+  check_reloads ~what:"edit"
+    [
+      "pass proto tcp from 10.0.2.0/24 to 10.0.1.0/24 port 25\n\
+       block proto tcp from 10.0.2.0/24 to 10.0.1.0/24 port 25";
+      "block proto tcp from 10.0.2.0/24 to 10.0.3.0/24 port 25";
+    ]
+
+(* Random edits of file 50: one or two rules over the three host
+   subnets and ports 80, 22 and 25, four reloads per case. *)
+let test_e2e_random_reloads_match_fresh_install () =
+  let prng = Sim.Prng.create 1 in
+  let subnet () =
+    Printf.sprintf "10.0.%d.0/24" (Sim.Prng.int_range prng 1 3)
+  in
+  let rule () =
+    let action = if Sim.Prng.bool prng then "pass" else "block" in
+    let src = subnet () in
+    let dst = subnet () in
+    Printf.sprintf "%s proto tcp from %s to %s port %d" action src dst
+      (Sim.Prng.pick prng [| 80; 22; 25 |])
+  in
+  let edit () =
+    String.concat "\n"
+      (List.init (Sim.Prng.int_range prng 1 2) (fun _ -> rule ()))
+  in
+  for case = 1 to 100 do
+    let edits = List.init 4 (fun _ -> edit ()) in
+    check_reloads
+      ~what:(Printf.sprintf "case %d [%s]" case (String.concat " | " edits))
+      edits
+  done
+
 let () =
   Alcotest.run "compiler"
     [
@@ -736,5 +860,9 @@ let () =
             test_e2e_reload_after_partition;
           Alcotest.test_case "keep-state reload deletes specials" `Quick
             test_e2e_keep_state_reload_deletes_specials;
+          Alcotest.test_case "reload matches a fresh install" `Quick
+            test_e2e_reload_matches_fresh_install;
+          Alcotest.test_case "random reloads match a fresh install" `Quick
+            test_e2e_random_reloads_match_fresh_install;
         ] );
     ]

@@ -179,7 +179,7 @@ let churn_words n =
     FT.add t timed;
     expired := !expired + FT.expire t ~now:(Sim.Time.ms 2);
     FT.add t plain;
-    FT.remove t ~fields:plain.FE.fields
+    FT.remove t ~priority:plain.FE.priority ~fields:plain.FE.fields
   done;
   let words = (Gc.minor_words () -. before) /. float_of_int rounds in
   check Alcotest.int "every round expired its entry" rounds !expired;
@@ -231,7 +231,7 @@ let wildcard_churn_words n =
   let words =
     words_per_op (fun () ->
         FT.add t e;
-        FT.remove t ~fields:e.FE.fields)
+        FT.remove t ~priority:e.FE.priority ~fields:e.FE.fields)
   in
   check Alcotest.int "table back to its prefill" n (FT.size t);
   words
@@ -727,8 +727,11 @@ module Model = struct
     in
     t.entries <- insert t.entries
 
-  let remove t fields =
-    t.entries <- List.filter (fun x -> not (MF.equal x.fields fields)) t.entries
+  let remove t ~priority fields =
+    t.entries <-
+      List.filter
+        (fun x -> not (x.priority = priority && MF.equal x.fields fields))
+        t.entries
 
   let remove_matching t fields =
     t.entries <- List.filter (fun x -> not (MF.covers fields x.fields)) t.entries
@@ -748,7 +751,7 @@ end
 type op =
   | Op_add of bool * int * int * int * int option * int option
       (* indexable, prio, a, dp, idle_ms, hard_ms *)
-  | Op_remove of bool * int * int
+  | Op_remove of bool * int * int * int (* indexable, prio, a, dp *)
   | Op_remove_matching of int option * int option (* a, dp; None is wild *)
   | Op_expire of int (* advance ms *)
   | Op_lookup of int * int
@@ -764,7 +767,7 @@ let gen_op =
       let* idle = option (int_range 1 20) in
       let* hard = option ~ratio:0.3 (int_range 1 30) in
       return (Op_add (indexable, prio, a, dp, idle, hard))
-    else if kind < 5 then return (Op_remove (indexable, a, dp))
+    else if kind < 5 then return (Op_remove (indexable, prio, a, dp))
     else if kind < 6 then
       let* wild_a = bool in
       let* wild_dp = bool in
@@ -829,10 +832,10 @@ let prop_table_stateful_model =
                 hard = ms_to_ns hard_ms;
               };
             true
-        | Op_remove (indexable, a, dp) ->
+        | Op_remove (indexable, prio, a, dp) ->
             let fields = fields_of ~indexable ~a ~dp in
-            FT.remove table ~fields;
-            Model.remove model fields;
+            FT.remove table ~priority:prio ~fields;
+            Model.remove model ~priority:prio fields;
             true
         | Op_remove_matching (a, dp) ->
             let fields =
@@ -945,7 +948,10 @@ module List_table = struct
         if MF.matches s.entry.FE.fields ~in_port pkt then Some s.entry else None)
       t.slots
 
-  let remove t fields = cull t (fun s -> MF.equal s.entry.FE.fields fields)
+  let remove t ~priority fields =
+    cull t (fun s ->
+        s.entry.FE.priority = priority && MF.equal s.entry.FE.fields fields)
+
   let remove_matching t fields =
     cull t (fun s -> MF.covers fields s.entry.FE.fields)
 
@@ -1015,7 +1021,7 @@ let gen_probe =
 type table_op =
   | T_add of int * MF.t * int option * int option
       (* priority, fields, idle and hard timeout (ms) *)
-  | T_remove of MF.t
+  | T_remove of int * MF.t (* priority, fields *)
   | T_remove_matching of MF.t
   | T_expire of int (* advance the clock (ms), then expire *)
   | T_hit of int * Packet.t (* look up, and count a hit on the result *)
@@ -1030,7 +1036,7 @@ let gen_table_op =
           let* idle = option ~ratio:0.3 (int_range 1 20) in
           let* hard = option ~ratio:0.2 (int_range 1 30) in
           return (T_add (prio, fields, idle, hard)) );
-        (2, map (fun f -> T_remove f) gen_match);
+        (2, map2 (fun p f -> T_remove (p, f)) (int_range 1 3) gen_match);
         (1, map (fun f -> T_remove_matching f) gen_match);
         (2, map (fun ms -> T_expire ms) (int_range 1 8));
         (3, map (fun (in_port, pkt) -> T_hit (in_port, pkt)) gen_probe);
@@ -1067,9 +1073,9 @@ let prop_table_agrees_with_list_table =
             FT.add table e;
             List_table.add model e;
             true
-        | T_remove fields ->
-            FT.remove table ~fields;
-            List_table.remove model fields;
+        | T_remove (priority, fields) ->
+            FT.remove table ~priority ~fields;
+            List_table.remove model ~priority fields;
             true
         | T_remove_matching fields ->
             FT.remove_matching table ~fields;
