@@ -230,6 +230,10 @@ type waiter = {
   w_end : [ `Src | `Dst ];
 }
 
+(* What the current policy reads, for the flow-setup path: the
+   decision-cache key shape and the key list a query hints. *)
+type policy_view = { shape : Fastpath.decision_shape; hints : string list }
+
 (* Everything per-flow state touches, split per shard: its own pending
    table, its own fast-path view (attribute/decision caches + breaker),
    and its own metrics record (labelled [shard=<i>] when sharding is
@@ -267,8 +271,8 @@ type t = {
          share (it sits below them, on the wire side). *)
   batch : Shard.Batch.t;
       (* Installs, releases and queries leave in per-tick passes. *)
-  mutable src_port_matters : (int * bool) option;
-      (* Per-epoch memo of Fastpath.env_matches_src_port. *)
+  mutable policy_view : (int * policy_view) option;
+      (* Per-epoch memo of what the policy reads. *)
   mutable trace_seq : int;
       (* Disambiguates trace ids when the same 5-tuple misses twice. *)
   mutable last_stats : (Msg.switch_id * Msg.stats_reply) list;
@@ -451,21 +455,42 @@ let release_packets t packets =
         (Msg.Packet_out { Msg.out_packet = pkt; out_port = `Table }))
     (List.rev packets)
 
-(* Whether any rule of the current policy constrains source ports: the
-   decision-cache key wildcards the ephemeral client port only when it
-   provably cannot change the verdict. Memoized per policy epoch. *)
-let src_port_matters t =
+(* The keys a query hints when the policy reads none: the identity
+   and application keys of §3.3. *)
+let default_query_keys =
+  Identxx.Key_value.
+    [ user_id; group_id; app_name; exe_hash; version; requirements; req_sig ]
+
+(* The current policy's {!policy_view}, memoized per epoch. The hints
+   are the keys the policy actually reads, falling back to
+   {!default_query_keys} (§3.2: the list is only a hint; daemons may
+   answer with more); they are also the attribute-cache key for a
+   host's answer. A policy that fails to build keys decisions on the
+   full flow and every pair. *)
+let policy_view t =
   let epoch = Policy_store.epoch t.policy in
-  match t.src_port_matters with
-  | Some (e, b) when e = epoch -> b
+  match t.policy_view with
+  | Some (e, v) when e = epoch -> v
   | Some _ | None ->
-      let b =
+      let v =
         match Policy_store.env t.policy with
-        | Ok env -> Fastpath.env_matches_src_port env
-        | Error _ -> true (* conservative: key on the full 5-tuple *)
+        | Ok env ->
+            let hints =
+              match Pf.Env.referenced_keys env with
+              | [] -> default_query_keys
+              | keys -> keys
+            in
+            { shape = Fastpath.decision_shape env; hints }
+        | Error _ ->
+            {
+              shape = { Fastpath.src_port = true; reads = None };
+              hints = default_query_keys;
+            }
       in
-      t.src_port_matters <- Some (epoch, b);
-      b
+      t.policy_view <- Some (epoch, v);
+      v
+
+let hint_keys t = (policy_view t).hints
 
 let compute_verdict t sx ~flow ~src ~dst =
   let input = { Decision.flow; src_response = src; dst_response = dst } in
@@ -482,22 +507,12 @@ let compute_verdict t sx ~flow ~src ~dst =
       }
 
 (* The verdict for a flow given both endpoint answers, through the
-   decision cache when the fast path is on. [src_tag]/[dst_tag] are
-   pre-computed answer tags (from the attribute cache) that save
-   re-encoding the responses on the hot path. *)
-let eval_decision ?src_tag ?dst_tag t sx ~flow ~src ~dst =
+   decision cache when the fast path is on. *)
+let eval_decision t sx ~flow ~src ~dst =
   if not (Fastpath.enabled sx.s_fp) then compute_verdict t sx ~flow ~src ~dst
   else begin
     let epoch = Policy_store.epoch t.policy in
-    let tag precomputed resp =
-      match precomputed with
-      | Some tg -> tg
-      | None -> Fastpath.answer_tag resp
-    in
-    let key =
-      Fastpath.decision_key_tagged ~match_src_port:(src_port_matters t) ~flow
-        ~src_tag:(tag src_tag src) ~dst_tag:(tag dst_tag dst)
-    in
+    let key = Fastpath.decision_key (policy_view t).shape ~flow ~src ~dst in
     match Fastpath.find_decision sx.s_fp ~epoch ~key with
     | Some v -> v
     | None ->
@@ -651,24 +666,6 @@ let post_to_waiters t ws fn =
     ws
 
 (* --- querying daemons (Figure 1, step 3) --- *)
-
-(* The keys a query hints when the policy reads none: the identity
-   and application keys of §3.3. *)
-let default_query_keys =
-  Identxx.Key_value.
-    [ user_id; group_id; app_name; exe_hash; version; requirements; req_sig ]
-
-(* The key list a query hints: the keys the current policy actually
-   reads, falling back to {!default_query_keys} (§3.2: the list is only
-   a hint; daemons may answer with more). Also the attribute-cache key
-   for the host's answer. *)
-let hint_keys t =
-  match Policy_store.env t.policy with
-  | Ok env -> (
-      match Pf.Env.referenced_keys env with
-      | [] -> default_query_keys
-      | keys -> keys)
-  | Error _ -> default_query_keys
 
 (* The coalescing key alongside the host: two queries share an exchange
    only when they hint the same key list. *)
@@ -851,23 +848,21 @@ let start_flow t sx ~dpid ~in_port pkt (flow : Five_tuple.t) =
     in
     (* Fast path: before any Figure-1 exchange, try to resolve each
        queried endpoint from the attribute cache, or — for a host whose
-       breaker is open — as an immediate absent response. [Some (r, tag)]
-       is a resolved answer (r = None means absent) with its cached
-       decision-key tag; [None] means the daemon must actually be
-       asked. *)
+       breaker is open — as an immediate absent response. [Some r] is a
+       resolved answer (r = None means absent); [None] means the daemon
+       must actually be asked. *)
     let fp_resolve want ip =
-      if not want then Some (None, "-")
+      if not want then Some None
       else
         match
-          Fastpath.find_attrs_tagged sx.s_fp ~now ~host:ip
-            ~keys:(hint_keys t)
+          Fastpath.find_attrs sx.s_fp ~now ~host:ip ~keys:(hint_keys t)
         with
-        | Some (r, tag) ->
+        | Some r ->
             if Obs.Span.is_live sp then
               Obs.Span.event sp ~at:now_s
                 ~attrs:[ ("host", Ipv4.to_string ip) ]
                 "attr-cache-hit";
-            Some (Some r, tag)
+            Some (Some r)
         | None -> (
             match Fastpath.consult_host sx.s_fp ~now ip with
             | `Absent ->
@@ -875,7 +870,7 @@ let start_flow t sx ~dpid ~in_port pkt (flow : Five_tuple.t) =
                   Obs.Span.event sp ~at:now_s
                     ~attrs:[ ("host", Ipv4.to_string ip) ]
                     "breaker-absent";
-                Some (None, "-")
+                Some None
             | `Probe ->
                 if Obs.Span.is_live sp then
                   Obs.Span.event sp ~at:now_s
@@ -887,13 +882,12 @@ let start_flow t sx ~dpid ~in_port pkt (flow : Five_tuple.t) =
     let pre_src = fp_resolve want_src flow.Five_tuple.src
     and pre_dst = fp_resolve want_dst flow.Five_tuple.dst in
     match (pre_src, pre_dst) with
-    | Some (src, src_tag), Some (dst, dst_tag) when Fastpath.enabled sx.s_fp
-      ->
+    | Some src, Some dst when Fastpath.enabled sx.s_fp ->
         (* Both ends resolved without touching the network: decide now,
            with no pending entry and no timer. *)
         Obs.Registry.Counter.inc sx.s_m.c_fastpath;
         if Obs.Span.is_live sp then Obs.Span.set_attr sp "path" "fastpath";
-        let verdict = eval_decision t sx ~flow ~src ~dst ~src_tag ~dst_tag in
+        let verdict = eval_decision t sx ~flow ~src ~dst in
         apply_verdict ~span:sp ~started:now_s ?trace_id:(trace_id_of ctx) t sx
           ~flow
           ~packets:[ (dpid, in_port, pkt) ]
@@ -911,8 +905,8 @@ let start_flow t sx ~dpid ~in_port pkt (flow : Five_tuple.t) =
       {
         p_flow = flow;
         p_packets = [ (dpid, in_port, pkt) ];
-        src_resp = (match pre_src with Some (r, _) -> r | None -> None);
-        dst_resp = (match pre_dst with Some (r, _) -> r | None -> None);
+        src_resp = Option.join pre_src;
+        dst_resp = Option.join pre_dst;
         await_src = false;
         await_dst = false;
         retries_left = t.cfg.query_retries;
@@ -1804,7 +1798,7 @@ let create ?(config = default_config) ?keystore ?functions ?obs ?spans
       shard_engine;
       conn;
       batch;
-      src_port_matters = None;
+      policy_view = None;
       trace_seq = 0;
       last_stats = [];
       proactive_tbl = empty_table;

@@ -4,9 +4,6 @@ let expires_key = "expires"
 
 type entry = {
   response : Identxx.Response.t;
-  tag : string;
-      (* the response's decision-key answer tag ("R" ^ encoding),
-         computed once here so cache hits never re-encode *)
   signer : string option;
   expires_at : Sim.Time.t;
 }
@@ -66,6 +63,22 @@ let evict_one t =
         t.evictions <- t.evictions + 1
       end
 
+(* Entries that leave by expiry or invalidation keep their keys queued,
+   and nothing pops them while the table stays under capacity: past
+   twice the capacity, keep only each live key's first place, the one
+   that evicts it (amortised O(1) per insertion). *)
+let compact t =
+  if Queue.length t.order > 2 * t.capacity then begin
+    let kept = Tbl.create t.capacity in
+    for _ = 1 to Queue.length t.order do
+      let key = Queue.take t.order in
+      if Tbl.mem t.entries key && not (Tbl.mem kept key) then begin
+        Tbl.add kept key ();
+        Queue.add key t.order
+      end
+    done
+  end
+
 let store t ~now ~host ~keys ?signer response =
   let key = Key.make host keys in
   let ttl =
@@ -73,14 +86,7 @@ let store t ~now ~host ~keys ?signer response =
     | Some bound -> Sim.Time.min t.ttl bound
     | None -> t.ttl
   in
-  let entry =
-    {
-      response;
-      tag = "R" ^ Identxx.Response.encode response;
-      signer;
-      expires_at = Sim.Time.add now ttl;
-    }
-  in
+  let entry = { response; signer; expires_at = Sim.Time.add now ttl } in
   if not (Tbl.mem t.entries key) then begin
     (* The queue may hold keys of already-replaced or invalidated
        entries; evict until a live entry actually goes. *)
@@ -89,14 +95,15 @@ let store t ~now ~host ~keys ?signer response =
     done;
     Queue.add key t.order
   end;
-  Tbl.replace t.entries key entry
+  Tbl.replace t.entries key entry;
+  compact t
 
-let find_tagged t ~now ~host ~keys =
+let find t ~now ~host ~keys =
   let key = Key.make host keys in
   match Tbl.find_opt t.entries key with
   | Some e when Sim.Time.(now < e.expires_at) ->
       t.hits <- t.hits + 1;
-      Some (e.response, e.tag)
+      Some e.response
   | Some _ ->
       Tbl.remove t.entries key;
       t.misses <- t.misses + 1;
@@ -104,8 +111,6 @@ let find_tagged t ~now ~host ~keys =
   | None ->
       t.misses <- t.misses + 1;
       None
-
-let find t ~now ~host ~keys = Option.map fst (find_tagged t ~now ~host ~keys)
 
 let drop_matching t pred =
   let stale =

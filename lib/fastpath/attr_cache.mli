@@ -20,7 +20,9 @@ open Netcore
 type t
 
 val create : ?capacity:int -> ttl:Sim.Time.t -> unit -> t
-(** [capacity] bounds the entry count (FIFO eviction, default 4096). *)
+(** [capacity] bounds the entry count (FIFO eviction, default 4096).
+    The FIFO order queue stays within twice the capacity however many
+    entries leave by expiry or invalidation. *)
 
 val expires_key : string
 (** ["expires"] — the response key read for the self-imposed lifetime
@@ -44,13 +46,6 @@ val find :
   Identxx.Response.t option
 (** A live entry for this host and key set, regardless of signer.
     Expired entries are dropped on the way. Counts a hit or a miss. *)
-
-val find_tagged :
-  t -> now:Sim.Time.t -> host:Ipv4.t -> keys:string list ->
-  (Identxx.Response.t * string) option
-(** Like {!find}, also returning the response's decision-key answer tag
-    (computed once at {!store} time, so the per-flow fast path never
-    re-encodes the response). *)
 
 val invalidate_host : t -> Ipv4.t -> int
 (** Drop every entry for the host (a daemon-side change event); returns

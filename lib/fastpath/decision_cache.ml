@@ -59,6 +59,22 @@ let evict_one t =
         t.evictions <- t.evictions + 1
       end
 
+(* Entries that leave by purge keep their keys queued, and nothing pops
+   them while the table stays under capacity: past twice the capacity,
+   keep only each live key's first place, the one that evicts it
+   (amortised O(1) per insertion). *)
+let compact t =
+  if Queue.length t.order > 2 * t.capacity then begin
+    let kept = Hashtbl.create t.capacity in
+    for _ = 1 to Queue.length t.order do
+      let key = Queue.take t.order in
+      if Hashtbl.mem t.entries key && not (Hashtbl.mem kept key) then begin
+        Hashtbl.add kept key ();
+        Queue.add key t.order
+      end
+    done
+  end
+
 let store t ~epoch ~key ~flow verdict =
   sync_epoch t epoch;
   if not (Hashtbl.mem t.entries key) then begin
@@ -68,7 +84,8 @@ let store t ~epoch ~key ~flow verdict =
     Queue.add key t.order
   end;
   Hashtbl.replace t.entries key
-    { verdict; src = flow.Five_tuple.src; dst = flow.Five_tuple.dst }
+    { verdict; src = flow.Five_tuple.src; dst = flow.Five_tuple.dst };
+  compact t
 
 let purge_ip t ip =
   let doomed =

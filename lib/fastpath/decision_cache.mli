@@ -1,9 +1,9 @@
-(** Memoized policy verdicts, keyed by (policy epoch, flow class,
-    canonical answer set).
+(** Memoized policy verdicts, keyed by (policy epoch, flow class, the
+    answer values the policy reads; see [Fastpath.decision_key]).
 
-    Two flows whose classifier fields and end-host answers are identical
-    receive the identical verdict from {!Pf.Eval}, so the controller can
-    replay a cached verdict instead of re-walking the ruleset — but only
+    Two flows whose keys are equal receive the identical verdict from
+    {!Pf.Eval}, so the controller can replay a cached verdict instead of
+    re-walking the ruleset — but only
     within a single policy {e epoch}: {!Policy_store} bumps a monotonic
     counter on every load, remove and rollback, and entries from any
     other epoch are unreachable (and dropped wholesale on the first
@@ -19,7 +19,8 @@ open Netcore
 type t
 
 val create : ?capacity:int -> unit -> t
-(** FIFO-bounded (default 16384 entries). *)
+(** FIFO-bounded (default 16384 entries). The FIFO order queue stays
+    within twice the capacity however many entries are purged. *)
 
 val find : t -> epoch:int -> key:string -> Pf.Eval.verdict option
 (** Counts a hit or a miss. An [epoch] different from the cache's

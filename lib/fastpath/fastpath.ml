@@ -51,10 +51,6 @@ let find_attrs t ~now ~host ~keys =
   if not t.cfg.enabled then None
   else Attr_cache.find t.attrs ~now ~host ~keys
 
-let find_attrs_tagged t ~now ~host ~keys =
-  if not t.cfg.enabled then None
-  else Attr_cache.find_tagged t.attrs ~now ~host ~keys
-
 let store_attrs t ~now ~host ~keys ?signer response =
   if t.cfg.enabled then
     Attr_cache.store t.attrs ~now ~host ~keys ?signer response
@@ -78,31 +74,75 @@ let note_breaker_open t ~now ip =
 let note_response t ip =
   if t.cfg.enabled then Breaker.note_response t.breaker ip
 
-let env_matches_src_port env =
-  List.exists
-    (fun (r : Pf.Ast.rule) -> r.from_.port <> None)
-    (Pf.Env.rules env)
+type decision_shape = { src_port : bool; reads : string list option }
 
-(* The "R" tag keeps "daemon answered with no pairs" distinct from
-   "daemon silent" — policy treats them differently. *)
-let answer_tag = function
-  | None -> "-"
-  | Some r -> "R" ^ Identxx.Response.encode r
+let decision_shape env =
+  let rules = Pf.Env.rules env in
+  let calls_allowed =
+    List.exists
+      (fun (r : Pf.Ast.rule) ->
+        List.exists (fun (fc : Pf.Ast.funcall) -> fc.fname = "allowed") r.conds)
+      rules
+  in
+  {
+    src_port =
+      calls_allowed
+      || List.exists (fun (r : Pf.Ast.rule) -> r.from_.port <> None) rules;
+    reads = (if calls_allowed then None else Some (Pf.Env.referenced_keys env));
+  }
 
-let decision_key_tagged ~match_src_port ~(flow : Five_tuple.t) ~src_tag
-    ~dst_tag =
-  (* Length prefixes keep the concatenated tags unambiguous (a tag may
-     contain any byte, including the separators). *)
-  Printf.sprintf "%s>%s/%s:%s:%d:%d,%s%s"
-    (Ipv4.to_string flow.Five_tuple.src)
-    (Ipv4.to_string flow.Five_tuple.dst)
-    (Proto.to_string flow.Five_tuple.proto)
-    (if match_src_port then string_of_int flow.Five_tuple.src_port else "*")
-    flow.Five_tuple.dst_port (String.length src_tag) src_tag dst_tag
+(* Length prefixes keep the concatenated strings unambiguous: a value
+   may contain any byte, including the separators, but a length always
+   starts with a digit and every separator is a non-digit. *)
+let add_lp b s =
+  Buffer.add_string b (string_of_int (String.length s));
+  Buffer.add_char b ':';
+  Buffer.add_string b s
 
-let decision_key ~match_src_port ~flow ~src ~dst =
-  decision_key_tagged ~match_src_port ~flow ~src_tag:(answer_tag src)
-    ~dst_tag:(answer_tag dst)
+(* "-" for a silent end, "R" then what the policy can read for an
+   answer. A read key's values go in [Response.all_values] order
+   (without building the list), closed by ';'; with [None] every
+   section goes in whole, each opened by '|'. *)
+let add_answer b reads = function
+  | None -> Buffer.add_char b '-'
+  | Some (r : Identxx.Response.t) -> (
+      Buffer.add_char b 'R';
+      match reads with
+      | Some keys ->
+          List.iter
+            (fun key ->
+              List.iter
+                (List.iter (fun (p : Identxx.Key_value.pair) ->
+                     if String.equal p.key key then add_lp b p.value))
+                r.sections;
+              Buffer.add_char b ';')
+            keys
+      | None ->
+          List.iter
+            (fun section ->
+              Buffer.add_char b '|';
+              List.iter
+                (fun (p : Identxx.Key_value.pair) ->
+                  add_lp b p.key;
+                  add_lp b p.value)
+                section)
+            r.sections)
+
+let decision_key shape ~(flow : Five_tuple.t) ~src ~dst =
+  let b = Buffer.create 64 in
+  let add_int sep n =
+    Buffer.add_string b (string_of_int n);
+    Buffer.add_char b sep
+  in
+  add_int '>' (Ipv4.to_int flow.src);
+  add_int '/' (Ipv4.to_int flow.dst);
+  add_int ':' (Proto.to_int flow.proto);
+  if shape.src_port then add_int ':' flow.src_port
+  else Buffer.add_string b "*:";
+  add_int ',' flow.dst_port;
+  add_answer b shape.reads src;
+  add_answer b shape.reads dst;
+  Buffer.contents b
 
 let find_decision t ~epoch ~key =
   if not t.cfg.enabled then None

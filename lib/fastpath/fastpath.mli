@@ -4,8 +4,8 @@
     - {!Attr_cache}: recent daemon responses, keyed by (host, query-key
       set, signer), dropped on daemon-side change events and TTL expiry;
     - {!Decision_cache}: memoized verdicts keyed by (policy epoch, flow
-      class, canonical answer set) — a {!Policy_store} epoch bump
-      orphans every entry;
+      class, the answer values the policy reads; see {!decision_key}) —
+      a {!Policy_store} epoch bump orphans every entry;
     - {!Breaker}: a per-host circuit breaker that, after [threshold]
       consecutive query timeouts, treats the host as non-ident++ for a
       backoff window and lets flows decide immediately with absent
@@ -57,12 +57,6 @@ val find_attrs :
   Identxx.Response.t option
 (** [None] (without touching counters) when the fast path is off. *)
 
-val find_attrs_tagged :
-  t -> now:Sim.Time.t -> host:Ipv4.t -> keys:string list ->
-  (Identxx.Response.t * string) option
-(** Like {!find_attrs}, also returning the cached decision-key answer
-    tag so per-flow cache hits skip re-encoding the response. *)
-
 val store_attrs :
   t ->
   now:Sim.Time.t ->
@@ -95,35 +89,51 @@ val note_response : t -> Ipv4.t -> unit
 
 (** {2 Decision cache} *)
 
-val env_matches_src_port : Pf.Env.t -> bool
-(** Whether any rule constrains the flow {e source} port. When none
-    does, the source port can be wildcarded out of the decision key, so
-    every ephemeral client port of the same (src, dst, proto, dst port)
-    class shares one cached verdict. *)
+type decision_shape = {
+  src_port : bool;
+      (** Whether the flow's source port enters the key: a rule has a
+          [from … port], or the policy calls [allowed()]. *)
+  reads : string list option;
+      (** The response keys the key carries: [Some] the policy's
+          {!Pf.Env.referenced_keys}, or [None] (every pair of every
+          section) when the policy calls [allowed()]. *)
+}
+(** What of a flow and its two answers the policy can read — all a
+    decision-cache key needs. Computed once per policy epoch. *)
 
-val answer_tag : Identxx.Response.t option -> string
-(** The canonical encoding of one endpoint's answer as it enters the
-    decision key: ["-"] for an absent response (silent host), ["R" ^
-    encoding] otherwise — so an empty answer set is distinguished from
-    no answer at all. *)
-
-val decision_key_tagged :
-  match_src_port:bool ->
-  flow:Five_tuple.t ->
-  src_tag:string ->
-  dst_tag:string ->
-  string
-(** Canonical cache key from pre-computed {!answer_tag}s: the
-    flow-class fields plus both (length-prefixed) endpoint answer tags.
-    The hot path uses this with tags cached by {!Attr_cache}. *)
+val decision_shape : Pf.Env.t -> decision_shape
 
 val decision_key :
-  match_src_port:bool ->
+  decision_shape ->
   flow:Five_tuple.t ->
   src:Identxx.Response.t option ->
   dst:Identxx.Response.t option ->
   string
-(** [decision_key_tagged] with freshly computed tags. *)
+(** The decision-cache key: the flow class (addresses, protocol,
+    destination port, and the source port iff [shape.src_port]), then
+    per end ["-"] when the answer is absent, or ["R"] followed by each
+    read key's length-prefixed {!Identxx.Response.all_values} (or, with
+    [reads = None], every section's pairs). The values of a key fix
+    both its [@] (latest) and its [*@] (concatenated) access. No header
+    line, nonce or unread pair enters the key, so two flows of one
+    class whose answers agree on what the policy reads share a key even
+    when both answers came off the wire.
+
+    {b Soundness.} Two inputs with equal keys under [decision_shape
+    env] get equal {!Pf.Eval.eval} verdicts from [env] (for one
+    keystore and function registry), so the key is a pure memo of the
+    controller's [Decision.decide]:
+    - {!Pf.Eval} reads an answer only through a [Dict_access] of a
+      static key, which yields its latest or its concatenated values;
+      absent and present-without-the-key read the same, so ["-"]
+      versus ["R"] is only conservative;
+    - registered functions see only their argument values;
+    - a rule reads the flow only through its addresses, protocol and
+      ports, all in the key except a source port no top-level rule
+      constrains;
+    - only [allowed()] evaluates rules the policy does not contain,
+      which may read any key and any port, and its shape keys on the
+      source port and every pair. *)
 
 val find_decision : t -> epoch:int -> key:string -> Pf.Eval.verdict option
 (** [None] (without touching counters) when the fast path is off. *)

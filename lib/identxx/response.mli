@@ -86,8 +86,9 @@ val is_trace_section : Key_value.section -> bool
 val strip_trace : t -> t
 (** The response without its trace section(s). Controllers strip after
     extracting {!trace_info}, so per-flow trace ids never reach policy
-    evaluation or the fast-path attribute cache (where they would
-    defeat decision-cache key matching). *)
+    evaluation or the fast-path attribute cache. (The decision-cache key
+    holds only the pairs the policy reads, so trace ids would split it
+    only under a policy that reads them or calls [allowed()].) *)
 
 val trace_id_key : string
 val trace_parent_key : string

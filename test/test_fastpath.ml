@@ -139,39 +139,277 @@ let test_decision_epoch_and_purge () =
   check Alcotest.bool "other entry survives" true
     (Fastpath.Decision_cache.find c ~epoch:1 ~key:"b" <> None)
 
+(* An entry that leaves by expiry, invalidation or purge keeps its
+   place in the FIFO order queue, and nothing pops it while the table
+   stays under capacity. The queue must stay bounded anyway: after any
+   number of leave-and-return cycles, a capacity-64 cache holding one
+   live entry stays under a fixed size. *)
+let queue_bound_words = 4_000
+
+let check_bounded name words =
+  if words > queue_bound_words then
+    Alcotest.failf "%s: %d reachable words after 100k cycles" name words
+
+let test_attr_order_bounded () =
+  let c = Fastpath.Attr_cache.create ~capacity:64 ~ttl:(Sim.Time.ms 1) () in
+  let host = ip "10.0.0.1" and keys = [ "userID" ] and r = resp () in
+  for i = 0 to 99_999 do
+    let now = Sim.Time.ms (2 * i) in
+    Fastpath.Attr_cache.store c ~now ~host ~keys r;
+    (* One tick past the TTL: the lookup drops the entry. *)
+    ignore
+      (Fastpath.Attr_cache.find c ~now:(Sim.Time.ms ((2 * i) + 1)) ~host ~keys)
+  done;
+  Fastpath.Attr_cache.store c ~now:Sim.Time.zero ~host ~keys r;
+  check Alcotest.int "one live entry" 1 (Fastpath.Attr_cache.size c);
+  check Alcotest.int "nothing evicted" 0 (Fastpath.Attr_cache.evictions c);
+  check_bounded "attr cache" (Obj.reachable_words (Obj.repr c))
+
+let test_decision_order_bounded () =
+  let c = Fastpath.Decision_cache.create ~capacity:64 () in
+  Fastpath.Decision_cache.store c ~epoch:0 ~key:"live" ~flow:(flow_of 2)
+    verdict_pass;
+  for _ = 1 to 100_000 do
+    Fastpath.Decision_cache.store c ~epoch:0 ~key:"k" ~flow:(flow_of 1)
+      verdict_pass;
+    ignore (Fastpath.Decision_cache.purge_ip c (Ipv4.of_octets 10 0 0 1) : int)
+  done;
+  check Alcotest.int "one live entry" 1 (Fastpath.Decision_cache.size c);
+  check Alcotest.int "nothing evicted" 0 (Fastpath.Decision_cache.evictions c);
+  check_bounded "decision cache" (Obj.reachable_words (Obj.repr c))
+
+let key_flow p =
+  Five_tuple.tcp ~src:(ip "10.0.0.1") ~dst:(ip "10.0.0.2") ~src_port:p
+    ~dst_port:80
+
+let shape_of policy =
+  Fastpath.decision_shape (Pf.Env.of_string policy |> Result.get_ok)
+
 let test_decision_key_wildcards_src_port () =
   let src = Some (resp ()) and dst = None in
-  let k p =
-    Fastpath.decision_key ~match_src_port:false ~flow:(
-      Five_tuple.tcp ~src:(ip "10.0.0.1") ~dst:(ip "10.0.0.2") ~src_port:p
-        ~dst_port:80)
-      ~src ~dst
-  in
+  let shape = shape_of "block all\npass all with eq(@src[userID], alice)" in
+  let k p = Fastpath.decision_key shape ~flow:(key_flow p) ~src ~dst in
   check Alcotest.bool "ephemeral ports share a key" true (k 50000 = k 50001);
-  let k' p =
-    Fastpath.decision_key ~match_src_port:true ~flow:(
-      Five_tuple.tcp ~src:(ip "10.0.0.1") ~dst:(ip "10.0.0.2") ~src_port:p
-        ~dst_port:80)
-      ~src ~dst
-  in
+  let shape' = shape_of "block all\npass from any port 50000 to any" in
+  let k' p = Fastpath.decision_key shape' ~flow:(key_flow p) ~src ~dst in
   check Alcotest.bool "matched ports distinguish keys" true
     (k' 50000 <> k' 50001);
+  (* Only what the policy reads enters the key: not the header line,
+     not an unread pair, not another flow's nonce. *)
+  let other =
+    Identxx.Response.make ~flow:(key_flow 50001)
+      [
+        [ Identxx.Key_value.pair "userID" "alice" ];
+        [ Identxx.Key_value.pair "response-nonce" "n2" ];
+      ]
+  in
+  check Alcotest.bool "unread pairs and header ignored" true
+    (k 50000 = Fastpath.decision_key shape ~flow:(key_flow 50000)
+                 ~src:(Some other) ~dst);
   (* Absent and empty-but-present responses must not collide. *)
   let base flow_src =
-    Fastpath.decision_key ~match_src_port:false ~flow:(
-      Five_tuple.tcp ~src:(ip "10.0.0.1") ~dst:(ip "10.0.0.2") ~src_port:1
-        ~dst_port:80)
-      ~src:flow_src ~dst:None
+    Fastpath.decision_key shape ~flow:(key_flow 1) ~src:flow_src ~dst:None
   in
-  let empty =
-    Identxx.Response.make
-      ~flow:
-        (Five_tuple.tcp ~src:(ip "10.0.0.1") ~dst:(ip "10.0.0.2") ~src_port:1
-           ~dst_port:80)
-      []
-  in
+  let empty = Identxx.Response.make ~flow:(key_flow 1) [] in
   check Alcotest.bool "absent distinct from empty" true
     (base None <> base (Some empty))
+
+(* A policy that checks ports only inside allowed(): the server's
+   requirements pass source port 40000 alone, so a verdict cached for
+   port 40000 must not be replayed for 40001. *)
+let test_decision_key_allowed_src_port () =
+  let env =
+    Pf.Env.of_string "block all\npass all with allowed(@dst[requirements])"
+    |> Result.get_ok
+  in
+  let shape = Fastpath.decision_shape env in
+  let dst =
+    Some
+      (Identxx.Response.make ~flow:(key_flow 40000)
+         [
+           [
+             Identxx.Key_value.pair "requirements"
+               "pass proto tcp from any port 40000 to any";
+           ];
+         ])
+  in
+  let src = Some (resp ()) in
+  let decide p =
+    (Pf.Eval.eval_exn env (Pf.Eval.ctx ?src ?dst ()) (key_flow p)).decision
+  in
+  check Alcotest.bool "verdicts differ by source port" true
+    (decide 40000 = Pf.Ast.Pass && decide 40001 = Pf.Ast.Block);
+  check Alcotest.bool "so do the keys" true
+    (Fastpath.decision_key shape ~flow:(key_flow 40000) ~src ~dst
+    <> Fastpath.decision_key shape ~flow:(key_flow 40001) ~src ~dst)
+
+(* --- The decision key is a pure memo of the policy verdict --- *)
+
+(* Random small policies over keys a/b/c (read through eq, member and
+   includes on @ and *@ accesses), [from … port] rules, and allowed()
+   on response-carried rules r/q, which may nest. Answers are random
+   multi-section responses over the same keys plus an unread z, or
+   absent, or empty. The second input is the first one perturbed, so
+   equal keys come up often. *)
+module Memo_gen = struct
+  open QCheck.Gen
+
+  let ports = [ 40000; 40001 ]
+  let values = [ "x"; "y"; "1"; "2"; "x,y"; "" ]
+  let access =
+    map3
+      (fun star d k ->
+        Printf.sprintf "%s@%s[%s]" (if star then "*" else "") d k)
+      bool
+      (oneofl [ "src"; "dst" ])
+      (oneofl [ "a"; "b"; "c" ])
+
+  let lit = oneofl [ "x"; "y"; "1"; "2" ]
+
+  let cond ~rule_key =
+    frequency
+      [
+        (3, map2 (Printf.sprintf "eq(%s, %s)") access lit);
+        (2, map (Printf.sprintf "member(%s, \"{ x y }\")") access);
+        (2, map2 (Printf.sprintf "includes(%s, %s)") access lit);
+        ( 2,
+          map
+            (fun d -> Printf.sprintf "allowed(@%s[%s])" d rule_key)
+            (oneofl [ "src"; "dst" ]) );
+      ]
+
+  let rule ~max_conds ~rule_key =
+    let* action = oneofl [ "pass"; "block" ] in
+    let* quick = bool in
+    let* from_port = opt ~ratio:0.6 (oneofl ports) in
+    let* conds = list_size (int_bound max_conds) (cond ~rule_key) in
+    return
+      (Printf.sprintf "%s%s proto tcp from any%s to any%s" action
+         (if quick then " quick" else "")
+         (match from_port with
+         | Some p -> Printf.sprintf " port %d" p
+         | None -> "")
+         (String.concat "" (List.map (( ^ ) " with ") conds)))
+
+  (* A policy calls allowed() on r and r's rules call it on q; q's
+     allowed() names a key no answer carries, so nesting stops there. *)
+  let policy =
+    map (String.concat "\n")
+      (list_size (int_range 1 3) (rule ~max_conds:2 ~rule_key:"r"))
+
+  let rule_text ~rule_key =
+    map (String.concat " ")
+      (list_size (int_range 1 2) (rule ~max_conds:1 ~rule_key))
+
+  let value key =
+    match key with
+    | "r" -> rule_text ~rule_key:"q"
+    | "q" -> rule_text ~rule_key:"none"
+    | _ -> oneofl values
+
+  let keys = [ "a"; "b"; "c"; "r"; "q"; "z" ]
+  let pair_of key = map (Identxx.Key_value.pair key) (value key)
+
+  (* Answers carry the policy's rule key r more often than the rest. *)
+  let pair = frequency [ (3, return "r"); (2, oneofl keys) ] >>= pair_of
+  let any_pair = oneofl keys >>= pair_of
+
+  let response =
+    frequency
+      [
+        (1, return None);
+        ( 5,
+          map
+            (fun sections ->
+              Some (Identxx.Response.make ~flow:(key_flow 40000) sections))
+            (list_size (int_bound 2) (list_size (int_bound 3) pair)) );
+      ]
+
+  let input =
+    map3 (fun p src dst -> (key_flow p, src, dst)) (oneofl ports) response
+      response
+
+  let sections = function
+    | None -> []
+    | Some (r : Identxx.Response.t) -> r.sections
+
+  let with_sections ss = Some (Identxx.Response.make ~flow:(key_flow 40001) ss)
+
+  (* One perturbation of an answer: a pair added first or last, changed
+     or dropped, a section dropped, or the whole answer emptied or made
+     absent. *)
+  let perturb_answer r =
+    let ss = sections r in
+    frequency
+      [
+        (2, map (fun p -> with_sections (ss @ [ [ p ] ])) any_pair);
+        (2, map (fun p -> with_sections ([ p ] :: ss)) any_pair);
+        ( 3,
+          let* p = any_pair in
+          return
+            (with_sections
+               (List.map
+                  (List.map (fun (q : Identxx.Key_value.pair) ->
+                       if q.key = p.key then p else q))
+                  ss)) );
+        ( 2,
+          let* k = oneofl keys in
+          return
+            (with_sections
+               (List.map
+                  (List.filter (fun (q : Identxx.Key_value.pair) -> q.key <> k))
+                  ss)) );
+        (1, return (with_sections (match ss with [] -> [] | _ :: ss -> ss)));
+        (1, return (with_sections []));
+        (1, return None);
+      ]
+
+  let perturb ((flow : Five_tuple.t), src, dst) =
+    frequency
+      [
+        ( 4,
+          let src_port = if flow.src_port = 40000 then 40001 else 40000 in
+          return ({ flow with src_port }, src, dst) );
+        (3, map (fun src -> (flow, src, dst)) (perturb_answer src));
+        (3, map (fun dst -> (flow, src, dst)) (perturb_answer dst));
+      ]
+
+  let case =
+    let* policy = policy in
+    let* a = input in
+    let* b = perturb a in
+    return (policy, a, b)
+end
+
+let test_decision_key_is_memo =
+  let print (policy, a, b) =
+    let input ((flow : Five_tuple.t), src, dst) =
+      let answer = function
+        | None -> "absent"
+        | Some r -> String.escaped (Identxx.Response.encode r)
+      in
+      Printf.sprintf "port %d, src %s, dst %s" flow.src_port (answer src)
+        (answer dst)
+    in
+    String.concat "\n" [ policy; input a; input b ]
+  in
+  let verdict env (flow, src, dst) =
+    match Pf.Eval.eval env (Pf.Eval.ctx ?src ?dst ()) flow with
+    | Ok (v : Pf.Eval.verdict) ->
+        Ok
+          ( v.decision,
+            Option.map (fun (r : Pf.Ast.rule) -> r.line) v.matched,
+            v.keep_state,
+            v.log )
+    | Error e -> Error e
+  in
+  QCheck.Test.make ~count:10000 ~name:"equal keys imply equal verdicts"
+    (QCheck.make ~print Memo_gen.case)
+    (fun (policy, a, b) ->
+      let env = Pf.Env.of_string policy |> Result.get_ok in
+      let shape = Fastpath.decision_shape env in
+      let key (flow, src, dst) = Fastpath.decision_key shape ~flow ~src ~dst in
+      key a <> key b || verdict env a = verdict env b)
 
 (* --- Controller integration --- *)
 
@@ -228,6 +466,42 @@ let test_warm_cache_skips_queries () =
   check Alcotest.int "client daemon queried once in total" 1
     (Identxx.Daemon.queries_answered (Identxx.Host.daemon s.client));
   check Alcotest.int "both flows allowed" 2 st2.C.allowed
+
+let test_wire_answers_share_decision () =
+  (* No attribute reuse, signed answers: both flows' answers come off
+     the wire with their own header ports, nonces and binding tags, but
+     agree on everything the policy reads. *)
+  let config =
+    {
+      fp_on with
+      C.require_signed_responses = true;
+      C.fastpath = { fp_on.C.fastpath with Fastpath.attr_ttl = Sim.Time.zero };
+    }
+  in
+  let s = Deploy.simple_network ~config () in
+  Policy_store.add_exn (C.policy s.controller) ~name:"00-policy"
+    (app_policy [ "firefox" ]);
+  List.iter
+    (fun host -> ignore (Deploy.sign_host s.controller host))
+    [ s.client; s.server ];
+  let proc = Identxx.Host.run s.client ~user:"alice" ~exe:"/usr/bin/firefox" () in
+  let f1 = connect_and_run s ~proc () in
+  let f2 = connect_and_run s ~proc () in
+  check Alcotest.bool "different source ports" true
+    (f1.Five_tuple.src_port <> f2.Five_tuple.src_port);
+  let st = C.stats s.controller in
+  check Alcotest.int "both flows asked both daemons" 4 st.C.queries_sent;
+  check Alcotest.int "both exchanges answered" 4 st.C.responses_received;
+  check Alcotest.int "no attribute hits" 0 st.C.attr_cache_hits;
+  check Alcotest.int "second verdict replayed" 1 st.C.decision_cache_hits;
+  match Identxx_core.Audit.entries (C.audit s.controller) with
+  | [ e2; e1 ] ->
+      check Alcotest.bool "audited flows" true
+        (Five_tuple.equal e1.flow f1 && Five_tuple.equal e2.flow f2);
+      check Alcotest.bool "equal audited verdicts" true
+        (e1.decision = Pf.Ast.Pass && e2.decision = Pf.Ast.Pass
+        && e1.rule_line = e2.rule_line)
+  | es -> Alcotest.failf "%d audit entries" (List.length es)
 
 let test_spawn_invalidates_attr_cache () =
   (* A daemon-side change event (here: a process spawn — the paper's
@@ -377,6 +651,8 @@ let () =
             test_attr_self_expiry;
           Alcotest.test_case "capacity and invalidation" `Quick
             test_attr_capacity_and_invalidation;
+          Alcotest.test_case "order queue stays bounded" `Quick
+            test_attr_order_bounded;
         ] );
       ( "breaker",
         [
@@ -386,13 +662,20 @@ let () =
         [
           Alcotest.test_case "epoch flush and purge" `Quick
             test_decision_epoch_and_purge;
+          Alcotest.test_case "order queue stays bounded" `Quick
+            test_decision_order_bounded;
           Alcotest.test_case "key canonicalization" `Quick
             test_decision_key_wildcards_src_port;
+          Alcotest.test_case "allowed() reads the source port" `Quick
+            test_decision_key_allowed_src_port;
+          QCheck_alcotest.to_alcotest test_decision_key_is_memo;
         ] );
       ( "controller integration",
         [
           Alcotest.test_case "warm cache skips queries" `Quick
             test_warm_cache_skips_queries;
+          Alcotest.test_case "wire answers share a decision" `Quick
+            test_wire_answers_share_decision;
           Alcotest.test_case "spawn invalidates attributes" `Quick
             test_spawn_invalidates_attr_cache;
           Alcotest.test_case "epoch bump prevents stale decision" `Quick
