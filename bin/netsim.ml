@@ -357,6 +357,12 @@ let burst ?fab ~arm ~config ~obs ~spans ~mon () =
   PS.add_exn (C.policy controller) ~name:"00"
     "block all\npass all with eq(@src[name], app) keep state";
   let target = hosts.(0) in
+  (* Signed answers declare how far they hold: the target's listener
+     answers alike for every new flow to port 80, so concurrent flows
+     may share one exchange with it. *)
+  Array.iter (fun h -> ignore (Deploy.sign_host controller h)) hosts;
+  let www = Identxx.Host.run target ~user:"www" ~exe:"/bin/srv" () in
+  Identxx.Host.listen target ~proc:www ~port:80 ();
   inject ~config ~engine (fun () ->
       Array.iteri
         (fun i h ->

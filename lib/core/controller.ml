@@ -54,6 +54,15 @@ let default_config =
     shards = None;
   }
 
+(* One flow parked on a coalesced exchange: enough to find its pending
+   entry (owning shard + flow key) and to know which end of the flow
+   the exchange resolves. *)
+type waiter = {
+  w_flow : Five_tuple.t;
+  w_sid : int;
+  w_end : [ `Src | `Dst ];
+}
+
 type pending = {
   p_flow : Five_tuple.t;
   mutable p_packets : (Msg.switch_id * int * Packet.t) list;
@@ -71,9 +80,9 @@ type pending = {
   mutable dst_qspan : Obs.Span.span;
   mutable src_sent : float; (* first query send time; nan = never sent *)
   mutable dst_sent : float;
-  mutable p_exchanges : (Ipv4.t * string) list;
-      (* (host, query shape) wire exchanges this flow initiated in the
-         connection table; its timeout settles them for every waiter. *)
+  mutable p_exchanges : (Ipv4.t * waiter Shard.Conn_table.exchange) list;
+      (* The wire exchanges this flow initiated in the connection table,
+         by host; its timeout settles them for every waiter. *)
   mutable src_nonce : string option;
   mutable dst_nonce : string option;
       (* The nonce each end's query carries, drawn at its first send
@@ -221,18 +230,14 @@ let make_pro_metrics reg ~labels =
         ~labels "identxx_compiler_recompile_seconds";
   }
 
-(* One flow parked on a coalesced exchange: enough to find its pending
-   entry (owning shard + flow key) and to know which end of the flow
-   the exchange resolves. *)
-type waiter = {
-  w_flow : Five_tuple.t;
-  w_sid : int;
-  w_end : [ `Src | `Dst ];
-}
-
 (* What the current policy reads, for the flow-setup path: the
-   decision-cache key shape and the key list a query hints. *)
-type policy_view = { shape : Fastpath.decision_shape; hints : string list }
+   decision-cache key shape, the key list a query hints, and that list's
+   canonical form, which keys the answer-reuse tables. *)
+type policy_view = {
+  shape : Fastpath.decision_shape;
+  hints : string list;
+  hint_key : string;
+}
 
 (* Everything per-flow state touches, split per shard: its own pending
    table, its own fast-path view (attribute/decision caches + breaker),
@@ -480,11 +485,16 @@ let policy_view t =
               | [] -> default_query_keys
               | keys -> keys
             in
-            { shape = Fastpath.decision_shape env; hints }
+            {
+              shape = Fastpath.decision_shape env;
+              hints;
+              hint_key = Fastpath.Attr_cache.hint_key hints;
+            }
         | Error _ ->
             {
               shape = { Fastpath.src_port = true; reads = None };
               hints = default_query_keys;
+              hint_key = Fastpath.Attr_cache.hint_key default_query_keys;
             }
       in
       t.policy_view <- Some (epoch, v);
@@ -667,9 +677,11 @@ let post_to_waiters t ws fn =
 
 (* --- querying daemons (Figure 1, step 3) --- *)
 
-(* The coalescing key alongside the host: two queries share an exchange
-   only when they hint the same key list. *)
-let shape_of_keys keys = String.concat "," keys
+(* The queried end's own socket, its proto and local port: the
+   coalescing key alongside the host and the hint list. *)
+let socket_of (flow : Five_tuple.t) = function
+  | `Src -> (Proto.to_int flow.proto lsl 16) lor flow.src_port
+  | `Dst -> (Proto.to_int flow.proto lsl 16) lor flow.dst_port
 
 (* Actually put a query on the wire toward [target_ip]'s attachment
    point. The caller has already checked reachability. *)
@@ -726,15 +738,18 @@ let send_query ?trace ?nonce t sx ~(flow : Five_tuple.t) ~target_ip ~reply_to
               `Sent None
           | Some ct -> (
               (* Multiplex through the per-host connection: only the
-                 first flow needing this (host, shape) actually sends;
-                 everyone else parks on the exchange. *)
-              let shape = shape_of_keys (hint_keys t) in
+                 first flow asking this host about this socket of it
+                 actually sends; everyone else parks on the exchange. *)
               let w = { w_flow = flow; w_sid = sx.sid; w_end = end_ } in
-              match Shard.Conn_table.join ct ~host:target_ip ~shape w with
-              | `First ->
+              match
+                Shard.Conn_table.join ct ~host:target_ip
+                  ~shape:(policy_view t).hint_key ~socket:(socket_of flow end_)
+                  w
+              with
+              | `First ex ->
                   wire_send ?trace ?nonce t sx ~flow ~target_ip ~reply_to
                     attachment;
-                  `Sent (Some shape)
+                  `Sent (Some ex)
               | `Coalesced _ -> `Joined)))
 
 (* The nonce [end_]'s query carries: drawn at its first send, then kept
@@ -851,11 +866,12 @@ let start_flow t sx ~dpid ~in_port pkt (flow : Five_tuple.t) =
        breaker is open — as an immediate absent response. [Some r] is a
        resolved answer (r = None means absent); [None] means the daemon
        must actually be asked. *)
-    let fp_resolve want ip =
+    let fp_resolve want ip end_ =
       if not want then Some None
       else
         match
-          Fastpath.find_attrs sx.s_fp ~now ~host:ip ~keys:(hint_keys t)
+          Fastpath.find_attrs sx.s_fp ~now ~hints:(policy_view t).hint_key
+            ~flow ~end_
         with
         | Some r ->
             if Obs.Span.is_live sp then
@@ -879,8 +895,8 @@ let start_flow t sx ~dpid ~in_port pkt (flow : Five_tuple.t) =
                 None
             | `Ask -> None)
     in
-    let pre_src = fp_resolve want_src flow.Five_tuple.src
-    and pre_dst = fp_resolve want_dst flow.Five_tuple.dst in
+    let pre_src = fp_resolve want_src flow.Five_tuple.src `Src
+    and pre_dst = fp_resolve want_dst flow.Five_tuple.dst `Dst in
     match (pre_src, pre_dst) with
     | Some src, Some dst when Fastpath.enabled sx.s_fp ->
         (* Both ends resolved without touching the network: decide now,
@@ -981,9 +997,9 @@ let start_flow t sx ~dpid ~in_port pkt (flow : Five_tuple.t) =
               (match end_ with
               | `Src -> p.await_src <- false
               | `Dst -> p.await_dst <- false)
-          | `Sent shape ->
-              (match shape with
-              | Some s -> p.p_exchanges <- (target, s) :: p.p_exchanges
+          | `Sent ex ->
+              (match ex with
+              | Some ex -> p.p_exchanges <- (target, ex) :: p.p_exchanges
               | None -> ());
               note_sent end_
           | `Joined ->
@@ -1076,11 +1092,9 @@ let start_flow t sx ~dpid ~in_port pkt (flow : Five_tuple.t) =
                           if tripped then "breaker-open" else "timeout"
                         in
                         List.iter
-                          (fun (h, shape) ->
+                          (fun (h, ex) ->
                             if Ipv4.equal h ip then
-                              let ws =
-                                Shard.Conn_table.settle ct ~host:h ~shape
-                              in
+                              let ws = Shard.Conn_table.settle ct ex in
                               post_to_waiters t
                                 (List.filter
                                    (fun w ->
@@ -1271,6 +1285,44 @@ let answer_accepted t p ~from_ip ~to_ip response =
       Log.debug (fun m -> m "rejecting response from %s: %s" from_s reason);
       false
 
+(* Whether an answer about [flow]'s [end_], declaring [scope], answers
+   waiter [w] too: the flow itself always; another flow to the same
+   listening socket under [Socket]; any flow of the host under [Host].
+   The connection table only parks waiters asking the same host about
+   the same socket, so the socket needs no second check. *)
+let covers scope ~flow ~end_ w =
+  match scope with
+  | Identxx.Signed.Host -> true
+  | Identxx.Signed.Socket -> w.w_end = `Dst && end_ = `Dst
+  | Identxx.Signed.Flow -> w.w_end = end_ && Five_tuple.equal w.w_flow flow
+
+(* A coalesced waiter the settling answer does not cover sends its own
+   query, with its own nonce and trace context, on its own shard. *)
+let requery t ~host w =
+  let sx = t.shards_.(w.w_sid) in
+  match Flow_tbl.find_opt sx.s_pending w.w_flow with
+  | None -> ()
+  | Some p ->
+      let awaiting, reply, qn =
+        match w.w_end with
+        | `Src -> (p.await_src, w.w_flow.Five_tuple.dst, 1)
+        | `Dst -> (p.await_dst, w.w_flow.Five_tuple.src, 2)
+      in
+      if awaiting then begin
+        if Obs.Span.is_live p.p_span then
+          Obs.Span.event p.p_span ~at:(time_now_s t)
+            ~attrs:[ ("host", Ipv4.to_string host) ]
+            "query-out-of-scope";
+        let nonce = query_nonce t p w.w_end in
+        let trace =
+          Option.map (fun c -> Obs.Trace_context.child c qn) p.p_ctx
+        in
+        Option.iter
+          (wire_send ?trace ?nonce t sx ~flow:w.w_flow ~target_ip:host
+             ~reply_to:reply)
+          (attachment_of t host)
+      end
+
 (* The one response path: an answer pairs with the flow it names, on
    that flow's shard. If the flow initiated a coalesced exchange with
    the answering host, the answer settles it for every waiter, in join
@@ -1296,42 +1348,45 @@ let handle_response t sx ~dpid ~from_ip ~to_ip response pkt =
          matching). *)
       let dtrace = Identxx.Response.trace_info response in
       let response = Identxx.Response.strip_trace response in
+      let end_ = if Ipv4.equal from_ip flow.Five_tuple.src then `Src else `Dst in
       let ws =
         match
           ( t.conn,
             List.find_opt (fun (h, _) -> Ipv4.equal h from_ip) p.p_exchanges )
         with
-        | Some ct, Some ((_, shape) as ex) ->
+        | Some ct, Some ((_, ex) as e) ->
             (* Forget it once settled: a duplicate answer naming this
                flow must not settle a newer exchange with the host. *)
-            p.p_exchanges <- List.filter (fun e -> e != ex) p.p_exchanges;
-            Shard.Conn_table.settle ct ~host:from_ip ~shape
-        | _ ->
-            let w_end =
-              if Ipv4.equal from_ip flow.Five_tuple.src then `Src else `Dst
-            in
-            [ { w_flow = flow; w_sid = osx.sid; w_end } ]
+            p.p_exchanges <- List.filter (fun e' -> e' != e) p.p_exchanges;
+            Shard.Conn_table.settle ct ex
+        | _ -> [ { w_flow = flow; w_sid = osx.sid; w_end = end_ } ]
       in
       (* An (authenticated, if required) answer: close breaker state and
          remember the attributes in every shard view that waited on it. *)
       let now = Sim.Engine.now (Net.engine t.network) in
-      let keys = hint_keys t in
+      let hints = (policy_view t).hint_key in
       let signer = Identxx.Response.latest response Identxx.Signed.signer_key in
       Array.iter
         (fun vx ->
           if List.exists (fun w -> w.w_sid = vx.sid) ws then begin
             Fastpath.note_response vx.s_fp from_ip;
-            Fastpath.store_attrs vx.s_fp ~now ~host:from_ip ~keys ?signer
+            Fastpath.store_attrs vx.s_fp ~now ~hints ~flow ~end_ ?signer
               response
           end)
         t.shards_;
-      (* The initiator settles first and alone carries the daemon's
-         timing piggyback (the timings are real once). *)
+      (* A waiter takes the answer only as far as its declared scope
+         reaches; any other asks for itself. The initiator settles first
+         and alone carries the daemon's timing piggyback (the timings
+         are real once). *)
+      let scope = Identxx.Signed.scope response in
       let first = ref true in
       post_to_waiters t ws (fun w ->
-          let dtrace = if !first then dtrace else None in
-          first := false;
-          deliver_to_waiter t ~dtrace response w)
+          if covers scope ~flow ~end_ w then begin
+            let dtrace = if !first then dtrace else None in
+            first := false;
+            deliver_to_waiter t ~dtrace response w
+          end
+          else requery t ~host:from_ip w)
 
 let handle_foreign_query t sx ~dpid ~from_ip ~to_ip (q : Identxx.Query.t) pkt =
   (* "Intercepted queries are not allowed to cause new queries." *)
@@ -1702,7 +1757,8 @@ let flush_cache t =
    changed, so its cached attributes — and every decision derived from
    them — are no longer trustworthy. *)
 let note_host_changed t ip =
-  Array.iter (fun sx -> Fastpath.note_host_changed sx.s_fp ip) t.shards_
+  Array.iter (fun sx -> Fastpath.note_host_changed sx.s_fp ip) t.shards_;
+  Option.iter (fun ct -> Shard.Conn_table.close_host ct ip) t.conn
 
 let revoke_principal t ~ip =
   Log.info (fun m -> m "revoking principal %s" (Ipv4.to_string ip));

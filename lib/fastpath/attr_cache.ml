@@ -8,16 +8,43 @@ type entry = {
   expires_at : Sim.Time.t;
 }
 
-(* Key: host address + the sorted query-key set. *)
+(* Key: the queried host, then what the answer's declared scope names
+   (the peer and the flow's proto and ports for [Flow], the proto and
+   destination port for [Socket], nothing for [Host]), then the query's
+   canonical hint string. A flow-scope key is the query itself: the
+   daemon sees exactly these fields. *)
 module Key = struct
-  type t = int * string
+  type t = { host : int; peer : int; ports : int; hints : string }
 
-  let make host keys =
-    (Ipv4.to_int host, String.concat "," (List.sort_uniq String.compare keys))
+  let socket_peer = -1
+  let host_peer = -2
 
-  let equal (a : t) (b : t) = a = b
+  let flow ~hints ~host ~peer (f : Five_tuple.t) =
+    {
+      host;
+      peer;
+      ports = (((Proto.to_int f.proto lsl 16) lor f.src_port) lsl 16) lor f.dst_port;
+      hints;
+    }
+
+  let socket ~hints ~host (f : Five_tuple.t) =
+    {
+      host;
+      peer = socket_peer;
+      ports = (Proto.to_int f.proto lsl 16) lor f.dst_port;
+      hints;
+    }
+
+  let host ~hints ~host = { host; peer = host_peer; ports = 0; hints }
+
+  let equal (a : t) (b : t) =
+    a.host = b.host && a.peer = b.peer && a.ports = b.ports
+    && String.equal a.hints b.hints
+
   let hash = Hashtbl.hash
 end
+
+let hint_key keys = String.concat "," (List.sort_uniq String.compare keys)
 
 module Tbl = Hashtbl.Make (Key)
 
@@ -79,8 +106,38 @@ let compact t =
     done
   end
 
-let store t ~now ~host ~keys ?signer response =
-  let key = Key.make host keys in
+(* The queried end's address and the flow's other end. *)
+let ends (flow : Five_tuple.t) = function
+  | `Src -> (Ipv4.to_int flow.src, Ipv4.to_int flow.dst)
+  | `Dst -> (Ipv4.to_int flow.dst, Ipv4.to_int flow.src)
+
+(* Entries mostly expire in the order they went in: drop expired ones
+   from the front of the order queue, so that a cache of answers which
+   each hold for one flow keeps only the live ones. *)
+let rec sweep t ~now =
+  match Queue.peek_opt t.order with
+  | None -> ()
+  | Some key -> (
+      match Tbl.find_opt t.entries key with
+      | Some e when Sim.Time.(now < e.expires_at) -> ()
+      | Some _ ->
+          Tbl.remove t.entries key;
+          ignore (Queue.take t.order);
+          sweep t ~now
+      | None ->
+          ignore (Queue.take t.order);
+          sweep t ~now)
+
+let store t ~now ~hints ~flow ~end_ ?signer response =
+  sweep t ~now;
+  let host, peer = ends flow end_ in
+  let key =
+    match (Identxx.Signed.scope response, end_) with
+    | Identxx.Signed.Host, _ -> Key.host ~hints ~host
+    | Identxx.Signed.Socket, `Dst -> Key.socket ~hints ~host flow
+    | (Identxx.Signed.Socket | Identxx.Signed.Flow), _ ->
+        Key.flow ~hints ~host ~peer flow
+  in
   let ttl =
     match self_expiry response with
     | Some bound -> Sim.Time.min t.ttl bound
@@ -98,19 +155,33 @@ let store t ~now ~host ~keys ?signer response =
   Tbl.replace t.entries key entry;
   compact t
 
-let find t ~now ~host ~keys =
-  let key = Key.make host keys in
+(* A live entry under [key], dropping an expired one on the way. *)
+let live t ~now key =
   match Tbl.find_opt t.entries key with
-  | Some e when Sim.Time.(now < e.expires_at) ->
-      t.hits <- t.hits + 1;
-      Some e.response
+  | Some e when Sim.Time.(now < e.expires_at) -> Some e.response
   | Some _ ->
       Tbl.remove t.entries key;
-      t.misses <- t.misses + 1;
       None
-  | None ->
-      t.misses <- t.misses + 1;
-      None
+  | None -> None
+
+let find t ~now ~hints ~flow ~end_ =
+  let host, peer = ends flow end_ in
+  let found =
+    match live t ~now (Key.flow ~hints ~host ~peer flow) with
+    | Some _ as r -> r
+    | None -> (
+        match
+          match end_ with
+          | `Dst -> live t ~now (Key.socket ~hints ~host flow)
+          | `Src -> None
+        with
+        | Some _ as r -> r
+        | None -> live t ~now (Key.host ~hints ~host))
+  in
+  (match found with
+  | Some _ -> t.hits <- t.hits + 1
+  | None -> t.misses <- t.misses + 1);
+  found
 
 let drop_matching t pred =
   let stale =
@@ -123,7 +194,7 @@ let drop_matching t pred =
 
 let invalidate_host t host =
   let addr = Ipv4.to_int host in
-  drop_matching t (fun (a, _) _ -> a = addr)
+  drop_matching t (fun (k : Key.t) _ -> k.host = addr)
 
 let invalidate_signer t signer =
   drop_matching t (fun _ e -> e.signer = Some signer)

@@ -1,13 +1,23 @@
-(** TTL'd cache of daemon responses, keyed by (host, query-key set,
-    signer).
+(** TTL'd cache of daemon responses, keyed by how far each answer
+    declares that it holds.
 
-    The Figure-1 exchange asks both end-hosts the same questions for
-    every table-miss flow. Host attributes (who is logged in, which
-    applications run, the administrator's host-wide pairs) change far
-    more slowly than flows arrive, so the controller may reuse a recent
-    answer instead of re-querying — provided the entry is dropped the
-    moment the daemon reports a change (login/logout, process exit; see
-    {!Identxx.Daemon.on_change}) and never outlives its TTL.
+    The Figure-1 exchange asks end-hosts the same questions for every
+    table-miss flow. Some answers hold beyond their flow: a listening
+    socket's owner is the same for every new flow to its port, and a
+    host's global pairs are the same for every flow. The daemon says so
+    in its signed scope list ({!Identxx.Signed.scope}), and an entry is
+    keyed on the answer's narrowest scope:
+    - [Flow]: the query itself (the queried host, the other end, the
+      proto and both ports) — only the same flow, missing again, hits;
+    - [Socket]: the host, proto and destination port, for the flow's
+      destination end only;
+    - [Host]: the host alone.
+
+    An unsigned answer declares nothing and is flow scope. Every key
+    also holds the query's hint list: a daemon leaves out what was not
+    asked for. Entries are dropped the moment the daemon reports a
+    change (login/logout, process exit, a listener re-bound; see
+    {!Identxx.Daemon.on_change}) and never outlive their TTL.
 
     A response can bound its own reuse: a [expires] key whose value
     parses as a number of seconds caps the entry's lifetime below the
@@ -28,24 +38,38 @@ val expires_key : string
 (** ["expires"] — the response key read for the self-imposed lifetime
     bound, in (possibly fractional) seconds. *)
 
+val hint_key : string list -> string
+(** The canonical form of a query's hint list (sorted, duplicates
+    dropped, comma-joined): the [hints] argument below, computed once
+    per hint list. *)
+
 val store :
   t ->
   now:Sim.Time.t ->
-  host:Ipv4.t ->
-  keys:string list ->
+  hints:string ->
+  flow:Five_tuple.t ->
+  end_:[ `Src | `Dst ] ->
   ?signer:string ->
   Identxx.Response.t ->
   unit
-(** Cache [response] as the answer [host] gives to a query hinting
-    [keys] (order-insensitive). [signer] is the response's
-    authenticating principal, if any; a later {!invalidate_signer} with
-    the same handle drops the entry. *)
+(** Cache [response] as the answer [flow]'s [end_] gave to a query
+    hinting [hints] ({!hint_key}), under the key its declared scope
+    names. A [Socket] answer from a flow's source is kept as flow scope:
+    a source is found by its connection, which no other flow shares.
+    [signer] is the response's authenticating principal, if any; a
+    later {!invalidate_signer} with the same handle drops the entry. *)
 
 val find :
-  t -> now:Sim.Time.t -> host:Ipv4.t -> keys:string list ->
+  t ->
+  now:Sim.Time.t ->
+  hints:string ->
+  flow:Five_tuple.t ->
+  end_:[ `Src | `Dst ] ->
   Identxx.Response.t option
-(** A live entry for this host and key set, regardless of signer.
-    Expired entries are dropped on the way. Counts a hit or a miss. *)
+(** A live entry whose scope covers [flow]'s [end_]: the flow's own,
+    then (for the destination) its socket's, then its host's, regardless
+    of signer. Expired entries are dropped on the way. Counts a hit or a
+    miss. *)
 
 val invalidate_host : t -> Ipv4.t -> int
 (** Drop every entry for the host (a daemon-side change event); returns

@@ -47,13 +47,13 @@ let attr_cache t = t.attrs
 let decision_cache t = t.decisions
 let breaker t = t.breaker
 
-let find_attrs t ~now ~host ~keys =
+let find_attrs t ~now ~hints ~flow ~end_ =
   if not t.cfg.enabled then None
-  else Attr_cache.find t.attrs ~now ~host ~keys
+  else Attr_cache.find t.attrs ~now ~hints ~flow ~end_
 
-let store_attrs t ~now ~host ~keys ?signer response =
+let store_attrs t ~now ~hints ~flow ~end_ ?signer response =
   if t.cfg.enabled then
-    Attr_cache.store t.attrs ~now ~host ~keys ?signer response
+    Attr_cache.store t.attrs ~now ~hints ~flow ~end_ ?signer response
 
 let consult_host t ~now ip =
   if not t.cfg.enabled then `Ask else Breaker.consult t.breaker ~now ip

@@ -1,8 +1,10 @@
 (** Flow-setup fast path: the three caches the controller consults
     before (or instead of) the Figure-1 query exchange.
 
-    - {!Attr_cache}: recent daemon responses, keyed by (host, query-key
-      set, signer), dropped on daemon-side change events and TTL expiry;
+    - {!Attr_cache}: recent daemon responses, keyed by the scope each
+      answer declares (its flow, its listening socket, or its host) and
+      the hint list, dropped on daemon-side change events and TTL
+      expiry;
     - {!Decision_cache}: memoized verdicts keyed by (policy epoch, flow
       class, the answer values the policy reads; see {!decision_key}) —
       a {!Policy_store} epoch bump orphans every entry;
@@ -53,18 +55,25 @@ val breaker : t -> Breaker.t
 (** {2 Attribute cache} *)
 
 val find_attrs :
-  t -> now:Sim.Time.t -> host:Ipv4.t -> keys:string list ->
+  t ->
+  now:Sim.Time.t ->
+  hints:string ->
+  flow:Five_tuple.t ->
+  end_:[ `Src | `Dst ] ->
   Identxx.Response.t option
-(** [None] (without touching counters) when the fast path is off. *)
+(** {!Attr_cache.find}; [None] (without touching counters) when the
+    fast path is off. *)
 
 val store_attrs :
   t ->
   now:Sim.Time.t ->
-  host:Ipv4.t ->
-  keys:string list ->
+  hints:string ->
+  flow:Five_tuple.t ->
+  end_:[ `Src | `Dst ] ->
   ?signer:string ->
   Identxx.Response.t ->
   unit
+(** {!Attr_cache.store}, when the fast path is on. *)
 
 (** {2 Circuit breaker} *)
 

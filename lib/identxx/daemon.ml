@@ -183,6 +183,14 @@ let runtime_section t flow =
     (fun (f, s) -> if Five_tuple.equal f flow then s else [])
     (List.rev !(t.runtime))
 
+(* Whether any flow to this host's [proto]/[port] socket carries run-time
+   pairs: the socket's answers then differ from flow to flow. *)
+let runtime_on_socket t ~proto ~port =
+  List.exists
+    (fun ((f : Five_tuple.t), _) ->
+      Ipv4.equal f.dst t.ip && Proto.equal f.proto proto && f.dst_port = port)
+    !(t.runtime)
+
 let cached tbl key make =
   match Hashtbl.find_opt tbl key with
   | Some v -> v
@@ -232,31 +240,51 @@ let answer ?trace ?decode ?nonce t ~peer ~proto ~src_port ~dst_port ~keys:_ =
       let as_dst =
         Five_tuple.make ~src:peer ~dst:t.ip ~proto ~src_port ~dst_port
       in
-      let role, flow, proc =
+      (* [held]: how far what the lookup found holds. A connected
+         socket is the flow itself; a listener holds for every new flow
+         to its port, unless run-time pairs set one of them apart. *)
+      let role, flow, proc, held =
         match Process_table.owner_of_flow t.processes ~flow:as_src with
-        | Some p -> (As_source, as_src, Some p)
+        | Some p -> (As_source, as_src, Some p, Signed.Flow)
         | None -> (
             match
-              Process_table.lookup t.processes ~flow:as_dst ~as_source:false
+              Process_table.owner_of_flow t.processes
+                ~flow:(Five_tuple.reverse as_dst)
             with
-            | Some p -> (As_destination, as_dst, Some p)
-            | None -> (As_source, as_src, None))
+            | Some p -> (As_destination, as_dst, Some p, Signed.Flow)
+            | None -> (
+                match
+                  Process_table.owner_of_listener t.processes ~proto
+                    ~port:dst_port
+                with
+                | Some p ->
+                    ( As_destination,
+                      as_dst,
+                      Some p,
+                      if runtime_on_socket t ~proto ~port:dst_port then
+                        Signed.Flow
+                      else Signed.Socket )
+                | None -> (As_source, as_src, None, Signed.Flow)))
       in
       let t_assemble = now () in
       let cfg = merged_config t in
+      (* Each part with its section tag and declared scope. The globals
+         hold host-wide, but only beside the owner's built-in section:
+         without it, the answer's lack of a process holds only as far as
+         the lookup did. *)
       let parts =
         match proc with
-        | None -> [ globals t cfg ]
+        | None -> [ (globals t cfg, held) ]
         | Some proc ->
             [
-              builtins t proc;
-              app t cfg proc;
-              (runtime_section t flow, Signed.per_flow);
-              globals t cfg;
+              (builtins t proc, held);
+              (app t cfg proc, held);
+              ((runtime_section t flow, Signed.per_flow), Signed.Flow);
+              (globals t cfg, Signed.Host);
             ]
       in
-      let parts = List.filter (fun (section, _) -> section <> []) parts in
-      let response = Response.make ~flow (List.map fst parts) in
+      let parts = List.filter (fun ((section, _), _) -> section <> []) parts in
+      let response = Response.make ~flow (List.map (fun ((s, _), _) -> s) parts) in
       let t_sign = now () in
       let response =
         match t.signer with
@@ -264,8 +292,9 @@ let answer ?trace ?decode ?nonce t ~peer ~proto ~src_port ~dst_port ~keys:_ =
             (match t.metrics with
             | Some m -> Obs.Registry.Counter.inc m.m_signed
             | None -> ());
-            Signed.sign_with ~public ~key ~tags:(List.map snd parts) ~host:t.ip
-              ~peer ?nonce response
+            Signed.sign_with ~public ~key
+              ~tags:(List.map (fun ((_, tag), _) -> tag) parts)
+              ~scopes:(List.map snd parts) ~host:t.ip ~peer ?nonce response
         | None -> response
       in
       let t_done = now () in

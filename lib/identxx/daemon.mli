@@ -115,8 +115,8 @@ val set_metrics :
 
 val on_change : t -> (unit -> unit) -> unit
 (** Register a callback fired whenever what the daemon would answer may
-    have changed: process spawn or exit on the host
-    ({!Process_table.on_change}), a configuration (re)load, run-time
+    have changed: process spawn or exit, or a listener bound or closed,
+    on the host ({!Process_table.on_change}), a configuration (re)load, run-time
     pairs registered or cleared, or a behaviour switch. The controller's
     fast path subscribes to this to invalidate cached host attributes
     (see DESIGN.md, "Flow-setup fast path"). Connection churn does not

@@ -90,11 +90,14 @@ let connect t ~pid ~flow =
 
 let listen t ~pid ~proto ~port =
   require_pid t pid;
-  Hashtbl.replace t.listeners (Proto.to_int proto, port) pid
+  Hashtbl.replace t.listeners (Proto.to_int proto, port) pid;
+  notify_change t
 
 let close_listen t ~pid ~proto ~port =
   match Hashtbl.find_opt t.listeners (Proto.to_int proto, port) with
-  | Some p when p = pid -> Hashtbl.remove t.listeners (Proto.to_int proto, port)
+  | Some p when p = pid ->
+      Hashtbl.remove t.listeners (Proto.to_int proto, port);
+      notify_change t
   | Some _ | None -> ()
 
 let disconnect t ~flow = Flow_tbl.remove t.connections flow

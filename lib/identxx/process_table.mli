@@ -66,9 +66,11 @@ val lookup :
 val processes : t -> process list
 
 val on_change : t -> (unit -> unit) -> unit
-(** Register a callback fired after every {!spawn} and {!kill} — the
-    identity-bearing events: what the daemon would answer about users
-    and applications may have changed. Socket churn
-    ({!connect}/{!listen}/{!disconnect}) deliberately does {e not} fire
-    (it carries no identity change, and firing on every connection would
-    defeat any cache of host attributes). *)
+(** Register a callback fired after every {!spawn}, {!kill}, {!listen}
+    and effective {!close_listen} — the identity-bearing events: what
+    the daemon would answer about users and applications may have
+    changed. A listener's answer holds for every new flow to its port,
+    so re-binding one changes the answer for all of them. Connection
+    churn ({!connect}/{!disconnect}) deliberately does {e not} fire: it
+    changes only the answer about its own flow, and firing on every
+    connection would defeat any cache of host attributes. *)

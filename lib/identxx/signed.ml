@@ -6,7 +6,15 @@ let host_key = "response-host"
 let peer_key = "response-peer"
 let nonce_key = "response-nonce"
 let sig_key = "response-sig"
+let scopes_key = "response-scopes"
 let per_flow = "-"
+
+type scope = Flow | Socket | Host
+
+let scope_to_string = function
+  | Flow -> "flow"
+  | Socket -> "socket"
+  | Host -> "host"
 
 (* The first element of each covered string: a section tag can never
    stand in for a binding tag, nor the other way round. *)
@@ -46,9 +54,9 @@ let rec add_per_flow st tags pos sections =
 
 (* What a binding tag covers, streamed into [st]: the domain, the flow
    header, the answering host, its peer, the nonce, the tag list as it
-   appears on the wire, then the pairs of every per-flow section in
-   order. *)
-let add_binding st (r : Response.t) ~host ~peer ~nonce tags =
+   appears on the wire, the scope list when the answer declares one,
+   then the pairs of every per-flow section in order. *)
+let add_binding st (r : Response.t) ~host ~peer ~nonce ~scopes tags =
   Idcrypto.Sign.add st binding_domain;
   Idcrypto.Sign.add st
     (String.concat " "
@@ -61,24 +69,34 @@ let add_binding st (r : Response.t) ~host ~peer ~nonce tags =
   Idcrypto.Sign.add st peer;
   Idcrypto.Sign.add st nonce;
   Idcrypto.Sign.add st tags;
+  Option.iter (Idcrypto.Sign.add st) scopes;
   add_per_flow st tags 0 r.Response.sections
 
-let sign_with ~public ~key ~tags ~host ~peer ?(nonce = "-") r =
+let sign_with ~public ~key ~tags ?scopes ~host ~peer ?(nonce = "-") r =
   let host = Ipv4.to_string host and peer = Ipv4.to_string peer in
   let tags = String.concat "," tags in
+  let scopes =
+    Option.map (fun l -> String.concat "," (List.map scope_to_string l)) scopes
+  in
   let st = Idcrypto.Sign.keyed key in
-  add_binding st r ~host ~peer ~nonce tags;
-  (* Addresses and hex need no validation; the caller's handle, tags and
-     nonce do. *)
-  Response.append_section r
+  add_binding st r ~host ~peer ~nonce ~scopes tags;
+  (* Addresses, hex and scope names need no validation; the caller's
+     handle, tags and nonce do. *)
+  let tail =
     [
-      Key_value.pair signer_key public;
-      Key_value.pair tags_key tags;
       { Key_value.key = host_key; value = host };
       { key = peer_key; value = peer };
       Key_value.pair nonce_key nonce;
       { key = sig_key; value = Idcrypto.Sign.finish st };
     ]
+  in
+  Response.append_section r
+    (Key_value.pair signer_key public
+    :: Key_value.pair tags_key tags
+    ::
+    (match scopes with
+    | Some s -> { Key_value.key = scopes_key; value = s } :: tail
+    | None -> tail))
 
 let sign ~(keypair : Idcrypto.Sign.keypair) ~host ~peer ?nonce r =
   let key = Idcrypto.Hmac.prepare keypair.Idcrypto.Sign.secret in
@@ -146,7 +164,9 @@ let check ks (r : Response.t) ~public ~signature n section =
       match Idcrypto.Sign.verifier ks ~public with
       | None -> Invalid
       | Some st ->
-          add_binding st r ~host ~peer ~nonce tags;
+          add_binding st r ~host ~peer ~nonce
+            ~scopes:(Key_value.find section scopes_key)
+            tags;
           if
             Idcrypto.Sign.matches st ~signature
             && statics_ok ks ~public tags 0 n r.Response.sections
@@ -191,3 +211,51 @@ let claim (r : Response.t) =
       | Some signer, Some host, Some peer, Some nonce ->
           Some { signer; host; peer; nonce }
       | _ -> None)
+
+(* The scope named by the field [pos, stop) of [scopes]; [None] for a
+   name this verifier does not know. *)
+let scope_at scopes pos stop =
+  let is lit =
+    stop - pos = String.length lit
+    &&
+    let rec same i =
+      i >= String.length lit
+      || (String.unsafe_get scopes (pos + i) = lit.[i] && same (i + 1))
+    in
+    same 0
+  in
+  if is "socket" then Some Socket
+  else if is "host" then Some Host
+  else if is "flow" then Some Flow
+  else None
+
+let narrower a b =
+  match (a, b) with
+  | Flow, _ | _, Flow -> Flow
+  | Socket, _ | _, Socket -> Socket
+  | Host, Host -> Host
+
+(* The narrowest of the [n] fields of [scopes] from [pos] on, or [Flow]
+   when the list does not name exactly [n] known scopes. *)
+let rec narrowest scopes pos n acc =
+  if pos > String.length scopes then if n = 0 then acc else Flow
+  else if n = 0 then Flow
+  else
+    let stop = field_end scopes pos in
+    match scope_at scopes pos stop with
+    | None -> Flow
+    | Some s -> narrowest scopes (stop + 1) (n - 1) (narrower acc s)
+
+let scope (r : Response.t) =
+  (* The first signature section must be the last section, and declare
+     one scope per section before it. *)
+  let rec find n = function
+    | [] -> Flow
+    | [ section ] when is_signature section && n > 0 -> (
+        match Key_value.find section scopes_key with
+        | Some scopes -> narrowest scopes 0 n Host
+        | None -> Flow)
+    | section :: _ when is_signature section -> Flow
+    | _ :: rest -> find (n + 1) rest
+  in
+  find 0 r.Response.sections

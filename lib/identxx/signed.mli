@@ -11,6 +11,7 @@
     {v
 response-signer: <public handle>
 response-tags: <tag>,<tag>,-,<tag>
+response-scopes: socket,socket,flow,host
 response-host: <answering host's address>
 response-peer: <the flow's other end>
 response-nonce: <the query's nonce, or ->
@@ -20,9 +21,10 @@ response-sig: <binding tag>
     [response-tags] names one entry per preceding section. A static
     section (built-ins, [@app] config, host globals) carries its
     {e section tag}, computed once over the section alone; a per-flow
-    section carries {!per_flow}. The binding tag covers the flow header,
-    both addresses, the nonce, the tag list and the per-flow sections'
-    pairs (doc/PROTOCOL.md §6). Sections appended {e after} the
+    section carries {!per_flow}. [response-scopes], when present, says
+    how far each of those sections holds (see {!scope}). The binding tag
+    covers the flow header, both addresses, the nonce, the tag list, the
+    scope list and the per-flow sections' pairs (doc/PROTOCOL.md §6). Sections appended {e after} the
     signature are visible but unauthenticated — in a fully-signed
     deployment each augmenting controller would add its own signature
     section the same way. *)
@@ -47,6 +49,21 @@ val nonce_key : string
 val sig_key : string
 (** ["response-sig"], the binding tag. *)
 
+val scopes_key : string
+(** ["response-scopes"] *)
+
+(** How far a section's pairs hold beyond the flow they answer:
+    - [Flow]: this flow only (a connected socket's sections, run-time
+      pairs, and any section with no declaration);
+    - [Socket]: every new flow to the answering host's listening socket,
+      named by the flow's protocol and destination port;
+    - [Host]: every flow of the answering host (its global pairs). *)
+type scope = Flow | Socket | Host
+
+val scope_to_string : scope -> string
+(** ["flow"], ["socket"] or ["host"]: the names [response-scopes]
+    lists. *)
+
 val per_flow : string
 (** ["-"]: the tag-list entry of a section the binding tag covers
     directly. *)
@@ -61,6 +78,7 @@ val sign_with :
   public:string ->
   key:Idcrypto.Hmac.key ->
   tags:string list ->
+  ?scopes:scope list ->
   host:Ipv4.t ->
   peer:Ipv4.t ->
   ?nonce:string ->
@@ -69,8 +87,10 @@ val sign_with :
 (** Append the signature section. [tags] has one entry per section of
     the response: its {!section_tag} under [key], or {!per_flow}. [host]
     is the answering host, [peer] the flow's other end, [nonce] the
-    query's (default ["-"], for a query that carried none). Only the
-    binding tag is computed here. *)
+    query's (default ["-"], for a query that carried none). [scopes],
+    when given, has one entry per section too and goes out as
+    [response-scopes], under the binding tag. Only the binding tag is
+    computed here. *)
 
 val sign :
   keypair:Idcrypto.Sign.keypair ->
@@ -111,3 +131,12 @@ type claim = {
 val claim : Response.t -> claim option
 (** The first signature section's signer and echoed fields; [None] when
     there is none or a field is missing. Read it after {!verify}. *)
+
+val scope : Response.t -> scope
+(** How far the answer holds as a whole: the narrowest scope its
+    signature section declares for the sections before it. [Flow] when
+    the answer is unsigned or declares no scopes, when the list does not
+    name one known scope per section, when any section follows the
+    signature section, and for an answer with no section before it.
+    Read it after {!verify}: only a verified answer's declaration is the
+    signer's. *)

@@ -280,6 +280,55 @@ let test_query_targets_src_only () =
   Alcotest.(check int) "only one query" 1 st.C.queries_sent;
   Alcotest.(check int) "allowed" 1 st.C.allowed
 
+(* Two users' apps on one client host, under a policy that tells the
+   users apart: each flow must be decided on its own process's answer.
+   [concurrent] opens both flows at the same instant, so their source
+   queries are in flight together; otherwise mallory's flow starts once
+   alice's has been decided. Both processes exist before either flow,
+   so no change event separates the two. *)
+let two_users ~config ~concurrent =
+  let s = Deploy.simple_network ~config () in
+  Identxx_core.Policy_store.add_exn (C.policy s.controller) ~name:"00-policy"
+    "block all\npass all with eq(@src[userID], alice)";
+  List.iter
+    (fun host -> ignore (Deploy.sign_host s.controller host))
+    [ s.client; s.server ];
+  let spawn user = Identxx.Host.run s.client ~user ~exe:"/usr/bin/firefox" () in
+  let alice = spawn "alice" and mallory = spawn "mallory" in
+  let start proc =
+    let flow =
+      Identxx.Host.connect s.client ~proc ~dst:(Identxx.Host.ip s.server)
+        ~dst_port:80 ()
+    in
+    Net.send_from_host s.network ~name:"client"
+      (Identxx.Host.first_packet s.client ~flow);
+    if not concurrent then Sim.Engine.run s.engine;
+    flow
+  in
+  let fa = start alice in
+  let fm = start mallory in
+  Sim.Engine.run s.engine;
+  let verdict flow =
+    match
+      List.find_opt
+        (fun (e : Identxx_core.Audit.entry) -> Five_tuple.equal e.flow flow)
+        (Identxx_core.Audit.entries (C.audit s.controller))
+    with
+    | Some e -> e.decision
+    | None -> Alcotest.failf "%s undecided" (Five_tuple.to_string flow)
+  in
+  Alcotest.(check bool) "alice's flow passes" true (verdict fa = Pf.Ast.Pass);
+  Alcotest.(check bool) "mallory's flow is blocked" true
+    (verdict fm = Pf.Ast.Block)
+
+let test_coalescing_keeps_users_apart () =
+  two_users ~concurrent:true
+    ~config:{ C.default_config with C.shards = Some (C.sharded 2) }
+
+let test_attr_cache_keeps_users_apart () =
+  two_users ~concurrent:false
+    ~config:{ C.default_config with C.fastpath = Fastpath.default_config }
+
 let test_local_answers_controller_only_deployment () =
   (* §4 Incremental Benefit: controllers implement ident++ but hosts
      don't — the controller answers from its own information. *)
@@ -1515,6 +1564,13 @@ let () =
         [
           Alcotest.test_case "pipeline agrees with pure decision" `Quick
             test_pipeline_agrees_with_pure_decision;
+        ] );
+      ( "reuse scope",
+        [
+          Alcotest.test_case "coalescing keeps two users apart" `Quick
+            test_coalescing_keeps_users_apart;
+          Alcotest.test_case "attribute cache keeps two users apart" `Quick
+            test_attr_cache_keeps_users_apart;
         ] );
       ( "edge cases",
         [

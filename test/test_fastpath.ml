@@ -24,19 +24,29 @@ let resp ?(pairs = [ ("userID", "alice") ]) () =
   Identxx.Response.make ~flow
     [ List.map (fun (k, v) -> Identxx.Key_value.pair k v) pairs ]
 
+(* The flow [resp] answers, seen from its source end. *)
+let resp_flow =
+  Five_tuple.tcp ~src:(ip "10.0.0.1") ~dst:(ip "10.0.0.2") ~src_port:50000
+    ~dst_port:80
+
 let test_attr_ttl () =
   let c = Fastpath.Attr_cache.create ~ttl:(Sim.Time.ms 10) () in
-  let host = ip "10.0.0.1" and keys = [ "userID"; "name" ] in
-  Fastpath.Attr_cache.store c ~now:Sim.Time.zero ~host ~keys (resp ());
+  let hints = Fastpath.Attr_cache.hint_key [ "userID"; "name" ]
+  and flow = resp_flow in
+  Fastpath.Attr_cache.store c ~now:Sim.Time.zero ~hints ~flow ~end_:`Src
+    (resp ());
   check Alcotest.bool "live before ttl" true
-    (Fastpath.Attr_cache.find c ~now:(Sim.Time.ms 9) ~host ~keys <> None);
-  (* The key set is order-insensitive. *)
+    (Fastpath.Attr_cache.find c ~now:(Sim.Time.ms 9) ~hints ~flow ~end_:`Src
+    <> None);
+  (* The hint list is order-insensitive. *)
   check Alcotest.bool "key order ignored" true
-    (Fastpath.Attr_cache.find c ~now:(Sim.Time.ms 9) ~host
-       ~keys:[ "name"; "userID" ]
+    (Fastpath.Attr_cache.find c ~now:(Sim.Time.ms 9)
+       ~hints:(Fastpath.Attr_cache.hint_key [ "name"; "userID"; "name" ])
+       ~flow ~end_:`Src
     <> None);
   check Alcotest.bool "expired at ttl" true
-    (Fastpath.Attr_cache.find c ~now:(Sim.Time.ms 10) ~host ~keys = None);
+    (Fastpath.Attr_cache.find c ~now:(Sim.Time.ms 10) ~hints ~flow ~end_:`Src
+    = None);
   check Alcotest.int "hits" 2 (Fastpath.Attr_cache.hits c);
   check Alcotest.int "misses" 1 (Fastpath.Attr_cache.misses c);
   check Alcotest.int "expired entry dropped" 0 (Fastpath.Attr_cache.size c)
@@ -45,21 +55,26 @@ let test_attr_self_expiry () =
   (* A response-carried "expires" key caps the lifetime below the
      configured TTL. *)
   let c = Fastpath.Attr_cache.create ~ttl:(Sim.Time.s 60) () in
-  let host = ip "10.0.0.1" and keys = [ "userID" ] in
-  Fastpath.Attr_cache.store c ~now:Sim.Time.zero ~host ~keys
+  let hints = Fastpath.Attr_cache.hint_key [ "userID" ] and flow = resp_flow in
+  Fastpath.Attr_cache.store c ~now:Sim.Time.zero ~hints ~flow ~end_:`Src
     (resp ~pairs:[ ("userID", "alice"); ("expires", "0.5") ] ());
   check Alcotest.bool "live before self-expiry" true
-    (Fastpath.Attr_cache.find c ~now:(Sim.Time.ms 499) ~host ~keys <> None);
+    (Fastpath.Attr_cache.find c ~now:(Sim.Time.ms 499) ~hints ~flow ~end_:`Src
+    <> None);
   check Alcotest.bool "dead after self-expiry" true
-    (Fastpath.Attr_cache.find c ~now:(Sim.Time.ms 500) ~host ~keys = None)
+    (Fastpath.Attr_cache.find c ~now:(Sim.Time.ms 500) ~hints ~flow ~end_:`Src
+    = None)
 
 let test_attr_capacity_and_invalidation () =
   let c = Fastpath.Attr_cache.create ~capacity:2 ~ttl:(Sim.Time.s 1) () in
-  let keys = [ "userID" ] in
+  let hints = Fastpath.Attr_cache.hint_key [ "userID" ] in
+  let flow i =
+    Five_tuple.tcp ~src:(Ipv4.of_octets 10 0 0 i) ~dst:(ip "10.0.0.99")
+      ~src_port:50000 ~dst_port:80
+  in
   let store i =
-    Fastpath.Attr_cache.store c ~now:Sim.Time.zero
-      ~host:(Ipv4.of_octets 10 0 0 i)
-      ~keys (resp ())
+    Fastpath.Attr_cache.store c ~now:Sim.Time.zero ~hints ~flow:(flow i)
+      ~end_:`Src (resp ())
   in
   store 1;
   store 2;
@@ -68,8 +83,8 @@ let test_attr_capacity_and_invalidation () =
   check Alcotest.int "capacity bound" 2 (Fastpath.Attr_cache.size c);
   check Alcotest.int "one eviction" 1 (Fastpath.Attr_cache.evictions c);
   check Alcotest.bool "oldest gone" true
-    (Fastpath.Attr_cache.find c ~now:Sim.Time.zero
-       ~host:(Ipv4.of_octets 10 0 0 1) ~keys
+    (Fastpath.Attr_cache.find c ~now:Sim.Time.zero ~hints ~flow:(flow 1)
+       ~end_:`Src
     = None);
   check Alcotest.int "invalidate host" 1
     (Fastpath.Attr_cache.invalidate_host c (Ipv4.of_octets 10 0 0 2));
@@ -152,15 +167,19 @@ let check_bounded name words =
 
 let test_attr_order_bounded () =
   let c = Fastpath.Attr_cache.create ~capacity:64 ~ttl:(Sim.Time.ms 1) () in
-  let host = ip "10.0.0.1" and keys = [ "userID" ] and r = resp () in
+  let hints = Fastpath.Attr_cache.hint_key [ "userID" ]
+  and flow = resp_flow
+  and r = resp () in
   for i = 0 to 99_999 do
     let now = Sim.Time.ms (2 * i) in
-    Fastpath.Attr_cache.store c ~now ~host ~keys r;
+    Fastpath.Attr_cache.store c ~now ~hints ~flow ~end_:`Src r;
     (* One tick past the TTL: the lookup drops the entry. *)
     ignore
-      (Fastpath.Attr_cache.find c ~now:(Sim.Time.ms ((2 * i) + 1)) ~host ~keys)
+      (Fastpath.Attr_cache.find c
+         ~now:(Sim.Time.ms ((2 * i) + 1))
+         ~hints ~flow ~end_:`Src)
   done;
-  Fastpath.Attr_cache.store c ~now:Sim.Time.zero ~host ~keys r;
+  Fastpath.Attr_cache.store c ~now:Sim.Time.zero ~hints ~flow ~end_:`Src r;
   check Alcotest.int "one live entry" 1 (Fastpath.Attr_cache.size c);
   check Alcotest.int "nothing evicted" 0 (Fastpath.Attr_cache.evictions c);
   check_bounded "attr cache" (Obj.reachable_words (Obj.repr c))
@@ -445,27 +464,59 @@ let advance (s : Deploy.simple) ms =
   Sim.Engine.schedule s.engine ~delay:(Sim.Time.ms ms) (fun () -> ());
   Sim.Engine.run s.engine
 
+(* Answers reach beyond their flow only as far as a signing daemon
+   declares: sign both hosts, and give the server a listener on port 80,
+   whose answers hold for every new flow to it. *)
+let serve (s : Deploy.simple) =
+  List.iter
+    (fun host -> ignore (Deploy.sign_host s.controller host))
+    [ s.client; s.server ];
+  let www = Identxx.Host.run s.server ~user:"www" ~exe:"/usr/sbin/httpd" () in
+  Identxx.Host.listen s.server ~proc:www ~port:80 ()
+
+(* [fp_on] with switch entries that idle out after a millisecond, so a
+   flow's next packet misses again. *)
+let fp_remiss = { fp_on with C.entry_idle_timeout = Some (Sim.Time.ms 1) }
+
+(* Send [flow]'s first packet again once its entries have idled out. *)
+let remiss (s : Deploy.simple) flow =
+  advance s 2;
+  Net.send_from_host s.network ~name:"client"
+    (Identxx.Host.first_packet s.client ~flow);
+  Sim.Engine.run s.engine
+
 let test_warm_cache_skips_queries () =
-  let s = Deploy.simple_network ~config:fp_on () in
+  let s = Deploy.simple_network ~config:fp_remiss () in
   Policy_store.add_exn (C.policy s.controller) ~name:"00-policy"
     (app_policy [ "firefox" ]);
+  serve s;
   let proc = Identxx.Host.run s.client ~user:"alice" ~exe:"/usr/bin/firefox" () in
-  ignore (connect_and_run s ~proc ());
+  let flow = connect_and_run s ~proc () in
   let st1 = C.stats s.controller in
   check Alcotest.int "cold flow queries both ends" 2 st1.C.queries_sent;
   check Alcotest.int "cold flow is not a fastpath decision" 0
     st1.C.fastpath_decisions;
-  (* Same process, new connection (fresh ephemeral port): both answers
-     come from the attribute cache — no daemon sees a query. *)
-  ignore (connect_and_run s ~proc ());
+  (* The same flow misses again: both answers come from the attribute
+     cache — no daemon sees a query. *)
+  remiss s flow;
   let st2 = C.stats s.controller in
   check Alcotest.int "warm flow sends no queries" 2 st2.C.queries_sent;
   check Alcotest.int "one fastpath decision" 1 st2.C.fastpath_decisions;
   check Alcotest.int "two attribute hits" 2 st2.C.attr_cache_hits;
   check Alcotest.int "decision replayed from cache" 1 st2.C.decision_cache_hits;
-  check Alcotest.int "client daemon queried once in total" 1
+  (* Same process, new connection: the client's answer held for its own
+     connection only and is asked again; the server's listener answer
+     holds for every new flow to port 80. *)
+  ignore (connect_and_run s ~proc ());
+  let st3 = C.stats s.controller in
+  check Alcotest.int "new connection asks its source only" 3
+    st3.C.queries_sent;
+  check Alcotest.int "listener answer reused" 3 st3.C.attr_cache_hits;
+  check Alcotest.int "client daemon queried once per connection" 2
     (Identxx.Daemon.queries_answered (Identxx.Host.daemon s.client));
-  check Alcotest.int "both flows allowed" 2 st2.C.allowed
+  check Alcotest.int "server daemon queried once" 1
+    (Identxx.Daemon.queries_answered (Identxx.Host.daemon s.server));
+  check Alcotest.int "every flow allowed" 3 st3.C.allowed
 
 let test_wire_answers_share_decision () =
   (* No attribute reuse, signed answers: both flows' answers come off
@@ -510,6 +561,7 @@ let test_spawn_invalidates_attr_cache () =
   let s = Deploy.simple_network ~config:fp_on () in
   Policy_store.add_exn (C.policy s.controller) ~name:"00-policy"
     (app_policy [ "firefox" ]);
+  serve s;
   let proc = Identxx.Host.run s.client ~user:"alice" ~exe:"/usr/bin/firefox" () in
   ignore (connect_and_run s ~proc ());
   let proc2 =
@@ -528,19 +580,48 @@ let test_spawn_invalidates_attr_cache () =
     (Identxx.Daemon.queries_answered (Identxx.Host.daemon s.server));
   check Alcotest.int "worm still blocked" 1 st.C.blocked
 
-let test_epoch_bump_prevents_stale_decision () =
+let test_rebound_listener_asked_again () =
+  (* A listener's answer holds for every new flow to its port, until the
+     port changes hands: re-binding it within the attribute TTL must
+     drop the cached answer. The new owner exists before the first flow,
+     so the re-binding is the only change event. *)
   let s = Deploy.simple_network ~config:fp_on () in
   Policy_store.add_exn (C.policy s.controller) ~name:"00-policy"
-    (app_policy [ "firefox" ]);
+    "block all\npass all with eq(@dst[name], httpd)";
+  List.iter
+    (fun host -> ignore (Deploy.sign_host s.controller host))
+    [ s.client; s.server ];
+  let httpd = Identxx.Host.run s.server ~user:"www" ~exe:"/usr/sbin/httpd" () in
+  let other = Identxx.Host.run s.server ~user:"eve" ~exe:"/usr/bin/nc" () in
+  Identxx.Host.listen s.server ~proc:httpd ~port:80 ();
   let proc = Identxx.Host.run s.client ~user:"alice" ~exe:"/usr/bin/firefox" () in
   ignore (connect_and_run s ~proc ());
+  check Alcotest.int "httpd's flow passes" 1 (C.stats s.controller).C.allowed;
+  Identxx.Process_table.close_listen
+    (Identxx.Host.processes s.server)
+    ~pid:httpd.Identxx.Process_table.pid ~proto:Proto.Tcp ~port:80;
+  Identxx.Host.listen s.server ~proc:other ~port:80 ();
+  ignore (connect_and_run s ~proc ());
+  let st = C.stats s.controller in
+  check Alcotest.int "the server is asked again" 2
+    (Identxx.Daemon.queries_answered (Identxx.Host.daemon s.server));
+  check Alcotest.int "the new owner's flow is blocked" 1 st.C.blocked;
+  check Alcotest.int "still one pass" 1 st.C.allowed
+
+let test_epoch_bump_prevents_stale_decision () =
+  let s = Deploy.simple_network ~config:fp_remiss () in
+  Policy_store.add_exn (C.policy s.controller) ~name:"00-policy"
+    (app_policy [ "firefox" ]);
+  serve s;
+  let proc = Identxx.Host.run s.client ~user:"alice" ~exe:"/usr/bin/firefox" () in
+  let flow = connect_and_run s ~proc () in
   check Alcotest.int "allowed under the old policy" 1
     (C.stats s.controller).C.allowed;
   (* Replace the policy through the store alone: no controller flush, so
      only the epoch protects against replaying the cached verdict. *)
   Policy_store.add_exn (C.policy s.controller) ~name:"00-policy"
     (app_policy [ "chrome" ]);
-  ignore (connect_and_run s ~proc ());
+  remiss s flow;
   let st = C.stats s.controller in
   check Alcotest.int "stale pass not replayed" 1 st.C.allowed;
   check Alcotest.int "re-evaluated and blocked" 1 st.C.blocked;
@@ -550,12 +631,13 @@ let test_epoch_bump_prevents_stale_decision () =
   check Alcotest.int "both decisions fastpathed" 1 st.C.fastpath_decisions
 
 let test_revoke_principal_purges () =
-  let s = Deploy.simple_network ~config:fp_on () in
+  let s = Deploy.simple_network ~config:fp_remiss () in
   Policy_store.add_exn (C.policy s.controller) ~name:"00-policy"
     (app_policy [ "firefox" ]);
+  serve s;
   let proc = Identxx.Host.run s.client ~user:"alice" ~exe:"/usr/bin/firefox" () in
-  ignore (connect_and_run s ~proc ());
-  ignore (connect_and_run s ~proc ());
+  let flow = connect_and_run s ~proc () in
+  remiss s flow;
   let st = C.stats s.controller in
   check Alcotest.int "warm before revocation" 1 st.C.fastpath_decisions;
   ignore (C.revoke_principal s.controller ~ip:(Identxx.Host.ip s.client));
@@ -563,7 +645,7 @@ let test_revoke_principal_purges () =
      attributes, its memoized decisions, its connection state. The next
      flow re-queries the revoked host (the server's cached attributes
      are legitimately untouched). *)
-  ignore (connect_and_run s ~proc ());
+  remiss s flow;
   let st' = C.stats s.controller in
   check Alcotest.int "revoked host re-queried" 3 st'.C.queries_sent;
   check Alcotest.int "no new fastpath decision" 1 st'.C.fastpath_decisions;
@@ -676,6 +758,8 @@ let () =
             test_warm_cache_skips_queries;
           Alcotest.test_case "wire answers share a decision" `Quick
             test_wire_answers_share_decision;
+          Alcotest.test_case "re-bound listener is asked again" `Quick
+            test_rebound_listener_asked_again;
           Alcotest.test_case "spawn invalidates attributes" `Quick
             test_spawn_invalidates_attr_cache;
           Alcotest.test_case "epoch bump prevents stale decision" `Quick

@@ -87,25 +87,49 @@ let test_engine_post_after () =
 let test_conn_join_settle () =
   let t = Shard.Conn_table.create () in
   let h = ip "10.0.0.1" in
-  check Alcotest.bool "first starts the exchange" true
-    (Shard.Conn_table.join t ~host:h ~shape:"name,userID" "w1" = `First);
-  check Alcotest.bool "second coalesces" true
-    (Shard.Conn_table.join t ~host:h ~shape:"name,userID" "w2"
-    = `Coalesced 2);
+  let join ?(shape = "name,userID") ?(socket = 80) w =
+    Shard.Conn_table.join t ~host:h ~shape ~socket w
+  in
+  let ex =
+    match join "w1" with
+    | `First ex -> ex
+    | `Coalesced _ -> Alcotest.fail "first should start the exchange"
+  in
+  check Alcotest.bool "second coalesces" true (join "w2" = `Coalesced 2);
   check Alcotest.bool "different shape starts its own" true
-    (Shard.Conn_table.join t ~host:h ~shape:"name" "w3" = `First);
-  check Alcotest.int "two exchanges in flight" 2
+    (match join ~shape:"name" "w3" with `First _ -> true | _ -> false);
+  check Alcotest.bool "different socket starts its own" true
+    (match join ~socket:81 "w4" with `First _ -> true | _ -> false);
+  check Alcotest.int "three exchanges in flight" 3
     (Shard.Conn_table.in_flight t);
-  check Alcotest.int "three waiters parked" 3 (Shard.Conn_table.waiters t);
+  check Alcotest.int "four waiters parked" 4 (Shard.Conn_table.waiters t);
   check
     Alcotest.(list string)
     "settle returns join order" [ "w1"; "w2" ]
-    (Shard.Conn_table.settle t ~host:h ~shape:"name,userID");
+    (Shard.Conn_table.settle t ex);
   check
     Alcotest.(list string)
-    "settled exchange is gone" []
-    (Shard.Conn_table.settle t ~host:h ~shape:"name,userID");
-  check Alcotest.int "wire exchanges" 2 (Shard.Conn_table.started t);
+    "settled exchange is gone" [] (Shard.Conn_table.settle t ex);
+  (* After a change on the host, open exchanges take no new waiters,
+     but still settle the ones they have. *)
+  let ex5 =
+    match join "w5" with `First ex -> ex | `Coalesced _ -> assert false
+  in
+  Shard.Conn_table.close_host t h;
+  check Alcotest.int "nothing open after the change" 0
+    (Shard.Conn_table.in_flight t);
+  let ex6 =
+    match join "w6" with
+    | `First ex -> ex
+    | `Coalesced _ -> Alcotest.fail "a closed exchange took a waiter"
+  in
+  check Alcotest.(list string) "closed exchange settles" [ "w5" ]
+    (Shard.Conn_table.settle t ex5);
+  check Alcotest.int "the newer exchange stays open" 1
+    (Shard.Conn_table.in_flight t);
+  check Alcotest.(list string) "newer exchange settles" [ "w6" ]
+    (Shard.Conn_table.settle t ex6);
+  check Alcotest.int "wire exchanges" 5 (Shard.Conn_table.started t);
   check Alcotest.int "coalesced joins" 1 (Shard.Conn_table.coalesced t)
 
 (* --- Shard.Batch unit tests --- *)
@@ -148,6 +172,14 @@ let test_batch_ordering () =
 
 (* --- controller integration --- *)
 
+(* Sign [target]'s answers and give it a listener on port 80: its
+   answers then hold for every new flow to that port, which is what lets
+   a coalesced waiter take another flow's answer. *)
+let serve controller target =
+  ignore (Deploy.sign_host controller target);
+  let www = Identxx.Host.run target ~user:"www" ~exe:"/bin/srv" () in
+  Identxx.Host.listen target ~proc:www ~port:80 ()
+
 (* The netsim burst scenario, inline: 16 hosts on a 4-switch chain,
    every host but the first opening a flow to host 0 at t = 0. *)
 let run_burst ?obs ?spans ~shards () =
@@ -159,6 +191,7 @@ let run_burst ?obs ?spans ~shards () =
   Policy_store.add_exn (C.policy controller) ~name:"00"
     "block all\npass all with eq(@src[name], app) keep state";
   let target = hosts.(0) in
+  serve controller target;
   Array.iteri
     (fun i h ->
       if i > 0 then begin
@@ -372,6 +405,7 @@ let coalesce_net ?(silent = false) ~clients () =
   let engine, network, controller, hosts = target_net ~clients () in
   Policy_store.add_exn (C.policy controller) ~name:"00" "pass all";
   let target = hosts.(0) in
+  serve controller target;
   if silent then
     Identxx.Daemon.set_behaviour
       (Identxx.Host.daemon target)
