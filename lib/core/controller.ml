@@ -230,15 +230,6 @@ let make_pro_metrics reg ~labels =
         ~labels "identxx_compiler_recompile_seconds";
   }
 
-(* What the current policy reads, for the flow-setup path: the
-   decision-cache key shape, the key list a query hints, and that list's
-   canonical form, which keys the answer-reuse tables. *)
-type policy_view = {
-  shape : Fastpath.decision_shape;
-  hints : string list;
-  hint_key : string;
-}
-
 (* Everything per-flow state touches, split per shard: its own pending
    table, its own fast-path view (attribute/decision caches + breaker),
    and its own metrics record (labelled [shard=<i>] when sharding is
@@ -276,7 +267,7 @@ type t = {
          share (it sits below them, on the wire side). *)
   batch : Shard.Batch.t;
       (* Installs, releases and queries leave in per-tick passes. *)
-  mutable policy_view : (int * policy_view) option;
+  mutable plan : (int * Query_plan.t) option;
       (* Per-epoch memo of what the policy reads. *)
   mutable trace_seq : int;
       (* Disambiguates trace ids when the same 5-tuple misses twice. *)
@@ -460,47 +451,15 @@ let release_packets t packets =
         (Msg.Packet_out { Msg.out_packet = pkt; out_port = `Table }))
     (List.rev packets)
 
-(* The keys a query hints when the policy reads none: the identity
-   and application keys of §3.3. *)
-let default_query_keys =
-  Identxx.Key_value.
-    [ user_id; group_id; app_name; exe_hash; version; requirements; req_sig ]
-
-(* The current policy's {!policy_view}, memoized per epoch. The hints
-   are the keys the policy actually reads, falling back to
-   {!default_query_keys} (§3.2: the list is only a hint; daemons may
-   answer with more); they are also the attribute-cache key for a
-   host's answer. A policy that fails to build keys decisions on the
-   full flow and every pair. *)
+(* The current policy's {!Query_plan}, memoized per epoch. *)
 let policy_view t =
   let epoch = Policy_store.epoch t.policy in
-  match t.policy_view with
+  match t.plan with
   | Some (e, v) when e = epoch -> v
   | Some _ | None ->
-      let v =
-        match Policy_store.env t.policy with
-        | Ok env ->
-            let hints =
-              match Pf.Env.referenced_keys env with
-              | [] -> default_query_keys
-              | keys -> keys
-            in
-            {
-              shape = Fastpath.decision_shape env;
-              hints;
-              hint_key = Fastpath.Attr_cache.hint_key hints;
-            }
-        | Error _ ->
-            {
-              shape = { Fastpath.src_port = true; reads = None };
-              hints = default_query_keys;
-              hint_key = Fastpath.Attr_cache.hint_key default_query_keys;
-            }
-      in
-      t.policy_view <- Some (epoch, v);
+      let v = Query_plan.make (Policy_store.env t.policy) in
+      t.plan <- Some (epoch, v);
       v
-
-let hint_keys t = (policy_view t).hints
 
 let compute_verdict t sx ~flow ~src ~dst =
   let input = { Decision.flow; src_response = src; dst_response = dst } in
@@ -522,7 +481,9 @@ let eval_decision t sx ~flow ~src ~dst =
   if not (Fastpath.enabled sx.s_fp) then compute_verdict t sx ~flow ~src ~dst
   else begin
     let epoch = Policy_store.epoch t.policy in
-    let key = Fastpath.decision_key (policy_view t).shape ~flow ~src ~dst in
+    let key =
+      Fastpath.decision_key (policy_view t).Query_plan.shape ~flow ~src ~dst
+    in
     match Fastpath.find_decision sx.s_fp ~epoch ~key with
     | Some v -> v
     | None ->
@@ -688,7 +649,11 @@ let socket_of (flow : Five_tuple.t) = function
 let wire_send ?trace ?nonce t sx ~(flow : Five_tuple.t) ~target_ip ~reply_to
     attachment =
   let query =
-    { (Identxx.Query.make ~flow ~keys:(hint_keys t)) with nonce; trace }
+    {
+      (Identxx.Query.make ~flow ~keys:(policy_view t).Query_plan.hints) with
+      nonce;
+      trace;
+    }
   in
   let pkt =
     Identxx.Wire.query_packet ~to_ip:target_ip ~from_ip:reply_to query
@@ -743,7 +708,8 @@ let send_query ?trace ?nonce t sx ~(flow : Five_tuple.t) ~target_ip ~reply_to
               let w = { w_flow = flow; w_sid = sx.sid; w_end = end_ } in
               match
                 Shard.Conn_table.join ct ~host:target_ip
-                  ~shape:(policy_view t).hint_key ~socket:(socket_of flow end_)
+                  ~shape:(policy_view t).Query_plan.hint_key
+                  ~socket:(socket_of flow end_)
                   w
               with
               | `First ex ->
@@ -870,7 +836,8 @@ let start_flow t sx ~dpid ~in_port pkt (flow : Five_tuple.t) =
       if not want then Some None
       else
         match
-          Fastpath.find_attrs sx.s_fp ~now ~hints:(policy_view t).hint_key
+          Fastpath.find_attrs sx.s_fp ~now
+            ~hints:(policy_view t).Query_plan.hint_key
             ~flow ~end_
         with
         | Some r ->
@@ -1364,7 +1331,7 @@ let handle_response t sx ~dpid ~from_ip ~to_ip response pkt =
       (* An (authenticated, if required) answer: close breaker state and
          remember the attributes in every shard view that waited on it. *)
       let now = Sim.Engine.now (Net.engine t.network) in
-      let hints = (policy_view t).hint_key in
+      let hints = (policy_view t).Query_plan.hint_key in
       let signer = Identxx.Response.latest response Identxx.Signed.signer_key in
       Array.iter
         (fun vx ->
@@ -1854,7 +1821,7 @@ let create ?(config = default_config) ?keystore ?functions ?obs ?spans
       shard_engine;
       conn;
       batch;
-      policy_view = None;
+      plan = None;
       trace_seq = 0;
       last_stats = [];
       proactive_tbl = empty_table;

@@ -215,7 +215,22 @@ let globals t cfg =
       t.globals <- Some g;
       g
 
-let answer ?trace ?decode ?nonce t ~peer ~proto ~src_port ~dst_port ~keys:_ =
+(* The plain keys of a query's key list: extension tokens ([@trace/…],
+   [@nonce/…], or any other [@]-prefixed key) are never hints. *)
+let plain_hints keys =
+  List.filter (fun k -> String.length k > 0 && k.[0] <> '@') keys
+
+(* Whether a static section goes out under [plain] hints: when it holds
+   one of them, or when the query hinted no plain key at all. *)
+let holds plain section =
+  plain = []
+  || List.exists
+       (fun (p : Key_value.pair) -> List.exists (String.equal p.key) plain)
+       section
+
+let wanted ~keys section = holds (plain_hints keys) section
+
+let answer ?trace ?decode ?nonce t ~peer ~proto ~src_port ~dst_port ~keys =
   match t.behaviour with
   | Silent -> None
   | Lying fabricated ->
@@ -268,22 +283,27 @@ let answer ?trace ?decode ?nonce t ~peer ~proto ~src_port ~dst_port ~keys:_ =
       in
       let t_assemble = now () in
       let cfg = merged_config t in
-      (* Each part with its section tag and declared scope. The globals
-         hold host-wide, but only beside the owner's built-in section:
-         without it, the answer's lack of a process holds only as far as
-         the lookup did. *)
+      (* Each part with its section tag and declared scope. A static
+         section holding none of the hinted keys stays home, whole. The
+         globals hold host-wide, but only beside the owner's built-in
+         section: without it, what the answer lacks holds only as far
+         as the lookup did. *)
+      let plain = plain_hints keys in
+      let static ((section, _) as part) scope =
+        if section <> [] && holds plain section then [ (part, scope) ] else []
+      in
       let parts =
         match proc with
-        | None -> [ (globals t cfg, held) ]
+        | None -> static (globals t cfg) held
         | Some proc ->
-            [
-              (builtins t proc, held);
-              (app t cfg proc, held);
-              ((runtime_section t flow, Signed.per_flow), Signed.Flow);
-              (globals t cfg, Signed.Host);
-            ]
+            let own = static (builtins t proc) held in
+            own
+            @ static (app t cfg proc) held
+            @ (match runtime_section t flow with
+              | [] -> []
+              | section -> [ ((section, Signed.per_flow), Signed.Flow) ])
+            @ static (globals t cfg) (if own = [] then held else Signed.Host)
       in
-      let parts = List.filter (fun ((section, _), _) -> section <> []) parts in
       let response = Response.make ~flow (List.map (fun ((s, _), _) -> s) parts) in
       let t_sign = now () in
       let response =

@@ -82,10 +82,26 @@ val answer :
     when the caller timed {!Query.decode} itself, is reported as one
     more span. Dishonest daemons ignore both.
 
+    [keys] are the query's hints (§3.2). A static section (built-ins,
+    [@app] config, globals) that holds none of them stays home, whole;
+    the run-time section always goes. Extension tokens — any key
+    starting with ['@'], such as [@trace/…] and [@nonce/…] — are never
+    hints, and a list with no other key asks for every section.
+
     [nonce] is the query's ({!Query.t}[.nonce]); a signing daemon echoes
     it, with its own address and [peer], under the answer's binding tag.
     The run-time section is the one per-flow section; the others carry
-    their cached section tags. *)
+    their cached section tags. The signature section also declares each
+    section's reuse scope ({!Signed.scope}): the owner's built-in and
+    [@app] sections are [Socket] when a listener was found and [Flow]
+    for a connected socket (or when run-time pairs set a flow to the
+    listener apart), run-time pairs are [Flow], and the globals are
+    [Host] beside the owner's built-ins, else as far as the lookup
+    held. *)
+
+val wanted : keys:string list -> Key_value.section -> bool
+(** Whether a static section goes out in answer to a query hinting
+    [keys], by the rule above. *)
 
 val queries_answered : t -> int
 

@@ -608,6 +608,36 @@ let test_rebound_listener_asked_again () =
   check Alcotest.int "the new owner's flow is blocked" 1 st.C.blocked;
   check Alcotest.int "still one pass" 1 st.C.allowed
 
+let test_expires_survives_trimming () =
+  (* The policy reads only [name], and the server's administrator pairs
+     hold no [name]: without [expires] among the hints, the daemon would
+     leave its globals home and the attribute cache would silently fall
+     back to its 5 s TTL. The controller hints [expires], so the
+     listener's answer lives 10 ms. *)
+  let s = Deploy.simple_network ~config:fp_on () in
+  Policy_store.add_exn (C.policy s.controller) ~name:"00-policy"
+    "block all\npass all with eq(@dst[name], httpd)";
+  serve s;
+  (match
+     Identxx.Daemon.load_config
+       (Identxx.Host.daemon s.server)
+       ~name:"00-admin" "os-patch : 8831\nexpires : 0.01"
+   with
+  | Ok () -> ()
+  | Error e -> Alcotest.fail e);
+  let proc = Identxx.Host.run s.client ~user:"alice" ~exe:"/usr/bin/firefox" () in
+  let asked () =
+    Identxx.Daemon.queries_answered (Identxx.Host.daemon s.server)
+  in
+  ignore (connect_and_run s ~proc ());
+  ignore (connect_and_run s ~proc ());
+  check Alcotest.int "within 10 ms the listener's answer is reused" 1
+    (asked ());
+  advance s 20;
+  ignore (connect_and_run s ~proc ());
+  check Alcotest.int "past its own bound it is asked again" 2 (asked ());
+  check Alcotest.int "every flow passes" 3 (C.stats s.controller).C.allowed
+
 let test_epoch_bump_prevents_stale_decision () =
   let s = Deploy.simple_network ~config:fp_remiss () in
   Policy_store.add_exn (C.policy s.controller) ~name:"00-policy"
@@ -760,6 +790,8 @@ let () =
             test_wire_answers_share_decision;
           Alcotest.test_case "re-bound listener is asked again" `Quick
             test_rebound_listener_asked_again;
+          Alcotest.test_case "expires bounds a trimmed answer" `Quick
+            test_expires_survives_trimming;
           Alcotest.test_case "spawn invalidates attributes" `Quick
             test_spawn_invalidates_attr_cache;
           Alcotest.test_case "epoch bump prevents stale decision" `Quick

@@ -501,6 +501,127 @@ let test_daemon_signs_static_sections_once () =
   check Alcotest.bool "re-tagged answer valid" true
     (Identxx.Signed.verify ks c = Identxx.Signed.Valid 2)
 
+(* A host with skype's @app block and one admin pair, alice's skype
+   connected to 10.0.0.2:33000, and sendmail listening on port 25. *)
+let hinted_host () =
+  let h = make_host "h" "10.0.0.1" in
+  List.iter
+    (fun (name, text) ->
+      match Identxx.Daemon.load_config (Identxx.Host.daemon h) ~name text with
+      | Ok () -> ()
+      | Error e -> Alcotest.fail e)
+    [
+      ("50-skype", "@app /usr/bin/skype {\nname : skype\nversion : 210\n}");
+      ("00-admin", "os-patch : MS08-067");
+    ];
+  let proc = Identxx.Host.run h ~user:"alice" ~exe:"/usr/bin/skype" () in
+  let fl = Identxx.Host.connect h ~proc ~dst:(ip "10.0.0.2") ~dst_port:33000 () in
+  let smtp = Identxx.Host.run h ~user:"smtp" ~exe:"/usr/sbin/sendmail" () in
+  Identxx.Host.listen h ~proc:smtp ~port:25 ();
+  (h, fl)
+
+let section_count ~keys (h, (fl : Five_tuple.t)) =
+  match
+    Identxx.Daemon.answer (Identxx.Host.daemon h) ~peer:fl.Five_tuple.dst
+      ~proto:Proto.Tcp ~src_port:fl.Five_tuple.src_port
+      ~dst_port:fl.Five_tuple.dst_port ~keys
+  with
+  | Some (r, _) -> List.length r.Identxx.Response.sections
+  | None -> Alcotest.fail "no answer"
+
+let test_daemon_answers_hinted_keys () =
+  let host = hinted_host () in
+  let n keys = section_count ~keys host in
+  check Alcotest.int "no hint: every section" 3 (n []);
+  check Alcotest.int "userID: the built-ins alone" 1 (n [ "userID" ]);
+  check Alcotest.int "version: the app section alone" 1 (n [ "version" ]);
+  check Alcotest.int "name: built-ins and app" 2 (n [ "name" ]);
+  check Alcotest.int "os-patch: the globals alone" 1 (n [ "os-patch" ]);
+  check Alcotest.int "an unknown key: nothing" 0 (n [ "clearance" ]);
+  (* Extension tokens are never hints: alone they ask for everything,
+     beside a plain key they change nothing. *)
+  check Alcotest.int "extension tokens alone: every section" 3
+    (n [ "@trace/not-a-context"; "@nonce/zz"; "@future/x" ]);
+  check Alcotest.int "beside a plain key: ignored" 1
+    (n [ "@trace/not-a-context"; "userID" ]);
+  check Alcotest.bool "wanted agrees" true
+    (Identxx.Daemon.wanted ~keys:[ "@x"; "a" ]
+       [ Identxx.Key_value.pair "a" "1" ]
+    && (not
+          (Identxx.Daemon.wanted ~keys:[ "@a"; "b" ]
+             [ Identxx.Key_value.pair "a" "1" ]))
+    && Identxx.Daemon.wanted ~keys:[ "@a" ] [ Identxx.Key_value.pair "a" "1" ])
+
+(* A signing daemon declares each section's reuse scope under its
+   binding tag, and a trimmed answer still verifies. *)
+let test_daemon_declares_scopes () =
+  let h, fl = hinted_host () in
+  let kp = Idcrypto.Sign.generate "h-host" in
+  let ks = Idcrypto.Sign.keystore () in
+  Idcrypto.Sign.register ks kp;
+  Identxx.Host.set_signing_key h (Some kp);
+  let ask ?(keys = []) ~src_port ~dst_port peer =
+    match
+      Identxx.Daemon.answer (Identxx.Host.daemon h) ~nonce:"ab" ~peer
+        ~proto:Proto.Tcp ~src_port ~dst_port ~keys
+    with
+    | Some (r, _) -> r
+    | None -> Alcotest.fail "no answer"
+  in
+  let scopes r =
+    Option.value ~default:"-"
+      (Identxx.Response.latest r Identxx.Signed.scopes_key)
+  in
+  let scope_t =
+    Alcotest.testable
+      (fun ppf s -> Format.pp_print_string ppf (Identxx.Signed.scope_to_string s))
+      ( = )
+  in
+  let conn = ask ~src_port:fl.Five_tuple.src_port ~dst_port:33000 (ip "10.0.0.2") in
+  check Alcotest.string "a connection's sections" "flow,flow,host" (scopes conn);
+  check scope_t "a connection holds for its flow" Identxx.Signed.Flow
+    (Identxx.Signed.scope conn);
+  let lis = ask ~src_port:4444 ~dst_port:25 (ip "10.0.0.9") in
+  check Alcotest.string "a listener's sections" "socket,host" (scopes lis);
+  check scope_t "a listener holds for its socket" Identxx.Signed.Socket
+    (Identxx.Signed.scope lis);
+  let none = ask ~src_port:4444 ~dst_port:9999 (ip "10.0.0.9") in
+  check Alcotest.string "no owner: the globals hold for the flow" "flow"
+    (scopes none);
+  let globals_only =
+    ask ~keys:[ "os-patch" ] ~src_port:4444 ~dst_port:25 (ip "10.0.0.9")
+  in
+  check Alcotest.string "without the built-ins, as far as the lookup held"
+    "socket" (scopes globals_only);
+  check Alcotest.bool "a trimmed answer verifies" true
+    (Identxx.Signed.verify ks globals_only = Identxx.Signed.Valid 1);
+  (* The binding covers the scope list: widening it breaks the tag. *)
+  let widened =
+    {
+      conn with
+      Identxx.Response.sections =
+        List.map
+          (List.map (fun (p : Identxx.Key_value.pair) ->
+               if String.equal p.key Identxx.Signed.scopes_key then
+                 Identxx.Key_value.pair p.key "host,host,host"
+               else p))
+          conn.Identxx.Response.sections;
+    }
+  in
+  check Alcotest.bool "genuine declaration verifies" true
+    (Identxx.Signed.verify ks conn = Identxx.Signed.Valid 3);
+  check Alcotest.bool "a widened scope list is refused" true
+    (Identxx.Signed.verify ks widened = Identxx.Signed.Invalid);
+  (* Run-time pairs for one flow to the listener set every flow to it
+     apart. *)
+  Identxx.Daemon.register_runtime (Identxx.Host.daemon h)
+    ~flow:
+      (Five_tuple.tcp ~src:(ip "10.0.0.7") ~dst:(ip "10.0.0.1") ~src_port:1
+         ~dst_port:25)
+    [ Identxx.Key_value.pair "url" "x" ];
+  check Alcotest.string "run-time pairs on the socket" "flow,host"
+    (scopes (ask ~src_port:4444 ~dst_port:25 (ip "10.0.0.9")))
+
 let test_daemon_destination_response () =
   let h = make_host "srv" "10.0.0.2" in
   let proc = Identxx.Host.run h ~user:"smtp" ~exe:"/usr/sbin/sendmail" () in
@@ -1252,6 +1373,10 @@ let () =
           Alcotest.test_case "silent and lying" `Quick test_daemon_silent_and_lying;
           Alcotest.test_case "signs static sections once" `Quick
             test_daemon_signs_static_sections_once;
+          Alcotest.test_case "answers the hinted keys" `Quick
+            test_daemon_answers_hinted_keys;
+          Alcotest.test_case "declares reuse scopes" `Quick
+            test_daemon_declares_scopes;
         ] );
       ( "wire",
         [
