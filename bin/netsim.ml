@@ -354,8 +354,10 @@ let burst ?fab ~arm ~config ~obs ~spans ~mon () =
   arm network;
   host_metrics obs engine (Array.to_list hosts);
   mon_arm mon ~engine ~obs ~spans (Array.to_list hosts);
+  (* The policy reads both ends, so every flow asks the target too. *)
   PS.add_exn (C.policy controller) ~name:"00"
-    "block all\npass all with eq(@src[name], app) keep state";
+    "block all\npass all with eq(@src[name], app) with eq(@dst[name], srv) \
+     keep state";
   let target = hosts.(0) in
   (* Signed answers declare how far they hold: the target's listener
      answers alike for every new flow to port 80, so concurrent flows

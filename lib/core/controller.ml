@@ -7,8 +7,6 @@ module Log = (val Logs.src_log src : Logs.LOG)
 module Topo = Openflow.Topology
 module Msg = Openflow.Message
 
-type query_targets = Both | Src_only | Dst_only | Neither
-
 (* The sharded flow-setup engine (DESIGN.md §12). [shard_service] is the
    simulated per-message cost each shard pays; zero keeps behaviour
    byte-identical under any shard count, positive models N controller
@@ -30,7 +28,6 @@ type config = {
   install_along_path : bool;
   require_signed_responses : bool;
   query_retries : int;
-  query_targets : query_targets;
   default : Pf.Ast.action;
   fastpath : Fastpath.config;
   proactive : bool;
@@ -44,7 +41,6 @@ let default_config =
     install_along_path = true;
     require_signed_responses = false;
     query_retries = 0;
-    query_targets = Both;
     default = Pf.Ast.Pass;
     (* Off by default: the baseline controller runs the unmodified
        Figure-1 exchange for every table-miss flow. *)
@@ -457,7 +453,9 @@ let policy_view t =
   match t.plan with
   | Some (e, v) when e = epoch -> v
   | Some _ | None ->
-      let v = Query_plan.make (Policy_store.env t.policy) in
+      let v =
+        Query_plan.make ~default:t.cfg.default (Policy_store.env t.policy)
+      in
       t.plan <- Some (epoch, v);
       v
 
@@ -482,7 +480,7 @@ let eval_decision t sx ~flow ~src ~dst =
   else begin
     let epoch = Policy_store.epoch t.policy in
     let key =
-      Fastpath.decision_key (policy_view t).Query_plan.shape ~flow ~src ~dst
+      Fastpath.decision_key (Query_plan.shape (policy_view t)) ~flow ~src ~dst
     in
     match Fastpath.find_decision sx.s_fp ~epoch ~key with
     | Some v -> v
@@ -638,11 +636,10 @@ let post_to_waiters t ws fn =
 
 (* --- querying daemons (Figure 1, step 3) --- *)
 
-(* The queried end's own socket, its proto and local port: the
-   coalescing key alongside the host and the hint list. *)
-let socket_of (flow : Five_tuple.t) = function
-  | `Src -> (Proto.to_int flow.proto lsl 16) lor flow.src_port
-  | `Dst -> (Proto.to_int flow.proto lsl 16) lor flow.dst_port
+(* The destination's socket, its proto and local port: the coalescing
+   key alongside the host and the hint list. *)
+let socket_of (flow : Five_tuple.t) =
+  (Proto.to_int flow.proto lsl 16) lor flow.dst_port
 
 (* Actually put a query on the wire toward [target_ip]'s attachment
    point. The caller has already checked reachability. *)
@@ -650,7 +647,7 @@ let wire_send ?trace ?nonce t sx ~(flow : Five_tuple.t) ~target_ip ~reply_to
     attachment =
   let query =
     {
-      (Identxx.Query.make ~flow ~keys:(policy_view t).Query_plan.hints) with
+      (Identxx.Query.make ~flow ~keys:(Query_plan.hints (policy_view t))) with
       nonce;
       trace;
     }
@@ -697,20 +694,22 @@ let send_query ?trace ?nonce t sx ~(flow : Five_tuple.t) ~target_ip ~reply_to
       match attachment_of t target_ip with
       | None -> `Unreachable
       | Some attachment -> (
-          match t.conn with
-          | None ->
+          match (t.conn, end_) with
+          | None, _ | Some _, `Src ->
+              (* A source answers from its own connection, which no
+                 other flow shares: its queries never coalesce. *)
               wire_send ?trace ?nonce t sx ~flow ~target_ip ~reply_to attachment;
               `Sent None
-          | Some ct -> (
+          | Some ct, `Dst -> (
               (* Multiplex through the per-host connection: only the
-                 first flow asking this host about this socket of it
-                 actually sends; everyone else parks on the exchange. *)
+                 first flow asking this host about one listening socket
+                 of it actually sends; everyone else parks on the
+                 exchange. *)
               let w = { w_flow = flow; w_sid = sx.sid; w_end = end_ } in
               match
                 Shard.Conn_table.join ct ~host:target_ip
-                  ~shape:(policy_view t).Query_plan.hint_key
-                  ~socket:(socket_of flow end_)
-                  w
+                  ~shape:(Query_plan.hint_key (policy_view t))
+                  ~socket:(socket_of flow) w
               with
               | `First ex ->
                   wire_send ?trace ?nonce t sx ~flow ~target_ip ~reply_to
@@ -818,14 +817,10 @@ let start_flow t sx ~dpid ~in_port pkt (flow : Five_tuple.t) =
   end
   else begin
     let now = Sim.Engine.now (Net.engine t.network) in
-    let want_src =
-      match t.cfg.query_targets with
-      | Both | Src_only -> true
-      | Dst_only | Neither -> false
-    and want_dst =
-      match t.cfg.query_targets with
-      | Both | Dst_only -> true
-      | Src_only | Neither -> false
+    (* Only the ends the flow's verdict can read are asked (see
+       {!Query_plan}). *)
+    let { Query_plan.src = want_src; dst = want_dst } =
+      Query_plan.ends (policy_view t) flow
     in
     (* Fast path: before any Figure-1 exchange, try to resolve each
        queried endpoint from the attribute cache, or — for a host whose
@@ -837,7 +832,7 @@ let start_flow t sx ~dpid ~in_port pkt (flow : Five_tuple.t) =
       else
         match
           Fastpath.find_attrs sx.s_fp ~now
-            ~hints:(policy_view t).Query_plan.hint_key
+            ~hints:(Query_plan.hint_key (policy_view t))
             ~flow ~end_
         with
         | Some r ->
@@ -865,6 +860,15 @@ let start_flow t sx ~dpid ~in_port pkt (flow : Five_tuple.t) =
     let pre_src = fp_resolve want_src flow.Five_tuple.src `Src
     and pre_dst = fp_resolve want_dst flow.Five_tuple.dst `Dst in
     match (pre_src, pre_dst) with
+    | Some None, Some None when (not want_src) && not want_dst ->
+        (* The diagram decides this flow whatever the hosts answer:
+           decide now, with no query, no pending entry and no timer. *)
+        if Obs.Span.is_live sp then Obs.Span.set_attr sp "path" "static";
+        let verdict = eval_decision t sx ~flow ~src:None ~dst:None in
+        apply_verdict ~span:sp ~started:now_s ?trace_id:(trace_id_of ctx) t sx
+          ~flow
+          ~packets:[ (dpid, in_port, pkt) ]
+          ~src:None ~dst:None verdict
     | Some src, Some dst when Fastpath.enabled sx.s_fp ->
         (* Both ends resolved without touching the network: decide now,
            with no pending entry and no timer. *)
@@ -1255,8 +1259,8 @@ let answer_accepted t p ~from_ip ~to_ip response =
 (* Whether an answer about [flow]'s [end_], declaring [scope], answers
    waiter [w] too: the flow itself always; another flow to the same
    listening socket under [Socket]; any flow of the host under [Host].
-   The connection table only parks waiters asking the same host about
-   the same socket, so the socket needs no second check. *)
+   The connection table only parks destination waiters asking the same
+   host about the same socket, so the socket needs no second check. *)
 let covers scope ~flow ~end_ w =
   match scope with
   | Identxx.Signed.Host -> true
@@ -1331,7 +1335,7 @@ let handle_response t sx ~dpid ~from_ip ~to_ip response pkt =
       (* An (authenticated, if required) answer: close breaker state and
          remember the attributes in every shard view that waited on it. *)
       let now = Sim.Engine.now (Net.engine t.network) in
-      let hints = (policy_view t).Query_plan.hint_key in
+      let hints = Query_plan.hint_key (policy_view t) in
       let signer = Identxx.Response.latest response Identxx.Signed.signer_key in
       Array.iter
         (fun vx ->
@@ -1573,13 +1577,10 @@ let lower_entry ~routes ~state:(state_fwd, state_rev) (e : Compiler.entry) =
 let sync_proactive ?(force = false) t =
   let t0 = Sys.time () in
   let fdd, state =
-    match Policy_store.env t.policy with
-    | Ok env ->
-        ( Some
-            (Compiler.offload ~proactive:t.cfg.proactive env
-               (Analysis.Fdd.compile ~default:t.cfg.default env)),
-          state_spaces env )
-    | Error _ -> (None, (Analysis.Fdd.Space.empty, Analysis.Fdd.Space.empty))
+    match (Policy_store.env t.policy, Query_plan.diagram (policy_view t)) with
+    | Ok env, Some fdd ->
+        (Some (Compiler.offload ~proactive:t.cfg.proactive env fdd), state_spaces env)
+    | _ -> (None, (Analysis.Fdd.Space.empty, Analysis.Fdd.Space.empty))
   in
   let cur =
     match fdd with

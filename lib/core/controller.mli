@@ -1,8 +1,9 @@
 (** The ident++ OpenFlow controller (§3.4, Figure 1).
 
     On a packet-in for an unknown flow, the controller queries the
-    flow's source and destination ident++ daemons, waits for the
-    responses (with a timeout — a silent daemon yields an absent
+    flow's source and destination ident++ daemons — those of the two
+    whose answers the policy can read for this flow ({!Query_plan}) —
+    waits for the responses (with a timeout — a silent daemon yields an absent
     response, which information-dependent policy treats as failure to
     prove), evaluates PF+=2 policy, and either installs flow entries
     along the whole path (allow) or a drop entry at the ingress switch
@@ -18,9 +19,6 @@
     queries are not allowed to cause new queries". *)
 
 open Netcore
-
-type query_targets = Both | Src_only | Dst_only | Neither
-(** Which ends to query — §4's incremental-deployment modes. *)
 
 type shard_config = {
   shard_count : int;  (** Flow-setup shards (≥ 1). *)
@@ -62,7 +60,6 @@ type config = {
       (** Re-send unanswered queries this many times, each after
           [query_timeout], before deciding with what arrived (0 = a
           single attempt). *)
-  query_targets : query_targets;
   default : Pf.Ast.action;  (** When no policy rule matches. *)
   fastpath : Fastpath.config;
       (** Flow-setup fast path (attribute/decision caches and the
@@ -267,7 +264,9 @@ val coalesced_queries : t -> int
 
 val wire_exchanges : t -> int
 (** Wire query exchanges actually begun by the connection table (0 when
-    coalescing is off). *)
+    coalescing is off). Only destination queries go through it: a
+    source answers for its own connection, which no other flow
+    shares. *)
 
 val batch_flushes : t -> int
 (** Batched install flushes performed. *)

@@ -1,27 +1,97 @@
+type ends = { src : bool; dst : bool }
+
+let both = { src = true; dst = true }
+
 type t = {
   shape : Fastpath.decision_shape;
   hints : string list;
   hint_key : string;
+  diagram : Analysis.Fdd.t option;
+  every_end : bool;  (* allowed(), or no diagram: ask both ends *)
+  line_ends : (int, ends) Hashtbl.t;
+      (* What each source line's rules read. Lines of different policy
+         files may share a number; their reads are joined. *)
+  by_leaf : (int list, ends) Hashtbl.t;
+      (* Memo, keyed by a leaf's candidate lines. *)
 }
 
-let hints env =
-  if (Fastpath.decision_shape env).Fastpath.reads = None then []
+let calls_allowed shape = shape.Fastpath.reads = None
+
+let hints_of_env env =
+  if calls_allowed (Fastpath.decision_shape env) then []
   else
     List.sort_uniq String.compare
       ((Fastpath.Attr_cache.expires_key :: Audit.interesting_keys)
       @ Pf.Env.referenced_keys env)
 
-let make = function
+let rule_ends (r : Pf.Ast.rule) =
+  let inputs = Pf.Ast.rule_inputs r in
+  {
+    src = List.mem Pf.Ast.Needs_src_response inputs;
+    dst = List.mem Pf.Ast.Needs_dst_response inputs;
+  }
+
+let join a b = { src = a.src || b.src; dst = a.dst || b.dst }
+
+let make ~default = function
   | Ok env ->
-      let hints = hints env in
+      let shape = Fastpath.decision_shape env in
+      let hints = hints_of_env env in
+      let line_ends = Hashtbl.create 16 in
+      List.iter
+        (fun (r : Pf.Ast.rule) ->
+          let e = rule_ends r in
+          Hashtbl.replace line_ends r.Pf.Ast.line
+            (match Hashtbl.find_opt line_ends r.Pf.Ast.line with
+            | Some e' -> join e e'
+            | None -> e))
+        (Pf.Env.rules env);
       {
-        shape = Fastpath.decision_shape env;
+        shape;
         hints;
         hint_key = Fastpath.Attr_cache.hint_key hints;
+        diagram = Some (Analysis.Fdd.compile ~default env);
+        every_end = calls_allowed shape;
+        line_ends;
+        by_leaf = Hashtbl.create 16;
       }
   | Error _ ->
       {
         shape = { Fastpath.src_port = true; reads = None };
         hints = [];
         hint_key = "";
+        diagram = None;
+        every_end = true;
+        line_ends = Hashtbl.create 1;
+        by_leaf = Hashtbl.create 1;
       }
+
+let none = { src = false; dst = false }
+
+let ends t flow =
+  match t.diagram with
+  | Some d when not t.every_end -> (
+      let lines =
+        match Analysis.Fdd.lookup d flow with
+        | Analysis.Fdd.Static { lines; _ } -> lines
+        | Analysis.Fdd.Reactive r -> r.Analysis.Fdd.lines
+      in
+      match Hashtbl.find_opt t.by_leaf lines with
+      | Some e -> e
+      | None ->
+          let e =
+            List.fold_left
+              (fun acc line ->
+                match Hashtbl.find_opt t.line_ends line with
+                | Some e -> join acc e
+                | None -> acc)
+              none lines
+          in
+          Hashtbl.replace t.by_leaf lines e;
+          e)
+  | Some _ | None -> both
+
+let hints t = t.hints
+let hint_key t = t.hint_key
+let shape t = t.shape
+let diagram t = t.diagram

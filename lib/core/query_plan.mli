@@ -1,10 +1,21 @@
 (** What one policy epoch asks of the ident++ exchange, computed once
-    per epoch: the key list every query hints, and the shape of the
-    decision-cache key.
+    per epoch: which ends of a flow to ask, the key list every query
+    hints, and the shape of the decision-cache key.
 
-    A daemon leaves out every static section that holds none of the
-    hinted keys (doc/PROTOCOL.md §2), so the hints must name every key
-    the controller reads from an answer:
+    {b Ends.} A flow's region of the epoch's decision diagram
+    ({!Analysis.Fdd.lookup}) names the rule lines that may decide it:
+    a [Static] leaf's [lines], a [Reactive] leaf's [reason.lines]. The
+    ends to ask are those the [with] clauses of those lines read. An
+    end no candidate line reads cannot change the verdict: {!Pf.Eval}
+    reads an answer only through a dictionary access, and a rule that
+    cannot decide here changes nothing but through an evaluation error,
+    which only [allowed()] can raise from an answer's contents. So a
+    policy that calls [allowed()] anywhere asks both ends, and a flow
+    whose candidate lines read nothing is decided with no query at all.
+
+    {b Hints.} A daemon leaves out every static section that holds none
+    of the hinted keys (doc/PROTOCOL.md §2), so the hints must name
+    every key the controller reads from an answer:
     - the policy's {!Pf.Env.referenced_keys};
     - {!Audit.interesting_keys}, so audit entries stay whole;
     - {!Fastpath.Attr_cache.expires_key}, so a daemon's own lifetime
@@ -13,18 +24,32 @@
     Under [allowed()] the list is empty, which asks for everything:
     rules carried in an answer may read any key. *)
 
-type t = {
-  shape : Fastpath.decision_shape;
-  hints : string list;
-  hint_key : string;
-      (** {!hints} in canonical form ({!Fastpath.Attr_cache.hint_key}):
-          the hint part of every answer-reuse key. *)
-}
+type ends = { src : bool; dst : bool }
+(** Which ends of a flow to ask. *)
 
-val hints : Pf.Env.t -> string list
-(** The hint list for a policy, as described above. *)
+type t
 
-val make : (Pf.Env.t, string) result -> t
-(** The plan for an epoch's environment. A policy that fails to build
-    hints nothing, so every section comes back, and keys decisions on
-    the full flow and every pair. *)
+val make : default:Pf.Ast.action -> (Pf.Env.t, string) result -> t
+(** The plan for an epoch's environment; [default] is the policy's
+    implicit verdict. A policy that fails to build asks both ends, hints
+    nothing (so every section comes back), and keys decisions on the
+    full flow and every pair. *)
+
+val ends : t -> Netcore.Five_tuple.t -> ends
+(** The ends [flow]'s verdict can read, memoized per diagram leaf. *)
+
+val hints : t -> string list
+(** The hint list, as described above. *)
+
+val hint_key : t -> string
+(** {!hints} in canonical form ({!Fastpath.Attr_cache.hint_key}): the
+    hint part of every answer-reuse key. *)
+
+val shape : t -> Fastpath.decision_shape
+
+val diagram : t -> Analysis.Fdd.t option
+(** The epoch's compiled diagram; [None] when the policy fails to
+    build. *)
+
+val hints_of_env : Pf.Env.t -> string list
+(** The hint list for a policy. *)

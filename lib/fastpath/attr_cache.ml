@@ -14,28 +14,21 @@ type entry = {
    canonical hint string. A flow-scope key is the query itself: the
    daemon sees exactly these fields. *)
 module Key = struct
-  type t = { host : int; peer : int; ports : int; hints : string }
+  type t = {
+    mutable host : int;
+    mutable peer : int;
+    mutable ports : int;
+    mutable hints : string;
+  }
 
   let socket_peer = -1
   let host_peer = -2
 
-  let flow ~hints ~host ~peer (f : Five_tuple.t) =
-    {
-      host;
-      peer;
-      ports = (((Proto.to_int f.proto lsl 16) lor f.src_port) lsl 16) lor f.dst_port;
-      hints;
-    }
+  let flow_ports (f : Five_tuple.t) =
+    (((Proto.to_int f.proto lsl 16) lor f.src_port) lsl 16) lor f.dst_port
 
-  let socket ~hints ~host (f : Five_tuple.t) =
-    {
-      host;
-      peer = socket_peer;
-      ports = (Proto.to_int f.proto lsl 16) lor f.dst_port;
-      hints;
-    }
-
-  let host ~hints ~host = { host; peer = host_peer; ports = 0; hints }
+  let socket_ports (f : Five_tuple.t) =
+    (Proto.to_int f.proto lsl 16) lor f.dst_port
 
   let equal (a : t) (b : t) =
     a.host = b.host && a.peer = b.peer && a.ports = b.ports
@@ -52,6 +45,7 @@ type t = {
   capacity : int;
   ttl : Sim.Time.t;
   entries : entry Tbl.t;
+  probe : Key.t;  (* reused by every lookup, never stored *)
   order : Key.t Queue.t; (* insertion order, for FIFO eviction *)
   mutable hits : int;
   mutable misses : int;
@@ -65,6 +59,7 @@ let create ?(capacity = 4096) ~ttl () =
     capacity;
     ttl;
     entries = Tbl.create 256;
+    probe = { Key.host = 0; peer = 0; ports = 0; hints = "" };
     order = Queue.create ();
     hits = 0;
     misses = 0;
@@ -106,10 +101,14 @@ let compact t =
     done
   end
 
-(* The queried end's address and the flow's other end. *)
-let ends (flow : Five_tuple.t) = function
-  | `Src -> (Ipv4.to_int flow.src, Ipv4.to_int flow.dst)
-  | `Dst -> (Ipv4.to_int flow.dst, Ipv4.to_int flow.src)
+(* The queried end's address, and the flow's other end. *)
+let queried (flow : Five_tuple.t) = function
+  | `Src -> Ipv4.to_int flow.src
+  | `Dst -> Ipv4.to_int flow.dst
+
+let other (flow : Five_tuple.t) = function
+  | `Src -> Ipv4.to_int flow.dst
+  | `Dst -> Ipv4.to_int flow.src
 
 (* Entries mostly expire in the order they went in: drop expired ones
    from the front of the order queue, so that a cache of answers which
@@ -130,14 +129,15 @@ let rec sweep t ~now =
 
 let store t ~now ~hints ~flow ~end_ ?signer response =
   sweep t ~now;
-  let host, peer = ends flow end_ in
-  let key =
+  let host = queried flow end_ and peer = other flow end_ in
+  let peer, ports =
     match (Identxx.Signed.scope response, end_) with
-    | Identxx.Signed.Host, _ -> Key.host ~hints ~host
-    | Identxx.Signed.Socket, `Dst -> Key.socket ~hints ~host flow
+    | Identxx.Signed.Host, _ -> (Key.host_peer, 0)
+    | Identxx.Signed.Socket, `Dst -> (Key.socket_peer, Key.socket_ports flow)
     | (Identxx.Signed.Socket | Identxx.Signed.Flow), _ ->
-        Key.flow ~hints ~host ~peer flow
+        (peer, Key.flow_ports flow)
   in
+  let key = { Key.host; peer; ports; hints } in
   let ttl =
     match self_expiry response with
     | Some bound -> Sim.Time.min t.ttl bound
@@ -155,8 +155,14 @@ let store t ~now ~hints ~flow ~end_ ?signer response =
   Tbl.replace t.entries key entry;
   compact t
 
-(* A live entry under [key], dropping an expired one on the way. *)
-let live t ~now key =
+(* A live entry under the probe key set to [host], [peer], [ports] and
+   [hints], dropping an expired one on the way. *)
+let live t ~now ~hints ~host ~peer ports =
+  let key = t.probe in
+  key.Key.host <- host;
+  key.peer <- peer;
+  key.ports <- ports;
+  key.hints <- hints;
   match Tbl.find_opt t.entries key with
   | Some e when Sim.Time.(now < e.expires_at) -> Some e.response
   | Some _ ->
@@ -165,18 +171,20 @@ let live t ~now key =
   | None -> None
 
 let find t ~now ~hints ~flow ~end_ =
-  let host, peer = ends flow end_ in
+  let host = queried flow end_ and peer = other flow end_ in
   let found =
-    match live t ~now (Key.flow ~hints ~host ~peer flow) with
+    match live t ~now ~hints ~host ~peer (Key.flow_ports flow) with
     | Some _ as r -> r
     | None -> (
         match
           match end_ with
-          | `Dst -> live t ~now (Key.socket ~hints ~host flow)
+          | `Dst ->
+              live t ~now ~hints ~host ~peer:Key.socket_peer
+                (Key.socket_ports flow)
           | `Src -> None
         with
         | Some _ as r -> r
-        | None -> live t ~now (Key.host ~hints ~host))
+        | None -> live t ~now ~hints ~host ~peer:Key.host_peer 0)
   in
   (match found with
   | Some _ -> t.hits <- t.hits + 1

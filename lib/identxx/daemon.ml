@@ -218,7 +218,8 @@ let globals t cfg =
 (* The plain keys of a query's key list: extension tokens ([@trace/…],
    [@nonce/…], or any other [@]-prefixed key) are never hints. *)
 let plain_hints keys =
-  List.filter (fun k -> String.length k > 0 && k.[0] <> '@') keys
+  let plain k = String.length k > 0 && k.[0] <> '@' in
+  if List.for_all plain keys then keys else List.filter plain keys
 
 (* Whether a static section goes out under [plain] hints: when it holds
    one of them, or when the query hinted no plain key at all. *)

@@ -51,7 +51,11 @@ let flow_of t ~src ~dst =
     ~dst_port:t.dst_port
 
 let encode t =
-  let buf = Buffer.create 64 in
+  (* Sized for the whole payload, so the buffer never grows. *)
+  let buf =
+    Buffer.create
+      (List.fold_left (fun n k -> n + String.length k + 1) 96 t.keys)
+  in
   Buffer.add_string buf
     (Printf.sprintf "%s %d %d\n"
        (String.uppercase_ascii (Proto.to_string t.proto))
@@ -114,24 +118,28 @@ let decode s =
       match parse_header header with
       | Error _ as e -> e
       | Ok (proto, src_port, dst_port) ->
-          let keys = List.filter (fun l -> String.trim l <> "") rest in
-          if List.for_all Key_value.valid_key keys then begin
-            (* Recognize the first parsable nonce and trace-context
-               hints; every other key — including an unparsable
-               "@nonce/..." or "@trace/..." — stays an ordinary hint,
-               exactly as an old decoder saw it. *)
-            let nonce = List.find_map parse_nonce keys in
-            let trace = List.find_map parse_trace keys in
-            let keys =
-              if nonce = None && trace = None then keys
-              else
-                List.filter
-                  (fun k -> parse_nonce k = None && parse_trace k = None)
-                  keys
-            in
-            Ok { proto; src_port; dst_port; keys; nonce; trace }
-          end
-          else Error "query: malformed key")
+          (* One pass over the key lines: blank lines are skipped, the
+             first parsable nonce and trace-context hints are recognized,
+             and every other key — including an unparsable "@nonce/..."
+             or "@trace/..." — stays an ordinary hint, exactly as an old
+             decoder saw it. *)
+          let rec go keys nonce trace = function
+            | [] ->
+                Ok { proto; src_port; dst_port; keys = List.rev keys; nonce; trace }
+            | l :: rest when String.trim l = "" -> go keys nonce trace rest
+            | l :: _ when not (Key_value.valid_key l) ->
+                Error "query: malformed key"
+            | l :: rest -> (
+                match parse_nonce l with
+                | Some _ as n ->
+                    go keys (if nonce = None then n else nonce) trace rest
+                | None -> (
+                    match parse_trace l with
+                    | Some _ as c ->
+                        go keys nonce (if trace = None then c else trace) rest
+                    | None -> go (l :: keys) nonce trace rest))
+          in
+          go [] None None rest)
 
 let equal a b = a = b
 

@@ -430,12 +430,138 @@ let test_decision_key_is_memo =
       let key (flow, src, dst) = Fastpath.decision_key shape ~flow ~src ~dst in
       key a <> key b || verdict env a = verdict env b)
 
+(* --- Asking less decides the same --- *)
+
+(* Random policies whose rules differ by ports, so a flow's candidate
+   lines are a strict subset of the rules, reading keys a, b and c of
+   either end, some through allowed() on rules an answer carries under
+   r, which read either end too. Answers spread their pairs over
+   several sections, so a hint list decides which of them come back. *)
+module Plan_gen = struct
+  open QCheck.Gen
+
+  let side = oneofl [ "src"; "dst" ]
+  let value = oneofl [ "x"; "y" ]
+
+  let read =
+    map3
+      (fun star d k -> Printf.sprintf "%s@%s[%s]" (if star then "*" else "") d k)
+      bool side
+      (oneofl [ "a"; "b"; "c" ])
+
+  let cond ~nest =
+    let eq = map2 (Printf.sprintf "eq(%s, %s)") read value in
+    if nest then
+      frequency
+        [ (3, eq); (2, map (Printf.sprintf "allowed(@%s[r])") side) ]
+    else eq
+
+  let rule ~nest =
+    let* action = oneofl [ "pass"; "block" ] in
+    let* quick = bool in
+    let* from_port = opt ~ratio:0.5 (oneofl Memo_gen.ports) in
+    let* to_port = opt ~ratio:0.5 (oneofl [ 80; 81 ]) in
+    let* conds = list_size (int_bound 2) (cond ~nest) in
+    let port = function Some p -> Printf.sprintf " port %d" p | None -> "" in
+    return
+      (Printf.sprintf "%s%s proto tcp from any%s to any%s%s" action
+         (if quick then " quick" else "")
+         (port from_port) (port to_port)
+         (String.concat "" (List.map (( ^ ) " with ") conds)))
+
+  let pair =
+    let* key = oneofl [ "a"; "b"; "c"; "r"; "z" ] in
+    let+ v =
+      if key = "r" then
+        map (String.concat " ") (list_size (int_range 1 2) (rule ~nest:false))
+      else value
+    in
+    Identxx.Key_value.pair key v
+
+  let answer =
+    frequency
+      [
+        (1, return None);
+        ( 6,
+          map
+            (fun sections ->
+              Some (Identxx.Response.make ~flow:(key_flow 40000) sections))
+            (list_size (int_bound 3) (list_size (int_range 1 2) pair)) );
+      ]
+
+  let case =
+    let* policy =
+      map (String.concat "\n") (list_size (int_range 1 4) (rule ~nest:true))
+    in
+    let* src_port = oneofl Memo_gen.ports in
+    let* dst_port = oneofl [ 80; 81 ] in
+    let* src = answer in
+    let+ dst = answer in
+    ( policy,
+      Five_tuple.tcp ~src:(ip "10.0.0.1") ~dst:(ip "10.0.0.2") ~src_port
+        ~dst_port,
+      src,
+      dst )
+end
+
+(* The controller asks only the ends a flow's candidate lines read, and
+   daemons send only the sections holding a hinted key: the verdict on
+   what comes back must be the verdict on both full answers. *)
+let test_asking_less_decides_the_same =
+  let print (policy, (flow : Five_tuple.t), src, dst) =
+    let answer = function
+      | None -> "absent"
+      | Some r -> String.escaped (Identxx.Response.encode r)
+    in
+    Printf.sprintf "%s\nports %d -> %d, src %s, dst %s" policy flow.src_port
+      flow.dst_port (answer src) (answer dst)
+  in
+  let verdict env flow src dst =
+    match Pf.Eval.eval env (Pf.Eval.ctx ?src ?dst ()) flow with
+    | Ok (v : Pf.Eval.verdict) ->
+        Ok
+          ( v.decision,
+            Option.map (fun (r : Pf.Ast.rule) -> r.line) v.matched,
+            v.keep_state,
+            v.log )
+    | Error e -> Error e
+  in
+  QCheck.Test.make ~count:20000
+    ~name:"asked ends and hinted sections decide as full answers"
+    (QCheck.make ~print Plan_gen.case)
+    (fun (policy, flow, src, dst) ->
+      let env = Pf.Env.of_string policy |> Result.get_ok in
+      let plan = Identxx_core.Query_plan.make ~default:Pf.Ast.Pass (Ok env) in
+      let ends = Identxx_core.Query_plan.ends plan flow in
+      let keys = Identxx_core.Query_plan.hints plan in
+      let sent asked answer =
+        if not asked then None
+        else
+          Option.map
+            (fun (r : Identxx.Response.t) ->
+              {
+                r with
+                Identxx.Response.sections =
+                  List.filter (Identxx.Daemon.wanted ~keys) r.sections;
+              })
+            answer
+      in
+      verdict env flow src dst
+      = verdict env flow
+          (sent ends.Identxx_core.Query_plan.src src)
+          (sent ends.Identxx_core.Query_plan.dst dst))
+
 (* --- Controller integration --- *)
 
 let app_policy apps =
   Printf.sprintf
     "allowed = \"{ %s }\"\nblock all\npass all with member(@src[name], $allowed)"
     (String.concat " " apps)
+
+(* [app_policy] plus a rule that reads the destination's answer, so the
+   controller asks both ends; it never matches the servers here. *)
+let both_ends_policy apps =
+  app_policy apps ^ "\nblock all with eq(@dst[name], quarantined)"
 
 let fp_on =
   {
@@ -488,7 +614,7 @@ let remiss (s : Deploy.simple) flow =
 let test_warm_cache_skips_queries () =
   let s = Deploy.simple_network ~config:fp_remiss () in
   Policy_store.add_exn (C.policy s.controller) ~name:"00-policy"
-    (app_policy [ "firefox" ]);
+    (both_ends_policy [ "firefox" ]);
   serve s;
   let proc = Identxx.Host.run s.client ~user:"alice" ~exe:"/usr/bin/firefox" () in
   let flow = connect_and_run s ~proc () in
@@ -531,7 +657,7 @@ let test_wire_answers_share_decision () =
   in
   let s = Deploy.simple_network ~config () in
   Policy_store.add_exn (C.policy s.controller) ~name:"00-policy"
-    (app_policy [ "firefox" ]);
+    (both_ends_policy [ "firefox" ]);
   List.iter
     (fun host -> ignore (Deploy.sign_host s.controller host))
     [ s.client; s.server ];
@@ -560,7 +686,7 @@ let test_spawn_invalidates_attr_cache () =
      and force a fresh exchange. *)
   let s = Deploy.simple_network ~config:fp_on () in
   Policy_store.add_exn (C.policy s.controller) ~name:"00-policy"
-    (app_policy [ "firefox" ]);
+    (both_ends_policy [ "firefox" ]);
   serve s;
   let proc = Identxx.Host.run s.client ~user:"alice" ~exe:"/usr/bin/firefox" () in
   ignore (connect_and_run s ~proc ());
@@ -641,7 +767,7 @@ let test_expires_survives_trimming () =
 let test_epoch_bump_prevents_stale_decision () =
   let s = Deploy.simple_network ~config:fp_remiss () in
   Policy_store.add_exn (C.policy s.controller) ~name:"00-policy"
-    (app_policy [ "firefox" ]);
+    (both_ends_policy [ "firefox" ]);
   serve s;
   let proc = Identxx.Host.run s.client ~user:"alice" ~exe:"/usr/bin/firefox" () in
   let flow = connect_and_run s ~proc () in
@@ -650,7 +776,7 @@ let test_epoch_bump_prevents_stale_decision () =
   (* Replace the policy through the store alone: no controller flush, so
      only the epoch protects against replaying the cached verdict. *)
   Policy_store.add_exn (C.policy s.controller) ~name:"00-policy"
-    (app_policy [ "chrome" ]);
+    (both_ends_policy [ "chrome" ]);
   remiss s flow;
   let st = C.stats s.controller in
   check Alcotest.int "stale pass not replayed" 1 st.C.allowed;
@@ -663,7 +789,7 @@ let test_epoch_bump_prevents_stale_decision () =
 let test_revoke_principal_purges () =
   let s = Deploy.simple_network ~config:fp_remiss () in
   Policy_store.add_exn (C.policy s.controller) ~name:"00-policy"
-    (app_policy [ "firefox" ]);
+    (both_ends_policy [ "firefox" ]);
   serve s;
   let proc = Identxx.Host.run s.client ~user:"alice" ~exe:"/usr/bin/firefox" () in
   let flow = connect_and_run s ~proc () in
@@ -684,9 +810,7 @@ let test_revoke_principal_purges () =
     (st'.C.attr_cache_invalidations >= 1)
 
 let test_breaker_trips_and_reprobes () =
-  let s =
-    Deploy.simple_network ~config:{ fp_on with C.query_targets = C.Src_only } ()
-  in
+  let s = Deploy.simple_network ~config:fp_on () in
   Policy_store.add_exn (C.policy s.controller) ~name:"00-policy"
     (app_policy [ "firefox" ]);
   Identxx.Daemon.set_behaviour
@@ -729,9 +853,7 @@ let test_breaker_trips_and_reprobes () =
     = Fastpath.Breaker.Closed)
 
 let test_breaker_failed_probe_reopens () =
-  let s =
-    Deploy.simple_network ~config:{ fp_on with C.query_targets = C.Src_only } ()
-  in
+  let s = Deploy.simple_network ~config:fp_on () in
   Policy_store.add_exn (C.policy s.controller) ~name:"00-policy"
     (app_policy [ "firefox" ]);
   Identxx.Daemon.set_behaviour
@@ -781,6 +903,7 @@ let () =
           Alcotest.test_case "allowed() reads the source port" `Quick
             test_decision_key_allowed_src_port;
           QCheck_alcotest.to_alcotest test_decision_key_is_memo;
+          QCheck_alcotest.to_alcotest test_asking_less_decides_the_same;
         ] );
       ( "controller integration",
         [

@@ -258,8 +258,12 @@ let port_burst ~clients ~ports shards =
       ~hosts_per_switch:((clients + 4) / 4)
       ()
   in
+  (* The last rule reads the hot host's answer, so both ends are asked;
+     it never matches. *)
   Policy_store.add_exn (C.policy controller) ~name:"00"
-    "block all\npass all with eq(@src[name], app) keep state";
+    "block all\n\
+     pass all with eq(@src[name], app) keep state\n\
+     block all with eq(@dst[name], quarantined)";
   let target = Identxx.Host.ip hosts.(0) in
   let procs =
     Array.map (fun h -> Identxx.Host.run h ~user:"u" ~exe:"/bin/app" ()) hosts
@@ -368,13 +372,13 @@ let test_span_drop_invariance () =
 
 (* One switch, a target host 0 and clients 1..n, on two coalescing
    shards: concurrent flows to the target share one wire exchange with
-   it. By default only the target is queried. *)
-let target_net ?(require_signed = false) ?(targets = C.Dst_only) ~clients () =
+   it. The tests' policies read the target's answer, and the source's
+   only where a test needs it asked. *)
+let target_net ?(require_signed = false) ~clients () =
   let config =
     {
       C.default_config with
       C.shards = Some (C.sharded 2);
-      C.query_targets = targets;
       C.require_signed_responses = require_signed;
     }
   in
@@ -403,7 +407,8 @@ let forge network ~target flow pairs =
    decisions. *)
 let coalesce_net ?(silent = false) ~clients () =
   let engine, network, controller, hosts = target_net ~clients () in
-  Policy_store.add_exn (C.policy controller) ~name:"00" "pass all";
+  Policy_store.add_exn (C.policy controller) ~name:"00"
+    "block all\npass all with eq(@dst[name], srv)";
   let target = hosts.(0) in
   serve controller target;
   if silent then
@@ -448,11 +453,9 @@ let test_stale_answer_settles_nothing () =
      changes nothing, and the new exchange's waiters decide on their
      own answer. Pairing by position would hand them the forged
      attributes. *)
-  let engine, network, controller, hosts =
-    target_net ~targets:C.Both ~clients:4 ()
-  in
+  let engine, network, controller, hosts = target_net ~clients:4 () in
   Policy_store.add_exn (C.policy controller) ~name:"00"
-    "block all\npass all with eq(@dst[clearance], top)";
+    "block all\npass all with eq(@src[name], app) with eq(@dst[clearance], top)";
   let target = hosts.(0) in
   (* The target answers [stale] at once; its silent source keeps it
      pending until the 5 ms timeout. *)
@@ -524,14 +527,14 @@ let test_breaker_trip_propagates () =
     {
       C.default_config with
       C.shards = Some (C.sharded 4);
-      C.query_targets = C.Dst_only;
       C.fastpath = fp;
     }
   in
   let engine, network, controller, hosts =
     Deploy.linear_network ~config ~switches:1 ~hosts_per_switch:6 ()
   in
-  Policy_store.add_exn (C.policy controller) ~name:"00" "pass all";
+  Policy_store.add_exn (C.policy controller) ~name:"00"
+    "block all\npass all with eq(@dst[name], srv)";
   let target = hosts.(0) in
   Identxx.Daemon.set_behaviour
     (Identxx.Host.daemon target)
@@ -567,20 +570,23 @@ let test_breaker_trip_propagates () =
   check Alcotest.int "all five flows decided" 5 (st.C.allowed + st.C.blocked)
 
 (* A warm fast-path setup on two coalescing shards, the configuration
-   hot-host-burst runs: both ends' answers come from the attribute
+   hot-host-burst runs: the source's answer comes from the attribute
    cache and the verdict from the decision cache, so each table miss
    costs the engine's post and drain, the decision, and the batched
    install and release, with no query. Entries expire after a
    microsecond, so every re-sent first packet is a fresh table miss.
    Metrics recording is off so the gate prices the setup, not the
-   registry. Measured: 982 minor words per setup, the decision key
-   holding only the flow class and the one value the policy reads;
+   registry. The policy reads only the source, whose answer holds for
+   its own flow: a re-missed flow finds it under its 5-tuple. Measured:
+   865 minor words per setup, asking only the source; 982 while both
+   ends were answered from the cache, the decision key holding only the
+   flow class and the one value the policy reads;
    1464 while the key embedded both answers' full wire encodings
    (tagged once by the attribute cache); 1645 while, besides, the
    engine built a drain closure per post, the batcher regrouped its
    messages at every flush and the simulator boxed the heap's minimum
-   on every read. The budget keeps the cold-exchange gate's headroom
-   (about 1.3%). *)
+   on every read. The budget is the one set at 982 (about 1.3% of
+   headroom), kept so that the figure cannot creep back. *)
 let test_warm_fastpath_alloc () =
   let config =
     {
