@@ -888,9 +888,17 @@ let shard_burst ?(coalesce = true) ?(service = Sim.Time.zero) ~shards ~flows
   let engine, network, controller, hosts =
     Deploy.linear_network ~config ~switches:4 ~hosts_per_switch:4 ()
   in
-  PS.add_exn (C.policy controller) ~name:"00" "pass all";
+  (* The policy reads both ends, and the target signs answers that
+     declare its listener's sections socket scope, so concurrent queries
+     to it may share one exchange. *)
+  PS.add_exn (C.policy controller) ~name:"00"
+    "block all\npass all with eq(@src[name], app) with eq(@dst[name], srv)";
   let n_hosts = Array.length hosts in
   let target = hosts.(0) in
+  ignore (Deploy.sign_host controller target);
+  Identxx.Host.listen target
+    ~proc:(Identxx.Host.run target ~user:"www" ~exe:"/bin/srv" ())
+    ~port:80 ();
   let procs =
     Array.map (fun h -> Identxx.Host.run h ~user:"u" ~exe:"/bin/app" ()) hosts
   in

@@ -1579,7 +1579,8 @@ let sync_proactive ?(force = false) t =
   let fdd, state =
     match (Policy_store.env t.policy, Query_plan.diagram (policy_view t)) with
     | Ok env, Some fdd ->
-        (Some (Compiler.offload ~proactive:t.cfg.proactive env fdd), state_spaces env)
+        ( Some (Compiler.offload ~proactive:t.cfg.proactive env fdd),
+          state_spaces env )
     | _ -> (None, (Analysis.Fdd.Space.empty, Analysis.Fdd.Space.empty))
   in
   let cur =

@@ -1,6 +1,7 @@
 type ends = { src : bool; dst : bool }
 
 let both = { src = true; dst = true }
+let none = { src = false; dst = false }
 
 type t = {
   shape : Fastpath.decision_shape;
@@ -15,15 +16,6 @@ type t = {
       (* Memo, keyed by a leaf's candidate lines. *)
 }
 
-let calls_allowed shape = shape.Fastpath.reads = None
-
-let hints_of_env env =
-  if calls_allowed (Fastpath.decision_shape env) then []
-  else
-    List.sort_uniq String.compare
-      ((Fastpath.Attr_cache.expires_key :: Audit.interesting_keys)
-      @ Pf.Env.referenced_keys env)
-
 let rule_ends (r : Pf.Ast.rule) =
   let inputs = Pf.Ast.rule_inputs r in
   {
@@ -36,7 +28,15 @@ let join a b = { src = a.src || b.src; dst = a.dst || b.dst }
 let make ~default = function
   | Ok env ->
       let shape = Fastpath.decision_shape env in
-      let hints = hints_of_env env in
+      (* [allowed()] is what makes the shape read every pair. *)
+      let calls_allowed = shape.Fastpath.reads = None in
+      let hints =
+        if calls_allowed then []
+        else
+          List.sort_uniq String.compare
+            ((Fastpath.Attr_cache.expires_key :: Audit.interesting_keys)
+            @ Pf.Env.referenced_keys env)
+      in
       let line_ends = Hashtbl.create 16 in
       List.iter
         (fun (r : Pf.Ast.rule) ->
@@ -51,7 +51,7 @@ let make ~default = function
         hints;
         hint_key = Fastpath.Attr_cache.hint_key hints;
         diagram = Some (Analysis.Fdd.compile ~default env);
-        every_end = calls_allowed shape;
+        every_end = calls_allowed;
         line_ends;
         by_leaf = Hashtbl.create 16;
       }
@@ -65,8 +65,6 @@ let make ~default = function
         line_ends = Hashtbl.create 1;
         by_leaf = Hashtbl.create 1;
       }
-
-let none = { src = false; dst = false }
 
 let ends t flow =
   match t.diagram with

@@ -50,6 +50,3 @@ val shape : t -> Fastpath.decision_shape
 val diagram : t -> Analysis.Fdd.t option
 (** The epoch's compiled diagram; [None] when the policy fails to
     build. *)
-
-val hints_of_env : Pf.Env.t -> string list
-(** The hint list for a policy. *)

@@ -305,7 +305,9 @@ let answer ?trace ?decode ?nonce t ~peer ~proto ~src_port ~dst_port ~keys =
               | section -> [ ((section, Signed.per_flow), Signed.Flow) ])
             @ static (globals t cfg) (if own = [] then held else Signed.Host)
       in
-      let response = Response.make ~flow (List.map (fun ((s, _), _) -> s) parts) in
+      let response =
+        Response.make ~flow (List.map (fun ((s, _), _) -> s) parts)
+      in
       let t_sign = now () in
       let response =
         match t.signer with

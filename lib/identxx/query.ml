@@ -125,7 +125,8 @@ let decode s =
              decoder saw it. *)
           let rec go keys nonce trace = function
             | [] ->
-                Ok { proto; src_port; dst_port; keys = List.rev keys; nonce; trace }
+                let keys = List.rev keys in
+                Ok { proto; src_port; dst_port; keys; nonce; trace }
             | l :: rest when String.trim l = "" -> go keys nonce trace rest
             | l :: _ when not (Key_value.valid_key l) ->
                 Error "query: malformed key"

@@ -6,11 +6,12 @@
     on one waiter list and share a single wire exchange instead of
     issuing duplicates.
 
-    The socket is the queried end's own (protocol and local port), so a
-    join is expected to hold: a daemon answers every new flow to one
-    listening socket alike. Whether it does is the daemon's to say, in
-    the answer's declared scope; the caller checks each waiter against
-    it at settle time and re-asks for a waiter it does not cover.
+    The controller parks only destination queries here, and the socket
+    is the destination's (protocol and port), so a join is expected to
+    hold: a daemon answers every new flow to one listening socket alike.
+    Whether it does is the daemon's to say, in the answer's declared
+    scope; the caller checks each waiter against it at settle time and
+    re-asks for a waiter it does not cover.
 
     The table is generic in the waiter type ['w]: the controller parks
     a per-flow handle (flow key + owning shard + which end of the flow

@@ -913,7 +913,26 @@ let test_signed_covered_string () =
     (Identxx.Response.latest signed Identxx.Signed.sig_key);
   check Alcotest.(option string) "tag list on the wire"
     (Some (section_tag ^ ",-"))
-    (Identxx.Response.latest signed Identxx.Signed.tags_key)
+    (Identxx.Response.latest signed Identxx.Signed.tags_key);
+  (* A declared scope list is one more element, right after the tags. *)
+  let scoped =
+    Identxx.Signed.sign_with ~public:kp.Idcrypto.Sign.public ~key
+      ~tags:[ section_tag; Identxx.Signed.per_flow ]
+      ~scopes:Identxx.Signed.[ Socket; Flow ]
+      ~host:(ip "10.0.0.1") ~peer:(ip "10.0.0.2") ~nonce:"0123456789abcdef"
+      (Identxx.Response.make ~flow:(flow "10.0.0.1" "10.0.0.2")
+         [ static; per_flow ])
+  in
+  check Alcotest.(option string) "scoped binding tag over the specified bytes"
+    (Some
+       (Idcrypto.Hmac.hexmac ~key:kp.Idcrypto.Sign.secret
+          ("15:identxx-binding12:tcp 40000 808:10.0.0.18:10.0.0.2\
+            16:0123456789abcdef34:" ^ section_tag
+         ^ ",-11:socket,flow3:url20:https://example.com/")))
+    (Identxx.Response.latest scoped Identxx.Signed.sig_key);
+  check Alcotest.(option string) "scope list on the wire"
+    (Some "socket,flow")
+    (Identxx.Response.latest scoped Identxx.Signed.scopes_key)
 
 (* The tags and wire bytes of an enterprise-sized answer signed as a
    daemon signs it (built-ins, app config and host globals static, the
