@@ -432,6 +432,30 @@ let test_coalescing () =
   check Alcotest.int "five decisions" 5 st.C.allowed;
   check Alcotest.int "nothing pending" 0 (C.pending_count c)
 
+let test_uncovered_waiter_asks_itself () =
+  (* An unsigned answer declares no scope, so it holds for its own flow
+     only: the flows that coalesced onto it each send their own query,
+     and every flow still decides on its own answer. *)
+  let engine, network, controller, hosts = target_net ~clients:3 () in
+  Policy_store.add_exn (C.policy controller) ~name:"00"
+    "block all\npass all with eq(@dst[name], srv)";
+  let target = hosts.(0) in
+  let www = Identxx.Host.run target ~user:"www" ~exe:"/bin/srv" () in
+  Identxx.Host.listen target ~proc:www ~port:80 ();
+  for i = 1 to 3 do
+    ignore (open_flow network hosts.(i) ~target)
+  done;
+  Sim.Engine.run engine;
+  let st = C.stats controller in
+  check Alcotest.int "one wire exchange" 1 (C.wire_exchanges controller);
+  check Alcotest.int "two waiters coalesced" 2 (C.coalesced_queries controller);
+  check Alcotest.int "each waiter asked again" 3 st.C.queries_sent;
+  check Alcotest.int "the target answered every flow" 3
+    (Identxx.Daemon.queries_answered (Identxx.Host.daemon target));
+  check Alcotest.int "three passes" 3 st.C.allowed;
+  check Alcotest.int "no timeouts" 0 st.C.query_timeouts;
+  check Alcotest.int "nothing pending" 0 (C.pending_count controller)
+
 let test_fail_all_waiters () =
   (* The coalesced exchange's terminal failure (here: host silent, the
      initiator's timeout) must fail every parked waiter, not just the
@@ -665,6 +689,8 @@ let () =
           Alcotest.test_case "span-drop attribution invariant (1/2/8 shards)"
             `Quick test_span_drop_invariance;
           Alcotest.test_case "query coalescing" `Quick test_coalescing;
+          Alcotest.test_case "uncovered waiter asks for itself" `Quick
+            test_uncovered_waiter_asks_itself;
           Alcotest.test_case "failure fails all waiters" `Quick
             test_fail_all_waiters;
           Alcotest.test_case "stale answer settles nothing" `Quick
