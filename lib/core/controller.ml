@@ -76,6 +76,9 @@ type pending = {
   mutable dst_qspan : Obs.Span.span;
   mutable src_sent : float; (* first query send time; nan = never sent *)
   mutable dst_sent : float;
+  mutable dst_changes : int;
+      (* The destination's change count ({!Fastpath.host_changes}) when
+         its query first went out. *)
   mutable p_exchanges : (Ipv4.t * waiter Shard.Conn_table.exchange) list;
       (* The wire exchanges this flow initiated in the connection table,
          by host; its timeout settles them for every waiter. *)
@@ -677,6 +680,13 @@ let attachment_of t ip =
   | None -> None
   | Some host -> Topo.host_attachment (Net.topology t.network) host
 
+(* Whether [ip]'s answers are expected to declare how far they hold:
+   only signed answers declare, and a waiter an undeclared answer does
+   not cover pays a second round trip. *)
+let declares_scope t ip =
+  t.cfg.require_signed_responses
+  || Idcrypto.Sign.signs_for (keystore t) (Ipv4.to_string ip)
+
 (* Send an ident++ query to [target_ip] about [flow]. [reply_to] is the
    flow's other end: per §3.2 the controller uses it as the query's
    source address, so the response naturally routes back through the
@@ -695,12 +705,7 @@ let send_query ?trace ?nonce t sx ~(flow : Five_tuple.t) ~target_ip ~reply_to
       | None -> `Unreachable
       | Some attachment -> (
           match (t.conn, end_) with
-          | None, _ | Some _, `Src ->
-              (* A source answers from its own connection, which no
-                 other flow shares: its queries never coalesce. *)
-              wire_send ?trace ?nonce t sx ~flow ~target_ip ~reply_to attachment;
-              `Sent None
-          | Some ct, `Dst -> (
+          | Some ct, `Dst when declares_scope t target_ip -> (
               (* Multiplex through the per-host connection: only the
                  first flow asking this host about one listening socket
                  of it actually sends; everyone else parks on the
@@ -715,7 +720,13 @@ let send_query ?trace ?nonce t sx ~(flow : Five_tuple.t) ~target_ip ~reply_to
                   wire_send ?trace ?nonce t sx ~flow ~target_ip ~reply_to
                     attachment;
                   `Sent (Some ex)
-              | `Coalesced _ -> `Joined)))
+              | `Coalesced _ -> `Joined)
+          | _ ->
+              (* A source answers from its own connection, which no
+                 other flow shares, and an unsigned answer holds for its
+                 own flow only: such queries never coalesce. *)
+              wire_send ?trace ?nonce t sx ~flow ~target_ip ~reply_to attachment;
+              `Sent None))
 
 (* The nonce [end_]'s query carries: drawn at its first send, then kept
    for retries. Only a controller that requires signed answers checks
@@ -831,9 +842,12 @@ let start_flow t sx ~dpid ~in_port pkt (flow : Five_tuple.t) =
       if not want then Some None
       else
         match
-          Fastpath.find_attrs sx.s_fp ~now
-            ~hints:(Query_plan.hint_key (policy_view t))
-            ~flow ~end_
+          match end_ with
+          | `Src -> None
+          | `Dst ->
+              Fastpath.find_attrs sx.s_fp ~now
+                ~hints:(Query_plan.hint_key (policy_view t))
+                ~flow
         with
         | Some r ->
             if Obs.Span.is_live sp then
@@ -905,6 +919,7 @@ let start_flow t sx ~dpid ~in_port pkt (flow : Five_tuple.t) =
         dst_qspan = Obs.Span.null;
         src_sent = Float.nan;
         dst_sent = Float.nan;
+        dst_changes = 0;
         p_exchanges = [];
         src_nonce = None;
         dst_nonce = None;
@@ -930,6 +945,7 @@ let start_flow t sx ~dpid ~in_port pkt (flow : Five_tuple.t) =
       | `Dst ->
           if Float.is_nan p.dst_sent then begin
             p.dst_sent <- at;
+            p.dst_changes <- Fastpath.host_changes sx.s_fp flow.Five_tuple.dst;
             p.dst_qspan <- qspan flow.Five_tuple.dst
           end
     in
@@ -1258,13 +1274,12 @@ let answer_accepted t p ~from_ip ~to_ip response =
 
 (* Whether an answer about [flow]'s [end_], declaring [scope], answers
    waiter [w] too: the flow itself always; another flow to the same
-   listening socket under [Socket]; any flow of the host under [Host].
+   listening socket under [Socket] or [Host].
    The connection table only parks destination waiters asking the same
    host about the same socket, so the socket needs no second check. *)
 let covers scope ~flow ~end_ w =
   match scope with
-  | Identxx.Signed.Host -> true
-  | Identxx.Signed.Socket -> w.w_end = `Dst && end_ = `Dst
+  | Identxx.Signed.Socket | Identxx.Signed.Host -> w.w_end = `Dst && end_ = `Dst
   | Identxx.Signed.Flow -> w.w_end = end_ && Five_tuple.equal w.w_flow flow
 
 (* A coalesced waiter the settling answer does not cover sends its own
@@ -1332,24 +1347,28 @@ let handle_response t sx ~dpid ~from_ip ~to_ip response pkt =
             Shard.Conn_table.settle ct ex
         | _ -> [ { w_flow = flow; w_sid = osx.sid; w_end = end_ } ]
       in
-      (* An (authenticated, if required) answer: close breaker state and
-         remember the attributes in every shard view that waited on it. *)
-      let now = Sim.Engine.now (Net.engine t.network) in
-      let hints = Query_plan.hint_key (policy_view t) in
-      let signer = Identxx.Response.latest response Identxx.Signed.signer_key in
+      (* An (authenticated, if required) answer: close breaker state
+         and, for a destination's, remember the attributes in every
+         shard view that waited on it. *)
+      let scope = Identxx.Signed.scope response in
       Array.iter
         (fun vx ->
           if List.exists (fun w -> w.w_sid = vx.sid) ws then begin
             Fastpath.note_response vx.s_fp from_ip;
-            Fastpath.store_attrs vx.s_fp ~now ~hints ~flow ~end_ ?signer
-              response
+            if end_ = `Dst then
+              Fastpath.store_attrs vx.s_fp
+                ~now:(Sim.Engine.now (Net.engine t.network))
+                ~hints:(Query_plan.hint_key (policy_view t))
+                ~scope ~flow ~since:p.dst_changes
+                ?signer:
+                  (Identxx.Response.latest response Identxx.Signed.signer_key)
+                response
           end)
         t.shards_;
       (* A waiter takes the answer only as far as its declared scope
          reaches; any other asks for itself. The initiator settles first
          and alone carries the daemon's timing piggyback (the timings
          are real once). *)
-      let scope = Identxx.Signed.scope response in
       let first = ref true in
       post_to_waiters t ws (fun w ->
           if covers scope ~flow ~end_ w then begin

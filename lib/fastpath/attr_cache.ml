@@ -8,31 +8,15 @@ type entry = {
   expires_at : Sim.Time.t;
 }
 
-(* Key: the queried host, then what the answer's declared scope names
-   (the peer and the flow's proto and ports for [Flow], the proto and
-   destination port for [Socket], nothing for [Host]), then the query's
-   canonical hint string. A flow-scope key is the query itself: the
-   daemon sees exactly these fields. *)
+(* Key: the listening host's address, the proto and port of its socket,
+   then the query's canonical hint string. *)
 module Key = struct
-  type t = {
-    mutable host : int;
-    mutable peer : int;
-    mutable ports : int;
-    mutable hints : string;
-  }
+  type t = { mutable host : int; mutable socket : int; mutable hints : string }
 
-  let socket_peer = -1
-  let host_peer = -2
-
-  let flow_ports (f : Five_tuple.t) =
-    (((Proto.to_int f.proto lsl 16) lor f.src_port) lsl 16) lor f.dst_port
-
-  let socket_ports (f : Five_tuple.t) =
-    (Proto.to_int f.proto lsl 16) lor f.dst_port
+  let socket (f : Five_tuple.t) = (Proto.to_int f.proto lsl 16) lor f.dst_port
 
   let equal (a : t) (b : t) =
-    a.host = b.host && a.peer = b.peer && a.ports = b.ports
-    && String.equal a.hints b.hints
+    a.host = b.host && a.socket = b.socket && String.equal a.hints b.hints
 
   let hash = Hashtbl.hash
 end
@@ -59,7 +43,7 @@ let create ?(capacity = 4096) ~ttl () =
     capacity;
     ttl;
     entries = Tbl.create 256;
-    probe = { Key.host = 0; peer = 0; ports = 0; hints = "" };
+    probe = { Key.host = 0; socket = 0; hints = "" };
     order = Queue.create ();
     hits = 0;
     misses = 0;
@@ -101,90 +85,42 @@ let compact t =
     done
   end
 
-(* The queried end's address, and the flow's other end. *)
-let queried (flow : Five_tuple.t) = function
-  | `Src -> Ipv4.to_int flow.src
-  | `Dst -> Ipv4.to_int flow.dst
+let store t ~now ~hints ~scope ~(flow : Five_tuple.t) ?signer response =
+  match scope with
+  | Identxx.Signed.Flow -> ()
+  | Identxx.Signed.Socket | Identxx.Signed.Host ->
+      let key =
+        { Key.host = Ipv4.to_int flow.dst; socket = Key.socket flow; hints }
+      in
+      let ttl =
+        match self_expiry response with
+        | Some bound -> Sim.Time.min t.ttl bound
+        | None -> t.ttl
+      in
+      let entry = { response; signer; expires_at = Sim.Time.add now ttl } in
+      if not (Tbl.mem t.entries key) then begin
+        (* The queue may hold keys of already-replaced or invalidated
+           entries; evict until a live entry actually goes. *)
+        while Tbl.length t.entries >= t.capacity do
+          evict_one t
+        done;
+        Queue.add key t.order
+      end;
+      Tbl.replace t.entries key entry;
+      compact t
 
-let other (flow : Five_tuple.t) = function
-  | `Src -> Ipv4.to_int flow.dst
-  | `Dst -> Ipv4.to_int flow.src
-
-(* Entries mostly expire in the order they went in: drop expired ones
-   from the front of the order queue, so that a cache of answers which
-   each hold for one flow keeps only the live ones. *)
-let rec sweep t ~now =
-  match Queue.peek_opt t.order with
-  | None -> ()
-  | Some key -> (
-      match Tbl.find_opt t.entries key with
-      | Some e when Sim.Time.(now < e.expires_at) -> ()
-      | Some _ ->
-          Tbl.remove t.entries key;
-          ignore (Queue.take t.order);
-          sweep t ~now
-      | None ->
-          ignore (Queue.take t.order);
-          sweep t ~now)
-
-let store t ~now ~hints ~flow ~end_ ?signer response =
-  sweep t ~now;
-  let host = queried flow end_ and peer = other flow end_ in
-  let peer, ports =
-    match (Identxx.Signed.scope response, end_) with
-    | Identxx.Signed.Host, _ -> (Key.host_peer, 0)
-    | Identxx.Signed.Socket, `Dst -> (Key.socket_peer, Key.socket_ports flow)
-    | (Identxx.Signed.Socket | Identxx.Signed.Flow), _ ->
-        (peer, Key.flow_ports flow)
-  in
-  let key = { Key.host; peer; ports; hints } in
-  let ttl =
-    match self_expiry response with
-    | Some bound -> Sim.Time.min t.ttl bound
-    | None -> t.ttl
-  in
-  let entry = { response; signer; expires_at = Sim.Time.add now ttl } in
-  if not (Tbl.mem t.entries key) then begin
-    (* The queue may hold keys of already-replaced or invalidated
-       entries; evict until a live entry actually goes. *)
-    while Tbl.length t.entries >= t.capacity do
-      evict_one t
-    done;
-    Queue.add key t.order
-  end;
-  Tbl.replace t.entries key entry;
-  compact t
-
-(* A live entry under the probe key set to [host], [peer], [ports] and
-   [hints], dropping an expired one on the way. *)
-let live t ~now ~hints ~host ~peer ports =
+let find t ~now ~hints ~(flow : Five_tuple.t) =
   let key = t.probe in
-  key.Key.host <- host;
-  key.peer <- peer;
-  key.ports <- ports;
+  key.Key.host <- Ipv4.to_int flow.dst;
+  key.socket <- Key.socket flow;
   key.hints <- hints;
-  match Tbl.find_opt t.entries key with
-  | Some e when Sim.Time.(now < e.expires_at) -> Some e.response
-  | Some _ ->
-      Tbl.remove t.entries key;
-      None
-  | None -> None
-
-let find t ~now ~hints ~flow ~end_ =
-  let host = queried flow end_ and peer = other flow end_ in
   let found =
-    match live t ~now ~hints ~host ~peer (Key.flow_ports flow) with
-    | Some _ as r -> r
-    | None -> (
-        match
-          match end_ with
-          | `Dst ->
-              live t ~now ~hints ~host ~peer:Key.socket_peer
-                (Key.socket_ports flow)
-          | `Src -> None
-        with
-        | Some _ as r -> r
-        | None -> live t ~now ~hints ~host ~peer:Key.host_peer 0)
+    match Tbl.find_opt t.entries key with
+    | Some e when Sim.Time.(now < e.expires_at) -> Some e.response
+    | Some _ ->
+        Tbl.remove t.entries key;
+        None
+    | None -> None
   in
   (match found with
   | Some _ -> t.hits <- t.hits + 1

@@ -1,22 +1,18 @@
-(** TTL'd cache of daemon responses, keyed by how far each answer
-    declares that it holds.
+(** TTL'd cache of listening sockets' daemon responses.
 
     The Figure-1 exchange asks end-hosts the same questions for every
-    table-miss flow. Some answers hold beyond their flow: a listening
-    socket's owner is the same for every new flow to its port, and a
-    host's global pairs are the same for every flow. The daemon says so
-    in its signed scope list ({!Identxx.Signed.scope}), and an entry is
-    keyed on the answer's narrowest scope:
-    - [Flow]: the query itself (the queried host, the other end, the
-      proto and both ports) — only the same flow, missing again, hits;
-    - [Socket]: the host, proto and destination port, for the flow's
-      destination end only;
-    - [Host]: the host alone.
+    table-miss flow. A listening socket's answer holds beyond its flow:
+    its owner is the same for every new flow to its port. The daemon
+    says so in its signed scope list ({!Identxx.Signed.scope}), and only
+    a destination's answer whose narrowest scope is [Socket] or [Host]
+    is kept, keyed on the host, the proto and the destination port. A
+    [Flow] answer (every unsigned one, every connected socket's) is
+    never kept, nor is a source's: either could serve only its own flow
+    missing again.
 
-    An unsigned answer declares nothing and is flow scope. Every key
-    also holds the query's hint list: a daemon leaves out what was not
-    asked for. Entries are dropped the moment the daemon reports a
-    change (login/logout, process exit, a listener re-bound; see
+    Every key also holds the query's hint list: a daemon leaves out what
+    was not asked for. Entries are dropped the moment the daemon reports
+    a change (login/logout, process exit, a listener re-bound; see
     {!Identxx.Daemon.on_change}) and never outlive their TTL.
 
     A response can bound its own reuse: a [expires] key whose value
@@ -47,29 +43,26 @@ val store :
   t ->
   now:Sim.Time.t ->
   hints:string ->
+  scope:Identxx.Signed.scope ->
   flow:Five_tuple.t ->
-  end_:[ `Src | `Dst ] ->
   ?signer:string ->
   Identxx.Response.t ->
   unit
-(** Cache [response] as the answer [flow]'s [end_] gave to a query
-    hinting [hints] ({!hint_key}), under the key its declared scope
-    names. A [Socket] answer from a flow's source is kept as flow scope:
-    a source is found by its connection, which no other flow shares.
-    [signer] is the response's authenticating principal, if any; a
-    later {!invalidate_signer} with the same handle drops the entry. *)
+(** Cache [response], the answer [flow]'s destination gave to a query
+    hinting [hints] ({!hint_key}), when [scope], the answer's narrowest
+    declared scope, reaches beyond the flow; for [Flow], do nothing.
+    [signer] is the response's authenticating principal, if any; a later
+    {!invalidate_signer} with the same handle drops the entry. *)
 
 val find :
   t ->
   now:Sim.Time.t ->
   hints:string ->
   flow:Five_tuple.t ->
-  end_:[ `Src | `Dst ] ->
   Identxx.Response.t option
-(** A live entry whose scope covers [flow]'s [end_]: the flow's own,
-    then (for the destination) its socket's, then its host's, regardless
-    of signer. Expired entries are dropped on the way. Counts a hit or a
-    miss. *)
+(** The live entry of the socket [flow]'s destination end reaches,
+    regardless of signer; an expired one is dropped on the way. Counts
+    a hit or a miss. *)
 
 val invalidate_host : t -> Ipv4.t -> int
 (** Drop every entry for the host (a daemon-side change event); returns

@@ -29,6 +29,7 @@ type t = {
   attrs : Attr_cache.t;
   decisions : Decision_cache.t;
   breaker : Breaker.t;
+  changes : (int, int) Hashtbl.t; (* host -> change events seen *)
 }
 
 let create cfg =
@@ -39,6 +40,7 @@ let create cfg =
     breaker =
       Breaker.create ~threshold:cfg.breaker_threshold
         ~backoff:cfg.breaker_backoff ();
+    changes = Hashtbl.create 16;
   }
 
 let config t = t.cfg
@@ -47,13 +49,19 @@ let attr_cache t = t.attrs
 let decision_cache t = t.decisions
 let breaker t = t.breaker
 
-let find_attrs t ~now ~hints ~flow ~end_ =
+let find_attrs t ~now ~hints ~flow =
   if not t.cfg.enabled then None
-  else Attr_cache.find t.attrs ~now ~hints ~flow ~end_
+  else Attr_cache.find t.attrs ~now ~hints ~flow
 
-let store_attrs t ~now ~hints ~flow ~end_ ?signer response =
-  if t.cfg.enabled then
-    Attr_cache.store t.attrs ~now ~hints ~flow ~end_ ?signer response
+let host_changes t ip =
+  match Hashtbl.find t.changes (Ipv4.to_int ip) with
+  | n -> n
+  | exception Not_found -> 0
+
+let store_attrs t ~now ~hints ~scope ~(flow : Five_tuple.t) ~since ?signer
+    response =
+  if t.cfg.enabled && host_changes t flow.dst = since then
+    Attr_cache.store t.attrs ~now ~hints ~scope ~flow ?signer response
 
 let consult_host t ~now ip =
   if not t.cfg.enabled then `Ask else Breaker.consult t.breaker ~now ip
@@ -154,6 +162,7 @@ let store_decision t ~epoch ~key ~flow verdict =
 
 let note_host_changed t ip =
   if t.cfg.enabled then begin
+    Hashtbl.replace t.changes (Ipv4.to_int ip) (host_changes t ip + 1);
     ignore (Attr_cache.invalidate_host t.attrs ip : int);
     ignore (Decision_cache.purge_ip t.decisions ip : int)
   end

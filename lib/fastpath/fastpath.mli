@@ -1,10 +1,10 @@
 (** Flow-setup fast path: the three caches the controller consults
     before (or instead of) the Figure-1 query exchange.
 
-    - {!Attr_cache}: recent daemon responses, keyed by the scope each
-      answer declares (its flow, its listening socket, or its host) and
-      the hint list, dropped on daemon-side change events and TTL
-      expiry;
+    - {!Attr_cache}: recent answers of listening sockets, the ones a
+      daemon declares to hold for every new flow to the socket, keyed
+      by the socket and the hint list, dropped on daemon-side change
+      events and TTL expiry;
     - {!Decision_cache}: memoized verdicts keyed by (policy epoch, flow
       class, the answer values the policy reads; see {!decision_key}) —
       a {!Policy_store} epoch bump orphans every entry;
@@ -59,21 +59,29 @@ val find_attrs :
   now:Sim.Time.t ->
   hints:string ->
   flow:Five_tuple.t ->
-  end_:[ `Src | `Dst ] ->
   Identxx.Response.t option
-(** {!Attr_cache.find}; [None] (without touching counters) when the
-    fast path is off. *)
+(** {!Attr_cache.find} for [flow]'s destination; [None] (without
+    touching counters) when the fast path is off. *)
+
+val host_changes : t -> Ipv4.t -> int
+(** How many change events {!note_host_changed} has seen for the host.
+    A query records it when it goes out; see {!store_attrs}. *)
 
 val store_attrs :
   t ->
   now:Sim.Time.t ->
   hints:string ->
+  scope:Identxx.Signed.scope ->
   flow:Five_tuple.t ->
-  end_:[ `Src | `Dst ] ->
+  since:int ->
   ?signer:string ->
   Identxx.Response.t ->
   unit
-(** {!Attr_cache.store}, when the fast path is on. *)
+(** {!Attr_cache.store} for [flow]'s destination, when the fast path is
+    on and the destination has seen no change event since its query
+    went out ([since] is {!host_changes} then): an answer already on
+    the wire when its host changed describes the old state, and must
+    not outlive the change in the cache. *)
 
 (** {2 Circuit breaker} *)
 

@@ -64,6 +64,7 @@ end)
 
 type keystore = {
   principals : (string, principal) Hashtbl.t;
+  bound : (string, int) Hashtbl.t; (* host -> principals bound to it *)
   sections : (int, section) Hashtbl.t; (* by {!slice_hash} of the tag *)
   order : int Queue.t; (* keys in insertion order, for FIFO eviction *)
   pool : Pool.t;
@@ -74,6 +75,7 @@ let section_capacity = 4096
 let keystore () =
   {
     principals = Hashtbl.create 16;
+    bound = Hashtbl.create 16;
     sections = Hashtbl.create 16;
     order = Queue.create ();
     pool = Pool.create 16;
@@ -87,12 +89,25 @@ let rec slice_hash s i stop h =
     slice_hash s (i + 1) stop
       (((h * 31) + Char.code (String.unsafe_get s i)) land max_int)
 
+let bind ks delta hosts =
+  List.iter
+    (fun host ->
+      let n = delta + Option.value ~default:0 (Hashtbl.find_opt ks.bound host) in
+      if n > 0 then Hashtbl.replace ks.bound host n
+      else Hashtbl.remove ks.bound host)
+    (Option.value ~default:[] hosts)
+
 let add_principal ks ~public ~secret hosts =
-  (* Tags cached under the handle were checked against its old secret. *)
-  if Hashtbl.mem ks.principals public then
-    Hashtbl.filter_map_inplace
-      (fun _ s -> if s.signer = public then None else Some s)
-      ks.sections;
+  (match Hashtbl.find_opt ks.principals public with
+  | Some old ->
+      (* Tags cached under the handle were checked against its old
+         secret, and it answers only for its new hosts. *)
+      Hashtbl.filter_map_inplace
+        (fun _ s -> if s.signer = public then None else Some s)
+        ks.sections;
+      bind ks (-1) old.hosts
+  | None -> ());
+  bind ks 1 hosts;
   Hashtbl.replace ks.principals public { key = Hmac.prepare secret; hosts }
 
 let register_public ks ~public ~secret = add_principal ks ~public ~secret None
@@ -102,6 +117,7 @@ let register_for ks kp ~hosts =
   add_principal ks ~public:kp.public ~secret:kp.secret (Some hosts)
 
 let known ks public = Hashtbl.mem ks.principals public
+let signs_for ks host = Hashtbl.mem ks.bound host
 
 let answers_for ks ~public host =
   match Hashtbl.find ks.principals public with

@@ -83,6 +83,11 @@ val answers_for : keystore -> public:string -> string -> bool
 
 val known : keystore -> string -> bool
 
+val signs_for : keystore -> string -> bool
+(** Whether some principal is bound to the host ({!register_for}): its
+    answers are expected to be signed. An unbound handle counts for no
+    host. *)
+
 val verify :
   keystore -> public:string -> signature:string -> string list -> bool
 (** [verify ks ~public ~signature data] checks the tag. False when the

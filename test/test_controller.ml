@@ -1138,20 +1138,24 @@ let test_third_party_req_sig_verifies () =
 
 (* Reinstalling an executable changes the exe-hash its daemon reports.
    The change must reach the controller's attribute cache: the next flow
-   is decided on the new hash, not a cached answer carrying the old. *)
+   is decided on the new hash, not the cached answer of the listener
+   running it, which carries the old. *)
 let test_reinstalled_exe_reaches_next_answer () =
   let config = { C.default_config with C.fastpath = Fastpath.default_config } in
   let s = Deploy.simple_network ~config () in
   Identxx_core.Policy_store.add_exn (C.policy s.controller) ~name:"00-policy"
-    (Printf.sprintf "block all\npass all with eq(@src[exe-hash], %s)"
+    (Printf.sprintf "block all\npass all with eq(@dst[exe-hash], %s)"
        (Idcrypto.Sha256.hexdigest "app-v2"));
-  Identxx.Host.install_exe s.client ~path:"/usr/bin/app" ~content:"app-v1";
+  ignore (Deploy.sign_host s.controller s.server);
+  Identxx.Host.install_exe s.server ~path:"/usr/sbin/app" ~content:"app-v1";
+  let srv = Identxx.Host.run s.server ~user:"www" ~exe:"/usr/sbin/app" () in
+  Identxx.Host.listen s.server ~proc:srv ~port:80 ();
   ignore (run_flow s ~user:"u" ~exe:"/usr/bin/app");
   let st = C.stats s.controller in
   Alcotest.(check int) "v1 blocked" 1 st.C.blocked;
   let invalidations = st.C.attr_cache_invalidations in
-  Identxx.Host.install_exe s.client ~path:"/usr/bin/app" ~content:"app-v2";
-  Alcotest.(check bool) "the client's cached answer dropped" true
+  Identxx.Host.install_exe s.server ~path:"/usr/sbin/app" ~content:"app-v2";
+  Alcotest.(check bool) "the server's cached answer dropped" true
     ((C.stats s.controller).C.attr_cache_invalidations > invalidations);
   ignore (run_flow s ~user:"u" ~exe:"/usr/bin/app");
   Alcotest.(check int) "v2 decided on its new hash" 1 (C.stats s.controller).C.allowed

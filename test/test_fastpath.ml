@@ -24,57 +24,64 @@ let resp ?(pairs = [ ("userID", "alice") ]) () =
   Identxx.Response.make ~flow
     [ List.map (fun (k, v) -> Identxx.Key_value.pair k v) pairs ]
 
-(* The flow [resp] answers, seen from its source end. *)
+(* The flow whose destination, a listener on port 80, gave [resp]. *)
 let resp_flow =
   Five_tuple.tcp ~src:(ip "10.0.0.1") ~dst:(ip "10.0.0.2") ~src_port:50000
     ~dst_port:80
+
+let socket = Identxx.Signed.Socket
 
 let test_attr_ttl () =
   let c = Fastpath.Attr_cache.create ~ttl:(Sim.Time.ms 10) () in
   let hints = Fastpath.Attr_cache.hint_key [ "userID"; "name" ]
   and flow = resp_flow in
-  Fastpath.Attr_cache.store c ~now:Sim.Time.zero ~hints ~flow ~end_:`Src
+  Fastpath.Attr_cache.store c ~now:Sim.Time.zero ~hints ~scope:socket ~flow
     (resp ());
   check Alcotest.bool "live before ttl" true
-    (Fastpath.Attr_cache.find c ~now:(Sim.Time.ms 9) ~hints ~flow ~end_:`Src
-    <> None);
-  (* The hint list is order-insensitive. *)
-  check Alcotest.bool "key order ignored" true
+    (Fastpath.Attr_cache.find c ~now:(Sim.Time.ms 9) ~hints ~flow <> None);
+  (* The hint list is order-insensitive, and another flow to the same
+     socket finds the listener's answer. *)
+  check Alcotest.bool "key order ignored, other flow" true
     (Fastpath.Attr_cache.find c ~now:(Sim.Time.ms 9)
        ~hints:(Fastpath.Attr_cache.hint_key [ "name"; "userID"; "name" ])
-       ~flow ~end_:`Src
+       ~flow:{ flow with Five_tuple.src = ip "10.0.0.7"; src_port = 41000 }
     <> None);
-  check Alcotest.bool "expired at ttl" true
-    (Fastpath.Attr_cache.find c ~now:(Sim.Time.ms 10) ~hints ~flow ~end_:`Src
+  check Alcotest.bool "another port misses" true
+    (Fastpath.Attr_cache.find c ~now:(Sim.Time.ms 9) ~hints
+       ~flow:{ flow with Five_tuple.dst_port = 443 }
     = None);
+  check Alcotest.bool "expired at ttl" true
+    (Fastpath.Attr_cache.find c ~now:(Sim.Time.ms 10) ~hints ~flow = None);
   check Alcotest.int "hits" 2 (Fastpath.Attr_cache.hits c);
-  check Alcotest.int "misses" 1 (Fastpath.Attr_cache.misses c);
-  check Alcotest.int "expired entry dropped" 0 (Fastpath.Attr_cache.size c)
+  check Alcotest.int "misses" 2 (Fastpath.Attr_cache.misses c);
+  check Alcotest.int "expired entry dropped" 0 (Fastpath.Attr_cache.size c);
+  (* An answer that holds for its own flow only is never kept. *)
+  Fastpath.Attr_cache.store c ~now:Sim.Time.zero ~hints
+    ~scope:Identxx.Signed.Flow ~flow (resp ());
+  check Alcotest.int "flow scope not kept" 0 (Fastpath.Attr_cache.size c)
 
 let test_attr_self_expiry () =
   (* A response-carried "expires" key caps the lifetime below the
      configured TTL. *)
   let c = Fastpath.Attr_cache.create ~ttl:(Sim.Time.s 60) () in
   let hints = Fastpath.Attr_cache.hint_key [ "userID" ] and flow = resp_flow in
-  Fastpath.Attr_cache.store c ~now:Sim.Time.zero ~hints ~flow ~end_:`Src
+  Fastpath.Attr_cache.store c ~now:Sim.Time.zero ~hints ~scope:socket ~flow
     (resp ~pairs:[ ("userID", "alice"); ("expires", "0.5") ] ());
   check Alcotest.bool "live before self-expiry" true
-    (Fastpath.Attr_cache.find c ~now:(Sim.Time.ms 499) ~hints ~flow ~end_:`Src
-    <> None);
+    (Fastpath.Attr_cache.find c ~now:(Sim.Time.ms 499) ~hints ~flow <> None);
   check Alcotest.bool "dead after self-expiry" true
-    (Fastpath.Attr_cache.find c ~now:(Sim.Time.ms 500) ~hints ~flow ~end_:`Src
-    = None)
+    (Fastpath.Attr_cache.find c ~now:(Sim.Time.ms 500) ~hints ~flow = None)
 
 let test_attr_capacity_and_invalidation () =
   let c = Fastpath.Attr_cache.create ~capacity:2 ~ttl:(Sim.Time.s 1) () in
   let hints = Fastpath.Attr_cache.hint_key [ "userID" ] in
   let flow i =
-    Five_tuple.tcp ~src:(Ipv4.of_octets 10 0 0 i) ~dst:(ip "10.0.0.99")
+    Five_tuple.tcp ~src:(ip "10.0.0.99") ~dst:(Ipv4.of_octets 10 0 0 i)
       ~src_port:50000 ~dst_port:80
   in
   let store i =
-    Fastpath.Attr_cache.store c ~now:Sim.Time.zero ~hints ~flow:(flow i)
-      ~end_:`Src (resp ())
+    Fastpath.Attr_cache.store c ~now:Sim.Time.zero ~hints ~scope:socket
+      ~flow:(flow i) (resp ())
   in
   store 1;
   store 2;
@@ -84,7 +91,6 @@ let test_attr_capacity_and_invalidation () =
   check Alcotest.int "one eviction" 1 (Fastpath.Attr_cache.evictions c);
   check Alcotest.bool "oldest gone" true
     (Fastpath.Attr_cache.find c ~now:Sim.Time.zero ~hints ~flow:(flow 1)
-       ~end_:`Src
     = None);
   check Alcotest.int "invalidate host" 1
     (Fastpath.Attr_cache.invalidate_host c (Ipv4.of_octets 10 0 0 2));
@@ -172,14 +178,12 @@ let test_attr_order_bounded () =
   and r = resp () in
   for i = 0 to 99_999 do
     let now = Sim.Time.ms (2 * i) in
-    Fastpath.Attr_cache.store c ~now ~hints ~flow ~end_:`Src r;
+    Fastpath.Attr_cache.store c ~now ~hints ~scope:socket ~flow r;
     (* One tick past the TTL: the lookup drops the entry. *)
     ignore
-      (Fastpath.Attr_cache.find c
-         ~now:(Sim.Time.ms ((2 * i) + 1))
-         ~hints ~flow ~end_:`Src)
+      (Fastpath.Attr_cache.find c ~now:(Sim.Time.ms ((2 * i) + 1)) ~hints ~flow)
   done;
-  Fastpath.Attr_cache.store c ~now:Sim.Time.zero ~hints ~flow ~end_:`Src r;
+  Fastpath.Attr_cache.store c ~now:Sim.Time.zero ~hints ~scope:socket ~flow r;
   check Alcotest.int "one live entry" 1 (Fastpath.Attr_cache.size c);
   check Alcotest.int "nothing evicted" 0 (Fastpath.Attr_cache.evictions c);
   check_bounded "attr cache" (Obj.reachable_words (Obj.repr c))
@@ -600,45 +604,41 @@ let serve (s : Deploy.simple) =
   let www = Identxx.Host.run s.server ~user:"www" ~exe:"/usr/sbin/httpd" () in
   Identxx.Host.listen s.server ~proc:www ~port:80 ()
 
-(* [fp_on] with switch entries that idle out after a millisecond, so a
-   flow's next packet misses again. *)
-let fp_remiss = { fp_on with C.entry_idle_timeout = Some (Sim.Time.ms 1) }
-
-(* Send [flow]'s first packet again once its entries have idled out. *)
-let remiss (s : Deploy.simple) flow =
-  advance s 2;
-  Net.send_from_host s.network ~name:"client"
-    (Identxx.Host.first_packet s.client ~flow);
-  Sim.Engine.run s.engine
+(* A policy that reads only the destination's answer: the controller
+   asks the server alone, and the listener's answer holds for every new
+   flow to its port. *)
+let server_policy servers =
+  Printf.sprintf
+    "servers = \"{ %s }\"\nblock all\npass all with member(@dst[name], $servers)"
+    (String.concat " " servers)
 
 let test_warm_cache_skips_queries () =
-  let s = Deploy.simple_network ~config:fp_remiss () in
+  let s = Deploy.simple_network ~config:fp_on () in
   Policy_store.add_exn (C.policy s.controller) ~name:"00-policy"
-    (both_ends_policy [ "firefox" ]);
+    (server_policy [ "httpd" ]);
   serve s;
   let proc = Identxx.Host.run s.client ~user:"alice" ~exe:"/usr/bin/firefox" () in
-  let flow = connect_and_run s ~proc () in
+  ignore (connect_and_run s ~proc ());
   let st1 = C.stats s.controller in
-  check Alcotest.int "cold flow queries both ends" 2 st1.C.queries_sent;
+  check Alcotest.int "cold flow queries the server" 1 st1.C.queries_sent;
   check Alcotest.int "cold flow is not a fastpath decision" 0
     st1.C.fastpath_decisions;
-  (* The same flow misses again: both answers come from the attribute
-     cache — no daemon sees a query. *)
-  remiss s flow;
-  let st2 = C.stats s.controller in
-  check Alcotest.int "warm flow sends no queries" 2 st2.C.queries_sent;
-  check Alcotest.int "one fastpath decision" 1 st2.C.fastpath_decisions;
-  check Alcotest.int "two attribute hits" 2 st2.C.attr_cache_hits;
-  check Alcotest.int "decision replayed from cache" 1 st2.C.decision_cache_hits;
-  (* Same process, new connection: the client's answer held for its own
-     connection only and is asked again; the server's listener answer
-     holds for every new flow to port 80. *)
+  (* Same process, new connection: the listener's answer holds for every
+     new flow to port 80 — no daemon sees a query. *)
   ignore (connect_and_run s ~proc ());
+  let st2 = C.stats s.controller in
+  check Alcotest.int "warm flow sends no queries" 1 st2.C.queries_sent;
+  check Alcotest.int "one fastpath decision" 1 st2.C.fastpath_decisions;
+  check Alcotest.int "one attribute hit" 1 st2.C.attr_cache_hits;
+  check Alcotest.int "decision replayed from cache" 1 st2.C.decision_cache_hits;
+  (* Another user's process: the answer is the listener's, whoever
+     connects. *)
+  let bob = Identxx.Host.run s.client ~user:"bob" ~exe:"/usr/bin/curl" () in
+  ignore (connect_and_run s ~proc:bob ());
   let st3 = C.stats s.controller in
-  check Alcotest.int "new connection asks its source only" 3
-    st3.C.queries_sent;
-  check Alcotest.int "listener answer reused" 3 st3.C.attr_cache_hits;
-  check Alcotest.int "client daemon queried once per connection" 2
+  check Alcotest.int "still no new query" 1 st3.C.queries_sent;
+  check Alcotest.int "listener answer reused" 2 st3.C.attr_cache_hits;
+  check Alcotest.int "client daemon never queried" 0
     (Identxx.Daemon.queries_answered (Identxx.Host.daemon s.client));
   check Alcotest.int "server daemon queried once" 1
     (Identxx.Daemon.queries_answered (Identxx.Host.daemon s.server));
@@ -690,21 +690,26 @@ let test_spawn_invalidates_attr_cache () =
   serve s;
   let proc = Identxx.Host.run s.client ~user:"alice" ~exe:"/usr/bin/firefox" () in
   ignore (connect_and_run s ~proc ());
+  (* Invalidation is per-host: a spawn on the client leaves the server's
+     listener answer cached. *)
   let proc2 =
     Identxx.Host.run s.client ~user:"mallory" ~exe:"/usr/bin/worm" ()
   in
   ignore (connect_and_run s ~proc:proc2 ());
   let st = C.stats s.controller in
-  check Alcotest.bool "cache invalidated on spawn" true
-    (st.C.attr_cache_invalidations >= 1);
-  (* Invalidation is per-host: the changed client is re-queried, the
-     untouched server still answers from the cache — 2 + 1 queries. *)
-  check Alcotest.int "client (only) re-queried" 3 st.C.queries_sent;
-  check Alcotest.int "client daemon saw the second query" 2
-    (Identxx.Daemon.queries_answered (Identxx.Host.daemon s.client));
-  check Alcotest.int "server daemon never re-queried" 1
+  check Alcotest.int "each flow asks its client" 3 st.C.queries_sent;
+  check Alcotest.int "server answered from the cache" 1
     (Identxx.Daemon.queries_answered (Identxx.Host.daemon s.server));
-  check Alcotest.int "worm still blocked" 1 st.C.blocked
+  check Alcotest.int "worm still blocked" 1 st.C.blocked;
+  ignore (Identxx.Host.run s.server ~user:"root" ~exe:"/usr/sbin/cron" ());
+  check Alcotest.bool "cache invalidated on spawn" true
+    ((C.stats s.controller).C.attr_cache_invalidations >= 1);
+  ignore (connect_and_run s ~proc ());
+  let st = C.stats s.controller in
+  check Alcotest.int "client and server asked" 5 st.C.queries_sent;
+  check Alcotest.int "server daemon saw the second query" 2
+    (Identxx.Daemon.queries_answered (Identxx.Host.daemon s.server));
+  check Alcotest.int "firefox passes twice" 2 st.C.allowed
 
 let test_rebound_listener_asked_again () =
   (* A listener's answer holds for every new flow to its port, until the
@@ -733,6 +738,42 @@ let test_rebound_listener_asked_again () =
     (Identxx.Daemon.queries_answered (Identxx.Host.daemon s.server));
   check Alcotest.int "the new owner's flow is blocked" 1 st.C.blocked;
   check Alcotest.int "still one pass" 1 st.C.allowed
+
+let test_rebound_in_flight_not_cached () =
+  (* The listener is re-bound while its answer is on the wire: the
+     answer still decides its own flow, but it describes the old owner
+     and must not be kept for the next flow to the port. *)
+  let s = Deploy.simple_network ~config:fp_on () in
+  Policy_store.add_exn (C.policy s.controller) ~name:"00-policy"
+    (server_policy [ "httpd" ]);
+  List.iter
+    (fun host -> ignore (Deploy.sign_host s.controller host))
+    [ s.client; s.server ];
+  let httpd = Identxx.Host.run s.server ~user:"www" ~exe:"/usr/sbin/httpd" () in
+  let other = Identxx.Host.run s.server ~user:"eve" ~exe:"/usr/bin/nc" () in
+  Identxx.Host.listen s.server ~proc:httpd ~port:80 ();
+  let proc = Identxx.Host.run s.client ~user:"alice" ~exe:"/usr/bin/firefox" () in
+  let in_flight = ref false in
+  (* The server answers 120 us after the packet-in's first packet goes
+     out; the controller reads the answer 10 us later. *)
+  Sim.Engine.schedule s.engine ~delay:(Sim.Time.us 125) (fun () ->
+      in_flight :=
+        Identxx.Daemon.queries_answered (Identxx.Host.daemon s.server) = 1
+        && (C.stats s.controller).C.responses_received = 0;
+      Identxx.Process_table.close_listen
+        (Identxx.Host.processes s.server)
+        ~pid:httpd.Identxx.Process_table.pid ~proto:Proto.Tcp ~port:80;
+      Identxx.Host.listen s.server ~proc:other ~port:80 ());
+  ignore (connect_and_run s ~proc ());
+  check Alcotest.bool "re-bound while the answer was in flight" true !in_flight;
+  check Alcotest.int "the flow decides on its own answer" 1
+    (C.stats s.controller).C.allowed;
+  ignore (connect_and_run s ~proc ());
+  let st = C.stats s.controller in
+  check Alcotest.int "the server is asked again" 2
+    (Identxx.Daemon.queries_answered (Identxx.Host.daemon s.server));
+  check Alcotest.int "no attribute hit" 0 st.C.attr_cache_hits;
+  check Alcotest.int "the new owner's flow is blocked" 1 st.C.blocked
 
 let test_expires_survives_trimming () =
   (* The policy reads only [name], and the server's administrator pairs
@@ -765,45 +806,44 @@ let test_expires_survives_trimming () =
   check Alcotest.int "every flow passes" 3 (C.stats s.controller).C.allowed
 
 let test_epoch_bump_prevents_stale_decision () =
-  let s = Deploy.simple_network ~config:fp_remiss () in
+  let s = Deploy.simple_network ~config:fp_on () in
   Policy_store.add_exn (C.policy s.controller) ~name:"00-policy"
-    (both_ends_policy [ "firefox" ]);
+    (server_policy [ "httpd" ]);
   serve s;
   let proc = Identxx.Host.run s.client ~user:"alice" ~exe:"/usr/bin/firefox" () in
-  let flow = connect_and_run s ~proc () in
+  ignore (connect_and_run s ~proc ());
   check Alcotest.int "allowed under the old policy" 1
     (C.stats s.controller).C.allowed;
   (* Replace the policy through the store alone: no controller flush, so
      only the epoch protects against replaying the cached verdict. *)
   Policy_store.add_exn (C.policy s.controller) ~name:"00-policy"
-    (both_ends_policy [ "chrome" ]);
-  remiss s flow;
+    (server_policy [ "nginx" ]);
+  ignore (connect_and_run s ~proc ());
   let st = C.stats s.controller in
   check Alcotest.int "stale pass not replayed" 1 st.C.allowed;
   check Alcotest.int "re-evaluated and blocked" 1 st.C.blocked;
   (* The attribute cache legitimately survives the policy change: the
      re-evaluation still needs no fresh queries. *)
-  check Alcotest.int "no new queries" 2 st.C.queries_sent;
-  check Alcotest.int "both decisions fastpathed" 1 st.C.fastpath_decisions
+  check Alcotest.int "no new queries" 1 st.C.queries_sent;
+  check Alcotest.int "second decision fastpathed" 1 st.C.fastpath_decisions
 
 let test_revoke_principal_purges () =
-  let s = Deploy.simple_network ~config:fp_remiss () in
+  let s = Deploy.simple_network ~config:fp_on () in
   Policy_store.add_exn (C.policy s.controller) ~name:"00-policy"
-    (both_ends_policy [ "firefox" ]);
+    (server_policy [ "httpd" ]);
   serve s;
   let proc = Identxx.Host.run s.client ~user:"alice" ~exe:"/usr/bin/firefox" () in
-  let flow = connect_and_run s ~proc () in
-  remiss s flow;
+  ignore (connect_and_run s ~proc ());
+  ignore (connect_and_run s ~proc ());
   let st = C.stats s.controller in
   check Alcotest.int "warm before revocation" 1 st.C.fastpath_decisions;
-  ignore (C.revoke_principal s.controller ~ip:(Identxx.Host.ip s.client));
+  ignore (C.revoke_principal s.controller ~ip:(Identxx.Host.ip s.server));
   (* Everything the principal could have influenced is gone: its
      attributes, its memoized decisions, its connection state. The next
-     flow re-queries the revoked host (the server's cached attributes
-     are legitimately untouched). *)
-  remiss s flow;
+     flow re-queries the revoked host. *)
+  ignore (connect_and_run s ~proc ());
   let st' = C.stats s.controller in
-  check Alcotest.int "revoked host re-queried" 3 st'.C.queries_sent;
+  check Alcotest.int "revoked host re-queried" 2 st'.C.queries_sent;
   check Alcotest.int "no new fastpath decision" 1 st'.C.fastpath_decisions;
   check Alcotest.int "decision not replayed" 1 st'.C.decision_cache_hits;
   check Alcotest.bool "attribute entries purged" true
@@ -913,6 +953,8 @@ let () =
             test_wire_answers_share_decision;
           Alcotest.test_case "re-bound listener is asked again" `Quick
             test_rebound_listener_asked_again;
+          Alcotest.test_case "answer in flight across a re-bind" `Quick
+            test_rebound_in_flight_not_cached;
           Alcotest.test_case "expires bounds a trimmed answer" `Quick
             test_expires_survives_trimming;
           Alcotest.test_case "spawn invalidates attributes" `Quick

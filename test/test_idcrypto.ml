@@ -393,8 +393,14 @@ let test_keystore_host_binding () =
   check Alcotest.bool "unbound key, any host" true (answers free "10.0.0.1");
   check Alcotest.bool "unknown key" false
     (Idcrypto.Sign.answers_for ks ~public:"pkdeadbeef" "10.0.0.2");
+  check Alcotest.bool "a bound host signs" true
+    (Idcrypto.Sign.signs_for ks "10.0.0.2");
+  check Alcotest.bool "an unbound key binds no host" false
+    (Idcrypto.Sign.signs_for ks "10.0.0.1");
   Idcrypto.Sign.register ks bound;
-  check Alcotest.bool "re-registered unbound" true (answers bound "10.0.0.1")
+  check Alcotest.bool "re-registered unbound" true (answers bound "10.0.0.1");
+  check Alcotest.bool "the old binding is gone" false
+    (Idcrypto.Sign.signs_for ks "10.0.0.2")
 
 (* The verified-section cache: a hit needs the same signer and tag, a
    tag is read in place from a longer list, the cache holds at most

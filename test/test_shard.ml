@@ -433,15 +433,22 @@ let test_coalescing () =
   check Alcotest.int "nothing pending" 0 (C.pending_count c)
 
 let test_uncovered_waiter_asks_itself () =
-  (* An unsigned answer declares no scope, so it holds for its own flow
-     only: the flows that coalesced onto it each send their own query,
-     and every flow still decides on its own answer. *)
+  (* The target signs, so flows to its listener share one exchange. But
+     its app supplies run-time pairs for a flow to the port, so the
+     listener's answers hold for their own flow only: the flows that
+     coalesced onto the first each send their own query, and every flow
+     still decides on its own answer. *)
   let engine, network, controller, hosts = target_net ~clients:3 () in
   Policy_store.add_exn (C.policy controller) ~name:"00"
     "block all\npass all with eq(@dst[name], srv)";
   let target = hosts.(0) in
-  let www = Identxx.Host.run target ~user:"www" ~exe:"/bin/srv" () in
-  Identxx.Host.listen target ~proc:www ~port:80 ();
+  serve controller target;
+  Identxx.Daemon.register_runtime
+    (Identxx.Host.daemon target)
+    ~flow:
+      (Five_tuple.tcp ~src:(Identxx.Host.ip hosts.(1))
+         ~dst:(Identxx.Host.ip target) ~src_port:1 ~dst_port:80)
+    [ Identxx.Key_value.pair "request" "clicked" ];
   for i = 1 to 3 do
     ignore (open_flow network hosts.(i) ~target)
   done;
@@ -454,6 +461,26 @@ let test_uncovered_waiter_asks_itself () =
     (Identxx.Daemon.queries_answered (Identxx.Host.daemon target));
   check Alcotest.int "three passes" 3 st.C.allowed;
   check Alcotest.int "no timeouts" 0 st.C.query_timeouts;
+  check Alcotest.int "nothing pending" 0 (C.pending_count controller)
+
+let test_unsigned_target_not_joined () =
+  (* A target whose answers are not expected to be signed declares no
+     scope, so no flow could take another's answer: each destination
+     query goes on the wire at once instead of waiting for the first. *)
+  let engine, network, controller, hosts = target_net ~clients:3 () in
+  Policy_store.add_exn (C.policy controller) ~name:"00"
+    "block all\npass all with eq(@dst[name], srv)";
+  let target = hosts.(0) in
+  let www = Identxx.Host.run target ~user:"www" ~exe:"/bin/srv" () in
+  Identxx.Host.listen target ~proc:www ~port:80 ();
+  for i = 1 to 3 do
+    ignore (open_flow network hosts.(i) ~target)
+  done;
+  Sim.Engine.run engine;
+  let st = C.stats controller in
+  check Alcotest.int "nobody coalesced" 0 (C.coalesced_queries controller);
+  check Alcotest.int "three queries" 3 st.C.queries_sent;
+  check Alcotest.int "three passes" 3 st.C.allowed;
   check Alcotest.int "nothing pending" 0 (C.pending_count controller)
 
 let test_fail_all_waiters () =
@@ -481,6 +508,8 @@ let test_stale_answer_settles_nothing () =
   Policy_store.add_exn (C.policy controller) ~name:"00"
     "block all\npass all with eq(@src[name], app) with eq(@dst[clearance], top)";
   let target = hosts.(0) in
+  (* A signing target: flows to it share exchanges. *)
+  ignore (Deploy.sign_host controller target);
   (* The target answers [stale] at once; its silent source keeps it
      pending until the 5 ms timeout. *)
   Identxx.Daemon.set_behaviour
@@ -594,18 +623,19 @@ let test_breaker_trip_propagates () =
   check Alcotest.int "all five flows decided" 5 (st.C.allowed + st.C.blocked)
 
 (* A warm fast-path setup on two coalescing shards, the configuration
-   hot-host-burst runs: the source's answer comes from the attribute
-   cache and the verdict from the decision cache, so each table miss
-   costs the engine's post and drain, the decision, and the batched
-   install and release, with no query. Entries expire after a
+   hot-host-burst runs: the destination's answer comes from the
+   attribute cache and the verdict from the decision cache, so each
+   table miss costs the engine's post and drain, the decision, and the
+   batched install and release, with no query. Entries expire after a
    microsecond, so every re-sent first packet is a fresh table miss.
    Metrics recording is off so the gate prices the setup, not the
-   registry. The policy reads only the source, whose answer holds for
-   its own flow: a re-missed flow finds it under its 5-tuple. Measured:
-   865 minor words per setup, asking only the source; 982 while both
-   ends were answered from the cache, the decision key holding only the
-   flow class and the one value the policy reads;
-   1464 while the key embedded both answers' full wire encodings
+   registry. The policy reads only the destination, a listener whose
+   signed answer holds for every flow to its port (a source's answer is
+   never cached). Measured: 865 minor words per setup, the same as while
+   the policy read only the source, its answer cached under the flow's
+   5-tuple; 982 while both ends were answered from the cache, the
+   decision key holding only the flow class and the one value the
+   policy reads; 1464 while the key embedded both answers' full wire encodings
    (tagged once by the attribute cache); 1645 while, besides, the
    engine built a drain closure per post, the batcher regrouped its
    messages at every flush and the simulator boxed the heap's minimum
@@ -624,11 +654,13 @@ let test_warm_fastpath_alloc () =
   let s = Deploy.simple_network ~config () in
   Obs.Registry.set_enabled (C.metrics s.Deploy.controller) false;
   Policy_store.add_exn (C.policy s.Deploy.controller) ~name:"00"
-    "block all\npass all with eq(@src[name], app)";
+    "block all\npass all with eq(@dst[name], srv)";
   let client = s.Deploy.client and server = s.Deploy.server in
   List.iter
     (fun host -> ignore (Deploy.sign_host s.Deploy.controller host))
     [ client; server ];
+  let www = Identxx.Host.run server ~user:"www" ~exe:"/bin/srv" () in
+  Identxx.Host.listen server ~proc:www ~port:80 ();
   let proc = Identxx.Host.run client ~user:"u" ~exe:"/bin/app" () in
   let flow =
     Identxx.Host.connect client ~proc ~dst:(Identxx.Host.ip server)
@@ -691,6 +723,8 @@ let () =
           Alcotest.test_case "query coalescing" `Quick test_coalescing;
           Alcotest.test_case "uncovered waiter asks for itself" `Quick
             test_uncovered_waiter_asks_itself;
+          Alcotest.test_case "unsigned target is not joined" `Quick
+            test_unsigned_target_not_joined;
           Alcotest.test_case "failure fails all waiters" `Quick
             test_fail_all_waiters;
           Alcotest.test_case "stale answer settles nothing" `Quick
