@@ -865,24 +865,19 @@ let bench_daemon =
 
 (* The sharded engine's target workload: a burst of concurrent
    table-miss flows converging on one hot host. [shards = None] is the
-   sequential baseline; [Some n] partitions flow setup across [n] run
-   queues with query coalescing and batched installs. [service] > 0
+   sequential baseline, which joins no queries; [Some n] partitions flow
+   setup across [n] run queues with query coalescing. [service] > 0
    charges each shard a simulated per-message cost, so the run's
    makespan (Controller.shard_makespan) models n controller cores —
    the throughput series in BENCH_shard.json divides flows by it. *)
-let shard_burst ?(coalesce = true) ?(service = Sim.Time.zero) ~shards ~flows
-    () =
+let shard_burst ?(service = Sim.Time.zero) ~shards ~flows () =
   let config =
     {
       C.default_config with
       (* Keep queue delay (flows x service on one shard) well under the
          timeout so the series measures throughput, not timeouts. *)
       C.query_timeout = Sim.Time.s 1;
-      C.shards =
-        Option.map
-          (fun n ->
-            { C.shard_count = n; shard_service = service; coalesce })
-          shards;
+      C.shards = Option.map (C.sharded ~service) shards;
     }
   in
   let engine, network, controller, hosts =
@@ -1143,8 +1138,8 @@ let write_json file rows =
    burst with a 1 us simulated per-message cost, across shard counts —
    throughput is flows divided by the parallel makespan, all on the
    simulated clock, so the numbers are deterministic — plus the
-   coalescing series (the same hot-host burst with the connection table
-   off vs on). *)
+   coalescing series (the same hot-host burst unsharded, where no query
+   joins another, vs on 4 shards). *)
 let run_shards_json file =
   let flows = 10_000 in
   let service = Sim.Time.us 1 in
@@ -1163,8 +1158,8 @@ let run_shards_json file =
       [ 1; 2; 4; 8 ]
   in
   let co_flows = 1_000 in
-  let co_off = shard_burst ~shards:(Some 4) ~coalesce:false ~flows:co_flows () in
-  let co_on = shard_burst ~shards:(Some 4) ~coalesce:true ~flows:co_flows () in
+  let co_off = shard_burst ~shards:None ~flows:co_flows () in
+  let co_on = shard_burst ~shards:(Some 4) ~flows:co_flows () in
   let q_off = (C.stats co_off).C.queries_sent in
   let q_on = (C.stats co_on).C.queries_sent in
   Printf.printf "coalescing: %d wire queries without, %d with (%d absorbed)\n%!"

@@ -10,17 +10,11 @@ module Msg = Openflow.Message
 (* The sharded flow-setup engine (DESIGN.md §12). [shard_service] is the
    simulated per-message cost each shard pays; zero keeps behaviour
    byte-identical under any shard count, positive models N controller
-   cores (the concurrent-burst bench). [coalesce] turns on the per-host
-   connection table: concurrent misses needing the same host share one
-   in-flight ident++ exchange. *)
-type shard_config = {
-  shard_count : int;
-  shard_service : Sim.Time.t;
-  coalesce : bool;
-}
+   cores (the concurrent-burst bench). *)
+type shard_config = { shard_count : int; shard_service : Sim.Time.t }
 
-let sharded ?(service = Sim.Time.zero) ?(coalesce = true) count =
-  { shard_count = count; shard_service = service; coalesce }
+let sharded ?(service = Sim.Time.zero) count =
+  { shard_count = count; shard_service = service }
 
 type config = {
   query_timeout : Sim.Time.t;
@@ -46,13 +40,13 @@ let default_config =
        Figure-1 exchange for every table-miss flow. *)
     fastpath = Fastpath.disabled;
     proactive = false;
-    (* One shard without coalescing, and no shard labels. *)
+    (* One shard that joins no queries, and no shard labels. *)
     shards = None;
   }
 
-(* One flow parked on a coalesced exchange: enough to find its pending
-   entry (owning shard + flow key) and to know which end of the flow
-   the exchange resolves. *)
+(* One flow waiting on an exchange: enough to find its pending entry
+   (owning shard + flow key) and to know which end of the flow the
+   exchange resolves. *)
 type waiter = {
   w_flow : Five_tuple.t;
   w_sid : int;
@@ -76,12 +70,10 @@ type pending = {
   mutable dst_qspan : Obs.Span.span;
   mutable src_sent : float; (* first query send time; nan = never sent *)
   mutable dst_sent : float;
-  mutable dst_changes : int;
-      (* The destination's change count ({!Fastpath.host_changes}) when
-         its query first went out. *)
-  mutable p_exchanges : (Ipv4.t * waiter Shard.Conn_table.exchange) list;
-      (* The wire exchanges this flow initiated in the connection table,
-         by host; its timeout settles them for every waiter. *)
+  mutable p_exchange : waiter Fastpath.Answers.exchange option;
+      (* The exchange this flow's destination query initiated in the
+         answer table; its answer or timeout settles it for every
+         waiter. *)
   mutable src_nonce : string option;
   mutable dst_nonce : string option;
       (* The nonce each end's query carries, drawn at its first send
@@ -230,7 +222,7 @@ let make_pro_metrics reg ~labels =
   }
 
 (* Everything per-flow state touches, split per shard: its own pending
-   table, its own fast-path view (attribute/decision caches + breaker),
+   table, its own fast-path view (decision cache + breaker),
    and its own metrics record (labelled [shard=<i>] when sharding is
    on, so per-shard series export while {!stats} sums them). *)
 type shard_ctx = {
@@ -261,9 +253,9 @@ type t = {
       (* Always at least one: an unsharded controller runs one shard. *)
   shard_engine : Shard.Engine.t;
       (* The run-queue multiplexer every packet-in goes through. *)
-  conn : waiter Shard.Conn_table.t option;
-      (* Some iff coalescing: the per-host connection table all shards
-         share (it sits below them, on the wire side). *)
+  answers : waiter Fastpath.Answers.t;
+      (* The answer-reuse table all shards share (it sits below them,
+         on the wire side). *)
   batch : Shard.Batch.t;
       (* Installs, releases and queries leave in per-tick passes. *)
   mutable plan : (int * Query_plan.t) option;
@@ -326,10 +318,10 @@ let stats t =
     queries_answered_locally = sum (fun m -> m.c_local);
     eval_errors = sum (fun m -> m.c_eval_errors);
     fastpath_decisions = sum (fun m -> m.c_fastpath);
-    attr_cache_hits = fc (fun c -> c.Fastpath.attr_hits);
-    attr_cache_misses = fc (fun c -> c.Fastpath.attr_misses);
-    attr_cache_evictions = fc (fun c -> c.Fastpath.attr_evictions);
-    attr_cache_invalidations = fc (fun c -> c.Fastpath.attr_invalidations);
+    attr_cache_hits = Fastpath.Answers.hits t.answers;
+    attr_cache_misses = Fastpath.Answers.misses t.answers;
+    attr_cache_evictions = Fastpath.Answers.evictions t.answers;
+    attr_cache_invalidations = Fastpath.Answers.invalidations t.answers;
     decision_cache_hits = fc (fun c -> c.Fastpath.decision_hits);
     decision_cache_misses = fc (fun c -> c.Fastpath.decision_misses);
     decision_cache_evictions = fc (fun c -> c.Fastpath.decision_evictions);
@@ -340,11 +332,8 @@ let stats t =
 let pending_count t =
   Array.fold_left (fun acc sx -> acc + Flow_tbl.length sx.s_pending) 0 t.shards_
 
-let coalesced_queries t =
-  match t.conn with None -> 0 | Some ct -> Shard.Conn_table.coalesced ct
-
-let wire_exchanges t =
-  match t.conn with None -> 0 | Some ct -> Shard.Conn_table.started ct
+let coalesced_queries t = Fastpath.Answers.coalesced t.answers
+let wire_exchanges t = Fastpath.Answers.started t.answers
 
 let batch_flushes t = Shard.Batch.flushes t.batch
 let shard_makespan t = Shard.Engine.makespan t.shard_engine
@@ -587,8 +576,8 @@ let finalize t sx p =
 let maybe_finalize t sx p =
   if (not p.await_src) && not p.await_dst then finalize t sx p
 
-(* A coalesced exchange settled badly: the initiator timed out, or its
-   timeout tripped the host's breaker. Every waiter fails, not just the
+(* An exchange settled badly: the initiator timed out, or its timeout
+   tripped the host's breaker. Every waiter fails, not just the
    initiating flow: the awaited end resolves absent, the flow's root
    span is force-sampled (an error trace per waiter), and the flow
    decides with what it has. Runs on the waiter's own shard. *)
@@ -637,12 +626,23 @@ let post_to_waiters t ws fn =
     (fun w -> Shard.Engine.post t.shard_engine ~shard:w.w_sid (fun () -> fn w))
     ws
 
-(* --- querying daemons (Figure 1, step 3) --- *)
+(* The one settle path: [p]'s query to [host], asking about its [end_],
+   reached its outcome: [answer] (the answer's declared scope and the
+   response) or [None] (its timeout or breaker trip). The exchange [p]
+   initiated with the host, if any, settles for every waiter, in join
+   order; otherwise [p], on its shard [sx], is the only waiter. *)
+let settle_waiters t sx p ~host ~end_ answer =
+  match p.p_exchange with
+  | Some ex when Ipv4.equal host p.p_flow.Five_tuple.dst ->
+      (* Forget it once settled: a duplicate answer naming this flow
+         must not settle a newer exchange with the host. *)
+      p.p_exchange <- None;
+      Fastpath.Answers.settle t.answers
+        ~now:(Sim.Engine.now (Net.engine t.network))
+        ex answer
+  | Some _ | None -> [ { w_flow = p.p_flow; w_sid = sx.sid; w_end = end_ } ]
 
-(* The destination's socket, its proto and local port: the coalescing
-   key alongside the host and the hint list. *)
-let socket_of (flow : Five_tuple.t) =
-  (Proto.to_int flow.proto lsl 16) lor flow.dst_port
+(* --- querying daemons (Figure 1, step 3) --- *)
 
 (* Actually put a query on the wire toward [target_ip]'s attachment
    point. The caller has already checked reachability. *)
@@ -704,29 +704,29 @@ let send_query ?trace ?nonce t sx ~(flow : Five_tuple.t) ~target_ip ~reply_to
       match attachment_of t target_ip with
       | None -> `Unreachable
       | Some attachment -> (
-          match (t.conn, end_) with
-          | Some ct, `Dst when declares_scope t target_ip -> (
-              (* Multiplex through the per-host connection: only the
-                 first flow asking this host about one listening socket
-                 of it actually sends; everyone else parks on the
-                 exchange. *)
-              let w = { w_flow = flow; w_sid = sx.sid; w_end = end_ } in
-              match
-                Shard.Conn_table.join ct ~host:target_ip
-                  ~shape:(Query_plan.hint_key (policy_view t))
-                  ~socket:(socket_of flow) w
-              with
-              | `First ex ->
-                  wire_send ?trace ?nonce t sx ~flow ~target_ip ~reply_to
-                    attachment;
-                  `Sent (Some ex)
-              | `Coalesced _ -> `Joined)
-          | _ ->
-              (* A source answers from its own connection, which no
-                 other flow shares, and an unsigned answer holds for its
-                 own flow only: such queries never coalesce. *)
-              wire_send ?trace ?nonce t sx ~flow ~target_ip ~reply_to attachment;
-              `Sent None))
+          let exchange =
+            match end_ with
+            | `Src ->
+                (* A source answers from its own connection, which no
+                   other flow shares. *)
+                `Alone
+            | `Dst ->
+                (* Only a sharded controller parks a query on the
+                   exchange in flight with the same socket, and only
+                   when the target is expected to declare its scope. *)
+                Fastpath.Answers.join t.answers
+                  ~hints:(Query_plan.hint_key (policy_view t))
+                  ~flow
+                  ~joinable:
+                    (Option.is_some t.cfg.shards && declares_scope t target_ip)
+                  { w_flow = flow; w_sid = sx.sid; w_end = end_ }
+          in
+          match exchange with
+          | `Joined -> `Joined
+          | (`First _ | `Alone) as sent ->
+              wire_send ?trace ?nonce t sx ~flow ~target_ip ~reply_to
+                attachment;
+              `Sent sent))
 
 (* The nonce [end_]'s query carries: drawn at its first send, then kept
    for retries. Only a controller that requires signed answers checks
@@ -834,7 +834,7 @@ let start_flow t sx ~dpid ~in_port pkt (flow : Five_tuple.t) =
       Query_plan.ends (policy_view t) flow
     in
     (* Fast path: before any Figure-1 exchange, try to resolve each
-       queried endpoint from the attribute cache, or — for a host whose
+       queried endpoint from a settled answer, or — for a host whose
        breaker is open — as an immediate absent response. [Some r] is a
        resolved answer (r = None means absent); [None] means the daemon
        must actually be asked. *)
@@ -845,7 +845,7 @@ let start_flow t sx ~dpid ~in_port pkt (flow : Five_tuple.t) =
           match end_ with
           | `Src -> None
           | `Dst ->
-              Fastpath.find_attrs sx.s_fp ~now
+              Fastpath.Answers.find t.answers ~now
                 ~hints:(Query_plan.hint_key (policy_view t))
                 ~flow
         with
@@ -919,8 +919,7 @@ let start_flow t sx ~dpid ~in_port pkt (flow : Five_tuple.t) =
         dst_qspan = Obs.Span.null;
         src_sent = Float.nan;
         dst_sent = Float.nan;
-        dst_changes = 0;
-        p_exchanges = [];
+        p_exchange = None;
         src_nonce = None;
         dst_nonce = None;
       }
@@ -945,7 +944,6 @@ let start_flow t sx ~dpid ~in_port pkt (flow : Five_tuple.t) =
       | `Dst ->
           if Float.is_nan p.dst_sent then begin
             p.dst_sent <- at;
-            p.dst_changes <- Fastpath.host_changes sx.s_fp flow.Five_tuple.dst;
             p.dst_qspan <- qspan flow.Five_tuple.dst
           end
     in
@@ -960,10 +958,10 @@ let start_flow t sx ~dpid ~in_port pkt (flow : Five_tuple.t) =
       in
       if awaiting then begin
         let nonce = query_nonce t p end_ in
-        if List.exists (fun (h, _) -> Ipv4.equal h target) p.p_exchanges then
+        if end_ = `Dst && Option.is_some p.p_exchange then
           (* A retry round, and this flow initiated the exchange: put
-             the query back on the wire without re-joining (coalesced
-             waiters ride this resend). *)
+             the query back on the wire without re-joining (waiters
+             ride this resend). *)
           Option.iter
             (wire_send ?trace:(qtrace qn) ?nonce t sx ~flow ~target_ip:target
                ~reply_to:reply)
@@ -984,10 +982,10 @@ let start_flow t sx ~dpid ~in_port pkt (flow : Five_tuple.t) =
               (match end_ with
               | `Src -> p.await_src <- false
               | `Dst -> p.await_dst <- false)
-          | `Sent ex ->
-              (match ex with
-              | Some ex -> p.p_exchanges <- (target, ex) :: p.p_exchanges
-              | None -> ());
+          | `Sent sent ->
+              (match sent with
+              | `First ex -> p.p_exchange <- Some ex
+              | `Alone -> ());
               note_sent end_
           | `Joined ->
               (* Another flow's exchange is already in flight to this
@@ -1033,7 +1031,7 @@ let start_flow t sx ~dpid ~in_port pkt (flow : Five_tuple.t) =
                      through every attempt is a consecutive timeout. *)
                   let now = Sim.Engine.now (Net.engine t.network) in
                   let at = time_now_s t in
-                  let timed_out qspan ip =
+                  let timed_out end_ qspan ip =
                     let tripped =
                       Fastpath.note_timeout_report sx.s_fp ~now ip
                     in
@@ -1069,30 +1067,20 @@ let start_flow t sx ~dpid ~in_port pkt (flow : Five_tuple.t) =
                             ("host", Ipv4.to_string ip);
                             ("outcome", "timeout");
                           ]);
-                    (* This flow initiated the exchange (a silent host
-                       answers nobody): settle it and fail every other
+                    (* If this flow initiated an exchange (a silent host
+                       answers nobody), settle it and fail every other
                        waiter the same way. *)
-                    match t.conn with
-                    | None -> ()
-                    | Some ct ->
-                        let cause =
-                          if tripped then "breaker-open" else "timeout"
-                        in
-                        List.iter
-                          (fun (h, ex) ->
-                            if Ipv4.equal h ip then
-                              let ws = Shard.Conn_table.settle ct ex in
-                              post_to_waiters t
-                                (List.filter
-                                   (fun w ->
-                                     not (Five_tuple.equal w.w_flow flow))
-                                   ws)
-                                (fail_waiter t ~cause ~host:ip))
-                          p.p_exchanges
+                    let cause = if tripped then "breaker-open" else "timeout" in
+                    post_to_waiters t
+                      (List.filter
+                         (fun w -> not (Five_tuple.equal w.w_flow flow))
+                         (settle_waiters t sx p ~host:ip ~end_ None))
+                      (fail_waiter t ~cause ~host:ip)
                   in
                   if p.await_src then
-                    timed_out p.src_qspan flow.Five_tuple.src;
-                  if p.await_dst then timed_out p.dst_qspan flow.Five_tuple.dst
+                    timed_out `Src p.src_qspan flow.Five_tuple.src;
+                  if p.await_dst then
+                    timed_out `Dst p.dst_qspan flow.Five_tuple.dst
                 end;
                 p.await_src <- false;
                 p.await_dst <- false;
@@ -1275,14 +1263,14 @@ let answer_accepted t p ~from_ip ~to_ip response =
 (* Whether an answer about [flow]'s [end_], declaring [scope], answers
    waiter [w] too: the flow itself always; another flow to the same
    listening socket under [Socket] or [Host].
-   The connection table only parks destination waiters asking the same
-   host about the same socket, so the socket needs no second check. *)
+   The answer table only parks destination waiters asking the same host
+   about the same socket, so the socket needs no second check. *)
 let covers scope ~flow ~end_ w =
   match scope with
   | Identxx.Signed.Socket | Identxx.Signed.Host -> w.w_end = `Dst && end_ = `Dst
   | Identxx.Signed.Flow -> w.w_end = end_ && Five_tuple.equal w.w_flow flow
 
-(* A coalesced waiter the settling answer does not cover sends its own
+(* A waiter the settling answer does not cover sends its own
    query, with its own nonce and trace context, on its own shard. *)
 let requery t ~host w =
   let sx = t.shards_.(w.w_sid) in
@@ -1310,13 +1298,12 @@ let requery t ~host w =
       end
 
 (* The one response path: an answer pairs with the flow it names, on
-   that flow's shard. If the flow initiated a coalesced exchange with
-   the answering host, the answer settles it for every waiter, in join
-   order and each on its own shard; otherwise the flow is the only
-   waiter. An answer that fails authentication settles nothing: the
-   waiters decide on a later valid answer or at the initiator's
-   timeout, so an off-path spoofer cannot force early fail-closed
-   decisions. An answer naming no pending flow is transit. *)
+   that flow's shard, and settles the flow's query to the answering host
+   ({!settle_waiters}), each waiter on its own shard. An answer that
+   fails authentication settles nothing: the waiters decide on a later
+   valid answer or at the initiator's timeout, so an off-path spoofer
+   cannot force early fail-closed decisions. An answer naming no pending
+   flow is transit. *)
 let handle_response t sx ~dpid ~from_ip ~to_ip response pkt =
   match named_pending t ~from_ip ~to_ip response with
   | None -> handle_transit t sx ~dpid ~from_ip ~to_ip response pkt
@@ -1328,42 +1315,23 @@ let handle_response t sx ~dpid ~from_ip ~to_ip response pkt =
       let osx = owner t flow in
       Obs.Registry.Counter.inc osx.s_m.c_responses;
       (* Pull the daemon's piggybacked timings out, then strip them:
-         per-flow trace ids must not reach policy evaluation or the
-         attribute cache (a cached trace section would both leak into
+         per-flow trace ids must not reach policy evaluation or a
+         settled answer (a reused trace section would both leak into
          later flows' decisions and defeat decision-cache key
          matching). *)
       let dtrace = Identxx.Response.trace_info response in
       let response = Identxx.Response.strip_trace response in
       let end_ = if Ipv4.equal from_ip flow.Five_tuple.src then `Src else `Dst in
-      let ws =
-        match
-          ( t.conn,
-            List.find_opt (fun (h, _) -> Ipv4.equal h from_ip) p.p_exchanges )
-        with
-        | Some ct, Some ((_, ex) as e) ->
-            (* Forget it once settled: a duplicate answer naming this
-               flow must not settle a newer exchange with the host. *)
-            p.p_exchanges <- List.filter (fun e' -> e' != e) p.p_exchanges;
-            Shard.Conn_table.settle ct ex
-        | _ -> [ { w_flow = flow; w_sid = osx.sid; w_end = end_ } ]
-      in
-      (* An (authenticated, if required) answer: close breaker state
-         and, for a destination's, remember the attributes in every
-         shard view that waited on it. *)
       let scope = Identxx.Signed.scope response in
+      let ws =
+        settle_waiters t osx p ~host:from_ip ~end_ (Some (scope, response))
+      in
+      (* An (authenticated, if required) answer: close breaker state in
+         every shard view that waited on it. *)
       Array.iter
         (fun vx ->
-          if List.exists (fun w -> w.w_sid = vx.sid) ws then begin
-            Fastpath.note_response vx.s_fp from_ip;
-            if end_ = `Dst then
-              Fastpath.store_attrs vx.s_fp
-                ~now:(Sim.Engine.now (Net.engine t.network))
-                ~hints:(Query_plan.hint_key (policy_view t))
-                ~scope ~flow ~since:p.dst_changes
-                ?signer:
-                  (Identxx.Response.latest response Identxx.Signed.signer_key)
-                response
-          end)
+          if List.exists (fun w -> w.w_sid = vx.sid) ws then
+            Fastpath.note_response vx.s_fp from_ip)
         t.shards_;
       (* A waiter takes the answer only as far as its declared scope
          reaches; any other asks for itself. The initiator settles first
@@ -1746,12 +1714,13 @@ let flush_cache t =
    them — are no longer trustworthy. *)
 let note_host_changed t ip =
   Array.iter (fun sx -> Fastpath.note_host_changed sx.s_fp ip) t.shards_;
-  Option.iter (fun ct -> Shard.Conn_table.close_host ct ip) t.conn
+  Fastpath.Answers.drop_host t.answers ip
 
 let revoke_principal t ~ip =
   Log.info (fun m -> m "revoking principal %s" (Ipv4.to_string ip));
   let dropped = Conn_state.revoke t.conn_state ~ip in
   Array.iter (fun sx -> Fastpath.revoke_ip sx.s_fp ip) t.shards_;
+  Fastpath.Answers.drop_host t.answers ip;
   (* Dataplane: delete every installed entry the principal's address
      appears in, either end, on every switch of the domain. *)
   let host = Prefix.host ip in
@@ -1796,11 +1765,10 @@ let create ?(config = default_config) ?keystore ?functions ?obs ?spans
     match spans with Some s -> s | None -> Obs.Span.create ~enabled:false ()
   in
   let labels = [ ("controller", string_of_int id) ] in
-  (* No shard config means one shard without coalescing; the shard
-     label, span attribute and shard series appear only when sharding
-     was asked for. *)
+  (* No shard config means one shard; the shard label, span attribute
+     and shard series appear only when sharding was asked for. *)
   let show_shards = Option.is_some config.shards in
-  let sc = Option.value config.shards ~default:(sharded ~coalesce:false 1) in
+  let sc = Option.value config.shards ~default:(sharded 1) in
   let shard_labels sid =
     if show_shards then labels @ [ ("shard", string_of_int sid) ] else labels
   in
@@ -1808,7 +1776,11 @@ let create ?(config = default_config) ?keystore ?functions ?obs ?spans
     Shard.Engine.create ~service:sc.shard_service ~shards:sc.shard_count
       (Net.engine network)
   in
-  let conn = if sc.coalesce then Some (Shard.Conn_table.create ()) else None in
+  let answers =
+    Fastpath.Answers.create ~capacity:config.fastpath.Fastpath.attr_capacity
+      ~ttl:config.fastpath.Fastpath.attr_ttl
+      ~reuse:config.fastpath.Fastpath.enabled ()
+  in
   let batch =
     Shard.Batch.create ~engine:(Net.engine network)
       ~send:(Net.send_to_switch network) ()
@@ -1840,7 +1812,7 @@ let create ?(config = default_config) ?keystore ?functions ?obs ?spans
       recorder;
       shards_;
       shard_engine;
-      conn;
+      answers;
       batch;
       plan = None;
       trace_seq = 0;
@@ -1887,25 +1859,23 @@ let create ?(config = default_config) ?keystore ?functions ?obs ?spans
   Array.iter
     (fun sx -> Fastpath.register_metrics sx.s_fp ~labels:(shard_labels sx.sid) obs)
     t.shards_;
+  Fastpath.Answers.register_metrics answers ~labels obs;
   if show_shards then begin
     Shard.Engine.register_metrics shard_engine ~labels obs;
-    Shard.Batch.register_metrics batch ~labels obs
+    Shard.Batch.register_metrics batch ~labels obs;
+    Obs.Registry.counter_fn obs
+      ~help:"Wire exchanges actually begun by the answer table."
+      ~labels "identxx_shard_exchanges_total" (fun () ->
+        Fastpath.Answers.started answers);
+    Obs.Registry.counter_fn obs
+      ~help:"Duplicate in-flight queries absorbed by coalescing."
+      ~labels "identxx_shard_coalesced_queries_total" (fun () ->
+        Fastpath.Answers.coalesced answers);
+    Obs.Registry.gauge_fn obs
+      ~help:"Exchanges currently in flight across all daemon connections."
+      ~labels "identxx_shard_inflight_exchanges" (fun () ->
+        float_of_int (Fastpath.Answers.in_flight answers))
   end;
-  (match conn with
-  | Some ct ->
-      Obs.Registry.counter_fn obs
-        ~help:"Wire exchanges actually begun by the connection table."
-        ~labels "identxx_shard_exchanges_total" (fun () ->
-          Shard.Conn_table.started ct);
-      Obs.Registry.counter_fn obs
-        ~help:"Duplicate in-flight queries absorbed by coalescing."
-        ~labels "identxx_shard_coalesced_queries_total" (fun () ->
-          Shard.Conn_table.coalesced ct);
-      Obs.Registry.gauge_fn obs
-        ~help:"Exchanges currently in flight across all daemon connections."
-        ~labels "identxx_shard_inflight_exchanges" (fun () ->
-          float_of_int (Shard.Conn_table.in_flight ct))
-  | None -> ());
   Net.register_controller network ~id (handle_message t);
   wire_eviction_telemetry t;
   (* No initial sync: hosts are typically attached after the controller

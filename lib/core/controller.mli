@@ -28,16 +28,13 @@ type shard_config = {
           byte-identical across shard counts — the determinism oracle's
           regime; a positive value models N controller cores in
           parallel, which is what the throughput benchmark measures. *)
-  coalesce : bool;
-      (** Multiplex per-host daemon connections through the shared
-          {!Shard.Conn_table}, so concurrent identical queries share
-          one wire exchange. *)
 }
-(** Configuration of the sharded flow-setup engine (DESIGN.md §12). *)
+(** Configuration of the sharded flow-setup engine's run queues
+    ({!Shard.Engine}; installs always go through {!Shard.Batch}):
+    DESIGN.md §12. *)
 
-val sharded : ?service:Sim.Time.t -> ?coalesce:bool -> int -> shard_config
-(** [sharded n] is [n] shards with zero service time and coalescing
-    on. *)
+val sharded : ?service:Sim.Time.t -> int -> shard_config
+(** [sharded n] is [n] shards with zero service time. *)
 
 type config = {
   query_timeout : Sim.Time.t;  (** Wait this long for daemon responses. *)
@@ -79,11 +76,13 @@ type config = {
   shards : shard_config option;
       (** Every controller runs flow setup on the shard engine: run
           queues by flow-key hash, flow-mod installs batched per tick.
-          [Some s] asks for [s.shard_count] shards, with query
-          coalescing when [s.coalesce], and labels per-shard metrics
-          and spans with their shard. [None] (the default) is exactly
-          one shard without coalescing, and adds no shard label, span
-          attribute or [identxx_shard_*] series. See DESIGN.md §12. *)
+          [Some s] asks for [s.shard_count] shards and labels per-shard
+          metrics and spans with their shard; a destination query to a
+          target expected to sign then joins an exchange in flight with
+          the same socket ({!Fastpath.Answers}). [None] (the default) is
+          exactly one shard that joins no queries, and adds no shard
+          label, span attribute or [identxx_shard_*] series. See
+          DESIGN.md §12. *)
 }
 
 val default_config : config
@@ -259,14 +258,15 @@ val stats : t -> stats
     controller's). *)
 
 val coalesced_queries : t -> int
-(** Duplicate in-flight queries absorbed by connection-table coalescing
-    (0 when coalescing is off). *)
+(** Destination queries that joined an exchange in flight instead of
+    going on the wire (0 when unsharded). *)
 
 val wire_exchanges : t -> int
-(** Wire query exchanges actually begun by the connection table (0 when
-    coalescing is off). Only destination queries go through it: a
-    source answers for its own connection, which no other flow
-    shares. *)
+(** Exchanges opened in the answer table ({!Fastpath.Answers.started}):
+    destination queries some other query could share, by joining them
+    (sharded, to a target expected to sign) or by reusing their settled
+    answer (the fast path on). A source answers for its own connection,
+    which no other flow shares, and never opens one. *)
 
 val batch_flushes : t -> int
 (** Batched install flushes performed. *)

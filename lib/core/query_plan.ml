@@ -34,7 +34,7 @@ let make ~default = function
         if calls_allowed then []
         else
           List.sort_uniq String.compare
-            ((Fastpath.Attr_cache.expires_key :: Audit.interesting_keys)
+            ((Fastpath.Answers.expires_key :: Audit.interesting_keys)
             @ Pf.Env.referenced_keys env)
       in
       let line_ends = Hashtbl.create 16 in
@@ -49,7 +49,7 @@ let make ~default = function
       {
         shape;
         hints;
-        hint_key = Fastpath.Attr_cache.hint_key hints;
+        hint_key = Fastpath.Answers.hint_key hints;
         diagram = Some (Analysis.Fdd.compile ~default env);
         every_end = calls_allowed;
         line_ends;

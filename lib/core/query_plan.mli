@@ -18,8 +18,8 @@
     every key the controller reads from an answer:
     - the policy's {!Pf.Env.referenced_keys};
     - {!Audit.interesting_keys}, so audit entries stay whole;
-    - {!Fastpath.Attr_cache.expires_key}, so a daemon's own lifetime
-      bound reaches the attribute cache.
+    - {!Fastpath.Answers.expires_key}, so a daemon's own lifetime
+      bound reaches a settled answer.
 
     Under [allowed()] the list is empty, which asks for everything:
     rules carried in an answer may read any key. *)
@@ -42,7 +42,7 @@ val hints : t -> string list
 (** The hint list, as described above. *)
 
 val hint_key : t -> string
-(** {!hints} in canonical form ({!Fastpath.Attr_cache.hint_key}): the
+(** {!hints} in canonical form ({!Fastpath.Answers.hint_key}): the
     hint part of every answer-reuse key. *)
 
 val shape : t -> Fastpath.decision_shape

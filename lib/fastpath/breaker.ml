@@ -85,4 +85,3 @@ let state t ip =
 let trips t = t.trips
 let fastpaths t = t.fastpaths
 let tracked t = Tbl.length t.hosts
-let clear t = Tbl.reset t.hosts

@@ -50,4 +50,3 @@ val fastpaths : t -> int
 (** [`Absent] verdicts served. *)
 
 val tracked : t -> int
-val clear : t -> unit

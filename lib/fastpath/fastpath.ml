@@ -1,5 +1,5 @@
 open Netcore
-module Attr_cache = Attr_cache
+module Answers = Answers
 module Decision_cache = Decision_cache
 module Breaker = Breaker
 
@@ -24,44 +24,21 @@ let default_config =
 
 let disabled = { default_config with enabled = false }
 
-type t = {
-  cfg : config;
-  attrs : Attr_cache.t;
-  decisions : Decision_cache.t;
-  breaker : Breaker.t;
-  changes : (int, int) Hashtbl.t; (* host -> change events seen *)
-}
+type t = { cfg : config; decisions : Decision_cache.t; breaker : Breaker.t }
 
 let create cfg =
   {
     cfg;
-    attrs = Attr_cache.create ~capacity:cfg.attr_capacity ~ttl:cfg.attr_ttl ();
     decisions = Decision_cache.create ~capacity:cfg.decision_capacity ();
     breaker =
       Breaker.create ~threshold:cfg.breaker_threshold
         ~backoff:cfg.breaker_backoff ();
-    changes = Hashtbl.create 16;
   }
 
 let config t = t.cfg
 let enabled t = t.cfg.enabled
-let attr_cache t = t.attrs
 let decision_cache t = t.decisions
 let breaker t = t.breaker
-
-let find_attrs t ~now ~hints ~flow =
-  if not t.cfg.enabled then None
-  else Attr_cache.find t.attrs ~now ~hints ~flow
-
-let host_changes t ip =
-  match Hashtbl.find t.changes (Ipv4.to_int ip) with
-  | n -> n
-  | exception Not_found -> 0
-
-let store_attrs t ~now ~hints ~scope ~(flow : Five_tuple.t) ~since ?signer
-    response =
-  if t.cfg.enabled && host_changes t flow.dst = since then
-    Attr_cache.store t.attrs ~now ~hints ~scope ~flow ?signer response
 
 let consult_host t ~now ip =
   if not t.cfg.enabled then `Ask else Breaker.consult t.breaker ~now ip
@@ -161,11 +138,7 @@ let store_decision t ~epoch ~key ~flow verdict =
     Decision_cache.store t.decisions ~epoch ~key ~flow verdict
 
 let note_host_changed t ip =
-  if t.cfg.enabled then begin
-    Hashtbl.replace t.changes (Ipv4.to_int ip) (host_changes t ip + 1);
-    ignore (Attr_cache.invalidate_host t.attrs ip : int);
-    ignore (Decision_cache.purge_ip t.decisions ip : int)
-  end
+  if t.cfg.enabled then ignore (Decision_cache.purge_ip t.decisions ip : int)
 
 let revoke_ip t ip =
   note_host_changed t ip;
@@ -173,45 +146,22 @@ let revoke_ip t ip =
 
 let flush_decisions t = Decision_cache.clear t.decisions
 
-let flush t =
-  Attr_cache.clear t.attrs;
-  Decision_cache.clear t.decisions;
-  Breaker.clear t.breaker
-
 (* The caches keep their own plain-int counters on the hot path; the
    registry reads them through callbacks at snapshot time, so metrics
    add zero per-operation cost here. *)
 let register_metrics t ?(labels = []) reg =
-  let cache_events name help instance events =
-    List.iter
-      (fun (event, read) ->
-        Obs.Registry.counter_fn reg ~help
-          ~labels:(labels @ [ ("cache", instance); ("event", event) ])
-          name read)
-      events
-  in
-  cache_events "identxx_fastpath_cache_events_total"
-    "Attribute/decision cache hits, misses, evictions and invalidations."
-    "attr"
-    [
-      ("hit", fun () -> Attr_cache.hits t.attrs);
-      ("miss", fun () -> Attr_cache.misses t.attrs);
-      ("eviction", fun () -> Attr_cache.evictions t.attrs);
-      ("invalidation", fun () -> Attr_cache.invalidations t.attrs);
-    ];
-  cache_events "identxx_fastpath_cache_events_total"
-    "Attribute/decision cache hits, misses, evictions and invalidations."
-    "decision"
+  List.iter
+    (fun (event, read) ->
+      Obs.Registry.counter_fn reg
+        ~help:
+          "Attribute/decision cache hits, misses, evictions and invalidations."
+        ~labels:(labels @ [ ("cache", "decision"); ("event", event) ])
+        "identxx_fastpath_cache_events_total" read)
     [
       ("hit", fun () -> Decision_cache.hits t.decisions);
       ("miss", fun () -> Decision_cache.misses t.decisions);
       ("eviction", fun () -> Decision_cache.evictions t.decisions);
     ];
-  Obs.Registry.gauge_fn reg
-    ~help:"Entries currently held by the cache."
-    ~labels:(labels @ [ ("cache", "attr") ])
-    "identxx_fastpath_cache_size"
-    (fun () -> float_of_int (Attr_cache.size t.attrs));
   Obs.Registry.gauge_fn reg
     ~help:"Entries currently held by the cache."
     ~labels:(labels @ [ ("cache", "decision") ])
@@ -236,10 +186,6 @@ let register_metrics t ?(labels = []) reg =
     (fun () -> if t.cfg.enabled then 1. else 0.)
 
 type counters = {
-  attr_hits : int;
-  attr_misses : int;
-  attr_evictions : int;
-  attr_invalidations : int;
   decision_hits : int;
   decision_misses : int;
   decision_evictions : int;
@@ -249,21 +195,9 @@ type counters = {
 
 let counters t =
   {
-    attr_hits = Attr_cache.hits t.attrs;
-    attr_misses = Attr_cache.misses t.attrs;
-    attr_evictions = Attr_cache.evictions t.attrs;
-    attr_invalidations = Attr_cache.invalidations t.attrs;
     decision_hits = Decision_cache.hits t.decisions;
     decision_misses = Decision_cache.misses t.decisions;
     decision_evictions = Decision_cache.evictions t.decisions;
     breaker_trips = Breaker.trips t.breaker;
     breaker_fastpaths = Breaker.fastpaths t.breaker;
   }
-
-let pp_counters ppf c =
-  Format.fprintf ppf
-    "attr %d/%d (evict %d, inval %d) decision %d/%d (evict %d) breaker \
-     trips %d fastpaths %d"
-    c.attr_hits c.attr_misses c.attr_evictions c.attr_invalidations
-    c.decision_hits c.decision_misses c.decision_evictions c.breaker_trips
-    c.breaker_fastpaths

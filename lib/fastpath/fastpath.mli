@@ -1,10 +1,12 @@
-(** Flow-setup fast path: the three caches the controller consults
-    before (or instead of) the Figure-1 query exchange.
+(** Flow-setup fast path: what the controller consults before (or
+    instead of) the Figure-1 query exchange.
 
-    - {!Attr_cache}: recent answers of listening sockets, the ones a
-      daemon declares to hold for every new flow to the socket, keyed
-      by the socket and the hint list, dropped on daemon-side change
-      events and TTL expiry;
+    - {!Answers}: the answer-reuse table — queries in flight, and
+      settled answers of listening sockets, the ones a daemon declares
+      to hold for every new flow to the socket, keyed by the socket and
+      the hint list, dropped on daemon-side change events and TTL
+      expiry. The controller owns one table, shared by all its
+      shards; each shard's {!t} holds the other two;
     - {!Decision_cache}: memoized verdicts keyed by (policy epoch, flow
       class, the answer values the policy reads; see {!decision_key}) —
       a {!Policy_store} epoch bump orphans every entry;
@@ -18,14 +20,14 @@
 
 open Netcore
 
-module Attr_cache = Attr_cache
+module Answers = Answers
 module Decision_cache = Decision_cache
 module Breaker = Breaker
 
 type config = {
   enabled : bool;
-  attr_capacity : int;  (** Attribute-cache entries (FIFO-evicted). *)
-  attr_ttl : Sim.Time.t;  (** Attribute-cache entry lifetime. *)
+  attr_capacity : int;  (** Settled {!Answers} entries (FIFO-evicted). *)
+  attr_ttl : Sim.Time.t;  (** Settled {!Answers} entry lifetime. *)
   decision_capacity : int;  (** Decision-cache entries (FIFO-evicted). *)
   breaker_threshold : int;
       (** Consecutive timeouts before a host's breaker trips. *)
@@ -34,7 +36,7 @@ type config = {
 }
 
 val default_config : config
-(** Enabled; 4096 attribute entries with a 5 s TTL, 16384 decisions,
+(** Enabled; 4096 settled answers with a 5 s TTL, 16384 decisions,
     breaker trips after 3 timeouts for 30 s. *)
 
 val disabled : config
@@ -47,41 +49,9 @@ val create : config -> t
 val config : t -> config
 val enabled : t -> bool
 
-val attr_cache : t -> Attr_cache.t
 val decision_cache : t -> Decision_cache.t
 val breaker : t -> Breaker.t
 (** Direct access to the underlying caches, for tests and tooling. *)
-
-(** {2 Attribute cache} *)
-
-val find_attrs :
-  t ->
-  now:Sim.Time.t ->
-  hints:string ->
-  flow:Five_tuple.t ->
-  Identxx.Response.t option
-(** {!Attr_cache.find} for [flow]'s destination; [None] (without
-    touching counters) when the fast path is off. *)
-
-val host_changes : t -> Ipv4.t -> int
-(** How many change events {!note_host_changed} has seen for the host.
-    A query records it when it goes out; see {!store_attrs}. *)
-
-val store_attrs :
-  t ->
-  now:Sim.Time.t ->
-  hints:string ->
-  scope:Identxx.Signed.scope ->
-  flow:Five_tuple.t ->
-  since:int ->
-  ?signer:string ->
-  Identxx.Response.t ->
-  unit
-(** {!Attr_cache.store} for [flow]'s destination, when the fast path is
-    on and the destination has seen no change event since its query
-    went out ([since] is {!host_changes} then): an answer already on
-    the wire when its host changed describes the old state, and must
-    not outlive the change in the cache. *)
 
 (** {2 Circuit breaker} *)
 
@@ -162,20 +132,17 @@ val store_decision :
 
 val note_host_changed : t -> Ipv4.t -> unit
 (** A daemon-side change event (login/logout, process spawn/exit,
-    configuration reload): drop the host's cached attributes and every
-    cached decision its answers may have influenced. *)
+    configuration reload): drop every cached decision the host's answers
+    may have influenced. *)
 
 val revoke_ip : t -> Ipv4.t -> unit
 (** Principal revocation: like {!note_host_changed}, also closing the
     host's breaker state so a now-suspect silent host is re-probed. *)
 
 val flush_decisions : t -> unit
-(** Drop every memoized verdict (a policy override): cached attributes
-    and breaker state survive, since policy operations do not change
-    what hosts answer. *)
-
-val flush : t -> unit
-(** Drop everything (attribute cache, decision cache, breaker state). *)
+(** Drop every memoized verdict (a policy override): breaker state
+    survives, since policy operations do not change what hosts
+    answer. *)
 
 (** {2 Observability} *)
 
@@ -185,16 +152,13 @@ val register_metrics :
     series: the caches keep their own counters and the registry samples
     them at snapshot time, so nothing is added to the per-flow path.
     [labels] (e.g. [("controller", "0")]) are prepended to every
+    series. {!Answers.register_metrics} registers the [cache="attr"]
     series. The full catalog is in doc/OBSERVABILITY.md under
     [identxx_fastpath_*]. *)
 
 (** {2 Counters} *)
 
 type counters = {
-  attr_hits : int;
-  attr_misses : int;
-  attr_evictions : int;
-  attr_invalidations : int;
   decision_hits : int;
   decision_misses : int;
   decision_evictions : int;
@@ -203,4 +167,3 @@ type counters = {
 }
 
 val counters : t -> counters
-val pp_counters : Format.formatter -> counters -> unit

@@ -1,4 +1,5 @@
-(* The flow-setup fast path: attribute cache, decision cache with epoch
+(* The flow-setup fast path: the answer-reuse table (its settled
+   entries are the attribute cache), decision cache with epoch
    invalidation, and the silent-host circuit breaker — both the cache
    modules in isolation and the controller integration (cache hits must
    skip daemon queries; epoch bumps and revocation must prevent stale
@@ -14,7 +15,9 @@ module Policy_store = Identxx_core.Policy_store
 let ip = Ipv4.of_string
 let check = Alcotest.check
 
-(* --- Attr_cache unit tests --- *)
+(* --- Answers unit tests --- *)
+
+module Answers = Fastpath.Answers
 
 let resp ?(pairs = [ ("userID", "alice") ]) () =
   let flow =
@@ -31,72 +34,196 @@ let resp_flow =
 
 let socket = Identxx.Signed.Socket
 
+(* A table that keeps settled answers, as with the fast path on. *)
+let reuse_table ?capacity ~ttl () =
+  Answers.create ?capacity ~ttl ~reuse:true ()
+
+(* [flow]'s destination answers [response], declaring [scope]: the
+   exchange opens and settles at once. *)
+let store ?(scope = socket) t ~now ~hints ~flow response =
+  match Answers.join t ~hints ~flow ~joinable:false () with
+  | `First ex -> ignore (Answers.settle t ~now ex (Some (scope, response)))
+  | `Joined | `Alone -> Alcotest.fail "no exchange opened"
+
 let test_attr_ttl () =
-  let c = Fastpath.Attr_cache.create ~ttl:(Sim.Time.ms 10) () in
-  let hints = Fastpath.Attr_cache.hint_key [ "userID"; "name" ]
-  and flow = resp_flow in
-  Fastpath.Attr_cache.store c ~now:Sim.Time.zero ~hints ~scope:socket ~flow
-    (resp ());
+  let c = reuse_table ~ttl:(Sim.Time.ms 10) () in
+  let hints = Answers.hint_key [ "userID"; "name" ] and flow = resp_flow in
+  store c ~now:Sim.Time.zero ~hints ~flow (resp ());
   check Alcotest.bool "live before ttl" true
-    (Fastpath.Attr_cache.find c ~now:(Sim.Time.ms 9) ~hints ~flow <> None);
+    (Answers.find c ~now:(Sim.Time.ms 9) ~hints ~flow <> None);
   (* The hint list is order-insensitive, and another flow to the same
      socket finds the listener's answer. *)
   check Alcotest.bool "key order ignored, other flow" true
-    (Fastpath.Attr_cache.find c ~now:(Sim.Time.ms 9)
-       ~hints:(Fastpath.Attr_cache.hint_key [ "name"; "userID"; "name" ])
+    (Answers.find c ~now:(Sim.Time.ms 9)
+       ~hints:(Answers.hint_key [ "name"; "userID"; "name" ])
        ~flow:{ flow with Five_tuple.src = ip "10.0.0.7"; src_port = 41000 }
     <> None);
   check Alcotest.bool "another port misses" true
-    (Fastpath.Attr_cache.find c ~now:(Sim.Time.ms 9) ~hints
+    (Answers.find c ~now:(Sim.Time.ms 9) ~hints
        ~flow:{ flow with Five_tuple.dst_port = 443 }
     = None);
   check Alcotest.bool "expired at ttl" true
-    (Fastpath.Attr_cache.find c ~now:(Sim.Time.ms 10) ~hints ~flow = None);
-  check Alcotest.int "hits" 2 (Fastpath.Attr_cache.hits c);
-  check Alcotest.int "misses" 2 (Fastpath.Attr_cache.misses c);
-  check Alcotest.int "expired entry dropped" 0 (Fastpath.Attr_cache.size c);
+    (Answers.find c ~now:(Sim.Time.ms 10) ~hints ~flow = None);
+  check Alcotest.int "hits" 2 (Answers.hits c);
+  check Alcotest.int "misses" 2 (Answers.misses c);
+  check Alcotest.int "expired entry dropped" 0 (Answers.size c);
   (* An answer that holds for its own flow only is never kept. *)
-  Fastpath.Attr_cache.store c ~now:Sim.Time.zero ~hints
-    ~scope:Identxx.Signed.Flow ~flow (resp ());
-  check Alcotest.int "flow scope not kept" 0 (Fastpath.Attr_cache.size c)
+  store c ~scope:Identxx.Signed.Flow ~now:Sim.Time.zero ~hints ~flow (resp ());
+  check Alcotest.int "flow scope not kept" 0 (Answers.size c)
 
 let test_attr_self_expiry () =
   (* A response-carried "expires" key caps the lifetime below the
      configured TTL. *)
-  let c = Fastpath.Attr_cache.create ~ttl:(Sim.Time.s 60) () in
-  let hints = Fastpath.Attr_cache.hint_key [ "userID" ] and flow = resp_flow in
-  Fastpath.Attr_cache.store c ~now:Sim.Time.zero ~hints ~scope:socket ~flow
+  let c = reuse_table ~ttl:(Sim.Time.s 60) () in
+  let hints = Answers.hint_key [ "userID" ] and flow = resp_flow in
+  store c ~now:Sim.Time.zero ~hints ~flow
     (resp ~pairs:[ ("userID", "alice"); ("expires", "0.5") ] ());
   check Alcotest.bool "live before self-expiry" true
-    (Fastpath.Attr_cache.find c ~now:(Sim.Time.ms 499) ~hints ~flow <> None);
+    (Answers.find c ~now:(Sim.Time.ms 499) ~hints ~flow <> None);
   check Alcotest.bool "dead after self-expiry" true
-    (Fastpath.Attr_cache.find c ~now:(Sim.Time.ms 500) ~hints ~flow = None)
+    (Answers.find c ~now:(Sim.Time.ms 500) ~hints ~flow = None)
 
 let test_attr_capacity_and_invalidation () =
-  let c = Fastpath.Attr_cache.create ~capacity:2 ~ttl:(Sim.Time.s 1) () in
-  let hints = Fastpath.Attr_cache.hint_key [ "userID" ] in
+  let c = reuse_table ~capacity:2 ~ttl:(Sim.Time.s 1) () in
+  let hints = Answers.hint_key [ "userID" ] in
   let flow i =
     Five_tuple.tcp ~src:(ip "10.0.0.99") ~dst:(Ipv4.of_octets 10 0 0 i)
       ~src_port:50000 ~dst_port:80
   in
-  let store i =
-    Fastpath.Attr_cache.store c ~now:Sim.Time.zero ~hints ~scope:socket
-      ~flow:(flow i) (resp ())
-  in
+  let store i = store c ~now:Sim.Time.zero ~hints ~flow:(flow i) (resp ()) in
   store 1;
   store 2;
   store 3;
   (* FIFO: host 1 evicted. *)
-  check Alcotest.int "capacity bound" 2 (Fastpath.Attr_cache.size c);
-  check Alcotest.int "one eviction" 1 (Fastpath.Attr_cache.evictions c);
+  check Alcotest.int "capacity bound" 2 (Answers.size c);
+  check Alcotest.int "one eviction" 1 (Answers.evictions c);
   check Alcotest.bool "oldest gone" true
-    (Fastpath.Attr_cache.find c ~now:Sim.Time.zero ~hints ~flow:(flow 1)
-    = None);
-  check Alcotest.int "invalidate host" 1
-    (Fastpath.Attr_cache.invalidate_host c (Ipv4.of_octets 10 0 0 2));
-  check Alcotest.int "invalidation counted" 1
-    (Fastpath.Attr_cache.invalidations c);
-  check Alcotest.int "one left" 1 (Fastpath.Attr_cache.size c)
+    (Answers.find c ~now:Sim.Time.zero ~hints ~flow:(flow 1) = None);
+  Answers.drop_host c (Ipv4.of_octets 10 0 0 2);
+  check Alcotest.int "invalidation counted" 1 (Answers.invalidations c);
+  check Alcotest.int "one left" 1 (Answers.size c)
+
+(* A flow from a client to port [port] of the listener at 10.0.0.2. *)
+let flow_to ?(src = "10.0.0.1") port =
+  Five_tuple.tcp ~src:(ip src) ~dst:(ip "10.0.0.2") ~src_port:50000
+    ~dst_port:port
+
+let first = function
+  | `First ex -> ex
+  | `Joined | `Alone -> Alcotest.fail "the query should open an exchange"
+
+let test_open_join_settle () =
+  let t = Answers.create ~ttl:(Sim.Time.s 1) ~reuse:false () in
+  let join ?(hints = "name,userID") ?(port = 80) ?(joinable = true) w =
+    Answers.join t ~hints ~flow:(flow_to port) ~joinable w
+  in
+  let ex = first (join "w1") in
+  check Alcotest.bool "second joins" true (join "w2" = `Joined);
+  check Alcotest.bool "different hints open their own" true
+    (match join ~hints:"name" "w3" with `First _ -> true | _ -> false);
+  check Alcotest.bool "different socket opens its own" true
+    (match join ~port:81 "w4" with `First _ -> true | _ -> false);
+  check Alcotest.bool "an unjoinable query goes alone" true
+    (join ~joinable:false "w5" = `Alone);
+  check Alcotest.bool "nothing to share: alone" true
+    (join ~port:82 ~joinable:false "w6" = `Alone);
+  check Alcotest.int "three exchanges in flight" 3 (Answers.in_flight t);
+  check
+    Alcotest.(list string)
+    "settle returns join order" [ "w1"; "w2" ]
+    (Answers.settle t ~now:Sim.Time.zero ex (Some (socket, resp ())));
+  check Alcotest.(list string) "settled exchange is gone" []
+    (Answers.settle t ~now:Sim.Time.zero ex None);
+  check Alcotest.int "without reuse nothing settles" 0 (Answers.size t);
+  check Alcotest.int "two left in flight" 2 (Answers.in_flight t);
+  check Alcotest.int "exchanges opened" 3 (Answers.started t);
+  check Alcotest.int "queries joined" 1 (Answers.coalesced t)
+
+let test_scope_decides_what_settles () =
+  let t = reuse_table ~ttl:(Sim.Time.s 1) () in
+  let hints = "name" and now = Sim.Time.zero in
+  let open_ port =
+    first (Answers.join t ~hints ~flow:(flow_to port) ~joinable:true ())
+  in
+  (* A listener's answer turns its entry settled: it answers the next
+     flow to the socket, from another client. *)
+  let ex = open_ 80 in
+  ignore (Answers.settle t ~now ex (Some (socket, resp ())));
+  check Alcotest.int "settled, not in flight" 0 (Answers.in_flight t);
+  check Alcotest.int "one settled" 1 (Answers.size t);
+  check Alcotest.bool "another client's flow reuses it" true
+    (Answers.find t ~now ~hints ~flow:(flow_to ~src:"10.0.0.7" 80) <> None);
+  (* A connected socket's answer holds for its own flow only: its entry
+     leaves. *)
+  let ex = open_ 81 in
+  ignore (Answers.settle t ~now ex (Some (Identxx.Signed.Flow, resp ())));
+  check Alcotest.int "nothing left in flight" 0 (Answers.in_flight t);
+  check Alcotest.int "still one settled" 1 (Answers.size t);
+  check Alcotest.bool "the flow-scoped answer is not reused" true
+    (Answers.find t ~now ~hints ~flow:(flow_to 81) = None);
+  (* So does a failed exchange's. *)
+  let ex = open_ 82 in
+  check Alcotest.(list unit) "the failure settles its waiter" [ () ]
+    (Answers.settle t ~now ex None);
+  check Alcotest.int "a failure leaves nothing" 0 (Answers.in_flight t)
+
+let test_host_change_detaches () =
+  let t = reuse_table ~ttl:(Sim.Time.s 1) () in
+  let hints = "name" and now = Sim.Time.zero and flow = flow_to 80 in
+  let join w = Answers.join t ~hints ~flow ~joinable:true w in
+  let old = first (join "before") in
+  Answers.drop_host t (ip "10.0.0.2");
+  check Alcotest.int "dropped in flight" 0 (Answers.in_flight t);
+  (* A flow after the change opens its own exchange: the answer on the
+     wire predates the change. *)
+  let fresh = first (join "after") in
+  check
+    Alcotest.(list string)
+    "the detached exchange still settles its waiter" [ "before" ]
+    (Answers.settle t ~now old (Some (socket, resp ())));
+  check Alcotest.int "its late answer stores nothing" 0 (Answers.size t);
+  check Alcotest.int "the newer exchange stays in flight" 1
+    (Answers.in_flight t);
+  check Alcotest.int "and counts no invalidation" 0 (Answers.invalidations t);
+  ignore (Answers.settle t ~now fresh (Some (socket, resp ())));
+  check Alcotest.int "the newer answer settles" 1 (Answers.size t);
+  Answers.drop_host t (ip "10.0.0.2");
+  check Alcotest.int "a change drops settled entries too" 0 (Answers.size t);
+  check Alcotest.int "counted as an invalidation" 1 (Answers.invalidations t)
+
+let test_expired_entry_reopens () =
+  let t = reuse_table ~ttl:(Sim.Time.ms 10) () in
+  let hints = "name" and flow = resp_flow in
+  store t ~now:Sim.Time.zero ~hints ~flow (resp ());
+  check Alcotest.bool "live entry answers" true
+    (Answers.find t ~now:(Sim.Time.ms 9) ~hints ~flow <> None);
+  check Alcotest.bool "expired entry misses" true
+    (Answers.find t ~now:(Sim.Time.ms 10) ~hints ~flow = None);
+  check Alcotest.bool "the next query opens a new exchange" true
+    (match Answers.join t ~hints ~flow ~joinable:true () with
+    | `First _ -> true
+    | `Joined | `Alone -> false);
+  check Alcotest.int "two exchanges opened" 2 (Answers.started t);
+  check Alcotest.int "one in flight" 1 (Answers.in_flight t);
+  check Alcotest.int "none settled" 0 (Answers.size t)
+
+let test_invalidate_signer () =
+  let t = reuse_table ~ttl:(Sim.Time.s 1) () in
+  let hints = "name" and now = Sim.Time.zero in
+  let signed_by signer =
+    resp ~pairs:[ ("name", "httpd"); (Identxx.Signed.signer_key, signer) ] ()
+  in
+  store t ~now ~hints ~flow:(flow_to 80) (signed_by "key-a");
+  store t ~now ~hints ~flow:(flow_to 81) (signed_by "key-b");
+  store t ~now ~hints ~flow:(flow_to 82) (resp ());
+  Answers.invalidate_signer t "key-a";
+  check Alcotest.int "one invalidation" 1 (Answers.invalidations t);
+  check Alcotest.bool "the revoked signer's answer is gone" true
+    (Answers.find t ~now ~hints ~flow:(flow_to 80) = None);
+  check Alcotest.bool "another signer's answer stays" true
+    (Answers.find t ~now ~hints ~flow:(flow_to 81) <> None);
+  check Alcotest.bool "an unsigned answer stays" true
+    (Answers.find t ~now ~hints ~flow:(flow_to 82) <> None)
 
 (* --- Breaker unit tests --- *)
 
@@ -172,20 +299,19 @@ let check_bounded name words =
     Alcotest.failf "%s: %d reachable words after 100k cycles" name words
 
 let test_attr_order_bounded () =
-  let c = Fastpath.Attr_cache.create ~capacity:64 ~ttl:(Sim.Time.ms 1) () in
-  let hints = Fastpath.Attr_cache.hint_key [ "userID" ]
+  let c = reuse_table ~capacity:64 ~ttl:(Sim.Time.ms 1) () in
+  let hints = Answers.hint_key [ "userID" ]
   and flow = resp_flow
   and r = resp () in
   for i = 0 to 99_999 do
     let now = Sim.Time.ms (2 * i) in
-    Fastpath.Attr_cache.store c ~now ~hints ~scope:socket ~flow r;
+    store c ~now ~hints ~flow r;
     (* One tick past the TTL: the lookup drops the entry. *)
-    ignore
-      (Fastpath.Attr_cache.find c ~now:(Sim.Time.ms ((2 * i) + 1)) ~hints ~flow)
+    ignore (Answers.find c ~now:(Sim.Time.ms ((2 * i) + 1)) ~hints ~flow)
   done;
-  Fastpath.Attr_cache.store c ~now:Sim.Time.zero ~hints ~scope:socket ~flow r;
-  check Alcotest.int "one live entry" 1 (Fastpath.Attr_cache.size c);
-  check Alcotest.int "nothing evicted" 0 (Fastpath.Attr_cache.evictions c);
+  store c ~now:Sim.Time.zero ~hints ~flow r;
+  check Alcotest.int "one live entry" 1 (Answers.size c);
+  check Alcotest.int "nothing evicted" 0 (Answers.evictions c);
   check_bounded "attr cache" (Obj.reachable_words (Obj.repr c))
 
 let test_decision_order_bounded () =
@@ -927,6 +1053,19 @@ let () =
             test_attr_capacity_and_invalidation;
           Alcotest.test_case "order queue stays bounded" `Quick
             test_attr_order_bounded;
+        ] );
+      ( "answers",
+        [
+          Alcotest.test_case "open, join and settle in join order" `Quick
+            test_open_join_settle;
+          Alcotest.test_case "scope decides what settles" `Quick
+            test_scope_decides_what_settles;
+          Alcotest.test_case "a host change detaches an exchange" `Quick
+            test_host_change_detaches;
+          Alcotest.test_case "an expired entry reopens" `Quick
+            test_expired_entry_reopens;
+          Alcotest.test_case "signer invalidation" `Quick
+            test_invalidate_signer;
         ] );
       ( "breaker",
         [

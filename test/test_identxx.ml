@@ -501,6 +501,38 @@ let test_daemon_signs_static_sections_once () =
   check Alcotest.bool "re-tagged answer valid" true
     (Identxx.Signed.verify ks c = Identxx.Signed.Valid 2)
 
+(* A signing daemon keeps each process's tagged built-ins by pid. An
+   exit is a change, so a process that later reuses the pid, under
+   another user and executable, is answered for as itself. *)
+let test_daemon_reused_pid_answers_new_process () =
+  let h = make_host "h" "10.0.0.1" in
+  Identxx.Host.set_signing_key h (Some (Idcrypto.Sign.generate "h-host"));
+  let ask proc dst_port =
+    let fl = Identxx.Host.connect h ~proc ~dst:(ip "10.0.0.2") ~dst_port () in
+    match
+      Identxx.Daemon.answer (Identxx.Host.daemon h) ~peer:(ip "10.0.0.2")
+        ~proto:Proto.Tcp ~src_port:fl.Five_tuple.src_port ~dst_port ~keys:[]
+    with
+    | Some (r, _) -> r
+    | None -> Alcotest.fail "no answer"
+  in
+  let alice =
+    Identxx.Host.run h ~pid:4242 ~user:"alice" ~exe:"/usr/bin/skype" ()
+  in
+  let a = ask alice 80 in
+  check Alcotest.(option string) "alice's skype" (Some "alice")
+    (Identxx.Response.latest a "userID");
+  Identxx.Process_table.kill (Identxx.Host.processes h) ~pid:4242;
+  let bob = Identxx.Host.run h ~pid:4242 ~user:"bob" ~exe:"/usr/bin/curl" () in
+  let b = ask bob 81 in
+  check Alcotest.(option string) "names the new user" (Some "bob")
+    (Identxx.Response.latest b "userID");
+  check Alcotest.(option string) "names the new executable"
+    (Some "/usr/bin/curl")
+    (Identxx.Response.latest b "exe-path");
+  check Alcotest.(option string) "and its name" (Some "curl")
+    (Identxx.Response.latest b "name")
+
 (* A host with skype's @app block and one admin pair, alice's skype
    connected to 10.0.0.2:33000, and sendmail listening on port 25. *)
 let hinted_host () =
@@ -1392,6 +1424,8 @@ let () =
           Alcotest.test_case "silent and lying" `Quick test_daemon_silent_and_lying;
           Alcotest.test_case "signs static sections once" `Quick
             test_daemon_signs_static_sections_once;
+          Alcotest.test_case "a reused pid is answered for anew" `Quick
+            test_daemon_reused_pid_answers_new_process;
           Alcotest.test_case "answers the hinted keys" `Quick
             test_daemon_answers_hinted_keys;
           Alcotest.test_case "declares reuse scopes" `Quick

@@ -1,9 +1,8 @@
 (* The sharded flow-setup engine: the lib/shard building blocks in
-   isolation (run-queue engine, connection table, install batcher) and
-   the controller integration — above all the determinism oracle: with
-   zero service time, the same seed scenario must produce a
-   byte-identical audit trail and identical aggregated counters under
-   any shard count. *)
+   isolation (run-queue engine, install batcher) and the controller
+   integration — above all the determinism oracle: with zero service
+   time, the same seed scenario must produce a byte-identical audit
+   trail and identical aggregated counters under any shard count. *)
 
 open Netcore
 module Net = Openflow.Network
@@ -13,7 +12,6 @@ module Policy_store = Identxx_core.Policy_store
 module Audit = Identxx_core.Audit
 
 let check = Alcotest.check
-let ip = Ipv4.of_string
 
 (* --- Shard.Engine unit tests --- *)
 
@@ -81,56 +79,6 @@ let test_engine_post_after () =
   Sim.Engine.cancel cancel;
   Sim.Engine.run e;
   check Alcotest.int "timer posted once, cancel held" 1 !fired
-
-(* --- Shard.Conn_table unit tests --- *)
-
-let test_conn_join_settle () =
-  let t = Shard.Conn_table.create () in
-  let h = ip "10.0.0.1" in
-  let join ?(shape = "name,userID") ?(socket = 80) w =
-    Shard.Conn_table.join t ~host:h ~shape ~socket w
-  in
-  let ex =
-    match join "w1" with
-    | `First ex -> ex
-    | `Coalesced _ -> Alcotest.fail "first should start the exchange"
-  in
-  check Alcotest.bool "second coalesces" true (join "w2" = `Coalesced 2);
-  check Alcotest.bool "different shape starts its own" true
-    (match join ~shape:"name" "w3" with `First _ -> true | _ -> false);
-  check Alcotest.bool "different socket starts its own" true
-    (match join ~socket:81 "w4" with `First _ -> true | _ -> false);
-  check Alcotest.int "three exchanges in flight" 3
-    (Shard.Conn_table.in_flight t);
-  check Alcotest.int "four waiters parked" 4 (Shard.Conn_table.waiters t);
-  check
-    Alcotest.(list string)
-    "settle returns join order" [ "w1"; "w2" ]
-    (Shard.Conn_table.settle t ex);
-  check
-    Alcotest.(list string)
-    "settled exchange is gone" [] (Shard.Conn_table.settle t ex);
-  (* After a change on the host, open exchanges take no new waiters,
-     but still settle the ones they have. *)
-  let ex5 =
-    match join "w5" with `First ex -> ex | `Coalesced _ -> assert false
-  in
-  Shard.Conn_table.close_host t h;
-  check Alcotest.int "nothing open after the change" 0
-    (Shard.Conn_table.in_flight t);
-  let ex6 =
-    match join "w6" with
-    | `First ex -> ex
-    | `Coalesced _ -> Alcotest.fail "a closed exchange took a waiter"
-  in
-  check Alcotest.(list string) "closed exchange settles" [ "w5" ]
-    (Shard.Conn_table.settle t ex5);
-  check Alcotest.int "the newer exchange stays open" 1
-    (Shard.Conn_table.in_flight t);
-  check Alcotest.(list string) "newer exchange settles" [ "w6" ]
-    (Shard.Conn_table.settle t ex6);
-  check Alcotest.int "wire exchanges" 5 (Shard.Conn_table.started t);
-  check Alcotest.int "coalesced joins" 1 (Shard.Conn_table.coalesced t)
 
 (* --- Shard.Batch unit tests --- *)
 
@@ -282,12 +230,12 @@ let port_burst ~clients ~ports shards =
   Sim.Engine.run engine;
   (controller, network)
 
-(* Without coalescing, every flow queries both ends itself. Source
-   ports drawn from a small pool make answers from the hot host name
-   the same ports and differ only in the client address. Pairing by
-   the named flow delivers each to its own flow, so the unsharded path
-   and 1, 2 or 8 shards agree on every run, and no flow decides with an
-   end absent. *)
+(* The hot host does not sign, so no query joins another: every flow
+   queries both ends itself. Source ports drawn from a small pool make
+   answers from the hot host name the same ports and differ only in the
+   client address. Pairing by the named flow delivers each to its own
+   flow, so the unsharded path and 1, 2 or 8 shards agree on every run,
+   and no flow decides with an end absent. *)
 let prop_pairing_oracle =
   let scenario =
     QCheck.Gen.(
@@ -310,8 +258,7 @@ let prop_pairing_oracle =
     ~count:25 (QCheck.make ~print scenario) (fun (clients, ports) ->
       let runs =
         oracle_runs (port_burst ~clients ~ports)
-          (None
-          :: List.map (fun n -> Some (C.sharded ~coalesce:false n)) [ 1; 2; 8 ])
+          (None :: List.map (fun n -> Some (C.sharded n)) [ 1; 2; 8 ])
       in
       let a0, s0, d0, _ = List.hd runs in
       List.iteri
@@ -622,6 +569,56 @@ let test_breaker_trip_propagates () =
   check Alcotest.int "still one trip" 1 st.C.breaker_trips;
   check Alcotest.int "all five flows decided" 5 (st.C.allowed + st.C.blocked)
 
+(* A listener's settled answer is the controller's, not one shard's:
+   settled by a flow on one shard, it serves a later flow to the same
+   socket that the other shard owns. *)
+let test_settled_answer_crosses_shards () =
+  let config =
+    {
+      C.default_config with
+      C.shards = Some (C.sharded 2);
+      C.fastpath = Fastpath.default_config;
+    }
+  in
+  let engine, network, controller, hosts =
+    Deploy.linear_network ~config ~switches:1 ~hosts_per_switch:3 ()
+  in
+  Policy_store.add_exn (C.policy controller) ~name:"00"
+    "block all\npass all with eq(@dst[name], srv)";
+  let target = hosts.(0) in
+  serve controller target;
+  let procs =
+    Array.map (fun h -> Identxx.Host.run h ~user:"u" ~exe:"/bin/app" ()) hosts
+  in
+  (* Client [i]'s flow to the listener, from the first source port that
+     puts it on shard [sid]. *)
+  let start i ~sid =
+    let flow src_port =
+      Five_tuple.tcp ~src:(Identxx.Host.ip hosts.(i))
+        ~dst:(Identxx.Host.ip target) ~src_port ~dst_port:80
+    in
+    let src_port =
+      List.find
+        (fun port -> Five_tuple.hash (flow port) mod 2 = sid)
+        (List.init 16 (fun k -> 40000 + k))
+    in
+    let flow =
+      Identxx.Host.connect hosts.(i) ~proc:procs.(i)
+        ~dst:(Identxx.Host.ip target) ~src_port ~dst_port:80 ()
+    in
+    Net.send_from_host network ~name:(Identxx.Host.name hosts.(i))
+      (Identxx.Host.first_packet hosts.(i) ~flow);
+    Sim.Engine.run engine
+  in
+  start 1 ~sid:0;
+  start 2 ~sid:1;
+  let st = C.stats controller in
+  check Alcotest.int "the listener answered once" 1
+    (Identxx.Daemon.queries_answered (Identxx.Host.daemon target));
+  check Alcotest.int "the second flow reused its answer" 1
+    st.C.attr_cache_hits;
+  check Alcotest.int "both flows pass" 2 st.C.allowed
+
 (* A warm fast-path setup on two coalescing shards, the configuration
    hot-host-burst runs: the destination's answer comes from the
    attribute cache and the verdict from the decision cache, so each
@@ -706,11 +703,6 @@ let () =
             test_engine_broadcast_and_cross;
           Alcotest.test_case "post_after timers" `Quick test_engine_post_after;
         ] );
-      ( "conn table",
-        [
-          Alcotest.test_case "join, coalesce, settle order" `Quick
-            test_conn_join_settle;
-        ] );
       ( "batch",
         [ Alcotest.test_case "grouped ordered flush" `Quick test_batch_ordering ] );
       ( "controller",
@@ -733,6 +725,8 @@ let () =
             test_rejected_answer_settles_nothing;
           Alcotest.test_case "breaker trip propagates" `Quick
             test_breaker_trip_propagates;
+          Alcotest.test_case "a settled answer serves every shard" `Quick
+            test_settled_answer_crosses_shards;
           Alcotest.test_case "warm fast-path allocation (2 shards)" `Quick
             test_warm_fastpath_alloc;
         ] );
