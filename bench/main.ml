@@ -2,7 +2,8 @@
    per-experiment index (E1, E6, E9-E13 are the performance-shaped ones;
    the decision matrices live in bin/experiments.exe).
 
-   Prints ns/op estimated by OLS over the monotonic clock.
+   Prints ns/op and minor words/op, each estimated by OLS (over the
+   monotonic clock and the minor-heap allocation counter).
    Run with: dune exec bench/main.exe *)
 
 open Bechamel
@@ -825,6 +826,27 @@ let bench_conn_state =
            (Identxx_core.Conn_state.permits cs ~now:Sim.Time.zero
               (Five_tuple.reverse probe))))
 
+(* Every decision writes one audit entry. The same process's summary
+   recurs, so after the first record an entry shares its summary and
+   the matched rule; trims are amortised into the figure. *)
+let bench_audit_record =
+  let audit = Identxx_core.Audit.create () in
+  let fl = flow "10.0.0.1" "10.1.0.1" in
+  let src =
+    Some
+      (response fl
+         [ ("userID", "alice"); ("groupID", "staff"); ("name", "firefox") ])
+  in
+  let verdict =
+    D.decide_exn
+      (decision_for "block all\npass all with eq(@src[name], firefox)")
+      { D.flow = fl; src_response = src; dst_response = None }
+  in
+  Test.make ~name:"audit/record"
+    (Staged.stage (fun () ->
+         Identxx_core.Audit.record audit ~at:Sim.Time.zero ~flow:fl ~verdict
+           ~src ~dst:None))
+
 (* --- daemon answer path ------------------------------------------------ *)
 
 let bench_daemon =
@@ -1075,6 +1097,7 @@ let tests =
        bench_full_recompute;
        bench_host_attach;
        bench_conn_state;
+       bench_audit_record;
        bench_obs_flow_setup;
        bench_obs_flow_setup_health;
      ]
@@ -1123,11 +1146,12 @@ let write_json file rows =
   let oc = open_out file in
   output_string oc "[\n";
   List.iteri
-    (fun i (name, ns, runs) ->
-      Printf.fprintf oc "  { \"name\": \"%s\", \"ns_per_op\": %s, \"runs\": %d }%s\n"
-        (json_escape name)
-        (if Float.is_nan ns then "null" else Printf.sprintf "%.1f" ns)
-        runs
+    (fun i (name, ns, words, runs) ->
+      let num x = if Float.is_nan x then "null" else Printf.sprintf "%.1f" x in
+      Printf.fprintf oc
+        "  { \"name\": \"%s\", \"ns_per_op\": %s, \"words_per_op\": %s, \
+         \"runs\": %d }%s\n"
+        (json_escape name) (num ns) (num words) runs
         (if i = List.length rows - 1 then "" else ","))
     rows;
   output_string oc "]\n";
@@ -1288,35 +1312,50 @@ let run_topo_json file =
   close_out oc;
   Printf.printf "wrote %s\n" file
 
+(* Minor words allocated. Bechamel's [Instance.minor_allocated] reads
+   [Gc.quick_stat], whose count OCaml 5 updates only at a minor
+   collection; [Gc.minor_words] is exact. *)
+module Minor_words = struct
+  type witness = unit
+
+  let load () = ()
+  let unload () = ()
+  let make () = ()
+  let get () = Gc.minor_words ()
+  let label () = "minor-words"
+  let unit () = "w"
+end
+
+let minor_words =
+  Measure.instance (module Minor_words) (Measure.register (module Minor_words))
+
 let run_timed json_file =
   let ols =
     Analyze.ols ~r_square:true ~bootstrap:0 ~predictors:[| Measure.run |]
   in
-  let instance = Instance.monotonic_clock in
+  let clock = Instance.monotonic_clock in
   let cfg = Benchmark.cfg ~limit:1000 ~quota:(Time.second 0.2) ~kde:None () in
-  let raw = Benchmark.all cfg [ instance ] tests in
-  let results = Analyze.all ols instance raw in
+  let raw = Benchmark.all cfg [ clock; minor_words ] tests in
+  let per_op instance =
+    let results = Analyze.all ols instance raw in
+    fun name ->
+      match Option.map Analyze.OLS.estimates (Hashtbl.find_opt results name) with
+      | Some (Some (e :: _)) -> e
+      | Some (Some [] | None) | None -> nan
+  in
+  let ns = per_op clock and wpo = per_op minor_words in
   let rows =
     Hashtbl.fold
-      (fun name ols_result acc ->
-        let ns =
-          match Analyze.OLS.estimates ols_result with
-          | Some (e :: _) -> e
-          | Some [] | None -> nan
-        in
-        let runs =
-          match Hashtbl.find_opt raw name with
-          | Some b -> b.Benchmark.stats.Benchmark.samples
-          | None -> 0
-        in
-        (name, ns, runs) :: acc)
-      results []
-    |> List.sort (fun (a, _, _) (b, _, _) -> String.compare a b)
+      (fun name (b : Benchmark.t) acc ->
+        (name, ns name, wpo name, b.Benchmark.stats.Benchmark.samples) :: acc)
+      raw []
+    |> List.sort (fun (a, _, _, _) (b, _, _, _) -> String.compare a b)
   in
-  Printf.printf "%-55s %14s %8s\n" "benchmark" "ns/op" "runs";
-  Printf.printf "%s\n" (String.make 80 '-');
+  Printf.printf "%-55s %14s %10s %8s\n" "benchmark" "ns/op" "words/op" "runs";
+  Printf.printf "%s\n" (String.make 90 '-');
   List.iter
-    (fun (name, ns, runs) -> Printf.printf "%-55s %14.1f %8d\n" name ns runs)
+    (fun (name, ns, words, runs) ->
+      Printf.printf "%-55s %14.1f %10.1f %8d\n" name ns words runs)
     rows;
   Printf.printf "\n%d benchmarks completed.\n" (List.length rows);
   Option.iter (fun file -> write_json file rows) json_file

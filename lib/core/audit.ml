@@ -4,8 +4,7 @@ type entry = {
   at : Sim.Time.t;
   flow : Five_tuple.t;
   decision : Pf.Ast.action;
-  rule : string option;
-  rule_line : int option;
+  rule : Pf.Ast.rule option;
   flagged : bool;
   src_info : (string * string) list;
   dst_info : (string * string) list;
@@ -24,6 +23,9 @@ type t = {
   capacity : int;
   mutable entries : entry list; (* newest first *)
   mutable length : int; (* List.length entries, kept so record is O(1) *)
+  summaries : ((string * string) list, (string * string) list) Hashtbl.t;
+      (* Interned summaries: each maps to its one shared copy. Reset when
+         the log trims, and whenever it would outnumber the entries. *)
   mutable count : int;
   mutable blocked : int;
   mutable rejections : rejection list; (* newest first *)
@@ -36,6 +38,7 @@ let create ?(capacity = 10_000) () =
     capacity;
     entries = [];
     length = 0;
+    summaries = Hashtbl.create 16;
     count = 0;
     blocked = 0;
     rejections = [];
@@ -61,10 +64,24 @@ let interesting_keys =
 let summarize = function
   | None -> []
   | Some response ->
-      List.filter_map
-        (fun key ->
-          Option.map (fun v -> (key, v)) (Identxx.Response.latest response key))
-        interesting_keys
+      List.fold_right
+        (fun key pairs ->
+          match Identxx.Response.latest response key with
+          | Some v -> (key, v) :: pairs
+          | None -> pairs)
+        interesting_keys []
+
+(* Flows from one process carry equal summaries; keep one copy of each. *)
+let intern t = function
+  | [] -> []
+  | summary -> (
+      match Hashtbl.find_opt t.summaries summary with
+      | Some shared -> shared
+      | None ->
+          if Hashtbl.length t.summaries >= t.length then
+            Hashtbl.reset t.summaries;
+          Hashtbl.add t.summaries summary summary;
+          summary)
 
 let record ?trace_id t ~at ~flow ~(verdict : Pf.Eval.verdict) ~src ~dst =
   let entry =
@@ -73,17 +90,17 @@ let record ?trace_id t ~at ~flow ~(verdict : Pf.Eval.verdict) ~src ~dst =
       flow;
       trace_id;
       decision = verdict.Pf.Eval.decision;
-      rule = Option.map Pf.Pretty.rule verdict.Pf.Eval.matched;
-      rule_line =
-        Option.map (fun (r : Pf.Ast.rule) -> r.Pf.Ast.line) verdict.Pf.Eval.matched;
+      rule = verdict.Pf.Eval.matched;
       flagged = verdict.Pf.Eval.log;
-      src_info = summarize src;
-      dst_info = summarize dst;
+      src_info = intern t (summarize src);
+      dst_info = intern t (summarize dst);
     }
   in
   t.count <- t.count + 1;
   if verdict.Pf.Eval.decision = Pf.Ast.Block then t.blocked <- t.blocked + 1;
   let entries, length = trimmed t (entry :: t.entries) (t.length + 1) in
+  (* A trim drops entries: drop the table that shares their summaries. *)
+  if length <= t.length then Hashtbl.reset t.summaries;
   t.entries <- entries;
   t.length <- length
 
@@ -100,12 +117,15 @@ let record_rejection t ~at ~flow ~host ?signer reason =
 let rejections t = t.rejections
 
 let entries t = t.entries
+let rule_line e = Option.map (fun (r : Pf.Ast.rule) -> r.Pf.Ast.line) e.rule
+let summaries t = Hashtbl.length t.summaries
 let flagged t = List.filter (fun e -> e.flagged) t.entries
 let count t = t.count
 let blocked_count t = t.blocked
 let clear t =
   t.entries <- [];
   t.length <- 0;
+  Hashtbl.reset t.summaries;
   t.count <- 0;
   t.blocked <- 0;
   t.rejections <- [];
@@ -121,7 +141,7 @@ let pp_entry ppf e =
   Format.fprintf ppf "%a %s %a%s src{%a} dst{%a}%s%s" Sim.Time.pp e.at
     (match e.decision with Pf.Ast.Pass -> "PASS " | Pf.Ast.Block -> "BLOCK")
     Five_tuple.pp e.flow
-    (match e.rule_line with
+    (match rule_line e with
     | Some l -> Printf.sprintf " rule@%d" l
     | None -> " default")
     pp_info e.src_info pp_info e.dst_info

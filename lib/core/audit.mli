@@ -5,7 +5,14 @@
     Every flow decision is recorded here together with the rule that
     decided it and a summary of the end-host information it was based
     on; rules carrying PF's [log] modifier flag their entries for
-    attention. *)
+    attention.
+
+    The log is on for every flow, so an entry points at what it records
+    rather than copying it: the matched rule is the policy's own value,
+    and equal summaries (flows of one process carry equal pairs) share
+    one list, interned in a per-log table that is emptied whenever the
+    log trims. An entry costs about 18 words (its list cell, record and
+    flow) beside what it shares. *)
 
 open Netcore
 
@@ -13,10 +20,14 @@ type entry = {
   at : Sim.Time.t;
   flow : Five_tuple.t;
   decision : Pf.Ast.action;
-  rule : string option;  (** Pretty-printed matching rule. *)
-  rule_line : int option;  (** Its line in the concatenated policy. *)
+  rule : Pf.Ast.rule option;
+      (** The matching rule, shared with the policy that decided (an
+          entry keeps a replaced policy's rule alive);
+          {!Pf.Pretty.rule} prints it. *)
   flagged : bool;  (** The rule carried the [log] modifier. *)
-  src_info : (string * string) list;  (** Interesting response pairs. *)
+  src_info : (string * string) list;
+      (** Interesting response pairs, shared by every entry (since the
+          last trim) whose summary is equal. *)
   dst_info : (string * string) list;
   trace_id : string option;
       (** The flow-setup trace this decision belongs to, when the
@@ -41,6 +52,13 @@ val record :
 
 val entries : t -> entry list
 (** Newest first. *)
+
+val rule_line : entry -> int option
+(** The matching rule's line in the concatenated policy. *)
+
+val summaries : t -> int
+(** Distinct summaries interned now: never more than the entries the
+    log holds. *)
 
 (** {2 Rejected answers}
 

@@ -7,12 +7,16 @@ module Flow_tbl = Hashtbl.Make (struct
   let hash = Five_tuple.hash
 end)
 
-type t = { idle_timeout : Sim.Time.t; entries : Sim.Time.t ref Flow_tbl.t }
+type t = {
+  idle_timeout : Sim.Time.t;
+  entries : Sim.Time.t ref Flow_tbl.t;
+  mutable sweep_at : int; (* the size at which [note] next expires *)
+}
+
+let min_sweep = 128
 
 let create ?(idle_timeout = Sim.Time.s 60) () =
-  { idle_timeout; entries = Flow_tbl.create 64 }
-
-let note t ~now flow = Flow_tbl.replace t.entries flow (ref now)
+  { idle_timeout; entries = Flow_tbl.create 64; sweep_at = min_sweep }
 
 let fresh t ~now last =
   Sim.Time.compare now (Sim.Time.add !last t.idle_timeout) <= 0
@@ -50,5 +54,15 @@ let expire t ~now =
   in
   List.iter (Flow_tbl.remove t.entries) stale;
   List.length stale
+
+(* Sweep once the table has doubled since the last sweep: amortised O(1)
+   per note, and the table stays within twice the flows still inside
+   the idle timeout. *)
+let note t ~now flow =
+  Flow_tbl.replace t.entries flow (ref now);
+  if Flow_tbl.length t.entries >= t.sweep_at then begin
+    ignore (expire t ~now);
+    t.sweep_at <- max min_sweep (2 * Flow_tbl.length t.entries)
+  end
 
 let clear t = Flow_tbl.reset t.entries

@@ -25,7 +25,8 @@ type t = {
       (* Public handle and secret, prepared once when the key is set. *)
   mutable config_files : (string * Config.t) list; (* sorted by name *)
   (* The static sections, assembled and tagged at most once between two
-     changes: dropped by {!notify_change} and {!set_signing_key}. *)
+     changes that make them stale: all dropped by {!notify_change} and
+     {!set_signing_key}, one pid's built-ins by that process's exit. *)
   mutable merged : Config.t option;
   builtins : (int, tagged) Hashtbl.t; (* by pid *)
   apps : (string, tagged) Hashtbl.t; (* by exe path *)
@@ -45,9 +46,12 @@ let forget_sections t =
   Hashtbl.reset t.apps;
   t.globals <- None
 
+(* Tell the listeners; every change may alter some answer. *)
+let changed t = List.iter (fun f -> f ()) (List.rev t.change_listeners)
+
 let notify_change t =
   forget_sections t;
-  List.iter (fun f -> f ()) (List.rev t.change_listeners)
+  changed t
 
 let create ?(behaviour = Honest) ~ip ~processes ~exe_hash () =
   let t =
@@ -69,9 +73,15 @@ let create ?(behaviour = Honest) ~ip ~processes ~exe_hash () =
       d_clock = (fun () -> 0.);
     }
   in
-  (* Identity churn in the process table (spawn/kill) changes what this
-     daemon would answer. *)
-  Process_table.on_change processes (fun () -> notify_change t);
+  (* Identity churn in the process table changes what this daemon would
+     answer. Only an exit makes a cached section stale, its own: a
+     spawned pid has none yet (a reused one lost its own at the exit),
+     and listeners are looked up per answer. *)
+  Process_table.on_change processes (fun change ->
+      (match change with
+      | Process_table.Killed pid -> Hashtbl.remove t.builtins pid
+      | Process_table.Spawned | Process_table.Listeners -> ());
+      changed t);
   t
 
 let on_change t f = t.change_listeners <- f :: t.change_listeners
@@ -144,14 +154,15 @@ let tagged t section : tagged =
   | Some (_, key) -> (section, Signed.section_tag key section)
   | None -> (section, "")
 
+(* Run-time pairs are read per answer, never cached. *)
 let register_runtime t ~flow section =
   t.runtime := (flow, section) :: !(t.runtime);
-  notify_change t
+  changed t
 
 let clear_runtime t ~flow =
   t.runtime :=
     List.filter (fun (f, _) -> not (Five_tuple.equal f flow)) !(t.runtime);
-  notify_change t
+  changed t
 
 type role = As_source | As_destination
 

@@ -44,8 +44,11 @@ val set_signing_key : t -> Idcrypto.Sign.keypair option -> unit
     section. The static sections (built-ins, [@app] config, host
     globals) are assembled and tagged once and cached with their
     {!Signed.section_tag}s; each answer then computes only its binding
-    tag. The cache is dropped whenever {!on_change} fires and whenever
-    the key is set. *)
+    tag. The cache is dropped whole when the key is set, a configuration
+    is loaded, the {!behaviour} switches or {!notify_change} is called;
+    a process's exit drops only that pid's built-in section. Other
+    changes (a spawn, a listener bound or closed, run-time pairs) fire
+    {!on_change} but leave the cache: no cached section reads them. *)
 
 val load_config : t -> name:string -> string -> (unit, string) result
 (** Parse and add a configuration file. Files are kept sorted by [name]

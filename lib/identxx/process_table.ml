@@ -8,6 +8,8 @@ type process = {
   isolated : bool;
 }
 
+type change = Spawned | Killed of int | Listeners
+
 module Flow_key = struct
   type t = Five_tuple.t
 
@@ -22,7 +24,7 @@ type t = {
   procs : (int, process) Hashtbl.t;
   connections : int Flow_tbl.t; (* flow -> pid *)
   listeners : (int * int, int) Hashtbl.t; (* (proto, port) -> pid *)
-  mutable change_listeners : (unit -> unit) list;
+  mutable change_listeners : (change -> unit) list;
 }
 
 let create () =
@@ -35,7 +37,8 @@ let create () =
   }
 
 let on_change t f = t.change_listeners <- f :: t.change_listeners
-let notify_change t = List.iter (fun f -> f ()) (List.rev t.change_listeners)
+let notify_change t change =
+  List.iter (fun f -> f change) (List.rev t.change_listeners)
 
 let spawn t ?pid ?(isolated = false) ~user ~groups ~exe () =
   let pid =
@@ -50,7 +53,7 @@ let spawn t ?pid ?(isolated = false) ~user ~groups ~exe () =
     invalid_arg (Printf.sprintf "Process_table.spawn: pid %d in use" pid);
   let p = { pid; user; groups; exe_path = exe; isolated } in
   Hashtbl.replace t.procs pid p;
-  notify_change t;
+  notify_change t Spawned;
   p
 
 let kill t ~pid =
@@ -67,7 +70,7 @@ let kill t ~pid =
       t.listeners []
   in
   List.iter (fun k -> Hashtbl.remove t.listeners k) ports;
-  notify_change t
+  notify_change t (Killed pid)
 
 let ptrace t ~by ~target =
   match (Hashtbl.find_opt t.procs by, Hashtbl.find_opt t.procs target) with
@@ -91,13 +94,13 @@ let connect t ~pid ~flow =
 let listen t ~pid ~proto ~port =
   require_pid t pid;
   Hashtbl.replace t.listeners (Proto.to_int proto, port) pid;
-  notify_change t
+  notify_change t Listeners
 
 let close_listen t ~pid ~proto ~port =
   match Hashtbl.find_opt t.listeners (Proto.to_int proto, port) with
   | Some p when p = pid ->
       Hashtbl.remove t.listeners (Proto.to_int proto, port);
-      notify_change t
+      notify_change t Listeners
   | Some _ | None -> ()
 
 let disconnect t ~flow = Flow_tbl.remove t.connections flow

@@ -65,7 +65,12 @@ val lookup :
 
 val processes : t -> process list
 
-val on_change : t -> (unit -> unit) -> unit
+type change =
+  | Spawned  (** {!spawn} registered a new pid. *)
+  | Killed of int  (** {!kill} removed this pid. *)
+  | Listeners  (** {!listen} or an effective {!close_listen}. *)
+
+val on_change : t -> (change -> unit) -> unit
 (** Register a callback fired after every {!spawn}, {!kill}, {!listen}
     and effective {!close_listen} — the identity-bearing events: what
     the daemon would answer about users and applications may have

@@ -859,8 +859,10 @@ let test_signed_responses_accepted_when_valid () =
    exchange, not the recorder. The timed rounds follow ten warm-up
    exchanges, so both daemons reuse their cached section tags and the
    controller confirms them from its verified-section cache: each answer
-   costs one binding tag per side. Measured: 4300 minor words per
-   exchange with the daemons answering only the hinted sections and
+   costs one binding tag per side. Measured: 4085 minor words per
+   exchange with the audit log keeping the matched rule instead of
+   printing it and building each summary in one pass; 4293 before
+   that, with the daemons answering only the hinted sections and
    declaring their scopes (about 85 of those words); 5210 while every
    answer carried the config; 5528 before the engine and batcher
    stopped allocating per flow, 5629 while every answer was signed and
@@ -868,8 +870,8 @@ let test_signed_responses_accepted_when_valid () =
    while each HMAC rebuilt its key pads and carried its own message
    schedule, 7825 while every switch hop sized its packet by encoding
    it, and 15346 with the list-building signer and line-list decoder.
-   The budget (about 1.3% of headroom) catches a return of any of
-   them. *)
+   The budget keeps the 63 words of headroom it had at 4293, and
+   catches a return of any of them. *)
 let test_cold_exchange_alloc () =
   let config =
     {
@@ -928,7 +930,7 @@ let test_cold_exchange_alloc () =
   Alcotest.(check int) "both queries and the first packet delivered"
     (3 * rounds)
     (Net.delivered s.network - delivered0);
-  if words > 4356.0 then Alcotest.failf "%.0f minor words per exchange" words
+  if words > 4148.0 then Alcotest.failf "%.0f minor words per exchange" words
 
 (* [Deploy.simple_network]'s two hosts, with every ident++ query the
    server receives recorded (with its packet): an attacker who can see
@@ -1457,7 +1459,7 @@ let test_audit_records_decisions () =
       (Identxx_core.Audit.entries audit)
   in
   Alcotest.(check bool) "blocked entry has rule line" true
-    (blocked.Identxx_core.Audit.rule_line <> None)
+    (Identxx_core.Audit.rule_line blocked <> None)
 
 let test_revocation_takes_immediate_effect () =
   let s = Deploy.simple_network () in

@@ -39,6 +39,26 @@ let test_conn_state_idle_expiry () =
     (Identxx_core.Conn_state.expire cs ~now:(Sim.Time.s 30));
   check Alcotest.int "empty" 0 (Identxx_core.Conn_state.size cs)
 
+(* What keep-state passed and then left idle does not stay: noting
+   100,000 flows, one per simulated millisecond under a one-second idle
+   timeout, never grows the table past twice the 1,001 flows still
+   inside the timeout. *)
+let test_conn_state_stays_bounded () =
+  let cs = Identxx_core.Conn_state.create ~idle_timeout:(Sim.Time.s 1) () in
+  let live = 1001 in
+  let largest = ref 0 in
+  for i = 0 to 99_999 do
+    let f =
+      Five_tuple.tcp
+        ~src:(Ipv4.of_octets 10 (i / 65536) (i / 256 mod 256) (i mod 256))
+        ~dst:(ip "10.255.0.1") ~src_port:40000 ~dst_port:80
+    in
+    Identxx_core.Conn_state.note cs ~now:(Sim.Time.ms i) f;
+    largest := max !largest (Identxx_core.Conn_state.size cs)
+  done;
+  if !largest > 2 * live then
+    Alcotest.failf "%d entries for %d live flows" !largest live
+
 (* --- Audit --- *)
 
 let verdict ?(decision = Pf.Ast.Pass) ?(log = false) () =
@@ -91,6 +111,77 @@ let test_audit_summarizes_responses () =
       check Alcotest.(option string) "blob dropped" None
         (List.assoc_opt "irrelevant-blob" e.Identxx_core.Audit.src_info)
   | _ -> Alcotest.fail "expected one entry"
+
+let pairs_response f pairs =
+  Identxx.Response.make ~flow:f
+    [ List.map (fun (k, v) -> Identxx.Key_value.pair k v) pairs ]
+
+(* Flows of one process carry equal pairs: their entries share one
+   summary, while a different answer keeps its own. *)
+let test_audit_interns_summaries () =
+  let a = Identxx_core.Audit.create () in
+  let f = flow "1.1.1.1" "2.2.2.2" in
+  let alice () = pairs_response f [ ("userID", "alice"); ("name", "skype") ] in
+  let bob = pairs_response f [ ("userID", "bob"); ("name", "skype") ] in
+  List.iter
+    (fun src ->
+      Identxx_core.Audit.record a ~at:Sim.Time.zero ~flow:f ~verdict:(verdict ())
+        ~src:(Some src) ~dst:None)
+    [ alice (); alice (); bob ];
+  match Identxx_core.Audit.entries a with
+  | [ b; a2; a1 ] ->
+      check Alcotest.bool "equal answers share one summary" true
+        (a1.Identxx_core.Audit.src_info == a2.Identxx_core.Audit.src_info);
+      check Alcotest.bool "a different answer does not" false
+        (a1.Identxx_core.Audit.src_info == b.Identxx_core.Audit.src_info);
+      check Alcotest.(option string) "its own pairs" (Some "bob")
+        (List.assoc_opt "userID" b.Identxx_core.Audit.src_info)
+  | es -> Alcotest.failf "%d entries" (List.length es)
+
+let test_audit_rule_line () =
+  let ps = Identxx_core.Policy_store.create () in
+  Identxx_core.Policy_store.add_exn ps ~name:"00" "block all
+pass all";
+  let f = flow "1.1.1.1" "2.2.2.2" in
+  let v =
+    Pf.Eval.eval_exn (Identxx_core.Policy_store.env_exn ps) (Pf.Eval.ctx ()) f
+  in
+  let a = Identxx_core.Audit.create () in
+  Identxx_core.Audit.record a ~at:Sim.Time.zero ~flow:f ~verdict:v ~src:None
+    ~dst:None;
+  Identxx_core.Audit.record a ~at:Sim.Time.zero ~flow:f ~verdict:(verdict ())
+    ~src:None ~dst:None;
+  match Identxx_core.Audit.entries a with
+  | [ default; matched ] ->
+      check Alcotest.(option int) "the matching rule's line" (Some 2)
+        (Identxx_core.Audit.rule_line matched);
+      check Alcotest.(option int) "no rule" None
+        (Identxx_core.Audit.rule_line default);
+      check Alcotest.string "printed as before"
+        "0s PASS  tcp 1.1.1.1:40000 -> 2.2.2.2:80 rule@2 src{} dst{}"
+        (Format.asprintf "%a" Identxx_core.Audit.pp_entry matched)
+  | es -> Alcotest.failf "%d entries" (List.length es)
+
+(* The log's memory is set by its capacity, not by how many decisions
+   it has seen: 100,000 decisions, each with its own summary, into a log
+   of 1,000. The intern table never holds more summaries than the log
+   holds entries. *)
+let test_audit_stays_bounded () =
+  let a = Identxx_core.Audit.create ~capacity:1000 () in
+  let largest = ref 0 in
+  for i = 0 to 99_999 do
+    let f = flow ~sp:(1024 + (i mod 60000)) "1.1.1.1" "2.2.2.2" in
+    let src = pairs_response f [ ("userID", "u" ^ string_of_int i) ] in
+    Identxx_core.Audit.record a ~at:(Sim.Time.ms i) ~flow:f
+      ~verdict:(verdict ()) ~src:(Some src) ~dst:None;
+    let held = List.length (Identxx_core.Audit.entries a) in
+    if Identxx_core.Audit.summaries a > held then
+      Alcotest.failf "%d summaries for %d entries"
+        (Identxx_core.Audit.summaries a) held;
+    if i mod 997 = 0 then largest := max !largest (Obj.reachable_words (Obj.repr a))
+  done;
+  if !largest > 60_000 then
+    Alcotest.failf "%d reachable words for a log of 1,000" !largest
 
 (* --- Policy_store --- *)
 
@@ -162,6 +253,8 @@ let () =
           Alcotest.test_case "forward and reverse" `Quick
             test_conn_state_permits_forward_and_reverse;
           Alcotest.test_case "idle expiry" `Quick test_conn_state_idle_expiry;
+          Alcotest.test_case "stays bounded by the idle timeout" `Quick
+            test_conn_state_stays_bounded;
         ] );
       ( "audit",
         [
@@ -169,6 +262,11 @@ let () =
           Alcotest.test_case "capacity trims" `Quick test_audit_capacity_trims;
           Alcotest.test_case "summarizes responses" `Quick
             test_audit_summarizes_responses;
+          Alcotest.test_case "interns summaries" `Quick
+            test_audit_interns_summaries;
+          Alcotest.test_case "rule line" `Quick test_audit_rule_line;
+          Alcotest.test_case "stays bounded by its capacity" `Quick
+            test_audit_stays_bounded;
         ] );
       ( "policy_store",
         [

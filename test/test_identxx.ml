@@ -533,6 +533,57 @@ let test_daemon_reused_pid_answers_new_process () =
   check Alcotest.(option string) "and its name" (Some "curl")
     (Identxx.Response.latest b "name")
 
+(* An exit makes only the exiting process's built-in section stale: a
+   live process's tagged section survives another pid's exit (and a
+   spawn, a listener bound and run-time pairs), and is not assembled
+   again. Every change still fires [on_change]. Built-ins are assembled
+   where [exe_hash] is read, so its calls count them. *)
+let test_daemon_exit_keeps_other_sections () =
+  let processes = Identxx.Process_table.create () in
+  let assembled = ref 0 in
+  let d =
+    Identxx.Daemon.create ~ip:(ip "10.0.0.1") ~processes
+      ~exe_hash:(fun _ ->
+        incr assembled;
+        None)
+      ()
+  in
+  Identxx.Daemon.set_signing_key d (Some (Idcrypto.Sign.generate "h-host"));
+  let changes = ref 0 in
+  Identxx.Daemon.on_change d (fun () -> incr changes);
+  let spawn pid user exe =
+    Identxx.Process_table.spawn processes ~pid ~user ~groups:[ user ] ~exe ()
+  in
+  let alice = spawn 4242 "alice" "/usr/bin/skype" in
+  ignore (spawn 4343 "bob" "/usr/bin/curl");
+  let fl = flow "10.0.0.1" "10.0.0.2" in
+  Identxx.Process_table.connect processes ~pid:alice.pid ~flow:fl;
+  let ask () =
+    match
+      Identxx.Daemon.answer d ~peer:(ip "10.0.0.2") ~proto:Proto.Tcp
+        ~src_port:fl.Five_tuple.src_port ~dst_port:fl.Five_tuple.dst_port
+        ~keys:[]
+    with
+    | Some (r, _) -> r
+    | None -> Alcotest.fail "no answer"
+  in
+  let before = ask () in
+  check Alcotest.int "assembled once" 1 !assembled;
+  let changes0 = !changes in
+  Identxx.Process_table.kill processes ~pid:4343;
+  ignore (spawn 4444 "carol" "/usr/bin/vim");
+  Identxx.Process_table.listen processes ~pid:4444 ~proto:Proto.Tcp ~port:25;
+  Identxx.Daemon.register_runtime d ~flow:(flow "10.0.0.9" "10.0.0.1")
+    [ Identxx.Key_value.pair "k" "v" ];
+  check Alcotest.int "every change fires" (changes0 + 4) !changes;
+  let after = ask () in
+  check Alcotest.int "alice's section not assembled again" 1 !assembled;
+  check Alcotest.(option string) "same section tags"
+    (Identxx.Response.latest before Identxx.Signed.tags_key)
+    (Identxx.Response.latest after Identxx.Signed.tags_key);
+  check Alcotest.(option string) "still alice" (Some "alice")
+    (Identxx.Response.latest after "userID")
+
 (* A host with skype's @app block and one admin pair, alice's skype
    connected to 10.0.0.2:33000, and sendmail listening on port 25. *)
 let hinted_host () =
@@ -1426,6 +1477,8 @@ let () =
             test_daemon_signs_static_sections_once;
           Alcotest.test_case "a reused pid is answered for anew" `Quick
             test_daemon_reused_pid_answers_new_process;
+          Alcotest.test_case "an exit keeps other sections" `Quick
+            test_daemon_exit_keeps_other_sections;
           Alcotest.test_case "answers the hinted keys" `Quick
             test_daemon_answers_hinted_keys;
           Alcotest.test_case "declares reuse scopes" `Quick
