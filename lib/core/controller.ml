@@ -53,32 +53,37 @@ type waiter = {
   w_end : [ `Src | `Dst ];
 }
 
+(* One queried end of a pending flow. *)
+type leg = {
+  mutable answer : Identxx.Response.t option;
+  mutable awaiting : bool; (* its query is out and has not settled *)
+  mutable qspan : Obs.Span.span;
+  mutable sent : float; (* first query send time; nan = never sent *)
+  mutable nonce : string option;
+      (* Drawn at the query's first send when answers must be signed; a
+         retry resends it. *)
+}
+
 type pending = {
   p_flow : Five_tuple.t;
   mutable p_packets : (Msg.switch_id * int * Packet.t) list;
       (* Buffered data packets awaiting the verdict, oldest first. *)
-  mutable src_resp : Identxx.Response.t option;
-  mutable dst_resp : Identxx.Response.t option;
-  mutable await_src : bool;
-  mutable await_dst : bool;
+  p_src : leg;
+  p_dst : leg;
   mutable retries_left : int;
   mutable p_timeout : Sim.Engine.cancel;
   p_started : float; (* packet-in time, seconds *)
   p_ctx : Obs.Trace_context.t option;
   p_span : Obs.Span.span;
-  mutable src_qspan : Obs.Span.span;
-  mutable dst_qspan : Obs.Span.span;
-  mutable src_sent : float; (* first query send time; nan = never sent *)
-  mutable dst_sent : float;
   mutable p_exchange : waiter Fastpath.Answers.exchange option;
       (* The exchange this flow's destination query initiated in the
          answer table; its answer or timeout settles it for every
          waiter. *)
-  mutable src_nonce : string option;
-  mutable dst_nonce : string option;
-      (* The nonce each end's query carries, drawn at its first send
-         when answers must be signed; a retry resends it. *)
+  mutable p_silent : bool;
+      (* An end settled silent: the flow counts once as timed out. *)
 }
+
+let leg p = function `Src -> p.p_src | `Dst -> p.p_dst
 
 type stats = {
   flows_seen : int;
@@ -284,6 +289,14 @@ let metrics t = t.obs
 let spans t = t.spans
 
 let time_now_s t = Sim.Time.to_float_s (Sim.Engine.now (Net.engine t.network))
+
+(* A root-span event naming [host], at the current time. *)
+let host_event ?(attrs = []) t sp host name =
+  if Obs.Span.is_live sp then
+    Obs.Span.event sp ~at:(time_now_s t)
+      ~attrs:(("host", Ipv4.to_string host) :: attrs)
+      name
+
 let decision t = t.decision
 let audit t = t.audit
 let keystore t = Decision.keystore t.decision
@@ -482,6 +495,15 @@ let eval_decision t sx ~flow ~src ~dst =
         v
   end
 
+(* A verdict's decision and deciding rule, as spans and the flight
+   recorder name them. *)
+let decision_name = function Pf.Ast.Pass -> "pass" | Pf.Ast.Block -> "block"
+
+let rule_name (v : Pf.Eval.verdict) =
+  match v.Pf.Eval.matched with
+  | Some r -> string_of_int r.Pf.Ast.line
+  | None -> "default"
+
 let apply_verdict ?(span = Obs.Span.null) ?started ?trace_id t sx ~flow
     ~packets ~src ~dst verdict =
   Audit.record ?trace_id t.audit
@@ -489,9 +511,7 @@ let apply_verdict ?(span = Obs.Span.null) ?started ?trace_id t sx ~flow
     ~flow ~verdict ~src ~dst;
   Log.debug (fun m ->
       m "decision %s: %s%s" (Five_tuple.to_string flow)
-        (match verdict.Pf.Eval.decision with
-        | Pf.Ast.Pass -> "pass"
-        | Pf.Ast.Block -> "block")
+        (decision_name verdict.Pf.Eval.decision)
         (match verdict.Pf.Eval.matched with
         | Some r -> Printf.sprintf " (rule@%d)" r.Pf.Ast.line
         | None -> " (default)"));
@@ -500,14 +520,8 @@ let apply_verdict ?(span = Obs.Span.null) ?started ?trace_id t sx ~flow
   | Some s -> Obs.Registry.Histogram.observe sx.s_m.h_flow_setup (now_s -. s)
   | None -> ());
   if Obs.Span.is_live span then begin
-    Obs.Span.set_attr span "decision"
-      (match verdict.Pf.Eval.decision with
-      | Pf.Ast.Pass -> "pass"
-      | Pf.Ast.Block -> "block");
-    Obs.Span.set_attr span "rule"
-      (match verdict.Pf.Eval.matched with
-      | Some r -> string_of_int r.Pf.Ast.line
-      | None -> "default")
+    Obs.Span.set_attr span "decision" (decision_name verdict.Pf.Eval.decision);
+    Obs.Span.set_attr span "rule" (rule_name verdict)
   end;
   (* A denied flow is exactly the trace an operator will want: override
      the head-sampling coin before the root is finished. *)
@@ -519,14 +533,8 @@ let apply_verdict ?(span = Obs.Span.null) ?started ?trace_id t sx ~flow
       (lazy
         [
           ("flow", Five_tuple.to_string flow);
-          ( "verdict",
-            match verdict.Pf.Eval.decision with
-            | Pf.Ast.Pass -> "pass"
-            | Pf.Ast.Block -> "block" );
-          ( "rule",
-            match verdict.Pf.Eval.matched with
-            | Some r -> string_of_int r.Pf.Ast.line
-            | None -> "default" );
+          ("verdict", decision_name verdict.Pf.Eval.decision);
+          ("rule", rule_name verdict);
         ]);
   (match verdict.Pf.Eval.decision with
   | Pf.Ast.Pass ->
@@ -566,57 +574,106 @@ let trace_id_of ctx =
 let finalize t sx p =
   Sim.Engine.cancel p.p_timeout;
   Flow_tbl.remove sx.s_pending p.p_flow;
-  let verdict =
-    eval_decision t sx ~flow:p.p_flow ~src:p.src_resp ~dst:p.dst_resp
-  in
+  let src = p.p_src.answer and dst = p.p_dst.answer in
+  let verdict = eval_decision t sx ~flow:p.p_flow ~src ~dst in
   apply_verdict ~span:p.p_span ~started:p.p_started
     ?trace_id:(trace_id_of p.p_ctx) t sx ~flow:p.p_flow ~packets:p.p_packets
-    ~src:p.src_resp ~dst:p.dst_resp verdict
+    ~src ~dst verdict
 
 let maybe_finalize t sx p =
-  if (not p.await_src) && not p.await_dst then finalize t sx p
+  if (not p.p_src.awaiting) && not p.p_dst.awaiting then finalize t sx p
 
-(* An exchange settled badly: the initiator timed out, or its timeout
-   tripped the host's breaker. Every waiter fails, not just the
-   initiating flow: the awaited end resolves absent, the flow's root
-   span is force-sampled (an error trace per waiter), and the flow
-   decides with what it has. Runs on the waiter's own shard. *)
-let fail_waiter t ~cause ~host w =
+(* [end_]'s address in [flow], and its other end's: the query's
+   reply-to (§3.2). *)
+let end_ip (flow : Five_tuple.t) = function
+  | `Src -> flow.Five_tuple.src
+  | `Dst -> flow.Five_tuple.dst
+
+let peer_ip (flow : Five_tuple.t) = function
+  | `Src -> flow.Five_tuple.dst
+  | `Dst -> flow.Five_tuple.src
+
+(* The end of [flow] that [ip] is: its source, or else its
+   destination. *)
+let end_of (flow : Five_tuple.t) ip =
+  if Ipv4.equal ip flow.Five_tuple.src then `Src else `Dst
+
+(* Stitch the daemon's piggybacked timings (decode, lookup, assemble,
+   sign — on the daemon's clock) under this query's child span,
+   completing the cross-host tree. *)
+let stitch_daemon_spans t qspan dtrace =
+  match dtrace with
+  | Some (_trace_id, _parent, dspans) ->
+      List.iter
+        (fun (dname, t0, t1) ->
+          let dsp = Obs.Span.start t.spans ~at:t0 ~parent:qspan dname in
+          Obs.Span.finish t.spans ~at:t1 dsp)
+        dspans
+  | None -> ()
+
+(* How a queried end settled. *)
+type settled =
+  | Answered of Identxx.Response.t
+  | Timed_out (* its own query's timeout, tripping the breaker or not *)
+  | Failed of string (* the exchange it joined failed, by this cause *)
+
+(* The one place a queried end settles: [end_] of [p], on [p]'s shard
+   [sx]. Only an end still awaiting its query settles; anything later is
+   stale and a no-op. An answer is timed from the first send, and its
+   query span takes [dtrace], the daemon's timing piggyback. An end
+   settling silent makes the flow an error trace, kept whatever the
+   sampling coin said, and counts the flow once however many of its
+   ends do. *)
+let settle_end ?dtrace t sx p end_ settled =
+  let l = leg p end_ in
+  if l.awaiting then begin
+    let at = time_now_s t in
+    let host = end_ip p.p_flow end_ in
+    let outcome =
+      match settled with
+      | Answered r ->
+          if not (Float.is_nan l.sent) then
+            Obs.Registry.Histogram.observe sx.s_m.h_query_rtt (at -. l.sent);
+          l.answer <- Some r;
+          "answered"
+      | Timed_out -> "timeout"
+      | Failed cause ->
+          host_event ~attrs:[ ("cause", cause) ] t p.p_span host
+            "exchange-failed";
+          cause
+    in
+    (match settled with
+    | Answered _ -> ()
+    | Timed_out | Failed _ ->
+        Obs.Span.force_sample p.p_span;
+        if not p.p_silent then begin
+          p.p_silent <- true;
+          Obs.Registry.Counter.inc sx.s_m.c_timeouts
+        end);
+    if Obs.Span.is_live l.qspan then begin
+      stitch_daemon_spans t l.qspan dtrace;
+      Obs.Span.set_attr l.qspan "outcome" outcome;
+      Obs.Span.finish t.spans ~at l.qspan
+    end;
+    if Obs.Recorder.enabled t.recorder then
+      Obs.Recorder.record_lazy t.recorder ~at "query-settled"
+        (lazy
+          [
+            ("flow", Five_tuple.to_string p.p_flow);
+            ("host", Ipv4.to_string host);
+            ("outcome", outcome);
+          ]);
+    l.awaiting <- false;
+    maybe_finalize t sx p
+  end
+
+(* Settle waiter [w]'s end on its own shard, unless its flow already
+   decided (its own timeout won). *)
+let settle_waiter ?dtrace t w settled =
   let sx = t.shards_.(w.w_sid) in
   match Flow_tbl.find_opt sx.s_pending w.w_flow with
-  | None -> () (* already decided; stale settlement is a no-op *)
-  | Some p ->
-      let awaiting =
-        match w.w_end with `Src -> p.await_src | `Dst -> p.await_dst
-      in
-      if awaiting then begin
-        Obs.Registry.Counter.inc sx.s_m.c_timeouts;
-        Obs.Span.force_sample p.p_span;
-        let at = time_now_s t in
-        if Obs.Span.is_live p.p_span then
-          Obs.Span.event p.p_span ~at
-            ~attrs:[ ("host", Ipv4.to_string host); ("cause", cause) ]
-            "exchange-failed";
-        let qspan =
-          match w.w_end with `Src -> p.src_qspan | `Dst -> p.dst_qspan
-        in
-        if Obs.Span.is_live qspan then begin
-          Obs.Span.set_attr qspan "outcome" cause;
-          Obs.Span.finish t.spans ~at qspan
-        end;
-        if Obs.Recorder.enabled t.recorder then
-          Obs.Recorder.record_lazy t.recorder ~at "query-settled"
-            (lazy
-              [
-                ("flow", Five_tuple.to_string w.w_flow);
-                ("host", Ipv4.to_string host);
-                ("outcome", cause);
-              ]);
-        (match w.w_end with
-        | `Src -> p.await_src <- false
-        | `Dst -> p.await_dst <- false);
-        maybe_finalize t sx p
-      end
+  | None -> ()
+  | Some p -> settle_end ?dtrace t sx p w.w_end settled
 
 (* Settle an exchange's waiters onto their shards, in join order. Every
    delivery is posted — never run inline — so the global execution
@@ -626,12 +683,12 @@ let post_to_waiters t ws fn =
     (fun w -> Shard.Engine.post t.shard_engine ~shard:w.w_sid (fun () -> fn w))
     ws
 
-(* The one settle path: [p]'s query to [host], asking about its [end_],
-   reached its outcome: [answer] (the answer's declared scope and the
-   response) or [None] (its timeout or breaker trip). The exchange [p]
-   initiated with the host, if any, settles for every waiter, in join
-   order; otherwise [p], on its shard [sx], is the only waiter. *)
-let settle_waiters t sx p ~host ~end_ answer =
+(* [p]'s query to [host], asking about its [end_], reached its outcome:
+   [answer] (the answer's declared scope and the response) or [None]
+   (its timeout or breaker trip). The exchange [p] initiated with the
+   host, if any, closes and returns every waiter, in join order;
+   otherwise [p], on its shard [sx], is the only waiter. *)
+let close_exchange t sx p ~host ~end_ answer =
   match p.p_exchange with
   | Some ex when Ipv4.equal host p.p_flow.Five_tuple.dst ->
       (* Forget it once settled: a duplicate answer naming this flow
@@ -644,27 +701,58 @@ let settle_waiters t sx p ~host ~end_ answer =
 
 (* --- querying daemons (Figure 1, step 3) --- *)
 
-(* Actually put a query on the wire toward [target_ip]'s attachment
-   point. The caller has already checked reachability. *)
-let wire_send ?trace ?nonce t sx ~(flow : Five_tuple.t) ~target_ip ~reply_to
-    attachment =
+(* The nonce [end_]'s query carries: drawn at its first send, then kept
+   for retries. Only a controller that requires signed answers checks
+   the echo, so only it sends one. *)
+let query_nonce t p end_ =
+  let l = leg p end_ in
+  if not t.cfg.require_signed_responses then None
+  else if Option.is_some l.nonce then l.nonce
+  else begin
+    (* 64 random bits, 16 hex digits. *)
+    let x = Sim.Prng.next64 t.nonces in
+    let b = Bytes.create 16 in
+    for i = 0 to 15 do
+      Bytes.unsafe_set b i
+        "0123456789abcdef".[Int64.to_int
+                              (Int64.shift_right_logical x (60 - (4 * i)))
+                            land 15]
+    done;
+    l.nonce <- Some (Bytes.unsafe_to_string b);
+    l.nonce
+  end
+
+(* Each query carries a per-end child context, derived deterministically
+   from the root: a retry resends the same span id, so the daemon's
+   timings land under the same child either way. *)
+let qtrace p end_ =
+  match p.p_ctx with
+  | None -> None
+  | Some c ->
+      Some (Obs.Trace_context.child c (match end_ with `Src -> 1 | `Dst -> 2))
+
+(* Put [end_]'s query to [p]'s host on the wire at [attachment], the
+   switch port the host hangs off. Per §3.2 the query's source address
+   is the flow's other end, so the response routes back through the
+   network (and its interception points). *)
+let wire_send ?nonce t sx p end_ attachment =
+  let flow = p.p_flow and target = end_ip p.p_flow end_ in
   let query =
     {
       (Identxx.Query.make ~flow ~keys:(Query_plan.hints (policy_view t))) with
-      nonce;
-      trace;
+      Identxx.Query.nonce;
+      trace = qtrace p end_;
     }
   in
   let pkt =
-    Identxx.Wire.query_packet ~to_ip:target_ip ~from_ip:reply_to query
+    Identxx.Wire.query_packet ~to_ip:target ~from_ip:(peer_ip flow end_) query
   in
   Obs.Registry.Counter.inc sx.s_m.c_queries;
   if Obs.Recorder.enabled t.recorder then
     Obs.Recorder.record_lazy t.recorder ~at:(time_now_s t) "query-sent"
       (lazy
         [
-          ("flow", Five_tuple.to_string flow);
-          ("host", Ipv4.to_string target_ip);
+          ("flow", Five_tuple.to_string flow); ("host", Ipv4.to_string target);
         ]);
   match attachment.Topo.node with
   | Topo.Sw dpid ->
@@ -687,69 +775,177 @@ let declares_scope t ip =
   t.cfg.require_signed_responses
   || Idcrypto.Sign.signs_for (keystore t) (Ipv4.to_string ip)
 
-(* Send an ident++ query to [target_ip] about [flow]. [reply_to] is the
-   flow's other end: per §3.2 the controller uses it as the query's
-   source address, so the response naturally routes back through the
-   network (and its interception points). [`Unreachable] when no query
-   could be issued (unknown host). *)
-let send_query ?trace ?nonce t sx ~(flow : Five_tuple.t) ~target_ip ~reply_to
-    ~end_ =
-  match resolve_local_answer t target_ip with
-  | Some section ->
-      (* Answer on the host's behalf without touching the network. *)
-      Obs.Registry.Counter.inc sx.s_m.c_local;
-      let response = Identxx.Response.make ~flow [ section ] in
-      `Local response
-  | None -> (
-      match attachment_of t target_ip with
-      | None -> `Unreachable
-      | Some attachment -> (
-          let exchange =
-            match end_ with
-            | `Src ->
-                (* A source answers from its own connection, which no
-                   other flow shares. *)
-                `Alone
-            | `Dst ->
-                (* Only a sharded controller parks a query on the
-                   exchange in flight with the same socket, and only
-                   when the target is expected to declare its scope. *)
-                Fastpath.Answers.join t.answers
-                  ~hints:(Query_plan.hint_key (policy_view t))
-                  ~flow
-                  ~joinable:
-                    (Option.is_some t.cfg.shards && declares_scope t target_ip)
-                  { w_flow = flow; w_sid = sx.sid; w_end = end_ }
-          in
-          match exchange with
-          | `Joined -> `Joined
-          | (`First _ | `Alone) as sent ->
-              wire_send ?trace ?nonce t sx ~flow ~target_ip ~reply_to
-                attachment;
-              `Sent sent))
+(* First send only: a retried query keeps its original child span and
+   send time, so the RTT histogram sees the full wait. *)
+let note_sent t p end_ =
+  let l = leg p end_ in
+  if Float.is_nan l.sent then begin
+    let at = time_now_s t in
+    l.sent <- at;
+    if Obs.Span.is_live p.p_span then
+      l.qspan <-
+        Obs.Span.start t.spans ~at ~parent:p.p_span
+          ~attrs:[ ("host", Ipv4.to_string (end_ip p.p_flow end_)) ]
+          "query"
+  end
 
-(* The nonce [end_]'s query carries: drawn at its first send, then kept
-   for retries. Only a controller that requires signed answers checks
-   the echo, so only it sends one. *)
-let query_nonce t p end_ =
-  if not t.cfg.require_signed_responses then None
+(* Put [end_]'s query back on the wire as first sent, with the same
+   nonce and trace context, joining no exchange: a retry round's resend,
+   or a waiter's own query after an answer that did not cover it. *)
+let resend t sx p end_ =
+  let nonce = query_nonce t p end_ in
+  Option.iter
+    (wire_send ?nonce t sx p end_)
+    (attachment_of t (end_ip p.p_flow end_))
+
+(* Ask [end_] of [p], if it is awaited. An intercept may answer on the
+   host's behalf, and an unknown host cannot be asked: either way the
+   end resolves at once. *)
+let issue_end t sx p end_ =
+  let l = leg p end_ in
+  if l.awaiting then
+    if end_ = `Dst && Option.is_some p.p_exchange then
+      (* A retry round, and this flow initiated the exchange: put the
+         query back on the wire without re-joining (waiters ride this
+         resend). *)
+      resend t sx p end_
+    else
+      let nonce = query_nonce t p end_ in
+      let flow = p.p_flow and target = end_ip p.p_flow end_ in
+      match resolve_local_answer t target with
+      | Some section ->
+          Obs.Registry.Counter.inc sx.s_m.c_local;
+          host_event t p.p_span target "local-answer";
+          l.answer <- Some (Identxx.Response.make ~flow [ section ]);
+          l.awaiting <- false
+      | None -> (
+          match attachment_of t target with
+          | None -> l.awaiting <- false
+          | Some attachment -> (
+              match
+                match end_ with
+                | `Src ->
+                    (* A source answers from its own connection, which
+                       no other flow shares. *)
+                    `Alone
+                | `Dst ->
+                    (* Only a sharded controller parks a query on the
+                       exchange in flight with the same socket, and only
+                       when the target is expected to declare its
+                       scope. *)
+                    Fastpath.Answers.join t.answers
+                      ~hints:(Query_plan.hint_key (policy_view t))
+                      ~flow
+                      ~joinable:
+                        (Option.is_some t.cfg.shards
+                        && declares_scope t target)
+                      { w_flow = flow; w_sid = sx.sid; w_end = end_ }
+              with
+              | `Joined ->
+                  (* Another flow's exchange is already in flight to
+                     this host for the same query shape: no duplicate
+                     wire query; the settlement fans out to us too. *)
+                  note_sent t p end_;
+                  host_event t p.p_span target "query-coalesced"
+              | (`First _ | `Alone) as sent ->
+                  wire_send ?nonce t sx p end_ attachment;
+                  (match sent with
+                  | `First ex -> p.p_exchange <- Some ex
+                  | `Alone -> ());
+                  note_sent t p end_))
+
+let issue_queries t sx p =
+  issue_end t sx p `Src;
+  issue_end t sx p `Dst
+
+(* [p]'s query to [end_] stayed silent through every attempt. Feed the
+   breaker: each silent end is a consecutive timeout. If [p] initiated
+   an exchange, a silent host answers nobody: settle it and fail every
+   other waiter. Then settle the end itself. *)
+let expire_end t sx p end_ =
+  let ip = end_ip p.p_flow end_ in
+  let now = Sim.Engine.now (Net.engine t.network) in
+  let tripped = Fastpath.note_timeout_report sx.s_fp ~now ip in
+  if tripped then begin
+    host_event t p.p_span ip "breaker-trip";
+    if Obs.Recorder.enabled t.recorder then
+      Obs.Recorder.record_lazy t.recorder ~at:(time_now_s t) "breaker"
+        (lazy [ ("host", Ipv4.to_string ip); ("state", "open") ]);
+    (* Propagate the trip to every other shard's breaker — an explicit
+       cross-shard message, so the whole controller fails fast on this
+       host. *)
+    Shard.Engine.broadcast t.shard_engine (fun osid ->
+        if osid <> sx.sid then
+          Fastpath.note_breaker_open t.shards_.(osid).s_fp ~now ip)
+  end;
+  let failed = Failed (if tripped then "breaker-open" else "timeout") in
+  post_to_waiters t
+    (List.filter
+       (fun w -> not (Five_tuple.equal w.w_flow p.p_flow))
+       (close_exchange t sx p ~host:ip ~end_ None))
+    (fun w -> settle_waiter t w failed);
+  settle_end t sx p end_ Timed_out
+
+let rec on_timeout t sx p =
+  match Flow_tbl.find_opt sx.s_pending p.p_flow with
+  | Some p' when p' == p ->
+      let waiting = p.p_src.awaiting || p.p_dst.awaiting in
+      if waiting && p.retries_left > 0 then begin
+        (* Re-issue the unanswered queries and re-arm the timer. *)
+        p.retries_left <- p.retries_left - 1;
+        Obs.Registry.Counter.inc sx.s_m.c_retries;
+        if Obs.Span.is_live p.p_span then
+          Obs.Span.event p.p_span ~at:(time_now_s t) "retry";
+        issue_queries t sx p;
+        arm_timeout t sx p
+      end
+      else if not waiting then finalize t sx p
+      else begin
+        if p.p_src.awaiting then expire_end t sx p `Src;
+        if p.p_dst.awaiting then expire_end t sx p `Dst
+      end
+  | Some _ | None -> ()
+
+(* The timer posts into the owning shard's mailbox, so timeout handling
+   serialises with the shard's other work (and its installs ride the
+   same batched pass). *)
+and arm_timeout t sx p =
+  p.p_timeout <-
+    Shard.Engine.post_after t.shard_engine ~shard:sx.sid
+      ~delay:t.cfg.query_timeout (fun () -> on_timeout t sx p)
+
+let new_leg ~awaiting answer =
+  { answer; awaiting; qspan = Obs.Span.null; sent = Float.nan; nonce = None }
+
+(* The fast path, before any Figure-1 exchange: try to resolve [end_]
+   of [flow], if [want]ed, from a settled answer, or, for a host whose
+   breaker is open, as an immediate absent answer. [Some r] is a
+   resolved answer ([r = None] means absent); [None] means the daemon
+   must actually be asked. *)
+let fast_resolve t sx sp ~now flow ~want end_ =
+  if not want then Some None
   else
-    match end_ with
-    | `Src when p.src_nonce <> None -> p.src_nonce
-    | `Dst when p.dst_nonce <> None -> p.dst_nonce
-    | `Src | `Dst ->
-        (* 64 random bits, 16 hex digits. *)
-        let x = Sim.Prng.next64 t.nonces in
-        let b = Bytes.create 16 in
-        for i = 0 to 15 do
-          Bytes.unsafe_set b i
-            "0123456789abcdef".[Int64.to_int
-                                  (Int64.shift_right_logical x (60 - (4 * i)))
-                                land 15]
-        done;
-        let n = Some (Bytes.unsafe_to_string b) in
-        (match end_ with `Src -> p.src_nonce <- n | `Dst -> p.dst_nonce <- n);
-        n
+    let ip = end_ip flow end_ in
+    match
+      match end_ with
+      | `Src -> None
+      | `Dst ->
+          Fastpath.Answers.find t.answers ~now
+            ~hints:(Query_plan.hint_key (policy_view t))
+            ~flow
+    with
+    | Some r ->
+        host_event t sp ip "attr-cache-hit";
+        Some (Some r)
+    | None -> (
+        match Fastpath.consult_host sx.s_fp ~now ip with
+        | `Absent ->
+            host_event t sp ip "breaker-absent";
+            Some None
+        | `Probe ->
+            host_event t sp ip "breaker-probe";
+            None
+        | `Ask -> None)
 
 let start_flow t sx ~dpid ~in_port pkt (flow : Five_tuple.t) =
   Obs.Registry.Counter.inc sx.s_m.c_flows;
@@ -833,266 +1029,49 @@ let start_flow t sx ~dpid ~in_port pkt (flow : Five_tuple.t) =
     let { Query_plan.src = want_src; dst = want_dst } =
       Query_plan.ends (policy_view t) flow
     in
-    (* Fast path: before any Figure-1 exchange, try to resolve each
-       queried endpoint from a settled answer, or — for a host whose
-       breaker is open — as an immediate absent response. [Some r] is a
-       resolved answer (r = None means absent); [None] means the daemon
-       must actually be asked. *)
-    let fp_resolve want ip end_ =
-      if not want then Some None
-      else
-        match
-          match end_ with
-          | `Src -> None
-          | `Dst ->
-              Fastpath.Answers.find t.answers ~now
-                ~hints:(Query_plan.hint_key (policy_view t))
-                ~flow
-        with
-        | Some r ->
-            if Obs.Span.is_live sp then
-              Obs.Span.event sp ~at:now_s
-                ~attrs:[ ("host", Ipv4.to_string ip) ]
-                "attr-cache-hit";
-            Some (Some r)
-        | None -> (
-            match Fastpath.consult_host sx.s_fp ~now ip with
-            | `Absent ->
-                if Obs.Span.is_live sp then
-                  Obs.Span.event sp ~at:now_s
-                    ~attrs:[ ("host", Ipv4.to_string ip) ]
-                    "breaker-absent";
-                Some None
-            | `Probe ->
-                if Obs.Span.is_live sp then
-                  Obs.Span.event sp ~at:now_s
-                    ~attrs:[ ("host", Ipv4.to_string ip) ]
-                    "breaker-probe";
-                None
-            | `Ask -> None)
-    in
-    let pre_src = fp_resolve want_src flow.Five_tuple.src `Src
-    and pre_dst = fp_resolve want_dst flow.Five_tuple.dst `Dst in
+    let pre_src = fast_resolve t sx sp ~now flow ~want:want_src `Src
+    and pre_dst = fast_resolve t sx sp ~now flow ~want:want_dst `Dst in
+    let static = (not want_src) && not want_dst in
     match (pre_src, pre_dst) with
-    | Some None, Some None when (not want_src) && not want_dst ->
-        (* The diagram decides this flow whatever the hosts answer:
-           decide now, with no query, no pending entry and no timer. *)
-        if Obs.Span.is_live sp then Obs.Span.set_attr sp "path" "static";
-        let verdict = eval_decision t sx ~flow ~src:None ~dst:None in
-        apply_verdict ~span:sp ~started:now_s ?trace_id:(trace_id_of ctx) t sx
-          ~flow
-          ~packets:[ (dpid, in_port, pkt) ]
-          ~src:None ~dst:None verdict
-    | Some src, Some dst when Fastpath.enabled sx.s_fp ->
-        (* Both ends resolved without touching the network: decide now,
+    | Some src, Some dst when static || Fastpath.enabled sx.s_fp ->
+        (* The diagram decides this flow whatever the hosts answer, or
+           both ends resolved without touching the network: decide now,
            with no pending entry and no timer. *)
-        Obs.Registry.Counter.inc sx.s_m.c_fastpath;
-        if Obs.Span.is_live sp then Obs.Span.set_attr sp "path" "fastpath";
+        if not static then Obs.Registry.Counter.inc sx.s_m.c_fastpath;
+        if Obs.Span.is_live sp then
+          Obs.Span.set_attr sp "path" (if static then "static" else "fastpath");
         let verdict = eval_decision t sx ~flow ~src ~dst in
         apply_verdict ~span:sp ~started:now_s ?trace_id:(trace_id_of ctx) t sx
           ~flow
           ~packets:[ (dpid, in_port, pkt) ]
           ~src ~dst verdict
     | _ ->
-    let timeout_handle = ref ignore in
-    (* The timer posts into the owning shard's mailbox, so timeout
-       handling serialises with the shard's other work (and its installs
-       ride the same batched pass). *)
-    let arm_timeout () =
-      Shard.Engine.post_after t.shard_engine ~shard:sx.sid
-        ~delay:t.cfg.query_timeout (fun () -> !timeout_handle ())
-    in
-    let p =
-      {
-        p_flow = flow;
-        p_packets = [ (dpid, in_port, pkt) ];
-        src_resp = Option.join pre_src;
-        dst_resp = Option.join pre_dst;
-        await_src = false;
-        await_dst = false;
-        retries_left = t.cfg.query_retries;
-        p_timeout = arm_timeout ();
-        p_started = now_s;
-        p_ctx = ctx;
-        p_span = sp;
-        src_qspan = Obs.Span.null;
-        dst_qspan = Obs.Span.null;
-        src_sent = Float.nan;
-        dst_sent = Float.nan;
-        p_exchange = None;
-        src_nonce = None;
-        dst_nonce = None;
-      }
-    in
-    let note_sent end_ =
-      (* First attempt only: a retried query keeps its original child
-         span and send time, so the RTT histogram sees the full wait. *)
-      let at = time_now_s t in
-      let qspan target =
-        if Obs.Span.is_live p.p_span then
-          Obs.Span.start t.spans ~at ~parent:p.p_span
-            ~attrs:[ ("host", Ipv4.to_string target) ]
-            "query"
-        else Obs.Span.null
-      in
-      match end_ with
-      | `Src ->
-          if Float.is_nan p.src_sent then begin
-            p.src_sent <- at;
-            p.src_qspan <- qspan flow.Five_tuple.src
-          end
-      | `Dst ->
-          if Float.is_nan p.dst_sent then begin
-            p.dst_sent <- at;
-            p.dst_qspan <- qspan flow.Five_tuple.dst
-          end
-    in
-    (* Each query carries a per-endpoint child context, derived
-       deterministically from the root — a retry resends the same span
-       id, so the daemon's timings land under the same child either
-       way. *)
-    let qtrace n = Option.map (fun c -> Obs.Trace_context.child c n) p.p_ctx in
-    let issue_end end_ ~target ~reply ~qn =
-      let awaiting =
-        match end_ with `Src -> p.await_src | `Dst -> p.await_dst
-      in
-      if awaiting then begin
-        let nonce = query_nonce t p end_ in
-        if end_ = `Dst && Option.is_some p.p_exchange then
-          (* A retry round, and this flow initiated the exchange: put
-             the query back on the wire without re-joining (waiters
-             ride this resend). *)
-          Option.iter
-            (wire_send ?trace:(qtrace qn) ?nonce t sx ~flow ~target_ip:target
-               ~reply_to:reply)
-            (attachment_of t target)
-        else
-          match
-            send_query ?trace:(qtrace qn) ?nonce t sx ~flow ~target_ip:target
-              ~reply_to:reply ~end_
-          with
-          | `Local r ->
-              if Obs.Span.is_live sp then
-                Obs.Span.event sp ~at:(time_now_s t)
-                  ~attrs:[ ("host", Ipv4.to_string target) ]
-                  "local-answer";
-              (match end_ with
-              | `Src -> p.src_resp <- Some r
-              | `Dst -> p.dst_resp <- Some r);
-              (match end_ with
-              | `Src -> p.await_src <- false
-              | `Dst -> p.await_dst <- false)
-          | `Sent sent ->
-              (match sent with
-              | `First ex -> p.p_exchange <- Some ex
-              | `Alone -> ());
-              note_sent end_
-          | `Joined ->
-              (* Another flow's exchange is already in flight to this
-                 host for the same query shape: no duplicate wire
-                 query; the settlement fans out to us too. *)
-              note_sent end_;
-              if Obs.Span.is_live sp then
-                Obs.Span.event sp ~at:(time_now_s t)
-                  ~attrs:[ ("host", Ipv4.to_string target) ]
-                  "query-coalesced"
-          | `Unreachable -> (
-              match end_ with
-              | `Src -> p.await_src <- false
-              | `Dst -> p.await_dst <- false)
-      end
-    in
-    let issue_queries () =
-      issue_end `Src ~target:flow.Five_tuple.src ~reply:flow.Five_tuple.dst
-        ~qn:1;
-      issue_end `Dst ~target:flow.Five_tuple.dst ~reply:flow.Five_tuple.src
-        ~qn:2
-    in
-    timeout_handle :=
-        (fun () ->
-          match Flow_tbl.find_opt sx.s_pending flow with
-          | Some p' when p' == p ->
-              if (p.await_src || p.await_dst) && p.retries_left > 0 then begin
-                (* Re-issue the unanswered queries and re-arm the timer. *)
-                p.retries_left <- p.retries_left - 1;
-                Obs.Registry.Counter.inc sx.s_m.c_retries;
-                if Obs.Span.is_live sp then
-                  Obs.Span.event sp ~at:(time_now_s t) "retry";
-                issue_queries ();
-                p.p_timeout <- arm_timeout ()
-              end
-              else begin
-                if p.await_src || p.await_dst then begin
-                  Obs.Registry.Counter.inc sx.s_m.c_timeouts;
-                  (* A flow decided with an end silent is an error
-                     trace: keep it whatever the sampling coin said. *)
-                  Obs.Span.force_sample sp;
-                  (* Feed the breaker: each side that stayed silent
-                     through every attempt is a consecutive timeout. *)
-                  let now = Sim.Engine.now (Net.engine t.network) in
-                  let at = time_now_s t in
-                  let timed_out end_ qspan ip =
-                    let tripped =
-                      Fastpath.note_timeout_report sx.s_fp ~now ip
-                    in
-                    if tripped then begin
-                      if Obs.Span.is_live sp then
-                        Obs.Span.event sp ~at
-                          ~attrs:[ ("host", Ipv4.to_string ip) ]
-                          "breaker-trip";
-                      if Obs.Recorder.enabled t.recorder then
-                        Obs.Recorder.record_lazy t.recorder ~at "breaker"
-                          (lazy
-                            [
-                              ("host", Ipv4.to_string ip);
-                              ("state", "open");
-                            ]);
-                      (* Propagate the trip to every other shard's
-                         breaker — an explicit cross-shard message, so
-                         the whole controller fails fast on this host. *)
-                      Shard.Engine.broadcast t.shard_engine (fun osid ->
-                          if osid <> sx.sid then
-                            Fastpath.note_breaker_open t.shards_.(osid).s_fp
-                              ~now ip)
-                    end;
-                    if Obs.Span.is_live qspan then begin
-                      Obs.Span.set_attr qspan "outcome" "timeout";
-                      Obs.Span.finish t.spans ~at qspan
-                    end;
-                    if Obs.Recorder.enabled t.recorder then
-                      Obs.Recorder.record_lazy t.recorder ~at "query-settled"
-                        (lazy
-                          [
-                            ("flow", Five_tuple.to_string flow);
-                            ("host", Ipv4.to_string ip);
-                            ("outcome", "timeout");
-                          ]);
-                    (* If this flow initiated an exchange (a silent host
-                       answers nobody), settle it and fail every other
-                       waiter the same way. *)
-                    let cause = if tripped then "breaker-open" else "timeout" in
-                    post_to_waiters t
-                      (List.filter
-                         (fun w -> not (Five_tuple.equal w.w_flow flow))
-                         (settle_waiters t sx p ~host:ip ~end_ None))
-                      (fail_waiter t ~cause ~host:ip)
-                  in
-                  if p.await_src then
-                    timed_out `Src p.src_qspan flow.Five_tuple.src;
-                  if p.await_dst then
-                    timed_out `Dst p.dst_qspan flow.Five_tuple.dst
-                end;
-                p.await_src <- false;
-                p.await_dst <- false;
-                finalize t sx p
-              end
-          | Some _ | None -> ());
-    Flow_tbl.replace sx.s_pending flow p;
-    (* Query only the ends the fast path could not resolve. *)
-    p.await_src <- want_src && Option.is_none pre_src;
-    p.await_dst <- want_dst && Option.is_none pre_dst;
-    issue_queries ();
-    maybe_finalize t sx p
+        (* Query only the ends the fast path could not resolve. *)
+        let p =
+          {
+            p_flow = flow;
+            p_packets = [ (dpid, in_port, pkt) ];
+            p_src =
+              new_leg
+                ~awaiting:(want_src && Option.is_none pre_src)
+                (Option.join pre_src);
+            p_dst =
+              new_leg
+                ~awaiting:(want_dst && Option.is_none pre_dst)
+                (Option.join pre_dst);
+            retries_left = t.cfg.query_retries;
+            p_timeout = Sim.Engine.cancelled;
+            p_started = now_s;
+            p_ctx = ctx;
+            p_span = sp;
+            p_exchange = None;
+            p_silent = false;
+          }
+        in
+        arm_timeout t sx p;
+        Flow_tbl.replace sx.s_pending flow p;
+        issue_queries t sx p;
+        maybe_finalize t sx p
   end
 
 (* --- intercepted / owned ident++ traffic --- *)
@@ -1127,67 +1106,6 @@ let handle_transit t sx ~dpid ~from_ip ~to_ip response pkt =
   in
   forward_toward t ~dpid ~dst_ip:to_ip pkt
 
-(* Stitch the daemon's piggybacked timings (decode, lookup, assemble,
-   sign — on the daemon's clock) under this query's child span,
-   completing the cross-host tree. *)
-let stitch_daemon_spans t qspan dtrace =
-  match dtrace with
-  | Some (_trace_id, _parent, dspans) ->
-      List.iter
-        (fun (dname, t0, t1) ->
-          let dsp = Obs.Span.start t.spans ~at:t0 ~parent:qspan dname in
-          Obs.Span.finish t.spans ~at:t1 dsp)
-        dspans
-  | None -> ()
-
-(* One settled answer landing on one parked flow, on the waiter's own
-   shard. [dtrace] is the daemon's timing piggyback — stitched under
-   the initiator's query span only (the timings are real once). *)
-let deliver_to_waiter t ~dtrace response w =
-  let sx = t.shards_.(w.w_sid) in
-  match Flow_tbl.find_opt sx.s_pending w.w_flow with
-  | None -> () (* the flow already decided (its own timeout won) *)
-  | Some p ->
-      let awaiting =
-        match w.w_end with `Src -> p.await_src | `Dst -> p.await_dst
-      in
-      if awaiting then begin
-        let at = time_now_s t in
-        let qspan, sent =
-          match w.w_end with
-          | `Src -> (p.src_qspan, p.src_sent)
-          | `Dst -> (p.dst_qspan, p.dst_sent)
-        in
-        if not (Float.is_nan sent) then
-          Obs.Registry.Histogram.observe sx.s_m.h_query_rtt (at -. sent);
-        if Obs.Span.is_live qspan then begin
-          stitch_daemon_spans t qspan dtrace;
-          Obs.Span.set_attr qspan "outcome" "answered";
-          Obs.Span.finish t.spans ~at qspan
-        end;
-        if Obs.Recorder.enabled t.recorder then
-          Obs.Recorder.record_lazy t.recorder ~at "query-settled"
-            (lazy
-              (let host =
-                 match w.w_end with
-                 | `Src -> w.w_flow.Five_tuple.src
-                 | `Dst -> w.w_flow.Five_tuple.dst
-               in
-               [
-                 ("flow", Five_tuple.to_string w.w_flow);
-                 ("host", Ipv4.to_string host);
-                 ("outcome", "answered");
-               ]));
-        (match w.w_end with
-        | `Src ->
-            p.src_resp <- Some response;
-            p.await_src <- false
-        | `Dst ->
-            p.dst_resp <- Some response;
-            p.await_dst <- false);
-        maybe_finalize t sx p
-      end
-
 (* The shard owning [flow]'s pending entry: where its packet-ins run. *)
 let owner t flow = t.shards_.(Shard.Engine.shard_of_flow t.shard_engine flow)
 
@@ -1210,7 +1128,7 @@ let named_pending t ~from_ip ~to_ip (r : Identxx.Response.t) =
     Flow_tbl.find_opt (owner t flow).s_pending flow
   in
   match find from_ip to_ip with
-  | Some p when p.await_src -> Some p
+  | Some p when p.p_src.awaiting -> Some p
   | as_src -> (
       match find to_ip from_ip with Some _ as as_dst -> as_dst | None -> as_src)
 
@@ -1232,10 +1150,7 @@ let answer_accepted t p ~from_ip ~to_ip response =
       match Identxx.Signed.claim response with
       | None -> Some (None, "unauthenticated")
       | Some c ->
-          let sent =
-            if Ipv4.equal from_ip p.p_flow.Five_tuple.src then p.src_nonce
-            else p.dst_nonce
-          in
+          let sent = (leg p (end_of p.p_flow from_ip)).nonce in
           if
             (not (String.equal c.host from_s))
             || (not (String.equal c.peer (Ipv4.to_string to_ip)))
@@ -1272,34 +1187,17 @@ let covers scope ~flow ~end_ w =
 
 (* A waiter the settling answer does not cover sends its own
    query, with its own nonce and trace context, on its own shard. *)
-let requery t ~host w =
+let requery t w =
   let sx = t.shards_.(w.w_sid) in
   match Flow_tbl.find_opt sx.s_pending w.w_flow with
-  | None -> ()
-  | Some p ->
-      let awaiting, reply, qn =
-        match w.w_end with
-        | `Src -> (p.await_src, w.w_flow.Five_tuple.dst, 1)
-        | `Dst -> (p.await_dst, w.w_flow.Five_tuple.src, 2)
-      in
-      if awaiting then begin
-        if Obs.Span.is_live p.p_span then
-          Obs.Span.event p.p_span ~at:(time_now_s t)
-            ~attrs:[ ("host", Ipv4.to_string host) ]
-            "query-out-of-scope";
-        let nonce = query_nonce t p w.w_end in
-        let trace =
-          Option.map (fun c -> Obs.Trace_context.child c qn) p.p_ctx
-        in
-        Option.iter
-          (wire_send ?trace ?nonce t sx ~flow:w.w_flow ~target_ip:host
-             ~reply_to:reply)
-          (attachment_of t host)
-      end
+  | Some p when (leg p w.w_end).awaiting ->
+      host_event t p.p_span (end_ip w.w_flow w.w_end) "query-out-of-scope";
+      resend t sx p w.w_end
+  | Some _ | None -> ()
 
 (* The one response path: an answer pairs with the flow it names, on
    that flow's shard, and settles the flow's query to the answering host
-   ({!settle_waiters}), each waiter on its own shard. An answer that
+   ({!close_exchange}), each waiter on its own shard. An answer that
    fails authentication settles nothing: the waiters decide on a later
    valid answer or at the initiator's timeout, so an off-path spoofer
    cannot force early fail-closed decisions. An answer naming no pending
@@ -1321,10 +1219,10 @@ let handle_response t sx ~dpid ~from_ip ~to_ip response pkt =
          matching). *)
       let dtrace = Identxx.Response.trace_info response in
       let response = Identxx.Response.strip_trace response in
-      let end_ = if Ipv4.equal from_ip flow.Five_tuple.src then `Src else `Dst in
+      let end_ = end_of flow from_ip in
       let scope = Identxx.Signed.scope response in
       let ws =
-        settle_waiters t osx p ~host:from_ip ~end_ (Some (scope, response))
+        close_exchange t osx p ~host:from_ip ~end_ (Some (scope, response))
       in
       (* An (authenticated, if required) answer: close breaker state in
          every shard view that waited on it. *)
@@ -1337,14 +1235,14 @@ let handle_response t sx ~dpid ~from_ip ~to_ip response pkt =
          reaches; any other asks for itself. The initiator settles first
          and alone carries the daemon's timing piggyback (the timings
          are real once). *)
-      let first = ref true in
+      let first = ref true and answered = Answered response in
       post_to_waiters t ws (fun w ->
           if covers scope ~flow ~end_ w then begin
             let dtrace = if !first then dtrace else None in
             first := false;
-            deliver_to_waiter t ~dtrace response w
+            settle_waiter ?dtrace t w answered
           end
-          else requery t ~host:from_ip w)
+          else requery t w)
 
 let handle_foreign_query t sx ~dpid ~from_ip ~to_ip (q : Identxx.Query.t) pkt =
   (* "Intercepted queries are not allowed to cause new queries." *)

@@ -18,11 +18,15 @@ let make ~(flow : Five_tuple.t) sections =
 let append_section t section =
   if section = [] then t else { t with sections = t.sections @ [ section ] }
 
-let latest t key =
-  List.fold_left
-    (fun acc section ->
-      match Key_value.find section key with Some v -> Some v | None -> acc)
-    None t.sections
+(* The last binding wins: search the later sections first. *)
+let rec latest_in key = function
+  | [] -> None
+  | section :: later -> (
+      match latest_in key later with
+      | None -> Key_value.find section key
+      | found -> found)
+
+let latest t key = latest_in key t.sections
 
 let all_values t key =
   List.concat_map

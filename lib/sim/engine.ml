@@ -18,6 +18,7 @@ let schedule_cancellable t ~delay action =
   ev
 
 let cancel ev = ev.cancelled <- true
+let cancelled = { action = ignore; cancelled = true }
 let pending t = Heap.size t.queue
 
 (* Dispatch the heap's first event. Reads the key in place and takes

@@ -23,6 +23,10 @@ val schedule_cancellable : t -> delay:Time.t -> (unit -> unit) -> cancel
 val cancel : cancel -> unit
 (** Cancelling an already-fired or cancelled event is a no-op. *)
 
+val cancelled : cancel
+(** A handle to no event, as if already cancelled: a placeholder until
+    a real timer is armed. *)
+
 val pending : t -> int
 (** Number of events still queued (including cancelled ones not yet
     reaped). *)

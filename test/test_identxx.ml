@@ -173,6 +173,17 @@ let test_response_latest_and_star () =
   check Alcotest.(list string) "keys in order" [ "userID"; "name"; "branch" ]
     (Identxx.Response.keys r)
 
+(* [latest] runs for every key an audit summary or a policy reads: a
+   miss allocates nothing. *)
+let test_response_latest_miss_alloc () =
+  let r = sample_response () in
+  let before = Gc.minor_words () in
+  for _ = 1 to 100 do
+    ignore (Sys.opaque_identity (Identxx.Response.latest r "absent"))
+  done;
+  check (Alcotest.float 0.) "no words per miss" 0.
+    (Gc.minor_words () -. before)
+
 let test_response_append_section () =
   let r = sample_response () in
   let r' = Identxx.Response.append_section r [ KV.pair "hop" "ctrl-b" ] in
@@ -1433,6 +1444,8 @@ let () =
           Alcotest.test_case "wire format" `Quick test_response_wire_format;
           Alcotest.test_case "roundtrip" `Quick test_response_roundtrip;
           Alcotest.test_case "latest and star" `Quick test_response_latest_and_star;
+          Alcotest.test_case "a latest miss allocates nothing" `Quick
+            test_response_latest_miss_alloc;
           Alcotest.test_case "append section" `Quick test_response_append_section;
           Alcotest.test_case "blank runs" `Quick test_response_decode_skips_blank_runs;
           Alcotest.test_case "rejects bad pair" `Quick

@@ -20,7 +20,11 @@
       doc/OBSERVABILITY.md) and the [~name:"..."] rule literals in
       lib/obs/health.ml agree, in both directions: every shipped rule
       has a documented row and every documented row names a rule the
-      registry still ships.
+      registry still ships;
+   6. the flight-recorder kinds ("Flight recorder" table in
+      doc/OBSERVABILITY.md) and the kinds lib/ records agree, in both
+      directions: a kind's literal is the first string literal at the
+      call's own level after each [Recorder.record]/[record_lazy].
 
    Usage: doclint <repo-root>. Exit 1 on any finding. *)
 
@@ -259,7 +263,10 @@ let rule_names_in_code root =
   end;
   acc
 
-let rule_rows_in_doc root doc =
+(* The rows of the table in [doc]'s section whose "## " heading
+   contains [section] (up to the next such heading) whose first code
+   span passes [accept], with their line numbers. *)
+let section_rows root doc ~section ~accept =
   let acc = Hashtbl.create 8 in
   (if Sys.file_exists (Filename.concat root doc) then
      let in_section = ref false in
@@ -276,10 +283,10 @@ let rule_rows_in_doc root doc =
               in
               go 0
             in
-            if starts "## " then in_section := contains line "Health rules"
+            if starts "## " then in_section := contains line section
             else if !in_section && starts "| `" then
               match inline_code_spans line with
-              | first :: _ when is_rule_name first ->
+              | first :: _ when accept first ->
                   Hashtbl.replace acc first (lineno + 1)
               | _ -> ()));
   acc
@@ -287,7 +294,9 @@ let rule_rows_in_doc root doc =
 let check_rule_catalog root =
   let doc = "doc/OBSERVABILITY.md" in
   let code = rule_names_in_code root in
-  let rows = rule_rows_in_doc root doc in
+  let rows =
+    section_rows root doc ~section:"Health rules" ~accept:is_rule_name
+  in
   Hashtbl.iter
     (fun name () ->
       if not (Hashtbl.mem rows name) then
@@ -304,19 +313,95 @@ let check_rule_catalog root =
           doc lineno name)
     rows
 
+(* --- 6: flight-recorder kind drift --- *)
+
+let is_kind_name s =
+  s <> ""
+  && String.for_all
+       (function 'a' .. 'z' | '0' .. '9' | '-' -> true | _ -> false)
+       s
+
+(* Every kind lib/ records, with the file recording it. After each
+   [Recorder.record] or [Recorder.record_lazy], the kind is the first
+   string literal outside any bracket the call's arguments open (so an
+   attribute pair in [~attrs:(...)] is not taken for it). *)
+let recorder_kinds_in_code root =
+  let acc = Hashtbl.create 8 in
+  let marker = "Recorder.record" in
+  let mlen = String.length marker in
+  let scan rel =
+    let s = read_file (Filename.concat root rel) in
+    let n = String.length s in
+    let rec literal_end j =
+      if j >= n || s.[j] = '"' then j
+      else literal_end (j + if s.[j] = '\\' then 2 else 1)
+    in
+    (* The kind literal at nesting [depth] 0 from [j] on, if any. *)
+    let rec kind j depth =
+      if j >= n || depth < 0 then None
+      else
+        match s.[j] with
+        | '(' | '[' | '{' -> kind (j + 1) (depth + 1)
+        | ')' | ']' | '}' -> kind (j + 1) (depth - 1)
+        | '"' ->
+            let e = literal_end (j + 1) in
+            if depth = 0 then Some (String.sub s (j + 1) (e - j - 1))
+            else kind (e + 1) depth
+        | _ -> kind (j + 1) depth
+    in
+    for i = 0 to n - mlen do
+      if String.sub s i mlen = marker then
+        match kind (i + mlen) 0 with
+        | Some k when is_kind_name k -> Hashtbl.replace acc k rel
+        | Some _ | None ->
+            err "%s: a Recorder.record call with no kind literal" rel
+    done
+  in
+  List.iter
+    (fun lib ->
+      List.iter
+        (fun f ->
+          if Filename.check_suffix f ".ml" then
+            scan (Printf.sprintf "lib/%s/%s" lib f))
+        (list_dir (Printf.sprintf "%s/lib/%s" root lib)))
+    (list_dir (Filename.concat root "lib"));
+  acc
+
+let check_recorder_catalog root =
+  let doc = "doc/OBSERVABILITY.md" in
+  let code = recorder_kinds_in_code root in
+  let rows =
+    section_rows root doc ~section:"Flight recorder" ~accept:is_kind_name
+  in
+  Hashtbl.iter
+    (fun kind path ->
+      if not (Hashtbl.mem rows kind) then
+        err "%s records kind `%s` but the %s flight-recorder table has no row \
+             for it"
+          path kind doc)
+    code;
+  Hashtbl.iter
+    (fun kind lineno ->
+      if not (Hashtbl.mem code kind) then
+        err "%s:%d: flight-recorder row `%s` names a kind lib/ no longer \
+             records"
+          doc lineno kind)
+    rows
+
 let () =
   let root = if Array.length Sys.argv > 1 then Sys.argv.(1) else "." in
   check_interfaces root;
   check_doc_refs root;
   check_metric_catalog root;
   check_rule_catalog root;
+  check_recorder_catalog root;
   let have_odoc = Sys.command "command -v odoc >/dev/null 2>&1" = 0 in
   if !errors > 0 then begin
     Printf.printf "doclint: %d finding(s)\n" !errors;
     exit 1
   end;
   Printf.printf
-    "doclint: interfaces documented, doc cross-references resolve, metric \
-     catalog in sync%s\n"
+    "doclint: interfaces documented, doc cross-references resolve, metric, \
+     health-rule and flight-recorder catalogs in sync%s\n"
     (if have_odoc then " (odoc present: run `dune build @doc` for the render)"
      else " (odoc not installed: rendered-doc build gated off)")
