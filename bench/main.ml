@@ -539,6 +539,33 @@ let bench_proactive_hit =
            (Identxx.Host.processes s.Deploy.client)
            ~flow:fl))
 
+(* One proactive policy reload on a 13-switch tree with 18 hosts: the
+   edits file flips between two revisions, and each run compiles,
+   numbers, diffs and lowers the change and lets the switches apply
+   its flow-mods (the allocation gate in test/test_compiler.ml measures
+   one such reload). *)
+let bench_proactive_reload =
+  let config = { C.default_config with C.proactive = true } in
+  let engine, _, controller, _ =
+    Deploy.tree_network ~config ~depth:3 ~fanout:3 ~hosts_per_edge:2 ()
+  in
+  PS.add_exn (C.policy controller) ~name:"00"
+    "block all\npass proto tcp from any to any port 80\n\
+     pass proto tcp from 10.0.2.0/24 to any port 22";
+  let edits =
+    [|
+      "pass proto tcp from 10.0.2.0/24 to 10.0.1.0/24 port 25";
+      "pass proto tcp from 10.0.1.0/24 to 10.0.2.0/24 port 25\n\
+       block proto tcp from 10.0.2.0/24 to 10.0.1.0/24 port 443";
+    |]
+  in
+  let counter = ref 0 in
+  Test.make ~name:"proactive/reload"
+    (Staged.stage (fun () ->
+         incr counter;
+         PS.add_exn (C.policy controller) ~name:"50" edits.(!counter land 1);
+         Sim.Engine.run engine))
+
 (* --- E12: protocol and crypto costs ----------------------------------- *)
 
 let bench_proto =
@@ -1088,6 +1115,7 @@ let tests =
        bench_check_deep_table;
        bench_compile_table;
        bench_compile_incremental;
+       bench_proactive_reload;
        bench_proactive_hit;
        bench_daemon;
        bench_collab;

@@ -364,6 +364,110 @@ let compile ?cache ?(max_entries = default_max_entries)
     truncated;
   }
 
+(* --- installed numbering --- *)
+
+(* Highest installed priority: an entry's specialisations take
+   priority + 1, and 0x7fff belongs to the controller's guards. *)
+let priority_top = 0x7ffd
+
+module KMap = Map.Make (struct
+  type t = MF.t * decision
+
+  let compare (fa, da) (fb, db) =
+    let c = MF.compare fa fb in
+    if c <> 0 then c else compare da db
+end)
+
+(* One step of a longest increasing run of old indices: cur index,
+   old index, and the step before it. *)
+type link = { l_cur : int; l_old : int; l_prev : link option }
+
+(* The (cur index, old index) pairs of a longest common subsequence of
+   the two entry arrays under (fields, decision) equality, ascending.
+   Hunt–Szymanski: each cur entry offers its matching old indices in
+   descending order to a patience-sorted longest strictly increasing
+   run, O((n + r) log n) for r matching pairs. *)
+let common_run (old_ : entry array) (cur : entry array) =
+  let key e = (e.e_fields, e.e_decision) in
+  let at = ref KMap.empty in
+  Array.iteri
+    (fun i e ->
+      at :=
+        KMap.update (key e)
+          (function None -> Some [ i ] | Some l -> Some (i :: l))
+          !at)
+    old_;
+  let at = !at in
+  let tails = Array.make (Array.length cur) None and len = ref 0 in
+  let old_at k = match tails.(k) with Some l -> l.l_old | None -> max_int in
+  Array.iteri
+    (fun j e ->
+      match KMap.find_opt (key e) at with
+      | None -> ()
+      | Some olds ->
+          List.iter
+            (fun i ->
+              let lo = ref 0 and hi = ref !len in
+              while !lo < !hi do
+                let mid = (!lo + !hi) / 2 in
+                if old_at mid < i then lo := mid + 1 else hi := mid
+              done;
+              let l_prev = if !lo = 0 then None else tails.(!lo - 1) in
+              tails.(!lo) <- Some { l_cur = j; l_old = i; l_prev };
+              if !lo = !len then incr len)
+            olds)
+    cur;
+  let rec walk acc = function
+    | None -> acc
+    | Some l -> walk ((l.l_cur, l.l_old) :: acc) l.l_prev
+  in
+  if !len = 0 then [] else walk [] tails.(!len - 1)
+
+(* Space the entries of [prio] left at -1 evenly between their fixed
+   neighbours. Every entry needs its priority and the one above free,
+   so neighbours sit at least 2 apart; the band's edges count as
+   neighbours at [priority_top + 2] and [priority_floor - 2]. False if
+   some gap has no room. *)
+let fill_gaps prio =
+  let n = Array.length prio in
+  let rec go above j =
+    (* [above]: the priority of the nearest fixed entry before [j]. *)
+    let k = ref j in
+    while !k < n && prio.(!k) < 0 do incr k done;
+    let below = if !k = n then priority_floor - 2 else prio.(!k) in
+    let free = !k - j and span = above - below in
+    if span < 2 * (free + 1) then false
+    else begin
+      for x = j to !k - 1 do
+        prio.(x) <- above - (span * (x - j + 1) / (free + 1))
+      done;
+      !k = n || go below (!k + 1)
+    end
+  in
+  go (priority_top + 2) 0
+
+let renumber ~old_ cur =
+  let old_a = Array.of_list old_.entries and cur_a = Array.of_list cur.entries in
+  let n = Array.length cur_a in
+  if 2 * (n + 1) > priority_top + 2 - (priority_floor - 2) then
+    invalid_arg "Compiler.renumber: more entries than the band holds";
+  let prio = Array.make n (-1) in
+  List.iter
+    (fun (j, i) -> prio.(j) <- old_a.(i).e_priority)
+    (common_run old_a cur_a);
+  if not (fill_gaps prio) then begin
+    (* No room between two kept entries: spread the whole table. *)
+    Array.fill prio 0 n (-1);
+    ignore (fill_gaps prio)
+  end;
+  {
+    cur with
+    entries =
+      List.mapi
+        (fun j e -> if e.e_priority = prio.(j) then e else { e with e_priority = prio.(j) })
+        cur.entries;
+  }
+
 (* --- deltas --- *)
 
 type delta = { d_add : entry list; d_del : entry list }

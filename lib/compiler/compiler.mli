@@ -24,13 +24,22 @@
     entry whose action equals {!Pf.Eval}'s verdict for every context,
     or punts (hits a punt entry / misses) to the controller.
 
-    Priorities descend from the top of a band {e below} the controller's
-    reactive per-flow entries (default 0x8000) — a reactive flow's
-    cached exact-match decision must outrank the compiled punt rule that
-    sent its first packet to the controller. Priorities step by 2 so a
-    per-switch lowering can wedge host-specialized forwarding entries
-    between a pass rule and its successor (see
-    {!Core.Controller}). *)
+    Priorities live in a band {e below} the controller's reactive
+    per-flow entries (default 0x8000) — a reactive flow's cached
+    exact-match decision must outrank the compiled punt rule that sent
+    its first packet to the controller. Each entry owns its priority and
+    the one above it, so a per-switch lowering can wedge
+    host-specialized forwarding entries between a pass rule and its
+    successor (see {!Core.Controller}). There are two numberings:
+
+    - {e compile numbering} ({!compile}): by position, from
+      {!priority_floor} upward in steps of 2. It depends only on the
+      policy, which is what [identxx_ctl compile] prints.
+    - {e installed numbering} ({!renumber}): what a controller puts in
+      the switches. Entries that survive a reload keep the priority
+      they were installed at, and the others are spaced evenly in the
+      gaps between them, so {!delta} sends nothing for an unchanged
+      entry. It depends on the table's history. *)
 
 (** What the switch should do with a matching packet, before per-switch
     lowering picks concrete ports. *)
@@ -41,7 +50,9 @@ type decision =
 
 type entry = {
   e_fields : Openflow.Match_fields.t;
-  e_priority : int;  (** Descending by position; step 2. *)
+  e_priority : int;
+      (** Descending by position, at least 2 apart (see the two
+          numberings above). *)
   e_decision : decision;
   e_lines : int list;
       (** Possible deciding policy lines (0 = implicit default); empty
@@ -108,6 +119,22 @@ val offload : proactive:bool -> Pf.Env.t -> Analysis.Fdd.t -> Analysis.Fdd.t
     whatever the context. Line 0, the implicit default, never qualifies
     there. A [proactive] policy without [log] rules returns [fdd]
     itself, so the compile cache keeps hitting. *)
+
+val renumber : old_:table -> table -> table
+(** [renumber ~old_ cur] is the installed numbering of [cur] after
+    [old_]: [cur] with its order and everything but its priorities
+    unchanged. Entries are matched to [old_]'s by fields and decision;
+    a longest order-preserving run of matches (a longest common
+    subsequence, found as a longest increasing run of old positions in
+    O(n log n) when no key repeats) keeps its old priorities.
+    Every other entry is spaced evenly in the gap between its kept
+    neighbours, within [\[priority_floor, 0x7ffd\]] and at least 2
+    apart. When some gap has no room, the whole table is spread evenly
+    over the band, as it is on a first install ([old_] empty). So it is
+    when a kept priority would break these rules, which a table that
+    {!compile} or [renumber] numbered never makes it do.
+    @raise Invalid_argument if [cur] has more than 6143 entries (the
+    band's room; {!compile} emits at most 4096). *)
 
 type delta = { d_add : entry list; d_del : entry list }
 

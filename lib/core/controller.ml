@@ -222,7 +222,7 @@ let make_pro_metrics reg ~labels =
         ~labels "identxx_compiler_proactive_evictions_total";
     ph_recompile =
       Obs.Registry.histogram reg
-        ~help:"Wall time to recompile and diff the proactive table."
+        ~help:"Processor time to recompile and diff the proactive table."
         ~labels "identxx_compiler_recompile_seconds";
   }
 
@@ -1335,50 +1335,46 @@ let empty_table =
    exchange packet straight to a host, past the interception points. *)
 let proactive_guard_priority = 0x7fff
 
+(* The guards' add messages, the same values for every switch and
+   every reload. *)
 let proactive_guards =
-  [
-    {
-      Openflow.Match_fields.any with
-      nw_proto = Some Proto.Tcp;
-      tp_dst = Some Identxx.Wire.port;
-    };
-    {
-      Openflow.Match_fields.any with
-      nw_proto = Some Proto.Tcp;
-      tp_src = Some Identxx.Wire.port;
-    };
-  ]
+  List.map
+    (fun fields ->
+      Msg.add_flow ~priority:proactive_guard_priority
+        ~cookie:Compiler.proactive_cookie ~fields
+        [ Openflow.Action.To_controller ])
+    [
+      {
+        Openflow.Match_fields.any with
+        nw_proto = Some Proto.Tcp;
+        tp_dst = Some Identxx.Wire.port;
+      };
+      {
+        Openflow.Match_fields.any with
+        nw_proto = Some Proto.Tcp;
+        tp_src = Some Identxx.Wire.port;
+      };
+    ]
 
-(* A destination a pass entry specialises to: the host's address, the
-   /32 that names it, and the actions that reach it from one switch. *)
-type host_route = {
-  hr_ip : Ipv4.t;
-  hr_dst : Prefix.t;
-  hr_actions : Openflow.Action.t list;
-}
-
-(* Every topology host with an attached endpoint, in topology order. *)
+(* Every topology host with an attached endpoint, in topology order,
+   with its address and the /32 that names it. *)
 let attached_hosts t =
-  List.filter_map
-    (fun host ->
-      match Net.host_ip t.network host with
-      | ip -> Some (host, ip)
-      | exception (Not_found | Invalid_argument _) -> None)
-    (Topo.hosts (Net.topology t.network))
+  Array.of_list
+    (List.filter_map
+       (fun host ->
+         match Net.host_ip t.network host with
+         | ip -> Some (host, ip, Prefix.host ip)
+         | exception (Not_found | Invalid_argument _) -> None)
+       (Topo.hosts (Net.topology t.network)))
 
-(* The attached hosts switch [dpid] can reach, each with its output
-   port. *)
+(* Per attached host, the actions that reach it from switch [dpid], or
+   [] where none does. *)
 let host_routes t ~dpid hosts =
-  List.filter_map
-    (fun (host, ip) ->
-      Option.map
-        (fun port ->
-          {
-            hr_ip = ip;
-            hr_dst = Prefix.host ip;
-            hr_actions = [ Openflow.Action.Output port ];
-          })
-        (Topo.next_hop (Net.topology t.network) ~from:dpid ~dst_host:host))
+  Array.map
+    (fun (host, _, _) ->
+      match Topo.next_hop (Net.topology t.network) ~from:dpid ~dst_host:host with
+      | Some port -> [ Openflow.Action.Output port ]
+      | None -> [])
     hosts
 
 (* The (forward, reverse) flow spaces of the keep-state pass rules,
@@ -1417,47 +1413,42 @@ let meets_state space (m : Openflow.Match_fields.t) =
          field 4 point m.Openflow.Match_fields.tp_dst;
        |]
 
-(* One abstract entry, lowered for one switch: concrete
-   (fields, priority, actions) triples.
+(* One abstract entry, lowered for every switch at once: the actions
+   of its own entry, and the host specialisations as (index into
+   [hosts], fields) pairs, each installed at priority + 1.
 
    A wildcard pass entry cannot name an output port, so it lowers to a
-   punt plus one host-specialized forwarding entry per route in
-   [routes] whose destination the match admits (nw_dst narrowed to the
-   host /32, at priority + 1 — the gap the compiler's step-2 priorities
-   leave). Traffic toward unknown destinations still punts, which is
-   the reactive behaviour. Block entries drop in hardware unless their
-   space overlaps the keep-state reverse space, and pass entries punt
-   where they overlap the keep-state forward space (see
-   [state_spaces]). *)
-let lower_entry ~routes ~state:(state_fwd, state_rev) (e : Compiler.entry) =
-  let fields = e.Compiler.e_fields and prio = e.Compiler.e_priority in
-  let punt = (fields, prio, [ Openflow.Action.To_controller ]) in
+   punt plus one host-specialized forwarding entry per attached host
+   whose address the match admits (nw_dst narrowed to the host /32, in
+   the gap above the entry that the installed numbering leaves). A
+   switch installs the specialisations of the hosts it reaches; traffic
+   toward unknown destinations still punts, which is the reactive
+   behaviour. Block entries drop in hardware unless their space
+   overlaps the keep-state reverse space, and pass entries punt where
+   they overlap the keep-state forward space (see [state_spaces]). *)
+let lower_entry ~hosts ~state:(state_fwd, state_rev) (e : Compiler.entry) =
+  let fields = e.Compiler.e_fields in
+  let punt = [ Openflow.Action.To_controller ] in
   match e.Compiler.e_decision with
-  | Compiler.Punt -> [ punt ]
+  | Compiler.Punt -> ([], punt)
   | Compiler.Decide Pf.Ast.Block ->
-      if meets_state state_rev fields then [ punt ]
-      else [ (fields, prio, Openflow.Action.drop) ]
-  | Compiler.Decide Pf.Ast.Pass
-    when meets_state state_fwd fields ->
-      [ punt ]
+      ([], if meets_state state_rev fields then punt else Openflow.Action.drop)
+  | Compiler.Decide Pf.Ast.Pass when meets_state state_fwd fields -> ([], punt)
   | Compiler.Decide Pf.Ast.Pass ->
-      let specials =
-        List.filter_map
-          (fun r ->
-            let admits =
-              match fields.Openflow.Match_fields.nw_dst with
-              | None -> true
-              | Some p -> Prefix.mem r.hr_ip p
-            in
-            if admits then
-              Some
-                ( { fields with Openflow.Match_fields.nw_dst = Some r.hr_dst },
-                  prio + 1,
-                  r.hr_actions )
-            else None)
-          routes
-      in
-      specials @ [ punt ]
+      let specials = ref [] in
+      for i = Array.length hosts - 1 downto 0 do
+        let _, ip, dst = hosts.(i) in
+        let admits =
+          match fields.Openflow.Match_fields.nw_dst with
+          | None -> true
+          | Some p -> Prefix.mem ip p
+        in
+        if admits then
+          specials :=
+            (i, { fields with Openflow.Match_fields.nw_dst = Some dst })
+            :: !specials
+      done;
+      (!specials, punt)
 
 let sync_proactive ?(force = false) t =
   let t0 = Sys.time () in
@@ -1470,7 +1461,9 @@ let sync_proactive ?(force = false) t =
   in
   let cur =
     match fdd with
-    | Some fdd -> Compiler.compile ~cache:t.proactive_cache fdd
+    | Some fdd ->
+        Compiler.renumber ~old_:t.proactive_tbl
+          (Compiler.compile ~cache:t.proactive_cache fdd)
     (* Unresolvable policy: install nothing, every flow goes to the
        controller, which fails closed per rule evaluation. *)
     | None -> empty_table
@@ -1492,47 +1485,57 @@ let sync_proactive ?(force = false) t =
       }
     else Compiler.delta ~old_:t.proactive_tbl cur
   in
-  let switches = Net.switches_in_domain t.network t.id in
   let hosts = attached_hosts t in
-  (* Deletes mirror what the old table installed, whichever hosts were
-     reachable then: every attached host's specialisation, under the
-     old keep-state spaces. A strict delete of an absent entry is a
+  (* Everything but a specialisation's output port is the same on every
+     switch, so it is lowered once and the same message values go to
+     each. Deletes mirror what the old table installed, whichever hosts
+     were reachable then: every attached host's specialisation, under
+     the old keep-state spaces. A strict delete of an absent entry is a
      no-op. *)
-  let every_host =
-    List.map
-      (fun (_, ip) -> { hr_ip = ip; hr_dst = Prefix.host ip; hr_actions = [] })
-      hosts
+  let deletes =
+    List.concat_map
+      (fun (e : Compiler.entry) ->
+        let priority = e.Compiler.e_priority in
+        let specials, _ = lower_entry ~hosts ~state:t.proactive_state e in
+        List.map
+          (fun (_, fields) -> Msg.delete_strict ~priority:(priority + 1) ~fields)
+          specials
+        @ [ Msg.delete_strict ~priority ~fields:e.Compiler.e_fields ])
+      d.Compiler.d_del
   in
+  let adds =
+    List.map
+      (fun (e : Compiler.entry) ->
+        let priority = e.Compiler.e_priority in
+        let specials, actions = lower_entry ~hosts ~state e in
+        ( specials,
+          priority + 1,
+          Msg.add_flow ~priority ~cookie:Compiler.proactive_cookie
+            ~fields:e.Compiler.e_fields actions ))
+      d.Compiler.d_add
+  in
+  let routed = List.exists (fun (specials, _, _) -> specials <> []) adds in
   List.iter
     (fun dpid ->
-      let routes = host_routes t ~dpid hosts in
+      let send msg = Net.send_to_switch t.network dpid msg in
+      List.iter send deletes;
+      let routes = if routed then host_routes t ~dpid hosts else [||] in
       List.iter
-        (fun e ->
+        (fun (specials, priority, own) ->
+          (* [priority]: the specialisations', one above [own]'s. *)
           List.iter
-            (fun (fields, priority, _) ->
-              Net.send_to_switch t.network dpid
-                (Msg.delete_strict ~priority ~fields))
-            (lower_entry ~routes:every_host ~state:t.proactive_state e))
-        d.Compiler.d_del;
-      let adds =
-        List.concat_map (lower_entry ~routes ~state) d.Compiler.d_add
-      in
-      let adds =
-        if cur.Compiler.entries = [] then adds
-        else
-          adds
-          @ List.map
-              (fun f ->
-                (f, proactive_guard_priority, [ Openflow.Action.To_controller ]))
-              proactive_guards
-      in
-      List.iter
-        (fun (fields, priority, actions) ->
-          Net.send_to_switch t.network dpid
-            (Msg.add_flow ~priority ~cookie:Compiler.proactive_cookie ~fields
-               actions))
-        adds)
-    switches;
+            (fun (i, fields) ->
+              match routes.(i) with
+              | [] -> ()
+              | actions ->
+                  send
+                    (Msg.add_flow ~priority ~cookie:Compiler.proactive_cookie
+                       ~fields actions))
+            specials;
+          send own)
+        adds;
+      if cur.Compiler.entries <> [] then List.iter send proactive_guards)
+    (Net.switches_in_domain t.network t.id);
   (match t.pm with
   | Some pm ->
       Obs.Registry.Counter.inc pm.pc_recompiles;

@@ -236,6 +236,246 @@ let test_incremental_delta () =
     (List.length d.Compiler.d_add);
   check_applies old_ d cur
 
+(* --- installed numbering: Compiler.renumber --- *)
+
+let no_table =
+  {
+    Compiler.entries = [];
+    spills = [];
+    static_coverage = 0.0;
+    installed_coverage = 0.0;
+    truncated = false;
+  }
+
+let same_key (a : Compiler.entry) (b : Compiler.entry) =
+  MF.equal a.Compiler.e_fields b.Compiler.e_fields
+  && a.Compiler.e_decision = b.Compiler.e_decision
+
+(* Length of a longest common subsequence of the two entry lists under
+   [same_key]: the quadratic table, as the reference for renumber's
+   longest increasing run. *)
+let lcs_length a b =
+  let a = Array.of_list a and b = Array.of_list b in
+  let n = Array.length a and m = Array.length b in
+  let t = Array.make_matrix (n + 1) (m + 1) 0 in
+  for i = n - 1 downto 0 do
+    for j = m - 1 downto 0 do
+      t.(i).(j) <-
+        (if same_key a.(i) b.(j) then t.(i + 1).(j + 1) + 1
+         else max t.(i + 1).(j) t.(i).(j + 1))
+    done
+  done;
+  t.(0).(0)
+
+(* Entries of [t] that [old_] holds with the same fields, decision and
+   priority. Both tables' priorities descend, so these form a common
+   subsequence: at most [lcs_length], and exactly that when renumber
+   kept a longest run at its old priorities. *)
+let kept ~old_ (t : Compiler.table) =
+  List.length
+    (List.filter
+       (fun (e : Compiler.entry) ->
+         List.exists
+           (fun (o : Compiler.entry) ->
+             same_key o e && o.Compiler.e_priority = e.Compiler.e_priority)
+           old_.Compiler.entries)
+       t.Compiler.entries)
+
+(* Why [t] is not an installed numbering of [cur], if it is not: it
+   must hold [cur]'s entries in [cur]'s order, changed only in their
+   priorities, which descend at least 2 apart inside
+   [priority_floor, 0x7ffd]. *)
+let numbering_error (cur : Compiler.table) (t : Compiler.table) =
+  let rec go prev = function
+    | [], [] -> None
+    | (c : Compiler.entry) :: cs, (e : Compiler.entry) :: es ->
+        let p = e.Compiler.e_priority in
+        if not (same_key c e && c.Compiler.e_lines = e.Compiler.e_lines) then
+          Some ("entry changed: " ^ Compiler.entry_to_string e)
+        else if p < Compiler.priority_floor || p > 0x7ffd then
+          Some (Printf.sprintf "priority %d outside the band" p)
+        else if prev - p < 2 then
+          Some (Printf.sprintf "priority %d under %d" p prev)
+        else go p (cs, es)
+    | _ -> Some "entry count changed"
+  in
+  if t.Compiler.spills <> cur.Compiler.spills
+     || t.Compiler.truncated <> cur.Compiler.truncated
+  then Some "table fields changed"
+  else go (0x7ffd + 2) (cur.Compiler.entries, t.Compiler.entries)
+
+let check_numbering what cur t =
+  match numbering_error cur t with
+  | None -> ()
+  | Some e -> Alcotest.failf "%s: %s" what e
+
+let renumber_subnets =
+  [| "any"; "10.0.0.0/8"; "10.1.0.0/16"; "10.2.0.0/16"; "10.1.2.0/24" |]
+
+let gen_renumber_rule =
+  QCheck.Gen.(
+    map
+      (fun ((pass, proto), (src, dst), port) ->
+        Printf.sprintf "%s proto %s from %s to %s port %d"
+          (if pass then "pass" else "block")
+          proto src dst port)
+      (triple
+         (pair bool (oneofl [ "tcp"; "udp" ]))
+         (pair (oneofa renumber_subnets) (oneofa renumber_subnets))
+         (oneofl [ 22; 80; 443; 8080 ])))
+
+(* Two revisions of one policy: each keeps its own subset of a shared
+   rule list, so most of their entries agree. *)
+let gen_revisions =
+  QCheck.Gen.(
+    map
+      (fun rules ->
+        let text keep =
+          String.concat "\n"
+            ("block all"
+            :: List.filter_map (fun (r, a, b) -> if keep (a, b) then Some r else None) rules)
+        in
+        (text fst, text snd))
+      (list_size (int_range 1 6) (triple gen_renumber_rule bool bool)))
+
+(* Against an old table spread over the band, renumber keeps a longest
+   common run at its old priorities (the gaps always have room at these
+   sizes); against compile's packed numbering it may spread the whole
+   table. Either way the result is a valid numbering that decides every
+   region of the new diagram as compile's table does. *)
+let prop_renumber_revisions =
+  QCheck.Test.make ~name:"renumber keeps order and a longest common run"
+    ~count:200
+    (QCheck.make gen_revisions ~print:(fun (a, b) -> a ^ "\n-- then --\n" ^ b))
+    (fun (old_text, cur_text) ->
+      let cache = Compiler.create_cache () in
+      let packed = Compiler.compile ~cache (Fdd.compile (env_of old_text)) in
+      let fdd = Fdd.compile (env_of cur_text) in
+      let cur = Compiler.compile ~cache fdd in
+      QCheck.assume
+        (List.length packed.Compiler.entries <= 60
+        && List.length cur.Compiler.entries <= 60);
+      let spread = Compiler.renumber ~old_:no_table packed in
+      let witnesses =
+        let sl = Fdd.static_slice fdd in
+        List.map (fun (rg, _, _) -> Fdd.region_witness rg) sl.Fdd.s_static
+        @ List.map (fun (rg, _) -> Fdd.region_witness rg) sl.Fdd.s_reactive
+      in
+      List.iter
+        (fun (what, old_) ->
+          let t = Compiler.renumber ~old_ cur in
+          (match numbering_error cur t with
+          | None -> ()
+          | Some e -> QCheck.Test.fail_reportf "after %s old table: %s" what e);
+          List.iter
+            (fun fl ->
+              if Compiler.lookup t fl <> Compiler.lookup cur fl then
+                QCheck.Test.fail_reportf "after %s old table: %s decides %s, compile %s"
+                  what (Five_tuple.to_string fl)
+                  (Compiler.decision_to_string (Compiler.lookup t fl))
+                  (Compiler.decision_to_string (Compiler.lookup cur fl)))
+            witnesses)
+        [ ("spread", spread); ("packed", packed) ];
+      let t = Compiler.renumber ~old_:spread cur in
+      let common = lcs_length spread.Compiler.entries cur.Compiler.entries in
+      if kept ~old_:spread t <> common then
+        QCheck.Test.fail_reportf "kept %d entries of a longest common run of %d"
+          (kept ~old_:spread t) common;
+      true)
+
+(* Entry lists over a tiny pool of keys, so both sides repeat keys and
+   a longest common run has many candidates. *)
+let gen_entry_lists =
+  QCheck.Gen.(
+    let entry =
+      map
+        (fun (port, d) ->
+          {
+            Compiler.e_fields =
+              { MF.any with MF.nw_proto = Some Proto.Tcp; tp_dst = Some port };
+            e_priority = 0;
+            e_decision =
+              (match d with
+              | 0 -> Compiler.Decide Pf.Ast.Pass
+              | 1 -> Compiler.Decide Pf.Ast.Block
+              | _ -> Compiler.Punt);
+            e_lines = [];
+          })
+        (pair (int_range 1 3) (int_range 0 2))
+    in
+    pair (list_size (int_range 0 30) entry) (list_size (int_range 0 30) entry))
+
+let prop_renumber_repeated_keys =
+  QCheck.Test.make ~name:"renumber with repeated keys" ~count:500
+    (QCheck.make gen_entry_lists ~print:(fun (a, b) ->
+         let show l =
+           String.concat "; " (List.map Compiler.entry_to_string l)
+         in
+         show a ^ "\n-- then --\n" ^ show b))
+    (fun (old_entries, cur_entries) ->
+      let old_ =
+        Compiler.renumber ~old_:no_table { no_table with Compiler.entries = old_entries }
+      in
+      let cur = { no_table with Compiler.entries = cur_entries } in
+      let t = Compiler.renumber ~old_ cur in
+      (match numbering_error cur t with
+      | None -> ()
+      | Some e -> QCheck.Test.fail_reportf "%s" e);
+      let common = lcs_length old_entries cur_entries in
+      if kept ~old_ t <> common then
+        QCheck.Test.fail_reportf "kept %d entries of a longest common run of %d"
+          (kept ~old_ t) common;
+      true)
+
+(* Two kept neighbours with more new entries between them than their
+   gap holds: the whole table is spread over the band again, and the
+   result is still a valid numbering. *)
+let test_renumber_exhausted_gap () =
+  let entry fields decision =
+    { Compiler.e_fields = fields; e_priority = 0; e_decision = decision; e_lines = [] }
+  in
+  let port p = { MF.any with MF.nw_proto = Some Proto.Tcp; tp_dst = Some p } in
+  let a = entry (port 80) (Compiler.Decide Pf.Ast.Pass)
+  and b = entry MF.any (Compiler.Decide Pf.Ast.Block) in
+  let table entries = { no_table with Compiler.entries } in
+  let between n =
+    table ((a :: List.init n (fun i -> entry (port (1000 + i)) Compiler.Punt)) @ [ b ])
+  in
+  let old_ = Compiler.renumber ~old_:no_table (table [ a; b ]) in
+  check_numbering "first install" (table [ a; b ]) old_;
+  let some = between 100 in
+  let t = Compiler.renumber ~old_ some in
+  check_numbering "100 inserts" some t;
+  Alcotest.(check int) "both neighbours kept" 2 (kept ~old_ t);
+  let many = between 3000 in
+  let t = Compiler.renumber ~old_ many in
+  check_numbering "3000 inserts" many t;
+  Alcotest.(check int) "the whole table renumbered" 0 (kept ~old_ t);
+  Alcotest.(check bool)
+    "spread down to the floor" true
+    ((List.nth t.Compiler.entries 3001).Compiler.e_priority
+    < Compiler.priority_floor + 8);
+  List.iter
+    (fun dp ->
+      let fl = flow ~dp "10.0.0.1" "10.0.0.2" in
+      Alcotest.(check decision)
+        (Printf.sprintf "port %d decides as before" dp)
+        (Compiler.lookup many fl) (Compiler.lookup t fl))
+    [ 80; 1000; 2500; 3999; 4000 ];
+  (* A packed old table (compile numbering, 2 apart) has no room for
+     even one entry between neighbours. *)
+  let packed =
+    table
+      [
+        { a with Compiler.e_priority = Compiler.priority_floor + 2 };
+        { b with Compiler.e_priority = Compiler.priority_floor };
+      ]
+  in
+  let one = between 1 in
+  let t = Compiler.renumber ~old_:packed one in
+  check_numbering "one insert into a packed table" one t;
+  Alcotest.(check int) "nothing kept" 0 (kept ~old_:packed t)
+
 (* --- the randomized differential: table vs diagram vs evaluator --- *)
 
 let interesting_addrs =
@@ -723,19 +963,44 @@ let test_e2e_keep_state_reload_deletes_specials () =
     "keep state leaves no forwarding entry" [] (forwarding_entries network)
 
 (* Every compiled entry on the domain's switches, as
-   "s<dpid> prio=<p> <fields> -> <actions>", sorted: entries of one
-   priority may sit in either order, depending on install order. *)
+   "s<dpid> rank=<r> <fields> -> <actions>", sorted: entries of one
+   priority may sit in either order, depending on install order. The
+   rank is the entry's place among its switch's distinct compiled
+   priorities, highest first. Absolute priorities are not comparable:
+   a reload keeps every surviving entry at the priority it was
+   installed at and spaces the new ones in the gaps between
+   ([Compiler.renumber]), so the values depend on the table's history.
+   The ranks keep all the table's lookups read: the same entries, the
+   same actions, the same relative order. *)
 let compiled_entries network =
   List.concat_map
     (fun dpid ->
-      Openflow.Flow_table.entries
-        (Openflow.Switch.table (Net.switch network dpid))
-      |> List.filter (fun (e : Openflow.Flow_entry.t) ->
-             e.Openflow.Flow_entry.cookie = Compiler.proactive_cookie)
-      |> List.map (fun (e : Openflow.Flow_entry.t) ->
-             Format.asprintf "s%d prio=%d %a -> %a" dpid
-               e.Openflow.Flow_entry.priority MF.pp e.Openflow.Flow_entry.fields
-               Openflow.Action.pp_list e.Openflow.Flow_entry.actions))
+      let compiled =
+        Openflow.Flow_table.entries
+          (Openflow.Switch.table (Net.switch network dpid))
+        |> List.filter (fun (e : Openflow.Flow_entry.t) ->
+               e.Openflow.Flow_entry.cookie = Compiler.proactive_cookie)
+      in
+      let priorities =
+        List.sort_uniq
+          (fun a b -> compare b a)
+          (List.map (fun (e : Openflow.Flow_entry.t) -> e.Openflow.Flow_entry.priority) compiled)
+      in
+      let rank p =
+        let rec find i = function
+          | q :: _ when q = p -> i
+          | _ :: rest -> find (i + 1) rest
+          | [] -> assert false
+        in
+        find 0 priorities
+      in
+      List.map
+        (fun (e : Openflow.Flow_entry.t) ->
+          Format.asprintf "s%d rank=%d %a -> %a" dpid
+            (rank e.Openflow.Flow_entry.priority)
+            MF.pp e.Openflow.Flow_entry.fields Openflow.Action.pp_list
+            e.Openflow.Flow_entry.actions)
+        compiled)
     (Net.switches_in_domain network 0)
   |> List.sort String.compare
 
@@ -820,6 +1085,68 @@ let test_e2e_random_reloads_match_fresh_install () =
       edits
   done
 
+(* An entry a reload leaves alone keeps its switch entry: editing
+   another file installs the new rule's entries below it without a
+   flow-mod for it, so the entry's priority and installation time stay.
+   With compile numbering the insert below would have moved it. *)
+let test_e2e_unchanged_entry_survives () =
+  let engine, network, controller, _ =
+    Deploy.linear_network ~config:proactive_config ~switches:2
+      ~hosts_per_switch:1 ()
+  in
+  PS.add_exn (C.policy controller) ~name:"00"
+    "block all\npass proto tcp from any to any port 80";
+  Sim.Engine.run engine;
+  let compiled fields =
+    Openflow.Flow_table.entries (Openflow.Switch.table (Net.switch network 1))
+    |> List.filter_map (fun (e : Openflow.Flow_entry.t) ->
+           if
+             e.Openflow.Flow_entry.cookie = Compiler.proactive_cookie
+             && MF.equal e.Openflow.Flow_entry.fields fields
+           then
+             Some
+               ( e.Openflow.Flow_entry.priority,
+                 Sim.Time.to_ns e.Openflow.Flow_entry.installed_at )
+           else None)
+  in
+  let web = { MF.any with MF.nw_proto = Some Proto.Tcp; tp_dst = Some 80 }
+  and dns = { MF.any with MF.nw_proto = Some Proto.Udp; tp_dst = Some 53 } in
+  let before = compiled web in
+  Alcotest.(check int) "one port-80 entry" 1 (List.length before);
+  Alcotest.(check int) "no DNS entry yet" 0 (List.length (compiled dns));
+  PS.add_exn (C.policy controller) ~name:"50"
+    "pass proto udp from any to any port 53";
+  Sim.Engine.run engine;
+  Alcotest.(check int) "the DNS entry installed" 1 (List.length (compiled dns));
+  Alcotest.(check (list (pair int int)))
+    "port-80 entry untouched (priority, installed at ns)" before (compiled web)
+
+(* Allocation of one proactive reload on a 13-switch tree with 18
+   hosts: compile, number, diff, lower and send one edit, and the
+   switches apply it. Measured 40,888 minor words; 60,185 when entries
+   were renumbered by position and lowered once per switch. *)
+let test_e2e_reload_allocation () =
+  let engine, _, controller, _ =
+    Deploy.tree_network ~config:proactive_config ~depth:3 ~fanout:3
+      ~hosts_per_edge:2 ()
+  in
+  PS.add_exn (C.policy controller) ~name:"00" reload_base;
+  PS.add_exn (C.policy controller) ~name:"50"
+    "pass proto tcp from 10.0.2.0/24 to 10.0.1.0/24 port 25";
+  Sim.Engine.run engine;
+  let old_ = C.proactive_table controller in
+  let before = Gc.minor_words () in
+  PS.add_exn (C.policy controller) ~name:"50"
+    "pass proto tcp from 10.0.1.0/24 to 10.0.2.0/24 port 25\n\
+     block proto tcp from 10.0.2.0/24 to 10.0.1.0/24 port 443";
+  Sim.Engine.run engine;
+  let words = Gc.minor_words () -. before in
+  let d = Compiler.delta ~old_ (C.proactive_table controller) in
+  Alcotest.(check bool)
+    "the edit adds and deletes entries" true
+    (d.Compiler.d_add <> [] && d.Compiler.d_del <> []);
+  if words > 43_000.0 then Alcotest.failf "%.0f minor words for one reload" words
+
 let () =
   Alcotest.run "compiler"
     [
@@ -831,6 +1158,13 @@ let () =
           Alcotest.test_case "budget spillover" `Quick test_budget_spill;
           Alcotest.test_case "truncation" `Quick test_truncation;
           Alcotest.test_case "incremental delta" `Quick test_incremental_delta;
+        ] );
+      ( "renumber",
+        [
+          QCheck_alcotest.to_alcotest prop_renumber_revisions;
+          QCheck_alcotest.to_alcotest prop_renumber_repeated_keys;
+          Alcotest.test_case "an exhausted gap" `Quick
+            test_renumber_exhausted_gap;
         ] );
       ( "differential",
         [
@@ -864,5 +1198,9 @@ let () =
             test_e2e_reload_matches_fresh_install;
           Alcotest.test_case "random reloads match a fresh install" `Quick
             test_e2e_random_reloads_match_fresh_install;
+          Alcotest.test_case "an unchanged entry survives a reload" `Quick
+            test_e2e_unchanged_entry_survives;
+          Alcotest.test_case "reload allocation" `Quick
+            test_e2e_reload_allocation;
         ] );
     ]

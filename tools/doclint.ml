@@ -10,7 +10,10 @@
    2. every .mli opens with a documentation comment;
    3. every repo-relative path mentioned in backticks in the operator
       documentation (README.md, DESIGN.md, EXPERIMENTS.md, doc/*.md)
-      exists, so the docs cannot drift from the tree they describe;
+      exists, so the docs cannot drift from the tree they describe; a
+      built executable [dir/name.exe] exists when [dir/name.ml] does
+      and [dir/dune] declares the executable [name], so the check reads
+      the same in the source tree as in the build tree;
    4. the metric catalog in doc/OBSERVABILITY.md and the metric-name
       literals in lib/, bin/, bench/, and tools/ agree, in both
       directions: a series
@@ -102,6 +105,70 @@ let inline_code_spans line =
     line;
   List.rev !out
 
+(* The names a dune file's [executable]/[executables] stanzas declare
+   in their [name]/[names] fields. *)
+let dune_executables path =
+  if not (Sys.file_exists path) then []
+  else begin
+    (* Tokens: "(", ")" and atoms; comments dropped, a quoted string
+       one opaque atom. *)
+    let s = read_file path in
+    let n = String.length s in
+    let toks = ref [] and buf = Buffer.create 16 in
+    let flush () =
+      if Buffer.length buf > 0 then begin
+        toks := Buffer.contents buf :: !toks;
+        Buffer.clear buf
+      end
+    in
+    let i = ref 0 in
+    while !i < n do
+      (match s.[!i] with
+      | ';' -> while !i < n - 1 && s.[!i + 1] <> '\n' do incr i done
+      | '"' ->
+          flush ();
+          incr i;
+          while !i < n && s.[!i] <> '"' do
+            if s.[!i] = '\\' then incr i;
+            incr i
+          done;
+          toks := "\"\"" :: !toks
+      | ('(' | ')') as c ->
+          flush ();
+          toks := String.make 1 c :: !toks
+      | ' ' | '\t' | '\n' | '\r' -> flush ()
+      | c -> Buffer.add_char buf c);
+      incr i
+    done;
+    flush ();
+    (* [heads]: the head atom of each open list, innermost first. *)
+    let rec walk heads acc = function
+      | [] -> acc
+      | "(" :: h :: rest when h <> "(" && h <> ")" -> walk (h :: heads) acc rest
+      | "(" :: rest -> walk ("" :: heads) acc rest
+      | ")" :: rest -> walk (match heads with _ :: up -> up | [] -> []) acc rest
+      | atom :: rest ->
+          let acc =
+            match heads with
+            | [ ("name" | "names"); ("executable" | "executables") ] -> atom :: acc
+            | _ -> acc
+          in
+          walk heads acc rest
+    in
+    walk [] [] (List.rev !toks)
+  end
+
+(* [tok], a path [dir/name.exe] under [base], names a built executable:
+   [dir/name.ml] exists and [dir/dune] declares [name]. *)
+let declared_exe base tok =
+  Filename.check_suffix tok ".exe"
+  &&
+  let stem = Filename.chop_suffix tok ".exe" in
+  Sys.file_exists (Filename.concat base (stem ^ ".ml"))
+  && List.mem (Filename.basename stem)
+       (dune_executables
+          (Filename.concat (Filename.concat base (Filename.dirname stem)) "dune"))
+
 let check_doc_refs root =
   let docs =
     List.filter
@@ -138,11 +205,12 @@ let check_doc_refs root =
                             (Filename.concat root (String.sub tok 0 i))
                    | None -> Filename.check_suffix tok ".md"
                  in
-                 if
-                   is_path
-                   && (not (Sys.file_exists (Filename.concat dir tok)))
-                   && not (Sys.file_exists (Filename.concat root tok))
-                 then err "%s:%d: `%s` does not exist" doc (lineno + 1) tok)
+                 let exists base =
+                   if Filename.check_suffix tok ".exe" then declared_exe base tok
+                   else Sys.file_exists (Filename.concat base tok)
+                 in
+                 if is_path && (not (exists dir)) && not (exists root) then
+                   err "%s:%d: `%s` does not exist" doc (lineno + 1) tok)
                (inline_code_spans line)))
     docs
 
