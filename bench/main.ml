@@ -566,6 +566,36 @@ let bench_proactive_reload =
          PS.add_exn (C.policy controller) ~name:"50" edits.(!counter land 1);
          Sim.Engine.run engine))
 
+(* A first packet in hardware under a compiled table: table 0's
+   wildcard pass entry jumps to table 1, whose /32 route for the
+   destination (one of 16) forwards it. *)
+let bench_proactive_table_hit =
+  let sw = Openflow.Switch.create ~dpid:1 ~ports:[ 1; 2 ] () in
+  let install msg = ignore (Openflow.Switch.apply sw ~now:Sim.Time.zero msg) in
+  install
+    (Openflow.Message.add_flow ~priority:0x6000
+       ~fields:
+         {
+           Openflow.Match_fields.any with
+           nw_proto = Some Proto.Tcp;
+           tp_dst = Some 80;
+         }
+       [ Openflow.Action.Goto_table 1 ]);
+  for h = 1 to 16 do
+    install
+      (Openflow.Message.add_flow ~table_id:1
+         ~fields:
+           {
+             Openflow.Match_fields.any with
+             nw_dst = Some (Prefix.host (Ipv4.of_octets 10 0 0 h));
+           }
+         [ Openflow.Action.Output (1 + (h land 1)) ])
+  done;
+  let pkt = Packet.of_five_tuple (flow "10.0.0.1" "10.0.0.2") in
+  Test.make ~name:"proactive/hit"
+    (Staged.stage (fun () ->
+         ignore (Openflow.Switch.process sw ~now:Sim.Time.zero ~in_port:1 pkt)))
+
 (* --- E12: protocol and crypto costs ----------------------------------- *)
 
 let bench_proto =
@@ -1116,6 +1146,7 @@ let tests =
        bench_compile_table;
        bench_compile_incremental;
        bench_proactive_reload;
+       bench_proactive_table_hit;
        bench_proactive_hit;
        bench_daemon;
        bench_collab;

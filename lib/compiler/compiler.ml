@@ -366,9 +366,9 @@ let compile ?cache ?(max_entries = default_max_entries)
 
 (* --- installed numbering --- *)
 
-(* Highest installed priority: an entry's specialisations take
-   priority + 1, and 0x7fff belongs to the controller's guards. *)
-let priority_top = 0x7ffd
+(* Highest installed priority: 0x7fff belongs to the controller's
+   guards. *)
+let priority_top = 0x7ffe
 
 module KMap = Map.Make (struct
   type t = MF.t * decision
@@ -424,19 +424,18 @@ let common_run (old_ : entry array) (cur : entry array) =
   if !len = 0 then [] else walk [] tails.(!len - 1)
 
 (* Space the entries of [prio] left at -1 evenly between their fixed
-   neighbours. Every entry needs its priority and the one above free,
-   so neighbours sit at least 2 apart; the band's edges count as
-   neighbours at [priority_top + 2] and [priority_floor - 2]. False if
-   some gap has no room. *)
+   neighbours; the band's edges count as neighbours at
+   [priority_top + 1] and [priority_floor - 1]. False if some gap has
+   no room. *)
 let fill_gaps prio =
   let n = Array.length prio in
   let rec go above j =
     (* [above]: the priority of the nearest fixed entry before [j]. *)
     let k = ref j in
     while !k < n && prio.(!k) < 0 do incr k done;
-    let below = if !k = n then priority_floor - 2 else prio.(!k) in
+    let below = if !k = n then priority_floor - 1 else prio.(!k) in
     let free = !k - j and span = above - below in
-    if span < 2 * (free + 1) then false
+    if span < free + 1 then false
     else begin
       for x = j to !k - 1 do
         prio.(x) <- above - (span * (x - j + 1) / (free + 1))
@@ -444,12 +443,12 @@ let fill_gaps prio =
       !k = n || go below (!k + 1)
     end
   in
-  go (priority_top + 2) 0
+  go (priority_top + 1) 0
 
 let renumber ~old_ cur =
   let old_a = Array.of_list old_.entries and cur_a = Array.of_list cur.entries in
   let n = Array.length cur_a in
-  if 2 * (n + 1) > priority_top + 2 - (priority_floor - 2) then
+  if n > priority_top - priority_floor + 1 then
     invalid_arg "Compiler.renumber: more entries than the band holds";
   let prio = Array.make n (-1) in
   List.iter

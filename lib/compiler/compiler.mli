@@ -27,19 +27,21 @@
     Priorities live in a band {e below} the controller's reactive
     per-flow entries (default 0x8000) — a reactive flow's cached
     exact-match decision must outrank the compiled punt rule that sent
-    its first packet to the controller. Each entry owns its priority and
-    the one above it, so a per-switch lowering can wedge
-    host-specialized forwarding entries between a pass rule and its
-    successor (see {!Core.Controller}). There are two numberings:
+    its first packet to the controller. An entry is one switch entry on
+    every switch: a pass entry jumps to the switch's forwarding table
+    (table 1, see {!Core.Controller}), so no entry needs a priority
+    beside its own. There are two numberings:
 
     - {e compile numbering} ({!compile}): by position, from
       {!priority_floor} upward in steps of 2. It depends only on the
       policy, which is what [identxx_ctl compile] prints.
     - {e installed numbering} ({!renumber}): what a controller puts in
-      the switches. Entries that survive a reload keep the priority
-      they were installed at, and the others are spaced evenly in the
-      gaps between them, so {!delta} sends nothing for an unchanged
-      entry. It depends on the table's history. *)
+      the switches, strictly descending inside
+      [\[priority_floor, 0x7ffe\]] (0x7fff is the controller's
+      guards'). Entries that survive a reload keep the priority they
+      were installed at, and the others are spaced evenly in the gaps
+      between them, so {!delta} sends nothing for an unchanged entry.
+      It depends on the table's history. *)
 
 (** What the switch should do with a matching packet, before per-switch
     lowering picks concrete ports. *)
@@ -51,8 +53,8 @@ type decision =
 type entry = {
   e_fields : Openflow.Match_fields.t;
   e_priority : int;
-      (** Descending by position, at least 2 apart (see the two
-          numberings above). *)
+      (** Strictly descending by position (see the two numberings
+          above). *)
   e_decision : decision;
   e_lines : int list;
       (** Possible deciding policy lines (0 = implicit default); empty
@@ -128,12 +130,12 @@ val renumber : old_:table -> table -> table
     subsequence, found as a longest increasing run of old positions in
     O(n log n) when no key repeats) keeps its old priorities.
     Every other entry is spaced evenly in the gap between its kept
-    neighbours, within [\[priority_floor, 0x7ffd\]] and at least 2
-    apart. When some gap has no room, the whole table is spread evenly
-    over the band, as it is on a first install ([old_] empty). So it is
-    when a kept priority would break these rules, which a table that
-    {!compile} or [renumber] numbered never makes it do.
-    @raise Invalid_argument if [cur] has more than 6143 entries (the
+    neighbours, within [\[priority_floor, 0x7ffe\]]. When some gap has
+    no room, the whole table is spread evenly over the band, as it is
+    on a first install ([old_] empty). So it is when a kept priority
+    would break these rules, which a table that {!compile} or
+    [renumber] numbered never makes it do.
+    @raise Invalid_argument if [cur] has more than 12287 entries (the
     band's room; {!compile} emits at most 4096). *)
 
 type delta = { d_add : entry list; d_del : entry list }

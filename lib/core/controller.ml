@@ -196,7 +196,6 @@ type pro_metrics = {
   pc_recompiles : Obs.Registry.Counter.t;
   pc_delta_add : Obs.Registry.Counter.t;
   pc_delta_del : Obs.Registry.Counter.t;
-  pc_evicted : Obs.Registry.Counter.t;
   ph_recompile : Obs.Registry.Histogram.t;
 }
 
@@ -216,10 +215,6 @@ let make_pro_metrics reg ~labels =
         ~help:"Abstract entries in emitted flow-mod deltas, by operation."
         ~labels:(labels @ [ ("op", "del") ])
         "identxx_compiler_delta_entries_total";
-    pc_evicted =
-      Obs.Registry.counter reg
-        ~help:"Proactively installed entries evicted by reactive churn."
-        ~labels "identxx_compiler_proactive_evictions_total";
     ph_recompile =
       Obs.Registry.histogram reg
         ~help:"Processor time to recompile and diff the proactive table."
@@ -276,6 +271,10 @@ type t = {
          entries overlapping the reverse space were installed as punts,
          and a change in either forces a full reinstall. *)
   proactive_cache : Compiler.cache;
+  mutable guarded : bool;
+      (* The guards were sent since the last forced sync. *)
+  routes : (Msg.switch_id, (Ipv4.t * int) list) Hashtbl.t;
+      (* Per switch, the table-1 routes sent: host address, port. *)
   pm : pro_metrics option; (* Some iff cfg.proactive. *)
   nonces : Sim.Prng.t;
       (* Query nonces: seeded, so runs stay deterministic. *)
@@ -1356,26 +1355,53 @@ let proactive_guards =
       };
     ]
 
-(* Every topology host with an attached endpoint, in topology order,
-   with its address and the /32 that names it. *)
-let attached_hosts t =
-  Array.of_list
-    (List.filter_map
-       (fun host ->
-         match Net.host_ip t.network host with
-         | ip -> Some (host, ip, Prefix.host ip)
-         | exception (Not_found | Invalid_argument _) -> None)
-       (Topo.hosts (Net.topology t.network)))
+(* Table 1 forwards by destination: one /32 route per reachable
+   attached host on each switch, out of the port toward it. Compiled
+   pass entries jump there, so a policy reload never touches it, and a
+   topology change touches nothing else: this runs after every one (see
+   {!create}), re-sends the routes whose port changed and deletes those
+   of hosts no longer reachable. *)
+let route_priority = 0x8000
+let route_fields ip = { Openflow.Match_fields.any with nw_dst = Some (Prefix.host ip) }
 
-(* Per attached host, the actions that reach it from switch [dpid], or
-   [] where none does. *)
-let host_routes t ~dpid hosts =
-  Array.map
-    (fun (host, _, _) ->
-      match Topo.next_hop (Net.topology t.network) ~from:dpid ~dst_host:host with
-      | Some port -> [ Openflow.Action.Output port ]
-      | None -> [])
-    hosts
+let sync_routes t =
+  let topo = Net.topology t.network in
+  let hosts =
+    List.filter_map
+      (fun host ->
+        match Net.host_ip t.network host with
+        | ip -> Some (host, ip)
+        | exception (Not_found | Invalid_argument _) -> None)
+      (Topo.hosts topo)
+  in
+  List.iter
+    (fun dpid ->
+      let send = Net.send_to_switch t.network dpid in
+      let old = Option.value ~default:[] (Hashtbl.find_opt t.routes dpid) in
+      let cur =
+        List.filter_map
+          (fun (host, ip) ->
+            Topo.next_hop topo ~from:dpid ~dst_host:host
+            |> Option.map (fun port -> (ip, port)))
+          hosts
+      in
+      List.iter
+        (fun (ip, _) ->
+          if not (List.mem_assoc ip cur) then
+            send
+              (Msg.delete_strict ~table_id:1 ~priority:route_priority
+                 ~fields:(route_fields ip)))
+        old;
+      List.iter
+        (fun (ip, port) ->
+          if List.assoc_opt ip old <> Some port then
+            send
+              (Msg.add_flow ~table_id:1 ~priority:route_priority
+                 ~cookie:Compiler.proactive_cookie ~fields:(route_fields ip)
+                 [ Openflow.Action.Output port ]))
+        cur;
+      Hashtbl.replace t.routes dpid cur)
+    (Net.switches_in_domain t.network t.id)
 
 (* The (forward, reverse) flow spaces of the keep-state pass rules,
    over-approximated. State matching precedes the ruleset: a pass entry
@@ -1413,42 +1439,22 @@ let meets_state space (m : Openflow.Match_fields.t) =
          field 4 point m.Openflow.Match_fields.tp_dst;
        |]
 
-(* One abstract entry, lowered for every switch at once: the actions
-   of its own entry, and the host specialisations as (index into
-   [hosts], fields) pairs, each installed at priority + 1.
-
-   A wildcard pass entry cannot name an output port, so it lowers to a
-   punt plus one host-specialized forwarding entry per attached host
-   whose address the match admits (nw_dst narrowed to the host /32, in
-   the gap above the entry that the installed numbering leaves). A
-   switch installs the specialisations of the hosts it reaches; traffic
-   toward unknown destinations still punts, which is the reactive
-   behaviour. Block entries drop in hardware unless their space
-   overlaps the keep-state reverse space, and pass entries punt where
-   they overlap the keep-state forward space (see [state_spaces]). *)
-let lower_entry ~hosts ~state:(state_fwd, state_rev) (e : Compiler.entry) =
+(* The actions of one abstract entry, the same on every switch. A pass
+   entry jumps to table 1, which forwards by destination; traffic
+   toward a host no route reaches misses there and punts, which is the
+   reactive behaviour. Block entries drop in hardware unless their
+   space overlaps the keep-state reverse space, and pass entries punt
+   where they overlap the keep-state forward space (see
+   [state_spaces]). *)
+let lower_entry ~state:(state_fwd, state_rev) (e : Compiler.entry) =
   let fields = e.Compiler.e_fields in
   let punt = [ Openflow.Action.To_controller ] in
   match e.Compiler.e_decision with
-  | Compiler.Punt -> ([], punt)
+  | Compiler.Punt -> punt
   | Compiler.Decide Pf.Ast.Block ->
-      ([], if meets_state state_rev fields then punt else Openflow.Action.drop)
-  | Compiler.Decide Pf.Ast.Pass when meets_state state_fwd fields -> ([], punt)
-  | Compiler.Decide Pf.Ast.Pass ->
-      let specials = ref [] in
-      for i = Array.length hosts - 1 downto 0 do
-        let _, ip, dst = hosts.(i) in
-        let admits =
-          match fields.Openflow.Match_fields.nw_dst with
-          | None -> true
-          | Some p -> Prefix.mem ip p
-        in
-        if admits then
-          specials :=
-            (i, { fields with Openflow.Match_fields.nw_dst = Some dst })
-            :: !specials
-      done;
-      (!specials, punt)
+      if meets_state state_rev fields then punt else Openflow.Action.drop
+  | Compiler.Decide Pf.Ast.Pass when meets_state state_fwd fields -> punt
+  | Compiler.Decide Pf.Ast.Pass -> [ Openflow.Action.Goto_table 1 ]
 
 let sync_proactive ?(force = false) t =
   let t0 = Sys.time () in
@@ -1485,56 +1491,33 @@ let sync_proactive ?(force = false) t =
       }
     else Compiler.delta ~old_:t.proactive_tbl cur
   in
-  let hosts = attached_hosts t in
-  (* Everything but a specialisation's output port is the same on every
-     switch, so it is lowered once and the same message values go to
-     each. Deletes mirror what the old table installed, whichever hosts
-     were reachable then: every attached host's specialisation, under
-     the old keep-state spaces. A strict delete of an absent entry is a
-     no-op. *)
-  let deletes =
-    List.concat_map
-      (fun (e : Compiler.entry) ->
-        let priority = e.Compiler.e_priority in
-        let specials, _ = lower_entry ~hosts ~state:t.proactive_state e in
-        List.map
-          (fun (_, fields) -> Msg.delete_strict ~priority:(priority + 1) ~fields)
-          specials
-        @ [ Msg.delete_strict ~priority ~fields:e.Compiler.e_fields ])
-      d.Compiler.d_del
-  in
-  let adds =
+  (* Each entry is lowered once, and the same message values go to
+     every switch. *)
+  let msgs =
     List.map
       (fun (e : Compiler.entry) ->
-        let priority = e.Compiler.e_priority in
-        let specials, actions = lower_entry ~hosts ~state e in
-        ( specials,
-          priority + 1,
-          Msg.add_flow ~priority ~cookie:Compiler.proactive_cookie
-            ~fields:e.Compiler.e_fields actions ))
-      d.Compiler.d_add
+        Msg.delete_strict ~table_id:0 ~priority:e.Compiler.e_priority
+          ~fields:e.Compiler.e_fields)
+      d.Compiler.d_del
+    @ List.map
+        (fun (e : Compiler.entry) ->
+          Msg.add_flow ~priority:e.Compiler.e_priority
+            ~cookie:Compiler.proactive_cookie ~fields:e.Compiler.e_fields
+            (lower_entry ~state e))
+        d.Compiler.d_add
   in
-  let routed = List.exists (fun (specials, _, _) -> specials <> []) adds in
+  (* Nothing but a wildcard flush removes a guard, and a flush forces
+     this sync: the guards go out once per force. *)
+  if force then t.guarded <- false;
+  let msgs =
+    if cur.Compiler.entries <> [] && not t.guarded then begin
+      t.guarded <- true;
+      msgs @ proactive_guards
+    end
+    else msgs
+  in
   List.iter
-    (fun dpid ->
-      let send msg = Net.send_to_switch t.network dpid msg in
-      List.iter send deletes;
-      let routes = if routed then host_routes t ~dpid hosts else [||] in
-      List.iter
-        (fun (specials, priority, own) ->
-          (* [priority]: the specialisations', one above [own]'s. *)
-          List.iter
-            (fun (i, fields) ->
-              match routes.(i) with
-              | [] -> ()
-              | actions ->
-                  send
-                    (Msg.add_flow ~priority ~cookie:Compiler.proactive_cookie
-                       ~fields actions))
-            specials;
-          send own)
-        adds;
-      if cur.Compiler.entries <> [] then List.iter send proactive_guards)
+    (fun dpid -> List.iter (Net.send_to_switch t.network dpid) msgs)
     (Net.switches_in_domain t.network t.id);
   (match t.pm with
   | Some pm ->
@@ -1554,41 +1537,21 @@ let sync_proactive ?(force = false) t =
 
 let proactive_table t = t.proactive_tbl
 
-(* Per-switch eviction telemetry: a counter series per flow table, and
-   a force-sampled span whenever reactive churn pushes out a compiled
-   entry (the signal that the table-size budget is too tight). *)
-let wire_eviction_telemetry t =
+(* Per-switch capacity telemetry: evictions and refused adds of each
+   switch's table 0. *)
+let wire_table_telemetry t =
   List.iter
     (fun dpid ->
       let table = Openflow.Switch.table (Net.switch t.network dpid) in
+      let labels = [ ("dpid", string_of_int dpid) ] in
       Obs.Registry.counter_fn t.obs
-        ~help:"Flow-table capacity evictions (LRU victims), by switch."
-        ~labels:[ ("dpid", string_of_int dpid) ]
-        "identxx_switch_evictions_total"
+        ~help:"Flow-table capacity evictions (LRU reactive victims), by switch."
+        ~labels "identxx_switch_evictions_total"
         (fun () -> Openflow.Flow_table.evictions table);
-      Openflow.Flow_table.set_on_evict table (fun victim ->
-          if victim.Openflow.Flow_entry.cookie = Compiler.proactive_cookie
-          then begin
-            (match t.pm with
-            | Some pm -> Obs.Registry.Counter.inc pm.pc_evicted
-            | None -> ());
-            if Obs.Span.enabled t.spans then begin
-              let at = time_now_s t in
-              let sp =
-                Obs.Span.start t.spans ~at
-                  ~attrs:
-                    [
-                      ("dpid", string_of_int dpid);
-                      ( "entry",
-                        Compiler.fields_to_string
-                          victim.Openflow.Flow_entry.fields );
-                    ]
-                  "proactive-evicted"
-              in
-              Obs.Span.force_sample sp;
-              Obs.Span.finish t.spans ~at sp
-            end
-          end))
+      Obs.Registry.counter_fn t.obs
+        ~help:"Flow-mod adds refused by a full table with nothing reactive to evict, by switch."
+        ~labels "identxx_switch_refusals_total"
+        (fun () -> Openflow.Flow_table.refusals table))
     (Net.switches_in_domain t.network t.id)
 
 (* --- cache management: override and revoke (S1, S7) --- *)
@@ -1606,8 +1569,11 @@ let flush_cache t =
      policy operations do not change what the hosts would answer. Every
      shard's view is flushed — control-plane operations are global. *)
   Array.iter (fun sx -> Fastpath.flush_decisions sx.s_fp) t.shards_;
-  (* The wildcard delete also removed the compiled entries. *)
-  sync_proactive ~force:true t
+  (* The wildcard delete also removed the compiled entries, the guards
+     and the routes. *)
+  Hashtbl.reset t.routes;
+  sync_proactive ~force:true t;
+  if t.cfg.proactive then sync_routes t
 
 (* A daemon-side change event (login/logout, process spawn/exit,
    configuration reload) reached us: what the host would answer may have
@@ -1623,7 +1589,10 @@ let revoke_principal t ~ip =
   Array.iter (fun sx -> Fastpath.revoke_ip sx.s_fp ip) t.shards_;
   Fastpath.Answers.drop_host t.answers ip;
   (* Dataplane: delete every installed entry the principal's address
-     appears in, either end, on every switch of the domain. *)
+     appears in, either end, in every table of every switch of the
+     domain. That takes the principal's own routes too: compiled
+     traffic toward it misses in table 1 and reaches the controller
+     until a topology change repairs the routes. *)
   let host = Prefix.host ip in
   List.iter
     (fun dpid ->
@@ -1634,9 +1603,9 @@ let revoke_principal t ~ip =
         (Msg.delete_flow
            ~fields:{ Openflow.Match_fields.any with nw_dst = Some host }))
     (Net.switches_in_domain t.network t.id);
-  (* The per-host deletes clip the compiled table wherever an entry
-     is host-specific (its host-specialized pass entries certainly), so
-     it reinstalls in full. *)
+  Hashtbl.filter_map_inplace (fun _ sent -> Some (List.remove_assoc ip sent)) t.routes;
+  (* The per-host deletes clip every compiled entry whose match names
+     the principal's address, so the table reinstalls in full. *)
   sync_proactive ~force:true t;
   dropped
 
@@ -1721,6 +1690,8 @@ let create ?(config = default_config) ?keystore ?functions ?obs ?spans
       proactive_tbl = empty_table;
       proactive_state = (Analysis.Fdd.Space.empty, Analysis.Fdd.Space.empty);
       proactive_cache = Compiler.create_cache ();
+      guarded = false;
+      routes = Hashtbl.create 16;
       pm = (if config.proactive then Some (make_pro_metrics obs ~labels) else None);
       nonces = Sim.Prng.create (0x6e6f6e6365 + id);
     }
@@ -1778,9 +1749,13 @@ let create ?(config = default_config) ?keystore ?functions ?obs ?spans
         float_of_int (Fastpath.Answers.in_flight answers))
   end;
   Net.register_controller network ~id (handle_message t);
-  wire_eviction_telemetry t;
-  (* No initial sync: hosts are typically attached after the controller
-     is created, and the first policy change (or an explicit
-     [sync_proactive]) installs the table with the full host set. *)
+  wire_table_telemetry t;
+  (* The compiled table goes in on the first policy change (or an
+     explicit [sync_proactive]); the routes follow the topology from
+     here on, hosts attached later included. *)
   Policy_store.on_change policy (fun () -> sync_proactive t);
+  if config.proactive then begin
+    Topo.on_change (Net.topology network) (fun () -> sync_routes t);
+    sync_routes t
+  end;
   t

@@ -69,10 +69,13 @@ type config = {
           region no [log] rule may decide, so statically-decided flows
           never generate a packet-in — only the reactive residue, logged
           regions and ident++ exchange traffic (which a guard entry
-          always punts) reach the controller. Off (the default, the
-          paper's reactive Figure-1 exchange): only the drops that
-          [block quick] rules make in every context. See DESIGN.md
-          §11. *)
+          always punts) reach the controller. A compiled pass entry
+          jumps to each switch's table 1, where the controller keeps
+          one route per reachable attached host and repairs the routes
+          on every topology change. Off (the default, the paper's
+          reactive Figure-1 exchange): only the drops that [block
+          quick] rules make in every context, and table 1 stays empty.
+          See DESIGN.md §11 and §13. *)
   shards : shard_config option;
       (** Every controller runs flow setup on the shard engine: run
           queues by flow-key hash, flow-mod installs batched per tick.
@@ -167,9 +170,10 @@ val audit : t -> Audit.t
     domain; these helpers do both atomically (in simulation order). *)
 
 val flush_cache : t -> unit
-(** Delete every flow entry in the domain's switches and forget
-    connection state; all flows are re-decided on their next packet.
-    The compiled table is reinstalled afterwards. *)
+(** Delete every flow entry in every table of the domain's switches and
+    forget connection state; all flows are re-decided on their next
+    packet. The compiled table and the routes are reinstalled
+    afterwards. *)
 
 val sync_proactive : ?force:bool -> t -> unit
 (** Recompile the policy's offloaded static slice and push the delta of
@@ -196,7 +200,9 @@ val revoke_principal : t -> ip:Ipv4.t -> int
 (** Revoke a principal by address: drop its connection state (returned),
     purge its cached attributes and every memoized decision its answers
     may have influenced, reset its breaker state, and delete every
-    installed dataplane entry with the address at either end. Already
+    installed dataplane entry with the address at either end, its
+    table-1 routes included (the next topology change restores them).
+    The compiled table is reinstalled afterwards. Already
     in-flight pending flows are unaffected (they decide with the
     responses they gathered). *)
 

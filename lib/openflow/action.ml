@@ -1,14 +1,8 @@
-type t = Output of int | Flood | To_controller | Drop
+type t = Output of int | Flood | To_controller | Drop | Goto_table of int
 
 let drop = [ Drop ]
-
-let is_drop actions =
-  actions = []
-  || List.for_all (function Drop -> true | Output _ | Flood | To_controller -> false) actions
-
-let output_ports actions =
-  List.filter_map (function Output p -> Some p | Flood | To_controller | Drop -> None) actions
-
+let is_drop actions = List.for_all (function Drop -> true | _ -> false) actions
+let output_ports actions = List.filter_map (function Output p -> Some p | _ -> None) actions
 let equal a b = a = b
 
 let pp ppf = function
@@ -16,6 +10,7 @@ let pp ppf = function
   | Flood -> Format.pp_print_string ppf "flood"
   | To_controller -> Format.pp_print_string ppf "controller"
   | Drop -> Format.pp_print_string ppf "drop"
+  | Goto_table n -> Format.fprintf ppf "goto:%d" n
 
 let pp_list ppf actions =
   match actions with

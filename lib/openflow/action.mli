@@ -1,11 +1,13 @@
 (** Actions a flow-table entry applies to matching packets (§3.1):
-    drop, forward out ports, flood, or send to the controller. *)
+    drop, forward out ports, flood, send to the controller, or continue
+    in a later table. *)
 
 type t =
   | Output of int  (** Forward out a specific port. *)
   | Flood  (** Forward out every port except the ingress one. *)
   | To_controller  (** Encapsulate and send to the OpenFlow controller. *)
   | Drop
+  | Goto_table of int  (** Continue in a later table ({!Switch.process}). *)
 
 val drop : t list
 (** The canonical "no actions" drop list. *)

@@ -33,6 +33,7 @@ type t = {
   mutable hit_count : int;
   mutable miss_count : int;
   mutable eviction_count : int;
+  mutable refusal_count : int;
   mutable on_evict : (Flow_entry.t -> unit) option;
 }
 
@@ -52,6 +53,7 @@ let create ?capacity () =
     hit_count = 0;
     miss_count = 0;
     eviction_count = 0;
+    refusal_count = 0;
     on_evict = None;
   }
 
@@ -205,22 +207,30 @@ let compact t =
     iter_slots t (push_deadline t)
   end
 
+(* Only reactive entries (cookie 0) are evictable: a controller's
+   compiled entries, guards and routes carry a cookie, and evicting one
+   would change what the table decides, not only what it caches. *)
+let evictable s = s.entry.cookie = 0
+
+(* Evict the least recently hit evictable entry (ties go to the entry
+   first in table order); false when there is none. *)
 let evict_lru t =
-  (* Least recently hit; ties go to the entry first in table order. *)
   let victim = ref None in
   iter_slots t (fun s ->
-      match !victim with
-      | Some v
-        when let c = Sim.Time.compare s.entry.last_hit v.entry.last_hit in
-             c > 0 || (c = 0 && before v s) ->
-          ()
-      | _ -> victim := Some s);
+      if evictable s then
+        match !victim with
+        | Some v
+          when let c = Sim.Time.compare s.entry.last_hit v.entry.last_hit in
+               c > 0 || (c = 0 && before v s) ->
+            ()
+        | _ -> victim := Some s);
   match !victim with
-  | None -> ()
+  | None -> false
   | Some s ->
       drop_slot t s;
       t.eviction_count <- t.eviction_count + 1;
-      Option.iter (fun f -> f s.entry) t.on_evict
+      Option.iter (fun f -> f s.entry) t.on_evict;
+      true
 
 let same_fields s fields = Match_fields.equal s.entry.fields fields
 
@@ -233,18 +243,23 @@ let add t (entry : Flow_entry.t) =
         (cull t (fun s ->
              s.entry.priority = entry.priority && same_fields s entry.fields))
   | None -> band_delete_first t entry.priority same_fields entry.fields);
-  (match t.capacity with
-  | Some cap when t.count >= cap -> evict_lru t
-  | _ -> ());
-  let s = { entry; seq = t.next_seq; alive = true } in
-  t.next_seq <- t.next_seq + 1;
-  t.count <- t.count + 1;
-  (match key with
-  | Some k -> update_bucket t k (insert s)
-  | None -> band_insert t s);
-  if is_timed entry then begin
-    t.timed <- t.timed + 1;
-    push_deadline t s
+  let room =
+    match t.capacity with
+    | Some cap when t.count >= cap -> evict_lru t
+    | _ -> true
+  in
+  if not room then t.refusal_count <- t.refusal_count + 1
+  else begin
+    let s = { entry; seq = t.next_seq; alive = true } in
+    t.next_seq <- t.next_seq + 1;
+    t.count <- t.count + 1;
+    (match key with
+    | Some k -> update_bucket t k (insert s)
+    | None -> band_insert t s);
+    if is_timed entry then begin
+      t.timed <- t.timed + 1;
+      push_deadline t s
+    end
   end;
   compact t
 
@@ -267,18 +282,18 @@ let rec scan_band t ~in_port pkt flow exact i =
           Some w
         else scan_band t ~in_port pkt flow exact (i + 1)
 
-let lookup t ~in_port pkt =
+let lookup_flow t ~in_port pkt flow =
   (* An indexable entry matches exactly the packets of its own key, so
      the candidates are the packet's bucket and the wildcards. The
      5-tuple is derived once and handed to every match test. *)
-  let flow = Packet.five_tuple pkt in
   let exact =
     match flow with
-    | Some key -> (
+    | Some key when Flow_tbl.length t.buckets > 0 -> (
+        (* Hashing the key allocates; a table of wildcards skips it. *)
         match Flow_tbl.find_opt t.buckets key with
         | Some bucket -> find_in_bucket ~in_port pkt flow bucket
         | None -> None)
-    | None -> None
+    | Some _ | None -> None
   in
   match scan_band t ~in_port pkt flow exact 0 with
   | Some s ->
@@ -287,6 +302,8 @@ let lookup t ~in_port pkt =
   | None ->
       t.miss_count <- t.miss_count + 1;
       None
+
+let lookup t ~in_port pkt = lookup_flow t ~in_port pkt (Packet.five_tuple pkt)
 
 let remove t ~priority ~fields =
   (* [add] keeps at most one entry per (fields, priority), and entries
@@ -308,24 +325,25 @@ let remove_matching t ~fields =
     t.buckets;
   compact t
 
-let expire t ~now =
-  let now_ns = Sim.Time.to_ns now in
-  let rec go n =
-    if Sim.Heap.is_empty t.deadlines || now_ns <= Sim.Heap.min_key t.deadlines
-    then n
+(* Drop the slots due by [now_ns]; [n] counts them. A closed function,
+   so the per-packet call allocates nothing. *)
+let rec expire_due t now_ns n =
+  if Sim.Heap.is_empty t.deadlines || now_ns <= Sim.Heap.min_key t.deadlines
+  then n
+  else
+    let s = Sim.Heap.take t.deadlines in
+    if not s.alive then expire_due t now_ns n
     else
-      let s = Sim.Heap.take t.deadlines in
-      if not s.alive then go n
-      else
-        match deadline_of s.entry with
-        | Some d when now_ns > d ->
-            drop_slot t s;
-            go (n + 1)
-        | Some _ | None ->
-            push_deadline t s;
-            go n
-  in
-  let evicted = go 0 in
+      match deadline_of s.entry with
+      | Some d when now_ns > d ->
+          drop_slot t s;
+          expire_due t now_ns (n + 1)
+      | Some _ | None ->
+          push_deadline t s;
+          expire_due t now_ns n
+
+let expire t ~now =
+  let evicted = expire_due t (Sim.Time.to_ns now) 0 in
   compact t;
   evicted
 
@@ -340,6 +358,7 @@ let clear t = remove_matching t ~fields:Match_fields.any
 let misses t = t.miss_count
 let hits t = t.hit_count
 let evictions t = t.eviction_count
+let refusals t = t.refusal_count
 let set_on_evict t f = t.on_evict <- Some f
 
 let pp ppf t =

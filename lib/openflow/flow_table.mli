@@ -17,9 +17,12 @@ open Netcore
 type t
 
 val create : ?capacity:int -> unit -> t
-(** [capacity] bounds the number of entries (default unbounded);
-    inserting into a full table evicts the least-recently-hit entry
-    (ties go to the entry first in table order), an O(n) scan. *)
+(** [capacity] bounds the number of entries (default unbounded).
+    Inserting into a full table evicts the least-recently-hit reactive
+    entry, one whose cookie is 0 (ties go to the entry first in table
+    order), an O(n) scan. An entry with a cookie is never evicted: when
+    no reactive entry is left, the add is refused and counted (see
+    {!refusals}), as an OpenFlow switch answers [ALL_TABLES_FULL]. *)
 
 val add : t -> Flow_entry.t -> unit
 (** Install an entry. An entry with identical fields and priority
@@ -37,6 +40,12 @@ val lookup : t -> in_port:int -> Packet.t -> Flow_entry.t option
     one the bucket's match outranks (at once when no wildcard ranks as
     high; O(w) when the bucket has no match); the scan allocates
     nothing per wildcard. *)
+
+val lookup_flow :
+  t -> in_port:int -> Packet.t -> Five_tuple.t option -> Flow_entry.t option
+(** [lookup_flow t ~in_port pkt flow] is [lookup t ~in_port pkt] given
+    [flow = Packet.five_tuple pkt], so a switch looking the packet up in
+    more than one table derives its 5-tuple once. *)
 
 val remove : t -> priority:int -> fields:Match_fields.t -> unit
 (** Strict delete (OpenFlow [DELETE_STRICT]): removes the entry whose
@@ -69,12 +78,14 @@ val misses : t -> int
 val hits : t -> int
 
 val evictions : t -> int
-(** Cumulative capacity evictions (least-recently-hit entries dropped
-    to make room; timeout expiry is not counted here). *)
+(** Cumulative capacity evictions (least-recently-hit reactive entries
+    dropped to make room; timeout expiry is not counted here). *)
+
+val refusals : t -> int
+(** Cumulative adds refused because the table was full and held no
+    reactive entry to evict. *)
 
 val set_on_evict : t -> (Flow_entry.t -> unit) -> unit
-(** Observe capacity evictions, called with each victim after removal —
-    the controller uses this to flag proactively installed entries
-    (recognized by cookie) being pushed out by reactive churn. *)
+(** Observe capacity evictions, called with each victim after removal. *)
 
 val pp : Format.formatter -> t -> unit

@@ -13,6 +13,7 @@ type flow_mod_command = Add | Delete | Delete_strict
 
 type flow_mod = {
   command : flow_mod_command;
+  table_id : int;
   fields : Match_fields.t;
   priority : int;
   actions : Action.t list;
@@ -50,15 +51,18 @@ type to_switch =
   | Stats_request of { xid : int }
   | Barrier
 
-let add_flow ?(priority = 0x8000) ?idle_timeout ?hard_timeout ?(cookie = 0)
-    ~fields actions =
-  Flow_mod
-    { command = Add; fields; priority; actions; idle_timeout; hard_timeout; cookie }
+let all_tables = 0xff
 
-let delete command ~priority ~fields =
+let add_flow ?(table_id = 0) ?(priority = 0x8000) ?idle_timeout ?hard_timeout
+    ?(cookie = 0) ~fields actions =
+  Flow_mod
+    { command = Add; table_id; fields; priority; actions; idle_timeout; hard_timeout; cookie }
+
+let delete command ~table_id ~priority ~fields =
   Flow_mod
     {
       command;
+      table_id;
       fields;
       priority;
       actions = [];
@@ -67,8 +71,8 @@ let delete command ~priority ~fields =
       cookie = 0;
     }
 
-let delete_flow ~fields = delete Delete ~priority:0 ~fields
-let delete_strict ~priority ~fields = delete Delete_strict ~priority ~fields
+let delete_flow ~fields = delete Delete ~table_id:all_tables ~priority:0 ~fields
+let delete_strict ~table_id ~priority ~fields = delete Delete_strict ~table_id ~priority ~fields
 
 let pp_to_controller ppf = function
   | Packet_in p ->
@@ -86,7 +90,8 @@ let pp_to_switch ppf = function
         | Delete -> "del"
         | Delete_strict -> "del-strict"
       in
-      Format.fprintf ppf "flow-mod %s prio=%d %a -> %a" cmd fm.priority
+      let table = if fm.table_id = 0 then "" else Printf.sprintf " table=%d" fm.table_id in
+      Format.fprintf ppf "flow-mod %s%s prio=%d %a -> %a" cmd table fm.priority
         Match_fields.pp fm.fields Action.pp_list fm.actions
   | Packet_out po ->
       let dest =

@@ -17,6 +17,7 @@ type flow_mod_command = Add | Delete | Delete_strict
 
 type flow_mod = {
   command : flow_mod_command;
+  table_id : int;  (** 0 or 1, or {!all_tables} for a [Delete]. *)
   fields : Match_fields.t;
   priority : int;
   actions : Action.t list;
@@ -55,7 +56,11 @@ type to_switch =
   | Stats_request of { xid : int }
   | Barrier
 
+val all_tables : int
+(** OpenFlow 1.1's [OFPTT_ALL]: a [Delete] here deletes in every table. *)
+
 val add_flow :
+  ?table_id:int ->
   ?priority:int ->
   ?idle_timeout:Sim.Time.t ->
   ?hard_timeout:Sim.Time.t ->
@@ -64,12 +69,16 @@ val add_flow :
   Action.t list ->
   to_switch
 
-val delete_flow : fields:Match_fields.t -> to_switch
+(** Table 0 by default. *)
 
-val delete_strict : priority:int -> fields:Match_fields.t -> to_switch
+val delete_flow : fields:Match_fields.t -> to_switch
+(** OpenFlow [DELETE] in every table: deletes every entry [fields]
+    covers. *)
+
+val delete_strict : table_id:int -> priority:int -> fields:Match_fields.t -> to_switch
 (** OpenFlow [DELETE_STRICT]: deletes only the entry with exactly these
-    fields and this priority. Entries with the same fields at other
-    priorities stay (see {!Flow_table.remove}). *)
+    fields and this priority in this table. Entries with the same fields
+    at other priorities stay (see {!Flow_table.remove}). *)
 
 val pp_to_controller : Format.formatter -> to_controller -> unit
 val pp_to_switch : Format.formatter -> to_switch -> unit

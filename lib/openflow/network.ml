@@ -203,7 +203,8 @@ let attach_host t ~name ~mac ~ip ~rx =
       Ip_tbl.remove t.host_of_ip old.h_ip
   | Some _ | None -> ());
   Hashtbl.replace t.hosts name { h_name = name; h_mac = mac; h_ip = ip; h_rx = rx };
-  Ip_tbl.replace t.host_of_ip ip name
+  Ip_tbl.replace t.host_of_ip ip name;
+  Topology.touch t.topology
 
 let host_state t name =
   match Hashtbl.find_opt t.hosts name with

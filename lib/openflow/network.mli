@@ -54,7 +54,8 @@ val send_to_switch : t -> Message.switch_id -> Message.to_switch -> unit
 
 val attach_host :
   t -> name:string -> mac:Mac.t -> ip:Ipv4.t -> rx:(Packet.t -> unit) -> unit
-(** Bind a receive callback for a host present in the topology.
+(** Bind a receive callback for a host present in the topology, and
+    {!Topology.touch} the topology, so its change hooks see the address.
     @raise Invalid_argument if the host has no attachment link. *)
 
 val host_mac : t -> string -> Mac.t

@@ -3,16 +3,17 @@ open Netcore
 type t = {
   dpid : Message.switch_id;
   ports : int list;
-  table : Flow_table.t;
+  tables : Flow_table.t array;
   mutable packets_handled : int;
 }
 
 let create ?capacity ~dpid ~ports () =
-  { dpid; ports; table = Flow_table.create ?capacity (); packets_handled = 0 }
+  let tables = [| Flow_table.create ?capacity (); Flow_table.create () |] in
+  { dpid; ports; tables; packets_handled = 0 }
 
 let dpid t = t.dpid
 let ports t = t.ports
-let table t = t.table
+let table ?(id = 0) t = t.tables.(id)
 
 type forward_decision = Forward of int list | Send_to_controller | Dropped
 
@@ -26,19 +27,27 @@ let resolve_actions t ~in_port actions =
         (function
           | Action.Output p -> [ p ]
           | Action.Flood -> List.filter (fun p -> p <> in_port) t.ports
-          | Action.To_controller | Action.Drop -> [])
+          | Action.To_controller | Action.Drop | Action.Goto_table _ -> [])
         actions
     in
     if ports = [] then Dropped else Forward (List.sort_uniq Int.compare ports)
 
+(* Look the packet up in table [id] and in the later tables its
+   entries jump to; a miss in any of them punts. *)
+let rec run t ~now ~in_port pkt flow id =
+  let table = t.tables.(id) in
+  ignore (Flow_table.expire table ~now);
+  match Flow_table.lookup_flow table ~in_port pkt flow with
+  | None -> Send_to_controller
+  | Some entry -> (
+      Flow_entry.hit entry ~now ~size:(Packet.size pkt);
+      match entry.actions with
+      | [ Action.Goto_table next ] when next > id -> run t ~now ~in_port pkt flow next
+      | actions -> resolve_actions t ~in_port actions)
+
 let process t ~now ~in_port pkt =
   t.packets_handled <- t.packets_handled + 1;
-  ignore (Flow_table.expire t.table ~now);
-  match Flow_table.lookup t.table ~in_port pkt with
-  | None -> Send_to_controller
-  | Some entry ->
-      Flow_entry.hit entry ~now ~size:(Packet.size pkt);
-      resolve_actions t ~in_port entry.actions
+  run t ~now ~in_port pkt (Packet.five_tuple pkt) 0
 
 type apply_result =
   | Nothing
@@ -51,16 +60,21 @@ let apply t ~now msg =
   | Message.Flow_mod fm -> (
       match fm.command with
       | Message.Add ->
-          Flow_table.add t.table
+          Flow_table.add t.tables.(fm.table_id)
             (Flow_entry.make ~priority:fm.priority
                ?idle_timeout:fm.idle_timeout ?hard_timeout:fm.hard_timeout
                ~cookie:fm.cookie ~installed_at:now ~fields:fm.fields fm.actions);
           Nothing
       | Message.Delete ->
-          Flow_table.remove_matching t.table ~fields:fm.fields;
+          Array.iteri
+            (fun id table ->
+              if fm.table_id = id || fm.table_id = Message.all_tables then
+                Flow_table.remove_matching table ~fields:fm.fields)
+            t.tables;
           Nothing
       | Message.Delete_strict ->
-          Flow_table.remove t.table ~priority:fm.priority ~fields:fm.fields;
+          Flow_table.remove t.tables.(fm.table_id) ~priority:fm.priority
+            ~fields:fm.fields;
           Nothing)
   | Message.Stats_request { xid } ->
       let flows =
@@ -73,7 +87,7 @@ let apply t ~now msg =
               st_bytes = e.bytes;
               st_age = Sim.Time.sub now e.installed_at;
             })
-          (Flow_table.entries t.table)
+          (Flow_table.entries (table t))
       in
       Reply
         (Message.Stats_reply
@@ -81,8 +95,8 @@ let apply t ~now msg =
              Message.st_dpid = t.dpid;
              st_xid = xid;
              st_flows = flows;
-             st_lookups = Flow_table.hits t.table + Flow_table.misses t.table;
-             st_matched = Flow_table.hits t.table;
+             st_lookups = Flow_table.hits (table t) + Flow_table.misses (table t);
+             st_matched = Flow_table.hits (table t);
            })
   | Message.Packet_out po -> (
       match po.out_port with
@@ -99,4 +113,6 @@ let packets_handled t = t.packets_handled
 let pp ppf t =
   Format.fprintf ppf "switch dpid=%d ports=[%s] handled=%d@.%a" t.dpid
     (String.concat ";" (List.map string_of_int t.ports))
-    t.packets_handled Flow_table.pp t.table
+    t.packets_handled
+    (Format.pp_print_array Flow_table.pp)
+    t.tables

@@ -21,6 +21,7 @@ type t = {
      the first route lookup and updated incrementally by every
      subsequent mutation (see Routing). *)
   mutable routing : Routing.t option;
+  mutable hooks : (unit -> unit) list;  (* in registration order *)
 }
 
 let create () =
@@ -31,21 +32,31 @@ let create () =
     ports = Hashtbl.create 64;
     epoch = 0;
     routing = None;
+    hooks = [];
   }
 
 let epoch t = t.epoch
+let on_change t f = t.hooks <- t.hooks @ [ f ]
+
+(* Every mutation ends here, after the routing state has caught up, so
+   a hook reads the new routes. *)
+let touch t =
+  t.epoch <- t.epoch + 1;
+  List.iter (fun f -> f ()) t.hooks
 
 let add_node t n =
   if Node_map.mem n t.nodes then
     invalid_arg "Topology: duplicate node";
-  t.nodes <- Node_map.add n () t.nodes;
-  t.epoch <- t.epoch + 1
+  t.nodes <- Node_map.add n () t.nodes
 
 let add_switch t dpid =
   add_node t (Sw dpid);
-  Option.iter (fun r -> Routing.add_switch r dpid) t.routing
+  Option.iter (fun r -> Routing.add_switch r dpid) t.routing;
+  touch t
 
-let add_host t name = add_node t (Host name)
+let add_host t name =
+  add_node t (Host name);
+  touch t
 
 let node_to_string = function
   | Sw d -> Printf.sprintf "s%d" d
@@ -88,11 +99,11 @@ let link t ?(latency = Sim.Time.us 10) (na, pa) (nb, pb) =
   Hashtbl.replace t.wiring (nb, pb) (a, latency);
   add_port t na pa;
   add_port t nb pb;
-  t.epoch <- t.epoch + 1;
-  match (t.routing, na, nb) with
+  (match (t.routing, na, nb) with
   | Some r, Sw u, Sw v ->
       Routing.link_up r (u, pa) (v, pb) ~weight:(weight_of latency)
-  | _ -> ()
+  | _ -> ());
+  touch t
 
 let unlink t (n, p) =
   match Hashtbl.find_opt t.wiring (n, p) with
@@ -112,10 +123,10 @@ let unlink t (n, p) =
               ((l.a.node = n && l.a.port = p)
               || (l.b.node = n && l.b.port = p)))
           t.links;
-      t.epoch <- t.epoch + 1;
       (match (t.routing, n, far.node) with
       | Some r, Sw u, Sw v -> Routing.link_down r (u, p) (v, far.port)
-      | _ -> ())
+      | _ -> ());
+      touch t
 
 let remove_host t name =
   let n = Host name in
@@ -124,7 +135,7 @@ let remove_host t name =
   List.iter (fun p -> unlink t (n, p)) (ports_of t n);
   Hashtbl.remove t.ports n;
   t.nodes <- Node_map.remove n t.nodes;
-  t.epoch <- t.epoch + 1
+  touch t
 
 let switches t =
   Node_map.fold

@@ -39,9 +39,17 @@ val remove_host : t -> string -> unit
     from per-host routing trees. @raise Invalid_argument if unknown. *)
 
 val epoch : t -> int
-(** Monotonic mutation counter: bumps on every node/link change.
-    Cached artifacts derived from the topology (routing tables,
-    compiled paths) are valid for exactly one epoch value. *)
+(** Monotonic mutation counter: bumps on every node/link change and
+    every {!touch}. Cached artifacts derived from the topology (routing
+    tables, compiled paths) are valid for exactly one epoch value. *)
+
+val on_change : t -> (unit -> unit) -> unit
+(** Run this hook, in registration order, after every epoch bump once
+    the routing state has caught up. *)
+
+val touch : t -> unit
+(** Bump the epoch and run the hooks without changing the graph, for
+    state routes depend on that it does not hold (a host's address). *)
 
 val switches : t -> Message.switch_id list
 val hosts : t -> string list

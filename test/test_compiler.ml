@@ -4,9 +4,10 @@
    randomized table-vs-FDD-vs-Eval differential over every shipped
    policy, and the end-to-end proactive controller: a statically-passed
    flow crosses the fabric with zero packet-ins, reactive residue still
-   punts, keep-state regions stay controller-mediated, evictions of
-   compiled entries are counted and spanned, and after every reload the
-   switches hold what a fresh install of the policy would. *)
+   punts, keep-state regions stay controller-mediated, reactive churn
+   evicts only reactive entries, after every reload the switches hold
+   what a fresh install of the policy would, and table 1's routes
+   follow link failures, revocation and cache flushes. *)
 
 open Netcore
 module Fdd = Analysis.Fdd
@@ -283,8 +284,8 @@ let kept ~old_ (t : Compiler.table) =
 
 (* Why [t] is not an installed numbering of [cur], if it is not: it
    must hold [cur]'s entries in [cur]'s order, changed only in their
-   priorities, which descend at least 2 apart inside
-   [priority_floor, 0x7ffd]. *)
+   priorities, which descend strictly inside [priority_floor, 0x7ffe]
+   (0x7fff is the guards'). *)
 let numbering_error (cur : Compiler.table) (t : Compiler.table) =
   let rec go prev = function
     | [], [] -> None
@@ -292,9 +293,9 @@ let numbering_error (cur : Compiler.table) (t : Compiler.table) =
         let p = e.Compiler.e_priority in
         if not (same_key c e && c.Compiler.e_lines = e.Compiler.e_lines) then
           Some ("entry changed: " ^ Compiler.entry_to_string e)
-        else if p < Compiler.priority_floor || p > 0x7ffd then
+        else if p < Compiler.priority_floor || p > 0x7ffe then
           Some (Printf.sprintf "priority %d outside the band" p)
-        else if prev - p < 2 then
+        else if prev <= p then
           Some (Printf.sprintf "priority %d under %d" p prev)
         else go p (cs, es)
     | _ -> Some "entry count changed"
@@ -302,7 +303,7 @@ let numbering_error (cur : Compiler.table) (t : Compiler.table) =
   if t.Compiler.spills <> cur.Compiler.spills
      || t.Compiler.truncated <> cur.Compiler.truncated
   then Some "table fields changed"
-  else go (0x7ffd + 2) (cur.Compiler.entries, t.Compiler.entries)
+  else go 0x7fff (cur.Compiler.entries, t.Compiler.entries)
 
 let check_numbering what cur t =
   match numbering_error cur t with
@@ -429,7 +430,8 @@ let prop_renumber_repeated_keys =
 
 (* Two kept neighbours with more new entries between them than their
    gap holds: the whole table is spread over the band again, and the
-   result is still a valid numbering. *)
+   result is still a valid numbering. A first install of two entries
+   leaves 4,095 priorities between them. *)
 let test_renumber_exhausted_gap () =
   let entry fields decision =
     { Compiler.e_fields = fields; e_priority = 0; e_decision = decision; e_lines = [] }
@@ -447,13 +449,17 @@ let test_renumber_exhausted_gap () =
   let t = Compiler.renumber ~old_ some in
   check_numbering "100 inserts" some t;
   Alcotest.(check int) "both neighbours kept" 2 (kept ~old_ t);
-  let many = between 3000 in
+  let full = between 4095 in
+  let t = Compiler.renumber ~old_ full in
+  check_numbering "4095 inserts" full t;
+  Alcotest.(check int) "a full gap keeps both neighbours" 2 (kept ~old_ t);
+  let many = between 5000 in
   let t = Compiler.renumber ~old_ many in
-  check_numbering "3000 inserts" many t;
+  check_numbering "5000 inserts" many t;
   Alcotest.(check int) "the whole table renumbered" 0 (kept ~old_ t);
   Alcotest.(check bool)
     "spread down to the floor" true
-    ((List.nth t.Compiler.entries 3001).Compiler.e_priority
+    ((List.nth t.Compiler.entries 5001).Compiler.e_priority
     < Compiler.priority_floor + 8);
   List.iter
     (fun dp ->
@@ -461,20 +467,23 @@ let test_renumber_exhausted_gap () =
       Alcotest.(check decision)
         (Printf.sprintf "port %d decides as before" dp)
         (Compiler.lookup many fl) (Compiler.lookup t fl))
-    [ 80; 1000; 2500; 3999; 4000 ];
-  (* A packed old table (compile numbering, 2 apart) has no room for
-     even one entry between neighbours. *)
-  let packed =
+    [ 80; 1000; 2500; 5999; 6000 ];
+  (* Compile numbering (2 apart) has room for one entry between
+     neighbours; neighbours 1 apart have none. *)
+  let apart d =
     table
       [
-        { a with Compiler.e_priority = Compiler.priority_floor + 2 };
+        { a with Compiler.e_priority = Compiler.priority_floor + d };
         { b with Compiler.e_priority = Compiler.priority_floor };
       ]
   in
   let one = between 1 in
-  let t = Compiler.renumber ~old_:packed one in
+  let t = Compiler.renumber ~old_:(apart 2) one in
+  check_numbering "one insert into a compile-numbered table" one t;
+  Alcotest.(check int) "both kept" 2 (kept ~old_:(apart 2) t);
+  let t = Compiler.renumber ~old_:(apart 1) one in
   check_numbering "one insert into a packed table" one t;
-  Alcotest.(check int) "nothing kept" 0 (kept ~old_:packed t)
+  Alcotest.(check int) "nothing kept" 0 (kept ~old_:(apart 1) t)
 
 (* --- the randomized differential: table vs diagram vs evaluator --- *)
 
@@ -821,12 +830,21 @@ let test_e2e_keep_state_stays_reactive () =
         "demoted block punts instead of dropping" true
         (List.mem Openflow.Action.To_controller e.Openflow.Flow_entry.actions))
 
-let test_e2e_eviction_telemetry () =
-  (* A TCAM-sized table under reactive churn: exact-match entries push
-     out compiled wildcards (LRU victims), which must surface as the
-     eviction counter and a force-sampled span. *)
-  let obs = Obs.Registry.create () in
-  let spans = Obs.Span.create () in
+(* The compiled entries (cookie [Compiler.proactive_cookie]) in switch
+   [dpid]'s table 0, as "prio=<p> <fields> -> <actions>". *)
+let compiled_on network dpid =
+  Openflow.Flow_table.entries (Openflow.Switch.table (Net.switch network dpid))
+  |> List.filter_map (fun (e : Openflow.Flow_entry.t) ->
+         if e.Openflow.Flow_entry.cookie = Compiler.proactive_cookie then
+           Some
+             (Format.asprintf "prio=%d %a -> %a" e.Openflow.Flow_entry.priority
+                MF.pp e.Openflow.Flow_entry.fields Openflow.Action.pp_list
+                e.Openflow.Flow_entry.actions)
+         else None)
+
+(* client - s1 - server under a proactive controller, with a table
+   capacity. *)
+let one_switch_network ~obs ~capacity =
   let engine = Sim.Engine.create () in
   let topology = Topo.create () in
   Topo.add_switch topology 1;
@@ -834,23 +852,31 @@ let test_e2e_eviction_telemetry () =
   Topo.add_host topology "server";
   Topo.link topology (Topo.Host "client", 0) (Topo.Sw 1, 1);
   Topo.link topology (Topo.Host "server", 0) (Topo.Sw 1, 2);
-  let network = Net.create ~table_capacity:6 ~engine ~topology () in
-  let controller =
-    C.create ~config:proactive_config ~obs ~spans ~network ~id:0 ()
+  let network = Net.create ~table_capacity:capacity ~engine ~topology () in
+  let controller = C.create ~config:proactive_config ~obs ~network ~id:0 () in
+  let host name mac addr =
+    let h = Identxx.Host.create ~name ~mac:(Mac.of_int mac) ~ip:(ip addr) () in
+    Deploy.attach_host network h;
+    h
   in
-  let client =
-    Identxx.Host.create ~name:"client" ~mac:(Mac.of_int 0x0a0001)
-      ~ip:(ip "10.0.0.1") ()
+  let client = host "client" 0x0a0001 "10.0.0.1" in
+  let server = host "server" 0x0a0002 "10.0.0.2" in
+  (engine, network, controller, client, server)
+
+let test_e2e_eviction_telemetry () =
+  (* A TCAM-sized table under reactive churn: the per-flow entries push
+     out one another (LRU victims), which the eviction counter shows,
+     and never a compiled entry or a guard. *)
+  let obs = Obs.Registry.create () in
+  let engine, network, controller, client, server =
+    one_switch_network ~obs ~capacity:6
   in
-  let server =
-    Identxx.Host.create ~name:"server" ~mac:(Mac.of_int 0x0a0002)
-      ~ip:(ip "10.0.0.2") ()
-  in
-  Deploy.attach_host network client;
-  Deploy.attach_host network server;
   PS.add_exn (C.policy controller) ~name:"00"
     "block all\npass proto tcp from any to any port 80\npass all with \
      eq(@src[name], firefox)";
+  Sim.Engine.run engine;
+  let installed = compiled_on network 1 in
+  Alcotest.(check int) "the pass entry and two guards" 3 (List.length installed);
   let proc = Identxx.Host.run client ~user:"u" ~exe:"/bin/app" () in
   for i = 1 to 5 do
     let fl =
@@ -863,14 +889,54 @@ let test_e2e_eviction_telemetry () =
   Alcotest.(check bool)
     "switch evictions counted" true
     (counter_sum obs "identxx_switch_evictions_total" >= 1);
+  Alcotest.(check (list string))
+    "every compiled entry and guard survives" installed
+    (compiled_on network 1);
   Alcotest.(check bool)
-    "compiled-entry evictions counted" true
-    (counter_sum obs "identxx_compiler_proactive_evictions_total" >= 1);
+    "refusal series exported per switch" true
+    (series_exists obs "identxx_switch_refusals_total");
+  Alcotest.(check int)
+    "nothing refused while reactive entries remain" 0
+    (counter_sum obs "identxx_switch_refusals_total")
+
+(* The reactive-churn bypass: with capacity 8, five port-8081 flows
+   used to evict the ident++ guard and then the compiled port-23
+   block, after which a port-23 packet reached the server in hardware,
+   with no packet-in and no audit entry (three to five flows do it).
+   Eviction now spares every entry with a cookie, so the block stays
+   and the packet dies at the switch. *)
+let test_e2e_churn_keeps_compiled_blocks () =
+  let obs = Obs.Registry.create () in
+  let engine, network, controller, client, server =
+    one_switch_network ~obs ~capacity:8
+  in
+  PS.add_exn (C.policy controller) ~name:"00"
+    "pass all\n\
+     block proto tcp from any to any port 23\n\
+     block proto tcp from any to any port 8081\n\
+     pass proto tcp from any to any port 8081 with eq(@src[name], firefox)";
+  let proc = Identxx.Host.run client ~user:"u" ~exe:"/bin/app" () in
+  let connect dst_port =
+    Identxx.Host.connect client ~proc ~dst:(Identxx.Host.ip server) ~dst_port ()
+  in
+  send_later engine network client ~flow:(connect 80) ~at_ms:1;
+  for i = 0 to 4 do
+    send_later engine network client ~flow:(connect 8081) ~at_ms:(2 + i)
+  done;
+  Sim.Engine.run engine;
+  let installed = compiled_on network 1 in
+  let delivered = Net.delivered network and seen = (C.stats controller).C.flows_seen in
+  send_later engine network client ~flow:(connect 23) ~at_ms:1;
+  Sim.Engine.run engine;
+  Alcotest.(check int) "the port-23 packet is not delivered" delivered
+    (Net.delivered network);
+  Alcotest.(check int) "and needs no controller" seen
+    (C.stats controller).C.flows_seen;
+  Alcotest.(check (list string))
+    "the churn evicted no compiled entry" installed (compiled_on network 1);
   Alcotest.(check bool)
-    "eviction span emitted" true
-    (List.exists
-       (fun sp -> Obs.Span.name sp = "proactive-evicted")
-       (Obs.Span.finished spans))
+    "the churn evicted reactive entries" true
+    (counter_sum obs "identxx_switch_evictions_total" >= 1)
 
 let test_e2e_policy_change_rediffs () =
   let engine, network, controller, hosts =
@@ -908,44 +974,84 @@ let test_e2e_policy_change_rediffs () =
       | None -> Alcotest.fail "no compiled entry for the new rule")
     (Net.switches_in_domain network 0)
 
-(* Host-specialised forwarding entries still installed anywhere in the
-   domain, as "s<dpid> <entry>". *)
+(* Table-0 entries anywhere in the domain that forward, by an output
+   port or a jump to table 1, as "s<dpid> <entry>". *)
 let forwarding_entries network =
   List.concat_map
     (fun dpid ->
       Openflow.Flow_table.entries
         (Openflow.Switch.table (Net.switch network dpid))
       |> List.filter (fun (e : Openflow.Flow_entry.t) ->
-             Openflow.Action.output_ports e.Openflow.Flow_entry.actions <> [])
+             let actions = e.Openflow.Flow_entry.actions in
+             Openflow.Action.output_ports actions <> []
+             || List.mem (Openflow.Action.Goto_table 1) actions)
       |> List.map (fun e ->
              Format.asprintf "s%d %a" dpid Openflow.Flow_entry.pp e))
     (Net.switches_in_domain network 0)
 
-(* A reload deletes the specialised pass entries of every host, not
-   just of those reachable at reload time: s4 (and h4 behind it) is cut
-   off before the pass rule goes, yet s1 must not keep its
-   10.0.4.1/32 entry. *)
+(* Every table-1 route in the domain, as
+   "s<dpid> table=1 <fields> -> <actions>", sorted. *)
+let routes network =
+  List.concat_map
+    (fun dpid ->
+      Openflow.Flow_table.entries
+        (Openflow.Switch.table ~id:1 (Net.switch network dpid))
+      |> List.map (fun (e : Openflow.Flow_entry.t) ->
+             Format.asprintf "s%d table=1 %a -> %a" dpid MF.pp
+               e.Openflow.Flow_entry.fields
+               Openflow.Action.pp_list e.Openflow.Flow_entry.actions))
+    (Net.switches_in_domain network 0)
+  |> List.sort String.compare
+
+(* The routes table 1 should hold: one per switch and reachable host,
+   toward the topology's next hop. *)
+let expected_routes network hosts =
+  let topo = Net.topology network in
+  List.concat_map
+    (fun dpid ->
+      List.filter_map
+        (fun h ->
+          Option.map
+            (fun port ->
+              Format.asprintf "s%d table=1 %a -> %a" dpid MF.pp
+                { MF.any with MF.nw_dst = Some (Prefix.host (Identxx.Host.ip h)) }
+                Openflow.Action.pp_list [ Openflow.Action.Output port ])
+            (Topo.next_hop topo ~from:dpid ~dst_host:(Identxx.Host.name h)))
+        (Array.to_list hosts))
+    (Net.switches_in_domain network 0)
+  |> List.sort String.compare
+
+(* A partition reaches table 1 at once: s4 (and h4 behind it) is cut
+   off, so no switch keeps a route across the cut. A reload that drops
+   the pass rule leaves no table-0 entry that forwards. *)
 let test_e2e_reload_after_partition () =
-  let engine, network, controller, _ =
+  let engine, network, controller, hosts =
     Deploy.linear_network ~config:proactive_config ~switches:4
       ~hosts_per_switch:1 ()
   in
   PS.add_exn (C.policy controller) ~name:"00"
     "pass proto tcp from any to any port 80";
   Sim.Engine.run engine;
-  Alcotest.(check bool)
-    "pass rule specialised per host" true
-    (List.length (forwarding_entries network) >= 16);
+  Alcotest.(check int) "one route per switch and host" 16
+    (List.length (routes network));
+  Alcotest.(check int) "the pass entry jumps to table 1 on every switch" 4
+    (List.length (forwarding_entries network));
   Topo.unlink (Net.topology network) (Topo.Sw 3, 1);
+  Sim.Engine.run engine;
+  Alcotest.(check int) "routes within each side of the cut" 10
+    (List.length (routes network));
+  Alcotest.(check (list string))
+    "every route is the next hop" (expected_routes network hosts)
+    (routes network);
   PS.add_exn (C.policy controller) ~name:"00" "block all";
   Sim.Engine.run engine;
   Alcotest.(check (list string))
     "no forwarding entry outlives the rule" [] (forwarding_entries network)
 
 (* Adding keep state re-lowers the unchanged pass entry as a punt; the
-   reload must still delete the specialisations the old lowering
-   installed, or they would forward around the state table. *)
-let test_e2e_keep_state_reload_deletes_specials () =
+   reload must replace the entry that jumps to table 1, or traffic
+   would be forwarded around the state table. *)
+let test_e2e_keep_state_reload_stops_forwarding () =
   let engine, network, controller, _ =
     Deploy.linear_network ~config:proactive_config ~switches:2
       ~hosts_per_switch:1 ()
@@ -953,9 +1059,9 @@ let test_e2e_keep_state_reload_deletes_specials () =
   PS.add_exn (C.policy controller) ~name:"00"
     "pass proto tcp from any to any port 80";
   Sim.Engine.run engine;
-  Alcotest.(check bool)
-    "pass rule specialised per host" true
-    (forwarding_entries network <> []);
+  Alcotest.(check int)
+    "the pass entry jumps to table 1 on both switches" 2
+    (List.length (forwarding_entries network));
   PS.add_exn (C.policy controller) ~name:"00"
     "pass proto tcp from any to any port 80 keep state";
   Sim.Engine.run engine;
@@ -971,7 +1077,8 @@ let test_e2e_keep_state_reload_deletes_specials () =
    installed at and spaces the new ones in the gaps between
    ([Compiler.renumber]), so the values depend on the table's history.
    The ranks keep all the table's lookups read: the same entries, the
-   same actions, the same relative order. *)
+   same actions, the same relative order. Table 1's routes are listed
+   too (see [routes]). *)
 let compiled_entries network =
   List.concat_map
     (fun dpid ->
@@ -1002,6 +1109,7 @@ let compiled_entries network =
             e.Openflow.Flow_entry.actions)
         compiled)
     (Net.switches_in_domain network 0)
+  @ routes network
   |> List.sort String.compare
 
 let reload_network () =
@@ -1009,20 +1117,15 @@ let reload_network () =
     ~hosts_per_switch:2 ()
 
 (* What the switches hold after a fresh install of [files]: once they
-   are loaded, every table is wiped and the whole compiled table is
-   installed at once, with nothing to delete. *)
+   are loaded, the cache flush wipes both tables and installs the whole
+   compiled table and every route at once, with nothing to delete. *)
 let fresh_install files =
   let engine, network, controller, _ = reload_network () in
   List.iter
     (fun (name, text) -> PS.add_exn (C.policy controller) ~name text)
     files;
   Sim.Engine.run engine;
-  List.iter
-    (fun dpid ->
-      Openflow.Flow_table.clear
-        (Openflow.Switch.table (Net.switch network dpid)))
-    (Net.switches_in_domain network 0);
-  C.sync_proactive ~force:true controller;
+  C.flush_cache controller;
   Sim.Engine.run engine;
   compiled_entries network
 
@@ -1050,8 +1153,8 @@ let check_reloads ~what edits =
         fresh (compiled_entries network))
     edits
 
-(* Two old entries lower to the same host-specialised fields at
-   different priorities; deleting one must leave the other in place. *)
+(* The first edit compiles to a pass and a block with the same fields,
+   and the second removes both. *)
 let test_e2e_reload_matches_fresh_install () =
   check_reloads ~what:"edit"
     [
@@ -1121,12 +1224,170 @@ let test_e2e_unchanged_entry_survives () =
   Alcotest.(check (list (pair int int)))
     "port-80 entry untouched (priority, installed at ns)" before (compiled web)
 
-(* Allocation of one proactive reload on a 13-switch tree with 18
-   hosts: compile, number, diff, lower and send one edit, and the
-   switches apply it. Measured 40,888 minor words; 60,185 when entries
-   were renumbered by position and lowered once per switch. *)
-let test_e2e_reload_allocation () =
-  let engine, _, controller, _ =
+let contains s sub =
+  let n = String.length sub in
+  let rec go i =
+    i + n <= String.length s && (String.sub s i n = sub || go (i + 1))
+  in
+  go 0
+
+(* Every table-0 and table-1 entry in the domain that outputs to a
+   port with no link, as "s<dpid> table <id> <entry>". *)
+let dead_outputs network =
+  let topo = Net.topology network in
+  List.concat_map
+    (fun dpid ->
+      let wired = Topo.ports_of topo (Topo.Sw dpid) in
+      List.concat_map
+        (fun id ->
+          Openflow.Flow_table.entries
+            (Openflow.Switch.table ~id (Net.switch network dpid))
+          |> List.filter (fun (e : Openflow.Flow_entry.t) ->
+                 List.exists
+                   (fun p -> not (List.mem p wired))
+                   (Openflow.Action.output_ports e.Openflow.Flow_entry.actions))
+          |> List.map (fun e ->
+                 Format.asprintf "s%d table %d %a" dpid id Openflow.Flow_entry.pp e))
+        [ 0; 1 ])
+    (Net.switches_in_domain network 0)
+
+(* A k=4 fat-tree under a compiled port-80 pass rule. *)
+let fat_tree_network () =
+  let layout = Workload.Fabric.build (Workload.Fabric.Fat_tree { k = 4 }) in
+  let engine = Sim.Engine.create () in
+  let network =
+    Net.create ~engine ~topology:layout.Workload.Fabric.topology ()
+  in
+  let controller = C.create ~config:proactive_config ~network ~id:0 () in
+  let hosts =
+    Array.map
+      (fun (hs : Workload.Fabric.host_spec) ->
+        Identxx.Host.create ~name:hs.Workload.Fabric.hs_name
+          ~mac:hs.Workload.Fabric.hs_mac ~ip:hs.Workload.Fabric.hs_ip ())
+      layout.Workload.Fabric.hosts
+  in
+  Array.iter (Deploy.attach_host network) hosts;
+  PS.add_exn (C.policy controller) ~name:"00"
+    "block all\npass proto tcp from any to any port 80";
+  Sim.Engine.run engine;
+  (engine, network, controller, hosts)
+
+(* A seeded fabric link goes down: the routes that crossed it move at
+   once, reloads leave no entry on a dead port, compiled traffic that
+   crossed the link still arrives without a packet-in, and when the
+   link comes back every route is the current next hop again. *)
+let test_e2e_link_down_repairs_routes () =
+  let engine, network, controller, hosts = fat_tree_network () in
+  let topo = Net.topology network in
+  let fabric =
+    Array.of_list
+      (List.filter
+         (fun (l : Topo.link) ->
+           match (l.Topo.a.Topo.node, l.Topo.b.Topo.node) with
+           | Topo.Sw _, Topo.Sw _ -> true
+           | _ -> false)
+         (Topo.links topo))
+  in
+  let prng = Sim.Prng.create 31 in
+  let crossing (l : Topo.link) =
+    (* A host pair whose path runs over [l]. *)
+    let uses hops =
+      List.exists
+        (fun (dpid, _, out) ->
+          List.exists
+            (fun (e : Topo.endpoint) -> e.Topo.node = Topo.Sw dpid && e.Topo.port = out)
+            [ l.Topo.a; l.Topo.b ])
+        hops
+    in
+    let n = Array.length hosts in
+    let pairs = List.init (n * n) (fun i -> (hosts.(i / n), hosts.(i mod n))) in
+    List.find_opt
+      (fun (a, b) ->
+        a != b
+        &&
+        match
+          Topo.switch_path topo ~src:(Identxx.Host.name a) ~dst:(Identxx.Host.name b)
+        with
+        | Some hops -> uses hops
+        | None -> false)
+      pairs
+  in
+  let rec pick () =
+    let l = Sim.Prng.pick prng fabric in
+    match crossing l with Some pair -> (l, pair) | None -> pick ()
+  in
+  let l, (src, dst) = pick () in
+  Alcotest.(check (list string)) "routes before" (expected_routes network hosts)
+    (routes network);
+  Topo.unlink topo (l.Topo.a.Topo.node, l.Topo.a.Topo.port);
+  Sim.Engine.run engine;
+  Alcotest.(check (list string)) "no entry outputs to the dead port" []
+    (dead_outputs network);
+  Alcotest.(check (list string)) "routes repaired" (expected_routes network hosts)
+    (routes network);
+  List.iter
+    (fun text ->
+      PS.add_exn (C.policy controller) ~name:"50" text;
+      Sim.Engine.run engine;
+      Alcotest.(check (list string)) ("after reload: " ^ text) []
+        (dead_outputs network))
+    [
+      "pass proto tcp from any to any port 22";
+      "pass proto tcp from any to any port 25";
+      "block proto tcp from 10.1.0.0/16 to any port 80";
+    ];
+  let packet_ins = Net.packet_ins network and delivered = Net.delivered network in
+  let proc = Identxx.Host.run src ~user:"u" ~exe:"/bin/app" () in
+  let fl = Identxx.Host.connect src ~proc ~dst:(Identxx.Host.ip dst) ~dst_port:80 () in
+  Net.send_from_host network ~name:(Identxx.Host.name src)
+    (Identxx.Host.first_packet src ~flow:fl);
+  Sim.Engine.run engine;
+  Alcotest.(check int) "traffic that crossed the link arrives" (delivered + 1)
+    (Net.delivered network);
+  Alcotest.(check int) "without a packet-in" packet_ins (Net.packet_ins network);
+  Topo.link topo ~latency:l.Topo.latency
+    (l.Topo.a.Topo.node, l.Topo.a.Topo.port)
+    (l.Topo.b.Topo.node, l.Topo.b.Topo.port);
+  Sim.Engine.run engine;
+  Alcotest.(check (list string)) "routes after the link returns"
+    (expected_routes network hosts) (routes network)
+
+(* Revocation deletes every entry naming the principal, in both tables:
+   its routes go and stay gone, while every other host's route is
+   there after the forced sync. A cache flush wipes both tables, and
+   both are rebuilt. *)
+let test_e2e_revoke_and_flush_keep_routes () =
+  let engine, network, controller, hosts =
+    Deploy.linear_network ~config:proactive_config ~switches:3
+      ~hosts_per_switch:2 ()
+  in
+  PS.add_exn (C.policy controller) ~name:"00"
+    "block all\npass proto tcp from any to any port 80";
+  Sim.Engine.run engine;
+  let installed = compiled_entries network in
+  Alcotest.(check int) "a route per switch and host" 18
+    (List.length (routes network));
+  let revoked = hosts.(2) in
+  let others = Array.of_list (List.filter (( != ) revoked) (Array.to_list hosts)) in
+  ignore (C.revoke_principal controller ~ip:(Identxx.Host.ip revoked));
+  Sim.Engine.run engine;
+  Alcotest.(check (list string))
+    "the revoked host has no route; every other host has its own"
+    (expected_routes network others) (routes network);
+  Alcotest.(check (list string))
+    "the compiled table is back"
+    (List.filter (fun r -> not (contains r "table=1")) installed)
+    (List.filter (fun r -> not (contains r "table=1")) (compiled_entries network));
+  C.flush_cache controller;
+  Sim.Engine.run engine;
+  Alcotest.(check (list string)) "a flush rebuilds both tables" installed
+    (compiled_entries network)
+
+(* One edit on a 13-switch tree with 18 hosts, after [reload_base] and
+   a first edit: [measure] wraps the second edit's load and the run
+   that applies it. *)
+let tree_reload measure =
+  let engine, network, controller, _ =
     Deploy.tree_network ~config:proactive_config ~depth:3 ~fanout:3
       ~hosts_per_edge:2 ()
   in
@@ -1135,17 +1396,48 @@ let test_e2e_reload_allocation () =
     "pass proto tcp from 10.0.2.0/24 to 10.0.1.0/24 port 25";
   Sim.Engine.run engine;
   let old_ = C.proactive_table controller in
-  let before = Gc.minor_words () in
-  PS.add_exn (C.policy controller) ~name:"50"
-    "pass proto tcp from 10.0.1.0/24 to 10.0.2.0/24 port 25\n\
-     block proto tcp from 10.0.2.0/24 to 10.0.1.0/24 port 443";
-  Sim.Engine.run engine;
-  let words = Gc.minor_words () -. before in
-  let d = Compiler.delta ~old_ (C.proactive_table controller) in
+  let measured =
+    measure network (fun () ->
+        PS.add_exn (C.policy controller) ~name:"50"
+          "pass proto tcp from 10.0.1.0/24 to 10.0.2.0/24 port 25\n\
+           block proto tcp from 10.0.2.0/24 to 10.0.1.0/24 port 443";
+        Sim.Engine.run engine)
+  in
+  (Compiler.delta ~old_ (C.proactive_table controller), measured)
+
+(* Allocation of one proactive reload: compile, number, diff, lower and
+   send one edit, and the switches apply it. Measured 18,997 minor
+   words and 78 flow-mods (5 adds and 1 strict delete per switch).
+   40,888 words and 416 flow-mods while pass entries lowered to a copy
+   per host in one table and every reload re-sent the guards (26 of
+   the 416); 60,185 words when, besides, entries were renumbered by
+   position and lowered once per switch. *)
+let test_e2e_reload_allocation () =
+  let d, words =
+    tree_reload (fun _ reload ->
+        let before = Gc.minor_words () in
+        reload ();
+        Gc.minor_words () -. before)
+  in
   Alcotest.(check bool)
     "the edit adds and deletes entries" true
     (d.Compiler.d_add <> [] && d.Compiler.d_del <> []);
-  if words > 43_000.0 then Alcotest.failf "%.0f minor words for one reload" words
+  let _, flow_mods =
+    tree_reload (fun network reload ->
+        let trace = Net.trace network in
+        Sim.Trace.set_enabled trace true;
+        reload ();
+        List.length
+          (List.filter
+             (fun (e : Sim.Trace.entry) ->
+               e.Sim.Trace.actor = "controller"
+               && contains e.Sim.Trace.event "flow-mod")
+             (Sim.Trace.entries trace)))
+  in
+  Alcotest.(check int) "flow-mods: each add and delete once per switch"
+    (13 * (List.length d.Compiler.d_add + List.length d.Compiler.d_del))
+    flow_mods;
+  if words > 20_000.0 then Alcotest.failf "%.0f minor words for one reload" words
 
 let () =
   Alcotest.run "compiler"
@@ -1188,12 +1480,14 @@ let () =
             test_e2e_keep_state_stays_reactive;
           Alcotest.test_case "eviction telemetry" `Quick
             test_e2e_eviction_telemetry;
+          Alcotest.test_case "churn keeps compiled blocks" `Quick
+            test_e2e_churn_keeps_compiled_blocks;
           Alcotest.test_case "policy change re-diffs" `Quick
             test_e2e_policy_change_rediffs;
           Alcotest.test_case "reload after partition" `Quick
             test_e2e_reload_after_partition;
-          Alcotest.test_case "keep-state reload deletes specials" `Quick
-            test_e2e_keep_state_reload_deletes_specials;
+          Alcotest.test_case "keep-state reload stops forwarding" `Quick
+            test_e2e_keep_state_reload_stops_forwarding;
           Alcotest.test_case "reload matches a fresh install" `Quick
             test_e2e_reload_matches_fresh_install;
           Alcotest.test_case "random reloads match a fresh install" `Quick
@@ -1202,5 +1496,9 @@ let () =
             test_e2e_unchanged_entry_survives;
           Alcotest.test_case "reload allocation" `Quick
             test_e2e_reload_allocation;
+          Alcotest.test_case "a link down repairs routes" `Quick
+            test_e2e_link_down_repairs_routes;
+          Alcotest.test_case "revocation and flush keep routes" `Quick
+            test_e2e_revoke_and_flush_keep_routes;
         ] );
     ]

@@ -272,8 +272,10 @@ let test_table_replace_footprint () =
       (words churned) (words once)
 
 (* h1 - s1 = s2 - h2 with forwarding installed through the control
-   channel, on a default network: no controller, hop log left off. *)
-let two_switch_network () =
+   channel, on a default network: no controller, hop log left off.
+   With [goto], each switch forwards the way a compiled pass entry
+   does: table 0 jumps to table 1, whose /32 route for h2 outputs. *)
+let two_switch_network ?(goto = false) () =
   let engine = Sim.Engine.create () in
   let t = Topo.create () in
   List.iter (Topo.add_switch t) [ 1; 2 ];
@@ -284,8 +286,17 @@ let two_switch_network () =
   let net = Openflow.Network.create ~engine ~topology:t () in
   List.iter
     (fun (dpid, port) ->
-      Openflow.Network.send_to_switch net dpid
-        (Openflow.Message.add_flow ~fields:MF.any [ Openflow.Action.Output port ]))
+      let send = Openflow.Network.send_to_switch net dpid in
+      if goto then begin
+        send
+          (Openflow.Message.add_flow ~fields:MF.any [ Openflow.Action.Goto_table 1 ]);
+        send
+          (Openflow.Message.add_flow ~table_id:1
+             ~fields:{ MF.any with MF.nw_dst = Some (Prefix.of_string "10.0.0.2/32") }
+             [ Openflow.Action.Output port ])
+      end
+      else
+        send (Openflow.Message.add_flow ~fields:MF.any [ Openflow.Action.Output port ]))
     [ (1, 2); (2, 1) ];
   List.iter
     (fun (name, addr) ->
@@ -296,15 +307,17 @@ let two_switch_network () =
   (engine, net)
 
 (* A packet forwarded through installed entries allocates only for its
-   own hops: the events, the egress counters and one 5-tuple per table
-   lookup. Measured: 251 words per packet. It was 394 when the two
+   own hops: the events, the egress counters and one 5-tuple per
+   switch. Measured: 199 words per packet (221 while each table expiry
+   built a closure and a table of wildcards hashed the 5-tuple into its
+   empty exact-match index; 251 before that). It was 394 when the two
    table hits each sized the packet by encoding it and every wildcard
    tested rebuilt the 5-tuple, so the budget catches a return of
    either. Against that 394, leaving the hop-log sites unguarded read
    414 with the log off, so the budget also catches a format closure
    built for a log nobody reads; recording the log read 2574. *)
-let test_network_forward_alloc () =
-  let engine, net = two_switch_network () in
+let forward_words ?goto () =
+  let engine, net = two_switch_network ?goto () in
   let p = pkt () in
   let forward () =
     Openflow.Network.send_from_host net ~name:"h1" p;
@@ -322,7 +335,11 @@ let test_network_forward_alloc () =
   let words = (Gc.minor_words () -. before) /. float_of_int rounds in
   check Alcotest.int "every packet delivered" (delivered + rounds)
     (Openflow.Network.delivered net);
-  if words > 259.0 then Alcotest.failf "%.0f minor words per packet" words;
+  (engine, net, forward, words)
+
+let test_network_forward_alloc () =
+  let _, net, forward, words = forward_words () in
+  if words > 207.0 then Alcotest.failf "%.0f minor words per packet" words;
   let trace = Openflow.Network.trace net in
   check Alcotest.int "hop log stays empty" 0
     (List.length (Sim.Trace.entries trace));
@@ -340,6 +357,18 @@ let test_network_forward_alloc () =
     "sent, then delivered"
     [ ("h1", "tx"); ("h2", "rx") ]
     hops
+
+(* The same packet under a compiled pass entry: each switch looks it up
+   in table 0 and then in table 1. The 5-tuple is derived once per
+   switch, so the second lookup costs only its result: the budget over
+   the forwarded packet is 4 words per switch. Measured: 207 words, 8
+   over the forwarded packet's 199. *)
+let test_network_goto_alloc () =
+  let _, _, _, one = forward_words () in
+  let _, _, _, two = forward_words ~goto:true () in
+  if two > one +. 8.0 then
+    Alcotest.failf "%.0f minor words per packet through two tables, %.0f through one"
+      two one
 
 (* Reference model: the table semantics against a naive list scan. *)
 let prop_table_matches_reference =
@@ -677,14 +706,17 @@ let prop_fast_path_agrees_with_naive =
 (* Stateful model test: random interleavings of add / strict delete /
    wildcard delete / expire / lookup against a naive reference, with
    and without a capacity bound. After every operation the table's
-   size, its entries in order and its capacity victims must equal the
-   model's. Pins priority order, the recency tie-break, idle and hard
-   expiry, and least-recently-hit eviction. *)
+   size, its entries in order, its capacity victims and its refusals
+   must equal the model's. Pins priority order, the recency tie-break,
+   idle and hard expiry, and least-recently-hit eviction of reactive
+   entries only. An entry's tag is its output port, so its cookie is
+   free to mark it pinned (non-zero) or reactive (0). *)
 module Model = struct
   type entry = {
     fields : MF.t;
     priority : int;
     tag : int;
+    pinned : bool;
     mutable last_hit : int; (* ns *)
     installed : int;
     idle : int option;
@@ -695,37 +727,42 @@ module Model = struct
     capacity : int option;
     mutable entries : entry list; (* newest first per priority *)
     mutable evicted : int list; (* victim tags, newest first *)
+    mutable refused : int;
   }
 
-  let create ?capacity () = { capacity; entries = []; evicted = [] }
+  let create ?capacity () = { capacity; entries = []; evicted = []; refused = 0 }
 
-  (* Least recently hit; the first in table order wins ties. *)
+  (* The least recently hit reactive entry; the first in table order
+     wins ties. False when every entry is pinned. *)
   let evict_lru t =
-    match t.entries with
-    | [] -> ()
-    | first :: _ ->
+    match List.filter (fun e -> not e.pinned) t.entries with
+    | [] -> false
+    | first :: _ as reactive ->
         let victim =
           List.fold_left
             (fun acc e -> if e.last_hit < acc.last_hit then e else acc)
-            first t.entries
+            first reactive
         in
         t.entries <- List.filter (fun e -> e != victim) t.entries;
-        t.evicted <- victim.tag :: t.evicted
+        t.evicted <- victim.tag :: t.evicted;
+        true
 
   let add t e =
     t.entries <-
       List.filter
         (fun x -> not (x.priority = e.priority && MF.equal x.fields e.fields))
         t.entries;
-    (match t.capacity with
-    | Some cap when List.length t.entries >= cap -> evict_lru t
-    | _ -> ());
+    let room =
+      match t.capacity with
+      | Some cap when List.length t.entries >= cap -> evict_lru t
+      | _ -> true
+    in
     let rec insert = function
       | [] -> [ e ]
       | x :: rest as l ->
           if e.priority >= x.priority then e :: l else x :: insert rest
     in
-    t.entries <- insert t.entries
+    if room then t.entries <- insert t.entries else t.refused <- t.refused + 1
 
   let remove t ~priority fields =
     t.entries <-
@@ -749,8 +786,8 @@ module Model = struct
 end
 
 type op =
-  | Op_add of bool * int * int * int * int option * int option
-      (* indexable, prio, a, dp, idle_ms, hard_ms *)
+  | Op_add of bool * bool * int * int * int * int option * int option
+      (* pinned, indexable, prio, a, dp, idle_ms, hard_ms *)
   | Op_remove of bool * int * int * int (* indexable, prio, a, dp *)
   | Op_remove_matching of int option * int option (* a, dp; None is wild *)
   | Op_expire of int (* advance ms *)
@@ -764,9 +801,10 @@ let gen_op =
     let* a = int_range 1 3 in
     let* dp = int_range 80 82 in
     if kind < 4 then
+      let* pinned = bool in
       let* idle = option (int_range 1 20) in
       let* hard = option ~ratio:0.3 (int_range 1 30) in
-      return (Op_add (indexable, prio, a, dp, idle, hard))
+      return (Op_add (pinned, indexable, prio, a, dp, idle, hard))
     else if kind < 5 then return (Op_remove (indexable, prio, a, dp))
     else if kind < 6 then
       let* wild_a = bool in
@@ -806,26 +844,32 @@ let prop_table_stateful_model =
     (fun (capacity, ops) ->
       let table = FT.create ?capacity () in
       let model = Model.create ?capacity () in
+      let tag_of (e : FE.t) =
+        match e.FE.actions with [ Openflow.Action.Output t ] -> t | _ -> -1
+      in
       let evicted = ref [] in
-      FT.set_on_evict table (fun e -> evicted := e.FE.cookie :: !evicted);
+      FT.set_on_evict table (fun e -> evicted := tag_of e :: !evicted);
       let now = ref 0 in
       let tag = ref 0 in
       let step op =
         match op with
-        | Op_add (indexable, prio, a, dp, idle_ms, hard_ms) ->
+        | Op_add (pinned, indexable, prio, a, dp, idle_ms, hard_ms) ->
             incr tag;
             let fields = fields_of ~indexable ~a ~dp in
             let to_time = Option.map Sim.Time.ms in
             FT.add table
               (FE.make ~priority:prio ?idle_timeout:(to_time idle_ms)
                  ?hard_timeout:(to_time hard_ms)
-                 ~installed_at:(Sim.Time.ms !now) ~cookie:!tag ~fields
-                 [ Openflow.Action.Output 1 ]);
+                 ~installed_at:(Sim.Time.ms !now)
+                 ~cookie:(if pinned then 1 else 0)
+                 ~fields
+                 [ Openflow.Action.Output !tag ]);
             Model.add model
               {
                 Model.fields;
                 priority = prio;
                 tag = !tag;
+                pinned;
                 last_hit = !now * 1_000_000;
                 installed = !now * 1_000_000;
                 idle = ms_to_ns idle_ms;
@@ -874,16 +918,17 @@ let prop_table_stateful_model =
             | None -> ());
             (match (got, want) with
             | None, None -> true
-            | Some e, Some m -> e.FE.cookie = m.Model.tag
+            | Some e, Some m -> tag_of e = m.Model.tag
             | _ -> false)
       in
       List.for_all
         (fun op ->
           step op
           && FT.size table = List.length model.Model.entries
-          && List.map (fun e -> e.FE.cookie) (FT.entries table)
+          && List.map tag_of (FT.entries table)
              = List.map (fun m -> m.Model.tag) model.Model.entries
-          && !evicted = model.Model.evicted)
+          && !evicted = model.Model.evicted
+          && FT.refusals table = model.Model.refused)
         ops)
 
 (* The flow table as it was kept before its wildcard band became an
@@ -899,11 +944,12 @@ module List_table = struct
     mutable slots : slot list;
     mutable next_seq : int;
     mutable evictions : int;
+    mutable refusals : int;
     mutable victims : FE.t list; (* newest first *)
   }
 
   let create ?capacity () =
-    { capacity; slots = []; next_seq = 0; evictions = 0; victims = [] }
+    { capacity; slots = []; next_seq = 0; evictions = 0; refusals = 0; victims = [] }
 
   let before a b =
     a.entry.FE.priority > b.entry.FE.priority
@@ -915,10 +961,11 @@ module List_table = struct
 
   let cull t gone = t.slots <- List.filter (fun s -> not (gone s)) t.slots
 
-  (* Least recently hit; the first in table order wins ties. *)
+  (* The least recently hit reactive (cookie 0) slot; the first in
+     table order wins ties. False when there is none. *)
   let evict_lru t =
-    match t.slots with
-    | [] -> ()
+    match List.filter (fun s -> s.entry.FE.cookie = 0) t.slots with
+    | [] -> false
     | first :: rest ->
         let victim =
           List.fold_left
@@ -930,17 +977,23 @@ module List_table = struct
         in
         cull t (fun s -> s == victim);
         t.evictions <- t.evictions + 1;
-        t.victims <- victim.entry :: t.victims
+        t.victims <- victim.entry :: t.victims;
+        true
 
   let add t (e : FE.t) =
     cull t (fun s ->
         s.entry.FE.priority = e.FE.priority
         && MF.equal s.entry.FE.fields e.FE.fields);
-    (match t.capacity with
-    | Some cap when List.length t.slots >= cap -> evict_lru t
-    | _ -> ());
-    t.slots <- insert { entry = e; seq = t.next_seq } t.slots;
-    t.next_seq <- t.next_seq + 1
+    let room =
+      match t.capacity with
+      | Some cap when List.length t.slots >= cap -> evict_lru t
+      | _ -> true
+    in
+    if room then begin
+      t.slots <- insert { entry = e; seq = t.next_seq } t.slots;
+      t.next_seq <- t.next_seq + 1
+    end
+    else t.refusals <- t.refusals + 1
 
   let lookup t ~in_port pkt =
     List.find_map
@@ -1019,8 +1072,8 @@ let gen_probe =
     return (in_port, pkt))
 
 type table_op =
-  | T_add of int * MF.t * int option * int option
-      (* priority, fields, idle and hard timeout (ms) *)
+  | T_add of int * MF.t * int option * int option * int
+      (* priority, fields, idle and hard timeout (ms), cookie *)
   | T_remove of int * MF.t (* priority, fields *)
   | T_remove_matching of MF.t
   | T_expire of int (* advance the clock (ms), then expire *)
@@ -1035,7 +1088,8 @@ let gen_table_op =
           let* fields = gen_match in
           let* idle = option ~ratio:0.3 (int_range 1 20) in
           let* hard = option ~ratio:0.2 (int_range 1 30) in
-          return (T_add (prio, fields, idle, hard)) );
+          let* cookie = frequency [ (3, return 0); (1, return 1) ] in
+          return (T_add (prio, fields, idle, hard, cookie)) );
         (2, map2 (fun p f -> T_remove (p, f)) (int_range 1 3) gen_match);
         (1, map (fun f -> T_remove_matching f) gen_match);
         (2, map (fun ms -> T_expire ms) (int_range 1 8));
@@ -1043,9 +1097,10 @@ let gen_table_op =
       ])
 
 (* Random add / strict delete / wildcard delete / expire / hit sequences,
-   with and without a capacity bound. After every step the table must
-   agree with [List_table] on the lookup of random packets, the entries
-   in order, the size, the eviction count and the evicted entries. *)
+   with and without a capacity bound, a quarter of the adds pinned by a
+   cookie. After every step the table must agree with [List_table] on
+   the lookup of random packets, the entries in order, the size, the
+   eviction and refusal counts and the evicted entries. *)
 let prop_table_agrees_with_list_table =
   QCheck.Test.make ~name:"flow table agrees with list implementation"
     ~count:300
@@ -1062,12 +1117,12 @@ let prop_table_agrees_with_list_table =
       FT.set_on_evict table (fun e -> victims := e :: !victims);
       let now = ref 0 in
       let apply = function
-        | T_add (priority, fields, idle, hard) ->
+        | T_add (priority, fields, idle, hard, cookie) ->
             let e =
               FE.make ~priority
                 ?idle_timeout:(Option.map Sim.Time.ms idle)
                 ?hard_timeout:(Option.map Sim.Time.ms hard)
-                ~installed_at:(Sim.Time.ms !now) ~fields
+                ~installed_at:(Sim.Time.ms !now) ~cookie ~fields
                 [ Openflow.Action.Output priority ]
             in
             FT.add table e;
@@ -1113,6 +1168,7 @@ let prop_table_agrees_with_list_table =
           && same_entries (FT.entries table) (List_table.entries model)
           && FT.size table = List.length model.List_table.slots
           && FT.evictions table = model.List_table.evictions
+          && FT.refusals table = model.List_table.refusals
           && same_entries !victims model.List_table.victims)
         steps)
 
@@ -1185,6 +1241,8 @@ let () =
           Alcotest.test_case "host by ip" `Quick test_network_host_by_ip;
           Alcotest.test_case "forwarding allocation, hop log off" `Quick
             test_network_forward_alloc;
+          Alcotest.test_case "two-table forwarding allocation" `Quick
+            test_network_goto_alloc;
         ] );
       ( "properties",
         qc
