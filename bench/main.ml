@@ -682,6 +682,18 @@ let bench_crypto =
                 data)));
   ]
 
+(* --- five-tuple hashing ---------------------------------------------------- *)
+
+(* Every exact-match flow-table lookup, controller pending-table
+   operation and shard choice hashes a five-tuple. *)
+let bench_five_tuple_hash =
+  let ft =
+    Five_tuple.tcp ~src:(Ipv4.of_string "10.0.0.1") ~dst:(Ipv4.of_string "10.1.0.1")
+      ~src_port:40000 ~dst_port:443
+  in
+  Test.make ~name:"netcore/five-tuple-hash"
+    (Staged.stage (fun () -> ignore (Five_tuple.hash ft)))
+
 (* --- wire packet encode/decode ----------------------------------------- *)
 
 let bench_packet =
@@ -1149,6 +1161,7 @@ let tests =
        bench_proactive_table_hit;
        bench_proactive_hit;
        bench_daemon;
+       bench_five_tuple_hash;
        bench_collab;
        bench_dijkstra;
        bench_next_hop;

@@ -1081,10 +1081,12 @@ let start_flow t sx ~dpid ~in_port pkt (flow : Five_tuple.t) =
    section after signing, so exactly one trailing trace section is
    tolerated. An untraced response is checked exactly as before. *)
 let expected_signature_index (response : Identxx.Response.t) =
-  let n = List.length response.Identxx.Response.sections in
-  match List.rev response.Identxx.Response.sections with
-  | last :: _ when Identxx.Response.is_trace_section last -> n - 2
-  | _ -> n - 1
+  let rec last_index i = function
+    | [] -> i - 1
+    | [ last ] -> if Identxx.Response.is_trace_section last then i - 1 else i
+    | _ :: rest -> last_index (i + 1) rest
+  in
+  last_index 0 response.Identxx.Response.sections
 
 (* Transit: another controller's exchange crossing our domain.
    Augment (§3.4) and forward toward its destination. *)
@@ -1131,37 +1133,36 @@ let named_pending t ~from_ip ~to_ip (r : Identxx.Response.t) =
   | as_src -> (
       match find to_ip from_ip with Some _ as as_dst -> as_dst | None -> as_src)
 
-(* Under [require_signed_responses], whether [response] may settle
-   [p]'s query to [from_ip]. It must verify and be the answer to this
-   query: its echoed host and peer are the packet's addresses and its
-   nonce the one that query carried. And its signer must be allowed to
-   answer for [from_ip]. A refusal is counted, marked on the flow's span
-   and logged in the audit. *)
-let answer_accepted t p ~from_ip ~to_ip response =
+(* Under [require_signed_responses], whether [response], whose
+   signature section reads [sg], may settle [p]'s query to [from_ip]. It
+   must verify and be the answer to this query: its echoed host and peer
+   are the packet's addresses and its nonce the one that query carried.
+   And its signer must be allowed to answer for [from_ip]. A refusal is
+   counted, marked on the flow's span and logged in the audit. *)
+let answer_accepted t p ~from_ip ~to_ip response sg =
   let ks = Decision.keystore t.decision in
-  let from_s = Ipv4.to_string from_ip in
   let refusal =
-    if
-      Identxx.Signed.verify ks response
-      <> Identxx.Signed.Valid (expected_signature_index response)
-    then Some (None, "unauthenticated")
-    else
-      match Identxx.Signed.claim response with
-      | None -> Some (None, "unauthenticated")
-      | Some c ->
-          let sent = (leg p (end_of p.p_flow from_ip)).nonce in
-          if
-            (not (String.equal c.host from_s))
-            || (not (String.equal c.peer (Ipv4.to_string to_ip)))
-            || not (Option.equal String.equal (Some c.nonce) sent)
-          then Some (Some c.signer, "stale-binding")
-          else if not (Idcrypto.Sign.answers_for ks ~public:c.signer from_s)
-          then Some (Some c.signer, "unbound-signer")
-          else None
+    match (Identxx.Signed.check ks response sg, sg) with
+    | Identxx.Signed.Valid n, Some sg
+      when n = expected_signature_index response ->
+        let signer = Identxx.Signed.signer sg in
+        if
+          not
+            (Identxx.Signed.echoes sg ~host:from_ip ~peer:to_ip
+               ~nonce:(leg p (end_of p.p_flow from_ip)).nonce)
+        then Some (Some signer, "stale-binding")
+        else if
+          not
+            (Idcrypto.Sign.answers_for ks ~public:signer
+               (Ipv4.to_string from_ip))
+        then Some (Some signer, "unbound-signer")
+        else None
+    | _ -> Some (None, "unauthenticated")
   in
   match refusal with
   | None -> true
   | Some (signer, reason) ->
+      let from_s = Ipv4.to_string from_ip in
       Obs.Registry.Counter.inc (owner t p.p_flow).s_m.c_rejected;
       Obs.Span.force_sample p.p_span;
       if Obs.Span.is_live p.p_span then
@@ -1194,54 +1195,67 @@ let requery t w =
       resend t sx p w.w_end
   | Some _ | None -> ()
 
+(* An accepted answer from [from_ip], whose signature section reads
+   [sg], settles [p]'s query to that host ({!close_exchange}), each
+   waiter on its own shard. *)
+let settle_answer t p ~from_ip response sg =
+  let flow = p.p_flow in
+  let osx = owner t flow in
+  Obs.Registry.Counter.inc osx.s_m.c_responses;
+  (* Pull the daemon's piggybacked timings out, then strip them:
+     per-flow trace ids must not reach policy evaluation or a
+     settled answer (a reused trace section would both leak into
+     later flows' decisions and defeat decision-cache key
+     matching). The scope is the stripped answer's: the reading of
+     the signature section still holds when there was nothing to
+     strip. *)
+  let dtrace = Identxx.Response.trace_info response in
+  let stripped = Identxx.Response.strip_trace response in
+  let scope =
+    if stripped == response then Identxx.Signed.scope_of sg
+    else Identxx.Signed.scope stripped
+  in
+  let response = stripped in
+  let end_ = end_of flow from_ip in
+  let ws =
+    close_exchange t osx p ~host:from_ip ~end_ (Some (scope, response))
+  in
+  (* An (authenticated, if required) answer: close breaker state in
+     every shard view that waited on it. *)
+  Array.iter
+    (fun vx ->
+      if List.exists (fun w -> w.w_sid = vx.sid) ws then
+        Fastpath.note_response vx.s_fp from_ip)
+    t.shards_;
+  (* A waiter takes the answer only as far as its declared scope
+     reaches; any other asks for itself. The initiator settles first
+     and alone carries the daemon's timing piggyback (the timings
+     are real once). *)
+  let first = ref true and answered = Answered response in
+  post_to_waiters t ws (fun w ->
+      if covers scope ~flow ~end_ w then begin
+        let dtrace = if !first then dtrace else None in
+        first := false;
+        settle_waiter ?dtrace t w answered
+      end
+      else requery t w)
+
 (* The one response path: an answer pairs with the flow it names, on
    that flow's shard, and settles the flow's query to the answering host
-   ({!close_exchange}), each waiter on its own shard. An answer that
-   fails authentication settles nothing: the waiters decide on a later
-   valid answer or at the initiator's timeout, so an off-path spoofer
-   cannot force early fail-closed decisions. An answer naming no pending
-   flow is transit. *)
+   ({!settle_answer}). Its signature section is read once. An answer
+   that fails authentication settles nothing: the waiters decide on a
+   later valid answer or at the initiator's timeout, so an off-path
+   spoofer cannot force early fail-closed decisions. An answer naming no
+   pending flow is transit. *)
 let handle_response t sx ~dpid ~from_ip ~to_ip response pkt =
   match named_pending t ~from_ip ~to_ip response with
   | None -> handle_transit t sx ~dpid ~from_ip ~to_ip response pkt
-  | Some p when t.cfg.require_signed_responses
-                && not (answer_accepted t p ~from_ip ~to_ip response) ->
-      ()
   | Some p ->
-      let flow = p.p_flow in
-      let osx = owner t flow in
-      Obs.Registry.Counter.inc osx.s_m.c_responses;
-      (* Pull the daemon's piggybacked timings out, then strip them:
-         per-flow trace ids must not reach policy evaluation or a
-         settled answer (a reused trace section would both leak into
-         later flows' decisions and defeat decision-cache key
-         matching). *)
-      let dtrace = Identxx.Response.trace_info response in
-      let response = Identxx.Response.strip_trace response in
-      let end_ = end_of flow from_ip in
-      let scope = Identxx.Signed.scope response in
-      let ws =
-        close_exchange t osx p ~host:from_ip ~end_ (Some (scope, response))
-      in
-      (* An (authenticated, if required) answer: close breaker state in
-         every shard view that waited on it. *)
-      Array.iter
-        (fun vx ->
-          if List.exists (fun w -> w.w_sid = vx.sid) ws then
-            Fastpath.note_response vx.s_fp from_ip)
-        t.shards_;
-      (* A waiter takes the answer only as far as its declared scope
-         reaches; any other asks for itself. The initiator settles first
-         and alone carries the daemon's timing piggyback (the timings
-         are real once). *)
-      let first = ref true and answered = Answered response in
-      post_to_waiters t ws (fun w ->
-          if covers scope ~flow ~end_ w then begin
-            let dtrace = if !first then dtrace else None in
-            first := false;
-            settle_waiter ?dtrace t w answered
-          end
-          else requery t w)
+      let sg = Identxx.Signed.signature response in
+      if
+        (not t.cfg.require_signed_responses)
+        || answer_accepted t p ~from_ip ~to_ip response sg
+      then settle_answer t p ~from_ip response sg
 
 let handle_foreign_query t sx ~dpid ~from_ip ~to_ip (q : Identxx.Query.t) pkt =
   (* "Intercepted queries are not allowed to cause new queries." *)

@@ -37,5 +37,22 @@ let decode s =
     in
     go 0
 
+(* The bits where [hex]'s digit pairs differ from [raw]'s bytes, from
+   byte [i] on; -1 at a character that is no digit. *)
+let rec diff_from hex raw n i acc =
+  if i >= n then acc
+  else
+    let hi = value (String.unsafe_get hex (2 * i))
+    and lo = value (String.unsafe_get hex ((2 * i) + 1)) in
+    if hi < 0 || lo < 0 then -1
+    else
+      diff_from hex raw n (i + 1)
+        (acc lor (((hi lsl 4) lor lo) lxor Char.code (String.unsafe_get raw i)))
+
+let spells hex raw n =
+  n <= String.length raw
+  && String.length hex = 2 * n
+  && diff_from hex raw n 0 0 = 0
+
 let decode_exn s =
   match decode s with Ok v -> v | Error e -> invalid_arg e

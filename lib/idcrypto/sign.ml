@@ -28,13 +28,29 @@ let rec put_digits b n i =
   Bytes.set b i (Char.unsafe_chr (Char.code '0' + (n mod 10)));
   if n >= 10 then put_digits b (n / 10) (i - 1) else i
 
-let add st d =
+let begin_element st n =
   let b = st.digits in
   let last = Bytes.length b - 1 in
   Bytes.set b last ':';
-  let first = put_digits b (String.length d) (last - 1) in
-  Hmac.feed_bytes st.hmac b first (last + 1 - first);
-  Hmac.feed st.hmac d
+  let first = put_digits b n (last - 1) in
+  Hmac.feed_bytes st.hmac b first (last + 1 - first)
+
+let feed st s = Hmac.feed st.hmac s
+
+let add st d =
+  begin_element st (String.length d);
+  feed st d
+
+let rec digit_count n = if n < 10 then 1 else 1 + digit_count (n / 10)
+let int_length n = if n < 0 then String.length (string_of_int n) else digit_count n
+
+let feed_int st n =
+  if n < 0 then feed st (string_of_int n)
+  else
+    let b = st.digits in
+    let last = Bytes.length b - 1 in
+    let first = put_digits b n last in
+    Hmac.feed_bytes st.hmac b first (last + 1 - first)
 
 let finish st = Hex.encode (Hmac.finalize st.hmac)
 let short_bytes = 16
@@ -131,20 +147,10 @@ let verifier ks ~public =
   | Some p -> Some (keyed p.key)
 
 let matches st ~signature =
-  match Hex.decode signature with
-  | Error _ -> false
-  | Ok tag -> Hmac.check st.hmac ~tag
+  Hex.spells signature (Hmac.finalize st.hmac) Sha256.digest_size
 
 let matches_short st ~signature =
-  match Hex.decode signature with
-  | Ok tag when String.length tag = short_bytes ->
-      let full = Hmac.finalize st.hmac in
-      let diff = ref 0 in
-      String.iteri
-        (fun i c -> diff := !diff lor (Char.code c lxor Char.code full.[i]))
-        tag;
-      !diff = 0
-  | Ok _ | Error _ -> false
+  Hex.spells signature (Hmac.finalize st.hmac) short_bytes
 
 let verify ks ~public ~signature data =
   match verifier ks ~public with
@@ -160,8 +166,6 @@ let rec digits_at s i j n =
   else
     String.unsafe_get s j = Char.unsafe_chr (Char.code '0' + (n mod 10))
     && digits_at s i (j - 1) (n / 10)
-
-let rec digit_count n = if n < 10 then 1 else 1 + digit_count (n / 10)
 
 external get64u : string -> int -> int64 = "%caml_string_get64u"
 

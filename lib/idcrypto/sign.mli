@@ -50,6 +50,21 @@ val add : stream -> string -> unit
 (** Append one element: its decimal length, [':'], then its bytes — the
     same bytes {!canonical} writes for it. *)
 
+val begin_element : stream -> int -> unit
+(** [begin_element st n] starts an element of [n] bytes: it appends the
+    ["<n>:"] prefix {!add} would. The element's bytes follow through
+    {!feed} and {!feed_int}, and must total [n]. Together they stream an
+    element assembled from parts without building it. *)
+
+val feed : stream -> string -> unit
+(** Append raw bytes to the current element. *)
+
+val feed_int : stream -> int -> unit
+(** Append [string_of_int n]'s bytes to the current element. *)
+
+val int_length : int -> int
+(** [String.length (string_of_int n)]. *)
+
 val finish : stream -> string
 (** Hex tag over the elements added. The stream must not be reused. *)
 

@@ -190,9 +190,12 @@ let builtin_section t (proc : Process_table.process) =
   | None -> pairs
 
 let runtime_section t flow =
-  List.concat_map
-    (fun (f, s) -> if Five_tuple.equal f flow then s else [])
-    (List.rev !(t.runtime))
+  match !(t.runtime) with
+  | [] -> []
+  | runtime ->
+      List.concat_map
+        (fun (f, s) -> if Five_tuple.equal f flow then s else [])
+        (List.rev runtime)
 
 (* Whether any flow to this host's [proto]/[port] socket carries run-time
    pairs: the socket's answers then differ from flow to flow. *)
@@ -202,21 +205,22 @@ let runtime_on_socket t ~proto ~port =
       Ipv4.equal f.dst t.ip && Proto.equal f.proto proto && f.dst_port = port)
     !(t.runtime)
 
-let cached tbl key make =
-  match Hashtbl.find_opt tbl key with
-  | Some v -> v
-  | None ->
-      let v = make () in
-      Hashtbl.replace tbl key v;
-      v
+let cache tbl key v =
+  Hashtbl.replace tbl key v;
+  v
 
 let builtins t (proc : Process_table.process) =
-  cached t.builtins proc.pid (fun () -> tagged t (builtin_section t proc))
+  match Hashtbl.find t.builtins proc.pid with
+  | v -> v
+  | exception Not_found ->
+      cache t.builtins proc.pid (tagged t (builtin_section t proc))
 
 let app t cfg (proc : Process_table.process) =
-  cached t.apps proc.exe_path (fun () ->
-      tagged t
-        (Option.value ~default:[] (Config.app cfg ~path:proc.exe_path)))
+  match Hashtbl.find t.apps proc.exe_path with
+  | v -> v
+  | exception Not_found ->
+      cache t.apps proc.exe_path
+        (tagged t (Option.value ~default:[] (Config.app cfg ~path:proc.exe_path)))
 
 let globals t cfg =
   match t.globals with
@@ -232,15 +236,43 @@ let plain_hints keys =
   let plain k = String.length k > 0 && k.[0] <> '@' in
   if List.for_all plain keys then keys else List.filter plain keys
 
+let rec hinted key = function
+  | [] -> false
+  | k :: rest -> String.equal k key || hinted key rest
+
+let rec holds_hinted plain = function
+  | [] -> false
+  | (p : Key_value.pair) :: rest -> hinted p.key plain || holds_hinted plain rest
+
 (* Whether a static section goes out under [plain] hints: when it holds
    one of them, or when the query hinted no plain key at all. *)
 let holds plain section =
-  plain = []
-  || List.exists
-       (fun (p : Key_value.pair) -> List.exists (String.equal p.key) plain)
-       section
+  match plain with [] -> true | _ :: _ -> holds_hinted plain section
 
 let wanted ~keys section = holds (plain_hints keys) section
+
+(* An answer's parts, the sections with their tags and scopes in step. *)
+type parts = {
+  mutable sections : Key_value.section list;
+  mutable tags : string list;
+  mutable scopes : Signed.scope list;
+}
+
+(* Put a part before the ones already added. *)
+let add parts ((section, tag) : tagged) scope =
+  parts.sections <- section :: parts.sections;
+  parts.tags <- tag :: parts.tags;
+  parts.scopes <- scope :: parts.scopes
+
+let is_empty = function [] -> true | _ :: _ -> false
+
+(* A static part goes out when non-empty and holding a hinted key. *)
+let add_static parts plain ((section, _) as part) scope =
+  if (not (is_empty section)) && holds plain section then add parts part scope
+
+(* Span timing is read only for traced queries; untraced answers never
+   touch the clock. *)
+let now t = function Some _ -> t.d_clock () | None -> 0.
 
 let answer ?trace ?decode ?nonce t ~peer ~proto ~src_port ~dst_port ~keys =
   match t.behaviour with
@@ -254,26 +286,24 @@ let answer ?trace ?decode ?nonce t ~peer ~proto ~src_port ~dst_port ~keys =
       Some (Response.make ~flow [ fabricated ], As_source)
   | Honest ->
       t.answered <- t.answered + 1;
-      Log.debug (fun m ->
-          m "answering query about %s %d->%d (peer %s)" (Proto.to_string proto)
-            src_port dst_port (Ipv4.to_string peer));
-      (* Span timing is read only for traced queries; untraced answers
-         never touch the clock. *)
-      let now () = match trace with Some _ -> t.d_clock () | None -> 0. in
-      let t_lookup = now () in
+      if Logs.Src.level src = Some Logs.Debug then
+        Log.debug (fun m ->
+            m "answering query about %s %d->%d (peer %s)"
+              (Proto.to_string proto) src_port dst_port (Ipv4.to_string peer));
+      let t_lookup = now t trace in
       let as_src =
         Five_tuple.make ~src:t.ip ~dst:peer ~proto ~src_port ~dst_port
       in
-      let as_dst =
-        Five_tuple.make ~src:peer ~dst:t.ip ~proto ~src_port ~dst_port
-      in
       (* [held]: how far what the lookup found holds. A connected
          socket is the flow itself; a listener holds for every new flow
-         to its port, unless run-time pairs set one of them apart. *)
+         to its port, unless run-time pairs set one of them apart. The
+         flow as the destination sees it is built only when the source
+         lookup misses. *)
       let role, flow, proc, held =
         match Process_table.owner_of_flow t.processes ~flow:as_src with
         | Some p -> (As_source, as_src, Some p, Signed.Flow)
         | None -> (
+            let as_dst = { as_src with src = peer; dst = t.ip } in
             match
               Process_table.owner_of_flow t.processes
                 ~flow:(Five_tuple.reverse as_dst)
@@ -293,45 +323,40 @@ let answer ?trace ?decode ?nonce t ~peer ~proto ~src_port ~dst_port ~keys =
                       else Signed.Socket )
                 | None -> (As_source, as_src, None, Signed.Flow)))
       in
-      let t_assemble = now () in
+      let t_assemble = now t trace in
       let cfg = merged_config t in
-      (* Each part with its section tag and declared scope. A static
-         section holding none of the hinted keys stays home, whole. The
-         globals hold host-wide, but only beside the owner's built-in
-         section: without it, what the answer lacks holds only as far
-         as the lookup did. *)
+      (* Each part with its section tag and declared scope, consed from
+         the last part to the first. A static section holding none of
+         the hinted keys stays home, whole. The globals hold host-wide,
+         but only beside the owner's built-in section: without it, what
+         the answer lacks holds only as far as the lookup did. *)
       let plain = plain_hints keys in
-      let static ((section, _) as part) scope =
-        if section <> [] && holds plain section then [ (part, scope) ] else []
-      in
-      let parts =
-        match proc with
-        | None -> static (globals t cfg) held
-        | Some proc ->
-            let own = static (builtins t proc) held in
-            own
-            @ static (app t cfg proc) held
-            @ (match runtime_section t flow with
-              | [] -> []
-              | section -> [ ((section, Signed.per_flow), Signed.Flow) ])
-            @ static (globals t cfg) (if own = [] then held else Signed.Host)
-      in
-      let response =
-        Response.make ~flow (List.map (fun ((s, _), _) -> s) parts)
-      in
-      let t_sign = now () in
+      let parts = { sections = []; tags = []; scopes = [] } in
+      (match proc with
+      | None -> add_static parts plain (globals t cfg) held
+      | Some proc ->
+          let ((own, _) as builtins) = builtins t proc in
+          let own = (not (is_empty own)) && holds plain own in
+          add_static parts plain (globals t cfg)
+            (if own then Signed.Host else held);
+          (match runtime_section t flow with
+          | [] -> ()
+          | section -> add parts (section, Signed.per_flow) Signed.Flow);
+          add_static parts plain (app t cfg proc) held;
+          add_static parts plain builtins held);
+      let response = Response.make ~flow parts.sections in
+      let t_sign = now t trace in
       let response =
         match t.signer with
         | Some (public, key) ->
             (match t.metrics with
             | Some m -> Obs.Registry.Counter.inc m.m_signed
             | None -> ());
-            Signed.sign_with ~public ~key
-              ~tags:(List.map (fun ((_, tag), _) -> tag) parts)
-              ~scopes:(List.map snd parts) ~host:t.ip ~peer ?nonce response
+            Signed.sign_with ~public ~key ~tags:parts.tags ~scopes:parts.scopes
+              ~host:t.ip ~peer ?nonce response
         | None -> response
       in
-      let t_done = now () in
+      let t_done = now t trace in
       (* Piggyback this daemon's spans on the answer. Appended after
          the signature section: diagnostics, not an authenticated claim
          (PROTOCOL.md §6's rule for post-signature sections), so the

@@ -51,5 +51,51 @@ val req_sig : string
 val rule_maker : string
 (** ["rule-maker"] *)
 
+val pid : string
+(** ["pid"] — the owning process, in a daemon's built-in section. *)
+
+val app_alias : string
+(** ["app-name"] — the built-in section's alias of {!app_name}. *)
+
+(** {2 Keys of the protocol's own sections}
+
+    The signature section {!Signed} appends and the trace section of
+    {!Response.attach_trace}; those modules name them too. *)
+
+val response_signer : string
+(** ["response-signer"] *)
+
+val response_tags : string
+(** ["response-tags"] *)
+
+val response_scopes : string
+(** ["response-scopes"] *)
+
+val response_host : string
+(** ["response-host"] *)
+
+val response_peer : string
+(** ["response-peer"] *)
+
+val response_nonce : string
+(** ["response-nonce"] *)
+
+val response_sig : string
+(** ["response-sig"] *)
+
+val trace_id : string
+(** ["trace-id"] *)
+
+val trace_parent : string
+(** ["trace-parent"] *)
+
+val trace_spans : string
+(** ["trace-spans"] *)
+
+val key_of_slice : string -> int -> int -> string
+(** [key_of_slice s pos len] is [String.sub s pos len], except that each
+    key above — the protocol's vocabulary — is its shared constant
+    rather than a copy: decoders allocate no key the protocol names. *)
+
 val pp_pair : Format.formatter -> pair -> unit
 val pp_section : Format.formatter -> section -> unit

@@ -108,10 +108,14 @@ let disconnect t ~flow = Flow_tbl.remove t.connections flow
 let proc t pid = Hashtbl.find_opt t.procs pid
 
 let owner_of_flow t ~flow =
-  Option.bind (Flow_tbl.find_opt t.connections flow) (proc t)
+  match Flow_tbl.find t.connections flow with
+  | pid -> proc t pid
+  | exception Not_found -> None
 
 let owner_of_listener t ~proto ~port =
-  Option.bind (Hashtbl.find_opt t.listeners (Proto.to_int proto, port)) (proc t)
+  match Hashtbl.find t.listeners (Proto.to_int proto, port) with
+  | pid -> proc t pid
+  | exception Not_found -> None
 
 let lookup t ~(flow : Five_tuple.t) ~as_source =
   if as_source then owner_of_flow t ~flow

@@ -20,14 +20,12 @@ let trace_key_prefix = "@trace/"
    ignores and a signing daemon echoes inside its binding tag. *)
 let nonce_key_prefix = "@nonce/"
 
-let rec hex_from n i =
-  i >= String.length n
-  || (match n.[i] with '0' .. '9' | 'a' .. 'f' -> true | _ -> false)
-     && hex_from n (i + 1)
+let rec hex_from s i stop =
+  i >= stop
+  || (match String.unsafe_get s i with '0' .. '9' | 'a' .. 'f' -> true | _ -> false)
+     && hex_from s (i + 1) stop
 
-let valid_nonce n =
-  let len = String.length n in
-  len >= 1 && len <= 64 && hex_from n 0
+let valid_nonce_at s i stop = stop - i >= 1 && stop - i <= 64 && hex_from s i stop
 
 let make ~(flow : Five_tuple.t) ~keys =
   List.iter
@@ -50,97 +48,144 @@ let flow_of t ~src ~dst =
   Five_tuple.make ~src ~dst ~proto:t.proto ~src_port:t.src_port
     ~dst_port:t.dst_port
 
+let blit s b pos =
+  Bytes.blit_string s 0 b pos (String.length s);
+  pos + String.length s
+
+(* A hint line: [prefix], [hint], newline. *)
+let put_hint b pos prefix hint =
+  let pos = blit hint b (blit prefix b pos) in
+  Bytes.unsafe_set b pos '\n';
+  pos + 1
+
+let rec put_keys b pos = function
+  | [] -> pos
+  | k :: rest ->
+      let pos = blit k b pos in
+      Bytes.unsafe_set b pos '\n';
+      put_keys b (pos + 1) rest
+
+let hint_length prefix = function
+  | None -> 0
+  | Some hint -> String.length prefix + String.length hint + 1
+
 let encode t =
-  (* Sized for the whole payload, so the buffer never grows. *)
-  let buf =
-    Buffer.create
-      (List.fold_left (fun n k -> n + String.length k + 1) 96 t.keys)
+  let trace = Option.map Obs.Trace_context.to_string t.trace in
+  let b =
+    Bytes.create
+      (List.fold_left
+         (fun n k -> n + String.length k + 1)
+         (Header.length t.proto t.src_port t.dst_port
+         + hint_length nonce_key_prefix t.nonce
+         + hint_length trace_key_prefix trace)
+         t.keys)
   in
-  Buffer.add_string buf
-    (Printf.sprintf "%s %d %d\n"
-       (String.uppercase_ascii (Proto.to_string t.proto))
-       t.src_port t.dst_port);
-  List.iter
-    (fun k ->
-      Buffer.add_string buf k;
-      Buffer.add_char buf '\n')
-    t.keys;
-  (match t.nonce with
+  let pos = put_keys b (Header.write b 0 t.proto t.src_port t.dst_port) t.keys in
+  let pos =
+    match t.nonce with None -> pos | Some n -> put_hint b pos nonce_key_prefix n
+  in
+  (match trace with
   | None -> ()
-  | Some n ->
-      Buffer.add_string buf nonce_key_prefix;
-      Buffer.add_string buf n;
-      Buffer.add_char buf '\n');
-  (match t.trace with
-  | None -> ()
-  | Some ctx ->
-      Buffer.add_string buf trace_key_prefix;
-      Buffer.add_string buf (Obs.Trace_context.to_string ctx);
-      Buffer.add_char buf '\n');
-  Buffer.contents buf
+  | Some c -> ignore (put_hint b pos trace_key_prefix c));
+  Bytes.unsafe_to_string b
 
-let parse_header line =
-  match String.split_on_char ' ' (String.trim line) with
-  | [ proto; sp; dp ] -> (
-      match
-        (Proto.of_string_opt proto, int_of_string_opt sp, int_of_string_opt dp)
-      with
-      | Some proto, Some src_port, Some dst_port
-        when src_port >= 0 && src_port <= 0xffff && dst_port >= 0
-             && dst_port <= 0xffff ->
-          Ok (proto, src_port, dst_port)
-      | _ -> Error "query: malformed header fields")
-  | _ -> Error "query: malformed header line"
+(* The end of the line starting at [i]: the next LF, or the end. *)
+let rec line_end s i =
+  if i >= String.length s || String.unsafe_get s i = '\n' then i
+  else line_end s (i + 1)
 
-let rec same_from prefix k i =
-  i >= String.length prefix || (prefix.[i] = k.[i] && same_from prefix k (i + 1))
+(* Whether [i, stop) is empty once trimmed, as [String.trim] sees it. *)
+let rec blank s i stop =
+  i >= stop
+  || (match String.unsafe_get s i with
+     | ' ' | '\012' | '\n' | '\r' | '\t' -> true
+     | _ -> false)
+     && blank s (i + 1) stop
 
-(* The hint after [prefix] in key [k], when [k] starts with it. Hints
-   are checked on every key of every query, so this allocates only for
-   a match. *)
-let suffix prefix k =
-  if String.length k >= String.length prefix && same_from prefix k 0 then
-    Some
-      (String.sub k (String.length prefix) (String.length k - String.length prefix))
-  else None
+(* Whether [i, stop) holds no ':' and no CR. *)
+let rec clean s i stop =
+  i >= stop
+  || (match String.unsafe_get s i with ':' | '\r' -> false | _ -> true)
+     && clean s (i + 1) stop
 
-let parse_nonce k =
-  match suffix nonce_key_prefix k with
-  | Some n when valid_nonce n -> Some n
-  | Some _ | None -> None
+let rec has_prefix prefix s i k =
+  k >= String.length prefix
+  || String.unsafe_get s (i + k) = String.unsafe_get prefix k
+     && has_prefix prefix s i (k + 1)
 
-let parse_trace k = Option.bind (suffix trace_key_prefix k) Obs.Trace_context.of_string
+let starts prefix s i stop =
+  stop - i >= String.length prefix && has_prefix prefix s i 0
+
+(* What a key line is. An unparsable "@nonce/..." or "@trace/..." token
+   is an ordinary key, exactly as an old decoder saw it; a "@trace/..."
+   line is parsed to tell. *)
+type line = Blank | Nonce | Trace_hint | Key | Malformed
+
+let classify s i stop =
+  if blank s i stop then Blank
+  else if not (clean s i stop) then Malformed
+  else if
+    starts nonce_key_prefix s i stop
+    && valid_nonce_at s (i + String.length nonce_key_prefix) stop
+  then Nonce
+  else if starts trace_key_prefix s i stop then Trace_hint
+  else Key
+
+(* The first nonce and trace-context hints, as the key lines are read. *)
+type hints = {
+  mutable nonce : string option;
+  mutable trace : Obs.Trace_context.t option;
+}
+
+let hint s prefix i e =
+  let i = i + String.length prefix in
+  String.sub s i (e - i)
+
+(* The keys of the lines from [i] on, in order, noting the first nonce
+   and trace-context hints in [h]; [Exit] at a malformed key. Only each
+   kept key the protocol does not name is copied. *)
+let rec keys s h i =
+  if i > String.length s then []
+  else
+    let e = line_end s i in
+    match classify s i e with
+    | Key -> key s h i e
+    | Blank -> keys s h (e + 1)
+    | Nonce ->
+        (match h.nonce with
+        | None -> h.nonce <- Some (hint s nonce_key_prefix i e)
+        | Some _ -> ());
+        keys s h (e + 1)
+    | Trace_hint -> (
+        match Obs.Trace_context.of_string (hint s trace_key_prefix i e) with
+        | Some _ as trace ->
+            if Option.is_none h.trace then h.trace <- trace;
+            keys s h (e + 1)
+        | None -> key s h i e)
+    | Malformed -> raise_notrace Exit
+
+and key s h i e =
+  let k = Key_value.key_of_slice s i (e - i) in
+  k :: keys s h (e + 1)
 
 let decode s =
-  match String.split_on_char '\n' s with
-  | [] -> Error "query: empty"
-  | header :: rest -> (
-      match parse_header header with
-      | Error _ as e -> e
-      | Ok (proto, src_port, dst_port) ->
-          (* One pass over the key lines: blank lines are skipped, the
-             first parsable nonce and trace-context hints are recognized,
-             and every other key — including an unparsable "@nonce/..."
-             or "@trace/..." — stays an ordinary hint, exactly as an old
-             decoder saw it. *)
-          let rec go keys nonce trace = function
-            | [] ->
-                let keys = List.rev keys in
-                Ok { proto; src_port; dst_port; keys; nonce; trace }
-            | l :: rest when String.trim l = "" -> go keys nonce trace rest
-            | l :: _ when not (Key_value.valid_key l) ->
-                Error "query: malformed key"
-            | l :: rest -> (
-                match parse_nonce l with
-                | Some _ as n ->
-                    go keys (if nonce = None then n else nonce) trace rest
-                | None -> (
-                    match parse_trace l with
-                    | Some _ as c ->
-                        go keys nonce (if trace = None then c else trace) rest
-                    | None -> go (l :: keys) nonce trace rest))
-          in
-          go [] None None rest)
+  let h = line_end s 0 in
+  let header = Header.parse s 0 h in
+  if header < 0 then Error (Header.error "query" header)
+  else
+    let hints = { nonce = None; trace = None } in
+    match keys s hints (h + 1) with
+    | exception Exit -> Error "query: malformed key"
+    | keys ->
+        Ok
+          {
+            proto = Header.proto header;
+            src_port = Header.src_port header;
+            dst_port = Header.dst_port header;
+            keys;
+            nonce = hints.nonce;
+            trace = hints.trace;
+          }
 
 let equal a b = a = b
 

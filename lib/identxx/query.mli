@@ -46,7 +46,8 @@ val flow_of : t -> src:Ipv4.t -> dst:Ipv4.t -> Five_tuple.t
     addresses recovered from the query packet's IP header. *)
 
 val encode : t -> string
-(** The on-the-wire payload:
+(** The on-the-wire payload, written into one buffer of its exact
+    length:
     {v
 <PROTO> <SRC PORT> <DST PORT>
 <key 0>
@@ -62,11 +63,12 @@ val decode : string -> (t, string) result
     [nonce] and the first matching the {!trace_key_prefix} form becomes
     [trace]; everything else — including a malformed ["@nonce/"] or
     ["@trace/"] token — stays in [keys], so frames without (or with
-    unintelligible) extensions decode exactly as they always did. *)
+    unintelligible) extensions decode exactly as they always did.
 
-val parse_header : string -> (Proto.t * int * int, string) result
-(** Parse the shared ["<PROTO> <SRC PORT> <DST PORT>"] first line (also
-    used by {!Response.decode}). *)
+    The payload is read in place. It allocates the result, its keys
+    list, each kept key the protocol does not name
+    ({!Key_value.key_of_slice}) and the nonce; a trace context too, when
+    there is one. *)
 
 val equal : t -> t -> bool
 val pp : Format.formatter -> t -> unit

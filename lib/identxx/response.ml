@@ -7,12 +7,17 @@ type t = {
   sections : Key_value.section list;
 }
 
+let is_empty = function [] -> true | _ :: _ -> false
+
 let make ~(flow : Five_tuple.t) sections =
   {
     proto = flow.proto;
     src_port = flow.src_port;
     dst_port = flow.dst_port;
-    sections = List.filter (fun s -> s <> []) sections;
+    sections =
+      (if List.exists is_empty sections then
+         List.filter (fun s -> not (is_empty s)) sections
+       else sections);
   }
 
 let append_section t section =
@@ -48,51 +53,45 @@ let keys t =
            Some p.key
          end)
 
+let put b s pos =
+  Bytes.blit_string s 0 b pos (String.length s);
+  pos + String.length s
+
+let put_char b c pos =
+  Bytes.unsafe_set b pos c;
+  pos + 1
+
+let rec put_pairs b pos = function
+  | [] -> pos
+  | (p : Key_value.pair) :: rest ->
+      let pos = put b p.value (put b ": " (put b p.key pos)) in
+      put_pairs b (put_char b '\n' pos) rest
+
+(* The sections from [pos], one blank line between two. *)
+let rec put_sections b pos = function
+  | [] -> ()
+  | section :: rest ->
+      let pos = put_pairs b pos section in
+      if not (is_empty rest) then put_sections b (put_char b '\n' pos) rest
+
+(* The bytes of the sections' lines: "<key>: <value>\n" per pair, and one
+   blank line between two sections. *)
+let rec pairs_length n = function
+  | [] -> n
+  | (p : Key_value.pair) :: rest ->
+      pairs_length (n + String.length p.key + String.length p.value + 3) rest
+
+let rec sections_length n = function
+  | [] -> n
+  | [ section ] -> pairs_length n section
+  | section :: rest -> sections_length (pairs_length (n + 1) section) rest
+
 let encode t =
-  let header =
-    String.concat " "
-      [
-        String.uppercase_ascii (Proto.to_string t.proto);
-        string_of_int t.src_port;
-        string_of_int t.dst_port;
-      ]
-  in
-  (* The header's newline, one blank line between sections, and
-     "<key>: <value>\n" per pair. *)
-  let pairs_len =
-    List.fold_left
-      (List.fold_left (fun n (p : Key_value.pair) ->
-           n + String.length p.key + String.length p.value + 3))
-      0 t.sections
-  in
   let b =
     Bytes.create
-      (String.length header + 1
-      + max 0 (List.length t.sections - 1)
-      + pairs_len)
+      (sections_length (Header.length t.proto t.src_port t.dst_port) t.sections)
   in
-  let pos = ref 0 in
-  let put s =
-    Bytes.blit_string s 0 b !pos (String.length s);
-    pos := !pos + String.length s
-  in
-  let put_char c =
-    Bytes.set b !pos c;
-    incr pos
-  in
-  put header;
-  put_char '\n';
-  List.iteri
-    (fun i section ->
-      if i > 0 then put_char '\n';
-      List.iter
-        (fun (p : Key_value.pair) ->
-          put p.key;
-          put ": ";
-          put p.value;
-          put_char '\n')
-        section)
-    t.sections;
+  put_sections b (Header.write b 0 t.proto t.src_port t.dst_port) t.sections;
   Bytes.unsafe_to_string b
 
 (* The first [c] in [s] from [i] up to [stop], or [stop]. *)
@@ -123,46 +122,72 @@ let line_error s i =
   if index_to s ':' i e = e then Error ("response: missing ':' in " ^ line)
   else Error ("response: malformed pair " ^ line)
 
-let decode s =
+(* Where the section being read ends: the start of the next one, or of
+   the first malformed line when [Exit] is raised. *)
+type cursor = { mutable next : int }
+
+let malformed c i =
+  c.next <- i;
+  raise_notrace Exit
+
+(* The pairs of the section whose lines start at [i], in order; [c.next]
+   is left at the line after the blank line that ends it, or past the
+   payload. One line per '\n' after the header, the last running to the
+   end: a blank line ends the section, any other line is
+   "<key>:<value>" with a non-empty key, no CR and one optional space
+   after the colon. Each line is read once; only each value and each key
+   outside the vocabulary is copied out. *)
+let rec section_pairs s c i =
   let n = String.length s in
-  let h = index_to s '\n' 0 n in
-  match Query.parse_header (String.sub s 0 h) with
-  | Error e -> Error e
-  | Ok (proto, src_port, dst_port) ->
-      let close current acc =
-        match current with [] -> acc | _ -> List.rev current :: acc
-      in
-      (* One line per '\n' after the header, the last running to the end
-         of the payload: a blank line ends the current section, any other
-         line is "<key>:<value>" with one optional space after the colon.
-         Each line is read once; only each key and value is copied out. *)
-      let rec lines i current acc =
-        if i > n then
-          Ok
-            {
-              proto;
-              src_port;
-              dst_port;
-              sections = List.rev (close current acc);
-            }
-        else
-          let c = key_end s i in
-          if c = i && (c = n || s.[c] = '\n') then lines (c + 1) [] (close current acc)
-          else if c = n || s.[c] <> ':' || c = i then line_error s i
-          else
-            let e = value_end s (c + 1) in
-            if e < n && s.[e] = '\r' then line_error s i
-            else
-              let v = if c + 1 < e && s.[c + 1] = ' ' then c + 2 else c + 1 in
-              let pair =
-                {
-                  Key_value.key = String.sub s i (c - i);
-                  value = String.sub s v (e - v);
-                }
-              in
-              lines (e + 1) (pair :: current) acc
-      in
-      lines (h + 1) [] []
+  if i > n then begin
+    c.next <- i;
+    []
+  end
+  else
+    let k = key_end s i in
+    if k = i && (k = n || s.[k] = '\n') then begin
+      c.next <- k + 1;
+      []
+    end
+    else if k = n || s.[k] <> ':' || k = i then malformed c i
+    else
+      let e = value_end s (k + 1) in
+      if e < n && s.[e] = '\r' then malformed c i
+      else
+        let v = if k + 1 < e && s.[k + 1] = ' ' then k + 2 else k + 1 in
+        let pair =
+          {
+            Key_value.key = Key_value.key_of_slice s i (k - i);
+            value = String.sub s v (e - v);
+          }
+        in
+        pair :: section_pairs s c (e + 1)
+
+(* The non-empty sections from line [i] on: runs of blank lines make no
+   empty sections. *)
+let rec sections_from s c i =
+  if i > String.length s then []
+  else
+    match section_pairs s c i with
+    | [] -> sections_from s c c.next
+    | section -> section :: sections_from s c c.next
+
+let decode s =
+  let h = index_to s '\n' 0 (String.length s) in
+  let header = Header.parse s 0 h in
+  if header < 0 then Error (Header.error "response" header)
+  else
+    let c = { next = 0 } in
+    match sections_from s c (h + 1) with
+    | sections ->
+        Ok
+          {
+            proto = Header.proto header;
+            src_port = Header.src_port header;
+            dst_port = Header.dst_port header;
+            sections;
+          }
+    | exception Exit -> line_error s c.next
 
 (* --- daemon-side trace piggyback ---
 
@@ -173,9 +198,9 @@ let decode s =
    signed — so it is diagnostics, not an authenticated claim, per the
    post-signature-section rule of doc/PROTOCOL.md §6. *)
 
-let trace_id_key = "trace-id"
-let trace_parent_key = "trace-parent"
-let trace_spans_key = "trace-spans"
+let trace_id_key = Key_value.trace_id
+let trace_parent_key = Key_value.trace_parent
+let trace_spans_key = Key_value.trace_spans
 
 (* Floats must survive the wire byte-exactly for traces to be
    deterministic: shortest decimal form that round-trips. *)
@@ -223,7 +248,9 @@ let is_trace_section section =
   && Key_value.find section trace_spans_key <> None
 
 let strip_trace t =
-  { t with sections = List.filter (fun s -> not (is_trace_section s)) t.sections }
+  if List.exists is_trace_section t.sections then
+    { t with sections = List.filter (fun s -> not (is_trace_section s)) t.sections }
+  else t
 
 let trace_info t =
   let tagged =

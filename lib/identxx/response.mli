@@ -41,7 +41,7 @@ val keys : t -> string list
 (** All distinct keys present, in first-appearance order. *)
 
 val encode : t -> string
-(** Wire payload:
+(** Wire payload, written into one buffer of its exact length:
     {v
 <PROTO> <SRC PORT> <DST PORT>
 <key 0>: <value 0>
@@ -54,7 +54,12 @@ val encode : t -> string
 val decode : string -> (t, string) result
 (** Inverse of {!encode}, read in one pass over the payload: runs of
     blank lines make no empty sections, and one space after a pair's
-    [':'] is stripped. [Error] names the first malformed line. *)
+    [':'] is stripped. [Error] names the first malformed line, or the
+    malformed header (["response: malformed header ..."]).
+
+    It allocates the result, its lists and its pairs: each value is
+    copied out, and a key the protocol names is its shared constant
+    ({!Key_value.key_of_slice}), not a copy. *)
 
 val equal : t -> t -> bool
 val pp : Format.formatter -> t -> unit
@@ -84,7 +89,8 @@ val is_trace_section : Key_value.section -> bool
     {!trace_spans_key} — the shape {!attach_trace} produces. *)
 
 val strip_trace : t -> t
-(** The response without its trace section(s). Controllers strip after
+(** The response without its trace section(s); the response itself when
+    it has none. Controllers strip after
     extracting {!trace_info}, so per-flow trace ids never reach policy
     evaluation or the fast-path attribute cache. (The decision-cache key
     holds only the pairs the policy reads, so trace ids would split it

@@ -1,12 +1,12 @@
 open Netcore
 
-let signer_key = "response-signer"
-let tags_key = "response-tags"
-let host_key = "response-host"
-let peer_key = "response-peer"
-let nonce_key = "response-nonce"
-let sig_key = "response-sig"
-let scopes_key = "response-scopes"
+let signer_key = Key_value.response_signer
+let tags_key = Key_value.response_tags
+let host_key = Key_value.response_host
+let peer_key = Key_value.response_peer
+let nonce_key = Key_value.response_nonce
+let sig_key = Key_value.response_sig
+let scopes_key = Key_value.response_scopes
 let per_flow = "-"
 
 type scope = Flow | Socket | Host
@@ -52,31 +52,44 @@ let rec add_per_flow st tags pos sections =
       add_per_flow st tags (stop + 1) rest
   | _ -> ()
 
+(* Marks a field a signature section lacks. It is compared physically:
+   no string read off a response is this constant, which no other
+   module can name. *)
+let absent = "\n"
+let present v = v != absent
+
 (* What a binding tag covers, streamed into [st]: the domain, the flow
    header, the answering host, its peer, the nonce, the tag list as it
-   appears on the wire, the scope list when the answer declares one,
-   then the pairs of every per-flow section in order. *)
+   appears on the wire, the scope list when the answer declares one
+   ({!absent} when not), then the pairs of every per-flow section in
+   order. The header element is fed in parts, never built. *)
 let add_binding st (r : Response.t) ~host ~peer ~nonce ~scopes tags =
   Idcrypto.Sign.add st binding_domain;
-  Idcrypto.Sign.add st
-    (String.concat " "
-       [
-         Proto.to_string r.Response.proto;
-         string_of_int r.Response.src_port;
-         string_of_int r.Response.dst_port;
-       ]);
+  let proto = Proto.to_string r.Response.proto in
+  Idcrypto.Sign.begin_element st
+    (String.length proto
+    + Idcrypto.Sign.int_length r.Response.src_port
+    + Idcrypto.Sign.int_length r.Response.dst_port
+    + 2);
+  Idcrypto.Sign.feed st proto;
+  Idcrypto.Sign.feed st " ";
+  Idcrypto.Sign.feed_int st r.Response.src_port;
+  Idcrypto.Sign.feed st " ";
+  Idcrypto.Sign.feed_int st r.Response.dst_port;
   Idcrypto.Sign.add st host;
   Idcrypto.Sign.add st peer;
   Idcrypto.Sign.add st nonce;
   Idcrypto.Sign.add st tags;
-  Option.iter (Idcrypto.Sign.add st) scopes;
+  if present scopes then Idcrypto.Sign.add st scopes;
   add_per_flow st tags 0 r.Response.sections
 
 let sign_with ~public ~key ~tags ?scopes ~host ~peer ?(nonce = "-") r =
   let host = Ipv4.to_string host and peer = Ipv4.to_string peer in
   let tags = String.concat "," tags in
   let scopes =
-    Option.map (fun l -> String.concat "," (List.map scope_to_string l)) scopes
+    match scopes with
+    | Some l -> String.concat "," (List.map scope_to_string l)
+    | None -> absent
   in
   let st = Idcrypto.Sign.keyed key in
   add_binding st r ~host ~peer ~nonce ~scopes tags;
@@ -94,9 +107,8 @@ let sign_with ~public ~key ~tags ?scopes ~host ~peer ?(nonce = "-") r =
     (Key_value.pair signer_key public
     :: Key_value.pair tags_key tags
     ::
-    (match scopes with
-    | Some s -> { Key_value.key = scopes_key; value = s } :: tail
-    | None -> tail))
+    (if present scopes then { Key_value.key = scopes_key; value = scopes } :: tail
+     else tail))
 
 let sign ~(keypair : Idcrypto.Sign.keypair) ~host ~peer ?nonce r =
   let key = Idcrypto.Hmac.prepare keypair.Idcrypto.Sign.secret in
@@ -108,15 +120,15 @@ type verdict = Valid of int | Unsigned | Invalid
 
 (* Whether [bytes], a cached section's canonical encoding, holds exactly
    [section]'s covered elements. *)
+let rec same_pairs bytes pos = function
+  | [] -> pos = String.length bytes
+  | (p : Key_value.pair) :: rest ->
+      let pos = Idcrypto.Sign.element_at bytes pos p.key in
+      let pos = Idcrypto.Sign.element_at bytes pos p.value in
+      pos >= 0 && same_pairs bytes pos rest
+
 let same_section bytes section =
-  let rec go pos = function
-    | [] -> pos = String.length bytes
-    | (p : Key_value.pair) :: rest ->
-        let pos = Idcrypto.Sign.element_at bytes pos p.key in
-        let pos = Idcrypto.Sign.element_at bytes pos p.value in
-        pos >= 0 && go pos rest
-  in
-  go (Idcrypto.Sign.element_at bytes 0 section_domain) section
+  same_pairs bytes (Idcrypto.Sign.element_at bytes 0 section_domain) section
 
 (* A static section checks against its tag, the slice [pos, stop) of
    [tags]: a cached copy of the tag must carry the same bytes; otherwise
@@ -153,80 +165,145 @@ let rec statics_ok ks ~public tags pos n sections =
         && statics_ok ks ~public tags (stop + 1) (n - 1) rest
     | _ -> false
 
-let check ks (r : Response.t) ~public ~signature n section =
-  match
-    ( Key_value.find section tags_key,
-      Key_value.find section host_key,
-      Key_value.find section peer_key,
-      Key_value.find section nonce_key )
-  with
-  | Some tags, Some host, Some peer, Some nonce -> (
-      match Idcrypto.Sign.verifier ks ~public with
-      | None -> Invalid
-      | Some st ->
-          add_binding st r ~host ~peer ~nonce
-            ~scopes:(Key_value.find section scopes_key)
-            tags;
-          if
-            Idcrypto.Sign.matches st ~signature
-            && statics_ok ks ~public tags 0 n r.Response.sections
-          then Valid n
-          else Invalid)
-  | _ -> Invalid
+type field =
+  | Signer_key
+  | Sig_key
+  | Tags_key
+  | Host_key
+  | Peer_key
+  | Nonce_key
+  | Scopes_key
+  | Other_key
 
-let rec has key = function
-  | [] -> false
-  | (p : Key_value.pair) :: rest -> String.equal p.key key || has key rest
+(* The signature-section field a key names. The length, between 12 and
+   15 for every field, settles most keys without a comparison. *)
+let field k =
+  match String.length k with
+  | 12 -> if String.equal k sig_key then Sig_key else Other_key
+  | 13 ->
+      if String.equal k tags_key then Tags_key
+      else if String.equal k host_key then Host_key
+      else if String.equal k peer_key then Peer_key
+      else Other_key
+  | 14 -> if String.equal k nonce_key then Nonce_key else Other_key
+  | 15 ->
+      if String.equal k signer_key then Signer_key
+      else if String.equal k scopes_key then Scopes_key
+      else Other_key
+  | _ -> Other_key
 
-(* A signature section carries both a signer and a tag. *)
-let is_signature section = has signer_key section && has sig_key section
+(* Whether the section carries both a signer and a tag. *)
+let rec is_signature ~signer ~signature = function
+  | [] -> signer && signature
+  | (p : Key_value.pair) :: rest -> (
+      match field p.key with
+      | Signer_key -> is_signature ~signer:true ~signature rest
+      | Sig_key -> is_signature ~signer ~signature:true rest
+      | _ -> is_signature ~signer ~signature rest)
 
-let verify keystore (r : Response.t) =
-  (* The first signature section covers the [n] sections before it. *)
-  let rec find n = function
-    | [] -> Unsigned
-    | section :: _ when is_signature section -> (
-        match
-          (Key_value.find section signer_key, Key_value.find section sig_key)
-        with
-        | Some public, Some signature ->
-            check keystore r ~public ~signature n section
-        | _ -> Invalid)
-    | _ :: rest -> find (n + 1) rest
-  in
-  find 0 r.Response.sections
+(* The first signature section: the [covered] sections before it, the
+   sections [after] it, and the last binding of each field, {!absent}
+   where it has none. The fields are set once, while it is read. *)
+type signature = {
+  covered : int;
+  after : Key_value.section list;
+  mutable signer : string;
+  mutable signature : string;
+  mutable tags : string;
+  mutable host : string;
+  mutable peer : string;
+  mutable nonce : string;
+  mutable scopes : string;
+}
+
+let rec read_fields sg = function
+  | [] -> sg
+  | (p : Key_value.pair) :: rest ->
+      let v = p.value in
+      (match field p.key with
+      | Signer_key -> sg.signer <- v
+      | Sig_key -> sg.signature <- v
+      | Tags_key -> sg.tags <- v
+      | Host_key -> sg.host <- v
+      | Peer_key -> sg.peer <- v
+      | Nonce_key -> sg.nonce <- v
+      | Scopes_key -> sg.scopes <- v
+      | Other_key -> ());
+      read_fields sg rest
+
+let rec find_signature covered = function
+  | [] -> None
+  | section :: after when is_signature ~signer:false ~signature:false section ->
+      Some
+        (read_fields
+           {
+             covered;
+             after;
+             signer = absent;
+             signature = absent;
+             tags = absent;
+             host = absent;
+             peer = absent;
+             nonce = absent;
+             scopes = absent;
+           }
+           section)
+  | _ :: after -> find_signature (covered + 1) after
+
+let signature (r : Response.t) = find_signature 0 r.Response.sections
+
+let check ks (r : Response.t) = function
+  | None -> Unsigned
+  | Some sg ->
+      if
+        not
+          (present sg.tags && present sg.host && present sg.peer
+         && present sg.nonce)
+      then Invalid
+      else (
+        match Idcrypto.Sign.verifier ks ~public:sg.signer with
+        | None -> Invalid
+        | Some st ->
+            add_binding st r ~host:sg.host ~peer:sg.peer ~nonce:sg.nonce
+              ~scopes:sg.scopes sg.tags;
+            if
+              Idcrypto.Sign.matches st ~signature:sg.signature
+              && statics_ok ks ~public:sg.signer sg.tags 0 sg.covered
+                   r.Response.sections
+            then Valid sg.covered
+            else Invalid)
+
+let verify keystore r = check keystore r (signature r)
 
 type claim = { signer : string; host : string; peer : string; nonce : string }
 
-let claim (r : Response.t) =
-  match List.find_opt is_signature r.Response.sections with
-  | None -> None
-  | Some section -> (
-      match
-        ( Key_value.find section signer_key,
-          Key_value.find section host_key,
-          Key_value.find section peer_key,
-          Key_value.find section nonce_key )
-      with
-      | Some signer, Some host, Some peer, Some nonce ->
-          Some { signer; host; peer; nonce }
-      | _ -> None)
+let claimed (sg : signature) =
+  if present sg.host && present sg.peer && present sg.nonce then
+    Some { signer = sg.signer; host = sg.host; peer = sg.peer; nonce = sg.nonce }
+  else None
+
+let claim r = Option.bind (signature r) claimed
+let signer (sg : signature) = sg.signer
+
+let echoes (sg : signature) ~host ~peer ~nonce =
+  Ipv4.is_text host sg.host
+  && Ipv4.is_text peer sg.peer
+  && match nonce with Some n -> String.equal n sg.nonce | None -> false
+
+let rec same_name name scopes pos i =
+  i >= String.length name
+  || String.unsafe_get scopes (pos + i) = String.unsafe_get name i
+     && same_name name scopes pos (i + 1)
+
+let is_name name scopes pos stop =
+  stop - pos = String.length name && same_name name scopes pos 0
 
 (* The scope named by the field [pos, stop) of [scopes]; [None] for a
    name this verifier does not know. *)
 let scope_at scopes pos stop =
-  let is lit =
-    stop - pos = String.length lit
-    &&
-    let rec same i =
-      i >= String.length lit
-      || (String.unsafe_get scopes (pos + i) = lit.[i] && same (i + 1))
-    in
-    same 0
-  in
-  if is "socket" then Some Socket
-  else if is "host" then Some Host
-  else if is "flow" then Some Flow
+  if is_name "socket" scopes pos stop then Some Socket
+  else if is_name "host" scopes pos stop then Some Host
+  else if is_name "flow" scopes pos stop then Some Flow
   else None
 
 let narrower a b =
@@ -246,16 +323,11 @@ let rec narrowest scopes pos n acc =
     | None -> Flow
     | Some s -> narrowest scopes (stop + 1) (n - 1) (narrower acc s)
 
-let scope (r : Response.t) =
-  (* The first signature section must be the last section, and declare
-     one scope per section before it. *)
-  let rec find n = function
-    | [] -> Flow
-    | [ section ] when is_signature section && n > 0 -> (
-        match Key_value.find section scopes_key with
-        | Some scopes -> narrowest scopes 0 n Host
-        | None -> Flow)
-    | section :: _ when is_signature section -> Flow
-    | _ :: rest -> find (n + 1) rest
-  in
-  find 0 r.Response.sections
+(* The first signature section must be the last section, and declare
+   one scope per section before it. *)
+let scope_of = function
+  | Some ({ after = []; _ } as sg) when sg.covered > 0 && present sg.scopes ->
+      narrowest sg.scopes 0 sg.covered Host
+  | Some _ | None -> Flow
+
+let scope r = scope_of (signature r)

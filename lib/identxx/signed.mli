@@ -140,3 +140,35 @@ val scope : Response.t -> scope
     signature section, and for an answer with no section before it.
     Read it after {!verify}: only a verified answer's declaration is the
     signer's. *)
+
+(** {2 Reading the signature section once}
+
+    {!verify}, {!claim} and {!scope} each find the first signature
+    section. A receiver that needs them all reads it once with
+    {!signature} and asks the reading: [verify ks r] is
+    [check ks r (signature r)] and [scope r] is [scope_of (signature r)];
+    {!signer} and {!echoes} stand in for {!claim}. *)
+
+type signature
+(** The first signature section of a response — a section carrying
+    both [response-signer] and [response-sig] — with the last binding
+    of each of its fields, where it sits and what follows it. *)
+
+val signature : Response.t -> signature option
+(** One pass over the sections; allocates only the reading. *)
+
+val check : Idcrypto.Sign.keystore -> Response.t -> signature option -> verdict
+(** {!verify} of the response the reading was taken from. *)
+
+val scope_of : signature option -> scope
+(** {!scope} of the response the reading was taken from. *)
+
+val signer : signature -> string
+(** The section's [response-signer]. *)
+
+val echoes :
+  signature -> host:Ipv4.t -> peer:Ipv4.t -> nonce:string option -> bool
+(** Whether the section answers this query: its [response-host] and
+    [response-peer] are exactly [host]'s and [peer]'s dotted quads and
+    its [response-nonce] is the nonce the query carried ([false] when
+    it carried none). Allocates nothing. *)

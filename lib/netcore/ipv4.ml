@@ -67,6 +67,29 @@ let to_string a =
   done;
   Bytes.unsafe_to_string b
 
+(* Whether [s] holds [d]'s last decimal digit at [i]. *)
+let digit_at s i d = String.unsafe_get s i = Char.unsafe_chr (48 + (d mod 10))
+
+(* The position after octet [o] of [a] written at [i] of [s] as
+   [to_string] writes it, then a '.' unless it is the last; -1 when [s]
+   differs there. *)
+let rec octets_at a s i o =
+  let v = (a lsr (24 - (8 * o))) land 0xff in
+  let w = if v >= 100 then 3 else if v >= 10 then 2 else 1 in
+  let stop = i + w in
+  if
+    stop > String.length s
+    || (w = 3 && not (digit_at s i (v / 100)))
+    || (w >= 2 && not (digit_at s (stop - 2) (v / 10)))
+    || not (digit_at s (stop - 1) v)
+  then -1
+  else if o = 3 then stop
+  else if stop < String.length s && String.unsafe_get s stop = '.' then
+    octets_at a s (stop + 1) (o + 1)
+  else -1
+
+let is_text a s = octets_at a s 0 0 = String.length s
+
 let of_bytes s off =
   if off < 0 || off + 4 > String.length s then
     invalid_arg "Ipv4.of_bytes: out of bounds";

@@ -31,6 +31,10 @@ val of_string : string -> t
 val of_string_opt : string -> t option
 val to_string : t -> string
 
+val is_text : t -> string -> bool
+(** [is_text a s] is [String.equal s (to_string a)], without building
+    [to_string a]. *)
+
 val of_bytes : string -> int -> t
 (** Reads four big-endian bytes. @raise Invalid_argument out of bounds. *)
 

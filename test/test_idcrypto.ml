@@ -17,6 +17,23 @@ let test_hex_case_insensitive () =
   check Alcotest.string "upper case accepted" "\xde\xad"
     (Idcrypto.Hex.decode_exn "DEAD")
 
+(* [spells] reads a tag where it sits: digits of either case spelling a
+   prefix of the bytes, nothing else. *)
+let test_hex_spells () =
+  let raw = "\xde\xad\xbe\xef" in
+  check Alcotest.bool "whole" true (Idcrypto.Hex.spells "deadbeef" raw 4);
+  check Alcotest.bool "upper case" true (Idcrypto.Hex.spells "DEADBEEF" raw 4);
+  check Alcotest.bool "prefix" true (Idcrypto.Hex.spells "dead" raw 2);
+  List.iter
+    (fun (hex, n) ->
+      check Alcotest.bool (Printf.sprintf "%S over %d" hex n) false
+        (Idcrypto.Hex.spells hex raw n))
+    [
+      ("deadbeee", 4); ("deadbe", 4); ("deadbeef00", 5); ("deadbeef", 3);
+      ("deadbeeg", 4); ("dead", 4); ("", 1);
+    ];
+  check Alcotest.bool "nothing spells nothing" true (Idcrypto.Hex.spells "" raw 0)
+
 let test_hex_rejects_bad_input () =
   List.iter
     (fun s ->
@@ -497,6 +514,7 @@ let () =
           Alcotest.test_case "roundtrip" `Quick test_hex_roundtrip;
           Alcotest.test_case "case insensitive" `Quick test_hex_case_insensitive;
           Alcotest.test_case "rejects bad input" `Quick test_hex_rejects_bad_input;
+          Alcotest.test_case "spells" `Quick test_hex_spells;
         ] );
       ( "sha256",
         [

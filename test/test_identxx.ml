@@ -1329,6 +1329,22 @@ let prop_split_signature =
            invalid warm signed && invalid warm rebound
          end)
 
+(* The header parser the in-place [Header.parse] replaced, kept as its
+   oracle: trim, split on ' ', read each field with the standard
+   parsers. [who] names the payload kind in its errors. *)
+let reference_parse_header ~who line =
+  match String.split_on_char ' ' (String.trim line) with
+  | [ proto; sp; dp ] -> (
+      match
+        (Proto.of_string_opt proto, int_of_string_opt sp, int_of_string_opt dp)
+      with
+      | Some proto, Some src_port, Some dst_port
+        when src_port >= 0 && src_port <= 0xffff && dst_port >= 0
+             && dst_port <= 0xffff ->
+          Ok (proto, src_port, dst_port)
+      | _ -> Error (who ^ ": malformed header fields"))
+  | _ -> Error (who ^ ": malformed header line")
+
 (* The line-list decoder the one-pass [Response.decode] replaced, kept
    as its oracle: split on '\n', the first line is the header, blank
    lines separate sections, every other line is one pair. *)
@@ -1351,7 +1367,7 @@ let reference_decode s =
   match String.split_on_char '\n' s with
   | [] -> Error "response: empty"
   | header :: rest -> (
-      match Identxx.Query.parse_header header with
+      match reference_parse_header ~who:"response" header with
       | Error e -> Error e
       | Ok (proto, src_port, dst_port) -> (
           let rec sections current acc = function
@@ -1419,6 +1435,370 @@ let prop_decode_matches_reference =
     (QCheck.make gen_payload ~print:String.escaped)
     (fun p -> Identxx.Response.decode p = reference_decode p)
 
+(* The list-based query decoder the in-place [Query.decode] replaced,
+   kept as its oracle: split on '\n', trim-blank lines skipped, the first
+   parsable "@nonce/" and "@trace/" hints taken out of the keys. *)
+let reference_query_decode s =
+  let suffix prefix k =
+    let n = String.length prefix in
+    if String.length k >= n && String.sub k 0 n = prefix then
+      Some (String.sub k n (String.length k - n))
+    else None
+  in
+  let valid_nonce n =
+    String.length n >= 1 && String.length n <= 64
+    && String.for_all (function '0' .. '9' | 'a' .. 'f' -> true | _ -> false) n
+  in
+  let parse_nonce k =
+    match suffix Identxx.Query.nonce_key_prefix k with
+    | Some n when valid_nonce n -> Some n
+    | Some _ | None -> None
+  in
+  let parse_trace k =
+    Option.bind (suffix Identxx.Query.trace_key_prefix k) Obs.Trace_context.of_string
+  in
+  match String.split_on_char '\n' s with
+  | [] -> Error "query: empty"
+  | header :: rest -> (
+      match reference_parse_header ~who:"query" header with
+      | Error _ as e -> e
+      | Ok (proto, src_port, dst_port) ->
+          let rec go keys nonce trace = function
+            | [] ->
+                Ok
+                  {
+                    Identxx.Query.proto;
+                    src_port;
+                    dst_port;
+                    keys = List.rev keys;
+                    nonce;
+                    trace;
+                  }
+            | l :: rest when String.trim l = "" -> go keys nonce trace rest
+            | l :: _ when not (KV.valid_key l) -> Error "query: malformed key"
+            | l :: rest -> (
+                match parse_nonce l with
+                | Some _ as n ->
+                    go keys (if nonce = None then n else nonce) trace rest
+                | None -> (
+                    match parse_trace l with
+                    | Some _ as c ->
+                        go keys nonce (if trace = None then c else trace) rest
+                    | None -> go (l :: keys) nonce trace rest))
+          in
+          go [] None None rest)
+
+(* Payloads of either kind near the edges of both grammars: headers
+   well-formed, oddly spaced, in other radixes or truncated; then lines
+   that are blank (runs of them, or only white space), keys, pairs whose
+   values hold ':', pairs with an empty key or a CR, valid and malformed
+   "@nonce/" and "@trace/" hints; then the whole possibly cut short. *)
+let gen_wire_payload =
+  QCheck.Gen.(
+    let hex = oneofl (List.init 16 (fun i -> "0123456789abcdef".[i])) in
+    let trace_text =
+      Obs.Trace_context.to_string
+        (Obs.Trace_context.make ~seed:"gen" ~seq:1 ~sampled:false)
+    in
+    let header =
+      oneofl
+        [
+          "TCP 40000 80"; "udp 53 5353"; "ICMP 0 0"; "17 1 65535"; "6 1 2";
+          " TCP 1 2 "; "TCP 1 2\r"; "\tTCP 1 2"; "TCP  1 2"; "TCP 1"; "TCP";
+          ""; "TCP 1 2 3"; "TCP 0x50 1_0"; "TCP +1 2"; "TCP -0 2";
+          "TCP 1 65536"; "TCP 99999999999999999999 1"; "300 1 2"; "FROG 1 2";
+          "tCp 007 8";
+        ]
+    in
+    let blank = oneofl [ ""; ""; " "; "\t"; "\r"; "\012"; " \r" ] in
+    let pair =
+      let* k = gen_key in
+      let* v = gen_value in
+      let* sep = oneofl [ ":"; ": "; ":  "; "::" ] in
+      let* tail = oneofl [ ""; ""; ":x"; " : y"; "\r" ] in
+      return (k ^ sep ^ v ^ tail)
+    in
+    let line =
+      frequency
+        [
+          (3, blank);
+          (4, gen_key);
+          (2, oneofl [ "userID"; "exe-hash"; "response-sig"; "trace-id"; "pid" ]);
+          (4, pair);
+          (1, map (fun v -> ":" ^ v) gen_value);
+          ( 2,
+            let* n = string_size ~gen:hex (int_range 1 64) in
+            return ("@nonce/" ^ n) );
+          ( 1,
+            oneofl
+              [
+                "@nonce/"; "@nonce/XYZ"; "@nonce/00C0"; "@nonce/" ^ String.make 65 'a';
+                "@nonce/12:34";
+              ] );
+          (2, return ("@trace/" ^ trace_text));
+          ( 1,
+            oneofl
+              [
+                "@trace/"; "@trace/abc"; "@trace/" ^ String.uppercase_ascii trace_text;
+                "@trace/" ^ String.map (fun c -> if c = '-' then '_' else c) trace_text;
+                "@trace/" ^ trace_text ^ "-s";
+              ] );
+        ]
+    in
+    let* h = header in
+    (* A third of the bodies hold only pairs and blank lines. *)
+    let* pairs_only = frequency [ (2, return false); (1, return true) ] in
+    let* lines =
+      list_size (int_bound 8)
+        (if pairs_only then frequency [ (1, blank); (3, pair) ] else line)
+    in
+    let* nl = bool in
+    let p = String.concat "\n" (h :: lines) ^ if nl then "\n" else "" in
+    let* cut = frequency [ (4, return (String.length p)); (1, int_bound (String.length p)) ] in
+    return (String.sub p 0 cut))
+
+let prop_query_decode_matches_reference =
+  QCheck.Test.make ~name:"query decode agrees with the list-based decoder"
+    ~count:3000
+    (QCheck.make gen_wire_payload ~print:String.escaped)
+    (fun p -> Identxx.Query.decode p = reference_query_decode p)
+
+let prop_response_decode_matches_reference =
+  QCheck.Test.make ~name:"response decode agrees with the line-list decoder"
+    ~count:3000
+    (QCheck.make gen_wire_payload ~print:String.escaped)
+    (fun p -> Identxx.Response.decode p = reference_decode p)
+
+(* --- wire bytes pinned before the codec wrote and read in place --- *)
+
+let pin_flow () = flow ~proto:Proto.Udp ~sp:5353 ~dp:53 "10.0.0.1" "10.0.0.2"
+
+let pin_trace () =
+  Obs.Trace_context.make ~seed:"udp 10.0.0.1:5353 -> 10.0.0.2:53" ~seq:3
+    ~sampled:true
+
+let test_query_pinned_bytes () =
+  let q =
+    Identxx.Query.with_trace
+      {
+        (Identxx.Query.make ~flow:(pin_flow ())
+           ~keys:[ "userID"; "exe-hash"; "os-patch" ])
+        with
+        Identxx.Query.nonce = Some "00c0ffee12345678";
+      }
+      (Some (pin_trace ()))
+  in
+  let wire =
+    "UDP 5353 53\nuserID\nexe-hash\nos-patch\n@nonce/00c0ffee12345678\n\
+     @trace/1033197a4158e9a3-cf6d83e2-s\n"
+  in
+  check Alcotest.string "exact bytes" wire (Identxx.Query.encode q);
+  match Identxx.Query.decode wire with
+  | Ok q' -> check Alcotest.bool "decodes to the query" true (Identxx.Query.equal q q')
+  | Error e -> Alcotest.fail e
+
+let test_response_pinned_bytes () =
+  let kp = Idcrypto.Sign.generate "pin-host" in
+  let key = Idcrypto.Hmac.prepare kp.Idcrypto.Sign.secret in
+  let static = [ KV.pair "userID" "alice"; KV.pair "name" "dig" ] in
+  let per_flow = [ KV.pair "url" "dns://example.com/" ] in
+  let globals = [ KV.pair "os-patch" "8831" ] in
+  let signed =
+    Identxx.Signed.sign_with ~public:kp.Idcrypto.Sign.public ~key
+      ~tags:
+        [
+          Identxx.Signed.section_tag key static;
+          Identxx.Signed.per_flow;
+          Identxx.Signed.section_tag key globals;
+        ]
+      ~scopes:Identxx.Signed.[ Socket; Flow; Host ]
+      ~host:(ip "10.0.0.2") ~peer:(ip "10.0.0.1") ~nonce:"00c0ffee12345678"
+      (Identxx.Response.make ~flow:(pin_flow ()) [ static; per_flow; globals ])
+  in
+  let ctx = pin_trace () in
+  let traced =
+    Identxx.Response.attach_trace signed ~trace_id:ctx.Obs.Trace_context.trace_id
+      ~parent:ctx.Obs.Trace_context.span_id
+      ~spans:[ ("decode", 0.25, 0.5); ("lookup", 0.5, 0.75); ("sign", 0.75, 1.125) ]
+  in
+  check Alcotest.(option string) "signature"
+    (Some "c9847a9558c8c7fbb8844eb3b14149440f0ed19229dfb07b0b77247162c68e62")
+    (Identxx.Response.latest signed Identxx.Signed.sig_key);
+  let wire =
+    "UDP 5353 53\nuserID: alice\nname: dig\n\nurl: dns://example.com/\n\n\
+     os-patch: 8831\n\n\
+     response-signer: pka00325ee952ea45c52c3fcf51c153431eaf42578\n\
+     response-tags: 7309f4722bd613b59c1869b8291594b0,-,799f7aa380734d806b46f612a3ef7871\n\
+     response-scopes: socket,flow,host\nresponse-host: 10.0.0.2\n\
+     response-peer: 10.0.0.1\nresponse-nonce: 00c0ffee12345678\n\
+     response-sig: c9847a9558c8c7fbb8844eb3b14149440f0ed19229dfb07b0b77247162c68e62\n\n\
+     trace-id: 1033197a4158e9a3\ntrace-parent: cf6d83e2\n\
+     trace-spans: decode@0.25+0.25;lookup@0.5+0.25;sign@0.75+0.375\n"
+  in
+  check Alcotest.string "exact bytes" wire (Identxx.Response.encode traced);
+  match Identxx.Response.decode wire with
+  | Error e -> Alcotest.fail e
+  | Ok back ->
+      check Alcotest.bool "decodes to the answer" true
+        (Identxx.Response.equal traced back);
+      let ks = Idcrypto.Sign.keystore () in
+      Idcrypto.Sign.register ks kp;
+      check Alcotest.bool "verifies over the three sections before it" true
+        (Identxx.Signed.verify ks back = Identxx.Signed.Valid 3)
+
+(* A response's header error names the response, not the query. *)
+let test_response_header_error_label () =
+  let error p =
+    match Identxx.Response.decode p with Error e -> e | Ok _ -> "accepted"
+  in
+  check Alcotest.string "line" "response: malformed header line"
+    (error "TCP 1\nuserID: alice\n");
+  check Alcotest.string "fields" "response: malformed header fields"
+    (error "FROG 1 2\nuserID: alice\n");
+  check Alcotest.string "a query's still names the query"
+    "query: malformed header fields"
+    (match Identxx.Query.decode "FROG 1 2\n" with Error e -> e | Ok _ -> "accepted")
+
+(* Every key the protocol defines decodes to its shared constant. *)
+let test_kv_vocabulary_shared () =
+  List.iter
+    (fun k ->
+      let s = "<" ^ k ^ ">" in
+      check Alcotest.bool ("shared " ^ k) true
+        (KV.key_of_slice s 1 (String.length k) == k))
+    KV.
+      [
+        user_id; group_id; pid; app_path; app_name; app_alias; exe_hash;
+        version; requirements; req_sig; rule_maker; response_signer;
+        response_tags; response_scopes; response_host; response_peer;
+        response_nonce; response_sig; trace_id; trace_parent; trace_spans;
+      ];
+  check Alcotest.bool "the signature and trace keys are those constants" true
+    (Identxx.Signed.signer_key == KV.response_signer
+    && Identxx.Signed.sig_key == KV.response_sig
+    && Identxx.Response.trace_id_key == KV.trace_id);
+  check Alcotest.string "any other key is copied" "userid"
+    (KV.key_of_slice "<userid>" 1 6)
+
+(* --- allocation gates ---
+
+   Words a call allocates, after one warm-up call. A string of [n] bytes
+   is [n / 8 + 2] words with its header. *)
+let words_per_call f =
+  ignore (Sys.opaque_identity (f ()));
+  let before = Gc.minor_words () in
+  for _ = 1 to 100 do
+    ignore (Sys.opaque_identity (f ()))
+  done;
+  (Gc.minor_words () -. before) /. 100.
+
+let string_words s = float_of_int ((String.length s / 8) + 2)
+
+(* An encoder writes its payload into one buffer of the exact length:
+   it allocates the payload's words and at most three more. *)
+let test_encoders_allocate_their_payload () =
+  let q =
+    {
+      (Identxx.Query.make ~flow:(pin_flow ()) ~keys:[ "userID"; "name" ]) with
+      Identxx.Query.nonce = Some "00c0ffee12345678";
+    }
+  in
+  let small = sample_response () and big = enterprise_response () in
+  List.iter
+    (fun (name, encode) ->
+      let payload = encode () in
+      let words = words_per_call encode in
+      if words > string_words payload +. 3. then
+        Alcotest.failf "%s: %.0f words for a %d-byte payload" name words
+          (String.length payload))
+    [
+      ("query", fun () -> Identxx.Query.encode q);
+      ("small response", fun () -> Identxx.Response.encode small);
+      ("enterprise response", fun () -> Identxx.Response.encode big);
+    ]
+
+(* [Query.decode] allocates a fixed record and, per kept key, its list
+   cell and — for a key the protocol does not name — its copy: at most
+   six words for a key of up to seven bytes. *)
+let test_query_decode_alloc_per_key () =
+  let payload n =
+    String.concat "\n"
+      ("TCP 40000 80" :: List.init n (fun i -> Printf.sprintf "k%04d" i))
+    ^ "\n"
+  in
+  let words n =
+    let p = payload n in
+    words_per_call (fun () -> Identxx.Query.decode p)
+  in
+  let base = words 0 in
+  if base > 14. then Alcotest.failf "%.0f words for a query with no keys" base;
+  let per_key = (words 64 -. base) /. 64. in
+  if per_key > 6. then Alcotest.failf "%.1f words per kept key" per_key
+
+(* [Response.decode] allocates each pair, its list cell and its value;
+   a key the protocol names costs nothing. *)
+let test_response_decode_shares_vocabulary () =
+  let sections =
+    [
+      [
+        KV.pair KV.user_id "alice"; KV.pair KV.group_id "staff,dev";
+        KV.pair KV.pid "4242"; KV.pair KV.app_path "/usr/bin/firefox";
+        KV.pair KV.app_name "firefox"; KV.pair KV.app_alias "firefox";
+      ];
+      [
+        KV.pair KV.response_signer "pk0123"; KV.pair KV.response_tags "-";
+        KV.pair KV.response_scopes "flow"; KV.pair KV.response_host "10.0.0.1";
+        KV.pair KV.response_peer "10.0.0.2"; KV.pair KV.response_nonce "-";
+        KV.pair KV.response_sig "00";
+      ];
+    ]
+  in
+  let wire =
+    Identxx.Response.encode
+      (Identxx.Response.make ~flow:(flow "10.0.0.1" "10.0.0.2") sections)
+  in
+  (* The result, [Ok] and the reader's two-word cursor, a cell per
+     section, then per pair its record, its cell and its value. *)
+  let expected =
+    List.fold_left
+      (List.fold_left (fun n (p : KV.pair) -> n +. 6. +. string_words p.value))
+      (9. +. (3. *. float_of_int (List.length sections)))
+      sections
+  in
+  check (Alcotest.float 0.) "no key words" expected
+    (words_per_call (fun () -> Identxx.Response.decode wire));
+  match Identxx.Response.decode wire with
+  | Ok r ->
+      check Alcotest.bool "keys are the shared constants" true
+        (List.for_all2
+           (List.for_all2 (fun (a : KV.pair) (b : KV.pair) -> a.key == b.key))
+           sections r.Identxx.Response.sections)
+  | Error e -> Alcotest.fail e
+
+(* A warm [sign_with] — the section tags already computed — allocates a
+   fixed budget: the binding tag, the signature section's pairs and the
+   answer it appends them to, whatever the static sections hold. *)
+let test_sign_with_budget () =
+  let kp = Idcrypto.Sign.generate "budget-host" in
+  let key = Idcrypto.Hmac.prepare kp.Idcrypto.Sign.secret in
+  let host = ip "10.0.0.1" and peer = ip "10.0.0.2" in
+  let words section =
+    let r = Identxx.Response.make ~flow:(flow "10.0.0.1" "10.0.0.2") [ section ] in
+    let tags = [ Identxx.Signed.section_tag key section ] in
+    words_per_call (fun () ->
+        Identxx.Signed.sign_with ~public:kp.Idcrypto.Sign.public ~key ~tags
+          ~scopes:[ Identxx.Signed.Socket ] ~host ~peer ~nonce:"00c0ffee12345678" r)
+  in
+  List.iter
+    (fun (name, section) ->
+      let w = words section in
+      if w > 140. then Alcotest.failf "%s: %.0f words per warm sign" name w)
+    [
+      ("one pair", [ KV.pair "userID" "alice" ]);
+      ( "200 pairs",
+        List.init 200 (fun i -> KV.pair (Printf.sprintf "k%03d" i) (String.make 60 'v')) );
+    ]
+
 let () =
   let qc = List.map QCheck_alcotest.to_alcotest in
   Alcotest.run "identxx"
@@ -1427,6 +1807,7 @@ let () =
         [
           Alcotest.test_case "validation" `Quick test_kv_validation;
           Alcotest.test_case "find last binding" `Quick test_kv_find_last_binding;
+          Alcotest.test_case "vocabulary keys shared" `Quick test_kv_vocabulary_shared;
         ] );
       ( "query",
         [
@@ -1438,6 +1819,9 @@ let () =
           Alcotest.test_case "nonce wire" `Quick test_query_nonce_wire;
           Alcotest.test_case "unparsable trace stays key" `Quick
             test_query_trace_unparsable_stays_key;
+          Alcotest.test_case "pinned bytes" `Quick test_query_pinned_bytes;
+          Alcotest.test_case "decode allocation per kept key" `Quick
+            test_query_decode_alloc_per_key;
         ] );
       ( "response",
         [
@@ -1452,6 +1836,13 @@ let () =
             test_response_decode_rejects_bad_pair;
           Alcotest.test_case "trace piggyback" `Quick
             test_response_trace_piggyback;
+          Alcotest.test_case "pinned bytes" `Quick test_response_pinned_bytes;
+          Alcotest.test_case "header error names the response" `Quick
+            test_response_header_error_label;
+          Alcotest.test_case "encoders allocate their payload" `Quick
+            test_encoders_allocate_their_payload;
+          Alcotest.test_case "decode shares vocabulary keys" `Quick
+            test_response_decode_shares_vocabulary;
         ] );
       ( "config",
         [
@@ -1524,6 +1915,8 @@ let () =
             test_signed_known_answer;
           Alcotest.test_case "warm verify allocation flat in size" `Quick
             test_signed_warm_verify_alloc;
+          Alcotest.test_case "warm sign_with allocation budget" `Quick
+            test_sign_with_budget;
         ] );
       ( "rfc1413",
         [
@@ -1538,6 +1931,8 @@ let () =
             prop_latest_is_last_of_all_values;
             prop_append_preserves_existing;
             prop_decode_matches_reference;
+            prop_query_decode_matches_reference;
+            prop_response_decode_matches_reference;
             prop_split_signature;
           ] );
     ]

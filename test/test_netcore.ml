@@ -146,6 +146,19 @@ let test_five_tuple_rejects_bad_port () =
       ignore
         (Five_tuple.tcp ~src:Ipv4.any ~dst:Ipv4.any ~src_port:70000 ~dst_port:80))
 
+(* Every exact-match table lookup and shard choice hashes a five-tuple,
+   so hashing one allocates nothing. *)
+let test_five_tuple_hash_alloc () =
+  let ft =
+    Five_tuple.tcp ~src:(Ipv4.of_string "1.2.3.4") ~dst:(Ipv4.of_string "5.6.7.8")
+      ~src_port:1000 ~dst_port:80
+  in
+  let before = Gc.minor_words () in
+  for _ = 1 to 100 do
+    ignore (Sys.opaque_identity (Five_tuple.hash ft))
+  done;
+  check (Alcotest.float 0.) "no words per hash" 0. (Gc.minor_words () -. before)
+
 (* --- Checksum --- *)
 
 let test_checksum_rfc1071_example () =
@@ -425,6 +438,69 @@ let prop_ipv4_string_roundtrip =
     (QCheck.make gen_ip ~print:Ipv4.to_string) (fun a ->
       Ipv4.equal a (Ipv4.of_string (Ipv4.to_string a)))
 
+(* Five-tuples at the edges of every field: protocols past the named
+   ones (any int, as [Proto.Other] admits), ports 0 and 65535, addresses
+   up to 2^32 - 1. *)
+let gen_five_tuple =
+  QCheck.Gen.(
+    let edge_port = oneof [ return 0; return 0xffff; gen_port ] in
+    let* src = oneof [ gen_ip; return (Ipv4.of_int 0xffff_ffff); return Ipv4.any ] in
+    let* dst = gen_ip in
+    let* proto =
+      oneof
+        [
+          oneofl Proto.[ Icmp; Tcp; Udp ];
+          map (fun n -> Proto.Other n) (int_bound 255);
+          map (fun n -> Proto.Other n) int;
+        ]
+    in
+    let* src_port = edge_port in
+    let* dst_port = edge_port in
+    return { Five_tuple.src; dst; proto; src_port; dst_port })
+
+let prop_five_tuple_hash_is_runtime_hash =
+  QCheck.Test.make ~name:"five-tuple hash is Hashtbl.hash of its fields"
+    ~count:2000
+    (QCheck.make gen_five_tuple ~print:(fun (t : Five_tuple.t) ->
+         Printf.sprintf "%s (proto %d)" (Five_tuple.to_string t)
+           (Proto.to_int t.proto)))
+    (fun t ->
+      Five_tuple.hash t
+      = Hashtbl.hash
+          ( Ipv4.to_int t.src,
+            Ipv4.to_int t.dst,
+            Proto.to_int t.proto,
+            t.src_port,
+            t.dst_port ))
+
+(* [is_text] against strings near an address's text: the text itself,
+   another address's, and the text with one character changed, dropped
+   or added. *)
+let prop_ipv4_is_text =
+  QCheck.Test.make ~name:"ipv4 is_text is equality with to_string" ~count:1000
+    (QCheck.make
+       QCheck.Gen.(
+         let* a = gen_ip in
+         let text = Ipv4.to_string a in
+         let* pos = int_bound (String.length text) in
+         let* c = oneof [ char_range '0' '9'; return '.'; return '0'; char ] in
+         let* s =
+           oneof
+             [
+               return text;
+               map Ipv4.to_string gen_ip;
+               return (String.sub text 0 pos);
+               return
+                 (String.sub text 0 pos ^ String.make 1 c
+                 ^ String.sub text pos (String.length text - pos));
+               return
+                 (String.mapi (fun i x -> if i = pos then c else x) text);
+             ]
+         in
+         return (a, s))
+       ~print:(fun (a, s) -> Printf.sprintf "%s vs %S" (Ipv4.to_string a) s))
+    (fun (a, s) -> Ipv4.is_text a s = String.equal s (Ipv4.to_string a))
+
 let prop_mac_string_roundtrip =
   QCheck.Test.make ~name:"mac string roundtrip" ~count:500
     (QCheck.make
@@ -472,6 +548,8 @@ let () =
             test_five_tuple_reverse_involution;
           Alcotest.test_case "rejects bad port" `Quick
             test_five_tuple_rejects_bad_port;
+          Alcotest.test_case "hash allocates nothing" `Quick
+            test_five_tuple_hash_alloc;
         ] );
       ( "checksum",
         [
@@ -509,5 +587,7 @@ let () =
             prop_prefix_subset_reflexive;
             prop_ipv4_string_roundtrip;
             prop_mac_string_roundtrip;
+            prop_five_tuple_hash_is_runtime_hash;
+            prop_ipv4_is_text;
           ] );
     ]
