@@ -549,8 +549,8 @@ let () =
           ~doc:"Partition flow setup across N shards with query coalescing \
                 and batched installs (see DESIGN.md \xc2\xa712). 0 (the \
                 default) runs one shard without coalescing or shard \
-                labels. Counters and \
-                the --json report aggregate across shards, so the numbers \
+                series. Shards are run queues only: counters, caches and \
+                the --json report are the controller's, so the numbers \
                 are shard-count invariant.")
   in
   let health =

@@ -7,7 +7,8 @@ module Log = (val Logs.src_log src : Logs.LOG)
 module Topo = Openflow.Topology
 module Msg = Openflow.Message
 
-(* The sharded flow-setup engine (DESIGN.md §12). [shard_service] is the
+(* The sharded flow-setup engine (DESIGN.md §12): run queues only, every
+   table and counter stays the controller's. [shard_service] is the
    simulated per-message cost each shard pays; zero keeps behaviour
    byte-identical under any shard count, positive models N controller
    cores (the concurrent-burst bench). *)
@@ -19,7 +20,6 @@ let sharded ?(service = Sim.Time.zero) count =
 type config = {
   query_timeout : Sim.Time.t;
   entry_idle_timeout : Sim.Time.t option;
-  install_along_path : bool;
   require_signed_responses : bool;
   query_retries : int;
   default : Pf.Ast.action;
@@ -32,7 +32,6 @@ let default_config =
   {
     query_timeout = Sim.Time.ms 5;
     entry_idle_timeout = Some (Sim.Time.s 30);
-    install_along_path = true;
     require_signed_responses = false;
     query_retries = 0;
     default = Pf.Ast.Pass;
@@ -40,18 +39,13 @@ let default_config =
        Figure-1 exchange for every table-miss flow. *)
     fastpath = Fastpath.disabled;
     proactive = false;
-    (* One shard that joins no queries, and no shard labels. *)
+    (* One shard that joins no queries, and no shard series. *)
     shards = None;
   }
 
-(* One flow waiting on an exchange: enough to find its pending entry
-   (owning shard + flow key) and to know which end of the flow the
-   exchange resolves. *)
-type waiter = {
-  w_flow : Five_tuple.t;
-  w_sid : int;
-  w_end : [ `Src | `Dst ];
-}
+(* One flow waiting on an exchange: its pending entry's key, and which
+   end of the flow the exchange resolves. *)
+type waiter = { w_flow : Five_tuple.t; w_end : [ `Src | `Dst ] }
 
 (* One queried end of a pending flow. *)
 type leg = {
@@ -221,21 +215,6 @@ let make_pro_metrics reg ~labels =
         ~labels "identxx_compiler_recompile_seconds";
   }
 
-(* Everything per-flow state touches, split per shard: its own pending
-   table, its own fast-path view (decision cache + breaker),
-   and its own metrics record (labelled [shard=<i>] when sharding is
-   on, so per-shard series export while {!stats} sums them). *)
-type shard_ctx = {
-  sid : int;
-  s_pending : pending Flow_tbl.t;
-  s_fp : Fastpath.t;
-  s_m : metrics;
-  s_labels : Obs.Registry.labels;
-  s_pin : (string, Obs.Registry.Counter.t) Hashtbl.t;
-      (* Per-source packet-in counters, cached by source address so the
-         hot path registers each (shard, src) series once. *)
-}
-
 type t = {
   network : Net.t;
   id : Net.controller_id;
@@ -249,13 +228,17 @@ type t = {
   obs : Obs.Registry.t;
   spans : Obs.Span.t;
   recorder : Obs.Recorder.t;
-  shards_ : shard_ctx array;
-      (* Always at least one: an unsharded controller runs one shard. *)
-  shard_engine : Shard.Engine.t;
-      (* The run-queue multiplexer every packet-in goes through. *)
+  labels : Obs.Registry.labels; (* [controller="<id>"] *)
+  m : metrics;
+  pin : (string, Obs.Registry.Counter.t) Hashtbl.t;
+      (* Per-source packet-in counters, cached by source address so the
+         hot path registers each source's series once. *)
+  pending : pending Flow_tbl.t;
+  fp : Fastpath.t; (* the decision cache and the breaker *)
   answers : waiter Fastpath.Answers.t;
-      (* The answer-reuse table all shards share (it sits below them,
-         on the wire side). *)
+  shard_engine : Shard.Engine.t;
+      (* The run queues every packet-in, timeout and settlement is
+         posted to; they hold no state of their own. *)
   batch : Shard.Batch.t;
       (* Installs, releases and queries leave in per-tick passes. *)
   mutable plan : (int * Query_plan.t) option;
@@ -282,8 +265,11 @@ type t = {
 
 let policy t = t.policy
 let recorder t = t.recorder
-let fastpath t = t.shards_.(0).s_fp
-let shard_count t = Array.length t.shards_
+let fastpath t = t.fp
+
+let shard_count t =
+  match t.cfg.shards with Some s -> s.shard_count | None -> 1
+
 let metrics t = t.obs
 let spans t = t.spans
 
@@ -304,45 +290,36 @@ let config t = t.cfg
 let set_response_augment t f = t.augment <- f
 let set_local_answers t f = t.local_answers <- f
 
-(* Aggregated across shards: each shard owns its counter registry, and
-   the summary sums them — so `netsim --json` reads the same whatever
-   the shard count. *)
+(* The registry's counters read back, so the summary tracks the
+   exported series exactly. *)
 let stats t =
-  let v = Obs.Registry.Counter.value in
-  let sum f =
-    Array.fold_left (fun acc sx -> acc + v (f sx.s_m)) 0 t.shards_
-  in
-  let fc f =
-    Array.fold_left
-      (fun acc sx -> acc + f (Fastpath.counters sx.s_fp))
-      0 t.shards_
-  in
+  let v = Obs.Registry.Counter.value and m = t.m in
+  let fc = Fastpath.counters t.fp in
   {
-    flows_seen = sum (fun m -> m.c_flows);
-    allowed = sum (fun m -> m.c_allowed);
-    blocked = sum (fun m -> m.c_blocked);
-    queries_sent = sum (fun m -> m.c_queries);
-    responses_received = sum (fun m -> m.c_responses);
-    query_timeouts = sum (fun m -> m.c_timeouts);
-    query_retries_sent = sum (fun m -> m.c_retries);
-    responses_rejected = sum (fun m -> m.c_rejected);
-    responses_augmented = sum (fun m -> m.c_augmented);
-    queries_answered_locally = sum (fun m -> m.c_local);
-    eval_errors = sum (fun m -> m.c_eval_errors);
-    fastpath_decisions = sum (fun m -> m.c_fastpath);
+    flows_seen = v m.c_flows;
+    allowed = v m.c_allowed;
+    blocked = v m.c_blocked;
+    queries_sent = v m.c_queries;
+    responses_received = v m.c_responses;
+    query_timeouts = v m.c_timeouts;
+    query_retries_sent = v m.c_retries;
+    responses_rejected = v m.c_rejected;
+    responses_augmented = v m.c_augmented;
+    queries_answered_locally = v m.c_local;
+    eval_errors = v m.c_eval_errors;
+    fastpath_decisions = v m.c_fastpath;
     attr_cache_hits = Fastpath.Answers.hits t.answers;
     attr_cache_misses = Fastpath.Answers.misses t.answers;
     attr_cache_evictions = Fastpath.Answers.evictions t.answers;
     attr_cache_invalidations = Fastpath.Answers.invalidations t.answers;
-    decision_cache_hits = fc (fun c -> c.Fastpath.decision_hits);
-    decision_cache_misses = fc (fun c -> c.Fastpath.decision_misses);
-    decision_cache_evictions = fc (fun c -> c.Fastpath.decision_evictions);
-    breaker_trips = fc (fun c -> c.Fastpath.breaker_trips);
-    breaker_fastpaths = fc (fun c -> c.Fastpath.breaker_fastpaths);
+    decision_cache_hits = fc.Fastpath.decision_hits;
+    decision_cache_misses = fc.Fastpath.decision_misses;
+    decision_cache_evictions = fc.Fastpath.decision_evictions;
+    breaker_trips = fc.Fastpath.breaker_trips;
+    breaker_fastpaths = fc.Fastpath.breaker_fastpaths;
   }
 
-let pending_count t =
-  Array.fold_left (fun acc sx -> acc + Flow_tbl.length sx.s_pending) 0 t.shards_
+let pending_count t = Flow_tbl.length t.pending
 
 let coalesced_queries t = Fastpath.Answers.coalesced t.answers
 let wire_exchanges t = Fastpath.Answers.started t.answers
@@ -424,7 +401,6 @@ let install_path t flow =
       with
       | None | Some [] -> false
       | Some hops ->
-          let hops = if t.cfg.install_along_path then hops else [ List.hd hops ] in
           List.iter
             (fun (dpid, _in_port, out_port) ->
               Shard.Batch.add t.batch dpid
@@ -463,12 +439,12 @@ let policy_view t =
       t.plan <- Some (epoch, v);
       v
 
-let compute_verdict t sx ~flow ~src ~dst =
+let compute_verdict t ~flow ~src ~dst =
   let input = { Decision.flow; src_response = src; dst_response = dst } in
   match Decision.decide t.decision input with
   | Ok v -> v
   | Error _ ->
-      Obs.Registry.Counter.inc sx.s_m.c_eval_errors;
+      Obs.Registry.Counter.inc t.m.c_eval_errors;
       (* Fail closed on configuration errors. *)
       {
         Pf.Eval.decision = Pf.Ast.Block;
@@ -479,18 +455,18 @@ let compute_verdict t sx ~flow ~src ~dst =
 
 (* The verdict for a flow given both endpoint answers, through the
    decision cache when the fast path is on. *)
-let eval_decision t sx ~flow ~src ~dst =
-  if not (Fastpath.enabled sx.s_fp) then compute_verdict t sx ~flow ~src ~dst
+let eval_decision t ~flow ~src ~dst =
+  if not (Fastpath.enabled t.fp) then compute_verdict t ~flow ~src ~dst
   else begin
     let epoch = Policy_store.epoch t.policy in
     let key =
       Fastpath.decision_key (Query_plan.shape (policy_view t)) ~flow ~src ~dst
     in
-    match Fastpath.find_decision sx.s_fp ~epoch ~key with
+    match Fastpath.find_decision t.fp ~epoch ~key with
     | Some v -> v
     | None ->
-        let v = compute_verdict t sx ~flow ~src ~dst in
-        Fastpath.store_decision sx.s_fp ~epoch ~key ~flow v;
+        let v = compute_verdict t ~flow ~src ~dst in
+        Fastpath.store_decision t.fp ~epoch ~key ~flow v;
         v
   end
 
@@ -503,7 +479,7 @@ let rule_name (v : Pf.Eval.verdict) =
   | Some r -> string_of_int r.Pf.Ast.line
   | None -> "default"
 
-let apply_verdict ?(span = Obs.Span.null) ?started ?trace_id t sx ~flow
+let apply_verdict ?(span = Obs.Span.null) ?started ?trace_id t ~flow
     ~packets ~src ~dst verdict =
   Audit.record ?trace_id t.audit
     ~at:(Sim.Engine.now (Net.engine t.network))
@@ -516,7 +492,7 @@ let apply_verdict ?(span = Obs.Span.null) ?started ?trace_id t sx ~flow
         | None -> " (default)"));
   let now_s = time_now_s t in
   (match started with
-  | Some s -> Obs.Registry.Histogram.observe sx.s_m.h_flow_setup (now_s -. s)
+  | Some s -> Obs.Registry.Histogram.observe t.m.h_flow_setup (now_s -. s)
   | None -> ());
   if Obs.Span.is_live span then begin
     Obs.Span.set_attr span "decision" (decision_name verdict.Pf.Eval.decision);
@@ -537,7 +513,7 @@ let apply_verdict ?(span = Obs.Span.null) ?started ?trace_id t sx ~flow
         ]);
   (match verdict.Pf.Eval.decision with
   | Pf.Ast.Pass ->
-      Obs.Registry.Counter.inc sx.s_m.c_allowed;
+      Obs.Registry.Counter.inc t.m.c_allowed;
       let installed = install_path t flow in
       if verdict.Pf.Eval.keep_state then begin
         Conn_state.note t.conn_state
@@ -555,7 +531,7 @@ let apply_verdict ?(span = Obs.Span.null) ?started ?trace_id t sx ~flow
         release_packets t packets
       end
   | Pf.Ast.Block -> (
-      Obs.Registry.Counter.inc sx.s_m.c_blocked;
+      Obs.Registry.Counter.inc t.m.c_blocked;
       match packets with
       | (dpid, _, _) :: _ ->
           install_drop t ~dpid flow;
@@ -570,17 +546,17 @@ let apply_verdict ?(span = Obs.Span.null) ?started ?trace_id t sx ~flow
 let trace_id_of ctx =
   Option.map (fun (c : Obs.Trace_context.t) -> c.Obs.Trace_context.trace_id) ctx
 
-let finalize t sx p =
+let finalize t p =
   Sim.Engine.cancel p.p_timeout;
-  Flow_tbl.remove sx.s_pending p.p_flow;
+  Flow_tbl.remove t.pending p.p_flow;
   let src = p.p_src.answer and dst = p.p_dst.answer in
-  let verdict = eval_decision t sx ~flow:p.p_flow ~src ~dst in
+  let verdict = eval_decision t ~flow:p.p_flow ~src ~dst in
   apply_verdict ~span:p.p_span ~started:p.p_started
-    ?trace_id:(trace_id_of p.p_ctx) t sx ~flow:p.p_flow ~packets:p.p_packets
+    ?trace_id:(trace_id_of p.p_ctx) t ~flow:p.p_flow ~packets:p.p_packets
     ~src ~dst verdict
 
-let maybe_finalize t sx p =
-  if (not p.p_src.awaiting) && not p.p_dst.awaiting then finalize t sx p
+let maybe_finalize t p =
+  if (not p.p_src.awaiting) && not p.p_dst.awaiting then finalize t p
 
 (* [end_]'s address in [flow], and its other end's: the query's
    reply-to (§3.2). *)
@@ -616,14 +592,14 @@ type settled =
   | Timed_out (* its own query's timeout, tripping the breaker or not *)
   | Failed of string (* the exchange it joined failed, by this cause *)
 
-(* The one place a queried end settles: [end_] of [p], on [p]'s shard
-   [sx]. Only an end still awaiting its query settles; anything later is
-   stale and a no-op. An answer is timed from the first send, and its
+(* The one place a queried end settles: [end_] of [p]. Only an end
+   still awaiting its query settles; anything later is stale and a
+   no-op. An answer is timed from the first send, and its
    query span takes [dtrace], the daemon's timing piggyback. An end
    settling silent makes the flow an error trace, kept whatever the
    sampling coin said, and counts the flow once however many of its
    ends do. *)
-let settle_end ?dtrace t sx p end_ settled =
+let settle_end ?dtrace t p end_ settled =
   let l = leg p end_ in
   if l.awaiting then begin
     let at = time_now_s t in
@@ -632,7 +608,7 @@ let settle_end ?dtrace t sx p end_ settled =
       match settled with
       | Answered r ->
           if not (Float.is_nan l.sent) then
-            Obs.Registry.Histogram.observe sx.s_m.h_query_rtt (at -. l.sent);
+            Obs.Registry.Histogram.observe t.m.h_query_rtt (at -. l.sent);
           l.answer <- Some r;
           "answered"
       | Timed_out -> "timeout"
@@ -647,7 +623,7 @@ let settle_end ?dtrace t sx p end_ settled =
         Obs.Span.force_sample p.p_span;
         if not p.p_silent then begin
           p.p_silent <- true;
-          Obs.Registry.Counter.inc sx.s_m.c_timeouts
+          Obs.Registry.Counter.inc t.m.c_timeouts
         end);
     if Obs.Span.is_live l.qspan then begin
       stitch_daemon_spans t l.qspan dtrace;
@@ -663,31 +639,35 @@ let settle_end ?dtrace t sx p end_ settled =
             ("outcome", outcome);
           ]);
     l.awaiting <- false;
-    maybe_finalize t sx p
+    maybe_finalize t p
   end
 
-(* Settle waiter [w]'s end on its own shard, unless its flow already
-   decided (its own timeout won). *)
+(* Settle waiter [w]'s end, unless its flow already decided (its own
+   timeout won). *)
 let settle_waiter ?dtrace t w settled =
-  let sx = t.shards_.(w.w_sid) in
-  match Flow_tbl.find_opt sx.s_pending w.w_flow with
+  match Flow_tbl.find_opt t.pending w.w_flow with
   | None -> ()
-  | Some p -> settle_end ?dtrace t sx p w.w_end settled
+  | Some p -> settle_end ?dtrace t p w.w_end settled
 
-(* Settle an exchange's waiters onto their shards, in join order. Every
-   delivery is posted — never run inline — so the global execution
-   order is the join order whatever the shard count. *)
+(* The shard whose run queue takes [flow]'s work. *)
+let shard_of t flow = Shard.Engine.shard_of_flow t.shard_engine flow
+
+(* Settle an exchange's waiters, each on its flow's shard, in join
+   order. Every delivery is posted — never run inline — so the global
+   execution order is the join order whatever the shard count. *)
 let post_to_waiters t ws fn =
   List.iter
-    (fun w -> Shard.Engine.post t.shard_engine ~shard:w.w_sid (fun () -> fn w))
+    (fun w ->
+      Shard.Engine.post t.shard_engine ~shard:(shard_of t w.w_flow) (fun () ->
+          fn w))
     ws
 
 (* [p]'s query to [host], asking about its [end_], reached its outcome:
    [answer] (the answer's declared scope and the response) or [None]
    (its timeout or breaker trip). The exchange [p] initiated with the
    host, if any, closes and returns every waiter, in join order;
-   otherwise [p], on its shard [sx], is the only waiter. *)
-let close_exchange t sx p ~host ~end_ answer =
+   otherwise [p] is the only waiter. *)
+let close_exchange t p ~host ~end_ answer =
   match p.p_exchange with
   | Some ex when Ipv4.equal host p.p_flow.Five_tuple.dst ->
       (* Forget it once settled: a duplicate answer naming this flow
@@ -696,7 +676,7 @@ let close_exchange t sx p ~host ~end_ answer =
       Fastpath.Answers.settle t.answers
         ~now:(Sim.Engine.now (Net.engine t.network))
         ex answer
-  | Some _ | None -> [ { w_flow = p.p_flow; w_sid = sx.sid; w_end = end_ } ]
+  | Some _ | None -> [ { w_flow = p.p_flow; w_end = end_ } ]
 
 (* --- querying daemons (Figure 1, step 3) --- *)
 
@@ -734,7 +714,7 @@ let qtrace p end_ =
    switch port the host hangs off. Per §3.2 the query's source address
    is the flow's other end, so the response routes back through the
    network (and its interception points). *)
-let wire_send ?nonce t sx p end_ attachment =
+let wire_send ?nonce t p end_ attachment =
   let flow = p.p_flow and target = end_ip p.p_flow end_ in
   let query =
     {
@@ -746,7 +726,7 @@ let wire_send ?nonce t sx p end_ attachment =
   let pkt =
     Identxx.Wire.query_packet ~to_ip:target ~from_ip:(peer_ip flow end_) query
   in
-  Obs.Registry.Counter.inc sx.s_m.c_queries;
+  Obs.Registry.Counter.inc t.m.c_queries;
   if Obs.Recorder.enabled t.recorder then
     Obs.Recorder.record_lazy t.recorder ~at:(time_now_s t) "query-sent"
       (lazy
@@ -791,29 +771,29 @@ let note_sent t p end_ =
 (* Put [end_]'s query back on the wire as first sent, with the same
    nonce and trace context, joining no exchange: a retry round's resend,
    or a waiter's own query after an answer that did not cover it. *)
-let resend t sx p end_ =
+let resend t p end_ =
   let nonce = query_nonce t p end_ in
   Option.iter
-    (wire_send ?nonce t sx p end_)
+    (wire_send ?nonce t p end_)
     (attachment_of t (end_ip p.p_flow end_))
 
 (* Ask [end_] of [p], if it is awaited. An intercept may answer on the
    host's behalf, and an unknown host cannot be asked: either way the
    end resolves at once. *)
-let issue_end t sx p end_ =
+let issue_end t p end_ =
   let l = leg p end_ in
   if l.awaiting then
     if end_ = `Dst && Option.is_some p.p_exchange then
       (* A retry round, and this flow initiated the exchange: put the
          query back on the wire without re-joining (waiters ride this
          resend). *)
-      resend t sx p end_
+      resend t p end_
     else
       let nonce = query_nonce t p end_ in
       let flow = p.p_flow and target = end_ip p.p_flow end_ in
       match resolve_local_answer t target with
       | Some section ->
-          Obs.Registry.Counter.inc sx.s_m.c_local;
+          Obs.Registry.Counter.inc t.m.c_local;
           host_event t p.p_span target "local-answer";
           l.answer <- Some (Identxx.Response.make ~flow [ section ]);
           l.awaiting <- false
@@ -838,7 +818,7 @@ let issue_end t sx p end_ =
                       ~joinable:
                         (Option.is_some t.cfg.shards
                         && declares_scope t target)
-                      { w_flow = flow; w_sid = sx.sid; w_end = end_ }
+                      { w_flow = flow; w_end = end_ }
               with
               | `Joined ->
                   (* Another flow's exchange is already in flight to
@@ -847,71 +827,65 @@ let issue_end t sx p end_ =
                   note_sent t p end_;
                   host_event t p.p_span target "query-coalesced"
               | (`First _ | `Alone) as sent ->
-                  wire_send ?nonce t sx p end_ attachment;
+                  wire_send ?nonce t p end_ attachment;
                   (match sent with
                   | `First ex -> p.p_exchange <- Some ex
                   | `Alone -> ());
                   note_sent t p end_))
 
-let issue_queries t sx p =
-  issue_end t sx p `Src;
-  issue_end t sx p `Dst
+let issue_queries t p =
+  issue_end t p `Src;
+  issue_end t p `Dst
 
 (* [p]'s query to [end_] stayed silent through every attempt. Feed the
    breaker: each silent end is a consecutive timeout. If [p] initiated
    an exchange, a silent host answers nobody: settle it and fail every
    other waiter. Then settle the end itself. *)
-let expire_end t sx p end_ =
+let expire_end t p end_ =
   let ip = end_ip p.p_flow end_ in
   let now = Sim.Engine.now (Net.engine t.network) in
-  let tripped = Fastpath.note_timeout_report sx.s_fp ~now ip in
+  let tripped = Fastpath.note_timeout t.fp ~now ip in
   if tripped then begin
     host_event t p.p_span ip "breaker-trip";
     if Obs.Recorder.enabled t.recorder then
       Obs.Recorder.record_lazy t.recorder ~at:(time_now_s t) "breaker"
-        (lazy [ ("host", Ipv4.to_string ip); ("state", "open") ]);
-    (* Propagate the trip to every other shard's breaker — an explicit
-       cross-shard message, so the whole controller fails fast on this
-       host. *)
-    Shard.Engine.broadcast t.shard_engine (fun osid ->
-        if osid <> sx.sid then
-          Fastpath.note_breaker_open t.shards_.(osid).s_fp ~now ip)
+        (lazy [ ("host", Ipv4.to_string ip); ("state", "open") ])
   end;
   let failed = Failed (if tripped then "breaker-open" else "timeout") in
   post_to_waiters t
     (List.filter
        (fun w -> not (Five_tuple.equal w.w_flow p.p_flow))
-       (close_exchange t sx p ~host:ip ~end_ None))
+       (close_exchange t p ~host:ip ~end_ None))
     (fun w -> settle_waiter t w failed);
-  settle_end t sx p end_ Timed_out
+  settle_end t p end_ Timed_out
 
-let rec on_timeout t sx p =
-  match Flow_tbl.find_opt sx.s_pending p.p_flow with
+let rec on_timeout t p =
+  match Flow_tbl.find_opt t.pending p.p_flow with
   | Some p' when p' == p ->
       let waiting = p.p_src.awaiting || p.p_dst.awaiting in
       if waiting && p.retries_left > 0 then begin
         (* Re-issue the unanswered queries and re-arm the timer. *)
         p.retries_left <- p.retries_left - 1;
-        Obs.Registry.Counter.inc sx.s_m.c_retries;
+        Obs.Registry.Counter.inc t.m.c_retries;
         if Obs.Span.is_live p.p_span then
           Obs.Span.event p.p_span ~at:(time_now_s t) "retry";
-        issue_queries t sx p;
-        arm_timeout t sx p
+        issue_queries t p;
+        arm_timeout t p
       end
-      else if not waiting then finalize t sx p
+      else if not waiting then finalize t p
       else begin
-        if p.p_src.awaiting then expire_end t sx p `Src;
-        if p.p_dst.awaiting then expire_end t sx p `Dst
+        if p.p_src.awaiting then expire_end t p `Src;
+        if p.p_dst.awaiting then expire_end t p `Dst
       end
   | Some _ | None -> ()
 
-(* The timer posts into the owning shard's mailbox, so timeout handling
-   serialises with the shard's other work (and its installs ride the
-   same batched pass). *)
-and arm_timeout t sx p =
+(* The timer posts into the flow's shard's run queue, so timeout
+   handling serialises with the shard's other work (and its installs
+   ride the same batched pass). *)
+and arm_timeout t p =
   p.p_timeout <-
-    Shard.Engine.post_after t.shard_engine ~shard:sx.sid
-      ~delay:t.cfg.query_timeout (fun () -> on_timeout t sx p)
+    Shard.Engine.post_after t.shard_engine ~shard:(shard_of t p.p_flow)
+      ~delay:t.cfg.query_timeout (fun () -> on_timeout t p)
 
 let new_leg ~awaiting answer =
   { answer; awaiting; qspan = Obs.Span.null; sent = Float.nan; nonce = None }
@@ -921,7 +895,7 @@ let new_leg ~awaiting answer =
    breaker is open, as an immediate absent answer. [Some r] is a
    resolved answer ([r = None] means absent); [None] means the daemon
    must actually be asked. *)
-let fast_resolve t sx sp ~now flow ~want end_ =
+let fast_resolve t sp ~now flow ~want end_ =
   if not want then Some None
   else
     let ip = end_ip flow end_ in
@@ -937,7 +911,7 @@ let fast_resolve t sx sp ~now flow ~want end_ =
         host_event t sp ip "attr-cache-hit";
         Some (Some r)
     | None -> (
-        match Fastpath.consult_host sx.s_fp ~now ip with
+        match Fastpath.consult_host t.fp ~now ip with
         | `Absent ->
             host_event t sp ip "breaker-absent";
             Some None
@@ -946,8 +920,8 @@ let fast_resolve t sx sp ~now flow ~want end_ =
             None
         | `Ask -> None)
 
-let start_flow t sx ~dpid ~in_port pkt (flow : Five_tuple.t) =
-  Obs.Registry.Counter.inc sx.s_m.c_flows;
+let start_flow t ~dpid ~in_port pkt (flow : Five_tuple.t) =
+  Obs.Registry.Counter.inc t.m.c_flows;
   let now_s = time_now_s t in
   (* Per-source packet-in accounting: the series the packet_in_surge
      health rule watches. Registration and the address formatting are
@@ -955,16 +929,16 @@ let start_flow t sx ~dpid ~in_port pkt (flow : Five_tuple.t) =
   if Obs.Registry.enabled t.obs then begin
     let src_s = Ipv4.to_string flow.Five_tuple.src in
     let pin =
-      match Hashtbl.find_opt sx.s_pin src_s with
+      match Hashtbl.find_opt t.pin src_s with
       | Some c -> c
       | None ->
           let c =
             Obs.Registry.counter t.obs
               ~help:"Packet-in table misses reaching the controller, by source."
-              ~labels:(sx.s_labels @ [ ("src", src_s) ])
+              ~labels:(t.labels @ [ ("src", src_s) ])
               "identxx_controller_packet_ins_total"
           in
-          Hashtbl.replace sx.s_pin src_s c;
+          Hashtbl.replace t.pin src_s c;
           c
     in
     Obs.Registry.Counter.inc pin
@@ -995,9 +969,9 @@ let start_flow t sx ~dpid ~in_port pkt (flow : Five_tuple.t) =
         ]
       in
       let attrs =
-        (* The owning shard, when sharding was asked for. *)
+        (* The flow's shard, when sharding was asked for. *)
         if Option.is_none t.cfg.shards then attrs
-        else attrs @ [ ("shard", string_of_int sx.sid) ]
+        else attrs @ [ ("shard", string_of_int (shard_of t flow)) ]
       in
       let sp = Obs.Span.start t.spans ~at:now_s ~sampled ~attrs "flow-setup" in
       (sp, Some ctx)
@@ -1010,8 +984,8 @@ let start_flow t sx ~dpid ~in_port pkt (flow : Five_tuple.t) =
      re-admitted without a fresh ident++ exchange. *)
   if Conn_state.permits t.conn_state ~now:(Sim.Engine.now (Net.engine t.network)) flow
   then begin
-    Obs.Registry.Counter.inc sx.s_m.c_allowed;
-    Obs.Registry.Histogram.observe sx.s_m.h_flow_setup 0.;
+    Obs.Registry.Counter.inc t.m.c_allowed;
+    Obs.Registry.Histogram.observe t.m.h_flow_setup 0.;
     if Obs.Span.is_live sp then begin
       Obs.Span.event sp ~at:now_s "conn-state-readmit";
       Obs.Span.set_attr sp "decision" "pass"
@@ -1028,19 +1002,19 @@ let start_flow t sx ~dpid ~in_port pkt (flow : Five_tuple.t) =
     let { Query_plan.src = want_src; dst = want_dst } =
       Query_plan.ends (policy_view t) flow
     in
-    let pre_src = fast_resolve t sx sp ~now flow ~want:want_src `Src
-    and pre_dst = fast_resolve t sx sp ~now flow ~want:want_dst `Dst in
+    let pre_src = fast_resolve t sp ~now flow ~want:want_src `Src
+    and pre_dst = fast_resolve t sp ~now flow ~want:want_dst `Dst in
     let static = (not want_src) && not want_dst in
     match (pre_src, pre_dst) with
-    | Some src, Some dst when static || Fastpath.enabled sx.s_fp ->
+    | Some src, Some dst when static || Fastpath.enabled t.fp ->
         (* The diagram decides this flow whatever the hosts answer, or
            both ends resolved without touching the network: decide now,
            with no pending entry and no timer. *)
-        if not static then Obs.Registry.Counter.inc sx.s_m.c_fastpath;
+        if not static then Obs.Registry.Counter.inc t.m.c_fastpath;
         if Obs.Span.is_live sp then
           Obs.Span.set_attr sp "path" (if static then "static" else "fastpath");
-        let verdict = eval_decision t sx ~flow ~src ~dst in
-        apply_verdict ~span:sp ~started:now_s ?trace_id:(trace_id_of ctx) t sx
+        let verdict = eval_decision t ~flow ~src ~dst in
+        apply_verdict ~span:sp ~started:now_s ?trace_id:(trace_id_of ctx) t
           ~flow
           ~packets:[ (dpid, in_port, pkt) ]
           ~src ~dst verdict
@@ -1067,10 +1041,10 @@ let start_flow t sx ~dpid ~in_port pkt (flow : Five_tuple.t) =
             p_silent = false;
           }
         in
-        arm_timeout t sx p;
-        Flow_tbl.replace sx.s_pending flow p;
-        issue_queries t sx p;
-        maybe_finalize t sx p
+        arm_timeout t p;
+        Flow_tbl.replace t.pending flow p;
+        issue_queries t p;
+        maybe_finalize t p
   end
 
 (* --- intercepted / owned ident++ traffic --- *)
@@ -1090,12 +1064,12 @@ let expected_signature_index (response : Identxx.Response.t) =
 
 (* Transit: another controller's exchange crossing our domain.
    Augment (§3.4) and forward toward its destination. *)
-let handle_transit t sx ~dpid ~from_ip ~to_ip response pkt =
+let handle_transit t ~dpid ~from_ip ~to_ip response pkt =
   let section = resolve_augment t ~dst_ip:to_ip response in
   let pkt =
     if section = [] then pkt
     else begin
-      Obs.Registry.Counter.inc sx.s_m.c_augmented;
+      Obs.Registry.Counter.inc t.m.c_augmented;
       let augmented = Identxx.Response.append_section response section in
       let dst_port =
         match pkt.Packet.eth_payload with
@@ -1106,9 +1080,6 @@ let handle_transit t sx ~dpid ~from_ip ~to_ip response pkt =
     end
   in
   forward_toward t ~dpid ~dst_ip:to_ip pkt
-
-(* The shard owning [flow]'s pending entry: where its packet-ins run. *)
-let owner t flow = t.shards_.(Shard.Engine.shard_of_flow t.shard_engine flow)
 
 (* The pending flow a daemon answer names. The daemon echoes the flow's
    proto and ports; [from_ip] is the answering end and [to_ip] the
@@ -1126,7 +1097,7 @@ let named_pending t ~from_ip ~to_ip (r : Identxx.Response.t) =
         dst_port = r.Identxx.Response.dst_port;
       }
     in
-    Flow_tbl.find_opt (owner t flow).s_pending flow
+    Flow_tbl.find_opt t.pending flow
   in
   match find from_ip to_ip with
   | Some p when p.p_src.awaiting -> Some p
@@ -1163,7 +1134,7 @@ let answer_accepted t p ~from_ip ~to_ip response sg =
   | None -> true
   | Some (signer, reason) ->
       let from_s = Ipv4.to_string from_ip in
-      Obs.Registry.Counter.inc (owner t p.p_flow).s_m.c_rejected;
+      Obs.Registry.Counter.inc t.m.c_rejected;
       Obs.Span.force_sample p.p_span;
       if Obs.Span.is_live p.p_span then
         Obs.Span.event p.p_span ~at:(time_now_s t)
@@ -1186,22 +1157,20 @@ let covers scope ~flow ~end_ w =
   | Identxx.Signed.Flow -> w.w_end = end_ && Five_tuple.equal w.w_flow flow
 
 (* A waiter the settling answer does not cover sends its own
-   query, with its own nonce and trace context, on its own shard. *)
+   query, with its own nonce and trace context. *)
 let requery t w =
-  let sx = t.shards_.(w.w_sid) in
-  match Flow_tbl.find_opt sx.s_pending w.w_flow with
+  match Flow_tbl.find_opt t.pending w.w_flow with
   | Some p when (leg p w.w_end).awaiting ->
       host_event t p.p_span (end_ip w.w_flow w.w_end) "query-out-of-scope";
-      resend t sx p w.w_end
+      resend t p w.w_end
   | Some _ | None -> ()
 
 (* An accepted answer from [from_ip], whose signature section reads
    [sg], settles [p]'s query to that host ({!close_exchange}), each
-   waiter on its own shard. *)
+   waiter on its flow's shard. *)
 let settle_answer t p ~from_ip response sg =
   let flow = p.p_flow in
-  let osx = owner t flow in
-  Obs.Registry.Counter.inc osx.s_m.c_responses;
+  Obs.Registry.Counter.inc t.m.c_responses;
   (* Pull the daemon's piggybacked timings out, then strip them:
      per-flow trace ids must not reach policy evaluation or a
      settled answer (a reused trace section would both leak into
@@ -1217,16 +1186,9 @@ let settle_answer t p ~from_ip response sg =
   in
   let response = stripped in
   let end_ = end_of flow from_ip in
-  let ws =
-    close_exchange t osx p ~host:from_ip ~end_ (Some (scope, response))
-  in
-  (* An (authenticated, if required) answer: close breaker state in
-     every shard view that waited on it. *)
-  Array.iter
-    (fun vx ->
-      if List.exists (fun w -> w.w_sid = vx.sid) ws then
-        Fastpath.note_response vx.s_fp from_ip)
-    t.shards_;
+  let ws = close_exchange t p ~host:from_ip ~end_ (Some (scope, response)) in
+  (* An (authenticated, if required) answer: the host is alive. *)
+  Fastpath.note_response t.fp from_ip;
   (* A waiter takes the answer only as far as its declared scope
      reaches; any other asks for itself. The initiator settles first
      and alone carries the daemon's timing piggyback (the timings
@@ -1247,9 +1209,9 @@ let settle_answer t p ~from_ip response sg =
    later valid answer or at the initiator's timeout, so an off-path
    spoofer cannot force early fail-closed decisions. An answer naming no
    pending flow is transit. *)
-let handle_response t sx ~dpid ~from_ip ~to_ip response pkt =
+let handle_response t ~dpid ~from_ip ~to_ip response pkt =
   match named_pending t ~from_ip ~to_ip response with
-  | None -> handle_transit t sx ~dpid ~from_ip ~to_ip response pkt
+  | None -> handle_transit t ~dpid ~from_ip ~to_ip response pkt
   | Some p ->
       let sg = Identxx.Signed.signature response in
       if
@@ -1257,11 +1219,11 @@ let handle_response t sx ~dpid ~from_ip ~to_ip response pkt =
         || answer_accepted t p ~from_ip ~to_ip response sg
       then settle_answer t p ~from_ip response sg
 
-let handle_foreign_query t sx ~dpid ~from_ip ~to_ip (q : Identxx.Query.t) pkt =
+let handle_foreign_query t ~dpid ~from_ip ~to_ip (q : Identxx.Query.t) pkt =
   (* "Intercepted queries are not allowed to cause new queries." *)
   match resolve_local_answer t to_ip with
   | Some section ->
-      Obs.Registry.Counter.inc sx.s_m.c_local;
+      Obs.Registry.Counter.inc t.m.c_local;
       let flow =
         (* Spoof the queried host: respond as if we were it. *)
         Identxx.Query.flow_of q ~src:to_ip ~dst:from_ip
@@ -1279,46 +1241,46 @@ let handle_foreign_query t sx ~dpid ~from_ip ~to_ip (q : Identxx.Query.t) pkt =
   | None -> forward_toward t ~dpid ~dst_ip:to_ip pkt
 
 (* [cls] is [Identxx.Wire.classify pi.packet], decoded by the caller. *)
-let handle_packet_in t sx (pi : Msg.packet_in) cls =
+let handle_packet_in t (pi : Msg.packet_in) cls =
   let pkt = pi.Msg.packet in
   match cls with
   | Identxx.Wire.Response { from_ip; to_ip; response } ->
-      handle_response t sx ~dpid:pi.Msg.dpid ~from_ip ~to_ip response pkt
+      handle_response t ~dpid:pi.Msg.dpid ~from_ip ~to_ip response pkt
   | Identxx.Wire.Query { from_ip; to_ip; query } ->
-      handle_foreign_query t sx ~dpid:pi.Msg.dpid ~from_ip ~to_ip query pkt
+      handle_foreign_query t ~dpid:pi.Msg.dpid ~from_ip ~to_ip query pkt
   | Identxx.Wire.Not_identxx -> (
       match Packet.five_tuple pkt with
       | None -> () (* non-IP traffic is dropped by this firewall *)
       | Some flow -> (
-          match Flow_tbl.find_opt sx.s_pending flow with
+          match Flow_tbl.find_opt t.pending flow with
           | Some p -> p.p_packets <- (pi.Msg.dpid, pi.Msg.in_port, pkt) :: p.p_packets
-          | None -> start_flow t sx ~dpid:pi.Msg.dpid ~in_port:pi.Msg.in_port pkt flow))
+          | None -> start_flow t ~dpid:pi.Msg.dpid ~in_port:pi.Msg.in_port pkt flow))
 
 (* The front-end: classify the packet-in once (pure) and post the real
-   work, with that classification, to the owning shard's run queue.
-   Data packets partition by flow-key hash; responses go to the shard
-   of the flow they name (with one shard, straight to it);
-   foreign/transit traffic pins to shard 0. *)
+   work, with that classification, to a shard's run queue. Data packets
+   partition by flow-key hash; responses go to the shard of the flow
+   they name (with one shard, straight to it); foreign/transit traffic
+   pins to shard 0. *)
 let handle_message t = function
   | Msg.Packet_in pi -> (
       let pkt = pi.Msg.packet in
       let cls = Identxx.Wire.classify pkt in
-      let post sid =
-        Shard.Engine.post t.shard_engine ~shard:sid (fun () ->
-            handle_packet_in t t.shards_.(sid) pi cls)
+      let post shard =
+        Shard.Engine.post t.shard_engine ~shard (fun () ->
+            handle_packet_in t pi cls)
       in
       match cls with
-      | Identxx.Wire.Response _ when Array.length t.shards_ = 1 -> post 0
+      | Identxx.Wire.Response _ when shard_count t = 1 -> post 0
       | Identxx.Wire.Response { from_ip; to_ip; response } ->
           post
             (match named_pending t ~from_ip ~to_ip response with
-            | Some p -> (owner t p.p_flow).sid
+            | Some p -> shard_of t p.p_flow
             | None -> 0)
       | Identxx.Wire.Query _ -> post 0
       | Identxx.Wire.Not_identxx -> (
           match Packet.five_tuple pkt with
           | None -> ()
-          | Some flow -> post (Shard.Engine.shard_of_flow t.shard_engine flow)))
+          | Some flow -> post (shard_of t flow)))
   | Msg.Stats_reply reply ->
       t.last_stats <- (reply.Msg.st_dpid, reply) :: List.remove_assq reply.Msg.st_dpid t.last_stats
 
@@ -1580,9 +1542,8 @@ let flush_cache t =
     (Net.switches_in_domain t.network t.id);
   Conn_state.clear t.conn_state;
   (* Memoized verdicts go too; cached host attributes survive, since
-     policy operations do not change what the hosts would answer. Every
-     shard's view is flushed — control-plane operations are global. *)
-  Array.iter (fun sx -> Fastpath.flush_decisions sx.s_fp) t.shards_;
+     policy operations do not change what the hosts would answer. *)
+  Fastpath.flush_decisions t.fp;
   (* The wildcard delete also removed the compiled entries, the guards
      and the routes. *)
   Hashtbl.reset t.routes;
@@ -1594,13 +1555,13 @@ let flush_cache t =
    changed, so its cached attributes — and every decision derived from
    them — are no longer trustworthy. *)
 let note_host_changed t ip =
-  Array.iter (fun sx -> Fastpath.note_host_changed sx.s_fp ip) t.shards_;
+  Fastpath.note_host_changed t.fp ip;
   Fastpath.Answers.drop_host t.answers ip
 
 let revoke_principal t ~ip =
   Log.info (fun m -> m "revoking principal %s" (Ipv4.to_string ip));
   let dropped = Conn_state.revoke t.conn_state ~ip in
-  Array.iter (fun sx -> Fastpath.revoke_ip sx.s_fp ip) t.shards_;
+  Fastpath.revoke_ip t.fp ip;
   Fastpath.Answers.drop_host t.answers ip;
   (* Dataplane: delete every installed entry the principal's address
      appears in, either end, in every table of every switch of the
@@ -1649,13 +1610,9 @@ let create ?(config = default_config) ?keystore ?functions ?obs ?spans
     match spans with Some s -> s | None -> Obs.Span.create ~enabled:false ()
   in
   let labels = [ ("controller", string_of_int id) ] in
-  (* No shard config means one shard; the shard label, span attribute
-     and shard series appear only when sharding was asked for. *)
-  let show_shards = Option.is_some config.shards in
+  (* No shard config means one shard; the span's shard attribute and the
+     shard series appear only when sharding was asked for. *)
   let sc = Option.value config.shards ~default:(sharded 1) in
-  let shard_labels sid =
-    if show_shards then labels @ [ ("shard", string_of_int sid) ] else labels
-  in
   let shard_engine =
     Shard.Engine.create ~service:sc.shard_service ~shards:sc.shard_count
       (Net.engine network)
@@ -1669,17 +1626,7 @@ let create ?(config = default_config) ?keystore ?functions ?obs ?spans
     Shard.Batch.create ~engine:(Net.engine network)
       ~send:(Net.send_to_switch network) ()
   in
-  let shards_ =
-    Array.init sc.shard_count (fun sid ->
-        {
-          sid;
-          s_pending = Flow_tbl.create 64;
-          s_fp = Fastpath.create config.fastpath;
-          s_m = make_metrics obs ~labels:(shard_labels sid);
-          s_labels = shard_labels sid;
-          s_pin = Hashtbl.create 16;
-        })
-  in
+  let m = make_metrics obs ~labels in
   let t =
     {
       network;
@@ -1694,9 +1641,13 @@ let create ?(config = default_config) ?keystore ?functions ?obs ?spans
       obs;
       spans;
       recorder;
-      shards_;
-      shard_engine;
+      labels;
+      m;
+      pin = Hashtbl.create 16;
+      pending = Flow_tbl.create 64;
+      fp = Fastpath.create config.fastpath;
       answers;
+      shard_engine;
       batch;
       plan = None;
       trace_seq = 0;
@@ -1710,12 +1661,9 @@ let create ?(config = default_config) ?keystore ?functions ?obs ?spans
       nonces = Sim.Prng.create (0x6e6f6e6365 + id);
     }
   in
-  Array.iter
-    (fun sx ->
-      Obs.Registry.gauge_fn obs ~help:"Flows awaiting daemon responses."
-        ~labels:(shard_labels sx.sid) "identxx_controller_pending_flows"
-        (fun () -> float_of_int (Flow_tbl.length sx.s_pending)))
-    t.shards_;
+  Obs.Registry.gauge_fn obs ~help:"Flows awaiting daemon responses." ~labels
+    "identxx_controller_pending_flows" (fun () ->
+      float_of_int (Flow_tbl.length t.pending));
   (* Per-collector, not per-controller: collectors may be shared, so no
      controller label — re-registration just replaces the callback. *)
   Obs.Registry.counter_fn obs
@@ -1742,11 +1690,9 @@ let create ?(config = default_config) ?keystore ?functions ?obs ?spans
       "identxx_compiler_installed_coverage" (fun () ->
         t.proactive_tbl.Compiler.installed_coverage)
   end;
-  Array.iter
-    (fun sx -> Fastpath.register_metrics sx.s_fp ~labels:(shard_labels sx.sid) obs)
-    t.shards_;
+  Fastpath.register_metrics t.fp ~labels obs;
   Fastpath.Answers.register_metrics answers ~labels obs;
-  if show_shards then begin
+  if Option.is_some config.shards then begin
     Shard.Engine.register_metrics shard_engine ~labels obs;
     Shard.Batch.register_metrics batch ~labels obs;
     Obs.Registry.counter_fn obs

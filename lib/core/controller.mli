@@ -39,9 +39,6 @@ val sharded : ?service:Sim.Time.t -> int -> shard_config
 type config = {
   query_timeout : Sim.Time.t;  (** Wait this long for daemon responses. *)
   entry_idle_timeout : Sim.Time.t option;  (** For installed entries. *)
-  install_along_path : bool;
-      (** Install entries at every switch on the path (Figure 1 step 4)
-          vs. only at the packet-in switch (ablation). *)
   require_signed_responses : bool;
       (** Ignore responses that do not carry a valid {!Identxx.Signed}
           section from a keystore-known signer — spoofed responses then
@@ -79,18 +76,20 @@ type config = {
   shards : shard_config option;
       (** Every controller runs flow setup on the shard engine: run
           queues by flow-key hash, flow-mod installs batched per tick.
-          [Some s] asks for [s.shard_count] shards and labels per-shard
-          metrics and spans with their shard; a destination query to a
-          target expected to sign then joins an exchange in flight with
-          the same socket ({!Fastpath.Answers}). [None] (the default) is
-          exactly one shard that joins no queries, and adds no shard
-          label, span attribute or [identxx_shard_*] series. See
-          DESIGN.md §12. *)
+          [Some s] asks for [s.shard_count] run queues and labels each
+          flow's span with its shard; a destination query to a target
+          expected to sign then joins an exchange in flight with the
+          same socket ({!Fastpath.Answers}). The shards hold no state:
+          the pending table, fast path, answer table and metrics are
+          the controller's, so a verdict or a breaker trip is the same
+          whatever the shard count. [None] (the default) is exactly one
+          shard that joins no queries, and adds no span attribute or
+          [identxx_shard_*] series. See DESIGN.md §12. *)
 }
 
 val default_config : config
 (** Both ends queried, 5 ms query timeout, 30 s idle timeout on entries,
-    path installation, default pass (vanilla PF).
+    default pass (vanilla PF).
 
     Whatever the configuration, the controller installs a drop entry at
     the ingress switch for every blocked flow, and installs the compiled
@@ -148,12 +147,13 @@ val recorder : t -> Obs.Recorder.t
     disabled {!Obs.Recorder.null}). *)
 
 val fastpath : t -> Fastpath.t
-(** Shard 0's fast-path state (caches and breaker) — the whole
-    controller's with one shard; mostly for tests and tooling. Counters
-    also surface through {!stats}, which aggregates all shards. *)
+(** The controller's fast-path state (decision cache and breaker), which
+    every shard reads; mostly for tests and tooling. Counters also
+    surface through {!stats}. *)
 
 val shard_count : t -> int
-(** Number of flow-setup shards (1 when [config.shards] is [None]). *)
+(** Number of flow-setup run queues (1 when [config.shards] is
+    [None]). *)
 
 val decision : t -> Decision.t
 val keystore : t -> Idcrypto.Sign.keystore
@@ -259,9 +259,9 @@ type stats = {
 }
 
 val stats : t -> stats
-(** Aggregated across every shard, so the totals are shard-count
-    invariant (each shard owns its own counter series; the sum is the
-    controller's). *)
+(** The controller's counters, read back from its registry series; the
+    shards keep none of their own, so the totals are shard-count
+    invariant. *)
 
 val coalesced_queries : t -> int
 (** Destination queries that joined an exchange in flight instead of

@@ -68,15 +68,6 @@ let note_timeout t ~now ip =
         t.trips <- t.trips + 1
       end
 
-(* Adopt a trip observed elsewhere (another controller shard): jump the
-   host straight to open, without counting a trip of our own — the
-   shard that saw the silence already did. *)
-let force_open t ~now ip =
-  let h = host t ip in
-  match h.st with
-  | Open_until _ -> ()
-  | Closed | Probing -> h.st <- Open_until (Sim.Time.add now t.backoff)
-
 let note_response t ip = Tbl.remove t.hosts ip
 
 let state t ip =

@@ -31,11 +31,6 @@ val note_timeout : t -> now:Sim.Time.t -> Ipv4.t -> unit
     retries). Trips the breaker at [threshold] consecutive timeouts;
     a failed probe re-opens immediately. *)
 
-val force_open : t -> now:Sim.Time.t -> Ipv4.t -> unit
-(** Adopt a trip observed elsewhere (another controller shard saw the
-    host silent): jump straight to open for the backoff window, without
-    counting a trip of our own. A no-op when already open. *)
-
 val note_response : t -> Ipv4.t -> unit
 (** The host answered: close the breaker and forget its history. *)
 

@@ -37,24 +37,18 @@ let create cfg =
 
 let config t = t.cfg
 let enabled t = t.cfg.enabled
-let decision_cache t = t.decisions
 let breaker t = t.breaker
 
 let consult_host t ~now ip =
   if not t.cfg.enabled then `Ask else Breaker.consult t.breaker ~now ip
 
-let note_timeout_report t ~now ip =
+let note_timeout t ~now ip =
   if not t.cfg.enabled then false
   else begin
     let before = Breaker.trips t.breaker in
     Breaker.note_timeout t.breaker ~now ip;
     Breaker.trips t.breaker > before
   end
-
-let note_timeout t ~now ip = ignore (note_timeout_report t ~now ip)
-
-let note_breaker_open t ~now ip =
-  if t.cfg.enabled then Breaker.force_open t.breaker ~now ip
 
 let note_response t ip =
   if t.cfg.enabled then Breaker.note_response t.breaker ip

@@ -5,8 +5,8 @@
       settled answers of listening sockets, the ones a daemon declares
       to hold for every new flow to the socket, keyed by the socket and
       the hint list, dropped on daemon-side change events and TTL
-      expiry. The controller owns one table, shared by all its
-      shards; each shard's {!t} holds the other two;
+      expiry. The controller owns one table, and one {!t}, which holds
+      the other two; its shards read both and hold neither;
     - {!Decision_cache}: memoized verdicts keyed by (policy epoch, flow
       class, the answer values the policy reads; see {!decision_key}) —
       a {!Policy_store} epoch bump orphans every entry;
@@ -49,9 +49,8 @@ val create : config -> t
 val config : t -> config
 val enabled : t -> bool
 
-val decision_cache : t -> Decision_cache.t
 val breaker : t -> Breaker.t
-(** Direct access to the underlying caches, for tests and tooling. *)
+(** Direct access to the breaker, for tests and tooling. *)
 
 (** {2 Circuit breaker} *)
 
@@ -59,18 +58,11 @@ val consult_host :
   t -> now:Sim.Time.t -> Ipv4.t -> [ `Ask | `Absent | `Probe ]
 (** [`Ask] always when the fast path is off. *)
 
-val note_timeout : t -> now:Sim.Time.t -> Ipv4.t -> unit
-
-val note_timeout_report : t -> now:Sim.Time.t -> Ipv4.t -> bool
-(** Like {!note_timeout}, but reports whether this timeout tripped the
-    host's breaker (so the controller can mark the flow's trace).
-    Always [false] when the fast path is off. *)
-
-val note_breaker_open : t -> now:Sim.Time.t -> Ipv4.t -> unit
-(** Adopt a breaker trip observed by another shard's view (see
-    {!Breaker.force_open}): the host goes straight to open here too, so
-    every shard fails its flows fast. A no-op when the fast path is
-    off. *)
+val note_timeout : t -> now:Sim.Time.t -> Ipv4.t -> bool
+(** The host stayed silent through a query's every attempt: feed its
+    breaker, and report whether this timeout tripped it (so the
+    controller can mark the flow's trace). Always [false] when the
+    fast path is off. *)
 
 val note_response : t -> Ipv4.t -> unit
 

@@ -32,10 +32,10 @@ let zero = Sim.Time.zero
 
 (* Run [fn] as shard [sid], restoring the executing shard afterwards,
    also when [fn] raises. *)
-let run_as t sid fn arg =
+let run_as t sid fn =
   let prev = t.current in
   t.current <- sid;
-  match fn arg with
+  match fn () with
   | () -> t.current <- prev
   | exception e ->
       let bt = Printexc.get_raw_backtrace () in
@@ -46,7 +46,7 @@ let drain_one t sh () =
   if not (Queue.is_empty sh.queue) then begin
     let fn = Queue.take sh.queue in
     sh.drained <- sh.drained + 1;
-    run_as t sh.sid fn ()
+    run_as t sh.sid fn
   end
 
 let create ?(service = zero) ~shards engine =
@@ -88,13 +88,6 @@ let post_after t ~shard ~delay fn =
   Sim.Engine.schedule_cancellable t.engine ~delay (fun () ->
       post t ~shard fn)
 
-let broadcast t fn =
-  Array.iter
-    (fun sh ->
-      if t.current <> sh.sid then t.cross <- t.cross + 1;
-      run_as t sh.sid fn sh.sid)
-    t.shards
-
 let queue_depth t sid = Queue.length t.shards.(sid).queue
 let posted t = t.posted
 let processed t = Array.fold_left (fun acc sh -> acc + sh.drained) 0 t.shards
@@ -114,5 +107,5 @@ let register_metrics t ?(labels = []) reg =
         ~help:"Messages drained by the shard" (fun () -> sh.drained))
     t.shards;
   Obs.Registry.counter_fn reg ~labels "identxx_shard_cross_messages_total"
-    ~help:"Messages posted or broadcast across shard boundaries"
+    ~help:"Messages posted across shard boundaries"
     (fun () -> t.cross)

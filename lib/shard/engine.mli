@@ -1,6 +1,8 @@
 (** N deterministic shard run queues multiplexed onto one
     {!Sim.Engine} heap — the concurrency model of every controller's
-    flow setup (DESIGN.md §12).
+    flow setup (DESIGN.md §12). A shard is only a run queue: the
+    messages posted to it act on state their poster owns, so no shard
+    has state to share or propagate.
 
     Each shard is modelled as a sim process with its own mailbox:
     {!post} enqueues a message and schedules its execution at
@@ -40,14 +42,6 @@ val post_after :
     fires (so timeout handling also serialises with the shard's other
     work). Cancelling after the fire is a no-op as usual. *)
 
-val broadcast : t -> (int -> unit) -> unit
-(** Deliver a control message to every shard, in shard order, executing
-    immediately — the propagation path for shared state (policy
-    epochs, proactive sync, breaker trips, host changes). Synchronous
-    delivery in a fixed order keeps runs reproducible under any shard
-    count; each delivery to a foreign shard counts as a cross-shard
-    message. *)
-
 val queue_depth : t -> int -> int
 (** Messages posted to the shard but not yet drained. *)
 
@@ -63,4 +57,5 @@ val makespan : t -> Sim.Time.t
 val register_metrics : t -> ?labels:Obs.Registry.labels -> Obs.Registry.t -> unit
 (** Registers [identxx_shard_queue_depth] and
     [identxx_shard_messages_total] per shard (label [shard]) and the
-    global [identxx_shard_cross_messages_total], on top of [labels]. *)
+    global [identxx_shard_cross_messages_total] (posts made while one
+    shard runs to another shard), on top of [labels]. *)

@@ -509,27 +509,6 @@ let test_entries_installed_along_path () =
   let st = C.stats controller in
   Alcotest.(check int) "one flow decision" 1 st.C.flows_seen
 
-let test_ablation_ingress_only_installation () =
-  let config = { C.default_config with C.install_along_path = false } in
-  let engine, network, controller, hosts =
-    Deploy.linear_network ~config ~switches:3 ~hosts_per_switch:1 ()
-  in
-  Identxx_core.Policy_store.add_exn (C.policy controller) ~name:"00-policy"
-    "pass all";
-  let h1 = hosts.(0) and h3 = hosts.(2) in
-  let proc = Identxx.Host.run h1 ~user:"alice" ~exe:"/usr/bin/firefox" () in
-  let flow =
-    Identxx.Host.connect h1 ~proc ~dst:(Identxx.Host.ip h3) ~dst_port:80 ()
-  in
-  Net.send_from_host network ~name:(Identxx.Host.name h1)
-    (Identxx.Host.first_packet h1 ~flow);
-  Sim.Engine.run engine;
-  (* Ingress-only installation: downstream switches miss, causing extra
-     controller work for the same flow. *)
-  let st = C.stats controller in
-  Alcotest.(check bool) "more than one decision for one flow" true
-    (st.C.flows_seen > 1)
-
 (* --- interception across domains (§3.4 / §4 network collaboration) --- *)
 
 let two_domain_network () =
@@ -1613,8 +1592,6 @@ let () =
         [
           Alcotest.test_case "entries along path" `Quick
             test_entries_installed_along_path;
-          Alcotest.test_case "ingress-only ablation" `Quick
-            test_ablation_ingress_only_installation;
         ] );
       ( "state & retries",
         [

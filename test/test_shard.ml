@@ -52,17 +52,24 @@ let test_engine_makespan () =
   check Alcotest.bool "parallel makespan 2ms" true
     (Sim.Time.compare (Shard.Engine.makespan d2) (ms 2) = 0)
 
-let test_engine_broadcast_and_cross () =
+let test_engine_cross_posts () =
   let e = Sim.Engine.create () in
   let d = Shard.Engine.create ~shards:3 e in
   let seen = ref [] in
-  (* Broadcast from inside shard 1: delivered synchronously in shard
-     order; the two foreign deliveries count as cross-shard traffic. *)
+  (* A post from outside every shard, or from a shard to itself, is not
+     cross-shard traffic; from inside shard 1, the posts to shards 2 and
+     0 are. A timer fires outside every shard, so its post is not
+     either. *)
   Shard.Engine.post d ~shard:1 (fun () ->
-      Shard.Engine.broadcast d (fun sid -> seen := sid :: !seen));
+      List.iter
+        (fun sid ->
+          Shard.Engine.post d ~shard:sid (fun () -> seen := sid :: !seen))
+        [ 2; 1; 0 ]);
+  ignore (Shard.Engine.post_after d ~shard:2 ~delay:(Sim.Time.ms 1) ignore);
   Sim.Engine.run e;
-  check Alcotest.(list int) "shard order" [ 0; 1; 2 ] (List.rev !seen);
-  check Alcotest.int "two foreign deliveries" 2 (Shard.Engine.cross_messages d)
+  check Alcotest.(list int) "post order" [ 2; 1; 0 ] (List.rev !seen);
+  check Alcotest.int "five posts" 5 (Shard.Engine.posted d);
+  check Alcotest.int "two foreign posts" 2 (Shard.Engine.cross_messages d)
 
 let test_engine_post_after () =
   let e = Sim.Engine.create () in
@@ -691,9 +698,9 @@ let test_rejected_answer_settles_nothing () =
   check Alcotest.int "nothing pending" 0 (C.pending_count controller)
 
 let test_breaker_trip_propagates () =
-  (* A breaker trip observed by one shard must open the host's breaker
-     in every shard's fast-path view (via Shard.Engine.broadcast):
-     later flows on other shards decide immediately, without a query. *)
+  (* A breaker trip observed by a flow on one shard opens the host's
+     breaker for the whole controller, which keeps one breaker: later
+     flows on other shards decide immediately, without a query. *)
   let fp =
     {
       Fastpath.default_config with
@@ -727,8 +734,7 @@ let test_breaker_trip_propagates () =
     Net.send_from_host network ~name:(Identxx.Host.name h)
       (Identxx.Host.first_packet h ~flow)
   in
-  (* First flow: times out, trips the breaker on its shard; the trip is
-     broadcast to the other three views. *)
+  (* First flow: times out and trips the controller's breaker. *)
   start 1;
   Sim.Engine.run engine;
   let st = C.stats controller in
@@ -746,6 +752,88 @@ let test_breaker_trip_propagates () =
     st.C.breaker_fastpaths;
   check Alcotest.int "still one trip" 1 st.C.breaker_trips;
   check Alcotest.int "all five flows decided" 5 (st.C.allowed + st.C.blocked)
+
+(* [flows] flows in turn from one client process to host 0's port 80,
+   each run to its verdict before the next starts, on a controller with
+   [shards] shards and the default fast path (its breaker trips at 3
+   timeouts). [silent] silences host 0. Each flow takes the client's
+   next ephemeral port, so the flows hash onto several shards. Returns
+   the controller's stats and how many distinct shards the flows landed
+   on. *)
+let flows_in_turn ?(silent = false) ~policy ~flows shards =
+  let config =
+    {
+      C.default_config with
+      C.shards = Some (C.sharded shards);
+      C.fastpath = Fastpath.default_config;
+    }
+  in
+  let engine, network, controller, hosts =
+    Deploy.linear_network ~config ~switches:1 ~hosts_per_switch:2 ()
+  in
+  Policy_store.add_exn (C.policy controller) ~name:"00" policy;
+  let target = hosts.(0) and client = hosts.(1) in
+  if silent then
+    Identxx.Daemon.set_behaviour
+      (Identxx.Host.daemon target)
+      Identxx.Daemon.Silent;
+  let proc = Identxx.Host.run client ~user:"u" ~exe:"/bin/app" () in
+  let used = Hashtbl.create 8 in
+  for _ = 1 to flows do
+    let flow =
+      Identxx.Host.connect client ~proc ~dst:(Identxx.Host.ip target)
+        ~dst_port:80 ()
+    in
+    Hashtbl.replace used (Five_tuple.hash flow mod shards) ();
+    Net.send_from_host network ~name:(Identxx.Host.name client)
+      (Identxx.Host.first_packet client ~flow);
+    Sim.Engine.run engine
+  done;
+  check Alcotest.int "nothing pending" 0 (C.pending_count controller);
+  (C.stats controller, Hashtbl.length used)
+
+(* The breaker is the controller's: [breaker_threshold] silent queries
+   trip it whatever the shard count, and every later flow, on any
+   shard, decides at once with the target absent. *)
+let test_breaker_threshold_shard_invariant () =
+  List.iter
+    (fun shards ->
+      let st, used =
+        flows_in_turn ~silent:true
+          ~policy:"block all
+pass all with eq(@dst[name], srv)" ~flows:11
+          shards
+      in
+      let what s = Printf.sprintf "%s (%d shards)" s shards in
+      if shards > 1 then
+        check Alcotest.bool (what "flows on several shards") true (used > 1);
+      check Alcotest.int (what "three wire queries") 3 st.C.queries_sent;
+      check Alcotest.int (what "one trip") 1 st.C.breaker_trips;
+      check Alcotest.int (what "eight breaker fast paths") 8
+        st.C.breaker_fastpaths;
+      check Alcotest.int (what "all eleven decided") 11
+        (st.C.allowed + st.C.blocked))
+    [ 1; 2; 4; 8 ]
+
+(* The decision cache is the controller's: a verdict cached by the
+   first flow serves the next flows of the same class whatever shard
+   each hashes to. *)
+let test_decision_cache_shard_invariant () =
+  List.iter
+    (fun shards ->
+      let st, used =
+        flows_in_turn
+          ~policy:"block all
+pass all with eq(@src[name], app)" ~flows:16
+          shards
+      in
+      let what s = Printf.sprintf "%s (%d shards)" s shards in
+      if shards > 1 then
+        check Alcotest.bool (what "flows on several shards") true (used > 1);
+      check Alcotest.int (what "one miss") 1 st.C.decision_cache_misses;
+      check Alcotest.int (what "fifteen hits") 15 st.C.decision_cache_hits;
+      check Alcotest.int (what "all sixteen pass") 16 st.C.allowed)
+    [ 1; 2; 4; 8 ]
 
 (* A listener's settled answer is the controller's, not one shard's:
    settled by a flow on one shard, it serves a later flow to the same
@@ -806,7 +894,10 @@ let test_settled_answer_crosses_shards () =
    Metrics recording is off so the gate prices the setup, not the
    registry. The policy reads only the destination, a listener whose
    signed answer holds for every flow to its port (a source's answer is
-   never cached). Measured: 635 minor words per setup with
+   never cached). Measured: 559 minor words per setup with one pending
+   table, fast-path view and metrics record per controller instead of
+   one per shard; 560 once five-tuple hashing and the ident++ codec
+   stopped allocating copies; 635 with
    [Response.latest] allocating nothing on a miss (about 31 of those
    words) and the fast-path lookup a top-level function instead of a
    per-flow closure (about 10); 676 with the audit log keeping the
@@ -873,7 +964,7 @@ let test_warm_fastpath_alloc () =
   check Alcotest.int "no daemon asked" answered0 (answered ());
   check Alcotest.int "the first packet delivered each round" rounds
     (Net.delivered s.Deploy.network - delivered0);
-  if words > 765.0 then
+  if words > 689.0 then
     Alcotest.failf "%.0f minor words per warm setup" words
 
 let () =
@@ -883,8 +974,8 @@ let () =
         [
           Alcotest.test_case "global post order" `Quick test_engine_post_order;
           Alcotest.test_case "makespan regimes" `Quick test_engine_makespan;
-          Alcotest.test_case "broadcast order and cross count" `Quick
-            test_engine_broadcast_and_cross;
+          Alcotest.test_case "cross-shard posts counted" `Quick
+            test_engine_cross_posts;
           Alcotest.test_case "post_after timers" `Quick test_engine_post_after;
         ] );
       ( "batch",
@@ -914,6 +1005,10 @@ let () =
             test_breaker_trip_propagates;
           Alcotest.test_case "a settled answer serves every shard" `Quick
             test_settled_answer_crosses_shards;
+          Alcotest.test_case "breaker threshold (1/2/4/8 shards)" `Quick
+            test_breaker_threshold_shard_invariant;
+          Alcotest.test_case "a cached verdict serves every shard" `Quick
+            test_decision_cache_shard_invariant;
           Alcotest.test_case "warm fast-path allocation (2 shards)" `Quick
             test_warm_fastpath_alloc;
         ] );
