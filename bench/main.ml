@@ -385,6 +385,29 @@ let bench_pf_allowed =
   Test.make ~name:"pf/eval-allowed-cached"
     (Staged.stage (fun () -> ignore (Pf.Eval.eval env ctx fl)))
 
+(* The §1 enterprise policy (perfbench's enterprise-steady) through
+   [Decision.decide], the controller's decision step: one op decides a
+   flow whose source runs an approved app and one whose source does
+   not. *)
+let bench_pf_decide_enterprise =
+  let store = PS.create () in
+  PS.add_exn store ~name:"00"
+    "table <fileserver> { 10.0.0.100 }\n\
+     allowed = \"{ firefox ssh thunderbird skype }\"\n\
+     block all\n\
+     pass all with member(@src[name], $allowed) keep state\n\
+     block log from any to <fileserver> with eq(@src[name], skype)";
+  let d = D.create ~policy:store () in
+  let fl = flow "10.0.0.1" "10.1.0.1" in
+  let input app =
+    { D.flow = fl; src_response = Some (response fl [ ("name", app) ]); dst_response = None }
+  in
+  let member = input "firefox" and non_member = input "dropbox" in
+  Test.make ~name:"pf/decide-enterprise"
+    (Staged.stage (fun () ->
+         ignore (D.decide d member);
+         ignore (D.decide d non_member)))
+
 let bench_pf_parse =
   let text = ruleset 100 "pass all with eq(@src[name], firefox)" in
   Test.make ~name:"pf/parse-100-rules"
@@ -1149,6 +1172,7 @@ let tests =
        bench_pf_eval_quick;
        bench_pf_parse;
        bench_pf_allowed;
+       bench_pf_decide_enterprise;
        bench_fdd_compile;
        bench_fdd_lookup;
        bench_fdd_equiv;

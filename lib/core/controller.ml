@@ -389,27 +389,15 @@ let forward_toward t ~dpid ~dst_ip pkt =
 
 (* --- installing the verdict (Figure 1, step 4) --- *)
 
+(* One match serves every hop's flow-mod, and the entries they install
+   share it. *)
 let install_path t flow =
-  let net = t.network in
-  match
-    ( Net.host_by_ip net flow.Five_tuple.src,
-      Net.host_by_ip net flow.Five_tuple.dst )
-  with
-  | Some src_host, Some dst_host -> (
-      match
-        Topo.switch_path (Net.topology net) ~src:src_host ~dst:dst_host
-      with
-      | None | Some [] -> false
-      | Some hops ->
-          List.iter
-            (fun (dpid, _in_port, out_port) ->
-              Shard.Batch.add t.batch dpid
-                (Msg.add_flow ?idle_timeout:t.cfg.entry_idle_timeout
-                   ~fields:(Openflow.Match_fields.of_five_tuple flow)
-                   [ Openflow.Action.Output out_port ]))
-            hops;
-          true)
-  | _ -> false
+  let fields = Openflow.Match_fields.of_five_tuple flow in
+  Net.iter_path t.network ~src:flow.Five_tuple.src ~dst:flow.Five_tuple.dst
+    (fun dpid out_port ->
+      Shard.Batch.add t.batch dpid
+        (Msg.add_flow ?idle_timeout:t.cfg.entry_idle_timeout ~fields
+           [ Openflow.Action.Output out_port ]))
 
 let install_drop t ~dpid flow =
   Shard.Batch.add t.batch dpid

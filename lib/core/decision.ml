@@ -7,7 +7,9 @@ type input = {
 }
 
 type t = {
-  default : Pf.Ast.action;
+  default : Pf.Ast.action option;
+      (* Built once: an optional argument passed as [~default] would be
+         boxed on every decision. *)
   keystore : Idcrypto.Sign.keystore;
   functions : Pf.Fnreg.t;
   policy : Policy_store.t;
@@ -15,9 +17,11 @@ type t = {
 
 let create ?(default = Pf.Ast.Pass) ?keystore ?functions ~policy () =
   {
-    default;
-    keystore = Option.value ~default:(Idcrypto.Sign.keystore ()) keystore;
-    functions = Option.value ~default:(Pf.Fnreg.create ()) functions;
+    default = Some default;
+    keystore =
+      (match keystore with Some k -> k | None -> Idcrypto.Sign.keystore ());
+    functions =
+      (match functions with Some f -> f | None -> Pf.Fnreg.create ());
     policy;
   }
 
@@ -30,10 +34,14 @@ let decide t input =
   | Error _ as e -> e
   | Ok env ->
       let ctx =
-        Pf.Eval.ctx ?src:input.src_response ?dst:input.dst_response
-          ~keystore:t.keystore ~functions:t.functions ()
+        {
+          Pf.Eval.src = input.src_response;
+          dst = input.dst_response;
+          keystore = t.keystore;
+          functions = t.functions;
+        }
       in
-      Pf.Eval.eval ~default:t.default env ctx input.flow
+      Pf.Eval.eval ?default:t.default env ctx input.flow
 
 let decide_exn t input =
   match decide t input with

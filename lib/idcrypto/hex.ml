@@ -1,7 +1,6 @@
 let digits = "0123456789abcdef"
 
-let encode s =
-  let n = String.length s in
+let encode_prefix s n =
   let b = Bytes.create (2 * n) in
   for i = 0 to n - 1 do
     let c = Char.code s.[i] in
@@ -9,6 +8,8 @@ let encode s =
     Bytes.set b ((2 * i) + 1) digits.[c land 0xf]
   done;
   Bytes.unsafe_to_string b
+
+let encode s = encode_prefix s (String.length s)
 
 (* A digit's value, or -1. *)
 let value c =

@@ -3,6 +3,10 @@
 val encode : string -> string
 (** Each input byte becomes two hex digits. *)
 
+val encode_prefix : string -> int -> string
+(** [encode_prefix s n] is [encode (String.sub s 0 n)], without the
+    copy. *)
+
 val decode : string -> (string, string) result
 (** Inverse of {!encode}; accepts upper- or lower-case digits. *)
 

@@ -18,19 +18,28 @@ let prepare key =
   { ipad = pad 0x36; opad = pad 0x5c }
 
 (* The inner hash, already keyed, and the outer state it is wrapped in. *)
-type ctx = { inner : Sha256.ctx; outer : Sha256.midstate }
+type ctx = { inner : Sha256.ctx; mutable outer : Sha256.midstate }
 
 let start key = { inner = Sha256.resume key.ipad; outer = key.opad }
+
+let restart t key =
+  Sha256.restart t.inner key.ipad;
+  t.outer <- key.opad
 let init ~key = start (prepare key)
 let feed t s = Sha256.feed t.inner s
 let feed_bytes t b off len = Sha256.feed_bytes t.inner b off len
 
-let finalize t =
-  let inner_digest = Sha256.finalize t.inner in
+let finalize_into t out =
+  Sha256.finalize_into t.inner out;
   (* The inner hash is done: its context hashes the outer one. *)
   Sha256.restart t.inner t.outer;
-  Sha256.feed t.inner inner_digest;
-  Sha256.finalize t.inner
+  Sha256.feed_bytes t.inner out 0 Sha256.digest_size;
+  Sha256.finalize_into t.inner out
+
+let finalize t =
+  let out = Bytes.create Sha256.digest_size in
+  finalize_into t out;
+  Bytes.unsafe_to_string out
 
 let check t ~tag =
   let expected = finalize t in

@@ -30,7 +30,11 @@ val feed_bytes : ctx -> Bytes.t -> int -> int -> unit
 
 val finalize : ctx -> string
 (** The 32-byte tag over everything fed. The context must not be reused
-    afterwards. *)
+    afterwards, until {!restart}. *)
+
+val finalize_into : ctx -> Bytes.t -> unit
+(** {!finalize} into the first 32 bytes of a buffer, allocating nothing.
+    Raises [Invalid_argument] when the buffer is shorter. *)
 
 val check : ctx -> tag:string -> bool
 (** Constant-time comparison of [tag] against [finalize ctx]; the
@@ -51,3 +55,7 @@ val prepare : string -> key
 
 val start : key -> ctx
 (** A fresh HMAC under the prepared key. *)
+
+val restart : ctx -> key -> unit
+(** Reset a context in place to a fresh HMAC under the prepared key,
+    discarding what it held: {!start} without allocating. *)

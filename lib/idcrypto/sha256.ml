@@ -57,7 +57,8 @@ let feed_bytes ctx b off len =
 
 let feed ctx s = feed_bytes ctx (Bytes.unsafe_of_string s) 0 (String.length s)
 
-let finalize ctx =
+let finalize_into ctx out =
+  if Bytes.length out < 32 then invalid_arg "Sha256.finalize_into: short buffer";
   let bitlen = ctx.total * 8 in
   (* Append 0x80, pad with zeros to 56 mod 64, then the 64-bit length. *)
   Bytes.set ctx.block ctx.fill '\x80';
@@ -72,14 +73,17 @@ let finalize ctx =
     Bytes.set ctx.block (56 + i) (Char.chr ((bitlen lsr ((7 - i) * 8)) land 0xff))
   done;
   compress ctx.h ctx.block 0;
-  let out = Bytes.create 32 in
   for i = 0 to 7 do
     let v = ctx.h.(i) in
     Bytes.set out (4 * i) (Char.chr ((v lsr 24) land 0xff));
     Bytes.set out ((4 * i) + 1) (Char.chr ((v lsr 16) land 0xff));
     Bytes.set out ((4 * i) + 2) (Char.chr ((v lsr 8) land 0xff));
     Bytes.set out ((4 * i) + 3) (Char.chr (v land 0xff))
-  done;
+  done
+
+let finalize ctx =
+  let out = Bytes.create 32 in
+  finalize_into ctx out;
   Bytes.unsafe_to_string out
 
 type midstate = { words : int array; length : int }

@@ -20,6 +20,10 @@ val feed_bytes : ctx -> Bytes.t -> int -> int -> unit
 val finalize : ctx -> string
 (** The 32-byte digest. The context must not be reused afterwards. *)
 
+val finalize_into : ctx -> Bytes.t -> unit
+(** {!finalize} into the first 32 bytes of a buffer, allocating nothing.
+    Raises [Invalid_argument] when the buffer is shorter. *)
+
 (** {2 Midstates}
 
     A hash of a fixed prefix, saved after whole blocks so that many

@@ -15,12 +15,22 @@ let canonical data =
     data;
   Buffer.contents buf
 
-(* [digits] holds one element's "<decimal length>:" prefix, written right
-   to left; 19 digits cover any string length. *)
-type stream = { hmac : Hmac.ctx; digits : Bytes.t }
+(* [buf] holds one element's "<decimal length>:" prefix while the
+   message is fed, written right to left (19 digits cover any string
+   length), and then the HMAC. A prepared key is its own stream,
+   restarted for each message. *)
+type stream = { hmac : Hmac.ctx; key : Hmac.key; buf : Bytes.t }
+type key = stream
 
-let keyed key = { hmac = Hmac.start key; digits = Bytes.create 20 }
-let stream ~secret = keyed (Hmac.prepare secret)
+let prepare secret =
+  let key = Hmac.prepare secret in
+  { hmac = Hmac.start key; key; buf = Bytes.create Sha256.digest_size }
+
+let keyed st =
+  Hmac.restart st.hmac st.key;
+  st
+
+let stream ~secret = prepare secret
 
 (* Write [n]'s decimal digits into [b] ending at [i]; the first digit's
    index. *)
@@ -29,7 +39,7 @@ let rec put_digits b n i =
   if n >= 10 then put_digits b (n / 10) (i - 1) else i
 
 let begin_element st n =
-  let b = st.digits in
+  let b = st.buf in
   let last = Bytes.length b - 1 in
   Bytes.set b last ':';
   let first = put_digits b n (last - 1) in
@@ -47,14 +57,19 @@ let int_length n = if n < 0 then String.length (string_of_int n) else digit_coun
 let feed_int st n =
   if n < 0 then feed st (string_of_int n)
   else
-    let b = st.digits in
+    let b = st.buf in
     let last = Bytes.length b - 1 in
     let first = put_digits b n last in
     Hmac.feed_bytes st.hmac b first (last + 1 - first)
 
-let finish st = Hex.encode (Hmac.finalize st.hmac)
+(* The first [n] bytes of the tag over what was fed. *)
+let hex st n =
+  Hmac.finalize_into st.hmac st.buf;
+  Hex.encode_prefix (Bytes.unsafe_to_string st.buf) n
+
+let finish st = hex st Sha256.digest_size
 let short_bytes = 16
-let finish_short st = Hex.encode (String.sub (Hmac.finalize st.hmac) 0 short_bytes)
+let finish_short st = hex st short_bytes
 
 let sign ~secret data =
   let st = stream ~secret in
@@ -62,8 +77,12 @@ let sign ~secret data =
   finish st
 
 (* A trusted principal: its secret, prepared once, and the hosts it may
-   answer for ([None]: any host). *)
-type principal = { key : Hmac.key; hosts : string list option }
+   answer for ([None]: any host). [verifier] is [Some key], built once. *)
+type principal = {
+  key : key;
+  hosts : string list option;
+  verifier : stream option;
+}
 
 (* A section whose tag once verified: the tag, its signer and the
    canonical bytes it covers. *)
@@ -124,7 +143,8 @@ let add_principal ks ~public ~secret hosts =
       bind ks (-1) old.hosts
   | None -> ());
   bind ks 1 hosts;
-  Hashtbl.replace ks.principals public { key = Hmac.prepare secret; hosts }
+  let key = prepare secret in
+  Hashtbl.replace ks.principals public { key; hosts; verifier = Some key }
 
 let register_public ks ~public ~secret = add_principal ks ~public ~secret None
 let register ks kp = register_public ks ~public:kp.public ~secret:kp.secret
@@ -142,15 +162,18 @@ let answers_for ks ~public host =
   | exception Not_found -> false
 
 let verifier ks ~public =
-  match Hashtbl.find_opt ks.principals public with
-  | None -> None
-  | Some p -> Some (keyed p.key)
+  match Hashtbl.find ks.principals public with
+  | p ->
+      ignore (keyed p.key);
+      p.verifier
+  | exception Not_found -> None
 
-let matches st ~signature =
-  Hex.spells signature (Hmac.finalize st.hmac) Sha256.digest_size
+let matches_prefix st ~signature n =
+  Hmac.finalize_into st.hmac st.buf;
+  Hex.spells signature (Bytes.unsafe_to_string st.buf) n
 
-let matches_short st ~signature =
-  Hex.spells signature (Hmac.finalize st.hmac) short_bytes
+let matches st ~signature = matches_prefix st ~signature Sha256.digest_size
+let matches_short st ~signature = matches_prefix st ~signature short_bytes
 
 let verify ks ~public ~signature data =
   match verifier ks ~public with

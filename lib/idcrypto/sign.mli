@@ -40,11 +40,18 @@ type stream
 (** A signature over the elements added so far. *)
 
 val stream : secret:string -> stream
-(** [stream ~secret] is [keyed (Hmac.prepare secret)]. *)
+(** A fresh stream: [keyed (prepare secret)]. *)
 
-val keyed : Hmac.key -> stream
-(** A stream under a secret prepared once with {!Hmac.prepare}, for a
-    signer that tags many messages. *)
+type key
+(** A secret prepared once ({!Hmac.prepare}) for a signer or verifier
+    that tags many messages, with the one stream it tags them in. *)
+
+val prepare : string -> key
+
+val keyed : key -> stream
+(** The key's stream, restarted for a new message. Allocates nothing: a
+    key tags one message at a time, so a message must be finished before
+    the next [keyed] on the same key. *)
 
 val add : stream -> string -> unit
 (** Append one element: its decimal length, [':'], then its bytes — the
@@ -66,7 +73,8 @@ val int_length : int -> int
 (** [String.length (string_of_int n)]. *)
 
 val finish : stream -> string
-(** Hex tag over the elements added. The stream must not be reused. *)
+(** Hex tag over the elements added. The stream must not be fed again
+    until {!keyed} restarts it. *)
 
 val finish_short : stream -> string
 (** The first 16 bytes (128 bits) of {!finish}'s tag, in hex: HMAC
@@ -109,12 +117,14 @@ val verify :
     handle is unknown, the tag malformed, or the data differs. *)
 
 val verifier : keystore -> public:string -> stream option
-(** A stream keyed for the principal [public] names, to be checked with
-    {!matches}; [None] when the handle is unknown. *)
+(** The stream of the principal [public] names ({!keyed} on its key), to
+    be checked with {!matches}; [None] when the handle is unknown.
+    Allocates nothing. *)
 
 val matches : stream -> signature:string -> bool
 (** Whether [signature] is the hex tag over the elements added (upper-
-    or lower-case digits). The stream must not be reused. *)
+    or lower-case digits). The stream must not be fed again until
+    {!keyed} restarts it. *)
 
 val matches_short : stream -> signature:string -> bool
 (** {!matches} for a {!finish_short} tag: exactly 16 bytes of hex. *)

@@ -21,7 +21,7 @@ type t = {
   processes : Process_table.t;
   exe_hash : string -> string option;
   mutable behaviour : behaviour;
-  mutable signer : (string * Idcrypto.Hmac.key) option;
+  mutable signer : (string * Idcrypto.Sign.key) option;
       (* Public handle and secret, prepared once when the key is set. *)
   mutable config_files : (string * Config.t) list; (* sorted by name *)
   (* The static sections, assembled and tagged at most once between two
@@ -123,7 +123,7 @@ let set_signing_key t k =
   t.signer <-
     Option.map
       (fun (kp : Idcrypto.Sign.keypair) ->
-        (kp.Idcrypto.Sign.public, Idcrypto.Hmac.prepare kp.Idcrypto.Sign.secret))
+        (kp.Idcrypto.Sign.public, Idcrypto.Sign.prepare kp.Idcrypto.Sign.secret))
       k
 
 let load_config t ~name content =

@@ -111,7 +111,7 @@ let sign_with ~public ~key ~tags ?scopes ~host ~peer ?(nonce = "-") r =
      else tail))
 
 let sign ~(keypair : Idcrypto.Sign.keypair) ~host ~peer ?nonce r =
-  let key = Idcrypto.Hmac.prepare keypair.Idcrypto.Sign.secret in
+  let key = Idcrypto.Sign.prepare keypair.Idcrypto.Sign.secret in
   sign_with ~public:keypair.Idcrypto.Sign.public ~key
     ~tags:(List.map (section_tag key) r.Response.sections)
     ~host ~peer ?nonce r

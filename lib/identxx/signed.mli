@@ -68,7 +68,7 @@ val per_flow : string
 (** ["-"]: the tag-list entry of a section the binding tag covers
     directly. *)
 
-val section_tag : Idcrypto.Hmac.key -> Key_value.section -> string
+val section_tag : Idcrypto.Sign.key -> Key_value.section -> string
 (** The 128-bit hex tag ({!Idcrypto.Sign.finish_short}) over
     [["identxx-section"; k1; v1; ...]]. A signer computes it once per
     static section and reuses it for every flow; the binding tag, which
@@ -76,7 +76,7 @@ val section_tag : Idcrypto.Hmac.key -> Key_value.section -> string
 
 val sign_with :
   public:string ->
-  key:Idcrypto.Hmac.key ->
+  key:Idcrypto.Sign.key ->
   tags:string list ->
   ?scopes:scope list ->
   host:Ipv4.t ->

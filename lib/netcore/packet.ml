@@ -135,19 +135,22 @@ let ip_proto = function
   | Icmp _ -> Proto.Icmp
   | Raw_ip (p, _) -> p
 
+let ip_five_tuple ip ~src_port ~dst_port =
+  Some
+    (Five_tuple.make ~src:ip.ip_src ~dst:ip.ip_dst ~proto:(ip_proto ip.payload)
+       ~src_port ~dst_port)
+
+(* Each payload passes its ports straight on: a port pair bound by a
+   [match] would be boxed. *)
 let five_tuple t =
   match t.eth_payload with
   | Raw_eth _ -> None
-  | Ip ip ->
-      let src_port, dst_port =
-        match ip.payload with
-        | Tcp tcp -> (tcp.tcp_src, tcp.tcp_dst)
-        | Udp udp -> (udp.udp_src, udp.udp_dst)
-        | Icmp _ | Raw_ip _ -> (0, 0)
-      in
-      Some
-        (Five_tuple.make ~src:ip.ip_src ~dst:ip.ip_dst ~proto:(ip_proto ip.payload)
-           ~src_port ~dst_port)
+  | Ip ({ payload = Tcp tcp; _ } as ip) ->
+      ip_five_tuple ip ~src_port:tcp.tcp_src ~dst_port:tcp.tcp_dst
+  | Ip ({ payload = Udp udp; _ } as ip) ->
+      ip_five_tuple ip ~src_port:udp.udp_src ~dst_port:udp.udp_dst
+  | Ip ({ payload = Icmp _ | Raw_ip _; _ } as ip) ->
+      ip_five_tuple ip ~src_port:0 ~dst_port:0
 
 let proto t =
   match t.eth_payload with Ip ip -> Some (ip_proto ip.payload) | Raw_eth _ -> None

@@ -59,30 +59,34 @@ let create ?capacity () =
 
 let size t = t.count
 
+(* Marks fields that pin down no 5-tuple; compared physically. *)
+let unindexed =
+  Five_tuple.make ~src:Ipv4.any ~dst:Ipv4.any ~proto:Proto.Tcp ~src_port:0
+    ~dst_port:0
+
 (* The 5-tuple an entry's fields pin down exactly, when the entry is
    "five-tuple shaped": layer-2 fields and ingress port wildcarded,
-   /32 addresses, protocol and both ports given. *)
+   /32 addresses, protocol and both ports given. {!unindexed} when not. *)
 let index_key_of (fields : Match_fields.t) =
   match fields with
   | { Match_fields.in_port = None; dl_src = None; dl_dst = None;
       dl_vlan = None; dl_type = _; nw_src = Some src; nw_dst = Some dst;
       nw_proto = Some proto; tp_src = Some tp_src; tp_dst = Some tp_dst }
     when Prefix.length src = 32 && Prefix.length dst = 32 ->
-      Some
-        (Five_tuple.make ~src:(Prefix.network src) ~dst:(Prefix.network dst)
-           ~proto ~src_port:tp_src ~dst_port:tp_dst)
-  | _ -> None
+      Five_tuple.make ~src:(Prefix.network src) ~dst:(Prefix.network dst)
+        ~proto ~src_port:tp_src ~dst_port:tp_dst
+  | _ -> unindexed
 
+let timeout_ns base = function
+  | None -> max_int
+  | Some timeout -> Sim.Time.to_ns (Sim.Time.add base timeout)
+
+(* The earlier of an entry's two deadlines, in ns; [max_int] for an
+   entry without a timeout. *)
 let deadline_of (e : Flow_entry.t) =
-  let of_timeout base = function
-    | None -> None
-    | Some timeout -> Some (Sim.Time.to_ns (Sim.Time.add base timeout))
-  in
-  match
-    (of_timeout e.last_hit e.idle_timeout, of_timeout e.installed_at e.hard_timeout)
-  with
-  | None, d | d, None -> d
-  | Some a, Some b -> Some (min a b)
+  Int.min
+    (timeout_ns e.last_hit e.idle_timeout)
+    (timeout_ns e.installed_at e.hard_timeout)
 
 let is_timed (e : Flow_entry.t) = e.idle_timeout <> None || e.hard_timeout <> None
 
@@ -104,28 +108,35 @@ let kill t s =
   t.count <- t.count - 1;
   if is_timed s.entry then t.timed <- t.timed - 1
 
-(* [l] without the slots satisfying [gone], which are killed. Shares
-   the unchanged tail, so a miss allocates nothing. *)
-let rec cull t gone = function
+(* The table's helpers are closed functions taking their operands as
+   arguments: a local closure would be allocated on every flow-mod. *)
+
+(* [l] without the slots satisfying [gone a b], which are killed.
+   Shares the unchanged tail, so a miss allocates nothing. *)
+let rec cull t gone a b = function
   | [] -> []
   | s :: rest as l ->
-      let rest' = cull t gone rest in
-      if gone s then (
+      let rest' = cull t gone a b rest in
+      if gone s a b then (
         kill t s;
         rest')
       else if rest' == rest then l
       else s :: rest'
 
-(* Apply [f] to the bucket of five-tuple key [k]. *)
-let update_bucket t k f =
-  let bucket = Option.value ~default:[] (Flow_tbl.find_opt t.buckets k) in
-  match f bucket with
-  | b when b == bucket -> ()
-  | [] -> Flow_tbl.remove t.buckets k
-  | b -> Flow_tbl.replace t.buckets k b
+let bucket t k = try Flow_tbl.find t.buckets k with Not_found -> []
 
-(* The band's helpers are closed functions taking their operands as
-   arguments: a local closure would be allocated on every flow-mod. *)
+(* Kill the slots of key [k]'s bucket satisfying [gone a b]. *)
+let cull_bucket t k gone a b =
+  let old = bucket t k in
+  match cull t gone a b old with
+  | l when l == old -> ()
+  | [] -> Flow_tbl.remove t.buckets k
+  | l -> Flow_tbl.replace t.buckets k l
+
+let same_entry s priority fields =
+  s.entry.priority = priority && Match_fields.equal s.entry.fields fields
+
+let is_slot s slot () = s == slot
 
 (* The first index in [lo, hi) at or below priority [p]: the band is
    sorted by priority descending, so a binary search finds it. *)
@@ -185,8 +196,8 @@ let band_filter t pred arg =
 
 let drop_slot t s =
   match index_key_of s.entry.fields with
-  | Some k -> update_bucket t k (cull t (( == ) s))
-  | None -> band_delete_first t s.entry.priority ( == ) s
+  | k when k == unindexed -> band_delete_first t s.entry.priority ( == ) s
+  | k -> cull_bucket t k is_slot s ()
 
 let iter_slots t f =
   Flow_tbl.iter (fun _ b -> List.iter f b) t.buckets;
@@ -195,9 +206,8 @@ let iter_slots t f =
   done
 
 let push_deadline t s =
-  match deadline_of s.entry with
-  | Some d -> Sim.Heap.push t.deadlines ~key:d s
-  | None -> ()
+  let d = deadline_of s.entry in
+  if d < max_int then Sim.Heap.push t.deadlines ~key:d s
 
 (* Dead slots stay in the heap until popped; rebuild it once they
    outnumber the live ones, so replacement churn cannot grow it. *)
@@ -237,12 +247,8 @@ let same_fields s fields = Match_fields.equal s.entry.fields fields
 let add t (entry : Flow_entry.t) =
   let key = index_key_of entry.fields in
   (* Replace an identical (fields, priority) entry. *)
-  (match key with
-  | Some k ->
-      update_bucket t k
-        (cull t (fun s ->
-             s.entry.priority = entry.priority && same_fields s entry.fields))
-  | None -> band_delete_first t entry.priority same_fields entry.fields);
+  if key == unindexed then band_delete_first t entry.priority same_fields entry.fields
+  else cull_bucket t key same_entry entry.priority entry.fields;
   let room =
     match t.capacity with
     | Some cap when t.count >= cap -> evict_lru t
@@ -253,9 +259,8 @@ let add t (entry : Flow_entry.t) =
     let s = { entry; seq = t.next_seq; alive = true } in
     t.next_seq <- t.next_seq + 1;
     t.count <- t.count + 1;
-    (match key with
-    | Some k -> update_bucket t k (insert s)
-    | None -> band_insert t s);
+    if key == unindexed then band_insert t s
+    else Flow_tbl.replace t.buckets key (insert s (bucket t key));
     if is_timed entry then begin
       t.timed <- t.timed + 1;
       push_deadline t s
@@ -309,19 +314,18 @@ let remove t ~priority ~fields =
   (* [add] keeps at most one entry per (fields, priority), and entries
      with equal fields share one index key. *)
   (match index_key_of fields with
-  | Some k ->
-      update_bucket t k
-        (cull t (fun s -> s.entry.priority = priority && same_fields s fields))
-  | None -> band_delete_first t priority same_fields fields);
+  | k when k == unindexed -> band_delete_first t priority same_fields fields
+  | k -> cull_bucket t k same_entry priority fields);
   compact t
 
 let covered s fields = Match_fields.covers fields s.entry.fields
+let covered_by s fields () = covered s fields
 
 let remove_matching t ~fields =
   band_filter t covered fields;
   Flow_tbl.filter_map_inplace
     (fun _ b ->
-      match cull t (fun s -> covered s fields) b with [] -> None | b -> Some b)
+      match cull t covered_by fields () b with [] -> None | b -> Some b)
     t.buckets;
   compact t
 
@@ -334,13 +338,14 @@ let rec expire_due t now_ns n =
     let s = Sim.Heap.take t.deadlines in
     if not s.alive then expire_due t now_ns n
     else
-      match deadline_of s.entry with
-      | Some d when now_ns > d ->
-          drop_slot t s;
-          expire_due t now_ns (n + 1)
-      | Some _ | None ->
-          push_deadline t s;
-          expire_due t now_ns n
+      if now_ns > deadline_of s.entry then begin
+        drop_slot t s;
+        expire_due t now_ns (n + 1)
+      end
+      else begin
+        push_deadline t s;
+        expire_due t now_ns n
+      end
 
 let expire t ~now =
   let evicted = expire_due t (Sim.Time.to_ns now) 0 in

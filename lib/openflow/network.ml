@@ -11,6 +11,8 @@ type host_state = {
   h_rx : Packet.t -> unit;
 }
 
+type egress = { mutable packets : int; mutable bytes : int }
+
 type t = {
   engine : Sim.Engine.t;
   topology : Topology.t;
@@ -21,7 +23,7 @@ type t = {
   controllers : (controller_id, Message.to_controller -> unit) Hashtbl.t;
   domains : (Message.switch_id, controller_id) Hashtbl.t;
   trace : Sim.Trace.t;
-  egress : (Topology.node * int, int * int) Hashtbl.t; (* packets, bytes *)
+  egress : (Topology.node * int, egress) Hashtbl.t;
   mutable delivered : int;
   mutable dropped : int;
   mutable packet_ins : int;
@@ -91,9 +93,12 @@ let record_actor t actor fmt =
     fmt
 
 let bump_egress t node port size =
-  let key = (node, port) in
-  let p, b = Option.value ~default:(0, 0) (Hashtbl.find_opt t.egress key) in
-  Hashtbl.replace t.egress key (p + 1, b + size)
+  match Hashtbl.find t.egress (node, port) with
+  | e ->
+      e.packets <- e.packets + 1;
+      e.bytes <- e.bytes + size
+  | exception Not_found ->
+      Hashtbl.add t.egress (node, port) { packets = 1; bytes = size }
 
 (* Forward declaration cycle: emitting out a port leads to arrival at the
    peer, which for a switch re-enters processing. *)
@@ -144,8 +149,7 @@ and arrive t ~(at : Topology.endpoint) pkt =
 and switch_rx t dpid ~in_port pkt =
   let sw = Hashtbl.find t.switches dpid in
   match Switch.process sw ~now:(Sim.Engine.now t.engine) ~in_port pkt with
-  | Switch.Forward ports ->
-      List.iter (fun p -> emit t ~from_node:(Topology.Sw dpid) ~port:p pkt) ports
+  | Switch.Forward ports -> emit_all t (Topology.Sw dpid) pkt ports
   | Switch.Dropped ->
       t.dropped <- t.dropped + 1;
       if Sim.Trace.enabled t.trace then
@@ -171,6 +175,12 @@ and switch_rx t dpid ~in_port pkt =
                 (Message.Packet_in
                    { Message.dpid; in_port; reason = `No_match; packet = pkt })))
 
+and emit_all t from_node pkt = function
+  | [] -> ()
+  | port :: rest ->
+      emit t ~from_node ~port pkt;
+      emit_all t from_node pkt rest
+
 let send_to_switch t dpid msg =
   if Sim.Trace.enabled t.trace then
     record_actor t "controller" "-> s%d %a" dpid Message.pp_to_switch msg;
@@ -178,10 +188,7 @@ let send_to_switch t dpid msg =
       let sw = Hashtbl.find t.switches dpid in
       match Switch.apply sw ~now:(Sim.Engine.now t.engine) msg with
       | Switch.Nothing -> ()
-      | Switch.Emit (ports, pkt) ->
-          List.iter
-            (fun p -> emit t ~from_node:(Topology.Sw dpid) ~port:p pkt)
-            ports
+      | Switch.Emit (ports, pkt) -> emit_all t (Topology.Sw dpid) pkt ports
       | Switch.Reply reply -> (
           match controller_of t dpid with
           | None -> ()
@@ -216,6 +223,11 @@ let host_ip t name = (host_state t name).h_ip
 
 let host_by_ip t ip = Ip_tbl.find_opt t.host_of_ip ip
 
+let iter_path t ~src ~dst f =
+  match (Ip_tbl.find t.host_of_ip src, Ip_tbl.find t.host_of_ip dst) with
+  | src, dst -> Topology.iter_path t.topology ~src ~dst f
+  | exception Not_found -> false
+
 let send_from_host t ~name pkt =
   let _ = host_state t name in
   if Sim.Trace.enabled t.trace then
@@ -242,7 +254,11 @@ let dropped t = t.dropped
 let packet_ins t = t.packet_ins
 
 let egress_packets t ~node ~port =
-  fst (Option.value ~default:(0, 0) (Hashtbl.find_opt t.egress (node, port)))
+  match Hashtbl.find_opt t.egress (node, port) with
+  | Some e -> e.packets
+  | None -> 0
 
 let egress_bytes t ~node ~port =
-  snd (Option.value ~default:(0, 0) (Hashtbl.find_opt t.egress (node, port)))
+  match Hashtbl.find_opt t.egress (node, port) with
+  | Some e -> e.bytes
+  | None -> 0

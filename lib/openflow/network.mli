@@ -65,6 +65,12 @@ val host_by_ip : t -> Ipv4.t -> string option
     {!attach_host}: O(1). Re-attaching a host under a new address drops
     its old one. *)
 
+val iter_path :
+  t -> src:Ipv4.t -> dst:Ipv4.t -> (Message.switch_id -> int -> unit) -> bool
+(** {!Topology.iter_path} between the hosts at two addresses: [f dpid
+    out_port] for each switch on the path, in order. False, with no
+    call, when either address is unknown or no path joins them. *)
+
 val send_from_host : t -> name:string -> Packet.t -> unit
 (** Inject a packet at a host's NIC; it reaches the edge switch after
     the access-link latency. *)

@@ -259,6 +259,8 @@ let next_hop_port t ~src ~dst =
   | None -> None
   | Some tree -> Option.map fst (Hashtbl.find_opt tree.parent src)
 
+let next_exn t ~src ~dst = Hashtbl.find (Hashtbl.find t.trees dst).parent src
+
 let next_hop_switch t ~src ~dst =
   match Hashtbl.find_opt t.trees dst with
   | None -> None

@@ -17,7 +17,7 @@ let table ?(id = 0) t = t.tables.(id)
 
 type forward_decision = Forward of int list | Send_to_controller | Dropped
 
-let resolve_actions t ~in_port actions =
+let resolve_list t ~in_port actions =
   if Action.is_drop actions then Dropped
   else if List.exists (function Action.To_controller -> true | _ -> false) actions
   then Send_to_controller
@@ -31,6 +31,13 @@ let resolve_actions t ~in_port actions =
         actions
     in
     if ports = [] then Dropped else Forward (List.sort_uniq Int.compare ports)
+
+(* A single output, the entry controllers install on a path, needs no
+   merging. *)
+let resolve_actions t ~in_port actions =
+  match actions with
+  | [ Action.Output p ] -> Forward [ p ]
+  | _ -> resolve_list t ~in_port actions
 
 (* Look the packet up in table [id] and in the later tables its
    entries jump to; a miss in any of them punts. *)

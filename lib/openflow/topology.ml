@@ -22,6 +22,8 @@ type t = {
      subsequent mutation (see Routing). *)
   mutable routing : Routing.t option;
   mutable hooks : (unit -> unit) list;  (* in registration order *)
+  attachments : (string, endpoint) Hashtbl.t;
+      (* host -> its primary attachment, kept by [link] and [unlink] *)
 }
 
 let create () =
@@ -33,6 +35,7 @@ let create () =
     epoch = 0;
     routing = None;
     hooks = [];
+    attachments = Hashtbl.create 64;
   }
 
 let epoch t = t.epoch
@@ -75,6 +78,19 @@ let add_port t node port =
 let drop_port t node port =
   Hashtbl.replace t.ports node (List.filter (( <> ) port) (ports_of t node))
 
+(* A host's primary attachment is its lowest-numbered port, which the
+   sorted ports list puts first. *)
+let refresh_attachment t = function
+  | Sw _ -> ()
+  | Host name as n -> (
+      match ports_of t n with
+      | port :: _ -> (
+          match Hashtbl.find_opt t.wiring (n, port) with
+          | Some (({ node = Sw _; _ } as ep), _) ->
+              Hashtbl.replace t.attachments name ep
+          | Some _ | None -> Hashtbl.remove t.attachments name)
+      | [] -> Hashtbl.remove t.attachments name)
+
 (* Link latencies weight the shortest-path computation; clamp to at
    least 1ns so parent chains strictly descend and stay loop-free even
    under zero-latency links. *)
@@ -99,6 +115,8 @@ let link t ?(latency = Sim.Time.us 10) (na, pa) (nb, pb) =
   Hashtbl.replace t.wiring (nb, pb) (a, latency);
   add_port t na pa;
   add_port t nb pb;
+  refresh_attachment t na;
+  refresh_attachment t nb;
   (match (t.routing, na, nb) with
   | Some r, Sw u, Sw v ->
       Routing.link_up r (u, pa) (v, pb) ~weight:(weight_of latency)
@@ -116,6 +134,8 @@ let unlink t (n, p) =
       Hashtbl.remove t.wiring (far.node, far.port);
       drop_port t n p;
       drop_port t far.node far.port;
+      refresh_attachment t n;
+      refresh_attachment t far.node;
       t.links <-
         List.filter
           (fun l ->
@@ -156,15 +176,7 @@ let peer t node port =
 
 let wire t node port = Hashtbl.find_opt t.wiring (node, port)
 
-let host_attachment t name =
-  (* The ports list is sorted, so a multihomed host's primary
-     attachment is its lowest-numbered port. *)
-  match ports_of t (Host name) with
-  | [] -> None
-  | port :: _ -> (
-      match Hashtbl.find_opt t.wiring (Host name, port) with
-      | Some (ep, _) -> ( match ep.node with Sw _ -> Some ep | Host _ -> None)
-      | None -> None)
+let host_attachment t name = Hashtbl.find_opt t.attachments name
 
 let ensure_routing t =
   match t.routing with
@@ -198,39 +210,57 @@ let next_hop t ~from ~dst_host =
       | Sw d -> Routing.next_hop_port (ensure_routing t) ~src:from ~dst:d
       | Host _ -> None)
 
+let sw_of ep = match ep.node with Sw d -> d | Host _ -> assert false
+
+(* Whether the next-hop chain from [cur] reaches [dst] within [limit]
+   steps. *)
+let rec reaches r cur dst limit =
+  cur = dst
+  || limit > 0
+     &&
+     match Routing.next_exn r ~src:cur ~dst with
+     | _, via -> reaches r via dst (limit - 1)
+     | exception Not_found -> false
+
+let rec walk r cur dst last_port f =
+  if cur = dst then f cur last_port
+  else
+    let out, via = Routing.next_exn r ~src:cur ~dst in
+    f cur out;
+    walk r via dst last_port f
+
+let iter_path t ~src ~dst f =
+  src <> dst
+  &&
+  match (Hashtbl.find t.attachments src, Hashtbl.find t.attachments dst) with
+  | a, b ->
+      let a_sw = sw_of a and b_sw = sw_of b in
+      if a_sw = b_sw then begin
+        f a_sw b.port;
+        true
+      end
+      else
+        let r = ensure_routing t in
+        reaches r a_sw b_sw (Routing.switch_count r)
+        && begin
+             walk r a_sw b_sw b.port f;
+             true
+           end
+  | exception Not_found -> false
+
+(* Each hop's ingress port is the far end of the previous hop's output. *)
 let switch_path t ~src ~dst =
   if src = dst then Some []
   else
-    match (host_attachment t src, host_attachment t dst) with
-    | Some a, Some b -> (
-        let sw_of ep =
-          match ep.node with Sw d -> d | Host _ -> assert false
-        in
-        let a_sw = sw_of a and b_sw = sw_of b in
-        if a_sw = b_sw then Some [ (a_sw, a.port, b.port) ]
-        else
-          let r = ensure_routing t in
-          let limit = Routing.switch_count r in
-          let rec walk cur in_port steps acc =
-            if steps > limit then None
-            else if cur = b_sw then
-              Some (List.rev ((cur, in_port, b.port) :: acc))
-            else
-              match Routing.next_hop_port r ~src:cur ~dst:b_sw with
-              | None -> None
-              | Some out -> (
-                  match peer t (Sw cur) out with
-                  | Some far ->
-                      walk
-                        (match far.node with
-                        | Sw d -> d
-                        | Host _ -> assert false)
-                        far.port (steps + 1)
-                        ((cur, in_port, out) :: acc)
-                  | None -> None)
-          in
-          walk a_sw a.port 0 [])
-    | _ -> None
+    let hops = ref [] in
+    let in_port =
+      ref (match host_attachment t src with Some a -> a.port | None -> 0)
+    in
+    let add dpid out =
+      hops := (dpid, !in_port, out) :: !hops;
+      Option.iter (fun far -> in_port := far.port) (peer t (Sw dpid) out)
+    in
+    if iter_path t ~src ~dst add then Some (List.rev !hops) else None
 
 let pp ppf t =
   Format.fprintf ppf "topology: %d switches, %d hosts, %d links@."

@@ -79,6 +79,12 @@ val switch_path :
     Minimizes total link latency; O(path length) over the precomputed
     next-hop tables. *)
 
+val iter_path :
+  t -> src:string -> dst:string -> (Message.switch_id -> int -> unit) -> bool
+(** [iter_path t ~src ~dst f] calls [f dpid out_port] for each switch on
+    the path {!switch_path} lists, in order, without building a list.
+    False, with no call, when there is no path or [src = dst]. *)
+
 val next_hop : t -> from:Message.switch_id -> dst_host:string -> int option
 (** The output port at switch [from] on a shortest path toward
     [dst_host]; [None] when unreachable. Used by transit controllers to

@@ -6,9 +6,22 @@ type t = {
   dicts : (string * (string * string) list) list;
   rules : Ast.rule list;
   intercepts : Ast.intercept list;
+  spec_lists : (string, Items.t) Hashtbl.t;
+  multi_lists : (string, Items.t) Hashtbl.t;
+      (* The lists [member] and [includes] take from the policy itself,
+         split once, by their text. *)
 }
 
-let empty = { macros = []; tables = []; dicts = []; rules = []; intercepts = [] }
+let empty =
+  {
+    macros = [];
+    tables = [];
+    dicts = [];
+    rules = [];
+    intercepts = [];
+    spec_lists = Hashtbl.create 1;
+    multi_lists = Hashtbl.create 1;
+  }
 
 let ( let* ) = Result.bind
 
@@ -101,7 +114,32 @@ let build decls =
             Ok ())
       (Ok ()) intercepts
   in
-  Ok { macros; tables; dicts; rules; intercepts }
+  (* The text of a policy-written argument; [None] for an answer's, or
+     an undefined name (evaluation reports that). *)
+  let text = function
+    | Ast.Lit s -> Some s
+    | Ast.Macro_ref name -> List.assoc_opt name macros
+    | Ast.Dict_access { dict = "src" | "dst"; _ } -> None
+    | Ast.Dict_access { dict; key; _ } ->
+        Option.bind (List.assoc_opt dict dicts) (List.assoc_opt key)
+  in
+  let spec_lists = Hashtbl.create 8 and multi_lists = Hashtbl.create 8 in
+  let split table of_text arg =
+    match text arg with
+    | Some s when not (Hashtbl.mem table s) -> Hashtbl.add table s (of_text s)
+    | Some _ | None -> ()
+  in
+  List.iter
+    (fun (r : Ast.rule) ->
+      List.iter
+        (fun (fc : Ast.funcall) ->
+          match (fc.fname, fc.args) with
+          | "member", [ _; l ] -> split spec_lists Items.of_spec l
+          | "includes", [ l; _ ] -> split multi_lists Items.of_multi l
+          | _ -> ())
+        r.Ast.conds)
+    rules;
+  Ok { macros; tables; dicts; rules; intercepts; spec_lists; multi_lists }
 
 let build_exn decls =
   match build decls with Ok t -> t | Error e -> invalid_arg e
@@ -114,6 +152,15 @@ let rules t = t.rules
 let intercepts t = t.intercepts
 let macro t name = List.assoc_opt name t.macros
 let table t name = List.assoc_opt name t.tables
+
+let rec assoc_exn name = function
+  | [] -> raise Not_found
+  | (k, v) :: rest -> if String.equal k name then v else assoc_exn name rest
+
+let macro_exn t name = assoc_exn name t.macros
+let table_exn t name = assoc_exn name t.tables
+let spec_list t s = Hashtbl.find t.spec_lists s
+let multi_list t s = Hashtbl.find t.multi_lists s
 let dict t name = List.assoc_opt name t.dicts
 
 let dict_value t ~dict:dname ~key =

@@ -31,6 +31,23 @@ val referenced_keys : t -> string list
 val macro : t -> string -> string option
 val table : t -> string -> Prefix.t list option
 val dict : t -> string -> (string * string) list option
+
+val macro_exn : t -> string -> string
+val table_exn : t -> string -> Prefix.t list
+(** {!macro} and {!table} without the option: they allocate nothing.
+    @raise Not_found for an undefined name. *)
+
+val spec_list : t -> string -> Items.t
+(** The split form of a list spec that some rule passes to [member] as
+    its second argument: a literal, a macro's value or a [dict] entry.
+    Split once per environment, so a reload that changes the text
+    changes the list. Allocates nothing.
+    @raise Not_found for any other text, such as an answer's. *)
+
+val multi_list : t -> string -> Items.t
+(** {!spec_list} for the multi-values rules pass to [includes] as its
+    first argument. *)
+
 val dict_value : t -> dict:string -> key:string -> string option
 val table_names : t -> string list
 val empty : t

@@ -8,11 +8,14 @@ type ctx = {
 }
 
 let ctx ?src ?dst ?keystore ?functions () =
+  (* Defaults are built only when missing: [Option.value ~default]
+     would build them on every call. *)
   {
     src;
     dst;
-    keystore = Option.value ~default:(Idcrypto.Sign.keystore ()) keystore;
-    functions = Option.value ~default:(Fnreg.create ()) functions;
+    keystore =
+      (match keystore with Some k -> k | None -> Idcrypto.Sign.keystore ());
+    functions = (match functions with Some f -> f | None -> Fnreg.create ());
   }
 
 type verdict = {
@@ -54,119 +57,143 @@ let parse_rules_cached text =
       Queue.add text allowed_cache_order;
       r
 
-let response_of ctx name =
-  match name with
-  | "src" -> Some ctx.src
-  | "dst" -> Some ctx.dst
-  | _ -> None
+(* Marks an argument that does not resolve (missing key, absent
+   response). Compared physically: no string a policy or an answer
+   holds is this one. *)
+let unresolved = String.make 1 '\000'
 
-let arg_value env ctx (arg : Ast.arg) =
+let resolved v = v != unresolved
+
+(* A response's value for [key], or {!unresolved}: the latest binding,
+   or with [star] every binding joined by commas. *)
+let answer_value ~star key = function
+  | None -> unresolved
+  | Some r -> (
+      if star then
+        match Identxx.Response.all_values r key with
+        | [] -> unresolved
+        | vs -> String.concat "," vs
+      else
+        match Identxx.Response.latest r key with
+        | Some v -> v
+        | None -> unresolved)
+
+(* An argument's value, or {!unresolved}. *)
+let value env ctx (arg : Ast.arg) =
   match arg with
-  | Ast.Lit s -> Some s
+  | Ast.Lit s -> s
   | Ast.Macro_ref name -> (
-      match Env.macro env name with
-      | Some v -> Some v
-      | None -> error "undefined macro $%s" name)
-  | Ast.Dict_access { star; dict; key } -> (
-      match response_of ctx dict with
-      | Some response -> (
-          match response with
-          | None -> None
-          | Some r ->
-              if star then
-                match Identxx.Response.all_values r key with
-                | [] -> None
-                | vs -> Some (String.concat "," vs)
-              else Identxx.Response.latest r key)
-      | None -> (
-          match Env.dict env dict with
-          | Some entries -> List.assoc_opt key entries
-          | None -> error "undefined dictionary @%s" dict))
+      match Env.macro_exn env name with
+      | v -> v
+      | exception Not_found -> error "undefined macro $%s" name)
+  | Ast.Dict_access { star; dict = "src"; key } -> answer_value ~star key ctx.src
+  | Ast.Dict_access { star; dict = "dst"; key } -> answer_value ~star key ctx.dst
+  | Ast.Dict_access { dict; key; _ } -> (
+      match Env.dict env dict with
+      | Some entries -> (
+          match List.assoc_opt key entries with
+          | Some v -> v
+          | None -> unresolved)
+      | None -> error "undefined dictionary @%s" dict)
 
-(* "{ http ssh }" or a bare word: the list forms member() accepts. *)
-let parse_list_spec spec =
-  let spec = String.trim spec in
-  let inner =
-    if String.length spec >= 2 && spec.[0] = '{'
-       && spec.[String.length spec - 1] = '}' then
-      String.sub spec 1 (String.length spec - 2)
-    else spec
-  in
-  String.split_on_char ' ' inner
-  |> List.concat_map (String.split_on_char ',')
-  |> List.map String.trim
-  |> List.filter (fun s -> s <> "")
+let arg_value env ctx arg =
+  let v = value env ctx arg in
+  if resolved v then Some v else None
 
-let split_multi v =
-  String.split_on_char ',' v |> List.map String.trim
-  |> List.filter (fun s -> s <> "")
+let is_digit c = c >= '0' && c <= '9'
 
-let as_int s = int_of_string_opt (String.trim s)
+(* [int_of_string_opt] after a trim, which reads only a sign or a digit
+   first: other strings skip the conversion and its exception. *)
+let as_int s =
+  let s = String.trim s in
+  if s <> "" && (is_digit s.[0] || s.[0] = '-' || s.[0] = '+') then
+    int_of_string_opt s
+  else None
 
 let numeric_cmp op a b =
-  match (a, b) with
-  | Some a, Some b -> (
-      match (as_int a, as_int b) with
-      | Some x, Some y -> op (compare x y) 0
-      | _ -> false)
+  match (as_int a, as_int b) with
+  | Some x, Some y -> op (compare x y) 0
   | _ -> false
 
-let rec eval_funcall ~depth env ctx flow (fc : Ast.funcall) =
-  let values () = List.map (arg_value env ctx) fc.args in
-  let arity n =
-    if List.length fc.args <> n then
-      error "%s expects %d arguments, got %d (line use)" fc.fname n
-        (List.length fc.args)
-  in
-  match fc.fname with
+(* A two-argument builtin over resolved values. [member(v, l)]: some
+   item of [v] is in [l]; [includes(l, x)]: [x] is an item of [l]. A
+   list the policy wrote is split already; an answer's is walked in
+   place. *)
+let binary env name a b =
+  match name with
   | "eq" -> (
-      arity 2;
-      match values () with
-      | [ Some a; Some b ] -> (
-          match (as_int a, as_int b) with
-          | Some x, Some y -> x = y
-          | _ -> String.equal a b)
-      | _ -> false)
-  | "gt" ->
-      arity 2;
-      (match values () with [ a; b ] -> numeric_cmp ( > ) a b | _ -> false)
-  | "lt" ->
-      arity 2;
-      (match values () with [ a; b ] -> numeric_cmp ( < ) a b | _ -> false)
-  | "gte" ->
-      arity 2;
-      (match values () with [ a; b ] -> numeric_cmp ( >= ) a b | _ -> false)
-  | "lte" ->
-      arity 2;
-      (match values () with [ a; b ] -> numeric_cmp ( <= ) a b | _ -> false)
+      match (as_int a, as_int b) with
+      | Some x, Some y -> x = y
+      | _ -> String.equal a b)
+  | "gt" -> numeric_cmp ( > ) a b
+  | "lt" -> numeric_cmp ( < ) a b
+  | "gte" -> numeric_cmp ( >= ) a b
+  | "lte" -> numeric_cmp ( <= ) a b
   | "member" -> (
-      arity 2;
-      match values () with
-      | [ Some v; Some spec ] ->
-          let members = parse_list_spec spec in
-          List.exists (fun x -> List.mem x members) (split_multi v)
-      | _ -> false)
-  | "includes" -> (
-      arity 2;
-      match values () with
-      | [ Some v; Some item ] -> List.mem item (split_multi v)
+      match Env.spec_list env b with
+      | items -> Items.any_in a items
+      | exception Not_found -> Items.any_in_spec a b)
+  | _ (* includes *) -> (
+      match Env.multi_list env a with
+      | items -> Items.mem items b
+      | exception Not_found -> Items.has a b)
+
+let rec in_prefixes ip = function
+  | [] -> false
+  | p :: rest -> Prefix.mem ip p || in_prefixes ip rest
+
+(* Stands for "no rule matched yet"; compared physically. *)
+let no_rule =
+  {
+    Ast.action = Ast.Pass;
+    quick = false;
+    log = false;
+    proto = None;
+    from_ = Ast.endpoint_any;
+    to_ = Ast.endpoint_any;
+    conds = [];
+    keep_state = false;
+    line = 0;
+  }
+
+let default_verdict decision =
+  { decision; matched = None; keep_state = false; log = false }
+
+let default_pass = default_verdict Ast.Pass
+let default_block = default_verdict Ast.Block
+
+let arity (fc : Ast.funcall) n =
+  if List.length fc.args <> n then
+    error "%s expects %d arguments, got %d (line use)" fc.fname n
+      (List.length fc.args)
+
+let rec eval_funcall ~depth env ctx flow (fc : Ast.funcall) =
+  match fc.fname with
+  | "eq" | "gt" | "lt" | "gte" | "lte" | "member" | "includes" -> (
+      arity fc 2;
+      (* Read straight off the call: only a user function receives its
+         arguments as a list. *)
+      match fc.args with
+      | [ a; b ] ->
+          let a = value env ctx a in
+          let b = value env ctx b in
+          resolved a && resolved b && binary env fc.fname a b
       | _ -> false)
   | "verify" -> (
       if List.length fc.args < 3 then
         error "verify expects at least 3 arguments";
-      match values () with
-      | Some signature :: Some public :: data ->
-          if List.exists Option.is_none data then false
-          else
-            Idcrypto.Sign.verify ctx.keystore ~public ~signature
-              (List.map Option.get data)
+      match List.map (value env ctx) fc.args with
+      | signature :: public :: data ->
+          resolved signature && resolved public
+          && List.for_all resolved data
+          && Idcrypto.Sign.verify ctx.keystore ~public ~signature data
       | _ -> false)
   | "allowed" -> (
-      arity 1;
+      arity fc 1;
       if depth >= allowed_depth_limit then
         error "allowed() nesting exceeds depth %d" allowed_depth_limit;
-      match values () with
-      | [ Some rules_text ] -> (
+      match List.map (value env ctx) fc.args with
+      | [ rules_text ] when resolved rules_text -> (
           match parse_rules_cached rules_text with
           | Error e -> error "allowed(): %s" e
           | Ok rules ->
@@ -179,7 +206,7 @@ let rec eval_funcall ~depth env ctx flow (fc : Ast.funcall) =
       | _ -> false)
   | name -> (
       match Fnreg.find ctx.functions name with
-      | Some fn -> fn (values ())
+      | Some fn -> fn (List.map (arg_value env ctx) fc.args)
       | None -> error "unknown function %s" name)
 
 and addr_matches env (spec : Ast.addr_spec) ip =
@@ -188,10 +215,10 @@ and addr_matches env (spec : Ast.addr_spec) ip =
     | Ast.Addr_any -> true
     | Ast.Addr_prefix p -> Prefix.mem ip p
     | Ast.Addr_table name -> (
-        match Env.table env name with
-        | Some prefixes -> List.exists (Prefix.mem ip) prefixes
-        | None -> error "unknown table <%s>" name)
-    | Ast.Addr_list prefixes -> List.exists (Prefix.mem ip) prefixes
+        match Env.table_exn env name with
+        | prefixes -> in_prefixes ip prefixes
+        | exception Not_found -> error "unknown table <%s>" name)
+    | Ast.Addr_list prefixes -> in_prefixes ip prefixes
   in
   if spec.negated then not base else base
 
@@ -209,25 +236,34 @@ and rule_matches ~depth env ctx (flow : Five_tuple.t) (rule : Ast.rule) =
   | Some p -> Proto.equal p flow.proto)
   && endpoint_matches env rule.from_ flow.src flow.src_port
   && endpoint_matches env rule.to_ flow.dst flow.dst_port
-  && List.for_all (eval_funcall ~depth env ctx flow) rule.conds
+  && conds_hold ~depth env ctx flow rule.conds
+
+and conds_hold ~depth env ctx flow = function
+  | [] -> true
+  | fc :: rest ->
+      eval_funcall ~depth env ctx flow fc && conds_hold ~depth env ctx flow rest
+
+(* The last matching rule from [rules] on, [last] when none matches
+   ({!no_rule} before the first match); a [quick] match ends the walk. *)
+and deciding_rule ~depth env ctx flow last = function
+  | [] -> last
+  | rule :: rest ->
+      if rule_matches ~depth env ctx flow rule then
+        if rule.Ast.quick then rule
+        else deciding_rule ~depth env ctx flow rule rest
+      else deciding_rule ~depth env ctx flow last rest
 
 and eval_rules ~depth ~default env ctx flow rules =
-  let rec go last = function
-    | [] -> last
-    | rule :: rest ->
-        if rule_matches ~depth env ctx flow rule then
-          let verdict =
-            {
-              decision = rule.Ast.action;
-              matched = Some rule;
-              keep_state = rule.Ast.keep_state;
-              log = rule.Ast.log;
-            }
-          in
-          if rule.Ast.quick then verdict else go verdict rest
-        else go last rest
-  in
-  go { decision = default; matched = None; keep_state = false; log = false } rules
+  let rule = deciding_rule ~depth env ctx flow no_rule rules in
+  if rule == no_rule then
+    match default with Ast.Pass -> default_pass | Ast.Block -> default_block
+  else
+    {
+      decision = rule.Ast.action;
+      matched = Some rule;
+      keep_state = rule.Ast.keep_state;
+      log = rule.Ast.log;
+    }
 
 let eval ?(default = Ast.Pass) env ctx flow =
   try Ok (eval_rules ~depth:0 ~default env ctx flow (Env.rules env))

@@ -971,6 +971,123 @@ let prop_wire_decoders_total =
       | Ok _ | Error _ -> true
       | exception _ -> false)
 
+(* --- member() and includes() lists ---
+
+   The evaluator splits a list the policy writes once per environment
+   and walks an answer's value in place. The oracle is the per-call
+   splitting it replaced. *)
+
+let parse_list_spec spec =
+  let spec = String.trim spec in
+  let inner =
+    if String.length spec >= 2 && spec.[0] = '{'
+       && spec.[String.length spec - 1] = '}' then
+      String.sub spec 1 (String.length spec - 2)
+    else spec
+  in
+  String.split_on_char ' ' inner
+  |> List.concat_map (String.split_on_char ',')
+  |> List.map String.trim
+  |> List.filter (fun s -> s <> "")
+
+let split_multi v =
+  String.split_on_char ',' v |> List.map String.trim
+  |> List.filter (fun s -> s <> "")
+
+let oracle_member v spec =
+  let members = parse_list_spec spec in
+  List.exists (fun x -> List.mem x members) (split_multi v)
+
+let oracle_includes l x = List.mem x (split_multi l)
+
+(* Strings over a few item names and every character the splitters
+   treat specially: braces, commas, blanks (repeated, so items come out
+   empty) and the other characters [String.trim] drops. *)
+let list_text_gen =
+  QCheck.Gen.(
+    map (String.concat "")
+      (list_size (int_range 0 12)
+         (oneofl [ "a"; "b"; "ab"; "{"; "}"; ","; ","; " "; " "; "  "; "\t"; "\012" ])))
+
+let list_text = QCheck.make ~print:(Printf.sprintf "%S") list_text_gen
+
+let prop_member_items_match_oracle =
+  QCheck.Test.make ~name:"split lists give the per-call verdicts" ~count:2000
+    (QCheck.triple list_text list_text list_text) (fun (v, spec, item) ->
+      let expected = oracle_member v spec in
+      Pf.Items.any_in v (Pf.Items.of_spec spec) = expected
+      && Pf.Items.any_in_spec v spec = expected
+      && Pf.Items.to_list (Pf.Items.of_spec spec)
+         = List.sort_uniq String.compare (parse_list_spec spec)
+      && Pf.Items.mem (Pf.Items.of_multi v) item = oracle_includes v item
+      && Pf.Items.has v item = oracle_includes v item)
+
+(* The same through the evaluator: the policy's lists are a macro the
+   environment pre-splits, the values an answer's. *)
+let prop_policy_lists_match_oracle =
+  QCheck.Test.make ~name:"pre-split policy lists give the per-call verdicts"
+    ~count:500 (QCheck.pair list_text list_text) (fun (l, v) ->
+      let env =
+        env_of
+          (Printf.sprintf
+             "l = \"%s\"\nblock all\npass all with member(@src[k], $l)\n\
+              pass all with includes($l, @dst[k])"
+             l)
+      in
+      let l = Option.get (Pf.Env.macro env "l") in
+      let f = flow "1.1.1.1" "2.2.2.2" in
+      let answer = response f [ [ ("k", v) ] ] in
+      (match Pf.Env.spec_list env l with
+       | _ -> true
+       | exception Not_found -> false)
+      && eval ~src:answer env f = oracle_member v l
+      && eval ~dst:answer env f = oracle_includes l v)
+
+(* An answer's list is walked where it sits: no split, no substring. *)
+let test_answer_lists_walked_in_place () =
+  let words f =
+    ignore (Sys.opaque_identity (f ()));
+    let before = Gc.minor_words () in
+    for _ = 1 to 100 do
+      ignore (Sys.opaque_identity (f ()))
+    done;
+    Gc.minor_words () -. before
+  in
+  let spec = "{ ssh, firefox  thunderbird }" and v = "dropbox , firefox" in
+  check_decision "member found" true (Pf.Items.any_in_spec v spec);
+  check_decision "item found" true (Pf.Items.has v "firefox");
+  Alcotest.(check (float 0.)) "member() against an answer's spec" 0.
+    (words (fun () -> Pf.Items.any_in_spec v spec));
+  Alcotest.(check (float 0.)) "includes() of an answer's value" 0.
+    (words (fun () -> Pf.Items.has v "firefox"))
+
+(* A reload that changes [$allowed] decides the very next flow by the
+   new list: no split from the old epoch survives. *)
+let test_reload_resplits_member_list () =
+  let module PS = Identxx_core.Policy_store in
+  let module D = Identxx_core.Decision in
+  let policy apps =
+    Printf.sprintf
+      "allowed = \"{ %s }\"\nblock all\npass all with member(@src[name], $allowed)"
+      apps
+  in
+  let store = PS.create () in
+  PS.add_exn store ~name:"00" (policy "firefox ssh");
+  let d = D.create ~policy:store () in
+  let f = flow "10.0.0.1" "10.0.0.2" in
+  let input =
+    {
+      D.flow = f;
+      src_response = Some (response f [ [ ("name", "skype") ] ]);
+      dst_response = None;
+    }
+  in
+  check_decision "skype not yet allowed" false (D.allows d input);
+  PS.add_exn store ~name:"00" (policy "firefox, skype");
+  check_decision "allowed after the reload" true (D.allows d input);
+  PS.add_exn store ~name:"00" (policy "firefox");
+  check_decision "blocked again after the next" false (D.allows d input)
+
 let () =
   let qc = List.map QCheck_alcotest.to_alcotest in
   Alcotest.run "pf"
@@ -1038,6 +1155,10 @@ let () =
           Alcotest.test_case "member multivalue" `Quick
             test_eval_member_multivalue;
           Alcotest.test_case "includes" `Quick test_eval_includes;
+          Alcotest.test_case "reload re-splits member list" `Quick
+            test_reload_resplits_member_list;
+          Alcotest.test_case "answer lists walked in place" `Quick
+            test_answer_lists_walked_in_place;
           Alcotest.test_case "verify" `Quick test_eval_verify;
           Alcotest.test_case "allowed" `Quick test_eval_allowed;
           Alcotest.test_case "allowed fail-closed" `Quick
@@ -1109,5 +1230,7 @@ let () =
             prop_wire_decoders_total;
             prop_precompile_sound;
             prop_config_render_roundtrip;
+            prop_member_items_match_oracle;
+            prop_policy_lists_match_oracle;
           ] );
     ]
