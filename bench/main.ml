@@ -978,33 +978,34 @@ let bench_daemon =
 (* --- sharded flow-setup: concurrent burst ------------------------------ *)
 
 (* The sharded engine's target workload: a burst of concurrent
-   table-miss flows converging on one hot host. [shards = None] is the
-   sequential baseline, which joins no queries; [Some n] partitions flow
-   setup across [n] run queues with query coalescing. [service] > 0
-   charges each shard a simulated per-message cost, so the run's
-   makespan (Controller.shard_makespan) models n controller cores —
-   the throughput series in BENCH_shard.json divides flows by it. *)
-let shard_burst ?(service = Sim.Time.zero) ~shards ~flows () =
+   table-miss flows converging on one hot host, with flow setup across
+   [shards] run queues. When the host [signed] its answers, its
+   listener's queries join one exchange; an unsigned host is asked once
+   per flow. [service] > 0 charges each shard a simulated per-message
+   cost, so the run's makespan (Controller.shard_makespan) models n
+   controller cores — the throughput series in BENCH_shard.json divides
+   flows by it. *)
+let shard_burst ?(service = Sim.Time.zero) ?(signed = true) ~shards ~flows () =
   let config =
     {
       C.default_config with
       (* Keep queue delay (flows x service on one shard) well under the
          timeout so the series measures throughput, not timeouts. *)
       C.query_timeout = Sim.Time.s 1;
-      C.shards = Option.map (C.sharded ~service) shards;
+      C.shards = Some (C.sharded ~service shards);
     }
   in
   let engine, network, controller, hosts =
     Deploy.linear_network ~config ~switches:4 ~hosts_per_switch:4 ()
   in
-  (* The policy reads both ends, and the target signs answers that
-     declare its listener's sections socket scope, so concurrent queries
-     to it may share one exchange. *)
+  (* The policy reads both ends. A signed target's answers declare its
+     listener's sections socket scope, so concurrent queries to it may
+     share one exchange. *)
   PS.add_exn (C.policy controller) ~name:"00"
     "block all\npass all with eq(@src[name], app) with eq(@dst[name], srv)";
   let n_hosts = Array.length hosts in
   let target = hosts.(0) in
-  ignore (Deploy.sign_host controller target);
+  if signed then ignore (Deploy.sign_host controller target);
   Identxx.Host.listen target
     ~proc:(Identxx.Host.run target ~user:"www" ~exe:"/bin/srv" ())
     ~port:80 ();
@@ -1031,9 +1032,8 @@ let bench_concurrent_burst =
       (Staged.stage (fun () -> ignore (shard_burst ~shards ~flows:256 ())))
   in
   [
-    mk "setup/concurrent-burst-sequential" None;
-    mk "setup/concurrent-burst-1shard" (Some 1);
-    mk "setup/concurrent-burst-4shard" (Some 4);
+    mk "setup/concurrent-burst-1shard" 1;
+    mk "setup/concurrent-burst-4shard" 4;
   ]
 
 (* --- observability ----------------------------------------------------- *)
@@ -1258,15 +1258,16 @@ let write_json file rows =
    burst with a 1 us simulated per-message cost, across shard counts —
    throughput is flows divided by the parallel makespan, all on the
    simulated clock, so the numbers are deterministic — plus the
-   coalescing series (the same hot-host burst unsharded, where no query
-   joins another, vs on 4 shards). *)
+   coalescing series (the same hot-host burst on 4 shards with a target
+   that does not sign, so no query joins another, and with one that
+   does). *)
 let run_shards_json file =
   let flows = 10_000 in
   let service = Sim.Time.us 1 in
   let series =
     List.map
       (fun n ->
-        let c = shard_burst ~shards:(Some n) ~service ~flows () in
+        let c = shard_burst ~shards:n ~service ~flows () in
         let st = C.stats c in
         let makespan = Sim.Time.to_float_s (C.shard_makespan c) in
         Printf.printf
@@ -1278,8 +1279,8 @@ let run_shards_json file =
       [ 1; 2; 4; 8 ]
   in
   let co_flows = 1_000 in
-  let co_off = shard_burst ~shards:None ~flows:co_flows () in
-  let co_on = shard_burst ~shards:(Some 4) ~flows:co_flows () in
+  let co_off = shard_burst ~signed:false ~shards:4 ~flows:co_flows () in
+  let co_on = shard_burst ~shards:4 ~flows:co_flows () in
   let q_off = (C.stats co_off).C.queries_sent in
   let q_on = (C.stats co_on).C.queries_sent in
   Printf.printf "coalescing: %d wire queries without, %d with (%d absorbed)\n%!"

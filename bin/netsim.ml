@@ -106,14 +106,13 @@ let print_summary ?(controllers = []) network =
           st.C.attr_cache_invalidations st.C.decision_cache_hits
           st.C.decision_cache_misses st.C.decision_cache_evictions
           st.C.breaker_trips st.C.breaker_fastpaths;
-      if (C.config c).C.shards <> None then
-        (* Wire exchanges, coalesced joins and flushes are functions of
-           the (deterministic) event order, not the shard count — only
-           the shard count itself varies here. *)
-        Format.printf
-          "%s: shards=%d wire-exchanges=%d coalesced=%d batch-flushes=%d@."
-          name (C.shard_count c) (C.wire_exchanges c) (C.coalesced_queries c)
-          (C.batch_flushes c))
+      (* Wire exchanges, coalesced joins and flushes are functions of
+         the (deterministic) event order, not the shard count — only the
+         shard count itself varies here. *)
+      Format.printf
+        "%s: shards=%d wire-exchanges=%d coalesced=%d batch-flushes=%d@." name
+        (C.shard_count c) (C.wire_exchanges c) (C.coalesced_queries c)
+        (C.batch_flushes c))
     controllers
 
 (* Machine-readable end-of-run report (same numbers as the summary), so
@@ -337,10 +336,10 @@ let fabric ~topo ~arm ~config ~obs ~spans ~mon () =
 
 (* A deterministic concurrent flow burst: 16 hosts on a 4-switch
    chain, every other host opening a flow to host 0 at t=0. All the
-   dst-end queries target host 0, so with --shards (coalescing on) the
-   15 concurrent misses share one wire exchange — the scenario the
-   sharded flow-setup engine exists for. With --topo the same
-   convergent burst runs over a generated fabric instead. *)
+   dst-end queries target host 0, so the 15 concurrent misses share one
+   wire exchange — the scenario the sharded flow-setup engine exists
+   for. With --topo the same convergent burst runs over a generated
+   fabric instead. *)
 let burst ?fab ~arm ~config ~obs ~spans ~mon () =
   let engine, network, controller, hosts =
     match fab with
@@ -544,13 +543,12 @@ let () =
   in
   let shards =
     Arg.(
-      value & opt int 0
+      value & opt int 1
       & info [ "shards" ] ~docv:"N"
-          ~doc:"Partition flow setup across N shards with query coalescing \
-                and batched installs (see DESIGN.md \xc2\xa712). 0 (the \
-                default) runs one shard without coalescing or shard \
-                series. Shards are run queues only: counters, caches and \
-                the --json report are the controller's, so the numbers \
+          ~doc:"Partition flow setup across N (at least 1) shards with \
+                query coalescing and batched installs (see DESIGN.md \
+                \xc2\xa712). Shards are run queues only: counters, caches \
+                and the --json report are the controller's, so the numbers \
                 are shard-count invariant.")
   in
   let health =
@@ -594,8 +592,8 @@ let () =
       prerr_endline "netsim: --trace-sample must be in [0, 1]";
       exit 1
     end;
-    if shards < 0 then begin
-      prerr_endline "netsim: --shards must be >= 0";
+    if shards < 1 then begin
+      prerr_endline "netsim: --shards must be >= 1";
       exit 1
     end;
     (match health with
@@ -652,7 +650,7 @@ let () =
                breaker_threshold;
                breaker_backoff = Sim.Time.of_float_s breaker_backoff;
              });
-        C.shards = (if shards = 0 then None else Some (C.sharded shards));
+        C.shards = Some (C.sharded shards);
       }
     in
     with_capture pcap (fun arm ->

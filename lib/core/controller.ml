@@ -7,6 +7,9 @@ module Log = (val Logs.src_log src : Logs.LOG)
 module Topo = Openflow.Topology
 module Msg = Openflow.Message
 
+(* Per-flow debug lines build their closures only at debug level. *)
+let debug_on () = Logs.Src.level src = Some Logs.Debug
+
 (* The sharded flow-setup engine (DESIGN.md §12): run queues only, every
    table and counter stays the controller's. [shard_service] is the
    simulated per-message cost each shard pays; zero keeps behaviour
@@ -39,7 +42,6 @@ let default_config =
        Figure-1 exchange for every table-miss flow. *)
     fastpath = Fastpath.disabled;
     proactive = false;
-    (* One shard that joins no queries, and no shard series. *)
     shards = None;
   }
 
@@ -183,9 +185,8 @@ let make_metrics reg ~labels =
         "identxx_controller_query_rtt_seconds";
   }
 
-(* Instruments of the proactive flow-table compiler; only registered
-   when [config.proactive] is set, so the default metric exposition is
-   unchanged. *)
+(* Instruments of the proactive flow-table compiler, which every
+   policy change runs. *)
 type pro_metrics = {
   pc_recompiles : Obs.Registry.Counter.t;
   pc_delta_add : Obs.Registry.Counter.t;
@@ -258,7 +259,7 @@ type t = {
       (* The guards were sent since the last forced sync. *)
   routes : (Msg.switch_id, (Ipv4.t * int) list) Hashtbl.t;
       (* Per switch, the table-1 routes sent: host address, port. *)
-  pm : pro_metrics option; (* Some iff cfg.proactive. *)
+  pm : pro_metrics;
   nonces : Sim.Prng.t;
       (* Query nonces: seeded, so runs stay deterministic. *)
 }
@@ -267,8 +268,7 @@ let policy t = t.policy
 let recorder t = t.recorder
 let fastpath t = t.fp
 
-let shard_count t =
-  match t.cfg.shards with Some s -> s.shard_count | None -> 1
+let shard_count t = Shard.Engine.shards t.shard_engine
 
 let metrics t = t.obs
 let spans t = t.spans
@@ -472,12 +472,13 @@ let apply_verdict ?(span = Obs.Span.null) ?started ?trace_id t ~flow
   Audit.record ?trace_id t.audit
     ~at:(Sim.Engine.now (Net.engine t.network))
     ~flow ~verdict ~src ~dst;
-  Log.debug (fun m ->
-      m "decision %s: %s%s" (Five_tuple.to_string flow)
-        (decision_name verdict.Pf.Eval.decision)
-        (match verdict.Pf.Eval.matched with
-        | Some r -> Printf.sprintf " (rule@%d)" r.Pf.Ast.line
-        | None -> " (default)"));
+  if debug_on () then
+    Log.debug (fun m ->
+        m "decision %s: %s%s" (Five_tuple.to_string flow)
+          (decision_name verdict.Pf.Eval.decision)
+          (match verdict.Pf.Eval.matched with
+          | Some r -> Printf.sprintf " (rule@%d)" r.Pf.Ast.line
+          | None -> " (default)"));
   let now_s = time_now_s t in
   (match started with
   | Some s -> Obs.Registry.Histogram.observe t.m.h_flow_setup (now_s -. s)
@@ -796,16 +797,12 @@ let issue_end t p end_ =
                        no other flow shares. *)
                     `Alone
                 | `Dst ->
-                    (* Only a sharded controller parks a query on the
-                       exchange in flight with the same socket, and only
-                       when the target is expected to declare its
-                       scope. *)
+                    (* A query parks on the exchange in flight with the
+                       same socket when the target is expected to
+                       declare its scope. *)
                     Fastpath.Answers.join t.answers
                       ~hints:(Query_plan.hint_key (policy_view t))
-                      ~flow
-                      ~joinable:
-                        (Option.is_some t.cfg.shards
-                        && declares_scope t target)
+                      ~flow ~joinable:(declares_scope t target)
                       { w_flow = flow; w_end = end_ }
               with
               | `Joined ->
@@ -954,19 +951,16 @@ let start_flow t ~dpid ~in_port pkt (flow : Five_tuple.t) =
         [
           ("flow", Five_tuple.to_string flow);
           ("trace-id", ctx.Obs.Trace_context.trace_id);
+          ("shard", string_of_int (shard_of t flow));
         ]
-      in
-      let attrs =
-        (* The flow's shard, when sharding was asked for. *)
-        if Option.is_none t.cfg.shards then attrs
-        else attrs @ [ ("shard", string_of_int (shard_of t flow)) ]
       in
       let sp = Obs.Span.start t.spans ~at:now_s ~sampled ~attrs "flow-setup" in
       (sp, Some ctx)
     end
     else (Obs.Span.null, None)
   in
-  Log.debug (fun m -> m "new flow %s at s%d" (Five_tuple.to_string flow) dpid);
+  if debug_on () then
+    Log.debug (fun m -> m "new flow %s at s%d" (Five_tuple.to_string flow) dpid);
   (* PF semantics: state matching precedes the ruleset. A flow covered
      by live keep-state (e.g. a reply whose cached entry idled out) is
      re-admitted without a fresh ident++ exchange. *)
@@ -1483,13 +1477,10 @@ let sync_proactive ?(force = false) t =
   List.iter
     (fun dpid -> List.iter (Net.send_to_switch t.network dpid) msgs)
     (Net.switches_in_domain t.network t.id);
-  (match t.pm with
-  | Some pm ->
-      Obs.Registry.Counter.inc pm.pc_recompiles;
-      Obs.Registry.Counter.add pm.pc_delta_add (List.length d.Compiler.d_add);
-      Obs.Registry.Counter.add pm.pc_delta_del (List.length d.Compiler.d_del);
-      Obs.Registry.Histogram.observe pm.ph_recompile (Sys.time () -. t0)
-  | None -> ());
+  Obs.Registry.Counter.inc t.pm.pc_recompiles;
+  Obs.Registry.Counter.add t.pm.pc_delta_add (List.length d.Compiler.d_add);
+  Obs.Registry.Counter.add t.pm.pc_delta_del (List.length d.Compiler.d_del);
+  Obs.Registry.Histogram.observe t.pm.ph_recompile (Sys.time () -. t0);
   Log.debug (fun m ->
       m "proactive sync: %d entries (%+d/-%d), coverage %.3f"
         (List.length cur.Compiler.entries)
@@ -1598,8 +1589,6 @@ let create ?(config = default_config) ?keystore ?functions ?obs ?spans
     match spans with Some s -> s | None -> Obs.Span.create ~enabled:false ()
   in
   let labels = [ ("controller", string_of_int id) ] in
-  (* No shard config means one shard; the span's shard attribute and the
-     shard series appear only when sharding was asked for. *)
   let sc = Option.value config.shards ~default:(sharded 1) in
   let shard_engine =
     Shard.Engine.create ~service:sc.shard_service ~shards:sc.shard_count
@@ -1645,7 +1634,7 @@ let create ?(config = default_config) ?keystore ?functions ?obs ?spans
       proactive_cache = Compiler.create_cache ();
       guarded = false;
       routes = Hashtbl.create 16;
-      pm = (if config.proactive then Some (make_pro_metrics obs ~labels) else None);
+      pm = make_pro_metrics obs ~labels;
       nonces = Sim.Prng.create (0x6e6f6e6365 + id);
     }
   in
@@ -1664,38 +1653,21 @@ let create ?(config = default_config) ?keystore ?functions ?obs ?spans
     ~labels:[ ("cause", "capacity") ]
     "identxx_trace_spans_dropped_total" (fun () ->
       Obs.Span.capacity_dropped spans);
-  if config.proactive then begin
-    Obs.Registry.gauge_fn obs
-      ~help:"Abstract entries in the installed proactive table." ~labels
-      "identxx_compiler_entries" (fun () ->
-        float_of_int (List.length t.proactive_tbl.Compiler.entries));
-    Obs.Registry.gauge_fn obs
-      ~help:"Branches spilled back to the reactive path." ~labels
-      "identxx_compiler_spilled_regions" (fun () ->
-        float_of_int (List.length t.proactive_tbl.Compiler.spills));
-    Obs.Registry.gauge_fn obs
-      ~help:"Flow-space volume decided by installed static entries." ~labels
-      "identxx_compiler_installed_coverage" (fun () ->
-        t.proactive_tbl.Compiler.installed_coverage)
-  end;
+  Obs.Registry.gauge_fn obs
+    ~help:"Abstract entries in the installed proactive table." ~labels
+    "identxx_compiler_entries" (fun () ->
+      float_of_int (List.length t.proactive_tbl.Compiler.entries));
+  Obs.Registry.gauge_fn obs ~help:"Branches spilled back to the reactive path."
+    ~labels "identxx_compiler_spilled_regions" (fun () ->
+      float_of_int (List.length t.proactive_tbl.Compiler.spills));
+  Obs.Registry.gauge_fn obs
+    ~help:"Flow-space volume decided by installed static entries." ~labels
+    "identxx_compiler_installed_coverage" (fun () ->
+      t.proactive_tbl.Compiler.installed_coverage);
   Fastpath.register_metrics t.fp ~labels obs;
   Fastpath.Answers.register_metrics answers ~labels obs;
-  if Option.is_some config.shards then begin
-    Shard.Engine.register_metrics shard_engine ~labels obs;
-    Shard.Batch.register_metrics batch ~labels obs;
-    Obs.Registry.counter_fn obs
-      ~help:"Wire exchanges actually begun by the answer table."
-      ~labels "identxx_shard_exchanges_total" (fun () ->
-        Fastpath.Answers.started answers);
-    Obs.Registry.counter_fn obs
-      ~help:"Duplicate in-flight queries absorbed by coalescing."
-      ~labels "identxx_shard_coalesced_queries_total" (fun () ->
-        Fastpath.Answers.coalesced answers);
-    Obs.Registry.gauge_fn obs
-      ~help:"Exchanges currently in flight across all daemon connections."
-      ~labels "identxx_shard_inflight_exchanges" (fun () ->
-        float_of_int (Fastpath.Answers.in_flight answers))
-  end;
+  Shard.Engine.register_metrics shard_engine ~labels obs;
+  Shard.Batch.register_metrics batch ~labels obs;
   Net.register_controller network ~id (handle_message t);
   wire_table_telemetry t;
   (* The compiled table goes in on the first policy change (or an

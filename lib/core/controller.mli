@@ -76,15 +76,16 @@ type config = {
   shards : shard_config option;
       (** Every controller runs flow setup on the shard engine: run
           queues by flow-key hash, flow-mod installs batched per tick.
-          [Some s] asks for [s.shard_count] run queues and labels each
-          flow's span with its shard; a destination query to a target
-          expected to sign then joins an exchange in flight with the
-          same socket ({!Fastpath.Answers}). The shards hold no state:
-          the pending table, fast path, answer table and metrics are
-          the controller's, so a verdict or a breaker trip is the same
-          whatever the shard count. [None] (the default) is exactly one
-          shard that joins no queries, and adds no span attribute or
-          [identxx_shard_*] series. See DESIGN.md §12. *)
+          [Some s] asks for [s.shard_count] run queues; [None] (the
+          default) is exactly [Some (sharded 1)]. Each flow's span names
+          its shard, and a destination query to a target expected to
+          sign joins an exchange in flight with the same socket
+          ({!Fastpath.Answers}). The shards hold no state: the pending
+          table, fast path, answer table and metrics are the
+          controller's, so a verdict or a breaker trip is the same
+          whatever the shard count. The field is an option only because
+          existing callers build it as [Some (sharded n)]. See DESIGN.md
+          §12. *)
 }
 
 val default_config : config
@@ -152,8 +153,7 @@ val fastpath : t -> Fastpath.t
     surface through {!stats}. *)
 
 val shard_count : t -> int
-(** Number of flow-setup run queues (1 when [config.shards] is
-    [None]). *)
+(** Number of flow-setup run queues. *)
 
 val decision : t -> Decision.t
 val keystore : t -> Idcrypto.Sign.keystore
@@ -265,13 +265,13 @@ val stats : t -> stats
 
 val coalesced_queries : t -> int
 (** Destination queries that joined an exchange in flight instead of
-    going on the wire (0 when unsharded). *)
+    going on the wire. *)
 
 val wire_exchanges : t -> int
 (** Exchanges opened in the answer table ({!Fastpath.Answers.started}):
     destination queries some other query could share, by joining them
-    (sharded, to a target expected to sign) or by reusing their settled
-    answer (the fast path on). A source answers for its own connection,
+    (to a target expected to sign) or by reusing their settled answer
+    (the fast path on). A source answers for its own connection,
     which no other flow shares, and never opens one. *)
 
 val batch_flushes : t -> int

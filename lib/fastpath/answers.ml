@@ -240,4 +240,14 @@ let register_metrics t ?(labels = []) reg =
   Obs.Registry.gauge_fn reg ~help:"Entries currently held by the cache."
     ~labels:(labels @ [ ("cache", "attr") ])
     "identxx_fastpath_cache_size"
-    (fun () -> float_of_int t.settled)
+    (fun () -> float_of_int t.settled);
+  Obs.Registry.counter_fn reg
+    ~help:"Wire exchanges actually begun by the answer table." ~labels
+    "identxx_shard_exchanges_total" (fun () -> t.started);
+  Obs.Registry.counter_fn reg
+    ~help:"Duplicate in-flight queries absorbed by coalescing." ~labels
+    "identxx_shard_coalesced_queries_total" (fun () -> t.coalesced);
+  Obs.Registry.gauge_fn reg
+    ~help:"Exchanges currently in flight across all daemon connections."
+    ~labels "identxx_shard_inflight_exchanges" (fun () ->
+      float_of_int (in_flight t))

@@ -134,7 +134,11 @@ val invalidations : 'w t -> int
 
 val register_metrics :
   'w t -> ?labels:(string * string) list -> Obs.Registry.t -> unit
-(** Register the settled entries' series, [cache="attr"] in
+(** Register the table's series as callbacks read at snapshot time: the
+    settled entries' [cache="attr"] series in
     [identxx_fastpath_cache_events_total] and
-    [identxx_fastpath_cache_size], as callback series read at snapshot
-    time. [labels] are prepended to every series. *)
+    [identxx_fastpath_cache_size], and the exchanges'
+    [identxx_shard_exchanges_total] ({!started}),
+    [identxx_shard_coalesced_queries_total] ({!coalesced}) and
+    [identxx_shard_inflight_exchanges] ({!in_flight}). [labels] are
+    prepended to every series. *)

@@ -25,7 +25,9 @@ module Histogram = struct
     on : bool ref;
     les : float array;  (* finite upper bounds, strictly increasing *)
     counts : int array;  (* per-bucket (non-cumulative); +Inf at the end *)
-    mutable sum : float;
+    sum : float array;
+        (* One cell: a float array holds its float unboxed, where a
+           mutable float field would box every new sum. *)
     mutable count : int;
   }
 
@@ -39,12 +41,12 @@ module Histogram = struct
         incr i
       done;
       h.counts.(!i) <- h.counts.(!i) + 1;
-      h.sum <- h.sum +. v;
+      h.sum.(0) <- h.sum.(0) +. v;
       h.count <- h.count + 1
     end
 
   let count h = h.count
-  let sum h = h.sum
+  let sum h = h.sum.(0)
 
   let buckets h =
     let acc = ref 0 in
@@ -91,7 +93,7 @@ let reset t =
       | I_gauge g -> g.Gauge.v <- 0.
       | I_histogram h ->
           Array.fill h.Histogram.counts 0 (Array.length h.Histogram.counts) 0;
-          h.Histogram.sum <- 0.;
+          h.Histogram.sum.(0) <- 0.;
           h.Histogram.count <- 0
       | I_counter_fn _ | I_gauge_fn _ -> ())
     t.tbl
@@ -204,7 +206,7 @@ let histogram t ?(help = "") ?(labels = []) ?(buckets = default_latency_buckets)
             Histogram.on = t.on;
             les;
             counts = Array.make (Array.length les + 1) 0;
-            sum = 0.;
+            sum = [| 0. |];
             count = 0;
           })
   in
@@ -283,7 +285,7 @@ let snapshot t =
             Histogram_v
               {
                 buckets = Histogram.buckets h;
-                sum = h.Histogram.sum;
+                sum = Histogram.sum h;
                 count = h.Histogram.count;
               }
       in

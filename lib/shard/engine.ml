@@ -72,6 +72,8 @@ let create ?(service = zero) ~shards engine =
   Array.iter (fun sh -> sh.drain <- drain_one t sh) t.shards;
   t
 
+let shards t = Array.length t.shards
+
 let shard_of_flow t flow =
   Netcore.Five_tuple.hash flow mod Array.length t.shards
 

@@ -26,6 +26,9 @@ val create : ?service:Sim.Time.t -> shards:int -> Sim.Engine.t -> t
     {!Sim.Time.zero}).
     @raise Invalid_argument when [shards < 1]. *)
 
+val shards : t -> int
+(** The number of run queues. *)
+
 val shard_of_flow : t -> Netcore.Five_tuple.t -> int
 (** The owning shard for a flow: [Five_tuple.hash mod shard_count].
     Deterministic, direction-sensitive — a daemon response is routed

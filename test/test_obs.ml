@@ -79,6 +79,28 @@ let test_histogram_buckets () =
        "Obs.Registry: bad_seconds: buckets must be strictly increasing")
     (fun () -> ignore (R.histogram r ~buckets:[ 1.; 1. ] "bad_seconds"))
 
+(* An observation allocates nothing: the sum lives unboxed in a
+   one-cell float array. It was 2 words (a boxed float per new sum)
+   while the sum was a mutable float field, which the always-on batch
+   histogram paid on every flow. The values are constants, so no boxing
+   at the call site hides in the figure. *)
+let test_histogram_observe_alloc () =
+  let r = R.create () in
+  let h = R.histogram r ~buckets:[ 0.01; 0.1; 1. ] "alloc_seconds" in
+  let observe () =
+    R.Histogram.observe h 0.005;
+    R.Histogram.observe h 0.05;
+    R.Histogram.observe h 5.
+  in
+  observe ();
+  let before = Gc.minor_words () in
+  for _ = 1 to 1000 do
+    observe ()
+  done;
+  check (Alcotest.float 0.) "words per 3,000 observations" 0.
+    (Gc.minor_words () -. before);
+  check Alcotest.int "all counted" 3003 (R.Histogram.count h)
+
 let test_reset () =
   let r = R.create () in
   let c = R.counter r "c_total" in
@@ -649,6 +671,8 @@ let () =
           Alcotest.test_case "disabled gate" `Quick test_disabled_gate;
           Alcotest.test_case "label-set identity" `Quick test_label_identity;
           Alcotest.test_case "histogram buckets" `Quick test_histogram_buckets;
+          Alcotest.test_case "histogram observe allocates nothing" `Quick
+            test_histogram_observe_alloc;
           Alcotest.test_case "reset" `Quick test_reset;
           Alcotest.test_case "snapshot ordering" `Quick test_snapshot_ordering;
         ] );

@@ -136,7 +136,8 @@ let serve controller target =
   Identxx.Host.listen target ~proc:www ~port:80 ()
 
 (* The netsim burst scenario, inline: 16 hosts on a 4-switch chain,
-   every host but the first opening a flow to host 0 at t = 0. *)
+   every host but the first opening a flow to host 0 at t = 0. The
+   policy reads both ends, so every flow asks the target too. *)
 let run_burst ?obs ?spans ~shards () =
   let config = { C.default_config with C.shards } in
   let engine, network, controller, hosts =
@@ -144,7 +145,8 @@ let run_burst ?obs ?spans ~shards () =
       ()
   in
   Policy_store.add_exn (C.policy controller) ~name:"00"
-    "block all\npass all with eq(@src[name], app) keep state";
+    "block all\npass all with eq(@src[name], app) with eq(@dst[name], srv) \
+     keep state";
   let target = hosts.(0) in
   serve controller target;
   Array.iteri
@@ -197,11 +199,51 @@ let burst_oracle configs =
       check Alcotest.(triple int int int) ("delivery identical" ^ what) d0 d;
       check Alcotest.int ("no stuck flows" ^ what) 0 p)
     runs;
-  check Alcotest.int "all 15 flows decided" 15 s0.C.flows_seen
+  check Alcotest.int "all 15 flows decided" 15 s0.C.flows_seen;
+  check Alcotest.int "15 source queries and one shared destination query" 16
+    s0.C.queries_sent
 
 let test_determinism_oracle () =
-  (* Same scenario under 1, 2 and 8 coalescing shards. *)
-  burst_oracle (List.map (fun n -> Some (C.sharded n)) [ 1; 2; 8 ])
+  (* Same scenario by default ([None], one shard) and under 1, 2 and 8
+     shards: every run coalesces the 15 destination queries alike. *)
+  burst_oracle (None :: List.map (fun n -> Some (C.sharded n)) [ 1; 2; 8 ])
+
+(* [None] is [Some (sharded 1)], not a mode: the burst's spans (attributes,
+   events, children and times) export byte-identically, and a
+   controller registers the same series whatever its shard count or
+   [proactive] (names alike; label sets alike for one shard either
+   way). *)
+let test_none_is_one_shard () =
+  let spans_of shards =
+    let spans = Obs.Span.create ~enabled:true () in
+    ignore (run_burst ~spans ~shards ());
+    check Alcotest.bool "every root names its shard" true
+      (List.for_all
+         (fun sp -> List.assoc_opt "shard" (Obs.Span.attrs sp) = Some "0")
+         (Obs.Span.finished spans));
+    Obs.Json.to_string (Obs.Span.export spans)
+  in
+  check Alcotest.string "span export identical"
+    (spans_of (Some (C.sharded 1)))
+    (spans_of None);
+  let series config =
+    let obs = Obs.Registry.create () in
+    ignore
+      (Deploy.linear_network ~obs ~config ~switches:1 ~hosts_per_switch:1 ());
+    List.map
+      (fun (s : Obs.Registry.series) ->
+        (s.Obs.Registry.name, s.Obs.Registry.labels))
+      (Obs.Registry.snapshot obs)
+  in
+  let names config = List.sort_uniq compare (List.map fst (series config)) in
+  let default = C.default_config in
+  check
+    Alcotest.(list (pair string (list (pair string string))))
+    "None and one shard register the same series" (series default)
+    (series { default with C.shards = Some (C.sharded 1) });
+  check Alcotest.(list string) "proactive, 4 shards: the same names"
+    (names default)
+    (names { default with C.proactive = true; shards = Some (C.sharded 4) })
 
 (* [clients] hosts on a 4-switch chain open one flow each to host 0's
    port 80 per source port in [ports], taken in turn, all at t = 0 (a
@@ -241,8 +283,8 @@ let port_burst ~clients ~ports shards =
    queries both ends itself. Source ports drawn from a small pool make
    answers from the hot host name the same ports and differ only in the
    client address. Pairing by the named flow delivers each to its own
-   flow, so the unsharded path and 1, 2 or 8 shards agree on every run,
-   and no flow decides with an end absent. *)
+   flow, so the default ([None]) and 1, 2 or 8 shards agree on every
+   run, and no flow decides with an end absent. *)
 let prop_pairing_oracle =
   let scenario =
     QCheck.Gen.(
@@ -982,6 +1024,7 @@ let () =
         [ Alcotest.test_case "grouped ordered flush" `Quick test_batch_ordering ] );
       ( "controller",
         [
+          Alcotest.test_case "None is one shard" `Quick test_none_is_one_shard;
           Alcotest.test_case "determinism oracle (1/2/8 shards)" `Quick
             test_determinism_oracle;
           QCheck_alcotest.to_alcotest prop_pairing_oracle;
