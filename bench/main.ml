@@ -429,6 +429,24 @@ let bench_fdd_compile =
       let env = bench_env_of (ruleset n "pass all with eq(@src[name], firefox)") in
       Staged.stage (fun () -> ignore (Analysis.Fdd.compile env)))
 
+(* A one-rule edit after [n] unchanged rules, recompiled from the steps
+   of the policy before it: only the edited rule is applied. Against
+   analysis/fdd-compile at the same [n], the difference is the
+   unchanged prefix. The edited rule's source block lies outside every
+   prior rule's, so its path crosses only the source node's splits.
+   The edit leaves the [with] inputs alone, so the recompiles share one
+   finalization memo, which holds the edited diagram after the first
+   run: the row reads the fold, the edited rule's application and the
+   memo's hit. (An edit that adds or drops a conditional rule
+   finalizes the whole diagram afresh.) *)
+let bench_fdd_recompile_edit =
+  Test.make_indexed ~name:"analysis/fdd-recompile-edit" ~args:[ 10; 100; 1000 ]
+    (fun n ->
+      let base = bench_env_of (ruleset n "pass from 10.9.0.0/16 to any port 53") in
+      let edited = bench_env_of (ruleset n "block from 10.9.0.0/16 to any port 53") in
+      let _, steps = Analysis.Fdd.recompile Analysis.Fdd.no_steps base in
+      Staged.stage (fun () -> ignore (Analysis.Fdd.recompile steps edited)))
+
 let bench_fdd_lookup =
   let fl = flow "10.0.0.1" "10.1.0.1" in
   Test.make_indexed ~name:"analysis/fdd-lookup" ~args:[ 10; 100; 1000 ]
@@ -520,16 +538,18 @@ let bench_compile_table =
       in
       Staged.stage (fun () -> ignore (Compiler.compile fdd)))
 
-(* The steady-state recompile: the hash-consed node cache makes an
-   edited policy cost only its changed regions, and delta emits the
-   minimal flow-mod step. *)
+(* The steady-state recompile, as a controller runs it: the edited
+   policy's diagram is recompiled from the steps of the one before it,
+   the hash-consed node cache makes lowering it cost only its changed
+   regions, and delta emits the minimal flow-mod step. *)
 let bench_compile_incremental =
   let cache = Compiler.create_cache () in
-  let a = Analysis.Fdd.compile (bench_env_of figure2_policy) in
-  let b = Analysis.Fdd.compile (bench_env_of figure2_policy_edited) in
+  let a, steps = Analysis.Fdd.recompile Analysis.Fdd.no_steps (bench_env_of figure2_policy) in
+  let edited = bench_env_of figure2_policy_edited in
   let old_ = Compiler.compile ~cache a in
   Test.make ~name:"compile/incremental-delta"
     (Staged.stage (fun () ->
+         let b, _ = Analysis.Fdd.recompile steps edited in
          ignore (Compiler.delta ~old_ (Compiler.compile ~cache b))))
 
 (* The counterpart of fig1/flow-setup-full-exchange with the static
@@ -1174,6 +1194,7 @@ let tests =
        bench_pf_allowed;
        bench_pf_decide_enterprise;
        bench_fdd_compile;
+       bench_fdd_recompile_edit;
        bench_fdd_lookup;
        bench_fdd_equiv;
        bench_fdd_diff;

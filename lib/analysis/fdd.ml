@@ -244,8 +244,7 @@ let apply_rule root dims tr =
   in
   inside 0 root
 
-let map_leaves f root =
-  let memo = Hashtbl.create 64 in
+let map_leaves ?(memo = Hashtbl.create 64) f root =
   let rec go id =
     match Hashtbl.find_opt memo id with
     | Some r -> r
@@ -281,46 +280,121 @@ let finalize_state line_inputs stt =
           may_default = List.exists (fun (_, l) -> l = 0) possible;
         }
 
-let compile_rules ?(default = Pf.Ast.Pass) ~lookup rules =
+(* One applied rule of a compile's fold, keyed by the root it was
+   applied to, the rule's intervals, action, line, [quick] and whether
+   it is conditional; [s_root] is the root that resulted. [s_rule] and
+   [s_inputs] let an unchanged rule be recognized, and its [with]
+   inputs reused, without recomputing its intervals. *)
+type step = {
+  s_prev : int;
+  s_rule : Pf.Ast.rule;
+  s_dims : interval list array;
+  s_inputs : Pf.Ast.cond_input list;
+  s_root : int;
+}
+
+(* [finals] maps nodes of folded diagrams to their finalized nodes
+   under [inputs], the [with] inputs by line; it is shared by every
+   compile whose [inputs] are equal, and started afresh once it holds
+   more than [4 * full], its size after its last whole pass. *)
+type steps = {
+  fold : step list;
+  inputs : (int, Pf.Ast.cond_input list) Hashtbl.t;
+  finals : (int, int) Hashtbl.t option;
+  full : int;
+}
+
+(* Without [finals], [inputs] is never read. *)
+let no_steps = { fold = []; inputs = Hashtbl.create 1; finals = None; full = 0 }
+
+(* Whether [r], applied to [root], is the rule [s] recorded. A rule
+   structurally equal in its headers and naming no table has the same
+   intervals; any other is compared by its intervals. *)
+let same_step ~lookup root (r : Pf.Ast.rule) s =
+  let o = s.s_rule in
+  s.s_prev = root && r.action = o.action && r.line = o.line && r.quick = o.quick
+  && Pf.Ast.cond_free r = Pf.Ast.cond_free o
+  && ((r.proto = o.proto && r.from_ = o.from_ && r.to_ = o.to_
+      && Pf.Ast.tables_of_rule r = [])
+     || dims_of_rule ~lookup r = Some s.s_dims)
+
+let same_inputs a b =
+  Hashtbl.length a = Hashtbl.length b
+  && Hashtbl.fold
+       (fun line i same ->
+         same
+         && match Hashtbl.find b line with i' -> i = i' | exception Not_found -> false)
+       a true
+
+let recompile_rules ?(default = Pf.Ast.Pass) prev ~lookup rules =
   let init =
     mk_state
       { finals = []; running = true; currents = [ (default, 0) ]; deps = [] }
   in
-  let inputs_by_line = Hashtbl.create 16 in
-  let root =
-    List.fold_left
-      (fun acc (r : Pf.Ast.rule) ->
-        match dims_of_rule ~lookup r with
-        | None -> acc
-        | Some dims ->
-            if Array.exists (fun ivs -> ivs = []) dims then acc
-            else begin
-              let tr =
-                if Pf.Ast.cond_free r then
-                  apply_uncond ~action:r.action ~line:r.line ~quick:r.quick
-                else begin
-                  Hashtbl.replace inputs_by_line r.line (Pf.Ast.rule_inputs r);
-                  apply_cond ~action:r.action ~line:r.line ~quick:r.quick
-                end
-              in
-              apply_rule acc dims (fun id ->
-                  match get id with
-                  | Leaf (L_state s) -> mk_state (tr s)
-                  | _ -> invalid_arg "Fdd: rule applied to a finalized diagram")
-            end)
-      init rules
+  let inputs = Hashtbl.create 16 in
+  let note_inputs (r : Pf.Ast.rule) i =
+    if not (Pf.Ast.cond_free r) then Hashtbl.replace inputs r.line i
   in
-  let line_inputs l =
-    Option.value ~default:[] (Hashtbl.find_opt inputs_by_line l)
+  (* This compile's steps, in order. [prev]: the previous compile's
+     steps not yet passed, while every key so far has matched. *)
+  let[@tail_mod_cons] rec fold root prev = function
+    | [] -> []
+    | (r : Pf.Ast.rule) :: rest -> (
+        match prev with
+        | s :: prev' when same_step ~lookup root r s ->
+            let s =
+              if r.conds = s.s_rule.conds then s
+              else { s with s_rule = r; s_inputs = Pf.Ast.rule_inputs r }
+            in
+            note_inputs r s.s_inputs;
+            s :: fold s.s_root prev' rest
+        | _ -> (
+            match dims_of_rule ~lookup r with
+            | Some dims when not (Array.exists (fun ivs -> ivs = []) dims) ->
+                let i = Pf.Ast.rule_inputs r in
+                note_inputs r i;
+                let tr =
+                  if Pf.Ast.cond_free r then
+                    apply_uncond ~action:r.action ~line:r.line ~quick:r.quick
+                  else apply_cond ~action:r.action ~line:r.line ~quick:r.quick
+                in
+                let root' =
+                  apply_rule root dims (fun id ->
+                      match get id with
+                      | Leaf (L_state s) -> mk_state (tr s)
+                      | _ -> invalid_arg "Fdd: rule applied to a finalized diagram")
+                in
+                { s_prev = root; s_rule = r; s_dims = dims; s_inputs = i; s_root = root' }
+                :: fold root' [] rest
+            | Some _ | None -> fold root prev rest))
   in
-  map_leaves
-    (function
-      | L_state s -> mk_verdict (finalize_state line_inputs s)
-      | l -> intern (Leaf l))
-    root
+  let fold = fold init prev.fold rules in
+  let root = List.fold_left (fun _ s -> s.s_root) init fold in
+  let finals, full =
+    match prev.finals with
+    | Some m when Hashtbl.length m <= 4 * prev.full && same_inputs inputs prev.inputs
+      ->
+        (m, prev.full)
+    | Some _ | None -> (Hashtbl.create 64, 0)
+  in
+  let line_inputs l = Option.value ~default:[] (Hashtbl.find_opt inputs l) in
+  let fdd =
+    map_leaves ~memo:finals
+      (function
+        | L_state s -> mk_verdict (finalize_state line_inputs s)
+        | l -> intern (Leaf l))
+      root
+  in
+  let full = if full = 0 then Hashtbl.length finals else full in
+  (fdd, { fold; inputs; finals = Some finals; full })
 
-let compile ?default env =
-  compile_rules ?default ~lookup:(Pf.Env.table env) (Pf.Env.rules env)
+let compile_rules ?default ~lookup rules =
+  fst (recompile_rules ?default no_steps ~lookup rules)
+
+let recompile ?default prev env =
+  recompile_rules ?default prev ~lookup:(Pf.Env.table env) (Pf.Env.rules env)
+
+let compile ?default env = fst (recompile ?default no_steps env)
 
 (* --- lookup --- *)
 
@@ -816,30 +890,16 @@ end
 
 (* --- structural export for the flow-table compiler --- *)
 
-type tree =
-  | T_verdict of verdict
-  | T_split of { key : int; level : int; parts : (interval * tree) list }
+let parts level id =
+  match get id with
+  | N { level = l; parts } when l = level ->
+      let acc = ref [] in
+      for i = Array.length parts - 1 downto 0 do
+        let hi, c = parts.(i) in
+        let lo = if i = 0 then 0 else fst parts.(i - 1) + 1 in
+        acc := ((lo, hi), c) :: !acc
+      done;
+      !acc
+  | _ -> [ ((0, dim_top.(level)), id) ]
 
-let tree root =
-  let memo = Hashtbl.create 64 in
-  let rec go level id =
-    if level = levels then T_verdict (leaf_verdict id)
-    else
-      match Hashtbl.find_opt memo (level, id) with
-      | Some t -> t
-      | None ->
-          let t =
-            T_split
-              {
-                key = id;
-                level;
-                parts =
-                  List.map
-                    (fun (lo, hi, c) -> ((lo, hi), go (level + 1) c))
-                    (segments level id);
-              }
-          in
-          Hashtbl.add memo (level, id) t;
-          t
-  in
-  go 0 root
+let leaf = leaf_verdict

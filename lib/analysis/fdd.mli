@@ -75,6 +75,33 @@ val compile_rules :
     [lookup]. A rule naming a table [lookup] cannot resolve matches no
     flow (the caller reports the broken table separately). *)
 
+(** {2 Recompiling after an edit}
+
+    A controller's configuration is a list of files, and a reload
+    usually changes one of them, leaving every rule before it alone.
+    A compile folds the rules into the diagram one at a time; its
+    {!steps} record that fold, one step per applied rule, keyed by the
+    root the rule was applied to, the rule's per-dimension intervals,
+    and its action, line, [quick] and conditional flag. *)
+
+type steps
+(** The rule fold of one compile. *)
+
+val no_steps : steps
+(** No previous compile: {!recompile} then compiles from scratch. *)
+
+val recompile : ?default:Pf.Ast.action -> steps -> Pf.Env.t -> t * steps
+(** [recompile prev env] is [compile env] with its steps. It takes the
+    roots of [prev]'s steps for as long as their keys match, and
+    applies rules only from the first key that differs. Node interning
+    is idempotent, so a reused prefix interns nothing new and the
+    result is the same diagram, node for node, as {!compile}'s. The
+    pass that turns the fold's states into verdicts shares a memo with
+    [prev] when both compiles read the same [with] inputs on the same
+    lines, so it too visits only new nodes; otherwise it starts a memo
+    of its own. [prev] stays valid: recompiling from it again gives
+    the same result. *)
+
 val map_verdicts : (verdict -> verdict) -> t -> t
 (** Rewrite every leaf's verdict, rebuilding the diagram canonically.
     Leaves [f] maps to themselves keep their node ids, so a map that
@@ -234,23 +261,21 @@ val lines_to_string : int list -> string
 
 (** {2 Structural export}
 
-    The diagram as a value tree, for downstream compilers that need the
-    node structure (not just the flat region enumeration): the
-    flow-table compiler factors a node's widest branch into a
-    lower-priority wildcard rule, which requires seeing branches, not
-    regions. *)
+    The diagram's nodes, for downstream compilers that need the node
+    structure (not just the flat region enumeration): the flow-table
+    compiler factors a node's widest branch into a lower-priority
+    wildcard rule, which requires seeing branches, not regions. A
+    diagram is read one level at a time, from level 0 (proto) through
+    4 (dport); a node id read at level 5 is a leaf. Equal ids at one
+    level are identical subdiagrams, so memo tables keyed on
+    [(level, id)] survive recompiles of unchanged policy regions. *)
 
-type tree =
-  | T_verdict of verdict  (** A leaf. *)
-  | T_split of { key : int; level : int; parts : (interval * tree) list }
-      (** [parts] partition [[0, top]] of dimension [level] (0 = proto,
-          1 = src, 2 = dst, 3 = sport, 4 = dport) into maximal
-          intervals, ascending, adjacent children distinct. [key] is
-          the hash-consed node id: equal [(level, key)] means an
-          identical subdiagram (shared as one value here), so memo
-          tables keyed on it survive recompiles of unchanged policy
-          regions. *)
+val parts : int -> t -> (interval * t) list
+(** [parts level d]: [d]'s children along dimension [level], as
+    maximal intervals partitioning [[0, top]], ascending, adjacent
+    children distinct. A node that tests a lower dimension is one part
+    covering the level, whose child is the node itself. *)
 
-val tree : t -> tree
-(** Unfold the diagram preserving sharing: subdiagrams reached along
-    several paths are one (physically shared) [tree] value. *)
+val leaf : t -> verdict
+(** The verdict of a diagram read at level 5.
+    @raise Invalid_argument for an internal node. *)

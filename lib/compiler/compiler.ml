@@ -85,14 +85,16 @@ type rule = {
 type plan = { p_rules : rule list; p_static : float; p_spills : spill list }
 
 (* Children are grouped by identity so several intervals sharing one
-   subdiagram can be factored into one wildcard rule block. *)
-type gkey = K_verdict of Fdd.verdict | K_split of int * int
+   subdiagram can be factored into one wildcard rule block. A leaf is
+   keyed by its verdict, a subdiagram by its level and node id. *)
+type gkey = K_verdict of Fdd.verdict | K_split of int * Fdd.t
 
-let gkey = function
-  | Fdd.T_verdict v -> K_verdict v
-  | Fdd.T_split { key; level; _ } -> K_split (level, key)
+let levels = Array.length Fdd.dim_top
 
-type cache = (int * int, plan) Hashtbl.t
+let gkey level c =
+  if level = levels then K_verdict (Fdd.leaf c) else K_split (level, c)
+
+type cache = (int * Fdd.t, plan) Hashtbl.t
 
 let create_cache () : cache = Hashtbl.create 64
 
@@ -111,108 +113,110 @@ let plan_of_verdict = function
         p_spills = [];
       }
 
-let rec plan_of cache budget tree =
-  match tree with
-  | Fdd.T_verdict v -> plan_of_verdict v
-  | Fdd.T_split { key; level; parts } -> (
-      match Hashtbl.find_opt cache (level, key) with
-      | Some p -> p
-      | None ->
-          let parts = List.map (fun (iv, c) -> (iv, c, plan_of cache budget c)) parts in
-          (* Pick the default group: the set of intervals sharing one
-             child whose exact expansion would cost the most. It gets
-             the dimension wildcarded for free; the totality of the
-             other branches' rules keeps that sound. *)
-          let groups = Hashtbl.create 8 in
-          List.iter
-            (fun (iv, c, pl) ->
-              let k = gkey c in
-              let saved = cost_of level iv * List.length pl.p_rules in
-              let prev = try Hashtbl.find groups k with Not_found -> 0 in
-              Hashtbl.replace groups k (prev + saved))
-            parts;
-          let default_key, _ =
-            Hashtbl.fold
-              (fun k saved (bk, bs) -> if saved > bs then (k, saved) else (bk, bs))
-              groups
-              (gkey (let _, c, _ = List.hd parts in c), -1)
-          in
-          let spilled = ref [] in
-          let expanded =
-            List.concat_map
-              (fun (iv, c, pl) ->
-                if gkey c = default_key then []
+(* The plan of node [id] read along dimension [level]; a node that
+   tests a lower dimension reads as one part covering the level. *)
+let rec plan_of cache budget level id =
+  if level = levels then plan_of_verdict (Fdd.leaf id)
+  else
+    match Hashtbl.find_opt cache (level, id) with
+    | Some p -> p
+    | None ->
+        let parts =
+          List.map
+            (fun (iv, c) ->
+              (iv, gkey (level + 1) c, plan_of cache budget (level + 1) c))
+            (Fdd.parts level id)
+        in
+        (* Pick the default group: the set of intervals sharing one
+           child whose exact expansion would cost the most. It gets
+           the dimension wildcarded for free; the totality of the
+           other branches' rules keeps that sound. *)
+        let groups = Hashtbl.create 8 in
+        List.iter
+          (fun (iv, k, pl) ->
+            let saved = cost_of level iv * List.length pl.p_rules in
+            let prev = try Hashtbl.find groups k with Not_found -> 0 in
+            Hashtbl.replace groups k (prev + saved))
+          parts;
+        let default_key, _ =
+          Hashtbl.fold
+            (fun k saved (bk, bs) -> if saved > bs then (k, saved) else (bk, bs))
+            groups
+            (let _, k, _ = List.hd parts in (k, -1))
+        in
+        let spilled = ref [] in
+        let expanded =
+          List.concat_map
+            (fun (iv, k, pl) ->
+              if k = default_key then []
+              else
+                let n = List.length pl.p_rules in
+                let cost = cost_of level iv * n in
+                if cost > budget then begin
+                  spilled :=
+                    { sp_dim = dim_name.(level); sp_interval = iv; sp_cost = cost }
+                    :: !spilled;
+                  []
+                end
                 else
-                  let n = List.length pl.p_rules in
-                  let cost = cost_of level iv * n in
-                  if cost > budget then begin
-                    spilled :=
-                      { sp_dim = dim_name.(level); sp_interval = iv; sp_cost = cost }
-                      :: !spilled;
-                    []
-                  end
-                  else
-                    List.concat_map
-                      (fun (set, frac) ->
-                        List.map
-                          (fun r ->
-                            { r with r_fields = set r.r_fields; r_vol = r.r_vol *. frac })
-                          pl.p_rules)
-                      (atoms_of level iv))
-              parts
-          in
-          let default_frac =
-            List.fold_left
-              (fun acc (iv, c, _) ->
-                if gkey c = default_key then acc +. Fdd.width level iv else acc)
-              0.0 parts
-          in
-          let default_plan =
-            let _, _, pl =
-              List.find (fun (_, c, _) -> gkey c = default_key) parts
-            in
-            pl
-          in
-          let tail, tail_static =
-            if !spilled <> [] then
-              (* A spilled branch needs its space punted; one wildcard
-                 punt here also masks the default group, soundly
-                 returning the rest of this subtree to the controller. *)
-              ( [ { r_fields = MF.any; r_decision = Punt; r_lines = []; r_vol = 0.0 } ],
-                0.0 )
-            else
-              ( List.map
-                  (fun r -> { r with r_vol = r.r_vol *. default_frac })
-                  default_plan.p_rules,
-                default_plan.p_static *. default_frac )
-          in
-          let expanded_static =
-            List.fold_left
-              (fun acc r ->
-                match r.r_decision with Decide _ -> acc +. r.r_vol | Punt -> acc)
-              0.0 expanded
-          in
-          let child_spills =
-            let seen = Hashtbl.create 8 in
-            List.concat_map
-              (fun (_, c, pl) ->
-                let k = gkey c in
-                if Hashtbl.mem seen k then []
-                else begin
-                  Hashtbl.add seen k ();
-                  pl.p_spills
-                end)
-              parts
-          in
-          let p =
-            {
-              p_rules = expanded @ tail;
-              p_static = expanded_static +. tail_static;
-              p_spills = !spilled @ child_spills;
-            }
-          in
-          Hashtbl.add cache (level, key) p;
-          p)
+                  List.concat_map
+                    (fun (set, frac) ->
+                      List.map
+                        (fun r ->
+                          { r with r_fields = set r.r_fields; r_vol = r.r_vol *. frac })
+                        pl.p_rules)
+                    (atoms_of level iv))
+            parts
+        in
+        let default_frac =
+          List.fold_left
+            (fun acc (iv, k, _) ->
+              if k = default_key then acc +. Fdd.width level iv else acc)
+            0.0 parts
+        in
+        let default_plan =
+          let _, _, pl = List.find (fun (_, k, _) -> k = default_key) parts in
+          pl
+        in
+        let tail, tail_static =
+          if !spilled <> [] then
+            (* A spilled branch needs its space punted; one wildcard
+               punt here also masks the default group, soundly
+               returning the rest of this subtree to the controller. *)
+            ( [ { r_fields = MF.any; r_decision = Punt; r_lines = []; r_vol = 0.0 } ],
+              0.0 )
+          else
+            ( List.map
+                (fun r -> { r with r_vol = r.r_vol *. default_frac })
+                default_plan.p_rules,
+              default_plan.p_static *. default_frac )
+        in
+        let expanded_static =
+          List.fold_left
+            (fun acc r ->
+              match r.r_decision with Decide _ -> acc +. r.r_vol | Punt -> acc)
+            0.0 expanded
+        in
+        let child_spills =
+          let seen = Hashtbl.create 8 in
+          List.concat_map
+            (fun (_, k, pl) ->
+              if Hashtbl.mem seen k then []
+              else begin
+                Hashtbl.add seen k ();
+                pl.p_spills
+              end)
+            parts
+        in
+        let p =
+          {
+            p_rules = expanded @ tail;
+            p_static = expanded_static +. tail_static;
+            p_spills = !spilled @ child_spills;
+          }
+        in
+        Hashtbl.add cache (level, id) p;
+        p
 
 (* Provably no packet matches both (used to justify collapsing a rule
    into a later identical-decision wildcard). *)
@@ -317,7 +321,7 @@ let compile ?cache ?(max_entries = default_max_entries)
   if max_entries < 1 || max_entries > default_max_entries then
     invalid_arg "Compiler.compile: max_entries outside [1, 4096]";
   let cache = match cache with Some c -> c | None -> create_cache () in
-  let pl = plan_of cache region_budget (Fdd.tree fdd) in
+  let pl = plan_of cache region_budget 0 fdd in
   let rules = drop_trailing_punts pl.p_rules in
   let rules, reclaimed = collapse_into_tail rules in
   let rules = drop_trailing_punts rules in
@@ -471,28 +475,26 @@ let renumber ~old_ cur =
 
 type delta = { d_add : entry list; d_del : entry list }
 
-module EMap = Map.Make (struct
-  type t = MF.t * int
-
-  let compare (fa, pa) (fb, pb) =
-    let c = compare pa pb in
-    if c <> 0 then c else MF.compare fa fb
-end)
-
+(* One merge over the two priority-descending entry lists: within a
+   table priorities are distinct, so an entry is unchanged exactly when
+   the other table holds an entry at its priority with its fields and
+   decision. *)
 let delta ~old_ cur =
-  let index t =
-    List.fold_left (fun m e -> EMap.add (e.e_fields, e.e_priority) e m) EMap.empty t.entries
+  let same a b =
+    a.e_decision = b.e_decision && (a == b || MF.equal a.e_fields b.e_fields)
   in
-  (* An entry changed unless [other] holds it with the same decision. *)
-  let changed other e =
-    match EMap.find_opt (e.e_fields, e.e_priority) other with
-    | Some e' -> e'.e_decision <> e.e_decision
-    | None -> true
+  let rec go add del olds curs =
+    match (olds, curs) with
+    | [], [] -> { d_add = List.rev add; d_del = List.rev del }
+    | o :: olds', [] -> go add (o :: del) olds' []
+    | [], c :: curs' -> go (c :: add) del [] curs'
+    | o :: olds', c :: curs' ->
+        if o.e_priority > c.e_priority then go add (o :: del) olds' curs
+        else if c.e_priority > o.e_priority then go (c :: add) del olds curs'
+        else if same o c then go add del olds' curs'
+        else go (c :: add) (o :: del) olds' curs'
   in
-  {
-    d_add = List.filter (changed (index old_)) cur.entries;
-    d_del = List.filter (changed (index cur)) old_.entries;
-  }
+  go [] [] old_.entries cur.entries
 
 (* --- reference semantics --- *)
 

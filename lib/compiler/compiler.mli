@@ -3,9 +3,11 @@
     OpenFlow wildcard matches, so statically-decided traffic never costs
     a controller round-trip.
 
-    The compiler walks the diagram's {!Analysis.Fdd.tree} structure. At
-    each node it factors the branch group with the largest expansion
-    cost into a {e lower-priority wildcard} rule list (the classic
+    The compiler walks the diagram's node ids level by level
+    ({!Analysis.Fdd.parts}), planning each [(level, node)] once per
+    {!cache}. At each node it factors the branch group with the
+    largest expansion cost into a {e lower-priority wildcard} rule
+    list (the classic
     NetKAT/NetCore linearization trick): because every branch compiles
     to a total rule list, the other branches' higher-priority rules
     claim their own intervals, and the widest group needs no interval
@@ -142,11 +144,14 @@ type delta = { d_add : entry list; d_del : entry list }
 
 val delta : old_:table -> table -> delta
 (** Minimal flow-mod step from [old_] to the new table: entries to
-    strict-delete and entries to add. Entries are compared by fields,
-    priority and decision. A strict delete names its priority (see
-    {!Openflow.Flow_table.remove}), so an entry whose fields reappear
-    at another priority is deleted at the old one and added at the new
-    one, and an unchanged entry is in neither list. *)
+    strict-delete and entries to add, each in its table's order.
+    Entries are compared by fields, priority and decision. A strict
+    delete names its priority (see {!Openflow.Flow_table.remove}), so
+    an entry whose fields reappear at another priority is deleted at
+    the old one and added at the new one, and an unchanged entry is in
+    neither list. Both tables' priorities must be strictly descending,
+    as both numberings make them: the step is one merge of the two
+    entry lists, allocating only for the entries it returns. *)
 
 val lookup : table -> Netcore.Five_tuple.t -> decision
 (** The abstract table's verdict for one flow: the decision of the

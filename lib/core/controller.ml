@@ -420,9 +420,10 @@ let policy_view t =
   let epoch = Policy_store.epoch t.policy in
   match t.plan with
   | Some (e, v) when e = epoch -> v
-  | Some _ | None ->
+  | prev ->
       let v =
-        Query_plan.make ~default:t.cfg.default (Policy_store.env t.policy)
+        Query_plan.make ~default:t.cfg.default ?prev:(Option.map snd prev)
+          (Policy_store.env t.policy)
       in
       t.plan <- Some (epoch, v);
       v
@@ -1474,8 +1475,10 @@ let sync_proactive ?(force = false) t =
     end
     else msgs
   in
+  (* One control event per switch, carrying the sync's messages. *)
+  let msgs = Array.of_list msgs in
   List.iter
-    (fun dpid -> List.iter (Net.send_to_switch t.network dpid) msgs)
+    (fun dpid -> Net.send_batch t.network dpid msgs)
     (Net.switches_in_domain t.network t.id);
   Obs.Registry.Counter.inc t.pm.pc_recompiles;
   Obs.Registry.Counter.add t.pm.pc_delta_add (List.length d.Compiler.d_add);
@@ -1601,7 +1604,7 @@ let create ?(config = default_config) ?keystore ?functions ?obs ?spans
   in
   let batch =
     Shard.Batch.create ~engine:(Net.engine network)
-      ~send:(Net.send_to_switch network) ()
+      ~send:(Net.send_batch network) ()
   in
   let m = make_metrics obs ~labels in
   let t =

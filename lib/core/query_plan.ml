@@ -8,6 +8,7 @@ type t = {
   hints : string list;
   hint_key : string;
   diagram : Analysis.Fdd.t option;
+  steps : Analysis.Fdd.steps;  (* the diagram's compile, for the next *)
   every_end : bool;  (* allowed(), or no diagram: ask both ends *)
   line_ends : (int, ends) Hashtbl.t;
       (* What each source line's rules read. Lines of different policy
@@ -25,7 +26,11 @@ let rule_ends (r : Pf.Ast.rule) =
 
 let join a b = { src = a.src || b.src; dst = a.dst || b.dst }
 
-let make ~default = function
+let make ~default ?prev result =
+  let prev_steps =
+    match prev with Some p -> p.steps | None -> Analysis.Fdd.no_steps
+  in
+  match result with
   | Ok env ->
       let shape = Fastpath.decision_shape env in
       (* [allowed()] is what makes the shape read every pair. *)
@@ -46,11 +51,13 @@ let make ~default = function
             | Some e' -> join e e'
             | None -> e))
         (Pf.Env.rules env);
+      let diagram, steps = Analysis.Fdd.recompile ~default prev_steps env in
       {
         shape;
         hints;
         hint_key = Fastpath.Answers.hint_key hints;
-        diagram = Some (Analysis.Fdd.compile ~default env);
+        diagram = Some diagram;
+        steps;
         every_end = calls_allowed;
         line_ends;
         by_leaf = Hashtbl.create 16;
@@ -61,6 +68,7 @@ let make ~default = function
         hints = [];
         hint_key = "";
         diagram = None;
+        steps = prev_steps;
         every_end = true;
         line_ends = Hashtbl.create 1;
         by_leaf = Hashtbl.create 1;

@@ -29,9 +29,13 @@ type ends = { src : bool; dst : bool }
 
 type t
 
-val make : default:Pf.Ast.action -> (Pf.Env.t, string) result -> t
+val make : default:Pf.Ast.action -> ?prev:t -> (Pf.Env.t, string) result -> t
 (** The plan for an epoch's environment; [default] is the policy's
-    implicit verdict. A policy that fails to build asks both ends, hints
+    implicit verdict. [prev], the previous epoch's plan, hands its
+    compile's {!Analysis.Fdd.steps} to this one's, so the diagram is
+    recompiled from the first rule that changed
+    ({!Analysis.Fdd.recompile}); a plan that fails to build keeps them
+    for the next. A policy that fails to build asks both ends, hints
     nothing (so every section comes back), and keys decisions on the
     full flow and every pair. *)
 

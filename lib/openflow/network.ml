@@ -4,26 +4,35 @@ type controller_id = int
 
 module Ip_tbl = Hashtbl.Make (Ipv4)
 
+type egress = { mutable packets : int }
+
+(* What a node emits through: its node value, built once, and its
+   egress counters by port, so a frame finds its counters without a
+   key built for it. *)
+type emitter = { e_node : Topology.node; e_egress : (int, egress) Hashtbl.t }
+
+let emitter node = { e_node = node; e_egress = Hashtbl.create 8 }
+
 type host_state = {
   h_name : string;
   h_mac : Mac.t;
   h_ip : Ipv4.t;
   h_rx : Packet.t -> unit;
+  h_out : emitter;
 }
 
-type egress = { mutable packets : int; mutable bytes : int }
+type switch_state = { sw : Switch.t; sw_out : emitter }
 
 type t = {
   engine : Sim.Engine.t;
   topology : Topology.t;
   ctrl_latency : Sim.Time.t;
-  switches : (Message.switch_id, Switch.t) Hashtbl.t;
+  switches : (Message.switch_id, switch_state) Hashtbl.t;
   hosts : (string, host_state) Hashtbl.t;
   host_of_ip : string Ip_tbl.t;
   controllers : (controller_id, Message.to_controller -> unit) Hashtbl.t;
   domains : (Message.switch_id, controller_id) Hashtbl.t;
   trace : Sim.Trace.t;
-  egress : (Topology.node * int, egress) Hashtbl.t;
   mutable delivered : int;
   mutable dropped : int;
   mutable packet_ins : int;
@@ -47,7 +56,6 @@ let create ?(ctrl_latency = Sim.Time.us 50) ?table_capacity ~engine ~topology
       controllers = Hashtbl.create 4;
       domains = Hashtbl.create 16;
       trace = Sim.Trace.create ();
-      egress = Hashtbl.create 64;
       delivered = 0;
       dropped = 0;
       packet_ins = 0;
@@ -59,14 +67,18 @@ let create ?(ctrl_latency = Sim.Time.us 50) ?table_capacity ~engine ~topology
   List.iter
     (fun dpid ->
       Hashtbl.replace t.switches dpid
-        (Switch.create ?capacity:table_capacity ~dpid
-           ~ports:(ports_of_switch topology dpid) ()))
+        {
+          sw =
+            Switch.create ?capacity:table_capacity ~dpid
+              ~ports:(ports_of_switch topology dpid) ();
+          sw_out = emitter (Topology.Sw dpid);
+        })
     (Topology.switches topology);
   t
 
 let engine t = t.engine
 let topology t = t.topology
-let switch t dpid = Hashtbl.find t.switches dpid
+let switch t dpid = (Hashtbl.find t.switches dpid).sw
 let trace t = t.trace
 
 let register_controller t ~id f = Hashtbl.replace t.controllers id f
@@ -92,40 +104,37 @@ let record_actor t actor fmt =
     (fun msg -> Sim.Trace.record t.trace ~at:(Sim.Engine.now t.engine) ~actor msg)
     fmt
 
-let bump_egress t node port size =
-  match Hashtbl.find t.egress (node, port) with
-  | e ->
-      e.packets <- e.packets + 1;
-      e.bytes <- e.bytes + size
-  | exception Not_found ->
-      Hashtbl.add t.egress (node, port) { packets = 1; bytes = size }
+let bump_egress out port =
+  match Hashtbl.find out.e_egress port with
+  | e -> e.packets <- e.packets + 1
+  | exception Not_found -> Hashtbl.add out.e_egress port { packets = 1 }
 
 (* Forward declaration cycle: emitting out a port leads to arrival at the
    peer, which for a switch re-enters processing. *)
-let rec emit t ~from_node ~port pkt =
+let rec emit t out ~port pkt =
   if t.loss_rate > 0.0 && Sim.Prng.float t.loss_prng 1.0 < t.loss_rate then begin
     t.dropped <- t.dropped + 1;
     if Sim.Trace.enabled t.trace then
       record_actor t
-        (Topology.node_to_string from_node)
+        (Topology.node_to_string out.e_node)
         "drop (loss) %a" Packet.pp pkt
   end
-  else emit_frame t ~from_node ~port pkt
+  else emit_frame t out ~port pkt
 
-and emit_frame t ~from_node ~port pkt =
-  bump_egress t from_node port (Packet.size pkt);
+and emit_frame t out ~port pkt =
+  bump_egress out port;
   (match t.capture with
   | Some w ->
       Pcap.write_packet w
         ~ts_us:(Sim.Time.to_ns (Sim.Engine.now t.engine) / 1000)
         pkt
   | None -> ());
-  match Topology.wire t.topology from_node port with
+  match Topology.wire t.topology out.e_node port with
   | None ->
       t.dropped <- t.dropped + 1;
       if Sim.Trace.enabled t.trace then
         record_actor t
-          (Topology.node_to_string from_node)
+          (Topology.node_to_string out.e_node)
           "drop: port %d unwired" port
   | Some (far, latency) ->
       Sim.Engine.schedule t.engine ~delay:latency (fun () ->
@@ -147,14 +156,14 @@ and arrive t ~(at : Topology.endpoint) pkt =
   | Topology.Sw dpid -> switch_rx t dpid ~in_port:at.port pkt
 
 and switch_rx t dpid ~in_port pkt =
-  let sw = Hashtbl.find t.switches dpid in
-  match Switch.process sw ~now:(Sim.Engine.now t.engine) ~in_port pkt with
-  | Switch.Forward ports -> emit_all t (Topology.Sw dpid) pkt ports
+  let st = Hashtbl.find t.switches dpid in
+  match Switch.process st.sw ~now:(Sim.Engine.now t.engine) ~in_port pkt with
+  | Switch.Forward ports -> emit_all t st.sw_out pkt ports
   | Switch.Dropped ->
       t.dropped <- t.dropped + 1;
       if Sim.Trace.enabled t.trace then
         record_actor t
-          (Topology.node_to_string (Topology.Sw dpid))
+          (Topology.node_to_string st.sw_out.e_node)
           "drop (policy) %a" Packet.pp pkt
   | Switch.Send_to_controller -> (
       match controller_of t dpid with
@@ -162,43 +171,54 @@ and switch_rx t dpid ~in_port pkt =
           t.dropped <- t.dropped + 1;
           if Sim.Trace.enabled t.trace then
             record_actor t
-              (Topology.node_to_string (Topology.Sw dpid))
+              (Topology.node_to_string st.sw_out.e_node)
               "drop: table miss and no controller"
       | Some ctrl ->
           t.packet_ins <- t.packet_ins + 1;
           if Sim.Trace.enabled t.trace then
             record_actor t
-              (Topology.node_to_string (Topology.Sw dpid))
+              (Topology.node_to_string st.sw_out.e_node)
               "packet-in -> controller %a" Packet.pp pkt;
           Sim.Engine.schedule t.engine ~delay:t.ctrl_latency (fun () ->
               ctrl
                 (Message.Packet_in
                    { Message.dpid; in_port; reason = `No_match; packet = pkt })))
 
-and emit_all t from_node pkt = function
+and emit_all t out pkt = function
   | [] -> ()
   | port :: rest ->
-      emit t ~from_node ~port pkt;
-      emit_all t from_node pkt rest
+      emit t out ~port pkt;
+      emit_all t out pkt rest
 
-let send_to_switch t dpid msg =
-  if Sim.Trace.enabled t.trace then
-    record_actor t "controller" "-> s%d %a" dpid Message.pp_to_switch msg;
-  Sim.Engine.schedule t.engine ~delay:t.ctrl_latency (fun () ->
-      let sw = Hashtbl.find t.switches dpid in
-      match Switch.apply sw ~now:(Sim.Engine.now t.engine) msg with
-      | Switch.Nothing -> ()
-      | Switch.Emit (ports, pkt) -> emit_all t (Topology.Sw dpid) pkt ports
-      | Switch.Reply reply -> (
-          match controller_of t dpid with
-          | None -> ()
-          | Some ctrl ->
-              if Sim.Trace.enabled t.trace then
-                record_actor t
-                  (Topology.node_to_string (Topology.Sw dpid))
-                  "%a" Message.pp_to_controller reply;
-              Sim.Engine.schedule t.engine ~delay:t.ctrl_latency (fun () ->
-                  ctrl reply)))
+(* A controller message arriving at switch [dpid]. *)
+let apply t dpid msg =
+  let st = Hashtbl.find t.switches dpid in
+  match Switch.apply st.sw ~now:(Sim.Engine.now t.engine) msg with
+  | Switch.Nothing -> ()
+  | Switch.Emit (ports, pkt) -> emit_all t st.sw_out pkt ports
+  | Switch.Reply reply -> (
+      match controller_of t dpid with
+      | None -> ()
+      | Some ctrl ->
+          if Sim.Trace.enabled t.trace then
+            record_actor t
+              (Topology.node_to_string st.sw_out.e_node)
+              "%a" Message.pp_to_controller reply;
+          Sim.Engine.schedule t.engine ~delay:t.ctrl_latency (fun () -> ctrl reply))
+
+let send_batch t dpid msgs =
+  if Array.length msgs > 0 then begin
+    if Sim.Trace.enabled t.trace then
+      Array.iter
+        (record_actor t "controller" "-> s%d %a" dpid Message.pp_to_switch)
+        msgs;
+    Sim.Engine.schedule t.engine ~delay:t.ctrl_latency (fun () ->
+        for i = 0 to Array.length msgs - 1 do
+          apply t dpid msgs.(i)
+        done)
+  end
+
+let send_to_switch t dpid msg = send_batch t dpid [| msg |]
 
 let attach_host t ~name ~mac ~ip ~rx =
   (match Topology.host_attachment t.topology name with
@@ -209,7 +229,12 @@ let attach_host t ~name ~mac ~ip ~rx =
   | Some old when Ip_tbl.find_opt t.host_of_ip old.h_ip = Some name ->
       Ip_tbl.remove t.host_of_ip old.h_ip
   | Some _ | None -> ());
-  Hashtbl.replace t.hosts name { h_name = name; h_mac = mac; h_ip = ip; h_rx = rx };
+  let h_out =
+    match Hashtbl.find_opt t.hosts name with
+    | Some old -> old.h_out
+    | None -> emitter (Topology.Host name)
+  in
+  Hashtbl.replace t.hosts name { h_name = name; h_mac = mac; h_ip = ip; h_rx = rx; h_out };
   Ip_tbl.replace t.host_of_ip ip name;
   Topology.touch t.topology
 
@@ -229,18 +254,17 @@ let iter_path t ~src ~dst f =
   | exception Not_found -> false
 
 let send_from_host t ~name pkt =
-  let _ = host_state t name in
+  let h = host_state t name in
   if Sim.Trace.enabled t.trace then
     record_actor t name "tx %a" Packet.pp pkt;
   (* The host's single NIC is port 0 on the host node by convention of the
      topology builder; emit resolves the actual wiring. *)
-  let host_node = Topology.Host name in
   let port =
-    match Topology.ports_of t.topology host_node with
+    match Topology.ports_of t.topology h.h_out.e_node with
     | port :: _ -> port
     | [] -> 0
   in
-  emit t ~from_node:host_node ~port pkt
+  emit t h.h_out ~port pkt
 
 let set_capture t w = t.capture <- w
 
@@ -254,11 +278,11 @@ let dropped t = t.dropped
 let packet_ins t = t.packet_ins
 
 let egress_packets t ~node ~port =
-  match Hashtbl.find_opt t.egress (node, port) with
+  let out =
+    match node with
+    | Topology.Sw dpid -> Option.map (fun st -> st.sw_out) (Hashtbl.find_opt t.switches dpid)
+    | Topology.Host name -> Option.map (fun h -> h.h_out) (Hashtbl.find_opt t.hosts name)
+  in
+  match Option.bind out (fun out -> Hashtbl.find_opt out.e_egress port) with
   | Some e -> e.packets
-  | None -> 0
-
-let egress_bytes t ~node ~port =
-  match Hashtbl.find_opt t.egress (node, port) with
-  | Some e -> e.bytes
   | None -> 0

@@ -47,8 +47,17 @@ val assign_switch : t -> Message.switch_id -> controller_id -> unit
 val switches_in_domain : t -> controller_id -> Message.switch_id list
 (** All switches assigned to the controller (including by default). *)
 
+val send_batch : t -> Message.switch_id -> Message.to_switch array -> unit
+(** Controller-to-switch messages, delivered in order after the control
+    latency as one engine event; an empty array sends nothing. A
+    controller sends each switch's messages of one flush or one sync
+    this way: one event per message would land as contiguous events at
+    the same instant, so the dispatch order is the same. The array must
+    not be changed afterwards. *)
+
 val send_to_switch : t -> Message.switch_id -> Message.to_switch -> unit
-(** Controller-to-switch message, delivered after the control latency. *)
+(** One controller-to-switch message, delivered after the control
+    latency: [send_batch] of one. *)
 
 (** {2 Hosts} *)
 
@@ -98,5 +107,3 @@ val dropped : t -> int
 val packet_ins : t -> int
 val egress_packets : t -> node:Topology.node -> port:int -> int
 (** Packets emitted by [node] out of [port] (for per-link accounting). *)
-
-val egress_bytes : t -> node:Topology.node -> port:int -> int

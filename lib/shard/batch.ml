@@ -1,9 +1,10 @@
 (* The per-tick install batcher: switch-bound messages accumulate while
    the current simulated instant drains, then flush as one pass per
-   switch. Per-dpid arrival order is preserved (the control channel is
-   FIFO, and release depends on flow-mods landing before the table-
-   lookup packet-out); switches flush in ascending dpid order so the
-   pass is canonical regardless of which shard queued what.
+   switch, handed to [send] together. Per-dpid arrival order is
+   preserved (the control channel is FIFO, and release depends on
+   flow-mods landing before the table-lookup packet-out); switches
+   flush in ascending dpid order so the pass is canonical regardless of
+   which shard queued what.
 
    Messages are grouped as they arrive, into per-switch arrays kept
    across ticks in dpid order, so a tick that touches switches already
@@ -20,7 +21,7 @@ type group = {
 
 type t = {
   engine : Sim.Engine.t;
-  send : Msg.switch_id -> Msg.to_switch -> unit;
+  send : Msg.switch_id -> Msg.to_switch array -> unit;
   mutable groups : group array; (* one per switch seen, ascending dpid *)
   mutable buffered : int;
   mutable scheduled : bool;
@@ -44,11 +45,9 @@ let flush t =
         (match t.h_size with
         | Some h -> Obs.Registry.Histogram.observe h (float_of_int g.len)
         | None -> ());
-        for i = 0 to g.len - 1 do
-          t.batched <- t.batched + 1;
-          t.send g.dpid g.msgs.(i);
-          g.msgs.(i) <- vacant
-        done;
+        t.batched <- t.batched + g.len;
+        t.send g.dpid (Array.sub g.msgs 0 g.len);
+        Array.fill g.msgs 0 g.len vacant;
         g.len <- 0
       end
     done

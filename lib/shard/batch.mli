@@ -16,10 +16,11 @@ type t
 
 val create :
   engine:Sim.Engine.t ->
-  send:(Openflow.Message.switch_id -> Openflow.Message.to_switch -> unit) ->
+  send:(Openflow.Message.switch_id -> Openflow.Message.to_switch array -> unit) ->
   unit -> t
-(** [send] delivers one message of a flush; it must not call {!add} on
-    the same batcher. *)
+(** [send] delivers one switch's messages of a flush, in arrival order,
+    as one control event ({!Openflow.Network.send_batch}); the array is
+    the callee's. It must not call {!add} on the same batcher. *)
 
 val add : t -> Openflow.Message.switch_id -> Openflow.Message.to_switch -> unit
 (** Queue a message for the tick's pass; the first [add] of a tick

@@ -1,4 +1,6 @@
-type 'a entry = { key : int; seq : int; value : 'a }
+(* A slot past [len] holds [Empty], so a removed value is not kept
+   alive by the array. *)
+type 'a entry = Empty | E of { key : int; seq : int; value : 'a }
 
 type 'a t = {
   mutable data : 'a entry array;
@@ -10,21 +12,24 @@ let create () = { data = [||]; len = 0; next_seq = 0 }
 let is_empty h = h.len = 0
 let size h = h.len
 
-let less a b = a.key < b.key || (a.key = b.key && a.seq < b.seq)
+let less a b =
+  match (a, b) with
+  | E a, E b -> a.key < b.key || (a.key = b.key && a.seq < b.seq)
+  | _ -> invalid_arg "Heap: empty slot inside the heap"
 
-let grow h entry =
+let grow h =
   let cap = Array.length h.data in
   if h.len = cap then begin
     let ncap = if cap = 0 then 16 else cap * 2 in
-    let nd = Array.make ncap entry in
+    let nd = Array.make ncap Empty in
     Array.blit h.data 0 nd 0 h.len;
     h.data <- nd
   end
 
 let push h ~key value =
-  let entry = { key; seq = h.next_seq; value } in
+  let entry = E { key; seq = h.next_seq; value } in
   h.next_seq <- h.next_seq + 1;
-  grow h entry;
+  grow h;
   h.data.(h.len) <- entry;
   h.len <- h.len + 1;
   (* sift up *)
@@ -44,14 +49,15 @@ let push h ~key value =
 
 let min_key h =
   if h.len = 0 then invalid_arg "Heap.min_key: empty heap";
-  h.data.(0).key
+  match h.data.(0) with E e -> e.key | Empty -> assert false
 
 let take h =
   if h.len = 0 then invalid_arg "Heap.take: empty heap";
   let top = h.data.(0) in
   h.len <- h.len - 1;
+  h.data.(0) <- h.data.(h.len);
+  h.data.(h.len) <- Empty;
   if h.len > 0 then begin
-    h.data.(0) <- h.data.(h.len);
     (* sift down *)
     let i = ref 0 in
     let continue = ref true in
@@ -69,12 +75,12 @@ let take h =
       end
     done
   end;
-  top.value
+  match top with E e -> e.value | Empty -> assert false
 
 let pop h =
   if h.len = 0 then None
   else
-    let key = h.data.(0).key in
+    let key = min_key h in
     Some (key, take h)
 
 let clear h =

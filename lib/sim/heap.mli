@@ -1,5 +1,7 @@
 (** A mutable binary min-heap keyed by integer priorities, with FIFO
-    tie-breaking (insertion order decides between equal keys). *)
+    tie-breaking (insertion order decides between equal keys). A value
+    taken out is no longer referenced by the heap, so an event queue
+    does not keep a dispatched event's captures alive. *)
 
 type 'a t
 

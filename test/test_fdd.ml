@@ -414,6 +414,138 @@ let test_policy_store_watch () =
     | Some { value = Obs.Registry.Gauge_v 1.0; _ } -> true
     | _ -> false)
 
+(* --- recompiling from the previous compile's steps --- *)
+
+(* Rules over a small pool of headers, so random lists share prefixes
+   and regions: quick and conditional rules, a table whose contents an
+   edit may change, and a rule whose negated address matches nothing
+   (it applies no step). A rule is its seven fields, any one of which
+   an edit may change alone. *)
+let rule_fields =
+  [|
+    [| "pass"; "block" |];
+    [| ""; " quick" |];
+    [| ""; " proto tcp"; " proto udp" |];
+    [| "any"; "10.0.0.0/8"; "10.1.0.0/16"; "!10.1.0.0/16"; "<lan>"; "!0.0.0.0/0" |];
+    [| "any"; "10.0.0.0/8"; "10.1.0.0/16"; "<lan>" |];
+    [| ""; " port 22"; " port 80"; " port 1000:2000" |];
+    [| ""; " with eq(@src[name], skype)"; " with eq(@dst[user], bob)"; " with lookup(@src[name])" |];
+  |]
+
+let gen_field i = QCheck.Gen.oneofa rule_fields.(i)
+
+let gen_rule =
+  QCheck.Gen.(flatten_l (List.init (Array.length rule_fields) gen_field))
+
+let rule_text = function
+  | [ action; quick; proto; src; dst; port; cond ] ->
+      Printf.sprintf "%s%s%s from %s to %s%s%s" action quick proto src dst port cond
+  | _ -> invalid_arg "rule_text"
+
+let gen_lan = QCheck.Gen.oneofl [ "10.1.2.0/24"; "10.1.0.0/16 192.168.0.0/24" ]
+
+(* A policy and two edits of it, each applied to the one before: a
+   replaced suffix, a replaced rule in the middle, one changed field of
+   a rule in the middle, a changed table, or the other default. *)
+let gen_edits =
+  QCheck.Gen.(
+    let* lan = gen_lan and* rules = list_size (int_range 1 10) gen_rule in
+    let edit (default, lan, rules) =
+      let n = List.length rules in
+      let replace at f = List.mapi (fun i r -> if i = at then f r else r) rules in
+      let* kind = int_range 0 4 in
+      match kind with
+      | (1 | 2) when n = 0 ->
+          let+ tail = list_size (int_range 0 3) gen_rule in
+          (default, lan, tail)
+      | 0 ->
+          let* keep = int_range 0 n and* tail = list_size (int_range 0 3) gen_rule in
+          return (default, lan, List.filteri (fun i _ -> i < keep) rules @ tail)
+      | 1 ->
+          let* at = int_range 0 (n - 1) and* r = gen_rule in
+          return (default, lan, replace at (fun _ -> r))
+      | 2 ->
+          let* at = int_range 0 (n - 1) and* field = int_range 0 6 in
+          let+ v = gen_field field in
+          (default, lan, replace at (List.mapi (fun i f -> if i = field then v else f)))
+      | 3 ->
+          let+ lan = gen_lan in
+          (default, lan, rules)
+      | _ ->
+          let other = if default = Pf.Ast.Pass then Pf.Ast.Block else Pf.Ast.Pass in
+          return (other, lan, rules)
+    in
+    let* first = edit (Pf.Ast.Pass, lan, rules) in
+    let+ second = edit first in
+    [ (Pf.Ast.Pass, lan, rules); first; second ])
+
+let policy_text (_, lan, rules) =
+  String.concat "\n"
+    (Printf.sprintf "table <lan> { %s }" lan :: List.map rule_text rules)
+
+(* Every revision recompiled from the steps of the one before is the
+   diagram a compile from scratch builds, node for node, and lowers to
+   the same table, also through a plan cache that saw the revisions
+   before it. *)
+let prop_recompile_equals_compile =
+  QCheck.Test.make ~name:"recompile from the previous steps equals a full compile"
+    ~count:300
+    (QCheck.make gen_edits ~print:(fun revs ->
+         String.concat "\n-- then --\n"
+           (List.map
+              (fun ((default, _, _) as rev) ->
+                Printf.sprintf "(default %s)\n%s"
+                  (if default = Pf.Ast.Pass then "pass" else "block")
+                  (policy_text rev))
+              revs)))
+    (fun revs ->
+      let cache = Compiler.create_cache () in
+      ignore
+        (List.fold_left
+           (fun (steps, i) ((default, _, _) as rev) ->
+             let env = env_of (policy_text rev) in
+             let fdd, steps = Fdd.recompile ~default steps env in
+             let scratch = Fdd.compile ~default env in
+             if fdd <> scratch then
+               QCheck.Test.fail_reportf "revision %d: recompiled diagram differs" i;
+             if Compiler.compile ~cache fdd <> Compiler.compile scratch then
+               QCheck.Test.fail_reportf "revision %d: compiled tables differ" i;
+             (steps, i + 1))
+           (Fdd.no_steps, 0) revs);
+      true)
+
+(* The words of recompiling a one-rule edit after [n] unchanged rules.
+   The prefix splits tcp's destination port [n] ways; the edited rule
+   is udp's, so its path crosses none of those splits, and what differs
+   with [n] is only how the unchanged prefix is handled. The edited
+   diagram is compiled once beforehand, so the measured recompile
+   interns nothing new and the node store does not grow under it. *)
+let edit_words n =
+  let text last =
+    String.concat "\n"
+      (("block all"
+       :: List.init n (fun i -> Printf.sprintf "pass proto tcp from any to any port %d" (1000 + i)))
+      @ [ last ])
+  in
+  let base = env_of (text "block proto udp from any to any port 53") in
+  let edited = env_of (text "pass proto udp from any to any port 53") in
+  let _, steps = Fdd.recompile Fdd.no_steps base in
+  let expected = Fdd.compile edited in
+  let before = Gc.minor_words () in
+  let fdd, _ = Fdd.recompile steps edited in
+  let words = Gc.minor_words () -. before in
+  if fdd <> expected then Alcotest.fail "the recompiled diagram differs";
+  words
+
+(* Measured: 1,065 words after 8 unchanged rules and 1,233 after 64, 3
+   more per unchanged rule (its cell in the list of steps). A full
+   compile, which re-applies the prefix, read 8,640 and 128,620. *)
+let test_recompile_flat_in_prefix () =
+  let short = edit_words 8 and long = edit_words 64 in
+  if long -. short > 4.0 *. 56.0 then
+    Alcotest.failf "a one-rule edit: %.0f words after 8 unchanged rules, %.0f after 64"
+      short long
+
 let () =
   Alcotest.run "fdd"
     [
@@ -437,6 +569,12 @@ let () =
             test_differential_synthetic;
           Alcotest.test_case "shipped policies" `Quick
             test_differential_shipped;
+        ] );
+      ( "recompile",
+        [
+          QCheck_alcotest.to_alcotest prop_recompile_equals_compile;
+          Alcotest.test_case "a one-rule edit is flat in the unchanged prefix"
+            `Quick test_recompile_flat_in_prefix;
         ] );
       ( "integration",
         [

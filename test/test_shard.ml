@@ -97,10 +97,12 @@ let xid_of = function
 
 let test_batch_ordering () =
   let e = Sim.Engine.create () in
-  let sent = ref [] in
+  let sent = ref [] and calls = ref 0 in
   let b =
     Shard.Batch.create ~engine:e
-      ~send:(fun dpid msg -> sent := (dpid, xid_of msg) :: !sent)
+      ~send:(fun dpid msgs ->
+        incr calls;
+        Array.iter (fun msg -> sent := (dpid, xid_of msg) :: !sent) msgs)
       ()
   in
   (* Interleave two switches; the flush must group by ascending dpid
@@ -117,6 +119,7 @@ let test_batch_ordering () =
     "grouped by dpid, per-dpid arrival order"
     [ (1, 2); (1, 4); (2, 1); (2, 3) ]
     (List.rev !sent);
+  check Alcotest.int "one send per switch" 2 !calls;
   check Alcotest.int "one pass" 1 (Shard.Batch.flushes b);
   check Alcotest.int "four messages through" 4 (Shard.Batch.batched b);
   (* A later tick batches afresh. *)
@@ -283,8 +286,9 @@ let port_burst ~clients ~ports shards =
    queries both ends itself. Source ports drawn from a small pool make
    answers from the hot host name the same ports and differ only in the
    client address. Pairing by the named flow delivers each to its own
-   flow, so the default ([None]) and 1, 2 or 8 shards agree on every
-   run, and no flow decides with an end absent. *)
+   flow, so 1, 2, 4 and 8 shards agree on every run, and no flow
+   decides with an end absent. ([None] is one shard, which the
+   determinism oracle above compares with [Some 1].) *)
 let prop_pairing_oracle =
   let scenario =
     QCheck.Gen.(
@@ -303,11 +307,11 @@ let prop_pairing_oracle =
             (function None -> "ephemeral" | Some p -> string_of_int p)
             ports))
   in
-  QCheck.Test.make ~name:"pairing oracle (unsharded, 1/2/8 uncoalesced)"
+  QCheck.Test.make ~name:"pairing oracle (1/2/4/8 shards, uncoalesced)"
     ~count:25 (QCheck.make ~print scenario) (fun (clients, ports) ->
       let runs =
         oracle_runs (port_burst ~clients ~ports)
-          (None :: List.map (fun n -> Some (C.sharded n)) [ 1; 2; 8 ])
+          (List.map (fun n -> Some (C.sharded n)) [ 1; 2; 4; 8 ])
       in
       let a0, s0, d0, _ = List.hd runs in
       List.iteri

@@ -154,6 +154,29 @@ let test_engine_run_alloc () =
   if words > 16. then
     Alcotest.failf "%.0f minor words to dispatch %d no-op events" words n
 
+(* A dispatched event is gone from the queue: what only its closure
+   captured becomes garbage, and the heap's spare slots keep nothing
+   alive. *)
+let test_engine_releases_dispatched () =
+  let e = Sim.Engine.create () in
+  let captured = Weak.create 3 in
+  let[@inline never] arm i =
+    let v = Bytes.make 64 'x' in
+    Weak.set captured i (Some v);
+    Sim.Engine.schedule e ~delay:(Sim.Time.ns (i + 1)) (fun () ->
+        ignore (Sys.opaque_identity v))
+  in
+  for i = 0 to 2 do
+    arm i
+  done;
+  Sim.Engine.run e;
+  Gc.full_major ();
+  check Alcotest.int "all dispatched" 0 (Sim.Engine.pending e);
+  for i = 0 to 2 do
+    if Weak.check captured i then
+      Alcotest.failf "event %d's capture is still reachable after dispatch" i
+  done
+
 let test_engine_max_events () =
   let e = Sim.Engine.create () in
   for i = 1 to 10 do
@@ -355,6 +378,8 @@ let () =
           Alcotest.test_case "max events" `Quick test_engine_max_events;
           Alcotest.test_case "run allocates nothing per event" `Quick
             test_engine_run_alloc;
+          Alcotest.test_case "dispatched events are released" `Quick
+            test_engine_releases_dispatched;
           Alcotest.test_case "fifo among simultaneous" `Quick
             test_engine_same_time_fifo;
           Alcotest.test_case "rejects past" `Quick test_engine_rejects_past;
