@@ -763,18 +763,6 @@ let lines_to_string lines =
   String.concat ","
     (List.map (function 0 -> "default" | l -> string_of_int l) lines)
 
-let verdict_to_string = function
-  | Static { action; lines } ->
-      Printf.sprintf "%s (line %s)"
-        (match action with Pf.Ast.Pass -> "pass" | Pf.Ast.Block -> "block")
-        (lines_to_string lines)
-  | Reactive { lines; inputs; may_default } ->
-      Printf.sprintf "reactive (lines %s; needs %s%s)" (lines_to_string lines)
-        (match inputs with
-        | [] -> "flow-time evaluation"
-        | _ -> String.concat ", " (List.map Pf.Ast.cond_input_to_string inputs))
-        (if may_default then "; may fall through to default" else "")
-
 (* --- flow spaces: diagrams whose leaves are in or out --- *)
 
 module Space = struct

@@ -194,10 +194,6 @@ val regions_to_string : region list -> string
 (** The atoms of every region, the first four shown, then
     [; ... (N more)]; ["(empty)"] for no region. *)
 
-val verdict_to_string : verdict -> string
-(** ["pass"], ["block"], or ["reactive"] with the deciding lines /
-    influencing inputs in parentheses. *)
-
 (** {2 Flow spaces}
 
     A set of flows: a diagram in the same store whose leaves are {e in}

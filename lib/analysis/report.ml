@@ -58,8 +58,6 @@ let text_line l =
     (severity_string f.Check.severity)
     f.Check.code f.Check.message witness
 
-let to_text located = String.concat "\n" (List.map text_line located)
-
 (* --- JSON (hand-rolled: the repo carries no JSON dependency) --- *)
 
 let json_escape s =

@@ -12,7 +12,6 @@ type located = { file : string; local_line : int; finding : Check.finding }
 
 val locate : (string * string) list -> Check.finding list -> located list
 val text_line : located -> string
-val to_text : located list -> string
 val to_json : located list -> string
 
 val exit_code : Check.finding list -> int

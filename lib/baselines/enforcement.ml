@@ -25,7 +25,3 @@ let score t flows =
 let accuracy s =
   if s.total = 0 then 1.0
   else float_of_int (s.total - s.false_allows - s.false_denies) /. float_of_int s.total
-
-let pp_score ppf s =
-  Format.fprintf ppf "total=%d admitted=%d false-allow=%d false-deny=%d acc=%.3f"
-    s.total s.admitted s.false_allows s.false_denies (accuracy s)

@@ -20,5 +20,3 @@ type score = {
 val score : t -> Flow_info.t list -> score
 val accuracy : score -> float
 (** Fraction of flows decided according to intent. *)
-
-val pp_score : Format.formatter -> score -> unit

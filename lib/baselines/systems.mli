@@ -22,18 +22,6 @@ val vanilla : policy:string -> (Enforcement.t, string) result
 val ethane : policy:string -> (Enforcement.t, string) result
 (** The policy may use [with] clauses over [userID]/[groupID] only. *)
 
-val distributed : policy:string -> (Enforcement.t, string) result
-
-val identxx :
-  ?attacker_claim:Identxx.Key_value.section ->
-  ?keystore:Idcrypto.Sign.keystore ->
-  policy:string ->
-  unit ->
-  (Enforcement.t, string) result
-(** [attacker_claim] is the section a compromised end reports in place
-    of the truth (default: claims to be the [system] user running an
-    innocuous app). *)
-
 val vanilla_exn : policy:string -> Enforcement.t
 val ethane_exn : policy:string -> Enforcement.t
 val distributed_exn : policy:string -> Enforcement.t
@@ -44,3 +32,6 @@ val identxx_exn :
   policy:string ->
   unit ->
   Enforcement.t
+(** [attacker_claim] is the section a compromised end reports in place
+    of the truth (default: claims to be the [system] user running an
+    innocuous app). *)

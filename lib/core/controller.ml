@@ -265,13 +265,11 @@ type t = {
 }
 
 let policy t = t.policy
-let recorder t = t.recorder
 let fastpath t = t.fp
 
 let shard_count t = Shard.Engine.shards t.shard_engine
 
 let metrics t = t.obs
-let spans t = t.spans
 
 let time_now_s t = Sim.Time.to_float_s (Sim.Engine.now (Net.engine t.network))
 

@@ -139,14 +139,6 @@ val metrics : t -> Obs.Registry.t
 (** The registry this controller records into (the [?obs] argument, or
     the private default). Exportable with {!Obs.Export}. *)
 
-val spans : t -> Obs.Span.t
-(** The flow-setup span collector (disabled unless [?spans] was given
-    or a caller enables it). *)
-
-val recorder : t -> Obs.Recorder.t
-(** The flight recorder (the [?recorder] argument, or the shared
-    disabled {!Obs.Recorder.null}). *)
-
 val fastpath : t -> Fastpath.t
 (** The controller's fast-path state (decision cache and breaker), which
     every shard reads; mostly for tests and tooling. Counters also
@@ -174,15 +166,6 @@ val flush_cache : t -> unit
     forget connection state; all flows are re-decided on their next
     packet. The compiled table and the routes are reinstalled
     afterwards. *)
-
-val sync_proactive : ?force:bool -> t -> unit
-(** Recompile the policy's offloaded static slice and push the delta of
-    wildcard entries to the domain's switches. Runs automatically on
-    every policy change; the per-node compile cache makes an unchanged
-    policy region free to recompile. [force]
-    reinstalls every entry instead of diffing — used after the
-    dataplane was wiped (cache flush) or partially clipped
-    (revocation). *)
 
 val proactive_table : t -> Compiler.table
 (** The abstract compiled table currently installed: empty until the

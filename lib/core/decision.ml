@@ -27,7 +27,6 @@ let create ?(default = Pf.Ast.Pass) ?keystore ?functions ~policy () =
 
 let keystore t = t.keystore
 let functions t = t.functions
-let policy t = t.policy
 
 let decide t input =
   match Policy_store.env t.policy with

@@ -24,7 +24,6 @@ val create :
 
 val keystore : t -> Idcrypto.Sign.keystore
 val functions : t -> Pf.Fnreg.t
-val policy : t -> Policy_store.t
 
 val decide : t -> input -> (Pf.Eval.verdict, string) result
 

@@ -24,20 +24,12 @@ val remove : t -> name:string -> unit
 val files : t -> (string * string) list
 (** In alphabetical (= evaluation) order. *)
 
-val concatenated : t -> string
-(** The logical single file the controller evaluates. *)
-
 val env : t -> (Pf.Env.t, string) result
 (** The compiled environment (cached; recompiled after changes). Fails
     when the concatenation is inconsistent, e.g. a rule referencing a
     table no file defines. *)
 
 val env_exn : t -> Pf.Env.t
-
-val analyze : t -> Analysis.Check.finding list
-(** Deep flow-space analysis of the current concatenation (shadowing,
-    conflicts, undefined references, default fallthrough); empty when
-    the concatenation does not parse ({!env} reports that instead). *)
 
 val epoch : t -> int
 (** Monotonic policy generation: starts at 0 and is bumped by every

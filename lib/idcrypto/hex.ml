@@ -54,6 +54,3 @@ let spells hex raw n =
   n <= String.length raw
   && String.length hex = 2 * n
   && diff_from hex raw n 0 0 = 0
-
-let decode_exn s =
-  match decode s with Ok v -> v | Error e -> invalid_arg e

@@ -14,6 +14,3 @@ val spells : string -> string -> int -> bool
 (** [spells hex raw n]: [hex] is exactly [2 * n] digits, either case,
     whose {!decode} is the first [n] bytes of [raw]. Allocates nothing;
     a digit mismatch does not end the comparison early. *)
-
-val decode_exn : string -> string
-(** @raise Invalid_argument on malformed input. *)

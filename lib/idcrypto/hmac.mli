@@ -36,10 +36,6 @@ val finalize_into : ctx -> Bytes.t -> unit
 (** {!finalize} into the first 32 bytes of a buffer, allocating nothing.
     Raises [Invalid_argument] when the buffer is shorter. *)
 
-val check : ctx -> tag:string -> bool
-(** Constant-time comparison of [tag] against [finalize ctx]; the
-    context must not be reused afterwards. *)
-
 (** {2 Prepared keys}
 
     A signer or verifier that uses one key for many tags prepares it

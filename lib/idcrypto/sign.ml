@@ -152,7 +152,6 @@ let register ks kp = register_public ks ~public:kp.public ~secret:kp.secret
 let register_for ks kp ~hosts =
   add_principal ks ~public:kp.public ~secret:kp.secret (Some hosts)
 
-let known ks public = Hashtbl.mem ks.principals public
 let signs_for ks host = Hashtbl.mem ks.bound host
 
 let answers_for ks ~public host =

@@ -39,9 +39,6 @@ val sign : secret:string -> string list -> string
 type stream
 (** A signature over the elements added so far. *)
 
-val stream : secret:string -> stream
-(** A fresh stream: [keyed (prepare secret)]. *)
-
 type key
 (** A secret prepared once ({!Hmac.prepare}) for a signer or verifier
     that tags many messages, with the one stream it tags them in. *)
@@ -103,8 +100,6 @@ val register_for : keystore -> keypair -> hosts:string list -> unit
 val answers_for : keystore -> public:string -> string -> bool
 (** Whether the principal may answer for the host: true for an unbound
     handle, false for an unknown one. *)
-
-val known : keystore -> string -> bool
 
 val signs_for : keystore -> string -> bool
 (** Whether some principal is bound to the host ({!register_for}): its

@@ -95,9 +95,6 @@ let parse content =
   in
   go [] [] None lines
 
-let parse_exn content =
-  match parse content with Ok t -> t | Error e -> invalid_arg e
-
 let merge a b = { globals = a.globals @ b.globals; apps = a.apps @ b.apps }
 
 let app t ~path =
@@ -125,5 +122,3 @@ let render t =
       Buffer.add_string buf "}\n")
     t.apps;
   Buffer.contents buf
-
-let pp ppf t = Format.pp_print_string ppf (render t)

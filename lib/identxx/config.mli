@@ -32,8 +32,6 @@ val empty : t
 val parse : string -> (t, string) result
 (** Parse one file's contents. *)
 
-val parse_exn : string -> t
-
 val merge : t -> t -> t
 (** Later files' pairs append after earlier ones (so they are "later"
     and win {!Response.latest}-style lookups). *)
@@ -46,5 +44,3 @@ val app : t -> path:string -> Key_value.section option
 val render : t -> string
 (** Print back to the file syntax ({!parse} of the result is [t] up to
     continuation layout). *)
-
-val pp : Format.formatter -> t -> unit

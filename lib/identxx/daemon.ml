@@ -87,7 +87,6 @@ let create ?(behaviour = Honest) ~ip ~processes ~exe_hash () =
 let on_change t f = t.change_listeners <- f :: t.change_listeners
 
 let clock t = t.d_clock
-let set_clock t clock = t.d_clock <- clock
 
 let set_metrics t ?clock ?(labels = []) reg =
   (match clock with Some c -> t.d_clock <- c | None -> ());

@@ -110,13 +110,11 @@ val queries_answered : t -> int
 
 val clock : t -> unit -> float
 (** The daemon's clock (seconds). Defaults to [fun () -> 0.] so
-    untimed deployments stay deterministic; {!set_clock} or
-    {!set_metrics}'s [?clock] replace it. Callers timing work on the
+    untimed deployments stay deterministic; {!set_metrics}'s [?clock]
+    replaces it. Callers timing work on the
     daemon's behalf (e.g. {!Host.handle_packet} timing
     {!Query.decode}) must read this clock so span times are
     comparable. *)
-
-val set_clock : t -> (unit -> float) -> unit
 
 val set_metrics :
   t ->

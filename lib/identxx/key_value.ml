@@ -91,8 +91,3 @@ let key_of_slice s pos len =
   | 14 -> shared response_nonce s pos len
   | 15 -> shared2 response_signer response_scopes s pos len
   | _ -> String.sub s pos len
-
-let pp_pair ppf p = Format.fprintf ppf "%s: %s" p.key p.value
-
-let pp_section ppf s =
-  List.iter (fun p -> Format.fprintf ppf "%a@." pp_pair p) s

@@ -96,6 +96,3 @@ val key_of_slice : string -> int -> int -> string
 (** [key_of_slice s pos len] is [String.sub s pos len], except that each
     key above — the protocol's vocabulary — is its shared constant
     rather than a copy: decoders allocate no key the protocol names. *)
-
-val pp_pair : Format.formatter -> pair -> unit
-val pp_section : Format.formatter -> section -> unit

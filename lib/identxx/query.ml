@@ -186,14 +186,3 @@ let decode s =
             nonce = hints.nonce;
             trace = hints.trace;
           }
-
-let equal a b = a = b
-
-let pp ppf t =
-  Format.fprintf ppf "query %s %d->%d keys=[%s]%s%s" (Proto.to_string t.proto)
-    t.src_port t.dst_port
-    (String.concat ";" t.keys)
-    (match t.nonce with None -> "" | Some n -> " nonce=" ^ n)
-    (match t.trace with
-    | None -> ""
-    | Some ctx -> " trace=" ^ Obs.Trace_context.to_string ctx)

@@ -69,6 +69,3 @@ val decode : string -> (t, string) result
     list, each kept key the protocol does not name
     ({!Key_value.key_of_slice}) and the nonce; a trace context too, when
     there is one. *)
-
-val equal : t -> t -> bool
-val pp : Format.formatter -> t -> unit

@@ -269,14 +269,3 @@ let trace_info t =
       t.sections
   in
   match tagged with [] -> None | info :: _ -> Some info
-
-let equal a b = a = b
-
-let pp ppf t =
-  Format.fprintf ppf "response %s %d->%d (%d sections)@."
-    (Proto.to_string t.proto) t.src_port t.dst_port
-    (List.length t.sections);
-  List.iteri
-    (fun i s ->
-      Format.fprintf ppf "-- section %d --@.%a" i Key_value.pp_section s)
-    t.sections

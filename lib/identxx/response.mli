@@ -61,9 +61,6 @@ val decode : string -> (t, string) result
     copied out, and a key the protocol names is its shared constant
     ({!Key_value.key_of_slice}), not a copy. *)
 
-val equal : t -> t -> bool
-val pp : Format.formatter -> t -> unit
-
 (** {2 Daemon-side trace piggyback}
 
     A daemon answering a traced query (see {!Query.t}[.trace]) returns
@@ -86,7 +83,7 @@ val trace_info : t -> (string * string * (string * float * float) list) option
 
 val is_trace_section : Key_value.section -> bool
 (** Whether the section carries both {!trace_id_key} and
-    {!trace_spans_key} — the shape {!attach_trace} produces. *)
+    the trace-spans key — the shape {!attach_trace} produces. *)
 
 val strip_trace : t -> t
 (** The response without its trace section(s); the response itself when
@@ -97,5 +94,3 @@ val strip_trace : t -> t
     only under a policy that reads them or calls [allowed()].) *)
 
 val trace_id_key : string
-val trace_parent_key : string
-val trace_spans_key : string

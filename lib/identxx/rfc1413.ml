@@ -1,7 +1,5 @@
 open Netcore
 
-let port = 113
-
 let parse_request line =
   match String.split_on_char ',' line with
   | [ a; b ] -> (

@@ -15,9 +15,6 @@
 
 open Netcore
 
-val port : int
-(** 113. *)
-
 val handle_request :
   processes:Process_table.t -> local_ip:Ipv4.t -> peer_ip:Ipv4.t -> string ->
   string

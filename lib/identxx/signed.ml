@@ -275,14 +275,6 @@ let check ks (r : Response.t) = function
 
 let verify keystore r = check keystore r (signature r)
 
-type claim = { signer : string; host : string; peer : string; nonce : string }
-
-let claimed (sg : signature) =
-  if present sg.host && present sg.peer && present sg.nonce then
-    Some { signer = sg.signer; host = sg.host; peer = sg.peer; nonce = sg.nonce }
-  else None
-
-let claim r = Option.bind (signature r) claimed
 let signer (sg : signature) = sg.signer
 
 let echoes (sg : signature) ~host ~peer ~nonce =

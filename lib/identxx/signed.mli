@@ -118,19 +118,7 @@ val verify : Idcrypto.Sign.keystore -> Response.t -> verdict
     [Valid] says only that the signer vouched for these bytes. Whether
     they answer {e this} query — the echoed host, peer and nonce, and
     whether the signer may answer for that host — is the receiver's
-    check ({!claim}). *)
-
-type claim = {
-  signer : string;
-  host : string;
-  peer : string;
-  nonce : string;
-}
-(** What the first signature section echoes, unverified. *)
-
-val claim : Response.t -> claim option
-(** The first signature section's signer and echoed fields; [None] when
-    there is none or a field is missing. Read it after {!verify}. *)
+    check ({!signer}, {!echoes}). *)
 
 val scope : Response.t -> scope
 (** How far the answer holds as a whole: the narrowest scope its
@@ -143,11 +131,11 @@ val scope : Response.t -> scope
 
 (** {2 Reading the signature section once}
 
-    {!verify}, {!claim} and {!scope} each find the first signature
-    section. A receiver that needs them all reads it once with
-    {!signature} and asks the reading: [verify ks r] is
-    [check ks r (signature r)] and [scope r] is [scope_of (signature r)];
-    {!signer} and {!echoes} stand in for {!claim}. *)
+    {!verify} and {!scope} each find the first signature section. A
+    receiver that needs them all reads it once with {!signature} and
+    asks the reading: [verify ks r] is [check ks r (signature r)] and
+    [scope r] is [scope_of (signature r)]; {!signer} and {!echoes} read
+    what it echoes. *)
 
 type signature
 (** The first signature section of a response — a section carrying

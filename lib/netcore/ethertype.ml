@@ -20,6 +20,5 @@ let to_string = function
   | Vlan_tagged -> "vlan"
   | Other n -> Printf.sprintf "0x%04x" n
 
-let compare a b = Int.compare (to_int a) (to_int b)
 let equal a b = to_int a = to_int b
 let pp ppf t = Format.pp_print_string ppf (to_string t)

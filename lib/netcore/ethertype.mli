@@ -4,7 +4,5 @@ type t = Ipv4 | Arp | Vlan_tagged | Other of int
 
 val to_int : t -> int
 val of_int : int -> t
-val to_string : t -> string
-val compare : t -> t -> int
 val equal : t -> t -> bool
 val pp : Format.formatter -> t -> unit

@@ -5,14 +5,10 @@ let any = 0
 let broadcast = mask32
 let of_int i = i land mask32
 let to_int a = a
-let of_int32 i = Int32.to_int i land mask32
-let to_int32 a = Int32.of_int (a land mask32)
 
 let of_octets a b c d =
   ((a land 0xff) lsl 24) lor ((b land 0xff) lsl 16) lor ((c land 0xff) lsl 8)
   lor (d land 0xff)
-
-let localhost = of_octets 127 0 0 1
 
 let to_octets a =
   ((a lsr 24) land 0xff, (a lsr 16) land 0xff, (a lsr 8) land 0xff, a land 0xff)
@@ -112,4 +108,3 @@ let is_private a =
 let compare = Int.compare
 let equal = Int.equal
 let hash a = Hashtbl.hash a
-let pp ppf a = Format.pp_print_string ppf (to_string a)

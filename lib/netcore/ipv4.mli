@@ -9,12 +9,6 @@ val any : t
 val broadcast : t
 (** [255.255.255.255]. *)
 
-val localhost : t
-(** [127.0.0.1]. *)
-
-val of_int32 : int32 -> t
-val to_int32 : t -> int32
-
 val of_int : int -> t
 (** Keeps the low 32 bits. *)
 
@@ -52,4 +46,3 @@ val is_private : t -> bool
 val compare : t -> t -> int
 val equal : t -> t -> bool
 val hash : t -> int
-val pp : Format.formatter -> t -> unit

@@ -4,7 +4,6 @@ let mask48 = (1 lsl 48) - 1
 let broadcast = mask48
 let zero = 0
 let of_int i = i land mask48
-let to_int m = m
 
 let of_bytes s off =
   if off < 0 || off + 6 > String.length s then
@@ -47,7 +46,5 @@ let to_string m =
 
 let is_broadcast m = m = broadcast
 let is_multicast m = (m lsr 40) land 1 = 1
-let compare = Int.compare
 let equal = Int.equal
-let hash m = Hashtbl.hash m
 let pp ppf m = Format.pp_print_string ppf (to_string m)

@@ -2,7 +2,7 @@
 
 type t
 (** A 48-bit MAC address. Values are totally ordered and comparable with
-    the polymorphic operators via {!compare}. *)
+    the polymorphic operators. *)
 
 val broadcast : t
 (** [ff:ff:ff:ff:ff:ff]. *)
@@ -12,8 +12,6 @@ val zero : t
 
 val of_int : int -> t
 (** [of_int i] keeps the low 48 bits of [i]. *)
-
-val to_int : t -> int
 
 val of_bytes : string -> int -> t
 (** [of_bytes s off] reads six big-endian bytes at offset [off].
@@ -36,7 +34,5 @@ val is_broadcast : t -> bool
 val is_multicast : t -> bool
 (** True when the group bit (LSB of the first octet) is set. *)
 
-val compare : t -> t -> int
 val equal : t -> t -> bool
-val hash : t -> int
 val pp : Format.formatter -> t -> unit

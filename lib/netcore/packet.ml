@@ -11,11 +11,7 @@ let flags_none =
   { syn = false; ack = false; fin = false; rst = false; psh = false; urg = false }
 
 let flags_syn = { flags_none with syn = true }
-let flags_synack = { flags_none with syn = true; ack = true }
-let flags_ack = { flags_none with ack = true }
 let flags_psh_ack = { flags_none with ack = true; psh = true }
-let flags_fin = { flags_none with fin = true; ack = true }
-let flags_rst = { flags_none with rst = true }
 
 type tcp = {
   tcp_src : int;
@@ -151,9 +147,6 @@ let five_tuple t =
       ip_five_tuple ip ~src_port:udp.udp_src ~dst_port:udp.udp_dst
   | Ip ({ payload = Icmp _ | Raw_ip _; _ } as ip) ->
       ip_five_tuple ip ~src_port:0 ~dst_port:0
-
-let proto t =
-  match t.eth_payload with Ip ip -> Some (ip_proto ip.payload) | Raw_eth _ -> None
 
 (* --- encoding --- *)
 
@@ -438,8 +431,6 @@ let size t =
         | Raw_ip (_, s) -> String.length s)
   in
   14 + (if Vlan.is_tagged t.vlan then 4 else 0) + body
-
-let equal a b = a = b
 
 let pp ppf t =
   match five_tuple t with

@@ -14,13 +14,7 @@ type tcp_flags = {
   urg : bool;
 }
 
-val flags_none : tcp_flags
-val flags_syn : tcp_flags
-val flags_synack : tcp_flags
-val flags_ack : tcp_flags
 val flags_psh_ack : tcp_flags
-val flags_fin : tcp_flags
-val flags_rst : tcp_flags
 
 type tcp = {
   tcp_src : int;
@@ -84,7 +78,6 @@ val five_tuple : t -> Five_tuple.t option
 (** The ident++ 5-tuple of an IPv4 TCP/UDP packet; for other IP packets
     the ports are reported as 0; [None] for non-IP frames. *)
 
-val proto : t -> Proto.t option
 val size : t -> int
 (** Length in bytes of [encode t], computed from the header and payload
     lengths without encoding. O(1); allocates nothing. *)
@@ -96,5 +89,4 @@ val decode : ?check:bool -> string -> (t, string) result
 (** Parse wire bytes. When [check] (default [true]), IPv4 and transport
     checksums are verified and a mismatch is an [Error]. *)
 
-val equal : t -> t -> bool
 val pp : Format.formatter -> t -> unit

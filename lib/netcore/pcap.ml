@@ -35,17 +35,6 @@ let write_bytes w ~ts_us frame =
 let write_packet w ~ts_us pkt = write_bytes w ~ts_us (Packet.encode pkt)
 let packet_count w = w.count
 
-let to_file ~path f =
-  let buf = Buffer.create 4096 in
-  let w = create_writer buf in
-  f w;
-  let oc = open_out_bin path in
-  (try Buffer.output_buffer oc buf
-   with e ->
-     close_out_noerr oc;
-     raise e);
-  close_out oc
-
 type record = { ts_us : int; orig_len : int; frame : string }
 
 let get32 s off =

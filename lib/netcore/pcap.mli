@@ -18,9 +18,6 @@ val write_bytes : writer -> ts_us:int -> string -> unit
 
 val packet_count : writer -> int
 
-val to_file : path:string -> (writer -> unit) -> unit
-(** Build a capture in memory via the callback and write it to [path]. *)
-
 type record = { ts_us : int; orig_len : int; frame : string }
 
 val parse : string -> (record list, string) result

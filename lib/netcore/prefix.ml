@@ -42,10 +42,4 @@ let hosts p =
   in
   from (Ipv4.to_int p.network)
 
-let compare p q =
-  match Ipv4.compare p.network q.network with
-  | 0 -> Int.compare p.length q.length
-  | c -> c
-
-let equal p q = compare p q = 0
 let pp ppf p = Format.pp_print_string ppf (to_string p)

@@ -43,6 +43,4 @@ val size : t -> int
 val hosts : t -> Ipv4.t Seq.t
 (** All addresses in the prefix, ascending. *)
 
-val compare : t -> t -> int
-val equal : t -> t -> bool
 val pp : Format.formatter -> t -> unit

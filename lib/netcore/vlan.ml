@@ -10,6 +10,5 @@ let of_id id =
 let id v = if v < 0 then None else Some v
 let is_tagged v = v >= 0
 let to_string v = if v < 0 then "untagged" else string_of_int v
-let compare = Int.compare
 let equal = Int.equal
 let pp ppf v = Format.pp_print_string ppf (to_string v)

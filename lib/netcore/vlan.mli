@@ -12,7 +12,5 @@ val id : t -> int option
 (** [None] for {!untagged}. *)
 
 val is_tagged : t -> bool
-val to_string : t -> string
-val compare : t -> t -> int
 val equal : t -> t -> bool
 val pp : Format.formatter -> t -> unit

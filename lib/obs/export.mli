@@ -12,19 +12,12 @@ val prometheus : Registry.t -> string
     into [_bucket{le=...}] / [_sum] / [_count]. Series order follows
     {!Registry.snapshot} (deterministic). *)
 
-val json : Registry.t -> Json.t
-(** The snapshot as [{"metrics": [...]}]; each entry carries ["name"],
-    ["type"] (["counter"] | ["gauge"] | ["histogram"]), ["help"] (when
-    non-empty), ["labels"] (when non-empty), and either ["value"] or
-    ["buckets"]/["sum"]/["count"]. Histogram bucket bounds are finite;
-    the [+Inf] bucket is implied by ["count"]. *)
-
 val json_string : ?pretty:bool -> Registry.t -> string
-(** {!json} rendered with {!Json.to_string} ([pretty] defaults to
+(** The snapshot as [{"metrics": [...]}], rendered with {!Json.to_string} ([pretty] defaults to
     [true]: snapshots are operator-facing files). *)
 
 val of_json : Json.t -> (Registry.series list, string) result
-(** Parse a snapshot produced by {!json} back into series — the schema
+(** Parse a snapshot produced by {!json_string} back into series — the schema
     check behind [identxx_ctl metrics]. Unknown fields are ignored;
     missing or ill-typed required fields are errors naming the series. *)
 

@@ -103,7 +103,6 @@ let create ?(rules = default_rules) ?(recorder = Recorder.null) ?spans
   }
 
 let set_on_fire t f = t.on_fire <- f
-let rules t = t.h_rules
 let windows_closed t = Window.closed t.h_window
 let events t = List.rev t.fired
 

@@ -100,7 +100,6 @@ val events : t -> event list
 (** All events fired over the engine's lifetime, oldest first. *)
 
 val windows_closed : t -> int
-val rules : t -> rule list
 
 val active : t -> (string * (string * string) list) list
 (** Currently-firing (rule, group) pairs, sorted. *)

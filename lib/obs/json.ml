@@ -291,5 +291,3 @@ let to_int = function
   | _ -> None
 
 let to_str = function Str s -> Some s | _ -> None
-let to_bool = function Bool b -> Some b | _ -> None
-let obj_keys = function Obj fields -> List.map fst fields | _ -> []

@@ -40,6 +40,3 @@ val to_list : t -> t list
 val to_float : t -> float option
 val to_int : t -> int option
 val to_str : t -> string option
-val to_bool : t -> bool option
-
-val obj_keys : t -> string list

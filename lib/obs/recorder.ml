@@ -29,7 +29,6 @@ let create ?(capacity = 4096) ?(enabled = true) () =
 let null = { on = false; cap = 1; ring = []; retained = 0; total = 0 }
 let enabled t = t.on
 let set_enabled t v = if t != null then t.on <- v
-let capacity t = t.cap
 
 let rec take n = function
   | x :: rest when n > 0 -> x :: take (n - 1) rest
@@ -62,11 +61,6 @@ let events t =
     (fun s ->
       { ev_at = s.s_at; ev_kind = s.s_kind; ev_attrs = Lazy.force s.s_attrs })
     (take t.cap t.ring)
-
-let clear t =
-  t.ring <- [];
-  t.retained <- 0;
-  t.total <- 0
 
 let event_to_json e =
   Json.Obj

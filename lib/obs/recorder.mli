@@ -33,7 +33,6 @@ val null : t
 
 val enabled : t -> bool
 val set_enabled : t -> bool -> unit
-val capacity : t -> int
 
 val record : t -> at:float -> ?attrs:(string * string) list -> string -> unit
 (** Append an event of kind [string]. No-op when disabled. *)
@@ -52,9 +51,6 @@ val dropped : t -> int
 
 val events : t -> event list
 (** Retained events, newest first. *)
-
-val clear : t -> unit
-(** Drop all retained events and zero the drop counter. *)
 
 val dump : ?reason:string -> at:float -> t -> string
 (** JSONL snapshot: a header line

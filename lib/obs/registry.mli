@@ -80,7 +80,8 @@ val histogram :
   t -> ?help:string -> ?labels:labels -> ?buckets:float list -> string ->
   Histogram.t
 (** [buckets] are finite upper bounds, strictly increasing (defaults to
-    {!default_latency_buckets}). When the series already exists the
+    bounds from 10 us to 100 ms, sized for simulated flow-setup and
+    query round-trip times). When the series already exists the
     [buckets] argument is ignored.
     @raise Invalid_argument if [buckets] is empty or not increasing. *)
 
@@ -93,10 +94,6 @@ val counter_fn : t -> ?help:string -> ?labels:labels -> string -> (unit -> int) 
 val gauge_fn : t -> ?help:string -> ?labels:labels -> string -> (unit -> float) -> unit
 (** A callback gauge sampled at {!snapshot} time (cache sizes, pending
     tables, breaker state). Re-registering replaces the callback. *)
-
-val default_latency_buckets : float list
-(** Upper bounds in seconds, spanning 10 us to 100 ms — sized for
-    simulated flow-setup and query round-trip times. *)
 
 (** {2 Snapshots}
 

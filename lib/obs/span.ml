@@ -33,8 +33,6 @@ let create ?(capacity = 1024) ?(enabled = true) () =
   }
 
 let enabled t = t.on
-let set_enabled t v = t.on <- v
-let sample_rate t = t.rate
 
 let set_sample_rate t r =
   if not (r >= 0. && r <= 1.) then

@@ -24,7 +24,6 @@ val create : ?capacity:int -> ?enabled:bool -> unit -> t
     spans; enabled by default. *)
 
 val enabled : t -> bool
-val set_enabled : t -> bool -> unit
 
 (** {2 Head sampling}
 
@@ -36,9 +35,6 @@ val set_enabled : t -> bool -> unit
     deny, timeout, rejection and breaker trips, so error traces are
     never lost). Spans dropped this way are counted apart from capacity
     drops. *)
-
-val sample_rate : t -> float
-(** In [\[0, 1\]]; 1 (the default) keeps everything. *)
 
 val set_sample_rate : t -> float -> unit
 (** @raise Invalid_argument outside [\[0, 1\]]. *)

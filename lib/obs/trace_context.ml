@@ -49,6 +49,3 @@ let of_string s =
          && (flag = "s" || flag = "n") ->
       Some { trace_id; span_id; sampled = flag = "s" }
   | _ -> None
-
-let equal a b = a = b
-let pp ppf t = Format.pp_print_string ppf (to_string t)

@@ -37,6 +37,3 @@ val to_string : t -> string
 val of_string : string -> t option
 (** Inverse of {!to_string}; [None] for anything malformed (a
     version-tolerant decoder treats such tokens as ordinary data). *)
-
-val equal : t -> t -> bool
-val pp : Format.formatter -> t -> unit

@@ -41,7 +41,6 @@ let create ?(depth = 64) ~interval ~now registry =
     closed = 0;
   }
 
-let interval t = t.interval
 let windows t = t.ring
 let closed t = t.closed
 

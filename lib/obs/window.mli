@@ -25,9 +25,6 @@ val create : ?depth:int -> interval:float -> now:float -> Registry.t -> t
     (default 64) is how many closed windows the ring retains.
     @raise Invalid_argument if [interval <= 0] or [depth < 1]. *)
 
-val interval : t -> float
-(** The configured window length in seconds. *)
-
 (** Per-series change over one window. *)
 type wvalue =
   | W_counter of { delta : int; rate : float }
@@ -77,16 +74,11 @@ val value_of : wvalue -> float
     gauge's value, a histogram's count rate is not well defined — for
     histograms this is the windowed observation [count]. *)
 
-val merge : wvalue -> wvalue -> wvalue
-(** Combine two same-kind window values: counters add deltas and
-    rates, gauges add, histograms merge per-bound bucket counts.
-    Mixed kinds keep the first value. *)
-
 val grouped :
   window -> metric:string -> by:string list -> (Registry.labels * wvalue) list
 (** All of [metric]'s series in the window, grouped by the values of
     the [by] labels (series missing one of them are skipped) with
-    everything else {!merge}d away — e.g. grouping
+    everything else merged away — e.g. grouping
     [identxx_controller_packet_ins_total] by [["src"]] sums shards
     into one per-source-host series, which is what makes health
     evaluation shard-count invariant. [by = []] merges the whole

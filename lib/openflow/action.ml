@@ -3,7 +3,6 @@ type t = Output of int | Flood | To_controller | Drop | Goto_table of int
 let drop = [ Drop ]
 let is_drop actions = List.for_all (function Drop -> true | _ -> false) actions
 let output_ports actions = List.filter_map (function Output p -> Some p | _ -> None) actions
-let equal a b = a = b
 
 let pp ppf = function
   | Output p -> Format.fprintf ppf "output:%d" p

@@ -16,6 +16,4 @@ val is_drop : t list -> bool
 (** True when the list forwards nowhere (empty or explicit [Drop]). *)
 
 val output_ports : t list -> int list
-val equal : t -> t -> bool
-val pp : Format.formatter -> t -> unit
 val pp_list : Format.formatter -> t list -> unit

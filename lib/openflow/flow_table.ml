@@ -358,15 +358,8 @@ let entries t =
   List.stable_sort (fun a b -> if before a b then -1 else 1) all
   |> List.map (fun s -> s.entry)
 
-let clear t = remove_matching t ~fields:Match_fields.any
-
 let misses t = t.miss_count
 let hits t = t.hit_count
 let evictions t = t.eviction_count
 let refusals t = t.refusal_count
 let set_on_evict t f = t.on_evict <- Some f
-
-let pp ppf t =
-  Format.fprintf ppf "flow-table (%d entries, %d hits, %d misses)@."
-    (size t) t.hit_count t.miss_count;
-  List.iter (fun e -> Format.fprintf ppf "  %a@." Flow_entry.pp e) (entries t)

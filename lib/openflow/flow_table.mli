@@ -71,7 +71,6 @@ val entries : t -> Flow_entry.t list
 val size : t -> int
 (** O(1). *)
 
-val clear : t -> unit
 val misses : t -> int
 (** Cumulative lookup misses. *)
 
@@ -87,5 +86,3 @@ val refusals : t -> int
 
 val set_on_evict : t -> (Flow_entry.t -> unit) -> unit
 (** Observe capacity evictions, called with each victim after removal. *)
-
-val pp : Format.formatter -> t -> unit

@@ -32,30 +32,6 @@ let ethertype_of_packet (pkt : Packet.t) =
   | Packet.Ip _ -> Ethertype.Ipv4
   | Packet.Raw_eth (et, _) -> et
 
-let exact ~in_port (pkt : Packet.t) =
-  let nw_src, nw_dst, nw_proto, tp_src, tp_dst =
-    match Packet.five_tuple pkt with
-    | Some ft ->
-        ( Some (Prefix.host ft.src),
-          Some (Prefix.host ft.dst),
-          Some ft.proto,
-          Some ft.src_port,
-          Some ft.dst_port )
-    | None -> (None, None, None, None, None)
-  in
-  {
-    in_port = Some in_port;
-    dl_src = Some pkt.eth_src;
-    dl_dst = Some pkt.eth_dst;
-    dl_type = Some (ethertype_of_packet pkt);
-    dl_vlan = Some pkt.vlan;
-    nw_src;
-    nw_dst;
-    nw_proto;
-    tp_src;
-    tp_dst;
-  }
-
 let of_five_tuple (ft : Five_tuple.t) =
   {
     any with
@@ -89,8 +65,6 @@ let matches_flow t ~in_port (pkt : Packet.t) flow =
       t.nw_src = None && t.nw_dst = None && t.nw_proto = None
       && t.tp_src = None && t.tp_dst = None
 
-let matches t ~in_port pkt = matches_flow t ~in_port pkt (Packet.five_tuple pkt)
-
 let covers_field general specific ~eq =
   match (general, specific) with
   | None, _ -> true
@@ -114,19 +88,6 @@ let covers general specific =
   && covers_field general.nw_proto specific.nw_proto ~eq:Proto.equal
   && covers_field general.tp_src specific.tp_src ~eq:Int.equal
   && covers_field general.tp_dst specific.tp_dst ~eq:Int.equal
-
-let full_prefix = function Some p -> Prefix.length p = 32 | None -> false
-
-let is_exact t =
-  t.in_port <> None && t.dl_src <> None && t.dl_dst <> None
-  && t.dl_type <> None && t.dl_vlan <> None && full_prefix t.nw_src
-  && full_prefix t.nw_dst && t.nw_proto <> None && t.tp_src <> None
-  && t.tp_dst <> None
-
-let wildcard_count t =
-  let w = function None -> 1 | Some _ -> 0 in
-  w t.in_port + w t.dl_src + w t.dl_dst + w t.dl_type + w t.dl_vlan
-  + w t.nw_src + w t.nw_dst + w t.nw_proto + w t.tp_src + w t.tp_dst
 
 let compare = Stdlib.compare
 let equal a b = compare a b = 0

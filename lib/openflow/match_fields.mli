@@ -21,14 +21,8 @@ type t = {
 val any : t
 (** All fields wildcarded; matches every packet. *)
 
-val exact : in_port:int -> Packet.t -> t
-(** The fully-specified match for a concrete packet as seen on a port —
-    what a controller installs to cache a per-flow decision. *)
-
 val of_five_tuple : Five_tuple.t -> t
 (** Match on the ident++ 5-tuple only (layer-2 fields wildcarded). *)
-
-val matches : t -> in_port:int -> Packet.t -> bool
 
 val matches_flow :
   t -> in_port:int -> Packet.t -> Five_tuple.t option -> bool
@@ -40,12 +34,6 @@ val covers : t -> t -> bool
 (** [covers general specific]: every packet matched by [specific] is
     matched by [general]. Conservative for prefix fields (exact CIDR
     subset test). *)
-
-val is_exact : t -> bool
-(** No wildcards (addresses must be /32). *)
-
-val wildcard_count : t -> int
-(** Number of wildcarded fields, 0–10. *)
 
 val compare : t -> t -> int
 val equal : t -> t -> bool

@@ -243,7 +243,6 @@ let host_state t name =
   | Some h -> h
   | None -> invalid_arg ("Network: unknown host " ^ name)
 
-let host_mac t name = (host_state t name).h_mac
 let host_ip t name = (host_state t name).h_ip
 
 let host_by_ip t ip = Ip_tbl.find_opt t.host_of_ip ip

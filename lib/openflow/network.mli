@@ -67,7 +67,6 @@ val attach_host :
     {!Topology.touch} the topology, so its change hooks see the address.
     @raise Invalid_argument if the host has no attachment link. *)
 
-val host_mac : t -> string -> Mac.t
 val host_ip : t -> string -> Ipv4.t
 val host_by_ip : t -> Ipv4.t -> string option
 (** The host attached with this address, from an index kept by

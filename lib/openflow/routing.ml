@@ -260,13 +260,3 @@ let next_hop_port t ~src ~dst =
   | Some tree -> Option.map fst (Hashtbl.find_opt tree.parent src)
 
 let next_exn t ~src ~dst = Hashtbl.find (Hashtbl.find t.trees dst).parent src
-
-let next_hop_switch t ~src ~dst =
-  match Hashtbl.find_opt t.trees dst with
-  | None -> None
-  | Some tree -> Option.map snd (Hashtbl.find_opt tree.parent src)
-
-let distance t ~src ~dst =
-  match Hashtbl.find_opt t.trees dst with
-  | None -> None
-  | Some tree -> Hashtbl.find_opt tree.dist src

@@ -62,18 +62,10 @@ val next_hop_port : t -> src:int -> dst:int -> int option
 (** The output port at [src] on a shortest path toward switch [dst];
     [None] when unreachable or either dpid is unknown. O(1). *)
 
-val next_hop_switch : t -> src:int -> dst:int -> int option
-(** The neighbouring switch a packet at [src] is forwarded to on its
-    way to [dst]. O(1). *)
-
 val next_exn : t -> src:int -> dst:int -> int * int
 (** [(out_port, next switch)] together, as the tree stores them: it
     allocates nothing. @raise Not_found when unreachable or either dpid
     is unknown. *)
-
-val distance : t -> src:int -> dst:int -> int option
-(** Shortest-path cost in weight units (nanoseconds); [Some 0] when
-    [src = dst]. O(1). *)
 
 val switch_count : t -> int
 val stats : t -> stats

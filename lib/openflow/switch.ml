@@ -4,15 +4,12 @@ type t = {
   dpid : Message.switch_id;
   ports : int list;
   tables : Flow_table.t array;
-  mutable packets_handled : int;
 }
 
 let create ?capacity ~dpid ~ports () =
   let tables = [| Flow_table.create ?capacity (); Flow_table.create () |] in
-  { dpid; ports; tables; packets_handled = 0 }
+  { dpid; ports; tables }
 
-let dpid t = t.dpid
-let ports t = t.ports
 let table ?(id = 0) t = t.tables.(id)
 
 type forward_decision = Forward of int list | Send_to_controller | Dropped
@@ -53,7 +50,6 @@ let rec run t ~now ~in_port pkt flow id =
       | actions -> resolve_actions t ~in_port actions)
 
 let process t ~now ~in_port pkt =
-  t.packets_handled <- t.packets_handled + 1;
   run t ~now ~in_port pkt (Packet.five_tuple pkt) 0
 
 type apply_result =
@@ -114,12 +110,3 @@ let apply t ~now msg =
           match process t ~now ~in_port:0 po.out_packet with
           | Forward ports -> Emit (ports, po.out_packet)
           | Send_to_controller | Dropped -> Nothing))
-
-let packets_handled t = t.packets_handled
-
-let pp ppf t =
-  Format.fprintf ppf "switch dpid=%d ports=[%s] handled=%d@.%a" t.dpid
-    (String.concat ";" (List.map string_of_int t.ports))
-    t.packets_handled
-    (Format.pp_print_array Flow_table.pp)
-    t.tables

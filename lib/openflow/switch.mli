@@ -15,9 +15,6 @@ val create : ?capacity:int -> dpid:Message.switch_id -> ports:int list -> unit -
     evicts its least-recently-hit reactive entry on insert (see
     {!Flow_table.create}). Table 1 is unbounded. *)
 
-val dpid : t -> Message.switch_id
-val ports : t -> int list
-
 val table : ?id:int -> t -> Flow_table.t
 (** Table [id], 0 (the default) or 1. *)
 
@@ -43,6 +40,3 @@ val apply : t -> now:Sim.Time.t -> Message.to_switch -> apply_result
     [table_id] names (every table for {!Message.all_tables});
     [Packet_out] resolves [`Flood]/[`Table] to concrete ports;
     [Stats_request] snapshots table 0 into a [Stats_reply]. *)
-
-val packets_handled : t -> int
-val pp : Format.formatter -> t -> unit

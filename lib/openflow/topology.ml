@@ -261,14 +261,3 @@ let switch_path t ~src ~dst =
       Option.iter (fun far -> in_port := far.port) (peer t (Sw dpid) out)
     in
     if iter_path t ~src ~dst add then Some (List.rev !hops) else None
-
-let pp ppf t =
-  Format.fprintf ppf "topology: %d switches, %d hosts, %d links@."
-    (List.length (switches t))
-    (List.length (hosts t))
-    (List.length t.links);
-  List.iter
-    (fun l ->
-      Format.fprintf ppf "  %s:%d <-> %s:%d (%a)@." (node_to_string l.a.node)
-        l.a.port (node_to_string l.b.node) l.b.port Sim.Time.pp l.latency)
-    (links t)

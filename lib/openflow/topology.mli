@@ -55,11 +55,8 @@ val switches : t -> Message.switch_id list
 val hosts : t -> string list
 val links : t -> link list
 
-val peer : t -> node -> int -> endpoint option
-(** What is connected at this node's port. *)
-
 val wire : t -> node -> int -> (endpoint * Sim.Time.t) option
-(** Like {!peer} but also returns the link latency — the fabric's
+(** What is connected at this node's port, and the link latency — the fabric's
     per-hop delay lookup, O(1). *)
 
 val ports_of : t -> node -> int list
@@ -102,4 +99,3 @@ val routing_stats : t -> Routing.stats
     the routing state if needed. *)
 
 val node_to_string : node -> string
-val pp : Format.formatter -> t -> unit

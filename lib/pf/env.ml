@@ -12,17 +12,6 @@ type t = {
          split once, by their text. *)
 }
 
-let empty =
-  {
-    macros = [];
-    tables = [];
-    dicts = [];
-    rules = [];
-    intercepts = [];
-    spec_lists = Hashtbl.create 1;
-    multi_lists = Hashtbl.create 1;
-  }
-
 let ( let* ) = Result.bind
 
 (* Resolve one table's items, chasing references. [stack] detects cycles. *)
@@ -141,9 +130,6 @@ let build decls =
     rules;
   Ok { macros; tables; dicts; rules; intercepts; spec_lists; multi_lists }
 
-let build_exn decls =
-  match build decls with Ok t -> t | Error e -> invalid_arg e
-
 let of_string s =
   let* decls = Parser.parse s in
   build decls
@@ -162,9 +148,6 @@ let table_exn t name = assoc_exn name t.tables
 let spec_list t s = Hashtbl.find t.spec_lists s
 let multi_list t s = Hashtbl.find t.multi_lists s
 let dict t name = List.assoc_opt name t.dicts
-
-let dict_value t ~dict:dname ~key =
-  Option.bind (dict t dname) (List.assoc_opt key)
 
 let table_names t = List.map fst t.tables
 

@@ -12,7 +12,6 @@ val build : Ast.ruleset -> (t, string) result
     the same macro/table/dict name shadow earlier ones, matching the
     "files are concatenated" controller model (§3.4). *)
 
-val build_exn : Ast.ruleset -> t
 val of_string : string -> (t, string) result
 (** Parse then build. *)
 
@@ -48,6 +47,4 @@ val multi_list : t -> string -> Items.t
 (** {!spec_list} for the multi-values rules pass to [includes] as its
     first argument. *)
 
-val dict_value : t -> dict:string -> key:string -> string option
 val table_names : t -> string list
-val empty : t

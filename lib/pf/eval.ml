@@ -269,11 +269,6 @@ let eval ?(default = Ast.Pass) env ctx flow =
   try Ok (eval_rules ~depth:0 ~default env ctx flow (Env.rules env))
   with Eval_error msg -> Error msg
 
-let eval_exn ?default env ctx flow =
-  match eval ?default env ctx flow with
-  | Ok v -> v
-  | Error e -> invalid_arg ("Pf.Eval: " ^ e)
-
 type trace_step = { rule : Ast.rule; matched : bool; decided : bool }
 
 let trace ?(default = Ast.Pass) env ctx flow =
@@ -315,11 +310,3 @@ let trace ?(default = Ast.Pass) env ctx flow =
     in
     Ok (steps, final)
   with Eval_error msg -> Error msg
-
-let passes ?default env ctx flow =
-  match eval ?default env ctx flow with
-  | Ok v -> v.decision = Ast.Pass
-  | Error _ -> false
-
-let arg_value env ctx arg =
-  try arg_value env ctx arg with Eval_error _ -> None

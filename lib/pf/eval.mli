@@ -45,14 +45,6 @@ val eval :
     when no rule matches. Errors report unresolvable configuration
     (unknown function, malformed [allowed] rules, bad numeric use). *)
 
-val eval_exn :
-  ?default:Ast.action -> Env.t -> ctx -> Five_tuple.t -> verdict
-
-val passes :
-  ?default:Ast.action -> Env.t -> ctx -> Five_tuple.t -> bool
-(** [true] when the verdict is [Pass]. Evaluation errors count as a
-    block (fail closed). *)
-
 type trace_step = {
   rule : Ast.rule;
   matched : bool;
@@ -65,10 +57,3 @@ val trace :
 (** Like {!eval} but records how every rule fared — the policy
     debugger behind [identxx_ctl eval --trace]. A [quick] match
     truncates the trace, exactly as it truncates evaluation. *)
-
-val arg_value : Env.t -> ctx -> Ast.arg -> string option
-(** Resolve one argument (exposed for testing and for custom tooling). *)
-
-val allowed_depth_limit : int
-(** Maximum nesting of [allowed] rule evaluation (guards against
-    adversarial self-referential requirements). *)

@@ -362,9 +362,6 @@ let parse input =
         Ok (go [])
       with Parse_error msg -> Error msg)
 
-let parse_exn input =
-  match parse input with Ok r -> r | Error e -> invalid_arg e
-
 let parse_rules input =
   match parse input with
   | Error _ as e -> e

@@ -102,5 +102,3 @@ let decl = function
   | Ast.Rule_decl r -> rule r
 
 let ruleset decls = String.concat "\n" (List.map decl decls) ^ "\n"
-let pp_rule ppf r = Format.pp_print_string ppf (rule r)
-let pp_ruleset ppf rs = Format.pp_print_string ppf (ruleset rs)

@@ -1,10 +1,5 @@
 (** Render PF+=2 syntax back to text. [Parser.parse] of the output
     yields the same AST (round-trip property, tested). *)
 
-val arg : Ast.arg -> string
-val funcall : Ast.funcall -> string
 val rule : Ast.rule -> string
-val decl : Ast.decl -> string
 val ruleset : Ast.ruleset -> string
-val pp_rule : Format.formatter -> Ast.rule -> unit
-val pp_ruleset : Format.formatter -> Ast.ruleset -> unit

@@ -37,5 +37,3 @@ let to_string = function
   | Dollar -> "$"
   | At -> "@"
   | Star_at -> "*@"
-
-let pp ppf t = Format.pp_print_string ppf (to_string t)

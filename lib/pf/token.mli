@@ -22,4 +22,3 @@ type t =
 type located = { token : t; line : int }
 
 val to_string : t -> string
-val pp : Format.formatter -> t -> unit

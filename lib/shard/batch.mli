@@ -26,10 +26,6 @@ val add : t -> Openflow.Message.switch_id -> Openflow.Message.to_switch -> unit
 (** Queue a message for the tick's pass; the first [add] of a tick
     schedules the flush. *)
 
-val flush : t -> unit
-(** Flush now (grouped, ordered as above). Normally driven by the
-    scheduled end-of-tick event; exposed for tests and shutdown. *)
-
 val pending : t -> int
 (** Messages queued for the current tick. *)
 

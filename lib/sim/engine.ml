@@ -50,7 +50,3 @@ let run ?until ?max_events t =
     dispatch t;
     incr dispatched
   done
-
-let reset t =
-  Heap.clear t.queue;
-  t.clock <- Time.zero

@@ -37,6 +37,3 @@ val run : ?until:Time.t -> ?max_events:int -> t -> unit
 
 val step : t -> bool
 (** Dispatch exactly one event; false when the queue is empty. *)
-
-val reset : t -> unit
-(** Drop all pending events and rewind the clock to zero. *)

@@ -9,9 +9,6 @@ let next64 t =
   let z = Int64.mul (Int64.logxor z (Int64.shift_right_logical z 27)) 0x94D049BB133111EBL in
   Int64.logxor z (Int64.shift_right_logical z 31)
 
-let split t =
-  { state = next64 t }
-
 let int t n =
   if n <= 0 then invalid_arg "Prng.int: bound must be positive";
   (* Rejection-free for our purposes: 62 random bits mod n has negligible

@@ -6,9 +6,6 @@ type t
 val create : int -> t
 (** Seeded generator. Equal seeds give equal streams. *)
 
-val split : t -> t
-(** An independent generator derived from the current state. *)
-
 val next64 : t -> int64
 val int : t -> int -> int
 (** [int t n] is uniform in [0, n). @raise Invalid_argument if [n <= 0]. *)

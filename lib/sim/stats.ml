@@ -44,7 +44,6 @@ let add t x =
 let count t = t.len
 let mean t = if t.len = 0 then 0.0 else t.mean
 let variance t = if t.len < 2 then 0.0 else t.m2 /. float_of_int (t.len - 1)
-let stddev t = sqrt (variance t)
 let min_value t = t.min_v
 let max_value t = t.max_v
 
@@ -82,48 +81,3 @@ let percentile t p =
   t.sorted.(Stdlib.max 0 (Stdlib.min (t.len - 1) rank))
 
 let median t = percentile t 50.0
-
-let summary t =
-  if t.len = 0 then "n=0"
-  else
-    Printf.sprintf "n=%d mean=%.3g p50=%.3g p99=%.3g min=%.3g max=%.3g" t.len
-      (mean t) (median t) (percentile t 99.0) t.min_v t.max_v
-
-type histogram = { lo : float; width : float; counts : int array }
-
-let histogram ?(buckets = 10) t =
-  if buckets <= 0 then invalid_arg "Stats.histogram: buckets must be positive";
-  if t.len = 0 then { lo = 0.0; width = 1.0; counts = Array.make buckets 0 }
-  else begin
-    let lo = t.min_v and hi = t.max_v in
-    let width =
-      if hi > lo then (hi -. lo) /. float_of_int buckets else 1.0
-    in
-    let counts = Array.make buckets 0 in
-    for i = 0 to t.len - 1 do
-      let b =
-        int_of_float ((t.values.(i) -. lo) /. width)
-      in
-      let b = Stdlib.max 0 (Stdlib.min (buckets - 1) b) in
-      counts.(b) <- counts.(b) + 1
-    done;
-    { lo; width; counts }
-  end
-
-let buckets h =
-  Array.to_list
-    (Array.mapi
-       (fun i c ->
-         let lo = h.lo +. (float_of_int i *. h.width) in
-         (lo, lo +. h.width, c))
-       h.counts)
-
-let pp_histogram ppf h =
-  let total =
-    Stdlib.max 1 (Array.fold_left ( + ) 0 h.counts)
-  in
-  List.iter
-    (fun (lo, hi, c) ->
-      let bar = String.make (c * 40 / total) '#' in
-      Format.fprintf ppf "[%10.3g, %10.3g) %6d %s@." lo hi c bar)
-    (buckets h)

@@ -9,7 +9,6 @@ val add : t -> float -> unit
 val count : t -> int
 val mean : t -> float
 val variance : t -> float
-val stddev : t -> float
 val min_value : t -> float
 val max_value : t -> float
 
@@ -23,15 +22,3 @@ val percentile : t -> float -> float
     [0,100]. *)
 
 val median : t -> float
-
-val summary : t -> string
-(** One-line "n=.. mean=.. p50=.. p99=.. max=..". *)
-
-type histogram
-(** Fixed-width bucket counts for distribution plots. *)
-
-val histogram : ?buckets:int -> t -> histogram
-val buckets : histogram -> (float * float * int) list
-(** (lo, hi, count) triples. *)
-
-val pp_histogram : Format.formatter -> histogram -> unit

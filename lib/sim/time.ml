@@ -24,11 +24,6 @@ let sub a b =
   if b > a then invalid_arg "Time.sub: negative result";
   a - b
 
-let mul t n =
-  if n < 0 then invalid_arg "Time.mul: negative";
-  t * n
-
-let div t n = t / n
 let min = Stdlib.min
 let max = Stdlib.max
 let compare = Int.compare
@@ -36,7 +31,6 @@ let equal = Int.equal
 let ( + ) = add
 let ( - ) = sub
 let ( < ) (a : t) b = Stdlib.( < ) a b
-let ( <= ) (a : t) b = Stdlib.( <= ) a b
 let ( > ) (a : t) b = Stdlib.( > ) a b
 let ( >= ) (a : t) b = Stdlib.( >= ) a b
 

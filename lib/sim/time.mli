@@ -16,8 +16,6 @@ val add : t -> t -> t
 val sub : t -> t -> t
 (** @raise Invalid_argument if the result would be negative. *)
 
-val mul : t -> int -> t
-val div : t -> int -> t
 val min : t -> t -> t
 val max : t -> t -> t
 val compare : t -> t -> int
@@ -25,7 +23,6 @@ val equal : t -> t -> bool
 val ( + ) : t -> t -> t
 val ( - ) : t -> t -> t
 val ( < ) : t -> t -> bool
-val ( <= ) : t -> t -> bool
 val ( > ) : t -> t -> bool
 val ( >= ) : t -> t -> bool
 val pp : Format.formatter -> t -> unit

@@ -9,9 +9,6 @@ let record t ~at ~actor event =
   if t.enabled then t.entries <- { at; actor; event } :: t.entries
 
 let entries t = List.rev t.entries
-let find t ~f = List.find_opt f (entries t)
-let count t ~f = List.length (List.filter f (entries t))
-let clear t = t.entries <- []
 
 let pp_entry ppf e =
   Format.fprintf ppf "%8s  %-12s %s"

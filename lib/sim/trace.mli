@@ -22,8 +22,4 @@ val set_enabled : t -> bool -> unit
 val entries : t -> entry list
 (** In recording order. *)
 
-val find : t -> f:(entry -> bool) -> entry option
-val count : t -> f:(entry -> bool) -> int
-val clear : t -> unit
-val pp_entry : Format.formatter -> entry -> unit
 val pp : Format.formatter -> t -> unit

@@ -99,16 +99,6 @@ let mixed ?(intent = intent_default) ~prng ~population ~count () =
       let fi = make_flow i in
       { fi with FI.legitimate = intent fi })
 
-let uniform_tuples ~prng ~population ~count =
-  let clients = Population.clients population in
-  let servers = Population.servers population in
-  List.init count (fun _ ->
-      let c = Sim.Prng.pick prng clients in
-      let s = Sim.Prng.pick prng servers in
-      Five_tuple.tcp ~src:c.Population.ip ~dst:s.Population.ip
-        ~src_port:(ephemeral prng)
-        ~dst_port:(if Sim.Prng.bool prng then 80 else 443))
-
 let distinct_tuples ~population ~count =
   let clients = Population.clients population in
   let servers = Population.servers population in

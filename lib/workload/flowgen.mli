@@ -5,12 +5,6 @@
 
 open Netcore
 
-val intent_default : Baselines.Flow_info.t -> bool
-(** The organisational intent used throughout the experiments, the §1
-    motivating scenario: approved applications may talk; [skype] may
-    talk {e except} to the important webserver (10.1.0.1); unapproved
-    apps and external sources may not reach servers. *)
-
 val intent_of_population : Population.t -> Baselines.Flow_info.t -> bool
 (** The same intent, parameterised by the population whose first server
     is the "important" one. *)
@@ -28,11 +22,6 @@ val mixed :
     Internet-to-server flows. The [legitimate] label is [intent]
     applied {e after} construction, so scoring is consistent across
     systems. *)
-
-val uniform_tuples :
-  prng:Sim.Prng.t -> population:Population.t -> count:int -> Five_tuple.t list
-(** Plain uniform random client-to-server 5-tuples (for datapath and
-    policy-evaluation throughput benchmarks). *)
 
 val distinct_tuples :
   population:Population.t -> count:int -> Five_tuple.t list

@@ -4,6 +4,9 @@
 
 open Netcore
 
+let eval_exn env ctx flow =
+  match Pf.Eval.eval env ctx flow with Ok v -> v | Error e -> invalid_arg e
+
 let check = Alcotest.check
 let ip = Ipv4.of_string
 
@@ -144,7 +147,7 @@ let test_audit_rule_line () =
 pass all";
   let f = flow "1.1.1.1" "2.2.2.2" in
   let v =
-    Pf.Eval.eval_exn (Identxx_core.Policy_store.env_exn ps) (Pf.Eval.ctx ()) f
+    eval_exn (Identxx_core.Policy_store.env_exn ps) (Pf.Eval.ctx ()) f
   in
   let a = Identxx_core.Audit.create () in
   Identxx_core.Audit.record a ~at:Sim.Time.zero ~flow:f ~verdict:v ~src:None
@@ -195,7 +198,7 @@ let test_policy_store_alphabetical_order () =
   (* Concatenation order decides last-match: 99-footer's block wins. *)
   let env = Identxx_core.Policy_store.env_exn ps in
   let v =
-    Pf.Eval.eval_exn env (Pf.Eval.ctx ()) (flow "1.1.1.1" "2.2.2.2")
+    eval_exn env (Pf.Eval.ctx ()) (flow "1.1.1.1" "2.2.2.2")
   in
   check Alcotest.bool "footer wins" true (v.Pf.Eval.decision = Pf.Ast.Block)
 

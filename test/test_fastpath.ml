@@ -7,6 +7,10 @@
    the backoff window). *)
 
 open Netcore
+
+let eval_exn env ctx flow =
+  match Pf.Eval.eval env ctx flow with Ok v -> v | Error e -> invalid_arg e
+
 module Net = Openflow.Network
 module C = Identxx_core.Controller
 module Deploy = Identxx_core.Deploy
@@ -384,7 +388,7 @@ let test_decision_key_allowed_src_port () =
   in
   let src = Some (resp ()) in
   let decide p =
-    (Pf.Eval.eval_exn env (Pf.Eval.ctx ?src ?dst ()) (key_flow p)).decision
+    (eval_exn env (Pf.Eval.ctx ?src ?dst ()) (key_flow p)).decision
   in
   check Alcotest.bool "verdicts differ by source port" true
     (decide 40000 = Pf.Ast.Pass && decide 40001 = Pf.Ast.Block);

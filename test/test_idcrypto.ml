@@ -10,12 +10,12 @@ let test_hex_roundtrip () =
   List.iter
     (fun s ->
       check Alcotest.string ("roundtrip " ^ s) s
-        (Idcrypto.Hex.decode_exn (Idcrypto.Hex.encode s)))
+        (Result.get_ok (Idcrypto.Hex.decode (Idcrypto.Hex.encode s))))
     [ ""; "a"; "hello"; "\x00\xff\x7f" ]
 
 let test_hex_case_insensitive () =
   check Alcotest.string "upper case accepted" "\xde\xad"
-    (Idcrypto.Hex.decode_exn "DEAD")
+    (Result.get_ok (Idcrypto.Hex.decode "DEAD"))
 
 (* [spells] reads a tag where it sits: digits of either case spelling a
    prefix of the bytes, nothing else. *)

@@ -4,6 +4,10 @@
    section-assembly behaviour. *)
 
 open Netcore
+
+let parse_config src =
+  match Identxx.Config.parse src with Ok c -> c | Error e -> invalid_arg e
+
 module KV = Identxx.Key_value
 
 let check = Alcotest.check
@@ -64,7 +68,7 @@ let test_query_roundtrip () =
       ~keys:[ "a"; "b"; "c-d" ]
   in
   match Identxx.Query.decode (Identxx.Query.encode q) with
-  | Ok q' -> check Alcotest.bool "roundtrip" true (Identxx.Query.equal q q')
+  | Ok q' -> check Alcotest.bool "roundtrip" true (q = q')
   | Error e -> Alcotest.fail e
 
 let test_query_trace_wire () =
@@ -86,7 +90,7 @@ let test_query_trace_wire () =
     (Identxx.Query.encode q);
   (match Identxx.Query.decode (Identxx.Query.encode q) with
   | Ok q' ->
-      check Alcotest.bool "trace round trips" true (Identxx.Query.equal q q');
+      check Alcotest.bool "trace round trips" true (q = q');
       check
         Alcotest.(list string)
         "trace token out of keys" [ "userID"; "name" ] q'.Identxx.Query.keys
@@ -115,7 +119,7 @@ let test_query_nonce_wire () =
     (Identxx.Query.encode q);
   (match Identxx.Query.decode (Identxx.Query.encode q) with
   | Ok q' ->
-      check Alcotest.bool "nonce round trips" true (Identxx.Query.equal q q');
+      check Alcotest.bool "nonce round trips" true (q = q');
       check Alcotest.(list string) "nonce out of keys" [ "userID" ]
         q'.Identxx.Query.keys
   | Error e -> Alcotest.fail e);
@@ -159,7 +163,7 @@ let test_response_wire_format () =
 let test_response_roundtrip () =
   let r = sample_response () in
   match Identxx.Response.decode (Identxx.Response.encode r) with
-  | Ok r' -> check Alcotest.bool "roundtrip" true (Identxx.Response.equal r r')
+  | Ok r' -> check Alcotest.bool "roundtrip" true (r = r')
   | Error e -> Alcotest.fail e
 
 let test_response_latest_and_star () =
@@ -192,7 +196,7 @@ let test_response_append_section () =
     (Identxx.Response.latest r' "hop");
   (* Appending nothing is the identity. *)
   check Alcotest.bool "empty append is no-op" true
-    (Identxx.Response.equal r (Identxx.Response.append_section r []))
+    (r = Identxx.Response.append_section r [])
 
 let test_response_decode_skips_blank_runs () =
   (* Multiple consecutive blank lines do not create empty sections. *)
@@ -229,14 +233,14 @@ let test_response_trace_piggyback () =
           (* Stripping recovers the pre-trace response, so trace data
              never reaches policy evaluation or attribute caches. *)
           check Alcotest.bool "strip recovers" true
-            (Identxx.Response.equal r (Identxx.Response.strip_trace back))
+            (r = Identxx.Response.strip_trace back)
       | None -> Alcotest.fail "trace_info lost the section"));
   (* A response without a trace section: trace_info is None, strip is
      the identity — old-peer frames are untouched. *)
   check Alcotest.bool "untraced: no info" true
     (Identxx.Response.trace_info r = None);
   check Alcotest.bool "untraced: strip id" true
-    (Identxx.Response.equal r (Identxx.Response.strip_trace r))
+    (r = Identxx.Response.strip_trace r)
 
 (* --- Config --- *)
 
@@ -255,7 +259,7 @@ let fig3 =
    }"
 
 let test_config_parses_figure3 () =
-  let cfg = Identxx.Config.parse_exn fig3 in
+  let cfg = parse_config fig3 in
   match Identxx.Config.app cfg ~path:"/usr/bin/skype" with
   | None -> Alcotest.fail "no @app block"
   | Some pairs ->
@@ -272,7 +276,7 @@ let test_config_parses_figure3 () =
 
 let test_config_globals_and_comments () =
   let cfg =
-    Identxx.Config.parse_exn
+    parse_config
       "# host-wide pairs\nos-patch : MS08-067 # latest\ntype : workstation\n"
   in
   check Alcotest.(option string) "os-patch" (Some "MS08-067")
@@ -280,8 +284,8 @@ let test_config_globals_and_comments () =
   check Alcotest.int "no apps" 0 (List.length cfg.Identxx.Config.apps)
 
 let test_config_render_roundtrip () =
-  let cfg = Identxx.Config.parse_exn fig3 in
-  let cfg' = Identxx.Config.parse_exn (Identxx.Config.render cfg) in
+  let cfg = parse_config fig3 in
+  let cfg' = parse_config (Identxx.Config.render cfg) in
   check Alcotest.bool "render/parse roundtrip" true (cfg = cfg')
 
 let test_config_rejects_malformed () =
@@ -293,8 +297,8 @@ let test_config_rejects_malformed () =
     [ "@app {"; "@app /x {\nkey value\n}"; "@app /x {\nname : y\n" ]
 
 let test_config_merge_order () =
-  let a = Identxx.Config.parse_exn "k : from-a" in
-  let b = Identxx.Config.parse_exn "k : from-b" in
+  let a = parse_config "k : from-a" in
+  let b = parse_config "k : from-b" in
   let merged = Identxx.Config.merge a b in
   (* Later files' pairs come later, so they win latest-style lookups. *)
   check Alcotest.(option string) "later file wins" (Some "from-b")
@@ -802,7 +806,7 @@ let test_wire_query_packet_classify () =
   | Identxx.Wire.Query { from_ip; to_ip; query } ->
       check Alcotest.bool "to source host" true (Ipv4.equal to_ip fl.Five_tuple.src);
       check Alcotest.bool "from dest addr" true (Ipv4.equal from_ip fl.Five_tuple.dst);
-      check Alcotest.bool "payload survives" true (Identxx.Query.equal q query)
+      check Alcotest.bool "payload survives" true (q = query)
   | _ -> Alcotest.fail "not classified as query"
 
 let test_wire_host_answers_query_packet () =
@@ -1057,7 +1061,7 @@ let test_signed_known_answer () =
        "1c298d75b401c9bc2382347da754aa60,54dc2cc7a8c922fd4cf28471c30df0ad,-,3283b715292a09717d24edb9587b26a0")
     (Identxx.Response.latest signed Identxx.Signed.tags_key);
   check Alcotest.bool "sign tags every section static" true
-    (Identxx.Response.equal
+    (( = )
        (Identxx.Signed.sign ~keypair:kp ~host:(ip "10.0.0.1")
           ~peer:(ip "10.0.0.2") r)
        (Identxx.Signed.sign_with ~public:kp.Idcrypto.Sign.public ~key
@@ -1073,7 +1077,7 @@ let test_signed_known_answer () =
   | Error e -> Alcotest.fail e
   | Ok back ->
       check Alcotest.bool "decodes to the signed answer" true
-        (Identxx.Response.equal signed back);
+        (signed = back);
       check Alcotest.bool "verifies over all four sections" true
         (Identxx.Signed.verify ks back = Identxx.Signed.Valid 4);
       check Alcotest.int "three static sections cached" 3
@@ -1177,7 +1181,7 @@ let prop_response_roundtrip =
     (QCheck.make gen_response ~print:Identxx.Response.encode)
     (fun r ->
       match Identxx.Response.decode (Identxx.Response.encode r) with
-      | Ok r' -> Identxx.Response.equal r r'
+      | Ok r' -> r = r'
       | Error _ -> false)
 
 let prop_latest_is_last_of_all_values =
@@ -1594,7 +1598,7 @@ let test_query_pinned_bytes () =
   in
   check Alcotest.string "exact bytes" wire (Identxx.Query.encode q);
   match Identxx.Query.decode wire with
-  | Ok q' -> check Alcotest.bool "decodes to the query" true (Identxx.Query.equal q q')
+  | Ok q' -> check Alcotest.bool "decodes to the query" true (q = q')
   | Error e -> Alcotest.fail e
 
 let test_response_pinned_bytes () =
@@ -1640,7 +1644,7 @@ let test_response_pinned_bytes () =
   | Error e -> Alcotest.fail e
   | Ok back ->
       check Alcotest.bool "decodes to the answer" true
-        (Identxx.Response.equal traced back);
+        (traced = back);
       let ks = Idcrypto.Sign.keystore () in
       Idcrypto.Sign.register ks kp;
       check Alcotest.bool "verifies over the three sections before it" true

@@ -194,7 +194,7 @@ let test_packet_tcp_roundtrip () =
       ~src_port:5000 ~dst_port:80 ()
   in
   let decoded = decode_ok (Packet.encode pkt) in
-  check Alcotest.bool "tcp roundtrip" true (Packet.equal pkt decoded)
+  check Alcotest.bool "tcp roundtrip" true (pkt = decoded)
 
 let test_packet_udp_roundtrip () =
   let pkt =
@@ -203,7 +203,7 @@ let test_packet_udp_roundtrip () =
       ~payload:"hello dns" ()
   in
   check Alcotest.bool "udp roundtrip" true
-    (Packet.equal pkt (decode_ok (Packet.encode pkt)))
+    (pkt = decode_ok (Packet.encode pkt))
 
 let test_packet_vlan_roundtrip () =
   let pkt =
@@ -260,7 +260,7 @@ let test_packet_non_ip () =
     }
   in
   let decoded = decode_ok (Packet.encode pkt) in
-  check Alcotest.bool "non-ip roundtrip" true (Packet.equal pkt decoded);
+  check Alcotest.bool "non-ip roundtrip" true (pkt = decoded);
   check Alcotest.bool "no five tuple" true (Packet.five_tuple decoded = None)
 
 (* --- Pcap --- *)
@@ -286,11 +286,11 @@ let test_pcap_roundtrip () =
       check Alcotest.int "ts2" 2_000_500 r2.Pcap.ts_us;
       check Alcotest.bool "frame 1 re-decodes" true
         (match Packet.decode r1.Pcap.frame with
-        | Ok p -> Packet.equal p p1
+        | Ok p -> p = p1
         | Error _ -> false);
       check Alcotest.bool "frame 2 re-decodes" true
         (match Packet.decode r2.Pcap.frame with
-        | Ok p -> Packet.equal p p2
+        | Ok p -> p = p2
         | Error _ -> false)
   | Ok _ -> Alcotest.fail "expected two records"
 
@@ -353,7 +353,7 @@ let prop_packet_roundtrip =
   QCheck.Test.make ~name:"packet encode/decode roundtrip" ~count:300 arb_packet
     (fun pkt ->
       match Packet.decode (Packet.encode pkt) with
-      | Ok decoded -> Packet.equal pkt decoded
+      | Ok decoded -> pkt = decoded
       | Error _ -> false)
 
 let prop_checksums_validate =

@@ -354,7 +354,7 @@ let test_trace_context () =
   check Alcotest.int "span id is 8 hex" 8 (String.length ctx.Tc.span_id);
   (* Deterministic: same seed and seq reproduce the ids. *)
   let ctx' = Tc.make ~seed:"tcp 10.0.0.1:50000 -> 10.0.0.2:80" ~seq:0 ~sampled:true in
-  check Alcotest.bool "deterministic ids" true (Tc.equal ctx ctx');
+  check Alcotest.bool "deterministic ids" true (ctx = ctx');
   let other = Tc.make ~seed:"tcp 10.0.0.1:50000 -> 10.0.0.2:80" ~seq:1 ~sampled:true in
   check Alcotest.bool "seq disambiguates" false
     (String.equal ctx.Tc.trace_id other.Tc.trace_id);
@@ -363,13 +363,13 @@ let test_trace_context () =
   check Alcotest.string "child keeps trace id" ctx.Tc.trace_id c1.Tc.trace_id;
   check Alcotest.bool "children differ" false
     (String.equal c1.Tc.span_id c2.Tc.span_id);
-  check Alcotest.bool "child deterministic" true (Tc.equal c1 (Tc.child ctx 1));
+  check Alcotest.bool "child deterministic" true (c1 = Tc.child ctx 1);
   (* Wire round trip, both sampling flags. *)
   List.iter
     (fun sampled ->
       let ctx = { ctx with Tc.sampled } in
       match Tc.of_string (Tc.to_string ctx) with
-      | Some back -> check Alcotest.bool "round trip" true (Tc.equal ctx back)
+      | Some back -> check Alcotest.bool "round trip" true (ctx = back)
       | None -> Alcotest.failf "no parse: %s" (Tc.to_string ctx))
     [ true; false ];
   (* Malformed tokens are rejected, not mangled. *)

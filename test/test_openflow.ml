@@ -16,8 +16,10 @@ let pkt ?(src = "10.0.0.1") ?(dst = "10.0.0.2") ?(sp = 1000) ?(dp = 80) () =
 
 (* --- Match_fields --- *)
 
+let matches m ~in_port pkt = MF.matches_flow m ~in_port pkt (Packet.five_tuple pkt)
+
 let test_any_matches_everything () =
-  check Alcotest.bool "ip packet" true (MF.matches MF.any ~in_port:3 (pkt ()));
+  check Alcotest.bool "ip packet" true (matches MF.any ~in_port:3 (pkt ()));
   let non_ip =
     {
       Packet.eth_src = Mac.zero;
@@ -26,15 +28,7 @@ let test_any_matches_everything () =
       eth_payload = Packet.Raw_eth (Ethertype.Arp, "x");
     }
   in
-  check Alcotest.bool "non-ip packet" true (MF.matches MF.any ~in_port:0 non_ip)
-
-let test_exact_match_roundtrip () =
-  let p = pkt () in
-  let m = MF.exact ~in_port:7 p in
-  check Alcotest.bool "matches itself" true (MF.matches m ~in_port:7 p);
-  check Alcotest.bool "wrong port" false (MF.matches m ~in_port:8 p);
-  check Alcotest.bool "is exact" true (MF.is_exact m);
-  check Alcotest.int "no wildcards" 0 (MF.wildcard_count m)
+  check Alcotest.bool "non-ip packet" true (matches MF.any ~in_port:0 non_ip)
 
 let test_five_tuple_match_ignores_l2 () =
   let p = pkt () in
@@ -43,12 +37,12 @@ let test_five_tuple_match_ignores_l2 () =
   in
   let p2 = { p with Packet.eth_src = Mac.of_int 99 } in
   check Alcotest.bool "different mac still matches" true
-    (MF.matches m ~in_port:5 p2)
+    (matches m ~in_port:5 p2)
 
 let test_prefix_wildcard_match () =
   let m = { MF.any with MF.nw_src = Some (Prefix.of_string "10.0.0.0/24") } in
-  check Alcotest.bool "in prefix" true (MF.matches m ~in_port:0 (pkt ~src:"10.0.0.77" ()));
-  check Alcotest.bool "out of prefix" false (MF.matches m ~in_port:0 (pkt ~src:"10.0.1.77" ()))
+  check Alcotest.bool "in prefix" true (matches m ~in_port:0 (pkt ~src:"10.0.0.77" ()));
+  check Alcotest.bool "out of prefix" false (matches m ~in_port:0 (pkt ~src:"10.0.1.77" ()))
 
 let test_network_fields_block_non_ip () =
   let m = { MF.any with MF.nw_proto = Some Proto.Tcp } in
@@ -61,7 +55,7 @@ let test_network_fields_block_non_ip () =
     }
   in
   check Alcotest.bool "non-ip does not match nw field" false
-    (MF.matches m ~in_port:0 non_ip)
+    (matches m ~in_port:0 non_ip)
 
 let test_covers () =
   let wide = { MF.any with MF.nw_src = Some (Prefix.of_string "10.0.0.0/8") } in
@@ -404,7 +398,7 @@ let prop_table_matches_reference =
         (* Highest priority among matching; ties -> latest added. *)
         List.fold_left
           (fun acc (e : FE.t) ->
-            if MF.matches e.FE.fields ~in_port:0 probe then
+            if matches e.FE.fields ~in_port:0 probe then
               match acc with
               | None -> Some e
               | Some (best : FE.t) ->
@@ -699,7 +693,7 @@ let prop_fast_path_agrees_with_naive =
       in
       let naive =
         List.find_opt
-          (fun (e : FE.t) -> MF.matches e.FE.fields ~in_port:0 probe)
+          (fun (e : FE.t) -> matches e.FE.fields ~in_port:0 probe)
           (FT.entries t)
       in
       let got = FT.lookup t ~in_port:0 probe in
@@ -787,7 +781,7 @@ module Model = struct
 
   let lookup t ~now pkt =
     expire t ~now;
-    List.find_opt (fun e -> MF.matches e.fields ~in_port:0 pkt) t.entries
+    List.find_opt (fun e -> matches e.fields ~in_port:0 pkt) t.entries
 end
 
 type op =
@@ -1003,7 +997,7 @@ module List_table = struct
   let lookup t ~in_port pkt =
     List.find_map
       (fun s ->
-        if MF.matches s.entry.FE.fields ~in_port pkt then Some s.entry else None)
+        if matches s.entry.FE.fields ~in_port pkt then Some s.entry else None)
       t.slots
 
   let remove t ~priority fields =
@@ -1184,7 +1178,6 @@ let () =
       ( "match",
         [
           Alcotest.test_case "any matches everything" `Quick test_any_matches_everything;
-          Alcotest.test_case "exact roundtrip" `Quick test_exact_match_roundtrip;
           Alcotest.test_case "five-tuple ignores l2" `Quick
             test_five_tuple_match_ignores_l2;
           Alcotest.test_case "prefix wildcard" `Quick test_prefix_wildcard_match;

@@ -3,6 +3,12 @@
 
 open Netcore
 
+let parse_exn src =
+  match Pf.Parser.parse src with Ok r -> r | Error e -> invalid_arg e
+
+let eval_exn env ctx flow =
+  match Pf.Eval.eval env ctx flow with Ok v -> v | Error e -> invalid_arg e
+
 let ip = Ipv4.of_string
 
 let flow ?(proto = Proto.Tcp) ?(sp = 40000) ?(dp = 80) src dst =
@@ -259,11 +265,11 @@ let test_eval_port_range () =
 
 let test_eval_log_in_verdict () =
   let env = env_of "block log from any to any port 23\npass all with eq(1, 1)" in
-  let v = Pf.Eval.eval_exn env (Pf.Eval.ctx ()) (flow ~dp:23 "1.1.1.1" "2.2.2.2") in
+  let v = eval_exn env (Pf.Eval.ctx ()) (flow ~dp:23 "1.1.1.1" "2.2.2.2") in
   (* Last match wins: the pass-all rule matched last and has no log. *)
   Alcotest.(check bool) "pass rule unlogged" false v.Pf.Eval.log;
   let env2 = env_of "pass all with eq(1, 1)\nblock log from any to any port 23" in
-  let v2 = Pf.Eval.eval_exn env2 (Pf.Eval.ctx ()) (flow ~dp:23 "1.1.1.1" "2.2.2.2") in
+  let v2 = eval_exn env2 (Pf.Eval.ctx ()) (flow ~dp:23 "1.1.1.1" "2.2.2.2") in
   Alcotest.(check bool) "block log marks verdict" true v2.Pf.Eval.log;
   Alcotest.(check bool) "and blocks" true (v2.Pf.Eval.decision = Pf.Ast.Block)
 
@@ -497,9 +503,9 @@ let test_eval_custom_function () =
   in
   let f = flow "1.1.1.1" "2.2.2.2" in
   Alcotest.(check bool) "firefox passes" true
-    ((Pf.Eval.eval_exn env (ctx "firefox") f).decision = Pf.Ast.Pass);
+    ((eval_exn env (ctx "firefox") f).decision = Pf.Ast.Pass);
   Alcotest.(check bool) "chrome blocked" true
-    ((Pf.Eval.eval_exn env (ctx "chrome") f).decision = Pf.Ast.Block)
+    ((eval_exn env (ctx "chrome") f).decision = Pf.Ast.Block)
 
 let test_eval_cannot_shadow_builtin () =
   let fns = Pf.Fnreg.create () in
@@ -554,9 +560,9 @@ let test_intercept_pretty_roundtrip () =
   let src =
     "intercept query to any answer { a : b }\nintercept response to 10.0.0.0/8 augment { c : d }"
   in
-  let printed = Pf.Pretty.ruleset (Pf.Parser.parse_exn src) in
+  let printed = Pf.Pretty.ruleset (parse_exn src) in
   Alcotest.(check string) "fixpoint" printed
-    (Pf.Pretty.ruleset (Pf.Parser.parse_exn printed))
+    (Pf.Pretty.ruleset (parse_exn printed))
 
 let test_intercept_rejects_bad_syntax () =
   List.iter
@@ -606,7 +612,7 @@ let test_trace_quick_truncates () =
 let lint_of src =
   List.map
     (fun (f : Pf.Lint.finding) -> f.Pf.Lint.code)
-    (Pf.Lint.check (Pf.Parser.parse_exn src))
+    (Pf.Lint.check (parse_exn src))
 
 let test_lint_dead_after_quick_all () =
   Alcotest.(check (list string)) "two dead rules"
@@ -622,7 +628,7 @@ let test_lint_duplicate_quick () =
      LATER copy is the redundant one *)
   match
     Pf.Lint.check
-      (Pf.Parser.parse_exn
+      (parse_exn
          "pass quick from any to any port 80\nblock all\npass quick from any to any port 80")
   with
   | [ f ] ->
@@ -857,7 +863,7 @@ let prop_roundtrip_pretty_parse =
   QCheck.Test.make ~name:"pretty/parse preserves decisions" ~count:100 arb_flow
     (fun f ->
       let env1 = fig2_env () in
-      let printed = Pf.Pretty.ruleset (Pf.Parser.parse_exn fig2_config) in
+      let printed = Pf.Pretty.ruleset (parse_exn fig2_config) in
       let env2 = env_of printed in
       eval env1 f = eval env2 f)
 
@@ -895,7 +901,7 @@ let prop_precompile_sound =
           match Compiler.lookup drops f with
           | Compiler.Punt -> true
           | Compiler.Decide a ->
-              let v = Pf.Eval.eval_exn env (Pf.Eval.ctx ()) f in
+              let v = eval_exn env (Pf.Eval.ctx ()) f in
               a = Pf.Ast.Block && v.Pf.Eval.decision = Pf.Ast.Block)
 
 let prop_config_render_roundtrip =

@@ -27,7 +27,14 @@
    6. the flight-recorder kinds ("Flight recorder" table in
       doc/OBSERVABILITY.md) and the kinds lib/ records agree, in both
       directions: a kind's literal is the first string literal at the
-      call's own level after each [Recorder.record]/[record_lazy].
+      call's own level after each [Recorder.record]/[record_lazy];
+   7. every value a lib/**/*.mli exports has a reference outside its
+      own module in lib/, bin/, bench/, perfbench/, tools/ or
+      examples/ (see [references] for what the lexical scan resolves).
+      A reference from test/ does not count: a value kept exported for
+      tests needs a line with a reason in tools/exports.allow. Both
+      directions again: an allowlist line whose value is gone or has
+      gained a caller is a finding too.
 
    Usage: doclint <repo-root>. Exit 1 on any finding. *)
 
@@ -456,6 +463,309 @@ let check_recorder_catalog root =
           doc lineno kind)
     rows
 
+(* --- 7: exported values with no caller --- *)
+
+(* [s] with comments, string literals (quoted ones too) and character
+   literals blanked to spaces (newlines kept), so a name in prose or in
+   a literal is not taken for a reference and offsets still give line
+   numbers. *)
+let code_only s =
+  let b = Bytes.of_string s and n = String.length s in
+  let blank i = if Bytes.get b i <> '\n' then Bytes.set b i ' ' in
+  let rec string_end j =
+    if j >= n then j
+    else if s.[j] = '\\' then string_end (j + 2)
+    else if s.[j] = '"' then j
+    else string_end (j + 1)
+  in
+  let rec comment_end j depth =
+    if j >= n - 1 then n - 1
+    else if s.[j] = '(' && s.[j + 1] = '*' then comment_end (j + 2) (depth + 1)
+    else if s.[j] = '*' && s.[j + 1] = ')' then
+      if depth = 1 then j + 1 else comment_end (j + 2) (depth - 1)
+    else if s.[j] = '"' then comment_end (string_end (j + 1) + 1) depth
+    else comment_end (j + 1) depth
+  in
+  (* The delimiter id of a quoted string literal opening at [i]. *)
+  let quoted_id i =
+    let j = ref (i + 1) in
+    while !j < n && (match s.[!j] with 'a' .. 'z' | '_' -> true | _ -> false) do
+      incr j
+    done;
+    if !j < n && s.[!j] = '|' then Some (String.sub s (i + 1) (!j - i - 1))
+    else None
+  in
+  let rec go i =
+    if i < n then
+      if i < n - 1 && s.[i] = '(' && s.[i + 1] = '*' then begin
+        let e = min (n - 1) (comment_end (i + 2) 1) in
+        for k = i to e do blank k done;
+        go (e + 1)
+      end
+      else if s.[i] = '"' then begin
+        let e = min (n - 1) (string_end (i + 1)) in
+        for k = i to e do blank k done;
+        go (e + 1)
+      end
+      else if s.[i] = '{' && quoted_id i <> None then begin
+        (* a quoted string literal *)
+        let id = Option.get (quoted_id i) in
+        let close = "|" ^ id ^ "}" in
+        let e = ref (i + String.length id + 2) in
+        while
+          !e + String.length close <= n
+          && String.sub s !e (String.length close) <> close
+        do
+          incr e
+        done;
+        let e = min (n - 1) (!e + String.length close - 1) in
+        for k = i to e do blank k done;
+        go (e + 1)
+      end
+      else if s.[i] = '\'' && i + 2 < n && (s.[i + 1] = '\\' || s.[i + 2] = '\'')
+      then begin
+        (* a character literal; ['a] alone is a type variable *)
+        let e = ref (if s.[i + 1] = '\\' then i + 3 else i + 2) in
+        while !e < n && s.[!e] <> '\'' do incr e done;
+        for k = i to min (n - 1) !e do blank k done;
+        go (!e + 1)
+      end
+      else go (i + 1)
+  in
+  go 0;
+  Bytes.to_string b
+
+let is_ident_char = function
+  | 'a' .. 'z' | 'A' .. 'Z' | '0' .. '9' | '_' | '\'' -> true
+  | _ -> false
+
+let is_op_char c = String.contains "!$%&*+-/:<=>?@^|~" c
+
+(* The tokens of [code_only] text, with their offsets: identifiers,
+   runs of operator characters, and single punctuation characters. *)
+let tokens s =
+  let n = String.length s in
+  let rec go i acc =
+    if i >= n then List.rev acc
+    else
+      let span p =
+        let j = ref i in
+        while !j < n && p s.[!j] do incr j done;
+        !j
+      in
+      match s.[i] with
+      | ' ' | '\t' | '\n' | '\r' -> go (i + 1) acc
+      | c when is_ident_char c ->
+          let j = span is_ident_char in
+          go j ((String.sub s i (j - i), i) :: acc)
+      | c when is_op_char c ->
+          let j = span is_op_char in
+          go j ((String.sub s i (j - i), i) :: acc)
+      | c -> go (i + 1) ((String.make 1 c, i) :: acc)
+  in
+  go 0 []
+
+let is_module_name t = t <> "" && match t.[0] with 'A' .. 'Z' -> true | _ -> false
+let is_value_name t =
+  t <> "" && match t.[0] with 'a' .. 'z' | '_' -> true | c -> is_op_char c
+
+let line_of s off =
+  let l = ref 1 in
+  for i = 0 to off - 1 do if s.[i] = '\n' then incr l done;
+  !l
+
+(* The values an interface exports: (qualifier, name, line), where the
+   qualifier is the innermost module ([Counter] for a [val] inside
+   [module Counter : sig]) and the name is an identifier or an
+   operator. A [val] inside a [module type] exports nothing. *)
+let exported_values ~modname path =
+  let src = code_only (read_file path) in
+  (* [stack]: the signatures open around the current token, innermost
+     first; [None] for a module type's. *)
+  let rec go toks stack acc =
+    let owner =
+      match stack with
+      | [] -> Some modname
+      | top :: _ -> if List.mem None stack then None else top
+    in
+    match toks with
+    | [] -> List.rev acc
+    | ("module", _) :: (m, _) :: (":", _) :: ("sig", _) :: rest ->
+        go rest (Some m :: stack) acc
+    | ("module", _) :: ("type", _) :: _ :: ("=", _) :: ("sig", _) :: rest ->
+        go rest (None :: stack) acc
+    | ("sig", _) :: rest -> go rest (owner :: stack) acc
+    | ("end", _) :: rest -> go rest (match stack with _ :: up -> up | [] -> []) acc
+    | ("val", _) :: ("(", _) :: (v, off) :: (")", _) :: rest
+    | ("val", _) :: (v, off) :: rest -> (
+        match owner with
+        | Some q when is_value_name v && v <> "(" ->
+            go rest stack ((q, v, line_of src off) :: acc)
+        | _ -> go rest stack acc)
+    | _ :: rest -> go rest stack acc
+  in
+  go (tokens src) [] []
+
+(* What one source file references: each value-name token with the
+   module path component written just before it ([Some "Trace"] for
+   [Sim.Trace.entries], [None] for a bare name), the modules it opens
+   ([open P], [let open P in], [include P], [P.( ... )]), its local
+   aliases ([module X = ...M] maps [X] to [M]), and the modules it
+   hands to a functor ([Hashtbl.Make (M)]). Module paths are reduced to
+   their last component. *)
+type refs = {
+  words : (string, string option) Hashtbl.t;
+  opened : (string, unit) Hashtbl.t;
+  aliases : (string, string) Hashtbl.t;
+  functor_args : (string, unit) Hashtbl.t;
+}
+
+let scan_refs path =
+  let r =
+    {
+      words = Hashtbl.create 256;
+      opened = Hashtbl.create 4;
+      aliases = Hashtbl.create 4;
+      functor_args = Hashtbl.create 2;
+    }
+  in
+  (* The last component of the module path starting the token list. *)
+  let rec last_module = function
+    | _ :: (".", _) :: ((m, _) :: _ as rest) when is_module_name m ->
+        last_module rest
+    | (m, _) :: _ when is_module_name m -> Some m
+    | _ -> None
+  in
+  let rec go prev = function
+    | [] -> ()
+    | (("open" | "include"), _) :: ("!", _) :: rest
+    | (("open" | "include"), _) :: rest ->
+        Option.iter (fun m -> Hashtbl.replace r.opened m ()) (last_module rest);
+        go None rest
+    | ("module", _) :: (x, _) :: ("=", _) :: rest when is_module_name x ->
+        Option.iter (fun m -> Hashtbl.replace r.aliases x m) (last_module rest);
+        go None rest
+    | (m, _) :: (".", _) :: ((("(" | "[" | "{"), _) :: _ as rest)
+      when is_module_name m ->
+        Hashtbl.replace r.opened m ();
+        go None rest
+    | (m, _) :: (".", _) :: rest when is_module_name m -> go (Some m) rest
+    | (f, _) :: ("(", _) :: (m, _) :: (")", _) :: rest
+      when is_module_name f && is_module_name m ->
+        Hashtbl.replace r.functor_args m ();
+        go None rest
+    | (w, _) :: rest ->
+        if is_value_name w then Hashtbl.add r.words w prev;
+        go None rest
+  in
+  go None (tokens (code_only (read_file path)));
+  r
+
+(* Does [r] reference value [name] of module [q]? A reference is [Q.name]
+   with [Q] being [q] or a local alias of it, a bare [name] in a file
+   that opens [q], or, for [compare], [equal] and [hash], [q] handed to
+   a functor. The scan is lexical: it does not resolve which library a
+   module name belongs to ([Sim.Engine] and [Shard.Engine] are both
+   [Engine]), nor a module reached only through a functor parameter, a
+   first-class module or a re-exporting [include]. *)
+let references r ~q ~name =
+  let names_q m = m = q || Hashtbl.find_opt r.aliases m = Some q in
+  let opens_q =
+    Hashtbl.fold (fun m () acc -> acc || names_q m) r.opened false
+  in
+  List.exists
+    (function Some m -> names_q m | None -> opens_q)
+    (Hashtbl.find_all r.words name)
+  || (List.mem name [ "compare"; "equal"; "hash" ]
+     && Hashtbl.fold (fun m () acc -> acc || names_q m) r.functor_args false)
+
+let rec source_files root rel =
+  List.concat_map
+    (fun f ->
+      let rel = if rel = "" then f else rel ^ "/" ^ f in
+      let path = Filename.concat root rel in
+      if f.[0] = '.' || f.[0] = '_' then []
+      else if Sys.is_directory path then source_files root rel
+      else if Filename.check_suffix f ".ml" || Filename.check_suffix f ".mli"
+      then [ rel ]
+      else [])
+    (list_dir (Filename.concat root rel))
+
+(* The committed allowlist: one [<interface> <value> <reason>] line per
+   value kept exported with no caller outside its module; [#] starts a
+   comment line. *)
+let exports_allowlist = "tools/exports.allow"
+
+let read_exports_allowlist root =
+  let path = Filename.concat root exports_allowlist in
+  if not (Sys.file_exists path) then []
+  else
+    String.split_on_char '\n' (read_file path)
+    |> List.mapi (fun i line -> (i + 1, String.trim line))
+    |> List.filter_map (fun (lineno, line) ->
+           if line = "" || line.[0] = '#' then None
+           else
+             match
+               String.split_on_char ' ' line |> List.filter (( <> ) "")
+             with
+             | mli :: value :: _ :: _ -> Some (lineno, mli, value)
+             | _ ->
+                 err "%s:%d: expected `<interface> <value> <reason>`"
+                   exports_allowlist lineno;
+                 None)
+
+let check_exports root =
+  let scanned dirs =
+    List.concat_map
+      (fun d ->
+        List.map
+          (fun rel -> (rel, scan_refs (Filename.concat root rel)))
+          (source_files root d))
+      dirs
+  in
+  let callers = scanned [ "lib"; "bin"; "bench"; "perfbench"; "tools"; "examples" ]
+  and tests = scanned [ "test" ] in
+  let allowed = read_exports_allowlist root in
+  let seen = Hashtbl.create 64 in
+  List.iter
+    (fun mli ->
+      let modname =
+        String.capitalize_ascii (Filename.chop_suffix (Filename.basename mli) ".mli")
+      in
+      let own = [ mli; Filename.chop_suffix mli "i" ] in
+      List.iter
+        (fun (q, name, line) ->
+          let value = if q = modname then name else q ^ "." ^ name in
+          let used files =
+            List.exists
+              (fun (rel, r) -> (not (List.mem rel own)) && references r ~q ~name)
+              files
+          in
+          let listed =
+            List.find_opt (fun (_, m, v) -> m = mli && v = value) allowed
+          in
+          Option.iter (fun l -> Hashtbl.replace seen l ()) listed;
+          match (used callers, listed) with
+          | true, Some (lineno, _, _) ->
+              err "%s:%d: `%s` now has a caller outside %s; drop the line"
+                exports_allowlist lineno value mli
+          | true, None | false, Some _ -> ()
+          | false, None ->
+              err "%s:%d: `%s` has no caller outside its module%s" mli line
+                value
+                (if used tests then
+                   " but test/ (test through the public path, or allowlist \
+                    it in " ^ exports_allowlist ^ " with a reason)"
+                 else ""))
+        (exported_values ~modname (Filename.concat root mli)))
+    (List.filter (fun f -> Filename.check_suffix f ".mli") (source_files root "lib"));
+  List.iter
+    (fun ((lineno, mli, value) as l) ->
+      if not (Hashtbl.mem seen l) then
+        err "%s:%d: `%s %s` names no exported value" exports_allowlist lineno
+          mli value)
+    allowed
+
 let () =
   let root = if Array.length Sys.argv > 1 then Sys.argv.(1) else "." in
   check_interfaces root;
@@ -463,6 +773,7 @@ let () =
   check_metric_catalog root;
   check_rule_catalog root;
   check_recorder_catalog root;
+  check_exports root;
   let have_odoc = Sys.command "command -v odoc >/dev/null 2>&1" = 0 in
   if !errors > 0 then begin
     Printf.printf "doclint: %d finding(s)\n" !errors;
@@ -470,6 +781,7 @@ let () =
   end;
   Printf.printf
     "doclint: interfaces documented, doc cross-references resolve, metric, \
-     health-rule and flight-recorder catalogs in sync%s\n"
+     health-rule and flight-recorder catalogs in sync, every exported value \
+     called or allowlisted%s\n"
     (if have_odoc then " (odoc present: run `dune build @doc` for the render)"
      else " (odoc not installed: rendered-doc build gated off)")
