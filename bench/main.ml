@@ -1243,20 +1243,6 @@ let run_smoke () =
     (Test.elements tests);
   Printf.printf "all benchmark bodies ran once.\n"
 
-let json_escape s =
-  let buf = Buffer.create (String.length s + 8) in
-  String.iter
-    (fun c ->
-      match c with
-      | '"' -> Buffer.add_string buf "\\\""
-      | '\\' -> Buffer.add_string buf "\\\\"
-      | '\n' -> Buffer.add_string buf "\\n"
-      | c when Char.code c < 0x20 ->
-          Buffer.add_string buf (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char buf c)
-    s;
-  Buffer.contents buf
-
 (* Machine-readable results, one object per benchmark, so the perf
    trajectory can be diffed across commits (see bench/baseline.json). *)
 let write_json file rows =
@@ -1266,9 +1252,10 @@ let write_json file rows =
     (fun i (name, ns, words, runs) ->
       let num x = if Float.is_nan x then "null" else Printf.sprintf "%.1f" x in
       Printf.fprintf oc
-        "  { \"name\": \"%s\", \"ns_per_op\": %s, \"words_per_op\": %s, \
+        "  { \"name\": %s, \"ns_per_op\": %s, \"words_per_op\": %s, \
          \"runs\": %d }%s\n"
-        (json_escape name) (num ns) (num words) runs
+        (Obs.Json.to_string (Obs.Json.Str name))
+        (num ns) (num words) runs
         (if i = List.length rows - 1 then "" else ","))
     rows;
   output_string oc "]\n";

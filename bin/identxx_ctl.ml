@@ -468,21 +468,7 @@ let load_policy_set files =
   let named, env = load_policy_env files in
   (named, Analysis.Fdd.compile env)
 
-let json_str s =
-  let buf = Buffer.create (String.length s + 2) in
-  Buffer.add_char buf '"';
-  String.iter
-    (fun c ->
-      match c with
-      | '"' -> Buffer.add_string buf "\\\""
-      | '\\' -> Buffer.add_string buf "\\\\"
-      | '\n' -> Buffer.add_string buf "\\n"
-      | c when Char.code c < 32 ->
-          Buffer.add_string buf (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char buf c)
-    s;
-  Buffer.add_char buf '"';
-  Buffer.contents buf
+let json_str s = Obs.Json.to_string (Obs.Json.Str s)
 
 (* Deciding lines rendered fragment-aware: the concatenated line is
    mapped back to the contributing file, line 0 is the implicit

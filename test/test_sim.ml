@@ -246,85 +246,6 @@ let test_prng_exponential_positive () =
     check Alcotest.bool "positive" true (Sim.Prng.exponential p ~mean:2.0 >= 0.0)
   done
 
-(* --- Stats --- *)
-
-let test_stats_basic () =
-  let s = Sim.Stats.create () in
-  List.iter (Sim.Stats.add s) [ 1.0; 2.0; 3.0; 4.0; 5.0 ];
-  check Alcotest.int "count" 5 (Sim.Stats.count s);
-  check (Alcotest.float 1e-9) "mean" 3.0 (Sim.Stats.mean s);
-  check (Alcotest.float 1e-9) "variance" 2.5 (Sim.Stats.variance s);
-  check (Alcotest.float 1e-9) "min" 1.0 (Sim.Stats.min_value s);
-  check (Alcotest.float 1e-9) "max" 5.0 (Sim.Stats.max_value s);
-  check (Alcotest.float 1e-9) "median" 3.0 (Sim.Stats.median s)
-
-let test_stats_percentiles () =
-  let s = Sim.Stats.create () in
-  for i = 1 to 100 do
-    Sim.Stats.add s (float_of_int i)
-  done;
-  check (Alcotest.float 1e-9) "p50" 50.0 (Sim.Stats.percentile s 50.0);
-  check (Alcotest.float 1e-9) "p99" 99.0 (Sim.Stats.percentile s 99.0);
-  check (Alcotest.float 1e-9) "p100" 100.0 (Sim.Stats.percentile s 100.0)
-
-let test_stats_add_after_percentile () =
-  (* Percentile sorts internally; later adds must still work. *)
-  let s = Sim.Stats.create () in
-  List.iter (Sim.Stats.add s) [ 3.0; 1.0; 2.0 ];
-  ignore (Sim.Stats.median s);
-  Sim.Stats.add s 0.5;
-  check (Alcotest.float 1e-9) "min updated" 0.5 (Sim.Stats.min_value s);
-  (* Nearest-rank median of [0.5; 1; 2; 3] is the 2nd element. *)
-  check (Alcotest.float 1e-9) "median after resort" 1.0 (Sim.Stats.median s)
-
-let test_stats_interleaved_percentile () =
-  (* The sorted sample is cached between percentile calls; interleaving
-     adds and queries must always see every value added so far. Compare
-     against a naive re-sort at every step. *)
-  let s = Sim.Stats.create () in
-  let added = ref [] in
-  let naive_pct p =
-    let arr = Array.of_list !added in
-    Array.sort Float.compare arr;
-    let n = Array.length arr in
-    let rank = int_of_float (ceil (p /. 100.0 *. float_of_int n)) - 1 in
-    arr.(Stdlib.max 0 (Stdlib.min (n - 1) rank))
-  in
-  let prng = Sim.Prng.create 7 in
-  for round = 1 to 20 do
-    (* A batch of pseudo-random adds, then several queries. *)
-    for _ = 1 to 1 + (round mod 5) do
-      let x = Sim.Prng.float prng 1000.0 in
-      added := x :: !added;
-      Sim.Stats.add s x
-    done;
-    List.iter
-      (fun p ->
-        check (Alcotest.float 1e-9)
-          (Printf.sprintf "round %d p%g" round p)
-          (naive_pct p) (Sim.Stats.percentile s p))
-      [ 0.0; 25.0; 50.0; 99.0; 100.0 ]
-  done;
-  (* Duplicates and descending runs across the cached/fresh boundary. *)
-  ignore (Sim.Stats.median s);
-  List.iter (Sim.Stats.add s) [ 5.0; 5.0; 4.0; 3.0; 3.0 ];
-  added := [ 5.0; 5.0; 4.0; 3.0; 3.0 ] @ !added;
-  List.iter
-    (fun p ->
-      check (Alcotest.float 1e-9)
-        (Printf.sprintf "dup p%g" p)
-        (naive_pct p) (Sim.Stats.percentile s p))
-    [ 10.0; 50.0; 90.0 ]
-
-let prop_stats_mean_matches_naive =
-  QCheck.Test.make ~name:"online mean equals naive mean" ~count:200
-    QCheck.(list_of_size (QCheck.Gen.int_range 1 50) (float_bound_exclusive 1000.0))
-    (fun xs ->
-      let s = Sim.Stats.create () in
-      List.iter (Sim.Stats.add s) xs;
-      let naive = List.fold_left ( +. ) 0.0 xs /. float_of_int (List.length xs) in
-      abs_float (Sim.Stats.mean s -. naive) < 1e-6)
-
 (* --- Trace --- *)
 
 let test_trace_records_in_order () =
@@ -385,15 +306,6 @@ let () =
           Alcotest.test_case "exponential positive" `Quick
             test_prng_exponential_positive;
         ] );
-      ( "stats",
-        [
-          Alcotest.test_case "basic" `Quick test_stats_basic;
-          Alcotest.test_case "percentiles" `Quick test_stats_percentiles;
-          Alcotest.test_case "add after percentile" `Quick
-            test_stats_add_after_percentile;
-          Alcotest.test_case "interleaved add/percentile" `Quick
-            test_stats_interleaved_percentile;
-        ] );
       ( "trace",
         [ Alcotest.test_case "records in order" `Quick test_trace_records_in_order ] );
       ( "properties",
@@ -402,6 +314,5 @@ let () =
             prop_heap_sorts;
             prop_prng_int_in_range;
             prop_prng_float_in_range;
-            prop_stats_mean_matches_naive;
           ] );
     ]

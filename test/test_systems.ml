@@ -247,69 +247,6 @@ let test_reachable_pairs_bounds () =
   check Alcotest.int "deny-all reaches none" 0
     (Workload.Attack.reachable_pairs deny_all ~population:p ~compromised:[] ())
 
-(* --- Arrivals --- *)
-
-let test_poisson_rate_and_order () =
-  let p = Workload.Population.create ~clients:10 ~servers:3 () in
-  let prng = Sim.Prng.create 17 in
-  let arrivals =
-    Workload.Arrivals.poisson ~prng ~population:p ~rate_per_s:100.0
-      ~duration:(Sim.Time.s 10)
-  in
-  let n = List.length arrivals in
-  check Alcotest.bool "roughly rate*duration arrivals" true
-    (n > 800 && n < 1200);
-  let rec sorted = function
-    | (a, _) :: ((b, _) :: _ as rest) ->
-        Sim.Time.compare a b <= 0 && sorted rest
-    | _ -> true
-  in
-  check Alcotest.bool "sorted by time" true (sorted arrivals);
-  List.iter
-    (fun (at, _) ->
-      check Alcotest.bool "within duration" true
-        (Sim.Time.compare at (Sim.Time.s 10) < 0))
-    arrivals
-
-let test_poisson_deterministic () =
-  let p = Workload.Population.create ~clients:5 ~servers:2 () in
-  let run seed =
-    let prng = Sim.Prng.create seed in
-    List.map
-      (fun (at, _) -> Sim.Time.to_ns at)
-      (Workload.Arrivals.poisson ~prng ~population:p ~rate_per_s:50.0
-         ~duration:(Sim.Time.s 2))
-  in
-  check Alcotest.(list int) "reproducible" (run 3) (run 3)
-
-let test_bursty_respects_off_periods () =
-  let p = Workload.Population.create ~clients:5 ~servers:2 () in
-  let prng = Sim.Prng.create 23 in
-  let burst = Sim.Time.ms 100 and idle = Sim.Time.ms 900 in
-  let arrivals =
-    Workload.Arrivals.bursty ~prng ~population:p ~on_rate_per_s:200.0 ~burst
-      ~idle ~duration:(Sim.Time.s 5)
-  in
-  check Alcotest.bool "some arrivals" true (List.length arrivals > 20);
-  List.iter
-    (fun (at, _) ->
-      let in_period = Float.rem (Sim.Time.to_float_s at) 1.0 in
-      check Alcotest.bool "inside a burst window" true (in_period < 0.1 +. 1e-6))
-    arrivals
-
-let test_inject_schedules_on_engine () =
-  let p = Workload.Population.create ~clients:5 ~servers:2 () in
-  let prng = Sim.Prng.create 29 in
-  let arrivals =
-    Workload.Arrivals.poisson ~prng ~population:p ~rate_per_s:100.0
-      ~duration:(Sim.Time.ms 500)
-  in
-  let engine = Sim.Engine.create () in
-  let sent = ref 0 in
-  Workload.Arrivals.inject ~engine ~send:(fun _ -> incr sent) arrivals;
-  Sim.Engine.run engine;
-  check Alcotest.int "all arrivals fired" (List.length arrivals) !sent
-
 let () =
   Alcotest.run "systems"
     [
@@ -339,17 +276,6 @@ let () =
           Alcotest.test_case "identxx lying daemon" `Quick
             test_identxx_lying_daemon_changes_outcome;
           Alcotest.test_case "score accounting" `Quick test_score_accounting;
-        ] );
-      ( "arrivals",
-        [
-          Alcotest.test_case "poisson rate and order" `Quick
-            test_poisson_rate_and_order;
-          Alcotest.test_case "poisson deterministic" `Quick
-            test_poisson_deterministic;
-          Alcotest.test_case "bursty off periods" `Quick
-            test_bursty_respects_off_periods;
-          Alcotest.test_case "inject schedules" `Quick
-            test_inject_schedules_on_engine;
         ] );
       ( "workload",
         [

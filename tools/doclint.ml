@@ -34,7 +34,14 @@
       A reference from test/ does not count: a value kept exported for
       tests needs a line with a reason in tools/exports.allow. Both
       directions again: an allowlist line whose value is gone or has
-      gained a caller is a finding too.
+      gained a caller is a finding too;
+   8. every block EXPERIMENTS.md carries between
+      [<!-- experiments: ID -->] and [<!-- /experiments -->] is a
+      contiguous run of the lines bin/experiments.exe prints under its
+      section [ID], as test/experiments.t pins them (2-space indent
+      stripped). Both directions: a block that drifts from the output
+      or names a section the output lacks is a finding, and so is a
+      table row of the output that lies in no block.
 
    Usage: doclint <repo-root>. Exit 1 on any finding. *)
 
@@ -766,6 +773,149 @@ let check_exports root =
           mli value)
     allowed
 
+(* --- 8: EXPERIMENTS.md's tables against the pinned experiments --- *)
+
+let experiments_doc = "EXPERIMENTS.md"
+let experiments_cram = "test/experiments.t/run.t"
+
+(* The cram's output lines (commands, their input and prose dropped,
+   the 2-space indent stripped), grouped under the binary's "## ID ..."
+   headings: each section's id with its lines, each line with its line
+   number in the cram. *)
+let pinned_sections root =
+  let path = Filename.concat root experiments_cram in
+  if not (Sys.file_exists path) then []
+  else begin
+    let sections = ref [] and current = ref None in
+    let close () =
+      Option.iter
+        (fun (id, lines) ->
+          sections := (id, Array.of_list (List.rev lines)) :: !sections)
+        !current
+    in
+    String.split_on_char '\n' (read_file path)
+    |> List.iteri (fun i line ->
+           let prefix p = String.starts_with ~prefix:p line in
+           if prefix "  " && not (prefix "  $ " || prefix "  > ") then begin
+             let out = String.sub line 2 (String.length line - 2) in
+             if String.starts_with ~prefix:"## " out then begin
+               close ();
+               let heading = String.sub out 3 (String.length out - 3) in
+               let id =
+                 List.hd (String.split_on_char ' ' heading)
+                 |> String.split_on_char ':' |> List.hd
+               in
+               current := Some (id, [])
+             end
+             else
+               Option.iter
+                 (fun (id, lines) -> current := Some (id, (i + 1, out) :: lines))
+                 !current
+           end);
+    close ();
+    List.rev !sections
+  end
+
+(* EXPERIMENTS.md's marked blocks: each one's id, the line number of
+   its opening marker, and its lines with their line numbers. *)
+let experiment_blocks root =
+  let path = Filename.concat root experiments_doc in
+  if not (Sys.file_exists path) then []
+  else begin
+    let blocks = ref [] and current = ref None in
+    let opening = "<!-- experiments:" and closing = "<!-- /experiments -->" in
+    let unclosed (id, at, _) =
+      err "%s:%d: block `%s` is not closed" experiments_doc at id
+    in
+    String.split_on_char '\n' (read_file path)
+    |> List.iteri (fun i line ->
+           let lineno = i + 1 and t = String.trim line in
+           if String.starts_with ~prefix:opening t
+              && String.ends_with ~suffix:"-->" t then begin
+             Option.iter unclosed !current;
+             let id =
+               String.sub t (String.length opening)
+                 (String.length t - String.length opening - 3)
+             in
+             current := Some (String.trim id, lineno, [])
+           end
+           else if t = closing then begin
+             match !current with
+             | Some (id, at, lines) ->
+                 blocks := (id, at, Array.of_list (List.rev lines)) :: !blocks;
+                 current := None
+             | None ->
+                 err "%s:%d: closing marker with no open block" experiments_doc
+                   lineno
+           end
+           else
+             Option.iter
+               (fun (id, at, lines) ->
+                 current := Some (id, at, (lineno, line) :: lines))
+               !current);
+    Option.iter unclosed !current;
+    List.rev !blocks
+  end
+
+let check_experiments root =
+  let sections = pinned_sections root in
+  let covered = Hashtbl.create 64 in
+  List.iter
+    (fun (id, at, block) ->
+      match List.assoc_opt id sections with
+      | None ->
+          err "%s:%d: block `%s` names a section %s does not print"
+            experiments_doc at id experiments_cram
+      | Some out ->
+          (* The offset into the section where the most leading lines of
+             the block agree; a drifted block still claims the lines it
+             was copied from, so its drift is one finding, not two. *)
+          let nb = Array.length block and no = Array.length out in
+          let agree o =
+            let rec go k =
+              if k < nb && o + k < no && snd out.(o + k) = snd block.(k) then
+                go (k + 1)
+              else k
+            in
+            go 0
+          in
+          let best = ref 0 and best_len = ref 0 in
+          for o = 0 to no - 1 do
+            let a = agree o in
+            if a > !best_len then begin
+              best := o;
+              best_len := a
+            end
+          done;
+          if !best_len > 0 then
+            for k = 0 to min nb (no - !best) - 1 do
+              Hashtbl.replace covered (fst out.(!best + k)) ()
+            done;
+          if nb = 0 then err "%s:%d: block `%s` is empty" experiments_doc at id
+          else if !best_len < nb then begin
+            let lineno, text = block.(!best_len) in
+            err "%s:%d: block `%s` drifts from %s: `%s` is not the next line \
+                 of its section"
+              experiments_doc lineno id experiments_cram text
+          end)
+    (experiment_blocks root);
+  (* One finding per run of table rows no block claims. *)
+  List.iter
+    (fun (id, out) ->
+      ignore
+        (Array.fold_left
+           (fun in_run (lineno, text) ->
+             let unclaimed =
+               String.starts_with ~prefix:"|" text
+               && not (Hashtbl.mem covered lineno)
+             in
+             if unclaimed && not in_run then
+               err "%s:%d: `%s` table row `%s` is in no %s block"
+                 experiments_cram lineno id text experiments_doc;
+             unclaimed)
+           false out))
+    sections
+
 let () =
   let root = if Array.length Sys.argv > 1 then Sys.argv.(1) else "." in
   check_interfaces root;
@@ -774,6 +924,7 @@ let () =
   check_rule_catalog root;
   check_recorder_catalog root;
   check_exports root;
+  check_experiments root;
   let have_odoc = Sys.command "command -v odoc >/dev/null 2>&1" = 0 in
   if !errors > 0 then begin
     Printf.printf "doclint: %d finding(s)\n" !errors;
@@ -782,6 +933,6 @@ let () =
   Printf.printf
     "doclint: interfaces documented, doc cross-references resolve, metric, \
      health-rule and flight-recorder catalogs in sync, every exported value \
-     called or allowlisted%s\n"
+     called or allowlisted%s; EXPERIMENTS.md blocks match test/experiments.t\n"
     (if have_odoc then " (odoc present: run `dune build @doc` for the render)"
      else " (odoc not installed: rendered-doc build gated off)")
