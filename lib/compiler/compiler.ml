@@ -82,7 +82,14 @@ type rule = {
   r_vol : float;
 }
 
-type plan = { p_rules : rule list; p_static : float; p_spills : spill list }
+(* [p_cov] is the subtree's static volume summed in part order, as
+   {!Fdd.static_coverage} sums it; [p_static] leaves out what spilled. *)
+type plan = {
+  p_rules : rule list;
+  p_static : float;
+  p_cov : float;
+  p_spills : spill list;
+}
 
 (* Children are grouped by identity so several intervals sharing one
    subdiagram can be factored into one wildcard rule block. A leaf is
@@ -94,9 +101,33 @@ let levels = Array.length Fdd.dim_top
 let gkey level c =
   if level = levels then K_verdict (Fdd.leaf c) else K_split (level, c)
 
-type cache = (int * Fdd.t, plan) Hashtbl.t
+(* Two generations: [cur] holds the plans the running (or last)
+   compile looked up or built, [prev] those of the compile before it,
+   which the running one may still take over. Each compile drops
+   [prev], so a plan the new diagram no longer reaches is gone after
+   one compile. *)
+type cache = {
+  mutable cur : (int * Fdd.t, plan) Hashtbl.t;
+  mutable prev : (int * Fdd.t, plan) Hashtbl.t;
+}
 
-let create_cache () : cache = Hashtbl.create 64
+let create_cache () = { cur = Hashtbl.create 64; prev = Hashtbl.create 64 }
+
+let next_generation cache =
+  let dropped = cache.prev in
+  Hashtbl.clear dropped;
+  cache.prev <- cache.cur;
+  cache.cur <- dropped
+
+(* A plan the running compile already holds, or one the compile before
+   it held, which the running one takes over. *)
+let find cache key =
+  match Hashtbl.find_opt cache.cur key with
+  | Some _ as found -> found
+  | None ->
+      let found = Hashtbl.find_opt cache.prev key in
+      Option.iter (Hashtbl.add cache.cur key) found;
+      found
 
 let plan_of_verdict = function
   | Fdd.Static { action; lines } ->
@@ -104,12 +135,14 @@ let plan_of_verdict = function
         p_rules =
           [ { r_fields = MF.any; r_decision = Decide action; r_lines = lines; r_vol = 1.0 } ];
         p_static = 1.0;
+        p_cov = 1.0;
         p_spills = [];
       }
   | Fdd.Reactive _ ->
       {
         p_rules = [ { r_fields = MF.any; r_decision = Punt; r_lines = []; r_vol = 0.0 } ];
         p_static = 0.0;
+        p_cov = 0.0;
         p_spills = [];
       }
 
@@ -118,7 +151,7 @@ let plan_of_verdict = function
 let rec plan_of cache budget level id =
   if level = levels then plan_of_verdict (Fdd.leaf id)
   else
-    match Hashtbl.find_opt cache (level, id) with
+    match find cache (level, id) with
     | Some p -> p
     | None ->
         let parts =
@@ -212,10 +245,14 @@ let rec plan_of cache budget level id =
           {
             p_rules = expanded @ tail;
             p_static = expanded_static +. tail_static;
+            p_cov =
+              List.fold_left
+                (fun acc (iv, _, pl) -> acc +. (Fdd.width level iv *. pl.p_cov))
+                0.0 parts;
             p_spills = !spilled @ child_spills;
           }
         in
-        Hashtbl.add cache (level, id) p;
+        Hashtbl.add cache.cur (level, id) p;
         p
 
 (* Provably no packet matches both (used to justify collapsing a rule
@@ -274,12 +311,19 @@ let collapse_into_tail rules =
       (!kept, !reclaimed)
     end
 
+let rec ends_in_punt = function
+  | [] -> false
+  | [ { r_decision = Punt; _ } ] -> true
+  | _ :: rest -> ends_in_punt rest
+
 let drop_trailing_punts rules =
-  let rec skip = function
-    | { r_decision = Punt; _ } :: rest -> skip rest
-    | l -> l
-  in
-  List.rev (skip (List.rev rules))
+  if not (ends_in_punt rules) then rules
+  else
+    let rec skip = function
+      | { r_decision = Punt; _ } :: rest -> skip rest
+      | l -> l
+    in
+    List.rev (skip (List.rev rules))
 
 (* A withheld static region punts like any reactive one; one fixed
    verdict lets adjacent withheld regions merge. *)
@@ -321,6 +365,7 @@ let compile ?cache ?(max_entries = default_max_entries)
   if max_entries < 1 || max_entries > default_max_entries then
     invalid_arg "Compiler.compile: max_entries outside [1, 4096]";
   let cache = match cache with Some c -> c | None -> create_cache () in
+  next_generation cache;
   let pl = plan_of cache region_budget 0 fdd in
   let rules = drop_trailing_punts pl.p_rules in
   let rules, reclaimed = collapse_into_tail rules in
@@ -363,7 +408,7 @@ let compile ?cache ?(max_entries = default_max_entries)
   {
     entries;
     spills = pl.p_spills;
-    static_coverage = Fdd.static_coverage fdd;
+    static_coverage = pl.p_cov;
     installed_coverage = installed;
     truncated;
   }
@@ -386,27 +431,45 @@ end)
    old index, and the step before it. *)
 type link = { l_cur : int; l_old : int; l_prev : link option }
 
-(* The (cur index, old index) pairs of a longest common subsequence of
-   the two entry arrays under (fields, decision) equality, ascending.
-   Hunt–Szymanski: each cur entry offers its matching old indices in
-   descending order to a patience-sorted longest strictly increasing
-   run, O((n + r) log n) for r matching pairs. *)
-let common_run (old_ : entry array) (cur : entry array) =
-  let key e = (e.e_fields, e.e_decision) in
-  let at = ref KMap.empty in
-  Array.iteri
-    (fun i e ->
+let same_key a b = a.e_decision = b.e_decision && MF.equal a.e_fields b.e_fields
+
+(* Calls [keep cur_index old_index] on the pairs of a longest common
+   subsequence of the two entry arrays under (fields, decision)
+   equality. The common prefix and suffix are part of one, so only the
+   span between them is searched, by Hunt–Szymanski: each cur entry
+   offers its matching old indices in descending order to a
+   patience-sorted longest strictly increasing run, O((n + r) log n)
+   for r matching pairs in the span. *)
+let common_run (old_ : entry array) (cur : entry array) keep =
+  let n_old = Array.length old_ and n_cur = Array.length cur in
+  let pre = ref 0 in
+  while !pre < n_old && !pre < n_cur && same_key old_.(!pre) cur.(!pre) do
+    keep !pre !pre;
+    incr pre
+  done;
+  let suf = ref 0 in
+  while
+    !suf < n_old - !pre && !suf < n_cur - !pre
+    && same_key old_.(n_old - 1 - !suf) cur.(n_cur - 1 - !suf)
+  do
+    keep (n_cur - 1 - !suf) (n_old - 1 - !suf);
+    incr suf
+  done;
+  let pre = !pre and old_end = n_old - !suf and cur_end = n_cur - !suf in
+  if pre < old_end && pre < cur_end then begin
+    let key e = (e.e_fields, e.e_decision) in
+    let at = ref KMap.empty in
+    for i = pre to old_end - 1 do
       at :=
-        KMap.update (key e)
+        KMap.update (key old_.(i))
           (function None -> Some [ i ] | Some l -> Some (i :: l))
-          !at)
-    old_;
-  let at = !at in
-  let tails = Array.make (Array.length cur) None and len = ref 0 in
-  let old_at k = match tails.(k) with Some l -> l.l_old | None -> max_int in
-  Array.iteri
-    (fun j e ->
-      match KMap.find_opt (key e) at with
+          !at
+    done;
+    let at = !at in
+    let tails = Array.make (cur_end - pre) None and len = ref 0 in
+    let old_at k = match tails.(k) with Some l -> l.l_old | None -> max_int in
+    for j = pre to cur_end - 1 do
+      match KMap.find_opt (key cur.(j)) at with
       | None -> ()
       | Some olds ->
           List.iter
@@ -419,13 +482,16 @@ let common_run (old_ : entry array) (cur : entry array) =
               let l_prev = if !lo = 0 then None else tails.(!lo - 1) in
               tails.(!lo) <- Some { l_cur = j; l_old = i; l_prev };
               if !lo = !len then incr len)
-            olds)
-    cur;
-  let rec walk acc = function
-    | None -> acc
-    | Some l -> walk ((l.l_cur, l.l_old) :: acc) l.l_prev
-  in
-  if !len = 0 then [] else walk [] tails.(!len - 1)
+            olds
+    done;
+    let rec walk = function
+      | None -> ()
+      | Some l ->
+          keep l.l_cur l.l_old;
+          walk l.l_prev
+    in
+    if !len > 0 then walk tails.(!len - 1)
+  end
 
 (* Space the entries of [prio] left at -1 evenly between their fixed
    neighbours; the band's edges count as neighbours at
@@ -455,9 +521,7 @@ let renumber ~old_ cur =
   if n > priority_top - priority_floor + 1 then
     invalid_arg "Compiler.renumber: more entries than the band holds";
   let prio = Array.make n (-1) in
-  List.iter
-    (fun (j, i) -> prio.(j) <- old_a.(i).e_priority)
-    (common_run old_a cur_a);
+  common_run old_a cur_a (fun j i -> prio.(j) <- old_a.(i).e_priority);
   if not (fill_gaps prio) then begin
     (* No room between two kept entries: spread the whole table. *)
     Array.fill prio 0 n (-1);

@@ -73,7 +73,8 @@ type spill = {
 type table = {
   entries : entry list;  (** Highest priority first. *)
   spills : spill list;
-  static_coverage : float;  (** The diagram's, see {!Analysis.Fdd}. *)
+  static_coverage : float;
+      (** The diagram's, bit for bit {!Analysis.Fdd.static_coverage}. *)
   installed_coverage : float;
       (** Volume fraction of flow space actually decided by installed
           static entries — [static_coverage] minus spilled and
@@ -84,8 +85,11 @@ type table = {
 type cache
 (** Memoizes compiled rule lists per hash-consed diagram node, so
     recompiling after a policy edit re-lowers only the changed regions
-    (unchanged subdiagrams keep their node ids). One cache must only
-    ever see one budget configuration. *)
+    (unchanged subdiagrams keep their node ids). It holds the plans the
+    last {!compile} looked up or built, and nothing older: a node the
+    new diagram no longer reaches is dropped at the next compile, so
+    the cache stays the size of one policy however many it has seen.
+    One cache must only ever see one budget configuration. *)
 
 val create_cache : unit -> cache
 
@@ -130,7 +134,8 @@ val renumber : old_:table -> table -> table
     unchanged. Entries are matched to [old_]'s by fields and decision;
     a longest order-preserving run of matches (a longest common
     subsequence, found as a longest increasing run of old positions in
-    O(n log n) when no key repeats) keeps its old priorities.
+    O(n log n) when no key repeats, between the common prefix and
+    suffix of the two tables) keeps its old priorities.
     Every other entry is spaced evenly in the gap between its kept
     neighbours, within [\[priority_floor, 0x7ffe\]]. When some gap has
     no room, the whole table is spread evenly over the band, as it is

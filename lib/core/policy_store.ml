@@ -1,5 +1,13 @@
+(* A file, parsed at its first line in the concatenation. *)
+type file = {
+  name : string;
+  text : string;
+  first_line : int;
+  parsed : Pf.Parser.file;
+}
+
 type t = {
-  mutable files : (string * string) list; (* sorted by name *)
+  mutable files : file list; (* sorted by name *)
   mutable compiled : (Pf.Env.t, string) result option;
   mutable listeners : (unit -> unit) list;
   mutable epoch : int;
@@ -23,19 +31,46 @@ let strip_suffix name =
   then String.sub name 0 (String.length name - String.length suffix)
   else name
 
-let sort_files files =
-  List.sort (fun (a, _) (b, _) -> String.compare a b) files
+let sort_files files = List.sort (fun a b -> String.compare a.name b.name) files
 
-let concatenated t =
-  String.concat "\n" (List.map snd t.files)
+(* Lines [text] takes in the concatenation, with the newline that joins
+   it to the next file. *)
+let line_count text =
+  String.fold_left (fun n c -> if c = '\n' then n + 1 else n) 1 text
+
+(* Give each file its first line in the concatenation, re-parsing the
+   files whose first line moved. *)
+let rec place line = function
+  | [] -> []
+  | f :: rest ->
+      let f =
+        if f.first_line = line then f
+        else
+          match Pf.Parser.parse_file ~first_line:line f.text with
+          | Ok parsed -> { f with first_line = line; parsed }
+          | Error e ->
+              (* It parsed when it was added, and lines number tokens
+                 without changing them. *)
+              invalid_arg ("Policy_store: " ^ e)
+      in
+      f :: place (line + line_count f.text) rest
+
+let concatenated t = String.concat "\n" (List.map (fun f -> f.text) t.files)
+
+(* The concatenation's declarations: the files' own, unless a file's
+   last rule reads on into the next file. *)
+let ruleset t =
+  match Pf.Parser.joined (List.map (fun f -> f.parsed) t.files) with
+  | Some decls -> Ok decls
+  | None -> Pf.Parser.parse (concatenated t)
 
 let recompile t =
-  let result = Pf.Env.of_string (concatenated t) in
+  let result = Result.bind (ruleset t) Pf.Env.build in
   t.compiled <- Some result;
   result
 
 let analyze t =
-  match Pf.Parser.parse (concatenated t) with
+  match ruleset t with
   | Error _ -> [] (* compilation reports parse errors already *)
   | Ok decls -> Analysis.Check.run decls
 
@@ -64,12 +99,22 @@ let strict_error t =
 
 let add t ~name content =
   let name = strip_suffix name in
-  (* Validate the file alone parses before accepting it. *)
-  match Pf.Parser.parse content with
-  | Error e -> Error (name ^ ": " ^ e)
-  | Ok _ -> (
+  let others = List.filter (fun f -> f.name <> name) t.files in
+  let first_line =
+    List.fold_left
+      (fun line f -> if String.compare f.name name < 0 then line + line_count f.text else line)
+      1 others
+  in
+  (* The file must parse alone before it is accepted. *)
+  match Pf.Parser.parse_file ~first_line content with
+  | Error e ->
+      (* Report the line as the file numbers it. *)
+      let e = match Pf.Parser.parse content with Error e -> e | Ok _ -> e in
+      Error (name ^ ": " ^ e)
+  | Ok parsed -> (
       let previous = t.files in
-      t.files <- sort_files ((name, content) :: List.remove_assoc name t.files);
+      t.files <-
+        place 1 (sort_files ({ name; text = content; first_line; parsed } :: others));
       let rollback e =
         t.files <- previous;
         ignore (recompile t);
@@ -94,12 +139,13 @@ let add_exn t ~name content =
   match add t ~name content with Ok () -> () | Error e -> invalid_arg e
 
 let remove t ~name =
-  t.files <- List.remove_assoc (strip_suffix name) t.files;
+  let name = strip_suffix name in
+  t.files <- place 1 (List.filter (fun f -> f.name <> name) t.files);
   ignore (recompile t);
   bump t;
   notify t
 
-let files t = t.files
+let files t = List.map (fun f -> (f.name, f.text)) t.files
 
 let env t =
   match t.compiled with Some r -> r | None -> recompile t

@@ -15,9 +15,18 @@ val create : ?strict:bool -> unit -> t
     plain compilation only discovers at flow time. Default [false]. *)
 
 val add : t -> name:string -> string -> (unit, string) result
-(** Add or replace a file. The content must parse as PF+=2; on success
-    the compiled environment is refreshed. The [".control"] suffix is
-    optional in [name] and ignored for ordering. *)
+(** Add or replace a file. The content must parse as PF+=2 (a parse
+    error names the line as the file numbers it); on success the
+    compiled environment is refreshed. The [".control"] suffix is
+    optional in [name] and ignored for ordering.
+
+    Each file is parsed once, at its first line in the concatenation,
+    and kept parsed: the environment is built from the files' stored
+    declarations, and a file is parsed again only when its text or its
+    first line changes (a longer or shorter file before it). When a
+    file's last rule would read on into the next file, only a parse of
+    the concatenation tells what it holds, and the store parses it
+    (see {!Pf.Parser.joined}). *)
 
 val add_exn : t -> name:string -> string -> unit
 val remove : t -> name:string -> unit

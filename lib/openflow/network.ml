@@ -130,13 +130,13 @@ and emit_frame t out ~port pkt =
         pkt
   | None -> ());
   match Topology.wire t.topology out.e_node port with
-  | None ->
+  | exception Not_found ->
       t.dropped <- t.dropped + 1;
       if Sim.Trace.enabled t.trace then
         record_actor t
           (Topology.node_to_string out.e_node)
           "drop: port %d unwired" port
-  | Some (far, latency) ->
+  | far, latency ->
       Sim.Engine.schedule t.engine ~delay:latency (fun () ->
           arrive t ~at:far pkt)
 

@@ -8,11 +8,24 @@ module Node_map = Map.Make (struct
   let compare = Stdlib.compare
 end)
 
+(* A node's port, as a wiring key. *)
+type port_key = { mutable k_node : node; mutable k_port : int }
+
+module Wiring = Hashtbl.Make (struct
+  type t = port_key
+
+  let equal a b = a.k_port = b.k_port && a.k_node = b.k_node
+  let hash = Hashtbl.hash
+end)
+
 type t = {
   mutable nodes : unit Node_map.t;
   mutable links : link list;
   (* (node, port) -> far endpoint + latency, both directions. *)
-  wiring : (node * int, endpoint * Sim.Time.t) Hashtbl.t;
+  wiring : (endpoint * Sim.Time.t) Wiring.t;
+  probe : port_key;
+      (* The key every lookup fills in, so finding a port's far end
+         builds nothing. Never stored: [link] stores keys of its own. *)
   (* node -> its wired ports, sorted ascending — O(degree) [ports_of]
      instead of a scan of the whole wiring table. *)
   ports : (node, int list) Hashtbl.t;
@@ -30,7 +43,8 @@ let create () =
   {
     nodes = Node_map.empty;
     links = [];
-    wiring = Hashtbl.create 64;
+    wiring = Wiring.create 64;
+    probe = { k_node = Host ""; k_port = 0 };
     ports = Hashtbl.create 64;
     epoch = 0;
     routing = None;
@@ -65,6 +79,16 @@ let node_to_string = function
   | Sw d -> Printf.sprintf "s%d" d
   | Host h -> h
 
+let probe t node port =
+  t.probe.k_node <- node;
+  t.probe.k_port <- port;
+  t.probe
+
+let wire t node port = Wiring.find t.wiring (probe t node port)
+
+let wire_opt t node port =
+  match wire t node port with w -> Some w | exception Not_found -> None
+
 let ports_of t node = Option.value ~default:[] (Hashtbl.find_opt t.ports node)
 
 let add_port t node port =
@@ -85,7 +109,7 @@ let refresh_attachment t = function
   | Host name as n -> (
       match ports_of t n with
       | port :: _ -> (
-          match Hashtbl.find_opt t.wiring (n, port) with
+          match wire_opt t n port with
           | Some (({ node = Sw _; _ } as ep), _) ->
               Hashtbl.replace t.attachments name ep
           | Some _ | None -> Hashtbl.remove t.attachments name)
@@ -101,18 +125,18 @@ let link t ?(latency = Sim.Time.us 10) (na, pa) (nb, pb) =
     invalid_arg ("Topology.link: unknown node " ^ node_to_string na);
   if not (Node_map.mem nb t.nodes) then
     invalid_arg ("Topology.link: unknown node " ^ node_to_string nb);
-  if Hashtbl.mem t.wiring (na, pa) then
+  if Wiring.mem t.wiring (probe t na pa) then
     invalid_arg
       (Printf.sprintf "Topology.link: %s port %d already wired"
          (node_to_string na) pa);
-  if Hashtbl.mem t.wiring (nb, pb) then
+  if Wiring.mem t.wiring (probe t nb pb) then
     invalid_arg
       (Printf.sprintf "Topology.link: %s port %d already wired"
          (node_to_string nb) pb);
   let a = { node = na; port = pa } and b = { node = nb; port = pb } in
   t.links <- { a; b; latency } :: t.links;
-  Hashtbl.replace t.wiring (na, pa) (b, latency);
-  Hashtbl.replace t.wiring (nb, pb) (a, latency);
+  Wiring.replace t.wiring { k_node = na; k_port = pa } (b, latency);
+  Wiring.replace t.wiring { k_node = nb; k_port = pb } (a, latency);
   add_port t na pa;
   add_port t nb pb;
   refresh_attachment t na;
@@ -124,14 +148,14 @@ let link t ?(latency = Sim.Time.us 10) (na, pa) (nb, pb) =
   touch t
 
 let unlink t (n, p) =
-  match Hashtbl.find_opt t.wiring (n, p) with
+  match wire_opt t n p with
   | None ->
       invalid_arg
         (Printf.sprintf "Topology.unlink: %s port %d is not wired"
            (node_to_string n) p)
   | Some (far, _) ->
-      Hashtbl.remove t.wiring (n, p);
-      Hashtbl.remove t.wiring (far.node, far.port);
+      Wiring.remove t.wiring (probe t n p);
+      Wiring.remove t.wiring (probe t far.node far.port);
       drop_port t n p;
       drop_port t far.node far.port;
       refresh_attachment t n;
@@ -171,10 +195,7 @@ let hosts t =
 
 let links t = List.rev t.links
 
-let peer t node port =
-  Option.map fst (Hashtbl.find_opt t.wiring (node, port))
-
-let wire t node port = Hashtbl.find_opt t.wiring (node, port)
+let peer t node port = Option.map fst (wire_opt t node port)
 
 let host_attachment t name = Hashtbl.find_opt t.attachments name
 

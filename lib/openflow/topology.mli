@@ -55,9 +55,10 @@ val switches : t -> Message.switch_id list
 val hosts : t -> string list
 val links : t -> link list
 
-val wire : t -> node -> int -> (endpoint * Sim.Time.t) option
+val wire : t -> node -> int -> endpoint * Sim.Time.t
 (** What is connected at this node's port, and the link latency — the fabric's
-    per-hop delay lookup, O(1). *)
+    per-hop delay lookup, O(1). It allocates nothing.
+    @raise Not_found if the port is not wired. *)
 
 val ports_of : t -> node -> int list
 (** The node's wired ports, sorted ascending. O(degree). *)

@@ -3,10 +3,10 @@ let is_word_char c =
   | 'a' .. 'z' | 'A' .. 'Z' | '0' .. '9' | '-' | '.' | '/' | '_' | '+' -> true
   | _ -> false
 
-let tokenize input =
+let tokenize ?(first_line = 1) input =
   let len = String.length input in
   let tokens = ref [] in
-  let line = ref 1 in
+  let line = ref first_line in
   let emit token = tokens := { Token.token; line = !line } :: !tokens in
   let rec go i =
     if i >= len then Ok (List.rev !tokens)

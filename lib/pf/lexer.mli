@@ -4,5 +4,6 @@
     comment; a backslash before a newline is the PF line-continuation
     and is skipped. *)
 
-val tokenize : string -> (Token.located list, string) result
-(** Errors mention the offending line number. *)
+val tokenize : ?first_line:int -> string -> (Token.located list, string) result
+(** Tokens carry their line, counted from [first_line] (default 1), and
+    errors mention the offending one. *)

@@ -349,18 +349,59 @@ let parse_decl st =
   | Some t -> fail st "expected a declaration or rule, found %s" (Token.to_string t)
   | None -> fail st "expected a declaration, found end of input"
 
-let parse input =
-  match Lexer.tokenize input with
+type file = {
+  decls : Ast.ruleset;
+  head : Token.located array;  (* the first two tokens *)
+  tail : Token.located array;  (* the last declaration's tokens *)
+}
+
+let parse_file ~first_line input =
+  match Lexer.tokenize ~first_line input with
   | Error e -> Error e
   | Ok tokens -> (
-      let st = { tokens = Array.of_list tokens; pos = 0 } in
-      try
-        let rec go acc =
-          if st.pos >= Array.length st.tokens then List.rev acc
-          else go (parse_decl st :: acc)
-        in
-        Ok (go [])
-      with Parse_error msg -> Error msg)
+      let tokens = Array.of_list tokens in
+      let n = Array.length tokens in
+      let st = { tokens; pos = 0 } in
+      let rec go acc last =
+        if st.pos >= n then (List.rev acc, last)
+        else
+          let start = st.pos in
+          go (parse_decl st :: acc) start
+      in
+      match go [] n with
+      | decls, last ->
+          Ok
+            {
+              decls;
+              head = Array.sub tokens 0 (min 2 n);
+              tail = Array.sub tokens last (n - last);
+            }
+      | exception Parse_error msg -> Error msg)
+
+let parse input = Result.map (fun f -> f.decls) (parse_file ~first_line:1 input)
+
+(* Whether [a]'s last declaration, read on into [b]'s first tokens,
+   ends where [b] starts, as it does at the end of [a] alone. The
+   parser looks at most two tokens past a declaration's end. *)
+let ends_before a b =
+  Array.length a.tail = 0
+  ||
+  let st = { tokens = Array.append a.tail b.head; pos = 0 } in
+  match parse_decl st with
+  | _ -> st.pos = Array.length a.tail
+  | exception Parse_error _ -> false
+
+let joined files =
+  let rec clean prev = function
+    | [] -> true
+    | f :: rest when Array.length f.head = 0 -> clean prev rest
+    | f :: rest -> (
+        match prev with
+        | Some p when not (ends_before p f) -> false
+        | _ -> clean (Some f) rest)
+  in
+  if clean None files then Some (List.concat_map (fun f -> f.decls) files)
+  else None
 
 let parse_rules input =
   match parse input with

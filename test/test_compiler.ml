@@ -596,6 +596,13 @@ let random_ctx prng fl =
   let dst = if Sim.Prng.int prng 4 = 0 then None else Some (response ()) in
   Pf.Eval.ctx ?src ?dst ()
 
+(* The table's static coverage is the diagram's, bit for bit. *)
+let same_coverage name tbl fdd =
+  let bits = Int64.bits_of_float in
+  if bits tbl.Compiler.static_coverage <> bits (Fdd.static_coverage fdd) then
+    Alcotest.failf "%s: static coverage %h, the diagram's %h" name
+      tbl.Compiler.static_coverage (Fdd.static_coverage fdd)
+
 (* For every flow: a [Decide] must agree with the diagram {e and} with
    the real evaluator under arbitrary contexts, and no [log] rule may
    decide it; a [Punt] is correct on reactive regions and acceptable on
@@ -607,6 +614,7 @@ let differential ~proactive name env ~flows =
   let name = if proactive then name else name ^ " (drops only)" in
   let fdd = Compiler.offload ~proactive env (Fdd.compile env) in
   let tbl = Compiler.compile fdd in
+  same_coverage name tbl fdd;
   (match Compiler.verify tbl fdd with
   | Ok n -> Alcotest.(check bool) (name ^ ": regions checked") true (n > 0)
   | Error e -> Alcotest.failf "%s: translation validation failed: %s" name e);
@@ -695,6 +703,37 @@ let test_differential_shipped () =
     files;
   let concat = String.concat "\n" (List.map snd files) in
   both_modes "policies-concat" (env_of concat) ~flows:300
+
+(* A cache holds the plans of the last compile, so what it keeps is
+   bounded by the policy, not by how many policies it has seen: after
+   500 distinct diagrams it holds what it held after 10. Measured:
+   1,831 reachable words after 10 and after 500; 7,367 after 10 and
+   332,871 after 500 while it kept every plan it had ever built. *)
+let test_cache_stays_bounded () =
+  let cache = Compiler.create_cache () in
+  let compile i =
+    let fdd =
+      Fdd.compile
+        (env_of
+           (Printf.sprintf
+              "block all\npass proto tcp from 10.%d.0.0/16 to any port %d\n\
+               block proto tcp from any to 10.%d.0.0/16 port 22"
+              (i mod 7) (1000 + i) (i mod 5)))
+    in
+    same_coverage (Printf.sprintf "diagram %d" i) (Compiler.compile ~cache fdd) fdd
+  in
+  let words () = Obj.reachable_words (Obj.repr cache) in
+  for i = 1 to 10 do
+    compile i
+  done;
+  let early = words () in
+  let largest = ref early in
+  for i = 11 to 500 do
+    compile i;
+    if i mod 49 = 0 then largest := max !largest (words ())
+  done;
+  if !largest > 2_500 then
+    Alcotest.failf "%d reachable words after 500 diagrams (%d after 10)" !largest early
 
 (* --- flow-table eviction mechanics (capacity LRU + hook) --- *)
 
@@ -1467,15 +1506,19 @@ let tree_reload measure =
   (Compiler.delta ~old_ (C.proactive_table controller), measured)
 
 (* Allocation of one proactive reload: compile, number, diff, lower and
-   send one edit, and the switches apply it. Measured 13,639 minor
+   send one edit, and the switches apply it. Measured 11,996 minor
    words and 78 flow-mods (5 adds and 1 strict delete per switch).
-   18,997 words while every reload re-applied the unchanged rules of
-   file 00, the compiler walked a copy of the diagram, the delta
-   indexed both tables in maps and each flow-mod reached each switch
-   as its own event; 40,888 words and 416 flow-mods while pass entries lowered to a copy
-   per host in one table and every reload re-sent the guards (26 of
-   the 416); 60,185 words when, besides, entries were renumbered by
-   position and lowered once per switch. *)
+   13,639 words while each reload parsed the edited file twice and
+   every other file once more, renumbered the whole table, walked the
+   diagram a second time for its coverage and each emitted frame built
+   a key to find its link; 18,997 words while every reload re-applied
+   the unchanged rules of file 00, the compiler walked a copy of the
+   diagram, the delta indexed both tables in maps and each flow-mod
+   reached each switch as its own event; 40,888 words and 416
+   flow-mods while pass entries lowered to a copy per host in one
+   table and every reload re-sent the guards (26 of the 416); 60,185
+   words when, besides, entries were renumbered by position and
+   lowered once per switch. *)
 let test_e2e_reload_allocation () =
   let d, words =
     tree_reload (fun _ reload ->
@@ -1501,7 +1544,7 @@ let test_e2e_reload_allocation () =
   Alcotest.(check int) "flow-mods: each add and delete once per switch"
     (13 * (List.length d.Compiler.d_add + List.length d.Compiler.d_del))
     flow_mods;
-  if words > 14_300.0 then Alcotest.failf "%.0f minor words for one reload" words
+  if words > 12_600.0 then Alcotest.failf "%.0f minor words for one reload" words
 
 let () =
   Alcotest.run "compiler"
@@ -1514,6 +1557,8 @@ let () =
           Alcotest.test_case "budget spillover" `Quick test_budget_spill;
           Alcotest.test_case "truncation" `Quick test_truncation;
           Alcotest.test_case "incremental delta" `Quick test_incremental_delta;
+          Alcotest.test_case "the compile cache stays bounded" `Quick
+            test_cache_stays_bounded;
         ] );
       ( "renumber",
         [

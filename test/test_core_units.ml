@@ -226,6 +226,136 @@ let test_policy_store_on_change_fires () =
   ignore (Identxx_core.Policy_store.add ps ~name:"01" "pass frm any");
   check Alcotest.int "fired twice" 2 !fired
 
+module PS = Identxx_core.Policy_store
+
+(* The store parses each file once, at its first line in the
+   concatenation; what it compiles is what a parse of the concatenation
+   gives, line numbers and errors included. *)
+let same_as_concatenation what ps =
+  let texts = List.map snd (PS.files ps) in
+  let concat = String.concat "\n" texts in
+  (match (PS.env ps, Pf.Env.of_string concat) with
+  | Ok env, Ok whole ->
+      check Alcotest.(list int) (what ^ ": rule lines")
+        (List.map (fun (r : Pf.Ast.rule) -> r.Pf.Ast.line) (Pf.Env.rules whole))
+        (List.map (fun (r : Pf.Ast.rule) -> r.Pf.Ast.line) (Pf.Env.rules env));
+      check Alcotest.bool (what ^ ": rules") true
+        (Pf.Env.rules env = Pf.Env.rules whole);
+      check Alcotest.bool (what ^ ": intercepts") true
+        (Pf.Env.intercepts env = Pf.Env.intercepts whole);
+      check Alcotest.(list string) (what ^ ": tables") (Pf.Env.table_names whole)
+        (Pf.Env.table_names env)
+  | Error e, Error whole -> check Alcotest.string (what ^ ": error") whole e
+  | Ok _, Error e -> Alcotest.failf "%s: the concatenation fails (%s)" what e
+  | Error e, Ok _ -> Alcotest.failf "%s: the store fails (%s)" what e);
+  (* The same through the parser: each file parsed at its first line. *)
+  let rec parse_all line = function
+    | [] -> []
+    | text :: rest ->
+        (match Pf.Parser.parse_file ~first_line:line text with
+        | Ok f -> f
+        | Error e -> Alcotest.failf "%s: a stored file fails to parse: %s" what e)
+        :: parse_all (line + List.length (String.split_on_char '\n' text)) rest
+  in
+  match Pf.Parser.joined (parse_all 1 texts) with
+  | Some decls ->
+      check Alcotest.bool (what ^ ": declarations") true
+        (Ok decls = Pf.Parser.parse concat)
+  | None -> ()
+
+let shipped_policies () =
+  let dir = if Sys.file_exists "../policies" then "../policies" else "policies" in
+  Sys.readdir dir |> Array.to_list
+  |> List.filter (fun f -> Filename.check_suffix f ".control")
+  |> List.sort String.compare
+  |> List.map (fun f ->
+         (f, In_channel.with_open_bin (Filename.concat dir f) In_channel.input_all))
+
+(* Add the files in the order given. A rule may name a table a later
+   file defines: retry what was rejected until nothing more goes in,
+   and return what never did. *)
+let rec fill ps pending =
+  let left =
+    List.filter (fun (name, text) -> Result.is_error (PS.add ps ~name text)) pending
+  in
+  if left <> [] && List.length left < List.length pending then fill ps left else left
+
+let test_policy_store_parses_each_file_once () =
+  let files = shipped_policies () in
+  check Alcotest.bool "shipped policies present" true (List.length files >= 4);
+  let ps = PS.create () in
+  (* Last file first, so every later add moves the files after it. *)
+  check Alcotest.int "every shipped file goes in" 0 (List.length (fill ps (List.rev files)));
+  same_as_concatenation "policies/*.control" ps;
+  (* Random splits of the whole concatenation at line ends, added in a
+     random order, so later files move and are parsed again. A piece
+     that does not parse alone is rejected, as it was before. *)
+  let lines =
+    Array.of_list
+      (String.split_on_char '\n' (String.concat "\n" (List.map snd files)))
+  in
+  let n = Array.length lines in
+  let prng = Sim.Prng.create 41 in
+  let whole = ref 0 in
+  for split = 1 to 200 do
+    let cuts =
+      List.sort_uniq compare
+        (List.init (1 + Sim.Prng.int prng 5) (fun _ -> 1 + Sim.Prng.int prng (n - 1)))
+    in
+    let bounds = (0 :: cuts) @ [ n ] in
+    let rec pieces i = function
+      | lo :: (hi :: _ as rest) ->
+          ( Printf.sprintf "%02d" i,
+            String.concat "\n" (Array.to_list (Array.sub lines lo (hi - lo))) )
+          :: pieces (i + 1) rest
+      | _ -> []
+    in
+    let pieces = Array.of_list (pieces 0 bounds) in
+    Sim.Prng.shuffle prng pieces;
+    let ps = PS.create () in
+    let what = Printf.sprintf "split %d" split in
+    match fill ps (Array.to_list pieces) with
+    | [] ->
+        incr whole;
+        same_as_concatenation what ps;
+        let name, _ = pieces.(Sim.Prng.int prng (Array.length pieces)) in
+        PS.remove ps ~name;
+        same_as_concatenation (what ^ " without " ^ name) ps
+    | left ->
+        if Array.for_all (fun (_, text) -> Result.is_ok (Pf.Parser.parse text)) pieces
+        then Alcotest.failf "%s: %d pieces rejected" what (List.length left)
+  done;
+  if !whole < 20 then Alcotest.failf "only %d of 200 splits went in whole" !whole
+
+(* Rules end by grammar, not at a newline: a file that opens with a
+   macro named [to] reads as more of the rule that ends the file before
+   it, and that concatenation does not parse. The store rejects it as
+   it rejected the concatenation, whichever file comes second. *)
+let test_policy_store_rule_reads_into_next_file () =
+  let first = "block all\npass proto tcp from any to any port 80" in
+  let second = "to = \"x\"\npass all" in
+  check Alcotest.bool "the second file parses alone" true
+    (Result.is_ok (Pf.Parser.parse second));
+  let error =
+    match Pf.Env.of_string (first ^ "\n" ^ second) with
+    | Error e -> e
+    | Ok _ -> Alcotest.fail "the concatenation parses"
+  in
+  let ps = PS.create () in
+  PS.add_exn ps ~name:"00" first;
+  check Alcotest.(result unit string) "the second file is rejected"
+    (Error ("50: " ^ error)) (PS.add ps ~name:"50" second);
+  same_as_concatenation "rolled back" ps;
+  let ps = PS.create () in
+  PS.add_exn ps ~name:"50" second;
+  check Alcotest.(result unit string) "the first file is rejected"
+    (Error ("00: " ^ error)) (PS.add ps ~name:"00" first);
+  check Alcotest.(list string) "only the second file stays" [ "50" ]
+    (List.map fst (PS.files ps));
+  let parsed line text = Result.get_ok (Pf.Parser.parse_file ~first_line:line text) in
+  check Alcotest.bool "joined leaves it to the concatenation" true
+    (Pf.Parser.joined [ parsed 1 first; parsed 3 second ] = None)
+
 (* --- Services --- *)
 
 let test_services_lookup () =
@@ -335,6 +465,10 @@ let () =
             test_policy_store_rejects_broken_concatenation;
           Alcotest.test_case "on_change fires" `Quick
             test_policy_store_on_change_fires;
+          Alcotest.test_case "parses each file once" `Quick
+            test_policy_store_parses_each_file_once;
+          Alcotest.test_case "a rule reads into the next file" `Quick
+            test_policy_store_rule_reads_into_next_file;
         ] );
       ("services", [ Alcotest.test_case "lookup" `Quick test_services_lookup ]);
       ( "decision",

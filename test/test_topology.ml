@@ -74,11 +74,11 @@ let check_route topology ~from ~dst_host ~expected =
       | None -> None
       | Some port -> (
           match Topo.wire topology (Topo.Sw cur) port with
-          | None -> fail "next_hop points at an unwired port"
-          | Some ({ Topo.node = Topo.Host h; _ }, _) ->
+          | exception Not_found -> fail "next_hop points at an unwired port"
+          | { Topo.node = Topo.Host h; _ }, _ ->
               if h = dst_host then Some acc
               else fail ("next_hop walked into wrong host " ^ h)
-          | Some ({ Topo.node = Topo.Sw nxt; _ }, lat) ->
+          | { Topo.node = Topo.Sw nxt; _ }, lat ->
               walk nxt (acc + weight lat) (steps + 1))
   in
   let label = Printf.sprintf "s%d -> %s" from dst_host in
