@@ -1439,7 +1439,13 @@ let run_timed json_file =
     Analyze.ols ~r_square:true ~bootstrap:0 ~predictors:[| Measure.run |]
   in
   let clock = Instance.monotonic_clock in
-  let cfg = Benchmark.cfg ~limit:1000 ~quota:(Time.second 0.2) ~kde:None () in
+  (* No [Gc.compact] before each sample: over a heap that holds every
+     fixture it costs more than the quota, and a short body then gets a
+     handful of samples instead of hundreds. *)
+  let cfg =
+    Benchmark.cfg ~limit:1000 ~quota:(Time.second 0.2) ~kde:None
+      ~stabilize:false ()
+  in
   let raw = Benchmark.all cfg [ clock; minor_words ] tests in
   let per_op instance =
     let results = Analyze.all ols instance raw in

@@ -23,6 +23,34 @@ let read_file path =
   close_in ic;
   s
 
+(* Readers for the JSON that netsim and identxxd export. Times are
+   float seconds; the interesting magnitudes are microseconds, and %g
+   keeps them short and byte-stable. *)
+let us f = f *. 1e6
+let j_str k v = Option.bind (Obs.Json.member k v) Obs.Json.to_str
+let j_num k v = Option.bind (Obs.Json.member k v) Obs.Json.to_float
+
+(* An object's string-valued [attrs], in order. *)
+let j_attrs v =
+  match Obs.Json.member "attrs" v with
+  | Some (Obs.Json.Obj kvs) ->
+      List.filter_map
+        (fun (k, av) -> Option.map (fun s -> (k, s)) (Obs.Json.to_str av))
+        kvs
+  | _ -> []
+
+(* JSON Lines: one value per non-blank line. *)
+let parse_jsonl content =
+  let rec parse acc = function
+    | [] -> Ok (List.rev acc)
+    | l :: rest when String.trim l = "" -> parse acc rest
+    | l :: rest -> (
+        match Obs.Json.of_string l with
+        | Ok v -> parse (v :: acc) rest
+        | Error e -> Error e)
+  in
+  parse [] (String.split_on_char '\n' content)
+
 (* "tcp 1.2.3.4:500 -> 5.6.7.8:80" *)
 let parse_flow s =
   let fail () =
@@ -345,8 +373,7 @@ let matrix_cmd =
           expectation) against a policy")
     Term.(const run $ policies $ scenario)
 
-(* --- analyze: lint policies (cheap per-file checks, or the deep
-   whole-ruleset flow-space analysis with --deep) --- *)
+(* --- analyze lint: the whole-ruleset flow-space analysis --- *)
 
 (* Daemon configuration files ride along on the analyze command line so
    the cross-config key check can tell which @src/@dst keys any daemon
@@ -357,7 +384,12 @@ let severity_count (findings : Analysis.Check.finding list) sev =
   List.length
     (List.filter (fun (f : Analysis.Check.finding) -> f.severity = sev) findings)
 
-let analyze_deep policy_files config_files format =
+let analyze_lint files format =
+  let config_files, policy_files = List.partition is_daemon_config files in
+  if policy_files = [] then begin
+    Printf.eprintf "error: no policy files given\n";
+    exit 1
+  end;
   let named =
     List.sort
       (fun (a, _) (b, _) -> String.compare a b)
@@ -409,43 +441,6 @@ let analyze_deep policy_files config_files format =
             (severity_count findings Analysis.Check.Info)
             (List.length named));
       Analysis.Report.exit_code findings
-
-let analyze_shallow policy_files format =
-  let findings =
-    List.concat_map
-      (fun path ->
-        match Pf.Parser.parse (read_file path) with
-        | Error e ->
-            Printf.eprintf "%s: %s\n" path e;
-            exit 1
-        | Ok decls -> List.map (fun f -> (path, f)) (Pf.Lint.check decls))
-      policy_files
-  in
-  match format with
-  | `Json ->
-      let located =
-        List.map
-          (fun (path, (f : Pf.Lint.finding)) ->
-            {
-              Analysis.Report.file = path;
-              local_line = f.Pf.Lint.line;
-              finding = Analysis.Check.of_lint f;
-            })
-          findings
-      in
-      print_endline (Analysis.Report.to_json located);
-      if findings = [] then 0 else 2
-  | `Text ->
-      List.iter
-        (fun (path, f) ->
-          Printf.printf "%s: %s\n" path
-            (Format.asprintf "%a" Pf.Lint.pp_finding f))
-        findings;
-      if findings = [] then begin
-        Printf.printf "no findings in %d file(s)\n" (List.length policy_files);
-        0
-      end
-      else 2
 
 (* --- analyze equiv/diff/slice: decision-diagram semantics over whole
    policy sets (lib/analysis/fdd.mli). Each side of a comparison is a
@@ -638,17 +633,7 @@ let analyze_slice_cmd =
             "Fail (exit 1) when the statically decided fraction of flow \
              space falls below $(docv).")
   in
-  let min_coverage_file =
-    Arg.(
-      value
-      & opt (some file) None
-      & info [ "min-coverage-file" ] ~docv:"PATH"
-          ~doc:
-            "Read the $(b,--min-coverage) threshold from $(docv) (a single \
-             float; takes precedence over the flag). This is the committed \
-             regression gate the lint alias uses.")
-  in
-  let run files limit min_coverage min_coverage_file format =
+  let run files limit min_coverage format =
     let named, fdd = load_policy_set files in
     let sl = Analysis.Fdd.static_slice ~limit fdd in
     let nodes = Analysis.Fdd.node_count fdd in
@@ -752,17 +737,7 @@ let analyze_slice_cmd =
                  "; may fall through to default"
                else ""))
           sl.Analysis.Fdd.s_reactive);
-    let threshold =
-      match min_coverage_file with
-      | Some path -> (
-          match float_of_string_opt (String.trim (read_file path)) with
-          | Some f -> Some f
-          | None ->
-              Printf.eprintf "error: %s does not contain a float\n" path;
-              exit 1)
-      | None -> min_coverage
-    in
-    match threshold with
+    match min_coverage with
     | Some th when sl.Analysis.Fdd.s_coverage < th ->
         Printf.eprintf
           "error: static coverage %.9g regressed below threshold %.9g\n"
@@ -777,52 +752,26 @@ let analyze_slice_cmd =
           proactive flow-table slice) and the reactive residue, with \
           per-fragment ownership (exit 1 = compile failure or coverage \
           below the committed threshold)")
-    Term.(
-      const run $ files $ limit $ min_coverage $ min_coverage_file
-      $ analyze_format)
+    Term.(const run $ files $ limit $ min_coverage $ analyze_format)
 
 let analyze_cmd =
   let files = Arg.(non_empty & pos_all file [] & info [] ~docv:"FILE") in
-  let deep =
-    Arg.(
-      value & flag
-      & info [ "deep" ]
-          ~doc:
-            "Run the whole-ruleset flow-space analysis (shadowing, \
-             conflicts, undefined references, cross-config keys, default \
-             fallthrough) over the alphabetical concatenation of the \
-             $(i,.control) files, treating $(i,*.conf) arguments as ident++ \
-             daemon configurations. Exit 1 iff error-severity findings.")
-  in
-  let run files deep format =
-    let config_files, policy_files = List.partition is_daemon_config files in
-    if policy_files = [] then begin
-      Printf.eprintf "error: no policy files given\n";
-      1
-    end
-    else if deep then analyze_deep policy_files config_files format
-    else begin
-      List.iter
-        (fun path ->
-          Printf.eprintf "warning: %s ignored without --deep\n" path)
-        config_files;
-      analyze_shallow policy_files format
-    end
-  in
   let lint_cmd =
     Cmd.v
       (Cmd.info "lint"
          ~doc:
-           "Lint policies (default: cheap per-file checks; --deep: symbolic \
-            flow-space analysis of the whole ruleset). This is the default \
-            subcommand: $(b,analyze FILE...) routes here.")
-      Term.(const run $ files $ deep $ analyze_format)
+           "Run the whole-ruleset flow-space analysis (shadowing, conflicts, \
+            duplicates, undefined references, cross-config keys, default \
+            fallthrough) over the alphabetical concatenation of the \
+            $(i,.control) files, treating $(i,*.conf) arguments as ident++ \
+            daemon configurations. Exit 1 iff error-severity findings.")
+      Term.(const analyze_lint $ files $ analyze_format)
   in
   Cmd.group
     (Cmd.info "analyze"
        ~doc:
-         "Lint policies (lint, the default) or run decision-diagram \
-          semantics over whole policy sets (equiv/diff/slice)")
+         "Lint policies (lint) or run decision-diagram semantics over whole \
+          policy sets (equiv/diff/slice)")
     [ lint_cmd; analyze_equiv_cmd; analyze_diff_cmd; analyze_slice_cmd ]
 
 (* --- compile: lower a policy set's static slice into the
@@ -1082,21 +1031,8 @@ let metrics_cmd =
 
 let trace_cmd =
   let file = Arg.(required & pos 0 (some file) None & info [] ~docv:"SPANS") in
-  (* Span times are float seconds; the interesting magnitudes are
-     microseconds, and %g keeps them short and byte-stable. *)
-  let us f = f *. 1e6 in
-  let j_str k v = Option.bind (Obs.Json.member k v) Obs.Json.to_str in
-  let j_num k v = Option.bind (Obs.Json.member k v) Obs.Json.to_float in
   let j_list k v =
     match Obs.Json.member k v with Some l -> Obs.Json.to_list l | None -> []
-  in
-  let j_attrs v =
-    match Obs.Json.member "attrs" v with
-    | Some (Obs.Json.Obj kvs) ->
-        List.filter_map
-          (fun (k, av) -> Option.map (fun s -> (k, s)) (Obs.Json.to_str av))
-          kvs
-    | _ -> []
   in
   let pp_attrs b attrs =
     List.iter (fun (k, v) -> Printf.bprintf b " %s=%s" k v) attrs
@@ -1147,19 +1083,7 @@ let trace_cmd =
           match Obs.Json.member "spans" v with
           | Some spans -> Ok (Obs.Json.to_list spans, Some v)
           | None -> Ok ([ v ], None))
-      | Error _ -> (
-          let lines =
-            String.split_on_char '\n' content
-            |> List.filter (fun l -> String.trim l <> "")
-          in
-          let rec parse acc = function
-            | [] -> Ok (List.rev acc, None)
-            | l :: rest -> (
-                match Obs.Json.of_string l with
-                | Ok v -> parse (v :: acc) rest
-                | Error e -> Error e)
-          in
-          parse [] lines)
+      | Error _ -> Result.map (fun spans -> (spans, None)) (parse_jsonl content)
     in
     match parsed with
     | Error e ->
@@ -1202,9 +1126,6 @@ let health_cmd =
             "List the health rule registry (name, detection kind, watched \
              metric, grouping) instead of rendering a dump.")
   in
-  let us f = f *. 1e6 in
-  let j_str k v = Option.bind (Obs.Json.member k v) Obs.Json.to_str in
-  let j_num k v = Option.bind (Obs.Json.member k v) Obs.Json.to_float in
   let print_rules () =
     List.iter
       (fun (r : Obs.Health.rule) ->
@@ -1218,18 +1139,7 @@ let health_cmd =
       Obs.Health.default_rules
   in
   let render_dump file =
-    let lines =
-      String.split_on_char '\n' (read_file file)
-      |> List.filter (fun l -> String.trim l <> "")
-    in
-    let rec parse acc = function
-      | [] -> Ok (List.rev acc)
-      | l :: rest -> (
-          match Obs.Json.of_string l with
-          | Ok v -> parse (v :: acc) rest
-          | Error e -> Error e)
-    in
-    match parse [] lines with
+    match parse_jsonl (read_file file) with
     | Error e ->
         Printf.eprintf "error: %s: %s\n" file e;
         1
@@ -1276,15 +1186,7 @@ let health_cmd =
             let k = Option.value ~default:"?" (j_str "kind" ev) in
             let eat = Option.value ~default:0. (j_num "at" ev) in
             Printf.printf "  @%gus %s" (us eat) k;
-            (match Obs.Json.member "attrs" ev with
-            | Some (Obs.Json.Obj kvs) ->
-                List.iter
-                  (fun (ak, av) ->
-                    match Obs.Json.to_str av with
-                    | Some s -> Printf.printf " %s=%s" ak s
-                    | None -> ())
-                  kvs
-            | _ -> ());
+            List.iter (fun (ak, s) -> Printf.printf " %s=%s" ak s) (j_attrs ev);
             print_newline ())
           events;
         0
@@ -1392,25 +1294,8 @@ let () =
     Cmd.info "identxx_ctl" ~version:"1.0.0"
       ~doc:"ident++ / PF+=2 policy toolkit"
   in
-  (* [analyze FILE...] predates the analyze subcommands; route anything
-     that is not one of them to [analyze lint] so existing invocations
-     keep working. *)
-  let argv =
-    let v = Sys.argv in
-    if
-      Array.length v > 1
-      && v.(1) = "analyze"
-      && (Array.length v = 2
-         || not
-              (List.mem v.(2)
-                 [ "equiv"; "diff"; "slice"; "lint"; "--help"; "--version" ]))
-    then
-      Array.concat
-        [ [| v.(0); "analyze"; "lint" |]; Array.sub v 2 (Array.length v - 2) ]
-    else v
-  in
   exit
-    (Cmd.eval' ~argv
+    (Cmd.eval'
        (Cmd.group info
           [
             check_cmd; fmt_cmd; eval_cmd; daemon_check_cmd; analyze_cmd;

@@ -10,7 +10,14 @@
 
 open Netcore
 
-type severity = Pf.Lint.severity = Error | Warning | Info
+type severity = Error | Warning | Info
+
+let severity_string = function
+  | Error -> "error"
+  | Warning -> "warning"
+  | Info -> "info"
+
+let severity_rank = function Error -> 0 | Warning -> 1 | Info -> 2
 
 type finding = {
   line : int;  (** 0 when the finding has no single source line. *)
@@ -23,15 +30,6 @@ type finding = {
 
 let finding ?(line = 0) ?witness severity code message =
   { line; severity; code; message; witness }
-
-let of_lint (f : Pf.Lint.finding) =
-  {
-    line = f.Pf.Lint.line;
-    severity = f.Pf.Lint.severity;
-    code = f.Pf.Lint.code;
-    message = f.Pf.Lint.message;
-    witness = None;
-  }
 
 let has_errors findings = List.exists (fun f -> f.severity = Error) findings
 
@@ -158,6 +156,60 @@ let undefined_references decls resolved =
     rules
   |> List.sort_uniq compare
 
+(* --- textual checks: identical rules, unknown functions --- *)
+
+(* Of an identical pair, the redundant one depends on quick: a quick
+   earlier rule decides first (the later copy never fires); otherwise
+   the later copy always overrides the earlier under last-match — and a
+   later quick copy decides with the same verdict the earlier one would
+   have left pending. Rules compare up to their source line. *)
+let duplicates ~where decls =
+  let same (a : Pf.Ast.rule) (b : Pf.Ast.rule) =
+    { a with Pf.Ast.line = 0 } = { b with Pf.Ast.line = 0 }
+  in
+  let rec go acc = function
+    | [] -> acc
+    | (r : Pf.Ast.rule) :: rest ->
+        let dup (later : Pf.Ast.rule) =
+          if not (same r later) then None
+          else if r.Pf.Ast.quick then
+            Some
+              (finding ~line:later.Pf.Ast.line Warning "duplicate-rule"
+                 (Printf.sprintf
+                    "redundant: identical quick rule at %s always decides \
+                     first"
+                    (where r.Pf.Ast.line)))
+          else
+            Some
+              (finding ~line:r.Pf.Ast.line Warning "duplicate-rule"
+                 (Printf.sprintf
+                    "redundant: identical rule at %s makes this one \
+                     irrelevant under last-match"
+                    (where later.Pf.Ast.line)))
+        in
+        go (List.filter_map dup rest @ acc) rest
+  in
+  go [] (Pf.Ast.rules decls)
+
+(* A [with] predicate that is not a built-in is legitimate for a
+   deployment that registers custom functions, hence a warning rather
+   than an {!Pf.Env.build} error. *)
+let unknown_functions decls =
+  List.concat_map
+    (fun (r : Pf.Ast.rule) ->
+      List.filter_map
+        (fun (fc : Pf.Ast.funcall) ->
+          if List.mem fc.Pf.Ast.fname Pf.Fnreg.builtin_names then None
+          else
+            Some
+              (finding ~line:r.Pf.Ast.line Warning "unknown-function"
+                 (Printf.sprintf
+                    "%s is not a built-in function; evaluation fails unless \
+                     a custom function is registered"
+                    fc.Pf.Ast.fname)))
+        r.Pf.Ast.conds)
+    (Pf.Ast.rules decls)
+
 (* --- flow-space checks: shadowing, conflicts, fallthrough --- *)
 
 (* Per-rule analysis record. [space] over-approximates the rule's match
@@ -194,8 +246,8 @@ let lines_of ~where infos =
    quick and every flow it matches is re-matched by a later
    unconditional rule, whose verdict overrides under last-match (a
    later quick rule also overrides: the earlier match never became the
-   final verdict). Generalizes the dead-after-quick-all lint. The
-   earlier-quick union is a prefix fold and the later union a suffix
+   final verdict). Rules after an unconditional [quick all] are case
+   (a). The earlier-quick union is a prefix fold and the later union a suffix
    fold, so each rule costs one coverage test. *)
 let shadowing ~where infos =
   let quick_definite i = i.definite && i.rule.Pf.Ast.quick in
@@ -387,9 +439,7 @@ let compare_findings a b =
   match compare a.line b.line with
   | 0 -> (
       match
-        compare
-          (Pf.Lint.severity_rank a.severity)
-          (Pf.Lint.severity_rank b.severity)
+        compare (severity_rank a.severity) (severity_rank b.severity)
       with
       | 0 -> compare (a.code, a.message) (b.code, b.message)
       | c -> c)
@@ -398,16 +448,9 @@ let compare_findings a b =
 let run ?(configs = []) ?(where = fun l -> "line " ^ string_of_int l) decls =
   let resolved, table_findings = resolve_tables decls in
   let infos = rule_infos decls resolved in
-  let lint =
-    (* The flow-space shadowing check subsumes dead-after-quick-all. *)
-    Pf.Lint.check ~where decls
-    |> List.filter (fun (f : Pf.Lint.finding) ->
-           f.Pf.Lint.code <> "dead-after-quick-all")
-    |> List.map of_lint
-  in
   table_findings
   @ undefined_references decls resolved
-  @ lint @ shadowing ~where infos @ conflicts ~where infos
+  @ duplicates ~where decls @ unknown_functions decls @ shadowing ~where infos @ conflicts ~where infos
   @ unanswerable_keys decls configs
   @ default_fallthrough decls resolved
   |> List.sort_uniq compare

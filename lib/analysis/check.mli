@@ -20,12 +20,20 @@
       the overlap), with a witness flow;
     - [unanswerable-key] — {e warning}: a [@src]/[@dst] key no daemon
       config, built-in section, or intercept can supply;
-    - [duplicate-rule], [unknown-function] — {e warning}: inherited
-      from {!Pf.Lint};
+    - [duplicate-rule] — {e warning}: two textually identical rules
+      (the earlier is redundant under last-match, or the later one when
+      the pair is [quick]);
+    - [unknown-function] — {e warning}: a [with] predicate that is not
+      a built-in (evaluation fails unless a deployment registers it);
     - [default-fallthrough] — {e info}: the residual flow-space that
       reaches the implicit default. *)
 
-type severity = Pf.Lint.severity = Error | Warning | Info
+type severity = Error | Warning | Info
+(** [Error] findings make the ruleset unsafe to load (evaluation can
+    fail at flow time); [Warning] marks rules that cannot behave as
+    written; [Info] is advisory. *)
+
+val severity_string : severity -> string
 
 type finding = {
   line : int;  (** 0 when the finding has no single source line. *)
@@ -49,9 +57,6 @@ val run :
     formatter when analyzing a concatenation of files. *)
 
 val has_errors : finding list -> bool
-
-val of_lint : Pf.Lint.finding -> finding
-(** Embed a cheap {!Pf.Lint} finding (no witness) into this type. *)
 
 val daemon_builtin_keys : string list
 (** Keys every honest daemon answers from its built-in section,

@@ -115,10 +115,6 @@ val lookup : t -> Netcore.Five_tuple.t -> verdict
 val node_count : t -> int
 (** Reachable nodes, leaves included — the diagram-size statistic. *)
 
-val static_coverage : t -> float
-(** Fraction of the whole flow space (by volume) whose leaf is
-    {!Static} — what a proactive compiler could install. *)
-
 (** {2 Equivalence and differential analysis}
 
     Verdicts are compared by {e outcome}: static-pass, static-block, or
@@ -168,7 +164,9 @@ type slice = {
       (** Disjoint statically-decided regions with their action and
           possible deciding lines ([0] = default). *)
   s_reactive : (region * reason) list;  (** The reactive residue. *)
-  s_coverage : float;  (** = {!static_coverage}. *)
+  s_coverage : float;
+      (** Fraction of the whole flow space (by volume) whose leaf is
+          {!Static} — what a proactive compiler could install. *)
   s_truncated : bool;  (** Region enumeration hit [limit]. *)
 }
 

@@ -41,8 +41,6 @@ let locate files findings =
         { file; local_line; finding = f })
     findings
 
-let severity_string = Pf.Lint.severity_string
-
 let text_line l =
   let f = l.finding in
   let where =
@@ -55,7 +53,7 @@ let text_line l =
     | Some w -> Printf.sprintf " (witness: %s)" (Netcore.Five_tuple.to_string w)
   in
   Printf.sprintf "%s: %s [%s] %s%s" where
-    (severity_string f.Check.severity)
+    (Check.severity_string f.Check.severity)
     f.Check.code f.Check.message witness
 
 (* --- JSON (hand-rolled: the repo carries no JSON dependency) --- *)
@@ -82,7 +80,7 @@ let json_finding l =
     [
       Printf.sprintf "\"file\": \"%s\"" (json_escape l.file);
       Printf.sprintf "\"line\": %d" l.local_line;
-      Printf.sprintf "\"severity\": \"%s\"" (severity_string f.Check.severity);
+      Printf.sprintf "\"severity\": \"%s\"" (Check.severity_string f.Check.severity);
       Printf.sprintf "\"code\": \"%s\"" (json_escape f.Check.code);
       Printf.sprintf "\"message\": \"%s\"" (json_escape f.Check.message);
     ]

@@ -83,7 +83,7 @@ type rule = {
 }
 
 (* [p_cov] is the subtree's static volume summed in part order, as
-   {!Fdd.static_coverage} sums it; [p_static] leaves out what spilled. *)
+   the slice's [s_coverage] sums it; [p_static] leaves out what spilled. *)
 type plan = {
   p_rules : rule list;
   p_static : float;

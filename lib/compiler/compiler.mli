@@ -74,7 +74,7 @@ type table = {
   entries : entry list;  (** Highest priority first. *)
   spills : spill list;
   static_coverage : float;
-      (** The diagram's, bit for bit {!Analysis.Fdd.static_coverage}. *)
+      (** The diagram's, bit for bit its slice's [s_coverage]. *)
   installed_coverage : float;
       (** Volume fraction of flow space actually decided by installed
           static entries — [static_coverage] minus spilled and

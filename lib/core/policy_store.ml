@@ -11,11 +11,9 @@ type t = {
   mutable compiled : (Pf.Env.t, string) result option;
   mutable listeners : (unit -> unit) list;
   mutable epoch : int;
-  strict : bool;
 }
 
-let create ?(strict = false) () =
-  { files = []; compiled = None; listeners = []; epoch = 0; strict }
+let create () = { files = []; compiled = None; listeners = []; epoch = 0 }
 
 let epoch t = t.epoch
 let bump t = t.epoch <- t.epoch + 1
@@ -69,34 +67,6 @@ let recompile t =
   t.compiled <- Some result;
   result
 
-let analyze t =
-  match ruleset t with
-  | Error _ -> [] (* compilation reports parse errors already *)
-  | Ok decls -> Analysis.Check.run decls
-
-(* In strict mode, error-severity analysis findings (undefined macros,
-   dictionaries, table cycles — things Eval would only hit at flow
-   time) reject the load just like a compile failure. *)
-let strict_error t =
-  if not t.strict then None
-  else
-    let errors =
-      List.filter
-        (fun (f : Analysis.Check.finding) ->
-          f.Analysis.Check.severity = Analysis.Check.Error)
-        (analyze t)
-    in
-    match errors with
-    | [] -> None
-    | f :: rest ->
-        Some
-          (Printf.sprintf "strict analysis: line %d: [%s] %s%s"
-             f.Analysis.Check.line f.Analysis.Check.code
-             f.Analysis.Check.message
-             (match rest with
-             | [] -> ""
-             | _ -> Printf.sprintf " (and %d more)" (List.length rest)))
-
 let add t ~name content =
   let name = strip_suffix name in
   let others = List.filter (fun f -> f.name <> name) t.files in
@@ -115,25 +85,19 @@ let add t ~name content =
       let previous = t.files in
       t.files <-
         place 1 (sort_files ({ name; text = content; first_line; parsed } :: others));
-      let rollback e =
-        t.files <- previous;
-        ignore (recompile t);
-        (* The env was (briefly) replaced and restored: bump anyway so
-           any observer that sampled mid-load cannot keep stale state. *)
-        bump t;
-        Error (name ^ ": " ^ e)
-      in
       match recompile t with
-      | Ok _ -> (
-          match strict_error t with
-          | None ->
-              bump t;
-              notify t;
-              Ok ()
-          | Some e -> rollback e)
+      | Ok _ ->
+          bump t;
+          notify t;
+          Ok ()
       | Error e ->
-          (* Roll back: the file broke the concatenated config. *)
-          rollback e)
+          (* Roll back: the file broke the concatenated config. The env
+             was (briefly) replaced and restored: bump anyway so any
+             observer that sampled mid-load cannot keep stale state. *)
+          t.files <- previous;
+          ignore (recompile t);
+          bump t;
+          Error (name ^ ": " ^ e))
 
 let add_exn t ~name content =
   match add t ~name content with Ok () -> () | Error e -> invalid_arg e
@@ -154,78 +118,3 @@ let on_change t f = t.listeners <- f :: t.listeners
 
 let env_exn t =
   match env t with Ok e -> e | Error e -> invalid_arg ("Policy_store: " ^ e)
-
-(* --- automatic differential analysis on reload --- *)
-
-type change = {
-  old_epoch : int;
-  new_epoch : int;
-  report : Analysis.Fdd.diff_report;
-  nodes : int;
-  coverage : float;
-}
-
-let watch_changes ?registry ?(limit = 16) t k =
-  let current () =
-    match env t with
-    | Ok e -> Some (Analysis.Fdd.compile e)
-    | Error _ -> None
-  in
-  let set_stats, record_diff =
-    match registry with
-    | None -> ((fun _ _ -> ()), fun _ -> ())
-    | Some reg ->
-        let open Obs.Registry in
-        let diffs =
-          counter reg
-            ~help:"Differential policy-reload reports emitted by watchers"
-            "identxx_analysis_policy_diffs_total"
-        in
-        let nodes =
-          gauge reg ~help:"Nodes in the current policy decision diagram"
-            "identxx_analysis_fdd_nodes"
-        in
-        let cov =
-          gauge reg
-            ~help:
-              "Fraction of flow space the current policy decides statically"
-            "identxx_analysis_fdd_static_coverage"
-        in
-        let frac =
-          gauge reg
-            ~help:"Flow-space fraction whose verdict the last reload changed"
-            "identxx_analysis_policy_diff_changed_fraction"
-        in
-        ( (fun n c ->
-            Gauge.set nodes (float_of_int n);
-            Gauge.set cov c),
-          fun f ->
-            Counter.inc diffs;
-            Gauge.set frac f )
-  in
-  let initial = current () in
-  (match initial with
-  | Some fdd ->
-      set_stats (Analysis.Fdd.node_count fdd) (Analysis.Fdd.static_coverage fdd)
-  | None -> ());
-  let prev = ref initial and prev_epoch = ref t.epoch in
-  on_change t (fun () ->
-      let after = current () in
-      (match (!prev, after) with
-      | Some before, Some fdd ->
-          let report = Analysis.Fdd.diff ~limit before fdd in
-          let ch =
-            {
-              old_epoch = !prev_epoch;
-              new_epoch = t.epoch;
-              report;
-              nodes = Analysis.Fdd.node_count fdd;
-              coverage = Analysis.Fdd.static_coverage fdd;
-            }
-          in
-          record_diff report.Analysis.Fdd.changed_fraction;
-          set_stats ch.nodes ch.coverage;
-          k ch
-      | _ -> ());
-      prev := after;
-      prev_epoch := t.epoch)

@@ -7,12 +7,7 @@
 
 type t
 
-val create : ?strict:bool -> unit -> t
-(** With [~strict:true], {!add} additionally runs the deep flow-space
-    analysis ({!Analysis.Check.run}) over the concatenated ruleset and
-    rejects the load (with rollback) when it reports error-severity
-    findings — undefined macros, dictionaries, or table cycles that
-    plain compilation only discovers at flow time. Default [false]. *)
+val create : unit -> t
 
 val add : t -> name:string -> string -> (unit, string) result
 (** Add or replace a file. The content must parse as PF+=2 (a parse
@@ -51,28 +46,3 @@ val on_change : t -> (unit -> unit) -> unit
 (** Register a callback fired after every successful {!add} or
     {!remove} (the controller uses this to resynchronize its compiled
     flow table). *)
-
-(** A change-impact report for one epoch bump: the {!Analysis.Fdd}
-    differential between the previously compiled policy and the new
-    one. *)
-type change = {
-  old_epoch : int;
-  new_epoch : int;
-  report : Analysis.Fdd.diff_report;
-      (** Changed flow space, with example regions. *)
-  nodes : int;  (** Diagram size of the {e new} policy. *)
-  coverage : float;  (** Static coverage of the {e new} policy. *)
-}
-
-val watch_changes :
-  ?registry:Obs.Registry.t -> ?limit:int -> t -> (change -> unit) -> unit
-(** Opt in to automatic differential analysis: after every epoch bump
-    that leaves the store compilable, diff the new decision diagram
-    against the previous one and pass the report to the callback
-    ([limit] caps example regions, default 16). Epochs where either
-    side fails to compile produce no report (the next successful epoch
-    diffs against the last compilable one). With [registry], also
-    maintains the [identxx_analysis_fdd_nodes],
-    [identxx_analysis_fdd_static_coverage],
-    [identxx_analysis_policy_diff_changed_fraction] gauges and the
-    [identxx_analysis_policy_diffs_total] counter. *)

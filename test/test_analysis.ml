@@ -1,5 +1,5 @@
 (* Flow spaces on the decision diagram and whole-ruleset static
-   checks: the analysis library that backs `identxx_ctl analyze --deep`
+   checks: the analysis library that backs `identxx_ctl analyze lint`
    and `dune build @lint`. *)
 
 open Netcore
@@ -7,11 +7,6 @@ module S = Analysis.Fdd.Space
 module C = Analysis.Check
 
 let prefix = Prefix.of_string
-
-let contains_substring hay needle =
-  let nh = String.length hay and nn = String.length needle in
-  let rec go i = i + nn <= nh && (String.sub hay i nn = needle || go (i + 1)) in
-  go 0
 
 let parse_rules s =
   match Pf.Parser.parse s with
@@ -406,6 +401,123 @@ let prop_shadow_oracle =
              = not (List.mem r.Pf.Ast.line deciders))
            rules)
 
+(* --- textual checks: duplicates, unknown functions --- *)
+
+let lines_with code fs =
+  List.filter_map
+    (fun (f : C.finding) -> if f.C.code = code then Some f.C.line else None)
+    fs
+
+let test_duplicates () =
+  Alcotest.(check (list int)) "the earlier copy is redundant" [ 1 ]
+    (lines_with "duplicate-rule"
+       (findings_of
+          "pass from any to any port 80\nblock all\npass from any to any port 80"))
+
+let test_duplicate_quick () =
+  (* identical quick rules: the earlier always fires first, so the
+     LATER copy is the redundant one *)
+  Alcotest.(check (list int)) "the later copy is redundant" [ 3 ]
+    (lines_with "duplicate-rule"
+       (findings_of
+          "pass quick from any to any port 80\nblock all\n\
+           pass quick from any to any port 80"))
+
+let test_unknown_function () =
+  let fs = findings_of "pass all with frobnicate(@src[x])" in
+  Alcotest.(check (list int)) "flagged" [ 1 ] (lines_with "unknown-function" fs);
+  Alcotest.(check bool) "a warning, not an error" false (C.has_errors fs)
+
+(* Figure 2's header, skype and footer fragments, concatenated the way
+   the controller reads them (§3.4). *)
+let fig2_config =
+  "table <server> { 192.168.1.1 }\n\
+   table <lan> { 192.168.0.0/24 }\n\
+   table <int_hosts> { <lan> <server> }\n\
+   allowed = \"{ http ssh }\"\n\
+   block all\n\
+   pass from <int_hosts> to !<int_hosts> keep state\n\
+   pass from <int_hosts> to <int_hosts> with member(@src[name], $allowed) keep state\n\
+   pass all with eq(@src[name], skype) with eq(@dst[name], skype)\n\
+   pass from any to <skype_update> port 80 with eq(@src[name], skype) keep state\n\
+   table <skype_update> { 123.123.123.0/24 }\n\
+   block all with eq(@src[name], skype) with lt(@src[version], 200)\n\
+   block from any to <server> with eq(@src[name], skype)"
+
+let test_figure2_clean () =
+  Alcotest.(check (list (pair int string)))
+    "only the fallthrough note"
+    [ (0, "default-fallthrough") ]
+    (List.map (fun (f : C.finding) -> (f.C.line, f.C.code)) (findings_of fig2_config))
+
+let test_dead_after_quick_all () =
+  Alcotest.(check (list int)) "both later rules never decide" [ 2; 3 ]
+    (lines_with "shadowed-rule"
+       (findings_of "block quick all\npass from any to any port 80\nblock all"))
+
+(* The per-file lint this analyzer replaced flagged every rule after
+   an unconditional quick rule as dead; kept as an oracle, it must be
+   subsumed by the flow-space findings. *)
+let dead_after_quick_all rules =
+  let rec go = function
+    | [] -> []
+    | (r : Pf.Ast.rule) :: rest
+      when r.quick && Pf.Ast.is_all r && r.conds = [] && r.proto = None ->
+        List.map (fun (d : Pf.Ast.rule) -> d.line) rest
+    | _ :: rest -> go rest
+  in
+  go rules
+
+(* The shipped policy set, one declaration per line. *)
+let shipped_lines =
+  lazy
+    (let dir =
+       if Sys.file_exists "../policies" then "../policies" else "policies"
+     in
+     Sys.readdir dir |> Array.to_list
+     |> List.filter (fun f -> Filename.check_suffix f ".control")
+     |> List.sort String.compare
+     |> List.map (fun f ->
+            In_channel.with_open_bin (Filename.concat dir f) In_channel.input_all)
+     |> String.concat "\n" |> parse_rules |> Pf.Pretty.ruleset |> String.trim
+     |> String.split_on_char '\n')
+
+let prop_quick_all_subsumed =
+  let gen =
+    QCheck.Gen.(
+      let* lines =
+        frequency
+          [
+            ( 3,
+              map
+                (fun rs -> String.trim lan_decl :: List.map rule_text rs)
+                (list_size (int_range 0 8) gen_rule) );
+            (1, return (Lazy.force shipped_lines));
+          ]
+      in
+      let* at = int_bound (List.length lines) in
+      let+ quick_all = oneofl [ "block quick all"; "pass quick all" ] in
+      List.filteri (fun i _ -> i < at) lines
+      @ (quick_all :: List.filteri (fun i _ -> i >= at) lines))
+  in
+  QCheck.Test.make ~name:"rules after a quick all are flagged" ~count:300
+    (QCheck.make gen ~print:(String.concat "\n"))
+    (fun lines ->
+      let decls = parse_rules (String.concat "\n" lines) in
+      let flagged =
+        List.filter_map
+          (fun (f : C.finding) ->
+            if
+              f.C.code = "shadowed-rule" || f.C.code = "unmatchable-rule"
+              || String.starts_with ~prefix:"undefined-" f.C.code
+            then Some f.C.line
+            else None)
+          (C.run decls)
+      in
+      List.for_all
+        (fun l -> List.mem l flagged)
+        (dead_after_quick_all (Pf.Ast.rules decls)))
+
 (* Atom subtraction over a 64-prefix table once took minutes here; the
    diagram answers at once, with the same findings as on small
    tables. *)
@@ -435,31 +547,7 @@ let test_table_policy_scales () =
         "witness" "tcp 10.0.0.0:0 -> 10.0.0.0:22" (Five_tuple.to_string w)
   | _ -> Alcotest.fail "expected a conflict witness"
 
-(* --- integration: policy store strict mode, precompile offload --- *)
-
-let test_policy_store_strict () =
-  (* an undefined macro compiles (Env.build only fails at flow time) but
-     the strict store's analysis pass rejects it *)
-  let bad = "block all\npass all with member(@src[name], $badmacro)" in
-  let store = Identxx_core.Policy_store.create ~strict:true () in
-  (match Identxx_core.Policy_store.add store ~name:"10-bad" bad with
-  | Ok () -> Alcotest.fail "strict store accepted an undefined macro"
-  | Error e ->
-      Alcotest.(check bool) "mentions the macro" true
-        (contains_substring e "badmacro"));
-  Alcotest.(check int) "rolled back" 0
-    (List.length (Identxx_core.Policy_store.files store));
-  (* warnings do not block even in strict mode *)
-  (match
-     Identxx_core.Policy_store.add store ~name:"20-warn"
-       "block quick all\npass from any to any port 80"
-   with
-  | Ok () -> ()
-  | Error e -> Alcotest.failf "strict store rejected warnings: %s" e);
-  let lax = Identxx_core.Policy_store.create () in
-  match Identxx_core.Policy_store.add lax ~name:"10-bad" bad with
-  | Ok () -> ()
-  | Error e -> Alcotest.failf "non-strict add failed: %s" e
+(* --- integration: precompile offload --- *)
 
 let test_precompile_disjoint_offload () =
   let drops policy =
@@ -546,10 +634,18 @@ let () =
             test_table_policy_scales;
           QCheck_alcotest.to_alcotest prop_shadow_oracle;
         ] );
+      ( "lint",
+        [
+          Alcotest.test_case "dead after quick all" `Quick
+            test_dead_after_quick_all;
+          Alcotest.test_case "duplicates" `Quick test_duplicates;
+          Alcotest.test_case "duplicate quick" `Quick test_duplicate_quick;
+          Alcotest.test_case "unknown function" `Quick test_unknown_function;
+          Alcotest.test_case "figure 2 clean" `Quick test_figure2_clean;
+          QCheck_alcotest.to_alcotest prop_quick_all_subsumed;
+        ] );
       ( "integration",
         [
-          Alcotest.test_case "policy store strict" `Quick
-            test_policy_store_strict;
           Alcotest.test_case "precompile disjoint offload" `Quick
             test_precompile_disjoint_offload;
         ] );

@@ -116,8 +116,6 @@ let test_static_slice () =
   Alcotest.(check bool)
     "reactive residue present" true
     (sl.Fdd.s_reactive <> []);
-  Alcotest.(check (float 1e-15))
-    "coverage consistent" sl.Fdd.s_coverage (Fdd.static_coverage fdd);
   (* the enumerated regions partition the flow space: volumes sum to 1 *)
   let region_vol rg =
     let w top (lo, hi) = float_of_int (hi - lo + 1) /. (float_of_int top +. 1.0) in
@@ -369,51 +367,6 @@ let test_check_fallthrough_witness () =
             "witness outside the covered space" false
             (Prefix.mem w.Five_tuple.src (Prefix.of_string "10.0.0.0/8")))
 
-(* --- Policy_store.watch_changes --- *)
-
-let test_policy_store_watch () =
-  let module PS = Identxx_core.Policy_store in
-  let store = PS.create () in
-  PS.add_exn store ~name:"00" "block all";
-  let reg = Obs.Registry.create () in
-  let changes = ref [] in
-  PS.watch_changes ~registry:reg store (fun ch -> changes := ch :: !changes);
-  PS.add_exn store ~name:"10" "pass from 10.0.0.0/8 to any port 80";
-  (match !changes with
-  | [ ch ] ->
-      Alcotest.(check (float 1e-15))
-        "changed fraction" (1.0 /. 256.0 /. 65536.0)
-        ch.PS.report.Fdd.changed_fraction;
-      Alcotest.(check bool) "epochs advance" true (ch.PS.new_epoch > ch.PS.old_epoch);
-      Alcotest.(check bool) "coverage total" true (ch.PS.coverage = 1.0)
-  | l -> Alcotest.failf "expected one change report, got %d" (List.length l));
-  (* an equivalent reload reports a zero diff *)
-  PS.add_exn store ~name:"10" "pass from 10.0.0.0/8 to any port 80";
-  (match !changes with
-  | ch :: _ ->
-      Alcotest.(check (float 0.0)) "no-op reload" 0.0
-        ch.PS.report.Fdd.changed_fraction
-  | [] -> Alcotest.fail "no report for reload");
-  let series = Obs.Registry.snapshot reg in
-  let find n =
-    List.find_opt (fun (s : Obs.Registry.series) -> s.name = n) series
-  in
-  Alcotest.(check bool)
-    "diff counter exported" true
-    (match find "identxx_analysis_policy_diffs_total" with
-    | Some { value = Obs.Registry.Counter_v 2; _ } -> true
-    | _ -> false);
-  Alcotest.(check bool)
-    "nodes gauge exported" true
-    (match find "identxx_analysis_fdd_nodes" with
-    | Some { value = Obs.Registry.Gauge_v v; _ } -> v > 0.0
-    | _ -> false);
-  Alcotest.(check bool)
-    "coverage gauge exported" true
-    (match find "identxx_analysis_fdd_static_coverage" with
-    | Some { value = Obs.Registry.Gauge_v 1.0; _ } -> true
-    | _ -> false)
-
 (* --- recompiling from the previous compile's steps --- *)
 
 (* Rules over a small pool of headers, so random lists share prefixes
@@ -580,7 +533,5 @@ let () =
         [
           Alcotest.test_case "check fallthrough witness" `Quick
             test_check_fallthrough_witness;
-          Alcotest.test_case "policy store watch" `Quick
-            test_policy_store_watch;
         ] );
     ]

@@ -607,43 +607,6 @@ let test_trace_quick_truncates () =
       Alcotest.(check bool) "blocked" true
         (verdict.Pf.Eval.decision = Pf.Ast.Block)
 
-(* --- lint --- *)
-
-let lint_of src =
-  List.map
-    (fun (f : Pf.Lint.finding) -> f.Pf.Lint.code)
-    (Pf.Lint.check (parse_exn src))
-
-let test_lint_dead_after_quick_all () =
-  Alcotest.(check (list string)) "two dead rules"
-    [ "dead-after-quick-all"; "dead-after-quick-all" ]
-    (lint_of "block quick all\npass from any to any port 80\nblock all")
-
-let test_lint_duplicates () =
-  Alcotest.(check (list string)) "duplicate reported" [ "duplicate-rule" ]
-    (lint_of "pass from any to any port 80\nblock all\npass from any to any port 80")
-
-let test_lint_duplicate_quick () =
-  (* identical quick rules: the earlier always fires first, so the
-     LATER copy is the redundant one *)
-  match
-    Pf.Lint.check
-      (parse_exn
-         "pass quick from any to any port 80\nblock all\npass quick from any to any port 80")
-  with
-  | [ f ] ->
-      Alcotest.(check string) "code" "duplicate-rule" f.Pf.Lint.code;
-      Alcotest.(check int) "later copy flagged" 3 f.Pf.Lint.line
-  | fs -> Alcotest.failf "expected one finding, got %d" (List.length fs)
-
-let test_lint_unknown_function () =
-  Alcotest.(check (list string)) "unknown function" [ "unknown-function" ]
-    (lint_of "pass all with frobnicate(@src[x])")
-
-let test_lint_clean_policy () =
-  Alcotest.(check (list string)) "figure 2 is clean" [] (lint_of fig2_config)
-
-
 let named_flow ?(sp = 40000) ?(dp = 80) src dst name version =
   let f = flow ~sp ~dp src dst in
   (f, response f [ [ ("name", name); ("version", version) ] ])
@@ -1211,15 +1174,6 @@ let () =
         [
           Alcotest.test_case "records matches" `Quick test_trace_records_matches;
           Alcotest.test_case "quick truncates" `Quick test_trace_quick_truncates;
-        ] );
-      ( "lint",
-        [
-          Alcotest.test_case "dead after quick all" `Quick
-            test_lint_dead_after_quick_all;
-          Alcotest.test_case "duplicates" `Quick test_lint_duplicates;
-          Alcotest.test_case "duplicate quick" `Quick test_lint_duplicate_quick;
-          Alcotest.test_case "unknown function" `Quick test_lint_unknown_function;
-          Alcotest.test_case "figure 2 clean" `Quick test_lint_clean_policy;
         ] );
       ( "properties",
         qc
