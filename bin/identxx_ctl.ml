@@ -1,10 +1,6 @@
 (* identxx_ctl: command-line front end to the PF+=2 policy engine.
 
-   Subcommands:
-     check  validate .control files (parse + table resolution)
-     fmt    parse and pretty-print a policy
-     eval   decide a flow against a policy, with optional ident++
-            key-value pairs for the source and destination ends
+   `identxx_ctl --help` lists every subcommand with its doc.
 
    Examples:
      identxx_ctl check policies/*.control

@@ -255,8 +255,6 @@ type t = {
          entries overlapping the reverse space were installed as punts,
          and a change in either forces a full reinstall. *)
   proactive_cache : Compiler.cache;
-  mutable guarded : bool;
-      (* The guards were sent since the last forced sync. *)
   routes : (Msg.switch_id, (Ipv4.t * int) list) Hashtbl.t;
       (* Per switch, the table-1 routes sent: host address, port. *)
   pm : pro_metrics;
@@ -1269,7 +1267,7 @@ let request_stats =
   let next_xid = ref 0 in
   fun t dpid ->
     incr next_xid;
-    Net.send_to_switch t.network dpid (Msg.Stats_request { xid = !next_xid })
+    Net.send_batch t.network dpid [| Msg.Stats_request { xid = !next_xid } |]
 
 let switch_stats t dpid = List.assoc_opt dpid t.last_stats
 
@@ -1312,6 +1310,10 @@ let proactive_guards =
       };
     ]
 
+(* The guards stand while a compiled table does. *)
+let guards_of (tbl : Compiler.table) =
+  if tbl.Compiler.entries = [] then [] else proactive_guards
+
 (* Table 1 forwards by destination: one /32 route per reachable
    attached host on each switch, out of the port toward it. Compiled
    pass entries jump there, so a policy reload never touches it, and a
@@ -1333,7 +1335,9 @@ let sync_routes t =
   in
   List.iter
     (fun dpid ->
-      let send = Net.send_to_switch t.network dpid in
+      (* One control event per switch, its deletes before its adds. *)
+      let msgs = ref [] in
+      let send msg = msgs := msg :: !msgs in
       let old = Option.value ~default:[] (Hashtbl.find_opt t.routes dpid) in
       let cur =
         List.filter_map
@@ -1357,6 +1361,7 @@ let sync_routes t =
                  ~cookie:Compiler.proactive_cookie ~fields:(route_fields ip)
                  [ Openflow.Action.Output port ]))
         cur;
+      Net.send_batch t.network dpid (Array.of_list (List.rev !msgs));
       Hashtbl.replace t.routes dpid cur)
     (Net.switches_in_domain t.network t.id)
 
@@ -1396,24 +1401,26 @@ let meets_state space (m : Openflow.Match_fields.t) =
          field 4 point m.Openflow.Match_fields.tp_dst;
        |]
 
-(* The actions of one abstract entry, the same on every switch. A pass
-   entry jumps to table 1, which forwards by destination; traffic
+(* The add message of one abstract entry, the same on every switch. A
+   pass entry jumps to table 1, which forwards by destination; traffic
    toward a host no route reaches misses there and punts, which is the
    reactive behaviour. Block entries drop in hardware unless their
    space overlaps the keep-state reverse space, and pass entries punt
    where they overlap the keep-state forward space (see
    [state_spaces]). *)
-let lower_entry ~state:(state_fwd, state_rev) (e : Compiler.entry) =
+let entry_add ~state:(state_fwd, state_rev) (e : Compiler.entry) =
   let fields = e.Compiler.e_fields in
   let punt = [ Openflow.Action.To_controller ] in
-  match e.Compiler.e_decision with
-  | Compiler.Punt -> punt
-  | Compiler.Decide Pf.Ast.Block ->
-      if meets_state state_rev fields then punt else Openflow.Action.drop
-  | Compiler.Decide Pf.Ast.Pass when meets_state state_fwd fields -> punt
-  | Compiler.Decide Pf.Ast.Pass -> [ Openflow.Action.Goto_table 1 ]
+  Msg.add_flow ~priority:e.Compiler.e_priority ~cookie:Compiler.proactive_cookie
+    ~fields
+    (match e.Compiler.e_decision with
+    | Compiler.Punt -> punt
+    | Compiler.Decide Pf.Ast.Block ->
+        if meets_state state_rev fields then punt else Openflow.Action.drop
+    | Compiler.Decide Pf.Ast.Pass when meets_state state_fwd fields -> punt
+    | Compiler.Decide Pf.Ast.Pass -> [ Openflow.Action.Goto_table 1 ])
 
-let sync_proactive ?(force = false) t =
+let sync_proactive t =
   let t0 = Sys.time () in
   let fdd, state =
     match (Policy_store.env t.policy, Query_plan.diagram (policy_view t)) with
@@ -1432,11 +1439,7 @@ let sync_proactive ?(force = false) t =
     | None -> empty_table
   in
   let d =
-    if force then
-      (* The dataplane was (possibly partially) wiped out from under
-         us: re-add everything, nothing to delete. *)
-      { Compiler.d_add = cur.Compiler.entries; d_del = [] }
-    else if
+    if
       not
         (Analysis.Fdd.Space.equal (fst t.proactive_state) (fst state)
         && Analysis.Fdd.Space.equal (snd t.proactive_state) (snd state))
@@ -1456,22 +1459,12 @@ let sync_proactive ?(force = false) t =
         Msg.delete_strict ~table_id:0 ~priority:e.Compiler.e_priority
           ~fields:e.Compiler.e_fields)
       d.Compiler.d_del
-    @ List.map
-        (fun (e : Compiler.entry) ->
-          Msg.add_flow ~priority:e.Compiler.e_priority
-            ~cookie:Compiler.proactive_cookie ~fields:e.Compiler.e_fields
-            (lower_entry ~state e))
-        d.Compiler.d_add
+    @ List.map (entry_add ~state) d.Compiler.d_add
   in
-  (* Nothing but a wildcard flush removes a guard, and a flush forces
-     this sync: the guards go out once per force. *)
-  if force then t.guarded <- false;
+  (* Only a flush deletes the guards, and it re-adds them from the
+     view: they go out when the view's table turns non-empty. *)
   let msgs =
-    if cur.Compiler.entries <> [] && not t.guarded then begin
-      t.guarded <- true;
-      msgs @ proactive_guards
-    end
-    else msgs
+    if t.proactive_tbl.Compiler.entries = [] then msgs @ guards_of cur else msgs
   in
   (* One control event per switch, carrying the sync's messages. *)
   let msgs = Array.of_list msgs in
@@ -1512,23 +1505,39 @@ let wire_table_telemetry t =
 
 (* --- cache management: override and revoke (S1, S7) --- *)
 
+(* Delete in table 0 of every switch in the domain every entry one of
+   [fields] covers, then re-add from the view the compiled entries and
+   guards those deletes took. Each switch gets one control event: the
+   deletes, a barrier, the adds. Table 1 holds only routes, which
+   follow the topology, so neither a flush nor a revocation touches
+   it. *)
+let reinstall t fields =
+  let taken = function
+    | Msg.Flow_mod fm ->
+        List.exists (fun f -> Openflow.Match_fields.covers f fm.Msg.fields) fields
+    | _ -> false
+  in
+  let view =
+    List.map (entry_add ~state:t.proactive_state) t.proactive_tbl.Compiler.entries
+    @ guards_of t.proactive_tbl
+  in
+  let msgs =
+    Array.of_list
+      (List.map (fun fields -> Msg.delete_flow ~fields) fields
+      @ (Msg.Barrier :: List.filter taken view))
+  in
+  List.iter
+    (fun dpid -> Net.send_batch t.network dpid msgs)
+    (Net.switches_in_domain t.network t.id)
+
 let flush_cache t =
   (* Remove every cached decision in this controller's domain so the
      next packet of every flow is re-evaluated against current policy. *)
-  List.iter
-    (fun dpid ->
-      Net.send_to_switch t.network dpid
-        (Msg.delete_flow ~fields:Openflow.Match_fields.any))
-    (Net.switches_in_domain t.network t.id);
+  reinstall t [ Openflow.Match_fields.any ];
   Conn_state.clear t.conn_state;
   (* Memoized verdicts go too; cached host attributes survive, since
      policy operations do not change what the hosts would answer. *)
-  Fastpath.flush_decisions t.fp;
-  (* The wildcard delete also removed the compiled entries, the guards
-     and the routes. *)
-  Hashtbl.reset t.routes;
-  sync_proactive ~force:true t;
-  if t.cfg.proactive then sync_routes t
+  Fastpath.flush_decisions t.fp
 
 (* A daemon-side change event (login/logout, process spawn/exit,
    configuration reload) reached us: what the host would answer may have
@@ -1543,25 +1552,11 @@ let revoke_principal t ~ip =
   let dropped = Conn_state.revoke t.conn_state ~ip in
   Fastpath.revoke_ip t.fp ip;
   Fastpath.Answers.drop_host t.answers ip;
-  (* Dataplane: delete every installed entry the principal's address
-     appears in, either end, in every table of every switch of the
-     domain. That takes the principal's own routes too: compiled
-     traffic toward it misses in table 1 and reaches the controller
-     until a topology change repairs the routes. *)
-  let host = Prefix.host ip in
-  List.iter
-    (fun dpid ->
-      Net.send_to_switch t.network dpid
-        (Msg.delete_flow
-           ~fields:{ Openflow.Match_fields.any with nw_src = Some host });
-      Net.send_to_switch t.network dpid
-        (Msg.delete_flow
-           ~fields:{ Openflow.Match_fields.any with nw_dst = Some host }))
-    (Net.switches_in_domain t.network t.id);
-  Hashtbl.filter_map_inplace (fun _ sent -> Some (List.remove_assoc ip sent)) t.routes;
-  (* The per-host deletes clip every compiled entry whose match names
-     the principal's address, so the table reinstalls in full. *)
-  sync_proactive ~force:true t;
+  (* Dataplane: every table-0 entry with the principal's address at
+     either end goes; the compiled entries among them come back. *)
+  let host = Some (Prefix.host ip) in
+  reinstall t
+    Openflow.Match_fields.[ { any with nw_src = host }; { any with nw_dst = host } ];
   dropped
 
 let update_file t ~name content =
@@ -1633,7 +1628,6 @@ let create ?(config = default_config) ?keystore ?functions ?obs ?spans
       proactive_tbl = empty_table;
       proactive_state = (Analysis.Fdd.Space.empty, Analysis.Fdd.Space.empty);
       proactive_cache = Compiler.create_cache ();
-      guarded = false;
       routes = Hashtbl.create 16;
       pm = make_pro_metrics obs ~labels;
       nonces = Sim.Prng.create (0x6e6f6e6365 + id);

@@ -159,13 +159,18 @@ val audit : t -> Audit.t
 
     Cached flow entries outlive policy changes, so changing or revoking
     delegated policy must also flush the caches in this controller's
-    domain; these helpers do both atomically (in simulation order). *)
+    domain; these helpers do both atomically (in simulation order). A
+    flush or a revocation deletes in table 0 only, and re-adds from the
+    controller's view of the switches the compiled entries and guards
+    its deletes took: each switch gets one control event holding the
+    deletes, a barrier and those adds. Table 1's routes follow the
+    topology and are left alone. *)
 
 val flush_cache : t -> unit
-(** Delete every flow entry in every table of the domain's switches and
-    forget connection state; all flows are re-decided on their next
-    packet. The compiled table and the routes are reinstalled
-    afterwards. *)
+(** Delete every table-0 entry on the domain's switches, re-add the
+    compiled table and its guards, and forget connection state and
+    memoized verdicts; all other flows are re-decided on their next
+    packet. *)
 
 val proactive_table : t -> Compiler.table
 (** The abstract compiled table currently installed: empty until the
@@ -183,11 +188,10 @@ val revoke_principal : t -> ip:Ipv4.t -> int
 (** Revoke a principal by address: drop its connection state (returned),
     purge its cached attributes and every memoized decision its answers
     may have influenced, reset its breaker state, and delete every
-    installed dataplane entry with the address at either end, its
-    table-1 routes included (the next topology change restores them).
-    The compiled table is reinstalled afterwards. Already
-    in-flight pending flows are unaffected (they decide with the
-    responses they gathered). *)
+    table-0 entry with the address at either end. The compiled entries
+    among those are re-added; every route stays. Already in-flight
+    pending flows are unaffected (they decide with the responses they
+    gathered). *)
 
 val note_host_changed : t -> Ipv4.t -> unit
 (** A daemon-side change event (login/logout, process spawn or exit,

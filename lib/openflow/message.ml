@@ -51,8 +51,6 @@ type to_switch =
   | Stats_request of { xid : int }
   | Barrier
 
-let all_tables = 0xff
-
 let add_flow ?(table_id = 0) ?(priority = 0x8000) ?idle_timeout ?hard_timeout
     ?(cookie = 0) ~fields actions =
   Flow_mod
@@ -71,7 +69,7 @@ let delete command ~table_id ~priority ~fields =
       cookie = 0;
     }
 
-let delete_flow ~fields = delete Delete ~table_id:all_tables ~priority:0 ~fields
+let delete_flow ~fields = delete Delete ~table_id:0 ~priority:0 ~fields
 let delete_strict ~table_id ~priority ~fields = delete Delete_strict ~table_id ~priority ~fields
 
 let pp_to_controller ppf = function

@@ -17,7 +17,7 @@ type flow_mod_command = Add | Delete | Delete_strict
 
 type flow_mod = {
   command : flow_mod_command;
-  table_id : int;  (** 0 or 1, or {!all_tables} for a [Delete]. *)
+  table_id : int;  (** 0 or 1; always 0 for a [Delete]. *)
   fields : Match_fields.t;
   priority : int;
   actions : Action.t list;
@@ -56,9 +56,6 @@ type to_switch =
   | Stats_request of { xid : int }
   | Barrier
 
-val all_tables : int
-(** OpenFlow 1.1's [OFPTT_ALL]: a [Delete] here deletes in every table. *)
-
 val add_flow :
   ?table_id:int ->
   ?priority:int ->
@@ -72,8 +69,9 @@ val add_flow :
 (** Table 0 by default. *)
 
 val delete_flow : fields:Match_fields.t -> to_switch
-(** OpenFlow [DELETE] in every table: deletes every entry [fields]
-    covers. *)
+(** OpenFlow [DELETE] in table 0: deletes every entry there that
+    [fields] covers ({!Match_fields.covers}). Table 1 holds routes,
+    which only strict deletes remove. *)
 
 val delete_strict : table_id:int -> priority:int -> fields:Match_fields.t -> to_switch
 (** OpenFlow [DELETE_STRICT]: deletes only the entry with exactly these

@@ -218,8 +218,6 @@ let send_batch t dpid msgs =
         done)
   end
 
-let send_to_switch t dpid msg = send_batch t dpid [| msg |]
-
 let attach_host t ~name ~mac ~ip ~rx =
   (match Topology.host_attachment t.topology name with
   | None -> invalid_arg ("Network.attach_host: " ^ name ^ " is not wired")

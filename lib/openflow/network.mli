@@ -55,10 +55,6 @@ val send_batch : t -> Message.switch_id -> Message.to_switch array -> unit
     the same instant, so the dispatch order is the same. The array must
     not be changed afterwards. *)
 
-val send_to_switch : t -> Message.switch_id -> Message.to_switch -> unit
-(** One controller-to-switch message, delivered after the control
-    latency: [send_batch] of one. *)
-
 (** {2 Hosts} *)
 
 val attach_host :

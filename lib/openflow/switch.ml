@@ -69,11 +69,7 @@ let apply t ~now msg =
                ~cookie:fm.cookie ~installed_at:now ~fields:fm.fields fm.actions);
           Nothing
       | Message.Delete ->
-          Array.iteri
-            (fun id table ->
-              if fm.table_id = id || fm.table_id = Message.all_tables then
-                Flow_table.remove_matching table ~fields:fm.fields)
-            t.tables;
+          Flow_table.remove_matching t.tables.(fm.table_id) ~fields:fm.fields;
           Nothing
       | Message.Delete_strict ->
           Flow_table.remove t.tables.(fm.table_id) ~priority:fm.priority

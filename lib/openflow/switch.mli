@@ -37,6 +37,6 @@ type apply_result =
 
 val apply : t -> now:Sim.Time.t -> Message.to_switch -> apply_result
 (** Apply a controller message. [Flow_mod] mutates the table its
-    [table_id] names (every table for {!Message.all_tables});
+    [table_id] names;
     [Packet_out] resolves [`Flood]/[`Table] to concrete ports;
     [Stats_request] snapshots table 0 into a [Stats_reply]. *)

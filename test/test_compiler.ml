@@ -313,7 +313,8 @@ let check_numbering what cur t =
 let renumber_subnets =
   [| "any"; "10.0.0.0/8"; "10.1.0.0/16"; "10.2.0.0/16"; "10.1.2.0/24" |]
 
-let gen_renumber_rule =
+(* One rule over [addrs], in the shape of a policy edit. *)
+let gen_rule_over addrs =
   QCheck.Gen.(
     map
       (fun ((pass, proto), (src, dst), port) ->
@@ -322,8 +323,10 @@ let gen_renumber_rule =
           proto src dst port)
       (triple
          (pair bool (oneofl [ "tcp"; "udp" ]))
-         (pair (oneofa renumber_subnets) (oneofa renumber_subnets))
+         (pair (oneofa addrs) (oneofa addrs))
          (oneofl [ 22; 80; 443; 8080 ])))
+
+let gen_renumber_rule = gen_rule_over renumber_subnets
 
 (* Two revisions of one policy: each keeps its own subset of a shared
    rule list, so most of their entries agree. *)
@@ -1218,8 +1221,9 @@ let reload_network () =
     ~hosts_per_switch:2 ()
 
 (* What the switches hold after a fresh install of [files]: once they
-   are loaded, the cache flush wipes both tables and installs the whole
-   compiled table and every route at once, with nothing to delete. *)
+   are loaded, the cache flush deletes table 0 and re-adds the whole
+   compiled table from the controller's view. Table 1's routes follow
+   the topology, which the files do not change. *)
 let fresh_install files =
   let engine, network, controller, _ = reload_network () in
   List.iter
@@ -1453,10 +1457,10 @@ let test_e2e_link_down_repairs_routes () =
   Alcotest.(check (list string)) "routes after the link returns"
     (expected_routes network hosts) (routes network)
 
-(* Revocation deletes every entry naming the principal, in both tables:
-   its routes go and stay gone, while every other host's route is
-   there after the forced sync. A cache flush wipes both tables, and
-   both are rebuilt. *)
+(* Revocation deletes every table-0 entry naming the principal and
+   re-adds the compiled ones among them. Routes are forwarding facts of
+   the topology, not decisions, so every host keeps its route. A cache
+   flush deletes table 0 and re-adds the whole compiled table. *)
 let test_e2e_revoke_and_flush_keep_routes () =
   let engine, network, controller, hosts =
     Deploy.linear_network ~config:proactive_config ~switches:3
@@ -1468,13 +1472,11 @@ let test_e2e_revoke_and_flush_keep_routes () =
   let installed = compiled_entries network in
   Alcotest.(check int) "a route per switch and host" 18
     (List.length (routes network));
-  let revoked = hosts.(2) in
-  let others = Array.of_list (List.filter (( != ) revoked) (Array.to_list hosts)) in
-  ignore (C.revoke_principal controller ~ip:(Identxx.Host.ip revoked));
+  ignore (C.revoke_principal controller ~ip:(Identxx.Host.ip hosts.(2)));
   Sim.Engine.run engine;
   Alcotest.(check (list string))
-    "the revoked host has no route; every other host has its own"
-    (expected_routes network others) (routes network);
+    "every host keeps its route"
+    (expected_routes network hosts) (routes network);
   Alcotest.(check (list string))
     "the compiled table is back"
     (List.filter (fun r -> not (contains r "table=1")) installed)
@@ -1483,6 +1485,224 @@ let test_e2e_revoke_and_flush_keep_routes () =
   Sim.Engine.run engine;
   Alcotest.(check (list string)) "a flush rebuilds both tables" installed
     (compiled_entries network)
+
+(* Table [id]'s compiled entries and routes in the domain, each with
+   the time it was installed, sorted. *)
+let install_times network ~id =
+  List.concat_map
+    (fun dpid ->
+      Openflow.Flow_table.entries
+        (Openflow.Switch.table ~id (Net.switch network dpid))
+      |> List.filter (fun (e : Openflow.Flow_entry.t) ->
+             e.Openflow.Flow_entry.cookie = Compiler.proactive_cookie)
+      |> List.map (fun (e : Openflow.Flow_entry.t) ->
+             Format.asprintf "s%d prio=%d %a at %d" dpid
+               e.Openflow.Flow_entry.priority MF.pp e.Openflow.Flow_entry.fields
+               (Sim.Time.to_ns e.Openflow.Flow_entry.installed_at)))
+    (Net.switches_in_domain network 0)
+  |> List.sort String.compare
+
+let revoke_policy =
+  "block all\npass proto tcp from any to any port 80\npass proto tcp from \
+   10.0.2.1 to any port 22"
+
+(* A flush reaches each switch as one control event, and leaves table 1
+   alone: every route keeps the time it was installed at. *)
+let test_e2e_flush_one_event_per_switch () =
+  let engine, network, controller, _ = reload_network () in
+  PS.add_exn (C.policy controller) ~name:"00" reload_base;
+  Sim.Engine.run engine;
+  let routes = install_times network ~id:1 in
+  let installed = compiled_entries network in
+  Alcotest.(check int) "a route per switch and host" 18 (List.length routes);
+  C.flush_cache controller;
+  Alcotest.(check int) "one control event per switch" 3
+    (Sim.Engine.pending engine);
+  Sim.Engine.run engine;
+  Alcotest.(check (list string)) "every route keeps its installation time"
+    routes (install_times network ~id:1);
+  Alcotest.(check (list string)) "the compiled table is back" installed
+    (compiled_entries network)
+
+(* A revocation re-adds only what its deletes took: the compiled entry
+   naming the principal. Every other compiled entry and every route
+   keeps the time it was installed at. *)
+let test_e2e_revoke_one_event_per_switch () =
+  let engine, network, controller, _ = reload_network () in
+  PS.add_exn (C.policy controller) ~name:"00" revoke_policy;
+  Sim.Engine.run engine;
+  let names_host s = contains s "10.0.2.1/32" in
+  let others () = List.filter (fun s -> not (names_host s)) (install_times network ~id:0) in
+  let kept = others () and routes = install_times network ~id:1 in
+  let installed = compiled_entries network in
+  Alcotest.(check bool) "a compiled entry names the host" true
+    (List.exists names_host (install_times network ~id:0));
+  ignore (C.revoke_principal controller ~ip:(ip "10.0.2.1"));
+  Alcotest.(check int) "one control event per switch" 3
+    (Sim.Engine.pending engine);
+  Sim.Engine.run engine;
+  Alcotest.(check (list string))
+    "entries not naming the host keep their installation time" kept
+    (others ());
+  Alcotest.(check (list string)) "the entry naming the host is back" installed
+    (compiled_entries network);
+  Alcotest.(check (list string)) "every route stays" routes
+    (install_times network ~id:1)
+
+(* The controller's messages in the hop log, after its first [skip]
+   entries. *)
+let controller_events ~skip network =
+  List.filteri (fun i _ -> i >= skip) (Sim.Trace.entries (Net.trace network))
+  |> List.filter_map (fun (e : Sim.Trace.entry) ->
+         if e.Sim.Trace.actor = "controller" then Some e.Sim.Trace.event else None)
+
+(* What the controller sent each switch after the hop log's first
+   [skip] entries, one letter per message: D for a delete, B for a
+   barrier, A for an add, T for any table-1 message. *)
+let sent_shapes ~skip network =
+  let events = controller_events ~skip network in
+  List.map
+    (fun dpid ->
+      let prefix = Printf.sprintf "-> s%d " dpid in
+      String.concat ""
+        (List.filter_map
+           (fun ev ->
+             if not (String.starts_with ~prefix ev) then None
+             else if contains ev "table=1" then Some "T"
+             else if contains ev "barrier" then Some "B"
+             else if contains ev "flow-mod del" then Some "D"
+             else if contains ev "flow-mod add" then Some "A"
+             else Some "?")
+           events))
+    (Net.switches_in_domain network 0)
+
+(* Each switch reads a flush's and a revocation's messages as deletes,
+   then one barrier, then adds; none of them is for table 1. *)
+let test_e2e_reinstall_order () =
+  let engine, network, controller, _ = reload_network () in
+  PS.add_exn (C.policy controller) ~name:"00" revoke_policy;
+  Sim.Engine.run engine;
+  let trace = Net.trace network in
+  Sim.Trace.set_enabled trace true;
+  let shape_of s =
+    let squeeze = Buffer.create 4 in
+    String.iter
+      (fun c ->
+        let n = Buffer.length squeeze in
+        if n = 0 || Buffer.nth squeeze (n - 1) <> c then Buffer.add_char squeeze c)
+      s;
+    Buffer.contents squeeze
+  in
+  List.iter
+    (fun (what, act) ->
+      let skip = List.length (Sim.Trace.entries trace) in
+      act ();
+      Sim.Engine.run engine;
+      let shapes = sent_shapes ~skip network in
+      Alcotest.(check (list string))
+        (what ^ ": deletes, a barrier, adds")
+        [ "DBA"; "DBA"; "DBA" ]
+        (List.map shape_of shapes);
+      List.iter
+        (fun s ->
+          Alcotest.(check int) (what ^ ": one barrier") 1
+            (List.length (String.split_on_char 'B' s) - 1))
+        shapes)
+    [
+      ("flush", fun () -> C.flush_cache controller);
+      ( "revoke",
+        fun () -> ignore (C.revoke_principal controller ~ip:(ip "10.0.2.1")) );
+    ]
+
+(* The guards stand while the view holds a compiled table: a flush over
+   an empty view sends none, and the next first install sends them
+   again. Under a pass-all table, ident++ exchange packets still punt
+   on every switch. *)
+let test_e2e_guards_follow_the_view () =
+  let engine, network, controller, _ = reload_network () in
+  let trace = Net.trace network in
+  Sim.Trace.set_enabled trace true;
+  (* The guards sent by [act], on every switch. *)
+  let guards_sent act =
+    let skip = List.length (Sim.Trace.entries trace) in
+    act ();
+    Sim.Engine.run engine;
+    List.length
+      (List.filter
+         (fun ev -> contains ev "flow-mod add prio=32767")
+         (controller_events ~skip network))
+  in
+  let load text () = PS.add_exn (C.policy controller) ~name:"00" text in
+  let exchange_punts what =
+    let exchange =
+      Packet.of_five_tuple
+        (Five_tuple.make ~proto:Proto.Tcp ~src:(ip "10.0.1.1")
+           ~dst:(ip "10.0.3.1") ~src_port:9999 ~dst_port:Identxx.Wire.port)
+    in
+    List.iter
+      (fun dpid ->
+        match
+          Openflow.Switch.process (Net.switch network dpid)
+            ~now:(Sim.Engine.now engine) ~in_port:1 exchange
+        with
+        | Openflow.Switch.Send_to_controller -> ()
+        | _ -> Alcotest.failf "%s: s%d does not punt ident++ traffic" what dpid)
+      (Net.switches_in_domain network 0)
+  in
+  Alcotest.(check int) "the first install sends the guards" 6
+    (guards_sent (load "pass all"));
+  exchange_punts "first install";
+  Alcotest.(check int) "emptying the view sends no guard" 0
+    (guards_sent (load "pass log all"));
+  Alcotest.(check int) "the view is empty" 0
+    (List.length (C.proactive_table controller).Compiler.entries);
+  exchange_punts "empty view";
+  Alcotest.(check int) "a flush over an empty view sends no guard" 0
+    (guards_sent (fun () -> C.flush_cache controller));
+  exchange_punts "flushed";
+  Alcotest.(check int) "the next first install sends them" 6
+    (guards_sent (load "pass all"));
+  exchange_punts "second install"
+
+let linear_addrs =
+  [|
+    "any"; "10.0.0.0/16"; "10.0.1.0/24"; "10.0.2.0/24"; "10.0.3.0/24";
+    "10.0.1.1"; "10.0.1.2"; "10.0.2.1"; "10.0.2.2"; "10.0.3.1"; "10.0.3.2";
+  |]
+
+(* Whatever the policy and the principal, a revocation and then a flush
+   each leave the switches' two tables and the controller's view as
+   they were. *)
+let prop_revoke_and_flush_restore_the_view =
+  QCheck.Test.make ~name:"revocation and flush restore the view" ~count:200
+    (QCheck.make
+       QCheck.Gen.(
+         pair (list_size (int_range 1 5) (gen_rule_over linear_addrs)) (int_bound 5))
+       ~print:(fun (rules, h) ->
+         Printf.sprintf "revoke host %d under:\n%s" h (String.concat "\n" rules)))
+    (fun (rules, h) ->
+      let engine, network, controller, hosts = reload_network () in
+      PS.add_exn (C.policy controller) ~name:"00"
+        (String.concat "\n" ("block all" :: rules));
+      Sim.Engine.run engine;
+      let installed = compiled_entries network in
+      let view = C.proactive_table controller in
+      let restored what =
+        let now = compiled_entries network in
+        if now <> installed then
+          QCheck.Test.fail_reportf "after %s: lost [%s], gained [%s]" what
+            (String.concat "; " (List.filter (fun e -> not (List.mem e now)) installed))
+            (String.concat "; " (List.filter (fun e -> not (List.mem e installed)) now));
+        if C.proactive_table controller <> view then
+          QCheck.Test.fail_reportf "after %s: the view changed" what
+      in
+      ignore (C.revoke_principal controller ~ip:(Identxx.Host.ip hosts.(h)));
+      Sim.Engine.run engine;
+      restored "the revocation";
+      C.flush_cache controller;
+      Sim.Engine.run engine;
+      restored "the flush";
+      true)
 
 (* One edit on a 13-switch tree with 18 hosts, after [reload_base] and
    a first edit: [measure] wraps the second edit's load and the run
@@ -1609,6 +1829,15 @@ let () =
             test_e2e_reload_allocation;
           Alcotest.test_case "a link down repairs routes" `Quick
             test_e2e_link_down_repairs_routes;
+          Alcotest.test_case "a flush is one event per switch" `Quick
+            test_e2e_flush_one_event_per_switch;
+          Alcotest.test_case "a revocation is one event per switch" `Quick
+            test_e2e_revoke_one_event_per_switch;
+          Alcotest.test_case "flush and revoke order" `Quick
+            test_e2e_reinstall_order;
+          Alcotest.test_case "guards follow the view" `Quick
+            test_e2e_guards_follow_the_view;
+          QCheck_alcotest.to_alcotest prop_revoke_and_flush_restore_the_view;
           Alcotest.test_case "revocation and flush keep routes" `Quick
             test_e2e_revoke_and_flush_keep_routes;
         ] );

@@ -280,7 +280,7 @@ let two_switch_network ?(goto = false) () =
   let net = Openflow.Network.create ~engine ~topology:t () in
   List.iter
     (fun (dpid, port) ->
-      let send = Openflow.Network.send_to_switch net dpid in
+      let send msg = Openflow.Network.send_batch net dpid [| msg |] in
       if goto then begin
         send
           (Openflow.Message.add_flow ~fields:MF.any [ Openflow.Action.Goto_table 1 ]);
