@@ -333,6 +333,24 @@ let bench_switch_process_with_timeouts =
     (Staged.stage (fun () ->
          ignore (Openflow.Switch.process sw ~now:(Sim.Time.ms 1) ~in_port:1 pkt)))
 
+(* --- simulator event queue ---------------------------------------------- *)
+
+(* One schedule plus one dispatch on an engine that keeps [n] events
+   pending, one nanosecond apart: each call queues an event behind the
+   last and dispatches the first, so the queue stays at [n]. The words
+   per call are the event's own record. *)
+let bench_schedule_dispatch =
+  Test.make_indexed ~name:"sim/schedule-dispatch" ~args:[ 10; 100; 1000 ]
+    (fun n ->
+      let engine = Sim.Engine.create () in
+      let noop () = () in
+      for i = 1 to n do
+        Sim.Engine.schedule engine ~delay:(Sim.Time.ns i) noop
+      done;
+      Staged.stage (fun () ->
+          Sim.Engine.schedule engine ~delay:(Sim.Time.ns n) noop;
+          ignore (Sim.Engine.step engine)))
+
 (* --- E11: PF+=2 evaluation throughput, quick ablation ----------------- *)
 
 let bench_pf_eval =
@@ -1188,6 +1206,7 @@ let tests =
        bench_wildcard_churn;
        bench_switch_process_hit;
        bench_switch_process_with_timeouts;
+       bench_schedule_dispatch;
        bench_pf_eval;
        bench_pf_eval_quick;
        bench_pf_parse;

@@ -393,7 +393,7 @@ let install_path t flow =
     (fun dpid out_port ->
       Shard.Batch.add t.batch dpid
         (Msg.add_flow ?idle_timeout:t.cfg.entry_idle_timeout ~fields
-           [ Openflow.Action.Output out_port ]))
+           (Openflow.Action.output out_port)))
 
 let install_drop t ~dpid flow =
   Shard.Batch.add t.batch dpid

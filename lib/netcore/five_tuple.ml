@@ -66,14 +66,18 @@ let[@inline] final_mix h =
   let h = h * 0xc2b2ae35 land m32 in
   h lxor (h lsr 16)
 
-let hash t =
+let hash_ints ~src ~dst ~proto ~src_port ~dst_port =
   (* The tuple's header (five fields, tag 0), then each field. *)
   let h = mix 0 (5 lsl 10) in
-  let h = mix_int h (Ipv4.to_int t.src) in
-  let h = mix_int h (Ipv4.to_int t.dst) in
-  let h = mix_int h (Proto.to_int t.proto) in
-  let h = mix_int h t.src_port in
-  let h = mix_int h t.dst_port in
+  let h = mix_int h src in
+  let h = mix_int h dst in
+  let h = mix_int h proto in
+  let h = mix_int h src_port in
+  let h = mix_int h dst_port in
   final_mix h land 0x3fff_ffff
+
+let hash t =
+  hash_ints ~src:(Ipv4.to_int t.src) ~dst:(Ipv4.to_int t.dst)
+    ~proto:(Proto.to_int t.proto) ~src_port:t.src_port ~dst_port:t.dst_port
 
 let pp ppf t = Format.pp_print_string ppf (to_string t)

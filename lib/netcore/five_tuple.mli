@@ -27,3 +27,8 @@ val compare : t -> t -> int
 val equal : t -> t -> bool
 val hash : t -> int
 val pp : Format.formatter -> t -> unit
+
+val hash_ints :
+  src:int -> dst:int -> proto:int -> src_port:int -> dst_port:int -> int
+(** [hash t] from the fields' ints ([Ipv4.to_int], [Proto.to_int]), for
+    a caller that holds the fields but no tuple: nothing is built. *)

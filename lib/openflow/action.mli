@@ -12,6 +12,10 @@ type t =
 val drop : t list
 (** The canonical "no actions" drop list. *)
 
+val output : int -> t list
+(** [[Output p]]. Below port 256 the list is shared, so a caller that
+    installs one output per hop allocates none. *)
+
 val is_drop : t list -> bool
 (** True when the list forwards nowhere (empty or explicit [Drop]). *)
 

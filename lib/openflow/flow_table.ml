@@ -1,24 +1,32 @@
 open Netcore
 
-module Flow_tbl = Hashtbl.Make (struct
-  type t = Five_tuple.t
-
-  let equal = Five_tuple.equal
-  let hash = Five_tuple.hash
-end)
-
 (* An installed entry. [seq] numbers installations, so table order is
    priority descending, then [seq] descending (newer installations win
    ties). [alive] turns false on removal; the expiry heap skips dead
-   slots instead of searching for them. *)
-type slot = { entry : Flow_entry.t; seq : int; mutable alive : bool }
+   slots instead of searching for them. [next] links the slots of one
+   exact-match chain; {!vacant} ends a chain. *)
+type slot = {
+  entry : Flow_entry.t;
+  seq : int;
+  mutable alive : bool;
+  mutable next : slot;
+}
+
+(* Ends every chain, and fills the band's unused cells and the expiry
+   heap's, so they keep no removed entry alive. Never linked into a
+   chain, so its [next] stays itself. *)
+let vacant_entry = Flow_entry.make ~fields:Match_fields.any []
+let rec vacant =
+  { entry = vacant_entry; seq = -1; alive = false; next = vacant }
 
 type t = {
   capacity : int option;
-  buckets : slot list Flow_tbl.t;
+  mutable chains : slot array;
       (* Entries whose match is exactly one 5-tuple (the shape
-         controllers install to cache per-flow decisions), keyed by that
-         tuple. Each bucket is in table order. *)
+         controllers install to cache per-flow decisions), in chains
+         hung from the cell their tuple's hash selects. The length is a
+         power of two; each chain is in table order. *)
+  mutable chained : int;  (* slots in [chains] *)
   mutable band : slot array;
   mutable band_len : int;
       (* Every other entry, in table order, in [band.(0 .. band_len-1)];
@@ -43,12 +51,13 @@ let create ?capacity () =
   | _ -> ());
   {
     capacity;
-    buckets = Flow_tbl.create 64;
+    chains = Array.make 16 vacant;
+    chained = 0;
     band = [||];
     band_len = 0;
     count = 0;
     next_seq = 0;
-    deadlines = Sim.Heap.create ();
+    deadlines = Sim.Heap.create vacant;
     timed = 0;
     hit_count = 0;
     miss_count = 0;
@@ -59,23 +68,24 @@ let create ?capacity () =
 
 let size t = t.count
 
-(* Marks fields that pin down no 5-tuple; compared physically. *)
-let unindexed =
-  Five_tuple.make ~src:Ipv4.any ~dst:Ipv4.any ~proto:Proto.Tcp ~src_port:0
-    ~dst_port:0
-
-(* The 5-tuple an entry's fields pin down exactly, when the entry is
-   "five-tuple shaped": layer-2 fields and ingress port wildcarded,
-   /32 addresses, protocol and both ports given. {!unindexed} when not. *)
-let index_key_of (fields : Match_fields.t) =
+(* [Five_tuple.hash] of the 5-tuple an entry's fields pin down exactly,
+   when the entry is "five-tuple shaped": layer-2 fields and ingress
+   port wildcarded, /32 addresses, protocol and both ports given. -1
+   when not. The hash is taken from the fields' ints: no tuple is
+   built. *)
+let exact_hash (fields : Match_fields.t) =
   match fields with
   | { Match_fields.in_port = None; dl_src = None; dl_dst = None;
       dl_vlan = None; dl_type = _; nw_src = Some src; nw_dst = Some dst;
-      nw_proto = Some proto; tp_src = Some tp_src; tp_dst = Some tp_dst }
+      nw_proto = Some proto; tp_src = Some src_port; tp_dst = Some dst_port }
     when Prefix.length src = 32 && Prefix.length dst = 32 ->
-      Five_tuple.make ~src:(Prefix.network src) ~dst:(Prefix.network dst)
-        ~proto ~src_port:tp_src ~dst_port:tp_dst
-  | _ -> unindexed
+      Five_tuple.hash_ints
+        ~src:(Ipv4.to_int (Prefix.network src))
+        ~dst:(Ipv4.to_int (Prefix.network dst))
+        ~proto:(Proto.to_int proto) ~src_port ~dst_port
+  | _ -> -1
+
+let chain_of t hash = hash land (Array.length t.chains - 1)
 
 let timeout_ns base = function
   | None -> max_int
@@ -95,14 +105,6 @@ let before a b =
   a.entry.priority > b.entry.priority
   || (a.entry.priority = b.entry.priority && a.seq > b.seq)
 
-let rec insert s = function
-  | x :: rest when before x s -> x :: insert s rest
-  | l -> s :: l
-
-(* Fills the band's unused cells, so they keep no removed entry alive. *)
-let vacant =
-  { entry = Flow_entry.make ~fields:Match_fields.any []; seq = -1; alive = false }
-
 let kill t s =
   s.alive <- false;
   t.count <- t.count - 1;
@@ -111,27 +113,78 @@ let kill t s =
 (* The table's helpers are closed functions taking their operands as
    arguments: a local closure would be allocated on every flow-mod. *)
 
-(* [l] without the slots satisfying [gone a b], which are killed.
-   Shares the unchanged tail, so a miss allocates nothing. *)
-let rec cull t gone a b = function
-  | [] -> []
-  | s :: rest as l ->
-      let rest' = cull t gone a b rest in
-      if gone s a b then (
-        kill t s;
-        rest')
-      else if rest' == rest then l
-      else s :: rest'
+(* Take [s] out of its chain, [prev] being its predecessor ([vacant]
+   when [s] heads chain [i]), and kill it. Its [next] is reset, so a
+   dead slot still in the expiry heap keeps no chain alive. *)
+let unlink t i prev s =
+  if prev == vacant then t.chains.(i) <- s.next else prev.next <- s.next;
+  s.next <- vacant;
+  t.chained <- t.chained - 1;
+  kill t s
 
-let bucket t k = try Flow_tbl.find t.buckets k with Not_found -> []
+let rec chain_filter_from t i prev s gone a b =
+  if s != vacant then begin
+    let next = s.next in
+    if gone s a b then begin
+      unlink t i prev s;
+      chain_filter_from t i prev next gone a b
+    end
+    else chain_filter_from t i s next gone a b
+  end
 
-(* Kill the slots of key [k]'s bucket satisfying [gone a b]. *)
-let cull_bucket t k gone a b =
-  let old = bucket t k in
-  match cull t gone a b old with
-  | l when l == old -> ()
-  | [] -> Flow_tbl.remove t.buckets k
-  | l -> Flow_tbl.replace t.buckets k l
+(* Kill every slot of chain [i] satisfying [gone a b]. A chain holds at
+   most 2 slots on average, so a delete that can match only one slot
+   walks it to the end as well. *)
+let chain_filter t i gone a b =
+  chain_filter_from t i vacant t.chains.(i) gone a b
+
+(* Append [s] after [tail] in chain [j] of [chains], and return it as
+   the new tail. *)
+let append chains j tail s =
+  if tail == vacant then chains.(j) <- s else tail.next <- s;
+  s
+
+(* Double the chain array. Chain [i] splits into chains [i] and
+   [i + n], each filled in the old chain's order, so every chain stays
+   in table order. *)
+let grow_chains t =
+  let n = Array.length t.chains in
+  let chains = Array.make (2 * n) vacant in
+  let mask = (2 * n) - 1 in
+  for i = 0 to n - 1 do
+    let low = ref vacant and high = ref vacant and s = ref t.chains.(i) in
+    while !s != vacant do
+      let cur = !s in
+      s := cur.next;
+      cur.next <- vacant;
+      let j = exact_hash cur.entry.fields land mask in
+      if j = i then low := append chains j !low cur
+      else high := append chains j !high cur
+    done
+  done;
+  t.chains <- chains
+
+let rec chain_insert_after prev s =
+  let next = prev.next in
+  if next != vacant && before next s then chain_insert_after next s
+  else begin
+    s.next <- next;
+    prev.next <- s
+  end
+
+(* Link [s] into the chain of [hash] at its place in table order, and
+   double the chain array once the chained slots outnumber its cells
+   twice over. *)
+let chain_insert t hash s =
+  let i = chain_of t hash in
+  let head = t.chains.(i) in
+  if head != vacant && before head s then chain_insert_after head s
+  else begin
+    s.next <- head;
+    t.chains.(i) <- s
+  end;
+  t.chained <- t.chained + 1;
+  if t.chained > 2 * Array.length t.chains then grow_chains t
 
 let same_entry s priority fields =
   s.entry.priority = priority && Match_fields.equal s.entry.fields fields
@@ -195,14 +248,23 @@ let band_filter t pred arg =
   t.band_len <- !kept
 
 let drop_slot t s =
-  match index_key_of s.entry.fields with
-  | k when k == unindexed -> band_delete_first t s.entry.priority ( == ) s
-  | k -> cull_bucket t k is_slot s ()
+  let hash = exact_hash s.entry.fields in
+  if hash < 0 then band_delete_first t s.entry.priority ( == ) s
+  else chain_filter t (chain_of t hash) is_slot s ()
 
-let iter_slots t f =
-  Flow_tbl.iter (fun _ b -> List.iter f b) t.buckets;
+let rec iter_chain f a s =
+  if s != vacant then begin
+    f a s;
+    iter_chain f a s.next
+  end
+
+(* [f a s] for every slot [s]. *)
+let iter_slots t f a =
+  for i = 0 to Array.length t.chains - 1 do
+    iter_chain f a t.chains.(i)
+  done;
   for i = 0 to t.band_len - 1 do
-    f t.band.(i)
+    f a t.band.(i)
   done
 
 let push_deadline t s =
@@ -210,11 +272,12 @@ let push_deadline t s =
   if d < max_int then Sim.Heap.push t.deadlines ~key:d s
 
 (* Dead slots stay in the heap until popped; rebuild it once they
-   outnumber the live ones, so replacement churn cannot grow it. *)
+   outnumber the live ones, so replacement churn cannot grow it. The
+   rebuild reuses the heap's arrays and allocates nothing. *)
 let compact t =
   if Sim.Heap.size t.deadlines > 2 * t.timed then begin
     Sim.Heap.clear t.deadlines;
-    iter_slots t (push_deadline t)
+    iter_slots t push_deadline t
   end
 
 (* Only reactive entries (cookie 0) are evictable: a controller's
@@ -226,14 +289,16 @@ let evictable s = s.entry.cookie = 0
    first in table order); false when there is none. *)
 let evict_lru t =
   let victim = ref None in
-  iter_slots t (fun s ->
+  iter_slots t
+    (fun victim s ->
       if evictable s then
         match !victim with
         | Some v
           when let c = Sim.Time.compare s.entry.last_hit v.entry.last_hit in
                c > 0 || (c = 0 && before v s) ->
             ()
-        | _ -> victim := Some s);
+        | _ -> victim := Some s)
+    victim;
   match !victim with
   | None -> false
   | Some s ->
@@ -245,10 +310,10 @@ let evict_lru t =
 let same_fields s fields = Match_fields.equal s.entry.fields fields
 
 let add t (entry : Flow_entry.t) =
-  let key = index_key_of entry.fields in
+  let hash = exact_hash entry.fields in
   (* Replace an identical (fields, priority) entry. *)
-  if key == unindexed then band_delete_first t entry.priority same_fields entry.fields
-  else cull_bucket t key same_entry entry.priority entry.fields;
+  if hash < 0 then band_delete_first t entry.priority same_fields entry.fields
+  else chain_filter t (chain_of t hash) same_entry entry.priority entry.fields;
   let room =
     match t.capacity with
     | Some cap when t.count >= cap -> evict_lru t
@@ -256,11 +321,10 @@ let add t (entry : Flow_entry.t) =
   in
   if not room then t.refusal_count <- t.refusal_count + 1
   else begin
-    let s = { entry; seq = t.next_seq; alive = true } in
+    let s = { entry; seq = t.next_seq; alive = true; next = vacant } in
     t.next_seq <- t.next_seq + 1;
     t.count <- t.count + 1;
-    if key == unindexed then band_insert t s
-    else Flow_tbl.replace t.buckets key (insert s (bucket t key));
+    if hash < 0 then band_insert t s else chain_insert t hash s;
     if is_timed entry then begin
       t.timed <- t.timed + 1;
       push_deadline t s
@@ -268,54 +332,54 @@ let add t (entry : Flow_entry.t) =
   end;
   compact t
 
-let rec find_in_bucket ~in_port pkt flow = function
-  | [] -> None
-  | s :: rest ->
-      if Match_fields.matches_flow s.entry.fields ~in_port pkt flow then Some s
-      else find_in_bucket ~in_port pkt flow rest
+(* The first slot of a chain that matches; [vacant] when none does.
+   A chain holds the tuples that share its cell, so the match test
+   also sorts out which slots are the packet's. *)
+let rec find_in_chain ~in_port pkt flow s =
+  if s == vacant || Match_fields.matches_flow s.entry.fields ~in_port pkt flow
+  then s
+  else find_in_chain ~in_port pkt flow s.next
 
 (* A wildcard wins only if it comes before the exact hit in table
-   order; the scan stops at the first one that cannot. *)
+   order; the scan stops at the first one that cannot. [vacant] stands
+   for no match. *)
 let rec scan_band t ~in_port pkt flow exact i =
   if i = t.band_len then exact
   else
     let w = t.band.(i) in
-    match exact with
-    | Some e when before e w -> exact
-    | _ ->
-        if Match_fields.matches_flow w.entry.fields ~in_port pkt flow then
-          Some w
-        else scan_band t ~in_port pkt flow exact (i + 1)
+    if exact != vacant && before exact w then exact
+    else if Match_fields.matches_flow w.entry.fields ~in_port pkt flow then w
+    else scan_band t ~in_port pkt flow exact (i + 1)
 
 let lookup_flow t ~in_port pkt flow =
-  (* An indexable entry matches exactly the packets of its own key, so
-     the candidates are the packet's bucket and the wildcards. The
+  (* A chained entry matches exactly the packets of its own tuple, so
+     the candidates are the packet's chain and the wildcards. The
      5-tuple is derived once and handed to every match test. *)
   let exact =
     match flow with
-    | Some key when Flow_tbl.length t.buckets > 0 -> (
-        (* Hashing the key allocates; a table of wildcards skips it. *)
-        match Flow_tbl.find_opt t.buckets key with
-        | Some bucket -> find_in_bucket ~in_port pkt flow bucket
-        | None -> None)
-    | Some _ | None -> None
+    | Some ft when t.chained > 0 ->
+        find_in_chain ~in_port pkt flow
+          t.chains.(chain_of t (Five_tuple.hash ft))
+    | Some _ | None -> vacant
   in
-  match scan_band t ~in_port pkt flow exact 0 with
-  | Some s ->
-      t.hit_count <- t.hit_count + 1;
-      Some s.entry
-  | None ->
-      t.miss_count <- t.miss_count + 1;
-      None
+  let s = scan_band t ~in_port pkt flow exact 0 in
+  if s == vacant then begin
+    t.miss_count <- t.miss_count + 1;
+    None
+  end
+  else begin
+    t.hit_count <- t.hit_count + 1;
+    Some s.entry
+  end
 
 let lookup t ~in_port pkt = lookup_flow t ~in_port pkt (Packet.five_tuple pkt)
 
 let remove t ~priority ~fields =
   (* [add] keeps at most one entry per (fields, priority), and entries
-     with equal fields share one index key. *)
-  (match index_key_of fields with
-  | k when k == unindexed -> band_delete_first t priority same_fields fields
-  | k -> cull_bucket t k same_entry priority fields);
+     with equal fields share one chain. *)
+  let hash = exact_hash fields in
+  if hash < 0 then band_delete_first t priority same_fields fields
+  else chain_filter t (chain_of t hash) same_entry priority fields;
   compact t
 
 let covered s fields = Match_fields.covers fields s.entry.fields
@@ -323,10 +387,9 @@ let covered_by s fields () = covered s fields
 
 let remove_matching t ~fields =
   band_filter t covered fields;
-  Flow_tbl.filter_map_inplace
-    (fun _ b ->
-      match cull t covered_by fields () b with [] -> None | b -> Some b)
-    t.buckets;
+  for i = 0 to Array.length t.chains - 1 do
+    chain_filter t i covered_by fields ()
+  done;
   compact t
 
 (* Drop the slots due by [now_ns]; [n] counts them. A closed function,
@@ -352,9 +415,12 @@ let expire t ~now =
   compact t;
   evicted
 
+let rec chain_to_list s acc =
+  if s == vacant then acc else chain_to_list s.next (s :: acc)
+
 let entries t =
   let band = List.init t.band_len (Array.get t.band) in
-  let all = Flow_tbl.fold (fun _ b acc -> b @ acc) t.buckets band in
+  let all = Array.fold_right chain_to_list t.chains band in
   List.stable_sort (fun a b -> if before a b then -1 else 1) all
   |> List.map (fun s -> s.entry)
 

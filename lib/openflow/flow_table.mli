@@ -4,13 +4,18 @@
     Table order is priority descending, then installation descending
     (newer wins ties). Five-tuple-shaped entries (layer 2 and ingress
     port wildcarded, /32 addresses, protocol and both ports given) live
-    in per-tuple buckets of a hash table; every other entry lives in the
-    wildcard band, a growable array kept in table order. Timed entries
-    sit in a min-heap of deadline lower bounds; removal leaves a dead
-    heap slot behind, and the heap is rebuilt once dead slots outnumber
-    live ones (amortised O(1) per removal). Costs below are for [n]
-    entries, [b] entries in one bucket (usually 1), [w] wildcard
-    entries and [r] wildcard entries of one priority. *)
+    in intrusive chains: each entry's slot links to the next one of its
+    chain, and the chains hang from a power-of-two array indexed by the
+    5-tuple's hash, which is taken from the fields' ints without
+    building a key. Each chain is kept in table order, and the array
+    doubles once the chained entries outnumber its cells twice over.
+    Every other entry lives in the wildcard band, a growable array kept
+    in table order. Timed entries sit in a min-heap of deadline lower
+    bounds; removal leaves a dead heap slot behind, and the heap is
+    rebuilt once dead slots outnumber live ones (amortised O(1) per
+    removal). Costs below are for [n] entries, [c] entries in one chain
+    (at most 2 on average), [w] wildcard entries and [r] wildcard
+    entries of one priority. *)
 
 open Netcore
 
@@ -27,19 +32,20 @@ val create : ?capacity:int -> unit -> t
 val add : t -> Flow_entry.t -> unit
 (** Install an entry. An entry with identical fields and priority
     replaces the old one (OpenFlow overlap semantics for identical
-    matches). O(b + log n) for a five-tuple-shaped entry; otherwise an
-    O(log w + r) position search plus a memmove of the band's tail,
-    allocating only the slot the table keeps (and, amortised, the
-    band's growth); O(n) more when a full table must evict. *)
+    matches). O(c + log n) for a five-tuple-shaped entry; otherwise an
+    O(log w + r) position search plus a memmove of the band's tail.
+    Either way it allocates only the slot the table keeps and,
+    amortised, the growth of the chain array, the band and the expiry
+    heap; O(n) more when a full table must evict. *)
 
 val lookup : t -> in_port:int -> Packet.t -> Flow_entry.t option
 (** Highest-priority matching entry; ties broken by most recent
     installation. Does not update counters — callers decide (see
-    {!Switch}). The packet's 5-tuple is derived once per lookup. O(b)
+    {!Switch}). The packet's 5-tuple is derived once per lookup. O(c)
     plus a scan of the wildcards in table order that stops at the first
-    one the bucket's match outranks (at once when no wildcard ranks as
-    high; O(w) when the bucket has no match); the scan allocates
-    nothing per wildcard. *)
+    one the chain's match outranks (at once when no wildcard ranks as
+    high; O(w) when the chain has no match). It allocates only the
+    result's option. *)
 
 val lookup_flow :
   t -> in_port:int -> Packet.t -> Five_tuple.t option -> Flow_entry.t option
@@ -51,19 +57,21 @@ val remove : t -> priority:int -> fields:Match_fields.t -> unit
 (** Strict delete (OpenFlow [DELETE_STRICT]): removes the entry whose
     fields equal [fields] and whose priority is [priority]; there is at
     most one, since {!add} replaces an identical one. An entry with the
-    same fields at another priority stays. O(b) for five-tuple-shaped
+    same fields at another priority stays. O(c) for five-tuple-shaped
     [fields]; otherwise an O(log w + r) search of that priority's run
-    plus a memmove of the band's tail, allocating nothing. *)
+    plus a memmove of the band's tail. Allocates nothing. *)
 
 val remove_matching : t -> fields:Match_fields.t -> unit
 (** Wildcard delete: removes entries covered by [fields] (OpenFlow
-    DELETE semantics). O(n). *)
+    DELETE semantics). O(n) plus the length of the chain array.
+    Allocates nothing. *)
 
 val expire : t -> now:Sim.Time.t -> int
 (** Drop timed-out entries; returns how many were evicted. O(1) when
-    nothing is due; otherwise O(b + log n) per entry whose deadline
+    nothing is due; otherwise O(c + log n) per entry whose deadline
     bound has passed (a hit entry is pushed back at its true deadline),
-    plus O(log w + r) to find an expired wildcard in the band. *)
+    plus O(log w + r) to find an expired wildcard in the band.
+    Allocates nothing. *)
 
 val entries : t -> Flow_entry.t list
 (** All live entries in table order. O(n log n): sorted on demand. *)

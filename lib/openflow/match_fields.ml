@@ -32,13 +32,25 @@ let ethertype_of_packet (pkt : Packet.t) =
   | Packet.Ip _ -> Ethertype.Ipv4
   | Packet.Raw_eth (et, _) -> et
 
+(* Shared by every match [of_five_tuple] builds. *)
+let some_ipv4 = Some Ethertype.Ipv4
+let some_tcp = Some Proto.Tcp
+let some_udp = Some Proto.Udp
+let some_icmp = Some Proto.Icmp
+
+let some_proto = function
+  | Proto.Tcp -> some_tcp
+  | Proto.Udp -> some_udp
+  | Proto.Icmp -> some_icmp
+  | Proto.Other _ as p -> Some p
+
 let of_five_tuple (ft : Five_tuple.t) =
   {
     any with
-    dl_type = Some Ethertype.Ipv4;
+    dl_type = some_ipv4;
     nw_src = Some (Prefix.host ft.src);
     nw_dst = Some (Prefix.host ft.dst);
-    nw_proto = Some ft.proto;
+    nw_proto = some_proto ft.proto;
     tp_src = Some ft.src_port;
     tp_dst = Some ft.dst_port;
   }

@@ -91,12 +91,17 @@ let load_link t (u, pu) (v, pv) ~weight =
   insert_edge t u { e_port = pu; e_peer = v; e_peer_port = pv; e_w = weight };
   insert_edge t v { e_port = pv; e_peer = u; e_peer_port = pu; e_w = weight }
 
+(* The fillers of the Dijkstra queues' unused cells: [(node, via)] in
+   {!dijkstra}, [(node, (port, via))] in {!cascade}. *)
+let no_root = (-1, None)
+let no_candidate = (-1, (-1, -1))
+
 (* Full Dijkstra toward destination [d]. Relaxing the edge u -> v
    (u nearer the destination) sets v's next hop to u through the port
    at v that faces u. *)
 let dijkstra t d =
   let tree = singleton_tree d in
-  let pq = Sim.Heap.create () in
+  let pq = Sim.Heap.create no_root in
   Sim.Heap.push pq ~key:0 (d, None);
   let rec loop () =
     match Sim.Heap.pop pq with
@@ -175,7 +180,7 @@ let link_up t (u, pu) (v, pv) ~weight =
             let nd = df + weight in
             match cur with Some dc when dc <= nd -> None | _ -> Some nd)
       in
-      let pq = Sim.Heap.create () in
+      let pq = Sim.Heap.create no_candidate in
       (match improves du dv with
       | Some nd -> Sim.Heap.push pq ~key:nd (u, (pu, v))
       | None -> ());
@@ -240,7 +245,7 @@ let link_down t (u, pu) (v, pv) =
              the queue with every edge from a still-valid node into the
              region, then run Dijkstra restricted to the region. Nodes
              no path reaches stay absent (= unreachable). *)
-          let pq = Sim.Heap.create () in
+          let pq = Sim.Heap.create no_candidate in
           Hashtbl.iter
             (fun a () ->
               List.iter

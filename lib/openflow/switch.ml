@@ -1,18 +1,27 @@
 open Netcore
 
+type forward_decision = Forward of int list | Send_to_controller | Dropped
+
 type t = {
   dpid : Message.switch_id;
   ports : int list;
   tables : Flow_table.t array;
+  forwards : forward_decision array;
+      (* [Forward [p]] at [p], for 0 up to the highest port: what a hit
+         on a single output returns, built once. *)
 }
 
 let create ?capacity ~dpid ~ports () =
   let tables = [| Flow_table.create ?capacity (); Flow_table.create () |] in
-  { dpid; ports; tables }
+  let top = List.fold_left Int.max (-1) ports in
+  let forwards = Array.init (top + 1) (fun p -> Forward [ p ]) in
+  { dpid; ports; tables; forwards }
 
 let table ?(id = 0) t = t.tables.(id)
 
-type forward_decision = Forward of int list | Send_to_controller | Dropped
+let forward t p =
+  if p >= 0 && p < Array.length t.forwards then t.forwards.(p)
+  else Forward [ p ]
 
 let resolve_list t ~in_port actions =
   if Action.is_drop actions then Dropped
@@ -33,7 +42,7 @@ let resolve_list t ~in_port actions =
    merging. *)
 let resolve_actions t ~in_port actions =
   match actions with
-  | [ Action.Output p ] -> Forward [ p ]
+  | [ Action.Output p ] -> forward t p
   | _ -> resolve_list t ~in_port actions
 
 (* Look the packet up in table [id] and in the later tables its

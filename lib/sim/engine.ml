@@ -2,7 +2,9 @@ type event = { action : unit -> unit; mutable cancelled : bool }
 type t = { mutable clock : Time.t; queue : event Heap.t }
 type cancel = event
 
-let create () = { clock = Time.zero; queue = Heap.create () }
+(* Also the queue's filler: the value its unused cells hold. *)
+let cancelled = { action = ignore; cancelled = true }
+let create () = { clock = Time.zero; queue = Heap.create cancelled }
 let now t = t.clock
 
 let schedule_at t ~at action =
@@ -18,7 +20,6 @@ let schedule_cancellable t ~delay action =
   ev
 
 let cancel ev = ev.cancelled <- true
-let cancelled = { action = ignore; cancelled = true }
 let pending t = Heap.size t.queue
 
 (* Dispatch the heap's first event. Reads the key in place and takes

@@ -1,81 +1,102 @@
-(* A slot past [len] holds [Empty], so a removed value is not kept
-   alive by the array. *)
-type 'a entry = Empty | E of { key : int; seq : int; value : 'a }
-
+(* A struct of arrays: entry [i] is [keys.(i)], [seqs.(i)] and
+   [vals.(i)]. [seqs] numbers insertions, and breaks ties between equal
+   keys. The cells of [vals] past [len] hold [filler], so a removed
+   value is not kept alive by the array. *)
 type 'a t = {
-  mutable data : 'a entry array;
+  mutable keys : int array;
+  mutable seqs : int array;
+  mutable vals : 'a array;
   mutable len : int;
   mutable next_seq : int;
+  filler : 'a;
 }
 
-let create () = { data = [||]; len = 0; next_seq = 0 }
+let create filler =
+  { keys = [||]; seqs = [||]; vals = [||]; len = 0; next_seq = 0; filler }
+
 let is_empty h = h.len = 0
 let size h = h.len
 
-let less a b =
-  match (a, b) with
-  | E a, E b -> a.key < b.key || (a.key = b.key && a.seq < b.seq)
-  | _ -> invalid_arg "Heap: empty slot inside the heap"
+(* Does entry (k1, s1) come out before entry (k2, s2)? *)
+let[@inline] before (k1 : int) (s1 : int) k2 s2 =
+  k1 < k2 || (k1 = k2 && s1 < s2)
 
 let grow h =
-  let cap = Array.length h.data in
-  if h.len = cap then begin
-    let ncap = if cap = 0 then 16 else cap * 2 in
-    let nd = Array.make ncap Empty in
-    Array.blit h.data 0 nd 0 h.len;
-    h.data <- nd
-  end
+  let cap = Array.length h.keys in
+  let ncap = if cap = 0 then 16 else cap * 2 in
+  let keys = Array.make ncap 0 and seqs = Array.make ncap 0 in
+  let vals = Array.make ncap h.filler in
+  Array.blit h.keys 0 keys 0 h.len;
+  Array.blit h.seqs 0 seqs 0 h.len;
+  Array.blit h.vals 0 vals 0 h.len;
+  h.keys <- keys;
+  h.seqs <- seqs;
+  h.vals <- vals
 
+(* Sifts move a hole rather than swapping entries: each step copies one
+   entry into the hole, and the moving entry is written once at the
+   end. *)
 let push h ~key value =
-  let entry = E { key; seq = h.next_seq; value } in
-  h.next_seq <- h.next_seq + 1;
-  grow h;
-  h.data.(h.len) <- entry;
+  if h.len = Array.length h.keys then grow h;
+  let seq = h.next_seq in
+  h.next_seq <- seq + 1;
+  let keys = h.keys and seqs = h.seqs and vals = h.vals in
+  let i = ref h.len in
   h.len <- h.len + 1;
-  (* sift up *)
-  let i = ref (h.len - 1) in
   while
     !i > 0
     &&
-    let parent = (!i - 1) / 2 in
-    less h.data.(!i) h.data.(parent)
+    let p = (!i - 1) / 2 in
+    before key seq keys.(p) seqs.(p)
   do
-    let parent = (!i - 1) / 2 in
-    let tmp = h.data.(parent) in
-    h.data.(parent) <- h.data.(!i);
-    h.data.(!i) <- tmp;
-    i := parent
-  done
+    let p = (!i - 1) / 2 in
+    keys.(!i) <- keys.(p);
+    seqs.(!i) <- seqs.(p);
+    vals.(!i) <- vals.(p);
+    i := p
+  done;
+  keys.(!i) <- key;
+  seqs.(!i) <- seq;
+  vals.(!i) <- value
 
 let min_key h =
   if h.len = 0 then invalid_arg "Heap.min_key: empty heap";
-  match h.data.(0) with E e -> e.key | Empty -> assert false
+  h.keys.(0)
 
 let take h =
   if h.len = 0 then invalid_arg "Heap.take: empty heap";
-  let top = h.data.(0) in
-  h.len <- h.len - 1;
-  h.data.(0) <- h.data.(h.len);
-  h.data.(h.len) <- Empty;
-  if h.len > 0 then begin
-    (* sift down *)
+  let keys = h.keys and seqs = h.seqs and vals = h.vals in
+  let top = vals.(0) in
+  let n = h.len - 1 in
+  h.len <- n;
+  (* The last entry fills the hole left at the root. *)
+  let key = keys.(n) and seq = seqs.(n) and value = vals.(n) in
+  vals.(n) <- h.filler;
+  if n > 0 then begin
     let i = ref 0 in
-    let continue = ref true in
-    while !continue do
-      let l = (2 * !i) + 1 and r = (2 * !i) + 2 in
-      let smallest = ref !i in
-      if l < h.len && less h.data.(l) h.data.(!smallest) then smallest := l;
-      if r < h.len && less h.data.(r) h.data.(!smallest) then smallest := r;
-      if !smallest = !i then continue := false
+    let sifting = ref true in
+    while !sifting do
+      let l = (2 * !i) + 1 in
+      if l >= n then sifting := false
       else begin
-        let tmp = h.data.(!smallest) in
-        h.data.(!smallest) <- h.data.(!i);
-        h.data.(!i) <- tmp;
-        i := !smallest
+        let r = l + 1 in
+        let c =
+          if r < n && before keys.(r) seqs.(r) keys.(l) seqs.(l) then r else l
+        in
+        if before keys.(c) seqs.(c) key seq then begin
+          keys.(!i) <- keys.(c);
+          seqs.(!i) <- seqs.(c);
+          vals.(!i) <- vals.(c);
+          i := c
+        end
+        else sifting := false
       end
-    done
+    done;
+    keys.(!i) <- key;
+    seqs.(!i) <- seq;
+    vals.(!i) <- value
   end;
-  match top with E e -> e.value | Empty -> assert false
+  top
 
 let pop h =
   if h.len = 0 then None
@@ -84,5 +105,5 @@ let pop h =
     Some (key, take h)
 
 let clear h =
-  h.data <- [||];
+  Array.fill h.vals 0 h.len h.filler;
   h.len <- 0
