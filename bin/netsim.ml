@@ -73,6 +73,18 @@ let inject ~config ~engine f =
   if config.C.proactive then Sim.Engine.schedule engine ~delay:(Sim.Time.ms 1) f
   else f ()
 
+(* Open one flow from [src] to [dst]'s port 80, send its first packet
+   and run the scenario to the end. *)
+let one_flow ~config ~engine network ~src ~dst =
+  let proc = Identxx.Host.run src ~user:"u" ~exe:"/bin/app" () in
+  let flow =
+    Identxx.Host.connect src ~proc ~dst:(Identxx.Host.ip dst) ~dst_port:80 ()
+  in
+  inject ~config ~engine (fun () ->
+      Net.send_from_host network ~name:(Identxx.Host.name src)
+        (Identxx.Host.first_packet src ~flow));
+  Sim.Engine.run engine
+
 let print_summary ?(controllers = []) network =
   Format.printf "@.=== trace ===@.%a" Sim.Trace.pp (Net.trace network);
   Format.printf "@.=== summary ===@.";
@@ -199,15 +211,7 @@ let linear ~arm ~config ~obs ~spans ~mon () =
   host_metrics obs engine (Array.to_list hosts);
   mon_arm mon ~engine ~obs ~spans (Array.to_list hosts);
   PS.add_exn (C.policy controller) ~name:"00" "pass all";
-  let h1 = hosts.(0) and h4 = hosts.(3) in
-  let proc = Identxx.Host.run h1 ~user:"u" ~exe:"/bin/app" () in
-  let flow =
-    Identxx.Host.connect h1 ~proc ~dst:(Identxx.Host.ip h4) ~dst_port:80 ()
-  in
-  inject ~config ~engine (fun () ->
-      Net.send_from_host network ~name:(Identxx.Host.name h1)
-        (Identxx.Host.first_packet h1 ~flow));
-  Sim.Engine.run engine;
+  one_flow ~config ~engine network ~src:hosts.(0) ~dst:hosts.(3);
   Format.printf "linear: one flow across a 4-switch chain@.";
   (network, [ ("controller", controller) ])
 
@@ -220,15 +224,8 @@ let tree ~arm ~config ~obs ~spans ~mon () =
   host_metrics obs engine (Array.to_list hosts);
   mon_arm mon ~engine ~obs ~spans (Array.to_list hosts);
   PS.add_exn (C.policy controller) ~name:"00" "pass all";
-  let src = hosts.(0) and dst = hosts.(Array.length hosts - 1) in
-  let proc = Identxx.Host.run src ~user:"u" ~exe:"/bin/app" () in
-  let flow =
-    Identxx.Host.connect src ~proc ~dst:(Identxx.Host.ip dst) ~dst_port:80 ()
-  in
-  inject ~config ~engine (fun () ->
-      Net.send_from_host network ~name:(Identxx.Host.name src)
-        (Identxx.Host.first_packet src ~flow));
-  Sim.Engine.run engine;
+  one_flow ~config ~engine network ~src:hosts.(0)
+    ~dst:hosts.(Array.length hosts - 1);
   Format.printf "tree: cross-pod flow over a depth-3 binary tree (7 switches)@.";
   (network, [ ("controller", controller) ])
 
@@ -322,14 +319,7 @@ let fabric ~topo ~arm ~config ~obs ~spans ~mon () =
   | None ->
       Format.printf "route %s -> %s: unreachable@." (Identxx.Host.name src)
         (Identxx.Host.name dst));
-  let proc = Identxx.Host.run src ~user:"u" ~exe:"/bin/app" () in
-  let flow =
-    Identxx.Host.connect src ~proc ~dst:(Identxx.Host.ip dst) ~dst_port:80 ()
-  in
-  inject ~config ~engine (fun () ->
-      Net.send_from_host network ~name:(Identxx.Host.name src)
-        (Identxx.Host.first_packet src ~flow));
-  Sim.Engine.run engine;
+  one_flow ~config ~engine network ~src ~dst;
   Format.printf "fabric: one cross-fabric flow over %s@."
     (Fabric.spec_to_string fab.Fabric.spec);
   (network, [ ("controller", controller) ])

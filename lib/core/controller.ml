@@ -54,7 +54,7 @@ type leg = {
   mutable answer : Identxx.Response.t option;
   mutable awaiting : bool; (* its query is out and has not settled *)
   mutable qspan : Obs.Span.span;
-  mutable sent : float; (* first query send time; nan = never sent *)
+  mutable sent : int; (* first query send time, ns; -1 = never sent *)
   mutable nonce : string option;
       (* Drawn at the query's first send when answers must be signed; a
          retry resends it. *)
@@ -68,7 +68,7 @@ type pending = {
   p_dst : leg;
   mutable retries_left : int;
   mutable p_timeout : Sim.Engine.cancel;
-  p_started : float; (* packet-in time, seconds *)
+  p_started : Sim.Time.t; (* packet-in time *)
   p_ctx : Obs.Trace_context.t option;
   p_span : Obs.Span.span;
   mutable p_exchange : waiter Fastpath.Answers.exchange option;
@@ -80,6 +80,21 @@ type pending = {
 }
 
 let leg p = function `Src -> p.p_src | `Dst -> p.p_dst
+
+let end_ip (flow : Five_tuple.t) = function
+  | `Src -> flow.Five_tuple.src
+  | `Dst -> flow.Five_tuple.dst
+
+(* The end of [flow] that [ip] is: its source, or else its
+   destination. *)
+let end_of (flow : Five_tuple.t) ip =
+  if Ipv4.equal ip flow.Five_tuple.src then `Src else `Dst
+
+(* How a queried end settled. *)
+type settled =
+  | Answered of Identxx.Response.t
+  | Timed_out (* its own query's timeout, tripping the breaker or not *)
+  | Failed of string (* the exchange it joined failed, by this cause *)
 
 type stats = {
   flows_seen : int;
@@ -112,78 +127,344 @@ module Flow_tbl = Hashtbl.Make (struct
   let hash = Five_tuple.hash
 end)
 
-(* The controller's own instruments. The old ad-hoc stat fields live in
-   the registry now; {!stats} reads the counters back, so its numbers
-   track the exported series exactly. *)
-type metrics = {
-  c_flows : Obs.Registry.Counter.t;
-  c_allowed : Obs.Registry.Counter.t;
-  c_blocked : Obs.Registry.Counter.t;
-  c_queries : Obs.Registry.Counter.t;
-  c_responses : Obs.Registry.Counter.t;
-  c_timeouts : Obs.Registry.Counter.t;
-  c_retries : Obs.Registry.Counter.t;
-  c_rejected : Obs.Registry.Counter.t;
-  c_augmented : Obs.Registry.Counter.t;
-  c_local : Obs.Registry.Counter.t;
-  c_eval_errors : Obs.Registry.Counter.t;
-  c_fastpath : Obs.Registry.Counter.t;
-  h_flow_setup : Obs.Registry.Histogram.t;
-  h_query_rtt : Obs.Registry.Histogram.t;
-}
+(* Flow setup reports each lifecycle point here, with one call where
+   the point happens, and the point feeds every sink it concerns: the
+   registry's counters and histograms, the trace spans, the flight
+   recorder, the audit log and the debug log. Each sink keeps its own
+   on/off test, so a point whose sinks are off allocates nothing: no
+   attributes, no closure, not even its time in seconds. The flight
+   recorder keeps no shard attribution: the same workload must dump
+   byte-identically whatever the shard count. *)
+module Events = struct
+  open Obs
 
-let make_metrics reg ~labels =
-  let counter help name = Obs.Registry.counter reg ~help ~labels name in
-  {
-    c_flows =
-      counter "Table-miss flows that reached the controller."
-        "identxx_controller_flows_total";
-    c_allowed =
-      Obs.Registry.counter reg ~help:"Flow verdicts, by decision."
-        ~labels:(labels @ [ ("verdict", "pass") ])
-        "identxx_controller_decisions_total";
-    c_blocked =
-      Obs.Registry.counter reg ~help:"Flow verdicts, by decision."
-        ~labels:(labels @ [ ("verdict", "block") ])
-        "identxx_controller_decisions_total";
-    c_queries =
-      counter "ident++ queries sent to daemons (including retries)."
-        "identxx_controller_queries_sent_total";
-    c_responses =
-      counter "ident++ responses accepted."
-        "identxx_controller_responses_received_total";
-    c_timeouts =
-      counter "Flows that decided with at least one end silent."
-        "identxx_controller_query_timeouts_total";
-    c_retries =
-      counter "Query retry rounds issued."
-        "identxx_controller_query_retries_total";
-    c_rejected =
-      counter "Responses dropped for a failed signature check."
-        "identxx_controller_responses_rejected_total";
-    c_augmented =
-      counter "Transit responses augmented with a policy section."
-        "identxx_controller_responses_augmented_total";
-    c_local =
-      counter "Queries answered on a host's behalf (interception)."
-        "identxx_controller_local_answers_total";
-    c_eval_errors =
-      counter "Policy evaluations that failed (verdict fell back to block)."
-        "identxx_controller_eval_errors_total";
-    c_fastpath =
-      counter
-        "Flows decided without any query exchange (every needed answer came \
-         from the attribute cache or an open breaker)."
-        "identxx_controller_fastpath_decisions_total";
-    h_flow_setup =
-      Obs.Registry.histogram reg
-        ~help:"Packet-in to verdict latency in seconds." ~labels
-        "identxx_controller_flow_setup_seconds";
-    h_query_rtt =
-      Obs.Registry.histogram reg
-        ~help:"First query send to accepted response, in seconds." ~labels
-        "identxx_controller_query_rtt_seconds";
+  type t = {
+    obs : Registry.t;
+    labels : Registry.labels; (* [controller="<id>"] *)
+    pin : (string, Registry.Counter.t) Hashtbl.t;
+        (* Per-source packet-in counters, cached by source address so
+           the hot path registers each source's series once. *)
+    spans : Span.t;
+    recorder : Recorder.t;
+    audit : Audit.t;
+    mutable trace_seq : int;
+        (* Disambiguates trace ids when the same 5-tuple misses twice. *)
+    (* The controller's own instruments. {!stats} reads the counters
+       back, so its numbers track the exported series exactly. *)
+    c_flows : Registry.Counter.t;
+    c_allowed : Registry.Counter.t;
+    c_blocked : Registry.Counter.t;
+    c_queries : Registry.Counter.t;
+    c_responses : Registry.Counter.t;
+    c_timeouts : Registry.Counter.t;
+    c_retries : Registry.Counter.t;
+    c_rejected : Registry.Counter.t;
+    c_augmented : Registry.Counter.t;
+    c_local : Registry.Counter.t;
+    c_eval_errors : Registry.Counter.t;
+    c_fastpath : Registry.Counter.t;
+    h_flow_setup : Registry.Histogram.t;
+    h_query_rtt : Registry.Histogram.t;
   }
+
+  let create ~obs ~spans ~recorder ~labels =
+    let counter ?(labels = labels) name help =
+      Registry.counter obs ~help ~labels name
+    and histogram name help = Registry.histogram obs ~help ~labels name in
+    let verdict v =
+      counter ~labels:(labels @ [ ("verdict", v) ])
+        "identxx_controller_decisions_total" "Flow verdicts, by decision."
+    in
+    {
+      obs; labels; spans; recorder;
+      pin = Hashtbl.create 16; audit = Audit.create (); trace_seq = 0;
+      c_flows = counter "identxx_controller_flows_total"
+          "Table-miss flows that reached the controller.";
+      c_allowed = verdict "pass";
+      c_blocked = verdict "block";
+      c_queries = counter "identxx_controller_queries_sent_total"
+          "ident++ queries sent to daemons (including retries).";
+      c_responses = counter "identxx_controller_responses_received_total"
+          "ident++ responses accepted.";
+      c_timeouts = counter "identxx_controller_query_timeouts_total"
+          "Flows that decided with at least one end silent.";
+      c_retries = counter "identxx_controller_query_retries_total"
+          "Query retry rounds issued.";
+      c_rejected = counter "identxx_controller_responses_rejected_total"
+          "Responses dropped for a failed signature check.";
+      c_augmented = counter "identxx_controller_responses_augmented_total"
+          "Transit responses augmented with a policy section.";
+      c_local = counter "identxx_controller_local_answers_total"
+          "Queries answered on a host's behalf (interception).";
+      c_eval_errors = counter "identxx_controller_eval_errors_total"
+          "Policy evaluations that failed (verdict fell back to block).";
+      c_fastpath = counter "identxx_controller_fastpath_decisions_total"
+          "Flows decided without any query exchange (every needed answer \
+           came from the attribute cache or an open breaker).";
+      h_flow_setup = histogram "identxx_controller_flow_setup_seconds"
+          "Packet-in to verdict latency in seconds.";
+      h_query_rtt = histogram "identxx_controller_query_rtt_seconds"
+          "First query send to accepted response, in seconds.";
+    }
+
+  let secs = Sim.Time.to_float_s
+
+  (* A root-span event naming [host]. *)
+  let host_event ~now ?(attrs = []) span host name =
+    if Span.is_live span then
+      Span.event span ~at:(secs now)
+        ~attrs:(("host", Ipv4.to_string host) :: attrs)
+        name
+
+  (* A recorder event's flow and host attributes. *)
+  let flow_host flow host =
+    [ ("flow", Five_tuple.to_string flow); ("host", Ipv4.to_string host) ]
+
+  (* The root of every flow while spans are off, shared: allocates none. *)
+  let no_root = (Span.null, None)
+
+  (* A table miss for [flow] reached the controller from switch [dpid]:
+     it is counted, by source too (the series the packet_in_surge
+     health rule watches), and gets its root span and trace context. *)
+  let packet_in ev ~now ~shards ~dpid flow =
+    Registry.Counter.inc ev.c_flows;
+    if Registry.enabled ev.obs then begin
+      let src = Ipv4.to_string flow.Five_tuple.src in
+      Registry.Counter.inc
+        (match Hashtbl.find_opt ev.pin src with
+        | Some c -> c
+        | None ->
+            let c =
+              Registry.counter ev.obs
+                ~help:"Packet-in table misses reaching the controller, by source."
+                ~labels:(ev.labels @ [ ("src", src) ])
+                "identxx_controller_packet_ins_total"
+            in
+            Hashtbl.replace ev.pin src c;
+            c)
+    end;
+    if Recorder.enabled ev.recorder then
+      Recorder.record_lazy ev.recorder ~at:(secs now) "packet-in"
+        (lazy [ ("flow", Five_tuple.to_string flow) ]);
+    let root =
+      if not (Span.enabled ev.spans) then no_root
+      else begin
+        let seq = ev.trace_seq in
+        ev.trace_seq <- seq + 1;
+        let ctx =
+          Trace_context.make ~seed:(Five_tuple.to_string flow) ~seq
+            ~sampled:true
+        in
+        let id = ctx.Trace_context.trace_id in
+        let sampled = Span.should_sample ev.spans ~id in
+        let shard = string_of_int (Shard.Engine.shard_of_flow shards flow) in
+        ( Span.start ev.spans ~at:(secs now) ~sampled
+            ~attrs:[ ("flow", Five_tuple.to_string flow); ("trace-id", id); ("shard", shard) ]
+            "flow-setup",
+          Some { ctx with Trace_context.sampled } )
+      end
+    in
+    if debug_on () then
+      Log.debug (fun m -> m "new flow %s at s%d" (Five_tuple.to_string flow) dpid);
+    root
+
+  (* [end_]'s query of [p] went on the wire, or joined another flow's
+     exchange with the host. The first send opens the query's span and
+     starts its round-trip clock; a resend keeps both, so the RTT
+     histogram sees the full wait. *)
+  let query_sent ev ~now ~how p end_ =
+    let l = leg p end_ and host = end_ip p.p_flow end_ in
+    if l.sent < 0 then begin
+      l.sent <- Sim.Time.to_ns now;
+      if Span.is_live p.p_span then
+        l.qspan <-
+          Span.start ev.spans ~at:(secs now) ~parent:p.p_span
+            ~attrs:[ ("host", Ipv4.to_string host) ]
+            "query"
+    end;
+    match how with
+    | `Joined -> host_event ~now p.p_span host "query-coalesced"
+    | `Wire ->
+        Registry.Counter.inc ev.c_queries;
+        if Recorder.enabled ev.recorder then
+          Recorder.record_lazy ev.recorder ~at:(secs now) "query-sent"
+            (lazy (flow_host p.p_flow host))
+
+  (* [end_] of [p] settled. An answer is timed from the first send, and
+     the daemon's timings ([dtrace], on its clock) complete the query
+     span's cross-host tree. An end settling silent makes the flow an
+     error trace, kept whatever the sampling coin said, and counts the
+     flow once however many of its ends do. *)
+  let query_settled ev ~now ?dtrace p end_ settled =
+    let l = leg p end_ and host = end_ip p.p_flow end_ in
+    let outcome =
+      match settled with
+      | Answered _ ->
+          if l.sent >= 0 && Registry.enabled ev.obs then
+            Registry.Histogram.observe ev.h_query_rtt
+              (secs now -. secs (Sim.Time.ns l.sent));
+          "answered"
+      | Timed_out -> "timeout"
+      | Failed cause ->
+          host_event ~now ~attrs:[ ("cause", cause) ] p.p_span host
+            "exchange-failed";
+          cause
+    in
+    (match settled with
+    | Answered _ -> ()
+    | Timed_out | Failed _ ->
+        Span.force_sample p.p_span;
+        if not p.p_silent then begin
+          p.p_silent <- true;
+          Registry.Counter.inc ev.c_timeouts
+        end);
+    if Span.is_live l.qspan then begin
+      Option.iter
+        (fun (_trace_id, _parent, dspans) ->
+          List.iter
+            (fun (name, t0, t1) ->
+              Span.finish ev.spans ~at:t1
+                (Span.start ev.spans ~at:t0 ~parent:l.qspan name))
+            dspans)
+        dtrace;
+      Span.set_attr l.qspan "outcome" outcome;
+      Span.finish ev.spans ~at:(secs now) l.qspan
+    end;
+    if Recorder.enabled ev.recorder then
+      Recorder.record_lazy ev.recorder ~at:(secs now) "query-settled"
+        (lazy (flow_host p.p_flow host @ [ ("outcome", outcome) ]))
+
+  (* A verdict's decision and deciding rule, as spans and the flight
+     recorder name them. *)
+  let decision_name = function Pf.Ast.Pass -> "pass" | Pf.Ast.Block -> "block"
+
+  let rule_name (v : Pf.Eval.verdict) =
+    match v.Pf.Eval.matched with
+    | Some r -> string_of_int r.Pf.Ast.line
+    | None -> "default"
+
+  (* A verdict's counter, and its latency since the packet-in. *)
+  let counted ev ~now ~started decision =
+    Registry.Counter.inc
+      (match decision with Pf.Ast.Pass -> ev.c_allowed | Pf.Ast.Block -> ev.c_blocked);
+    if Registry.enabled ev.obs then
+      Registry.Histogram.observe ev.h_flow_setup (secs now -. secs started)
+
+  (* [flow] got [verdict] from the answers [src] and [dst], [via] the
+     query exchange, the policy's diagram alone or the fast path. A
+     denied flow is exactly the trace an operator will want: it
+     overrides the head-sampling coin before the root is finished. *)
+  let decided ev ~now ~started ~span ~ctx ~via ~flow ~src ~dst
+      (verdict : Pf.Eval.verdict) =
+    let decision = verdict.Pf.Eval.decision in
+    Audit.record
+      ?trace_id:(Option.map (fun c -> c.Trace_context.trace_id) ctx)
+      ev.audit ~at:now ~flow ~verdict ~src ~dst;
+    if debug_on () then
+      Log.debug (fun m ->
+          m "decision %s: %s%s" (Five_tuple.to_string flow)
+            (decision_name decision)
+            (match verdict.Pf.Eval.matched with
+            | Some r -> Printf.sprintf " (rule@%d)" r.Pf.Ast.line
+            | None -> " (default)"));
+    counted ev ~now ~started decision;
+    (match via with
+    | `Exchange -> ()
+    | `Static -> Span.set_attr span "path" "static"
+    | `Fastpath ->
+        Registry.Counter.inc ev.c_fastpath;
+        Span.set_attr span "path" "fastpath");
+    if Span.is_live span then begin
+      Span.set_attr span "decision" (decision_name decision);
+      Span.set_attr span "rule" (rule_name verdict)
+    end;
+    if decision = Pf.Ast.Block then Span.force_sample span;
+    if Recorder.enabled ev.recorder then
+      Recorder.record_lazy ev.recorder ~at:(secs now) "decision"
+        (lazy
+          [ ("flow", Five_tuple.to_string flow); ("verdict", decision_name decision);
+            ("rule", rule_name verdict) ])
+
+  (* What [flow]'s verdict installed: the path's entries, nothing (no
+     path to install), or a drop at the ingress switch. The flow's root
+     span ends here. *)
+  let installed ev ~now span flow how =
+    let event, kind =
+      match how with
+      | `Path -> ("install", Some "path")
+      | `No_path -> ("no-path", None)
+      | `Drop -> ("install-drop", Some "drop")
+    in
+    if Span.is_live span then begin
+      let at = secs now in
+      Span.event span ~at event;
+      Span.finish ev.spans ~at span
+    end;
+    match kind with
+    | Some kind when Recorder.enabled ev.recorder ->
+        Recorder.record_lazy ev.recorder ~at:(secs now) "install"
+          (lazy [ ("flow", Five_tuple.to_string flow); ("kind", kind) ])
+    | Some _ | None -> ()
+
+  (* Live keep state re-admitted a flow at its packet-in, without an
+     exchange: a pass decided as it arrived, with no audit entry. *)
+  let readmitted ev ~now span =
+    counted ev ~now ~started:now Pf.Ast.Pass;
+    if Span.is_live span then begin
+      let at = secs now in
+      Span.event span ~at "conn-state-readmit";
+      Span.set_attr span "decision" "pass";
+      Span.finish ev.spans ~at span
+    end
+
+  (* How a flow's end resolved without a query of its own, or why it is
+     asked again, on the flow's root span; an answer given on the
+     host's behalf is counted too. *)
+  let note ev ~now span host what =
+    host_event ~now span host
+      (match what with
+      | `Attr_cache_hit -> "attr-cache-hit"
+      | `Breaker_absent -> "breaker-absent"
+      | `Breaker_probe -> "breaker-probe"
+      | `Query_out_of_scope -> "query-out-of-scope"
+      | `Local_answer ->
+          Registry.Counter.inc ev.c_local;
+          "local-answer")
+
+  (* A retry round re-issued a flow's unanswered queries. *)
+  let retried ev ~now span =
+    Registry.Counter.inc ev.c_retries;
+    if Span.is_live span then Span.event span ~at:(secs now) "retry"
+
+  (* A silent [host]'s timeout opened its breaker. *)
+  let breaker_tripped ev ~now span host =
+    host_event ~now span host "breaker-trip";
+    if Recorder.enabled ev.recorder then
+      Recorder.record_lazy ev.recorder ~at:(secs now) "breaker"
+        (lazy [ ("host", Ipv4.to_string host); ("state", "open") ])
+
+  (* An answer from [host] naming [flow] was refused for [reason]: it
+     settles nothing, the flow's trace is kept, and the audit log keeps
+     the refusal. *)
+  let answer_rejected ev ~now span flow ~host ?signer reason =
+    Registry.Counter.inc ev.c_rejected;
+    Span.force_sample span;
+    if Span.is_live span then
+      Span.event span ~at:(secs now)
+        ~attrs:[ ("host", Ipv4.to_string host); ("reason", reason) ]
+        "response-rejected";
+    Audit.record_rejection ev.audit ~at:now ~flow ~host ?signer reason;
+    if debug_on () then
+      Log.debug (fun m ->
+          m "rejecting response from %s: %s" (Ipv4.to_string host) reason)
+
+  (* Points only a counter marks: an accepted answer, before it settles
+     its waiters; a transit response augmented with a policy section; a
+     policy evaluation that failed, whose verdict falls back to block. *)
+  let answer_received ev = Registry.Counter.inc ev.c_responses
+  let augmented ev = Registry.Counter.inc ev.c_augmented
+  let eval_failed ev = Registry.Counter.inc ev.c_eval_errors
+end
 
 (* Instruments of the proactive flow-table compiler, which every
    policy change runs. *)
@@ -223,17 +504,9 @@ type t = {
   policy : Policy_store.t;
   decision : Decision.t;
   conn_state : Conn_state.t;
-  audit : Audit.t;
   mutable augment : Identxx.Response.t -> Identxx.Key_value.section;
   mutable local_answers : Ipv4.t -> Identxx.Key_value.section option;
-  obs : Obs.Registry.t;
-  spans : Obs.Span.t;
-  recorder : Obs.Recorder.t;
-  labels : Obs.Registry.labels; (* [controller="<id>"] *)
-  m : metrics;
-  pin : (string, Obs.Registry.Counter.t) Hashtbl.t;
-      (* Per-source packet-in counters, cached by source address so the
-         hot path registers each source's series once. *)
+  ev : Events.t; (* every per-flow sink *)
   pending : pending Flow_tbl.t;
   fp : Fastpath.t; (* the decision cache and the breaker *)
   answers : waiter Fastpath.Answers.t;
@@ -244,8 +517,6 @@ type t = {
       (* Installs, releases and queries leave in per-tick passes. *)
   mutable plan : (int * Query_plan.t) option;
       (* Per-epoch memo of what the policy reads. *)
-  mutable trace_seq : int;
-      (* Disambiguates trace ids when the same 5-tuple misses twice. *)
   mutable last_stats : (Msg.switch_id * Msg.stats_reply) list;
   mutable proactive_tbl : Compiler.table;
       (* The abstract compiled table currently installed. *)
@@ -267,19 +538,11 @@ let fastpath t = t.fp
 
 let shard_count t = Shard.Engine.shards t.shard_engine
 
-let metrics t = t.obs
-
-let time_now_s t = Sim.Time.to_float_s (Sim.Engine.now (Net.engine t.network))
-
-(* A root-span event naming [host], at the current time. *)
-let host_event ?(attrs = []) t sp host name =
-  if Obs.Span.is_live sp then
-    Obs.Span.event sp ~at:(time_now_s t)
-      ~attrs:(("host", Ipv4.to_string host) :: attrs)
-      name
+let metrics t = t.ev.Events.obs
+let now t = Sim.Engine.now (Net.engine t.network)
 
 let decision t = t.decision
-let audit t = t.audit
+let audit t = t.ev.Events.audit
 let keystore t = Decision.keystore t.decision
 let config t = t.cfg
 
@@ -289,10 +552,10 @@ let set_local_answers t f = t.local_answers <- f
 (* The registry's counters read back, so the summary tracks the
    exported series exactly. *)
 let stats t =
-  let v = Obs.Registry.Counter.value and m = t.m in
+  let v = Obs.Registry.Counter.value and m = t.ev in
   let fc = Fastpath.counters t.fp in
   {
-    flows_seen = v m.c_flows;
+    flows_seen = v m.Events.c_flows;
     allowed = v m.c_allowed;
     blocked = v m.c_blocked;
     queries_sent = v m.c_queries;
@@ -335,41 +598,32 @@ let section_of_pairs pairs =
       else None)
     pairs
 
-(* Answer queries addressed to [ip] on the host's behalf: policy
-   intercepts take precedence over the programmatic hook. *)
+(* The sections of the policy's [kind] intercepts whose target covers
+   [ip], in policy order. *)
+let intercept_sections t kind ip =
+  match Policy_store.env t.policy with
+  | Error _ -> []
+  | Ok env ->
+      List.filter_map
+        (fun (i : Pf.Ast.intercept) ->
+          if
+            i.Pf.Ast.ikind = kind
+            && Pf.Env.addr_spec_matches env i.Pf.Ast.target ip
+          then Some (section_of_pairs i.Pf.Ast.pairs)
+          else None)
+        (Pf.Env.intercepts env)
+
+(* Answer queries addressed to [ip] on the host's behalf: the first
+   policy intercept takes precedence over the programmatic hook. *)
 let resolve_local_answer t ip =
-  let from_policy =
-    match Policy_store.env t.policy with
-    | Error _ -> None
-    | Ok env ->
-        List.fold_left
-          (fun acc (i : Pf.Ast.intercept) ->
-            if acc <> None then acc
-            else if
-              i.Pf.Ast.ikind = Pf.Ast.Answer_query
-              && Pf.Env.addr_spec_matches env i.Pf.Ast.target ip
-            then Some (section_of_pairs i.Pf.Ast.pairs)
-            else acc)
-          None (Pf.Env.intercepts env)
-  in
-  match from_policy with Some s -> Some s | None -> t.local_answers ip
+  match intercept_sections t Pf.Ast.Answer_query ip with
+  | s :: _ -> Some s
+  | [] -> t.local_answers ip
 
 (* The section(s) to append to a response heading toward [dst_ip]. *)
 let resolve_augment t ~dst_ip response =
-  let from_policy =
-    match Policy_store.env t.policy with
-    | Error _ -> []
-    | Ok env ->
-        List.concat_map
-          (fun (i : Pf.Ast.intercept) ->
-            if
-              i.Pf.Ast.ikind = Pf.Ast.Augment_response
-              && Pf.Env.addr_spec_matches env i.Pf.Ast.target dst_ip
-            then section_of_pairs i.Pf.Ast.pairs
-            else [])
-          (Pf.Env.intercepts env)
-  in
-  from_policy @ t.augment response
+  List.concat (intercept_sections t Pf.Ast.Augment_response dst_ip)
+  @ t.augment response
 
 (* --- forwarding of intercepted ident++ packets, one hop at a time --- *)
 
@@ -394,12 +648,6 @@ let install_path t flow =
       Shard.Batch.add t.batch dpid
         (Msg.add_flow ?idle_timeout:t.cfg.entry_idle_timeout ~fields
            (Openflow.Action.output out_port)))
-
-let install_drop t ~dpid flow =
-  Shard.Batch.add t.batch dpid
-    (Msg.add_flow ?idle_timeout:t.cfg.entry_idle_timeout
-       ~fields:(Openflow.Match_fields.of_five_tuple flow)
-       Openflow.Action.drop)
 
 let release_packets t packets =
   (* Send each buffered packet back through its switch's (now updated)
@@ -429,14 +677,9 @@ let compute_verdict t ~flow ~src ~dst =
   match Decision.decide t.decision input with
   | Ok v -> v
   | Error _ ->
-      Obs.Registry.Counter.inc t.m.c_eval_errors;
+      Events.eval_failed t.ev;
       (* Fail closed on configuration errors. *)
-      {
-        Pf.Eval.decision = Pf.Ast.Block;
-        matched = None;
-        keep_state = false;
-        log = false;
-      }
+      { Pf.Eval.decision = Pf.Ast.Block; matched = None; keep_state = false; log = false }
 
 (* The verdict for a flow given both endpoint answers, through the
    decision cache when the fast path is on. *)
@@ -455,175 +698,51 @@ let eval_decision t ~flow ~src ~dst =
         v
   end
 
-(* A verdict's decision and deciding rule, as spans and the flight
-   recorder name them. *)
-let decision_name = function Pf.Ast.Pass -> "pass" | Pf.Ast.Block -> "block"
+(* Report [verdict] on [flow] and install it: on a pass the path's
+   entries (and the reverse path's under keep state), then the buffered
+   [packets] released through them; on a block a drop at the newest
+   packet's ingress switch. *)
+let apply_verdict t ~now ~span ~started ~ctx ~via ~flow ~packets ~src ~dst
+    verdict =
+  Events.decided t.ev ~now ~started ~span ~ctx ~via ~flow ~src ~dst verdict;
+  Events.installed t.ev ~now span flow
+    (match verdict.Pf.Eval.decision with
+    | Pf.Ast.Pass ->
+        let installed = install_path t flow in
+        if verdict.Pf.Eval.keep_state then begin
+          Conn_state.note t.conn_state ~now flow;
+          ignore (install_path t (Five_tuple.reverse flow))
+        end;
+        if installed then (release_packets t packets; `Path) else `No_path
+    | Pf.Ast.Block -> (
+        match packets with
+        | (dpid, _, _) :: _ ->
+            Shard.Batch.add t.batch dpid
+              (Msg.add_flow ?idle_timeout:t.cfg.entry_idle_timeout
+                 ~fields:(Openflow.Match_fields.of_five_tuple flow)
+                 Openflow.Action.drop);
+            `Drop
+        | [] -> `No_path))
 
-let rule_name (v : Pf.Eval.verdict) =
-  match v.Pf.Eval.matched with
-  | Some r -> string_of_int r.Pf.Ast.line
-  | None -> "default"
-
-let apply_verdict ?(span = Obs.Span.null) ?started ?trace_id t ~flow
-    ~packets ~src ~dst verdict =
-  Audit.record ?trace_id t.audit
-    ~at:(Sim.Engine.now (Net.engine t.network))
-    ~flow ~verdict ~src ~dst;
-  if debug_on () then
-    Log.debug (fun m ->
-        m "decision %s: %s%s" (Five_tuple.to_string flow)
-          (decision_name verdict.Pf.Eval.decision)
-          (match verdict.Pf.Eval.matched with
-          | Some r -> Printf.sprintf " (rule@%d)" r.Pf.Ast.line
-          | None -> " (default)"));
-  let now_s = time_now_s t in
-  (match started with
-  | Some s -> Obs.Registry.Histogram.observe t.m.h_flow_setup (now_s -. s)
-  | None -> ());
-  if Obs.Span.is_live span then begin
-    Obs.Span.set_attr span "decision" (decision_name verdict.Pf.Eval.decision);
-    Obs.Span.set_attr span "rule" (rule_name verdict)
-  end;
-  (* A denied flow is exactly the trace an operator will want: override
-     the head-sampling coin before the root is finished. *)
-  if verdict.Pf.Eval.decision = Pf.Ast.Block then Obs.Span.force_sample span;
-  (* The flight recorder keeps no shard attribution: the same workload
-     must dump byte-identically whatever the shard count. *)
-  if Obs.Recorder.enabled t.recorder then
-    Obs.Recorder.record_lazy t.recorder ~at:now_s "decision"
-      (lazy
-        [
-          ("flow", Five_tuple.to_string flow);
-          ("verdict", decision_name verdict.Pf.Eval.decision);
-          ("rule", rule_name verdict);
-        ]);
-  (match verdict.Pf.Eval.decision with
-  | Pf.Ast.Pass ->
-      Obs.Registry.Counter.inc t.m.c_allowed;
-      let installed = install_path t flow in
-      if verdict.Pf.Eval.keep_state then begin
-        Conn_state.note t.conn_state
-          ~now:(Sim.Engine.now (Net.engine t.network))
-          flow;
-        ignore (install_path t (Five_tuple.reverse flow))
-      end;
-      if Obs.Span.is_live span then
-        Obs.Span.event span ~at:now_s
-          (if installed then "install" else "no-path");
-      if installed then begin
-        if Obs.Recorder.enabled t.recorder then
-          Obs.Recorder.record_lazy t.recorder ~at:now_s "install"
-            (lazy [ ("flow", Five_tuple.to_string flow); ("kind", "path") ]);
-        release_packets t packets
-      end
-  | Pf.Ast.Block -> (
-      Obs.Registry.Counter.inc t.m.c_blocked;
-      match packets with
-      | (dpid, _, _) :: _ ->
-          install_drop t ~dpid flow;
-          if Obs.Span.is_live span then
-            Obs.Span.event span ~at:now_s "install-drop";
-          if Obs.Recorder.enabled t.recorder then
-            Obs.Recorder.record_lazy t.recorder ~at:now_s "install"
-              (lazy [ ("flow", Five_tuple.to_string flow); ("kind", "drop") ])
-      | [] -> ()));
-  Obs.Span.finish t.spans ~at:now_s span
-
-let trace_id_of ctx =
-  Option.map (fun (c : Obs.Trace_context.t) -> c.Obs.Trace_context.trace_id) ctx
-
-let finalize t p =
-  Sim.Engine.cancel p.p_timeout;
-  Flow_tbl.remove t.pending p.p_flow;
-  let src = p.p_src.answer and dst = p.p_dst.answer in
-  let verdict = eval_decision t ~flow:p.p_flow ~src ~dst in
-  apply_verdict ~span:p.p_span ~started:p.p_started
-    ?trace_id:(trace_id_of p.p_ctx) t ~flow:p.p_flow ~packets:p.p_packets
-    ~src ~dst verdict
-
+(* Decide [p] once neither of its ends awaits a query. *)
 let maybe_finalize t p =
-  if (not p.p_src.awaiting) && not p.p_dst.awaiting then finalize t p
-
-(* [end_]'s address in [flow], and its other end's: the query's
-   reply-to (§3.2). *)
-let end_ip (flow : Five_tuple.t) = function
-  | `Src -> flow.Five_tuple.src
-  | `Dst -> flow.Five_tuple.dst
-
-let peer_ip (flow : Five_tuple.t) = function
-  | `Src -> flow.Five_tuple.dst
-  | `Dst -> flow.Five_tuple.src
-
-(* The end of [flow] that [ip] is: its source, or else its
-   destination. *)
-let end_of (flow : Five_tuple.t) ip =
-  if Ipv4.equal ip flow.Five_tuple.src then `Src else `Dst
-
-(* Stitch the daemon's piggybacked timings (decode, lookup, assemble,
-   sign — on the daemon's clock) under this query's child span,
-   completing the cross-host tree. *)
-let stitch_daemon_spans t qspan dtrace =
-  match dtrace with
-  | Some (_trace_id, _parent, dspans) ->
-      List.iter
-        (fun (dname, t0, t1) ->
-          let dsp = Obs.Span.start t.spans ~at:t0 ~parent:qspan dname in
-          Obs.Span.finish t.spans ~at:t1 dsp)
-        dspans
-  | None -> ()
-
-(* How a queried end settled. *)
-type settled =
-  | Answered of Identxx.Response.t
-  | Timed_out (* its own query's timeout, tripping the breaker or not *)
-  | Failed of string (* the exchange it joined failed, by this cause *)
+  if (not p.p_src.awaiting) && not p.p_dst.awaiting then begin
+    Sim.Engine.cancel p.p_timeout;
+    Flow_tbl.remove t.pending p.p_flow;
+    let src = p.p_src.answer and dst = p.p_dst.answer in
+    apply_verdict t ~now:(now t) ~span:p.p_span ~started:p.p_started
+      ~ctx:p.p_ctx ~via:`Exchange ~flow:p.p_flow ~packets:p.p_packets ~src ~dst
+      (eval_decision t ~flow:p.p_flow ~src ~dst)
+  end
 
 (* The one place a queried end settles: [end_] of [p]. Only an end
    still awaiting its query settles; anything later is stale and a
-   no-op. An answer is timed from the first send, and its
-   query span takes [dtrace], the daemon's timing piggyback. An end
-   settling silent makes the flow an error trace, kept whatever the
-   sampling coin said, and counts the flow once however many of its
-   ends do. *)
+   no-op. *)
 let settle_end ?dtrace t p end_ settled =
   let l = leg p end_ in
   if l.awaiting then begin
-    let at = time_now_s t in
-    let host = end_ip p.p_flow end_ in
-    let outcome =
-      match settled with
-      | Answered r ->
-          if not (Float.is_nan l.sent) then
-            Obs.Registry.Histogram.observe t.m.h_query_rtt (at -. l.sent);
-          l.answer <- Some r;
-          "answered"
-      | Timed_out -> "timeout"
-      | Failed cause ->
-          host_event ~attrs:[ ("cause", cause) ] t p.p_span host
-            "exchange-failed";
-          cause
-    in
-    (match settled with
-    | Answered _ -> ()
-    | Timed_out | Failed _ ->
-        Obs.Span.force_sample p.p_span;
-        if not p.p_silent then begin
-          p.p_silent <- true;
-          Obs.Registry.Counter.inc t.m.c_timeouts
-        end);
-    if Obs.Span.is_live l.qspan then begin
-      stitch_daemon_spans t l.qspan dtrace;
-      Obs.Span.set_attr l.qspan "outcome" outcome;
-      Obs.Span.finish t.spans ~at l.qspan
-    end;
-    if Obs.Recorder.enabled t.recorder then
-      Obs.Recorder.record_lazy t.recorder ~at "query-settled"
-        (lazy
-          [
-            ("flow", Five_tuple.to_string p.p_flow);
-            ("host", Ipv4.to_string host);
-            ("outcome", outcome);
-          ]);
+    (match settled with Answered r -> l.answer <- Some r | Timed_out | Failed _ -> ());
+    Events.query_settled t.ev ~now:(now t) ?dtrace p end_ settled;
     l.awaiting <- false;
     maybe_finalize t p
   end
@@ -635,7 +754,6 @@ let settle_waiter ?dtrace t w settled =
   | None -> ()
   | Some p -> settle_end ?dtrace t p w.w_end settled
 
-(* The shard whose run queue takes [flow]'s work. *)
 let shard_of t flow = Shard.Engine.shard_of_flow t.shard_engine flow
 
 (* Settle an exchange's waiters, each on its flow's shard, in join
@@ -643,9 +761,7 @@ let shard_of t flow = Shard.Engine.shard_of_flow t.shard_engine flow
    execution order is the join order whatever the shard count. *)
 let post_to_waiters t ws fn =
   List.iter
-    (fun w ->
-      Shard.Engine.post t.shard_engine ~shard:(shard_of t w.w_flow) (fun () ->
-          fn w))
+    (fun w -> Shard.Engine.post t.shard_engine ~shard:(shard_of t w.w_flow) (fun () -> fn w))
     ws
 
 (* [p]'s query to [host], asking about its [end_], reached its outcome:
@@ -659,9 +775,7 @@ let close_exchange t p ~host ~end_ answer =
       (* Forget it once settled: a duplicate answer naming this flow
          must not settle a newer exchange with the host. *)
       p.p_exchange <- None;
-      Fastpath.Answers.settle t.answers
-        ~now:(Sim.Engine.now (Net.engine t.network))
-        ex answer
+      Fastpath.Answers.settle t.answers ~now:(now t) ex answer
   | Some _ | None -> [ { w_flow = p.p_flow; w_end = end_ } ]
 
 (* --- querying daemons (Figure 1, step 3) --- *)
@@ -710,21 +824,17 @@ let wire_send ?nonce t p end_ attachment =
     }
   in
   let pkt =
-    Identxx.Wire.query_packet ~to_ip:target ~from_ip:(peer_ip flow end_) query
+    Identxx.Wire.query_packet ~to_ip:target
+      ~from_ip:(end_ip flow (match end_ with `Src -> `Dst | `Dst -> `Src))
+      query
   in
-  Obs.Registry.Counter.inc t.m.c_queries;
-  if Obs.Recorder.enabled t.recorder then
-    Obs.Recorder.record_lazy t.recorder ~at:(time_now_s t) "query-sent"
-      (lazy
-        [
-          ("flow", Five_tuple.to_string flow); ("host", Ipv4.to_string target);
-        ]);
-  match attachment.Topo.node with
+  (match attachment.Topo.node with
   | Topo.Sw dpid ->
       Shard.Batch.add t.batch dpid
         (Msg.Packet_out
            { Msg.out_packet = pkt; out_port = `Port attachment.Topo.port })
-  | Topo.Host _ -> ()
+  | Topo.Host _ -> ());
+  Events.query_sent t.ev ~now:(now t) ~how:`Wire p end_
 
 (* Where a query to [ip] enters the network: the switch port its host
    hangs off, if the address is a known, attached host. *)
@@ -739,20 +849,6 @@ let attachment_of t ip =
 let declares_scope t ip =
   t.cfg.require_signed_responses
   || Idcrypto.Sign.signs_for (keystore t) (Ipv4.to_string ip)
-
-(* First send only: a retried query keeps its original child span and
-   send time, so the RTT histogram sees the full wait. *)
-let note_sent t p end_ =
-  let l = leg p end_ in
-  if Float.is_nan l.sent then begin
-    let at = time_now_s t in
-    l.sent <- at;
-    if Obs.Span.is_live p.p_span then
-      l.qspan <-
-        Obs.Span.start t.spans ~at ~parent:p.p_span
-          ~attrs:[ ("host", Ipv4.to_string (end_ip p.p_flow end_)) ]
-          "query"
-  end
 
 (* Put [end_]'s query back on the wire as first sent, with the same
    nonce and trace context, joining no exchange: a retry round's resend,
@@ -779,8 +875,7 @@ let issue_end t p end_ =
       let flow = p.p_flow and target = end_ip p.p_flow end_ in
       match resolve_local_answer t target with
       | Some section ->
-          Obs.Registry.Counter.inc t.m.c_local;
-          host_event t p.p_span target "local-answer";
+          Events.note t.ev ~now:(now t) p.p_span target `Local_answer;
           l.answer <- Some (Identxx.Response.make ~flow [ section ]);
           l.awaiting <- false
       | None -> (
@@ -806,33 +901,21 @@ let issue_end t p end_ =
                   (* Another flow's exchange is already in flight to
                      this host for the same query shape: no duplicate
                      wire query; the settlement fans out to us too. *)
-                  note_sent t p end_;
-                  host_event t p.p_span target "query-coalesced"
-              | (`First _ | `Alone) as sent ->
+                  Events.query_sent t.ev ~now:(now t) ~how:`Joined p end_
+              | (`First _ | `Alone) as sent -> (
                   wire_send ?nonce t p end_ attachment;
-                  (match sent with
+                  match sent with
                   | `First ex -> p.p_exchange <- Some ex
-                  | `Alone -> ());
-                  note_sent t p end_))
-
-let issue_queries t p =
-  issue_end t p `Src;
-  issue_end t p `Dst
+                  | `Alone -> ())))
 
 (* [p]'s query to [end_] stayed silent through every attempt. Feed the
    breaker: each silent end is a consecutive timeout. If [p] initiated
    an exchange, a silent host answers nobody: settle it and fail every
    other waiter. Then settle the end itself. *)
 let expire_end t p end_ =
-  let ip = end_ip p.p_flow end_ in
-  let now = Sim.Engine.now (Net.engine t.network) in
+  let ip = end_ip p.p_flow end_ and now = now t in
   let tripped = Fastpath.note_timeout t.fp ~now ip in
-  if tripped then begin
-    host_event t p.p_span ip "breaker-trip";
-    if Obs.Recorder.enabled t.recorder then
-      Obs.Recorder.record_lazy t.recorder ~at:(time_now_s t) "breaker"
-        (lazy [ ("host", Ipv4.to_string ip); ("state", "open") ])
-  end;
+  if tripped then Events.breaker_tripped t.ev ~now p.p_span ip;
   let failed = Failed (if tripped then "breaker-open" else "timeout") in
   post_to_waiters t
     (List.filter
@@ -848,13 +931,12 @@ let rec on_timeout t p =
       if waiting && p.retries_left > 0 then begin
         (* Re-issue the unanswered queries and re-arm the timer. *)
         p.retries_left <- p.retries_left - 1;
-        Obs.Registry.Counter.inc t.m.c_retries;
-        if Obs.Span.is_live p.p_span then
-          Obs.Span.event p.p_span ~at:(time_now_s t) "retry";
-        issue_queries t p;
+        Events.retried t.ev ~now:(now t) p.p_span;
+        issue_end t p `Src;
+        issue_end t p `Dst;
         arm_timeout t p
       end
-      else if not waiting then finalize t p
+      else if not waiting then maybe_finalize t p
       else begin
         if p.p_src.awaiting then expire_end t p `Src;
         if p.p_dst.awaiting then expire_end t p `Dst
@@ -869,8 +951,11 @@ and arm_timeout t p =
     Shard.Engine.post_after t.shard_engine ~shard:(shard_of t p.p_flow)
       ~delay:t.cfg.query_timeout (fun () -> on_timeout t p)
 
-let new_leg ~awaiting answer =
-  { answer; awaiting; qspan = Obs.Span.null; sent = Float.nan; nonce = None }
+(* An end the flow [want]s asked unless the fast path resolved it
+   ([pre], as {!fast_resolve} returns it). *)
+let new_leg ~want pre =
+  let awaiting = want && Option.is_none pre in
+  { answer = Option.join pre; awaiting; qspan = Obs.Span.null; sent = -1; nonce = None }
 
 (* The fast path, before any Figure-1 exchange: try to resolve [end_]
    of [flow], if [want]ed, from a settled answer, or, for a host whose
@@ -890,92 +975,33 @@ let fast_resolve t sp ~now flow ~want end_ =
             ~flow
     with
     | Some r ->
-        host_event t sp ip "attr-cache-hit";
+        Events.note t.ev ~now sp ip `Attr_cache_hit;
         Some (Some r)
     | None -> (
         match Fastpath.consult_host t.fp ~now ip with
         | `Absent ->
-            host_event t sp ip "breaker-absent";
+            Events.note t.ev ~now sp ip `Breaker_absent;
             Some None
         | `Probe ->
-            host_event t sp ip "breaker-probe";
+            Events.note t.ev ~now sp ip `Breaker_probe;
             None
         | `Ask -> None)
 
 let start_flow t ~dpid ~in_port pkt (flow : Five_tuple.t) =
-  Obs.Registry.Counter.inc t.m.c_flows;
-  let now_s = time_now_s t in
-  (* Per-source packet-in accounting: the series the packet_in_surge
-     health rule watches. Registration and the address formatting are
-     gated on the registry flag to keep the disabled path free. *)
-  if Obs.Registry.enabled t.obs then begin
-    let src_s = Ipv4.to_string flow.Five_tuple.src in
-    let pin =
-      match Hashtbl.find_opt t.pin src_s with
-      | Some c -> c
-      | None ->
-          let c =
-            Obs.Registry.counter t.obs
-              ~help:"Packet-in table misses reaching the controller, by source."
-              ~labels:(t.labels @ [ ("src", src_s) ])
-              "identxx_controller_packet_ins_total"
-          in
-          Hashtbl.replace t.pin src_s c;
-          c
-    in
-    Obs.Registry.Counter.inc pin
-  end;
-  if Obs.Recorder.enabled t.recorder then
-    Obs.Recorder.record_lazy t.recorder ~at:now_s "packet-in"
-      (lazy [ ("flow", Five_tuple.to_string flow) ]);
-  (* One root span — and one trace context — per table-miss flow.
-     Attribute formatting is gated on the collector flag (the Sim.Trace
-     discipline); when disabled every operation below runs against the
-     shared dead span and no context rides the queries. *)
+  let now = now t in
   let sp, ctx =
-    if Obs.Span.enabled t.spans then begin
-      let seq = t.trace_seq in
-      t.trace_seq <- seq + 1;
-      let ctx =
-        Obs.Trace_context.make ~seed:(Five_tuple.to_string flow) ~seq
-          ~sampled:true
-      in
-      let sampled =
-        Obs.Span.should_sample t.spans ~id:ctx.Obs.Trace_context.trace_id
-      in
-      let ctx = { ctx with Obs.Trace_context.sampled } in
-      let attrs =
-        [
-          ("flow", Five_tuple.to_string flow);
-          ("trace-id", ctx.Obs.Trace_context.trace_id);
-          ("shard", string_of_int (shard_of t flow));
-        ]
-      in
-      let sp = Obs.Span.start t.spans ~at:now_s ~sampled ~attrs "flow-setup" in
-      (sp, Some ctx)
-    end
-    else (Obs.Span.null, None)
+    Events.packet_in t.ev ~now ~shards:t.shard_engine ~dpid flow
   in
-  if debug_on () then
-    Log.debug (fun m -> m "new flow %s at s%d" (Five_tuple.to_string flow) dpid);
   (* PF semantics: state matching precedes the ruleset. A flow covered
      by live keep-state (e.g. a reply whose cached entry idled out) is
      re-admitted without a fresh ident++ exchange. *)
-  if Conn_state.permits t.conn_state ~now:(Sim.Engine.now (Net.engine t.network)) flow
-  then begin
-    Obs.Registry.Counter.inc t.m.c_allowed;
-    Obs.Registry.Histogram.observe t.m.h_flow_setup 0.;
-    if Obs.Span.is_live sp then begin
-      Obs.Span.event sp ~at:now_s "conn-state-readmit";
-      Obs.Span.set_attr sp "decision" "pass"
-    end;
+  if Conn_state.permits t.conn_state ~now flow then begin
+    Events.readmitted t.ev ~now sp;
     if install_path t flow then
       Shard.Batch.add t.batch dpid
-        (Msg.Packet_out { Msg.out_packet = pkt; out_port = `Table });
-    Obs.Span.finish t.spans ~at:now_s sp
+        (Msg.Packet_out { Msg.out_packet = pkt; out_port = `Table })
   end
   else begin
-    let now = Sim.Engine.now (Net.engine t.network) in
     (* Only the ends the flow's verdict can read are asked (see
        {!Query_plan}). *)
     let { Query_plan.src = want_src; dst = want_dst } =
@@ -989,31 +1015,23 @@ let start_flow t ~dpid ~in_port pkt (flow : Five_tuple.t) =
         (* The diagram decides this flow whatever the hosts answer, or
            both ends resolved without touching the network: decide now,
            with no pending entry and no timer. *)
-        if not static then Obs.Registry.Counter.inc t.m.c_fastpath;
-        if Obs.Span.is_live sp then
-          Obs.Span.set_attr sp "path" (if static then "static" else "fastpath");
-        let verdict = eval_decision t ~flow ~src ~dst in
-        apply_verdict ~span:sp ~started:now_s ?trace_id:(trace_id_of ctx) t
+        apply_verdict t ~now ~span:sp ~started:now ~ctx
+          ~via:(if static then `Static else `Fastpath)
           ~flow
           ~packets:[ (dpid, in_port, pkt) ]
-          ~src ~dst verdict
+          ~src ~dst
+          (eval_decision t ~flow ~src ~dst)
     | _ ->
         (* Query only the ends the fast path could not resolve. *)
         let p =
           {
             p_flow = flow;
             p_packets = [ (dpid, in_port, pkt) ];
-            p_src =
-              new_leg
-                ~awaiting:(want_src && Option.is_none pre_src)
-                (Option.join pre_src);
-            p_dst =
-              new_leg
-                ~awaiting:(want_dst && Option.is_none pre_dst)
-                (Option.join pre_dst);
+            p_src = new_leg ~want:want_src pre_src;
+            p_dst = new_leg ~want:want_dst pre_dst;
             retries_left = t.cfg.query_retries;
             p_timeout = Sim.Engine.cancelled;
-            p_started = now_s;
+            p_started = now;
             p_ctx = ctx;
             p_span = sp;
             p_exchange = None;
@@ -1022,7 +1040,8 @@ let start_flow t ~dpid ~in_port pkt (flow : Five_tuple.t) =
         in
         arm_timeout t p;
         Flow_tbl.replace t.pending flow p;
-        issue_queries t p;
+        issue_end t p `Src;
+        issue_end t p `Dst;
         maybe_finalize t p
   end
 
@@ -1041,6 +1060,14 @@ let expected_signature_index (response : Identxx.Response.t) =
   in
   last_index 0 response.Identxx.Response.sections
 
+(* [pkt]'s TCP source or destination port; the ident++ port when it is
+   not TCP. *)
+let tcp_port pkt end_ =
+  match pkt.Packet.eth_payload with
+  | Packet.Ip { payload = Packet.Tcp tcp; _ } -> (
+      match end_ with `Src -> tcp.Packet.tcp_src | `Dst -> tcp.Packet.tcp_dst)
+  | _ -> Identxx.Wire.port
+
 (* Transit: another controller's exchange crossing our domain.
    Augment (§3.4) and forward toward its destination. *)
 let handle_transit t ~dpid ~from_ip ~to_ip response pkt =
@@ -1048,14 +1075,10 @@ let handle_transit t ~dpid ~from_ip ~to_ip response pkt =
   let pkt =
     if section = [] then pkt
     else begin
-      Obs.Registry.Counter.inc t.m.c_augmented;
-      let augmented = Identxx.Response.append_section response section in
-      let dst_port =
-        match pkt.Packet.eth_payload with
-        | Packet.Ip { payload = Packet.Tcp tcp; _ } -> tcp.Packet.tcp_dst
-        | _ -> Identxx.Wire.port
-      in
-      Identxx.Wire.response_packet ~to_ip ~from_ip ~dst_port augmented
+      Events.augmented t.ev;
+      Identxx.Wire.response_packet ~to_ip ~from_ip
+        ~dst_port:(tcp_port pkt `Dst)
+        (Identxx.Response.append_section response section)
     end
   in
   forward_toward t ~dpid ~dst_ip:to_ip pkt
@@ -1112,17 +1135,8 @@ let answer_accepted t p ~from_ip ~to_ip response sg =
   match refusal with
   | None -> true
   | Some (signer, reason) ->
-      let from_s = Ipv4.to_string from_ip in
-      Obs.Registry.Counter.inc t.m.c_rejected;
-      Obs.Span.force_sample p.p_span;
-      if Obs.Span.is_live p.p_span then
-        Obs.Span.event p.p_span ~at:(time_now_s t)
-          ~attrs:[ ("host", from_s); ("reason", reason) ]
-          "response-rejected";
-      Audit.record_rejection t.audit
-        ~at:(Sim.Engine.now (Net.engine t.network))
-        ~flow:p.p_flow ~host:from_ip ?signer reason;
-      Log.debug (fun m -> m "rejecting response from %s: %s" from_s reason);
+      Events.answer_rejected t.ev ~now:(now t) p.p_span p.p_flow ~host:from_ip
+        ?signer reason;
       false
 
 (* Whether an answer about [flow]'s [end_], declaring [scope], answers
@@ -1140,7 +1154,8 @@ let covers scope ~flow ~end_ w =
 let requery t w =
   match Flow_tbl.find_opt t.pending w.w_flow with
   | Some p when (leg p w.w_end).awaiting ->
-      host_event t p.p_span (end_ip w.w_flow w.w_end) "query-out-of-scope";
+      Events.note t.ev ~now:(now t) p.p_span (end_ip w.w_flow w.w_end)
+        `Query_out_of_scope;
       resend t p w.w_end
   | Some _ | None -> ()
 
@@ -1149,7 +1164,7 @@ let requery t w =
    waiter on its flow's shard. *)
 let settle_answer t p ~from_ip response sg =
   let flow = p.p_flow in
-  Obs.Registry.Counter.inc t.m.c_responses;
+  Events.answer_received t.ev;
   (* Pull the daemon's piggybacked timings out, then strip them:
      per-flow trace ids must not reach policy evaluation or a
      settled answer (a reused trace section would both leak into
@@ -1202,21 +1217,16 @@ let handle_foreign_query t ~dpid ~from_ip ~to_ip (q : Identxx.Query.t) pkt =
   (* "Intercepted queries are not allowed to cause new queries." *)
   match resolve_local_answer t to_ip with
   | Some section ->
-      Obs.Registry.Counter.inc t.m.c_local;
+      (* No flow of ours, so no root span to mark. *)
+      Events.note t.ev ~now:(now t) Obs.Span.null to_ip `Local_answer;
       let flow =
         (* Spoof the queried host: respond as if we were it. *)
         Identxx.Query.flow_of q ~src:to_ip ~dst:from_ip
       in
-      let response = Identxx.Response.make ~flow [ section ] in
-      let reply =
-        Identxx.Wire.response_packet ~to_ip:from_ip ~from_ip:to_ip
-          ~dst_port:
-            (match pkt.Packet.eth_payload with
-            | Packet.Ip { payload = Packet.Tcp tcp; _ } -> tcp.Packet.tcp_src
-            | _ -> Identxx.Wire.port)
-          response
-      in
-      forward_toward t ~dpid ~dst_ip:from_ip reply
+      forward_toward t ~dpid ~dst_ip:from_ip
+        (Identxx.Wire.response_packet ~to_ip:from_ip ~from_ip:to_ip
+           ~dst_port:(tcp_port pkt `Src)
+           (Identxx.Response.make ~flow [ section ]))
   | None -> forward_toward t ~dpid ~dst_ip:to_ip pkt
 
 (* [cls] is [Identxx.Wire.classify pi.packet], decoded by the caller. *)
@@ -1493,11 +1503,11 @@ let wire_table_telemetry t =
     (fun dpid ->
       let table = Openflow.Switch.table (Net.switch t.network dpid) in
       let labels = [ ("dpid", string_of_int dpid) ] in
-      Obs.Registry.counter_fn t.obs
+      Obs.Registry.counter_fn (metrics t)
         ~help:"Flow-table capacity evictions (LRU reactive victims), by switch."
         ~labels "identxx_switch_evictions_total"
         (fun () -> Openflow.Flow_table.evictions table);
-      Obs.Registry.counter_fn t.obs
+      Obs.Registry.counter_fn (metrics t)
         ~help:"Flow-mod adds refused by a full table with nothing reactive to evict, by switch."
         ~labels "identxx_switch_refusals_total"
         (fun () -> Openflow.Flow_table.refusals table))
@@ -1599,7 +1609,6 @@ let create ?(config = default_config) ?keystore ?functions ?obs ?spans
     Shard.Batch.create ~engine:(Net.engine network)
       ~send:(Net.send_batch network) ()
   in
-  let m = make_metrics obs ~labels in
   let t =
     {
       network;
@@ -1608,22 +1617,15 @@ let create ?(config = default_config) ?keystore ?functions ?obs ?spans
       policy;
       decision;
       conn_state = Conn_state.create ();
-      audit = Audit.create ();
       augment = (fun _ -> []);
       local_answers = (fun _ -> None);
-      obs;
-      spans;
-      recorder;
-      labels;
-      m;
-      pin = Hashtbl.create 16;
+      ev = Events.create ~obs ~spans ~recorder ~labels;
       pending = Flow_tbl.create 64;
       fp = Fastpath.create config.fastpath;
       answers;
       shard_engine;
       batch;
       plan = None;
-      trace_seq = 0;
       last_stats = [];
       proactive_tbl = empty_table;
       proactive_state = (Analysis.Fdd.Space.empty, Analysis.Fdd.Space.empty);
@@ -1638,16 +1640,13 @@ let create ?(config = default_config) ?keystore ?functions ?obs ?spans
       float_of_int (Flow_tbl.length t.pending));
   (* Per-collector, not per-controller: collectors may be shared, so no
      controller label — re-registration just replaces the callback. *)
-  Obs.Registry.counter_fn obs
-    ~help:"Trace spans discarded before export, by cause."
-    ~labels:[ ("cause", "sampling") ]
-    "identxx_trace_spans_dropped_total" (fun () ->
-      Obs.Span.sampled_out spans);
-  Obs.Registry.counter_fn obs
-    ~help:"Trace spans discarded before export, by cause."
-    ~labels:[ ("cause", "capacity") ]
-    "identxx_trace_spans_dropped_total" (fun () ->
-      Obs.Span.capacity_dropped spans);
+  List.iter
+    (fun (cause, dropped) ->
+      Obs.Registry.counter_fn obs
+        ~help:"Trace spans discarded before export, by cause."
+        ~labels:[ ("cause", cause) ] "identxx_trace_spans_dropped_total"
+        (fun () -> dropped spans))
+    [ ("sampling", Obs.Span.sampled_out); ("capacity", Obs.Span.capacity_dropped) ];
   Obs.Registry.gauge_fn obs
     ~help:"Abstract entries in the installed proactive table." ~labels
     "identxx_compiler_entries" (fun () ->

@@ -14,10 +14,10 @@ type slot = {
 
 (* Ends every chain, and fills the band's unused cells and the expiry
    heap's, so they keep no removed entry alive. Never linked into a
-   chain, so its [next] stays itself. *)
-let vacant_entry = Flow_entry.make ~fields:Match_fields.any []
-let rec vacant =
-  { entry = vacant_entry; seq = -1; alive = false; next = vacant }
+   chain, so its [next] stays itself. Its entry, which no table holds,
+   is what a lookup that matches nothing returns. *)
+let miss = Flow_entry.make ~fields:Match_fields.any []
+let rec vacant = { entry = miss; seq = -1; alive = false; next = vacant }
 
 type t = {
   capacity : int option;
@@ -363,16 +363,13 @@ let lookup_flow t ~in_port pkt flow =
     | Some _ | None -> vacant
   in
   let s = scan_band t ~in_port pkt flow exact 0 in
-  if s == vacant then begin
-    t.miss_count <- t.miss_count + 1;
-    None
-  end
-  else begin
-    t.hit_count <- t.hit_count + 1;
-    Some s.entry
-  end
+  if s == vacant then t.miss_count <- t.miss_count + 1
+  else t.hit_count <- t.hit_count + 1;
+  s.entry
 
-let lookup t ~in_port pkt = lookup_flow t ~in_port pkt (Packet.five_tuple pkt)
+let lookup t ~in_port pkt =
+  let e = lookup_flow t ~in_port pkt (Packet.five_tuple pkt) in
+  if e == miss then None else Some e
 
 let remove t ~priority ~fields =
   (* [add] keeps at most one entry per (fields, priority), and entries

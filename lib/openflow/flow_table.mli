@@ -47,11 +47,17 @@ val lookup : t -> in_port:int -> Packet.t -> Flow_entry.t option
     high; O(w) when the chain has no match). It allocates only the
     result's option. *)
 
+val miss : Flow_entry.t
+(** What {!lookup_flow} returns when no entry matches: an entry no
+    table holds, told apart by [==]. *)
+
 val lookup_flow :
-  t -> in_port:int -> Packet.t -> Five_tuple.t option -> Flow_entry.t option
+  t -> in_port:int -> Packet.t -> Five_tuple.t option -> Flow_entry.t
 (** [lookup_flow t ~in_port pkt flow] is [lookup t ~in_port pkt] given
-    [flow = Packet.five_tuple pkt], so a switch looking the packet up in
-    more than one table derives its 5-tuple once. *)
+    [flow = Packet.five_tuple pkt], with {!miss} for [None] and the
+    entry itself for [Some], so a hit allocates nothing; a switch
+    looking the packet up in more than one table derives its 5-tuple
+    once. *)
 
 val remove : t -> priority:int -> fields:Match_fields.t -> unit
 (** Strict delete (OpenFlow [DELETE_STRICT]): removes the entry whose

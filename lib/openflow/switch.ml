@@ -50,13 +50,14 @@ let resolve_actions t ~in_port actions =
 let rec run t ~now ~in_port pkt flow id =
   let table = t.tables.(id) in
   ignore (Flow_table.expire table ~now);
-  match Flow_table.lookup_flow table ~in_port pkt flow with
-  | None -> Send_to_controller
-  | Some entry -> (
-      Flow_entry.hit entry ~now ~size:(Packet.size pkt);
-      match entry.actions with
-      | [ Action.Goto_table next ] when next > id -> run t ~now ~in_port pkt flow next
-      | actions -> resolve_actions t ~in_port actions)
+  let entry = Flow_table.lookup_flow table ~in_port pkt flow in
+  if entry == Flow_table.miss then Send_to_controller
+  else begin
+    Flow_entry.hit entry ~now ~size:(Packet.size pkt);
+    match entry.actions with
+    | [ Action.Goto_table next ] when next > id -> run t ~now ~in_port pkt flow next
+    | actions -> resolve_actions t ~in_port actions
+  end
 
 let process t ~now ~in_port pkt =
   run t ~now ~in_port pkt (Packet.five_tuple pkt) 0

@@ -140,18 +140,24 @@ let serve controller target =
 
 (* The netsim burst scenario, inline: 16 hosts on a 4-switch chain,
    every host but the first opening a flow to host 0 at t = 0. The
-   policy reads both ends, so every flow asks the target too. *)
-let run_burst ?obs ?spans ~shards () =
-  let config = { C.default_config with C.shards } in
+   policy reads both ends, so every flow asks the target too. [silent]
+   silences the target. *)
+let run_burst ?obs ?spans ?recorder ?(fastpath = Fastpath.disabled)
+    ?(silent = false) ~shards () =
+  let config = { C.default_config with C.shards; C.fastpath } in
   let engine, network, controller, hosts =
-    Deploy.linear_network ?obs ?spans ~config ~switches:4 ~hosts_per_switch:4
-      ()
+    Deploy.linear_network ?obs ?spans ?recorder ~config ~switches:4
+      ~hosts_per_switch:4 ()
   in
   Policy_store.add_exn (C.policy controller) ~name:"00"
     "block all\npass all with eq(@src[name], app) with eq(@dst[name], srv) \
      keep state";
   let target = hosts.(0) in
   serve controller target;
+  if silent then
+    Identxx.Daemon.set_behaviour
+      (Identxx.Host.daemon target)
+      Identxx.Daemon.Silent;
   Array.iteri
     (fun i h ->
       if i > 0 then begin
@@ -931,6 +937,52 @@ let test_settled_answer_crosses_shards () =
     st.C.attr_cache_hits;
   check Alcotest.int "both flows pass" 2 st.C.allowed
 
+(* Every sink sees the same lifecycle. On the burst with the fast path
+   on and the target silenced, traced and recorded, the flight
+   recorder's counts of each lifecycle point agree with the registry's
+   counters, the finished root spans and the audit log. *)
+let test_sinks_agree () =
+  let spans = Obs.Span.create ~enabled:true () in
+  let recorder = Obs.Recorder.create ~enabled:true () in
+  let c, _ =
+    run_burst ~spans ~recorder ~fastpath:Fastpath.default_config ~silent:true
+      ~shards:None ()
+  in
+  let st = C.stats c in
+  let recorded kind =
+    List.length
+      (List.filter
+         (fun e -> e.Obs.Recorder.ev_kind = kind)
+         (Obs.Recorder.events recorder))
+  in
+  let roots = Obs.Span.finished spans in
+  let span_installs =
+    List.length
+      (List.filter
+         (fun root ->
+           List.exists
+             (fun (_, name, _) -> name = "install" || name = "install-drop")
+             (Obs.Span.events root))
+         roots)
+  in
+  check Alcotest.int "every flow reached the controller" 15 st.C.flows_seen;
+  check Alcotest.int "every root span kept" (Obs.Span.count spans)
+    (List.length roots);
+  check Alcotest.int "packet-in = flows counted" st.C.flows_seen
+    (recorded "packet-in");
+  check Alcotest.int "packet-in = finished roots" (Obs.Span.count spans)
+    (recorded "packet-in");
+  check Alcotest.int "query-sent = queries counted" st.C.queries_sent
+    (recorded "query-sent");
+  check Alcotest.int "decision = verdicts counted"
+    (st.C.allowed + st.C.blocked)
+    (recorded "decision");
+  check Alcotest.int "decision = audit entries" (Audit.count (C.audit c))
+    (recorded "decision");
+  check Alcotest.int "install = installs the spans show" span_installs
+    (recorded "install");
+  check Alcotest.int "every flow installed" 15 (recorded "install")
+
 (* A warm fast-path setup on two coalescing shards, the configuration
    hot-host-burst runs: the destination's answer comes from the
    attribute cache and the verdict from the decision cache, so each
@@ -1058,5 +1110,7 @@ let () =
             test_decision_cache_shard_invariant;
           Alcotest.test_case "warm fast-path allocation (2 shards)" `Quick
             test_warm_fastpath_alloc;
+          Alcotest.test_case "every sink sees the same lifecycle" `Quick
+            test_sinks_agree;
         ] );
     ]

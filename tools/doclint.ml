@@ -41,7 +41,14 @@
       section [ID], as test/experiments.t pins them (2-space indent
       stripped). Both directions: a block that drifts from the output
       or names a section the output lacks is a finding, and so is a
-      table row of the output that lies in no block.
+      table row of the output that lies in no block;
+   9. lib/core/controller.ml reports every flow-lifecycle point through
+      its [Events] module: outside [module Events = struct ... end] it
+      calls no sink ([Recorder.record*], [Audit.record*],
+      [Span.start|finish|event|set_attr|force_sample|is_live],
+      [Counter.inc|add], [Histogram.observe]). A counter or histogram
+      call on the proactive compiler's instruments ([_.pm._]) is the
+      one exception.
 
    Usage: doclint <repo-root>. Exit 1 on any finding. *)
 
@@ -916,6 +923,54 @@ let check_experiments root =
            false out))
     sections
 
+(* --- 9: one instrumentation point for flow setup --- *)
+
+let emitter_file = "lib/core/controller.ml"
+
+(* Whether [m.v] calls a sink, [m] the last component of its module
+   path. *)
+let sink_call m v =
+  match m with
+  | "Recorder" | "Audit" -> String.starts_with ~prefix:"record" v
+  | "Span" ->
+      List.mem v [ "start"; "finish"; "event"; "set_attr"; "force_sample"; "is_live" ]
+  | "Counter" -> v = "inc" || v = "add"
+  | "Histogram" -> v = "observe"
+  | _ -> false
+
+(* The scan is lexical, like check 7's: a module alias is followed
+   ([module S = Obs.Span] makes [S.event] a sink call), an [open] or a
+   local open is not. *)
+let check_emitter root =
+  let path = Filename.concat root emitter_file in
+  if Sys.file_exists path then begin
+    let src = code_only (read_file path) in
+    let aliases = (scan_refs path).aliases in
+    let resolve m = Option.value ~default:m (Hashtbl.find_opt aliases m) in
+    (* [depth]: the structures, signatures and [begin] blocks open inside
+       [Events], 0 outside it. *)
+    let rec go depth = function
+      | [] -> ()
+      | ("module", _) :: ("Events", _) :: ("=", _) :: ("struct", _) :: rest
+        when depth = 0 ->
+          go 1 rest
+      | (("struct" | "sig" | "begin" | "object"), _) :: rest when depth > 0 ->
+          go (depth + 1) rest
+      | ("end", _) :: rest when depth > 0 -> go (depth - 1) rest
+      | (m, _) :: (".", _) :: (v, off) :: rest
+        when depth = 0 && is_module_name m && sink_call (resolve m) v ->
+          (match (resolve m, rest) with
+          | ("Counter" | "Histogram"), _ :: (".", _) :: ("pm", _) :: _ -> ()
+          | _ ->
+              err "%s:%d: `%s.%s` outside module Events: report flow-lifecycle \
+                   points through the emitter"
+                emitter_file (line_of src off) (resolve m) v);
+          go 0 rest
+      | _ :: rest -> go depth rest
+    in
+    go 0 (tokens src)
+  end
+
 let () =
   let root = if Array.length Sys.argv > 1 then Sys.argv.(1) else "." in
   check_interfaces root;
@@ -925,6 +980,7 @@ let () =
   check_recorder_catalog root;
   check_exports root;
   check_experiments root;
+  check_emitter root;
   let have_odoc = Sys.command "command -v odoc >/dev/null 2>&1" = 0 in
   if !errors > 0 then begin
     Printf.printf "doclint: %d finding(s)\n" !errors;
