@@ -85,36 +85,35 @@ let parse_pairs kvs =
             (String.sub kv (i + 1) (String.length kv - i - 1)))
     kvs
 
-let load_policy files =
-  let store = PS.create () in
-  List.iter
-    (fun path ->
-      match PS.add store ~name:(Filename.basename path) (read_file path) with
-      | Ok () -> ()
-      | Error e -> failwith e)
-    files;
-  store
+let fail e =
+  Printf.eprintf "error: %s\n" e;
+  exit 1
+
+(* Every subcommand reads its policy files here, through the store the
+   controller reads its directory with: the same order, the same parse
+   of each file, the same policy set. A file that does not parse ends
+   the run, named as given. *)
+let load_policy paths =
+  match PS.load (List.map (fun path -> (Filename.basename path, read_file path)) paths) with
+  | Ok store -> store
+  | Error e -> fail e
+
+(* The set's compiled environment; a set that does not build ends the
+   run. *)
+let policy_env store = match PS.env store with Ok env -> env | Error e -> fail e
 
 (* --- check --- *)
 
 let check_cmd =
   let files = Arg.(non_empty & pos_all file [] & info [] ~docv:"FILE") in
   let run files =
-    try
-      let store = load_policy files in
-      match PS.env store with
-      | Ok env ->
-          Printf.printf "OK: %d files, %d rules, tables: %s\n"
-            (List.length (PS.files store))
-            (List.length (Pf.Env.rules env))
-            (String.concat ", " (Pf.Env.table_names env));
-          0
-      | Error e ->
-          Printf.eprintf "error: %s\n" e;
-          1
-    with Failure e ->
-      Printf.eprintf "error: %s\n" e;
-      1
+    let store = load_policy files in
+    let env = policy_env store in
+    Printf.printf "OK: %d files, %d rules, tables: %s\n"
+      (List.length (PS.files store))
+      (List.length (Pf.Env.rules env))
+      (String.concat ", " (Pf.Env.table_names env));
+    0
   in
   Cmd.v
     (Cmd.info "check" ~doc:"Validate .control policy files")
@@ -184,6 +183,7 @@ let eval_cmd =
           1
       | Ok flow ->
           let store = load_policy policies in
+          let env = policy_env store in
           let decision =
             D.create
               ~default:(if default_block then Pf.Ast.Block else Pf.Ast.Pass)
@@ -202,7 +202,6 @@ let eval_cmd =
             }
           in
           if trace_flag then begin
-            let env = PS.env_exn store in
             let ctx =
               Pf.Eval.ctx ?src:input.D.src_response ?dst:input.D.dst_response
                 ~keystore:(D.keystore decision)
@@ -213,9 +212,7 @@ let eval_cmd =
                 ~default:(if default_block then Pf.Ast.Block else Pf.Ast.Pass)
                 env ctx input.D.flow
             with
-            | Error e ->
-                Printf.eprintf "error: %s\n" e;
-                exit 1
+            | Error e -> fail e
             | Ok (steps, _) ->
                 List.iter
                   (fun (s : Pf.Eval.trace_step) ->
@@ -311,6 +308,7 @@ let matrix_cmd =
   let run policies scenario =
     try
       let store = load_policy policies in
+      ignore (policy_env store);
       let decision = D.create ~policy:store () in
       let lines =
         String.split_on_char '\n' (read_file scenario)
@@ -380,19 +378,18 @@ let severity_count (findings : Analysis.Check.finding list) sev =
   List.length
     (List.filter (fun (f : Analysis.Check.finding) -> f.severity = sev) findings)
 
+(* Deciding lines rendered fragment-aware: the concatenated line is
+   mapped back to the contributing file, line 0 is the implicit
+   default. *)
+let line_ref store = function
+  | 0 -> "default"
+  | l ->
+      let file, local = PS.locate store l in
+      Printf.sprintf "%s:%d" file local
+
 let analyze_lint files format =
   let config_files, policy_files = List.partition is_daemon_config files in
-  if policy_files = [] then begin
-    Printf.eprintf "error: no policy files given\n";
-    exit 1
-  end;
-  let named =
-    List.sort
-      (fun (a, _) (b, _) -> String.compare a b)
-      (List.map
-         (fun path -> (Filename.basename path, read_file path))
-         policy_files)
-  in
+  if policy_files = [] then fail "no policy files given";
   let configs =
     List.map
       (fun path ->
@@ -403,99 +400,55 @@ let analyze_lint files format =
             exit 1)
       config_files
   in
-  match Pf.Parser.parse (String.concat "\n" (List.map snd named)) with
-  | Error e ->
-      (* Parser errors carry the concatenated line number; map it back
-         to the contributing file so multi-file reports stay usable. *)
-      let e =
-        match Scanf.sscanf_opt e "line %d:" (fun n -> n) with
-        | Some n ->
-            let file, local = Analysis.Report.locator named n in
-            let colon = String.index e ':' in
-            Printf.sprintf "%s: line %d:%s" file local
-              (String.sub e (colon + 1) (String.length e - colon - 1))
-        | None -> e
-      in
-      Printf.eprintf "error: %s\n" e;
-      1
-  | Ok decls ->
-      let where line =
-        let file, local = Analysis.Report.locator named line in
-        Printf.sprintf "%s:%d" file local
-      in
-      let findings = Analysis.Check.run ~configs ~where decls in
-      let located = Analysis.Report.locate named findings in
-      (match format with
-      | `Json -> print_endline (Analysis.Report.to_json located)
-      | `Text ->
-          List.iter
-            (fun l -> print_endline (Analysis.Report.text_line l))
-            located;
-          Printf.printf "%d error(s), %d warning(s), %d info in %d file(s)\n"
-            (severity_count findings Analysis.Check.Error)
-            (severity_count findings Analysis.Check.Warning)
-            (severity_count findings Analysis.Check.Info)
-            (List.length named));
-      Analysis.Report.exit_code findings
+  let store = load_policy policy_files in
+  let decls = match PS.ruleset store with Ok decls -> decls | Error e -> fail e in
+  let findings = Analysis.Check.run ~configs ~where:(line_ref store) decls in
+  let located = Analysis.Report.locate (PS.locate store) findings in
+  (match format with
+  | `Json -> print_endline (Analysis.Report.to_json located)
+  | `Text ->
+      List.iter (fun l -> print_endline (Analysis.Report.text_line l)) located;
+      Printf.printf "%d error(s), %d warning(s), %d info in %d file(s)\n"
+        (severity_count findings Analysis.Check.Error)
+        (severity_count findings Analysis.Check.Warning)
+        (severity_count findings Analysis.Check.Info)
+        (List.length (PS.files store)));
+  Analysis.Report.exit_code findings
 
 (* --- analyze equiv/diff/slice: decision-diagram semantics over whole
    policy sets (lib/analysis/fdd.mli). Each side of a comparison is a
-   policy set in its own right: files are sorted by basename and
-   concatenated exactly like the controller's well-known directory. *)
+   policy set in its own right, read by [load_policy]. *)
 
-let load_policy_env files =
-  let named =
-    List.sort
-      (fun (a, _) (b, _) -> String.compare a b)
-      (List.map (fun path -> (Filename.basename path, read_file path)) files)
-  in
-  match Pf.Env.of_string (String.concat "\n" (List.map snd named)) with
-  | Ok env -> (named, env)
-  | Error e ->
-      Printf.eprintf "error: %s\n" e;
-      exit 1
-
-let load_policy_set files =
-  let named, env = load_policy_env files in
-  (named, Analysis.Fdd.compile env)
+let diagram store = Analysis.Fdd.compile (policy_env store)
 
 let json_str s = Obs.Json.to_string (Obs.Json.Str s)
 
-(* Deciding lines rendered fragment-aware: the concatenated line is
-   mapped back to the contributing file, line 0 is the implicit
-   default. *)
-let line_ref named = function
-  | 0 -> "default"
-  | l ->
-      let file, local = Analysis.Report.locator named l in
-      Printf.sprintf "%s:%d" file local
-
 let action_name = function Pf.Ast.Pass -> "pass" | Pf.Ast.Block -> "block"
 
-let verdict_text named = function
+let verdict_text store = function
   | Analysis.Fdd.Static { action; lines } ->
       Printf.sprintf "%s (%s)" (action_name action)
-        (String.concat ", " (List.map (line_ref named) lines))
+        (String.concat ", " (List.map (line_ref store) lines))
   | Analysis.Fdd.Reactive { lines; inputs; may_default } ->
       Printf.sprintf "reactive (%s; needs %s%s)"
-        (String.concat ", " (List.map (line_ref named) lines))
+        (String.concat ", " (List.map (line_ref store) lines))
         (match inputs with
         | [] -> "flow-time evaluation"
         | _ ->
             String.concat ", " (List.map Pf.Ast.cond_input_to_string inputs))
         (if may_default then "; may fall through to default" else "")
 
-let verdict_json named = function
+let verdict_json store = function
   | Analysis.Fdd.Static { action; lines } ->
       Printf.sprintf {|{"kind":"static","action":"%s","lines":[%s]}|}
         (action_name action)
         (String.concat ","
-           (List.map (fun l -> json_str (line_ref named l)) lines))
+           (List.map (fun l -> json_str (line_ref store l)) lines))
   | Analysis.Fdd.Reactive { lines; inputs; may_default } ->
       Printf.sprintf
         {|{"kind":"reactive","lines":[%s],"inputs":[%s],"may_default":%b}|}
         (String.concat ","
-           (List.map (fun l -> json_str (line_ref named l)) lines))
+           (List.map (fun l -> json_str (line_ref store l)) lines))
         (String.concat ","
            (List.map
               (fun i -> json_str (Pf.Ast.cond_input_to_string i))
@@ -525,12 +478,15 @@ let new_set =
     & info [ "against"; "B" ] ~docv:"NEW"
         ~doc:
           "File(s) of the policy set to compare against (repeatable; the \
-           set is sorted and concatenated like the positional one).")
+           set is read like the positional one, in the order the \
+           controller reads them).")
 
 let analyze_equiv_cmd =
   let run old_files new_files format =
-    let named_l, fl = load_policy_set old_files in
-    let named_r, fr = load_policy_set new_files in
+    let old_store = load_policy old_files in
+    let fl = diagram old_store in
+    let new_store = load_policy new_files in
+    let fr = diagram new_store in
     match Analysis.Fdd.equiv fl fr with
     | Ok () ->
         (match format with
@@ -550,12 +506,12 @@ let analyze_equiv_cmd =
               (Printf.sprintf
                  {|{"equivalent":false,"counterexample":{"flow":%s,"old":%s,"new":%s}}|}
                  (json_str (Netcore.Five_tuple.to_string flow))
-                 (verdict_json named_l left) (verdict_json named_r right))
+                 (verdict_json old_store left) (verdict_json new_store right))
         | `Text ->
             Printf.printf
               "not equivalent: counterexample %s\n  old: %s\n  new: %s\n"
-              (Netcore.Five_tuple.to_string flow) (verdict_text named_l left)
-              (verdict_text named_r right));
+              (Netcore.Five_tuple.to_string flow) (verdict_text old_store left)
+              (verdict_text new_store right));
         2
   in
   Cmd.v
@@ -574,8 +530,10 @@ let analyze_diff_cmd =
           ~doc:"Maximum example regions to report (the fraction is exact).")
   in
   let run old_files new_files limit format =
-    let named_l, fl = load_policy_set old_files in
-    let named_r, fr = load_policy_set new_files in
+    let old_store = load_policy old_files in
+    let fl = diagram old_store in
+    let new_store = load_policy new_files in
+    let fr = diagram new_store in
     let r = Analysis.Fdd.diff ~limit fl fr in
     (match format with
     | `Json ->
@@ -589,8 +547,8 @@ let analyze_diff_cmd =
                      Printf.sprintf
                        {|{"region":%s,"old":%s,"new":%s}|}
                        (json_str (Analysis.Fdd.region_to_string d.d_region))
-                       (verdict_json named_l d.d_left)
-                       (verdict_json named_r d.d_right))
+                       (verdict_json old_store d.d_left)
+                       (verdict_json new_store d.d_right))
                    r.Analysis.Fdd.deltas)))
     | `Text ->
         Printf.printf "changed: %.9g of flow space\n"
@@ -599,8 +557,8 @@ let analyze_diff_cmd =
           (fun (d : Analysis.Fdd.delta) ->
             Printf.printf "%s\n  old: %s\n  new: %s\n"
               (Analysis.Fdd.region_to_string d.Analysis.Fdd.d_region)
-              (verdict_text named_l d.Analysis.Fdd.d_left)
-              (verdict_text named_r d.Analysis.Fdd.d_right))
+              (verdict_text old_store d.Analysis.Fdd.d_left)
+              (verdict_text new_store d.Analysis.Fdd.d_right))
           r.Analysis.Fdd.deltas;
         if r.Analysis.Fdd.truncated then
           Printf.printf "... (more changed regions, raise --limit)\n");
@@ -630,7 +588,8 @@ let analyze_slice_cmd =
              space falls below $(docv).")
   in
   let run files limit min_coverage format =
-    let named, fdd = load_policy_set files in
+    let store = load_policy files in
+    let fdd = diagram store in
     let sl = Analysis.Fdd.static_slice ~limit fdd in
     let nodes = Analysis.Fdd.node_count fdd in
     (* Cross-fragment ownership: which fragment's rules decide each
@@ -645,7 +604,7 @@ let analyze_slice_cmd =
             (List.map
                (fun l ->
                  if l = 0 then "default"
-                 else fst (Analysis.Report.locator named l))
+                 else fst (PS.locate store l))
                lines)
         in
         let owner = match owners with [ o ] -> o | _ -> "shared" in
@@ -681,7 +640,7 @@ let analyze_slice_cmd =
                        (action_name action)
                        (String.concat ","
                           (List.map
-                             (fun l -> json_str (line_ref named l))
+                             (fun l -> json_str (line_ref store l))
                              lines)))
                    sl.Analysis.Fdd.s_static))
              (String.concat ","
@@ -692,7 +651,7 @@ let analyze_slice_cmd =
                        (json_str (Analysis.Fdd.region_to_string rg))
                        (String.concat ","
                           (List.map
-                             (fun l -> json_str (line_ref named l))
+                             (fun l -> json_str (line_ref store l))
                              r.Analysis.Fdd.lines))
                        (String.concat ","
                           (List.map
@@ -716,14 +675,14 @@ let analyze_slice_cmd =
           (fun (rg, action, lines) ->
             Printf.printf "static %s: %s (%s)\n" (action_name action)
               (Analysis.Fdd.region_to_string rg)
-              (String.concat ", " (List.map (line_ref named) lines)))
+              (String.concat ", " (List.map (line_ref store) lines)))
           sl.Analysis.Fdd.s_static;
         List.iter
           (fun (rg, (r : Analysis.Fdd.reason)) ->
             Printf.printf "reactive: %s (%s; needs %s%s)\n"
               (Analysis.Fdd.region_to_string rg)
               (String.concat ", "
-                 (List.map (line_ref named) r.Analysis.Fdd.lines))
+                 (List.map (line_ref store) r.Analysis.Fdd.lines))
               (match r.Analysis.Fdd.inputs with
               | [] -> "flow-time evaluation"
               | inputs ->
@@ -758,8 +717,8 @@ let analyze_cmd =
          ~doc:
            "Run the whole-ruleset flow-space analysis (shadowing, conflicts, \
             duplicates, undefined references, cross-config keys, default \
-            fallthrough) over the alphabetical concatenation of the \
-            $(i,.control) files, treating $(i,*.conf) arguments as ident++ \
+            fallthrough) over the $(i,.control) files, concatenated in the \
+            order the controller reads them, treating $(i,*.conf) arguments as ident++ \
             daemon configurations. Exit 1 iff error-severity findings.")
       Term.(const analyze_lint $ files $ analyze_format)
   in
@@ -818,15 +777,14 @@ let compile_cmd =
              every enumerated region (exit 1 on any disagreement).")
   in
   let run files max_entries region_budget max_entries_file verify format =
-    let named, env = load_policy_env files in
+    let store = load_policy files in
+    let env = policy_env store in
     (* What the controller installs: a region a log rule may decide
        stays with it, so it prints as a punt. *)
     let fdd = Compiler.offload ~proactive:true env (Analysis.Fdd.compile env) in
     let tbl =
       try Compiler.compile ~max_entries ~region_budget fdd
-      with Invalid_argument e ->
-        Printf.eprintf "error: %s\n" e;
-        exit 1
+      with Invalid_argument e -> fail e
     in
     let checked =
       if not verify then None
@@ -838,7 +796,7 @@ let compile_cmd =
             exit 1
     in
     let entry_lines (e : Compiler.entry) =
-      List.map (line_ref named) e.Compiler.e_lines
+      List.map (line_ref store) e.Compiler.e_lines
     in
     let n_entries = List.length tbl.Compiler.entries in
     (match format with

@@ -53,8 +53,8 @@ val run :
     ident++ daemon configurations ([*.identxx.conf]); when none are
     given the cross-config key check is skipped (nothing to check
     against). [where] formats cross-references to rule lines inside
-    messages (default ["line N"]) — pass a {!Report.locator}-backed
-    formatter when analyzing a concatenation of files. *)
+    messages (default ["line N"]) — pass one built on the policy
+    store's [locate] when analyzing a concatenation of files. *)
 
 val has_errors : finding list -> bool
 

@@ -1,38 +1,12 @@
 (* Rendering of analysis findings for humans (text) and machines
-   (JSON), plus the file/line bookkeeping needed because the controller
-   evaluates the alphabetical concatenation of many .control files
-   (§3.4) while findings should point into the file an operator can
-   edit. *)
-
-(* [locator files] maps a line number in [String.concat "\n" contents]
-   back to the contributing file and its local line. [files] must be in
-   concatenation order. *)
-let locator files =
-  let starts =
-    let rec go start acc = function
-      | [] -> List.rev acc
-      | (name, content) :: rest ->
-          let lines =
-            1 + String.fold_left (fun n c -> if c = '\n' then n + 1 else n) 0 content
-          in
-          go (start + lines) ((name, start) :: acc) rest
-    in
-    go 1 [] files
-  in
-  fun line ->
-    let rec find best = function
-      | [] -> best
-      | (name, start) :: rest ->
-          if start <= line then find (Some (name, start)) rest else best
-    in
-    match find None starts with
-    | Some (name, start) -> (name, line - start + 1)
-    | None -> ("", line)
+   (JSON). The controller evaluates the alphabetical concatenation of
+   many .control files (§3.4) while findings should point into the file
+   an operator can edit: the caller's locator maps a concatenated line
+   back to its file. *)
 
 type located = { file : string; local_line : int; finding : Check.finding }
 
-let locate files findings =
-  let loc = locator files in
+let locate loc findings =
   List.map
     (fun (f : Check.finding) ->
       if f.Check.line = 0 then { file = ""; local_line = 0; finding = f }

@@ -1,16 +1,15 @@
 (** Rendering of {!Check} findings for humans (text) and machines
-    (JSON), mapping lines in the concatenated ruleset back to the
+    (JSON), with lines in the concatenated ruleset mapped back to the
     contributing [.control] file. *)
-
-val locator : (string * string) list -> int -> string * int
-(** [locator files line] maps a 1-based line in
-    [String.concat "\n" (List.map snd files)] to [(file, local_line)].
-    [files] must be in concatenation order. *)
 
 type located = { file : string; local_line : int; finding : Check.finding }
 (** [file = ""] (and [local_line = 0]) for whole-ruleset findings. *)
 
-val locate : (string * string) list -> Check.finding list -> located list
+val locate : (int -> string * int) -> Check.finding list -> located list
+(** [locate loc findings] places each finding with [loc], which maps a
+    line of the concatenation to its file and the file's own line
+    (the policy store's [locate]). *)
+
 val text_line : located -> string
 val to_json : located list -> string
 

@@ -871,7 +871,6 @@ let issue_end t p end_ =
          resend). *)
       resend t p end_
     else
-      let nonce = query_nonce t p end_ in
       let flow = p.p_flow and target = end_ip p.p_flow end_ in
       match resolve_local_answer t target with
       | Some section ->
@@ -903,7 +902,8 @@ let issue_end t p end_ =
                      wire query; the settlement fans out to us too. *)
                   Events.query_sent t.ev ~now:(now t) ~how:`Joined p end_
               | (`First _ | `Alone) as sent -> (
-                  wire_send ?nonce t p end_ attachment;
+                  (* Only a query on the wire carries a nonce. *)
+                  wire_send ?nonce:(query_nonce t p end_) t p end_ attachment;
                   match sent with
                   | `First ex -> p.p_exchange <- Some ex
                   | `Alone -> ())))

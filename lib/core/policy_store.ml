@@ -1,4 +1,6 @@
-(* A file, parsed at its first line in the concatenation. *)
+(* A file, parsed at its first line in the concatenation. [name] is
+   the name it was added under, which reports use; the store knows it
+   by that name without the [.control] suffix (see [compare_names]). *)
 type file = {
   name : string;
   text : string;
@@ -7,7 +9,7 @@ type file = {
 }
 
 type t = {
-  mutable files : file list; (* sorted by name *)
+  mutable files : file list; (* sorted by [compare_names] *)
   mutable compiled : (Pf.Env.t, string) result option;
   mutable listeners : (unit -> unit) list;
   mutable epoch : int;
@@ -20,16 +22,24 @@ let bump t = t.epoch <- t.epoch + 1
 
 let notify t = List.iter (fun f -> f ()) (List.rev t.listeners)
 
-let strip_suffix name =
-  let suffix = ".control" in
-  if String.length name > String.length suffix
-     && String.sub name (String.length name - String.length suffix)
-          (String.length suffix)
-        = suffix
-  then String.sub name 0 (String.length name - String.length suffix)
-  else name
+(* The length of [name] without its [.control] suffix. *)
+let stem_length name =
+  let n = String.length name in
+  if n > 8 && String.ends_with ~suffix:".control" name then n - 8 else n
 
-let sort_files files = List.sort (fun a b -> String.compare a.name b.name) files
+(* [String.compare] of the two names without their suffixes, building
+   neither: the first [la] bytes of [a] against the first [lb] of [b],
+   from byte [i]. *)
+let rec compare_from a la b lb i =
+  if i = la || i = lb then Int.compare la lb
+  else
+    match Char.compare a.[i] b.[i] with
+    | 0 -> compare_from a la b lb (i + 1)
+    | c -> c
+
+let compare_names a b = compare_from a (stem_length a) b (stem_length b) 0
+
+let sort_files files = List.sort (fun a b -> compare_names a.name b.name) files
 
 (* Lines [text] takes in the concatenation, with the newline that joins
    it to the next file. *)
@@ -53,6 +63,15 @@ let rec place line = function
       in
       f :: place (line + line_count f.text) rest
 
+(* [text], parsed alone at [first_line]; an error names the file and
+   its line as the file numbers it. *)
+let parse_alone ~name ~first_line text =
+  match Pf.Parser.parse_file ~first_line text with
+  | Ok _ as parsed -> parsed
+  | Error e ->
+      let e = match Pf.Parser.parse text with Error e -> e | Ok _ -> e in
+      Error (name ^ ": " ^ e)
+
 let concatenated t = String.concat "\n" (List.map (fun f -> f.text) t.files)
 
 (* The concatenation's declarations: the files' own, unless a file's
@@ -68,19 +87,15 @@ let recompile t =
   result
 
 let add t ~name content =
-  let name = strip_suffix name in
-  let others = List.filter (fun f -> f.name <> name) t.files in
+  let others = List.filter (fun f -> compare_names f.name name <> 0) t.files in
   let first_line =
     List.fold_left
-      (fun line f -> if String.compare f.name name < 0 then line + line_count f.text else line)
+      (fun line f -> if compare_names f.name name < 0 then line + line_count f.text else line)
       1 others
   in
   (* The file must parse alone before it is accepted. *)
-  match Pf.Parser.parse_file ~first_line content with
-  | Error e ->
-      (* Report the line as the file numbers it. *)
-      let e = match Pf.Parser.parse content with Error e -> e | Ok _ -> e in
-      Error (name ^ ": " ^ e)
+  match parse_alone ~name ~first_line content with
+  | Error e -> Error e
   | Ok parsed -> (
       let previous = t.files in
       t.files <-
@@ -99,17 +114,39 @@ let add t ~name content =
           bump t;
           Error (name ^ ": " ^ e))
 
+let load named =
+  let rec parse_all line = function
+    | [] -> Ok []
+    | (name, _) :: (name', _) :: _ when compare_names name name' = 0 ->
+        Error (Printf.sprintf "%s and %s name the same policy file" name name')
+    | (name, text) :: rest ->
+        Result.bind (parse_alone ~name ~first_line:line text) (fun parsed ->
+            Result.map
+              (fun files -> { name; text; first_line = line; parsed } :: files)
+              (parse_all (line + line_count text) rest))
+  in
+  Result.map
+    (fun files -> { (create ()) with files })
+    (parse_all 1 (List.stable_sort (fun (a, _) (b, _) -> compare_names a b) named))
+
 let add_exn t ~name content =
   match add t ~name content with Ok () -> () | Error e -> invalid_arg e
 
 let remove t ~name =
-  let name = strip_suffix name in
-  t.files <- place 1 (List.filter (fun f -> f.name <> name) t.files);
+  t.files <- place 1 (List.filter (fun f -> compare_names f.name name <> 0) t.files);
   ignore (recompile t);
   bump t;
   notify t
 
-let files t = List.map (fun f -> (f.name, f.text)) t.files
+let files t = List.map (fun f -> (String.sub f.name 0 (stem_length f.name), f.text)) t.files
+
+let locate t line =
+  let rec find = function
+    | _ :: (next :: _ as rest) when next.first_line <= line -> find rest
+    | f :: _ when f.first_line <= line -> (f.name, line - f.first_line + 1)
+    | _ -> ("", line)
+  in
+  find t.files
 
 let env t =
   match t.compiled with Some r -> r | None -> recompile t

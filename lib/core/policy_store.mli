@@ -11,9 +11,10 @@ val create : unit -> t
 
 val add : t -> name:string -> string -> (unit, string) result
 (** Add or replace a file. The content must parse as PF+=2 (a parse
-    error names the line as the file numbers it); on success the
-    compiled environment is refreshed. The [".control"] suffix is
-    optional in [name] and ignored for ordering.
+    error names the file as given and the line as the file numbers it:
+    ["bad.control: line 2: …"]); on success the compiled environment is
+    refreshed. The [".control"] suffix is optional in [name] and
+    ignored for ordering and replacing.
 
     Each file is parsed once, at its first line in the concatenation,
     and kept parsed: the environment is built from the files' stored
@@ -23,10 +24,30 @@ val add : t -> name:string -> string -> (unit, string) result
     the concatenation tells what it holds, and the store parses it
     (see {!Pf.Parser.joined}). *)
 
+val load : (string * string) list -> (t, string) result
+(** [load files]: a store of [files] ([(name, text)], in any order), in
+    the order {!add} keeps and each parsed alone at its first line, as
+    {!add} parses it; its first error in that order is the result. Two
+    names that differ only by the [".control"] suffix name one file and
+    are refused. Unlike {!add}, the store is returned when its
+    environment does not build: {!env} says why, and {!ruleset} and
+    {!locate} still serve an analysis of it. *)
+
 val add_exn : t -> name:string -> string -> unit
 val remove : t -> name:string -> unit
 val files : t -> (string * string) list
-(** In alphabetical (= evaluation) order. *)
+(** In alphabetical (= evaluation) order, named without the
+    [".control"] suffix. *)
+
+val ruleset : t -> (Pf.Ast.ruleset, string) result
+(** The declarations of the concatenation, whether or not its
+    environment builds. Fails only when a file's last rule reads on
+    into the next file and the concatenation does not parse. *)
+
+val locate : t -> int -> string * int
+(** [locate t line]: the file holding the concatenation's [line], named
+    as given to {!add} or {!load}, and the line as that file numbers
+    it; [("", line)] when [line] comes before the first file. *)
 
 val env : t -> (Pf.Env.t, string) result
 (** The compiled environment (cached; recompiled after changes). Fails

@@ -1,6 +1,5 @@
 type kind =
   | Threshold of { over : float }
-  | Rate_of_change of { factor : float; min_rate : float }
   | Burn_rate of { over : float; windows : int }
   | Quantile_skew of { q_hi : float; q_lo : float; min_ratio : float;
                        min_count : int }
@@ -130,16 +129,6 @@ let burn t r group ~newest n =
       | None -> acc)
     0. ws
 
-let prev_value t r group ~newest =
-  let older = List.filter (fun w -> w.Window.w_seq < newest.Window.w_seq)
-      (Window.windows t.h_window) in
-  match older with
-  | prev :: _ ->
-      List.assoc_opt group
-        (Window.grouped prev ~metric:r.r_metric ~by:r.r_group_by)
-      |> Option.map Window.value_of
-  | [] -> None
-
 (* Evaluate one rule against a freshly closed window; return the
    (group, observed, threshold) triples that hold. *)
 let evaluate t r (w : Window.window) =
@@ -150,15 +139,6 @@ let evaluate t r (w : Window.window) =
         (fun (g, v) ->
           let x = Window.value_of v in
           if x > over then Some (g, x, over) else None)
-        groups
-  | Rate_of_change { factor; min_rate } ->
-      List.filter_map
-        (fun (g, v) ->
-          let x = Window.value_of v in
-          match prev_value t r g ~newest:w with
-          | Some p when x > p *. factor && x >= min_rate ->
-              Some (g, x, p *. factor)
-          | _ -> None)
         groups
   | Burn_rate { over; windows } ->
       List.filter_map
@@ -286,8 +266,6 @@ let event_to_json e =
 
 let kind_to_string = function
   | Threshold { over } -> Printf.sprintf "threshold(value > %g)" over
-  | Rate_of_change { factor; min_rate } ->
-      Printf.sprintf "rate-of-change(value > %gx prev, min %g)" factor min_rate
   | Burn_rate { over; windows } ->
       Printf.sprintf "burn-rate(sum over %d windows > %g)" windows over
   | Quantile_skew { q_hi; q_lo; min_ratio; min_count } ->

@@ -4,8 +4,8 @@
     A rule names a metric, how to group its series (summing away
     incidental labels like [controller] and [shard], which keeps
     evaluation shard-count invariant), and a detection kind —
-    threshold, rate-of-change, burn-rate over N windows, quantile
-    skew, or cross-group imbalance. Firing is {e edge-triggered}: a
+    threshold, burn-rate over N windows, quantile skew, or
+    cross-group imbalance. Firing is {e edge-triggered}: a
     (rule, group) pair emits one event when its condition becomes
     true and re-arms only after a window in which it is false, so a
     sustained anomaly produces one event, not one per window.
@@ -21,11 +21,6 @@ type kind =
       (** Fires when a group's windowed value ({!Window.value_of}:
           counter rate per second, gauge level, histogram count)
           exceeds [over]. *)
-  | Rate_of_change of { factor : float; min_rate : float }
-      (** Fires when the value exceeds [factor] times the previous
-          window's value for the same group, and at least
-          [min_rate] in absolute terms (so idle → trickle does not
-          page). *)
   | Burn_rate of { over : float; windows : int }
       (** Fires when the value summed over the last [windows] closed
           windows (including the current one) exceeds [over]. *)

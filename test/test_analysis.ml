@@ -349,18 +349,6 @@ let test_exit_code_contract () =
   let errors = findings_of "pass from <ghost> to any" in
   Alcotest.(check int) "errors exit 1" 1 (Analysis.Report.exit_code errors)
 
-let test_report_locator () =
-  let files = [ ("a.control", "block all\npass all"); ("b.control", "pass from any to any port 80") ] in
-  Alcotest.(check (pair string int)) "first file line 1"
-    ("a.control", 1)
-    (Analysis.Report.locator files 1);
-  Alcotest.(check (pair string int)) "first file line 2"
-    ("a.control", 2)
-    (Analysis.Report.locator files 2);
-  Alcotest.(check (pair string int)) "second file restarts numbering"
-    ("b.control", 1)
-    (Analysis.Report.locator files 3)
-
 (* An exact oracle for shadowing: on condition-free rules every static
    region of the diagram has exactly one deciding line (0 for the
    default), and a rule is reported shadowed or unmatchable iff it
@@ -629,7 +617,6 @@ let () =
           Alcotest.test_case "unanswerable keys" `Quick test_unanswerable_keys;
           Alcotest.test_case "exit code contract" `Quick
             test_exit_code_contract;
-          Alcotest.test_case "report locator" `Quick test_report_locator;
           Alcotest.test_case "table policy scales" `Quick
             test_table_policy_scales;
           QCheck_alcotest.to_alcotest prop_shadow_oracle;

@@ -838,8 +838,10 @@ let test_signed_responses_accepted_when_valid () =
    exchange, not the recorder. The timed rounds follow ten warm-up
    exchanges, so both daemons reuse their cached section tags and the
    controller confirms them from its verified-section cache: each answer
-   costs one binding tag per side. Measured: 1732 minor words per
-   exchange with the decision building no default keystore or registry
+   costs one binding tag per side. Measured: 1526 minor words per
+   exchange with the event queue and flow table keeping times unboxed
+   and flow setup reporting through one emitter; 1732 before that, with
+   the decision building no default keystore or registry
    and reading the policy's member() list split once per epoch, one
    match shared by every hop's flow-mod along a path walked in place,
    each HMAC stream kept per key, and each switch hop forwarding its
@@ -924,7 +926,7 @@ let test_cold_exchange_alloc () =
   Alcotest.(check int) "both queries and the first packet delivered"
     (3 * rounds)
     (Net.delivered s.network - delivered0);
-  if words > 1795.0 then Alcotest.failf "%.0f minor words per exchange" words
+  if words > 1589.0 then Alcotest.failf "%.0f minor words per exchange" words
 
 (* [Deploy.simple_network]'s two hosts, with every ident++ query the
    server receives recorded (with its packet): an attacker who can see

@@ -356,6 +356,63 @@ let test_policy_store_rule_reads_into_next_file () =
   check Alcotest.bool "joined leaves it to the concatenation" true
     (Pf.Parser.joined [ parsed 1 first; parsed 3 second ] = None)
 
+(* [PS.load] reads a set as one-by-one [PS.add] leaves it, and
+   [PS.locate] maps every line of the concatenation back to its file,
+   named as given, and the file's own line. Store names mix digits,
+   '-', '_' and '.', given with or without the .control suffix. *)
+let prop_policy_store_load =
+  let gen_file =
+    QCheck.Gen.(
+      triple
+        (string_size ~gen:(oneofl [ '0'; '1'; '7'; '9'; '-'; '_'; '.' ]) (int_range 1 6))
+        bool
+        (list_size (int_range 1 5)
+           (oneofl [ "pass all"; "block from any to any port 80"; "# note"; "" ])))
+  in
+  let gen =
+    QCheck.Gen.map
+      (fun files ->
+        (* One file per store name. *)
+        List.fold_left
+          (fun acc (base, suffixed, lines) ->
+            if List.exists (fun (b, _, _) -> b = base) acc then acc
+            else
+              (base, (if suffixed then base ^ ".control" else base), String.concat "\n" lines)
+              :: acc)
+          [] files)
+      (QCheck.Gen.list_size (QCheck.Gen.int_range 1 6) gen_file)
+  in
+  QCheck.Test.make ~name:"load matches add, locate maps back" ~count:300
+    (QCheck.make gen
+       ~print:(fun fs ->
+         String.concat "; " (List.map (fun (_, given, text) -> Printf.sprintf "%s=%S" given text) fs)))
+    (fun files ->
+      let named = List.map (fun (_, given, text) -> (given, text)) files in
+      let loaded =
+        match PS.load named with Ok ps -> ps | Error e -> QCheck.Test.fail_report e
+      in
+      let added = PS.create () in
+      List.iter (fun (name, text) -> PS.add_exn added ~name text) named;
+      let order = List.map fst (PS.files loaded) in
+      if PS.files loaded <> PS.files added then QCheck.Test.fail_report "load and add differ";
+      if order <> List.sort String.compare (List.map (fun (b, _, _) -> b) files) then
+        QCheck.Test.fail_report "not sorted by store name";
+      ignore
+        (List.fold_left
+           (fun first (name, text) ->
+             let given = List.find_map (fun (b, g, _) -> if b = name then Some g else None) files in
+             let lines = List.length (String.split_on_char '\n' text) in
+             for local = 1 to lines do
+               if PS.locate loaded (first + local - 1) <> (Option.get given, local) then
+                 QCheck.Test.fail_reportf "line %d of %s misplaced" local name
+             done;
+             first + lines)
+           1 (PS.files loaded));
+      (* A second name for one of the files is refused. *)
+      let base, given, _ = List.hd files in
+      let twin = if given = base then base ^ ".control" else base in
+      Result.is_error (PS.load ((twin, "pass all") :: named)))
+
 (* --- Services --- *)
 
 let test_services_lookup () =
@@ -469,6 +526,7 @@ let () =
             test_policy_store_parses_each_file_once;
           Alcotest.test_case "a rule reads into the next file" `Quick
             test_policy_store_rule_reads_into_next_file;
+          QCheck_alcotest.to_alcotest prop_policy_store_load;
         ] );
       ("services", [ Alcotest.test_case "lookup" `Quick test_services_lookup ]);
       ( "decision",
