@@ -556,19 +556,34 @@ let bench_compile_table =
       in
       Staged.stage (fun () -> ignore (Compiler.compile fdd)))
 
-(* The steady-state recompile, as a controller runs it: the edited
-   policy's diagram is recompiled from the steps of the one before it,
-   the hash-consed node cache makes lowering it cost only its changed
-   regions, and delta emits the minimal flow-mod step. *)
+(* The steady-state reload, as a controller runs it: a one-rule edit
+   after [n] untouched rules, and back again, each compiled with the
+   cache of the compile before it, renumbered against the table before
+   it and diffed into the minimal flow-mod step. Each run re-plans the
+   edited rule's path alone: the source node, whose parts the untouched
+   rules' /24s make, and the nodes below it. So the row's words per op
+   against [n] are that node's parts and the entries written out and
+   renumbered. The diagrams are compiled beforehand;
+   analysis/fdd-recompile-edit prices their recompile. *)
 let bench_compile_incremental =
-  let cache = Compiler.create_cache () in
-  let a, steps = Analysis.Fdd.recompile Analysis.Fdd.no_steps (bench_env_of figure2_policy) in
-  let edited = bench_env_of figure2_policy_edited in
-  let old_ = Compiler.compile ~cache a in
-  Test.make ~name:"compile/incremental-delta"
-    (Staged.stage (fun () ->
-         let b, _ = Analysis.Fdd.recompile steps edited in
-         ignore (Compiler.delta ~old_ (Compiler.compile ~cache b))))
+  Test.make_indexed ~name:"compile/incremental-delta" ~args:[ 10; 100; 1000 ]
+    (fun n ->
+      let diagram tail = Analysis.Fdd.compile (bench_env_of (ruleset n tail)) in
+      let revisions =
+        [|
+          diagram "pass from 10.9.0.0/16 to any port 53";
+          diagram "block from 10.9.0.0/16 to any port 53";
+        |]
+      in
+      let cache = Compiler.create_cache () in
+      let installed = ref (Compiler.compile ~cache revisions.(0)) and next = ref 1 in
+      Staged.stage (fun () ->
+          let cur =
+            Compiler.renumber ~old_:!installed (Compiler.compile ~cache revisions.(!next))
+          in
+          ignore (Compiler.delta ~old_:!installed cur);
+          installed := cur;
+          next := 1 - !next))
 
 (* The counterpart of fig1/flow-setup-full-exchange with the static
    slice pushed into the switches: the flow hits a compiled wildcard

@@ -881,13 +881,9 @@ end
 let parts level id =
   match get id with
   | N { level = l; parts } when l = level ->
-      let acc = ref [] in
-      for i = Array.length parts - 1 downto 0 do
-        let hi, c = parts.(i) in
-        let lo = if i = 0 then 0 else fst parts.(i - 1) + 1 in
-        acc := ((lo, hi), c) :: !acc
-      done;
-      !acc
-  | _ -> [ ((0, dim_top.(level)), id) ]
+      Array.mapi
+        (fun i (hi, c) -> (((if i = 0 then 0 else fst parts.(i - 1) + 1), hi), c))
+        parts
+  | _ -> [| ((0, dim_top.(level)), id) |]
 
 let leaf = leaf_verdict

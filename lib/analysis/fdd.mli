@@ -264,7 +264,7 @@ val lines_to_string : int list -> string
     level are identical subdiagrams, so memo tables keyed on
     [(level, id)] survive recompiles of unchanged policy regions. *)
 
-val parts : int -> t -> (interval * t) list
+val parts : int -> t -> (interval * t) array
 (** [parts level d]: [d]'s children along dimension [level], as
     maximal intervals partitioning [[0, top]], ascending, adjacent
     children distinct. A node that tests a lower dimension is one part

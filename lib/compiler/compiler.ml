@@ -30,82 +30,115 @@ let priority_floor = 0x5000
 let proactive_cookie = 0xFDD
 
 let dim_name = [| "proto"; "src"; "dst"; "sport"; "dport" |]
-(* Entries an exact expansion of one interval needs. Computed before
-   materializing anything: port widths can be 65536. *)
-let cost_of level (lo, hi) =
-  if lo = 0 && hi = Fdd.dim_top.(level) then 1
-  else
-    match level with
-    | 1 | 2 -> List.length (Fdd.prefixes_of_interval (lo, hi))
-    | _ -> hi - lo + 1
 
-let addr_space = 4294967296.0 (* 2^32 *)
+(* A rule's decision and possible deciding lines: what the planner
+   takes from a diagram leaf. *)
+type leaf = { l_decision : decision; l_lines : int list }
 
-(* The expansion of one interval of one dimension: a list of
-   (field-setter, volume fraction) pairs. *)
-let atoms_of level (lo, hi) : ((MF.t -> MF.t) * float) list =
-  if lo = 0 && hi = Fdd.dim_top.(level) then [ ((fun m -> m), 1.0) ]
-  else
-    match level with
-    | 0 ->
-        List.init (hi - lo + 1) (fun i ->
-            let p = Proto.of_int (lo + i) in
-            ((fun m -> { m with MF.nw_proto = Some p }), 1.0 /. 256.0))
-    | 1 ->
-        List.map
-          (fun p ->
-            ( (fun m -> { m with MF.nw_src = Some p }),
-              float_of_int (Prefix.size p) /. addr_space ))
-          (Fdd.prefixes_of_interval (lo, hi))
-    | 2 ->
-        List.map
-          (fun p ->
-            ( (fun m -> { m with MF.nw_dst = Some p }),
-              float_of_int (Prefix.size p) /. addr_space ))
-          (Fdd.prefixes_of_interval (lo, hi))
-    | 3 ->
-        List.init (hi - lo + 1) (fun i ->
-            let v = lo + i in
-            ((fun m -> { m with MF.tp_src = Some v }), 1.0 /. 65536.0))
-    | _ ->
-        List.init (hi - lo + 1) (fun i ->
-            let v = lo + i in
-            ((fun m -> { m with MF.tp_dst = Some v }), 1.0 /. 65536.0))
+let punt_leaf = { l_decision = Punt; l_lines = [] }
 
-(* A rule during planning: match built bottom-up (only dimensions at or
-   below the emitting node are set), plus the static volume it claims,
-   as a fraction of the emitting subtree's space. *)
-type rule = {
-  r_fields : MF.t;
-  r_decision : decision;
-  r_lines : int list;
-  r_vol : float;
-}
-
-(* [p_cov] is the subtree's static volume summed in part order, as
-   the slice's [s_coverage] sums it; [p_static] leaves out what spilled. *)
+(* A subtree's rule list in factored form. A split's rules are, for
+   each expanded part in order, each atom of its interval (an aligned
+   prefix of an address interval, a value of a protocol or port one)
+   over its child's rules, then the tail's rules; [flatten] writes
+   them out. So planning a node costs its parts, not the rules below
+   it. No expanded part covers its whole level: only a node's sole
+   part does, and that is its default group. [p_count] is the number
+   of rules; [p_cov] is the subtree's static volume summed in part
+   order, as the slice's [s_coverage] sums it. *)
 type plan = {
-  p_rules : rule list;
-  p_static : float;
+  p_body : body;
+  p_count : int;
   p_cov : float;
   p_spills : spill list;
 }
 
-(* Children are grouped by identity so several intervals sharing one
-   subdiagram can be factored into one wildcard rule block. A leaf is
-   keyed by its verdict, a subdiagram by its level and node id. *)
-type gkey = K_verdict of Fdd.verdict | K_split of int * Fdd.t
+and body =
+  | Leaf of leaf  (* one match-all rule *)
+  | Split of { level : int; parts : part list; tail : tail }
+
+and part = { iv : Fdd.interval; prefixes : Prefix.t list; child : plan }
+
+and tail =
+  | Default of plan * float
+      (* The default group's rules, the dimension wildcarded and their
+         volumes scaled by the group's share of it. *)
+  | Punt_rest  (* A branch spilled: one punt over the node's space. *)
 
 let levels = Array.length Fdd.dim_top
 
-let gkey level c =
-  if level = levels then K_verdict (Fdd.leaf c) else K_split (level, c)
+(* Entries an exact expansion of one interval needs, given an address
+   interval's prefixes. Counted before materializing anything: port
+   widths can be 65536. *)
+let atom_count level (lo, hi) prefixes =
+  match level with 1 | 2 -> List.length prefixes | _ -> hi - lo + 1
+
+(* Among groups whose expansions would cost the same, the default is
+   the one a [Hashtbl.fold] over a [Hashtbl.create 8] keyed by these
+   would meet first: the lowest bucket, and within a bucket the group
+   that appeared last. Installed tables and [identxx_ctl compile]'s
+   output depend on that choice, so it stays fixed. *)
+type gkey = K_verdict of Fdd.verdict | K_split of int * Fdd.t
+
+let bucket ~buckets level c =
+  let key = if level = levels then K_verdict (Fdd.leaf c) else K_split (level, c) in
+  Hashtbl.hash key land (buckets - 1)
+
+(* The first of [parts] whose child is [c]. *)
+let first_with (parts : (Fdd.interval * Fdd.t) array) c =
+  let i = ref 0 in
+  while snd parts.(!i) <> c do
+    incr i
+  done;
+  !i
+
+(* The default group: the set of parts sharing one child whose exact
+   expansion would cost the most ([saved i] for part [i]), as the index
+   of its first part. It gets the dimension wildcarded for free; the
+   totality of the other branches' rules keeps that sound. Parts are
+   grouped by sorting their indices by child. *)
+let default_group level (parts : (Fdd.interval * Fdd.t) array) saved =
+  let n = Array.length parts in
+  let node i = snd parts.(i) in
+  let order = Array.init n Fun.id in
+  Array.sort
+    (fun a b -> match compare (node a) (node b) with 0 -> compare a b | c -> c)
+    order;
+  let groups = ref 0 in
+  for k = 0 to n - 1 do
+    if k = 0 || node order.(k) <> node order.(k - 1) then incr groups
+  done;
+  let buckets = ref 16 in
+  while !groups > 2 * !buckets do
+    buckets := 2 * !buckets
+  done;
+  let bucket i = bucket ~buckets:!buckets (level + 1) (node i) in
+  let best = ref (-1) and best_saved = ref 0 and k = ref 0 in
+  while !k < n do
+    (* [first]: where the group first appears. *)
+    let first = order.(!k) and total = ref 0 in
+    while !k < n && node order.(!k) = node first do
+      total := !total + saved order.(!k);
+      incr k
+    done;
+    if
+      !best < 0 || !total > !best_saved
+      || !total = !best_saved
+         && (bucket first < bucket !best
+            || (bucket first = bucket !best && first > !best))
+    then begin
+      best := first;
+      best_saved := !total
+    end
+  done;
+  !best
 
 (* Two generations: [cur] holds the plans the running (or last)
    compile looked up or built, [prev] those of the compile before it,
    which the running one may still take over. Each compile drops
    [prev], so a plan the new diagram no longer reaches is gone after
-   one compile. *)
+   one compile. A node id read at two levels has a plan at each, and
+   leaves are kept at level [levels]. *)
 type cache = {
   mutable cur : (int * Fdd.t, plan) Hashtbl.t;
   mutable prev : (int * Fdd.t, plan) Hashtbl.t;
@@ -120,140 +153,190 @@ let next_generation cache =
   cache.cur <- dropped
 
 (* A plan the running compile already holds, or one the compile before
-   it held, which the running one takes over. *)
+   it held, which the running one takes over.
+   @raise Not_found if neither holds one. *)
 let find cache key =
-  match Hashtbl.find_opt cache.cur key with
-  | Some _ as found -> found
-  | None ->
-      let found = Hashtbl.find_opt cache.prev key in
-      Option.iter (Hashtbl.add cache.cur key) found;
-      found
+  match Hashtbl.find cache.cur key with
+  | p -> p
+  | exception Not_found ->
+      let p = Hashtbl.find cache.prev key in
+      Hashtbl.add cache.cur key p;
+      p
 
-let plan_of_verdict = function
+let leaf_plan = function
   | Fdd.Static { action; lines } ->
       {
-        p_rules =
-          [ { r_fields = MF.any; r_decision = Decide action; r_lines = lines; r_vol = 1.0 } ];
-        p_static = 1.0;
+        p_body = Leaf { l_decision = Decide action; l_lines = lines };
+        p_count = 1;
         p_cov = 1.0;
         p_spills = [];
       }
-  | Fdd.Reactive _ ->
-      {
-        p_rules = [ { r_fields = MF.any; r_decision = Punt; r_lines = []; r_vol = 0.0 } ];
-        p_static = 0.0;
-        p_cov = 0.0;
-        p_spills = [];
-      }
+  | Fdd.Reactive _ -> { p_body = Leaf punt_leaf; p_count = 1; p_cov = 0.0; p_spills = [] }
 
 (* The plan of node [id] read along dimension [level]; a node that
    tests a lower dimension reads as one part covering the level. *)
 let rec plan_of cache budget level id =
-  if level = levels then plan_of_verdict (Fdd.leaf id)
-  else
-    match find cache (level, id) with
-    | Some p -> p
-    | None ->
-        let parts =
-          List.map
-            (fun (iv, c) ->
-              (iv, gkey (level + 1) c, plan_of cache budget (level + 1) c))
-            (Fdd.parts level id)
-        in
-        (* Pick the default group: the set of intervals sharing one
-           child whose exact expansion would cost the most. It gets
-           the dimension wildcarded for free; the totality of the
-           other branches' rules keeps that sound. *)
-        let groups = Hashtbl.create 8 in
-        List.iter
-          (fun (iv, k, pl) ->
-            let saved = cost_of level iv * List.length pl.p_rules in
-            let prev = try Hashtbl.find groups k with Not_found -> 0 in
-            Hashtbl.replace groups k (prev + saved))
-          parts;
-        let default_key, _ =
-          Hashtbl.fold
-            (fun k saved (bk, bs) -> if saved > bs then (k, saved) else (bk, bs))
-            groups
-            (let _, k, _ = List.hd parts in (k, -1))
-        in
-        let spilled = ref [] in
-        let expanded =
-          List.concat_map
-            (fun (iv, k, pl) ->
-              if k = default_key then []
-              else
-                let n = List.length pl.p_rules in
-                let cost = cost_of level iv * n in
-                if cost > budget then begin
-                  spilled :=
-                    { sp_dim = dim_name.(level); sp_interval = iv; sp_cost = cost }
-                    :: !spilled;
-                  []
-                end
-                else
-                  List.concat_map
-                    (fun (set, frac) ->
-                      List.map
-                        (fun r ->
-                          { r with r_fields = set r.r_fields; r_vol = r.r_vol *. frac })
-                        pl.p_rules)
-                    (atoms_of level iv))
-            parts
-        in
-        let default_frac =
-          List.fold_left
-            (fun acc (iv, k, _) ->
-              if k = default_key then acc +. Fdd.width level iv else acc)
-            0.0 parts
-        in
-        let default_plan =
-          let _, _, pl = List.find (fun (_, k, _) -> k = default_key) parts in
-          pl
-        in
-        let tail, tail_static =
-          if !spilled <> [] then
-            (* A spilled branch needs its space punted; one wildcard
-               punt here also masks the default group, soundly
-               returning the rest of this subtree to the controller. *)
-            ( [ { r_fields = MF.any; r_decision = Punt; r_lines = []; r_vol = 0.0 } ],
-              0.0 )
-          else
-            ( List.map
-                (fun r -> { r with r_vol = r.r_vol *. default_frac })
-                default_plan.p_rules,
-              default_plan.p_static *. default_frac )
-        in
-        let expanded_static =
-          List.fold_left
-            (fun acc r ->
-              match r.r_decision with Decide _ -> acc +. r.r_vol | Punt -> acc)
-            0.0 expanded
-        in
-        let child_spills =
-          let seen = Hashtbl.create 8 in
-          List.concat_map
-            (fun (_, k, pl) ->
-              if Hashtbl.mem seen k then []
-              else begin
-                Hashtbl.add seen k ();
-                pl.p_spills
-              end)
-            parts
-        in
-        let p =
-          {
-            p_rules = expanded @ tail;
-            p_static = expanded_static +. tail_static;
-            p_cov =
-              List.fold_left
-                (fun acc (iv, _, pl) -> acc +. (Fdd.width level iv *. pl.p_cov))
-                0.0 parts;
-            p_spills = !spilled @ child_spills;
-          }
-        in
-        Hashtbl.add cache.cur (level, id) p;
-        p
+  let key = (level, id) in
+  match find cache key with
+  | p -> p
+  | exception Not_found ->
+      let p =
+        if level = levels then leaf_plan (Fdd.leaf id)
+        else split_plan cache budget level id
+      in
+      Hashtbl.add cache.cur key p;
+      p
+
+and split_plan cache budget level id =
+  let parts = Fdd.parts level id in
+  let n = Array.length parts in
+  let node i = snd parts.(i) in
+  let plans = Array.map (fun (_, c) -> plan_of cache budget (level + 1) c) parts in
+  let prefixes =
+    Array.map
+      (fun (iv, _) -> if level = 1 || level = 2 then Fdd.prefixes_of_interval iv else [])
+      parts
+  in
+  let cost i = atom_count level (fst parts.(i)) prefixes.(i) * plans.(i).p_count in
+  let default = default_group level parts cost in
+  let expanded i = node i <> node default && cost i <= budget in
+  (* Sums run in part order, as [s_coverage]'s does, so [p_cov]
+     matches it bit for bit. *)
+  let default_frac = ref 0.0 and cov = ref 0.0 and spilled = ref [] in
+  for i = 0 to n - 1 do
+    let iv = fst parts.(i) in
+    cov := !cov +. (Fdd.width level iv *. plans.(i).p_cov);
+    if node i = node default then default_frac := !default_frac +. Fdd.width level iv
+    else if not (expanded i) then
+      spilled := { sp_dim = dim_name.(level); sp_interval = iv; sp_cost = cost i } :: !spilled
+  done;
+  let kept = ref [] and count = ref 0 and child_spills = ref [] in
+  for i = n - 1 downto 0 do
+    if expanded i then begin
+      kept := { iv = fst parts.(i); prefixes = prefixes.(i); child = plans.(i) } :: !kept;
+      count := !count + cost i
+    end;
+    (* A child's spills count once, where it first appears. *)
+    let sp = plans.(i).p_spills in
+    if sp <> [] && first_with parts (node i) = i then child_spills := sp @ !child_spills
+  done;
+  let tail, tail_count =
+    if !spilled <> [] then
+      (* A spilled branch needs its space punted; one wildcard punt
+         here also masks the default group, soundly returning the rest
+         of this subtree to the controller. *)
+      (Punt_rest, 1)
+    else (Default (plans.(default), !default_frac), plans.(default).p_count)
+  in
+  {
+    p_body = Split { level; parts = !kept; tail };
+    p_count = !count + tail_count;
+    p_cov = !cov;
+    p_spills = !spilled @ !child_spills;
+  }
+
+(* The rule list a plan stands for, written out: rule [i] matches
+   [fields.(i)], ends in [leaves.(i)] and claims [vols.(i)] of the
+   flow space if it decides. [n] shrinks as passes drop rules. *)
+type rules = {
+  fields : MF.t array;
+  leaves : leaf array;
+  vols : float array;
+  mutable n : int;
+}
+
+let addr_space = 4294967296.0 (* 2^32 *)
+
+(* Each rule's match is built once, from the atoms along its path, and
+   its volume is its leaf's scaled by each level's share from the
+   bottom up; floats do not associate, so that order keeps the
+   installed coverage what it is. *)
+let flatten root =
+  let size = root.p_count in
+  let r =
+    {
+      fields = Array.make size MF.any;
+      leaves = Array.make size punt_leaf;
+      vols = Array.make size 0.0;
+      n = 0;
+    }
+  in
+  let share = Array.make levels 1.0 in
+  let proto = ref None and src = ref None and dst = ref None in
+  let sport = ref None and dport = ref None in
+  let wildcard = function
+    | 0 -> proto := None
+    | 1 -> src := None
+    | 2 -> dst := None
+    | 3 -> sport := None
+    | _ -> dport := None
+  in
+  let emit leaf =
+    let i = r.n in
+    r.fields.(i) <-
+      {
+        MF.any with
+        MF.nw_proto = !proto;
+        nw_src = !src;
+        nw_dst = !dst;
+        tp_src = !sport;
+        tp_dst = !dport;
+      };
+    r.leaves.(i) <- leaf;
+    (match leaf.l_decision with
+    | Decide _ ->
+        let v = ref 1.0 in
+        for l = levels - 1 downto 0 do
+          v := !v *. share.(l)
+        done;
+        r.vols.(i) <- !v
+    | Punt -> ());
+    r.n <- i + 1
+  in
+  let rec go pl =
+    match pl.p_body with
+    | Leaf l -> emit l
+    | Split { level; parts; tail } -> (
+        expand_parts level parts;
+        wildcard level;
+        match tail with
+        | Default (pl, frac) ->
+            share.(level) <- frac;
+            go pl
+        | Punt_rest ->
+            for l = level + 1 to levels - 1 do
+              wildcard l
+            done;
+            emit punt_leaf)
+  and expand_parts level = function
+    | [] -> ()
+    | pt :: rest ->
+        let lo, hi = pt.iv in
+        (match level with
+        | 0 ->
+            for v = lo to hi do
+              proto := Some (Proto.of_int v);
+              share.(0) <- 1.0 /. 256.0;
+              go pt.child
+            done
+        | 1 | 2 -> expand_prefixes level pt.child pt.prefixes
+        | _ ->
+            for v = lo to hi do
+              (if level = 3 then sport := Some v else dport := Some v);
+              share.(level) <- 1.0 /. 65536.0;
+              go pt.child
+            done);
+        expand_parts level rest
+  and expand_prefixes level child = function
+    | [] -> ()
+    | p :: rest ->
+        (if level = 1 then src := Some p else dst := Some p);
+        share.(level) <- float_of_int (Prefix.size p) /. addr_space;
+        go child;
+        expand_prefixes level child rest
+  in
+  go root;
+  r
 
 (* Provably no packet matches both (used to justify collapsing a rule
    into a later identical-decision wildcard). *)
@@ -274,56 +357,58 @@ let fields_disjoint (a : MF.t) (b : MF.t) =
 (* Drop a rule when the final match-all rule has the same decision and
    every rule in between either shares that decision or is disjoint
    from the dropped one — the packet lands on an equivalent rule.
-   Returns the kept rules and the static volume reclaimed by the
-   final rule. *)
-let collapse_into_tail rules =
-  let n = List.length rules in
-  if n < 2 || n > 2048 then (rules, 0.0)
-  else
-    let arr = Array.of_list rules in
-    let last = arr.(n - 1) in
-    if not (MF.equal last.r_fields MF.any) then (rules, 0.0)
-    else begin
-      let reclaimed = ref 0.0 in
-      let kept = ref [ last ] in
-      for i = n - 2 downto 0 do
-        let r = arr.(i) in
-        let removable =
-          r.r_decision = last.r_decision
-          && begin
-               let ok = ref true in
-               for k = i + 1 to n - 2 do
-                 let between = arr.(k) in
-                 if
-                   between.r_decision <> r.r_decision
-                   && not (fields_disjoint between.r_fields r.r_fields)
-                 then ok := false
-               done;
-               !ok
-             end
-        in
-        if removable then
-          match r.r_decision with
-          | Decide _ -> reclaimed := !reclaimed +. r.r_vol
-          | Punt -> ()
-        else kept := r :: !kept
-      done;
-      (!kept, !reclaimed)
-    end
+   Returns the static volume reclaimed by the final rule. *)
+let collapse_into_tail r =
+  let n = r.n in
+  if n < 2 || n > 2048 || not (MF.equal r.fields.(n - 1) MF.any) then 0.0
+  else begin
+    let last = r.leaves.(n - 1).l_decision in
+    let dropped = Bytes.make n 'k' in
+    let reclaimed = ref 0.0 in
+    for i = n - 2 downto 0 do
+      let d = r.leaves.(i).l_decision in
+      let removable =
+        d = last
+        &&
+        let k = ref (i + 1) in
+        while
+          !k <= n - 2
+          && (r.leaves.(!k).l_decision = d || fields_disjoint r.fields.(!k) r.fields.(i))
+        do
+          incr k
+        done;
+        !k > n - 2
+      in
+      if removable then begin
+        Bytes.set dropped i 'd';
+        match d with Decide _ -> reclaimed := !reclaimed +. r.vols.(i) | Punt -> ()
+      end
+    done;
+    let w = ref 0 in
+    for i = 0 to n - 1 do
+      if Bytes.get dropped i = 'k' then begin
+        r.fields.(!w) <- r.fields.(i);
+        r.leaves.(!w) <- r.leaves.(i);
+        r.vols.(!w) <- r.vols.(i);
+        incr w
+      end
+    done;
+    r.n <- !w;
+    !reclaimed
+  end
 
-let rec ends_in_punt = function
-  | [] -> false
-  | [ { r_decision = Punt; _ } ] -> true
-  | _ :: rest -> ends_in_punt rest
+let drop_trailing_punts r =
+  while r.n > 0 && r.leaves.(r.n - 1).l_decision = Punt do
+    r.n <- r.n - 1
+  done
 
-let drop_trailing_punts rules =
-  if not (ends_in_punt rules) then rules
-  else
-    let rec skip = function
-      | { r_decision = Punt; _ } :: rest -> skip rest
-      | l -> l
-    in
-    List.rev (skip (List.rev rules))
+(* The static volume of rules [from] to [n - 1], summed in order. *)
+let static_volume r ~from =
+  let acc = ref 0.0 in
+  for i = from to r.n - 1 do
+    match r.leaves.(i).l_decision with Decide _ -> acc := !acc +. r.vols.(i) | Punt -> ()
+  done;
+  !acc
 
 (* A withheld static region punts like any reactive one; one fixed
    verdict lets adjacent withheld regions merge. *)
@@ -350,16 +435,6 @@ let offload ~proactive env fdd =
         | v -> v)
       fdd
 
-let rec take n = function
-  | [] -> []
-  | _ when n <= 0 -> []
-  | x :: rest -> x :: take (n - 1) rest
-
-let rec drop n = function
-  | rest when n <= 0 -> rest
-  | [] -> []
-  | _ :: rest -> drop (n - 1) rest
-
 let compile ?cache ?(max_entries = default_max_entries)
     ?(region_budget = default_region_budget) fdd =
   if max_entries < 1 || max_entries > default_max_entries then
@@ -367,46 +442,40 @@ let compile ?cache ?(max_entries = default_max_entries)
   let cache = match cache with Some c -> c | None -> create_cache () in
   next_generation cache;
   let pl = plan_of cache region_budget 0 fdd in
-  let rules = drop_trailing_punts pl.p_rules in
-  let rules, reclaimed = collapse_into_tail rules in
-  let rules = drop_trailing_punts rules in
-  let truncated, lost, rules =
-    if List.length rules > max_entries then
-      let keep = take (max_entries - 1) rules in
-      let dropped = drop (max_entries - 1) rules in
-      let lost =
-        List.fold_left
-          (fun acc r ->
-            match r.r_decision with Decide _ -> acc +. r.r_vol | Punt -> acc)
-          0.0 dropped
-      in
-      ( true,
-        lost,
-        keep @ [ { r_fields = MF.any; r_decision = Punt; r_lines = []; r_vol = 0.0 } ] )
-    else (false, 0.0, rules)
+  let r = flatten pl in
+  drop_trailing_punts r;
+  let reclaimed = collapse_into_tail r in
+  drop_trailing_punts r;
+  let truncated = r.n > max_entries in
+  let lost =
+    if not truncated then 0.0
+    else begin
+      (* The tail from [max_entries - 1] on becomes one punt-all. *)
+      let keep = max_entries - 1 in
+      let lost = static_volume r ~from:keep in
+      r.fields.(keep) <- MF.any;
+      r.leaves.(keep) <- punt_leaf;
+      r.n <- max_entries;
+      lost
+    end
   in
-  let n = List.length rules in
-  let entries =
-    List.mapi
-      (fun i r ->
-        {
-          e_fields = r.r_fields;
-          e_priority = priority_floor + (2 * (n - 1 - i));
-          e_decision = r.r_decision;
-          e_lines = r.r_lines;
-        })
-      rules
-  in
-  let installed =
-    List.fold_left
-      (fun acc r ->
-        match r.r_decision with Decide _ -> acc +. r.r_vol | Punt -> acc)
-      0.0 rules
-    +. reclaimed -. lost
-  in
+  let n = r.n in
+  let entries = ref [] in
+  for i = n - 1 downto 0 do
+    let leaf = r.leaves.(i) in
+    entries :=
+      {
+        e_fields = r.fields.(i);
+        e_priority = priority_floor + (2 * (n - 1 - i));
+        e_decision = leaf.l_decision;
+        e_lines = leaf.l_lines;
+      }
+      :: !entries
+  done;
+  let installed = static_volume r ~from:0 +. reclaimed -. lost in
   let installed = max 0.0 (min 1.0 installed) in
   {
-    entries;
+    entries = !entries;
     spills = pl.p_spills;
     static_coverage = pl.p_cov;
     installed_coverage = installed;
@@ -419,17 +488,14 @@ let compile ?cache ?(max_entries = default_max_entries)
    guards. *)
 let priority_top = 0x7ffe
 
-module KMap = Map.Make (struct
-  type t = MF.t * decision
-
-  let compare (fa, da) (fb, db) =
-    let c = MF.compare fa fb in
-    if c <> 0 then c else compare da db
-end)
+let compare_key a b =
+  let c = MF.compare a.e_fields b.e_fields in
+  if c <> 0 then c else compare a.e_decision b.e_decision
 
 (* One step of a longest increasing run of old indices: cur index,
-   old index, and the step before it. *)
-type link = { l_cur : int; l_old : int; l_prev : link option }
+   old index, and the step before it (a run's start points to the
+   sentinel [common_run] makes). *)
+type link = { l_cur : int; l_old : int; l_prev : link }
 
 let same_key a b = a.e_decision = b.e_decision && MF.equal a.e_fields b.e_fields
 
@@ -439,7 +505,8 @@ let same_key a b = a.e_decision = b.e_decision && MF.equal a.e_fields b.e_fields
    span between them is searched, by Hunt–Szymanski: each cur entry
    offers its matching old indices in descending order to a
    patience-sorted longest strictly increasing run, O((n + r) log n)
-   for r matching pairs in the span. *)
+   for r matching pairs in the span. The span's old indices are found
+   by key in one array sorted by (key, index). *)
 let common_run (old_ : entry array) (cur : entry array) keep =
   let n_old = Array.length old_ and n_cur = Array.length cur in
   let pre = ref 0 in
@@ -457,38 +524,39 @@ let common_run (old_ : entry array) (cur : entry array) keep =
   done;
   let pre = !pre and old_end = n_old - !suf and cur_end = n_cur - !suf in
   if pre < old_end && pre < cur_end then begin
-    let key e = (e.e_fields, e.e_decision) in
-    let at = ref KMap.empty in
-    for i = pre to old_end - 1 do
-      at :=
-        KMap.update (key old_.(i))
-          (function None -> Some [ i ] | Some l -> Some (i :: l))
-          !at
-    done;
-    let at = !at in
-    let tails = Array.make (cur_end - pre) None and len = ref 0 in
-    let old_at k = match tails.(k) with Some l -> l.l_old | None -> max_int in
+    let by_key = Array.init (old_end - pre) (fun k -> pre + k) in
+    Array.sort
+      (fun i i' ->
+        match compare_key old_.(i) old_.(i') with 0 -> compare i i' | c -> c)
+      by_key;
+    let rec no_link = { l_cur = -1; l_old = -1; l_prev = no_link } in
+    let tails = Array.make (cur_end - pre) no_link and len = ref 0 in
     for j = pre to cur_end - 1 do
-      match KMap.find_opt (key cur.(j)) at with
-      | None -> ()
-      | Some olds ->
-          List.iter
-            (fun i ->
-              let lo = ref 0 and hi = ref !len in
-              while !lo < !hi do
-                let mid = (!lo + !hi) / 2 in
-                if old_at mid < i then lo := mid + 1 else hi := mid
-              done;
-              let l_prev = if !lo = 0 then None else tails.(!lo - 1) in
-              tails.(!lo) <- Some { l_cur = j; l_old = i; l_prev };
-              if !lo = !len then incr len)
-            olds
+      (* Past the last old index with cur.(j)'s key. *)
+      let lo = ref 0 and hi = ref (Array.length by_key) in
+      while !lo < !hi do
+        let mid = (!lo + !hi) / 2 in
+        if compare_key old_.(by_key.(mid)) cur.(j) <= 0 then lo := mid + 1 else hi := mid
+      done;
+      let m = ref (!lo - 1) in
+      while !m >= 0 && compare_key old_.(by_key.(!m)) cur.(j) = 0 do
+        let i = by_key.(!m) in
+        let lo = ref 0 and hi = ref !len in
+        while !lo < !hi do
+          let mid = (!lo + !hi) / 2 in
+          if tails.(mid).l_old < i then lo := mid + 1 else hi := mid
+        done;
+        let l_prev = if !lo = 0 then no_link else tails.(!lo - 1) in
+        tails.(!lo) <- { l_cur = j; l_old = i; l_prev };
+        if !lo = !len then incr len;
+        decr m
+      done
     done;
-    let rec walk = function
-      | None -> ()
-      | Some l ->
-          keep l.l_cur l.l_old;
-          walk l.l_prev
+    let rec walk l =
+      if l != no_link then begin
+        keep l.l_cur l.l_old;
+        walk l.l_prev
+      end
     in
     if !len > 0 then walk tails.(!len - 1)
   end

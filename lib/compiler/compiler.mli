@@ -20,6 +20,14 @@
     over the node's remaining space instead, soundly returning that
     region to the reactive path (slower, never wrong).
 
+    A node's plan records its parts, not its rules: each expanded
+    interval with its child's plan, then the default group's plan (or
+    the spill's punt), with the rule count and coverage they add up
+    to. So a policy edit re-plans the nodes it changed, each at the
+    cost of its own parts, and takes every other plan from the cache.
+    {!compile} then writes the root's plan out once, building each
+    entry's match from the intervals along its path.
+
     Reactive leaves compile to punt rules where they mask lowered
     wildcards, and are pruned where they coincide with the table-miss
     default. The result is {e total}: every flow either hits a static
@@ -83,8 +91,8 @@ type table = {
 }
 
 type cache
-(** Memoizes compiled rule lists per hash-consed diagram node, so
-    recompiling after a policy edit re-lowers only the changed regions
+(** Memoizes plans per hash-consed diagram node and level, so
+    recompiling after a policy edit re-plans only the changed regions
     (unchanged subdiagrams keep their node ids). It holds the plans the
     last {!compile} looked up or built, and nothing older: a node the
     new diagram no longer reaches is dropped at the next compile, so
@@ -135,7 +143,8 @@ val renumber : old_:table -> table -> table
     a longest order-preserving run of matches (a longest common
     subsequence, found as a longest increasing run of old positions in
     O(n log n) when no key repeats, between the common prefix and
-    suffix of the two tables) keeps its old priorities.
+    suffix of the two tables, whose old positions are looked up in
+    one array sorted by key) keeps its old priorities.
     Every other entry is spaced evenly in the gap between its kept
     neighbours, within [\[priority_floor, 0x7ffe\]]. When some gap has
     no room, the whole table is spread evenly over the band, as it is

@@ -76,14 +76,44 @@ let concatenated t = String.concat "\n" (List.map (fun f -> f.text) t.files)
 
 (* The concatenation's declarations: the files' own, unless a file's
    last rule reads on into the next file. *)
-let ruleset t =
+let declarations t =
   match Pf.Parser.joined (List.map (fun f -> f.parsed) t.files) with
   | Some decls -> Ok decls
   | None -> Pf.Parser.parse (concatenated t)
 
+let locate t line =
+  let rec find = function
+    | _ :: (next :: _ as rest) when next.first_line <= line -> find rest
+    | f :: _ when f.first_line <= line -> (f.name, line - f.first_line + 1)
+    | _ -> ("", line)
+  in
+  find t.files
+
+(* An error that names a line of the concatenation ("line N: ..."), as
+   the file holding that line names it ("a.control: line M: ...");
+   [None] when the error names no line of a file. *)
+let locate_error t e =
+  match String.index_opt e ':' with
+  | Some colon when String.starts_with ~prefix:"line " e -> (
+      match Option.map (locate t) (int_of_string_opt (String.sub e 5 (colon - 5))) with
+      | None | Some ("", _) -> None
+      | Some (name, line) ->
+          Some
+            (Printf.sprintf "%s: line %d%s" name line
+               (String.sub e colon (String.length e - colon))))
+  | _ -> None
+
+let located t = function
+  | Ok _ as ok -> ok
+  | Error e -> Error (Option.value (locate_error t e) ~default:e)
+
+let ruleset t = located t (declarations t)
+
+(* The environment's error is stored located; [recompile] returns it as
+   the concatenation names it. *)
 let recompile t =
-  let result = Result.bind (ruleset t) Pf.Env.build in
-  t.compiled <- Some result;
+  let result = Result.bind (declarations t) Pf.Env.build in
+  t.compiled <- Some (located t result);
   result
 
 let add t ~name content =
@@ -106,13 +136,15 @@ let add t ~name content =
           notify t;
           Ok ()
       | Error e ->
+          (* An error without a line is the new file's to answer for. *)
+          let e = match locate_error t e with Some e -> e | None -> name ^ ": " ^ e in
           (* Roll back: the file broke the concatenated config. The env
              was (briefly) replaced and restored: bump anyway so any
              observer that sampled mid-load cannot keep stale state. *)
           t.files <- previous;
           ignore (recompile t);
           bump t;
-          Error (name ^ ": " ^ e))
+          Error e)
 
 let load named =
   let rec parse_all line = function
@@ -140,16 +172,10 @@ let remove t ~name =
 
 let files t = List.map (fun f -> (String.sub f.name 0 (stem_length f.name), f.text)) t.files
 
-let locate t line =
-  let rec find = function
-    | _ :: (next :: _ as rest) when next.first_line <= line -> find rest
-    | f :: _ when f.first_line <= line -> (f.name, line - f.first_line + 1)
-    | _ -> ("", line)
-  in
-  find t.files
-
 let env t =
-  match t.compiled with Some r -> r | None -> recompile t
+  match t.compiled with
+  | Some r -> r
+  | None -> located t (recompile t)
 
 let on_change t f = t.listeners <- f :: t.listeners
 

@@ -12,8 +12,11 @@ val create : unit -> t
 val add : t -> name:string -> string -> (unit, string) result
 (** Add or replace a file. The content must parse as PF+=2 (a parse
     error names the file as given and the line as the file numbers it:
-    ["bad.control: line 2: …"]); on success the compiled environment is
-    refreshed. The [".control"] suffix is optional in [name] and
+    ["bad.control: line 2: …"]), and the files' environment must build
+    with it (an error that names a line names it the same way, by the
+    file that holds it, which need not be the file added; one without
+    a line names the file added); on success the compiled environment
+    is refreshed. The [".control"] suffix is optional in [name] and
     ignored for ordering and replacing.
 
     Each file is parsed once, at its first line in the concatenation,
@@ -42,7 +45,8 @@ val files : t -> (string * string) list
 val ruleset : t -> (Pf.Ast.ruleset, string) result
 (** The declarations of the concatenation, whether or not its
     environment builds. Fails only when a file's last rule reads on
-    into the next file and the concatenation does not parse. *)
+    into the next file and the concatenation does not parse; the error
+    names the line as {!locate} does. *)
 
 val locate : t -> int -> string * int
 (** [locate t line]: the file holding the concatenation's [line], named
@@ -52,7 +56,8 @@ val locate : t -> int -> string * int
 val env : t -> (Pf.Env.t, string) result
 (** The compiled environment (cached; recompiled after changes). Fails
     when the concatenation is inconsistent, e.g. a rule referencing a
-    table no file defines. *)
+    table no file defines; an error that names a line names it as
+    {!locate} does (["g.control: line 1: unknown table <ghost>"]). *)
 
 val env_exn : t -> Pf.Env.t
 

@@ -216,6 +216,27 @@ let test_policy_store_rejects_broken_concatenation () =
   | Ok _ -> ()
   | Error e -> Alcotest.failf "store left broken: %s" e
 
+(* A rejected file's error names the file holding the faulty line and
+   the line as that file numbers it, even when that is not the file
+   being added; an error without a line names the file being added. *)
+let test_policy_store_error_names_its_file () =
+  let ps = Identxx_core.Policy_store.create () in
+  let add name text = Identxx_core.Policy_store.add ps ~name text in
+  Identxx_core.Policy_store.add_exn ps ~name:"10" "table <lan> { 10.0.0.0/8 }";
+  Identxx_core.Policy_store.add_exn ps ~name:"00" "block all\npass from <lan> to any";
+  check Alcotest.(result unit string) "the added file's line"
+    (Error "50.control: line 2: unknown table <ghost>")
+    (add "50.control" "pass all\npass from <ghost> to any");
+  check Alcotest.(result unit string) "another file's line"
+    (Error "00: line 2: unknown table <lan>")
+    (add "10" "table <wan> { 10.0.0.0/8 }");
+  check Alcotest.(result unit string) "no line"
+    (Error "10: table reference cycle involving <lan>")
+    (add "10" "table <lan> { <lan> }");
+  match Identxx_core.Policy_store.env ps with
+  | Ok _ -> ()
+  | Error e -> Alcotest.failf "store left broken: %s" e
+
 let test_policy_store_on_change_fires () =
   let ps = Identxx_core.Policy_store.create () in
   let fired = ref 0 in
@@ -245,7 +266,17 @@ let same_as_concatenation what ps =
         (Pf.Env.intercepts env = Pf.Env.intercepts whole);
       check Alcotest.(list string) (what ^ ": tables") (Pf.Env.table_names whole)
         (Pf.Env.table_names env)
-  | Error e, Error whole -> check Alcotest.string (what ^ ": error") whole e
+  | Error e, Error whole ->
+      (* The store names the line by the file that holds it. *)
+      let whole =
+        match Scanf.sscanf_opt whole "line %d: %n" (fun line at -> (line, at)) with
+        | Some (line, at) ->
+            let name, local = PS.locate ps line in
+            Printf.sprintf "%s: line %d: %s" name local
+              (String.sub whole at (String.length whole - at))
+        | None -> whole
+      in
+      check Alcotest.string (what ^ ": error") whole e
   | Ok _, Error e -> Alcotest.failf "%s: the concatenation fails (%s)" what e
   | Error e, Ok _ -> Alcotest.failf "%s: the store fails (%s)" what e);
   (* The same through the parser: each file parsed at its first line. *)
@@ -330,7 +361,8 @@ let test_policy_store_parses_each_file_once () =
 (* Rules end by grammar, not at a newline: a file that opens with a
    macro named [to] reads as more of the rule that ends the file before
    it, and that concatenation does not parse. The store rejects it as
-   it rejected the concatenation, whichever file comes second. *)
+   it rejected the concatenation, whichever file comes second, and
+   names the line by the file that holds it. *)
 let test_policy_store_rule_reads_into_next_file () =
   let first = "block all\npass proto tcp from any to any port 80" in
   let second = "to = \"x\"\npass all" in
@@ -341,15 +373,17 @@ let test_policy_store_rule_reads_into_next_file () =
     | Error e -> e
     | Ok _ -> Alcotest.fail "the concatenation parses"
   in
+  check Alcotest.string "the concatenation's error" "line 3: unexpected = in rule" error;
+  let error = "50: line 1: unexpected = in rule" in
   let ps = PS.create () in
   PS.add_exn ps ~name:"00" first;
-  check Alcotest.(result unit string) "the second file is rejected"
-    (Error ("50: " ^ error)) (PS.add ps ~name:"50" second);
+  check Alcotest.(result unit string) "the second file is rejected" (Error error)
+    (PS.add ps ~name:"50" second);
   same_as_concatenation "rolled back" ps;
   let ps = PS.create () in
   PS.add_exn ps ~name:"50" second;
-  check Alcotest.(result unit string) "the first file is rejected"
-    (Error ("00: " ^ error)) (PS.add ps ~name:"00" first);
+  check Alcotest.(result unit string) "the first file is rejected" (Error error)
+    (PS.add ps ~name:"00" first);
   check Alcotest.(list string) "only the second file stays" [ "50" ]
     (List.map fst (PS.files ps));
   let parsed line text = Result.get_ok (Pf.Parser.parse_file ~first_line:line text) in
@@ -518,6 +552,8 @@ let () =
         [
           Alcotest.test_case "alphabetical order" `Quick
             test_policy_store_alphabetical_order;
+          Alcotest.test_case "an error names its file" `Quick
+            test_policy_store_error_names_its_file;
           Alcotest.test_case "rejects broken concatenation" `Quick
             test_policy_store_rejects_broken_concatenation;
           Alcotest.test_case "on_change fires" `Quick
