@@ -67,7 +67,7 @@ type pending = {
   p_src : leg;
   p_dst : leg;
   mutable retries_left : int;
-  mutable p_timeout : Sim.Engine.cancel;
+  mutable p_timeout : Shard.Engine.timer;
   p_started : Sim.Time.t; (* packet-in time *)
   p_ctx : Obs.Trace_context.t option;
   p_span : Obs.Span.span;
@@ -95,6 +95,35 @@ type settled =
   | Answered of Identxx.Response.t
   | Timed_out (* its own query's timeout, tripping the breaker or not *)
   | Failed of string (* the exchange it joined failed, by this cause *)
+
+(* The work the controller posts to a shard's mailbox, run there by
+   [run_posted]. Each case holds what its handler reads, built once by
+   the poster. *)
+type posted =
+  | Flow_miss of Msg.packet_in * Five_tuple.t
+      (* A table miss of ordinary traffic, and the packet's flow. *)
+  | Answer of {
+      pi : Msg.packet_in;
+      response : Identxx.Response.t;
+      as_src : Five_tuple.t;
+      as_dst : Five_tuple.t;
+    }
+      (* A daemon answer, and the two pending-table keys it can name
+         ([named_pending]): [as_src] runs from the answering host to
+         the query's reply-to, [as_dst] back. *)
+  | Foreign_query of {
+      pi : Msg.packet_in;
+      from_ip : Ipv4.t;
+      to_ip : Ipv4.t;
+      query : Identxx.Query.t;
+    }  (* Another controller's query, crossing our domain. *)
+  | Settle of
+      waiter * settled * (string * string * (string * float * float) list) option
+      (* Settle a waiter's end; the first waiter an answer covers also
+         gets the daemon's timings ({!Identxx.Response.trace_info}). *)
+  | Requery of waiter (* A waiter the answer did not cover asks itself. *)
+  | Timeout of pending (* The flow's query timer fired. *)
+  | Vacant (* Fills a mailbox's free slots; never posted. *)
 
 type stats = {
   flows_seen : int;
@@ -510,7 +539,7 @@ type t = {
   pending : pending Flow_tbl.t;
   fp : Fastpath.t; (* the decision cache and the breaker *)
   answers : waiter Fastpath.Answers.t;
-  shard_engine : Shard.Engine.t;
+  shard_engine : posted Shard.Engine.t;
       (* The run queues every packet-in, timeout and settlement is
          posted to; they hold no state of their own. *)
   batch : Shard.Batch.t;
@@ -727,7 +756,7 @@ let apply_verdict t ~now ~span ~started ~ctx ~via ~flow ~packets ~src ~dst
 (* Decide [p] once neither of its ends awaits a query. *)
 let maybe_finalize t p =
   if (not p.p_src.awaiting) && not p.p_dst.awaiting then begin
-    Sim.Engine.cancel p.p_timeout;
+    Shard.Engine.cancel p.p_timeout;
     Flow_tbl.remove t.pending p.p_flow;
     let src = p.p_src.answer and dst = p.p_dst.answer in
     apply_verdict t ~now:(now t) ~span:p.p_span ~started:p.p_started
@@ -756,13 +785,12 @@ let settle_waiter ?dtrace t w settled =
 
 let shard_of t flow = Shard.Engine.shard_of_flow t.shard_engine flow
 
-(* Settle an exchange's waiters, each on its flow's shard, in join
-   order. Every delivery is posted — never run inline — so the global
-   execution order is the join order whatever the shard count. *)
-let post_to_waiters t ws fn =
-  List.iter
-    (fun w -> Shard.Engine.post t.shard_engine ~shard:(shard_of t w.w_flow) (fun () -> fn w))
-    ws
+(* Deliver [msg] to waiter [w] on its flow's shard. An exchange's
+   waiters are delivered to in join order, and every delivery is posted
+   — never run inline — so the global execution order is the join order
+   whatever the shard count. *)
+let post_to_waiter t w msg =
+  Shard.Engine.post t.shard_engine ~shard:(shard_of t w.w_flow) msg
 
 (* [p]'s query to [host], asking about its [end_], reached its outcome:
    [answer] (the answer's declared scope and the response) or [None]
@@ -917,14 +945,22 @@ let expire_end t p end_ =
   let tripped = Fastpath.note_timeout t.fp ~now ip in
   if tripped then Events.breaker_tripped t.ev ~now p.p_span ip;
   let failed = Failed (if tripped then "breaker-open" else "timeout") in
-  post_to_waiters t
-    (List.filter
-       (fun w -> not (Five_tuple.equal w.w_flow p.p_flow))
-       (close_exchange t p ~host:ip ~end_ None))
-    (fun w -> settle_waiter t w failed);
+  List.iter
+    (fun w ->
+      if not (Five_tuple.equal w.w_flow p.p_flow) then
+        post_to_waiter t w (Settle (w, failed, None)))
+    (close_exchange t p ~host:ip ~end_ None);
   settle_end t p end_ Timed_out
 
-let rec on_timeout t p =
+(* The timer posts into the flow's shard's run queue, so timeout
+   handling serialises with the shard's other work (and its installs
+   ride the same batched pass). *)
+let arm_timeout t p =
+  p.p_timeout <-
+    Shard.Engine.post_after t.shard_engine ~shard:(shard_of t p.p_flow)
+      ~delay:t.cfg.query_timeout (Timeout p)
+
+let on_timeout t p =
   match Flow_tbl.find_opt t.pending p.p_flow with
   | Some p' when p' == p ->
       let waiting = p.p_src.awaiting || p.p_dst.awaiting in
@@ -942,14 +978,6 @@ let rec on_timeout t p =
         if p.p_dst.awaiting then expire_end t p `Dst
       end
   | Some _ | None -> ()
-
-(* The timer posts into the flow's shard's run queue, so timeout
-   handling serialises with the shard's other work (and its installs
-   ride the same batched pass). *)
-and arm_timeout t p =
-  p.p_timeout <-
-    Shard.Engine.post_after t.shard_engine ~shard:(shard_of t p.p_flow)
-      ~delay:t.cfg.query_timeout (fun () -> on_timeout t p)
 
 (* An end the flow [want]s asked unless the fast path resolved it
    ([pre], as {!fast_resolve} returns it). *)
@@ -1030,7 +1058,7 @@ let start_flow t ~dpid ~in_port pkt (flow : Five_tuple.t) =
             p_src = new_leg ~want:want_src pre_src;
             p_dst = new_leg ~want:want_dst pre_dst;
             retries_left = t.cfg.query_retries;
-            p_timeout = Sim.Engine.cancelled;
+            p_timeout = Shard.Engine.no_timer;
             p_started = now;
             p_ctx = ctx;
             p_span = sp;
@@ -1083,28 +1111,30 @@ let handle_transit t ~dpid ~from_ip ~to_ip response pkt =
   in
   forward_toward t ~dpid ~dst_ip:to_ip pkt
 
-(* The pending flow a daemon answer names. The daemon echoes the flow's
-   proto and ports; [from_ip] is the answering end and [to_ip] the
-   query's reply-to, i.e. the other end. So the flow is one of two exact
-   keys; when both are pending, the one awaiting its source wins, then
-   the other. *)
-let named_pending t ~from_ip ~to_ip (r : Identxx.Response.t) =
-  let find src dst =
-    let flow =
-      {
-        Five_tuple.src;
-        dst;
-        proto = r.Identxx.Response.proto;
-        src_port = r.Identxx.Response.src_port;
-        dst_port = r.Identxx.Response.dst_port;
-      }
-    in
-    Flow_tbl.find_opt t.pending flow
-  in
-  match find from_ip to_ip with
+(* A pending-table key a daemon answer can name. The daemon echoes the
+   flow's proto and ports; the answer runs from the answering end to the
+   query's reply-to, i.e. the other end. So the flow is the key from
+   [src] to [dst], either way round. *)
+let answer_key ~src ~dst (r : Identxx.Response.t) =
+  {
+    Five_tuple.src;
+    dst;
+    proto = r.Identxx.Response.proto;
+    src_port = r.Identxx.Response.src_port;
+    dst_port = r.Identxx.Response.dst_port;
+  }
+
+(* The pending flow an answer names, from its two keys (the answering
+   host as source, [as_src], or as destination, [as_dst]): when both
+   are pending, the one awaiting its source wins, then the other. The
+   front end and the shard read the same keys, built once. *)
+let named_pending t ~as_src ~as_dst =
+  match Flow_tbl.find_opt t.pending as_src with
   | Some p when p.p_src.awaiting -> Some p
-  | as_src -> (
-      match find to_ip from_ip with Some _ as as_dst -> as_dst | None -> as_src)
+  | by_src -> (
+      match Flow_tbl.find_opt t.pending as_dst with
+      | Some _ as by_dst -> by_dst
+      | None -> by_src)
 
 (* Under [require_signed_responses], whether [response], whose
    signature section reads [sg], may settle [p]'s query to [from_ip]. It
@@ -1188,13 +1218,16 @@ let settle_answer t p ~from_ip response sg =
      and alone carries the daemon's timing piggyback (the timings
      are real once). *)
   let first = ref true and answered = Answered response in
-  post_to_waiters t ws (fun w ->
-      if covers scope ~flow ~end_ w then begin
-        let dtrace = if !first then dtrace else None in
-        first := false;
-        settle_waiter ?dtrace t w answered
-      end
-      else requery t w)
+  List.iter
+    (fun w ->
+      post_to_waiter t w
+        (if covers scope ~flow ~end_ w then begin
+           let dtrace = if !first then dtrace else None in
+           first := false;
+           Settle (w, answered, dtrace)
+         end
+         else Requery w))
+    ws
 
 (* The one response path: an answer pairs with the flow it names, on
    that flow's shard, and settles the flow's query to the answering host
@@ -1203,9 +1236,11 @@ let settle_answer t p ~from_ip response sg =
    later valid answer or at the initiator's timeout, so an off-path
    spoofer cannot force early fail-closed decisions. An answer naming no
    pending flow is transit. *)
-let handle_response t ~dpid ~from_ip ~to_ip response pkt =
-  match named_pending t ~from_ip ~to_ip response with
-  | None -> handle_transit t ~dpid ~from_ip ~to_ip response pkt
+let handle_response t (pi : Msg.packet_in) response ~as_src ~as_dst =
+  let from_ip = as_src.Five_tuple.src and to_ip = as_src.Five_tuple.dst in
+  match named_pending t ~as_src ~as_dst with
+  | None ->
+      handle_transit t ~dpid:pi.Msg.dpid ~from_ip ~to_ip response pi.Msg.packet
   | Some p ->
       let sg = Identxx.Signed.signature response in
       if
@@ -1229,47 +1264,52 @@ let handle_foreign_query t ~dpid ~from_ip ~to_ip (q : Identxx.Query.t) pkt =
            (Identxx.Response.make ~flow [ section ]))
   | None -> forward_toward t ~dpid ~dst_ip:to_ip pkt
 
-(* [cls] is [Identxx.Wire.classify pi.packet], decoded by the caller. *)
-let handle_packet_in t (pi : Msg.packet_in) cls =
-  let pkt = pi.Msg.packet in
-  match cls with
-  | Identxx.Wire.Response { from_ip; to_ip; response } ->
-      handle_response t ~dpid:pi.Msg.dpid ~from_ip ~to_ip response pkt
-  | Identxx.Wire.Query { from_ip; to_ip; query } ->
-      handle_foreign_query t ~dpid:pi.Msg.dpid ~from_ip ~to_ip query pkt
-  | Identxx.Wire.Not_identxx -> (
-      match Packet.five_tuple pkt with
-      | None -> () (* non-IP traffic is dropped by this firewall *)
-      | Some flow -> (
-          match Flow_tbl.find_opt t.pending flow with
-          | Some p -> p.p_packets <- (pi.Msg.dpid, pi.Msg.in_port, pkt) :: p.p_packets
-          | None -> start_flow t ~dpid:pi.Msg.dpid ~in_port:pi.Msg.in_port pkt flow))
+(* A shard runs what was posted to it. *)
+let run_posted t = function
+  | Flow_miss (pi, flow) -> (
+      match Flow_tbl.find_opt t.pending flow with
+      | Some p ->
+          p.p_packets <- (pi.Msg.dpid, pi.Msg.in_port, pi.Msg.packet) :: p.p_packets
+      | None ->
+          start_flow t ~dpid:pi.Msg.dpid ~in_port:pi.Msg.in_port pi.Msg.packet flow)
+  | Answer a -> handle_response t a.pi a.response ~as_src:a.as_src ~as_dst:a.as_dst
+  | Foreign_query q ->
+      handle_foreign_query t ~dpid:q.pi.Msg.dpid ~from_ip:q.from_ip
+        ~to_ip:q.to_ip q.query q.pi.Msg.packet
+  | Settle (w, settled, dtrace) -> settle_waiter ?dtrace t w settled
+  | Requery w -> requery t w
+  | Timeout p -> on_timeout t p
+  | Vacant -> ()
 
 (* The front-end: classify the packet-in once (pure) and post the real
-   work, with that classification, to a shard's run queue. Data packets
-   partition by flow-key hash; responses go to the shard of the flow
-   they name (with one shard, straight to it); foreign/transit traffic
-   pins to shard 0. *)
+   work, with what the classification built, to a shard's run queue.
+   Data packets partition by flow-key hash; responses go to the shard of
+   the flow they name (with one shard, straight to it); foreign/transit
+   traffic pins to shard 0. *)
 let handle_message t = function
   | Msg.Packet_in pi -> (
-      let pkt = pi.Msg.packet in
-      let cls = Identxx.Wire.classify pkt in
-      let post shard =
-        Shard.Engine.post t.shard_engine ~shard (fun () ->
-            handle_packet_in t pi cls)
-      in
-      match cls with
-      | Identxx.Wire.Response _ when shard_count t = 1 -> post 0
+      match Identxx.Wire.classify pi.Msg.packet with
       | Identxx.Wire.Response { from_ip; to_ip; response } ->
-          post
-            (match named_pending t ~from_ip ~to_ip response with
-            | Some p -> shard_of t p.p_flow
-            | None -> 0)
-      | Identxx.Wire.Query _ -> post 0
+          let as_src = answer_key ~src:from_ip ~dst:to_ip response
+          and as_dst = answer_key ~src:to_ip ~dst:from_ip response in
+          let shard =
+            if shard_count t = 1 then 0
+            else
+              match named_pending t ~as_src ~as_dst with
+              | Some p -> shard_of t p.p_flow
+              | None -> 0
+          in
+          Shard.Engine.post t.shard_engine ~shard
+            (Answer { pi; response; as_src; as_dst })
+      | Identxx.Wire.Query { from_ip; to_ip; query } ->
+          Shard.Engine.post t.shard_engine ~shard:0
+            (Foreign_query { pi; from_ip; to_ip; query })
       | Identxx.Wire.Not_identxx -> (
-          match Packet.five_tuple pkt with
-          | None -> ()
-          | Some flow -> post (shard_of t flow)))
+          match Packet.five_tuple pi.Msg.packet with
+          | None -> () (* non-IP traffic is dropped by this firewall *)
+          | Some flow ->
+              Shard.Engine.post t.shard_engine ~shard:(shard_of t flow)
+                (Flow_miss (pi, flow))))
   | Msg.Stats_reply reply ->
       t.last_stats <- (reply.Msg.st_dpid, reply) :: List.remove_assq reply.Msg.st_dpid t.last_stats
 
@@ -1596,9 +1636,11 @@ let create ?(config = default_config) ?keystore ?functions ?obs ?spans
   in
   let labels = [ ("controller", string_of_int id) ] in
   let sc = Option.value config.shards ~default:(sharded 1) in
+  (* The handler needs the controller, which holds the engine. *)
+  let run = ref (fun (_ : posted) -> ()) in
   let shard_engine =
-    Shard.Engine.create ~service:sc.shard_service ~shards:sc.shard_count
-      (Net.engine network)
+    Shard.Engine.create_typed ~service:sc.shard_service ~shards:sc.shard_count
+      ~vacant:Vacant ~handle:(fun msg -> !run msg) (Net.engine network)
   in
   let answers =
     Fastpath.Answers.create ~capacity:config.fastpath.Fastpath.attr_capacity
@@ -1662,6 +1704,7 @@ let create ?(config = default_config) ?keystore ?functions ?obs ?spans
   Fastpath.Answers.register_metrics answers ~labels obs;
   Shard.Engine.register_metrics shard_engine ~labels obs;
   Shard.Batch.register_metrics batch ~labels obs;
+  run := run_posted t;
   Net.register_controller network ~id (handle_message t);
   wire_table_telemetry t;
   (* The compiled table goes in on the first policy change (or an

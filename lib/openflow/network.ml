@@ -41,6 +41,20 @@ type t = {
   mutable loss_prng : Sim.Prng.t;
 }
 
+(* The fabric's events, each one block with its payload inline. *)
+type Sim.Engine.event +=
+  | Frame of { net : t; at : Topology.endpoint; pkt : Packet.t }
+      (* A frame reaching the far end of a link. *)
+  | To_controller of {
+      ctrl : Message.to_controller -> unit;
+      msg : Message.to_controller;
+    }  (* A packet-in or a reply, for the switch's controller. *)
+  | To_switch of {
+      net : t;
+      dpid : Message.switch_id;
+      msgs : Message.to_switch array;
+    }  (* One batch of controller messages, applied in order. *)
+
 let ports_of_switch topology dpid = Topology.ports_of topology (Topology.Sw dpid)
 
 let create ?(ctrl_latency = Sim.Time.us 50) ?table_capacity ~engine ~topology
@@ -137,8 +151,8 @@ and emit_frame t out ~port pkt =
           (Topology.node_to_string out.e_node)
           "drop: port %d unwired" port
   | far, latency ->
-      Sim.Engine.schedule t.engine ~delay:latency (fun () ->
-          arrive t ~at:far pkt)
+      Sim.Engine.schedule_event t.engine ~delay:latency
+        (Frame { net = t; at = far; pkt })
 
 and arrive t ~(at : Topology.endpoint) pkt =
   match at.node with
@@ -179,10 +193,14 @@ and switch_rx t dpid ~in_port pkt =
             record_actor t
               (Topology.node_to_string st.sw_out.e_node)
               "packet-in -> controller %a" Packet.pp pkt;
-          Sim.Engine.schedule t.engine ~delay:t.ctrl_latency (fun () ->
-              ctrl
-                (Message.Packet_in
-                   { Message.dpid; in_port; reason = `No_match; packet = pkt })))
+          Sim.Engine.schedule_event t.engine ~delay:t.ctrl_latency
+            (To_controller
+               {
+                 ctrl;
+                 msg =
+                   Message.Packet_in
+                     { Message.dpid; in_port; reason = `No_match; packet = pkt };
+               }))
 
 and emit_all t out pkt = function
   | [] -> ()
@@ -204,7 +222,8 @@ let apply t dpid msg =
             record_actor t
               (Topology.node_to_string st.sw_out.e_node)
               "%a" Message.pp_to_controller reply;
-          Sim.Engine.schedule t.engine ~delay:t.ctrl_latency (fun () -> ctrl reply))
+          Sim.Engine.schedule_event t.engine ~delay:t.ctrl_latency
+            (To_controller { ctrl; msg = reply }))
 
 let send_batch t dpid msgs =
   if Array.length msgs > 0 then begin
@@ -212,11 +231,38 @@ let send_batch t dpid msgs =
       Array.iter
         (record_actor t "controller" "-> s%d %a" dpid Message.pp_to_switch)
         msgs;
-    Sim.Engine.schedule t.engine ~delay:t.ctrl_latency (fun () ->
-        for i = 0 to Array.length msgs - 1 do
-          apply t dpid msgs.(i)
-        done)
+    Sim.Engine.schedule_event t.engine ~delay:t.ctrl_latency
+      (To_switch { net = t; dpid; msgs })
   end
+
+(* The fabric's dispatcher: runs its events, and names the channel each
+   travels on. *)
+let () =
+  Sim.Engine.register
+    ~run:(function
+      | Frame f ->
+          arrive f.net ~at:f.at f.pkt;
+          Sim.Engine.Ran
+      | To_controller c ->
+          c.ctrl c.msg;
+          Sim.Engine.Ran
+      | To_switch s ->
+          for i = 0 to Array.length s.msgs - 1 do
+            apply s.net s.dpid s.msgs.(i)
+          done;
+          Sim.Engine.Ran
+      | _ -> Sim.Engine.Unknown)
+    ~channel:(function
+      | Frame { at; _ } ->
+          Some
+            (Sim.Engine.Link
+               { node = Topology.node_to_string at.node; port = at.port })
+      | To_controller { msg = Message.Packet_in { Message.dpid; _ }; _ }
+      | To_controller
+          { msg = Message.Stats_reply { Message.st_dpid = dpid; _ }; _ } ->
+          Some (Sim.Engine.Switch_to_controller dpid)
+      | To_switch { dpid; _ } -> Some (Sim.Engine.Controller_to_switch dpid)
+      | _ -> None)
 
 let attach_host t ~name ~mac ~ip ~rx =
   (match Topology.host_attachment t.topology name with

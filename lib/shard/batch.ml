@@ -28,8 +28,11 @@ type t = {
   mutable flushes : int;
   mutable batched : int;
   mutable h_size : Obs.Registry.Histogram.t option;
-  mutable flush_event : unit -> unit; (* [flush t], built once *)
+  flush_event : Sim.Engine.event; (* [Flush t], built once *)
 }
+
+(* The end-of-tick pass. *)
+type Sim.Engine.event += Flush of t
 
 (* Fills released slots, so a flushed message is not kept alive. *)
 let vacant = Msg.Barrier
@@ -54,7 +57,7 @@ let flush t =
   end
 
 let create ~engine ~send () =
-  let t =
+  let rec t =
     {
       engine;
       send;
@@ -64,11 +67,20 @@ let create ~engine ~send () =
       flushes = 0;
       batched = 0;
       h_size = None;
-      flush_event = ignore;
+      flush_event = Flush t;
     }
   in
-  t.flush_event <- (fun () -> flush t);
   t
+
+(* The batcher's dispatcher. *)
+let () =
+  Sim.Engine.register
+    ~run:(function
+      | Flush t ->
+          flush t;
+          Sim.Engine.Ran
+      | _ -> Sim.Engine.Unknown)
+    ~channel:(function Flush _ -> Some Sim.Engine.Timer | _ -> None)
 
 (* The first index in [groups.(lo..hi-1)] whose dpid is at least
    [dpid]. *)
@@ -103,7 +115,7 @@ let add t dpid msg =
   t.buffered <- t.buffered + 1;
   if not t.scheduled then begin
     t.scheduled <- true;
-    Sim.Engine.schedule t.engine ~delay:Sim.Time.zero t.flush_event
+    Sim.Engine.schedule_event t.engine ~delay:Sim.Time.zero t.flush_event
   end
 
 let pending t = t.buffered

@@ -4,8 +4,9 @@
     messages posted to it act on state their poster owns, so no shard
     has state to share or propagate.
 
-    Each shard is modelled as a sim process with its own mailbox:
-    {!post} enqueues a message and schedules its execution at
+    Each shard is modelled as a sim process with its own mailbox, a
+    channel of its own ({!Sim.Engine.Mailbox}): {!post} enqueues a
+    message and schedules its execution at
     [max(now, busy_until)], advancing the shard's [busy_until] by the
     per-message service time. Two regimes fall out:
 
@@ -19,45 +20,71 @@
       controller cores; the burst makespan shrinks near-linearly in
       shard count (the [setup/concurrent-burst] bench). *)
 
-type t
+type 'm t
+(** Shards whose mailboxes hold messages of type ['m]. *)
 
-val create : ?service:Sim.Time.t -> shards:int -> Sim.Engine.t -> t
-(** [service] is the simulated per-message processing cost (default
+val create_typed :
+  ?service:Sim.Time.t ->
+  shards:int ->
+  vacant:'m ->
+  handle:('m -> unit) ->
+  Sim.Engine.t ->
+  'm t
+(** Shards whose messages are data: a drained message runs as [handle
+    msg], on its shard. [vacant] fills a mailbox's free slots, so a
+    drained message is not kept alive; it is never handled. [service]
+    is the simulated per-message processing cost (default
     {!Sim.Time.zero}).
     @raise Invalid_argument when [shards < 1]. *)
 
-val shards : t -> int
+val create :
+  ?service:Sim.Time.t -> shards:int -> Sim.Engine.t -> (unit -> unit) t
+(** Shards whose messages are closures, each run as it is drained: the
+    closure API, kept for callers outside [lib/]. *)
+
+val shards : 'm t -> int
 (** The number of run queues. *)
 
-val shard_of_flow : t -> Netcore.Five_tuple.t -> int
+val shard_of_flow : 'm t -> Netcore.Five_tuple.t -> int
 (** The owning shard for a flow: [Five_tuple.hash mod shard_count].
     Deterministic, direction-sensitive — a daemon response is routed
     to the owner by hashing the flow it names. *)
 
-val post : t -> shard:int -> (unit -> unit) -> unit
+val post : 'm t -> shard:int -> 'm -> unit
 (** Append a message to the shard's mailbox. It runs at
     [max(now, busy_until)]; messages posted to one shard run in post
-    order. *)
+    order. Allocates nothing but the mailbox's amortised growth: each
+    shard's drain event is built once. *)
 
-val post_after :
-  t -> shard:int -> delay:Sim.Time.t -> (unit -> unit) -> Sim.Engine.cancel
-(** A cancellable timer that {e posts} into the shard's mailbox when it
-    fires (so timeout handling also serialises with the shard's other
-    work). Cancelling after the fire is a no-op as usual. *)
+type timer
+(** A cancellable timer armed by {!post_after}. *)
 
-val queue_depth : t -> int -> int
+val post_after : 'm t -> shard:int -> delay:Sim.Time.t -> 'm -> timer
+(** A cancellable timer that {e posts} the message into the shard's
+    mailbox when it fires (so timeout handling also serialises with the
+    shard's other work). The timer is one event holding the message and
+    its cancelled flag. *)
+
+val cancel : timer -> unit
+(** Cancelling an already-fired or cancelled timer is a no-op. *)
+
+val no_timer : timer
+(** A handle to no timer, as if already cancelled: a placeholder until
+    a real timer is armed. *)
+
+val queue_depth : 'm t -> int -> int
 (** Messages posted to the shard but not yet drained. *)
 
-val posted : t -> int
-val processed : t -> int
-val cross_messages : t -> int
+val posted : 'm t -> int
+val processed : 'm t -> int
+val cross_messages : 'm t -> int
 
-val makespan : t -> Sim.Time.t
+val makespan : 'm t -> Sim.Time.t
 (** The largest [busy_until] across shards — with [service > 0], the
     simulated completion time of all posted work; the quantity the
     concurrent-burst bench divides flow count by. *)
 
-val register_metrics : t -> ?labels:Obs.Registry.labels -> Obs.Registry.t -> unit
+val register_metrics : 'm t -> ?labels:Obs.Registry.labels -> Obs.Registry.t -> unit
 (** Registers [identxx_shard_queue_depth] and
     [identxx_shard_messages_total] per shard (label [shard]) and the
     global [identxx_shard_cross_messages_total] (posts made while one

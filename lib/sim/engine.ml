@@ -1,38 +1,101 @@
-type event = { action : unit -> unit; mutable cancelled : bool }
+type event = ..
+type event += Thunk of (unit -> unit)
+
+(* A closure that can be cancelled: the flag sits in the event. *)
+type event += Cancellable of { action : unit -> unit; mutable cancelled : bool }
+
+type channel =
+  | Link of { node : string; port : int }
+  | Switch_to_controller of int
+  | Controller_to_switch of int
+  | Mailbox of int
+  | Timer
+
+type outcome = Ran | Reaped | Unknown
+type layer = { run : event -> outcome; channel : event -> channel option }
+
+(* In registration order, which is module initialisation order. *)
+let layers = ref [||]
+
+let register ~run ~channel =
+  layers := Array.append !layers [| { run; channel } |]
+
 type t = { mutable clock : Time.t; queue : event Heap.t }
 type cancel = event
 
-(* Also the queue's filler: the value its unused cells hold. *)
-let cancelled = { action = ignore; cancelled = true }
-let create () = { clock = Time.zero; queue = Heap.create cancelled }
+(* The queue's filler: the value its unused cells hold. *)
+let idle = Thunk ignore
+let create () = { clock = Time.zero; queue = Heap.create idle }
 let now t = t.clock
 
-let schedule_at t ~at action =
+let schedule_event_at t ~at ev =
   if Time.compare at t.clock < 0 then
     invalid_arg "Engine.schedule_at: time is in the past";
-  Heap.push t.queue ~key:(Time.to_ns at) { action; cancelled = false }
+  Heap.push t.queue ~key:(Time.to_ns at) ev
 
-let schedule t ~delay action = schedule_at t ~at:(Time.add t.clock delay) action
+let schedule_event t ~delay ev =
+  schedule_event_at t ~at:(Time.add t.clock delay) ev
+
+let schedule_at t ~at action = schedule_event_at t ~at (Thunk action)
+let schedule t ~delay action = schedule_event t ~delay (Thunk action)
 
 let schedule_cancellable t ~delay action =
-  let ev = { action; cancelled = false } in
-  Heap.push t.queue ~key:(Time.to_ns (Time.add t.clock delay)) ev;
+  let ev = Cancellable { action; cancelled = false } in
+  schedule_event t ~delay ev;
   ev
 
-let cancel ev = ev.cancelled <- true
+let cancel = function Cancellable c -> c.cancelled <- true | _ -> ()
 let pending t = Heap.size t.queue
 
+let no_layer () = invalid_arg "Sim.Engine: no registered layer knows this event"
+
+let rec run_layers layers i ev =
+  if i = Array.length layers then no_layer ()
+  else
+    match layers.(i).run ev with
+    | Unknown -> run_layers layers (i + 1) ev
+    | (Ran | Reaped) as o -> o
+
+let run_event ev =
+  match ev with
+  | Thunk action ->
+      action ();
+      Ran
+  | Cancellable c ->
+      if c.cancelled then Reaped
+      else begin
+        c.action ();
+        Ran
+      end
+  | _ -> run_layers !layers 0 ev
+
+let channel ev =
+  match ev with
+  | Thunk _ | Cancellable _ -> Timer
+  | _ ->
+      let layers = !layers in
+      let rec go i =
+        if i = Array.length layers then no_layer ()
+        else match layers.(i).channel ev with Some c -> c | None -> go (i + 1)
+      in
+      go 0
+
+let next_channel t =
+  if Heap.is_empty t.queue then None else Some (channel (Heap.min_value t.queue))
+
 (* Dispatch the heap's first event. Reads the key in place and takes
-   the value, so a dispatch allocates nothing of its own. *)
+   the value, so a dispatch allocates nothing of its own. The event runs
+   at its time; a cancelled one is reaped without advancing the clock —
+   time only moves when something actually happens — so the clock
+   goes back when the dispatcher reports it reaped. *)
 let dispatch t =
   let at = Heap.min_key t.queue in
   let ev = Heap.take t.queue in
-  (* Cancelled events are reaped without advancing the clock — time
-     only moves when something actually happens. *)
-  if not ev.cancelled then begin
-    t.clock <- Time.ns at;
-    ev.action ()
-  end
+  let clock = t.clock in
+  t.clock <- Time.ns at;
+  match run_event ev with
+  | Ran -> ()
+  | Reaped | Unknown -> t.clock <- clock
 
 let step t =
   let live = not (Heap.is_empty t.queue) in

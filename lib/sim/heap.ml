@@ -63,6 +63,10 @@ let min_key h =
   if h.len = 0 then invalid_arg "Heap.min_key: empty heap";
   h.keys.(0)
 
+let min_value h =
+  if h.len = 0 then invalid_arg "Heap.min_value: empty heap";
+  h.vals.(0)
+
 let take h =
   if h.len = 0 then invalid_arg "Heap.take: empty heap";
   let keys = h.keys and seqs = h.seqs and vals = h.vals in

@@ -24,6 +24,10 @@ val min_key : 'a t -> int
 (** The smallest key, read in place: no allocation, nothing removed.
     @raise Invalid_argument when the heap is empty. *)
 
+val min_value : 'a t -> 'a
+(** The value {!take} would return, left in place.
+    @raise Invalid_argument when the heap is empty. *)
+
 val take : 'a t -> 'a
 (** Remove the smallest-key entry and return its value, without
     allocating; equal keys come out in insertion order.

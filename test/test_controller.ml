@@ -838,8 +838,9 @@ let test_signed_responses_accepted_when_valid () =
    exchange, not the recorder. The timed rounds follow ten warm-up
    exchanges, so both daemons reuse their cached section tags and the
    controller confirms them from its verified-section cache: each answer
-   costs one binding tag per side. Measured: 1526 minor words per
-   exchange with the event queue and flow table keeping times unboxed
+   costs one binding tag per side. Measured: 1395 minor words per
+   exchange with every simulator event and shard message typed data,
+   not a closure; 1526 with the event queue and flow table keeping times unboxed
    and flow setup reporting through one emitter; 1732 before that, with
    the decision building no default keystore or registry
    and reading the policy's member() list split once per epoch, one
@@ -926,7 +927,7 @@ let test_cold_exchange_alloc () =
   Alcotest.(check int) "both queries and the first packet delivered"
     (3 * rounds)
     (Net.delivered s.network - delivered0);
-  if words > 1589.0 then Alcotest.failf "%.0f minor words per exchange" words
+  if words > 1458.0 then Alcotest.failf "%.0f minor words per exchange" words
 
 (* [Deploy.simple_network]'s two hosts, with every ident++ query the
    server receives recorded (with its packet): an attacker who can see

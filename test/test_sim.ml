@@ -178,9 +178,10 @@ let test_engine_run_alloc () =
   if words > 16. then
     Alcotest.failf "%.0f minor words to dispatch %d no-op events" words n
 
-(* Scheduling allocates only the event's 3-word record once the queue
-   has grown. Measured: 3 words per event; 7 while each event also
-   boxed a 4-word heap entry. *)
+(* Scheduling a closure allocates only its 3-word [Thunk] event once the
+   queue has grown (header, constructor, closure). Measured: 3 words per
+   event; 7 while each event also boxed a 4-word heap entry. The typed
+   events' own gates are in "events". *)
 let test_engine_schedule_alloc () =
   let e = Sim.Engine.create () in
   let n = 1000 in
@@ -246,6 +247,200 @@ let test_engine_rejects_past () =
   Alcotest.check_raises "past scheduling"
     (Invalid_argument "Engine.schedule_at: time is in the past") (fun () ->
       Sim.Engine.schedule_at e ~at:(Sim.Time.ms 1) (fun () -> ()))
+
+(* --- Typed events: channels and what each layer's event costs --- *)
+
+module Topo = Openflow.Topology
+module Net = Openflow.Network
+
+(* Switch 1 between hosts h1 (its port 1) and h2 (its port 2), with no
+   entries: a frame reaching it misses, and is dropped unless a
+   controller is registered. *)
+let one_switch () =
+  let engine = Sim.Engine.create () in
+  let topo = Topo.create () in
+  Topo.add_switch topo 1;
+  List.iter (Topo.add_host topo) [ "h1"; "h2" ];
+  Topo.link topo (Topo.Host "h1", 0) (Topo.Sw 1, 1);
+  Topo.link topo (Topo.Host "h2", 0) (Topo.Sw 1, 2);
+  let net = Net.create ~engine ~topology:topo () in
+  List.iteri
+    (fun i name ->
+      Net.attach_host net ~name ~mac:(Netcore.Mac.of_int (i + 1))
+        ~ip:(Netcore.Ipv4.of_int (0x0a000001 + i))
+        ~rx:ignore)
+    [ "h1"; "h2" ];
+  (engine, net)
+
+let frame () =
+  Netcore.Packet.tcp_syn
+    ~src:(Netcore.Ipv4.of_int 0x0a000001)
+    ~dst:(Netcore.Ipv4.of_int 0x0a000002)
+    ~src_port:40000 ~dst_port:80 ()
+
+let channel =
+  Alcotest.testable
+    (fun ppf -> function
+      | Sim.Engine.Link { node; port } -> Format.fprintf ppf "link to %s:%d" node port
+      | Switch_to_controller d -> Format.fprintf ppf "s%d to controller" d
+      | Controller_to_switch d -> Format.fprintf ppf "controller to s%d" d
+      | Mailbox s -> Format.fprintf ppf "mailbox %d" s
+      | Timer -> Format.fprintf ppf "timer")
+    ( = )
+
+(* Each layer's event reports the channel its layer documents. *)
+let test_event_channels () =
+  let engine, net = one_switch () in
+  let next what expected =
+    check Alcotest.(option channel) what (Some expected)
+      (Sim.Engine.next_channel engine);
+    check Alcotest.bool "dispatched" true (Sim.Engine.step engine)
+  in
+  Sim.Engine.schedule engine ~delay:Sim.Time.zero ignore;
+  next "a thunk" Timer;
+  Sim.Engine.cancel
+    (Sim.Engine.schedule_cancellable engine ~delay:Sim.Time.zero ignore);
+  next "a cancellable thunk" Timer;
+  Net.register_controller net ~id:0 ignore;
+  Net.send_from_host net ~name:"h1" (frame ());
+  next "a frame: its link direction, by the receiving end"
+    (Link { node = "s1"; port = 1 });
+  next "a table miss's packet-in" (Switch_to_controller 1);
+  Net.send_batch net 1 [| Openflow.Message.Stats_request { xid = 1 } |];
+  next "a control batch" (Controller_to_switch 1);
+  next "a switch's reply" (Switch_to_controller 1);
+  let d = Shard.Engine.create ~shards:2 engine in
+  Shard.Engine.post d ~shard:1 ignore;
+  next "a shard post" (Mailbox 1);
+  ignore (Shard.Engine.post_after d ~shard:0 ~delay:Sim.Time.zero ignore);
+  next "a shard timer" Timer;
+  next "the post the timer made" (Mailbox 0);
+  let b = Shard.Batch.create ~engine ~send:(fun _ _ -> ()) () in
+  Shard.Batch.add b 1 Openflow.Message.Barrier;
+  next "the batcher's flush" Timer;
+  check Alcotest.(option channel) "drained" None (Sim.Engine.next_channel engine)
+
+(* A layer of the test's own: probes that log their dispatch. *)
+type Sim.Engine.event += Probe of { ch : int; id : int }
+
+let probe_log = ref []
+
+let () =
+  Sim.Engine.register
+    ~run:(function
+      | Probe p ->
+          probe_log := (p.ch, p.id) :: !probe_log;
+          Sim.Engine.Ran
+      | _ -> Sim.Engine.Unknown)
+    ~channel:(function Probe p -> Some (Sim.Engine.Mailbox p.ch) | _ -> None)
+
+(* The channel contract on the engine alone: events at one instant on
+   one channel dispatch in the order they were scheduled, and each
+   reports its channel when next. *)
+let prop_channel_fifo =
+  QCheck.Test.make ~name:"one channel's simultaneous events stay in order"
+    ~count:200
+    QCheck.(list_of_size Gen.(int_range 0 40) (pair (int_range 0 3) (int_range 0 3)))
+    (fun spec ->
+      let e = Sim.Engine.create () in
+      probe_log := [];
+      List.iteri
+        (fun id (at, ch) ->
+          Sim.Engine.schedule_event_at e ~at:(Sim.Time.ns at) (Probe { ch; id }))
+        spec;
+      let spec = Array.of_list spec in
+      let rec drain last_at =
+        match Sim.Engine.next_channel e with
+        | None -> true
+        | Some reported ->
+            ignore (Sim.Engine.step e);
+            let ch, id = List.hd !probe_log in
+            let at = Sim.Time.to_ns (Sim.Engine.now e) in
+            reported = Sim.Engine.Mailbox ch
+            && at = fst spec.(id) && at >= last_at && drain at
+      in
+      drain 0
+      && List.length !probe_log = Array.length spec
+      &&
+      (* Later dispatches come first in the log. *)
+      let rec ordered = function
+        | [] -> true
+        | (ch, id) :: earlier ->
+            List.for_all
+              (fun (ch', id') ->
+                ch' <> ch || fst spec.(id') <> fst spec.(id) || id' < id)
+              earlier
+            && ordered earlier
+      in
+      ordered !probe_log)
+
+(* Words [f] allocates per call over [n] calls, after a round of [n]
+   calls and [drain] has grown the queues; [drain] runs after each
+   round, outside the count. *)
+let words_per ~n ~drain f =
+  let round () =
+    for _ = 1 to n do
+      f ()
+    done
+  in
+  round ();
+  drain ();
+  let before = Gc.minor_words () in
+  round ();
+  let words = Gc.minor_words () -. before in
+  drain ();
+  words /. float_of_int n
+
+let gate what budget words =
+  if words > budget then
+    Alcotest.failf "%s: %.1f minor words, budget %.0f" what words budget
+
+(* Each kind of event is one block, or none: a frame's or a control
+   batch's is its payload inline, 5 words (header, constructor, three
+   fields) where a closure and the record holding it took 9; a shard
+   post stores its message in the mailbox's ring and pushes the shard's
+   drain event, built once; a tick's flush event is built once too. *)
+let test_event_alloc () =
+  let engine, net = one_switch () in
+  let run () = Sim.Engine.run engine in
+  let pkt = frame () in
+  (* A host's send: the frame's 5-word event; the other 4 words are the
+     options of the host's two table lookups. *)
+  gate "link frame" 9.
+    (words_per ~n:1000 ~drain:run (fun () -> Net.send_from_host net ~name:"h1" pkt));
+  let msgs = [| Openflow.Message.Barrier |] in
+  gate "control batch" 5.
+    (words_per ~n:1000 ~drain:run (fun () -> Net.send_batch net 1 msgs));
+  let d =
+    Shard.Engine.create_typed ~shards:2 ~vacant:0 ~handle:ignore engine
+  in
+  gate "shard post" 0.
+    (words_per ~n:1000 ~drain:run (fun () -> Shard.Engine.post d ~shard:1 7));
+  (* A tick of one message: the flush sends a copy of the switch's
+     messages, a 2-word array; scheduling and dispatching it allocate
+     nothing. *)
+  let b = Shard.Batch.create ~engine ~send:(fun _ _ -> ()) () in
+  gate "batch flush" 2.
+    (words_per ~n:1000 ~drain:ignore (fun () ->
+         Shard.Batch.add b 1 Openflow.Message.Barrier;
+         run ()))
+
+(* A dispatched frame is gone from the queue: its packet becomes
+   garbage once the switch has dropped it. *)
+let test_frame_released () =
+  let engine, net = one_switch () in
+  let sent = Weak.create 1 in
+  let[@inline never] send () =
+    let p = frame () in
+    Weak.set sent 0 (Some p);
+    Net.send_from_host net ~name:"h1" p
+  in
+  send ();
+  Sim.Engine.run engine;
+  Gc.full_major ();
+  check Alcotest.int "dropped at the switch" 1 (Net.dropped net);
+  if Weak.check sent 0 then
+    Alcotest.fail "the frame's packet is still reachable after dispatch"
 
 (* --- Prng --- *)
 
@@ -344,6 +539,16 @@ let () =
           Alcotest.test_case "fifo among simultaneous" `Quick
             test_engine_same_time_fifo;
           Alcotest.test_case "rejects past" `Quick test_engine_rejects_past;
+        ] );
+      ( "events",
+        [
+          Alcotest.test_case "each layer's event names its channel" `Quick
+            test_event_channels;
+          Alcotest.test_case "each kind of event allocates its block or none"
+            `Quick test_event_alloc;
+          Alcotest.test_case "a dispatched frame is released" `Quick
+            test_frame_released;
+          QCheck_alcotest.to_alcotest prop_channel_fifo;
         ] );
       ( "prng",
         [

@@ -48,7 +48,14 @@
       [Span.start|finish|event|set_attr|force_sample|is_live],
       [Counter.inc|add], [Histogram.observe]). A counter or histogram
       call on the proactive compiler's instruments ([_.pm._]) is the
-      one exception.
+      one exception;
+  10. simulator events are data: outside lib/sim/engine.ml, nothing in
+      lib/ passes a [fun] literal to [Sim.Engine.schedule*] or
+      [Shard.Engine.post*] (a [fun] or [function] at the call's own
+      level or directly inside one of its parenthesised arguments), or
+      names a [(unit -> unit) Queue.t]. A layer schedules its own typed
+      [Sim.Engine.event] cases and posts typed messages; the closure API
+      is for callers outside lib/.
 
    Usage: doclint <repo-root>. Exit 1 on any finding. *)
 
@@ -971,6 +978,65 @@ let check_emitter root =
     go 0 (tokens src)
   end
 
+(* --- 10: simulator events are data --- *)
+
+let thunk_exempt = "lib/sim/engine.ml"
+
+(* Whether [m.v], [m] the last component of its module path, schedules
+   on the simulator or posts to a shard. The scan is lexical, so both
+   [Sim.Engine] and [Shard.Engine] read as [Engine]. *)
+let scheduling_call m v =
+  m = "Engine"
+  && (String.starts_with ~prefix:"schedule" v || String.starts_with ~prefix:"post" v)
+
+(* The offset of a [fun] or [function] among a call's argument tokens:
+   at the call's level ([@@ fun]) or directly inside a parenthesised
+   argument ([(fun () -> ...)]), not deeper. The arguments end at a
+   closing bracket or a keyword or separator at the call's level. *)
+let rec fun_argument depth = function
+  | [] -> None
+  | (("fun" | "function"), off) :: _ when depth <= 1 -> Some off
+  | (("(" | "[" | "{" | "begin"), _) :: rest -> fun_argument (depth + 1) rest
+  | ((")" | "]" | "}" | "end"), _) :: rest ->
+      if depth = 0 then None else fun_argument (depth - 1) rest
+  | ( ( ";" | ";;" | "in" | "let" | "and" | "then" | "else" | "do" | "done"
+      | "with" | "|" | "->" ),
+      _ )
+    :: _
+    when depth = 0 ->
+      None
+  | _ :: rest -> fun_argument depth rest
+
+let check_thunks root =
+  List.iter
+    (fun rel ->
+      if rel <> thunk_exempt then begin
+        let path = Filename.concat root rel in
+        let src = code_only (read_file path) in
+        let aliases = (scan_refs path).aliases in
+        let resolve m = Option.value ~default:m (Hashtbl.find_opt aliases m) in
+        let rec go = function
+          | [] -> ()
+          | ("(", _) :: ("unit", off) :: ("->", _) :: ("unit", _) :: (")", _)
+            :: ("Queue", _) :: (".", _) :: ("t", _) :: rest ->
+              err "%s:%d: a `(unit -> unit) Queue.t`: queue typed messages, not \
+                   closures" rel (line_of src off);
+              go rest
+          | (m, _) :: (".", _) :: (v, _) :: rest
+            when is_module_name m && scheduling_call (resolve m) v ->
+              (match fun_argument 0 rest with
+              | Some off ->
+                  err "%s:%d: a `fun` literal passed to `%s.%s`: schedule a \
+                       typed event or post a typed message" rel (line_of src off)
+                    (resolve m) v
+              | None -> ());
+              go rest
+          | _ :: rest -> go rest
+        in
+        go (tokens src)
+      end)
+    (source_files root "lib")
+
 let () =
   let root = if Array.length Sys.argv > 1 then Sys.argv.(1) else "." in
   check_interfaces root;
@@ -981,6 +1047,7 @@ let () =
   check_exports root;
   check_experiments root;
   check_emitter root;
+  check_thunks root;
   let have_odoc = Sys.command "command -v odoc >/dev/null 2>&1" = 0 in
   if !errors > 0 then begin
     Printf.printf "doclint: %d finding(s)\n" !errors;
