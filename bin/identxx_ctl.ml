@@ -10,6 +10,7 @@
 
 open Cmdliner
 module PS = Identxx_core.Policy_store
+module Rev = PS.Revision
 module D = Identxx_core.Decision
 
 let read_file path =
@@ -89,28 +90,34 @@ let fail e =
   Printf.eprintf "error: %s\n" e;
   exit 1
 
-(* Every subcommand reads its policy files here, through the store the
-   controller reads its directory with: the same order, the same parse
-   of each file, the same policy set. A file that does not parse ends
-   the run, named as given. *)
+(* Every subcommand reads its policy files here, as the controller's
+   store builds a revision: the same order, the same parse of each
+   file, the same policy set. A file that does not parse ends the run,
+   named as given. *)
 let load_policy paths =
   match PS.load (List.map (fun path -> (Filename.basename path, read_file path)) paths) with
-  | Ok store -> store
+  | Ok rev -> rev
   | Error e -> fail e
 
 (* The set's compiled environment; a set that does not build ends the
    run. *)
-let policy_env store = match PS.env store with Ok env -> env | Error e -> fail e
+let policy_env rev = match Rev.env rev with Ok env -> env | Error e -> fail e
+
+(* A flow's verdict under [env] given the ends' answers, as the
+   controller's {!D.decide} reaches it. *)
+let decide ?default env ~src ~dst flow = Pf.Eval.eval ?default env (Pf.Eval.ctx ?src ?dst ()) flow
+
+let passes = function Ok v -> v.Pf.Eval.decision = Pf.Ast.Pass | Error _ -> false
 
 (* --- check --- *)
 
 let check_cmd =
   let files = Arg.(non_empty & pos_all file [] & info [] ~docv:"FILE") in
   let run files =
-    let store = load_policy files in
-    let env = policy_env store in
+    let rev = load_policy files in
+    let env = policy_env rev in
     Printf.printf "OK: %d files, %d rules, tables: %s\n"
-      (List.length (PS.files store))
+      (List.length (Rev.files rev))
       (List.length (Pf.Env.rules env))
       (String.concat ", " (Pf.Env.table_names env));
     0
@@ -182,36 +189,16 @@ let eval_cmd =
           Printf.eprintf "error: %s\n" e;
           1
       | Ok flow ->
-          let store = load_policy policies in
-          let env = policy_env store in
-          let decision =
-            D.create
-              ~default:(if default_block then Pf.Ast.Block else Pf.Ast.Pass)
-              ~policy:store ()
-          in
+          let env = policy_env (load_policy policies) in
+          let default = if default_block then Pf.Ast.Block else Pf.Ast.Pass in
           let response pairs =
             match parse_pairs pairs with
             | [] -> None
             | section -> Some (Identxx.Response.make ~flow [ section ])
           in
-          let input =
-            {
-              D.flow;
-              src_response = response src_pairs;
-              dst_response = response dst_pairs;
-            }
-          in
+          let src = response src_pairs and dst = response dst_pairs in
           if trace_flag then begin
-            let ctx =
-              Pf.Eval.ctx ?src:input.D.src_response ?dst:input.D.dst_response
-                ~keystore:(D.keystore decision)
-                ~functions:(D.functions decision) ()
-            in
-            match
-              Pf.Eval.trace
-                ~default:(if default_block then Pf.Ast.Block else Pf.Ast.Pass)
-                env ctx input.D.flow
-            with
+            match Pf.Eval.trace ~default env (Pf.Eval.ctx ?src ?dst ()) flow with
             | Error e -> fail e
             | Ok (steps, _) ->
                 List.iter
@@ -224,8 +211,9 @@ let eval_cmd =
                       (Pf.Pretty.rule s.Pf.Eval.rule))
                   steps
           end;
-          print_endline (D.explain decision input);
-          if D.allows decision input then 0 else 2
+          let verdict = decide ~default env ~src ~dst flow in
+          print_endline (D.explain flow verdict);
+          if passes verdict then 0 else 2
     with Failure e ->
       Printf.eprintf "error: %s\n" e;
       1
@@ -307,9 +295,7 @@ let matrix_cmd =
   in
   let run policies scenario =
     try
-      let store = load_policy policies in
-      ignore (policy_env store);
-      let decision = D.create ~policy:store () in
+      let env = policy_env (load_policy policies) in
       let lines =
         String.split_on_char '\n' (read_file scenario)
         |> List.mapi (fun i l -> (i + 1, String.trim l))
@@ -330,14 +316,11 @@ let matrix_cmd =
                     | [] -> None
                     | kvs -> Some (Identxx.Response.make ~flow [ parse_pairs kvs ])
                   in
-                  let input =
-                    {
-                      D.flow;
-                      src_response = pairs src_s;
-                      dst_response = pairs dst_s;
-                    }
+                  let got =
+                    if passes (decide env ~src:(pairs src_s) ~dst:(pairs dst_s) flow)
+                    then "pass"
+                    else "block"
                   in
-                  let got = if D.allows decision input then "pass" else "block" in
                   let ok = got = expect_s in
                   if not ok then incr failures;
                   Printf.printf "%-50s %-6s %-6s %s\n" flow_s expect_s got
@@ -381,10 +364,10 @@ let severity_count (findings : Analysis.Check.finding list) sev =
 (* Deciding lines rendered fragment-aware: the concatenated line is
    mapped back to the contributing file, line 0 is the implicit
    default. *)
-let line_ref store = function
+let line_ref rev = function
   | 0 -> "default"
   | l ->
-      let file, local = PS.locate store l in
+      let file, local = Rev.locate rev l in
       Printf.sprintf "%s:%d" file local
 
 let analyze_lint files format =
@@ -400,10 +383,10 @@ let analyze_lint files format =
             exit 1)
       config_files
   in
-  let store = load_policy policy_files in
-  let decls = match PS.ruleset store with Ok decls -> decls | Error e -> fail e in
-  let findings = Analysis.Check.run ~configs ~where:(line_ref store) decls in
-  let located = Analysis.Report.locate (PS.locate store) findings in
+  let rev = load_policy policy_files in
+  let decls = match Rev.ruleset rev with Ok decls -> decls | Error e -> fail e in
+  let findings = Analysis.Check.run ~configs ~where:(line_ref rev) decls in
+  let located = Analysis.Report.locate (Rev.locate rev) findings in
   (match format with
   | `Json -> print_endline (Analysis.Report.to_json located)
   | `Text ->
@@ -412,43 +395,43 @@ let analyze_lint files format =
         (severity_count findings Analysis.Check.Error)
         (severity_count findings Analysis.Check.Warning)
         (severity_count findings Analysis.Check.Info)
-        (List.length (PS.files store)));
+        (List.length (Rev.files rev)));
   Analysis.Report.exit_code findings
 
 (* --- analyze equiv/diff/slice: decision-diagram semantics over whole
    policy sets (lib/analysis/fdd.mli). Each side of a comparison is a
    policy set in its own right, read by [load_policy]. *)
 
-let diagram store = Analysis.Fdd.compile (policy_env store)
+let diagram rev = Analysis.Fdd.compile (policy_env rev)
 
 let json_str s = Obs.Json.to_string (Obs.Json.Str s)
 
 let action_name = function Pf.Ast.Pass -> "pass" | Pf.Ast.Block -> "block"
 
-let verdict_text store = function
+let verdict_text rev = function
   | Analysis.Fdd.Static { action; lines } ->
       Printf.sprintf "%s (%s)" (action_name action)
-        (String.concat ", " (List.map (line_ref store) lines))
+        (String.concat ", " (List.map (line_ref rev) lines))
   | Analysis.Fdd.Reactive { lines; inputs; may_default } ->
       Printf.sprintf "reactive (%s; needs %s%s)"
-        (String.concat ", " (List.map (line_ref store) lines))
+        (String.concat ", " (List.map (line_ref rev) lines))
         (match inputs with
         | [] -> "flow-time evaluation"
         | _ ->
             String.concat ", " (List.map Pf.Ast.cond_input_to_string inputs))
         (if may_default then "; may fall through to default" else "")
 
-let verdict_json store = function
+let verdict_json rev = function
   | Analysis.Fdd.Static { action; lines } ->
       Printf.sprintf {|{"kind":"static","action":"%s","lines":[%s]}|}
         (action_name action)
         (String.concat ","
-           (List.map (fun l -> json_str (line_ref store l)) lines))
+           (List.map (fun l -> json_str (line_ref rev l)) lines))
   | Analysis.Fdd.Reactive { lines; inputs; may_default } ->
       Printf.sprintf
         {|{"kind":"reactive","lines":[%s],"inputs":[%s],"may_default":%b}|}
         (String.concat ","
-           (List.map (fun l -> json_str (line_ref store l)) lines))
+           (List.map (fun l -> json_str (line_ref rev l)) lines))
         (String.concat ","
            (List.map
               (fun i -> json_str (Pf.Ast.cond_input_to_string i))
@@ -483,10 +466,10 @@ let new_set =
 
 let analyze_equiv_cmd =
   let run old_files new_files format =
-    let old_store = load_policy old_files in
-    let fl = diagram old_store in
-    let new_store = load_policy new_files in
-    let fr = diagram new_store in
+    let old_rev = load_policy old_files in
+    let fl = diagram old_rev in
+    let new_rev = load_policy new_files in
+    let fr = diagram new_rev in
     match Analysis.Fdd.equiv fl fr with
     | Ok () ->
         (match format with
@@ -506,12 +489,12 @@ let analyze_equiv_cmd =
               (Printf.sprintf
                  {|{"equivalent":false,"counterexample":{"flow":%s,"old":%s,"new":%s}}|}
                  (json_str (Netcore.Five_tuple.to_string flow))
-                 (verdict_json old_store left) (verdict_json new_store right))
+                 (verdict_json old_rev left) (verdict_json new_rev right))
         | `Text ->
             Printf.printf
               "not equivalent: counterexample %s\n  old: %s\n  new: %s\n"
-              (Netcore.Five_tuple.to_string flow) (verdict_text old_store left)
-              (verdict_text new_store right));
+              (Netcore.Five_tuple.to_string flow) (verdict_text old_rev left)
+              (verdict_text new_rev right));
         2
   in
   Cmd.v
@@ -530,10 +513,10 @@ let analyze_diff_cmd =
           ~doc:"Maximum example regions to report (the fraction is exact).")
   in
   let run old_files new_files limit format =
-    let old_store = load_policy old_files in
-    let fl = diagram old_store in
-    let new_store = load_policy new_files in
-    let fr = diagram new_store in
+    let old_rev = load_policy old_files in
+    let fl = diagram old_rev in
+    let new_rev = load_policy new_files in
+    let fr = diagram new_rev in
     let r = Analysis.Fdd.diff ~limit fl fr in
     (match format with
     | `Json ->
@@ -547,8 +530,8 @@ let analyze_diff_cmd =
                      Printf.sprintf
                        {|{"region":%s,"old":%s,"new":%s}|}
                        (json_str (Analysis.Fdd.region_to_string d.d_region))
-                       (verdict_json old_store d.d_left)
-                       (verdict_json new_store d.d_right))
+                       (verdict_json old_rev d.d_left)
+                       (verdict_json new_rev d.d_right))
                    r.Analysis.Fdd.deltas)))
     | `Text ->
         Printf.printf "changed: %.9g of flow space\n"
@@ -557,8 +540,8 @@ let analyze_diff_cmd =
           (fun (d : Analysis.Fdd.delta) ->
             Printf.printf "%s\n  old: %s\n  new: %s\n"
               (Analysis.Fdd.region_to_string d.Analysis.Fdd.d_region)
-              (verdict_text old_store d.Analysis.Fdd.d_left)
-              (verdict_text new_store d.Analysis.Fdd.d_right))
+              (verdict_text old_rev d.Analysis.Fdd.d_left)
+              (verdict_text new_rev d.Analysis.Fdd.d_right))
           r.Analysis.Fdd.deltas;
         if r.Analysis.Fdd.truncated then
           Printf.printf "... (more changed regions, raise --limit)\n");
@@ -588,8 +571,8 @@ let analyze_slice_cmd =
              space falls below $(docv).")
   in
   let run files limit min_coverage format =
-    let store = load_policy files in
-    let fdd = diagram store in
+    let rev = load_policy files in
+    let fdd = diagram rev in
     let sl = Analysis.Fdd.static_slice ~limit fdd in
     let nodes = Analysis.Fdd.node_count fdd in
     (* Cross-fragment ownership: which fragment's rules decide each
@@ -604,7 +587,7 @@ let analyze_slice_cmd =
             (List.map
                (fun l ->
                  if l = 0 then "default"
-                 else fst (PS.locate store l))
+                 else fst (Rev.locate rev l))
                lines)
         in
         let owner = match owners with [ o ] -> o | _ -> "shared" in
@@ -640,7 +623,7 @@ let analyze_slice_cmd =
                        (action_name action)
                        (String.concat ","
                           (List.map
-                             (fun l -> json_str (line_ref store l))
+                             (fun l -> json_str (line_ref rev l))
                              lines)))
                    sl.Analysis.Fdd.s_static))
              (String.concat ","
@@ -651,7 +634,7 @@ let analyze_slice_cmd =
                        (json_str (Analysis.Fdd.region_to_string rg))
                        (String.concat ","
                           (List.map
-                             (fun l -> json_str (line_ref store l))
+                             (fun l -> json_str (line_ref rev l))
                              r.Analysis.Fdd.lines))
                        (String.concat ","
                           (List.map
@@ -675,14 +658,14 @@ let analyze_slice_cmd =
           (fun (rg, action, lines) ->
             Printf.printf "static %s: %s (%s)\n" (action_name action)
               (Analysis.Fdd.region_to_string rg)
-              (String.concat ", " (List.map (line_ref store) lines)))
+              (String.concat ", " (List.map (line_ref rev) lines)))
           sl.Analysis.Fdd.s_static;
         List.iter
           (fun (rg, (r : Analysis.Fdd.reason)) ->
             Printf.printf "reactive: %s (%s; needs %s%s)\n"
               (Analysis.Fdd.region_to_string rg)
               (String.concat ", "
-                 (List.map (line_ref store) r.Analysis.Fdd.lines))
+                 (List.map (line_ref rev) r.Analysis.Fdd.lines))
               (match r.Analysis.Fdd.inputs with
               | [] -> "flow-time evaluation"
               | inputs ->
@@ -777,8 +760,8 @@ let compile_cmd =
              every enumerated region (exit 1 on any disagreement).")
   in
   let run files max_entries region_budget max_entries_file verify format =
-    let store = load_policy files in
-    let env = policy_env store in
+    let rev = load_policy files in
+    let env = policy_env rev in
     (* What the controller installs: a region a log rule may decide
        stays with it, so it prints as a punt. *)
     let fdd = Compiler.offload ~proactive:true env (Analysis.Fdd.compile env) in
@@ -796,7 +779,7 @@ let compile_cmd =
             exit 1
     in
     let entry_lines (e : Compiler.entry) =
-      List.map (line_ref store) e.Compiler.e_lines
+      List.map (line_ref rev) e.Compiler.e_lines
     in
     let n_entries = List.length tbl.Compiler.entries in
     (match format with

@@ -120,11 +120,19 @@ let () =
       | Error e -> failwith e)
     [ alice; bob ];
 
-  (* Controller policy: the three Figure-2 files. *)
+  (* Controller policy: the three Figure-2 files, installed as one
+     set. *)
   let policy = PS.create () in
-  PS.add_exn policy ~name:"00-local-header.control" header_00;
-  PS.add_exn policy ~name:"50-skype.control" skype_50;
-  PS.add_exn policy ~name:"99-local-footer.control" footer_99;
+  (match
+     PS.set policy
+       [
+         ("00-local-header.control", header_00);
+         ("50-skype.control", skype_50);
+         ("99-local-footer.control", footer_99);
+       ]
+   with
+  | Ok () -> ()
+  | Error e -> failwith e);
   let decision = D.create ~policy () in
 
   let scenario name ~src_host ~src_exe ~dst_host ~dst ~dst_port ~expect =

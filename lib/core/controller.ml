@@ -544,8 +544,9 @@ type t = {
          posted to; they hold no state of their own. *)
   batch : Shard.Batch.t;
       (* Installs, releases and queries leave in per-tick passes. *)
-  mutable plan : (int * Query_plan.t) option;
-      (* Per-epoch memo of what the policy reads. *)
+  mutable plan : Query_plan.t option;
+      (* What the current revision reads, made from each revision the
+         store hands over; the first revision's is made on first use. *)
   mutable last_stats : (Msg.switch_id * Msg.stats_reply) list;
   mutable proactive_tbl : Compiler.table;
       (* The abstract compiled table currently installed. *)
@@ -688,18 +689,13 @@ let release_packets t packets =
         (Msg.Packet_out { Msg.out_packet = pkt; out_port = `Table }))
     (List.rev packets)
 
-(* The current policy's {!Query_plan}, memoized per epoch. *)
-let policy_view t =
-  let epoch = Policy_store.epoch t.policy in
+let plan t =
   match t.plan with
-  | Some (e, v) when e = epoch -> v
-  | prev ->
-      let v =
-        Query_plan.make ~default:t.cfg.default ?prev:(Option.map snd prev)
-          (Policy_store.env t.policy)
-      in
-      t.plan <- Some (epoch, v);
-      v
+  | Some p -> p
+  | None ->
+      let p = Query_plan.make ~default:t.cfg.default (Policy_store.env t.policy) in
+      t.plan <- Some p;
+      p
 
 let compute_verdict t ~flow ~src ~dst =
   let input = { Decision.flow; src_response = src; dst_response = dst } in
@@ -715,9 +711,9 @@ let compute_verdict t ~flow ~src ~dst =
 let eval_decision t ~flow ~src ~dst =
   if not (Fastpath.enabled t.fp) then compute_verdict t ~flow ~src ~dst
   else begin
-    let epoch = Policy_store.epoch t.policy in
+    let epoch = Policy_store.Revision.epoch (Policy_store.current t.policy) in
     let key =
-      Fastpath.decision_key (Query_plan.shape (policy_view t)) ~flow ~src ~dst
+      Fastpath.decision_key (Query_plan.shape (plan t)) ~flow ~src ~dst
     in
     match Fastpath.find_decision t.fp ~epoch ~key with
     | Some v -> v
@@ -846,7 +842,7 @@ let wire_send ?nonce t p end_ attachment =
   let flow = p.p_flow and target = end_ip p.p_flow end_ in
   let query =
     {
-      (Identxx.Query.make ~flow ~keys:(Query_plan.hints (policy_view t))) with
+      (Identxx.Query.make ~flow ~keys:(Query_plan.hints (plan t))) with
       Identxx.Query.nonce;
       trace = qtrace p end_;
     }
@@ -920,7 +916,7 @@ let issue_end t p end_ =
                        same socket when the target is expected to
                        declare its scope. *)
                     Fastpath.Answers.join t.answers
-                      ~hints:(Query_plan.hint_key (policy_view t))
+                      ~hints:(Query_plan.hint_key (plan t))
                       ~flow ~joinable:(declares_scope t target)
                       { w_flow = flow; w_end = end_ }
               with
@@ -999,7 +995,7 @@ let fast_resolve t sp ~now flow ~want end_ =
       | `Src -> None
       | `Dst ->
           Fastpath.Answers.find t.answers ~now
-            ~hints:(Query_plan.hint_key (policy_view t))
+            ~hints:(Query_plan.hint_key (plan t))
             ~flow
     with
     | Some r ->
@@ -1033,7 +1029,7 @@ let start_flow t ~dpid ~in_port pkt (flow : Five_tuple.t) =
     (* Only the ends the flow's verdict can read are asked (see
        {!Query_plan}). *)
     let { Query_plan.src = want_src; dst = want_dst } =
-      Query_plan.ends (policy_view t) flow
+      Query_plan.ends (plan t) flow
     in
     let pre_src = fast_resolve t sp ~now flow ~want:want_src `Src
     and pre_dst = fast_resolve t sp ~now flow ~want:want_dst `Dst in
@@ -1473,7 +1469,7 @@ let entry_add ~state:(state_fwd, state_rev) (e : Compiler.entry) =
 let sync_proactive t =
   let t0 = Sys.time () in
   let fdd, state =
-    match (Policy_store.env t.policy, Query_plan.diagram (policy_view t)) with
+    match (Policy_store.env t.policy, Query_plan.diagram (plan t)) with
     | Ok env, Some fdd ->
         ( Some (Compiler.offload ~proactive:t.cfg.proactive env fdd),
           state_spaces env )
@@ -1707,10 +1703,16 @@ let create ?(config = default_config) ?keystore ?functions ?obs ?spans
   run := run_posted t;
   Net.register_controller network ~id (handle_message t);
   wire_table_telemetry t;
-  (* The compiled table goes in on the first policy change (or an
-     explicit [sync_proactive]); the routes follow the topology from
-     here on, hosts attached later included. *)
-  Policy_store.on_change policy (fun () -> sync_proactive t);
+  (* Each revision the store installs gets its query plan and its
+     compiled table here (an explicit [sync_proactive] compiles the
+     current one); the routes follow the topology from here on, hosts
+     attached later included. *)
+  Policy_store.on_change policy (fun rev ->
+      t.plan <-
+        Some
+          (Query_plan.make ~default:config.default ?prev:t.plan
+             (Policy_store.Revision.env rev));
+      sync_proactive t);
   if config.proactive then begin
     Topo.on_change (Net.topology network) (fun () -> sync_routes t);
     sync_routes t

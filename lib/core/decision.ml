@@ -26,7 +26,6 @@ let create ?(default = Pf.Ast.Pass) ?keystore ?functions ~policy () =
   }
 
 let keystore t = t.keystore
-let functions t = t.functions
 
 let decide t input =
   match Policy_store.env t.policy with
@@ -52,9 +51,8 @@ let allows t input =
   | Ok v -> v.Pf.Eval.decision = Pf.Ast.Pass
   | Error _ -> false
 
-let explain t input =
-  match decide t input with
-  | Error e -> Printf.sprintf "%s => error: %s (fails closed)" (Five_tuple.to_string input.flow) e
+let explain flow = function
+  | Error e -> Printf.sprintf "%s => error: %s (fails closed)" (Five_tuple.to_string flow) e
   | Ok v ->
       let action =
         match v.Pf.Eval.decision with Pf.Ast.Pass -> "pass" | Pf.Ast.Block -> "block"
@@ -64,4 +62,4 @@ let explain t input =
         | None -> "default"
         | Some rule -> Printf.sprintf "line %d: %s" rule.Pf.Ast.line (Pf.Pretty.rule rule)
       in
-      Printf.sprintf "%s => %s (%s)" (Five_tuple.to_string input.flow) action why
+      Printf.sprintf "%s => %s (%s)" (Five_tuple.to_string flow) action why

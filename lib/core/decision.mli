@@ -1,7 +1,8 @@
 (** The pure decision engine: evaluate a flow against the controller's
     policy given the ident++ responses, independent of any simulated
-    network. Used directly by the CLI, the examples and the benchmarks,
-    and by {!Controller} once responses are in. *)
+    network. Used directly by the examples and the benchmarks, and by
+    {!Controller} once responses are in; the CLI prints its verdicts
+    with {!explain}. *)
 
 open Netcore
 
@@ -23,7 +24,6 @@ val create :
 (** [default] applies when no rule matches (PF's implicit pass). *)
 
 val keystore : t -> Idcrypto.Sign.keystore
-val functions : t -> Pf.Fnreg.t
 
 val decide : t -> input -> (Pf.Eval.verdict, string) result
 
@@ -32,5 +32,6 @@ val decide_exn : t -> input -> Pf.Eval.verdict
 val allows : t -> input -> bool
 (** Evaluation errors fail closed (block). *)
 
-val explain : t -> input -> string
-(** A human-readable account: the verdict plus the matching rule. *)
+val explain : Five_tuple.t -> (Pf.Eval.verdict, string) result -> string
+(** A human-readable account of a flow's {!decide} result: the verdict
+    plus the matching rule, or the error it fails closed on. *)

@@ -4,8 +4,8 @@
     Two flows whose keys are equal receive the identical verdict from
     {!Pf.Eval}, so the controller can replay a cached verdict instead of
     re-walking the ruleset — but only
-    within a single policy {e epoch}: {!Policy_store} bumps a monotonic
-    counter on every load, remove and rollback, and entries from any
+    within a single policy {e epoch}: each revision a {!Policy_store}
+    installs carries the next epoch, and entries from any
     other epoch are unreachable (and dropped wholesale on the first
     access in the new epoch), so a stale decision can never survive a
     policy change.

@@ -10,6 +10,13 @@ type t = {
   multi_lists : (string, Items.t) Hashtbl.t;
       (* The lists [member] and [includes] take from the policy itself,
          split once, by their text. *)
+  requirements : memo Lazy.t; (* made by the first allowed() *)
+}
+
+(* allowed()'s rules texts, parsed; oldest first in [order]. *)
+and memo = {
+  parsed : (string, (Ast.rule list, string) result) Hashtbl.t;
+  order : string Queue.t;
 }
 
 let ( let* ) = Result.bind
@@ -128,7 +135,8 @@ let build decls =
           | _ -> ())
         r.Ast.conds)
     rules;
-  Ok { macros; tables; dicts; rules; intercepts; spec_lists; multi_lists }
+  let requirements = lazy { parsed = Hashtbl.create 16; order = Queue.create () } in
+  Ok { macros; tables; dicts; rules; intercepts; spec_lists; multi_lists; requirements }
 
 let of_string s =
   let* decls = Parser.parse s in
@@ -150,6 +158,24 @@ let multi_list t s = Hashtbl.find t.multi_lists s
 let dict t name = List.assoc_opt name t.dicts
 
 let table_names t = List.map fst t.tables
+
+(* allowed() gets the same requirements text for every flow of an
+   application, so its parse is memoized. The memo is bounded against
+   daemons that cycle texts, and evicts one entry at a time, so such a
+   daemon cannot force every other application's text to be re-parsed. *)
+let requirement_limit = 1024
+
+let requirement t text =
+  let m = Lazy.force t.requirements in
+  match Hashtbl.find_opt m.parsed text with
+  | Some r -> r
+  | None ->
+      let r = Parser.parse_rules text in
+      if Hashtbl.length m.parsed >= requirement_limit then
+        Hashtbl.remove m.parsed (Queue.take m.order);
+      Hashtbl.add m.parsed text r;
+      Queue.add text m.order;
+      r
 
 let referenced_keys t =
   let seen = Hashtbl.create 16 in

@@ -48,3 +48,8 @@ val multi_list : t -> string -> Items.t
     first argument. *)
 
 val table_names : t -> string list
+
+val requirement : t -> string -> (Ast.rule list, string) result
+(** An [allowed()] argument's rules ({!Parser.parse_rules}), memoized
+    per environment: a reload starts an empty memo. It holds at most
+    1,024 texts and evicts the oldest, one at a time. *)

@@ -31,32 +31,6 @@ let error fmt = Format.kasprintf (fun m -> raise (Eval_error m)) fmt
 
 let allowed_depth_limit = 4
 
-(* allowed() receives the same requirements strings for every flow of an
-   application, so parsing is memoized. Bounded: adversarial daemons
-   could otherwise grow the table without limit. Eviction is FIFO, one
-   entry at a time — wiping the whole table on overflow would let a
-   single daemon cycling requirement strings force a re-parse stampede
-   for every other cached application. *)
-let allowed_cache : (string, (Ast.rule list, string) result) Hashtbl.t =
-  Hashtbl.create 64
-
-let allowed_cache_order : string Queue.t = Queue.create ()
-
-let allowed_cache_limit = 1024
-
-let parse_rules_cached text =
-  match Hashtbl.find_opt allowed_cache text with
-  | Some r -> r
-  | None ->
-      let r = Parser.parse_rules text in
-      if Hashtbl.length allowed_cache >= allowed_cache_limit then (
-        match Queue.take_opt allowed_cache_order with
-        | Some oldest -> Hashtbl.remove allowed_cache oldest
-        | None -> Hashtbl.reset allowed_cache);
-      Hashtbl.add allowed_cache text r;
-      Queue.add text allowed_cache_order;
-      r
-
 (* Marks an argument that does not resolve (missing key, absent
    response). Compared physically: no string a policy or an answer
    holds is this one. *)
@@ -194,7 +168,7 @@ let rec eval_funcall ~depth env ctx flow (fc : Ast.funcall) =
         error "allowed() nesting exceeds depth %d" allowed_depth_limit;
       match List.map (value env ctx) fc.args with
       | [ rules_text ] when resolved rules_text -> (
-          match parse_rules_cached rules_text with
+          match Env.requirement env rules_text with
           | Error e -> error "allowed(): %s" e
           | Ok rules ->
               (* Fail closed: a flow no rule mentions is NOT allowed. *)

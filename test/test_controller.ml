@@ -382,6 +382,33 @@ let test_policy_hot_reload () =
   Sim.Engine.run s.engine;
   Alcotest.(check int) "curl now allowed" 1 (C.stats s.controller).C.allowed
 
+(* A rule may name a table that a later file defines. Added one file at
+   a time in name order, the first file is refused, as a single-file
+   edit that breaks the policy always is; the whole set goes in as one
+   revision, and the controller enforces it. *)
+let test_set_installs_a_forward_reference () =
+  let s = Deploy.simple_network () in
+  let policy = C.policy s.controller in
+  let module PS = Identxx_core.Policy_store in
+  PS.add_exn policy ~name:"00.control" "block all";
+  let files =
+    [
+      ("00.control", "block all");
+      ("a.control", "pass from <t> to any");
+      ("b.control", "table <t> { 10.0.0.0/8 }");
+    ]
+  in
+  Alcotest.(check (result unit string)) "a.control alone"
+    (Error "a.control: line 1: unknown table <t>")
+    (PS.add policy ~name:"a.control" "pass from <t> to any");
+  Alcotest.(check int) "refused: the epoch stays" 1 PS.(Revision.epoch (current policy));
+  Alcotest.(check (result unit string)) "the set" (Ok ()) (PS.set policy files);
+  Alcotest.(check int) "one revision" 2 PS.(Revision.epoch (current policy));
+  ignore (run_flow s ~user:"alice" ~exe:"/usr/bin/firefox");
+  let st = C.stats s.controller in
+  Alcotest.(check int) "the 10.x flow passes" 1 st.C.allowed;
+  Alcotest.(check int) "none blocked" 0 st.C.blocked
+
 let test_non_ip_packets_dropped () =
   let s = Deploy.simple_network () in
   Identxx_core.Policy_store.add_exn (C.policy s.controller) ~name:"00" "pass all";
@@ -1578,6 +1605,8 @@ let () =
           Alcotest.test_case "controller-only (local answers)" `Quick
             test_local_answers_controller_only_deployment;
           Alcotest.test_case "policy hot reload" `Quick test_policy_hot_reload;
+          Alcotest.test_case "set installs a forward reference" `Quick
+            test_set_installs_a_forward_reference;
         ] );
       ( "consistency",
         [

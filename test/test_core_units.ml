@@ -188,31 +188,40 @@ let test_audit_stays_bounded () =
 
 (* --- Policy_store --- *)
 
+(* The current revision's files and lines, as the store tests read
+   them. *)
+module PS = struct
+  include Identxx_core.Policy_store
+
+  let files ps = Revision.files (current ps)
+  let locate ps = Revision.locate (current ps)
+end
+
 let test_policy_store_alphabetical_order () =
-  let ps = Identxx_core.Policy_store.create () in
-  Identxx_core.Policy_store.add_exn ps ~name:"99-footer" "block all";
-  Identxx_core.Policy_store.add_exn ps ~name:"00-header.control" "pass all";
+  let ps = PS.create () in
+  PS.add_exn ps ~name:"99-footer" "block all";
+  PS.add_exn ps ~name:"00-header.control" "pass all";
   check Alcotest.(list string) "sorted, suffix stripped"
     [ "00-header"; "99-footer" ]
-    (List.map fst (Identxx_core.Policy_store.files ps));
+    (List.map fst (PS.files ps));
   (* Concatenation order decides last-match: 99-footer's block wins. *)
-  let env = Identxx_core.Policy_store.env_exn ps in
+  let env = PS.env_exn ps in
   let v =
     eval_exn env (Pf.Eval.ctx ()) (flow "1.1.1.1" "2.2.2.2")
   in
   check Alcotest.bool "footer wins" true (v.Pf.Eval.decision = Pf.Ast.Block)
 
 let test_policy_store_rejects_broken_concatenation () =
-  let ps = Identxx_core.Policy_store.create () in
-  Identxx_core.Policy_store.add_exn ps ~name:"00" "pass from <lan> to any\ntable <lan> {10.0.0.0/8}";
+  let ps = PS.create () in
+  PS.add_exn ps ~name:"00" "pass from <lan> to any\ntable <lan> {10.0.0.0/8}";
   (* A new file that shadows the table with a cycle must be rejected and
      rolled back. *)
-  (match Identxx_core.Policy_store.add ps ~name:"50" "table <lan> { <lan> }" with
+  (match PS.add ps ~name:"50" "table <lan> { <lan> }" with
   | Error _ -> ()
   | Ok () -> Alcotest.fail "broken concatenation accepted");
   check Alcotest.int "rolled back" 1
-    (List.length (Identxx_core.Policy_store.files ps));
-  match Identxx_core.Policy_store.env ps with
+    (List.length (PS.files ps));
+  match PS.env ps with
   | Ok _ -> ()
   | Error e -> Alcotest.failf "store left broken: %s" e
 
@@ -220,10 +229,10 @@ let test_policy_store_rejects_broken_concatenation () =
    the line as that file numbers it, even when that is not the file
    being added; an error without a line names the file being added. *)
 let test_policy_store_error_names_its_file () =
-  let ps = Identxx_core.Policy_store.create () in
-  let add name text = Identxx_core.Policy_store.add ps ~name text in
-  Identxx_core.Policy_store.add_exn ps ~name:"10" "table <lan> { 10.0.0.0/8 }";
-  Identxx_core.Policy_store.add_exn ps ~name:"00" "block all\npass from <lan> to any";
+  let ps = PS.create () in
+  let add name text = PS.add ps ~name text in
+  PS.add_exn ps ~name:"10" "table <lan> { 10.0.0.0/8 }";
+  PS.add_exn ps ~name:"00" "block all\npass from <lan> to any";
   check Alcotest.(result unit string) "the added file's line"
     (Error "50.control: line 2: unknown table <ghost>")
     (add "50.control" "pass all\npass from <ghost> to any");
@@ -233,21 +242,26 @@ let test_policy_store_error_names_its_file () =
   check Alcotest.(result unit string) "no line"
     (Error "10: table reference cycle involving <lan>")
     (add "10" "table <lan> { <lan> }");
-  match Identxx_core.Policy_store.env ps with
+  (* A set names the same files: the first file it changes. *)
+  check Alcotest.(result unit string) "a set, no line"
+    (Error "10: table reference cycle involving <lan>")
+    (PS.set ps [ ("00", "block all\npass from <lan> to any"); ("10", "table <lan> { <lan> }") ]);
+  check Alcotest.(result unit string) "a set, a line"
+    (Error "00: line 2: unknown table <lan>")
+    (PS.set ps [ ("00", "block all\npass from <lan> to any"); ("10", "table <wan> { 10.0.0.0/8 }") ]);
+  match PS.env ps with
   | Ok _ -> ()
   | Error e -> Alcotest.failf "store left broken: %s" e
 
 let test_policy_store_on_change_fires () =
-  let ps = Identxx_core.Policy_store.create () in
+  let ps = PS.create () in
   let fired = ref 0 in
-  Identxx_core.Policy_store.on_change ps (fun () -> incr fired);
-  Identxx_core.Policy_store.add_exn ps ~name:"00" "pass all";
-  Identxx_core.Policy_store.remove ps ~name:"00";
+  PS.on_change ps (fun _ -> incr fired);
+  PS.add_exn ps ~name:"00" "pass all";
+  PS.remove ps ~name:"00";
   (* A rejected add must not fire. *)
-  ignore (Identxx_core.Policy_store.add ps ~name:"01" "pass frm any");
+  ignore (PS.add ps ~name:"01" "pass frm any");
   check Alcotest.int "fired twice" 2 !fired
-
-module PS = Identxx_core.Policy_store
 
 (* The store parses each file once, at its first line in the
    concatenation; what it compiles is what a parse of the concatenation
@@ -390,45 +404,122 @@ let test_policy_store_rule_reads_into_next_file () =
   check Alcotest.bool "joined leaves it to the concatenation" true
     (Pf.Parser.joined [ parsed 1 first; parsed 3 second ] = None)
 
-(* [PS.load] reads a set as one-by-one [PS.add] leaves it, and
-   [PS.locate] maps every line of the concatenation back to its file,
-   named as given, and the file's own line. Store names mix digits,
-   '-', '_' and '.', given with or without the .control suffix. *)
-let prop_policy_store_load =
-  let gen_file =
-    QCheck.Gen.(
-      triple
-        (string_size ~gen:(oneofl [ '0'; '1'; '7'; '9'; '-'; '_'; '.' ]) (int_range 1 6))
-        bool
-        (list_size (int_range 1 5)
-           (oneofl [ "pass all"; "block from any to any port 80"; "# note"; "" ])))
+type policy_edit =
+  | Add of string * string
+  | Remove of string
+  | Set of (string * string) list
+
+(* A name without its .control suffix: the file the store knows. *)
+let stem name =
+  if String.length name > 8 && Filename.check_suffix name ".control" then
+    Filename.chop_suffix name ".control"
+  else name
+
+let same_revision what a b =
+  let module R = PS.Revision in
+  if R.files a <> R.files b then QCheck.Test.fail_reportf "%s: files differ" what;
+  if R.ruleset a <> R.ruleset b then QCheck.Test.fail_reportf "%s: rulesets differ" what;
+  (match (R.env a, R.env b) with
+  | Ok x, Ok y ->
+      let tables env = List.map (fun n -> (n, Pf.Env.table env n)) (Pf.Env.table_names env) in
+      if Pf.Env.rules x <> Pf.Env.rules y || tables x <> tables y then
+        QCheck.Test.fail_reportf "%s: environments differ" what
+  | Error x, Error y when x = y -> ()
+  | Error x, _ | _, Error x -> QCheck.Test.fail_reportf "%s: one environment fails (%s)" what x);
+  let lines =
+    List.fold_left
+      (fun n (_, text) -> n + List.length (String.split_on_char '\n' text))
+      0 (R.files a)
   in
-  let gen =
+  for line = 0 to lines + 1 do
+    if R.locate a line <> R.locate b line then
+      QCheck.Test.fail_reportf "%s: line %d located differently" what line
+  done
+
+(* [PS.load] sorts a set by store name, and [PS.locate] maps every line
+   of the concatenation back to its file, named as given, and the
+   file's own line. Store names mix digits, '-', '_' and '.', given with
+   or without the .control suffix. Then a script of adds, removes and
+   sets over files that define tables and files that read them: after
+   each step the store's revision is [PS.load] of its file set; an
+   accepted step raises the epoch by one and fires [on_change] once
+   with it, and a refused step leaves the revision as it was and fires
+   nothing. A step is refused exactly when its set does not build. *)
+let prop_policy_store_load =
+  let gen_name =
+    QCheck.Gen.(
+      pair
+        (string_size ~gen:(oneofl [ '0'; '1'; '7'; '9'; '-'; '_'; '.' ]) (int_range 1 6))
+        bool)
+  in
+  let gen_text =
+    QCheck.Gen.(
+      map (String.concat "\n")
+        (list_size (int_range 1 5)
+           (oneofl
+              [
+                "pass all";
+                "block from any to any port 80";
+                "# note";
+                "";
+                "table <t> { 10.0.0.0/8 }";
+                "table <u> { <t> 192.168.0.0/16 }";
+                "table <t> { <u> }";
+                "pass from <t> to any";
+                "block from <u> to any port 22";
+              ])))
+  in
+  let gen_files =
     QCheck.Gen.map
       (fun files ->
         (* One file per store name. *)
         List.fold_left
-          (fun acc (base, suffixed, lines) ->
+          (fun acc ((base, suffixed), text) ->
             if List.exists (fun (b, _, _) -> b = base) acc then acc
-            else
-              (base, (if suffixed then base ^ ".control" else base), String.concat "\n" lines)
-              :: acc)
+            else (base, (if suffixed then base ^ ".control" else base), text) :: acc)
           [] files)
-      (QCheck.Gen.list_size (QCheck.Gen.int_range 1 6) gen_file)
+      QCheck.Gen.(list_size (int_range 1 6) (pair gen_name gen_text))
+  in
+  let gen =
+    QCheck.Gen.(
+      gen_files >>= fun files ->
+      let name =
+        oneof
+          [
+            oneofl (List.map (fun (_, given, _) -> given) files);
+            map (fun (base, suffixed) -> if suffixed then base ^ ".control" else base) gen_name;
+          ]
+      in
+      let edit =
+        frequency
+          [
+            (4, map2 (fun n t -> Add (n, t)) name gen_text);
+            (2, map (fun n -> Remove n) name);
+            (2, map (fun l -> Set l) (list_size (int_range 0 4) (pair name gen_text)));
+          ]
+      in
+      map (fun script -> (files, script)) (list_size (int_range 0 12) edit))
+  in
+  let print (files, script) =
+    let pair (n, t) = Printf.sprintf "%s=%S" n t in
+    String.concat "; " (List.map (fun (_, given, text) -> pair (given, text)) files)
+    ^ " | "
+    ^ String.concat "; "
+        (List.map
+           (function
+             | Add (n, t) -> "add " ^ pair (n, t)
+             | Remove n -> "remove " ^ n
+             | Set l -> "set [" ^ String.concat "; " (List.map pair l) ^ "]")
+           script)
   in
   QCheck.Test.make ~name:"load matches add, locate maps back" ~count:300
-    (QCheck.make gen
-       ~print:(fun fs ->
-         String.concat "; " (List.map (fun (_, given, text) -> Printf.sprintf "%s=%S" given text) fs)))
-    (fun files ->
+    (QCheck.make gen ~print)
+    (fun (files, script) ->
       let named = List.map (fun (_, given, text) -> (given, text)) files in
       let loaded =
-        match PS.load named with Ok ps -> ps | Error e -> QCheck.Test.fail_report e
+        match PS.load named with Ok r -> r | Error e -> QCheck.Test.fail_report e
       in
-      let added = PS.create () in
-      List.iter (fun (name, text) -> PS.add_exn added ~name text) named;
-      let order = List.map fst (PS.files loaded) in
-      if PS.files loaded <> PS.files added then QCheck.Test.fail_report "load and add differ";
+      let order = List.map fst (PS.Revision.files loaded) in
       if order <> List.sort String.compare (List.map (fun (b, _, _) -> b) files) then
         QCheck.Test.fail_report "not sorted by store name";
       ignore
@@ -437,11 +528,54 @@ let prop_policy_store_load =
              let given = List.find_map (fun (b, g, _) -> if b = name then Some g else None) files in
              let lines = List.length (String.split_on_char '\n' text) in
              for local = 1 to lines do
-               if PS.locate loaded (first + local - 1) <> (Option.get given, local) then
+               if PS.Revision.locate loaded (first + local - 1) <> (Option.get given, local) then
                  QCheck.Test.fail_reportf "line %d of %s misplaced" local name
              done;
              first + lines)
-           1 (PS.files loaded));
+           1 (PS.Revision.files loaded));
+      (* The files added one by one, then the script. *)
+      let ps = PS.create () in
+      let fired = ref [] in
+      PS.on_change ps (fun r -> fired := r :: !fired);
+      let step model edit =
+        let before = PS.current ps in
+        fired := [];
+        let without n = List.filter (fun (m, _) -> stem m <> stem n) model in
+        let model', result =
+          match edit with
+          | Add (n, t) -> ((n, t) :: without n, PS.add ps ~name:n t)
+          | Remove n ->
+              PS.remove ps ~name:n;
+              (without n, Ok ())
+          | Set l -> (l, PS.set ps l)
+        in
+        let builds =
+          match (edit, PS.load model') with
+          | Remove _, _ -> true
+          | _, Ok r -> Result.is_ok (PS.Revision.env r)
+          | _, Error _ -> false
+        in
+        let after = PS.current ps in
+        match result with
+        | Ok () ->
+            if not builds then QCheck.Test.fail_report "a set that does not build was accepted";
+            if PS.Revision.epoch after <> PS.Revision.epoch before + 1 then
+              QCheck.Test.fail_report "the epoch did not rise by one";
+            (match !fired with
+            | [ r ] when r == after -> ()
+            | _ -> QCheck.Test.fail_report "on_change did not fire once with the revision");
+            same_revision "after an accepted edit" after
+              (Result.get_ok (PS.load model'));
+            model'
+        | Error e ->
+            if builds then QCheck.Test.fail_reportf "a set that builds was refused: %s" e;
+            if after != before then QCheck.Test.fail_report "a refused edit changed the revision";
+            if !fired <> [] then QCheck.Test.fail_report "a refused edit fired on_change";
+            model
+      in
+      ignore
+        (List.fold_left step []
+           (List.map (fun (name, text) -> Add (name, text)) named @ script));
       (* A second name for one of the files is refused. *)
       let base, given, _ = List.hd files in
       let twin = if given = base then base ^ ".control" else base in

@@ -455,6 +455,32 @@ let test_eval_allowed () =
     (eval ~dst:(response f [ [ ("requirements", reqs_other) ] ]) env f);
   check_decision "missing requirements blocked" false (eval env f)
 
+(* allowed() parses each requirements text once, in a memo that lives
+   in the environment: it grows with the texts the environment has
+   seen, holds at most 1,024 of them (2,000 distinct texts leave the
+   environment no larger than the first 1,024 did), and an environment
+   built afresh from the same policy starts without them. *)
+let test_eval_allowed_memo_per_env () =
+  let policy = "block all\npass all with allowed(@dst[requirements])" in
+  let env = env_of policy in
+  let words () = Obj.reachable_words (Obj.repr env) in
+  let fresh = words () in
+  let f = flow ~dp:80 "1.1.1.1" "2.2.2.2" in
+  let full = ref 0 and largest = ref 0 in
+  for i = 1 to 2000 do
+    let reqs = Printf.sprintf "pass from any to any port %d" (100 + i) in
+    ignore (eval ~dst:(response f [ [ ("requirements", reqs) ] ]) env f);
+    if i = 1024 then full := words ();
+    if i > 1024 && i mod 97 = 0 then largest := max !largest (words ())
+  done;
+  if !full < fresh + (1024 * 8) then
+    Alcotest.failf "%d words after 1,024 texts, %d before: the memo is not the environment's"
+      !full fresh;
+  if !largest > !full + (!full / 10) then
+    Alcotest.failf "%d words after 2,000 texts, %d after 1,024" !largest !full;
+  Alcotest.(check int) "a second environment starts empty" fresh
+    (Obj.reachable_words (Obj.repr (env_of policy)))
+
 let test_eval_allowed_fail_closed_inner () =
   (* allowed() defaults to Block inside: an empty or non-matching rule
      list admits nothing. *)
@@ -1130,6 +1156,8 @@ let () =
             test_answer_lists_walked_in_place;
           Alcotest.test_case "verify" `Quick test_eval_verify;
           Alcotest.test_case "allowed" `Quick test_eval_allowed;
+          Alcotest.test_case "allowed memo per environment" `Quick
+            test_eval_allowed_memo_per_env;
           Alcotest.test_case "allowed fail-closed" `Quick
             test_eval_allowed_fail_closed_inner;
           Alcotest.test_case "allowed recursion guard" `Quick

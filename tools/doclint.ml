@@ -55,7 +55,15 @@
       level or directly inside one of its parenthesised arguments), or
       names a [(unit -> unit) Queue.t]. A layer schedules its own typed
       [Sim.Engine.event] cases and posts typed messages; the closure API
-      is for callers outside lib/.
+      is for callers outside lib/;
+  11. lib/ keeps no module-level mutable state: no top-level [let] of a
+      lib/**/*.ml (one at the start of a line) binds a value whose
+      right-hand side starts with [ref], or with [create] or [make] of
+      [Hashtbl], [Queue], [Stack], [Buffer], [Weak], [Atomic], [Array]
+      or [Bytes], or of a module the file makes with a functor
+      ([module Tab = Hashtbl.Make (...)]), unless tools/globals.allow
+      names it with a reason. An allowlist line that names no such
+      binding is a finding too.
 
    Usage: doclint <repo-root>. Exit 1 on any finding. *)
 
@@ -1037,6 +1045,89 @@ let check_thunks root =
       end)
     (source_files root "lib")
 
+(* --- 11: no module-level mutable state in lib/ --- *)
+
+let globals_allowlist = "tools/globals.allow"
+
+(* [Make] stands for every functor application: a scanned alias maps a
+   module to the last component of its path. *)
+let containers =
+  [ "Hashtbl"; "Queue"; "Stack"; "Buffer"; "Weak"; "Atomic"; "Array"; "Bytes"; "Make" ]
+
+(* Whether a right-hand side starts by making a mutable container. *)
+let rec makes_container resolve = function
+  | ("(", _) :: rest -> makes_container resolve rest
+  | ("ref", _) :: _ -> true
+  | (m, _) :: (".", _) :: (((n, _) :: _) as rest) when is_module_name m && is_module_name n ->
+      makes_container resolve rest
+  | (m, _) :: (".", _) :: (("create" | "make"), _) :: _ when is_module_name m ->
+      List.mem (resolve m) containers
+  | _ -> false
+
+(* The tokens after a binding's type annotation. *)
+let rec after_equals = function
+  | [] -> None
+  | ("=", _) :: rhs -> Some rhs
+  | _ :: rest -> after_equals rest
+
+(* The allowlist: one [<file> <name> <reason>] line per binding kept. *)
+let read_globals_allowlist root =
+  let path = Filename.concat root globals_allowlist in
+  if not (Sys.file_exists path) then []
+  else
+    String.split_on_char '\n' (read_file path)
+    |> List.mapi (fun i line -> (i + 1, String.trim line))
+    |> List.filter_map (fun (lineno, line) ->
+           if line = "" || line.[0] = '#' then None
+           else
+             match String.split_on_char ' ' line |> List.filter (( <> ) "") with
+             | file :: name :: _ :: _ -> Some (lineno, file, name)
+             | _ ->
+                 err "%s:%d: expected `<file> <name> <reason>`" globals_allowlist lineno;
+                 None)
+
+let check_globals root =
+  let allowed = read_globals_allowlist root in
+  let seen = Hashtbl.create 8 in
+  List.iter
+    (fun rel ->
+      if Filename.check_suffix rel ".ml" then begin
+        let path = Filename.concat root rel in
+        let src = code_only (read_file path) in
+        let aliases = (scan_refs path).aliases in
+        let resolve m = Option.value ~default:m (Hashtbl.find_opt aliases m) in
+        let rec go = function
+          | [] -> ()
+          | ("let", off) :: (name, _) :: rest
+            when (off = 0 || src.[off - 1] = '\n') && is_value_name name && name <> "rec" ->
+              let rhs =
+                match rest with
+                | ("=", _) :: rhs -> Some rhs
+                | (":", _) :: annotated -> after_equals annotated
+                | _ -> None
+              in
+              (match rhs with
+              | Some rhs when makes_container resolve rhs -> (
+                  match List.find_opt (fun (_, f, n) -> f = rel && n = name) allowed with
+                  | Some l -> Hashtbl.replace seen l ()
+                  | None ->
+                      err "%s:%d: `%s` is module-level mutable state: keep it in a value \
+                           its owner creates, or list it in %s with a reason"
+                        rel (line_of src off) name globals_allowlist)
+              | Some _ | None -> ());
+              go rest
+          | _ :: rest -> go rest
+        in
+        go (tokens src)
+      end)
+    (source_files root "lib");
+  List.iter
+    (fun ((lineno, file, name) as l) ->
+      if not (Hashtbl.mem seen l) then
+        err "%s:%d: `%s %s` names no module-level container" globals_allowlist lineno file
+          name)
+    allowed
+
 let () =
   let root = if Array.length Sys.argv > 1 then Sys.argv.(1) else "." in
   check_interfaces root;
@@ -1048,6 +1139,7 @@ let () =
   check_experiments root;
   check_emitter root;
   check_thunks root;
+  check_globals root;
   let have_odoc = Sys.command "command -v odoc >/dev/null 2>&1" = 0 in
   if !errors > 0 then begin
     Printf.printf "doclint: %d finding(s)\n" !errors;
