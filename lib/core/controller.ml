@@ -1,5 +1,4 @@
 open Netcore
-module Net = Openflow.Network
 
 let src = Logs.Src.create "identxx.controller" ~doc:"ident++ controller"
 
@@ -62,8 +61,8 @@ type leg = {
 
 type pending = {
   p_flow : Five_tuple.t;
-  mutable p_packets : (Msg.switch_id * int * Packet.t) list;
-      (* Buffered data packets awaiting the verdict, oldest first. *)
+  mutable p_packets : Msg.packet_in list;
+      (* Buffered data packets awaiting the verdict, newest first. *)
   p_src : leg;
   p_dst : leg;
   mutable retries_left : int;
@@ -96,10 +95,14 @@ type settled =
   | Timed_out (* its own query's timeout, tripping the breaker or not *)
   | Failed of string (* the exchange it joined failed, by this cause *)
 
-(* The work the controller posts to a shard's mailbox, run there by
-   [run_posted]. Each case holds what its handler reads, built once by
-   the poster. *)
-type posted =
+(* Everything that reaches the controller, each taken by {!step}: a
+   switch's message, a policy revision, a topology change, and the work
+   the controller posts to its shards' mailboxes. Each posted case holds
+   what its handler reads, built once by the poster. *)
+type input =
+  | Switch of Msg.to_controller (* A packet-in or a stats reply. *)
+  | Revision of Policy_store.Revision.t (* The policy store installed it. *)
+  | Topology_changed (* A proactive controller's routes follow it. *)
   | Flow_miss of Msg.packet_in * Five_tuple.t
       (* A table miss of ordinary traffic, and the packet's flow. *)
   | Answer of {
@@ -495,40 +498,7 @@ module Events = struct
   let eval_failed ev = Registry.Counter.inc ev.c_eval_errors
 end
 
-(* Instruments of the proactive flow-table compiler, which every
-   policy change runs. *)
-type pro_metrics = {
-  pc_recompiles : Obs.Registry.Counter.t;
-  pc_delta_add : Obs.Registry.Counter.t;
-  pc_delta_del : Obs.Registry.Counter.t;
-  ph_recompile : Obs.Registry.Histogram.t;
-}
-
-let make_pro_metrics reg ~labels =
-  {
-    pc_recompiles =
-      Obs.Registry.counter reg
-        ~help:"Proactive table recompilations (policy epochs compiled)."
-        ~labels "identxx_compiler_recompiles_total";
-    pc_delta_add =
-      Obs.Registry.counter reg
-        ~help:"Abstract entries in emitted flow-mod deltas, by operation."
-        ~labels:(labels @ [ ("op", "add") ])
-        "identxx_compiler_delta_entries_total";
-    pc_delta_del =
-      Obs.Registry.counter reg
-        ~help:"Abstract entries in emitted flow-mod deltas, by operation."
-        ~labels:(labels @ [ ("op", "del") ])
-        "identxx_compiler_delta_entries_total";
-    ph_recompile =
-      Obs.Registry.histogram reg
-        ~help:"Processor time to recompile and diff the proactive table."
-        ~labels "identxx_compiler_recompile_seconds";
-  }
-
 type t = {
-  network : Net.t;
-  id : Net.controller_id;
   cfg : config;
   policy : Policy_store.t;
   decision : Decision.t;
@@ -539,7 +509,7 @@ type t = {
   pending : pending Flow_tbl.t;
   fp : Fastpath.t; (* the decision cache and the breaker *)
   answers : waiter Fastpath.Answers.t;
-  shard_engine : posted Shard.Engine.t;
+  shard_engine : input Shard.Engine.t;
       (* The run queues every packet-in, timeout and settlement is
          posted to; they hold no state of their own. *)
   batch : Shard.Batch.t;
@@ -547,20 +517,22 @@ type t = {
   mutable plan : Query_plan.t option;
       (* What the current revision reads, made from each revision the
          store hands over; the first revision's is made on first use. *)
+  compiled : Proactive.t; (* the compiled tables and routes sent *)
   mutable last_stats : (Msg.switch_id * Msg.stats_reply) list;
-  mutable proactive_tbl : Compiler.table;
-      (* The abstract compiled table currently installed. *)
-  mutable proactive_state : Analysis.Fdd.Space.t * Analysis.Fdd.Space.t;
-      (* (forward, reverse) spaces of keep-state pass rules at last
-         sync: pass entries overlapping the forward space and block
-         entries overlapping the reverse space were installed as punts,
-         and a change in either forces a full reinstall. *)
-  proactive_cache : Compiler.cache;
-  routes : (Msg.switch_id, (Ipv4.t * int) list) Hashtbl.t;
-      (* Per switch, the table-1 routes sent: host address, port. *)
-  pm : pro_metrics;
+  mutable xid : int; (* the last stats request's *)
   nonces : Sim.Prng.t;
       (* Query nonces: seeded, so runs stay deterministic. *)
+  mutable now : Sim.Time.t; (* the time of the input {!step} takes *)
+  (* What the controller reads of the world and sends into it, which
+     {!create} binds to the network. *)
+  topo : Topo.t;
+  clock : unit -> Sim.Time.t;
+  host_by_ip : Ipv4.t -> string option;
+  hosts : unit -> (string * Ipv4.t) list; (* attached, with addresses *)
+  iter_path : src:Ipv4.t -> dst:Ipv4.t -> (Msg.switch_id -> int -> unit) -> bool;
+  control : (Msg.switch_id -> Msg.to_switch array) -> unit;
+      (* One control event to each switch of the domain, carrying what
+         the function gives it (nothing for an empty array). *)
 }
 
 let policy t = t.policy
@@ -569,7 +541,6 @@ let fastpath t = t.fp
 let shard_count t = Shard.Engine.shards t.shard_engine
 
 let metrics t = t.ev.Events.obs
-let now t = Sim.Engine.now (Net.engine t.network)
 
 let decision t = t.decision
 let audit t = t.ev.Events.audit
@@ -658,10 +629,10 @@ let resolve_augment t ~dst_ip response =
 (* --- forwarding of intercepted ident++ packets, one hop at a time --- *)
 
 let forward_toward t ~dpid ~dst_ip pkt =
-  match Net.host_by_ip t.network dst_ip with
+  match t.host_by_ip dst_ip with
   | None -> () (* destination outside every known domain: drop *)
   | Some host -> (
-      match Topo.next_hop (Net.topology t.network) ~from:dpid ~dst_host:host with
+      match Topo.next_hop t.topo ~from:dpid ~dst_host:host with
       | None -> ()
       | Some port ->
           Shard.Batch.add t.batch dpid
@@ -673,21 +644,18 @@ let forward_toward t ~dpid ~dst_ip pkt =
    share it. *)
 let install_path t flow =
   let fields = Openflow.Match_fields.of_five_tuple flow in
-  Net.iter_path t.network ~src:flow.Five_tuple.src ~dst:flow.Five_tuple.dst
+  t.iter_path ~src:flow.Five_tuple.src ~dst:flow.Five_tuple.dst
     (fun dpid out_port ->
       Shard.Batch.add t.batch dpid
         (Msg.add_flow ?idle_timeout:t.cfg.entry_idle_timeout ~fields
            (Openflow.Action.output out_port)))
 
-let release_packets t packets =
-  (* Send each buffered packet back through its switch's (now updated)
-     table. Flow-mods were enqueued first, and the control channel is
-     FIFO, so the entries are in place when the packets run. *)
-  List.iter
-    (fun (dpid, _in_port, pkt) ->
-      Shard.Batch.add t.batch dpid
-        (Msg.Packet_out { Msg.out_packet = pkt; out_port = `Table }))
-    (List.rev packets)
+(* Send a buffered packet back through its switch's (now updated)
+   table. Flow-mods were enqueued first, and the control channel is
+   FIFO, so the entries are in place when the packet runs. *)
+let release t (pi : Msg.packet_in) =
+  Shard.Batch.add t.batch pi.Msg.dpid
+    (Msg.Packet_out { Msg.out_packet = pi.Msg.packet; out_port = `Table })
 
 let plan t =
   match t.plan with
@@ -727,8 +695,8 @@ let eval_decision t ~flow ~src ~dst =
    entries (and the reverse path's under keep state), then the buffered
    [packets] released through them; on a block a drop at the newest
    packet's ingress switch. *)
-let apply_verdict t ~now ~span ~started ~ctx ~via ~flow ~packets ~src ~dst
-    verdict =
+let apply_verdict t ~span ~started ~ctx ~via ~flow ~packets ~src ~dst verdict =
+  let now = t.now in
   Events.decided t.ev ~now ~started ~span ~ctx ~via ~flow ~src ~dst verdict;
   Events.installed t.ev ~now span flow
     (match verdict.Pf.Eval.decision with
@@ -738,11 +706,12 @@ let apply_verdict t ~now ~span ~started ~ctx ~via ~flow ~packets ~src ~dst
           Conn_state.note t.conn_state ~now flow;
           ignore (install_path t (Five_tuple.reverse flow))
         end;
-        if installed then (release_packets t packets; `Path) else `No_path
+        if installed then (List.iter (release t) (List.rev packets); `Path)
+        else `No_path
     | Pf.Ast.Block -> (
         match packets with
-        | (dpid, _, _) :: _ ->
-            Shard.Batch.add t.batch dpid
+        | pi :: _ ->
+            Shard.Batch.add t.batch pi.Msg.dpid
               (Msg.add_flow ?idle_timeout:t.cfg.entry_idle_timeout
                  ~fields:(Openflow.Match_fields.of_five_tuple flow)
                  Openflow.Action.drop);
@@ -755,7 +724,7 @@ let maybe_finalize t p =
     Shard.Engine.cancel p.p_timeout;
     Flow_tbl.remove t.pending p.p_flow;
     let src = p.p_src.answer and dst = p.p_dst.answer in
-    apply_verdict t ~now:(now t) ~span:p.p_span ~started:p.p_started
+    apply_verdict t ~span:p.p_span ~started:p.p_started
       ~ctx:p.p_ctx ~via:`Exchange ~flow:p.p_flow ~packets:p.p_packets ~src ~dst
       (eval_decision t ~flow:p.p_flow ~src ~dst)
   end
@@ -767,17 +736,10 @@ let settle_end ?dtrace t p end_ settled =
   let l = leg p end_ in
   if l.awaiting then begin
     (match settled with Answered r -> l.answer <- Some r | Timed_out | Failed _ -> ());
-    Events.query_settled t.ev ~now:(now t) ?dtrace p end_ settled;
+    Events.query_settled t.ev ~now:t.now ?dtrace p end_ settled;
     l.awaiting <- false;
     maybe_finalize t p
   end
-
-(* Settle waiter [w]'s end, unless its flow already decided (its own
-   timeout won). *)
-let settle_waiter ?dtrace t w settled =
-  match Flow_tbl.find_opt t.pending w.w_flow with
-  | None -> ()
-  | Some p -> settle_end ?dtrace t p w.w_end settled
 
 let shard_of t flow = Shard.Engine.shard_of_flow t.shard_engine flow
 
@@ -799,7 +761,7 @@ let close_exchange t p ~host ~end_ answer =
       (* Forget it once settled: a duplicate answer naming this flow
          must not settle a newer exchange with the host. *)
       p.p_exchange <- None;
-      Fastpath.Answers.settle t.answers ~now:(now t) ex answer
+      Fastpath.Answers.settle t.answers ~now:t.now ex answer
   | Some _ | None -> [ { w_flow = p.p_flow; w_end = end_ } ]
 
 (* --- querying daemons (Figure 1, step 3) --- *)
@@ -858,14 +820,14 @@ let wire_send ?nonce t p end_ attachment =
         (Msg.Packet_out
            { Msg.out_packet = pkt; out_port = `Port attachment.Topo.port })
   | Topo.Host _ -> ());
-  Events.query_sent t.ev ~now:(now t) ~how:`Wire p end_
+  Events.query_sent t.ev ~now:t.now ~how:`Wire p end_
 
 (* Where a query to [ip] enters the network: the switch port its host
    hangs off, if the address is a known, attached host. *)
 let attachment_of t ip =
-  match Net.host_by_ip t.network ip with
+  match t.host_by_ip ip with
   | None -> None
-  | Some host -> Topo.host_attachment (Net.topology t.network) host
+  | Some host -> Topo.host_attachment t.topo host
 
 (* Whether [ip]'s answers are expected to declare how far they hold:
    only signed answers declare, and a waiter an undeclared answer does
@@ -898,7 +860,7 @@ let issue_end t p end_ =
       let flow = p.p_flow and target = end_ip p.p_flow end_ in
       match resolve_local_answer t target with
       | Some section ->
-          Events.note t.ev ~now:(now t) p.p_span target `Local_answer;
+          Events.note t.ev ~now:t.now p.p_span target `Local_answer;
           l.answer <- Some (Identxx.Response.make ~flow [ section ]);
           l.awaiting <- false
       | None -> (
@@ -924,7 +886,7 @@ let issue_end t p end_ =
                   (* Another flow's exchange is already in flight to
                      this host for the same query shape: no duplicate
                      wire query; the settlement fans out to us too. *)
-                  Events.query_sent t.ev ~now:(now t) ~how:`Joined p end_
+                  Events.query_sent t.ev ~now:t.now ~how:`Joined p end_
               | (`First _ | `Alone) as sent -> (
                   (* Only a query on the wire carries a nonce. *)
                   wire_send ?nonce:(query_nonce t p end_) t p end_ attachment;
@@ -937,7 +899,7 @@ let issue_end t p end_ =
    an exchange, a silent host answers nobody: settle it and fail every
    other waiter. Then settle the end itself. *)
 let expire_end t p end_ =
-  let ip = end_ip p.p_flow end_ and now = now t in
+  let ip = end_ip p.p_flow end_ and now = t.now in
   let tripped = Fastpath.note_timeout t.fp ~now ip in
   if tripped then Events.breaker_tripped t.ev ~now p.p_span ip;
   let failed = Failed (if tripped then "breaker-open" else "timeout") in
@@ -963,7 +925,7 @@ let on_timeout t p =
       if waiting && p.retries_left > 0 then begin
         (* Re-issue the unanswered queries and re-arm the timer. *)
         p.retries_left <- p.retries_left - 1;
-        Events.retried t.ev ~now:(now t) p.p_span;
+        Events.retried t.ev ~now:t.now p.p_span;
         issue_end t p `Src;
         issue_end t p `Dst;
         arm_timeout t p
@@ -986,10 +948,10 @@ let new_leg ~want pre =
    breaker is open, as an immediate absent answer. [Some r] is a
    resolved answer ([r = None] means absent); [None] means the daemon
    must actually be asked. *)
-let fast_resolve t sp ~now flow ~want end_ =
+let fast_resolve t sp flow ~want end_ =
   if not want then Some None
   else
-    let ip = end_ip flow end_ in
+    let ip = end_ip flow end_ and now = t.now in
     match
       match end_ with
       | `Src -> None
@@ -1011,19 +973,17 @@ let fast_resolve t sp ~now flow ~want end_ =
             None
         | `Ask -> None)
 
-let start_flow t ~dpid ~in_port pkt (flow : Five_tuple.t) =
-  let now = now t in
+let start_flow t (pi : Msg.packet_in) (flow : Five_tuple.t) =
+  let now = t.now in
   let sp, ctx =
-    Events.packet_in t.ev ~now ~shards:t.shard_engine ~dpid flow
+    Events.packet_in t.ev ~now ~shards:t.shard_engine ~dpid:pi.Msg.dpid flow
   in
   (* PF semantics: state matching precedes the ruleset. A flow covered
      by live keep-state (e.g. a reply whose cached entry idled out) is
      re-admitted without a fresh ident++ exchange. *)
   if Conn_state.permits t.conn_state ~now flow then begin
     Events.readmitted t.ev ~now sp;
-    if install_path t flow then
-      Shard.Batch.add t.batch dpid
-        (Msg.Packet_out { Msg.out_packet = pkt; out_port = `Table })
+    if install_path t flow then release t pi
   end
   else begin
     (* Only the ends the flow's verdict can read are asked (see
@@ -1031,26 +991,23 @@ let start_flow t ~dpid ~in_port pkt (flow : Five_tuple.t) =
     let { Query_plan.src = want_src; dst = want_dst } =
       Query_plan.ends (plan t) flow
     in
-    let pre_src = fast_resolve t sp ~now flow ~want:want_src `Src
-    and pre_dst = fast_resolve t sp ~now flow ~want:want_dst `Dst in
+    let pre_src = fast_resolve t sp flow ~want:want_src `Src
+    and pre_dst = fast_resolve t sp flow ~want:want_dst `Dst in
     let static = (not want_src) && not want_dst in
     match (pre_src, pre_dst) with
     | Some src, Some dst when static || Fastpath.enabled t.fp ->
         (* The diagram decides this flow whatever the hosts answer, or
            both ends resolved without touching the network: decide now,
            with no pending entry and no timer. *)
-        apply_verdict t ~now ~span:sp ~started:now ~ctx
+        apply_verdict t ~span:sp ~started:now ~ctx
           ~via:(if static then `Static else `Fastpath)
-          ~flow
-          ~packets:[ (dpid, in_port, pkt) ]
-          ~src ~dst
-          (eval_decision t ~flow ~src ~dst)
+          ~flow ~packets:[ pi ] ~src ~dst (eval_decision t ~flow ~src ~dst)
     | _ ->
         (* Query only the ends the fast path could not resolve. *)
         let p =
           {
             p_flow = flow;
-            p_packets = [ (dpid, in_port, pkt) ];
+            p_packets = [ pi ];
             p_src = new_leg ~want:want_src pre_src;
             p_dst = new_leg ~want:want_dst pre_dst;
             retries_left = t.cfg.query_retries;
@@ -1161,7 +1118,7 @@ let answer_accepted t p ~from_ip ~to_ip response sg =
   match refusal with
   | None -> true
   | Some (signer, reason) ->
-      Events.answer_rejected t.ev ~now:(now t) p.p_span p.p_flow ~host:from_ip
+      Events.answer_rejected t.ev ~now:t.now p.p_span p.p_flow ~host:from_ip
         ?signer reason;
       false
 
@@ -1174,16 +1131,6 @@ let covers scope ~flow ~end_ w =
   match scope with
   | Identxx.Signed.Socket | Identxx.Signed.Host -> w.w_end = `Dst && end_ = `Dst
   | Identxx.Signed.Flow -> w.w_end = end_ && Five_tuple.equal w.w_flow flow
-
-(* A waiter the settling answer does not cover sends its own
-   query, with its own nonce and trace context. *)
-let requery t w =
-  match Flow_tbl.find_opt t.pending w.w_flow with
-  | Some p when (leg p w.w_end).awaiting ->
-      Events.note t.ev ~now:(now t) p.p_span (end_ip w.w_flow w.w_end)
-        `Query_out_of_scope;
-      resend t p w.w_end
-  | Some _ | None -> ()
 
 (* An accepted answer from [from_ip], whose signature section reads
    [sg], settles [p]'s query to that host ({!close_exchange}), each
@@ -1225,65 +1172,16 @@ let settle_answer t p ~from_ip response sg =
          else Requery w))
     ws
 
-(* The one response path: an answer pairs with the flow it names, on
-   that flow's shard, and settles the flow's query to the answering host
-   ({!settle_answer}). Its signature section is read once. An answer
-   that fails authentication settles nothing: the waiters decide on a
-   later valid answer or at the initiator's timeout, so an off-path
-   spoofer cannot force early fail-closed decisions. An answer naming no
-   pending flow is transit. *)
-let handle_response t (pi : Msg.packet_in) response ~as_src ~as_dst =
-  let from_ip = as_src.Five_tuple.src and to_ip = as_src.Five_tuple.dst in
-  match named_pending t ~as_src ~as_dst with
-  | None ->
-      handle_transit t ~dpid:pi.Msg.dpid ~from_ip ~to_ip response pi.Msg.packet
-  | Some p ->
-      let sg = Identxx.Signed.signature response in
-      if
-        (not t.cfg.require_signed_responses)
-        || answer_accepted t p ~from_ip ~to_ip response sg
-      then settle_answer t p ~from_ip response sg
-
-let handle_foreign_query t ~dpid ~from_ip ~to_ip (q : Identxx.Query.t) pkt =
-  (* "Intercepted queries are not allowed to cause new queries." *)
-  match resolve_local_answer t to_ip with
-  | Some section ->
-      (* No flow of ours, so no root span to mark. *)
-      Events.note t.ev ~now:(now t) Obs.Span.null to_ip `Local_answer;
-      let flow =
-        (* Spoof the queried host: respond as if we were it. *)
-        Identxx.Query.flow_of q ~src:to_ip ~dst:from_ip
-      in
-      forward_toward t ~dpid ~dst_ip:from_ip
-        (Identxx.Wire.response_packet ~to_ip:from_ip ~from_ip:to_ip
-           ~dst_port:(tcp_port pkt `Src)
-           (Identxx.Response.make ~flow [ section ]))
-  | None -> forward_toward t ~dpid ~dst_ip:to_ip pkt
-
-(* A shard runs what was posted to it. *)
-let run_posted t = function
-  | Flow_miss (pi, flow) -> (
-      match Flow_tbl.find_opt t.pending flow with
-      | Some p ->
-          p.p_packets <- (pi.Msg.dpid, pi.Msg.in_port, pi.Msg.packet) :: p.p_packets
-      | None ->
-          start_flow t ~dpid:pi.Msg.dpid ~in_port:pi.Msg.in_port pi.Msg.packet flow)
-  | Answer a -> handle_response t a.pi a.response ~as_src:a.as_src ~as_dst:a.as_dst
-  | Foreign_query q ->
-      handle_foreign_query t ~dpid:q.pi.Msg.dpid ~from_ip:q.from_ip
-        ~to_ip:q.to_ip q.query q.pi.Msg.packet
-  | Settle (w, settled, dtrace) -> settle_waiter ?dtrace t w settled
-  | Requery w -> requery t w
-  | Timeout p -> on_timeout t p
-  | Vacant -> ()
-
-(* The front-end: classify the packet-in once (pure) and post the real
-   work, with what the classification built, to a shard's run queue.
-   Data packets partition by flow-key hash; responses go to the shard of
-   the flow they name (with one shard, straight to it); foreign/transit
-   traffic pins to shard 0. *)
-let handle_message t = function
-  | Msg.Packet_in pi -> (
+(* The controller's one way in: [input] at [now]. A switch's packet-in
+   is classified once (pure) and its real work posted, with what the
+   classification built, to a shard's run queue, which brings it back
+   here. Data packets partition by flow-key hash; responses go to the
+   shard of the flow they name (with one shard, straight to it);
+   foreign/transit traffic pins to shard 0. *)
+let step t ~now input =
+  t.now <- now;
+  match input with
+  | Switch (Msg.Packet_in pi) -> (
       match Identxx.Wire.classify pi.Msg.packet with
       | Identxx.Wire.Response { from_ip; to_ip; response } ->
           let as_src = answer_key ~src:from_ip ~dst:to_ip response
@@ -1306,248 +1204,77 @@ let handle_message t = function
           | Some flow ->
               Shard.Engine.post t.shard_engine ~shard:(shard_of t flow)
                 (Flow_miss (pi, flow))))
-  | Msg.Stats_reply reply ->
+  | Switch (Msg.Stats_reply reply) ->
       t.last_stats <- (reply.Msg.st_dpid, reply) :: List.remove_assq reply.Msg.st_dpid t.last_stats
+  | Revision rev ->
+      (* Its query plan, then its compiled table. *)
+      let env = Policy_store.Revision.env rev in
+      t.plan <- Some (Query_plan.make ~default:t.cfg.default ?prev:t.plan env);
+      t.control
+        (Fun.const
+           (Proactive.sync t.compiled ~proactive:t.cfg.proactive env
+              (Query_plan.diagram (plan t))))
+  | Topology_changed -> t.control (Proactive.sync_routes t.compiled t.topo (t.hosts ()))
+  | Flow_miss (pi, flow) -> (
+      match Flow_tbl.find_opt t.pending flow with
+      | Some p -> p.p_packets <- pi :: p.p_packets
+      | None -> start_flow t pi flow)
+  | Answer { pi; response; as_src; as_dst } -> (
+      (* The one response path: an answer pairs with the flow it names,
+         on that flow's shard, and settles the flow's query to the
+         answering host ({!settle_answer}). Its signature section is
+         read once. An answer that fails authentication settles nothing:
+         the waiters decide on a later valid answer or at the
+         initiator's timeout, so an off-path spoofer cannot force early
+         fail-closed decisions. An answer naming no pending flow is
+         transit. *)
+      let from_ip = as_src.Five_tuple.src and to_ip = as_src.Five_tuple.dst in
+      match named_pending t ~as_src ~as_dst with
+      | None -> handle_transit t ~dpid:pi.Msg.dpid ~from_ip ~to_ip response pi.Msg.packet
+      | Some p ->
+          let sg = Identxx.Signed.signature response in
+          if
+            (not t.cfg.require_signed_responses)
+            || answer_accepted t p ~from_ip ~to_ip response sg
+          then settle_answer t p ~from_ip response sg)
+  | Foreign_query { pi; from_ip; to_ip; query } -> (
+      (* "Intercepted queries are not allowed to cause new queries." *)
+      let dpid = pi.Msg.dpid in
+      match resolve_local_answer t to_ip with
+      | Some section ->
+          (* No flow of ours, so no root span to mark. Spoof the queried
+             host: respond as if we were it. *)
+          Events.note t.ev ~now Obs.Span.null to_ip `Local_answer;
+          let flow = Identxx.Query.flow_of query ~src:to_ip ~dst:from_ip in
+          forward_toward t ~dpid ~dst_ip:from_ip
+            (Identxx.Wire.response_packet ~to_ip:from_ip ~from_ip:to_ip
+               ~dst_port:(tcp_port pi.Msg.packet `Src)
+               (Identxx.Response.make ~flow [ section ]))
+      | None -> forward_toward t ~dpid ~dst_ip:to_ip pi.Msg.packet)
+  | Settle (w, settled, dtrace) -> (
+      (* Unless its flow already decided (its own timeout won). *)
+      match Flow_tbl.find_opt t.pending w.w_flow with
+      | Some p -> settle_end ?dtrace t p w.w_end settled
+      | None -> ())
+  | Requery w -> (
+      (* Its own query, with its own nonce and trace context. *)
+      match Flow_tbl.find_opt t.pending w.w_flow with
+      | Some p when (leg p w.w_end).awaiting ->
+          Events.note t.ev ~now p.p_span (end_ip w.w_flow w.w_end) `Query_out_of_scope;
+          resend t p w.w_end
+      | Some _ | None -> ())
+  | Timeout p -> on_timeout t p
+  | Vacant -> ()
 
-let request_stats =
-  let next_xid = ref 0 in
-  fun t dpid ->
-    incr next_xid;
-    Net.send_batch t.network dpid [| Msg.Stats_request { xid = !next_xid } |]
+let handle_message t msg = step t ~now:(t.clock ()) (Switch msg)
+
+let request_stats t dpid =
+  t.xid <- t.xid + 1;
+  let msgs = [| Msg.Stats_request { xid = t.xid } |] in
+  t.control (fun d -> if d = dpid then msgs else [||])
 
 let switch_stats t dpid = List.assoc_opt dpid t.last_stats
-
-(* --- proactive dataplane rules ("enforcement at line rate", S6): the
-   compiler lowers the offloaded static slice into wildcards --- *)
-
-let empty_table =
-  {
-    Compiler.entries = [];
-    spills = [];
-    static_coverage = 0.0;
-    installed_coverage = 0.0;
-    truncated = false;
-  }
-
-(* The compiled band sits below reactive entries; this guard sits at the
-   very top of it. ident++ queries and responses must stay
-   controller-mediated — a wildcard pass entry must never deliver an
-   exchange packet straight to a host, past the interception points. *)
-let proactive_guard_priority = 0x7fff
-
-(* The guards' add messages, the same values for every switch and
-   every reload. *)
-let proactive_guards =
-  List.map
-    (fun fields ->
-      Msg.add_flow ~priority:proactive_guard_priority
-        ~cookie:Compiler.proactive_cookie ~fields
-        [ Openflow.Action.To_controller ])
-    [
-      {
-        Openflow.Match_fields.any with
-        nw_proto = Some Proto.Tcp;
-        tp_dst = Some Identxx.Wire.port;
-      };
-      {
-        Openflow.Match_fields.any with
-        nw_proto = Some Proto.Tcp;
-        tp_src = Some Identxx.Wire.port;
-      };
-    ]
-
-(* The guards stand while a compiled table does. *)
-let guards_of (tbl : Compiler.table) =
-  if tbl.Compiler.entries = [] then [] else proactive_guards
-
-(* Table 1 forwards by destination: one /32 route per reachable
-   attached host on each switch, out of the port toward it. Compiled
-   pass entries jump there, so a policy reload never touches it, and a
-   topology change touches nothing else: this runs after every one (see
-   {!create}), re-sends the routes whose port changed and deletes those
-   of hosts no longer reachable. *)
-let route_priority = 0x8000
-let route_fields ip = { Openflow.Match_fields.any with nw_dst = Some (Prefix.host ip) }
-
-let sync_routes t =
-  let topo = Net.topology t.network in
-  let hosts =
-    List.filter_map
-      (fun host ->
-        match Net.host_ip t.network host with
-        | ip -> Some (host, ip)
-        | exception (Not_found | Invalid_argument _) -> None)
-      (Topo.hosts topo)
-  in
-  List.iter
-    (fun dpid ->
-      (* One control event per switch, its deletes before its adds. *)
-      let msgs = ref [] in
-      let send msg = msgs := msg :: !msgs in
-      let old = Option.value ~default:[] (Hashtbl.find_opt t.routes dpid) in
-      let cur =
-        List.filter_map
-          (fun (host, ip) ->
-            Topo.next_hop topo ~from:dpid ~dst_host:host
-            |> Option.map (fun port -> (ip, port)))
-          hosts
-      in
-      List.iter
-        (fun (ip, _) ->
-          if not (List.mem_assoc ip cur) then
-            send
-              (Msg.delete_strict ~table_id:1 ~priority:route_priority
-                 ~fields:(route_fields ip)))
-        old;
-      List.iter
-        (fun (ip, port) ->
-          if List.assoc_opt ip old <> Some port then
-            send
-              (Msg.add_flow ~table_id:1 ~priority:route_priority
-                 ~cookie:Compiler.proactive_cookie ~fields:(route_fields ip)
-                 [ Openflow.Action.Output port ]))
-        cur;
-      Net.send_batch t.network dpid (Array.of_list (List.rev !msgs));
-      Hashtbl.replace t.routes dpid cur)
-    (Net.switches_in_domain t.network t.id)
-
-(* The (forward, reverse) flow spaces of the keep-state pass rules,
-   over-approximated. State matching precedes the ruleset: a pass entry
-   meeting the forward space must punt (the controller records the
-   state), and a drop meeting the reverse space must not sit above the
-   replies keep state admits. *)
-let state_spaces env =
-  let space = Analysis.Fdd.Space.of_rule ~lookup:(Pf.Env.table env) in
-  List.fold_left
-    (fun (fwd, rev) (r : Pf.Ast.rule) ->
-      if r.Pf.Ast.keep_state && r.Pf.Ast.action = Pf.Ast.Pass then
-        ( Analysis.Fdd.Space.union fwd (space r),
-          Analysis.Fdd.Space.union rev
-            (space { r with Pf.Ast.from_ = r.Pf.Ast.to_; to_ = r.Pf.Ast.from_ }) )
-      else (fwd, rev))
-    (Analysis.Fdd.Space.empty, Analysis.Fdd.Space.empty)
-    (Pf.Env.rules env)
-
-(* Whether an entry's match meets a state space. Most policies keep no
-   state: the empty space answers without building the box. *)
-let meets_state space (m : Openflow.Match_fields.t) =
-  let field level f = function
-    | None -> (0, Analysis.Fdd.dim_top.(level))
-    | Some v -> f v
-  in
-  let point v = (v, v) in
-  let prefix p = (Ipv4.to_int (Prefix.first p), Ipv4.to_int (Prefix.last p)) in
-  (not (Analysis.Fdd.Space.is_empty space))
-  && Analysis.Fdd.Space.overlaps_box space
-       [|
-         field 0 (fun p -> point (Proto.to_int p)) m.Openflow.Match_fields.nw_proto;
-         field 1 prefix m.Openflow.Match_fields.nw_src;
-         field 2 prefix m.Openflow.Match_fields.nw_dst;
-         field 3 point m.Openflow.Match_fields.tp_src;
-         field 4 point m.Openflow.Match_fields.tp_dst;
-       |]
-
-(* The add message of one abstract entry, the same on every switch. A
-   pass entry jumps to table 1, which forwards by destination; traffic
-   toward a host no route reaches misses there and punts, which is the
-   reactive behaviour. Block entries drop in hardware unless their
-   space overlaps the keep-state reverse space, and pass entries punt
-   where they overlap the keep-state forward space (see
-   [state_spaces]). *)
-let entry_add ~state:(state_fwd, state_rev) (e : Compiler.entry) =
-  let fields = e.Compiler.e_fields in
-  let punt = [ Openflow.Action.To_controller ] in
-  Msg.add_flow ~priority:e.Compiler.e_priority ~cookie:Compiler.proactive_cookie
-    ~fields
-    (match e.Compiler.e_decision with
-    | Compiler.Punt -> punt
-    | Compiler.Decide Pf.Ast.Block ->
-        if meets_state state_rev fields then punt else Openflow.Action.drop
-    | Compiler.Decide Pf.Ast.Pass when meets_state state_fwd fields -> punt
-    | Compiler.Decide Pf.Ast.Pass -> [ Openflow.Action.Goto_table 1 ])
-
-let sync_proactive t =
-  let t0 = Sys.time () in
-  let fdd, state =
-    match (Policy_store.env t.policy, Query_plan.diagram (plan t)) with
-    | Ok env, Some fdd ->
-        ( Some (Compiler.offload ~proactive:t.cfg.proactive env fdd),
-          state_spaces env )
-    | _ -> (None, (Analysis.Fdd.Space.empty, Analysis.Fdd.Space.empty))
-  in
-  let cur =
-    match fdd with
-    | Some fdd ->
-        Compiler.renumber ~old_:t.proactive_tbl
-          (Compiler.compile ~cache:t.proactive_cache fdd)
-    (* Unresolvable policy: install nothing, every flow goes to the
-       controller, which fails closed per rule evaluation. *)
-    | None -> empty_table
-  in
-  let d =
-    if
-      not
-        (Analysis.Fdd.Space.equal (fst t.proactive_state) (fst state)
-        && Analysis.Fdd.Space.equal (snd t.proactive_state) (snd state))
-    then
-      (* Same abstract entry, different lowering: start over. *)
-      {
-        Compiler.d_add = cur.Compiler.entries;
-        d_del = t.proactive_tbl.Compiler.entries;
-      }
-    else Compiler.delta ~old_:t.proactive_tbl cur
-  in
-  (* Each entry is lowered once, and the same message values go to
-     every switch. *)
-  let msgs =
-    List.map
-      (fun (e : Compiler.entry) ->
-        Msg.delete_strict ~table_id:0 ~priority:e.Compiler.e_priority
-          ~fields:e.Compiler.e_fields)
-      d.Compiler.d_del
-    @ List.map (entry_add ~state) d.Compiler.d_add
-  in
-  (* Only a flush deletes the guards, and it re-adds them from the
-     view: they go out when the view's table turns non-empty. *)
-  let msgs =
-    if t.proactive_tbl.Compiler.entries = [] then msgs @ guards_of cur else msgs
-  in
-  (* One control event per switch, carrying the sync's messages. *)
-  let msgs = Array.of_list msgs in
-  List.iter
-    (fun dpid -> Net.send_batch t.network dpid msgs)
-    (Net.switches_in_domain t.network t.id);
-  Obs.Registry.Counter.inc t.pm.pc_recompiles;
-  Obs.Registry.Counter.add t.pm.pc_delta_add (List.length d.Compiler.d_add);
-  Obs.Registry.Counter.add t.pm.pc_delta_del (List.length d.Compiler.d_del);
-  Obs.Registry.Histogram.observe t.pm.ph_recompile (Sys.time () -. t0);
-  Log.debug (fun m ->
-      m "proactive sync: %d entries (%+d/-%d), coverage %.3f"
-        (List.length cur.Compiler.entries)
-        (List.length d.Compiler.d_add)
-        (List.length d.Compiler.d_del)
-        cur.Compiler.installed_coverage);
-  t.proactive_tbl <- cur;
-  t.proactive_state <- state
-
-let proactive_table t = t.proactive_tbl
-
-(* Per-switch capacity telemetry: evictions and refused adds of each
-   switch's table 0. *)
-let wire_table_telemetry t =
-  List.iter
-    (fun dpid ->
-      let table = Openflow.Switch.table (Net.switch t.network dpid) in
-      let labels = [ ("dpid", string_of_int dpid) ] in
-      Obs.Registry.counter_fn (metrics t)
-        ~help:"Flow-table capacity evictions (LRU reactive victims), by switch."
-        ~labels "identxx_switch_evictions_total"
-        (fun () -> Openflow.Flow_table.evictions table);
-      Obs.Registry.counter_fn (metrics t)
-        ~help:"Flow-mod adds refused by a full table with nothing reactive to evict, by switch."
-        ~labels "identxx_switch_refusals_total"
-        (fun () -> Openflow.Flow_table.refusals table))
-    (Net.switches_in_domain t.network t.id)
+let proactive_table t = Proactive.table t.compiled
 
 (* --- cache management: override and revoke (S1, S7) --- *)
 
@@ -1557,24 +1284,7 @@ let wire_table_telemetry t =
    deletes, a barrier, the adds. Table 1 holds only routes, which
    follow the topology, so neither a flush nor a revocation touches
    it. *)
-let reinstall t fields =
-  let taken = function
-    | Msg.Flow_mod fm ->
-        List.exists (fun f -> Openflow.Match_fields.covers f fm.Msg.fields) fields
-    | _ -> false
-  in
-  let view =
-    List.map (entry_add ~state:t.proactive_state) t.proactive_tbl.Compiler.entries
-    @ guards_of t.proactive_tbl
-  in
-  let msgs =
-    Array.of_list
-      (List.map (fun fields -> Msg.delete_flow ~fields) fields
-      @ (Msg.Barrier :: List.filter taken view))
-  in
-  List.iter
-    (fun dpid -> Net.send_batch t.network dpid msgs)
-    (Net.switches_in_domain t.network t.id)
+let reinstall t fields = t.control (Fun.const (Proactive.reinstall t.compiled fields))
 
 let flush_cache t =
   (* Remove every cached decision in this controller's domain so the
@@ -1612,13 +1322,17 @@ let update_file t ~name content =
       flush_cache t;
       Ok ()
 
+(* Removing a file the store does not hold changes nothing. *)
 let revoke_file t ~name =
   Log.info (fun m -> m "revoking policy file %s" name);
-  Policy_store.remove t.policy ~name;
-  flush_cache t
+  if Policy_store.remove t.policy ~name then flush_cache t
 
+(* The adapter: the network, the policy store and the topology feed
+   {!step}, and so do the shards, whose handler is the controller they
+   belong to. *)
 let create ?(config = default_config) ?keystore ?functions ?obs ?spans
     ?(recorder = Obs.Recorder.null) ~network ~id () =
+  let module Net = Openflow.Network in
   let policy = Policy_store.create () in
   let decision =
     Decision.create ~default:config.default ?keystore ?functions ~policy ()
@@ -1632,47 +1346,60 @@ let create ?(config = default_config) ?keystore ?functions ?obs ?spans
   in
   let labels = [ ("controller", string_of_int id) ] in
   let sc = Option.value config.shards ~default:(sharded 1) in
-  (* The handler needs the controller, which holds the engine. *)
-  let run = ref (fun (_ : posted) -> ()) in
-  let shard_engine =
-    Shard.Engine.create_typed ~service:sc.shard_service ~shards:sc.shard_count
-      ~vacant:Vacant ~handle:(fun msg -> !run msg) (Net.engine network)
-  in
+  let engine = Net.engine network and topo = Net.topology network in
+  let clock () = Sim.Engine.now engine in
   let answers =
     Fastpath.Answers.create ~capacity:config.fastpath.Fastpath.attr_capacity
       ~ttl:config.fastpath.Fastpath.attr_ttl
       ~reuse:config.fastpath.Fastpath.enabled ()
   in
-  let batch =
-    Shard.Batch.create ~engine:(Net.engine network)
-      ~send:(Net.send_batch network) ()
+  let batch = Shard.Batch.create ~engine ~send:(Net.send_batch network) () in
+  (* The shards' handler steps the controller that holds them. *)
+  let rec t =
+    lazy
+      {
+        cfg = config;
+        policy;
+        decision;
+        conn_state = Conn_state.create ();
+        augment = (fun _ -> []);
+        local_answers = (fun _ -> None);
+        ev = Events.create ~obs ~spans ~recorder ~labels;
+        pending = Flow_tbl.create 64;
+        fp = Fastpath.create config.fastpath;
+        answers;
+        shard_engine =
+          Shard.Engine.create_typed ~service:sc.shard_service ~shards:sc.shard_count
+            ~vacant:Vacant
+            ~handle:(fun msg -> step (Lazy.force t) ~now:(clock ()) msg)
+            engine;
+        batch;
+        plan = None;
+        compiled = Proactive.create obs ~labels;
+        last_stats = [];
+        xid = 0;
+        nonces = Sim.Prng.create (0x6e6f6e6365 + id);
+        now = clock ();
+        topo;
+        clock;
+        host_by_ip = Net.host_by_ip network;
+        hosts =
+          (fun () ->
+            List.filter_map
+              (fun host ->
+                match Net.host_ip network host with
+                | ip -> Some (host, ip)
+                | exception (Not_found | Invalid_argument _) -> None)
+              (Topo.hosts topo));
+        iter_path = (fun ~src ~dst f -> Net.iter_path network ~src ~dst f);
+        control =
+          (fun msgs ->
+            List.iter
+              (fun dpid -> Net.send_batch network dpid (msgs dpid))
+              (Net.switches_in_domain network id));
+      }
   in
-  let t =
-    {
-      network;
-      id;
-      cfg = config;
-      policy;
-      decision;
-      conn_state = Conn_state.create ();
-      augment = (fun _ -> []);
-      local_answers = (fun _ -> None);
-      ev = Events.create ~obs ~spans ~recorder ~labels;
-      pending = Flow_tbl.create 64;
-      fp = Fastpath.create config.fastpath;
-      answers;
-      shard_engine;
-      batch;
-      plan = None;
-      last_stats = [];
-      proactive_tbl = empty_table;
-      proactive_state = (Analysis.Fdd.Space.empty, Analysis.Fdd.Space.empty);
-      proactive_cache = Compiler.create_cache ();
-      routes = Hashtbl.create 16;
-      pm = make_pro_metrics obs ~labels;
-      nonces = Sim.Prng.create (0x6e6f6e6365 + id);
-    }
-  in
+  let t = Lazy.force t in
   Obs.Registry.gauge_fn obs ~help:"Flows awaiting daemon responses." ~labels
     "identxx_controller_pending_flows" (fun () ->
       float_of_int (Flow_tbl.length t.pending));
@@ -1685,36 +1412,32 @@ let create ?(config = default_config) ?keystore ?functions ?obs ?spans
         ~labels:[ ("cause", cause) ] "identxx_trace_spans_dropped_total"
         (fun () -> dropped spans))
     [ ("sampling", Obs.Span.sampled_out); ("capacity", Obs.Span.capacity_dropped) ];
-  Obs.Registry.gauge_fn obs
-    ~help:"Abstract entries in the installed proactive table." ~labels
-    "identxx_compiler_entries" (fun () ->
-      float_of_int (List.length t.proactive_tbl.Compiler.entries));
-  Obs.Registry.gauge_fn obs ~help:"Branches spilled back to the reactive path."
-    ~labels "identxx_compiler_spilled_regions" (fun () ->
-      float_of_int (List.length t.proactive_tbl.Compiler.spills));
-  Obs.Registry.gauge_fn obs
-    ~help:"Flow-space volume decided by installed static entries." ~labels
-    "identxx_compiler_installed_coverage" (fun () ->
-      t.proactive_tbl.Compiler.installed_coverage);
   Fastpath.register_metrics t.fp ~labels obs;
   Fastpath.Answers.register_metrics answers ~labels obs;
-  Shard.Engine.register_metrics shard_engine ~labels obs;
+  Shard.Engine.register_metrics t.shard_engine ~labels obs;
   Shard.Batch.register_metrics batch ~labels obs;
-  run := run_posted t;
+  (* Per-switch capacity telemetry: evictions and refused adds of each
+     switch's table 0. *)
+  List.iter
+    (fun dpid ->
+      let table = Openflow.Switch.table (Net.switch network dpid) in
+      let labels = [ ("dpid", string_of_int dpid) ] in
+      Obs.Registry.counter_fn obs
+        ~help:"Flow-table capacity evictions (LRU reactive victims), by switch."
+        ~labels "identxx_switch_evictions_total"
+        (fun () -> Openflow.Flow_table.evictions table);
+      Obs.Registry.counter_fn obs
+        ~help:"Flow-mod adds refused by a full table with nothing reactive to evict, by switch."
+        ~labels "identxx_switch_refusals_total"
+        (fun () -> Openflow.Flow_table.refusals table))
+    (Net.switches_in_domain network id);
   Net.register_controller network ~id (handle_message t);
-  wire_table_telemetry t;
-  (* Each revision the store installs gets its query plan and its
-     compiled table here (an explicit [sync_proactive] compiles the
-     current one); the routes follow the topology from here on, hosts
-     attached later included. *)
-  Policy_store.on_change policy (fun rev ->
-      t.plan <-
-        Some
-          (Query_plan.make ~default:config.default ?prev:t.plan
-             (Policy_store.Revision.env rev));
-      sync_proactive t);
+  (* Each revision the store installs gets its query plan and compiled
+     table; the routes follow the topology from here on, hosts attached
+     later included. *)
+  Policy_store.on_change policy (fun rev -> step t ~now:(clock ()) (Revision rev));
   if config.proactive then begin
-    Topo.on_change (Net.topology network) (fun () -> sync_routes t);
-    sync_routes t
+    Topo.on_change topo (fun () -> step t ~now:(clock ()) Topology_changed);
+    step t ~now:(clock ()) Topology_changed
   end;
   t

@@ -16,7 +16,13 @@
     answer queries on behalf of end-hosts (spoofing their address,
     without forwarding the query), may augment responses with an extra
     section, and otherwise forwards them hop-by-hop — "intercepted
-    queries are not allowed to cause new queries". *)
+    queries are not allowed to cause new queries".
+
+    Every input (a switch's message, a policy revision, a topology
+    change, the work posted to its shards) goes through one step
+    function, which {!create} binds to the network, the shards,
+    {!Policy_store.on_change} and {!Openflow.Topology.on_change}
+    (DESIGN.md, "One way in, one way out"). *)
 
 open Netcore
 
@@ -182,7 +188,8 @@ val update_file : t -> name:string -> string -> (unit, string) result
 
 val revoke_file : t -> name:string -> unit
 (** Remove a [.control] file (e.g. a delegation granted to a user or a
-    third party) and flush, so revocation takes effect immediately. *)
+    third party) and flush, so revocation takes effect immediately. A
+    name the store does not hold changes and sends nothing. *)
 
 val revoke_principal : t -> ip:Ipv4.t -> int
 (** Revoke a principal by address: drop its connection state (returned),
@@ -272,8 +279,9 @@ val shard_makespan : t -> Sim.Time.t
 (** {2 Flow monitoring} *)
 
 val request_stats : t -> Openflow.Message.switch_id -> unit
-(** Ask a switch for a snapshot of its flow table (OpenFlow flow-stats).
-    The reply arrives asynchronously; read it with {!switch_stats}. *)
+(** Ask a switch of the domain for a snapshot of its flow table
+    (OpenFlow flow-stats). The reply arrives asynchronously; read it
+    with {!switch_stats}. *)
 
 val switch_stats :
   t -> Openflow.Message.switch_id -> Openflow.Message.stats_reply option
@@ -282,6 +290,7 @@ val switch_stats :
 (** {2 Lower-level access, used by tests} *)
 
 val handle_message : t -> Openflow.Message.to_controller -> unit
-(** The callback registered with the network. *)
+(** The callback registered with the network: a switch message's way
+    into the step function. *)
 
 val pending_count : t -> int

@@ -164,7 +164,11 @@ let add_exn t ~name content =
 
 (* Every file parsed when it was added, and lines number tokens without
    changing them, so the rest parse wherever they move. *)
-let remove t ~name = replace t (Result.get_ok (build ~prev:t.current (others t name)))
+let remove t ~name =
+  let rest = others t name in
+  let held = List.compare_lengths rest t.current.files <> 0 in
+  if held then replace t (Result.get_ok (build ~prev:t.current rest));
+  held
 
 let env t = t.current.env
 

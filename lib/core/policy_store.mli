@@ -75,9 +75,10 @@ val add : t -> name:string -> string -> (unit, string) result
 
 val add_exn : t -> name:string -> string -> unit
 
-val remove : t -> name:string -> unit
+val remove : t -> name:string -> bool
 (** Install the current files without [name], whether or not their
-    environment builds. *)
+    environment builds, and say whether the store held it. Removing a
+    name it does not hold installs nothing and fires nothing. *)
 
 val env : t -> (Pf.Env.t, string) result
 (** The current revision's {!Revision.env}. *)

@@ -87,7 +87,7 @@ let grow sh =
   sh.head <- 0
 
 let create_typed ?(service = zero) ~shards ~vacant ~handle engine =
-  if shards < 1 then invalid_arg "Shard.Engine.create: shards must be >= 1";
+  if shards < 1 then invalid_arg "Shard.Engine.create_typed: shards must be >= 1";
   let t =
     {
       engine;
@@ -116,9 +116,6 @@ let create_typed ?(service = zero) ~shards ~vacant ~handle engine =
         in
         sh);
   t
-
-let create ?service ~shards engine =
-  create_typed ?service ~shards ~vacant:ignore ~handle:(fun run -> run ()) engine
 
 let shards t = Array.length t.shards
 

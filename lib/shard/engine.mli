@@ -37,11 +37,6 @@ val create_typed :
     {!Sim.Time.zero}).
     @raise Invalid_argument when [shards < 1]. *)
 
-val create :
-  ?service:Sim.Time.t -> shards:int -> Sim.Engine.t -> (unit -> unit) t
-(** Shards whose messages are closures, each run as it is drained: the
-    closure API, kept for callers outside [lib/]. *)
-
 val shards : 'm t -> int
 (** The number of run queues. *)
 

@@ -1,9 +1,6 @@
 type event = ..
 type event += Thunk of (unit -> unit)
 
-(* A closure that can be cancelled: the flag sits in the event. *)
-type event += Cancellable of { action : unit -> unit; mutable cancelled : bool }
-
 type channel =
   | Link of { node : string; port : int }
   | Switch_to_controller of int
@@ -21,7 +18,6 @@ let register ~run ~channel =
   layers := Array.append !layers [| { run; channel } |]
 
 type t = { mutable clock : Time.t; queue : event Heap.t }
-type cancel = event
 
 (* The queue's filler: the value its unused cells hold. *)
 let idle = Thunk ignore
@@ -38,13 +34,6 @@ let schedule_event t ~delay ev =
 
 let schedule_at t ~at action = schedule_event_at t ~at (Thunk action)
 let schedule t ~delay action = schedule_event t ~delay (Thunk action)
-
-let schedule_cancellable t ~delay action =
-  let ev = Cancellable { action; cancelled = false } in
-  schedule_event t ~delay ev;
-  ev
-
-let cancel = function Cancellable c -> c.cancelled <- true | _ -> ()
 let pending t = Heap.size t.queue
 
 let no_layer () = invalid_arg "Sim.Engine: no registered layer knows this event"
@@ -61,17 +50,11 @@ let run_event ev =
   | Thunk action ->
       action ();
       Ran
-  | Cancellable c ->
-      if c.cancelled then Reaped
-      else begin
-        c.action ();
-        Ran
-      end
   | _ -> run_layers !layers 0 ev
 
 let channel ev =
   match ev with
-  | Thunk _ | Cancellable _ -> Timer
+  | Thunk _ -> Timer
   | _ ->
       let layers = !layers in
       let rec go i =

@@ -69,13 +69,6 @@ val schedule_at : t -> at:Time.t -> (unit -> unit) -> unit
 (** Run a closure at an absolute time (>= now), as a {!Thunk}.
     @raise Invalid_argument when [at] is in the past. *)
 
-type cancel
-(** Handle for a cancellable closure. *)
-
-val schedule_cancellable : t -> delay:Time.t -> (unit -> unit) -> cancel
-val cancel : cancel -> unit
-(** Cancelling an already-fired or cancelled event is a no-op. *)
-
 val next_channel : t -> channel option
 (** The channel its layer names for the event {!step} dispatches next;
     [None] when the queue is empty.

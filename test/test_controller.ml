@@ -1504,6 +1504,24 @@ let test_revocation_takes_immediate_effect () =
   Alcotest.(check int) "re-decided" 2 st.C.flows_seen;
   Alcotest.(check int) "now blocked" 1 st.C.blocked
 
+(* Revoking a file the store does not hold installs no revision, so no
+   recompile, and sends the switches nothing: the cached entry keeps
+   serving and its flow is not re-decided. *)
+let test_revoke_absent_file_does_nothing () =
+  let s = Deploy.simple_network () in
+  let ps = C.policy s.controller in
+  Identxx_core.Policy_store.add_exn ps ~name:"00-base" "pass all";
+  let flow = run_flow s ~user:"alice" ~exe:"/usr/bin/firefox" in
+  let epoch () = Identxx_core.Policy_store.(Revision.epoch (current ps)) in
+  let before = epoch () in
+  C.revoke_file s.controller ~name:"50-grant";
+  Alcotest.(check int) "epoch unchanged" before (epoch ());
+  Alcotest.(check int) "nothing sent" 0 (Sim.Engine.pending s.engine);
+  Net.send_from_host s.network ~name:"client"
+    (Identxx.Host.first_packet s.client ~flow);
+  Sim.Engine.run s.engine;
+  Alcotest.(check int) "not re-decided" 1 (C.stats s.controller).C.flows_seen
+
 let test_without_flush_cache_serves_stale_policy () =
   (* The ablation: removing the file without flushing leaves the cached
      entry serving the revoked policy. *)
@@ -1513,7 +1531,8 @@ let test_without_flush_cache_serves_stale_policy () =
   Identxx_core.Policy_store.add_exn (C.policy s.controller) ~name:"50-grant"
     "pass all with eq(@src[userID], alice)";
   let flow = run_flow s ~user:"alice" ~exe:"/usr/bin/firefox" in
-  Identxx_core.Policy_store.remove (C.policy s.controller) ~name:"50-grant";
+  Alcotest.(check bool) "held" true
+    (Identxx_core.Policy_store.remove (C.policy s.controller) ~name:"50-grant");
   let delivered_before = Net.delivered s.network in
   Net.send_from_host s.network ~name:"client"
     (Identxx.Host.first_packet s.client ~flow);
@@ -1707,6 +1726,8 @@ let () =
             test_revocation_takes_immediate_effect;
           Alcotest.test_case "stale cache without flush" `Quick
             test_without_flush_cache_serves_stale_policy;
+          Alcotest.test_case "revoking an absent file does nothing" `Quick
+            test_revoke_absent_file_does_nothing;
           Alcotest.test_case "reinstalled exe reaches next answer" `Quick
             test_reinstalled_exe_reaches_next_answer;
           Alcotest.test_case "update flushes" `Quick test_update_file_flushes;

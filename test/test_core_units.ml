@@ -258,8 +258,9 @@ let test_policy_store_on_change_fires () =
   let fired = ref 0 in
   PS.on_change ps (fun _ -> incr fired);
   PS.add_exn ps ~name:"00" "pass all";
-  PS.remove ps ~name:"00";
-  (* A rejected add must not fire. *)
+  check Alcotest.bool "held" true (PS.remove ps ~name:"00");
+  (* A rejected add, and removing a name not held, must not fire. *)
+  check Alcotest.bool "not held" false (PS.remove ps ~name:"00");
   ignore (PS.add ps ~name:"01" "pass frm any");
   check Alcotest.int "fired twice" 2 !fired
 
@@ -364,7 +365,7 @@ let test_policy_store_parses_each_file_once () =
         incr whole;
         same_as_concatenation what ps;
         let name, _ = pieces.(Sim.Prng.int prng (Array.length pieces)) in
-        PS.remove ps ~name;
+        check Alcotest.bool "held" true (PS.remove ps ~name);
         same_as_concatenation (what ^ " without " ^ name) ps
     | left ->
         if Array.for_all (fun (_, text) -> Result.is_ok (Pf.Parser.parse text)) pieces
@@ -443,8 +444,9 @@ let same_revision what a b =
    sets over files that define tables and files that read them: after
    each step the store's revision is [PS.load] of its file set; an
    accepted step raises the epoch by one and fires [on_change] once
-   with it, and a refused step leaves the revision as it was and fires
-   nothing. A step is refused exactly when its set does not build. *)
+   with it, and a refused step, or the removal of a name the store does
+   not hold, leaves the revision as it was and fires nothing. A step is
+   refused exactly when its set does not build. *)
 let prop_policy_store_load =
   let gen_name =
     QCheck.Gen.(
@@ -545,13 +547,15 @@ let prop_policy_store_load =
           match edit with
           | Add (n, t) -> ((n, t) :: without n, PS.add ps ~name:n t)
           | Remove n ->
-              PS.remove ps ~name:n;
-              (without n, Ok ())
+              let held = List.exists (fun (m, _) -> stem m = stem n) model in
+              if PS.remove ps ~name:n <> held then
+                QCheck.Test.fail_report "remove misreported whether it held the name";
+              (without n, if held then Ok () else Error "not held")
           | Set l -> (l, PS.set ps l)
         in
         let builds =
           match (edit, PS.load model') with
-          | Remove _, _ -> true
+          | Remove n, _ -> List.exists (fun (m, _) -> stem m = stem n) model
           | _, Ok r -> Result.is_ok (PS.Revision.env r)
           | _, Error _ -> false
         in

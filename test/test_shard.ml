@@ -15,9 +15,13 @@ let check = Alcotest.check
 
 (* --- Shard.Engine unit tests --- *)
 
+(* Shards whose messages are closures, each run as it is drained. *)
+let thunk_shards ?service ~shards engine =
+  Shard.Engine.create_typed ?service ~shards ~vacant:ignore ~handle:(fun f -> f ()) engine
+
 let test_engine_post_order () =
   let e = Sim.Engine.create () in
-  let d = Shard.Engine.create ~shards:3 e in
+  let d = thunk_shards ~shards:3 e in
   let order = ref [] in
   List.iter
     (fun (s, tag) ->
@@ -37,7 +41,7 @@ let test_engine_makespan () =
   let ms = Sim.Time.ms in
   (* One shard: four 1 ms messages serialise to 4 ms. *)
   let e1 = Sim.Engine.create () in
-  let d1 = Shard.Engine.create ~service:(ms 1) ~shards:1 e1 in
+  let d1 = thunk_shards ~service:(ms 1) ~shards:1 e1 in
   for _ = 1 to 4 do
     Shard.Engine.post d1 ~shard:0 ignore
   done;
@@ -46,7 +50,7 @@ let test_engine_makespan () =
     (Sim.Time.compare (Shard.Engine.makespan d1) (ms 4) = 0);
   (* Two shards, two messages each: parallel simulated time, 2 ms. *)
   let e2 = Sim.Engine.create () in
-  let d2 = Shard.Engine.create ~service:(ms 1) ~shards:2 e2 in
+  let d2 = thunk_shards ~service:(ms 1) ~shards:2 e2 in
   List.iter (fun s -> Shard.Engine.post d2 ~shard:s ignore) [ 0; 1; 0; 1 ];
   Sim.Engine.run e2;
   check Alcotest.bool "parallel makespan 2ms" true
@@ -54,7 +58,7 @@ let test_engine_makespan () =
 
 let test_engine_cross_posts () =
   let e = Sim.Engine.create () in
-  let d = Shard.Engine.create ~shards:3 e in
+  let d = thunk_shards ~shards:3 e in
   let seen = ref [] in
   (* A post from outside every shard, or from a shard to itself, is not
      cross-shard traffic; from inside shard 1, the posts to shards 2 and
@@ -73,7 +77,7 @@ let test_engine_cross_posts () =
 
 let test_engine_post_after () =
   let e = Sim.Engine.create () in
-  let d = Shard.Engine.create ~shards:2 e in
+  let d = thunk_shards ~shards:2 e in
   let fired = ref 0 in
   let _keep =
     Shard.Engine.post_after d ~shard:1 ~delay:(Sim.Time.ms 5) (fun () ->

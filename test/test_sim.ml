@@ -138,16 +138,20 @@ let test_engine_nested_scheduling () =
   check Alcotest.int "both fired" 2 !fired;
   check Alcotest.int "clock at 2ms" 2_000_000 (Sim.Time.to_ns (Sim.Engine.now e))
 
+(* Shards whose messages are closures, each run as it is drained. *)
+let thunk_shards ~shards engine =
+  Shard.Engine.create_typed ~shards ~vacant:ignore ~handle:(fun f -> f ()) engine
+
+(* A cancelled timer is reaped: it posts nothing and the clock stays. *)
 let test_engine_cancel () =
   let e = Sim.Engine.create () in
+  let d = thunk_shards ~shards:1 e in
   let fired = ref false in
-  let handle =
-    Sim.Engine.schedule_cancellable e ~delay:(Sim.Time.ms 1) (fun () ->
-        fired := true)
-  in
-  Sim.Engine.cancel handle;
+  Shard.Engine.cancel
+    (Shard.Engine.post_after d ~shard:0 ~delay:(Sim.Time.ms 1) (fun () -> fired := true));
   Sim.Engine.run e;
-  check Alcotest.bool "cancelled event did not fire" false !fired
+  check Alcotest.bool "cancelled event did not fire" false !fired;
+  check Alcotest.int "clock stays" 0 (Sim.Time.to_ns (Sim.Engine.now e))
 
 let test_engine_until () =
   let e = Sim.Engine.create () in
@@ -298,9 +302,9 @@ let test_event_channels () =
   in
   Sim.Engine.schedule engine ~delay:Sim.Time.zero ignore;
   next "a thunk" Timer;
-  Sim.Engine.cancel
-    (Sim.Engine.schedule_cancellable engine ~delay:Sim.Time.zero ignore);
-  next "a cancellable thunk" Timer;
+  let d = thunk_shards ~shards:2 engine in
+  Shard.Engine.cancel (Shard.Engine.post_after d ~shard:1 ~delay:Sim.Time.zero ignore);
+  next "a cancelled shard timer" Timer;
   Net.register_controller net ~id:0 ignore;
   Net.send_from_host net ~name:"h1" (frame ());
   next "a frame: its link direction, by the receiving end"
@@ -309,7 +313,6 @@ let test_event_channels () =
   Net.send_batch net 1 [| Openflow.Message.Stats_request { xid = 1 } |];
   next "a control batch" (Controller_to_switch 1);
   next "a switch's reply" (Switch_to_controller 1);
-  let d = Shard.Engine.create ~shards:2 engine in
   Shard.Engine.post d ~shard:1 ignore;
   next "a shard post" (Mailbox 1);
   ignore (Shard.Engine.post_after d ~shard:0 ~delay:Sim.Time.zero ignore);

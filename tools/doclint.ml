@@ -46,9 +46,7 @@
       its [Events] module: outside [module Events = struct ... end] it
       calls no sink ([Recorder.record*], [Audit.record*],
       [Span.start|finish|event|set_attr|force_sample|is_live],
-      [Counter.inc|add], [Histogram.observe]). A counter or histogram
-      call on the proactive compiler's instruments ([_.pm._]) is the
-      one exception;
+      [Counter.inc|add], [Histogram.observe]);
   10. simulator events are data: outside lib/sim/engine.ml, nothing in
       lib/ passes a [fun] literal to [Sim.Engine.schedule*] or
       [Shard.Engine.post*] (a [fun] or [function] at the call's own
@@ -61,9 +59,15 @@
       right-hand side starts with [ref], or with [create] or [make] of
       [Hashtbl], [Queue], [Stack], [Buffer], [Weak], [Atomic], [Array]
       or [Bytes], or of a module the file makes with a functor
-      ([module Tab = Hashtbl.Make (...)]), unless tools/globals.allow
-      names it with a reason. An allowlist line that names no such
-      binding is a finding too.
+      ([module Tab = Hashtbl.Make (...)]), or with a local [let x = ...
+      in] of one of those (state a function closes over), unless
+      tools/globals.allow names it with a reason. An allowlist line
+      that names no such binding is a finding too;
+  12. only the controller's adapter touches the network and the
+      simulator: outside the top-level [let create] of
+      lib/core/controller.ml (up to the next line that starts at column
+      0), neither that file nor lib/core/proactive.ml names
+      [Openflow.Network] or a module alias of it, or [Sim.Engine].
 
    Usage: doclint <repo-root>. Exit 1 on any finding. *)
 
@@ -974,12 +978,9 @@ let check_emitter root =
       | ("end", _) :: rest when depth > 0 -> go (depth - 1) rest
       | (m, _) :: (".", _) :: (v, off) :: rest
         when depth = 0 && is_module_name m && sink_call (resolve m) v ->
-          (match (resolve m, rest) with
-          | ("Counter" | "Histogram"), _ :: (".", _) :: ("pm", _) :: _ -> ()
-          | _ ->
-              err "%s:%d: `%s.%s` outside module Events: report flow-lifecycle \
-                   points through the emitter"
-                emitter_file (line_of src off) (resolve m) v);
+          err "%s:%d: `%s.%s` outside module Events: report flow-lifecycle \
+               points through the emitter"
+            emitter_file (line_of src off) (resolve m) v;
           go 0 rest
       | _ :: rest -> go depth rest
     in
@@ -1054,9 +1055,11 @@ let globals_allowlist = "tools/globals.allow"
 let containers =
   [ "Hashtbl"; "Queue"; "Stack"; "Buffer"; "Weak"; "Atomic"; "Array"; "Bytes"; "Make" ]
 
-(* Whether a right-hand side starts by making a mutable container. *)
+(* Whether a right-hand side starts by making a mutable container,
+   directly or as the first local binding it closes over. *)
 let rec makes_container resolve = function
   | ("(", _) :: rest -> makes_container resolve rest
+  | ("let", _) :: (x, _) :: ("=", _) :: rhs when is_value_name x -> makes_container resolve rhs
   | ("ref", _) :: _ -> true
   | (m, _) :: (".", _) :: (((n, _) :: _) as rest) when is_module_name m && is_module_name n ->
       makes_container resolve rest
@@ -1128,6 +1131,48 @@ let check_globals root =
           name)
     allowed
 
+(* --- 12: one way into the controller and one way out --- *)
+
+let seam_files = [ "lib/core/controller.ml"; "lib/core/proactive.ml" ]
+
+let check_seam root =
+  List.iter
+    (fun rel ->
+      let path = Filename.concat root rel in
+      if Sys.file_exists path then begin
+        let src = code_only (read_file path) in
+        let aliases = (scan_refs path).aliases in
+        let network m = m = "Network" || Hashtbl.find_opt aliases m = Some "Network" in
+        let at_col0 off = off = 0 || src.[off - 1] = '\n' in
+        (* [adapter]: inside the controller's top-level [let create]. *)
+        let rec go adapter = function
+          | [] -> ()
+          | ("let", off) :: ("create", _) :: rest
+            when at_col0 off && rel = "lib/core/controller.ml" ->
+              go true rest
+          | ("module", off) :: _ :: rest ->
+              (* An alias's own name; what it aliases is checked. *)
+              go (adapter && not (at_col0 off)) rest
+          | (m, off) :: rest ->
+              let adapter = adapter && not (at_col0 off) in
+              let named =
+                match (m, rest) with
+                | "Sim", (".", _) :: ("Engine", _) :: _ -> Some "Sim.Engine"
+                | m, _ when is_module_name m && network m -> Some m
+                | _ -> None
+              in
+              (match named with
+              | Some name when not adapter ->
+                  err "%s:%d: `%s` outside Controller.create: only its adapter \
+                       touches the network and the simulator"
+                    rel (line_of src off) name
+              | Some _ | None -> ());
+              go adapter rest
+        in
+        go false (tokens src)
+      end)
+    seam_files
+
 let () =
   let root = if Array.length Sys.argv > 1 then Sys.argv.(1) else "." in
   check_interfaces root;
@@ -1140,6 +1185,7 @@ let () =
   check_emitter root;
   check_thunks root;
   check_globals root;
+  check_seam root;
   let have_odoc = Sys.command "command -v odoc >/dev/null 2>&1" = 0 in
   if !errors > 0 then begin
     Printf.printf "doclint: %d finding(s)\n" !errors;
