@@ -30,41 +30,27 @@ let text_line l =
     (Check.severity_string f.Check.severity)
     f.Check.code f.Check.message witness
 
-(* --- JSON (hand-rolled: the repo carries no JSON dependency) --- *)
+(* --- JSON --- *)
 
-let json_escape s =
-  let buf = Buffer.create (String.length s + 8) in
-  String.iter
-    (fun c ->
-      match c with
-      | '"' -> Buffer.add_string buf "\\\""
-      | '\\' -> Buffer.add_string buf "\\\\"
-      | '\n' -> Buffer.add_string buf "\\n"
-      | '\r' -> Buffer.add_string buf "\\r"
-      | '\t' -> Buffer.add_string buf "\\t"
-      | c when Char.code c < 0x20 ->
-          Buffer.add_string buf (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char buf c)
-    s;
-  Buffer.contents buf
+let json_str s = Obs.Json.to_string (Obs.Json.Str s)
 
 let json_finding l =
   let f = l.finding in
   let fields =
     [
-      Printf.sprintf "\"file\": \"%s\"" (json_escape l.file);
+      Printf.sprintf "\"file\": %s" (json_str l.file);
       Printf.sprintf "\"line\": %d" l.local_line;
       Printf.sprintf "\"severity\": \"%s\"" (Check.severity_string f.Check.severity);
-      Printf.sprintf "\"code\": \"%s\"" (json_escape f.Check.code);
-      Printf.sprintf "\"message\": \"%s\"" (json_escape f.Check.message);
+      Printf.sprintf "\"code\": %s" (json_str f.Check.code);
+      Printf.sprintf "\"message\": %s" (json_str f.Check.message);
     ]
     @
     match f.Check.witness with
     | None -> []
     | Some w ->
         [
-          Printf.sprintf "\"witness\": \"%s\""
-            (json_escape (Netcore.Five_tuple.to_string w));
+          Printf.sprintf "\"witness\": %s"
+            (json_str (Netcore.Five_tuple.to_string w));
         ]
   in
   "{" ^ String.concat ", " fields ^ "}"

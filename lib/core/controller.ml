@@ -513,7 +513,7 @@ type t = {
       (* The run queues every packet-in, timeout and settlement is
          posted to; they hold no state of their own. *)
   batch : Shard.Batch.t;
-      (* Installs, releases and queries leave in per-tick passes. *)
+      (* Everything sent to a switch leaves in the tick's pass. *)
   mutable plan : Query_plan.t option;
       (* What the current revision reads, made from each revision the
          store hands over; the first revision's is made on first use. *)
@@ -530,10 +530,12 @@ type t = {
   host_by_ip : Ipv4.t -> string option;
   hosts : unit -> (string * Ipv4.t) list; (* attached, with addresses *)
   iter_path : src:Ipv4.t -> dst:Ipv4.t -> (Msg.switch_id -> int -> unit) -> bool;
-  control : (Msg.switch_id -> Msg.to_switch array) -> unit;
-      (* One control event to each switch of the domain, carrying what
-         the function gives it (nothing for an empty array). *)
+  domain : unit -> Msg.switch_id list; (* its switches, ascending *)
 }
+
+(* Queue [msgs dpid] for each switch of the domain. *)
+let send_domain t msgs =
+  List.iter (fun dpid -> Shard.Batch.add_all t.batch dpid (msgs dpid)) (t.domain ())
 
 let policy t = t.policy
 let fastpath t = t.fp
@@ -1210,11 +1212,11 @@ let step t ~now input =
       (* Its query plan, then its compiled table. *)
       let env = Policy_store.Revision.env rev in
       t.plan <- Some (Query_plan.make ~default:t.cfg.default ?prev:t.plan env);
-      t.control
+      send_domain t
         (Fun.const
            (Proactive.sync t.compiled ~proactive:t.cfg.proactive env
               (Query_plan.diagram (plan t))))
-  | Topology_changed -> t.control (Proactive.sync_routes t.compiled t.topo (t.hosts ()))
+  | Topology_changed -> send_domain t (Proactive.sync_routes t.compiled t.topo (t.hosts ()))
   | Flow_miss (pi, flow) -> (
       match Flow_tbl.find_opt t.pending flow with
       | Some p -> p.p_packets <- pi :: p.p_packets
@@ -1271,7 +1273,7 @@ let handle_message t msg = step t ~now:(t.clock ()) (Switch msg)
 let request_stats t dpid =
   t.xid <- t.xid + 1;
   let msgs = [| Msg.Stats_request { xid = t.xid } |] in
-  t.control (fun d -> if d = dpid then msgs else [||])
+  send_domain t (fun d -> if d = dpid then msgs else [||])
 
 let switch_stats t dpid = List.assoc_opt dpid t.last_stats
 let proactive_table t = Proactive.table t.compiled
@@ -1280,11 +1282,10 @@ let proactive_table t = Proactive.table t.compiled
 
 (* Delete in table 0 of every switch in the domain every entry one of
    [fields] covers, then re-add from the view the compiled entries and
-   guards those deletes took. Each switch gets one control event: the
-   deletes, a barrier, the adds. Table 1 holds only routes, which
-   follow the topology, so neither a flush nor a revocation touches
-   it. *)
-let reinstall t fields = t.control (Fun.const (Proactive.reinstall t.compiled fields))
+   guards those deletes took: the deletes, a barrier, the adds, after
+   what the tick queued before. Table 1 holds only routes, which follow
+   the topology, so neither a flush nor a revocation touches it. *)
+let reinstall t fields = send_domain t (Fun.const (Proactive.reinstall t.compiled fields))
 
 let flush_cache t =
   (* Remove every cached decision in this controller's domain so the
@@ -1392,11 +1393,7 @@ let create ?(config = default_config) ?keystore ?functions ?obs ?spans
                 | exception (Not_found | Invalid_argument _) -> None)
               (Topo.hosts topo));
         iter_path = (fun ~src ~dst f -> Net.iter_path network ~src ~dst f);
-        control =
-          (fun msgs ->
-            List.iter
-              (fun dpid -> Net.send_batch network dpid (msgs dpid))
-              (Net.switches_in_domain network id));
+        domain = (fun () -> Net.switches_in_domain network id);
       }
   in
   let t = Lazy.force t in

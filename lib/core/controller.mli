@@ -36,8 +36,8 @@ type shard_config = {
           parallel, which is what the throughput benchmark measures. *)
 }
 (** Configuration of the sharded flow-setup engine's run queues
-    ({!Shard.Engine}; installs always go through {!Shard.Batch}):
-    DESIGN.md §12. *)
+    ({!Shard.Engine}; everything sent to a switch goes through
+    {!Shard.Batch}): DESIGN.md §12. *)
 
 val sharded : ?service:Sim.Time.t -> int -> shard_config
 (** [sharded n] is [n] shards with zero service time. *)
@@ -168,15 +168,15 @@ val audit : t -> Audit.t
     domain; these helpers do both atomically (in simulation order). A
     flush or a revocation deletes in table 0 only, and re-adds from the
     controller's view of the switches the compiled entries and guards
-    its deletes took: each switch gets one control event holding the
-    deletes, a barrier and those adds. Table 1's routes follow the
-    topology and are left alone. *)
+    its deletes took: each switch gets the deletes, a barrier and those
+    adds in the tick's batched pass, after the installs queued earlier
+    in the instant, so those go too. Table 1 is left alone. *)
 
 val flush_cache : t -> unit
-(** Delete every table-0 entry on the domain's switches, re-add the
-    compiled table and its guards, and forget connection state and
-    memoized verdicts; all other flows are re-decided on their next
-    packet. *)
+(** Delete every table-0 entry on the domain's switches, this
+    instant's installs too, re-add the compiled table and its guards,
+    and forget connection state and memoized verdicts; every flow is
+    re-decided on its next packet. *)
 
 val proactive_table : t -> Compiler.table
 (** The abstract compiled table currently installed: empty until the
@@ -195,9 +195,9 @@ val revoke_principal : t -> ip:Ipv4.t -> int
 (** Revoke a principal by address: drop its connection state (returned),
     purge its cached attributes and every memoized decision its answers
     may have influenced, reset its breaker state, and delete every
-    table-0 entry with the address at either end. The compiled entries
-    among those are re-added; every route stays. Already in-flight
-    pending flows are unaffected (they decide with the responses they
+    table-0 entry with the address at either end, this instant's
+    installs too; the compiled ones come back and every route stays.
+    Pending flows are unaffected (they decide with the responses they
     gathered). *)
 
 val note_host_changed : t -> Ipv4.t -> unit
@@ -269,7 +269,7 @@ val wire_exchanges : t -> int
     which no other flow shares, and never opens one. *)
 
 val batch_flushes : t -> int
-(** Batched install flushes performed. *)
+(** Batched passes flushed. *)
 
 val shard_makespan : t -> Sim.Time.t
 (** Latest simulated completion time across all shard run queues — the
@@ -280,8 +280,8 @@ val shard_makespan : t -> Sim.Time.t
 
 val request_stats : t -> Openflow.Message.switch_id -> unit
 (** Ask a switch of the domain for a snapshot of its flow table
-    (OpenFlow flow-stats). The reply arrives asynchronously; read it
-    with {!switch_stats}. *)
+    (OpenFlow flow-stats) in the tick's batched pass; the reply arrives
+    asynchronously, read it with {!switch_stats}. *)
 
 val switch_stats :
   t -> Openflow.Message.switch_id -> Openflow.Message.stats_reply option

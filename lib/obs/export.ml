@@ -1,23 +1,14 @@
 (* --- Prometheus text exposition (format 0.0.4) --- *)
 
-let escape_label_value v =
+(* Backslash and newline escape everywhere; a double quote only in a
+   label value. *)
+let escape ~quote v =
   let buf = Buffer.create (String.length v) in
   String.iter
     (fun c ->
       match c with
       | '\\' -> Buffer.add_string buf "\\\\"
-      | '"' -> Buffer.add_string buf "\\\""
-      | '\n' -> Buffer.add_string buf "\\n"
-      | c -> Buffer.add_char buf c)
-    v;
-  Buffer.contents buf
-
-let escape_help v =
-  let buf = Buffer.create (String.length v) in
-  String.iter
-    (fun c ->
-      match c with
-      | '\\' -> Buffer.add_string buf "\\\\"
+      | '"' when quote -> Buffer.add_string buf "\\\""
       | '\n' -> Buffer.add_string buf "\\n"
       | c -> Buffer.add_char buf c)
     v;
@@ -39,7 +30,7 @@ let label_block labels =
       ^ String.concat ","
           (List.map
              (fun (k, v) ->
-               Printf.sprintf "%s=\"%s\"" k (escape_label_value v))
+               Printf.sprintf "%s=\"%s\"" k (escape ~quote:true v))
              labels)
       ^ "}"
 
@@ -66,7 +57,7 @@ let prometheus_of_series series =
         if s.Registry.help <> "" then
           Buffer.add_string buf
             (Printf.sprintf "# HELP %s %s\n" s.Registry.name
-               (escape_help s.Registry.help));
+               (escape ~quote:false s.Registry.help));
         Buffer.add_string buf
           (Printf.sprintf "# TYPE %s %s\n" s.Registry.name
              (type_of_value s.Registry.value))

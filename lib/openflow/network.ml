@@ -283,9 +283,8 @@ let attach_host t ~name ~mac ~ip ~rx =
   Topology.touch t.topology
 
 let host_state t name =
-  match Hashtbl.find_opt t.hosts name with
-  | Some h -> h
-  | None -> invalid_arg ("Network: unknown host " ^ name)
+  try Hashtbl.find t.hosts name
+  with Not_found -> invalid_arg ("Network: unknown host " ^ name)
 
 let host_ip t name = (host_state t name).h_ip
 

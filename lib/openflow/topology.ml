@@ -89,7 +89,7 @@ let wire t node port = Wiring.find t.wiring (probe t node port)
 let wire_opt t node port =
   match wire t node port with w -> Some w | exception Not_found -> None
 
-let ports_of t node = Option.value ~default:[] (Hashtbl.find_opt t.ports node)
+let ports_of t node = match Hashtbl.find t.ports node with ps -> ps | exception Not_found -> []
 
 let add_port t node port =
   let rec ins = function

@@ -1,14 +1,6 @@
-(* The per-tick install batcher: switch-bound messages accumulate while
-   the current simulated instant drains, then flush as one pass per
-   switch, handed to [send] together. Per-dpid arrival order is
-   preserved (the control channel is FIFO, and release depends on
-   flow-mods landing before the table-lookup packet-out); switches
-   flush in ascending dpid order so the pass is canonical regardless of
-   which shard queued what.
-
-   Messages are grouped as they arrive, into per-switch arrays kept
-   across ticks in dpid order, so a tick that touches switches already
-   seen allocates nothing here. *)
+(* The controller's outbox (batch.mli). Messages are grouped as they
+   arrive, into per-switch arrays kept across ticks in dpid order, so a
+   tick that touches switches already seen allocates nothing here. *)
 
 module Msg = Openflow.Message
 
@@ -17,6 +9,7 @@ type group = {
   dpid : Msg.switch_id;
   mutable msgs : Msg.to_switch array;
   mutable len : int;
+  mutable whole : Msg.to_switch array; (* {!add_all}'s, while [len = 0] *)
 }
 
 type t = {
@@ -44,14 +37,17 @@ let flush t =
     t.flushes <- t.flushes + 1;
     for r = 0 to Array.length t.groups - 1 do
       let g = t.groups.(r) in
-      if g.len > 0 then begin
+      let msgs = if g.len = 0 then g.whole else Array.sub g.msgs 0 g.len in
+      let n = Array.length msgs in
+      if n > 0 then begin
         (match t.h_size with
-        | Some h -> Obs.Registry.Histogram.observe h (float_of_int g.len)
+        | Some h -> Obs.Registry.Histogram.observe h (float_of_int n)
         | None -> ());
-        t.batched <- t.batched + g.len;
-        t.send g.dpid (Array.sub g.msgs 0 g.len);
+        t.batched <- t.batched + n;
+        t.send g.dpid msgs;
         Array.fill g.msgs 0 g.len vacant;
-        g.len <- 0
+        g.len <- 0;
+        g.whole <- [||]
       end
     done
   end
@@ -97,25 +93,44 @@ let group_of t dpid =
   let i = search t.groups dpid 0 n in
   if i < n && t.groups.(i).dpid = dpid then t.groups.(i)
   else begin
-    let g = { dpid; msgs = Array.make 4 vacant; len = 0 } in
+    let g = { dpid; msgs = Array.make 4 vacant; len = 0; whole = [||] } in
     t.groups <-
       Array.concat [ Array.sub t.groups 0 i; [| g |]; Array.sub t.groups i (n - i) ];
     g
   end
 
-let add t dpid msg =
-  let g = group_of t dpid in
+let push g msg =
   if g.len = Array.length g.msgs then begin
     let grown = Array.make (2 * g.len) vacant in
     Array.blit g.msgs 0 grown 0 g.len;
     g.msgs <- grown
   end;
   g.msgs.(g.len) <- msg;
-  g.len <- g.len + 1;
-  t.buffered <- t.buffered + 1;
+  g.len <- g.len + 1
+
+(* [n] more messages; the tick's first schedules the flush. *)
+let queued t n =
+  t.buffered <- t.buffered + n;
   if not t.scheduled then begin
     t.scheduled <- true;
     Sim.Engine.schedule_event t.engine ~delay:Sim.Time.zero t.flush_event
+  end
+
+let add t dpid msg =
+  let g = group_of t dpid in
+  if Array.length g.whole > 0 then begin
+    Array.iter (push g) g.whole;
+    g.whole <- [||]
+  end;
+  push g msg;
+  queued t 1
+
+let add_all t dpid msgs =
+  if Array.length msgs > 0 then begin
+    let g = group_of t dpid in
+    if g.len > 0 then Array.iter (push g) msgs
+    else g.whole <- (if Array.length g.whole = 0 then msgs else Array.append g.whole msgs);
+    queued t (Array.length msgs)
   end
 
 let pending t = t.buffered
@@ -128,10 +143,10 @@ let register_metrics t ?(labels = []) reg =
   t.h_size <-
     Some
       (Obs.Registry.histogram reg ~labels ~buckets:size_buckets
-         ~help:"Messages per switch per batched install pass"
+         ~help:"Messages per switch per batched pass"
          "identxx_shard_batch_size");
   Obs.Registry.counter_fn reg ~labels "identxx_shard_batch_flushes_total"
-    ~help:"Batched install passes flushed" (fun () -> t.flushes);
+    ~help:"Batched passes flushed" (fun () -> t.flushes);
   Obs.Registry.counter_fn reg ~labels "identxx_shard_batch_messages_total"
     ~help:"Switch-bound messages delivered through the batcher"
     (fun () -> t.batched)

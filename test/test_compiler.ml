@@ -1623,6 +1623,8 @@ let test_e2e_flush_one_event_per_switch () =
   let installed = compiled_entries network in
   Alcotest.(check int) "a route per switch and host" 18 (List.length routes);
   C.flush_cache controller;
+  (* The tick's pass sends them. *)
+  ignore (Sim.Engine.step engine);
   Alcotest.(check int) "one control event per switch" 3
     (Sim.Engine.pending engine);
   Sim.Engine.run engine;
@@ -1645,6 +1647,8 @@ let test_e2e_revoke_one_event_per_switch () =
   Alcotest.(check bool) "a compiled entry names the host" true
     (List.exists names_host (install_times network ~id:0));
   ignore (C.revoke_principal controller ~ip:(ip "10.0.2.1"));
+  (* The tick's pass sends them. *)
+  ignore (Sim.Engine.step engine);
   Alcotest.(check int) "one control event per switch" 3
     (Sim.Engine.pending engine);
   Sim.Engine.run engine;

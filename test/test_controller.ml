@@ -1581,6 +1581,40 @@ let test_update_file_flushes () =
   Sim.Engine.run s.engine;
   Alcotest.(check int) "blocked after update" 1 (C.stats s.controller).C.blocked
 
+(* A verdict reached in the same instant as an operator action queues
+   its install before the action's deletes, so the deletes take it: no
+   per-flow (cookie 0) entry naming the client is left. *)
+let same_instant_verdict action =
+  let s = Deploy.simple_network () in
+  Identxx_core.Policy_store.add_exn (C.policy s.controller) ~name:"00" "pass all";
+  let proc = Identxx.Host.run s.client ~user:"alice" ~exe:"/usr/bin/firefox" () in
+  let flow =
+    Identxx.Host.connect s.client ~proc ~dst:(Identxx.Host.ip s.server) ~dst_port:80 ()
+  in
+  Net.send_from_host s.network ~name:"client" (Identxx.Host.first_packet s.client ~flow);
+  while (C.stats s.controller).C.allowed < 1 && Sim.Engine.step s.engine do () done;
+  Alcotest.(check int) "decided" 1 (C.stats s.controller).C.allowed;
+  action s;
+  Sim.Engine.run s.engine;
+  let host = Some (Prefix.host (Identxx.Host.ip s.client)) in
+  let left =
+    List.concat_map
+      (fun dpid ->
+        List.filter
+          (fun (e : Openflow.Flow_entry.t) ->
+            e.cookie = 0 && (e.fields.nw_src = host || e.fields.nw_dst = host))
+          (Openflow.Flow_table.entries (Openflow.Switch.table (Net.switch s.network dpid))))
+      (Net.switches_in_domain s.network 0)
+  in
+  Alcotest.(check int) "no per-flow entry names the client" 0 (List.length left)
+
+let test_revoke_takes_same_instant_install () =
+  same_instant_verdict (fun s ->
+      ignore (C.revoke_principal s.controller ~ip:(Identxx.Host.ip s.client)))
+
+let test_flush_takes_same_instant_install () =
+  same_instant_verdict (fun s -> C.flush_cache s.controller)
+
 let () =
   Alcotest.run "controller"
     [
@@ -1733,6 +1767,10 @@ let () =
           Alcotest.test_case "update flushes" `Quick test_update_file_flushes;
           Alcotest.test_case "flush is domain-scoped" `Quick
             test_flush_is_domain_scoped;
+          Alcotest.test_case "revocation takes a same-instant install" `Quick
+            test_revoke_takes_same_instant_install;
+          Alcotest.test_case "flush takes a same-instant install" `Quick
+            test_flush_takes_same_instant_install;
         ] );
       ( "interception",
         [

@@ -132,6 +132,33 @@ let test_batch_ordering () =
   check Alcotest.int "second pass" 2 (Shard.Batch.flushes b);
   check Alcotest.int "five total" 5 (Shard.Batch.batched b)
 
+(* A switch's whole array is sent as it is while nothing else is queued
+   for it; a second array is appended, and an [add] after a whole array
+   keeps the array's messages first. *)
+let test_batch_whole_arrays () =
+  let e = Sim.Engine.create () in
+  let sent = ref [] in
+  let b =
+    Shard.Batch.create ~engine:e ~send:(fun dpid msgs -> sent := (dpid, msgs) :: !sent) ()
+  in
+  let shared = [| stats_req 1; stats_req 2 |] in
+  Shard.Batch.add_all b 1 shared;
+  Shard.Batch.add_all b 2 shared;
+  Shard.Batch.add_all b 2 [| stats_req 3 |];
+  Shard.Batch.add_all b 3 shared;
+  Shard.Batch.add b 3 (stats_req 4);
+  Shard.Batch.add_all b 4 [||];
+  check Alcotest.int "buffered" 8 (Shard.Batch.pending b);
+  Sim.Engine.run e;
+  let sent = List.rev !sent in
+  check
+    Alcotest.(list (pair int (list int)))
+    "per-switch order"
+    [ (1, [ 1; 2 ]); (2, [ 1; 2; 3 ]); (3, [ 1; 2; 4 ]) ]
+    (List.map (fun (d, msgs) -> (d, Array.to_list (Array.map xid_of msgs))) sent);
+  check Alcotest.bool "a lone array is not copied" true (List.assoc 1 sent == shared);
+  check Alcotest.int "eight messages through" 8 (Shard.Batch.batched b)
+
 (* --- controller integration --- *)
 
 (* Sign [target]'s answers and give it a listener on port 80: its
@@ -1083,7 +1110,10 @@ let () =
           Alcotest.test_case "post_after timers" `Quick test_engine_post_after;
         ] );
       ( "batch",
-        [ Alcotest.test_case "grouped ordered flush" `Quick test_batch_ordering ] );
+        [
+          Alcotest.test_case "grouped ordered flush" `Quick test_batch_ordering;
+          Alcotest.test_case "whole arrays" `Quick test_batch_whole_arrays;
+        ] );
       ( "controller",
         [
           Alcotest.test_case "None is one shard" `Quick test_none_is_one_shard;

@@ -407,9 +407,9 @@ let test_event_alloc () =
   let engine, net = one_switch () in
   let run () = Sim.Engine.run engine in
   let pkt = frame () in
-  (* A host's send: the frame's 5-word event; the other 4 words are the
-     options of the host's two table lookups. *)
-  gate "link frame" 9.
+  (* A host's send: the frame's 5-word event, and nothing for the
+     host's two table lookups. *)
+  gate "link frame" 5.
     (words_per ~n:1000 ~drain:run (fun () -> Net.send_from_host net ~name:"h1" pkt));
   let msgs = [| Openflow.Message.Barrier |] in
   gate "control batch" 5.

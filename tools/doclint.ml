@@ -67,7 +67,9 @@
       simulator: outside the top-level [let create] of
       lib/core/controller.ml (up to the next line that starts at column
       0), neither that file nor lib/core/proactive.ml names
-      [Openflow.Network] or a module alias of it, or [Sim.Engine].
+      [Openflow.Network] or a module alias of it, or [Sim.Engine]; and
+      inside it, the network's [send_batch] is named only as
+      [Shard.Batch.create]'s [~send], the controller's one way out.
 
    Usage: doclint <repo-root>. Exit 1 on any finding. *)
 
@@ -1144,15 +1146,29 @@ let check_seam root =
         let aliases = (scan_refs path).aliases in
         let network m = m = "Network" || Hashtbl.find_opt aliases m = Some "Network" in
         let at_col0 off = off = 0 || src.[off - 1] = '\n' in
-        (* [adapter]: inside the controller's top-level [let create]. *)
-        let rec go adapter = function
+        (* Whether tokens before a [send_batch], nearest first, are
+           [Shard.Batch.create ... ~send:(]. *)
+        let rec batch_send = function
+          | "." :: "Openflow" :: prev -> batch_send prev
+          | "(" :: ":" :: "send" :: "~" :: prev ->
+              let rec created = function
+                | "create" :: "." :: "Batch" :: _ -> true
+                | ("let" | "in" | ";") :: _ | [] -> false
+                | _ :: prev -> created prev
+              in
+              created prev
+          | _ -> false
+        in
+        (* [adapter]: inside the controller's top-level [let create];
+           [prev]: the tokens before, nearest first. *)
+        let rec go adapter prev = function
           | [] -> ()
           | ("let", off) :: ("create", _) :: rest
             when at_col0 off && rel = "lib/core/controller.ml" ->
-              go true rest
+              go true [] rest
           | ("module", off) :: _ :: rest ->
               (* An alias's own name; what it aliases is checked. *)
-              go (adapter && not (at_col0 off)) rest
+              go (adapter && not (at_col0 off)) prev rest
           | (m, off) :: rest ->
               let adapter = adapter && not (at_col0 off) in
               let named =
@@ -1161,15 +1177,19 @@ let check_seam root =
                 | m, _ when is_module_name m && network m -> Some m
                 | _ -> None
               in
-              (match named with
-              | Some name when not adapter ->
+              (match (named, rest) with
+              | Some name, _ when not adapter ->
                   err "%s:%d: `%s` outside Controller.create: only its adapter \
                        touches the network and the simulator"
                     rel (line_of src off) name
-              | Some _ | None -> ());
-              go adapter rest
+              | Some name, (".", _) :: ("send_batch", _) :: _ when not (batch_send prev) ->
+                  err "%s:%d: `%s.send_batch` other than as Shard.Batch.create's \
+                       ~send: every message to a switch leaves through the tick's batch"
+                    rel (line_of src off) name
+              | _ -> ());
+              go adapter (m :: prev) rest
         in
-        go false (tokens src)
+        go false [] (tokens src)
       end)
     seam_files
 
