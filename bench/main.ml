@@ -831,39 +831,13 @@ let bench_granularity =
 let bench_collab =
   Test.make ~name:"collab/two-domain-exchange"
     (Staged.stage (fun () ->
-         let engine = Sim.Engine.create () in
-         let topology = Openflow.Topology.create () in
-         Openflow.Topology.add_switch topology 1;
-         Openflow.Topology.add_switch topology 2;
-         List.iter (Openflow.Topology.add_host topology) [ "a1"; "b1" ];
-         Openflow.Topology.link topology
-           (Openflow.Topology.Host "a1", 0)
-           (Openflow.Topology.Sw 1, 1);
-         Openflow.Topology.link topology
-           (Openflow.Topology.Host "b1", 0)
-           (Openflow.Topology.Sw 2, 1);
-         Openflow.Topology.link topology
-           (Openflow.Topology.Sw 1, 9)
-           (Openflow.Topology.Sw 2, 9);
-         let network = Openflow.Network.create ~engine ~topology () in
-         let ca = C.create ~network ~id:0 () in
-         let cb = C.create ~network ~id:1 () in
-         Openflow.Network.assign_switch network 1 0;
-         Openflow.Network.assign_switch network 2 1;
-         PS.add_exn (C.policy ca) ~name:"00"
-           "block all\npass all with member(@src[name], @dst[accepts])";
-         PS.add_exn (C.policy cb) ~name:"00" "pass all";
-         C.set_response_augment cb (fun _ ->
-             [ Identxx.Key_value.pair "accepts" "{ firefox }" ]);
-         let a1 =
-           Identxx.Host.create ~name:"a1" ~mac:(Mac.of_int 0xa1)
-             ~ip:(Ipv4.of_string "10.10.0.1") ()
+         let { Deploy.engine; network; a1; b1; _ } =
+           Deploy.branch_network
+             ~policy_a:"block all\npass all with member(@src[name], @dst[accepts])"
+             ~policy_b:
+               "pass all\nintercept response to any augment { accepts : \"{ firefox }\" }"
+             ()
          in
-         let b1 =
-           Identxx.Host.create ~name:"b1" ~mac:(Mac.of_int 0xb1)
-             ~ip:(Ipv4.of_string "10.20.0.1") ()
-         in
-         List.iter (Deploy.attach_host network) [ a1; b1 ];
          let proc = Identxx.Host.run a1 ~user:"u" ~exe:"/usr/bin/firefox" () in
          let fl =
            Identxx.Host.connect a1 ~proc ~dst:(Identxx.Host.ip b1) ~dst_port:80 ()

@@ -288,40 +288,20 @@ let e5 () =
 let e6 () =
   section "E6 (S4 network collaboration): filtering before the bottleneck";
   let run ~collaborate =
-    let engine = Sim.Engine.create () in
-    let topology = Topo.create () in
-    Topo.add_switch topology 1;
-    Topo.add_switch topology 2;
-    List.iter (Topo.add_host topology) [ "a1"; "b1" ];
-    Topo.link topology (Topo.Host "a1", 0) (Topo.Sw 1, 1);
-    Topo.link topology (Topo.Host "b1", 0) (Topo.Sw 2, 1);
-    Topo.link topology ~latency:(Sim.Time.ms 2) (Topo.Sw 1, 9) (Topo.Sw 2, 9);
-    let network = Net.create ~engine ~topology () in
-    let ca = C.create ~network ~id:0 () in
-    let cb = C.create ~network ~id:1 () in
-    Net.assign_switch network 1 0;
-    Net.assign_switch network 2 1;
-    if collaborate then begin
-      (* A drops what B advertises it will not accept. *)
-      PS.add_exn (C.policy ca) ~name:"00"
-        "block all\npass all with member(@src[name], @dst[branch-b-accepts])";
-      C.set_response_augment cb (fun _ ->
-          [ Identxx.Key_value.pair "branch-b-accepts" "{ firefox }" ])
-    end
-    else
-      (* Without collaboration A forwards everything; B drops at its edge. *)
-      PS.add_exn (C.policy ca) ~name:"00" "pass all";
-    PS.add_exn (C.policy cb) ~name:"00"
-      "block all\npass all with eq(@src[name], firefox)";
-    let a1 =
-      Identxx.Host.create ~name:"a1" ~mac:(Mac.of_int 0xa1)
-        ~ip:(Ipv4.of_string "10.10.0.1") ()
+    (* B drops at its edge what is not firefox. With collaboration A
+       drops what B advertises it will not accept; without, A forwards
+       everything. *)
+    let policy_a, advertise =
+      if collaborate then
+        ( "block all\npass all with member(@src[name], @dst[branch-b-accepts])",
+          "\nintercept response to any augment { branch-b-accepts : \"{ firefox }\" }" )
+      else ("pass all", "")
     in
-    let b1 =
-      Identxx.Host.create ~name:"b1" ~mac:(Mac.of_int 0xb1)
-        ~ip:(Ipv4.of_string "10.20.0.1") ()
+    let { Deploy.engine; network; a1; b1; _ } =
+      Deploy.branch_network ~policy_a
+        ~policy_b:("block all\npass all with eq(@src[name], firefox)" ^ advertise)
+        ()
     in
-    List.iter (Deploy.attach_host network) [ a1; b1 ];
     (* 5 firefox flows (wanted) and 15 telnet flows (unwanted), several
        packets each. *)
     let send exe dp n =
@@ -384,12 +364,14 @@ let e7 () =
   let s = Deploy.simple_network () in
   Identxx.Daemon.set_behaviour (Identxx.Host.daemon s.Deploy.client) Identxx.Daemon.Silent;
   Identxx.Daemon.set_behaviour (Identxx.Host.daemon s.Deploy.server) Identxx.Daemon.Silent;
-  C.set_local_answers s.Deploy.controller (fun ip ->
-      if Ipv4.equal ip (Identxx.Host.ip s.Deploy.client) then
-        Some [ Identxx.Key_value.pair "asset-class" "kiosk" ]
-      else Some [ Identxx.Key_value.pair "asset-class" "payroll" ]);
+  (* The asset DB is the policy's intercepts: the first that covers an
+     address answers for it. *)
   PS.add_exn (C.policy s.Deploy.controller) ~name:"00"
-    "block all with eq(@src[asset-class], kiosk) with eq(@dst[asset-class], payroll)";
+    (Printf.sprintf
+       "block all with eq(@src[asset-class], kiosk) with eq(@dst[asset-class], payroll)\n\
+        intercept query to %s answer { asset-class : kiosk }\n\
+        intercept query to any answer { asset-class : payroll }"
+       (Ipv4.to_string (Identxx.Host.ip s.Deploy.client)));
   let proc = Identxx.Host.run s.Deploy.client ~user:"kiosk" ~exe:"/bin/b" () in
   let fl =
     Identxx.Host.connect s.Deploy.client ~proc

@@ -8,7 +8,6 @@
    Run with: dune exec bin/netsim.exe -- fig1 *)
 
 open Cmdliner
-open Netcore
 module Net = Openflow.Network
 module Topo = Openflow.Topology
 module C = Identxx_core.Controller
@@ -19,9 +18,6 @@ module Fabric = Workload.Fabric
 (* Daemon service time is measured on the simulated clock, so metric
    output is deterministic and cram-testable. *)
 let sim_clock engine () = Sim.Time.to_float_s (Sim.Engine.now engine)
-
-let host_metrics obs engine hosts =
-  List.iter (fun h -> Identxx.Host.set_metrics h ~clock:(sim_clock engine) obs) hosts
 
 (* Continuous-monitoring state threaded through every scenario builder:
    the flight recorder (handed to each controller), the optional
@@ -38,7 +34,10 @@ type mon = {
   mutable mon_engine : Obs.Health.t option;
 }
 
+(* Time [hosts]' daemons on the simulated clock, silence the ones
+   asked for and start the health windows. *)
 let mon_arm mon ~engine ~obs ~spans hosts =
+  List.iter (fun h -> Identxx.Host.set_metrics h ~clock:(sim_clock engine) obs) hosts;
   List.iter
     (fun name ->
       match List.find_opt (fun h -> Identxx.Host.name h = name) hosts with
@@ -73,10 +72,10 @@ let inject ~config ~engine f =
   if config.C.proactive then Sim.Engine.schedule engine ~delay:(Sim.Time.ms 1) f
   else f ()
 
-(* Open one flow from [src] to [dst]'s port 80, send its first packet
-   and run the scenario to the end. *)
-let one_flow ~config ~engine network ~src ~dst =
-  let proc = Identxx.Host.run src ~user:"u" ~exe:"/bin/app" () in
+(* Open one flow from [src]'s [exe] to [dst]'s port 80, send its first
+   packet and run the scenario to the end. *)
+let one_flow ?(exe = "/bin/app") ~config ~engine network ~src ~dst =
+  let proc = Identxx.Host.run src ~user:"u" ~exe () in
   let flow =
     Identxx.Host.connect src ~proc ~dst:(Identxx.Host.ip dst) ~dst_port:80 ()
   in
@@ -172,7 +171,6 @@ let fig1 ?extra_flow ~arm ~config ~obs ~spans ~mon () =
     Deploy.simple_network ~config ~obs ~spans ~recorder:mon.mon_recorder ()
   in
   arm s.Deploy.network;
-  host_metrics obs s.Deploy.engine [ s.Deploy.client; s.Deploy.server ];
   mon_arm mon ~engine:s.Deploy.engine ~obs ~spans
     [ s.Deploy.client; s.Deploy.server ];
   PS.add_exn (C.policy s.controller) ~name:"00"
@@ -208,7 +206,6 @@ let linear ~arm ~config ~obs ~spans ~mon () =
       ~switches:4 ~hosts_per_switch:1 ()
   in
   arm network;
-  host_metrics obs engine (Array.to_list hosts);
   mon_arm mon ~engine ~obs ~spans (Array.to_list hosts);
   PS.add_exn (C.policy controller) ~name:"00" "pass all";
   one_flow ~config ~engine network ~src:hosts.(0) ~dst:hosts.(3);
@@ -221,7 +218,6 @@ let tree ~arm ~config ~obs ~spans ~mon () =
       ~fanout:2 ~hosts_per_edge:1 ()
   in
   arm network;
-  host_metrics obs engine (Array.to_list hosts);
   mon_arm mon ~engine ~obs ~spans (Array.to_list hosts);
   PS.add_exn (C.policy controller) ~name:"00" "pass all";
   one_flow ~config ~engine network ~src:hosts.(0)
@@ -230,49 +226,19 @@ let tree ~arm ~config ~obs ~spans ~mon () =
   (network, [ ("controller", controller) ])
 
 let branches ~arm ~config ~obs ~spans ~mon () =
-  let engine = Sim.Engine.create () in
-  let topology = Topo.create () in
-  Topo.add_switch topology 1;
-  Topo.add_switch topology 2;
-  List.iter (Topo.add_host topology) [ "a1"; "b1" ];
-  Topo.link topology (Topo.Host "a1", 0) (Topo.Sw 1, 1);
-  Topo.link topology (Topo.Host "b1", 0) (Topo.Sw 2, 1);
-  Topo.link topology ~latency:(Sim.Time.ms 2) (Topo.Sw 1, 9) (Topo.Sw 2, 9);
-  let network = Net.create ~engine ~topology () in
+  let { Deploy.engine; network; branch_a; branch_b; a1; b1 } =
+    Deploy.branch_network ~config ~obs ~spans ~recorder:mon.mon_recorder
+      ~policy_a:"block all\npass all with member(@src[name], @dst[branch-b-accepts])"
+      ~policy_b:
+        "pass all\n\
+         intercept response to any augment { branch-b-accepts : \"{ firefox ssh }\" }"
+      ()
+  in
   arm network;
-  let ca =
-    C.create ~config ~obs ~spans ~recorder:mon.mon_recorder ~network ~id:0 ()
-  in
-  let cb =
-    C.create ~config ~obs ~spans ~recorder:mon.mon_recorder ~network ~id:1 ()
-  in
-  Net.assign_switch network 1 0;
-  Net.assign_switch network 2 1;
-  PS.add_exn (C.policy ca) ~name:"00"
-    "block all\npass all with member(@src[name], @dst[branch-b-accepts])";
-  PS.add_exn (C.policy cb) ~name:"00" "pass all";
-  C.set_response_augment cb (fun _ ->
-      [ Identxx.Key_value.pair "branch-b-accepts" "{ firefox ssh }" ]);
-  let a1 =
-    Identxx.Host.create ~name:"a1" ~mac:(Mac.of_int 0xa1)
-      ~ip:(Ipv4.of_string "10.10.0.1") ()
-  in
-  let b1 =
-    Identxx.Host.create ~name:"b1" ~mac:(Mac.of_int 0xb1)
-      ~ip:(Ipv4.of_string "10.20.0.1") ()
-  in
-  List.iter (Deploy.attach_host network) [ a1; b1 ];
-  host_metrics obs engine [ a1; b1 ];
   mon_arm mon ~engine ~obs ~spans [ a1; b1 ];
-  let proc = Identxx.Host.run a1 ~user:"u" ~exe:"/usr/bin/firefox" () in
-  let flow =
-    Identxx.Host.connect a1 ~proc ~dst:(Identxx.Host.ip b1) ~dst_port:80 ()
-  in
-  inject ~config ~engine (fun () ->
-      Net.send_from_host network ~name:"a1" (Identxx.Host.first_packet a1 ~flow));
-  Sim.Engine.run engine;
+  one_flow ~exe:"/usr/bin/firefox" ~config ~engine network ~src:a1 ~dst:b1;
   Format.printf "branches: two collaborating ident++ domains@.";
-  (network, [ ("branch-a", ca); ("branch-b", cb) ])
+  (network, [ ("branch-a", branch_a); ("branch-b", branch_b) ])
 
 (* Stand up a generated fabric (Workload.Fabric): one switch per
    topology dpid, one ident++ host per placement slot, one controller
@@ -303,7 +269,6 @@ let fabric ~topo ~arm ~config ~obs ~spans ~mon () =
   in
   arm network;
   let src = hosts.(0) and dst = hosts.(Array.length hosts - 1) in
-  host_metrics obs engine [ src; dst ];
   mon_arm mon ~engine ~obs ~spans [ src; dst ];
   PS.add_exn (C.policy controller) ~name:"00" "pass all";
   Format.printf "%s@." (Fabric.describe fab);
@@ -341,7 +306,6 @@ let burst ?fab ~arm ~config ~obs ~spans ~mon () =
           (Fabric.build fab)
   in
   arm network;
-  host_metrics obs engine (Array.to_list hosts);
   mon_arm mon ~engine ~obs ~spans (Array.to_list hosts);
   (* The policy reads both ends, so every flow asks the target too. *)
   PS.add_exn (C.policy controller) ~name:"00"

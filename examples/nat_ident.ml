@@ -62,20 +62,19 @@ let part_b () =
   (* Hosts do not run daemons (silent). *)
   Identxx.Daemon.set_behaviour (Identxx.Host.daemon s.client) Identxx.Daemon.Silent;
   Identxx.Daemon.set_behaviour (Identxx.Host.daemon s.server) Identxx.Daemon.Silent;
-  (* The controller's asset database: the client machine is a kiosk,
-     the server is the payroll service. Policy: kiosks may not reach
-     payroll. *)
-  C.set_local_answers s.controller (fun ip ->
-      if Ipv4.equal ip (Identxx.Host.ip s.client) then
-        Some [ Identxx.Key_value.pair "asset-class" "kiosk" ]
-      else if Ipv4.equal ip (Identxx.Host.ip s.server) then
-        Some [ Identxx.Key_value.pair "asset-class" "payroll" ]
-      else None);
+  (* The controller's asset database, as the policy's intercepts: the
+     client machine is a kiosk, the server is the payroll service.
+     Policy: kiosks may not reach payroll. *)
   PS.add_exn (C.policy s.controller) ~name:"00-assets"
-    "block all with eq(@src[asset-class], kiosk) with eq(@dst[asset-class], \
-     payroll)\n\
-     pass all with eq(@src[asset-class], kiosk) with eq(@dst[asset-class], \
-     workstation)";
+    (Printf.sprintf
+       "block all with eq(@src[asset-class], kiosk) with eq(@dst[asset-class], \
+        payroll)\n\
+        pass all with eq(@src[asset-class], kiosk) with eq(@dst[asset-class], \
+        workstation)\n\
+        intercept query to %s answer { asset-class : kiosk }\n\
+        intercept query to %s answer { asset-class : payroll }"
+       (Ipv4.to_string (Identxx.Host.ip s.client))
+       (Ipv4.to_string (Identxx.Host.ip s.server)));
   (* Default is pass; the block rule is the one that must fire. *)
   let proc = Identxx.Host.run s.client ~user:"kiosk" ~exe:"/usr/bin/browser" () in
   let flow =

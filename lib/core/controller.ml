@@ -503,8 +503,6 @@ type t = {
   policy : Policy_store.t;
   decision : Decision.t;
   conn_state : Conn_state.t;
-  mutable augment : Identxx.Response.t -> Identxx.Key_value.section;
-  mutable local_answers : Ipv4.t -> Identxx.Key_value.section option;
   ev : Events.t; (* every per-flow sink *)
   pending : pending Flow_tbl.t;
   fp : Fastpath.t; (* the decision cache and the breaker *)
@@ -548,9 +546,6 @@ let decision t = t.decision
 let audit t = t.ev.Events.audit
 let keystore t = Decision.keystore t.decision
 let config t = t.cfg
-
-let set_response_augment t f = t.augment <- f
-let set_local_answers t f = t.local_answers <- f
 
 (* The registry's counters read back, so the summary tracks the
    exported series exactly. *)
@@ -602,7 +597,8 @@ let section_of_pairs pairs =
     pairs
 
 (* The sections of the policy's [kind] intercepts whose target covers
-   [ip], in policy order. *)
+   [ip], in policy order: the first answers a query to [ip] on the
+   host's behalf, and all of them augment a response heading to [ip]. *)
 let intercept_sections t kind ip =
   match Policy_store.env t.policy with
   | Error _ -> []
@@ -615,18 +611,6 @@ let intercept_sections t kind ip =
           then Some (section_of_pairs i.Pf.Ast.pairs)
           else None)
         (Pf.Env.intercepts env)
-
-(* Answer queries addressed to [ip] on the host's behalf: the first
-   policy intercept takes precedence over the programmatic hook. *)
-let resolve_local_answer t ip =
-  match intercept_sections t Pf.Ast.Answer_query ip with
-  | s :: _ -> Some s
-  | [] -> t.local_answers ip
-
-(* The section(s) to append to a response heading toward [dst_ip]. *)
-let resolve_augment t ~dst_ip response =
-  List.concat (intercept_sections t Pf.Ast.Augment_response dst_ip)
-  @ t.augment response
 
 (* --- forwarding of intercepted ident++ packets, one hop at a time --- *)
 
@@ -860,12 +844,12 @@ let issue_end t p end_ =
       resend t p end_
     else
       let flow = p.p_flow and target = end_ip p.p_flow end_ in
-      match resolve_local_answer t target with
-      | Some section ->
+      match intercept_sections t Pf.Ast.Answer_query target with
+      | section :: _ ->
           Events.note t.ev ~now:t.now p.p_span target `Local_answer;
           l.answer <- Some (Identxx.Response.make ~flow [ section ]);
           l.awaiting <- false
-      | None -> (
+      | [] -> (
           match attachment_of t target with
           | None -> l.awaiting <- false
           | Some attachment -> (
@@ -997,10 +981,12 @@ let start_flow t (pi : Msg.packet_in) (flow : Five_tuple.t) =
     and pre_dst = fast_resolve t sp flow ~want:want_dst `Dst in
     let static = (not want_src) && not want_dst in
     match (pre_src, pre_dst) with
-    | Some src, Some dst when static || Fastpath.enabled t.fp ->
+    | Some src, Some dst ->
         (* The diagram decides this flow whatever the hosts answer, or
            both ends resolved without touching the network: decide now,
-           with no pending entry and no timer. *)
+           with no pending entry and no timer. With the fast path off an
+           end resolves early only when it is not wanted, so only a
+           static flow gets here. *)
         apply_verdict t ~span:sp ~started:now ~ctx
           ~via:(if static then `Static else `Fastpath)
           ~flow ~packets:[ pi ] ~src ~dst (eval_decision t ~flow ~src ~dst)
@@ -1054,7 +1040,7 @@ let tcp_port pkt end_ =
 (* Transit: another controller's exchange crossing our domain.
    Augment (§3.4) and forward toward its destination. *)
 let handle_transit t ~dpid ~from_ip ~to_ip response pkt =
-  let section = resolve_augment t ~dst_ip:to_ip response in
+  let section = List.concat (intercept_sections t Pf.Ast.Augment_response to_ip) in
   let pkt =
     if section = [] then pkt
     else begin
@@ -1242,8 +1228,8 @@ let step t ~now input =
   | Foreign_query { pi; from_ip; to_ip; query } -> (
       (* "Intercepted queries are not allowed to cause new queries." *)
       let dpid = pi.Msg.dpid in
-      match resolve_local_answer t to_ip with
-      | Some section ->
+      match intercept_sections t Pf.Ast.Answer_query to_ip with
+      | section :: _ ->
           (* No flow of ours, so no root span to mark. Spoof the queried
              host: respond as if we were it. *)
           Events.note t.ev ~now Obs.Span.null to_ip `Local_answer;
@@ -1252,7 +1238,7 @@ let step t ~now input =
             (Identxx.Wire.response_packet ~to_ip:from_ip ~from_ip:to_ip
                ~dst_port:(tcp_port pi.Msg.packet `Src)
                (Identxx.Response.make ~flow [ section ]))
-      | None -> forward_toward t ~dpid ~dst_ip:to_ip pi.Msg.packet)
+      | [] -> forward_toward t ~dpid ~dst_ip:to_ip pi.Msg.packet)
   | Settle (w, settled, dtrace) -> (
       (* Unless its flow already decided (its own timeout won). *)
       match Flow_tbl.find_opt t.pending w.w_flow with
@@ -1272,8 +1258,8 @@ let handle_message t msg = step t ~now:(t.clock ()) (Switch msg)
 
 let request_stats t dpid =
   t.xid <- t.xid + 1;
-  let msgs = [| Msg.Stats_request { xid = t.xid } |] in
-  send_domain t (fun d -> if d = dpid then msgs else [||])
+  if List.mem dpid (t.domain ()) then
+    Shard.Batch.add t.batch dpid (Msg.Stats_request { xid = t.xid })
 
 let switch_stats t dpid = List.assoc_opt dpid t.last_stats
 let proactive_table t = Proactive.table t.compiled
@@ -1363,8 +1349,6 @@ let create ?(config = default_config) ?keystore ?functions ?obs ?spans
         policy;
         decision;
         conn_state = Conn_state.create ();
-        augment = (fun _ -> []);
-        local_answers = (fun _ -> None);
         ev = Events.create ~obs ~spans ~recorder ~labels;
         pending = Flow_tbl.create 64;
         fp = Fastpath.create config.fastpath;

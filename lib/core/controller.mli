@@ -206,22 +206,13 @@ val note_host_changed : t -> Ipv4.t -> unit
     cached attributes and dependent decisions. {!Deploy} wires
     {!Identxx.Daemon.on_change} to this. *)
 
-(** {2 Interception hooks (§3.4)} *)
+(** {2 Interception (§3.4)}
 
-val set_response_augment :
-  t -> (Identxx.Response.t -> Identxx.Key_value.section) -> unit
-(** When a response transits this controller's domain, append the given
-    section (empty section = leave unchanged). Models §4's network
-    collaboration: a branch controller adding its own (signed) rules or
-    drop requests to responses leaving its network. *)
-
-val set_local_answers :
-  t -> (Ipv4.t -> Identxx.Key_value.section option) -> unit
-(** Answer queries on behalf of end-hosts: when a query targets an
-    address this function covers, the controller spoofs a response
-    itself and does not forward the query. Also used for the
-    "controllers implement ident++ but end-hosts don't" deployment
-    (§4, Incremental Benefit). *)
+    The controller answers queries for its hosts and augments responses
+    that cross its domain from its policy alone: the PF+=2 [intercept
+    query … answer { … }] and [intercept response … augment { … }]
+    declarations (doc/PROTOCOL.md §5). No hook is set after
+    {!create}. *)
 
 (** {2 Statistics} *)
 
@@ -281,7 +272,8 @@ val shard_makespan : t -> Sim.Time.t
 val request_stats : t -> Openflow.Message.switch_id -> unit
 (** Ask a switch of the domain for a snapshot of its flow table
     (OpenFlow flow-stats) in the tick's batched pass; the reply arrives
-    asynchronously, read it with {!switch_stats}. *)
+    asynchronously, read it with {!switch_stats}. A switch outside the
+    domain is not asked. *)
 
 val switch_stats :
   t -> Openflow.Message.switch_id -> Openflow.Message.stats_reply option

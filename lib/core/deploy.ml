@@ -35,6 +35,15 @@ let sign_host ?seed controller host =
   Identxx.Host.set_signing_key host (Some key);
   key
 
+type branches = {
+  engine : Sim.Engine.t;
+  network : Net.t;
+  branch_a : Controller.t;
+  branch_b : Controller.t;
+  a1 : Identxx.Host.t;
+  b1 : Identxx.Host.t;
+}
+
 type simple = {
   engine : Sim.Engine.t;
   topology : Openflow.Topology.t;
@@ -66,6 +75,34 @@ let simple_network ?config ?obs ?spans ?recorder ?(client_ip = Ipv4.of_string "1
   watch_host controller client;
   watch_host controller server;
   { engine; topology; network; controller; client; server }
+
+let branch_network ?config ?obs ?spans ?recorder ~policy_a ~policy_b () =
+  let engine = Sim.Engine.create () in
+  let topology = Topo.create () in
+  Topo.add_switch topology 1;
+  Topo.add_switch topology 2;
+  List.iter (Topo.add_host topology) [ "a1"; "b1" ];
+  Topo.link topology (Topo.Host "a1", 0) (Topo.Sw 1, 1);
+  Topo.link topology (Topo.Host "b1", 0) (Topo.Sw 2, 1);
+  Topo.link topology ~latency:(Sim.Time.ms 2) (Topo.Sw 1, 9) (Topo.Sw 2, 9);
+  let network = Net.create ~engine ~topology () in
+  let create id = Controller.create ?config ?obs ?spans ?recorder ~network ~id () in
+  let branch_a = create 0 in
+  let branch_b = create 1 in
+  Net.assign_switch network 1 0;
+  Net.assign_switch network 2 1;
+  (* The policies go in before the hosts attach: a proactive controller
+     then queues its compiled table ahead of the routes an attach
+     re-syncs. *)
+  Policy_store.add_exn (Controller.policy branch_a) ~name:"00" policy_a;
+  Policy_store.add_exn (Controller.policy branch_b) ~name:"00" policy_b;
+  let host name mac ip =
+    Identxx.Host.create ~name ~mac:(Mac.of_int mac) ~ip:(Ipv4.of_string ip) ()
+  in
+  let a1 = host "a1" 0xa1 "10.10.0.1" and b1 = host "b1" 0xb1 "10.20.0.1" in
+  attach_host network a1;
+  attach_host network b1;
+  { engine; network; branch_a; branch_b; a1; b1 }
 
 let tree_network ?config ?obs ?spans ?recorder ~depth ~fanout ~hosts_per_edge () =
   if depth < 1 || depth > 6 then invalid_arg "Deploy.tree_network: bad depth";

@@ -35,6 +35,15 @@ val sign_host : ?seed:string -> Controller.t -> Identxx.Host.t -> Idcrypto.Sign.
     {!Idcrypto.Sign.register} stays unbound and is accepted from any
     host. *)
 
+type branches = {
+  engine : Sim.Engine.t;
+  network : Openflow.Network.t;
+  branch_a : Controller.t;  (** controller 0, switch 1 *)
+  branch_b : Controller.t;  (** controller 1, switch 2 *)
+  a1 : Identxx.Host.t;  (** 10.10.0.1, on s1 port 1 *)
+  b1 : Identxx.Host.t;  (** 10.20.0.1, on s2 port 1 *)
+}
+
 type simple = {
   engine : Sim.Engine.t;
   topology : Openflow.Topology.t;
@@ -56,6 +65,20 @@ val simple_network :
 (** The Figure-1 setup: one client, one switch, one server, one
     controller. Client defaults to 10.0.0.1, server to 10.0.0.2.
     [obs]/[spans]/[recorder] are handed to {!Controller.create}. *)
+
+val branch_network :
+  ?config:Controller.config ->
+  ?obs:Obs.Registry.t ->
+  ?spans:Obs.Span.t ->
+  ?recorder:Obs.Recorder.t ->
+  policy_a:string ->
+  policy_b:string ->
+  unit ->
+  branches
+(** §4's two collaborating branches: switches 1 and 2, each its own
+    controller's domain, joined by a 2 ms s1:9-s2:9 link. Each policy
+    is its controller's file ["00"], installed before the hosts attach
+    (whose daemon changes are not watched). *)
 
 val tree_network :
   ?config:Controller.config ->

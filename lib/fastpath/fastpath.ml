@@ -39,8 +39,9 @@ let config t = t.cfg
 let enabled t = t.cfg.enabled
 let breaker t = t.breaker
 
-let consult_host t ~now ip =
-  if not t.cfg.enabled then `Ask else Breaker.consult t.breaker ~now ip
+(* Only [note_timeout] adds breaker state, and only with the fast path
+   on: off, every host reads [`Ask] and a response removes nothing. *)
+let consult_host t ~now ip = Breaker.consult t.breaker ~now ip
 
 let note_timeout t ~now ip =
   if not t.cfg.enabled then false
@@ -50,8 +51,7 @@ let note_timeout t ~now ip =
     Breaker.trips t.breaker > before
   end
 
-let note_response t ip =
-  if t.cfg.enabled then Breaker.note_response t.breaker ip
+let note_response t ip = Breaker.note_response t.breaker ip
 
 type decision_shape = { src_port : bool; reads : string list option }
 
@@ -136,7 +136,7 @@ let note_host_changed t ip =
 
 let revoke_ip t ip =
   note_host_changed t ip;
-  if t.cfg.enabled then Breaker.note_response t.breaker ip
+  note_response t ip
 
 let flush_decisions t = Decision_cache.clear t.decisions
 

@@ -56,7 +56,8 @@ val breaker : t -> Breaker.t
 
 val consult_host :
   t -> now:Sim.Time.t -> Ipv4.t -> [ `Ask | `Absent | `Probe ]
-(** [`Ask] always when the fast path is off. *)
+(** [`Ask] for a host with no breaker state, so always when the fast
+    path is off: only {!note_timeout} adds state. *)
 
 val note_timeout : t -> now:Sim.Time.t -> Ipv4.t -> bool
 (** The host stayed silent through a query's every attempt: feed its

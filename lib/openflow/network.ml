@@ -31,7 +31,9 @@ type t = {
   hosts : (string, host_state) Hashtbl.t;
   host_of_ip : string Ip_tbl.t;
   controllers : (controller_id, Message.to_controller -> unit) Hashtbl.t;
-  domains : (Message.switch_id, controller_id) Hashtbl.t;
+  domains : (Message.switch_id, controller_id) Hashtbl.t; (* assigned owners *)
+  members : (controller_id, Message.switch_id list) Hashtbl.t;
+      (* Each domain's switches, ascending; {!assign_switch} keeps it. *)
   trace : Sim.Trace.t;
   mutable delivered : int;
   mutable dropped : int;
@@ -69,6 +71,7 @@ let create ?(ctrl_latency = Sim.Time.us 50) ?table_capacity ~engine ~topology
       host_of_ip = Ip_tbl.create 16;
       controllers = Hashtbl.create 4;
       domains = Hashtbl.create 16;
+      members = Hashtbl.create 4;
       trace = Sim.Trace.create ();
       delivered = 0;
       dropped = 0;
@@ -88,6 +91,7 @@ let create ?(ctrl_latency = Sim.Time.us 50) ?table_capacity ~engine ~topology
           sw_out = emitter (Topology.Sw dpid);
         })
     (Topology.switches topology);
+  Hashtbl.replace t.members 0 (List.sort Int.compare (Topology.switches topology));
   t
 
 let engine t = t.engine
@@ -96,19 +100,22 @@ let switch t dpid = (Hashtbl.find t.switches dpid).sw
 let trace t = t.trace
 
 let register_controller t ~id f = Hashtbl.replace t.controllers id f
-let assign_switch t dpid cid = Hashtbl.replace t.domains dpid cid
+let owner t dpid = Option.value ~default:0 (Hashtbl.find_opt t.domains dpid)
 
 let switches_in_domain t cid =
-  Hashtbl.fold
-    (fun dpid _ acc ->
-      let owner = Option.value ~default:0 (Hashtbl.find_opt t.domains dpid) in
-      if owner = cid then dpid :: acc else acc)
-    t.switches []
-  |> List.sort Int.compare
+  Option.value ~default:[] (Hashtbl.find_opt t.members cid)
 
-let controller_of t dpid =
-  let cid = Option.value ~default:0 (Hashtbl.find_opt t.domains dpid) in
-  Hashtbl.find_opt t.controllers cid
+let assign_switch t dpid cid =
+  if Hashtbl.mem t.switches dpid then begin
+    let from = owner t dpid in
+    Hashtbl.replace t.members from
+      (List.filter (fun d -> d <> dpid) (switches_in_domain t from));
+    Hashtbl.replace t.members cid
+      (List.merge Int.compare [ dpid ] (switches_in_domain t cid))
+  end;
+  Hashtbl.replace t.domains dpid cid
+
+let controller_of t dpid = Hashtbl.find_opt t.controllers (owner t dpid)
 
 (* The hop log is off unless a reader turns it on. Every call site tests
    [Sim.Trace.enabled] before building its arguments, so a disabled log

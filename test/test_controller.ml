@@ -342,20 +342,20 @@ let test_local_answers_controller_only_deployment () =
   (* §4 Incremental Benefit: controllers implement ident++ but hosts
      don't — the controller answers from its own information. *)
   let s = Deploy.simple_network () in
-  (* A policy that reads both ends, so both are asked. *)
+  (* A policy that reads both ends, so both are asked; the controller
+     knows its assets through its intercepts. *)
+  let asset host =
+    Printf.sprintf "\nintercept query to %s answer { name : inventory-db }"
+      (Ipv4.to_string (Identxx.Host.ip host))
+  in
   Identxx_core.Policy_store.add_exn (C.policy s.controller)
     ~name:"00-policy"
     (app_policy [ "inventory-db" ]
-    ^ "\nblock all with eq(@dst[name], quarantined)");
-  (* Hosts' daemons are silent; the controller knows its assets. *)
+    ^ "\nblock all with eq(@dst[name], quarantined)"
+    ^ asset s.client ^ asset s.server);
+  (* Hosts' daemons are silent. *)
   Identxx.Daemon.set_behaviour (Identxx.Host.daemon s.client) Identxx.Daemon.Silent;
   Identxx.Daemon.set_behaviour (Identxx.Host.daemon s.server) Identxx.Daemon.Silent;
-  C.set_local_answers s.controller (fun addr ->
-      if Ipv4.equal addr (Identxx.Host.ip s.client) then
-        Some [ Identxx.Key_value.pair "name" "inventory-db" ]
-      else if Ipv4.equal addr (Identxx.Host.ip s.server) then
-        Some [ Identxx.Key_value.pair "name" "inventory-db" ]
-      else None);
   ignore (run_flow s ~user:"svc" ~exe:"/opt/inventory-db");
   let st = C.stats s.controller in
   Alcotest.(check int) "no wire queries" 0 st.C.queries_sent;
@@ -587,10 +587,10 @@ let test_three_domain_transit_chain () =
      controller reads the concatenation in transit order: "C,B". *)
   Identxx_core.Policy_store.add_exn (C.policy cA) ~name:"00"
     "block all\npass all with eq(*@dst[hop], \"C,B\")";
-  Identxx_core.Policy_store.add_exn (C.policy cB) ~name:"00" "pass all";
-  Identxx_core.Policy_store.add_exn (C.policy cC) ~name:"00" "pass all";
-  C.set_response_augment cB (fun _ -> [ Identxx.Key_value.pair "hop" "B" ]);
-  C.set_response_augment cC (fun _ -> [ Identxx.Key_value.pair "hop" "C" ]);
+  Identxx_core.Policy_store.add_exn (C.policy cB) ~name:"00"
+    "pass all\nintercept response to any augment { hop : B }";
+  Identxx_core.Policy_store.add_exn (C.policy cC) ~name:"00"
+    "pass all\nintercept response to any augment { hop : C }";
   let hA = Identxx.Host.create ~name:"hA" ~mac:(Mac.of_int 1) ~ip:(ip "10.0.1.1") () in
   let hC = Identxx.Host.create ~name:"hC" ~mac:(Mac.of_int 3) ~ip:(ip "10.0.3.1") () in
   List.iter (Deploy.attach_host network) [ hA; hC ];
@@ -612,9 +612,8 @@ let test_interception_augments_response () =
      controller augments transiting responses with a branch tag. *)
   Identxx_core.Policy_store.add_exn (C.policy cA) ~name:"00"
     "block all\npass all with eq(@dst[branch], B)";
-  Identxx_core.Policy_store.add_exn (C.policy cB) ~name:"00" "pass all";
-  C.set_response_augment cB (fun _r ->
-      [ Identxx.Key_value.pair "branch" "B" ]);
+  Identxx_core.Policy_store.add_exn (C.policy cB) ~name:"00"
+    "pass all\nintercept response to any augment { branch : B }";
   let proc = Identxx.Host.run hA ~user:"u" ~exe:"/bin/app" () in
   let server_proc = Identxx.Host.run hB ~user:"svc" ~exe:"/bin/srv" () in
   Identxx.Host.listen hB ~proc:server_proc ~port:80 ();
@@ -633,7 +632,7 @@ let test_interception_without_augment_blocks () =
   Identxx_core.Policy_store.add_exn (C.policy cA) ~name:"00"
     "block all\npass all with eq(@dst[branch], B)";
   Identxx_core.Policy_store.add_exn (C.policy cB) ~name:"00" "pass all";
-  (* No augment hook: the branch tag never appears. *)
+  (* No augment intercept: the branch tag never appears. *)
   let proc = Identxx.Host.run hA ~user:"u" ~exe:"/bin/app" () in
   let flow =
     Identxx.Host.connect hA ~proc ~dst:(Identxx.Host.ip hB) ~dst_port:80 ()
@@ -680,7 +679,11 @@ let test_flow_stats_monitoring () =
     (Identxx.Host.first_packet s.client ~flow);
   Sim.Engine.run s.engine;
   C.request_stats s.controller 1;
+  (* A switch outside the domain is not asked. *)
+  C.request_stats s.controller 7;
   Sim.Engine.run s.engine;
+  Alcotest.(check bool) "no reply from outside the domain" true
+    (Option.is_none (C.switch_stats s.controller 7));
   match C.switch_stats s.controller 1 with
   | None -> Alcotest.fail "no stats reply"
   | Some reply ->

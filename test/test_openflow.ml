@@ -730,6 +730,26 @@ let test_network_host_by_ip () =
   check name "new address" (Some "h1") (owner "10.0.0.3");
   check name "h2 untouched" (Some "h2") (owner "10.0.0.2")
 
+let test_network_domains () =
+  let engine = Sim.Engine.create () in
+  let t = Topo.create () in
+  List.iter (Topo.add_switch t) [ 3; 1; 2 ];
+  let net = Openflow.Network.create ~engine ~topology:t () in
+  let dom cid = Openflow.Network.switches_in_domain net cid in
+  let ids = Alcotest.(list int) in
+  check ids "every switch starts in domain 0, ascending" [ 1; 2; 3 ] (dom 0);
+  Openflow.Network.assign_switch net 3 1;
+  Openflow.Network.assign_switch net 1 1;
+  check ids "moved out of 0" [ 2 ] (dom 0);
+  check ids "domain 1 ascending" [ 1; 3 ] (dom 1);
+  Openflow.Network.assign_switch net 1 0;
+  Openflow.Network.assign_switch net 3 1;
+  check ids "moved back" [ 1; 2 ] (dom 0);
+  check ids "a repeated assignment changes nothing" [ 3 ] (dom 1);
+  Openflow.Network.assign_switch net 9 1;
+  check ids "an unknown switch joins no domain" [ 3 ] (dom 1);
+  check ids "an empty domain" [] (dom 2)
+
 (* Mixed indexable/wildcard entries: the hash fast path must agree with
    a naive highest-priority scan on random tables and probes. *)
 let prop_fast_path_agrees_with_naive =
@@ -1426,6 +1446,8 @@ let () =
           Alcotest.test_case "egress accounting" `Quick
             test_network_egress_accounting;
           Alcotest.test_case "host by ip" `Quick test_network_host_by_ip;
+          Alcotest.test_case "domains follow assignment" `Quick
+            test_network_domains;
           Alcotest.test_case "forwarding allocation, hop log off" `Quick
             test_network_forward_alloc;
           Alcotest.test_case "two-table forwarding allocation" `Quick
