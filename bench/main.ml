@@ -828,23 +828,35 @@ let bench_granularity =
 
 (* --- E6: collaboration round over the two-domain fabric ---------------- *)
 
+(* The network is built once; each run sends one new flow (a fresh
+   source port) from a1 to b1 whose entries expire almost at once, so
+   every run times one collaboration round: A's query to b1, branch B's
+   augment of the answer in transit, and A's decision on it. *)
 let bench_collab =
+  let config =
+    { C.default_config with C.entry_idle_timeout = Some (Sim.Time.us 1) }
+  in
+  let { Deploy.engine; network; a1; b1; _ } =
+    Deploy.branch_network ~config
+      ~policy_a:"block all\npass all with member(@src[name], @dst[accepts])"
+      ~policy_b:
+        "pass all\nintercept response to any augment { accepts : \"{ firefox }\" }"
+      ()
+  in
+  let proc = Identxx.Host.run a1 ~user:"u" ~exe:"/usr/bin/firefox" () in
+  let counter = ref 0 in
   Test.make ~name:"collab/two-domain-exchange"
     (Staged.stage (fun () ->
-         let { Deploy.engine; network; a1; b1; _ } =
-           Deploy.branch_network
-             ~policy_a:"block all\npass all with member(@src[name], @dst[accepts])"
-             ~policy_b:
-               "pass all\nintercept response to any augment { accepts : \"{ firefox }\" }"
-             ()
-         in
-         let proc = Identxx.Host.run a1 ~user:"u" ~exe:"/usr/bin/firefox" () in
+         incr counter;
          let fl =
-           Identxx.Host.connect a1 ~proc ~dst:(Identxx.Host.ip b1) ~dst_port:80 ()
+           Identxx.Host.connect a1 ~proc ~dst:(Identxx.Host.ip b1)
+             ~src_port:(10000 + (!counter mod 50000))
+             ~dst_port:80 ()
          in
          Openflow.Network.send_from_host network ~name:"a1"
            (Identxx.Host.first_packet a1 ~flow:fl);
-         Sim.Engine.run engine))
+         Sim.Engine.run engine;
+         Identxx.Process_table.disconnect (Identxx.Host.processes a1) ~flow:fl))
 
 (* --- routing and state substrates --------------------------------------- *)
 

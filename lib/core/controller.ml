@@ -512,9 +512,7 @@ type t = {
          posted to; they hold no state of their own. *)
   batch : Shard.Batch.t;
       (* Everything sent to a switch leaves in the tick's pass. *)
-  mutable plan : Query_plan.t option;
-      (* What the current revision reads, made from each revision the
-         store hands over; the first revision's is made on first use. *)
+  mutable plan : Query_plan.t; (* what the current revision derives *)
   compiled : Proactive.t; (* the compiled tables and routes sent *)
   mutable last_stats : (Msg.switch_id * Msg.stats_reply) list;
   mutable xid : int; (* the last stats request's *)
@@ -584,34 +582,6 @@ let wire_exchanges t = Fastpath.Answers.started t.answers
 let batch_flushes t = Shard.Batch.flushes t.batch
 let shard_makespan t = Shard.Engine.makespan t.shard_engine
 
-(* --- policy-driven interception (S3.4's undisclosed PF+=2 extensions,
-   made concrete: `intercept query ... answer { ... }` and
-   `intercept response ... augment { ... }`) --- *)
-
-let section_of_pairs pairs =
-  List.filter_map
-    (fun (k, v) ->
-      if Identxx.Key_value.valid_key k && Identxx.Key_value.valid_value v then
-        Some (Identxx.Key_value.pair k v)
-      else None)
-    pairs
-
-(* The sections of the policy's [kind] intercepts whose target covers
-   [ip], in policy order: the first answers a query to [ip] on the
-   host's behalf, and all of them augment a response heading to [ip]. *)
-let intercept_sections t kind ip =
-  match Policy_store.env t.policy with
-  | Error _ -> []
-  | Ok env ->
-      List.filter_map
-        (fun (i : Pf.Ast.intercept) ->
-          if
-            i.Pf.Ast.ikind = kind
-            && Pf.Env.addr_spec_matches env i.Pf.Ast.target ip
-          then Some (section_of_pairs i.Pf.Ast.pairs)
-          else None)
-        (Pf.Env.intercepts env)
-
 (* --- forwarding of intercepted ident++ packets, one hop at a time --- *)
 
 let forward_toward t ~dpid ~dst_ip pkt =
@@ -643,14 +613,6 @@ let release t (pi : Msg.packet_in) =
   Shard.Batch.add t.batch pi.Msg.dpid
     (Msg.Packet_out { Msg.out_packet = pi.Msg.packet; out_port = `Table })
 
-let plan t =
-  match t.plan with
-  | Some p -> p
-  | None ->
-      let p = Query_plan.make ~default:t.cfg.default (Policy_store.env t.policy) in
-      t.plan <- Some p;
-      p
-
 let compute_verdict t ~flow ~src ~dst =
   let input = { Decision.flow; src_response = src; dst_response = dst } in
   match Decision.decide t.decision input with
@@ -665,15 +627,12 @@ let compute_verdict t ~flow ~src ~dst =
 let eval_decision t ~flow ~src ~dst =
   if not (Fastpath.enabled t.fp) then compute_verdict t ~flow ~src ~dst
   else begin
-    let epoch = Policy_store.Revision.epoch (Policy_store.current t.policy) in
-    let key =
-      Fastpath.decision_key (Query_plan.shape (plan t)) ~flow ~src ~dst
-    in
-    match Fastpath.find_decision t.fp ~epoch ~key with
+    let key = Fastpath.decision_key (Query_plan.shape t.plan) ~flow ~src ~dst in
+    match Fastpath.find_decision t.fp ~key with
     | Some v -> v
     | None ->
         let v = compute_verdict t ~flow ~src ~dst in
-        Fastpath.store_decision t.fp ~epoch ~key ~flow v;
+        Fastpath.store_decision t.fp ~key ~flow v;
         v
   end
 
@@ -790,7 +749,7 @@ let wire_send ?nonce t p end_ attachment =
   let flow = p.p_flow and target = end_ip p.p_flow end_ in
   let query =
     {
-      (Identxx.Query.make ~flow ~keys:(Query_plan.hints (plan t))) with
+      (Identxx.Query.make ~flow ~keys:(Query_plan.hints t.plan)) with
       Identxx.Query.nonce;
       trace = qtrace p end_;
     }
@@ -844,12 +803,12 @@ let issue_end t p end_ =
       resend t p end_
     else
       let flow = p.p_flow and target = end_ip p.p_flow end_ in
-      match intercept_sections t Pf.Ast.Answer_query target with
-      | section :: _ ->
+      match Query_plan.answer_for t.plan target with
+      | Some section ->
           Events.note t.ev ~now:t.now p.p_span target `Local_answer;
           l.answer <- Some (Identxx.Response.make ~flow [ section ]);
           l.awaiting <- false
-      | [] -> (
+      | None -> (
           match attachment_of t target with
           | None -> l.awaiting <- false
           | Some attachment -> (
@@ -864,7 +823,7 @@ let issue_end t p end_ =
                        same socket when the target is expected to
                        declare its scope. *)
                     Fastpath.Answers.join t.answers
-                      ~hints:(Query_plan.hint_key (plan t))
+                      ~hints:(Query_plan.hint_key t.plan)
                       ~flow ~joinable:(declares_scope t target)
                       { w_flow = flow; w_end = end_ }
               with
@@ -943,7 +902,7 @@ let fast_resolve t sp flow ~want end_ =
       | `Src -> None
       | `Dst ->
           Fastpath.Answers.find t.answers ~now
-            ~hints:(Query_plan.hint_key (plan t))
+            ~hints:(Query_plan.hint_key t.plan)
             ~flow
     with
     | Some r ->
@@ -975,7 +934,7 @@ let start_flow t (pi : Msg.packet_in) (flow : Five_tuple.t) =
     (* Only the ends the flow's verdict can read are asked (see
        {!Query_plan}). *)
     let { Query_plan.src = want_src; dst = want_dst } =
-      Query_plan.ends (plan t) flow
+      Query_plan.ends t.plan flow
     in
     let pre_src = fast_resolve t sp flow ~want:want_src `Src
     and pre_dst = fast_resolve t sp flow ~want:want_dst `Dst in
@@ -1040,7 +999,7 @@ let tcp_port pkt end_ =
 (* Transit: another controller's exchange crossing our domain.
    Augment (§3.4) and forward toward its destination. *)
 let handle_transit t ~dpid ~from_ip ~to_ip response pkt =
-  let section = List.concat (intercept_sections t Pf.Ast.Augment_response to_ip) in
+  let section = Query_plan.augment_for t.plan to_ip in
   let pkt =
     if section = [] then pkt
     else begin
@@ -1195,13 +1154,12 @@ let step t ~now input =
   | Switch (Msg.Stats_reply reply) ->
       t.last_stats <- (reply.Msg.st_dpid, reply) :: List.remove_assq reply.Msg.st_dpid t.last_stats
   | Revision rev ->
-      (* Its query plan, then its compiled table. *)
-      let env = Policy_store.Revision.env rev in
-      t.plan <- Some (Query_plan.make ~default:t.cfg.default ?prev:t.plan env);
-      send_domain t
-        (Fun.const
-           (Proactive.sync t.compiled ~proactive:t.cfg.proactive env
-              (Query_plan.diagram (plan t))))
+      (* The one place the controller follows a policy change: the new
+         plan replaces the old, the verdicts memoized under the old go,
+         and the compiled table follows. *)
+      t.plan <- Query_plan.make ~default:t.cfg.default ~prev:t.plan rev;
+      Fastpath.flush_decisions t.fp;
+      send_domain t (Fun.const (Proactive.sync t.compiled ~proactive:t.cfg.proactive t.plan))
   | Topology_changed -> send_domain t (Proactive.sync_routes t.compiled t.topo (t.hosts ()))
   | Flow_miss (pi, flow) -> (
       match Flow_tbl.find_opt t.pending flow with
@@ -1228,8 +1186,8 @@ let step t ~now input =
   | Foreign_query { pi; from_ip; to_ip; query } -> (
       (* "Intercepted queries are not allowed to cause new queries." *)
       let dpid = pi.Msg.dpid in
-      match intercept_sections t Pf.Ast.Answer_query to_ip with
-      | section :: _ ->
+      match Query_plan.answer_for t.plan to_ip with
+      | Some section ->
           (* No flow of ours, so no root span to mark. Spoof the queried
              host: respond as if we were it. *)
           Events.note t.ev ~now Obs.Span.null to_ip `Local_answer;
@@ -1238,7 +1196,7 @@ let step t ~now input =
             (Identxx.Wire.response_packet ~to_ip:from_ip ~from_ip:to_ip
                ~dst_port:(tcp_port pi.Msg.packet `Src)
                (Identxx.Response.make ~flow [ section ]))
-      | [] -> forward_toward t ~dpid ~dst_ip:to_ip pi.Msg.packet)
+      | None -> forward_toward t ~dpid ~dst_ip:to_ip pi.Msg.packet)
   | Settle (w, settled, dtrace) -> (
       (* Unless its flow already decided (its own timeout won). *)
       match Flow_tbl.find_opt t.pending w.w_flow with
@@ -1359,7 +1317,7 @@ let create ?(config = default_config) ?keystore ?functions ?obs ?spans
             ~handle:(fun msg -> step (Lazy.force t) ~now:(clock ()) msg)
             engine;
         batch;
-        plan = None;
+        plan = Query_plan.make ~default:config.default (Policy_store.current policy);
         compiled = Proactive.create obs ~labels;
         last_stats = [];
         xid = 0;
@@ -1413,9 +1371,9 @@ let create ?(config = default_config) ?keystore ?functions ?obs ?spans
         (fun () -> Openflow.Flow_table.refusals table))
     (Net.switches_in_domain network id);
   Net.register_controller network ~id (handle_message t);
-  (* Each revision the store installs gets its query plan and compiled
-     table; the routes follow the topology from here on, hosts attached
-     later included. *)
+  (* Each revision the store installs replaces the plan and the
+     compiled table; the routes follow the topology from here on, hosts
+     attached later included. *)
   Policy_store.on_change policy (fun rev -> step t ~now:(clock ()) (Revision rev));
   if config.proactive then begin
     Topo.on_change topo (fun () -> step t ~now:(clock ()) Topology_changed);

@@ -194,10 +194,10 @@ let entry_add ~state:(state_fwd, state_rev) (e : Compiler.entry) =
     | Compiler.Decide Pf.Ast.Pass when meets_state state_fwd fields -> punt
     | Compiler.Decide Pf.Ast.Pass -> [ Openflow.Action.Goto_table 1 ])
 
-let sync t ~proactive env diagram =
+let sync t ~proactive plan =
   let t0 = Sys.time () in
   let fdd, state =
-    match (env, diagram) with
+    match (Query_plan.env plan, Query_plan.diagram plan) with
     | Ok env, Some fdd ->
         (Some (Compiler.offload ~proactive env fdd), state_spaces env)
     | _ -> (None, (Space.empty, Space.empty))

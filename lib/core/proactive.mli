@@ -11,14 +11,12 @@ val create : Obs.Registry.t -> labels:Obs.Registry.labels -> t
 val table : t -> Compiler.table
 (** The abstract compiled table installed: empty until the first sync. *)
 
-val sync :
-  t -> proactive:bool -> (Pf.Env.t, string) result -> Analysis.Fdd.t option ->
-  Openflow.Message.to_switch array
-(** Compile a revision's environment and diagram ({!Compiler.offload}'s
-    [proactive]; an error or no diagram compiles the empty table, so
-    every flow punts and fails closed). The messages strict-delete and
-    add the delta, or everything when the keep-state spaces changed,
-    then add the guards when the table turns non-empty. *)
+val sync : t -> proactive:bool -> Query_plan.t -> Openflow.Message.to_switch array
+(** Compile the environment and diagram of a revision's plan
+    ({!Compiler.offload}'s [proactive]; an error or no diagram compiles
+    the empty table, so every flow punts and fails closed). The messages
+    strict-delete and add the delta, or everything when the keep-state
+    spaces changed, then add the guards when the table turns non-empty. *)
 
 val sync_routes :
   t -> Openflow.Topology.t -> (string * Netcore.Ipv4.t) list ->

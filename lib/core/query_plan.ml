@@ -4,6 +4,8 @@ let both = { src = true; dst = true }
 let none = { src = false; dst = false }
 
 type t = {
+  epoch : int;
+  env : (Pf.Env.t, string) result;
   shape : Fastpath.decision_shape;
   hints : string list;
   hint_key : string;
@@ -15,6 +17,10 @@ type t = {
          files may share a number; their reads are joined. *)
   by_leaf : (int list, ends) Hashtbl.t;
       (* Memo, keyed by a leaf's candidate lines. *)
+  (* The [intercept] lines by kind, in policy order: whether the target
+     covers an address, and the section (each answer boxed once). *)
+  answers : ((Netcore.Ipv4.t -> bool) * Identxx.Key_value.section option) list;
+  augments : ((Netcore.Ipv4.t -> bool) * Identxx.Key_value.section) list;
 }
 
 let rule_ends (r : Pf.Ast.rule) =
@@ -26,11 +32,43 @@ let rule_ends (r : Pf.Ast.rule) =
 
 let join a b = { src = a.src || b.src; dst = a.dst || b.dst }
 
-let make ~default ?prev result =
-  let prev_steps =
-    match prev with Some p -> p.steps | None -> Analysis.Fdd.no_steps
-  in
+(* [env]'s [kind] intercepts in policy order: each target's test, with
+   its section through [box]. A pair the wire cannot carry is left out. *)
+let intercepts env kind box =
+  List.filter_map
+    (fun (i : Pf.Ast.intercept) ->
+      if i.Pf.Ast.ikind <> kind then None
+      else
+        Some
+          ( Pf.Env.addr_spec_matches env i.Pf.Ast.target,
+            box
+              (List.filter_map
+                 (fun (k, v) ->
+                   if Identxx.Key_value.(valid_key k && valid_value v) then
+                     Some (Identxx.Key_value.pair k v)
+                   else None)
+                 i.Pf.Ast.pairs) ))
+    (Pf.Env.intercepts env)
+
+let make ~default ?prev rev =
+  let steps = match prev with Some p -> p.steps | None -> Analysis.Fdd.no_steps in
+  let epoch = Policy_store.Revision.epoch rev and result = Policy_store.Revision.env rev in
   match result with
+  | Error _ ->
+      {
+        epoch;
+        env = result;
+        shape = { Fastpath.src_port = true; reads = None };
+        hints = [];
+        hint_key = "";
+        diagram = None;
+        steps;
+        every_end = true;
+        line_ends = Hashtbl.create 1;
+        by_leaf = Hashtbl.create 1;
+        answers = [];
+        augments = [];
+      }
   | Ok env ->
       let shape = Fastpath.decision_shape env in
       (* [allowed()] is what makes the shape read every pair. *)
@@ -51,8 +89,10 @@ let make ~default ?prev result =
             | Some e' -> join e e'
             | None -> e))
         (Pf.Env.rules env);
-      let diagram, steps = Analysis.Fdd.recompile ~default prev_steps env in
+      let diagram, steps = Analysis.Fdd.recompile ~default steps env in
       {
+        epoch;
+        env = result;
         shape;
         hints;
         hint_key = Fastpath.Answers.hint_key hints;
@@ -61,17 +101,8 @@ let make ~default ?prev result =
         every_end = calls_allowed;
         line_ends;
         by_leaf = Hashtbl.create 16;
-      }
-  | Error _ ->
-      {
-        shape = { Fastpath.src_port = true; reads = None };
-        hints = [];
-        hint_key = "";
-        diagram = None;
-        steps = prev_steps;
-        every_end = true;
-        line_ends = Hashtbl.create 1;
-        by_leaf = Hashtbl.create 1;
+        answers = intercepts env Pf.Ast.Answer_query Option.some;
+        augments = intercepts env Pf.Ast.Augment_response Fun.id;
       }
 
 let ends t flow =
@@ -97,6 +128,22 @@ let ends t flow =
           e)
   | Some _ | None -> both
 
+let rec first_answer ip = function
+  | [] -> None
+  | (covers, answer) :: rest -> if covers ip then answer else first_answer ip rest
+
+let answer_for t ip = first_answer ip t.answers
+
+let rec join_augments ip = function
+  | [] -> []
+  | (covers, section) :: rest ->
+      let tail = join_augments ip rest in
+      if not (covers ip) then tail else if tail = [] then section else section @ tail
+
+let augment_for t ip = join_augments ip t.augments
+
+let epoch t = t.epoch
+let env t = t.env
 let hints t = t.hints
 let hint_key t = t.hint_key
 let shape t = t.shape

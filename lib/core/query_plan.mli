@@ -1,8 +1,11 @@
-(** What one policy epoch asks of the ident++ exchange, computed once
-    per epoch: which ends of a flow to ask, the key list every query
-    hints, and the shape of the decision-cache key.
+(** Everything the controller derives from one policy revision, built
+    once when the revision is installed and replaced whole by the next:
+    the revision's epoch and environment, which ends of a flow to ask,
+    the key list every query hints, the shape of the decision-cache key,
+    the compiled decision diagram, and the intercept table that answers
+    and augments ident++ traffic on the hosts' behalf (§3.4).
 
-    {b Ends.} A flow's region of the epoch's decision diagram
+    {b Ends.} A flow's region of the revision's decision diagram
     ({!Analysis.Fdd.lookup}) names the rule lines that may decide it:
     a [Static] leaf's [lines], a [Reactive] leaf's [reason.lines]. The
     ends to ask are those the [with] clauses of those lines read. An
@@ -22,22 +25,26 @@
       bound reaches a settled answer.
 
     Under [allowed()] the list is empty, which asks for everything:
-    rules carried in an answer may read any key. *)
+    rules carried in an answer may read any key.
+
+    {b Intercepts.} The [intercept] lines by kind, in policy order, each
+    section built once without the pairs the wire cannot carry. *)
 
 type ends = { src : bool; dst : bool }
 (** Which ends of a flow to ask. *)
 
 type t
 
-val make : default:Pf.Ast.action -> ?prev:t -> (Pf.Env.t, string) result -> t
-(** The plan for an epoch's environment; [default] is the policy's
-    implicit verdict. [prev], the previous epoch's plan, hands its
-    compile's {!Analysis.Fdd.steps} to this one's, so the diagram is
-    recompiled from the first rule that changed
-    ({!Analysis.Fdd.recompile}); a plan that fails to build keeps them
-    for the next. A policy that fails to build asks both ends, hints
-    nothing (so every section comes back), and keys decisions on the
-    full flow and every pair. *)
+val make : default:Pf.Ast.action -> ?prev:t -> Policy_store.Revision.t -> t
+(** The plan of a revision; [default] is the policy's implicit verdict.
+    [prev], the previous plan, hands its compile's {!Analysis.Fdd.steps}
+    to this one's ({!Analysis.Fdd.recompile}), or on to the next when
+    this revision's environment fails to build. Such a plan asks both
+    ends, hints nothing, keys decisions on the full flow and every pair,
+    and intercepts nothing. *)
+
+val epoch : t -> int
+val env : t -> (Pf.Env.t, string) result
 
 val ends : t -> Netcore.Five_tuple.t -> ends
 (** The ends [flow]'s verdict can read, memoized per diagram leaf. *)
@@ -52,5 +59,13 @@ val hint_key : t -> string
 val shape : t -> Fastpath.decision_shape
 
 val diagram : t -> Analysis.Fdd.t option
-(** The epoch's compiled diagram; [None] when the policy fails to
+(** The revision's compiled diagram; [None] when the policy fails to
     build. *)
+
+val answer_for : t -> Netcore.Ipv4.t -> Identxx.Key_value.section option
+(** The table's own section of the first [intercept query] line whose
+    target covers the address: the answer given on the host's behalf. *)
+
+val augment_for : t -> Netcore.Ipv4.t -> Identxx.Key_value.section
+(** The sections of every covering [intercept response] line, joined in
+    policy order ([[]] for none); it copies only to join two or more. *)

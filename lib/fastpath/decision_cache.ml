@@ -10,7 +10,6 @@ type t = {
   capacity : int;
   entries : (string, entry) Hashtbl.t;
   order : string Queue.t; (* insertion order, for FIFO eviction *)
-  mutable epoch : int;
   mutable hits : int;
   mutable misses : int;
   mutable evictions : int;
@@ -23,7 +22,6 @@ let create ?(capacity = 16384) () =
     capacity;
     entries = Hashtbl.create 256;
     order = Queue.create ();
-    epoch = 0;
     hits = 0;
     misses = 0;
     evictions = 0;
@@ -33,15 +31,7 @@ let clear t =
   Hashtbl.reset t.entries;
   Queue.clear t.order
 
-(* A changed policy epoch orphans every cached verdict at once. *)
-let sync_epoch t epoch =
-  if epoch <> t.epoch then begin
-    clear t;
-    t.epoch <- epoch
-  end
-
-let find t ~epoch ~key =
-  sync_epoch t epoch;
+let find t ~key =
   match Hashtbl.find_opt t.entries key with
   | Some e ->
       t.hits <- t.hits + 1;
@@ -75,8 +65,7 @@ let compact t =
     done
   end
 
-let store t ~epoch ~key ~flow verdict =
-  sync_epoch t epoch;
+let store t ~key ~flow verdict =
   if not (Hashtbl.mem t.entries key) then begin
     while Hashtbl.length t.entries >= t.capacity do
       evict_one t

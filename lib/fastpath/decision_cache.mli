@@ -1,14 +1,10 @@
-(** Memoized policy verdicts, keyed by (policy epoch, flow class, the
-    answer values the policy reads; see [Fastpath.decision_key]).
+(** Memoized policy verdicts, keyed by (flow class, the answer values
+    the policy reads; see [Fastpath.decision_key]).
 
     Two flows whose keys are equal receive the identical verdict from
     {!Pf.Eval}, so the controller can replay a cached verdict instead of
-    re-walking the ruleset — but only
-    within a single policy {e epoch}: each revision a {!Policy_store}
-    installs carries the next epoch, and entries from any
-    other epoch are unreachable (and dropped wholesale on the first
-    access in the new epoch), so a stale decision can never survive a
-    policy change.
+    re-walking the ruleset, under the policy that decided it: the
+    controller clears the cache ({!clear}) as it installs each revision.
 
     The cache also remembers which hosts each entry's flow touched, so
     revoking a principal ({!purge_ip}) removes every decision that could
@@ -22,12 +18,10 @@ val create : ?capacity:int -> unit -> t
 (** FIFO-bounded (default 16384 entries). The FIFO order queue stays
     within twice the capacity however many entries are purged. *)
 
-val find : t -> epoch:int -> key:string -> Pf.Eval.verdict option
-(** Counts a hit or a miss. An [epoch] different from the cache's
-    current one first clears the cache. *)
+val find : t -> key:string -> Pf.Eval.verdict option
+(** Counts a hit or a miss. *)
 
-val store :
-  t -> epoch:int -> key:string -> flow:Five_tuple.t -> Pf.Eval.verdict -> unit
+val store : t -> key:string -> flow:Five_tuple.t -> Pf.Eval.verdict -> unit
 
 val purge_ip : t -> Ipv4.t -> int
 (** Drop every entry whose flow involved the address; returns the
@@ -41,4 +35,4 @@ val clear : t -> unit
 val hits : t -> int
 val misses : t -> int
 val evictions : t -> int
-(** Capacity evictions; epoch flushes and purges are not counted. *)
+(** Capacity evictions; clears and purges are not counted. *)

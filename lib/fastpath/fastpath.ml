@@ -123,13 +123,8 @@ let decision_key shape ~(flow : Five_tuple.t) ~src ~dst =
   add_answer b shape.reads dst;
   Buffer.contents b
 
-let find_decision t ~epoch ~key =
-  if not t.cfg.enabled then None
-  else Decision_cache.find t.decisions ~epoch ~key
-
-let store_decision t ~epoch ~key ~flow verdict =
-  if t.cfg.enabled then
-    Decision_cache.store t.decisions ~epoch ~key ~flow verdict
+let find_decision t ~key = Decision_cache.find t.decisions ~key
+let store_decision t ~key ~flow verdict = Decision_cache.store t.decisions ~key ~flow verdict
 
 let note_host_changed t ip =
   if t.cfg.enabled then ignore (Decision_cache.purge_ip t.decisions ip : int)

@@ -7,9 +7,9 @@
       the hint list, dropped on daemon-side change events and TTL
       expiry. The controller owns one table, and one {!t}, which holds
       the other two; its shards read both and hold neither;
-    - {!Decision_cache}: memoized verdicts keyed by (policy epoch, flow
-      class, the answer values the policy reads; see {!decision_key}) —
-      a {!Policy_store} epoch bump orphans every entry;
+    - {!Decision_cache}: memoized verdicts keyed by (flow class, the
+      answer values the policy reads; see {!decision_key}), cleared
+      ({!flush_decisions}) as the controller installs each revision;
     - {!Breaker}: a per-host circuit breaker that, after [threshold]
       consecutive query timeouts, treats the host as non-ident++ for a
       backoff window and lets flows decide immediately with absent
@@ -79,7 +79,7 @@ type decision_shape = {
           section) when the policy calls [allowed()]. *)
 }
 (** What of a flow and its two answers the policy can read — all a
-    decision-cache key needs. Computed once per policy epoch. *)
+    decision-cache key needs. Computed once per policy revision. *)
 
 val decision_shape : Pf.Env.t -> decision_shape
 
@@ -115,11 +115,11 @@ val decision_key :
       which may read any key and any port, and its shape keys on the
       source port and every pair. *)
 
-val find_decision : t -> epoch:int -> key:string -> Pf.Eval.verdict option
-(** [None] (without touching counters) when the fast path is off. *)
+val find_decision : t -> key:string -> Pf.Eval.verdict option
+(** Counts a hit or a miss; the controller asks only with the fast path
+    on. *)
 
-val store_decision :
-  t -> epoch:int -> key:string -> flow:Five_tuple.t -> Pf.Eval.verdict -> unit
+val store_decision : t -> key:string -> flow:Five_tuple.t -> Pf.Eval.verdict -> unit
 
 (** {2 Invalidation} *)
 
@@ -133,9 +133,9 @@ val revoke_ip : t -> Ipv4.t -> unit
     host's breaker state so a now-suspect silent host is re-probed. *)
 
 val flush_decisions : t -> unit
-(** Drop every memoized verdict (a policy override): breaker state
-    survives, since policy operations do not change what hosts
-    answer. *)
+(** Drop every memoized verdict (a new policy revision or a policy
+    override): breaker state survives, since policy operations do not
+    change what hosts answer. *)
 
 (** {2 Observability} *)
 

@@ -1221,6 +1221,149 @@ let test_policy_configured_augment () =
   Alcotest.(check int) "A allowed via policy-configured augment" 1
     (C.stats cA).C.allowed
 
+(* A flow still pending when a revision lands: its query is on the
+   wire, asked under the old plan, and its answer comes back after the
+   new plan replaced it. This pins what happens today: the ends it asked
+   are the old plan's (the destination alone), its query carried the old
+   plan's hints, and the new revision's rules decide it on those answers.
+   The new rules read the source, which was never asked, so the flow is
+   blocked although its source runs the application they admit, as the
+   next flow shows (CHANGES.md names this test). *)
+let test_pending_flow_across_revision () =
+  let s, queries = tapped_network ~config:C.default_config in
+  let old_policy =
+    "block all\npass all with eq(@dst[name], httpd)\nblock all with eq(@dst[quarantine], yes)"
+  and new_policy = "block all\npass all with eq(@src[name], firefox)" in
+  let hints policy =
+    Identxx_core.Query_plan.hints
+      (Identxx_core.Query_plan.make ~default:Pf.Ast.Pass
+         (Result.get_ok (Identxx_core.Policy_store.load [ ("00", policy) ])))
+  in
+  Identxx_core.Policy_store.add_exn (C.policy s.controller) ~name:"00" old_policy;
+  let www = Identxx.Host.run s.server ~user:"www" ~exe:"/usr/sbin/httpd" () in
+  Identxx.Host.listen s.server ~proc:www ~port:80 ();
+  let proc = Identxx.Host.run s.client ~user:"alice" ~exe:"/usr/bin/firefox" () in
+  let send () =
+    let flow =
+      Identxx.Host.connect s.client ~proc ~dst:(Identxx.Host.ip s.server) ~dst_port:80 ()
+    in
+    Net.send_from_host s.network ~name:"client" (Identxx.Host.first_packet s.client ~flow)
+  in
+  send ();
+  (* Up to the server's receipt of the query: its answer is on the wire. *)
+  while !queries = [] && Sim.Engine.step s.engine do
+    ()
+  done;
+  Alcotest.(check int) "pending at the revision" 1 (C.pending_count s.controller);
+  Identxx_core.Policy_store.add_exn (C.policy s.controller) ~name:"00" new_policy;
+  Sim.Engine.run s.engine;
+  let client_asked () = Identxx.Daemon.queries_answered (Identxx.Host.daemon s.client) in
+  Alcotest.(check int) "the old plan's ends: the server alone" 1 (List.length !queries);
+  Alcotest.(check int) "the client never asked" 0 (client_asked ());
+  (match !queries with
+  | [ (_, q) ] ->
+      Alcotest.(check (list string)) "the old plan's hints" (hints old_policy)
+        q.Identxx.Query.keys;
+      Alcotest.(check bool) "not the new plan's" false (hints new_policy = q.Identxx.Query.keys)
+  | _ -> Alcotest.fail "one query expected");
+  let st = C.stats s.controller in
+  Alcotest.(check int) "the new rules block it" 1 st.C.blocked;
+  Alcotest.(check int) "nothing passed" 0 st.C.allowed;
+  (match Identxx_core.Audit.entries (C.audit s.controller) with
+  | [ e ] ->
+      Alcotest.(check (option int)) "the new policy's block all" (Some 1)
+        (Identxx_core.Audit.rule_line e)
+  | _ -> Alcotest.fail "one audit entry expected");
+  (* A flow that starts under the new plan asks its source and passes. *)
+  send ();
+  Sim.Engine.run s.engine;
+  Alcotest.(check int) "the next flow asks the client" 1 (client_asked ());
+  Alcotest.(check int) "and passes" 1 (C.stats s.controller).C.allowed
+
+(* Minor words per round of [exchange], after ten warm-up rounds. *)
+let words_per_round exchange =
+  for _ = 1 to 10 do
+    exchange ()
+  done;
+  let rounds = 100 in
+  let before = Gc.minor_words () in
+  for _ = 1 to rounds do
+    exchange ()
+  done;
+  (Gc.minor_words () -. before) /. float_of_int rounds
+
+(* [n] answer intercepts, every one covering [target]: only the first
+   answers. *)
+let answer_intercepts n target =
+  String.concat ""
+    (List.init n (fun i ->
+         Printf.sprintf "\nintercept query to %s answer { asset-class : kiosk, seq : %d }"
+           target i))
+
+(* A query an intercept answers costs the same however many intercepts
+   cover its host: the plan's table holds each section built once, the
+   first covering line answers, and only the response that carries it
+   is allocated. Two paths answer: a query the controller did not send
+   (the client asks the server itself), answered on the server's behalf,
+   and an end of the controller's own flow. Each round of the latter
+   re-sends a first packet whose entries have expired, so it is a fresh
+   table miss. Before the table, every such query rebuilt the section of
+   every covering line. *)
+let test_intercept_answer_alloc () =
+  let config =
+    { C.default_config with C.entry_idle_timeout = Some (Sim.Time.us 1) }
+  in
+  let network policy =
+    let s = Deploy.simple_network ~config () in
+    Identxx_core.Policy_store.add_exn (C.policy s.controller) ~name:"00" policy;
+    let proc = Identxx.Host.run s.client ~user:"u" ~exe:"/bin/app" () in
+    let flow =
+      Identxx.Host.connect s.client ~proc ~dst:(Identxx.Host.ip s.server)
+        ~dst_port:80 ()
+    in
+    (s, flow)
+  in
+  let rounds pkt (s : Deploy.simple) =
+    words_per_round (fun () ->
+        Net.send_from_host s.network ~name:"client" pkt;
+        Sim.Engine.run s.engine)
+  in
+  let foreign n =
+    let s, flow = network ("pass all" ^ answer_intercepts n "10.0.0.2") in
+    let words =
+      rounds
+        (Identxx.Wire.query_packet ~to_ip:(Identxx.Host.ip s.server)
+           ~from_ip:(Identxx.Host.ip s.client)
+           (Identxx.Query.make ~flow ~keys:[]))
+        s
+    in
+    Alcotest.(check int) "answered every query on the server's behalf" 110
+      (C.stats s.controller).C.queries_answered_locally;
+    Alcotest.(check int) "the server never asked" 0
+      (Identxx.Daemon.queries_answered (Identxx.Host.daemon s.server));
+    words
+  and local n =
+    let s, flow =
+      network
+        ("block all\npass all with eq(@dst[asset-class], kiosk)"
+        ^ answer_intercepts n "10.0.0.2")
+    in
+    let words = rounds (Identxx.Host.first_packet s.client ~flow) s in
+    let st = C.stats s.controller in
+    Alcotest.(check int) "no wire query" 0 st.C.queries_sent;
+    Alcotest.(check int) "the server's end answered every round" 110
+      st.C.queries_answered_locally;
+    Alcotest.(check int) "passed every round" 110 st.C.allowed;
+    words
+  in
+  List.iter
+    (fun (what, words) ->
+      let one = words 1 and many = words 32 in
+      if one <> many then
+        Alcotest.failf "%s: %.1f minor words per round with 1 covering intercept, %.1f with 32"
+          what one many)
+    [ ("foreign query", foreign); ("local end", local) ]
+
 (* --- proactive quick-block drops (line-rate enforcement, S6) --- *)
 
 let test_precompiled_block_never_reaches_controller () =
@@ -1661,6 +1804,8 @@ let () =
           Alcotest.test_case "controller-only (local answers)" `Quick
             test_local_answers_controller_only_deployment;
           Alcotest.test_case "policy hot reload" `Quick test_policy_hot_reload;
+          Alcotest.test_case "a flow pending across a revision" `Quick
+            test_pending_flow_across_revision;
           Alcotest.test_case "set installs a forward reference" `Quick
             test_set_installs_a_forward_reference;
         ] );
@@ -1723,6 +1868,8 @@ let () =
             test_policy_configured_local_answers;
           Alcotest.test_case "augment from policy" `Quick
             test_policy_configured_augment;
+          Alcotest.test_case "intercept answer allocation, flat in covering lines"
+            `Quick test_intercept_answer_alloc;
         ] );
       ( "precompile",
         [

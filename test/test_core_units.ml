@@ -600,6 +600,140 @@ let test_services_lookup () =
   | Error _ -> ()
   | Ok _ -> Alcotest.fail "out of range accepted"
 
+(* --- Query_plan's intercept table --- *)
+
+(* The reference: the walk the controller made on every query before
+   the plan held an intercept table. It re-tested every target and
+   rebuilt every covering section from the declaration's pairs. *)
+let section_of_pairs pairs =
+  List.filter_map
+    (fun (k, v) ->
+      if Identxx.Key_value.valid_key k && Identxx.Key_value.valid_value v then
+        Some (Identxx.Key_value.pair k v)
+      else None)
+    pairs
+
+let intercept_sections env kind ip =
+  match env with
+  | Error _ -> []
+  | Ok env ->
+      List.filter_map
+        (fun (i : Pf.Ast.intercept) ->
+          if
+            i.Pf.Ast.ikind = kind
+            && Pf.Env.addr_spec_matches env i.Pf.Ast.target ip
+          then Some (section_of_pairs i.Pf.Ast.pairs)
+          else None)
+        (Pf.Env.intercepts env)
+
+module Intercept_gen = struct
+  open QCheck.Gen
+
+  (* Targets over a few overlapping blocks, so that several lines of
+     both kinds cover one address and negation matters. A target naming
+     an undefined table makes the environment fail. *)
+  let base =
+    frequency
+      [
+        (4, return "any");
+        (8, oneofl [ "10.0.0.0/24"; "10.0.0.5"; "10.0.1.0/24"; "10.0.0.0/8" ]);
+        (6, oneofl [ "{ 10.0.0.1 10.0.1.0/25 }"; "{ 192.168.0.0/16, 10.0.0.4/30 }" ]);
+        (6, oneofl [ "<inner>"; "<outer>" ]);
+        (1, return "<ghost>");
+      ]
+
+  let target =
+    let* negated = frequency [ (2, return false); (1, return true) ] in
+    let+ b = base in
+    if negated then "!" ^ b else b
+
+  (* Values the wire cannot carry (a line break) are dropped from the
+     section; a key is a policy word, which the wire always carries. *)
+  let value =
+    frequency
+      [
+        (4, oneofl [ "kiosk"; "payroll"; "B"; "7" ]);
+        (2, oneofl [ "\"{ firefox ssh }\""; "\"a:b\""; "\"\"" ]);
+        (2, oneofl [ "\"two\nlines\""; "\"cr\rhere\"" ]);
+      ]
+
+  let pairs =
+    let+ kvs =
+      list_size (int_bound 3) (pair (oneofl [ "asset-class"; "branch"; "hop" ]) value)
+    in
+    String.concat ", " (List.map (fun (k, v) -> k ^ " : " ^ v) kvs)
+
+  let line =
+    let* query = bool in
+    let* target = target in
+    let+ pairs = pairs in
+    if query then Printf.sprintf "intercept query to %s answer { %s }" target pairs
+    else Printf.sprintf "intercept response to %s augment { %s }" target pairs
+
+  let policy =
+    let+ lines = list_size (int_range 1 10) line in
+    String.concat "\n"
+      ("table <inner> { 10.0.0.0/30 10.0.1.7 }"
+      :: "table <outer> { <inner> 192.168.0.0/16 }"
+      :: "pass all" :: lines)
+
+  let address =
+    oneofl
+      [ "10.0.0.1"; "10.0.0.4"; "10.0.0.5"; "10.0.0.200"; "10.0.1.7";
+        "10.0.1.200"; "10.9.9.9"; "192.168.3.4"; "172.16.0.1" ]
+    |> map Ipv4.of_string
+
+  let case = pair policy (list_size (int_range 1 6) address)
+end
+
+(* The plan's intercept table answers and augments what the per-query
+   walk did, for every address: the first covering answer, and every
+   covering augment joined in policy order. *)
+let prop_intercept_table =
+  let print (policy, ips) =
+    Printf.sprintf "%s\naddresses: %s" policy
+      (String.concat " " (List.map Ipv4.to_string ips))
+  in
+  let section s =
+    String.concat "; "
+      (List.map (fun (p : Identxx.Key_value.pair) -> p.key ^ "=" ^ String.escaped p.value) s)
+  in
+  QCheck.Test.make ~name:"intercept table answers as the per-query walk" ~count:2000
+    (QCheck.make ~print Intercept_gen.case)
+    (fun (policy, ips) ->
+      let rev =
+        match Identxx_core.Policy_store.load [ ("00", policy) ] with
+        | Ok r -> r
+        | Error e -> QCheck.Test.fail_report e
+      in
+      let env = Identxx_core.Policy_store.Revision.env rev in
+      let plan = Identxx_core.Query_plan.make ~default:Pf.Ast.Pass rev in
+      if
+        Identxx_core.Query_plan.epoch plan
+        <> Identxx_core.Policy_store.Revision.epoch rev
+      then QCheck.Test.fail_report "the plan names another revision";
+      List.iter
+        (fun ip ->
+          let answer =
+            match intercept_sections env Pf.Ast.Answer_query ip with
+            | s :: _ -> Some s
+            | [] -> None
+          in
+          (match (Identxx_core.Query_plan.answer_for plan ip, answer) with
+          | None, None -> ()
+          | Some a, Some b when a = b -> ()
+          | got, want ->
+              let show = function None -> "none" | Some s -> "{" ^ section s ^ "}" in
+              QCheck.Test.fail_reportf "%s: answer %s, the walk %s" (Ipv4.to_string ip)
+                (show got) (show want));
+          let got = Identxx_core.Query_plan.augment_for plan ip
+          and want = List.concat (intercept_sections env Pf.Ast.Augment_response ip) in
+          if got <> want then
+            QCheck.Test.fail_reportf "%s: augment {%s}, the walk {%s}" (Ipv4.to_string ip)
+              (section got) (section want))
+        ips;
+      true)
+
 (* --- Deploy validation --- *)
 
 let test_deploy_linear_validation () =
@@ -702,6 +836,8 @@ let () =
             test_policy_store_rule_reads_into_next_file;
           QCheck_alcotest.to_alcotest prop_policy_store_load;
         ] );
+      ( "query_plan",
+        [ QCheck_alcotest.to_alcotest prop_intercept_table ] );
       ("services", [ Alcotest.test_case "lookup" `Quick test_services_lookup ]);
       ( "decision",
         [

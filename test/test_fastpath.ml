@@ -1,9 +1,9 @@
 (* The flow-setup fast path: the answer-reuse table (its settled
-   entries are the attribute cache), decision cache with epoch
-   invalidation, and the silent-host circuit breaker — both the cache
+   entries are the attribute cache), the decision cache that each policy
+   revision clears, and the silent-host circuit breaker — both the cache
    modules in isolation and the controller integration (cache hits must
-   skip daemon queries; epoch bumps and revocation must prevent stale
-   decisions; the breaker must trip after N timeouts and re-probe after
+   skip daemon queries; a new policy revision (its epoch bump) and
+   revocation must prevent stale decisions; the breaker must trip after N timeouts and re-probe after
    the backoff window). *)
 
 open Netcore
@@ -272,24 +272,22 @@ let flow_of i =
 
 let test_decision_epoch_and_purge () =
   let c = Fastpath.Decision_cache.create ~capacity:8 () in
-  Fastpath.Decision_cache.store c ~epoch:0 ~key:"k1" ~flow:(flow_of 1)
-    verdict_pass;
-  check Alcotest.bool "hit in same epoch" true
-    (Fastpath.Decision_cache.find c ~epoch:0 ~key:"k1" <> None);
-  (* An epoch bump orphans everything at once. *)
-  check Alcotest.bool "miss after epoch bump" true
-    (Fastpath.Decision_cache.find c ~epoch:1 ~key:"k1" = None);
+  Fastpath.Decision_cache.store c ~key:"k1" ~flow:(flow_of 1) verdict_pass;
+  check Alcotest.bool "hit under the same policy" true
+    (Fastpath.Decision_cache.find c ~key:"k1" <> None);
+  (* A new revision's step clears everything at once. *)
+  Fastpath.Decision_cache.clear c;
+  check Alcotest.bool "miss after the flush" true
+    (Fastpath.Decision_cache.find c ~key:"k1" = None);
   check Alcotest.int "cache emptied" 0 (Fastpath.Decision_cache.size c);
-  Fastpath.Decision_cache.store c ~epoch:1 ~key:"a" ~flow:(flow_of 1)
-    verdict_pass;
-  Fastpath.Decision_cache.store c ~epoch:1 ~key:"b" ~flow:(flow_of 2)
-    verdict_pass;
+  Fastpath.Decision_cache.store c ~key:"a" ~flow:(flow_of 1) verdict_pass;
+  Fastpath.Decision_cache.store c ~key:"b" ~flow:(flow_of 2) verdict_pass;
   check Alcotest.int "purge by ip" 1
     (Fastpath.Decision_cache.purge_ip c (Ipv4.of_octets 10 0 0 1));
   check Alcotest.bool "purged entry gone" true
-    (Fastpath.Decision_cache.find c ~epoch:1 ~key:"a" = None);
+    (Fastpath.Decision_cache.find c ~key:"a" = None);
   check Alcotest.bool "other entry survives" true
-    (Fastpath.Decision_cache.find c ~epoch:1 ~key:"b" <> None)
+    (Fastpath.Decision_cache.find c ~key:"b" <> None)
 
 (* An entry that leaves by expiry, invalidation or purge keeps its
    place in the FIFO order queue, and nothing pops it while the table
@@ -320,11 +318,9 @@ let test_attr_order_bounded () =
 
 let test_decision_order_bounded () =
   let c = Fastpath.Decision_cache.create ~capacity:64 () in
-  Fastpath.Decision_cache.store c ~epoch:0 ~key:"live" ~flow:(flow_of 2)
-    verdict_pass;
+  Fastpath.Decision_cache.store c ~key:"live" ~flow:(flow_of 2) verdict_pass;
   for _ = 1 to 100_000 do
-    Fastpath.Decision_cache.store c ~epoch:0 ~key:"k" ~flow:(flow_of 1)
-      verdict_pass;
+    Fastpath.Decision_cache.store c ~key:"k" ~flow:(flow_of 1) verdict_pass;
     ignore (Fastpath.Decision_cache.purge_ip c (Ipv4.of_octets 10 0 0 1) : int)
   done;
   check Alcotest.int "one live entry" 1 (Fastpath.Decision_cache.size c);
@@ -664,8 +660,9 @@ let test_asking_less_decides_the_same =
     ~name:"asked ends and hinted sections decide as full answers"
     (QCheck.make ~print Plan_gen.case)
     (fun (policy, flow, src, dst) ->
-      let env = Pf.Env.of_string policy |> Result.get_ok in
-      let plan = Identxx_core.Query_plan.make ~default:Pf.Ast.Pass (Ok env) in
+      let rev = Identxx_core.Policy_store.load [ ("00", policy) ] |> Result.get_ok in
+      let env = Identxx_core.Policy_store.Revision.env rev |> Result.get_ok in
+      let plan = Identxx_core.Query_plan.make ~default:Pf.Ast.Pass rev in
       let ends = Identxx_core.Query_plan.ends plan flow in
       let keys = Identxx_core.Query_plan.hints plan in
       let sent asked answer =
@@ -945,7 +942,9 @@ let test_epoch_bump_prevents_stale_decision () =
   check Alcotest.int "allowed under the old policy" 1
     (C.stats s.controller).C.allowed;
   (* Replace the policy through the store alone: no controller flush, so
-     only the epoch protects against replaying the cached verdict. *)
+     only the controller's Revision step, which clears the decision cache
+     when it installs the new plan, protects against replaying the cached
+     verdict. *)
   Policy_store.add_exn (C.policy s.controller) ~name:"00-policy"
     (server_policy [ "nginx" ]);
   ignore (connect_and_run s ~proc ());

@@ -70,6 +70,11 @@
       [Openflow.Network] or a module alias of it, or [Sim.Engine]; and
       inside it, the network's [send_batch] is named only as
       [Shard.Batch.create]'s [~send], the controller's one way out.
+      And outside that [create], lib/core/controller.ml reads the policy
+      store's current revision ([Policy_store.current],
+      [Policy_store.env], directly or through a module alias) nowhere:
+      what it derives from a revision is the query plan the [Revision]
+      step replaces.
 
    Usage: doclint <repo-root>. Exit 1 on any finding. *)
 
@@ -1144,7 +1149,8 @@ let check_seam root =
       if Sys.file_exists path then begin
         let src = code_only (read_file path) in
         let aliases = (scan_refs path).aliases in
-        let network m = m = "Network" || Hashtbl.find_opt aliases m = Some "Network" in
+        let named_as q m = m = q || Hashtbl.find_opt aliases m = Some q in
+        let network = named_as "Network" and store = named_as "Policy_store" in
         let at_col0 off = off = 0 || src.[off - 1] = '\n' in
         (* Whether tokens before a [send_batch], nearest first, are
            [Shard.Batch.create ... ~send:(]. *)
@@ -1178,6 +1184,11 @@ let check_seam root =
                 | _ -> None
               in
               (match (named, rest) with
+              | None, (".", _) :: (("current" | "env") as read, _) :: _
+                when store m && (not adapter) && rel = "lib/core/controller.ml" ->
+                  err "%s:%d: `%s.%s` outside Controller.create: the controller \
+                       reads the policy through its query plan"
+                    rel (line_of src off) m read
               | Some name, _ when not adapter ->
                   err "%s:%d: `%s` outside Controller.create: only its adapter \
                        touches the network and the simulator"
