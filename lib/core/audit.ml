@@ -63,13 +63,7 @@ let interesting_keys =
 
 let summarize = function
   | None -> []
-  | Some response ->
-      List.fold_right
-        (fun key pairs ->
-          match Identxx.Response.latest response key with
-          | Some v -> (key, v) :: pairs
-          | None -> pairs)
-        interesting_keys []
+  | Some response -> Identxx.Response.latest_each response interesting_keys
 
 (* Flows from one process carry equal summaries; keep one copy of each. *)
 let intern t = function

@@ -975,19 +975,6 @@ let start_flow t (pi : Msg.packet_in) (flow : Five_tuple.t) =
 
 (* --- intercepted / owned ident++ traffic --- *)
 
-(* Where a well-formed signature section must sit for the response to
-   count as authenticated: last — except that a daemon answering a
-   traced query appends its (unauthenticated, purely diagnostic) trace
-   section after signing, so exactly one trailing trace section is
-   tolerated. An untraced response is checked exactly as before. *)
-let expected_signature_index (response : Identxx.Response.t) =
-  let rec last_index i = function
-    | [] -> i - 1
-    | [ last ] -> if Identxx.Response.is_trace_section last then i - 1 else i
-    | _ :: rest -> last_index (i + 1) rest
-  in
-  last_index 0 response.Identxx.Response.sections
-
 (* [pkt]'s TCP source or destination port; the ident++ port when it is
    not TCP. *)
 let tcp_port pkt end_ =
@@ -1045,9 +1032,13 @@ let named_pending t ~as_src ~as_dst =
 let answer_accepted t p ~from_ip ~to_ip response sg =
   let ks = Decision.keystore t.decision in
   let refusal =
+    (* A well-formed signature section must sit last for the response to
+       count as authenticated — except that a daemon answering a traced
+       query appends its (unauthenticated, purely diagnostic) trace
+       section after signing, so exactly one trailing trace section is
+       tolerated. *)
     match (Identxx.Signed.check ks response sg, sg) with
-    | Identxx.Signed.Valid n, Some sg
-      when n = expected_signature_index response ->
+    | Identxx.Signed.Valid _, Some sg when Identxx.Signed.closes sg ->
         let signer = Identxx.Signed.signer sg in
         if
           not
@@ -1091,11 +1082,14 @@ let settle_answer t p ~from_ip response sg =
      later flows' decisions and defeat decision-cache key
      matching). The scope is the stripped answer's: the reading of
      the signature section still holds when there was nothing to
-     strip. *)
-  let dtrace = Identxx.Response.trace_info response in
+     strip, and then there were no timings either. *)
   let stripped = Identxx.Response.strip_trace response in
+  let untraced = stripped == response in
+  let dtrace =
+    if untraced then None else Identxx.Response.trace_info response
+  in
   let scope =
-    if stripped == response then Identxx.Signed.scope_of sg
+    if untraced then Identxx.Signed.scope_of sg
     else Identxx.Signed.scope stripped
   in
   let response = stripped in

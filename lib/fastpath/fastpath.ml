@@ -73,15 +73,18 @@ let decision_shape env =
 (* Length prefixes keep the concatenated strings unambiguous: a value
    may contain any byte, including the separators, but a length always
    starts with a digit and every separator is a non-digit. *)
-let add_lp b s =
-  Buffer.add_string b (string_of_int (String.length s));
+let add_lp_sub b s pos len =
+  Buffer.add_string b (string_of_int len);
   Buffer.add_char b ':';
-  Buffer.add_string b s
+  Buffer.add_substring b s pos len;
+  b
+
+let add_lp b s = ignore (add_lp_sub b s 0 (String.length s) : Buffer.t)
 
 (* "-" for a silent end, "R" then what the policy can read for an
-   answer. A read key's values go in [Response.all_values] order
-   (without building the list), closed by ';'; with [None] every
-   section goes in whole, each opened by '|'. *)
+   answer. A read key's values go in [Response.all_values] order, each
+   copied from where it sits in the payload, closed by ';'; with [None]
+   every section goes in whole, each opened by '|'. *)
 let add_answer b reads = function
   | None -> Buffer.add_char b '-'
   | Some (r : Identxx.Response.t) -> (
@@ -90,10 +93,7 @@ let add_answer b reads = function
       | Some keys ->
           List.iter
             (fun key ->
-              List.iter
-                (List.iter (fun (p : Identxx.Key_value.pair) ->
-                     if String.equal p.key key then add_lp b p.value))
-                r.sections;
+              ignore (Identxx.Response.fold_values r key add_lp_sub b : Buffer.t);
               Buffer.add_char b ';')
             keys
       | None ->
@@ -105,7 +105,7 @@ let add_answer b reads = function
                   add_lp b p.key;
                   add_lp b p.value)
                 section)
-            r.sections)
+            (Identxx.Response.sections r))
 
 let decision_key shape ~(flow : Five_tuple.t) ~src ~dst =
   let b = Buffer.create 64 in

@@ -1,12 +1,15 @@
 let digits = "0123456789abcdef"
 
-let encode_prefix s n =
-  let b = Bytes.create (2 * n) in
+let write_prefix s n b pos =
   for i = 0 to n - 1 do
     let c = Char.code s.[i] in
-    Bytes.set b (2 * i) digits.[c lsr 4];
-    Bytes.set b ((2 * i) + 1) digits.[c land 0xf]
-  done;
+    Bytes.set b (pos + (2 * i)) digits.[c lsr 4];
+    Bytes.set b (pos + (2 * i) + 1) digits.[c land 0xf]
+  done
+
+let encode_prefix s n =
+  let b = Bytes.create (2 * n) in
+  write_prefix s n b 0;
   Bytes.unsafe_to_string b
 
 let encode s = encode_prefix s (String.length s)
@@ -38,19 +41,21 @@ let decode s =
     in
     go 0
 
-(* The bits where [hex]'s digit pairs differ from [raw]'s bytes, from
-   byte [i] on; -1 at a character that is no digit. *)
-let rec diff_from hex raw n i acc =
+(* The bits where [hex]'s digit pairs from [pos] differ from [raw]'s
+   bytes, from byte [i] on; -1 at a character that is no digit. *)
+let rec diff_from hex pos raw n i acc =
   if i >= n then acc
   else
-    let hi = value (String.unsafe_get hex (2 * i))
-    and lo = value (String.unsafe_get hex ((2 * i) + 1)) in
+    let hi = value (String.unsafe_get hex (pos + (2 * i)))
+    and lo = value (String.unsafe_get hex (pos + (2 * i) + 1)) in
     if hi < 0 || lo < 0 then -1
     else
-      diff_from hex raw n (i + 1)
+      diff_from hex pos raw n (i + 1)
         (acc lor (((hi lsl 4) lor lo) lxor Char.code (String.unsafe_get raw i)))
 
-let spells hex raw n =
+let spells_sub hex pos len raw n =
   n <= String.length raw
-  && String.length hex = 2 * n
-  && diff_from hex raw n 0 0 = 0
+  && pos >= 0
+  && len = 2 * n
+  && pos <= String.length hex - len
+  && diff_from hex pos raw n 0 0 = 0

@@ -51,6 +51,12 @@ let add st d =
   begin_element st (String.length d);
   feed st d
 
+let add_sub st s pos len =
+  if pos < 0 || len < 0 || pos > String.length s - len then
+    invalid_arg "Sign.add_sub: out of bounds";
+  begin_element st len;
+  Hmac.feed_bytes st.hmac (Bytes.unsafe_of_string s) pos len
+
 let rec digit_count n = if n < 10 then 1 else 1 + digit_count (n / 10)
 let int_length n = if n < 0 then String.length (string_of_int n) else digit_count n
 
@@ -68,6 +74,10 @@ let hex st n =
   Hex.encode_prefix (Bytes.unsafe_to_string st.buf) n
 
 let finish st = hex st Sha256.digest_size
+
+let finish_into st b pos =
+  Hmac.finalize_into st.hmac st.buf;
+  Hex.write_prefix (Bytes.unsafe_to_string st.buf) Sha256.digest_size b pos
 let short_bytes = 16
 let finish_short st = hex st short_bytes
 
@@ -167,19 +177,19 @@ let verifier ks ~public =
       p.verifier
   | exception Not_found -> None
 
-let matches_prefix st ~signature n =
+let matches_prefix st s pos len n =
   Hmac.finalize_into st.hmac st.buf;
-  Hex.spells signature (Bytes.unsafe_to_string st.buf) n
+  Hex.spells_sub s pos len (Bytes.unsafe_to_string st.buf) n
 
-let matches st ~signature = matches_prefix st ~signature Sha256.digest_size
-let matches_short st ~signature = matches_prefix st ~signature short_bytes
+let matches_sub st s pos len = matches_prefix st s pos len Sha256.digest_size
+let matches_short_sub st s pos len = matches_prefix st s pos len short_bytes
 
 let verify ks ~public ~signature data =
   match verifier ks ~public with
   | None -> false
   | Some st ->
       List.iter (add st) data;
-      matches st ~signature
+      matches_sub st signature 0 (String.length signature)
 
 (* Whether [s] holds [n]'s decimal digits in [i .. j], read right to
    left. *)
@@ -202,17 +212,38 @@ let rec same_bytes a i b j len =
     || String.unsafe_get a i = String.unsafe_get b j
        && same_bytes a (i + 1) b (j + 1) (len - 1)
 
-let element_at s pos d =
-  let n = String.length d in
+let element_at_sub s pos d dpos n =
   let k = digit_count n in
   let colon = pos + k in
   if pos < 0 || colon + 1 + n > String.length s then -1
   else if
     digits_at s pos (colon - 1) n
     && String.unsafe_get s colon = ':'
-    && same_bytes s (colon + 1) d 0 n
+    && same_bytes s (colon + 1) d dpos n
   then colon + 1 + n
   else -1
+
+(* The element at [pos] of [bytes]: its decimal length [n] read up to
+   the ':' (at most 18 digits), then its bytes compared with [s] from
+   [i]. *)
+let rec element_from bytes pos s i n digits =
+  if pos >= String.length bytes || digits > 18 then -1
+  else
+    match String.unsafe_get bytes pos with
+    | ':' ->
+        if
+          digits > 0
+          && pos + 1 + n <= String.length bytes
+          && i >= 0
+          && i + n <= String.length s
+          && same_bytes bytes (pos + 1) s i n
+        then n
+        else -1
+    | '0' .. '9' as c ->
+        element_from bytes (pos + 1) s i ((n * 10) + Char.code c - 48) (digits + 1)
+    | _ -> -1
+
+let element_of bytes pos s i = if pos < 0 then -1 else element_from bytes pos s i 0 0
 
 let cached_section ks ~public tags pos len =
   if pos < 0 || len < 0 || pos > String.length tags - len then ""

@@ -34,7 +34,8 @@ val sign : secret:string -> string list -> string
 
     The tag of {!sign} and {!verify}, computed one element at a time
     without building [canonical data]: [sign ~secret data] is
-    [stream ~secret], {!add} of each element in order, then {!finish}. *)
+    a fresh stream, {!add} of each element in order, then the hex tag
+    {!finish_into} writes. *)
 
 type stream
 (** A signature over the elements added so far. *)
@@ -54,6 +55,11 @@ val add : stream -> string -> unit
 (** Append one element: its decimal length, [':'], then its bytes — the
     same bytes {!canonical} writes for it. *)
 
+val add_sub : stream -> string -> int -> int -> unit
+(** [add_sub st s pos len] is [add st (String.sub s pos len)], read
+    where it sits. @raise Invalid_argument when the slice is out of
+    bounds. *)
+
 val begin_element : stream -> int -> unit
 (** [begin_element st n] starts an element of [n] bytes: it appends the
     ["<n>:"] prefix {!add} would. The element's bytes follow through
@@ -69,12 +75,13 @@ val feed_int : stream -> int -> unit
 val int_length : int -> int
 (** [String.length (string_of_int n)]. *)
 
-val finish : stream -> string
-(** Hex tag over the elements added. The stream must not be fed again
-    until {!keyed} restarts it. *)
+val finish_into : stream -> Bytes.t -> int -> unit
+(** [finish_into st b pos] writes the hex tag over the elements added
+    (64 lower-case digits) into [b] at [pos], allocating nothing. The
+    stream must not be fed again until {!keyed} restarts it. *)
 
 val finish_short : stream -> string
-(** The first 16 bytes (128 bits) of {!finish}'s tag, in hex: HMAC
+(** The first 16 bytes (128 bits) of {!finish_into}'s tag, in hex: HMAC
     truncated as RFC 2104 §5 allows, for tags that ride in every message
     and are checked against a cache more often than computed. *)
 
@@ -113,16 +120,17 @@ val verify :
 
 val verifier : keystore -> public:string -> stream option
 (** The stream of the principal [public] names ({!keyed} on its key), to
-    be checked with {!matches}; [None] when the handle is unknown.
+    be checked with {!matches_sub}; [None] when the handle is unknown.
     Allocates nothing. *)
 
-val matches : stream -> signature:string -> bool
-(** Whether [signature] is the hex tag over the elements added (upper-
-    or lower-case digits). The stream must not be fed again until
-    {!keyed} restarts it. *)
+val matches_sub : stream -> string -> int -> int -> bool
+(** [matches_sub st s pos len]: whether the slice is the hex tag over the
+    elements added (upper- or lower-case digits), read where it sits.
+    The stream must not be fed again until {!keyed} restarts it. *)
 
-val matches_short : stream -> signature:string -> bool
-(** {!matches} for a {!finish_short} tag: exactly 16 bytes of hex. *)
+val matches_short_sub : stream -> string -> int -> int -> bool
+(** {!matches_sub} for a {!finish_short} tag: exactly 16 bytes of
+    hex. *)
 
 (** {2 Verified sections}
 
@@ -149,7 +157,16 @@ val cache_section : keystore -> public:string -> tag:string -> string list -> un
 val cached_sections : keystore -> int
 (** Entries currently cached. *)
 
-val element_at : string -> int -> string -> int
-(** [element_at bytes pos d] is the position just past [d]'s canonical
-    encoding when [bytes] holds it at [pos], and [-1] otherwise (also
-    for [pos < 0], so checks chain). Allocates nothing. *)
+val element_of : string -> int -> string -> int -> int
+(** [element_of bytes pos s i]: the length [n] of the element whose
+    canonical encoding [bytes] holds at [pos], when [s] holds the same
+    [n] bytes from [i]; [-1] otherwise (also for [pos < 0]). The element
+    ends at [pos + int_length n + 1 + n]. A verifier checks a slice
+    against a cached element with it without first finding where the
+    slice ends. Allocates nothing. *)
+
+val element_at_sub : string -> int -> string -> int -> int -> int
+(** [element_at_sub bytes pos s dpos n] is the position just past the
+    canonical encoding of [String.sub s dpos n] when [bytes] holds it at
+    [pos], and [-1] otherwise (also for [pos < 0], so checks chain).
+    The caller keeps the slice in bounds. Allocates nothing. *)

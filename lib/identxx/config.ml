@@ -47,7 +47,7 @@ let parse_pair line =
       let key = String.trim (String.sub line 0 i) in
       let value = String.trim (String.sub line (i + 1) (String.length line - i - 1)) in
       if Key_value.valid_key key && Key_value.valid_value value then
-        Ok { Key_value.key; value }
+        Ok (Key_value.pair key value)
       else Error ("config: malformed pair " ^ line)
 
 let parse_app_header line =

@@ -13,8 +13,9 @@ type metrics = {
   m_seconds : Obs.Registry.Histogram.t;
 }
 
-(* A static section and its section tag (["" when unsigned]). *)
-type tagged = Key_value.section * string
+(* A static section, its lines as they go on the wire, and its section
+   tag (["" when unsigned]). *)
+type tagged = Payload.part
 
 type t = {
   ip : Ipv4.t;
@@ -148,10 +149,12 @@ let merged_config t =
       t.merged <- Some cfg;
       cfg
 
-let tagged t section : tagged =
-  match t.signer with
-  | Some (_, key) -> (section, Signed.section_tag key section)
-  | None -> (section, "")
+let tagged t pairs =
+  Payload.part pairs
+    ~tag:
+      (match t.signer with
+      | Some (_, key) -> Signed.section_tag key pairs
+      | None -> "")
 
 (* Run-time pairs are read per answer, never cached. *)
 let register_runtime t ~flow section =
@@ -250,24 +253,23 @@ let holds plain section =
 
 let wanted ~keys section = holds (plain_hints keys) section
 
-(* An answer's parts, the sections with their tags and scopes in step. *)
+(* An answer's parts, with their scopes in step. *)
 type parts = {
-  mutable sections : Key_value.section list;
-  mutable tags : string list;
+  mutable parts : Payload.part list;
   mutable scopes : Signed.scope list;
 }
 
 (* Put a part before the ones already added. *)
-let add parts ((section, tag) : tagged) scope =
-  parts.sections <- section :: parts.sections;
-  parts.tags <- tag :: parts.tags;
+let add parts part scope =
+  parts.parts <- part :: parts.parts;
   parts.scopes <- scope :: parts.scopes
 
 let is_empty = function [] -> true | _ :: _ -> false
 
 (* A static part goes out when non-empty and holding a hinted key. *)
-let add_static parts plain ((section, _) as part) scope =
-  if (not (is_empty section)) && holds plain section then add parts part scope
+let add_static parts plain (part : tagged) scope =
+  if (not (is_empty part.pairs)) && holds plain part.pairs then
+    add parts part scope
 
 (* Span timing is read only for traced queries; untraced answers never
    touch the clock. *)
@@ -330,30 +332,33 @@ let answer ?trace ?decode ?nonce t ~peer ~proto ~src_port ~dst_port ~keys =
          but only beside the owner's built-in section: without it, what
          the answer lacks holds only as far as the lookup did. *)
       let plain = plain_hints keys in
-      let parts = { sections = []; tags = []; scopes = [] } in
+      let parts = { parts = []; scopes = [] } in
       (match proc with
       | None -> add_static parts plain (globals t cfg) held
       | Some proc ->
-          let ((own, _) as builtins) = builtins t proc in
-          let own = (not (is_empty own)) && holds plain own in
+          let builtins = builtins t proc in
+          let own = (not (is_empty builtins.pairs)) && holds plain builtins.pairs in
           add_static parts plain (globals t cfg)
             (if own then Signed.Host else held);
           (match runtime_section t flow with
           | [] -> ()
-          | section -> add parts (section, Signed.per_flow) Signed.Flow);
+          | section ->
+              add parts (Payload.part ~tag:Signed.per_flow section) Signed.Flow);
           add_static parts plain (app t cfg proc) held;
           add_static parts plain builtins held);
-      let response = Response.make ~flow parts.sections in
       let t_sign = now t trace in
+      (* The answer is written once, into a buffer of its exact length:
+         the header, the cached lines of each part and, for a signing
+         daemon, the signature section. *)
       let response =
         match t.signer with
         | Some (public, key) ->
             (match t.metrics with
             | Some m -> Obs.Registry.Counter.inc m.m_signed
             | None -> ());
-            Signed.sign_with ~public ~key ~tags:parts.tags ~scopes:parts.scopes
-              ~host:t.ip ~peer ?nonce response
-        | None -> response
+            Signed.assemble ~public ~key ~host:t.ip ~peer ?nonce ~proto
+              ~src_port ~dst_port ~scopes:parts.scopes parts.parts
+        | None -> Payload.assemble ~proto ~src_port ~dst_port parts.parts
       in
       let t_done = now t trace in
       (* Piggyback this daemon's spans on the answer. Appended after

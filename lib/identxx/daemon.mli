@@ -43,8 +43,9 @@ val set_signing_key : t -> Idcrypto.Sign.keypair option -> unit
 (** When set, every response is authenticated with a final {!Signed}
     section. The static sections (built-ins, [@app] config, host
     globals) are assembled and tagged once and cached with their
-    {!Signed.section_tag}s; each answer then computes only its binding
-    tag. The cache is dropped whole when the key is set, a configuration
+    {!Signed.section_tag}s and their lines as they go on the wire; each
+    answer then computes only its binding tag, and is written once into
+    a buffer of its exact length ({!Signed.assemble}). The cache is dropped whole when the key is set, a configuration
     is loaded, the {!behaviour} switches or {!notify_change} is called;
     a process's exit drops only that pid's built-in section. Other
     changes (a spawn, a listener bound or closed, run-time pairs) fire

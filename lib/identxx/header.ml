@@ -40,6 +40,27 @@ let write b pos proto src_port dst_port =
   Bytes.unsafe_set b pos '\n';
   pos + 1
 
+(* Whether [s] holds [n >= 0]'s digits ending at [i], none before
+   [first]. *)
+let rec digits_at s first i n =
+  i >= first
+  && String.unsafe_get s i = Char.unsafe_chr (48 + (n mod 10))
+  && (n < 10 || digits_at s first (i - 1) (n / 10))
+
+let is_written s proto src_port dst_port =
+  let name = proto_text proto in
+  let p = String.length name in
+  let sp = p + 1 + int_length src_port in
+  let dp = sp + 1 + int_length dst_port in
+  src_port >= 0 && dst_port >= 0
+  && dp < String.length s
+  && Key_value.is_at name s 0
+  && String.unsafe_get s p = ' '
+  && digits_at s (p + 1) (sp - 1) src_port
+  && String.unsafe_get s sp = ' '
+  && digits_at s (sp + 1) (dp - 1) dst_port
+  && String.unsafe_get s dp = '\n'
+
 (* --- reading --- *)
 
 let bad_line = -1

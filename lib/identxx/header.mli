@@ -13,6 +13,10 @@ val write : Bytes.t -> int -> Proto.t -> int -> int -> int
     at [pos] — the protocol's upper-case name or its number, then both
     ports in decimal — and returns the position after it. *)
 
+val is_written : string -> Proto.t -> int -> int -> bool
+(** [is_written s proto src_port dst_port]: whether [s] starts with the
+    line {!write} writes for them, its newline included. *)
+
 val parse : string -> int -> int -> int
 (** [parse s pos stop] reads the line [String.sub s pos (stop - pos)]:
     trimmed of surrounding white space, it must be exactly three fields

@@ -65,6 +65,9 @@ let rec same_from k s pos i =
     || String.unsafe_get k i = String.unsafe_get s (pos + i)
        && same_from k s pos (i + 1)
 
+let is_at k s pos =
+  pos >= 0 && pos <= String.length s - String.length k && same_from k s pos 0
+
 (* [k] when the slice, as long as [k], is [k]; else a copy of it. *)
 let shared k s pos len = if same_from k s pos 0 then k else String.sub s pos len
 

@@ -7,7 +7,9 @@
     must not contain newlines — both constraints come from the line-based
     wire format. *)
 
-type pair = { key : string; value : string }
+type pair = private { key : string; value : string }
+(** Built only by {!pair}: every pair holds a valid key and value, so a
+    renderer can write it onto the wire unchecked. *)
 
 val pair : string -> string -> pair
 (** @raise Invalid_argument when the key or value is malformed. *)
@@ -91,6 +93,10 @@ val trace_parent : string
 
 val trace_spans : string
 (** ["trace-spans"] *)
+
+val is_at : string -> string -> int -> bool
+(** [is_at k s pos]: whether [s] holds [k]'s bytes from [pos], compared
+    eight at a time where it sits. *)
 
 val key_of_slice : string -> int -> int -> string
 (** [key_of_slice s pos len] is [String.sub s pos len], except that each

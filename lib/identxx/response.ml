@@ -1,193 +1,236 @@
 open Netcore
 
-type t = {
+type t = Payload.t = {
   proto : Proto.t;
   src_port : int;
   dst_port : int;
-  sections : Key_value.section list;
+  payload : string;
 }
 
 let is_empty = function [] -> true | _ :: _ -> false
 
+(* Every section's pairs were checked when built ({!Key_value.pair}), so
+   they are written as they are, one blank line between two. *)
 let make ~(flow : Five_tuple.t) sections =
-  {
-    proto = flow.proto;
-    src_port = flow.src_port;
-    dst_port = flow.dst_port;
-    sections =
-      (if List.exists is_empty sections then
-         List.filter (fun s -> not (is_empty s)) sections
-       else sections);
-  }
+  let sections =
+    if List.exists is_empty sections then
+      List.filter (fun s -> not (is_empty s)) sections
+    else sections
+  in
+  let rec length n = function
+    | [] -> n
+    | [ section ] -> Payload.pairs_length n section
+    | section :: rest -> length (Payload.pairs_length (n + 1) section) rest
+  in
+  let rec put b pos = function
+    | [] -> ()
+    | [ section ] -> ignore (Payload.put_pairs b pos section : int)
+    | section :: rest ->
+        put b (Payload.put_char b (Payload.put_pairs b pos section) '\n') rest
+  in
+  let proto = flow.proto
+  and src_port = flow.src_port
+  and dst_port = flow.dst_port in
+  let b = Bytes.create (length (Header.length proto src_port dst_port) sections) in
+  put b (Header.write b 0 proto src_port dst_port) sections;
+  Payload.view ~proto ~src_port ~dst_port b
+
+let has_sections t = String.length t.payload > Payload.body t
 
 let append_section t section =
-  if section = [] then t else { t with sections = t.sections @ [ section ] }
+  if is_empty section then t
+  else
+    let n = String.length t.payload in
+    let sep = if has_sections t then 1 else 0 in
+    let b = Bytes.create (Payload.pairs_length (n + sep) section) in
+    Bytes.blit_string t.payload 0 b 0 n;
+    if sep = 1 then Bytes.unsafe_set b n '\n';
+    ignore (Payload.put_pairs b (n + sep) section : int);
+    Payload.view ~proto:t.proto ~src_port:t.src_port ~dst_port:t.dst_port b
 
-(* The last binding wins: search the later sections first. *)
-let rec latest_in key = function
-  | [] -> None
-  | section :: later -> (
-      match latest_in key later with
-      | None -> Key_value.find section key
-      | found -> found)
+(* --- reading the view ---
 
-let latest t key = latest_in key t.sections
+   A view's payload is canonical (see {!Payload}): from {!Payload.body}
+   on, each line is a pair line or the one blank line between two
+   sections. A key that is not valid binds nothing: no line can carry
+   it. *)
+
+(* [f] over every binding of [key] from [i] on, in order: the payload,
+   and where the value starts and how long it is. Only the lines that
+   start with the key's first byte are read past it. *)
+let rec fold_from s key i f acc =
+  let p = Payload.line_from s key.[0] i in
+  if p >= String.length s then acc
+  else if Payload.is_key s p key then
+    let v = p + String.length key + 2 in
+    let e = Payload.line_end s v in
+    fold_from s key (e + 1) f (f acc s v (e - v))
+  else fold_from s key (p + 1) f acc
+
+let fold_values t key f acc =
+  if Key_value.valid_key key then fold_from t.payload key (Payload.body t) f acc
+  else acc
+
+(* The last binding wins: the latest section's, and its last. *)
+let latest t key =
+  if not (Key_value.valid_key key) then None
+  else
+    let s = t.payload in
+    match Payload.find s (Payload.body t) (String.length s) key with
+    | -1 -> None
+    | v -> Some (String.sub s v (Payload.line_end s v - v))
+
+(* Note in [found] where the value starts when the line at [i], whose
+   key ends at [k], binds the [j]th key or one after it. *)
+let rec mark s i k found j = function
+  | [] -> ()
+  | key :: rest ->
+      if String.length key = k - i && Key_value.is_at key s i then
+        found.(j) <- k + 2
+      else mark s i k found (j + 1) rest
+
+let rec mark_from s keys found i =
+  if i < String.length s then
+    if String.unsafe_get s i = '\n' then mark_from s keys found (i + 1)
+    else begin
+      let k = Payload.colon s i in
+      mark s i k found 0 keys;
+      mark_from s keys found (Payload.line_end s k + 1)
+    end
+
+let rec collect s found j = function
+  | [] -> []
+  | key :: rest -> (
+      match found.(j) with
+      | -1 -> collect s found (j + 1) rest
+      | v ->
+          (key, String.sub s v (Payload.line_end s v - v))
+          :: collect s found (j + 1) rest)
+
+let latest_each t keys =
+  let found = Array.make (List.length keys) (-1) in
+  mark_from t.payload keys found (Payload.body t);
+  collect t.payload found 0 keys
 
 let all_values t key =
-  List.concat_map
-    (fun section ->
-      List.filter_map
-        (fun (p : Key_value.pair) -> if p.key = key then Some p.value else None)
-        section)
-    t.sections
+  List.rev (fold_values t key (fun acc s v len -> String.sub s v len :: acc) [])
 
 let concat_values t key = String.concat "," (all_values t key)
 
-let keys t =
-  let seen = Hashtbl.create 16 in
-  List.concat_map (fun s -> s) t.sections
-  |> List.filter_map (fun (p : Key_value.pair) ->
-         if Hashtbl.mem seen p.key then None
-         else begin
-           Hashtbl.add seen p.key ();
-           Some p.key
-         end)
-
-let put b s pos =
-  Bytes.blit_string s 0 b pos (String.length s);
-  pos + String.length s
-
-let put_char b c pos =
-  Bytes.unsafe_set b pos c;
-  pos + 1
-
-let rec put_pairs b pos = function
-  | [] -> pos
-  | (p : Key_value.pair) :: rest ->
-      let pos = put b p.value (put b ": " (put b p.key pos)) in
-      put_pairs b (put_char b '\n' pos) rest
-
-(* The sections from [pos], one blank line between two. *)
-let rec put_sections b pos = function
-  | [] -> ()
-  | section :: rest ->
-      let pos = put_pairs b pos section in
-      if not (is_empty rest) then put_sections b (put_char b '\n' pos) rest
-
-(* The bytes of the sections' lines: "<key>: <value>\n" per pair, and one
-   blank line between two sections. *)
-let rec pairs_length n = function
-  | [] -> n
-  | (p : Key_value.pair) :: rest ->
-      pairs_length (n + String.length p.key + String.length p.value + 3) rest
-
-let rec sections_length n = function
-  | [] -> n
-  | [ section ] -> pairs_length n section
-  | section :: rest -> sections_length (pairs_length (n + 1) section) rest
-
-let encode t =
-  let b =
-    Bytes.create
-      (sections_length (Header.length t.proto t.src_port t.dst_port) t.sections)
-  in
-  put_sections b (Header.write b 0 t.proto t.src_port t.dst_port) t.sections;
-  Bytes.unsafe_to_string b
-
-(* The first [c] in [s] from [i] up to [stop], or [stop]. *)
-let rec index_to s c i stop =
-  if i >= stop || s.[i] = c then i else index_to s c (i + 1) stop
-
-(* The first ':', LF or CR in [s] from [i], or the end. *)
-let rec key_end s i =
-  if i >= String.length s then i
+let rec keys_from s i acc =
+  if i >= String.length s then List.rev acc
+  else if String.unsafe_get s i = '\n' then keys_from s (i + 1) acc
   else
-    match String.unsafe_get s i with
-    | ':' | '\n' | '\r' -> i
-    | _ -> key_end s (i + 1)
+    let k = Payload.colon s i in
+    let len = k - i in
+    let seen key = String.length key = len && Key_value.is_at key s i in
+    keys_from s
+      (Payload.line_end s k + 1)
+      (if List.exists seen acc then acc else Key_value.key_of_slice s i len :: acc)
 
-(* The first LF or CR in [s] from [i], or the end. *)
-let rec value_end s i =
-  if i >= String.length s then i
+let keys t = keys_from t.payload (Payload.body t) []
+
+(* The pairs of the lines from [i] to [stop]. *)
+let rec pairs s i stop =
+  if i >= stop then []
   else
-    match String.unsafe_get s i with
-    | '\n' | '\r' -> i
-    | _ -> value_end s (i + 1)
+    let k = Payload.colon s i in
+    let e = Payload.line_end s k in
+    Key_value.pair
+      (Key_value.key_of_slice s i (k - i))
+      (String.sub s (k + 2) (e - k - 2))
+    :: pairs s (e + 1) stop
+
+let rec sections_from s i =
+  if i >= String.length s then []
+  else
+    let stop = Payload.section_stop s i in
+    pairs s i stop :: sections_from s (stop + 1)
+
+let sections t = sections_from t.payload (Payload.body t)
+
+let encode t = t.payload
+
+(* --- decoding ---
+
+   One pass checks the payload's lines and whether it is already
+   canonical; a canonical payload becomes the view as it is. *)
 
 (* The error for the malformed line starting at [i]: no ':' at all, or
    an empty key or a CR. *)
 let line_error s i =
-  let e = index_to s '\n' i (String.length s) in
+  let e = Payload.line_end s i in
   let line = String.sub s i (e - i) in
-  if index_to s ':' i e = e then Error ("response: missing ':' in " ^ line)
+  if Payload.index_in s ':' i e = e then Error ("response: missing ':' in " ^ line)
   else Error ("response: malformed pair " ^ line)
 
-(* Where the section being read ends: the start of the next one, or of
-   the first malformed line when [Exit] is raised. *)
-type cursor = { mutable next : int }
+type lines = Canonical | Well_formed | Malformed of int
 
-let malformed c i =
-  c.next <- i;
-  raise_notrace Exit
-
-(* The pairs of the section whose lines start at [i], in order; [c.next]
-   is left at the line after the blank line that ends it, or past the
-   payload. One line per '\n' after the header, the last running to the
-   end: a blank line ends the section, any other line is
-   "<key>:<value>" with a non-empty key, no CR and one optional space
-   after the colon. Each line is read once; only each value and each key
-   outside the vocabulary is copied out. *)
-let rec section_pairs s c i =
+(* The lines from [i] on, after a pair line when [after_pair]. One line
+   per '\n' after the header, the last running to the end: a blank line
+   ends a section, any other line is "<key>:<value>" with a non-empty
+   key, no CR and one optional space after the colon. [Malformed] names
+   where the first line that is neither starts. The payload is
+   canonical while [canonical] stays true: each pair has its space and
+   its '\n', and each blank line follows a pair line and precedes
+   another line (which must then be a pair line, or stop being
+   canonical itself). *)
+let rec check s i after_pair canonical =
   let n = String.length s in
-  if i > n then begin
-    c.next <- i;
-    []
-  end
+  if i > n then if canonical then Canonical else Well_formed
   else
-    let k = key_end s i in
-    if k = i && (k = n || s.[k] = '\n') then begin
-      c.next <- k + 1;
-      []
-    end
-    else if k = n || s.[k] <> ':' || k = i then malformed c i
+    let e = Payload.line_break s i in
+    if e < n && String.unsafe_get s e = '\r' then Malformed i
+    else if e = i then
+      check s (e + 1) false (canonical && (e = n || (after_pair && e + 1 < n)))
     else
-      let e = value_end s (k + 1) in
-      if e < n && s.[e] = '\r' then malformed c i
+      let k = Payload.colon s i in
+      if k >= e || k = i then Malformed i
       else
-        let v = if k + 1 < e && s.[k + 1] = ' ' then k + 2 else k + 1 in
-        let pair =
-          {
-            Key_value.key = Key_value.key_of_slice s i (k - i);
-            value = String.sub s v (e - v);
-          }
-        in
-        pair :: section_pairs s c (e + 1)
+        check s (e + 1) true
+          (canonical && e < n && k + 1 < e && String.unsafe_get s (k + 1) = ' ')
 
-(* The non-empty sections from line [i] on: runs of blank lines make no
-   empty sections. *)
-let rec sections_from s c i =
-  if i > String.length s then []
-  else
-    match section_pairs s c i with
-    | [] -> sections_from s c c.next
-    | section -> section :: sections_from s c c.next
+(* The canonical payload of a well-formed one from its lines at [i]: the
+   header as {!Header.write} writes it, one space after each colon, one
+   '\n' after each pair and one blank line between two sections. *)
+let canonical s i header =
+  let proto = Header.proto header
+  and src_port = Header.src_port header
+  and dst_port = Header.dst_port header in
+  let b = Buffer.create (String.length s + 16) in
+  let head = Bytes.create (Header.length proto src_port dst_port) in
+  ignore (Header.write head 0 proto src_port dst_port : int);
+  Buffer.add_bytes b head;
+  (* [gap]: a blank line since the last pair, after some pair. *)
+  let rec lines i gap =
+    if i < String.length s then
+      let e = Payload.line_break s i in
+      if e = i then lines (e + 1) (Buffer.length b > Bytes.length head)
+      else
+        let k = Payload.colon s i in
+        let v = if k + 1 < e && s.[k + 1] = ' ' then k + 2 else k + 1 in
+        if gap then Buffer.add_char b '\n';
+        Buffer.add_substring b s i (k - i);
+        Buffer.add_string b ": ";
+        Buffer.add_substring b s v (e - v);
+        Buffer.add_char b '\n';
+        lines (e + 1) false
+  in
+  lines i false;
+  { proto; src_port; dst_port; payload = Buffer.contents b }
 
 let decode s =
-  let h = index_to s '\n' 0 (String.length s) in
+  let h = Payload.line_end s 0 in
   let header = Header.parse s 0 h in
   if header < 0 then Error (Header.error "response" header)
   else
-    let c = { next = 0 } in
-    match sections_from s c (h + 1) with
-    | sections ->
-        Ok
-          {
-            proto = Header.proto header;
-            src_port = Header.src_port header;
-            dst_port = Header.dst_port header;
-            sections;
-          }
-    | exception Exit -> line_error s c.next
+    let proto = Header.proto header
+    and src_port = Header.src_port header
+    and dst_port = Header.dst_port header in
+    match check s (h + 1) false (Header.is_written s proto src_port dst_port) with
+    | Canonical -> Ok { proto; src_port; dst_port; payload = s }
+    | Well_formed -> Ok (canonical s (h + 1) header)
+    | Malformed i -> line_error s i
 
 (* --- daemon-side trace piggyback ---
 
@@ -243,29 +286,61 @@ let attach_trace t ~trace_id ~parent ~spans =
       Key_value.pair trace_spans_key (encode_trace_spans spans);
     ]
 
-let is_trace_section section =
-  Key_value.find section trace_id_key <> None
-  && Key_value.find section trace_spans_key <> None
+(* The sections from [i] on that carry no trace section's keys, as
+   [(start, stop)] slices. *)
+let rec untraced s i =
+  if i >= String.length s then []
+  else
+    let stop = Payload.section_stop s i in
+    if Payload.is_trace s i stop then untraced s (stop + 1)
+    else (i, stop) :: untraced s (stop + 1)
+
+let rec traced s i =
+  i < String.length s
+  &&
+  let stop = Payload.section_stop s i in
+  Payload.is_trace s i stop || traced s (stop + 1)
 
 let strip_trace t =
-  if List.exists is_trace_section t.sections then
-    { t with sections = List.filter (fun s -> not (is_trace_section s)) t.sections }
-  else t
+  let s = t.payload and body = Payload.body t in
+  (* No trace section without a [trace-id] line: one pass settles the
+     common case. *)
+  if Payload.find s body (String.length s) trace_id_key < 0 || not (traced s body)
+  then t
+  else
+    let kept = untraced s body in
+    let n =
+      List.fold_left (fun n (i, stop) -> n + stop - i + 1) body kept
+      - if is_empty kept then 0 else 1
+    in
+    let b = Bytes.create n in
+    Bytes.blit_string s 0 b 0 body;
+    ignore
+      (List.fold_left
+         (fun pos (i, stop) ->
+           let pos = if pos > body then Payload.put_char b pos '\n' else pos in
+           Bytes.blit_string s i b pos (stop - i);
+           pos + stop - i)
+         body kept
+        : int);
+    Payload.view ~proto:t.proto ~src_port:t.src_port ~dst_port:t.dst_port b
 
-let trace_info t =
-  let tagged =
-    List.filter_map
-      (fun section ->
-        match
-          ( Key_value.find section trace_id_key,
-            Key_value.find section trace_parent_key,
-            Key_value.find section trace_spans_key )
-        with
-        | Some id, Some parent, Some spans -> (
-            match decode_trace_spans spans with
-            | Some spans -> Some (id, parent, spans)
-            | None -> None)
-        | _ -> None)
-      t.sections
-  in
-  match tagged with [] -> None | info :: _ -> Some info
+(* The first section from [i] on that binds all three trace keys with
+   spans that parse. *)
+let rec trace_from s i =
+  if i >= String.length s then None
+  else
+    let stop = Payload.section_stop s i in
+    let value key =
+      match Payload.find s i stop key with
+      | -1 -> None
+      | v -> Some (String.sub s v (Payload.line_end s v - v))
+    in
+    match (value trace_id_key, value trace_parent_key, value trace_spans_key) with
+    | Some id, Some parent, Some spans -> (
+        match decode_trace_spans spans with
+        | Some spans -> Some (id, parent, spans)
+        | None -> trace_from s (stop + 1))
+    | _ -> trace_from s (stop + 1)
+
+let trace_info t = trace_from t.payload (Payload.body t)

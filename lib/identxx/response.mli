@@ -10,15 +10,25 @@
 
 open Netcore
 
-type t = {
+type t = Payload.t = private {
   proto : Proto.t;
   src_port : int;
   dst_port : int;
-  sections : Key_value.section list;
+  payload : string;
+      (** The whole wire payload, header line included, always in its
+          canonical form: the header as {!encode} writes it, one
+          ["<key>: <value>"] line per pair, one blank line between two
+          sections and none elsewhere. *)
 }
+(** A response is a view over its payload: the readers below scan the
+    payload where it sits and copy out only the values they return. Only
+    this library builds one, each through a writer or a check that keeps
+    the payload canonical. *)
 
 val make : flow:Five_tuple.t -> Key_value.section list -> t
-(** Empty sections are dropped (they would corrupt the framing). *)
+(** The payload of the sections, written into one buffer of its exact
+    length. Empty sections are dropped (they would corrupt the
+    framing). *)
 
 val append_section : t -> Key_value.section -> t
 (** What an intercepting controller does to augment a response: "the
@@ -28,7 +38,12 @@ val append_section : t -> Key_value.section -> t
 val latest : t -> string -> string option
 (** The most recently added binding of the key: sections are searched
     last-to-first. "Indexing the dictionaries will give the latest value
-    added to the response" (§3.3). *)
+    added to the response" (§3.3). Allocates the value and its
+    option. *)
+
+val latest_each : t -> string list -> (string * string) list
+(** [(key, latest t key)] for each of the distinct keys that has a
+    binding, in the keys' order, read in one pass over the payload. *)
 
 val all_values : t -> string -> string list
 (** Every binding of the key in section order (for the [*@src[key]]
@@ -37,11 +52,20 @@ val all_values : t -> string -> string list
 val concat_values : t -> string -> string
 (** [all_values] joined with [","] — the [*@] form. *)
 
+val fold_values : t -> string -> ('a -> string -> int -> int -> 'a) -> 'a -> 'a
+(** [fold_values t key f acc] folds [f] over the bindings of [all_values]
+    in the same order, each given where it sits: [f acc payload pos len]
+    for the value [String.sub payload pos len]. Copies nothing. *)
+
 val keys : t -> string list
 (** All distinct keys present, in first-appearance order. *)
 
+val sections : t -> Key_value.section list
+(** The sections, decoded from the payload on every call: for tests and
+    other callers off the flow-setup path. *)
+
 val encode : t -> string
-(** Wire payload, written into one buffer of its exact length:
+(** The payload; allocates nothing:
     {v
 <PROTO> <SRC PORT> <DST PORT>
 <key 0>: <value 0>
@@ -52,14 +76,16 @@ val encode : t -> string
     v} *)
 
 val decode : string -> (t, string) result
-(** Inverse of {!encode}, read in one pass over the payload: runs of
+(** Inverse of {!encode}, checked in one pass over the payload: runs of
     blank lines make no empty sections, and one space after a pair's
     [':'] is stripped. [Error] names the first malformed line, or the
     malformed header (["response: malformed header ..."]).
 
-    It allocates the result, its lists and its pairs: each value is
-    copied out, and a key the protocol names is its shared constant
-    ({!Key_value.key_of_slice}), not a copy. *)
+    A payload that is already canonical becomes the view as it is, and
+    only the record and its [Ok] are allocated. Any other well-formed
+    payload — [key:v] with no space, runs of blank lines, a last line
+    with no newline, a header in another spelling — is re-rendered into
+    its canonical form. *)
 
 (** {2 Daemon-side trace piggyback}
 
@@ -81,14 +107,12 @@ val trace_info : t -> (string * string * (string * float * float) list) option
     when absent or unintelligible (version tolerance: such a response
     is simply an untraced response). *)
 
-val is_trace_section : Key_value.section -> bool
-(** Whether the section carries both {!trace_id_key} and
-    the trace-spans key — the shape {!attach_trace} produces. *)
-
 val strip_trace : t -> t
-(** The response without its trace section(s); the response itself when
-    it has none. Controllers strip after
-    extracting {!trace_info}, so per-flow trace ids never reach policy
+(** The response without its trace sections — each section carrying
+    both {!trace_id_key} and the trace-spans key, the shape
+    {!attach_trace} produces; the response itself when it has none, found
+    in one pass. Controllers strip, and then extract {!trace_info} from
+    what had a trace section, so per-flow trace ids never reach policy
     evaluation or the fast-path attribute cache. (The decision-cache key
     holds only the pairs the policy reads, so trace ids would split it
     only under a policy that reads them or calls [allowed()].) *)

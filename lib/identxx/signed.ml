@@ -34,242 +34,454 @@ let section_tag key section =
   add_pairs st section;
   Idcrypto.Sign.finish_short st
 
-(* The tag list is read in place: field [i] of [tags] is the slice up to
-   the next ',' (or the end), and the fields align with the sections. *)
-let rec field_end tags i =
-  if i >= String.length tags || String.unsafe_get tags i = ',' then i
-  else field_end tags (i + 1)
+(* Stream the pairs of the canonical lines from [i] to [stop] of [s]
+   (a payload, or a section's cached lines): each key, then its
+   value. *)
+let rec add_lines st s i stop =
+  if i < stop then begin
+    let k = Payload.colon s i in
+    let e = Payload.line_end s (k + 2) in
+    Idcrypto.Sign.add_sub st s i (k - i);
+    Idcrypto.Sign.add_sub st s (k + 2) (e - k - 2);
+    add_lines st s (e + 1) stop
+  end
 
-let is_per_flow tags pos stop =
-  stop = pos + 1 && String.unsafe_get tags pos = per_flow.[0]
-
-(* The pairs of every section whose tag-list field is {!per_flow}. *)
-let rec add_per_flow st tags pos sections =
-  match sections with
-  | section :: rest when pos <= String.length tags ->
-      let stop = field_end tags pos in
-      if is_per_flow tags pos stop then add_pairs st section;
-      add_per_flow st tags (stop + 1) rest
-  | _ -> ()
-
-(* Marks a field a signature section lacks. It is compared physically:
-   no string read off a response is this constant, which no other
-   module can name. *)
-let absent = "\n"
-let present v = v != absent
-
-(* What a binding tag covers, streamed into [st]: the domain, the flow
-   header, the answering host, its peer, the nonce, the tag list as it
-   appears on the wire, the scope list when the answer declares one
-   ({!absent} when not), then the pairs of every per-flow section in
-   order. The header element is fed in parts, never built. *)
-let add_binding st (r : Response.t) ~host ~peer ~nonce ~scopes tags =
-  Idcrypto.Sign.add st binding_domain;
-  let proto = Proto.to_string r.Response.proto in
+(* The first element of a binding: the flow header, fed in parts, never
+   built. *)
+let add_header st proto src_port dst_port =
+  let proto = Proto.to_string proto in
   Idcrypto.Sign.begin_element st
     (String.length proto
-    + Idcrypto.Sign.int_length r.Response.src_port
-    + Idcrypto.Sign.int_length r.Response.dst_port
+    + Idcrypto.Sign.int_length src_port
+    + Idcrypto.Sign.int_length dst_port
     + 2);
   Idcrypto.Sign.feed st proto;
   Idcrypto.Sign.feed st " ";
-  Idcrypto.Sign.feed_int st r.Response.src_port;
+  Idcrypto.Sign.feed_int st src_port;
   Idcrypto.Sign.feed st " ";
-  Idcrypto.Sign.feed_int st r.Response.dst_port;
-  Idcrypto.Sign.add st host;
-  Idcrypto.Sign.add st peer;
+  Idcrypto.Sign.feed_int st dst_port
+
+(* --- signing ---
+
+   A signer writes the signature section itself, after the sections it
+   covers, into the answer's one buffer: the lines in the order below,
+   the binding tag's hex last, straight from the stream. *)
+
+let sig_length = 64 (* hex digits of the binding tag *)
+
+(* A list as it goes on the wire, each item spelt by [name], joined
+   with ','. *)
+let rec joined_length name n = function
+  | [] -> n
+  | [ x ] -> n + String.length (name x)
+  | x :: rest -> joined_length name (n + String.length (name x) + 1) rest
+
+let rec feed_joined name st = function
+  | [] -> ()
+  | [ x ] -> Idcrypto.Sign.feed st (name x)
+  | x :: rest ->
+      Idcrypto.Sign.feed st (name x);
+      Idcrypto.Sign.feed st ",";
+      feed_joined name st rest
+
+let rec put_joined name b pos = function
+  | [] -> pos
+  | [ x ] -> Payload.put b pos (name x)
+  | x :: rest ->
+      put_joined name b (Payload.put_char b (Payload.put b pos (name x)) ',') rest
+
+let add_joined name st l =
+  Idcrypto.Sign.begin_element st (joined_length name 0 l);
+  feed_joined name st l
+
+let add_ip st ip =
+  let a = Ipv4.to_int ip in
+  Idcrypto.Sign.begin_element st (Ipv4.text_length ip);
+  Idcrypto.Sign.feed_int st ((a lsr 24) land 0xff);
+  Idcrypto.Sign.feed st ".";
+  Idcrypto.Sign.feed_int st ((a lsr 16) land 0xff);
+  Idcrypto.Sign.feed st ".";
+  Idcrypto.Sign.feed_int st ((a lsr 8) land 0xff);
+  Idcrypto.Sign.feed st ".";
+  Idcrypto.Sign.feed_int st (a land 0xff)
+
+(* What a binding tag covers up to the per-flow sections, streamed into
+   [st]: the domain, the flow header, the answering host, its peer, the
+   nonce, the tag list and the scope list as they go on the wire (the
+   scope list only when the answer declares one). *)
+let start_binding tag st ~proto ~src_port ~dst_port ~host ~peer ~nonce ~tags
+    ~scopes =
+  Idcrypto.Sign.add st binding_domain;
+  add_header st proto src_port dst_port;
+  add_ip st host;
+  add_ip st peer;
   Idcrypto.Sign.add st nonce;
-  Idcrypto.Sign.add st tags;
-  if present scopes then Idcrypto.Sign.add st scopes;
-  add_per_flow st tags 0 r.Response.sections
+  add_joined tag st tags;
+  match scopes with Some l -> add_joined scope_to_string st l | None -> ()
 
-let sign_with ~public ~key ~tags ?scopes ~host ~peer ?(nonce = "-") r =
-  let host = Ipv4.to_string host and peer = Ipv4.to_string peer in
-  let tags = String.concat "," tags in
-  let scopes =
+let line_length key n = String.length key + n + 3
+
+let signature_length tag ~public ~tags ~scopes ~host ~peer ~nonce =
+  line_length signer_key (String.length public)
+  + line_length tags_key (joined_length tag 0 tags)
+  + (match scopes with
+    | Some l -> line_length scopes_key (joined_length scope_to_string 0 l)
+    | None -> 0)
+  + line_length host_key (Ipv4.text_length host)
+  + line_length peer_key (Ipv4.text_length peer)
+  + line_length nonce_key (String.length nonce)
+  + line_length sig_key sig_length
+
+(* Write the signature section at [pos], [b]'s last [signature_length]
+   bytes; [st] holds the whole binding. *)
+let write_signature tag b pos st ~public ~tags ~scopes ~host ~peer ~nonce =
+  let ends pos = Payload.put_char b pos '\n' in
+  let pos = ends (Payload.put b (Payload.put_key b pos signer_key) public) in
+  let pos = ends (put_joined tag b (Payload.put_key b pos tags_key) tags) in
+  let pos =
     match scopes with
-    | Some l -> String.concat "," (List.map scope_to_string l)
-    | None -> absent
+    | Some l ->
+        ends (put_joined scope_to_string b (Payload.put_key b pos scopes_key) l)
+    | None -> pos
   in
-  let st = Idcrypto.Sign.keyed key in
-  add_binding st r ~host ~peer ~nonce ~scopes tags;
-  (* Addresses, hex and scope names need no validation; the caller's
-     handle, tags and nonce do. *)
-  let tail =
-    [
-      { Key_value.key = host_key; value = host };
-      { key = peer_key; value = peer };
-      Key_value.pair nonce_key nonce;
-      { key = sig_key; value = Idcrypto.Sign.finish st };
-    ]
-  in
-  Response.append_section r
-    (Key_value.pair signer_key public
-    :: Key_value.pair tags_key tags
-    ::
-    (if present scopes then { Key_value.key = scopes_key; value = scopes } :: tail
-     else tail))
+  let pos = ends (Ipv4.write_text b (Payload.put_key b pos host_key) host) in
+  let pos = ends (Ipv4.write_text b (Payload.put_key b pos peer_key) peer) in
+  let pos = ends (Payload.put b (Payload.put_key b pos nonce_key) nonce) in
+  let pos = Payload.put_key b pos sig_key in
+  Idcrypto.Sign.finish_into st b pos;
+  Bytes.unsafe_set b (pos + sig_length) '\n'
 
-let sign ~(keypair : Idcrypto.Sign.keypair) ~host ~peer ?nonce r =
+(* The caller's handle, tags and nonce go on the wire as values: they
+   hold no line break ({!Key_value.valid_value}, a word at a time). *)
+let check_value key v =
+  if Payload.line_break v 0 < String.length v then
+    invalid_arg ("Key_value.pair: bad value for " ^ key)
+
+let rec check_tags tag = function
+  | [] -> ()
+  | t :: rest ->
+      check_value tags_key (tag t);
+      check_tags tag rest
+
+let check_values tag ~public ~tags ~nonce =
+  check_value signer_key public;
+  check_tags tag tags;
+  check_value nonce_key nonce
+
+(* The pairs of each section of [s] from [i] whose tag is {!per_flow}. *)
+let rec add_per_flow_view st s i tags =
+  match tags with
+  | tag :: rest when i < String.length s ->
+      let stop = Payload.section_stop s i in
+      if String.equal tag per_flow then add_lines st s i stop;
+      add_per_flow_view st s (stop + 1) rest
+  | _ -> ()
+
+let sign_with ~public ~key ~tags ?scopes ~host ~peer ?(nonce = "-")
+    (r : Response.t) =
+  check_values Fun.id ~public ~tags ~nonce;
+  let proto = r.Response.proto
+  and src_port = r.Response.src_port
+  and dst_port = r.Response.dst_port
+  and s = r.Response.payload in
+  let st = Idcrypto.Sign.keyed key in
+  start_binding Fun.id st ~proto ~src_port ~dst_port ~host ~peer ~nonce ~tags
+    ~scopes;
+  let body = Header.length proto src_port dst_port in
+  add_per_flow_view st s body tags;
+  let n = String.length s in
+  let sep = if n > body then 1 else 0 in
+  let b =
+    Bytes.create
+      (n + sep + signature_length Fun.id ~public ~tags ~scopes ~host ~peer ~nonce)
+  in
+  Bytes.blit_string s 0 b 0 n;
+  if sep = 1 then Bytes.unsafe_set b n '\n';
+  write_signature Fun.id b (n + sep) st ~public ~tags ~scopes ~host ~peer ~nonce;
+  Payload.view ~proto ~src_port ~dst_port b
+
+(* The {!section_tag} of each section of [s] from [i], streamed from its
+   lines where they sit. *)
+let rec section_tags key s i =
+  if i >= String.length s then []
+  else
+    let stop = Payload.section_stop s i in
+    let st = Idcrypto.Sign.keyed key in
+    Idcrypto.Sign.add st section_domain;
+    add_lines st s i stop;
+    let tag = Idcrypto.Sign.finish_short st in
+    tag :: section_tags key s (stop + 1)
+
+let sign ~(keypair : Idcrypto.Sign.keypair) ~host ~peer ?nonce (r : Response.t) =
   let key = Idcrypto.Sign.prepare keypair.Idcrypto.Sign.secret in
   sign_with ~public:keypair.Idcrypto.Sign.public ~key
-    ~tags:(List.map (section_tag key) r.Response.sections)
+    ~tags:(section_tags key r.Response.payload (Payload.body r))
     ~host ~peer ?nonce r
+
+let rec add_per_flow_parts st = function
+  | [] -> ()
+  | (p : Payload.part) :: rest ->
+      if String.equal p.tag per_flow then
+        add_lines st p.text 0 (String.length p.text);
+      add_per_flow_parts st rest
+
+let part_tag (p : Payload.part) = p.tag
+
+let assemble ~public ~key ~host ~peer ?(nonce = "-") ~proto ~src_port ~dst_port
+    ~scopes parts =
+  check_values part_tag ~public ~tags:parts ~nonce;
+  let scopes = Some scopes in
+  let st = Idcrypto.Sign.keyed key in
+  start_binding part_tag st ~proto ~src_port ~dst_port ~host ~peer ~nonce
+    ~tags:parts ~scopes;
+  add_per_flow_parts st parts;
+  let n = Payload.length ~proto ~src_port ~dst_port parts in
+  let sep = match parts with [] -> 0 | _ :: _ -> 1 in
+  let b =
+    Bytes.create
+      (n + sep
+      + signature_length part_tag ~public ~tags:parts ~scopes ~host ~peer ~nonce)
+  in
+  ignore (Payload.write b ~proto ~src_port ~dst_port parts : int);
+  if sep = 1 then Bytes.unsafe_set b n '\n';
+  write_signature part_tag b (n + sep) st ~public ~tags:parts ~scopes ~host
+    ~peer ~nonce;
+  Payload.view ~proto ~src_port ~dst_port b
+
+(* --- verifying ---
+
+   The signature section is read as slices of the payload: each field
+   is the value of its last binding, from where it starts to its line's
+   end, packed into one int. *)
 
 type verdict = Valid of int | Unsigned | Invalid
 
-(* Whether [bytes], a cached section's canonical encoding, holds exactly
-   [section]'s covered elements. *)
-let rec same_pairs bytes pos = function
-  | [] -> pos = String.length bytes
-  | (p : Key_value.pair) :: rest ->
-      let pos = Idcrypto.Sign.element_at bytes pos p.key in
-      let pos = Idcrypto.Sign.element_at bytes pos p.value in
-      pos >= 0 && same_pairs bytes pos rest
+(* A slice [start, stop) of the payload, or [none]. *)
+let none = -1
+let slice start stop = (start lsl 32) lor stop
+let start f = f lsr 32
+let stop f = f land 0xffff_ffff
 
-let same_section bytes section =
-  same_pairs bytes (Idcrypto.Sign.element_at bytes 0 section_domain) section
-
-(* A static section checks against its tag, the slice [pos, stop) of
-   [tags]: a cached copy of the tag must carry the same bytes; otherwise
-   the tag is computed, and cached when it verifies. *)
-let section_ok ks ~public tags pos stop section =
-  match Idcrypto.Sign.cached_section ks ~public tags pos (stop - pos) with
-  | "" -> (
-      let tag = String.sub tags pos (stop - pos) in
-      match Idcrypto.Sign.verifier ks ~public with
-      | None -> false
-      | Some st ->
-          Idcrypto.Sign.add st section_domain;
-          add_pairs st section;
-          Idcrypto.Sign.matches_short st ~signature:tag
-          && begin
-               Idcrypto.Sign.cache_section ks ~public ~tag
-                 (section_domain
-                 :: List.concat_map
-                      (fun (p : Key_value.pair) -> [ p.key; p.value ])
-                      section);
-               true
-             end)
-  | bytes -> same_section bytes section
-
-(* Whether the tag list names exactly the [n] covered sections and every
-   static one checks. *)
-let rec statics_ok ks ~public tags pos n sections =
-  if n = 0 then pos = String.length tags + 1 || (pos = 0 && tags = "")
-  else
-    match sections with
-    | section :: rest when pos <= String.length tags ->
-        let stop = field_end tags pos in
-        (is_per_flow tags pos stop || section_ok ks ~public tags pos stop section)
-        && statics_ok ks ~public tags (stop + 1) (n - 1) rest
-    | _ -> false
-
-type field =
-  | Signer_key
-  | Sig_key
-  | Tags_key
-  | Host_key
-  | Peer_key
-  | Nonce_key
-  | Scopes_key
-  | Other_key
-
-(* The signature-section field a key names. The length, between 12 and
-   15 for every field, settles most keys without a comparison. *)
-let field k =
-  match String.length k with
-  | 12 -> if String.equal k sig_key then Sig_key else Other_key
-  | 13 ->
-      if String.equal k tags_key then Tags_key
-      else if String.equal k host_key then Host_key
-      else if String.equal k peer_key then Peer_key
-      else Other_key
-  | 14 -> if String.equal k nonce_key then Nonce_key else Other_key
-  | 15 ->
-      if String.equal k signer_key then Signer_key
-      else if String.equal k scopes_key then Scopes_key
-      else Other_key
-  | _ -> Other_key
-
-(* Whether the section carries both a signer and a tag. *)
-let rec is_signature ~signer ~signature = function
-  | [] -> signer && signature
-  | (p : Key_value.pair) :: rest -> (
-      match field p.key with
-      | Signer_key -> is_signature ~signer:true ~signature rest
-      | Sig_key -> is_signature ~signer ~signature:true rest
-      | _ -> is_signature ~signer ~signature rest)
-
-(* The first signature section: the [covered] sections before it, the
-   sections [after] it, and the last binding of each field, {!absent}
-   where it has none. The fields are set once, while it is read. *)
+(* The first signature section: the [covered] sections before it, where
+   it ends ([ends]; a section follows only when [ends] is short of the
+   payload's end), its signer, and the slice of each other field, [none]
+   where it has none. The reading is made at the section's first field
+   line and reused, fields cleared, while a section turns out to be no
+   signature section. *)
 type signature = {
-  covered : int;
-  after : Key_value.section list;
+  s : string;
+  mutable covered : int;
+  mutable ends : int;
   mutable signer : string;
-  mutable signature : string;
-  mutable tags : string;
-  mutable host : string;
-  mutable peer : string;
-  mutable nonce : string;
-  mutable scopes : string;
+  mutable signer_f : int;
+  mutable sig_f : int;
+  mutable tags_f : int;
+  mutable host_f : int;
+  mutable peer_f : int;
+  mutable nonce_f : int;
+  mutable scopes_f : int;
 }
 
-let rec read_fields sg = function
-  | [] -> sg
-  | (p : Key_value.pair) :: rest ->
-      let v = p.value in
-      (match field p.key with
-      | Signer_key -> sg.signer <- v
-      | Sig_key -> sg.signature <- v
-      | Tags_key -> sg.tags <- v
-      | Host_key -> sg.host <- v
-      | Peer_key -> sg.peer <- v
-      | Nonce_key -> sg.nonce <- v
-      | Scopes_key -> sg.scopes <- v
-      | Other_key -> ());
-      read_fields sg rest
+let reading s =
+  {
+    s;
+    covered = 0;
+    ends = 0;
+    signer = "";
+    signer_f = none;
+    sig_f = none;
+    tags_f = none;
+    host_f = none;
+    peer_f = none;
+    nonce_f = none;
+    scopes_f = none;
+  }
 
-let rec find_signature covered = function
-  | [] -> None
-  | section :: after when is_signature ~signer:false ~signature:false section ->
-      Some
-        (read_fields
-           {
-             covered;
-             after;
-             signer = absent;
-             signature = absent;
-             tags = absent;
-             host = absent;
-             peer = absent;
-             nonce = absent;
-             scopes = absent;
-           }
-           section)
-  | _ :: after -> find_signature (covered + 1) after
+let clear sg =
+  sg.signer_f <- none;
+  sg.sig_f <- none;
+  sg.tags_f <- none;
+  sg.host_f <- none;
+  sg.peer_f <- none;
+  sg.nonce_f <- none;
+  sg.scopes_f <- none
 
-let signature (r : Response.t) = find_signature 0 r.Response.sections
+let add_field st sg f = Idcrypto.Sign.add_sub st sg.s (start f) (stop f - start f)
+
+(* The field list [pos, stop) of a tag or scope list is read in place:
+   field [i] is the slice up to the next ',' (or the list's end). *)
+let field_end s i stop = Payload.index_in s ',' i stop
+
+let is_per_flow s pos stop =
+  stop = pos + 1 && String.unsafe_get s pos = per_flow.[0]
+
+(* The pairs of each of the [n] sections from [i] whose field of the tag
+   list [pos, tags_end) is {!per_flow}. Only a per-flow field holds a
+   '-' (a tag is hex): without one, no section is walked. *)
+let rec add_per_flow st s i pos tags_end n =
+  if n > 0 && Payload.index_in s '-' pos tags_end < tags_end then begin
+    let field = field_end s pos tags_end in
+    let stop = Payload.section_stop s i in
+    if is_per_flow s pos field then add_lines st s i stop;
+    add_per_flow st s (stop + 1) (field + 1) tags_end (n - 1)
+  end
+
+(* Whether [bytes], a cached section's canonical encoding, holds exactly
+   the covered elements of the section whose lines start at [i]: where
+   the section ends if so, -1 if not. Each line is compared with the
+   elements where both sit: the key's bytes and the ':' after them, then
+   the value's bytes and the '\n' after them, so the line need not be
+   scanned for its ends first. *)
+let rec same_lines bytes pos s i =
+  let n = String.length s in
+  let key = Idcrypto.Sign.element_of bytes pos s i in
+  let v = i + key + 2 in
+  if key < 0 || v > n || String.unsafe_get s (v - 2) <> ':' then -1
+  else
+    let pos = pos + Idcrypto.Sign.int_length key + 1 + key in
+    let value = Idcrypto.Sign.element_of bytes pos s v in
+    let e = v + value in
+    if value < 0 || e >= n || String.unsafe_get s e <> '\n' then -1
+    else
+      let pos = pos + Idcrypto.Sign.int_length value + 1 + value in
+      if e + 1 >= n || String.unsafe_get s (e + 1) = '\n' then
+        if pos = String.length bytes then e + 1 else -1
+      else if pos = String.length bytes then -1
+      else same_lines bytes pos s (e + 1)
+
+let rec elements s i stop =
+  if i >= stop then []
+  else
+    let k = Payload.colon s i in
+    let e = Payload.line_end s (k + 2) in
+    String.sub s i (k - i)
+    :: String.sub s (k + 2) (e - k - 2)
+    :: elements s (e + 1) stop
+
+(* A static section, whose lines start at [i], checks against its tag,
+   the field [pos, field) of the tag list: a cached copy of the tag must
+   carry the same elements; otherwise the tag is computed, and cached
+   when it verifies. Where the section ends if it checks, -1 if not. *)
+let section_ok ks ~public s pos field i =
+  match Idcrypto.Sign.cached_section ks ~public s pos (field - pos) with
+  | "" -> (
+      let stop = Payload.section_stop s i in
+      match Idcrypto.Sign.verifier ks ~public with
+      | None -> -1
+      | Some st ->
+          Idcrypto.Sign.add st section_domain;
+          add_lines st s i stop;
+          if Idcrypto.Sign.matches_short_sub st s pos (field - pos) then begin
+            Idcrypto.Sign.cache_section ks ~public
+              ~tag:(String.sub s pos (field - pos))
+              (section_domain :: elements s i stop);
+            stop
+          end
+          else -1)
+  | bytes ->
+      same_lines bytes
+        (Idcrypto.Sign.element_at_sub bytes 0 section_domain 0
+           (String.length section_domain))
+        s i
+
+(* Whether the tag list [pos, tags_end) names exactly the [n] sections
+   from [i] and every static one checks. *)
+let rec statics_ok ks ~public s i pos tags_end n =
+  if n = 0 then pos = tags_end + 1
+  else
+    pos <= tags_end
+    &&
+    let field = field_end s pos tags_end in
+    let stop =
+      if is_per_flow s pos field then Payload.section_stop s i
+      else section_ok ks ~public s pos field i
+    in
+    stop >= 0 && statics_ok ks ~public s (stop + 1) (field + 1) tags_end (n - 1)
+
+(* Whether the line at [i] starts with "response-", as every field's
+   key does. *)
+let is_field_line s i = Key_value.is_at "response-" s i
+
+(* Note the field line at [i], whose key ends at [k] and value at [e],
+   in the reading. The length, between 12 and 15 for every field's key,
+   settles most keys without a comparison. *)
+let note sg i k e =
+  let s = sg.s and f = slice (k + 2) e in
+  match k - i with
+  | 12 -> if Key_value.is_at sig_key s i then sg.sig_f <- f
+  | 13 ->
+      if Key_value.is_at tags_key s i then sg.tags_f <- f
+      else if Key_value.is_at host_key s i then sg.host_f <- f
+      else if Key_value.is_at peer_key s i then sg.peer_f <- f
+  | 14 -> if Key_value.is_at nonce_key s i then sg.nonce_f <- f
+  | 15 ->
+      if Key_value.is_at signer_key s i then sg.signer_f <- f
+      else if Key_value.is_at scopes_key s i then sg.scopes_f <- f
+  | _ -> ()
+
+(* The first section from [i] on that carries both a signer and a tag,
+   the section before [i] being the [covered]th; [sg], when made, holds
+   what that section's field lines said so far. Only the lines that
+   start with 'r' or are blank — every field's key starts "response-" —
+   are looked for, a word at a time; each field line is read once. *)
+let rec find_signature s covered sg i =
+  let n = String.length s in
+  let p = Payload.line_from s 'r' i in
+  if p >= n || String.unsafe_get s p = '\n' then
+    match sg with
+    | Some r when r.signer_f <> none && r.sig_f <> none ->
+        r.covered <- covered;
+        r.ends <- p;
+        r.signer <- String.sub s (start r.signer_f) (stop r.signer_f - start r.signer_f);
+        sg
+    | _ ->
+        if p >= n then None
+        else begin
+          Option.iter clear sg;
+          find_signature s (covered + 1) sg (p + 1)
+        end
+  else if not (is_field_line s p) then find_signature s covered sg (p + 1)
+  else
+    let sg = match sg with Some _ -> sg | None -> Some (reading s) in
+    let k = Payload.colon s p in
+    let e = Payload.line_end s (k + 2) in
+    note (Option.get sg) p k e;
+    find_signature s covered sg (e + 1)
+
+let signature (r : Response.t) =
+  find_signature r.Response.payload 0 None
+    (Header.length r.Response.proto r.Response.src_port r.Response.dst_port)
 
 let check ks (r : Response.t) = function
   | None -> Unsigned
   | Some sg ->
-      if
-        not
-          (present sg.tags && present sg.host && present sg.peer
-         && present sg.nonce)
+      if sg.tags_f = none || sg.host_f = none || sg.peer_f = none || sg.nonce_f = none
       then Invalid
       else (
         match Idcrypto.Sign.verifier ks ~public:sg.signer with
         | None -> Invalid
         | Some st ->
-            add_binding st r ~host:sg.host ~peer:sg.peer ~nonce:sg.nonce
-              ~scopes:sg.scopes sg.tags;
+            let s = sg.s in
+            let body =
+              Header.length r.Response.proto r.Response.src_port
+                r.Response.dst_port
+            in
+            let tags = start sg.tags_f and tags_end = stop sg.tags_f in
+            Idcrypto.Sign.add st binding_domain;
+            add_header st r.Response.proto r.Response.src_port r.Response.dst_port;
+            add_field st sg sg.host_f;
+            add_field st sg sg.peer_f;
+            add_field st sg sg.nonce_f;
+            add_field st sg sg.tags_f;
+            if sg.scopes_f <> none then add_field st sg sg.scopes_f;
+            add_per_flow st s body tags tags_end sg.covered;
             if
-              Idcrypto.Sign.matches st ~signature:sg.signature
-              && statics_ok ks ~public:sg.signer sg.tags 0 sg.covered
-                   r.Response.sections
+              Idcrypto.Sign.matches_sub st s (start sg.sig_f)
+                (stop sg.sig_f - start sg.sig_f)
+              && (if sg.covered = 0 then tags_end = tags
+                  else
+                    statics_ok ks ~public:sg.signer s body tags tags_end
+                      sg.covered)
             then Valid sg.covered
             else Invalid)
 
@@ -277,10 +489,23 @@ let verify keystore r = check keystore r (signature r)
 
 let signer (sg : signature) = sg.signer
 
+let closes sg =
+  let n = String.length sg.s in
+  sg.ends >= n
+  ||
+  let next = sg.ends + 1 in
+  Payload.section_stop sg.s next >= n && Payload.is_trace sg.s next n
+
+let same_slice a s f = String.length a = stop f - start f && Key_value.is_at a s (start f)
+
 let echoes (sg : signature) ~host ~peer ~nonce =
-  Ipv4.is_text host sg.host
-  && Ipv4.is_text peer sg.peer
-  && match nonce with Some n -> String.equal n sg.nonce | None -> false
+  sg.host_f <> none && sg.peer_f <> none && sg.nonce_f <> none
+  && Ipv4.is_text_sub host sg.s (start sg.host_f) (stop sg.host_f)
+  && Ipv4.is_text_sub peer sg.s (start sg.peer_f) (stop sg.peer_f)
+  &&
+  match nonce with
+  | Some n -> same_slice n sg.s sg.nonce_f
+  | None -> false
 
 let rec same_name name scopes pos i =
   i >= String.length name
@@ -304,22 +529,23 @@ let narrower a b =
   | Socket, _ | _, Socket -> Socket
   | Host, Host -> Host
 
-(* The narrowest of the [n] fields of [scopes] from [pos] on, or [Flow]
-   when the list does not name exactly [n] known scopes. *)
-let rec narrowest scopes pos n acc =
-  if pos > String.length scopes then if n = 0 then acc else Flow
+(* The narrowest of the [n] fields of the list [pos, stop) of [s], or
+   [Flow] when the list does not name exactly [n] known scopes. *)
+let rec narrowest s pos stop n acc =
+  if pos > stop then if n = 0 then acc else Flow
   else if n = 0 then Flow
   else
-    let stop = field_end scopes pos in
-    match scope_at scopes pos stop with
+    let field = field_end s pos stop in
+    match scope_at s pos field with
     | None -> Flow
-    | Some s -> narrowest scopes (stop + 1) (n - 1) (narrower acc s)
+    | Some sc -> narrowest s (field + 1) stop (n - 1) (narrower acc sc)
 
 (* The first signature section must be the last section, and declare
    one scope per section before it. *)
 let scope_of = function
-  | Some ({ after = []; _ } as sg) when sg.covered > 0 && present sg.scopes ->
-      narrowest sg.scopes 0 sg.covered Host
+  | Some sg
+    when sg.ends >= String.length sg.s && sg.covered > 0 && sg.scopes_f <> none ->
+      narrowest sg.s (start sg.scopes_f) (stop sg.scopes_f) sg.covered Host
   | Some _ | None -> Flow
 
 let scope r = scope_of (signature r)

@@ -90,7 +90,10 @@ val sign_with :
     query's (default ["-"], for a query that carried none). [scopes],
     when given, has one entry per section too and goes out as
     [response-scopes], under the binding tag. Only the binding tag is
-    computed here. *)
+    computed here: it streams from the per-flow sections' lines where
+    they sit, and its hex is written straight into the answer's buffer.
+    @raise Invalid_argument when [public], a tag or [nonce] holds a
+    newline. *)
 
 val sign :
   keypair:Idcrypto.Sign.keypair ->
@@ -101,6 +104,24 @@ val sign :
   Response.t
 (** {!sign_with} with every section static, its tag computed now. *)
 
+val assemble :
+  public:string ->
+  key:Idcrypto.Sign.key ->
+  host:Ipv4.t ->
+  peer:Ipv4.t ->
+  ?nonce:string ->
+  proto:Proto.t ->
+  src_port:int ->
+  dst_port:int ->
+  scopes:scope list ->
+  Payload.part list ->
+  Response.t
+(** A daemon's signed answer, written once: [sign_with ~tags ~scopes] of
+    the response whose sections are the parts', with the parts' tags,
+    without building that response first. One buffer of the exact length
+    takes the header, each part's cached lines as they are and the
+    signature section. *)
+
 type verdict =
   | Valid of int  (** Number of sections covered by the signature. *)
   | Unsigned
@@ -108,10 +129,11 @@ type verdict =
 
 val verify : Idcrypto.Sign.keystore -> Response.t -> verdict
 (** Find the first signature section and check it over the sections
-    preceding it: the binding tag, then each static section's tag. A
-    section tag the keystore has already verified for this signer is
-    confirmed by comparing bytes ({!Idcrypto.Sign.cached_section}); any
-    other is computed, and cached when it verifies. [Invalid] when the
+    preceding it: the binding tag, then each static section's tag, every
+    element streamed or compared where it sits in the payload. A section
+    tag the keystore has already verified for this signer is confirmed
+    by comparing bytes ({!Idcrypto.Sign.cached_section}); any other is
+    computed, and cached when it verifies. [Invalid] when the
     signer is unknown, a field is missing, the tag list does not name
     every covered section, or any tag does not match.
 
@@ -139,11 +161,14 @@ val scope : Response.t -> scope
 
 type signature
 (** The first signature section of a response — a section carrying
-    both [response-signer] and [response-sig] — with the last binding
-    of each of its fields, where it sits and what follows it. *)
+    both [response-signer] and [response-sig] — read as slices of the
+    payload: the value of the last binding of each of its fields, where
+    the section ends and how many sections precede it. *)
 
 val signature : Response.t -> signature option
-(** One pass over the sections; allocates only the reading. *)
+(** One pass over the payload's line starts, a word at a time; only a
+    line whose key starts ["response-"] is read further. Allocates only
+    the reading and a copy of the signer's handle. *)
 
 val check : Idcrypto.Sign.keystore -> Response.t -> signature option -> verdict
 (** {!verify} of the response the reading was taken from. *)
@@ -154,9 +179,15 @@ val scope_of : signature option -> scope
 val signer : signature -> string
 (** The section's [response-signer]. *)
 
+val closes : signature -> bool
+(** Whether the section is the response's last, but for one trace
+    section after it ({!Response.attach_trace}): a daemon answering a
+    traced query appends its timings after signing. *)
+
 val echoes :
   signature -> host:Ipv4.t -> peer:Ipv4.t -> nonce:string option -> bool
 (** Whether the section answers this query: its [response-host] and
     [response-peer] are exactly [host]'s and [peer]'s dotted quads and
     its [response-nonce] is the nonce the query carried ([false] when
-    it carried none). Allocates nothing. *)
+    it carried none), each compared where it sits. Allocates
+    nothing. *)

@@ -37,54 +37,61 @@ let of_string s =
 
 let of_string_opt s = try Some (of_string s) with Invalid_argument _ -> None
 
+let octet a i = (a lsr (24 - (8 * i))) land 0xff
+let width o = if o >= 100 then 3 else if o >= 10 then 2 else 1
+
+let text_length a =
+  width (octet a 0) + width (octet a 1) + width (octet a 2) + width (octet a 3) + 3
+
+(* Octet [i] of [a] and the ones after it, each but the first after a
+   '.', written into [b] from [pos]; the position after the last. *)
+let rec write_octets b pos a i =
+  let o = octet a i in
+  let w = width o in
+  if w = 3 then Bytes.unsafe_set b pos (Char.unsafe_chr (48 + (o / 100)));
+  if w >= 2 then
+    Bytes.unsafe_set b (pos + w - 2) (Char.unsafe_chr (48 + (o / 10 mod 10)));
+  Bytes.unsafe_set b (pos + w - 1) (Char.unsafe_chr (48 + (o mod 10)));
+  if i = 3 then pos + w
+  else begin
+    Bytes.unsafe_set b (pos + w) '.';
+    write_octets b (pos + w + 1) a (i + 1)
+  end
+
+let write_text b pos a =
+  if pos < 0 || pos + text_length a > Bytes.length b then
+    invalid_arg "Ipv4.write_text: out of bounds";
+  write_octets b pos a 0
+
 (* Dotted quad, written straight into a buffer of the exact length. *)
 let to_string a =
-  let octet i = (a lsr (24 - (8 * i))) land 0xff in
-  let width o = if o >= 100 then 3 else if o >= 10 then 2 else 1 in
-  let len = width (octet 0) + width (octet 1) + width (octet 2) + width (octet 3) + 3 in
-  let b = Bytes.create len in
-  let pos = ref 0 in
-  for i = 0 to 3 do
-    let o = octet i in
-    if i > 0 then begin
-      Bytes.unsafe_set b !pos '.';
-      incr pos
-    end;
-    if o >= 100 then begin
-      Bytes.unsafe_set b !pos (Char.unsafe_chr (48 + (o / 100)));
-      incr pos
-    end;
-    if o >= 10 then begin
-      Bytes.unsafe_set b !pos (Char.unsafe_chr (48 + (o / 10 mod 10)));
-      incr pos
-    end;
-    Bytes.unsafe_set b !pos (Char.unsafe_chr (48 + (o mod 10)));
-    incr pos
-  done;
+  let b = Bytes.create (text_length a) in
+  ignore (write_octets b 0 a 0 : int);
   Bytes.unsafe_to_string b
 
 (* Whether [s] holds [d]'s last decimal digit at [i]. *)
 let digit_at s i d = String.unsafe_get s i = Char.unsafe_chr (48 + (d mod 10))
 
 (* The position after octet [o] of [a] written at [i] of [s] as
-   [to_string] writes it, then a '.' unless it is the last; -1 when [s]
-   differs there. *)
-let rec octets_at a s i o =
-  let v = (a lsr (24 - (8 * o))) land 0xff in
-  let w = if v >= 100 then 3 else if v >= 10 then 2 else 1 in
-  let stop = i + w in
+   [to_string] writes it, then a '.' unless it is the last, all before
+   [stop]; -1 when [s] differs there. *)
+let rec octets_at a s i stop o =
+  let v = octet a o in
+  let w = width v in
+  let next = i + w in
   if
-    stop > String.length s
+    next > stop
     || (w = 3 && not (digit_at s i (v / 100)))
-    || (w >= 2 && not (digit_at s (stop - 2) (v / 10)))
-    || not (digit_at s (stop - 1) v)
+    || (w >= 2 && not (digit_at s (next - 2) (v / 10)))
+    || not (digit_at s (next - 1) v)
   then -1
-  else if o = 3 then stop
-  else if stop < String.length s && String.unsafe_get s stop = '.' then
-    octets_at a s (stop + 1) (o + 1)
+  else if o = 3 then next
+  else if next < stop && String.unsafe_get s next = '.' then
+    octets_at a s (next + 1) stop (o + 1)
   else -1
 
-let is_text a s = octets_at a s 0 0 = String.length s
+let is_text_sub a s pos stop =
+  pos >= 0 && stop <= String.length s && octets_at a s pos stop 0 = stop
 
 let of_bytes s off =
   if off < 0 || off + 4 > String.length s then

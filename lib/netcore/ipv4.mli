@@ -25,9 +25,18 @@ val of_string : string -> t
 val of_string_opt : string -> t option
 val to_string : t -> string
 
-val is_text : t -> string -> bool
-(** [is_text a s] is [String.equal s (to_string a)], without building
-    [to_string a]. *)
+val text_length : t -> int
+(** [String.length (to_string a)]. *)
+
+val write_text : Bytes.t -> int -> t -> int
+(** [write_text b pos a] writes [to_string a] into [b] at [pos] and
+    returns the position after it. @raise Invalid_argument when it does
+    not fit. *)
+
+val is_text_sub : t -> string -> int -> int -> bool
+(** [is_text_sub a s pos stop]: whether the slice of [s] from [pos] to
+    [stop] is exactly [to_string a], read where it sits, without
+    building [to_string a]; [false] when the slice is out of bounds. *)
 
 val of_bytes : string -> int -> t
 (** Reads four big-endian bytes. @raise Invalid_argument out of bounds. *)

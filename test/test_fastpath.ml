@@ -480,7 +480,7 @@ module Memo_gen = struct
 
   let sections = function
     | None -> []
-    | Some (r : Identxx.Response.t) -> r.sections
+    | Some (r : Identxx.Response.t) -> Identxx.Response.sections r
 
   let with_sections ss = Some (Identxx.Response.make ~flow:(key_flow 40001) ss)
 
@@ -670,11 +670,12 @@ let test_asking_less_decides_the_same =
         else
           Option.map
             (fun (r : Identxx.Response.t) ->
-              {
-                r with
-                Identxx.Response.sections =
-                  List.filter (Identxx.Daemon.wanted ~keys) r.sections;
-              })
+              Identxx.Response.make
+                ~flow:
+                  (Five_tuple.make ~src:Ipv4.any ~dst:Ipv4.any ~proto:r.proto
+                     ~src_port:r.src_port ~dst_port:r.dst_port)
+                (List.filter (Identxx.Daemon.wanted ~keys)
+                   (Identxx.Response.sections r)))
             answer
       in
       verdict env flow src dst

@@ -17,22 +17,27 @@ let test_hex_case_insensitive () =
   check Alcotest.string "upper case accepted" "\xde\xad"
     (Result.get_ok (Idcrypto.Hex.decode "DEAD"))
 
-(* [spells] reads a tag where it sits: digits of either case spelling a
-   prefix of the bytes, nothing else. *)
+(* [spells_sub] reads a tag where it sits: digits of either case
+   spelling a prefix of the bytes, nothing else. *)
 let test_hex_spells () =
   let raw = "\xde\xad\xbe\xef" in
-  check Alcotest.bool "whole" true (Idcrypto.Hex.spells "deadbeef" raw 4);
-  check Alcotest.bool "upper case" true (Idcrypto.Hex.spells "DEADBEEF" raw 4);
-  check Alcotest.bool "prefix" true (Idcrypto.Hex.spells "dead" raw 2);
+  let spells hex raw n = Idcrypto.Hex.spells_sub hex 0 (String.length hex) raw n in
+  check Alcotest.bool "whole" true (spells "deadbeef" raw 4);
+  check Alcotest.bool "upper case" true (spells "DEADBEEF" raw 4);
+  check Alcotest.bool "prefix" true (spells "dead" raw 2);
   List.iter
     (fun (hex, n) ->
       check Alcotest.bool (Printf.sprintf "%S over %d" hex n) false
-        (Idcrypto.Hex.spells hex raw n))
+        (spells hex raw n))
     [
       ("deadbeee", 4); ("deadbe", 4); ("deadbeef00", 5); ("deadbeef", 3);
       ("deadbeeg", 4); ("dead", 4); ("", 1);
     ];
-  check Alcotest.bool "nothing spells nothing" true (Idcrypto.Hex.spells "" raw 0)
+  check Alcotest.bool "nothing spells nothing" true (spells "" raw 0);
+  check Alcotest.bool "a slice where it sits" true
+    (Idcrypto.Hex.spells_sub "tag=dead;" 4 4 raw 2);
+  check Alcotest.bool "a slice out of bounds" false
+    (Idcrypto.Hex.spells_sub "dead" 2 4 raw 2)
 
 let test_hex_rejects_bad_input () =
   List.iter
@@ -450,11 +455,11 @@ let test_keystore_section_cache () =
   check Alcotest.bool "newest kept" true
     (Idcrypto.Sign.cached_section ks ~public last 0 32 <> "");
   let bytes = Idcrypto.Sign.canonical [ "ab"; "" ] in
-  check Alcotest.int "element found" 4 (Idcrypto.Sign.element_at bytes 0 "ab");
-  check Alcotest.int "empty element" 6 (Idcrypto.Sign.element_at bytes 4 "");
-  check Alcotest.int "prefix is not a match" (-1) (Idcrypto.Sign.element_at bytes 0 "a");
-  check Alcotest.int "past the end" (-1) (Idcrypto.Sign.element_at bytes 6 "");
-  check Alcotest.int "negative position chains" (-1) (Idcrypto.Sign.element_at bytes (-1) "ab");
+  check Alcotest.int "element found" 4 (Idcrypto.Sign.element_at_sub bytes 0 "ab" 0 2);
+  check Alcotest.int "empty element" 6 (Idcrypto.Sign.element_at_sub bytes 4 "" 0 0);
+  check Alcotest.int "prefix is not a match" (-1) (Idcrypto.Sign.element_at_sub bytes 0 "a" 0 1);
+  check Alcotest.int "past the end" (-1) (Idcrypto.Sign.element_at_sub bytes 6 "" 0 0);
+  check Alcotest.int "negative position chains" (-1) (Idcrypto.Sign.element_at_sub bytes (-1) "ab" 0 2);
   Idcrypto.Sign.register ks kp;
   check Alcotest.int "re-registering drops the signer's entries" 0
     (Idcrypto.Sign.cached_sections ks)

@@ -473,7 +473,7 @@ let prop_five_tuple_hash_is_runtime_hash =
             t.src_port,
             t.dst_port ))
 
-(* [is_text] against strings near an address's text: the text itself,
+(* [is_text_sub] against strings near an address's text: the text itself,
    another address's, and the text with one character changed, dropped
    or added. *)
 let prop_ipv4_is_text =
@@ -499,7 +499,9 @@ let prop_ipv4_is_text =
          in
          return (a, s))
        ~print:(fun (a, s) -> Printf.sprintf "%s vs %S" (Ipv4.to_string a) s))
-    (fun (a, s) -> Ipv4.is_text a s = String.equal s (Ipv4.to_string a))
+    (fun (a, s) ->
+      Ipv4.is_text_sub a ("<" ^ s ^ ">") 1 (String.length s + 1)
+      = String.equal s (Ipv4.to_string a))
 
 let prop_mac_string_roundtrip =
   QCheck.Test.make ~name:"mac string roundtrip" ~count:500
