@@ -558,12 +558,13 @@ let bench_compile_table =
 
 (* The steady-state reload, as a controller runs it: a one-rule edit
    after [n] untouched rules, and back again, each compiled with the
-   cache of the compile before it, renumbered against the table before
-   it and diffed into the minimal flow-mod step. Each run re-plans the
-   edited rule's path alone: the source node, whose parts the untouched
-   rules' /24s make, and the nodes below it. So the row's words per op
-   against [n] are that node's parts and the entries written out and
-   renumbered. The diagrams are compiled beforehand;
+   cache of the compile before it, which numbers it after the table
+   before it, and diffed into the minimal flow-mod step. Each run
+   re-plans the edited rule's path alone: the source node, whose parts
+   the untouched rules' /24s make, and the nodes below it. The entries
+   under plans the edit left alone are the last table's, so the row's
+   words per op against [n] are that node's parts and the table's
+   slots. The diagrams are compiled beforehand;
    analysis/fdd-recompile-edit prices their recompile. *)
 let bench_compile_incremental =
   Test.make_indexed ~name:"compile/incremental-delta" ~args:[ 10; 100; 1000 ]
@@ -578,9 +579,7 @@ let bench_compile_incremental =
       let cache = Compiler.create_cache () in
       let installed = ref (Compiler.compile ~cache revisions.(0)) and next = ref 1 in
       Staged.stage (fun () ->
-          let cur =
-            Compiler.renumber ~old_:!installed (Compiler.compile ~cache revisions.(!next))
-          in
+          let cur = Compiler.compile ~cache revisions.(!next) in
           ignore (Compiler.delta ~old_:!installed cur);
           installed := cur;
           next := 1 - !next))

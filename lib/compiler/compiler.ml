@@ -37,25 +37,29 @@ type leaf = { l_decision : decision; l_lines : int list }
 
 let punt_leaf = { l_decision = Punt; l_lines = [] }
 
+let is_address level = level = 1 || level = 2
+
 (* A subtree's rule list in factored form. A split's rules are, for
    each expanded part in order, each atom of its interval (an aligned
    prefix of an address interval, a value of a protocol or port one)
-   over its child's rules, then the tail's rules; [flatten] writes
-   them out. So planning a node costs its parts, not the rules below
-   it. No expanded part covers its whole level: only a node's sole
-   part does, and that is its default group. [p_count] is the number
-   of rules; [p_cov] is the subtree's static volume summed in part
-   order, as the slice's [s_coverage] sums it. *)
+   over its child's rules, then the tail's rules; [write] writes them
+   out. So planning a node costs its parts, not the rules below it. No
+   expanded part covers its whole level: only a node's sole part does,
+   and that is its default group. [p_count] is the number of rules;
+   [p_cov] is the subtree's static volume summed in part order, as the
+   slice's [s_coverage] sums it; [p_dec] has the {!decision_bit} of
+   every decision among its rules. *)
 type plan = {
   p_body : body;
   p_count : int;
   p_cov : float;
   p_spills : spill list;
+  p_dec : int;
 }
 
 and body =
   | Leaf of leaf  (* one match-all rule *)
-  | Split of { level : int; parts : part list; tail : tail }
+  | Split of { level : int; node : Fdd.t; parts : part array; tail : tail }
 
 and part = { iv : Fdd.interval; prefixes : Prefix.t list; child : plan }
 
@@ -64,6 +68,14 @@ and tail =
       (* The default group's rules, the dimension wildcarded and their
          volumes scaled by the group's share of it. *)
   | Punt_rest  (* A branch spilled: one punt over the node's space. *)
+
+let decision_bit = function
+  | Decide Pf.Ast.Pass -> 1
+  | Decide Pf.Ast.Block -> 2
+  | Punt -> 4
+
+let punt_plan = { p_body = Leaf punt_leaf; p_count = 1; p_cov = 0.0; p_spills = []; p_dec = 4 }
+let no_part = { iv = (0, 0); prefixes = []; child = punt_plan }
 
 let levels = Array.length Fdd.dim_top
 
@@ -133,24 +145,76 @@ let default_group level (parts : (Fdd.interval * Fdd.t) array) saved =
   done;
   !best
 
+(* The priority of a rule the table does not hold. *)
+let unnumbered = -1
+
+(* The last compile's atoms of one node, walked beside this compile's:
+   in part [c_part], value [c_atom] of a protocol or port level, or the
+   head of [c_pfx] of an address level, whose rules start at
+   [c_off]. *)
+type cursor = {
+  mutable c_parts : part array;
+  mutable c_part : int;
+  mutable c_atom : int;
+  mutable c_pfx : Prefix.t list;
+  mutable c_off : int;
+}
+
 (* Two generations: [cur] holds the plans the running (or last)
    compile looked up or built, [prev] those of the compile before it,
    which the running one may still take over. Each compile drops
    [prev], so a plan the new diagram no longer reaches is gone after
-   one compile. A node id read at two levels has a plan at each, and
-   leaves are kept at level [levels]. *)
+   one compile. A node id read at two levels has a plan at each.
+   [last_rules] are every rule of the last compile's [last_root], in
+   order: each its table holds carries its installed priority, the
+   others [unnumbered]. [last_table] is that table's entries, and
+   [last_entries] the same as its list. [cursors] are the writer's,
+   one per level. *)
 type cache = {
   mutable cur : (int * Fdd.t, plan) Hashtbl.t;
   mutable prev : (int * Fdd.t, plan) Hashtbl.t;
+  mutable last_root : plan;
+  mutable last_rules : entry array;
+  mutable last_table : entry array;
+  mutable last_entries : entry list;
+  cursors : cursor array;
 }
 
-let create_cache () = { cur = Hashtbl.create 64; prev = Hashtbl.create 64 }
+let create_cache () =
+  {
+    cur = Hashtbl.create 64;
+    prev = Hashtbl.create 64;
+    last_root = punt_plan;
+    last_rules = [||];
+    last_table = [||];
+    last_entries = [];
+    cursors =
+      Array.init levels (fun _ -> { c_parts = [||]; c_part = 0; c_atom = 0; c_pfx = []; c_off = 0 });
+  }
 
 let next_generation cache =
   let dropped = cache.prev in
   Hashtbl.clear dropped;
   cache.prev <- cache.cur;
   cache.cur <- dropped
+
+(* Take [p], held under [key], and the split plans below it over from
+   the compile before: a later compile may look any of them up. Leaves
+   are a record each, and are planned again. *)
+let rec take_over cache key p =
+  if not (Hashtbl.mem cache.cur key) then begin
+    Hashtbl.add cache.cur key p;
+    match p.p_body with
+    | Split { parts; tail; _ } -> (
+        for k = 0 to Array.length parts - 1 do
+          take_child cache parts.(k).child
+        done;
+        match tail with Default (t, _) -> take_child cache t | Punt_rest -> ())
+    | Leaf _ -> ()
+  end
+
+and take_child cache p =
+  match p.p_body with Split { level; node; _ } -> take_over cache (level, node) p | Leaf _ -> ()
 
 (* A plan the running compile already holds, or one the compile before
    it held, which the running one takes over.
@@ -160,7 +224,7 @@ let find cache key =
   | p -> p
   | exception Not_found ->
       let p = Hashtbl.find cache.prev key in
-      Hashtbl.add cache.cur key p;
+      take_over cache key p;
       p
 
 let leaf_plan = function
@@ -170,8 +234,9 @@ let leaf_plan = function
         p_count = 1;
         p_cov = 1.0;
         p_spills = [];
+        p_dec = decision_bit (Decide action);
       }
-  | Fdd.Reactive _ -> { p_body = Leaf punt_leaf; p_count = 1; p_cov = 0.0; p_spills = [] }
+  | Fdd.Reactive _ -> punt_plan
 
 (* The plan of node [id] read along dimension [level]; a node that
    tests a lower dimension reads as one part covering the level. *)
@@ -210,11 +275,18 @@ and split_plan cache budget level id =
     else if not (expanded i) then
       spilled := { sp_dim = dim_name.(level); sp_interval = iv; sp_cost = cost i } :: !spilled
   done;
-  let kept = ref [] and count = ref 0 and child_spills = ref [] in
+  let n_kept = ref 0 in
+  for i = 0 to n - 1 do
+    if expanded i then incr n_kept
+  done;
+  let kept = Array.make !n_kept no_part in
+  let count = ref 0 and child_spills = ref [] and dec = ref 0 in
   for i = n - 1 downto 0 do
     if expanded i then begin
-      kept := { iv = fst parts.(i); prefixes = prefixes.(i); child = plans.(i) } :: !kept;
-      count := !count + cost i
+      decr n_kept;
+      kept.(!n_kept) <- { iv = fst parts.(i); prefixes = prefixes.(i); child = plans.(i) };
+      count := !count + cost i;
+      dec := !dec lor plans.(i).p_dec
     end;
     (* A child's spills count once, where it first appears. *)
     let sp = plans.(i).p_spills in
@@ -229,186 +301,274 @@ and split_plan cache budget level id =
     else (Default (plans.(default), !default_frac), plans.(default).p_count)
   in
   {
-    p_body = Split { level; parts = !kept; tail };
+    p_body = Split { level; node = id; parts = kept; tail };
     p_count = !count + tail_count;
     p_cov = !cov;
     p_spills = !spilled @ !child_spills;
+    p_dec = (match tail with Punt_rest -> !dec lor 4 | Default (p, _) -> !dec lor p.p_dec);
   }
 
-(* The rule list a plan stands for, written out: rule [i] matches
-   [fields.(i)], ends in [leaves.(i)] and claims [vols.(i)] of the
-   flow space if it decides. [n] shrinks as passes drop rules. *)
-type rules = {
-  fields : MF.t array;
-  leaves : leaf array;
+(* --- writing the table out --- *)
+
+(* Highest installed priority: 0x7fff belongs to the controller's
+   guards. *)
+let priority_top = 0x7ffe
+
+let no_entry = { e_fields = MF.any; e_priority = unnumbered; e_decision = Punt; e_lines = [] }
+
+(* One compile writing its root plan's rules out beside the last
+   compile's rules [old]. Rule [i] is [rules.(i)]; it claims [vols.(i)]
+   of the flow space if it decides, its volume scaled by each level's
+   [share] from the bottom up (floats do not associate, so that order
+   keeps the installed coverage what it is); the tail collapse drops it
+   when [dropped] says ['d']. [other] has the decision bits that keep a
+   rule from collapsing: all but the final rule's, or none when that
+   rule punts. *)
+type writer = {
+  old : entry array;
+  rules : entry array;
   vols : float array;
+  dropped : Bytes.t;
   mutable n : int;
+  other : int;
+  share : float array;
+  cursors : cursor array;
 }
 
-let addr_space = 4294967296.0 (* 2^32 *)
+(* The tail collapse drops a rule when the final, match-all rule has
+   its decision and no later rule with another decision overlaps it: a
+   packet it takes lands on an equivalent rule. A later rule that
+   overlaps rule [i] lies in the tail of a node above [i] whose
+   expanded part holds [i], since a later part's atoms are disjoint from
+   [i]'s. So the walk carries the plans of those tails, each kept only
+   while it holds another decision, and a rule collapses when none is
+   left. A plan read above the walk's level stands for all its rules
+   there: the path was a wildcard in between. A punt over a node's
+   whole space meets all below it: it stands alone, as [punt_plan]. *)
+let blocked = function { p_body = Leaf _; _ } :: _ -> true | _ -> false
 
-(* Each rule's match is built once, from the atoms along its path, and
-   its volume is its leaf's scaled by each level's share from the
-   bottom up; floats do not associate, so that order keeps the
-   installed coverage what it is. *)
-let flatten root =
-  let size = root.p_count in
-  let r =
-    {
-      fields = Array.make size MF.any;
-      leaves = Array.make size punt_leaf;
-      vols = Array.make size 0.0;
-      n = 0;
-    }
-  in
-  let share = Array.make levels 1.0 in
-  let proto = ref None and src = ref None and dst = ref None in
-  let sport = ref None and dport = ref None in
-  let wildcard = function
-    | 0 -> proto := None
-    | 1 -> src := None
-    | 2 -> dst := None
-    | 3 -> sport := None
-    | _ -> dport := None
-  in
-  let emit leaf =
-    let i = r.n in
-    r.fields.(i) <-
-      {
-        MF.any with
-        MF.nw_proto = !proto;
-        nw_src = !src;
-        nw_dst = !dst;
-        tp_src = !sport;
-        tp_dst = !dport;
-      };
-    r.leaves.(i) <- leaf;
-    (match leaf.l_decision with
-    | Decide _ ->
-        let v = ref 1.0 in
-        for l = levels - 1 downto 0 do
-          v := !v *. share.(l)
-        done;
-        r.vols.(i) <- !v
-    | Punt -> ());
-    r.n <- i + 1
-  in
-  let rec go pl =
-    match pl.p_body with
-    | Leaf l -> emit l
-    | Split { level; parts; tail } -> (
-        expand_parts level parts;
-        wildcard level;
-        match tail with
-        | Default (pl, frac) ->
-            share.(level) <- frac;
-            go pl
-        | Punt_rest ->
-            for l = level + 1 to levels - 1 do
-              wildcard l
-            done;
-            emit punt_leaf)
-  and expand_parts level = function
-    | [] -> ()
-    | pt :: rest ->
-        let lo, hi = pt.iv in
-        (match level with
-        | 0 ->
-            for v = lo to hi do
-              proto := Some (Proto.of_int v);
-              share.(0) <- 1.0 /. 256.0;
-              go pt.child
-            done
-        | 1 | 2 -> expand_prefixes level pt.child pt.prefixes
-        | _ ->
-            for v = lo to hi do
-              (if level = 3 then sport := Some v else dport := Some v);
-              share.(level) <- 1.0 /. 65536.0;
-              go pt.child
-            done);
-        expand_parts level rest
-  and expand_prefixes level child = function
-    | [] -> ()
-    | p :: rest ->
-        (if level = 1 then src := Some p else dst := Some p);
-        share.(level) <- float_of_int (Prefix.size p) /. addr_space;
-        go child;
-        expand_prefixes level child rest
-  in
-  go root;
-  r
+let add_later w p later =
+  if p.p_dec land w.other = 0 || blocked later || List.memq p later then later
+  else match p.p_body with Leaf _ -> [ p ] | Split _ -> p :: later
 
-(* Provably no packet matches both (used to justify collapsing a rule
-   into a later identical-decision wildcard). *)
-let fields_disjoint (a : MF.t) (b : MF.t) =
-  let exact_ne x y = match (x, y) with Some u, Some v -> u <> v | _ -> false in
-  (match (a.MF.nw_proto, b.MF.nw_proto) with
-  | Some p, Some q -> not (Proto.equal p q)
-  | _ -> false)
-  || (match (a.MF.nw_src, b.MF.nw_src) with
-     | Some p, Some q -> not (Prefix.overlaps p q)
-     | _ -> false)
-  || (match (a.MF.nw_dst, b.MF.nw_dst) with
-     | Some p, Some q -> not (Prefix.overlaps p q)
-     | _ -> false)
-  || exact_ne a.MF.tp_src b.MF.tp_src
-  || exact_ne a.MF.tp_dst b.MF.tp_dst
+(* The first of [parts] whose interval ends at or after [lo]. *)
+let first_meeting parts lo =
+  let a = ref 0 and b = ref (Array.length parts) in
+  while !a < !b do
+    let mid = (!a + !b) / 2 in
+    if snd parts.(mid).iv < lo then a := mid + 1 else b := mid
+  done;
+  !a
 
-(* Drop a rule when the final match-all rule has the same decision and
-   every rule in between either shares that decision or is disjoint
-   from the dropped one — the packet lands on an equivalent rule.
-   Returns the static volume reclaimed by the final rule. *)
-let collapse_into_tail r =
-  let n = r.n in
-  if n < 2 || n > 2048 || not (MF.equal r.fields.(n - 1) MF.any) then 0.0
-  else begin
-    let last = r.leaves.(n - 1).l_decision in
-    let dropped = Bytes.make n 'k' in
-    let reclaimed = ref 0.0 in
-    for i = n - 2 downto 0 do
-      let d = r.leaves.(i).l_decision in
-      let removable =
-        d = last
-        &&
-        let k = ref (i + 1) in
-        while
-          !k <= n - 2
-          && (r.leaves.(!k).l_decision = d || fields_disjoint r.fields.(!k) r.fields.(i))
-        do
-          incr k
-        done;
-        !k > n - 2
+(* [later] and the plans below [p] that may hold a rule meeting atom
+   [lo, hi] of [level]: for a plan read above [level], those of all its
+   children; for one read at [level], its tail and the children of its
+   parts meeting the atom. *)
+let rec meet w level lo hi p later =
+  match p.p_body with
+  | _ when blocked later -> later
+  | Leaf _ -> [ p ]
+  | Split { level = l; _ } when l > level -> add_later w p later
+  | Split { level = l; parts; tail; _ } ->
+      let above = l < level in
+      let later =
+        ref
+          (match tail with
+          | Punt_rest -> [ punt_plan ]
+          | Default (t, _) -> if above then meet w level lo hi t later else add_later w t later)
       in
-      if removable then begin
-        Bytes.set dropped i 'd';
-        match d with Decide _ -> reclaimed := !reclaimed +. r.vols.(i) | Punt -> ()
-      end
-    done;
-    let w = ref 0 in
-    for i = 0 to n - 1 do
-      if Bytes.get dropped i = 'k' then begin
-        r.fields.(!w) <- r.fields.(i);
-        r.leaves.(!w) <- r.leaves.(i);
-        r.vols.(!w) <- r.vols.(i);
-        incr w
-      end
-    done;
-    r.n <- !w;
-    !reclaimed
-  end
+      let k = ref (if above then 0 else first_meeting parts lo) in
+      while !k < Array.length parts && (above || fst parts.(!k).iv <= hi) do
+        let c = parts.(!k).child in
+        later := if above then meet w level lo hi c !later else add_later w c !later;
+        incr k
+      done;
+      !later
 
-let drop_trailing_punts r =
-  while r.n > 0 && r.leaves.(r.n - 1).l_decision = Punt do
-    r.n <- r.n - 1
+let rec meet_all w level lo hi ctx later =
+  match ctx with [] -> later | p :: rest -> meet_all w level lo hi rest (meet w level lo hi p later)
+
+(* An atom's place in its level's order: a value, or an address
+   prefix's network and length. *)
+let prefix_key p = (Ipv4.to_int (Prefix.network p) lsl 6) lor Prefix.length p
+
+(* Where the last compile's rules under atom [key] start, or -1. *)
+let rec seek level c key =
+  let here =
+    if c.c_part >= Array.length c.c_parts then max_int
+    else if is_address level then match c.c_pfx with p :: _ -> prefix_key p | [] -> max_int
+    else fst c.c_parts.(c.c_part).iv + c.c_atom
+  in
+  if here < key then begin
+    let pt = c.c_parts.(c.c_part) in
+    c.c_off <- c.c_off + pt.child.p_count;
+    (match c.c_pfx with
+    | _ :: (_ :: _ as rest) -> c.c_pfx <- rest
+    | _ when (not (is_address level)) && fst pt.iv + c.c_atom < snd pt.iv ->
+        c.c_atom <- c.c_atom + 1
+    | _ ->
+        c.c_part <- c.c_part + 1;
+        c.c_atom <- 0;
+        if c.c_part < Array.length c.c_parts then c.c_pfx <- c.c_parts.(c.c_part).prefixes);
+    seek level c key
+  end
+  else if here = key then c.c_off
+  else -1
+
+(* [m] with atom [v] or [p] at [level]. *)
+let with_atom level (m : MF.t) v p =
+  match level with
+  | 0 -> { m with MF.nw_proto = Some (Proto.of_int v) }
+  | 1 -> { m with MF.nw_src = Some p }
+  | 2 -> { m with MF.nw_dst = Some p }
+  | 3 -> { m with MF.tp_src = Some v }
+  | _ -> { m with MF.tp_dst = Some v }
+
+(* [m] wildcarded from [level] down. *)
+let above level (m : MF.t) =
+  let keep l x = if level > l then x else None in
+  {
+    m with
+    MF.nw_proto = keep 0 m.MF.nw_proto;
+    nw_src = keep 1 m.MF.nw_src;
+    nw_dst = keep 2 m.MF.nw_dst;
+    tp_src = keep 3 m.MF.tp_src;
+    tp_dst = None;
+  }
+
+(* Rule [w.n]: the last compile's rule [old.(o)] when [o >= 0], which
+   sat where it does and has its match; else a rule matching [m]. *)
+let emit w leaf o m ctx =
+  let i = w.n in
+  w.rules.(i) <-
+    (if o < 0 then
+       { e_fields = m; e_priority = unnumbered; e_decision = leaf.l_decision; e_lines = leaf.l_lines }
+     else
+       let e = w.old.(o) in
+       if e.e_decision <> leaf.l_decision then
+         { e with e_priority = unnumbered; e_decision = leaf.l_decision; e_lines = leaf.l_lines }
+       else if e.e_lines == leaf.l_lines || e.e_lines = leaf.l_lines then e
+       else { e with e_lines = leaf.l_lines });
+  let v = ref 1.0 in
+  for l = levels - 1 downto 0 do
+    v := !v *. w.share.(l)
+  done;
+  w.vols.(i) <- !v;
+  if ctx = [] && w.other <> 0 && decision_bit leaf.l_decision land w.other = 0 then
+    Bytes.set w.dropped i 'd';
+  w.n <- i + 1
+
+(* Write out the rules of [pl], under the match [m] when [o < 0]. The
+   last compile wrote [op] at this place, its first rule at [old.(o)],
+   or nothing when [o < 0]; an [op] that is a leaf above the leaves'
+   level is one rule matching all this place does. [ctx] holds the
+   plans of the later rules that may overlap this place. *)
+let rec write w pl op o m ctx =
+  match pl.p_body with
+  | Leaf l -> emit w l o m ctx
+  | Split { level; parts; tail; _ } -> (
+      let here =
+        if w.other = 0 then []
+        else match tail with Punt_rest -> [ punt_plan ] | Default (t, _) -> add_later w t []
+      in
+      let c = w.cursors.(level) in
+      c.c_parts <- (match op.p_body with Split s when o >= 0 -> s.parts | _ -> [||]);
+      c.c_part <- 0;
+      c.c_atom <- 0;
+      c.c_pfx <- (if Array.length c.c_parts = 0 then [] else c.c_parts.(0).prefixes);
+      c.c_off <- o;
+      let at_level =
+        if w.other = 0 || Array.length parts = 0 then ctx
+        else meet_all w (level - 1) 0 max_int ctx []
+      in
+      (* Fresh rules under this place: their match above [level]. *)
+      let base = ref m and based = ref (o < 0) in
+      for k = 0 to Array.length parts - 1 do
+        let pt = parts.(k) in
+        let ps = ref pt.prefixes in
+        for v = fst pt.iv to if is_address level then fst pt.iv + List.length !ps - 1 else snd pt.iv do
+          let p = match !ps with p :: rest -> ps := rest; p | [] -> Prefix.all in
+          let oa = seek level c (if is_address level then prefix_key p else v) in
+          w.share.(level) <-
+            float_of_int (if is_address level then Prefix.size p else 1)
+            /. float_of_int (Fdd.dim_top.(level) + 1);
+          if oa < 0 && not !based then begin
+            base := above level w.old.(o).e_fields;
+            based := true
+          end;
+          let lo = if is_address level then Ipv4.to_int (Prefix.first p) else v
+          and hi = if is_address level then Ipv4.to_int (Prefix.last p) else v in
+          write w pt.child
+            (if oa < 0 then pt.child else c.c_parts.(c.c_part).child)
+            oa
+            (if oa < 0 then with_atom level !base v p else m)
+            (if w.other = 0 then [] else meet_all w level lo hi at_level here)
+        done
+      done;
+      (* The tail's rules: a Default group's in the last compile's, or
+         else its last rule, which matches all this tail does. *)
+      let last = if o < 0 then -1 else o + op.p_count - 1 in
+      match (tail, op.p_body) with
+      | Default (t, frac), Split { tail = Default (t', _); _ } when o >= 0 ->
+          w.share.(level) <- frac;
+          write w t t' (o + op.p_count - t'.p_count) m ctx
+      | Default (t, frac), _ ->
+          w.share.(level) <- frac;
+          write w t punt_plan last m ctx
+      | Punt_rest, _ -> emit w punt_leaf last m ctx)
+
+(* The decision of a plan's last rule, which matches every flow. *)
+let rec final_decision pl =
+  match pl.p_body with
+  | Leaf l -> l.l_decision
+  | Split { tail = Default (t, _); _ } -> final_decision t
+  | Split { tail = Punt_rest; _ } -> Punt
+
+(* The first entry of [t] from [k] on that has a priority. *)
+let rec next_numbered t k =
+  if k < Array.length t && t.(k).e_priority = unnumbered then next_numbered t (k + 1) else k
+
+(* [t.(j)] to [t.(k - 1)], spaced evenly between [above] and [below]. *)
+let spread t above below j k =
+  for x = j to k - 1 do
+    let p = above - ((above - below) * (x - j + 1) / (k - j + 1)) in
+    if t.(x).e_priority <> p then t.(x) <- { (t.(x)) with e_priority = p }
   done
 
-(* The static volume of rules [from] to [n - 1], summed in order. *)
-let static_volume r ~from =
-  let acc = ref 0.0 in
-  for i = from to r.n - 1 do
-    match r.leaves.(i).l_decision with Decide _ -> acc := !acc +. r.vols.(i) | Punt -> ()
+(* Whether each gap from [t.(j)] on, below [above], has room for the
+   unnumbered entries in it; unless [dry], space them in it. *)
+let rec fill ~dry t above j =
+  let k = next_numbered t j in
+  let below = if k = Array.length t then priority_floor - 1 else t.(k).e_priority in
+  above - below > k - j
+  && (dry || (spread t above below j k; true))
+  && (k = Array.length t || fill ~dry t below (k + 1))
+
+(* Give each entry of [t] left [unnumbered] a priority, strictly
+   descending inside [\[priority_floor, priority_top\]]: spaced evenly
+   between its numbered neighbours, the band's edges counting as
+   neighbours at [priority_top + 1] and [priority_floor - 1]. When some
+   gap has no room, the whole table is spread evenly over the band, as
+   it is on a first install. *)
+let number t =
+  let top = priority_top + 1 in
+  if not (fill ~dry:true t top 0 && fill ~dry:false t top 0) then
+    spread t top (priority_floor - 1) 0 (Array.length t)
+
+(* [t] as a list that shares the longest run of entries ending it that
+   the last compile's table ends in too, record for record. *)
+let share_suffix cache t =
+  let m = Array.length cache.last_table and n = Array.length t in
+  let k = ref 0 in
+  while !k < m && !k < n && t.(n - 1 - !k) == cache.last_table.(m - 1 - !k) do
+    incr k
   done;
-  !acc
+  let rec drop l i = if i = 0 then l else drop (List.tl l) (i - 1) in
+  let entries = ref (drop cache.last_entries (m - !k)) in
+  for i = n - 1 - !k downto 0 do
+    entries := t.(i) :: !entries
+  done;
+  !entries
 
 (* A withheld static region punts like any reactive one; one fixed
    verdict lets adjacent withheld regions merge. *)
@@ -442,165 +602,79 @@ let compile ?cache ?(max_entries = default_max_entries)
   let cache = match cache with Some c -> c | None -> create_cache () in
   next_generation cache;
   let pl = plan_of cache region_budget 0 fdd in
-  let r = flatten pl in
-  drop_trailing_punts r;
-  let reclaimed = collapse_into_tail r in
-  drop_trailing_punts r;
-  let truncated = r.n > max_entries in
-  let lost =
-    if not truncated then 0.0
-    else begin
-      (* The tail from [max_entries - 1] on becomes one punt-all. *)
-      let keep = max_entries - 1 in
-      let lost = static_volume r ~from:keep in
-      r.fields.(keep) <- MF.any;
-      r.leaves.(keep) <- punt_leaf;
-      r.n <- max_entries;
-      lost
-    end
+  let size = pl.p_count in
+  let w =
+    {
+      old = cache.last_rules;
+      rules = Array.make size no_entry;
+      vols = Array.create_float size;
+      dropped = Bytes.make size 'k';
+      n = 0;
+      other =
+        (match final_decision pl with Punt -> 0 | d -> 7 land lnot (decision_bit d));
+      share = Array.make levels 1.0;
+      cursors = cache.cursors;
+    }
   in
-  let n = r.n in
-  let entries = ref [] in
-  for i = n - 1 downto 0 do
-    let leaf = r.leaves.(i) in
-    entries :=
-      {
-        e_fields = r.fields.(i);
-        e_priority = priority_floor + (2 * (n - 1 - i));
-        e_decision = leaf.l_decision;
-        e_lines = leaf.l_lines;
-      }
-      :: !entries
+  write w pl cache.last_root (if Array.length cache.last_rules = 0 then -1 else 0) MF.any [];
+  let rules = w.rules in
+  (* The final rule never collapses. With no collapse, trailing punts
+     go: a miss punts as well. *)
+  Bytes.set w.dropped (size - 1) 'k';
+  let i = ref (size - 1) in
+  while w.other = 0 && !i >= 0 && rules.(!i).e_decision = Punt do
+    Bytes.set w.dropped !i 'd';
+    decr i
   done;
-  let installed = static_volume r ~from:0 +. reclaimed -. lost in
-  let installed = max 0.0 (min 1.0 installed) in
+  let kept i = Bytes.get w.dropped i = 'k' in
+  let reclaimed = ref 0.0 and count = ref 0 in
+  for i = size - 1 downto 0 do
+    if kept i then incr count else if w.other <> 0 then reclaimed := !reclaimed +. w.vols.(i)
+  done;
+  (* Past [max_entries], the tail from [max_entries - 1] on becomes one
+     punt-all. The last compile's, if it ended in one, keeps its place:
+     only a truncated table ends in a punt. *)
+  let truncated = !count > max_entries in
+  let keep = if truncated then max_entries - 1 else !count in
+  let table = Array.make (if truncated then max_entries else keep) no_entry in
+  let m = Array.length cache.last_table in
+  if truncated && m > 0 && cache.last_table.(m - 1).e_decision = Punt then
+    table.(keep) <- cache.last_table.(m - 1);
+  (* The static volume installed and the volume the punt-all takes,
+     each summed in order. *)
+  let installed = ref 0.0 and lost = ref 0.0 and j = ref 0 in
+  for i = 0 to size - 1 do
+    if kept i then begin
+      let static = match rules.(i).e_decision with Decide _ -> true | Punt -> false in
+      if !j < keep then table.(!j) <- rules.(i);
+      if static && !j < keep then installed := !installed +. w.vols.(i)
+      else if static then lost := !lost +. w.vols.(i);
+      incr j
+    end
+  done;
+  number table;
+  (* What the next compile keeps: every rule the table holds at its
+     priority, the others unnumbered. *)
+  let j = ref 0 in
+  for i = 0 to size - 1 do
+    if kept i && !j < keep then begin
+      rules.(i) <- table.(!j);
+      incr j
+    end
+    else if rules.(i).e_priority <> unnumbered then
+      rules.(i) <- { (rules.(i)) with e_priority = unnumbered }
+  done;
+  let entries = share_suffix cache table in
+  cache.last_root <- pl;
+  cache.last_rules <- rules;
+  cache.last_table <- table;
+  cache.last_entries <- entries;
   {
-    entries = !entries;
+    entries;
     spills = pl.p_spills;
     static_coverage = pl.p_cov;
-    installed_coverage = installed;
+    installed_coverage = max 0.0 (min 1.0 (!installed +. !reclaimed -. !lost));
     truncated;
-  }
-
-(* --- installed numbering --- *)
-
-(* Highest installed priority: 0x7fff belongs to the controller's
-   guards. *)
-let priority_top = 0x7ffe
-
-let compare_key a b =
-  let c = MF.compare a.e_fields b.e_fields in
-  if c <> 0 then c else compare a.e_decision b.e_decision
-
-(* One step of a longest increasing run of old indices: cur index,
-   old index, and the step before it (a run's start points to the
-   sentinel [common_run] makes). *)
-type link = { l_cur : int; l_old : int; l_prev : link }
-
-let same_key a b = a.e_decision = b.e_decision && MF.equal a.e_fields b.e_fields
-
-(* Calls [keep cur_index old_index] on the pairs of a longest common
-   subsequence of the two entry arrays under (fields, decision)
-   equality. The common prefix and suffix are part of one, so only the
-   span between them is searched, by Hunt–Szymanski: each cur entry
-   offers its matching old indices in descending order to a
-   patience-sorted longest strictly increasing run, O((n + r) log n)
-   for r matching pairs in the span. The span's old indices are found
-   by key in one array sorted by (key, index). *)
-let common_run (old_ : entry array) (cur : entry array) keep =
-  let n_old = Array.length old_ and n_cur = Array.length cur in
-  let pre = ref 0 in
-  while !pre < n_old && !pre < n_cur && same_key old_.(!pre) cur.(!pre) do
-    keep !pre !pre;
-    incr pre
-  done;
-  let suf = ref 0 in
-  while
-    !suf < n_old - !pre && !suf < n_cur - !pre
-    && same_key old_.(n_old - 1 - !suf) cur.(n_cur - 1 - !suf)
-  do
-    keep (n_cur - 1 - !suf) (n_old - 1 - !suf);
-    incr suf
-  done;
-  let pre = !pre and old_end = n_old - !suf and cur_end = n_cur - !suf in
-  if pre < old_end && pre < cur_end then begin
-    let by_key = Array.init (old_end - pre) (fun k -> pre + k) in
-    Array.sort
-      (fun i i' ->
-        match compare_key old_.(i) old_.(i') with 0 -> compare i i' | c -> c)
-      by_key;
-    let rec no_link = { l_cur = -1; l_old = -1; l_prev = no_link } in
-    let tails = Array.make (cur_end - pre) no_link and len = ref 0 in
-    for j = pre to cur_end - 1 do
-      (* Past the last old index with cur.(j)'s key. *)
-      let lo = ref 0 and hi = ref (Array.length by_key) in
-      while !lo < !hi do
-        let mid = (!lo + !hi) / 2 in
-        if compare_key old_.(by_key.(mid)) cur.(j) <= 0 then lo := mid + 1 else hi := mid
-      done;
-      let m = ref (!lo - 1) in
-      while !m >= 0 && compare_key old_.(by_key.(!m)) cur.(j) = 0 do
-        let i = by_key.(!m) in
-        let lo = ref 0 and hi = ref !len in
-        while !lo < !hi do
-          let mid = (!lo + !hi) / 2 in
-          if tails.(mid).l_old < i then lo := mid + 1 else hi := mid
-        done;
-        let l_prev = if !lo = 0 then no_link else tails.(!lo - 1) in
-        tails.(!lo) <- { l_cur = j; l_old = i; l_prev };
-        if !lo = !len then incr len;
-        decr m
-      done
-    done;
-    let rec walk l =
-      if l != no_link then begin
-        keep l.l_cur l.l_old;
-        walk l.l_prev
-      end
-    in
-    if !len > 0 then walk tails.(!len - 1)
-  end
-
-(* Space the entries of [prio] left at -1 evenly between their fixed
-   neighbours; the band's edges count as neighbours at
-   [priority_top + 1] and [priority_floor - 1]. False if some gap has
-   no room. *)
-let fill_gaps prio =
-  let n = Array.length prio in
-  let rec go above j =
-    (* [above]: the priority of the nearest fixed entry before [j]. *)
-    let k = ref j in
-    while !k < n && prio.(!k) < 0 do incr k done;
-    let below = if !k = n then priority_floor - 1 else prio.(!k) in
-    let free = !k - j and span = above - below in
-    if span < free + 1 then false
-    else begin
-      for x = j to !k - 1 do
-        prio.(x) <- above - (span * (x - j + 1) / (free + 1))
-      done;
-      !k = n || go below (!k + 1)
-    end
-  in
-  go (priority_top + 1) 0
-
-let renumber ~old_ cur =
-  let old_a = Array.of_list old_.entries and cur_a = Array.of_list cur.entries in
-  let n = Array.length cur_a in
-  if n > priority_top - priority_floor + 1 then
-    invalid_arg "Compiler.renumber: more entries than the band holds";
-  let prio = Array.make n (-1) in
-  common_run old_a cur_a (fun j i -> prio.(j) <- old_a.(i).e_priority);
-  if not (fill_gaps prio) then begin
-    (* No room between two kept entries: spread the whole table. *)
-    Array.fill prio 0 n (-1);
-    ignore (fill_gaps prio)
-  end;
-  {
-    cur with
-    entries =
-      List.mapi
-        (fun j e -> if e.e_priority = prio.(j) then e else { e with e_priority = prio.(j) })
-        cur.entries;
   }
 
 (* --- deltas --- *)
@@ -613,18 +687,20 @@ type delta = { d_add : entry list; d_del : entry list }
    decision. *)
 let delta ~old_ cur =
   let same a b =
-    a.e_decision = b.e_decision && (a == b || MF.equal a.e_fields b.e_fields)
+    a == b || (a.e_decision = b.e_decision && MF.equal a.e_fields b.e_fields)
   in
   let rec go add del olds curs =
-    match (olds, curs) with
-    | [], [] -> { d_add = List.rev add; d_del = List.rev del }
-    | o :: olds', [] -> go add (o :: del) olds' []
-    | [], c :: curs' -> go (c :: add) del [] curs'
-    | o :: olds', c :: curs' ->
-        if o.e_priority > c.e_priority then go add (o :: del) olds' curs
-        else if c.e_priority > o.e_priority then go (c :: add) del olds curs'
-        else if same o c then go add del olds' curs'
-        else go (c :: add) (o :: del) olds' curs'
+    if olds == curs then { d_add = List.rev add; d_del = List.rev del }
+    else
+      match (olds, curs) with
+      | [], [] -> { d_add = List.rev add; d_del = List.rev del }
+      | o :: olds', [] -> go add (o :: del) olds' []
+      | [], c :: curs' -> go (c :: add) del [] curs'
+      | o :: olds', c :: curs' ->
+          if o.e_priority > c.e_priority then go add (o :: del) olds' curs
+          else if c.e_priority > o.e_priority then go (c :: add) del olds curs'
+          else if same o c then go add del olds' curs'
+          else go (c :: add) (o :: del) olds' curs'
   in
   go [] [] old_.entries cur.entries
 

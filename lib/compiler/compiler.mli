@@ -25,8 +25,10 @@
     the spill's punt), with the rule count and coverage they add up
     to. So a policy edit re-plans the nodes it changed, each at the
     cost of its own parts, and takes every other plan from the cache.
-    {!compile} then writes the root's plan out once, building each
-    entry's match from the intervals along its path.
+    {!compile} then writes the root's plan out beside the last table
+    the cache compiled: a rule at a place that table wrote too (the
+    same atoms along its path) is that table's entry, and only the
+    others build a match.
 
     Reactive leaves compile to punt rules where they mask lowered
     wildcards, and are pruned where they coincide with the table-miss
@@ -40,18 +42,14 @@
     its first packet to the controller. An entry is one switch entry on
     every switch: a pass entry jumps to the switch's forwarding table
     (table 1, see {!Core.Controller}), so no entry needs a priority
-    beside its own. There are two numberings:
-
-    - {e compile numbering} ({!compile}): by position, from
-      {!priority_floor} upward in steps of 2. It depends only on the
-      policy, which is what [identxx_ctl compile] prints.
-    - {e installed numbering} ({!renumber}): what a controller puts in
-      the switches, strictly descending inside
-      [\[priority_floor, 0x7ffe\]] (0x7fff is the controller's
-      guards'). Entries that survive a reload keep the priority they
-      were installed at, and the others are spaced evenly in the gaps
-      between them, so {!delta} sends nothing for an unchanged entry.
-      It depends on the table's history. *)
+    beside its own. Priorities descend strictly inside
+    [\[priority_floor, 0x7ffe\]] (0x7fff is the controller's guards').
+    {!compile} keeps each entry the cache's last table held at the
+    priority it had there, and spaces the others evenly in the gaps
+    between; when a gap has no room, or the cache is new, it spreads
+    the whole table evenly over the band. So {!delta} sends nothing for
+    an unchanged entry, and the numbering depends on the cache's
+    history; [identxx_ctl compile] prints a first install's. *)
 
 (** What the switch should do with a matching packet, before per-switch
     lowering picks concrete ports. *)
@@ -63,8 +61,7 @@ type decision =
 type entry = {
   e_fields : Openflow.Match_fields.t;
   e_priority : int;
-      (** Strictly descending by position (see the two numberings
-          above). *)
+      (** Strictly descending by position (see above). *)
   e_decision : decision;
   e_lines : int list;
       (** Possible deciding policy lines (0 = implicit default); empty
@@ -94,10 +91,11 @@ type cache
 (** Memoizes plans per hash-consed diagram node and level, so
     recompiling after a policy edit re-plans only the changed regions
     (unchanged subdiagrams keep their node ids). It holds the plans the
-    last {!compile} looked up or built, and nothing older: a node the
-    new diagram no longer reaches is dropped at the next compile, so
-    the cache stays the size of one policy however many it has seen.
-    One cache must only ever see one budget configuration. *)
+    last {!compile} used or built and the table it compiled, and
+    nothing older: a node the new diagram no longer reaches is dropped
+    at the next compile, so the cache stays the size of one policy
+    however many it has seen. One cache must only ever see one budget
+    configuration. *)
 
 val create_cache : unit -> cache
 
@@ -118,8 +116,9 @@ val proactive_cookie : int
 
 val compile :
   ?cache:cache -> ?max_entries:int -> ?region_budget:int -> Analysis.Fdd.t -> table
-(** Lower a diagram. [max_entries] (≤ 4096) bounds the emitted table;
-    when exceeded, the lowest-priority tail is replaced by one punt-all
+(** Lower a diagram, numbered after the last table [cache] compiled
+    (see above). [max_entries] (≤ 4096) bounds the emitted table; when
+    exceeded, the lowest-priority tail is replaced by one punt-all
     entry and [truncated] is set.
     @raise Invalid_argument if [max_entries] is outside [1, 4096]. *)
 
@@ -136,24 +135,6 @@ val offload : proactive:bool -> Pf.Env.t -> Analysis.Fdd.t -> Analysis.Fdd.t
     there. A [proactive] policy without [log] rules returns [fdd]
     itself, so the compile cache keeps hitting. *)
 
-val renumber : old_:table -> table -> table
-(** [renumber ~old_ cur] is the installed numbering of [cur] after
-    [old_]: [cur] with its order and everything but its priorities
-    unchanged. Entries are matched to [old_]'s by fields and decision;
-    a longest order-preserving run of matches (a longest common
-    subsequence, found as a longest increasing run of old positions in
-    O(n log n) when no key repeats, between the common prefix and
-    suffix of the two tables, whose old positions are looked up in
-    one array sorted by key) keeps its old priorities.
-    Every other entry is spaced evenly in the gap between its kept
-    neighbours, within [\[priority_floor, 0x7ffe\]]. When some gap has
-    no room, the whole table is spread evenly over the band, as it is
-    on a first install ([old_] empty). So it is when a kept priority
-    would break these rules, which a table that {!compile} or
-    [renumber] numbered never makes it do.
-    @raise Invalid_argument if [cur] has more than 12287 entries (the
-    band's room; {!compile} emits at most 4096). *)
-
 type delta = { d_add : entry list; d_del : entry list }
 
 val delta : old_:table -> table -> delta
@@ -164,8 +145,10 @@ val delta : old_:table -> table -> delta
     an entry whose fields reappear at another priority is deleted at
     the old one and added at the new one, and an unchanged entry is in
     neither list. Both tables' priorities must be strictly descending,
-    as both numberings make them: the step is one merge of the two
-    entry lists, allocating only for the entries it returns. *)
+    as {!compile} makes them: the step is one merge of the two entry
+    lists, allocating only for the entries it returns, and it stops
+    where the two lists share their rest, as two tables one cache
+    compiled in turn share the entries that end both. *)
 
 val lookup : table -> Netcore.Five_tuple.t -> decision
 (** The abstract table's verdict for one flow: the decision of the

@@ -204,8 +204,7 @@ let sync t ~proactive plan =
   in
   let cur =
     match fdd with
-    | Some fdd ->
-        Compiler.renumber ~old_:t.table (Compiler.compile ~cache:t.cache fdd)
+    | Some fdd -> Compiler.compile ~cache:t.cache fdd
     (* Unresolvable policy: install nothing, every flow goes to the
        controller, which fails closed per rule evaluation. *)
     | None -> empty_table

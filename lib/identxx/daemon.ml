@@ -13,8 +13,8 @@ type metrics = {
   m_seconds : Obs.Registry.Histogram.t;
 }
 
-(* A static section, its lines as they go on the wire, and its section
-   tag (["" when unsigned]). *)
+(* A static section's lines as they go on the wire, and its section tag
+   (["" when unsigned]). *)
 type tagged = Payload.part
 
 type t = {
@@ -238,20 +238,27 @@ let plain_hints keys =
   let plain k = String.length k > 0 && k.[0] <> '@' in
   if List.for_all plain keys then keys else List.filter plain keys
 
-let rec hinted key = function
-  | [] -> false
-  | k :: rest -> String.equal k key || hinted key rest
+let rec line_with lines k i =
+  i < String.length lines
+  && (Payload.is_key lines i k || line_with lines k (Payload.line_end lines i + 1))
 
-let rec holds_hinted plain = function
+(* Whether a static section's rendered lines hold a line with key [k].
+   A key whose bit the section's [keys] lack is on none of them, and a
+   pair's key has no ':'. *)
+let has_key (part : Payload.part) k =
+  part.keys land Payload.key_bit k <> 0
+  && (not (String.contains k ':'))
+  && line_with part.text k 0
+
+let rec holds_hinted part = function
   | [] -> false
-  | (p : Key_value.pair) :: rest -> hinted p.key plain || holds_hinted plain rest
+  | k :: rest -> has_key part k || holds_hinted part rest
 
 (* Whether a static section goes out under [plain] hints: when it holds
    one of them, or when the query hinted no plain key at all. *)
-let holds plain section =
-  match plain with [] -> true | _ :: _ -> holds_hinted plain section
+let holds plain part = match plain with [] -> true | _ :: _ -> holds_hinted part plain
 
-let wanted ~keys section = holds (plain_hints keys) section
+let wanted ~keys section = holds (plain_hints keys) (Payload.part ~tag:"" section)
 
 (* An answer's parts, with their scopes in step. *)
 type parts = {
@@ -264,12 +271,10 @@ let add parts part scope =
   parts.parts <- part :: parts.parts;
   parts.scopes <- scope :: parts.scopes
 
-let is_empty = function [] -> true | _ :: _ -> false
-
 (* A static part goes out when non-empty and holding a hinted key. *)
-let add_static parts plain (part : tagged) scope =
-  if (not (is_empty part.pairs)) && holds plain part.pairs then
-    add parts part scope
+let sends plain (part : tagged) = part.text <> "" && holds plain part
+
+let add_static parts plain part scope = if sends plain part then add parts part scope
 
 (* Span timing is read only for traced queries; untraced answers never
    touch the clock. *)
@@ -337,7 +342,7 @@ let answer ?trace ?decode ?nonce t ~peer ~proto ~src_port ~dst_port ~keys =
       | None -> add_static parts plain (globals t cfg) held
       | Some proc ->
           let builtins = builtins t proc in
-          let own = (not (is_empty builtins.pairs)) && holds plain builtins.pairs in
+          let own = sends plain builtins in
           add_static parts plain (globals t cfg)
             (if own then Signed.Host else held);
           (match runtime_section t flow with
@@ -345,7 +350,7 @@ let answer ?trace ?decode ?nonce t ~peer ~proto ~src_port ~dst_port ~keys =
           | section ->
               add parts (Payload.part ~tag:Signed.per_flow section) Signed.Flow);
           add_static parts plain (app t cfg proc) held;
-          add_static parts plain builtins held);
+          if own then add parts builtins held);
       let t_sign = now t trace in
       (* The answer is written once, into a buffer of its exact length:
          the header, the cached lines of each part and, for a signing

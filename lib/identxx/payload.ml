@@ -29,9 +29,13 @@ let lines section =
   ignore (put_pairs b 0 section : int);
   Bytes.unsafe_to_string b
 
-type part = { pairs : Key_value.section; text : string; tag : string }
+type part = { text : string; tag : string; keys : int }
 
-let part ~tag pairs = { pairs; text = lines pairs; tag }
+let key_bit k = 1 lsl ((Char.code k.[0] + (7 * String.length k)) mod 63)
+
+let part ~tag pairs =
+  let keys = List.fold_left (fun b (p : Key_value.pair) -> b lor key_bit p.key) 0 pairs in
+  { text = lines pairs; tag; keys }
 
 let rec parts_length n = function
   | [] -> n

@@ -31,12 +31,16 @@ val pairs_length : int -> Key_value.section -> int
 val put_pairs : Bytes.t -> int -> Key_value.section -> int
 (** Writes the section's lines. *)
 
-type part = { pairs : Key_value.section; text : string; tag : string }
-(** A non-empty section as a daemon sends it: its pairs, its {!lines}
-    and its section tag ({!Signed.per_flow} for a per-flow section, [""]
-    when unsigned). *)
+type part = { text : string; tag : string; keys : int }
+(** A section as a daemon sends it: its lines, each [key: value] and a
+    ['\n'] ([""] when empty), its section tag ({!Signed.per_flow} for a
+    per-flow section, [""] when unsigned), and the {!key_bit}s of its
+    keys. *)
 
 val part : tag:string -> Key_value.section -> part
+
+val key_bit : string -> int
+(** One bit a non-empty key sets; other keys may share it. *)
 
 val length : proto:Proto.t -> src_port:int -> dst_port:int -> part list -> int
 (** The bytes of the header and of the parts' sections, one blank line

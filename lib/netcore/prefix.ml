@@ -30,7 +30,6 @@ let mem a p =
   Ipv4.to_int a land mask_of_length p.length = Ipv4.to_int p.network
 
 let subset p q = p.length >= q.length && mem p.network q
-let overlaps p q = subset p q || subset q p
 let first p = p.network
 let size p = 1 lsl (32 - p.length)
 let last p = Ipv4.of_int (Ipv4.to_int p.network lor (size p - 1))

@@ -29,8 +29,6 @@ val mem : Ipv4.t -> t -> bool
 val subset : t -> t -> bool
 (** [subset p q] is true when every address of [p] is in [q]. *)
 
-val overlaps : t -> t -> bool
-
 val first : t -> Ipv4.t
 (** Lowest address in the prefix (the network address). *)
 

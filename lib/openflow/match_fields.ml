@@ -101,7 +101,6 @@ let covers general specific =
   && covers_field general.tp_src specific.tp_src ~eq:Int.equal
   && covers_field general.tp_dst specific.tp_dst ~eq:Int.equal
 
-let compare = Stdlib.compare
 let equal a b = compare a b = 0
 
 let pp ppf t =

@@ -35,6 +35,5 @@ val covers : t -> t -> bool
     matched by [general]. Conservative for prefix fields (exact CIDR
     subset test). *)
 
-val compare : t -> t -> int
 val equal : t -> t -> bool
 val pp : Format.formatter -> t -> unit

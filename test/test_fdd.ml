@@ -436,10 +436,19 @@ let policy_text (_, lan, rules) =
   String.concat "\n"
     (Printf.sprintf "table <lan> { %s }" lan :: List.map rule_text rules)
 
+(* A table with its entries' priorities left out: a compile numbers
+   after the tables its cache compiled before, so only the order of the
+   priorities is the diagram's. *)
+let unranked (t : Compiler.table) =
+  ( { t with Compiler.entries = [] },
+    List.map
+      (fun (e : Compiler.entry) -> (e.Compiler.e_fields, e.Compiler.e_decision, e.Compiler.e_lines))
+      t.Compiler.entries )
+
 (* Every revision recompiled from the steps of the one before is the
    diagram a compile from scratch builds, node for node, and lowers to
-   the same table, also through a plan cache that saw the revisions
-   before it. *)
+   the same table, entry for entry in the same order, also through a
+   plan cache that saw the revisions before it. *)
 let prop_recompile_equals_compile =
   QCheck.Test.make ~name:"recompile from the previous steps equals a full compile"
     ~count:300
@@ -461,8 +470,8 @@ let prop_recompile_equals_compile =
              let scratch = Fdd.compile ~default env in
              if fdd <> scratch then
                QCheck.Test.fail_reportf "revision %d: recompiled diagram differs" i;
-             if Compiler.compile ~cache fdd <> Compiler.compile scratch then
-               QCheck.Test.fail_reportf "revision %d: compiled tables differ" i;
+             if unranked (Compiler.compile ~cache fdd) <> unranked (Compiler.compile scratch)
+             then QCheck.Test.fail_reportf "revision %d: compiled tables differ" i;
              (steps, i + 1))
            (Fdd.no_steps, 0) revs);
       true)

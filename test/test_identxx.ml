@@ -658,7 +658,14 @@ let test_daemon_answers_hinted_keys () =
     && (not
           (Identxx.Daemon.wanted ~keys:[ "@a"; "b" ]
              [ Identxx.Key_value.pair "a" "1" ]))
-    && Identxx.Daemon.wanted ~keys:[ "@a" ] [ Identxx.Key_value.pair "a" "1" ])
+    && Identxx.Daemon.wanted ~keys:[ "@a" ] [ Identxx.Key_value.pair "a" "1" ]);
+  (* A hint is a whole key, on any line: neither a prefix of one, nor a
+     value, nor a key and value together. *)
+  let pairs = [ Identxx.Key_value.pair "a" "b: c"; Identxx.Key_value.pair "bc" "1" ] in
+  let wanted key = Identxx.Daemon.wanted ~keys:[ key ] pairs in
+  check Alcotest.(list bool)
+    "hints match whole keys" [ true; true; false; false; false ]
+    (List.map wanted [ "a"; "bc"; "b"; "a: b"; "c" ])
 
 (* A signing daemon declares each section's reuse scope under its
    binding tag, and a trimmed answer still verifies. *)
