@@ -712,11 +712,16 @@ let bench_proto =
     Identxx.Signed.sign ~keypair:kp ~host ~peer ~nonce:"5eed0123456789ab" answer
   in
   let signed = sign () in
-  let q = Identxx.Query.make ~flow:fl ~keys:[ "userID"; "name"; "exe-hash" ] in
-  let qe = Identxx.Query.encode q in
+  (* A controller's query as it sends one: the plan's hint lines,
+     rendered once, and a nonce drawn into the payload; the daemon
+     decodes what it sent. *)
+  let hints = Identxx.Query.hints [ "userID"; "name"; "exe-hash" ] in
+  let nonce = Some (Sim.Prng.create 1) in
+  let send () = Identxx.Query.write hints ~flow:fl ~nonce ~trace:None in
+  let qe = Identxx.Query.encode (send ()) in
   [
     Test.make ~name:"proto/query-encode"
-      (Staged.stage (fun () -> ignore (Identxx.Query.encode q)));
+      (Staged.stage (fun () -> ignore (send ())));
     Test.make ~name:"proto/query-decode"
       (Staged.stage (fun () -> ignore (Identxx.Query.decode qe)));
     Test.make ~name:"proto/response-encode"
@@ -956,9 +961,10 @@ let bench_conn_state =
            (Identxx_core.Conn_state.permits cs ~now:Sim.Time.zero
               (Five_tuple.reverse probe))))
 
-(* Every decision writes one audit entry. The same process's summary
-   recurs, so after the first record an entry shares its summary and
-   the matched rule; trims are amortised into the figure. *)
+(* Every decision writes one audit entry. The same processes' summaries
+   recur, so after the first record an entry shares both summaries,
+   found by hashing and comparing the answers' values where they sit,
+   and the matched rule; trims are amortised into the figure. *)
 let bench_audit_record =
   let audit = Identxx_core.Audit.create () in
   let fl = flow "10.0.0.1" "10.1.0.1" in
@@ -966,16 +972,18 @@ let bench_audit_record =
     Some
       (response fl
          [ ("userID", "alice"); ("groupID", "staff"); ("name", "firefox") ])
+  and dst =
+    Some (response fl [ ("userID", "www"); ("groupID", "daemon"); ("name", "httpd") ])
   in
   let verdict =
     D.decide_exn
       (decision_for "block all\npass all with eq(@src[name], firefox)")
       { D.flow = fl; src_response = src; dst_response = None }
   in
-  Test.make ~name:"audit/record"
+  Test.make ~name:"core/audit-record"
     (Staged.stage (fun () ->
          Identxx_core.Audit.record audit ~at:Sim.Time.zero ~flow:fl ~verdict
-           ~src ~dst:None))
+           ~src ~dst))
 
 (* --- daemon answer path ------------------------------------------------ *)
 
@@ -1004,10 +1012,11 @@ let bench_daemon =
       ~dst:(Ipv4.of_string "10.0.0.2")
       ~dst_port:80 ()
   in
+  (* The query as the host's daemon reads it: decoded once, answered
+     where it sits. *)
+  let query = Identxx.Query.make ~nonce:"5eed0123456789ab" ~flow:fl [] in
   let answer () =
-    Identxx.Daemon.answer (Identxx.Host.daemon host) ~nonce:"5eed0123456789ab"
-      ~peer:fl.Five_tuple.dst ~proto:fl.Five_tuple.proto
-      ~src_port:fl.Five_tuple.src_port ~dst_port:fl.Five_tuple.dst_port ~keys:[]
+    Identxx.Daemon.respond (Identxx.Host.daemon host) ~peer:fl.Five_tuple.dst query
   in
   ignore (answer ());
   Test.make ~name:"proto/daemon-answer"

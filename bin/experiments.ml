@@ -337,7 +337,7 @@ let e7 () =
   in
   let server_ip = Ipv4.of_string "10.0.0.99" in
   let user_of flow =
-    let q = Identxx.Query.make ~flow ~keys:[ Identxx.Key_value.user_id ] in
+    let q = Identxx.Query.make ~flow [ Identxx.Key_value.user_id ] in
     let pkt =
       Identxx.Wire.query_packet ~to_ip:flow.Five_tuple.src
         ~from_ip:flow.Five_tuple.dst q

@@ -156,12 +156,7 @@ let run ip configs table_path peer cache_expires metrics_path metrics_every
       | Error e -> Printf.printf "error: %s\n\n%!" e
       | Ok q -> (
           let d1 = clock () in
-          match
-            Identxx.Daemon.answer ?trace:q.Identxx.Query.trace ~decode:(d0, d1)
-              daemon ~peer:peer_ip ~proto:q.Identxx.Query.proto
-              ~src_port:q.Identxx.Query.src_port
-              ~dst_port:q.Identxx.Query.dst_port ~keys:q.Identxx.Query.keys
-          with
+          match Identxx.Daemon.respond ~decode:(d0, d1) daemon ~peer:peer_ip q with
           | Some (response, _role) ->
               print_string (Identxx.Response.encode response);
               print_newline ();

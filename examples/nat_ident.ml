@@ -34,7 +34,7 @@ let part_a () =
   in
   (* The server queries the shared host's daemon over the wire format. *)
   let query_user flow =
-    let q = Identxx.Query.make ~flow ~keys:[ Identxx.Key_value.user_id ] in
+    let q = Identxx.Query.make ~flow [ Identxx.Key_value.user_id ] in
     let pkt =
       Identxx.Wire.query_packet ~to_ip:flow.Five_tuple.src
         ~from_ip:flow.Five_tuple.dst q

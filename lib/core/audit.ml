@@ -19,18 +19,34 @@ type rejection = {
   r_reason : string;
 }
 
+type summary = (string * string) list
+
 type t = {
   capacity : int;
   mutable entries : entry list; (* newest first *)
   mutable length : int; (* List.length entries, kept so record is O(1) *)
-  summaries : ((string * string) list, (string * string) list) Hashtbl.t;
-      (* Interned summaries: each maps to its one shared copy. Reset when
-         the log trims, and whenever it would outnumber the entries. *)
+  mutable buckets : summary list array;
+      (* Interned summaries, each the one shared copy, by the hash of
+         their values; a power of two long. Emptied when the log trims,
+         and whenever they would outnumber the entries. *)
+  mutable interned : int;
+  found : int array;
+      (* Where each interesting key's latest value sits in the answer
+         being summarized ({!Identxx.Response.latest_slices}). *)
   mutable count : int;
   mutable blocked : int;
   mutable rejections : rejection list; (* newest first *)
   mutable rejections_length : int;
 }
+
+let interesting_keys =
+  [
+    Identxx.Key_value.user_id;
+    Identxx.Key_value.group_id;
+    Identxx.Key_value.app_name;
+    Identxx.Key_value.version;
+    Identxx.Key_value.rule_maker;
+  ]
 
 let create ?(capacity = 10_000) () =
   if capacity <= 0 then invalid_arg "Audit.create: capacity must be positive";
@@ -38,7 +54,9 @@ let create ?(capacity = 10_000) () =
     capacity;
     entries = [];
     length = 0;
-    summaries = Hashtbl.create 16;
+    buckets = Array.make 16 [];
+    interned = 0;
+    found = Array.make (List.length interesting_keys) (-1);
     count = 0;
     blocked = 0;
     rejections = [];
@@ -52,30 +70,116 @@ let trimmed t l length =
     (List.filteri (fun i _ -> i < t.capacity) l, t.capacity)
   else (l, length)
 
-let interesting_keys =
-  [
-    Identxx.Key_value.user_id;
-    Identxx.Key_value.group_id;
-    Identxx.Key_value.app_name;
-    Identxx.Key_value.version;
-    Identxx.Key_value.rule_maker;
-  ]
+(* --- interning summaries in place ---
 
-let summarize = function
-  | None -> []
-  | Some response -> Identxx.Response.latest_each response interesting_keys
+   A summary is the [(key, value)] list of the interesting keys an answer
+   binds, in the keys' order, each with its latest value. Flows from one
+   process carry equal summaries, so each is kept once: an answer's
+   values are hashed and compared where they sit in its payload, and a
+   list is built only for a summary not yet interned. *)
 
-(* Flows from one process carry equal summaries; keep one copy of each. *)
-let intern t = function
+let start f = f lsr 32
+let stop f = f land 0xffff_ffff
+
+let mix h c = (h lxor c) * 0x01000193 land 0x3fff_ffff
+
+let rec mix_sub h s i stop =
+  if i >= stop then h
+  else mix_sub (mix h (Char.code (String.unsafe_get s i))) s (i + 1) stop
+
+(* The [j]th key's value, from [i] to [stop] of [s], into [h]. *)
+let mix_value h j s i stop = mix (mix_sub (mix h (j + 256)) s i stop) 0
+
+(* The hash of the values found in [s] from the [j]th key on. *)
+let rec hash_found found s j h =
+  if j = Array.length found then h
+  else
+    let f = found.(j) in
+    hash_found found s (j + 1)
+      (if f < 0 then h else mix_value h j s (start f) (stop f))
+
+(* The same hash of a summary, its pairs in the order of [keys] from the
+   [j]th on. *)
+let rec hash_summary keys j h (summary : summary) =
+  match (keys, summary) with
+  | key :: keys, (k, v) :: rest ->
+      if String.equal k key then
+        hash_summary keys (j + 1) (mix_value h j v 0 (String.length v)) rest
+      else hash_summary keys (j + 1) h summary
+  | _, [] | [], _ -> h
+
+(* Whether [summary] is exactly the values found in [s] from the [j]th
+   of [keys] on. *)
+let rec same found s j keys (summary : summary) =
+  match keys with
+  | [] -> summary = []
+  | key :: keys -> (
+      let f = found.(j) in
+      if f < 0 then same found s (j + 1) keys summary
+      else
+        match summary with
+        | (k, v) :: rest ->
+            String.equal k key
+            && String.length v = stop f - start f
+            && Identxx.Key_value.is_at v s (start f)
+            && same found s (j + 1) keys rest
+        | [] -> false)
+
+let rec find_in found s = function
   | [] -> []
-  | summary -> (
-      match Hashtbl.find_opt t.summaries summary with
-      | Some shared -> shared
-      | None ->
-          if Hashtbl.length t.summaries >= t.length then
-            Hashtbl.reset t.summaries;
-          Hashtbl.add t.summaries summary summary;
-          summary)
+  | summary :: rest ->
+      if same found s 0 interesting_keys summary then summary else find_in found s rest
+
+(* The summary of the values found in [s], copied out. *)
+let rec build found s j = function
+  | [] -> []
+  | key :: keys ->
+      let f = found.(j) in
+      if f < 0 then build found s (j + 1) keys
+      else (key, String.sub s (start f) (stop f - start f)) :: build found s (j + 1) keys
+
+let bucket t h = h land (Array.length t.buckets - 1)
+
+let forget_summaries t =
+  Array.fill t.buckets 0 (Array.length t.buckets) [];
+  t.interned <- 0
+
+(* Twice the buckets once they hold twice as many summaries. *)
+let grow t =
+  let old = t.buckets in
+  t.buckets <- Array.make (2 * Array.length old) [];
+  Array.iter
+    (List.iter (fun summary ->
+         let i = bucket t (hash_summary interesting_keys 0 0 summary) in
+         t.buckets.(i) <- summary :: t.buckets.(i)))
+    old
+
+let add_summary t h summary =
+  if t.interned >= 2 * Array.length t.buckets then grow t;
+  let i = bucket t h in
+  t.buckets.(i) <- summary :: t.buckets.(i);
+  t.interned <- t.interned + 1
+
+let rec none_found found j =
+  j = Array.length found || (found.(j) < 0 && none_found found (j + 1))
+
+(* An answer's summary: [[]] when absent or binding none of the keys,
+   else its interned copy, added on a miss. *)
+let intern t = function
+  | None -> []
+  | Some (response : Identxx.Response.t) ->
+      let found = t.found and s = response.Identxx.Response.payload in
+      Identxx.Response.latest_slices response interesting_keys found;
+      if none_found found 0 then []
+      else
+        let h = hash_found found s 0 0 in
+        match find_in found s t.buckets.(bucket t h) with
+        | _ :: _ as shared -> shared
+        | [] ->
+            if t.interned >= t.length then forget_summaries t;
+            let summary = build found s 0 interesting_keys in
+            add_summary t h summary;
+            summary
 
 let record ?trace_id t ~at ~flow ~(verdict : Pf.Eval.verdict) ~src ~dst =
   let entry =
@@ -86,15 +190,15 @@ let record ?trace_id t ~at ~flow ~(verdict : Pf.Eval.verdict) ~src ~dst =
       decision = verdict.Pf.Eval.decision;
       rule = verdict.Pf.Eval.matched;
       flagged = verdict.Pf.Eval.log;
-      src_info = intern t (summarize src);
-      dst_info = intern t (summarize dst);
+      src_info = intern t src;
+      dst_info = intern t dst;
     }
   in
   t.count <- t.count + 1;
   if verdict.Pf.Eval.decision = Pf.Ast.Block then t.blocked <- t.blocked + 1;
   let entries, length = trimmed t (entry :: t.entries) (t.length + 1) in
   (* A trim drops entries: drop the table that shares their summaries. *)
-  if length <= t.length then Hashtbl.reset t.summaries;
+  if length <= t.length then forget_summaries t;
   t.entries <- entries;
   t.length <- length
 
@@ -112,14 +216,14 @@ let rejections t = t.rejections
 
 let entries t = t.entries
 let rule_line e = Option.map (fun (r : Pf.Ast.rule) -> r.Pf.Ast.line) e.rule
-let summaries t = Hashtbl.length t.summaries
+let summaries t = t.interned
 let flagged t = List.filter (fun e -> e.flagged) t.entries
 let count t = t.count
 let blocked_count t = t.blocked
 let clear t =
   t.entries <- [];
   t.length <- 0;
-  Hashtbl.reset t.summaries;
+  forget_summaries t;
   t.count <- 0;
   t.blocked <- 0;
   t.rejections <- [];

@@ -11,8 +11,9 @@
     rather than copying it: the matched rule is the policy's own value,
     and equal summaries (flows of one process carry equal pairs) share
     one list, interned in a per-log table that is emptied whenever the
-    log trims. An entry costs about 18 words (its list cell, record and
-    flow) beside what it shares. *)
+    log trims; an answer's summary is found there without being copied
+    ({!record}). An entry costs about 18 words (its list cell, record
+    and flow) beside what it shares. *)
 
 open Netcore
 
@@ -49,6 +50,12 @@ val record :
   src:Identxx.Response.t option ->
   dst:Identxx.Response.t option ->
   unit
+(** Add the decision's entry. Each answer's summary — the
+    {!interesting_keys} it binds, in that order, each with its latest
+    value — is looked up among the interned ones by hashing and
+    comparing its values where they sit in the payload; only a summary
+    not interned yet is copied out, as a list. A record whose answers'
+    summaries are interned allocates its entry alone. *)
 
 val entries : t -> entry list
 (** Newest first. *)

@@ -54,9 +54,9 @@ type leg = {
   mutable awaiting : bool; (* its query is out and has not settled *)
   mutable qspan : Obs.Span.span;
   mutable sent : int; (* first query send time, ns; -1 = never sent *)
-  mutable nonce : string option;
-      (* Drawn at the query's first send when answers must be signed; a
-         retry resends it. *)
+  mutable query : Identxx.Query.t option;
+      (* Written at the query's first send, its nonce drawn then when
+         answers must be signed; a retry resends it. *)
 }
 
 type pending = {
@@ -76,6 +76,8 @@ type pending = {
          waiter. *)
   mutable p_silent : bool;
       (* An end settled silent: the flow counts once as timed out. *)
+  mutable p_live : bool;
+      (* In the pending table: cleared when the flow is decided. *)
 }
 
 let leg p = function `Src -> p.p_src | `Dst -> p.p_dst
@@ -108,12 +110,19 @@ type input =
   | Answer of {
       pi : Msg.packet_in;
       response : Identxx.Response.t;
-      as_src : Five_tuple.t;
-      as_dst : Five_tuple.t;
+      from_ip : Ipv4.t;
+      to_ip : Ipv4.t;
+      named : pending;
     }
-      (* A daemon answer, and the two pending-table keys it can name
-         ([named_pending]): [as_src] runs from the answering host to
-         the query's reply-to, [as_dst] back. *)
+      (* A daemon answer from [from_ip] to the query's reply-to [to_ip],
+         and the pending flow it named when it arrived
+         ([named_pending]). *)
+  | Stray_answer of {
+      pi : Msg.packet_in;
+      response : Identxx.Response.t;
+      from_ip : Ipv4.t;
+      to_ip : Ipv4.t;
+    }  (* An answer that named no pending flow when it arrived. *)
   | Foreign_query of {
       pi : Msg.packet_in;
       from_ip : Ipv4.t;
@@ -516,8 +525,10 @@ type t = {
   compiled : Proactive.t; (* the compiled tables and routes sent *)
   mutable last_stats : (Msg.switch_id * Msg.stats_reply) list;
   mutable xid : int; (* the last stats request's *)
-  nonces : Sim.Prng.t;
-      (* Query nonces: seeded, so runs stay deterministic. *)
+  nonces : Sim.Prng.t option;
+      (* Query nonces, drawn only when answers must be signed: only such
+         a controller checks the echo. Seeded, so runs stay
+         deterministic. *)
   mutable now : Sim.Time.t; (* the time of the input {!step} takes *)
   (* What the controller reads of the world and sends into it, which
      {!create} binds to the network. *)
@@ -668,6 +679,7 @@ let maybe_finalize t p =
   if (not p.p_src.awaiting) && not p.p_dst.awaiting then begin
     Shard.Engine.cancel p.p_timeout;
     Flow_tbl.remove t.pending p.p_flow;
+    p.p_live <- false;
     let src = p.p_src.answer and dst = p.p_dst.answer in
     apply_verdict t ~span:p.p_span ~started:p.p_started
       ~ctx:p.p_ctx ~via:`Exchange ~flow:p.p_flow ~packets:p.p_packets ~src ~dst
@@ -711,27 +723,6 @@ let close_exchange t p ~host ~end_ answer =
 
 (* --- querying daemons (Figure 1, step 3) --- *)
 
-(* The nonce [end_]'s query carries: drawn at its first send, then kept
-   for retries. Only a controller that requires signed answers checks
-   the echo, so only it sends one. *)
-let query_nonce t p end_ =
-  let l = leg p end_ in
-  if not t.cfg.require_signed_responses then None
-  else if Option.is_some l.nonce then l.nonce
-  else begin
-    (* 64 random bits, 16 hex digits. *)
-    let x = Sim.Prng.next64 t.nonces in
-    let b = Bytes.create 16 in
-    for i = 0 to 15 do
-      Bytes.unsafe_set b i
-        "0123456789abcdef".[Int64.to_int
-                              (Int64.shift_right_logical x (60 - (4 * i)))
-                            land 15]
-    done;
-    l.nonce <- Some (Bytes.unsafe_to_string b);
-    l.nonce
-  end
-
 (* Each query carries a per-end child context, derived deterministically
    from the root: a retry resends the same span id, so the daemon's
    timings land under the same child either way. *)
@@ -741,23 +732,32 @@ let qtrace p end_ =
   | Some c ->
       Some (Obs.Trace_context.child c (match end_ with `Src -> 1 | `Dst -> 2))
 
+(* [end_]'s query: written at its first send, in one buffer, from the
+   plan's rendered hints, a nonce drawn into it when answers must be
+   signed and the end's trace context; then kept, so a retry resends it
+   as it was. *)
+let leg_query t p end_ =
+  let l = leg p end_ in
+  match l.query with
+  | Some q -> q
+  | None ->
+      let q =
+        Identxx.Query.write (Query_plan.query_hints t.plan) ~flow:p.p_flow
+          ~nonce:t.nonces ~trace:(qtrace p end_)
+      in
+      l.query <- Some q;
+      q
+
 (* Put [end_]'s query to [p]'s host on the wire at [attachment], the
    switch port the host hangs off. Per §3.2 the query's source address
    is the flow's other end, so the response routes back through the
    network (and its interception points). *)
-let wire_send ?nonce t p end_ attachment =
+let wire_send t p end_ attachment =
   let flow = p.p_flow and target = end_ip p.p_flow end_ in
-  let query =
-    {
-      (Identxx.Query.make ~flow ~keys:(Query_plan.hints t.plan)) with
-      Identxx.Query.nonce;
-      trace = qtrace p end_;
-    }
-  in
   let pkt =
     Identxx.Wire.query_packet ~to_ip:target
       ~from_ip:(end_ip flow (match end_ with `Src -> `Dst | `Dst -> `Src))
-      query
+      (leg_query t p end_)
   in
   (match attachment.Topo.node with
   | Topo.Sw dpid ->
@@ -785,10 +785,9 @@ let declares_scope t ip =
    nonce and trace context, joining no exchange: a retry round's resend,
    or a waiter's own query after an answer that did not cover it. *)
 let resend t p end_ =
-  let nonce = query_nonce t p end_ in
-  Option.iter
-    (wire_send ?nonce t p end_)
-    (attachment_of t (end_ip p.p_flow end_))
+  match attachment_of t (end_ip p.p_flow end_) with
+  | Some attachment -> wire_send t p end_ attachment
+  | None -> ()
 
 (* Ask [end_] of [p], if it is awaited. An intercept may answer on the
    host's behalf, and an unknown host cannot be asked: either way the
@@ -833,8 +832,7 @@ let issue_end t p end_ =
                      wire query; the settlement fans out to us too. *)
                   Events.query_sent t.ev ~now:t.now ~how:`Joined p end_
               | (`First _ | `Alone) as sent -> (
-                  (* Only a query on the wire carries a nonce. *)
-                  wire_send ?nonce:(query_nonce t p end_) t p end_ attachment;
+                  wire_send t p end_ attachment;
                   match sent with
                   | `First ex -> p.p_exchange <- Some ex
                   | `Alone -> ())))
@@ -863,30 +861,30 @@ let arm_timeout t p =
     Shard.Engine.post_after t.shard_engine ~shard:(shard_of t p.p_flow)
       ~delay:t.cfg.query_timeout (Timeout p)
 
+(* Only while [p] is pending: a decided flow's timer is void. *)
 let on_timeout t p =
-  match Flow_tbl.find_opt t.pending p.p_flow with
-  | Some p' when p' == p ->
-      let waiting = p.p_src.awaiting || p.p_dst.awaiting in
-      if waiting && p.retries_left > 0 then begin
-        (* Re-issue the unanswered queries and re-arm the timer. *)
-        p.retries_left <- p.retries_left - 1;
-        Events.retried t.ev ~now:t.now p.p_span;
-        issue_end t p `Src;
-        issue_end t p `Dst;
-        arm_timeout t p
-      end
-      else if not waiting then maybe_finalize t p
-      else begin
-        if p.p_src.awaiting then expire_end t p `Src;
-        if p.p_dst.awaiting then expire_end t p `Dst
-      end
-  | Some _ | None -> ()
+  if p.p_live then begin
+    let waiting = p.p_src.awaiting || p.p_dst.awaiting in
+    if waiting && p.retries_left > 0 then begin
+      (* Re-issue the unanswered queries and re-arm the timer. *)
+      p.retries_left <- p.retries_left - 1;
+      Events.retried t.ev ~now:t.now p.p_span;
+      issue_end t p `Src;
+      issue_end t p `Dst;
+      arm_timeout t p
+    end
+    else if not waiting then maybe_finalize t p
+    else begin
+      if p.p_src.awaiting then expire_end t p `Src;
+      if p.p_dst.awaiting then expire_end t p `Dst
+    end
+  end
 
 (* An end the flow [want]s asked unless the fast path resolved it
    ([pre], as {!fast_resolve} returns it). *)
 let new_leg ~want pre =
   let awaiting = want && Option.is_none pre in
-  { answer = Option.join pre; awaiting; qspan = Obs.Span.null; sent = -1; nonce = None }
+  { answer = Option.join pre; awaiting; qspan = Obs.Span.null; sent = -1; query = None }
 
 (* The fast path, before any Figure-1 exchange: try to resolve [end_]
    of [flow], if [want]ed, from a settled answer, or, for a host whose
@@ -964,6 +962,7 @@ let start_flow t (pi : Msg.packet_in) (flow : Five_tuple.t) =
             p_span = sp;
             p_exchange = None;
             p_silent = false;
+            p_live = true;
           }
         in
         arm_timeout t p;
@@ -1011,15 +1010,16 @@ let answer_key ~src ~dst (r : Identxx.Response.t) =
     dst_port = r.Identxx.Response.dst_port;
   }
 
-(* The pending flow an answer names, from its two keys (the answering
-   host as source, [as_src], or as destination, [as_dst]): when both
-   are pending, the one awaiting its source wins, then the other. The
-   front end and the shard read the same keys, built once. *)
-let named_pending t ~as_src ~as_dst =
-  match Flow_tbl.find_opt t.pending as_src with
+(* The pending flow an answer from [from_ip] to [to_ip] names, by its
+   two keys (the answering host as source, or as destination): when both
+   are pending, the one awaiting its source wins, then the other. *)
+let named_pending t ~from_ip ~to_ip response =
+  match Flow_tbl.find_opt t.pending (answer_key ~src:from_ip ~dst:to_ip response) with
   | Some p when p.p_src.awaiting -> Some p
   | by_src -> (
-      match Flow_tbl.find_opt t.pending as_dst with
+      match
+        Flow_tbl.find_opt t.pending (answer_key ~src:to_ip ~dst:from_ip response)
+      with
       | Some _ as by_dst -> by_dst
       | None -> by_src)
 
@@ -1043,7 +1043,7 @@ let answer_accepted t p ~from_ip ~to_ip response sg =
         if
           not
             (Identxx.Signed.echoes sg ~host:from_ip ~peer:to_ip
-               ~nonce:(leg p (end_of p.p_flow from_ip)).nonce)
+               ~query:(leg p (end_of p.p_flow from_ip)).query)
         then Some (Some signer, "stale-binding")
         else if
           not
@@ -1113,6 +1113,27 @@ let settle_answer t p ~from_ip response sg =
          else Requery w))
     ws
 
+(* The one response path: an answer pairs with the pending flow [p] it
+   names, on that flow's shard, and settles the flow's query to the
+   answering host ({!settle_answer}). Its signature section is read
+   once. An answer that fails authentication settles nothing: the
+   waiters decide on a later valid answer or at the initiator's timeout,
+   so an off-path spoofer cannot force early fail-closed decisions. *)
+let take_answer t p ~from_ip ~to_ip response =
+  let sg = Identxx.Signed.signature response in
+  if
+    (not t.cfg.require_signed_responses)
+    || answer_accepted t p ~from_ip ~to_ip response sg
+  then settle_answer t p ~from_ip response sg
+
+(* An answer whose flow was not pending when it arrived, or was decided
+   before its shard took it: it pairs with the flow it names now, if
+   any; else it is transit. *)
+let stray_answer t (pi : Msg.packet_in) ~from_ip ~to_ip response =
+  match named_pending t ~from_ip ~to_ip response with
+  | Some p -> take_answer t p ~from_ip ~to_ip response
+  | None -> handle_transit t ~dpid:pi.Msg.dpid ~from_ip ~to_ip response pi.Msg.packet
+
 (* The controller's one way in: [input] at [now]. A switch's packet-in
    is classified once (pure) and its real work posted, with what the
    classification built, to a shard's run queue, which brings it back
@@ -1124,18 +1145,17 @@ let step t ~now input =
   match input with
   | Switch (Msg.Packet_in pi) -> (
       match Identxx.Wire.classify pi.Msg.packet with
-      | Identxx.Wire.Response { from_ip; to_ip; response } ->
-          let as_src = answer_key ~src:from_ip ~dst:to_ip response
-          and as_dst = answer_key ~src:to_ip ~dst:from_ip response in
-          let shard =
-            if shard_count t = 1 then 0
-            else
-              match named_pending t ~as_src ~as_dst with
-              | Some p -> shard_of t p.p_flow
-              | None -> 0
-          in
-          Shard.Engine.post t.shard_engine ~shard
-            (Answer { pi; response; as_src; as_dst })
+      | Identxx.Wire.Response { from_ip; to_ip; response } -> (
+          (* Routed once: the flow it names, found here, travels with it
+             to that flow's shard. *)
+          match named_pending t ~from_ip ~to_ip response with
+          | Some named ->
+              Shard.Engine.post t.shard_engine
+                ~shard:(if shard_count t = 1 then 0 else shard_of t named.p_flow)
+                (Answer { pi; response; from_ip; to_ip; named })
+          | None ->
+              Shard.Engine.post t.shard_engine ~shard:0
+                (Stray_answer { pi; response; from_ip; to_ip }))
       | Identxx.Wire.Query { from_ip; to_ip; query } ->
           Shard.Engine.post t.shard_engine ~shard:0
             (Foreign_query { pi; from_ip; to_ip; query })
@@ -1159,24 +1179,12 @@ let step t ~now input =
       match Flow_tbl.find_opt t.pending flow with
       | Some p -> p.p_packets <- pi :: p.p_packets
       | None -> start_flow t pi flow)
-  | Answer { pi; response; as_src; as_dst } -> (
-      (* The one response path: an answer pairs with the flow it names,
-         on that flow's shard, and settles the flow's query to the
-         answering host ({!settle_answer}). Its signature section is
-         read once. An answer that fails authentication settles nothing:
-         the waiters decide on a later valid answer or at the
-         initiator's timeout, so an off-path spoofer cannot force early
-         fail-closed decisions. An answer naming no pending flow is
-         transit. *)
-      let from_ip = as_src.Five_tuple.src and to_ip = as_src.Five_tuple.dst in
-      match named_pending t ~as_src ~as_dst with
-      | None -> handle_transit t ~dpid:pi.Msg.dpid ~from_ip ~to_ip response pi.Msg.packet
-      | Some p ->
-          let sg = Identxx.Signed.signature response in
-          if
-            (not t.cfg.require_signed_responses)
-            || answer_accepted t p ~from_ip ~to_ip response sg
-          then settle_answer t p ~from_ip response sg)
+  | Answer { pi; response; from_ip; to_ip; named } ->
+      (* The flow the answer named on arrival, unless decided since. *)
+      if named.p_live then take_answer t named ~from_ip ~to_ip response
+      else stray_answer t pi ~from_ip ~to_ip response
+  | Stray_answer { pi; response; from_ip; to_ip } ->
+      stray_answer t pi ~from_ip ~to_ip response
   | Foreign_query { pi; from_ip; to_ip; query } -> (
       (* "Intercepted queries are not allowed to cause new queries." *)
       let dpid = pi.Msg.dpid in
@@ -1315,7 +1323,10 @@ let create ?(config = default_config) ?keystore ?functions ?obs ?spans
         compiled = Proactive.create obs ~labels;
         last_stats = [];
         xid = 0;
-        nonces = Sim.Prng.create (0x6e6f6e6365 + id);
+        nonces =
+          (if config.require_signed_responses then
+             Some (Sim.Prng.create (0x6e6f6e6365 + id))
+           else None);
         now = clock ();
         topo;
         clock;

@@ -9,6 +9,7 @@ type t = {
   shape : Fastpath.decision_shape;
   hints : string list;
   hint_key : string;
+  query_hints : Identxx.Query.hints;
   diagram : Analysis.Fdd.t option;
   steps : Analysis.Fdd.steps;  (* the diagram's compile, for the next *)
   every_end : bool;  (* allowed(), or no diagram: ask both ends *)
@@ -61,6 +62,7 @@ let make ~default ?prev rev =
         shape = { Fastpath.src_port = true; reads = None };
         hints = [];
         hint_key = "";
+        query_hints = Identxx.Query.hints [];
         diagram = None;
         steps;
         every_end = true;
@@ -73,12 +75,14 @@ let make ~default ?prev rev =
       let shape = Fastpath.decision_shape env in
       (* [allowed()] is what makes the shape read every pair. *)
       let calls_allowed = shape.Fastpath.reads = None in
+      (* A key the wire cannot carry is left out: no answer binds it. *)
       let hints =
         if calls_allowed then []
         else
-          List.sort_uniq String.compare
-            ((Fastpath.Answers.expires_key :: Audit.interesting_keys)
-            @ Pf.Env.referenced_keys env)
+          List.filter Identxx.Key_value.valid_key
+            (List.sort_uniq String.compare
+               ((Fastpath.Answers.expires_key :: Audit.interesting_keys)
+               @ Pf.Env.referenced_keys env))
       in
       let line_ends = Hashtbl.create 16 in
       List.iter
@@ -96,6 +100,7 @@ let make ~default ?prev rev =
         shape;
         hints;
         hint_key = Fastpath.Answers.hint_key hints;
+        query_hints = Identxx.Query.hints hints;
         diagram = Some diagram;
         steps;
         every_end = calls_allowed;
@@ -146,5 +151,6 @@ let epoch t = t.epoch
 let env t = t.env
 let hints t = t.hints
 let hint_key t = t.hint_key
+let query_hints t = t.query_hints
 let shape t = t.shape
 let diagram t = t.diagram

@@ -25,7 +25,9 @@
       bound reaches a settled answer.
 
     Under [allowed()] the list is empty, which asks for everything:
-    rules carried in an answer may read any key.
+    rules carried in an answer may read any key. A key the wire cannot
+    carry ({!Identxx.Key_value.valid_key}) is left out: no answer can
+    bind it.
 
     {b Intercepts.} The [intercept] lines by kind, in policy order, each
     section built once without the pairs the wire cannot carry. *)
@@ -55,6 +57,10 @@ val hints : t -> string list
 val hint_key : t -> string
 (** {!hints} in canonical form ({!Fastpath.Answers.hint_key}): the
     hint part of every answer-reuse key. *)
+
+val query_hints : t -> Identxx.Query.hints
+(** {!hints} as every query's key lines, rendered once
+    ({!Identxx.Query.write}). *)
 
 val shape : t -> Fastpath.decision_shape
 

@@ -70,58 +70,105 @@ let decision_shape env =
     reads = (if calls_allowed then None else Some (Pf.Env.referenced_keys env));
   }
 
-(* Length prefixes keep the concatenated strings unambiguous: a value
-   may contain any byte, including the separators, but a length always
-   starts with a digit and every separator is a non-digit. *)
-let add_lp_sub b s pos len =
-  Buffer.add_string b (string_of_int len);
-  Buffer.add_char b ':';
-  Buffer.add_substring b s pos len;
-  b
+(* --- the decision-cache key ---
 
-let add_lp b s = ignore (add_lp_sub b s 0 (String.length s) : Buffer.t)
+   Written in two passes over the same code: the first, into
+   {!Bytes.empty}, only measures; the second writes into a buffer of the
+   length the first found. Length prefixes keep the concatenated strings
+   unambiguous: a value may contain any byte, including the separators,
+   but a length always starts with a digit and every separator is a
+   non-digit. *)
+
+type cursor = { mutable b : Bytes.t; mutable pos : int }
+
+let writing c = Bytes.length c.b > 0
+
+let put_char c ch =
+  if writing c then Bytes.unsafe_set c.b c.pos ch;
+  c.pos <- c.pos + 1
+
+let put_sub c s i len =
+  if writing c then Bytes.blit_string s i c.b c.pos len;
+  c.pos <- c.pos + len
+
+let put_string c s = put_sub c s 0 (String.length s)
+
+(* The digits of [n <= 0], counted and written from its negative side,
+   so that [min_int] needs no special case. *)
+let rec neg_digits n = if n > -10 then 1 else 1 + neg_digits (n / 10)
+
+let rec write_neg b i n =
+  Bytes.unsafe_set b i (Char.unsafe_chr (48 - (n mod 10)));
+  if n <= -10 then write_neg b (i - 1) (n / 10)
+
+(* [n] in decimal, as [string_of_int] spells it, then [sep]. *)
+let put_int c sep n =
+  let neg = if n < 0 then n else -n in
+  let len = neg_digits neg + if n < 0 then 1 else 0 in
+  if writing c then begin
+    if n < 0 then Bytes.unsafe_set c.b c.pos '-';
+    write_neg c.b (c.pos + len - 1) neg
+  end;
+  c.pos <- c.pos + len;
+  put_char c sep
+
+let put_lp_sub c s pos len =
+  put_int c ':' len;
+  put_sub c s pos len;
+  c
 
 (* "-" for a silent end, "R" then what the policy can read for an
    answer. A read key's values go in [Response.all_values] order, each
-   copied from where it sits in the payload, closed by ';'; with [None]
-   every section goes in whole, each opened by '|'. *)
-let add_answer b reads = function
-  | None -> Buffer.add_char b '-'
-  | Some (r : Identxx.Response.t) -> (
-      Buffer.add_char b 'R';
-      match reads with
-      | Some keys ->
-          List.iter
-            (fun key ->
-              ignore (Identxx.Response.fold_values r key add_lp_sub b : Buffer.t);
-              Buffer.add_char b ';')
-            keys
-      | None ->
-          List.iter
-            (fun section ->
-              Buffer.add_char b '|';
-              List.iter
-                (fun (p : Identxx.Key_value.pair) ->
-                  add_lp b p.key;
-                  add_lp b p.value)
-                section)
-            (Identxx.Response.sections r))
+   copied from where it sits in the payload, closed by ';'; with
+   [sections], every pair of every section, each section opened by
+   '|'. *)
+let rec put_reads c r = function
+  | [] -> ()
+  | key :: keys ->
+      ignore (Identxx.Response.fold_values r key put_lp_sub c : cursor);
+      put_char c ';';
+      put_reads c r keys
+
+let put_sections c sections =
+  List.iter
+    (fun section ->
+      put_char c '|';
+      List.iter
+        (fun (p : Identxx.Key_value.pair) ->
+          ignore (put_lp_sub c p.key 0 (String.length p.key) : cursor);
+          ignore (put_lp_sub c p.value 0 (String.length p.value) : cursor))
+        section)
+    sections
+
+let put_answer c reads sections = function
+  | None -> put_char c '-'
+  | Some r -> (
+      put_char c 'R';
+      match reads with Some keys -> put_reads c r keys | None -> put_sections c sections)
+
+let put_key c shape (flow : Five_tuple.t) ~src ~dst ~src_sections ~dst_sections =
+  c.pos <- 0;
+  put_int c '>' (Ipv4.to_int flow.src);
+  put_int c '/' (Ipv4.to_int flow.dst);
+  put_int c ':' (Proto.to_int flow.proto);
+  if shape.src_port then put_int c ':' flow.src_port else put_string c "*:";
+  put_int c ',' flow.dst_port;
+  put_answer c shape.reads src_sections src;
+  put_answer c shape.reads dst_sections dst
+
+(* Every section, decoded once for both passes, when the key carries
+   them all. *)
+let sections_for shape = function
+  | Some r when shape.reads = None -> Identxx.Response.sections r
+  | Some _ | None -> []
 
 let decision_key shape ~(flow : Five_tuple.t) ~src ~dst =
-  let b = Buffer.create 64 in
-  let add_int sep n =
-    Buffer.add_string b (string_of_int n);
-    Buffer.add_char b sep
-  in
-  add_int '>' (Ipv4.to_int flow.src);
-  add_int '/' (Ipv4.to_int flow.dst);
-  add_int ':' (Proto.to_int flow.proto);
-  if shape.src_port then add_int ':' flow.src_port
-  else Buffer.add_string b "*:";
-  add_int ',' flow.dst_port;
-  add_answer b shape.reads src;
-  add_answer b shape.reads dst;
-  Buffer.contents b
+  let src_sections = sections_for shape src and dst_sections = sections_for shape dst in
+  let c = { b = Bytes.empty; pos = 0 } in
+  put_key c shape flow ~src ~dst ~src_sections ~dst_sections;
+  c.b <- Bytes.create c.pos;
+  put_key c shape flow ~src ~dst ~src_sections ~dst_sections;
+  Bytes.unsafe_to_string c.b
 
 let find_decision t ~key = Decision_cache.find t.decisions ~key
 let store_decision t ~key ~flow verdict = Decision_cache.store t.decisions ~key ~flow verdict

@@ -232,33 +232,33 @@ let globals t cfg =
       t.globals <- Some g;
       g
 
-(* The plain keys of a query's key list: extension tokens ([@trace/…],
-   [@nonce/…], or any other [@]-prefixed key) are never hints. *)
-let plain_hints keys =
-  let plain k = String.length k > 0 && k.[0] <> '@' in
-  if List.for_all plain keys then keys else List.filter plain keys
+(* Whether one of [lines]' lines from [j] on has the key
+   [String.sub s i len]. *)
+let rec line_with lines s i len j =
+  j < String.length lines
+  && (Payload.is_key_sub lines j s i len
+     || line_with lines s i len (Payload.line_end lines j + 1))
 
-let rec line_with lines k i =
-  i < String.length lines
-  && (Payload.is_key lines i k || line_with lines k (Payload.line_end lines i + 1))
+(* Whether a static section's rendered lines hold a line with the query's
+   hint [String.sub s i len], read where it sits. A key whose bit the
+   section's [keys] lack is on none of them, and a pair's key has no
+   ':'. *)
+let has_key (part : Payload.part) s i len =
+  part.keys land Payload.key_bit_sub s i len <> 0
+  && Payload.index_in s ':' i (i + len) = i + len
+  && line_with part.text s i len 0
 
-(* Whether a static section's rendered lines hold a line with key [k].
-   A key whose bit the section's [keys] lack is on none of them, and a
-   pair's key has no ':'. *)
-let has_key (part : Payload.part) k =
-  part.keys land Payload.key_bit k <> 0
-  && (not (String.contains k ':'))
-  && line_with part.text k 0
+(* Whether a static section goes out in answer to [q]: when it holds one
+   of the query's plain hints, or when the query hinted no plain key at
+   all. A section sharing no bit with the hints holds none of them. *)
+let holds (q : Query.t) (part : Payload.part) =
+  q.hint_bits = 0
+  || (part.keys land q.hint_bits <> 0 && Query.exists_hint q has_key part)
 
-let rec holds_hinted part = function
-  | [] -> false
-  | k :: rest -> has_key part k || holds_hinted part rest
-
-(* Whether a static section goes out under [plain] hints: when it holds
-   one of them, or when the query hinted no plain key at all. *)
-let holds plain part = match plain with [] -> true | _ :: _ -> holds_hinted part plain
-
-let wanted ~keys section = holds (plain_hints keys) (Payload.part ~tag:"" section)
+let wanted ~keys section =
+  holds
+    (Query.of_keys ~proto:Proto.Tcp ~src_port:0 ~dst_port:0 keys)
+    (Payload.part ~tag:"" section)
 
 (* An answer's parts, with their scopes in step. *)
 type parts = {
@@ -272,15 +272,16 @@ let add parts part scope =
   parts.scopes <- scope :: parts.scopes
 
 (* A static part goes out when non-empty and holding a hinted key. *)
-let sends plain (part : tagged) = part.text <> "" && holds plain part
+let sends q (part : tagged) = part.text <> "" && holds q part
 
-let add_static parts plain part scope = if sends plain part then add parts part scope
+let add_static parts q part scope = if sends q part then add parts part scope
 
 (* Span timing is read only for traced queries; untraced answers never
    touch the clock. *)
 let now t = function Some _ -> t.d_clock () | None -> 0.
 
-let answer ?trace ?decode ?nonce t ~peer ~proto ~src_port ~dst_port ~keys =
+let respond ?decode t ~peer (q : Query.t) =
+  let proto = q.proto and src_port = q.src_port and dst_port = q.dst_port in
   match t.behaviour with
   | Silent -> None
   | Lying fabricated ->
@@ -296,6 +297,7 @@ let answer ?trace ?decode ?nonce t ~peer ~proto ~src_port ~dst_port ~keys =
         Log.debug (fun m ->
             m "answering query about %s %d->%d (peer %s)"
               (Proto.to_string proto) src_port dst_port (Ipv4.to_string peer));
+      let trace = Query.trace q in
       let t_lookup = now t trace in
       let as_src =
         Five_tuple.make ~src:t.ip ~dst:peer ~proto ~src_port ~dst_port
@@ -336,20 +338,19 @@ let answer ?trace ?decode ?nonce t ~peer ~proto ~src_port ~dst_port ~keys =
          the hinted keys stays home, whole. The globals hold host-wide,
          but only beside the owner's built-in section: without it, what
          the answer lacks holds only as far as the lookup did. *)
-      let plain = plain_hints keys in
       let parts = { parts = []; scopes = [] } in
       (match proc with
-      | None -> add_static parts plain (globals t cfg) held
+      | None -> add_static parts q (globals t cfg) held
       | Some proc ->
           let builtins = builtins t proc in
-          let own = sends plain builtins in
-          add_static parts plain (globals t cfg)
+          let own = sends q builtins in
+          add_static parts q (globals t cfg)
             (if own then Signed.Host else held);
           (match runtime_section t flow with
           | [] -> ()
           | section ->
               add parts (Payload.part ~tag:Signed.per_flow section) Signed.Flow);
-          add_static parts plain (app t cfg proc) held;
+          add_static parts q (app t cfg proc) held;
           if own then add parts builtins held);
       let t_sign = now t trace in
       (* The answer is written once, into a buffer of its exact length:
@@ -361,8 +362,8 @@ let answer ?trace ?decode ?nonce t ~peer ~proto ~src_port ~dst_port ~keys =
             (match t.metrics with
             | Some m -> Obs.Registry.Counter.inc m.m_signed
             | None -> ());
-            Signed.assemble ~public ~key ~host:t.ip ~peer ?nonce ~proto
-              ~src_port ~dst_port ~scopes:parts.scopes parts.parts
+            Signed.assemble ~public ~key ~host:t.ip ~peer ~query:q
+              ~scopes:parts.scopes parts.parts
         | None -> Payload.assemble ~proto ~src_port ~dst_port parts.parts
       in
       let t_done = now t trace in
@@ -392,17 +393,19 @@ let answer ?trace ?decode ?nonce t ~peer ~proto ~src_port ~dst_port ~keys =
       in
       Some (response, role)
 
-let answer ?trace ?decode ?nonce t ~peer ~proto ~src_port ~dst_port ~keys =
+let respond ?decode t ~peer q =
   match t.metrics with
-  | None -> answer ?trace ?decode ?nonce t ~peer ~proto ~src_port ~dst_port ~keys
+  | None -> respond ?decode t ~peer q
   | Some m ->
       let t0 = t.d_clock () in
-      let r =
-        answer ?trace ?decode ?nonce t ~peer ~proto ~src_port ~dst_port ~keys
-      in
+      let r = respond ?decode t ~peer q in
       Obs.Registry.Histogram.observe m.m_seconds (t.d_clock () -. t0);
       Obs.Registry.Counter.inc
         (match r with None -> m.m_silent | Some _ -> m.m_answered);
       r
 
 let queries_answered t = t.answered
+
+let answer ?trace ?decode ?nonce t ~peer ~proto ~src_port ~dst_port ~keys =
+  respond ?decode t ~peer
+    (Query.of_keys ~proto ~src_port ~dst_port ?nonce ?trace keys)

@@ -63,6 +63,43 @@ val clear_runtime : t -> flow:Five_tuple.t -> unit
 
 type role = As_source | As_destination
 
+val respond :
+  ?decode:float * float -> t -> peer:Ipv4.t -> Query.t -> (Response.t * role) option
+(** Answer [query], about the flow of its protocol and ports whose far
+    end is [peer]. The daemon first tries to interpret itself as the
+    flow's source (an owned connection), then as its destination (an
+    accepted connection or a listener). [None] when the daemon is
+    {!Silent}.
+
+    Even when no owning process exists, an honest daemon still responds
+    with its host-wide pairs — the controller decides what an absent
+    [userID] means.
+
+    The query's trace context ({!Query.trace}): an honest daemon then
+    times its lookup / assemble / sign steps on {!clock} and piggybacks
+    them on the response with {!Response.attach_trace}, after any
+    signature section. [decode], when the caller timed {!Query.decode}
+    itself, is reported as one more span. Dishonest daemons ignore
+    both.
+
+    The query's plain hints (§3.2, {!Query.t}), read where they sit. A
+    static section (built-ins, [@app] config, globals) that holds none
+    of them stays home, whole; the run-time section always goes.
+    Extension tokens — any key starting with ['@'], such as [@trace/…]
+    and [@nonce/…] — are never hints, and a query with no other key
+    asks for every section.
+
+    The query's nonce: a signing daemon echoes it, copied from where it
+    sits, with its own address and [peer], under the answer's binding
+    tag. The run-time section is the one per-flow section; the others
+    carry their cached section tags. The signature section also declares
+    each section's reuse scope ({!Signed.scope}): the owner's built-in
+    and [@app] sections are [Socket] when a listener was found and
+    [Flow] for a connected socket (or when run-time pairs set a flow to
+    the listener apart), run-time pairs are [Flow], and the globals are
+    [Host] beside the owner's built-ins, else as far as the lookup
+    held. *)
+
 val answer :
   ?trace:Obs.Trace_context.t ->
   ?decode:float * float ->
@@ -70,42 +107,13 @@ val answer :
   t ->
   peer:Ipv4.t -> proto:Proto.t -> src_port:int -> dst_port:int ->
   keys:string list -> (Response.t * role) option
-(** Answer a query about the flow whose far end is [peer]. The daemon
-    first tries to interpret itself as the flow's source (an owned
-    connection), then as its destination (an accepted connection or a
-    listener). [None] when the daemon is {!Silent}.
-
-    Even when no owning process exists, an honest daemon still responds
-    with its host-wide pairs — the controller decides what an absent
-    [userID] means.
-
-    [trace] is the querier's trace context (from {!Query.t}[.trace]):
-    an honest daemon then times its lookup / assemble / sign steps on
-    {!clock} and piggybacks them on the response with
-    {!Response.attach_trace}, after any signature section. [decode],
-    when the caller timed {!Query.decode} itself, is reported as one
-    more span. Dishonest daemons ignore both.
-
-    [keys] are the query's hints (§3.2). A static section (built-ins,
-    [@app] config, globals) that holds none of them stays home, whole;
-    the run-time section always goes. Extension tokens — any key
-    starting with ['@'], such as [@trace/…] and [@nonce/…] — are never
-    hints, and a list with no other key asks for every section.
-
-    [nonce] is the query's ({!Query.t}[.nonce]); a signing daemon echoes
-    it, with its own address and [peer], under the answer's binding tag.
-    The run-time section is the one per-flow section; the others carry
-    their cached section tags. The signature section also declares each
-    section's reuse scope ({!Signed.scope}): the owner's built-in and
-    [@app] sections are [Socket] when a listener was found and [Flow]
-    for a connected socket (or when run-time pairs set a flow to the
-    listener apart), run-time pairs are [Flow], and the globals are
-    [Host] beside the owner's built-ins, else as far as the lookup
-    held. *)
+(** {!respond} to the query carrying [keys] as its hints, and [nonce]
+    and [trace] when given ({!Query.of_keys}): the entry for callers
+    that hold a key list rather than a query. *)
 
 val wanted : keys:string list -> Key_value.section -> bool
 (** Whether a static section goes out in answer to a query hinting
-    [keys], by the rule above. *)
+    [keys], by {!respond}'s rule. *)
 
 val queries_answered : t -> int
 

@@ -80,13 +80,9 @@ let handle_packet t pkt =
       | Error _ -> None
       | Ok query -> (
           let d1 = clock () in
-          match
-            Daemon.answer ?trace:query.Query.trace ~decode:(d0, d1)
-              ?nonce:query.Query.nonce t.daemon
-              ~peer:from_ip ~proto:query.Query.proto
-              ~src_port:query.Query.src_port ~dst_port:query.Query.dst_port
-              ~keys:query.Query.keys
-          with
+          (* Only a traced query reports its decode. *)
+          let decode = if query.Query.trace_at < 0 then None else Some (d0, d1) in
+          match Daemon.respond ?decode t.daemon ~peer:from_ip query with
           | None -> None
           | Some (response, _role) ->
               Some

@@ -8,6 +8,10 @@ let put b pos s =
   Bytes.blit_string s 0 b pos (String.length s);
   pos + String.length s
 
+let put_sub b pos s i len =
+  Bytes.blit_string s i b pos len;
+  pos + len
+
 let put_char b pos c =
   Bytes.unsafe_set b pos c;
   pos + 1
@@ -31,7 +35,8 @@ let lines section =
 
 type part = { text : string; tag : string; keys : int }
 
-let key_bit k = 1 lsl ((Char.code k.[0] + (7 * String.length k)) mod 63)
+let key_bit_sub s i len = 1 lsl ((Char.code (String.unsafe_get s i) + (7 * len)) mod 63)
+let key_bit k = key_bit_sub k 0 (String.length k)
 
 let part ~tag pairs =
   let keys = List.fold_left (fun b (p : Key_value.pair) -> b lor key_bit p.key) 0 pairs in
@@ -143,6 +148,15 @@ let is_key s i key =
   i + n < String.length s
   && String.unsafe_get s (i + n) = ':'
   && Key_value.is_at key s i
+
+let rec same_sub a i b j len =
+  len = 0
+  || String.unsafe_get a i = String.unsafe_get b j && same_sub a (i + 1) b (j + 1) (len - 1)
+
+let is_key_sub s i k pos len =
+  i + len < String.length s
+  && String.unsafe_get s (i + len) = ':'
+  && same_sub s i k pos len
 
 let rec find s i stop key found =
   let p = line_from s key.[0] i in

@@ -19,6 +19,10 @@ type t = { proto : Proto.t; src_port : int; dst_port : int; payload : string }
 val put : Bytes.t -> int -> string -> int
 (** [put b pos s] writes [s] at [pos]; the position after it. *)
 
+val put_sub : Bytes.t -> int -> string -> int -> int -> int
+(** [put_sub b pos s i len] writes [String.sub s i len] at [pos]; the
+    position after it. *)
+
 val put_char : Bytes.t -> int -> char -> int
 
 val put_key : Bytes.t -> int -> string -> int
@@ -34,13 +38,15 @@ val put_pairs : Bytes.t -> int -> Key_value.section -> int
 type part = { text : string; tag : string; keys : int }
 (** A section as a daemon sends it: its lines, each [key: value] and a
     ['\n'] ([""] when empty), its section tag ({!Signed.per_flow} for a
-    per-flow section, [""] when unsigned), and the {!key_bit}s of its
-    keys. *)
+    per-flow section, [""] when unsigned), and the {!key_bit_sub}s of
+    its keys. *)
 
 val part : tag:string -> Key_value.section -> part
 
-val key_bit : string -> int
-(** One bit a non-empty key sets; other keys may share it. *)
+val key_bit_sub : string -> int -> int -> int
+(** [key_bit_sub s i len]: one bit the non-empty key
+    [String.sub s i len] sets; other keys may share it. A {!part}'s
+    [keys] hold its keys' bits. *)
 
 val length : proto:Proto.t -> src_port:int -> dst_port:int -> part list -> int
 (** The bytes of the header and of the parts' sections, one blank line
@@ -93,6 +99,14 @@ val section_stop : string -> int -> int
 
 val is_key : string -> int -> string -> bool
 (** Whether the line starting at the position has the valid key. *)
+
+val same_sub : string -> int -> string -> int -> int -> bool
+(** [same_sub a i b j len]: whether the [len] bytes of [a] from [i] are
+    those of [b] from [j]. *)
+
+val is_key_sub : string -> int -> string -> int -> int -> bool
+(** [is_key_sub s i k pos len]: {!is_key} of the key
+    [String.sub k pos len], a valid key, read where it sits. *)
 
 val find : string -> int -> int -> string -> int
 (** [find s i stop key]: where the value of the last binding of [key]

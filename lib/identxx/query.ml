@@ -4,9 +4,10 @@ type t = {
   proto : Proto.t;
   src_port : int;
   dst_port : int;
-  keys : string list;
-  nonce : string option;
-  trace : Obs.Trace_context.t option;
+  payload : string;
+  hint_bits : int;
+  nonce_at : int;
+  trace_at : int;
 }
 
 (* The trace context rides as one more key: a key may contain anything
@@ -20,6 +21,16 @@ let trace_key_prefix = "@trace/"
    ignores and a signing daemon echoes inside its binding tag. *)
 let nonce_key_prefix = "@nonce/"
 
+(* Both prefixes are this long. *)
+let prefix_length = 7
+
+(* A slice [start, stop) of the payload, packed into one int, or
+   [none]. *)
+let none = -1
+let slice start stop = (start lsl 32) lor stop
+let start f = f lsr 32
+let stop f = f land 0xffff_ffff
+
 let rec hex_from s i stop =
   i >= stop
   || (match String.unsafe_get s i with '0' .. '9' | 'a' .. 'f' -> true | _ -> false)
@@ -27,72 +38,10 @@ let rec hex_from s i stop =
 
 let valid_nonce_at s i stop = stop - i >= 1 && stop - i <= 64 && hex_from s i stop
 
-let make ~(flow : Five_tuple.t) ~keys =
-  List.iter
-    (fun k ->
-      if not (Key_value.valid_key k) then
-        invalid_arg ("Query.make: bad key " ^ k))
-    keys;
-  {
-    proto = flow.proto;
-    src_port = flow.src_port;
-    dst_port = flow.dst_port;
-    keys;
-    nonce = None;
-    trace = None;
-  }
-
-let with_trace t trace = { t with trace }
-
-let flow_of t ~src ~dst =
-  Five_tuple.make ~src ~dst ~proto:t.proto ~src_port:t.src_port
-    ~dst_port:t.dst_port
-
-let blit s b pos =
-  Bytes.blit_string s 0 b pos (String.length s);
-  pos + String.length s
-
-(* A hint line: [prefix], [hint], newline. *)
-let put_hint b pos prefix hint =
-  let pos = blit hint b (blit prefix b pos) in
-  Bytes.unsafe_set b pos '\n';
-  pos + 1
-
-let rec put_keys b pos = function
-  | [] -> pos
-  | k :: rest ->
-      let pos = blit k b pos in
-      Bytes.unsafe_set b pos '\n';
-      put_keys b (pos + 1) rest
-
-let hint_length prefix = function
-  | None -> 0
-  | Some hint -> String.length prefix + String.length hint + 1
-
-let encode t =
-  let trace = Option.map Obs.Trace_context.to_string t.trace in
-  let b =
-    Bytes.create
-      (List.fold_left
-         (fun n k -> n + String.length k + 1)
-         (Header.length t.proto t.src_port t.dst_port
-         + hint_length nonce_key_prefix t.nonce
-         + hint_length trace_key_prefix trace)
-         t.keys)
-  in
-  let pos = put_keys b (Header.write b 0 t.proto t.src_port t.dst_port) t.keys in
-  let pos =
-    match t.nonce with None -> pos | Some n -> put_hint b pos nonce_key_prefix n
-  in
-  (match trace with
-  | None -> ()
-  | Some c -> ignore (put_hint b pos trace_key_prefix c));
-  Bytes.unsafe_to_string b
+(* --- reading lines --- *)
 
 (* The end of the line starting at [i]: the next LF, or the end. *)
-let rec line_end s i =
-  if i >= String.length s || String.unsafe_get s i = '\n' then i
-  else line_end s (i + 1)
+let line_end s i = Payload.index_in s '\n' i (String.length s)
 
 (* Whether [i, stop) is empty once trimmed, as [String.trim] sees it. *)
 let rec blank s i stop =
@@ -108,81 +57,227 @@ let rec clean s i stop =
   || (match String.unsafe_get s i with ':' | '\r' -> false | _ -> true)
      && clean s (i + 1) stop
 
-let rec has_prefix prefix s i k =
-  k >= String.length prefix
-  || String.unsafe_get s (i + k) = String.unsafe_get prefix k
-     && has_prefix prefix s i (k + 1)
-
 let starts prefix s i stop =
-  stop - i >= String.length prefix && has_prefix prefix s i 0
+  stop - i >= String.length prefix && Key_value.is_at prefix s i
 
 (* What a key line is. An unparsable "@nonce/..." or "@trace/..." token
-   is an ordinary key, exactly as an old decoder saw it; a "@trace/..."
-   line is parsed to tell. *)
-type line = Blank | Nonce | Trace_hint | Key | Malformed
+   is an ordinary key, exactly as an old decoder saw it. *)
+type line = Blank | Nonce | Trace | Key | Malformed
 
 let classify s i stop =
   if blank s i stop then Blank
   else if not (clean s i stop) then Malformed
   else if
     starts nonce_key_prefix s i stop
-    && valid_nonce_at s (i + String.length nonce_key_prefix) stop
+    && valid_nonce_at s (i + prefix_length) stop
   then Nonce
-  else if starts trace_key_prefix s i stop then Trace_hint
+  else if
+    starts trace_key_prefix s i stop
+    && Obs.Trace_context.is_text_sub s (i + prefix_length) (stop - i - prefix_length)
+  then Trace
   else Key
 
-(* The first nonce and trace-context hints, as the key lines are read. *)
-type hints = {
-  mutable nonce : string option;
-  mutable trace : Obs.Trace_context.t option;
-}
+(* A plain hint: a line neither blank nor an extension token (any line
+   starting with '@'). *)
+let plain s i stop = (not (blank s i stop)) && String.unsafe_get s i <> '@'
 
-let hint s prefix i e =
-  let i = i + String.length prefix in
-  String.sub s i (e - i)
+(* The {!Payload.key_bit_sub}s of the plain hints from [i] on. *)
+let rec plain_bits s i bits =
+  if i >= String.length s then bits
+  else
+    let e = line_end s i in
+    plain_bits s (e + 1)
+      (if plain s i e then bits lor Payload.key_bit_sub s i (e - i) else bits)
 
-(* The keys of the lines from [i] on, in order, noting the first nonce
-   and trace-context hints in [h]; [Exit] at a malformed key. Only each
-   kept key the protocol does not name is copied. *)
-let rec keys s h i =
-  if i > String.length s then []
+(* Where the key lines start: after the header line. *)
+let keys_start s = line_end s 0 + 1
+
+let rec exists_from s i f a =
+  i < String.length s
+  &&
+  let e = line_end s i in
+  (plain s i e && f a s i (e - i)) || exists_from s (e + 1) f a
+
+let exists_hint t f a = exists_from t.payload (keys_start t.payload) f a
+
+(* --- writing --- *)
+
+type hints = { block : string; bits : int }
+
+let blit s b pos =
+  Bytes.blit_string s 0 b pos (String.length s);
+  pos + String.length s
+
+let rec put_keys b pos = function
+  | [] -> pos
+  | k :: rest ->
+      let pos = blit k b pos in
+      Bytes.unsafe_set b pos '\n';
+      put_keys b (pos + 1) rest
+
+(* The key lines as given, each closed by '\n'. *)
+let block keys =
+  let b = Bytes.create (List.fold_left (fun n k -> n + String.length k + 1) 0 keys) in
+  ignore (put_keys b 0 keys : int);
+  let block = Bytes.unsafe_to_string b in
+  { block; bits = plain_bits block 0 0 }
+
+let hints keys =
+  List.iter
+    (fun k ->
+      if not (Key_value.valid_key k) then invalid_arg ("Query.hints: bad key " ^ k))
+    keys;
+  block keys
+
+(* [n] plus the bytes of a hint line carrying [text], if any. *)
+let hint_length n = function
+  | None -> n
+  | Some text -> n + prefix_length + String.length text + 1
+
+(* Where the hint block ends. *)
+let body_length h ~proto ~src_port ~dst_port =
+  Header.length proto src_port dst_port + String.length h.block
+
+(* The payload's buffer, its header and hint block written: [extra]
+   bytes follow them, from {!body_length}. *)
+let buffer h ~proto ~src_port ~dst_port extra =
+  let n = body_length h ~proto ~src_port ~dst_port in
+  let b = Bytes.create (n + extra) in
+  ignore (blit h.block b (Header.write b 0 proto src_port dst_port) : int);
+  b
+
+(* Put a hint line at [pos]: [prefix], [text], newline; the slice of
+   [text]. *)
+let put_hint b pos prefix text =
+  let p = blit prefix b pos in
+  let e = blit text b p in
+  Bytes.unsafe_set b e '\n';
+  slice p e
+
+(* The view, the trace hint written at [pos] when there is one. *)
+let finish b h ~proto ~src_port ~dst_port ~nonce_at pos trace =
+  let trace_at =
+    match trace with None -> none | Some text -> put_hint b pos trace_key_prefix text
+  in
+  {
+    proto;
+    src_port;
+    dst_port;
+    payload = Bytes.unsafe_to_string b;
+    hint_bits = h.bits;
+    nonce_at;
+    trace_at;
+  }
+
+let render h ~proto ~src_port ~dst_port ?nonce trace =
+  let trace = Option.map Obs.Trace_context.to_string trace in
+  let b = buffer h ~proto ~src_port ~dst_port (hint_length (hint_length 0 trace) nonce) in
+  let pos = body_length h ~proto ~src_port ~dst_port in
+  match nonce with
+  | None -> finish b h ~proto ~src_port ~dst_port ~nonce_at:none pos trace
+  | Some n ->
+      let nonce_at = put_hint b pos nonce_key_prefix n in
+      finish b h ~proto ~src_port ~dst_port ~nonce_at (stop nonce_at + 1) trace
+
+(* A drawn nonce is 16 hex digits. *)
+let drawn_length = 16
+
+let write h ~(flow : Five_tuple.t) ~nonce ~trace =
+  let proto = flow.proto and src_port = flow.src_port and dst_port = flow.dst_port in
+  match nonce with
+  | None -> render h ~proto ~src_port ~dst_port trace
+  | Some prng ->
+      let trace = Option.map Obs.Trace_context.to_string trace in
+      let b =
+        buffer h ~proto ~src_port ~dst_port
+          (hint_length (prefix_length + drawn_length + 1) trace)
+      in
+      let p = blit nonce_key_prefix b (body_length h ~proto ~src_port ~dst_port) in
+      let e = p + drawn_length in
+      Sim.Prng.write_hex64 prng b p;
+      Bytes.unsafe_set b e '\n';
+      finish b h ~proto ~src_port ~dst_port ~nonce_at:(slice p e) (e + 1) trace
+
+let make ?nonce ?trace ~(flow : Five_tuple.t) keys =
+  (match nonce with
+  | Some n when not (valid_nonce_at n 0 (String.length n)) ->
+      invalid_arg ("Query.make: bad nonce " ^ n)
+  | Some _ | None -> ());
+  render (hints keys) ~proto:flow.proto ~src_port:flow.src_port
+    ~dst_port:flow.dst_port ?nonce trace
+
+let of_keys ~proto ~src_port ~dst_port ?nonce ?trace keys =
+  render (block keys) ~proto ~src_port ~dst_port ?nonce trace
+
+(* --- reading the view --- *)
+
+let nonce t =
+  if t.nonce_at = none then None
+  else Some (String.sub t.payload (start t.nonce_at) (stop t.nonce_at - start t.nonce_at))
+
+let trace t =
+  if t.trace_at = none then None
+  else
+    Obs.Trace_context.of_sub t.payload (start t.trace_at)
+      (stop t.trace_at - start t.trace_at)
+
+(* The keys of the lines from [i] on, in order: each line that is not
+   blank, a nonce or a trace context. *)
+let rec keys_from s i =
+  if i >= String.length s then []
   else
     let e = line_end s i in
     match classify s i e with
-    | Key -> key s h i e
-    | Blank -> keys s h (e + 1)
-    | Nonce ->
-        (match h.nonce with
-        | None -> h.nonce <- Some (hint s nonce_key_prefix i e)
-        | Some _ -> ());
-        keys s h (e + 1)
-    | Trace_hint -> (
-        match Obs.Trace_context.of_string (hint s trace_key_prefix i e) with
-        | Some _ as trace ->
-            if Option.is_none h.trace then h.trace <- trace;
-            keys s h (e + 1)
-        | None -> key s h i e)
-    | Malformed -> raise_notrace Exit
+    | Blank | Nonce | Trace -> keys_from s (e + 1)
+    | Key | Malformed ->
+        let k = Key_value.key_of_slice s i (e - i) in
+        k :: keys_from s (e + 1)
 
-and key s h i e =
-  let k = Key_value.key_of_slice s i (e - i) in
-  k :: keys s h (e + 1)
+let keys t = keys_from t.payload (keys_start t.payload)
+
+let flow_of t ~src ~dst =
+  Five_tuple.make ~src ~dst ~proto:t.proto ~src_port:t.src_port
+    ~dst_port:t.dst_port
+
+let encode t = t.payload
+
+(* --- decoding --- *)
+
+(* The lines from [i] on, checked, noting the plain hints' bits and the
+   first nonce and trace context; [header] is the header line's
+   {!Header.parse}. *)
+let rec read s header i bits nonce trace =
+  if i > String.length s then
+    Ok
+      {
+        proto = Header.proto header;
+        src_port = Header.src_port header;
+        dst_port = Header.dst_port header;
+        payload = s;
+        hint_bits = bits;
+        nonce_at = nonce;
+        trace_at = trace;
+      }
+  else
+    let e = line_end s i in
+    match classify s i e with
+    | Blank -> read s header (e + 1) bits nonce trace
+    | Malformed -> Error "query: malformed key"
+    | Nonce ->
+        read s header (e + 1) bits
+          (if nonce = none then slice (i + prefix_length) e else nonce)
+          trace
+    | Trace ->
+        read s header (e + 1) bits nonce
+          (if trace = none then slice (i + prefix_length) e else trace)
+    | Key ->
+        read s header (e + 1)
+          (if String.unsafe_get s i = '@' then bits
+           else bits lor Payload.key_bit_sub s i (e - i))
+          nonce trace
 
 let decode s =
   let h = line_end s 0 in
   let header = Header.parse s 0 h in
   if header < 0 then Error (Header.error "query" header)
-  else
-    let hints = { nonce = None; trace = None } in
-    match keys s hints (h + 1) with
-    | exception Exit -> Error "query: malformed key"
-    | keys ->
-        Ok
-          {
-            proto = Header.proto header;
-            src_port = Header.src_port header;
-            dst_port = Header.dst_port header;
-            keys;
-            nonce = hints.nonce;
-            trace = hints.trace;
-          }
+  else read s header (h + 1) 0 none none

@@ -112,6 +112,14 @@ let latest_each t keys =
   mark_from t.payload keys found (Payload.body t);
   collect t.payload found 0 keys
 
+let latest_slices t keys found =
+  Array.fill found 0 (Array.length found) (-1);
+  mark_from t.payload keys found (Payload.body t);
+  for j = 0 to Array.length found - 1 do
+    let v = found.(j) in
+    if v >= 0 then found.(j) <- (v lsl 32) lor Payload.line_end t.payload v
+  done
+
 let all_values t key =
   List.rev (fold_values t key (fun acc s v len -> String.sub s v len :: acc) [])
 

@@ -108,20 +108,21 @@ let add_ip st ip =
 (* What a binding tag covers up to the per-flow sections, streamed into
    [st]: the domain, the flow header, the answering host, its peer, the
    nonce, the tag list and the scope list as they go on the wire (the
-   scope list only when the answer declares one). *)
-let start_binding tag st ~proto ~src_port ~dst_port ~host ~peer ~nonce ~tags
-    ~scopes =
+   scope list only when the answer declares one). The nonce is the
+   [nonce_len] bytes of [nonce] from [nonce_at]. *)
+let start_binding tag st ~proto ~src_port ~dst_port ~host ~peer ~nonce
+    ~nonce_at ~nonce_len ~tags ~scopes =
   Idcrypto.Sign.add st binding_domain;
   add_header st proto src_port dst_port;
   add_ip st host;
   add_ip st peer;
-  Idcrypto.Sign.add st nonce;
+  Idcrypto.Sign.add_sub st nonce nonce_at nonce_len;
   add_joined tag st tags;
   match scopes with Some l -> add_joined scope_to_string st l | None -> ()
 
 let line_length key n = String.length key + n + 3
 
-let signature_length tag ~public ~tags ~scopes ~host ~peer ~nonce =
+let signature_length tag ~public ~tags ~scopes ~host ~peer ~nonce_len =
   line_length signer_key (String.length public)
   + line_length tags_key (joined_length tag 0 tags)
   + (match scopes with
@@ -129,12 +130,13 @@ let signature_length tag ~public ~tags ~scopes ~host ~peer ~nonce =
     | None -> 0)
   + line_length host_key (Ipv4.text_length host)
   + line_length peer_key (Ipv4.text_length peer)
-  + line_length nonce_key (String.length nonce)
+  + line_length nonce_key nonce_len
   + line_length sig_key sig_length
 
 (* Write the signature section at [pos], [b]'s last [signature_length]
    bytes; [st] holds the whole binding. *)
-let write_signature tag b pos st ~public ~tags ~scopes ~host ~peer ~nonce =
+let write_signature tag b pos st ~public ~tags ~scopes ~host ~peer ~nonce
+    ~nonce_at ~nonce_len =
   let ends pos = Payload.put_char b pos '\n' in
   let pos = ends (Payload.put b (Payload.put_key b pos signer_key) public) in
   let pos = ends (put_joined tag b (Payload.put_key b pos tags_key) tags) in
@@ -146,16 +148,20 @@ let write_signature tag b pos st ~public ~tags ~scopes ~host ~peer ~nonce =
   in
   let pos = ends (Ipv4.write_text b (Payload.put_key b pos host_key) host) in
   let pos = ends (Ipv4.write_text b (Payload.put_key b pos peer_key) peer) in
-  let pos = ends (Payload.put b (Payload.put_key b pos nonce_key) nonce) in
+  let pos =
+    ends (Payload.put_sub b (Payload.put_key b pos nonce_key) nonce nonce_at nonce_len)
+  in
   let pos = Payload.put_key b pos sig_key in
   Idcrypto.Sign.finish_into st b pos;
   Bytes.unsafe_set b (pos + sig_length) '\n'
 
 (* The caller's handle, tags and nonce go on the wire as values: they
    hold no line break ({!Key_value.valid_value}, a word at a time). *)
-let check_value key v =
-  if Payload.line_break v 0 < String.length v then
+let check_sub key v i len =
+  if Payload.line_break v i < i + len then
     invalid_arg ("Key_value.pair: bad value for " ^ key)
+
+let check_value key v = check_sub key v 0 (String.length v)
 
 let rec check_tags tag = function
   | [] -> ()
@@ -163,10 +169,10 @@ let rec check_tags tag = function
       check_value tags_key (tag t);
       check_tags tag rest
 
-let check_values tag ~public ~tags ~nonce =
+let check_values tag ~public ~tags ~nonce ~nonce_at ~nonce_len =
   check_value signer_key public;
   check_tags tag tags;
-  check_value nonce_key nonce
+  check_sub nonce_key nonce nonce_at nonce_len
 
 (* The pairs of each section of [s] from [i] whose tag is {!per_flow}. *)
 let rec add_per_flow_view st s i tags =
@@ -179,25 +185,28 @@ let rec add_per_flow_view st s i tags =
 
 let sign_with ~public ~key ~tags ?scopes ~host ~peer ?(nonce = "-")
     (r : Response.t) =
-  check_values Fun.id ~public ~tags ~nonce;
+  let nonce_at = 0 and nonce_len = String.length nonce in
+  check_values Fun.id ~public ~tags ~nonce ~nonce_at ~nonce_len;
   let proto = r.Response.proto
   and src_port = r.Response.src_port
   and dst_port = r.Response.dst_port
   and s = r.Response.payload in
   let st = Idcrypto.Sign.keyed key in
-  start_binding Fun.id st ~proto ~src_port ~dst_port ~host ~peer ~nonce ~tags
-    ~scopes;
+  start_binding Fun.id st ~proto ~src_port ~dst_port ~host ~peer ~nonce
+    ~nonce_at ~nonce_len ~tags ~scopes;
   let body = Header.length proto src_port dst_port in
   add_per_flow_view st s body tags;
   let n = String.length s in
   let sep = if n > body then 1 else 0 in
   let b =
     Bytes.create
-      (n + sep + signature_length Fun.id ~public ~tags ~scopes ~host ~peer ~nonce)
+      (n + sep
+      + signature_length Fun.id ~public ~tags ~scopes ~host ~peer ~nonce_len)
   in
   Bytes.blit_string s 0 b 0 n;
   if sep = 1 then Bytes.unsafe_set b n '\n';
-  write_signature Fun.id b (n + sep) st ~public ~tags ~scopes ~host ~peer ~nonce;
+  write_signature Fun.id b (n + sep) st ~public ~tags ~scopes ~host ~peer ~nonce
+    ~nonce_at ~nonce_len;
   Payload.view ~proto ~src_port ~dst_port b
 
 (* The {!section_tag} of each section of [s] from [i], streamed from its
@@ -227,25 +236,43 @@ let rec add_per_flow_parts st = function
 
 let part_tag (p : Payload.part) = p.tag
 
-let assemble ~public ~key ~host ~peer ?(nonce = "-") ~proto ~src_port ~dst_port
-    ~scopes parts =
-  check_values part_tag ~public ~tags:parts ~nonce;
+(* The query's nonce where it sits, or ["-"] for a query that carried
+   none. *)
+let no_nonce = "-"
+
+let query_nonce (q : Query.t) =
+  if q.nonce_at < 0 then no_nonce else q.payload
+
+let query_nonce_at (q : Query.t) = if q.nonce_at < 0 then 0 else q.nonce_at lsr 32
+
+let query_nonce_len (q : Query.t) =
+  if q.nonce_at < 0 then String.length no_nonce
+  else (q.nonce_at land 0xffff_ffff) - (q.nonce_at lsr 32)
+
+let assemble ~public ~key ~host ~peer ~(query : Query.t) ~scopes parts =
+  let proto = query.proto
+  and src_port = query.src_port
+  and dst_port = query.dst_port
+  and nonce = query_nonce query
+  and nonce_at = query_nonce_at query
+  and nonce_len = query_nonce_len query in
+  check_values part_tag ~public ~tags:parts ~nonce ~nonce_at ~nonce_len;
   let scopes = Some scopes in
   let st = Idcrypto.Sign.keyed key in
   start_binding part_tag st ~proto ~src_port ~dst_port ~host ~peer ~nonce
-    ~tags:parts ~scopes;
+    ~nonce_at ~nonce_len ~tags:parts ~scopes;
   add_per_flow_parts st parts;
   let n = Payload.length ~proto ~src_port ~dst_port parts in
   let sep = match parts with [] -> 0 | _ :: _ -> 1 in
   let b =
     Bytes.create
       (n + sep
-      + signature_length part_tag ~public ~tags:parts ~scopes ~host ~peer ~nonce)
+      + signature_length part_tag ~public ~tags:parts ~scopes ~host ~peer ~nonce_len)
   in
   ignore (Payload.write b ~proto ~src_port ~dst_port parts : int);
   if sep = 1 then Bytes.unsafe_set b n '\n';
   write_signature part_tag b (n + sep) st ~public ~tags:parts ~scopes ~host
-    ~peer ~nonce;
+    ~peer ~nonce ~nonce_at ~nonce_len;
   Payload.view ~proto ~src_port ~dst_port b
 
 (* --- verifying ---
@@ -496,16 +523,17 @@ let closes sg =
   let next = sg.ends + 1 in
   Payload.section_stop sg.s next >= n && Payload.is_trace sg.s next n
 
-let same_slice a s f = String.length a = stop f - start f && Key_value.is_at a s (start f)
-
-let echoes (sg : signature) ~host ~peer ~nonce =
+let echoes (sg : signature) ~host ~peer ~(query : Query.t option) =
   sg.host_f <> none && sg.peer_f <> none && sg.nonce_f <> none
   && Ipv4.is_text_sub host sg.s (start sg.host_f) (stop sg.host_f)
   && Ipv4.is_text_sub peer sg.s (start sg.peer_f) (stop sg.peer_f)
   &&
-  match nonce with
-  | Some n -> same_slice n sg.s sg.nonce_f
-  | None -> false
+  match query with
+  | Some q when q.nonce_at >= 0 ->
+      let len = query_nonce_len q in
+      len = stop sg.nonce_f - start sg.nonce_f
+      && Payload.same_sub q.payload (query_nonce_at q) sg.s (start sg.nonce_f) len
+  | Some _ | None -> false
 
 let rec same_name name scopes pos i =
   i >= String.length name

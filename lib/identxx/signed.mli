@@ -109,18 +109,17 @@ val assemble :
   key:Idcrypto.Sign.key ->
   host:Ipv4.t ->
   peer:Ipv4.t ->
-  ?nonce:string ->
-  proto:Proto.t ->
-  src_port:int ->
-  dst_port:int ->
+  query:Query.t ->
   scopes:scope list ->
   Payload.part list ->
   Response.t
-(** A daemon's signed answer, written once: [sign_with ~tags ~scopes] of
-    the response whose sections are the parts', with the parts' tags,
-    without building that response first. One buffer of the exact length
-    takes the header, each part's cached lines as they are and the
-    signature section. *)
+(** A daemon's signed answer to [query], written once: [sign_with ~tags
+    ~scopes ?nonce] of the response to the query's protocol and ports
+    whose sections are the parts', with the parts' tags and the query's
+    nonce, without building that response first. One buffer of the exact
+    length takes the header, each part's cached lines as they are and
+    the signature section; the nonce is copied from where it sits in the
+    query. *)
 
 type verdict =
   | Valid of int  (** Number of sections covered by the signature. *)
@@ -185,9 +184,9 @@ val closes : signature -> bool
     traced query appends its timings after signing. *)
 
 val echoes :
-  signature -> host:Ipv4.t -> peer:Ipv4.t -> nonce:string option -> bool
-(** Whether the section answers this query: its [response-host] and
-    [response-peer] are exactly [host]'s and [peer]'s dotted quads and
-    its [response-nonce] is the nonce the query carried ([false] when
-    it carried none), each compared where it sits. Allocates
-    nothing. *)
+  signature -> host:Ipv4.t -> peer:Ipv4.t -> query:Query.t option -> bool
+(** Whether the section answers [query], the one sent: its
+    [response-host] and [response-peer] are exactly [host]'s and
+    [peer]'s dotted quads and its [response-nonce] is the nonce the
+    query carried ([false] when none was sent or it carried none), each
+    compared where it sits. Allocates nothing. *)

@@ -78,6 +78,10 @@ val five_tuple : t -> Five_tuple.t option
 (** The ident++ 5-tuple of an IPv4 TCP/UDP packet; for other IP packets
     the ports are reported as 0; [None] for non-IP frames. *)
 
+val ip_proto : ip_payload -> Proto.t
+(** The payload's protocol, as {!five_tuple} reads it; allocates
+    nothing. *)
+
 val size : t -> int
 (** Length in bytes of [encode t], computed from the header and payload
     lengths without encoding. O(1); allocates nothing. *)

@@ -36,16 +36,29 @@ let unit_fraction id = float_of_int (fnv1a fnv_offset id) /. 4294967296.
 let to_string t =
   Printf.sprintf "%s-%s-%c" t.trace_id t.span_id (if t.sampled then 's' else 'n')
 
-let is_hex s =
-  String.for_all (function 'a' .. 'f' | '0' .. '9' -> true | _ -> false) s
+let rec hex_in s i stop =
+  i >= stop
+  || (match String.unsafe_get s i with 'a' .. 'f' | '0' .. '9' -> true | _ -> false)
+     && hex_in s (i + 1) stop
 
-let of_string s =
-  match String.split_on_char '-' s with
-  | [ trace_id; span_id; flag ]
-    when String.length trace_id = 16
-         && is_hex trace_id
-         && String.length span_id = 8
-         && is_hex span_id
-         && (flag = "s" || flag = "n") ->
-      Some { trace_id; span_id; sampled = flag = "s" }
-  | _ -> None
+(* [to_string]'s 27 bytes: 16 hex digits, '-', 8 hex digits, '-', then
+   's' or 'n'. *)
+let is_text_sub s pos len =
+  len = 27
+  && hex_in s pos (pos + 16)
+  && String.unsafe_get s (pos + 16) = '-'
+  && hex_in s (pos + 17) (pos + 25)
+  && String.unsafe_get s (pos + 25) = '-'
+  && (match String.unsafe_get s (pos + 26) with 's' | 'n' -> true | _ -> false)
+
+let of_sub s pos len =
+  if is_text_sub s pos len then
+    Some
+      {
+        trace_id = String.sub s pos 16;
+        span_id = String.sub s (pos + 17) 8;
+        sampled = String.unsafe_get s (pos + 26) = 's';
+      }
+  else None
+
+let of_string s = of_sub s 0 (String.length s)

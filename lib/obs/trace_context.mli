@@ -37,3 +37,10 @@ val to_string : t -> string
 val of_string : string -> t option
 (** Inverse of {!to_string}; [None] for anything malformed (a
     version-tolerant decoder treats such tokens as ordinary data). *)
+
+val is_text_sub : string -> int -> int -> bool
+(** [is_text_sub s pos len]: whether the slice of [s] is a {!to_string}
+    rendering that {!of_string} reads; reads it in place. *)
+
+val of_sub : string -> int -> int -> t option
+(** {!of_string} of the slice, copying only the two ids. *)

@@ -87,6 +87,22 @@ let exact_hash (fields : Match_fields.t) =
 
 let chain_of t hash = hash land (Array.length t.chains - 1)
 
+let ip_hash (ip : Packet.ipv4) ~src_port ~dst_port =
+  Five_tuple.hash_ints ~src:(Ipv4.to_int ip.ip_src) ~dst:(Ipv4.to_int ip.ip_dst)
+    ~proto:(Proto.to_int (Packet.ip_proto ip.payload)) ~src_port ~dst_port
+
+(* [Five_tuple.hash] of the packet's 5-tuple, taken from its own fields;
+   -1 for a non-IP packet, which has none. *)
+let packet_hash (pkt : Packet.t) =
+  match pkt.eth_payload with
+  | Packet.Raw_eth _ -> -1
+  | Packet.Ip ({ payload = Packet.Tcp tcp; _ } as ip) ->
+      ip_hash ip ~src_port:tcp.tcp_src ~dst_port:tcp.tcp_dst
+  | Packet.Ip ({ payload = Packet.Udp udp; _ } as ip) ->
+      ip_hash ip ~src_port:udp.udp_src ~dst_port:udp.udp_dst
+  | Packet.Ip ({ payload = Packet.Icmp _ | Packet.Raw_ip _; _ } as ip) ->
+      ip_hash ip ~src_port:0 ~dst_port:0
+
 let timeout_ns base = function
   | None -> max_int
   | Some timeout -> Sim.Time.to_ns (Sim.Time.add base timeout)
@@ -335,40 +351,40 @@ let add t (entry : Flow_entry.t) =
 (* The first slot of a chain that matches; [vacant] when none does.
    A chain holds the tuples that share its cell, so the match test
    also sorts out which slots are the packet's. *)
-let rec find_in_chain ~in_port pkt flow s =
-  if s == vacant || Match_fields.matches_flow s.entry.fields ~in_port pkt flow
+let rec find_in_chain ~in_port pkt s =
+  if s == vacant || Match_fields.matches_flow s.entry.fields ~in_port pkt
   then s
-  else find_in_chain ~in_port pkt flow s.next
+  else find_in_chain ~in_port pkt s.next
 
 (* A wildcard wins only if it comes before the exact hit in table
    order; the scan stops at the first one that cannot. [vacant] stands
    for no match. *)
-let rec scan_band t ~in_port pkt flow exact i =
+let rec scan_band t ~in_port pkt exact i =
   if i = t.band_len then exact
   else
     let w = t.band.(i) in
     if exact != vacant && before exact w then exact
-    else if Match_fields.matches_flow w.entry.fields ~in_port pkt flow then w
-    else scan_band t ~in_port pkt flow exact (i + 1)
+    else if Match_fields.matches_flow w.entry.fields ~in_port pkt then w
+    else scan_band t ~in_port pkt exact (i + 1)
 
-let lookup_flow t ~in_port pkt flow =
+let lookup_flow t ~in_port pkt =
   (* A chained entry matches exactly the packets of its own tuple, so
-     the candidates are the packet's chain and the wildcards. The
-     5-tuple is derived once and handed to every match test. *)
+     the candidates are the packet's chain and the wildcards. Every
+     match test reads the packet's own fields. *)
   let exact =
-    match flow with
-    | Some ft when t.chained > 0 ->
-        find_in_chain ~in_port pkt flow
-          t.chains.(chain_of t (Five_tuple.hash ft))
-    | Some _ | None -> vacant
+    if t.chained = 0 then vacant
+    else
+      let hash = packet_hash pkt in
+      if hash < 0 then vacant
+      else find_in_chain ~in_port pkt t.chains.(chain_of t hash)
   in
-  let s = scan_band t ~in_port pkt flow exact 0 in
+  let s = scan_band t ~in_port pkt exact 0 in
   if s == vacant then t.miss_count <- t.miss_count + 1
   else t.hit_count <- t.hit_count + 1;
   s.entry
 
 let lookup t ~in_port pkt =
-  let e = lookup_flow t ~in_port pkt (Packet.five_tuple pkt) in
+  let e = lookup_flow t ~in_port pkt in
   if e == miss then None else Some e
 
 let remove t ~priority ~fields =

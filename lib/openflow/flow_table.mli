@@ -41,7 +41,7 @@ val add : t -> Flow_entry.t -> unit
 val lookup : t -> in_port:int -> Packet.t -> Flow_entry.t option
 (** Highest-priority matching entry; ties broken by most recent
     installation. Does not update counters — callers decide (see
-    {!Switch}). The packet's 5-tuple is derived once per lookup. O(c)
+    {!Switch}). The packet's fields are read where they sit. O(c)
     plus a scan of the wildcards in table order that stops at the first
     one the chain's match outranks (at once when no wildcard ranks as
     high; O(w) when the chain has no match). It allocates only the
@@ -51,13 +51,12 @@ val miss : Flow_entry.t
 (** What {!lookup_flow} returns when no entry matches: an entry no
     table holds, told apart by [==]. *)
 
-val lookup_flow :
-  t -> in_port:int -> Packet.t -> Five_tuple.t option -> Flow_entry.t
-(** [lookup_flow t ~in_port pkt flow] is [lookup t ~in_port pkt] given
-    [flow = Packet.five_tuple pkt], with {!miss} for [None] and the
-    entry itself for [Some], so a hit allocates nothing; a switch
-    looking the packet up in more than one table derives its 5-tuple
-    once. *)
+val lookup_flow : t -> in_port:int -> Packet.t -> Flow_entry.t
+(** {!lookup} with {!miss} for [None] and the entry itself for [Some]:
+    the chain is found by the hash of the packet's 5-tuple taken from
+    its fields ({!Five_tuple.hash_ints}) and every match test reads the
+    packet ({!Match_fields.matches_flow}), so a lookup allocates
+    nothing. *)
 
 val remove : t -> priority:int -> fields:Match_fields.t -> unit
 (** Strict delete (OpenFlow [DELETE_STRICT]): removes the entry whose

@@ -58,21 +58,36 @@ let of_five_tuple (ft : Five_tuple.t) =
 let field_matches field value ~eq =
   match field with None -> true | Some f -> eq f value
 
-let matches_flow t ~in_port (pkt : Packet.t) flow =
+let ports t ~src_port ~dst_port =
+  field_matches t.tp_src src_port ~eq:Int.equal
+  && field_matches t.tp_dst dst_port ~eq:Int.equal
+
+(* The network fields against the packet's own, its ports as
+   {!Packet.five_tuple} reads them (0 for ICMP and raw IP). A wild field
+   reads nothing of the packet. *)
+let matches_ip t (ip : Packet.ipv4) =
+  (match t.nw_src with None -> true | Some p -> Prefix.mem ip.ip_src p)
+  && (match t.nw_dst with None -> true | Some p -> Prefix.mem ip.ip_dst p)
+  && (match t.nw_proto with
+     | None -> true
+     | Some p -> Proto.equal p (Packet.ip_proto ip.payload))
+  && ((t.tp_src = None && t.tp_dst = None)
+     ||
+     match ip.payload with
+     | Packet.Tcp tcp -> ports t ~src_port:tcp.tcp_src ~dst_port:tcp.tcp_dst
+     | Packet.Udp udp -> ports t ~src_port:udp.udp_src ~dst_port:udp.udp_dst
+     | Packet.Icmp _ | Packet.Raw_ip _ -> ports t ~src_port:0 ~dst_port:0)
+
+let matches_flow t ~in_port (pkt : Packet.t) =
   field_matches t.in_port in_port ~eq:Int.equal
   && field_matches t.dl_src pkt.eth_src ~eq:Mac.equal
   && field_matches t.dl_dst pkt.eth_dst ~eq:Mac.equal
   && field_matches t.dl_type (ethertype_of_packet pkt) ~eq:Ethertype.equal
   && field_matches t.dl_vlan pkt.vlan ~eq:Vlan.equal
   &&
-  match (flow : Five_tuple.t option) with
-  | Some ft ->
-      (match t.nw_src with None -> true | Some p -> Prefix.mem ft.src p)
-      && (match t.nw_dst with None -> true | Some p -> Prefix.mem ft.dst p)
-      && field_matches t.nw_proto ft.proto ~eq:Proto.equal
-      && field_matches t.tp_src ft.src_port ~eq:Int.equal
-      && field_matches t.tp_dst ft.dst_port ~eq:Int.equal
-  | None ->
+  match pkt.eth_payload with
+  | Packet.Ip ip -> matches_ip t ip
+  | Packet.Raw_eth _ ->
       (* Non-IP packets only match when all network fields are wild. *)
       t.nw_src = None && t.nw_dst = None && t.nw_proto = None
       && t.tp_src = None && t.tp_dst = None

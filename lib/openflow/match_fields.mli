@@ -24,11 +24,12 @@ val any : t
 val of_five_tuple : Five_tuple.t -> t
 (** Match on the ident++ 5-tuple only (layer-2 fields wildcarded). *)
 
-val matches_flow :
-  t -> in_port:int -> Packet.t -> Five_tuple.t option -> bool
-(** [matches_flow t ~in_port pkt flow] is [matches t ~in_port pkt] given
-    [flow = Packet.five_tuple pkt], so a caller testing many matches
-    against one packet derives its 5-tuple once. *)
+val matches_flow : t -> in_port:int -> Packet.t -> bool
+(** Whether the packet, entering at [in_port], matches: each field
+    against the packet's own, its network fields as
+    {!Packet.five_tuple} reads them (ports 0 for ICMP and raw IP; a
+    non-IP packet only when every network field is wild). Builds no
+    5-tuple and allocates nothing. *)
 
 val covers : t -> t -> bool
 (** [covers general specific]: every packet matched by [specific] is

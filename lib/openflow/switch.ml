@@ -47,20 +47,19 @@ let resolve_actions t ~in_port actions =
 
 (* Look the packet up in table [id] and in the later tables its
    entries jump to; a miss in any of them punts. *)
-let rec run t ~now ~in_port pkt flow id =
+let rec run t ~now ~in_port pkt id =
   let table = t.tables.(id) in
   ignore (Flow_table.expire table ~now);
-  let entry = Flow_table.lookup_flow table ~in_port pkt flow in
+  let entry = Flow_table.lookup_flow table ~in_port pkt in
   if entry == Flow_table.miss then Send_to_controller
   else begin
     Flow_entry.hit entry ~now ~size:(Packet.size pkt);
     match entry.actions with
-    | [ Action.Goto_table next ] when next > id -> run t ~now ~in_port pkt flow next
+    | [ Action.Goto_table next ] when next > id -> run t ~now ~in_port pkt next
     | actions -> resolve_actions t ~in_port actions
   end
 
-let process t ~now ~in_port pkt =
-  run t ~now ~in_port pkt (Packet.five_tuple pkt) 0
+let process t ~now ~in_port pkt = run t ~now ~in_port pkt 0
 
 type apply_result =
   | Nothing

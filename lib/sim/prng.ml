@@ -1,13 +1,30 @@
-type t = { mutable state : int64 }
+(* The state's 64 bits live in a byte buffer, read and written as
+   unboxed integers: a draw allocates nothing. *)
+type t = { state : Bytes.t }
 
-let create seed = { state = Int64.of_int seed }
+external get64 : Bytes.t -> int -> int64 = "%caml_bytes_get64u"
+external set64 : Bytes.t -> int -> int64 -> unit = "%caml_bytes_set64u"
 
-let next64 t =
-  t.state <- Int64.add t.state 0x9E3779B97F4A7C15L;
-  let z = t.state in
+let create seed =
+  let state = Bytes.create 8 in
+  set64 state 0 (Int64.of_int seed);
+  { state }
+
+let[@inline] next64 t =
+  let z = Int64.add (get64 t.state 0) 0x9E3779B97F4A7C15L in
+  set64 t.state 0 z;
   let z = Int64.mul (Int64.logxor z (Int64.shift_right_logical z 30)) 0xBF58476D1CE4E5B9L in
   let z = Int64.mul (Int64.logxor z (Int64.shift_right_logical z 27)) 0x94D049BB133111EBL in
   Int64.logxor z (Int64.shift_right_logical z 31)
+
+let hex_digits = "0123456789abcdef"
+
+let write_hex64 t b pos =
+  let x = next64 t in
+  for i = 0 to 15 do
+    Bytes.unsafe_set b (pos + i)
+      hex_digits.[Int64.to_int (Int64.shift_right_logical x (60 - (4 * i))) land 15]
+  done
 
 let int t n =
   if n <= 0 then invalid_arg "Prng.int: bound must be positive";

@@ -7,6 +7,13 @@ val create : int -> t
 (** Seeded generator. Equal seeds give equal streams. *)
 
 val next64 : t -> int64
+(** The next 64 random bits. *)
+
+val write_hex64 : t -> Bytes.t -> int -> unit
+(** [write_hex64 t b pos] writes the 16 lower-case hex digits of the
+    next {!next64}, most significant first, at [pos]. Allocates
+    nothing. *)
+
 val int : t -> int -> int
 (** [int t n] is uniform in [0, n). @raise Invalid_argument if [n <= 0]. *)
 

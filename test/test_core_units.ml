@@ -141,6 +141,51 @@ let test_audit_interns_summaries () =
         (List.assoc_opt "userID" b.Identxx_core.Audit.src_info)
   | es -> Alcotest.failf "%d entries" (List.length es)
 
+(* [Audit.record] interns an answer's summary in place: its values are
+   hashed and compared where they sit in the payload, and a list is
+   built only for a summary not yet interned. A record whose two answers
+   hit interned summaries allocates exactly what one without answers
+   does (its entry and list cell): 0 words for the summaries, where each
+   was built as a list and dropped on the hit (33 words an answer on
+   enterprise-steady). The interned summary is [Response.latest_each]'s
+   list, shared. *)
+let test_audit_record_hit_alloc () =
+  let a = Identxx_core.Audit.create () in
+  let f = flow "1.1.1.1" "2.2.2.2" in
+  let r =
+    pairs_response f
+      [
+        ("userID", "alice"); ("groupID", "staff,dev"); ("name", "firefox");
+        ("version", "115.0"); ("exe-hash", String.make 64 'e');
+      ]
+  in
+  let v = verdict () in
+  let words src dst =
+    let record () =
+      Identxx_core.Audit.record a ~at:Sim.Time.zero ~flow:f ~verdict:v ~src ~dst
+    in
+    record ();
+    let rounds = 100 in
+    let before = Gc.minor_words () in
+    for _ = 1 to rounds do
+      record ()
+    done;
+    (Gc.minor_words () -. before) /. float_of_int rounds
+  in
+  let bare = words None None in
+  check (Alcotest.float 0.) "no summary words on a hit" bare
+    (words (Some r) (Some r));
+  match Identxx_core.Audit.entries a with
+  | e :: _ ->
+      check Alcotest.bool "the one interned summary, shared" true
+        (e.Identxx_core.Audit.src_info == e.Identxx_core.Audit.dst_info);
+      check
+        Alcotest.(list (pair string string))
+        "the latest value of each interesting key"
+        (Identxx.Response.latest_each r Identxx_core.Audit.interesting_keys)
+        e.Identxx_core.Audit.src_info
+  | [] -> Alcotest.fail "no entries"
+
 let test_audit_rule_line () =
   let ps = Identxx_core.Policy_store.create () in
   Identxx_core.Policy_store.add_exn ps ~name:"00" "block all
@@ -816,6 +861,8 @@ let () =
             test_audit_summarizes_responses;
           Alcotest.test_case "interns summaries" `Quick
             test_audit_interns_summaries;
+          Alcotest.test_case "record on an interned hit allocates no summary"
+            `Quick test_audit_record_hit_alloc;
           Alcotest.test_case "rule line" `Quick test_audit_rule_line;
           Alcotest.test_case "stays bounded by its capacity" `Quick
             test_audit_stays_bounded;

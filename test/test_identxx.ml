@@ -50,7 +50,7 @@ let test_kv_find_last_binding () =
 let test_query_wire_format () =
   let q =
     Identxx.Query.make ~flow:(flow ~sp:5000 ~dp:80 "1.1.1.1" "2.2.2.2")
-      ~keys:[ "userID"; "name" ]
+      [ "userID"; "name" ]
   in
   check Alcotest.string "exact bytes" "TCP 5000 80\nuserID\nname\n"
     (Identxx.Query.encode q)
@@ -60,7 +60,7 @@ let test_query_decode () =
   | Ok q ->
       check Alcotest.bool "udp" true (Proto.equal q.Identxx.Query.proto Proto.Udp);
       check Alcotest.int "src port" 123 q.Identxx.Query.src_port;
-      check Alcotest.(list string) "keys" [ "userID" ] q.Identxx.Query.keys
+      check Alcotest.(list string) "keys" [ "userID" ] (Identxx.Query.keys q)
   | Error e -> Alcotest.fail e
 
 let test_query_decode_rejects_garbage () =
@@ -75,7 +75,7 @@ let test_query_decode_rejects_garbage () =
 let test_query_roundtrip () =
   let q =
     Identxx.Query.make ~flow:(flow ~proto:Proto.Udp "9.9.9.9" "8.8.8.8")
-      ~keys:[ "a"; "b"; "c-d" ]
+      [ "a"; "b"; "c-d" ]
   in
   match Identxx.Query.decode (Identxx.Query.encode q) with
   | Ok q' -> check Alcotest.bool "roundtrip" true (q = q')
@@ -87,11 +87,9 @@ let test_query_trace_wire () =
       ~sampled:true
   in
   let q =
-    Identxx.Query.with_trace
-      (Identxx.Query.make
-         ~flow:(flow ~sp:5000 ~dp:80 "1.1.1.1" "2.2.2.2")
-         ~keys:[ "userID"; "name" ])
-      (Some ctx)
+    Identxx.Query.make ~trace:ctx
+      ~flow:(flow ~sp:5000 ~dp:80 "1.1.1.1" "2.2.2.2")
+      [ "userID"; "name" ]
   in
   (* The context is one extra hint-key line after the real keys. *)
   check Alcotest.string "exact bytes"
@@ -103,26 +101,22 @@ let test_query_trace_wire () =
       check Alcotest.bool "trace round trips" true (q = q');
       check
         Alcotest.(list string)
-        "trace token out of keys" [ "userID"; "name" ] q'.Identxx.Query.keys
+        "trace token out of keys" [ "userID"; "name" ] (Identxx.Query.keys q')
   | Error e -> Alcotest.fail e);
   (* A frame without context decodes exactly as it always did. *)
   match Identxx.Query.decode "TCP 5000 80\nuserID\nname\n" with
   | Ok q' ->
-      check Alcotest.bool "no trace" true (q'.Identxx.Query.trace = None);
+      check Alcotest.bool "no trace" true ((Identxx.Query.trace q') = None);
       check
         Alcotest.(list string)
-        "keys unchanged" [ "userID"; "name" ] q'.Identxx.Query.keys
+        "keys unchanged" [ "userID"; "name" ] (Identxx.Query.keys q')
   | Error e -> Alcotest.fail e
 
 let test_query_nonce_wire () =
   let q =
-    {
-      (Identxx.Query.make
-         ~flow:(flow ~sp:5000 ~dp:80 "1.1.1.1" "2.2.2.2")
-         ~keys:[ "userID" ])
-      with
-      Identxx.Query.nonce = Some "00c0ffee12345678";
-    }
+    Identxx.Query.make ~nonce:"00c0ffee12345678"
+      ~flow:(flow ~sp:5000 ~dp:80 "1.1.1.1" "2.2.2.2")
+      [ "userID" ]
   in
   check Alcotest.string "one more hint line"
     "TCP 5000 80\nuserID\n@nonce/00c0ffee12345678\n"
@@ -131,14 +125,14 @@ let test_query_nonce_wire () =
   | Ok q' ->
       check Alcotest.bool "nonce round trips" true (q = q');
       check Alcotest.(list string) "nonce out of keys" [ "userID" ]
-        q'.Identxx.Query.keys
+        (Identxx.Query.keys q')
   | Error e -> Alcotest.fail e);
   (* Not hex: an ordinary key, as an old daemon sees it. *)
   match Identxx.Query.decode "TCP 5000 80\n@nonce/XYZ\n" with
   | Ok q' ->
-      check Alcotest.(option string) "no nonce" None q'.Identxx.Query.nonce;
+      check Alcotest.(option string) "no nonce" None (Identxx.Query.nonce q');
       check Alcotest.(list string) "kept as a key" [ "@nonce/XYZ" ]
-        q'.Identxx.Query.keys
+        (Identxx.Query.keys q')
   | Error e -> Alcotest.fail e
 
 let test_query_trace_unparsable_stays_key () =
@@ -147,12 +141,12 @@ let test_query_trace_unparsable_stays_key () =
      would treat it. *)
   match Identxx.Query.decode "TCP 1 2\nuserID\n@trace/not-a-context\n" with
   | Ok q ->
-      check Alcotest.bool "no trace parsed" true (q.Identxx.Query.trace = None);
+      check Alcotest.bool "no trace parsed" true ((Identxx.Query.trace q) = None);
       check
         Alcotest.(list string)
         "token stays a key"
         [ "userID"; "@trace/not-a-context" ]
-        q.Identxx.Query.keys
+        (Identxx.Query.keys q)
   | Error e -> Alcotest.fail e
 
 (* --- Response --- *)
@@ -813,7 +807,7 @@ let test_daemon_silent_and_lying () =
 
 let test_wire_query_packet_classify () =
   let fl = flow "10.0.0.1" "10.0.0.2" in
-  let q = Identxx.Query.make ~flow:fl ~keys:[ "userID" ] in
+  let q = Identxx.Query.make ~flow:fl [ "userID" ] in
   (* Query the source host: addressed to flow.src, from flow.dst (§3.2). *)
   let pkt = Identxx.Wire.query_packet ~to_ip:fl.Five_tuple.src ~from_ip:fl.Five_tuple.dst q in
   match Identxx.Wire.classify pkt with
@@ -827,7 +821,7 @@ let test_wire_host_answers_query_packet () =
   let h = make_host "h" "10.0.0.1" in
   let proc = Identxx.Host.run h ~user:"alice" ~exe:"/usr/bin/pine" () in
   let fl = Identxx.Host.connect h ~proc ~dst:(ip "10.0.0.2") ~dst_port:25 () in
-  let q = Identxx.Query.make ~flow:fl ~keys:[ "userID" ] in
+  let q = Identxx.Query.make ~flow:fl [ "userID" ] in
   let query_pkt = Identxx.Wire.query_packet ~to_ip:(ip "10.0.0.1") ~from_ip:(ip "10.0.0.2") q in
   match Identxx.Host.handle_packet h query_pkt with
   | None -> Alcotest.fail "host did not answer"
@@ -844,7 +838,7 @@ let test_wire_host_answers_query_packet () =
 let test_wire_host_ignores_foreign_query () =
   let h = make_host "h" "10.0.0.1" in
   let fl = flow "10.0.0.7" "10.0.0.8" in
-  let q = Identxx.Query.make ~flow:fl ~keys:[] in
+  let q = Identxx.Query.make ~flow:fl [] in
   let pkt = Identxx.Wire.query_packet ~to_ip:(ip "10.0.0.7") ~from_ip:(ip "10.0.0.8") q in
   check Alcotest.bool "not addressed to us" true (Identxx.Host.handle_packet h pkt = None)
 
@@ -1719,7 +1713,9 @@ let prop_verify_matches_list_verifier =
 
 (* The list-based query decoder the in-place [Query.decode] replaced,
    kept as its oracle: split on '\n', trim-blank lines skipped, the first
-   parsable "@nonce/" and "@trace/" hints taken out of the keys. *)
+   parsable "@nonce/" and "@trace/" hints taken out of the keys. It
+   returns the fields a query had as a record of lists:
+   [(proto, src_port, dst_port, keys, nonce, trace)]. *)
 let reference_query_decode s =
   let suffix prefix k =
     let n = String.length prefix in
@@ -1746,16 +1742,7 @@ let reference_query_decode s =
       | Error _ as e -> e
       | Ok (proto, src_port, dst_port) ->
           let rec go keys nonce trace = function
-            | [] ->
-                Ok
-                  {
-                    Identxx.Query.proto;
-                    src_port;
-                    dst_port;
-                    keys = List.rev keys;
-                    nonce;
-                    trace;
-                  }
+            | [] -> Ok (proto, src_port, dst_port, List.rev keys, nonce, trace)
             | l :: rest when String.trim l = "" -> go keys nonce trace rest
             | l :: _ when not (KV.valid_key l) -> Error "query: malformed key"
             | l :: rest -> (
@@ -1839,11 +1826,38 @@ let gen_wire_payload =
     let* cut = frequency [ (4, return (String.length p)); (1, int_bound (String.length p)) ] in
     return (String.sub p 0 cut))
 
+(* The plain hints the view's in-place scan visits, in order. *)
+let scanned_hints q =
+  let seen = ref [] in
+  ignore
+    (Identxx.Query.exists_hint q
+       (fun () s i len ->
+         seen := String.sub s i len :: !seen;
+         false)
+       ()
+      : bool);
+  List.rev !seen
+
+(* The view agrees with the list decoder on every accepted payload and
+   every error text: its fields, its keys, nonce and trace read back,
+   and the plain hints its scan visits (the keys that do not start with
+   '@'), which set some hint bit exactly when there is one. *)
 let prop_query_decode_matches_reference =
   QCheck.Test.make ~name:"query decode agrees with the list-based decoder"
     ~count:3000
     (QCheck.make gen_wire_payload ~print:String.escaped)
-    (fun p -> Identxx.Query.decode p = reference_query_decode p)
+    (fun p ->
+      match (Identxx.Query.decode p, reference_query_decode p) with
+      | Ok q, Ok ((_, _, _, keys, _, _) as fields) ->
+          let plain = List.filter (fun k -> k.[0] <> '@') keys in
+          ( q.Identxx.Query.proto, q.src_port, q.dst_port, Identxx.Query.keys q,
+            Identxx.Query.nonce q, Identxx.Query.trace q )
+          = fields
+          && scanned_hints q = plain
+          && (q.Identxx.Query.hint_bits = 0) = (plain = [])
+          && Identxx.Query.encode q == p
+      | Error e, Error e' -> e = e'
+      | Ok _, Error _ | Error _, Ok _ -> false)
 
 let prop_response_decode_matches_reference =
   QCheck.Test.make ~name:"response decode agrees with the line-list decoder"
@@ -1861,14 +1875,9 @@ let pin_trace () =
 
 let test_query_pinned_bytes () =
   let q =
-    Identxx.Query.with_trace
-      {
-        (Identxx.Query.make ~flow:(pin_flow ())
-           ~keys:[ "userID"; "exe-hash"; "os-patch" ])
-        with
-        Identxx.Query.nonce = Some "00c0ffee12345678";
-      }
-      (Some (pin_trace ()))
+    Identxx.Query.make ~nonce:"00c0ffee12345678" ~trace:(pin_trace ())
+      ~flow:(pin_flow ())
+      [ "userID"; "exe-hash"; "os-patch" ]
   in
   let wire =
     "UDP 5353 53\nuserID\nexe-hash\nos-patch\n@nonce/00c0ffee12345678\n\
@@ -1980,10 +1989,8 @@ let string_words s = float_of_int ((String.length s / 8) + 2)
    it allocates the payload's words and at most three more. *)
 let test_encoders_allocate_their_payload () =
   let q =
-    {
-      (Identxx.Query.make ~flow:(pin_flow ()) ~keys:[ "userID"; "name" ]) with
-      Identxx.Query.nonce = Some "00c0ffee12345678";
-    }
+    Identxx.Query.make ~nonce:"00c0ffee12345678" ~flow:(pin_flow ())
+      [ "userID"; "name" ]
   in
   let small = sample_response () and big = enterprise_response () in
   List.iter
@@ -1999,9 +2006,13 @@ let test_encoders_allocate_their_payload () =
       ("enterprise response", fun () -> Identxx.Response.encode big);
     ]
 
-(* [Query.decode] allocates a fixed record and, per kept key, its list
-   cell and — for a key the protocol does not name — its copy: at most
-   six words for a key of up to seven bytes. *)
+(* [Query.decode] checks every line where it sits and allocates only its
+   view and the [Ok] around it, 10 words, however many keys the payload
+   holds: the daemon's query read is flat in the key count. It
+   allocated a 13-word record and, per kept key, its list cell and — for
+   a key the protocol does not name — its copy (6 words for a key of up
+   to seven bytes) while the keys were decoded into a list. The budget
+   keeps the one word of headroom the base had, and none per key. *)
 let test_query_decode_alloc_per_key () =
   let payload n =
     String.concat "\n"
@@ -2013,9 +2024,60 @@ let test_query_decode_alloc_per_key () =
     words_per_call (fun () -> Identxx.Query.decode p)
   in
   let base = words 0 in
-  if base > 14. then Alcotest.failf "%.0f words for a query with no keys" base;
+  if base > 11. then Alcotest.failf "%.0f words for a query with no keys" base;
   let per_key = (words 64 -. base) /. 64. in
-  if per_key > 6. then Alcotest.failf "%.1f words per kept key" per_key
+  if per_key > 0. then Alcotest.failf "%.1f words per kept key" per_key
+
+(* Sending a query writes its payload once from the plan's rendered hint
+   lines, the nonce's 16 hex digits drawn straight into the buffer: it
+   allocates the payload and its 8-word view, nothing else. It was 26
+   words over the payload while a query was a record built, copied with
+   its nonce, then encoded, and the nonce drawn as a boxed [Int64] into
+   its own string. *)
+let test_query_send_alloc () =
+  let keys = [ "expires"; "groupID"; "name"; "rule-maker"; "userID"; "version" ] in
+  let hints = Identxx.Query.hints keys in
+  let nonce = Some (Sim.Prng.create 7) and fl = pin_flow () in
+  let send () = Identxx.Query.write hints ~flow:fl ~nonce ~trace:None in
+  let q = send () in
+  (match Identxx.Query.nonce q with
+  | Some n ->
+      check Alcotest.int "16 hex digits" 16 (String.length n);
+      check Alcotest.string "the bytes Query.make writes"
+        (Identxx.Query.encode (Identxx.Query.make ~nonce:n ~flow:fl keys))
+        (Identxx.Query.encode q)
+  | None -> Alcotest.fail "no nonce");
+  let words = words_per_call send -. string_words (Identxx.Query.encode q) in
+  if words > 8. then Alcotest.failf "%.0f words over the payload" words
+
+(* The daemon reads a query where it sits: decoding it and matching its
+   hints against the cached sections cost the same however many hints
+   miss every section, and the answer is the same. *)
+let test_daemon_query_read_flat () =
+  let host = make_host "h" "10.0.0.1" in
+  let proc = Identxx.Host.run host ~user:"alice" ~exe:"/usr/bin/pine" () in
+  let fl = Identxx.Host.connect host ~proc ~dst:(ip "10.0.0.2") ~dst_port:25 () in
+  let read n =
+    let p =
+      Identxx.Query.encode
+        (Identxx.Query.make ~flow:fl
+           (List.init n (fun i -> Printf.sprintf "k%04d" i) @ [ "userID" ]))
+    in
+    let respond () =
+      match Identxx.Query.decode p with
+      | Ok q -> Identxx.Daemon.respond (Identxx.Host.daemon host) ~peer:fl.Five_tuple.dst q
+      | Error e -> Alcotest.fail e
+    in
+    let answer =
+      match respond () with
+      | Some (r, _) -> Identxx.Response.encode r
+      | None -> Alcotest.fail "no answer"
+    in
+    (answer, words_per_call respond)
+  in
+  let a0, w0 = read 0 and a64, w64 = read 64 in
+  check Alcotest.string "the same answer" a0 a64;
+  check (Alcotest.float 0.) "flat in the key count" w0 w64
 
 (* [Response.decode] of a canonical payload keeps the payload as the
    view: it allocates the record and its [Ok], 7 words, however many
@@ -2059,12 +2121,15 @@ let test_response_decode_shares_vocabulary () =
            sections (Identxx.Response.sections r))
   | Error e -> Alcotest.fail e
 
-(* A warm signed [Daemon.answer] and the packet that carries it: the
-   daemon writes its answer once, into the payload's own buffer, so the
-   two pay the payload's words and a fixed budget, however many pairs
-   its cached static sections hold (up to 20 here: a payload past 2 KiB
-   is allocated outside the minor heap). Measured: 68 words over the
-   payload, 22 of them the packet's; about 160 while the answer was
+(* A warm signed [Daemon.respond] to a query, as the host's daemon
+   answers the decoded view, and the packet that carries it: the daemon
+   writes its answer once, into the payload's own buffer, its nonce
+   copied from where it sits in the query, so the two pay the payload's
+   words and a fixed budget, however many pairs its cached static
+   sections hold (up to 20 here: a payload past 2 KiB is allocated
+   outside the minor heap). Measured: 63 words over the payload, 22 of
+   them the packet's, as [Daemon.answer] read when it took the query's
+   fields and its nonce as a string; about 160 while the answer was
    assembled as lists, signed, then encoded. The budget keeps ~4.5% of
    headroom. *)
 let test_daemon_answer_budget () =
@@ -2084,12 +2149,11 @@ let test_daemon_answer_budget () =
     | Error e -> Alcotest.fail e);
     let proc = Identxx.Host.run host ~user:"alice" ~exe:"/usr/bin/firefox" () in
     let fl = Identxx.Host.connect host ~proc ~dst:(ip "10.0.0.2") ~dst_port:80 () in
+    let query = Identxx.Query.make ~nonce:"5eed0123456789ab" ~flow:fl [] in
     let answer () =
       match
-        Identxx.Daemon.answer (Identxx.Host.daemon host) ~nonce:"5eed0123456789ab"
-          ~peer:fl.Five_tuple.dst ~proto:fl.Five_tuple.proto
-          ~src_port:fl.Five_tuple.src_port ~dst_port:fl.Five_tuple.dst_port
-          ~keys:[]
+        Identxx.Daemon.respond (Identxx.Host.daemon host) ~peer:fl.Five_tuple.dst
+          query
       with
       | Some (r, _) ->
           Identxx.Wire.response_packet ~to_ip:fl.Five_tuple.dst
@@ -2106,7 +2170,7 @@ let test_daemon_answer_budget () =
   List.iter
     (fun pairs ->
       let w = words pairs in
-      if w > 71. then
+      if w > 66. then
         Alcotest.failf "%d static pairs: %.0f words over the payload" pairs w)
     [ 1; 20 ]
 
@@ -2199,6 +2263,10 @@ let () =
           Alcotest.test_case "pinned bytes" `Quick test_query_pinned_bytes;
           Alcotest.test_case "decode allocation per kept key" `Quick
             test_query_decode_alloc_per_key;
+          Alcotest.test_case "wire codec: query send words" `Quick
+            test_query_send_alloc;
+          Alcotest.test_case "wire codec: daemon query read flat in key count"
+            `Quick test_daemon_query_read_flat;
         ] );
       ( "response",
         [
