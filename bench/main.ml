@@ -208,8 +208,8 @@ let bench_flow_table =
       let table = Openflow.Flow_table.create () in
       List.iter
         (fun ft ->
-          Openflow.Flow_table.add table
-            (Openflow.Flow_entry.make
+          Openflow.Flow_table.add table ~now:Sim.Time.zero
+            (Openflow.Flow_entry.rule
                ~fields:(Openflow.Match_fields.of_five_tuple ft)
                [ Openflow.Action.Output 1 ]))
         tuples;
@@ -229,7 +229,7 @@ let bench_flow_table_churn =
       let population = Workload.Population.create ~clients:250 ~servers:200 () in
       let tuples = Workload.Flowgen.distinct_tuples ~population ~count:(n + 2) in
       let entry ?idle_timeout ft =
-        Openflow.Flow_entry.make ?idle_timeout
+        Openflow.Flow_entry.rule ?idle_timeout
           ~fields:(Openflow.Match_fields.of_five_tuple ft)
           [ Openflow.Action.Output 1 ]
       in
@@ -237,15 +237,15 @@ let bench_flow_table_churn =
       List.iteri
         (fun i ft ->
           if i < n then
-            Openflow.Flow_table.add table
+            Openflow.Flow_table.add table ~now:Sim.Time.zero
               (entry ~idle_timeout:(Sim.Time.s 3600) ft))
         tuples;
       let timed = entry ~idle_timeout:(Sim.Time.ms 1) (List.nth tuples n) in
       let plain = entry (List.nth tuples (n + 1)) in
       Staged.stage (fun () ->
-          Openflow.Flow_table.add table timed;
+          Openflow.Flow_table.add table ~now:Sim.Time.zero timed;
           ignore (Openflow.Flow_table.expire table ~now:(Sim.Time.ms 2));
-          Openflow.Flow_table.add table plain;
+          Openflow.Flow_table.add table ~now:Sim.Time.zero plain;
           Openflow.Flow_table.remove table ~priority:plain.priority
             ~fields:plain.fields))
 
@@ -255,18 +255,21 @@ let bench_flow_table_churn =
    wildcard band. *)
 let wildcard_dst i = Ipv4.of_octets 10 (1 + (i / 256)) (i mod 256) 0
 
-let wildcard_table n =
-  let table = Openflow.Flow_table.create () in
+let add_wildcards table n =
   for i = 1 to n do
-    Openflow.Flow_table.add table
-      (Openflow.Flow_entry.make ~priority:(100 + i)
+    Openflow.Flow_table.add table ~now:Sim.Time.zero
+      (Openflow.Flow_entry.rule ~priority:(100 + i)
          ~fields:
            {
              Openflow.Match_fields.any with
              nw_dst = Some (Prefix.make (wildcard_dst i) 24);
            }
          [ Openflow.Action.Output 1 ])
-  done;
+  done
+
+let wildcard_table n =
+  let table = Openflow.Flow_table.create () in
+  add_wildcards table n;
   table
 
 (* A lookup that matches the median wildcard: it scans past the n/2
@@ -282,7 +285,7 @@ let bench_wildcard_lookup =
           ~src_port:40000 ~dst_port:80 ()
       in
       (match Openflow.Flow_table.lookup table ~in_port:1 probe with
-      | Some e when e.priority = 100 + i -> ()
+      | Some e when e.rule.priority = 100 + i -> ()
       | _ -> failwith "datapath/wildcard-lookup: probe misses the median entry");
       Staged.stage (fun () ->
           ignore (Openflow.Flow_table.lookup table ~in_port:1 probe)))
@@ -303,17 +306,40 @@ let bench_wildcard_churn =
       in
       let priority = 100 + (n / 2) in
       let e =
-        Openflow.Flow_entry.make ~priority ~fields [ Openflow.Action.Output 2 ]
+        Openflow.Flow_entry.rule ~priority ~fields [ Openflow.Action.Output 2 ]
       in
       Staged.stage (fun () ->
-          Openflow.Flow_table.add table e;
+          Openflow.Flow_table.add table ~now:Sim.Time.zero e;
           Openflow.Flow_table.remove table ~priority ~fields))
+
+(* The same pair as a switch receives it: [Switch.apply] of a prebuilt
+   add, then of its strict delete, on a switch whose table 0 holds [n]
+   wildcards. The add's words are the entry the table keeps, which holds
+   the flow-mod's rule itself. *)
+let bench_flow_mod_apply =
+  Test.make_indexed ~name:"datapath/flow-mod-apply" ~args:[ 10; 100; 1000 ]
+    (fun n ->
+      let sw = Openflow.Switch.create ~dpid:1 ~ports:[ 1; 2 ] () in
+      add_wildcards (Openflow.Switch.table sw) n;
+      let fields =
+        {
+          Openflow.Match_fields.any with
+          nw_src = Some (Prefix.of_string "10.2.0.0/24");
+        }
+      in
+      let priority = 100 + (n / 2) in
+      let add =
+        Openflow.Message.add_flow ~priority ~fields [ Openflow.Action.Output 2 ]
+      and del = Openflow.Message.delete_strict ~table_id:0 ~priority ~fields in
+      Staged.stage (fun () ->
+          ignore (Openflow.Switch.apply sw ~now:Sim.Time.zero add);
+          ignore (Openflow.Switch.apply sw ~now:Sim.Time.zero del)))
 
 let bench_switch_process_hit =
   let sw = Openflow.Switch.create ~dpid:1 ~ports:[ 1; 2 ] () in
   let ft = flow "10.0.0.1" "10.0.0.2" in
-  Openflow.Flow_table.add (Openflow.Switch.table sw)
-    (Openflow.Flow_entry.make
+  Openflow.Flow_table.add (Openflow.Switch.table sw) ~now:Sim.Time.zero
+    (Openflow.Flow_entry.rule
        ~fields:(Openflow.Match_fields.of_five_tuple ft)
        [ Openflow.Action.Output 2 ]);
   let pkt = Packet.of_five_tuple ft in
@@ -324,8 +350,8 @@ let bench_switch_process_hit =
 let bench_switch_process_with_timeouts =
   let sw = Openflow.Switch.create ~dpid:1 ~ports:[ 1; 2 ] () in
   let ft = flow "10.0.0.1" "10.0.0.2" in
-  Openflow.Flow_table.add (Openflow.Switch.table sw)
-    (Openflow.Flow_entry.make ~idle_timeout:(Sim.Time.s 3600)
+  Openflow.Flow_table.add (Openflow.Switch.table sw) ~now:Sim.Time.zero
+    (Openflow.Flow_entry.rule ~idle_timeout:(Sim.Time.s 3600)
        ~fields:(Openflow.Match_fields.of_five_tuple ft)
        [ Openflow.Action.Output 2 ]);
   let pkt = Packet.of_five_tuple ft in
@@ -1213,6 +1239,7 @@ let tests =
        bench_flow_table_churn;
        bench_wildcard_lookup;
        bench_wildcard_churn;
+       bench_flow_mod_apply;
        bench_switch_process_hit;
        bench_switch_process_with_timeouts;
        bench_schedule_dispatch;

@@ -680,30 +680,35 @@ let fallthrough root =
 
 (* Greedy aligned decomposition of an address interval into CIDR
    blocks: repeatedly take the largest block aligned at [lo] that does
-   not overshoot [hi]. At most 62 blocks per interval. *)
+   not overshoot [hi], whose prefix length [block_len] gives. At most
+   62 blocks per interval. *)
+let block_len lo hi =
+  let len = ref 0 in
+  while
+    !len < 32
+    && (lo land ((1 lsl (32 - !len)) - 1) <> 0 || lo + (1 lsl (32 - !len)) - 1 > hi)
+  do
+    incr len
+  done;
+  !len
+
 let prefixes_of_interval (ilo, ihi) =
   let acc = ref [] in
   let lo = ref ilo in
   while !lo <= ihi do
-    let tz =
-      if !lo = 0 then 32
-      else begin
-        let t = ref 0 and v = ref !lo in
-        while !v land 1 = 0 && !t < 32 do
-          incr t;
-          v := !v lsr 1
-        done;
-        !t
-      end
-    in
-    let len = ref (32 - tz) in
-    while !len < 32 && !lo + (1 lsl (32 - !len)) - 1 > ihi do
-      incr len
-    done;
-    acc := Prefix.make (Ipv4.of_int !lo) !len :: !acc;
-    lo := !lo + (1 lsl (32 - !len))
+    let len = block_len !lo ihi in
+    acc := Prefix.make (Ipv4.of_int !lo) len :: !acc;
+    lo := !lo + (1 lsl (32 - len))
   done;
   List.rev !acc
+
+let prefix_count (ilo, ihi) =
+  let n = ref 0 and lo = ref ilo in
+  while !lo <= ihi do
+    lo := !lo + (1 lsl (32 - block_len !lo ihi));
+    incr n
+  done;
+  !n
 
 (* A protocol interval as a set: listed when narrow, as the excluded
    protocols when wide. *)

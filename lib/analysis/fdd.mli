@@ -250,6 +250,10 @@ val prefixes_of_interval : interval -> Netcore.Prefix.t list
 (** The fewest aligned CIDR blocks covering an address interval,
     ascending. *)
 
+val prefix_count : interval -> int
+(** [List.length (prefixes_of_interval iv)], counted without building
+    the blocks: allocates nothing. *)
+
 val lines_to_string : int list -> string
 (** Rule lines joined by commas, line [0] as [default]. *)
 

@@ -79,11 +79,11 @@ let no_part = { iv = (0, 0); prefixes = []; child = punt_plan }
 
 let levels = Array.length Fdd.dim_top
 
-(* Entries an exact expansion of one interval needs, given an address
-   interval's prefixes. Counted before materializing anything: port
-   widths can be 65536. *)
-let atom_count level (lo, hi) prefixes =
-  match level with 1 | 2 -> List.length prefixes | _ -> hi - lo + 1
+(* Entries an exact expansion of one interval needs: an address
+   interval's prefixes, or every value of another. Counted without
+   materializing anything: port widths can be 65536. *)
+let atom_count level ((lo, hi) as iv) =
+  if is_address level then Fdd.prefix_count iv else hi - lo + 1
 
 (* Among groups whose expansions would cost the same, the default is
    the one a [Hashtbl.fold] over a [Hashtbl.create 8] keyed by these
@@ -257,12 +257,8 @@ and split_plan cache budget level id =
   let n = Array.length parts in
   let node i = snd parts.(i) in
   let plans = Array.map (fun (_, c) -> plan_of cache budget (level + 1) c) parts in
-  let prefixes =
-    Array.map
-      (fun (iv, _) -> if level = 1 || level = 2 then Fdd.prefixes_of_interval iv else [])
-      parts
-  in
-  let cost i = atom_count level (fst parts.(i)) prefixes.(i) * plans.(i).p_count in
+  let atoms = Array.map (fun (iv, _) -> atom_count level iv) parts in
+  let cost i = atoms.(i) * plans.(i).p_count in
   let default = default_group level parts cost in
   let expanded i = node i <> node default && cost i <= budget in
   (* Sums run in part order, as [s_coverage]'s does, so [p_cov]
@@ -284,7 +280,10 @@ and split_plan cache budget level id =
   for i = n - 1 downto 0 do
     if expanded i then begin
       decr n_kept;
-      kept.(!n_kept) <- { iv = fst parts.(i); prefixes = prefixes.(i); child = plans.(i) };
+      let iv = fst parts.(i) in
+      (* Only an expanded part keeps its prefixes. *)
+      let prefixes = if is_address level then Fdd.prefixes_of_interval iv else [] in
+      kept.(!n_kept) <- { iv; prefixes; child = plans.(i) };
       count := !count + cost i;
       dec := !dec lor plans.(i).p_dec
     end;

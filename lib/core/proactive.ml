@@ -250,8 +250,8 @@ let sync t ~proactive plan =
    deletes took, re-added from the view. *)
 let reinstall t fields =
   let taken = function
-    | Msg.Flow_mod fm ->
-        List.exists (fun f -> Openflow.Match_fields.covers f fm.Msg.fields) fields
+    | Msg.Flow_mod { rule; _ } ->
+        List.exists (fun f -> Openflow.Match_fields.covers f rule.fields) fields
     | _ -> false
   in
   let view = List.map (entry_add ~state:t.state) t.table.Compiler.entries @ guards_of t.table in

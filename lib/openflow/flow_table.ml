@@ -1,41 +1,42 @@
 open Netcore
 
-(* An installed entry. [seq] numbers installations, so table order is
-   priority descending, then [seq] descending (newer installations win
-   ties). [alive] turns false on removal; the expiry heap skips dead
-   slots instead of searching for them. [next] links the slots of one
-   exact-match chain; {!vacant} ends a chain. *)
-type slot = {
-  entry : Flow_entry.t;
-  seq : int;
-  mutable alive : bool;
-  mutable next : slot;
-}
+(* An installed entry is one [Flow_entry.t]: the rule its flow-mod
+   carried, by reference, and the table's own fields. [seq] numbers
+   installations, so table order is priority descending, then [seq]
+   descending (newer installations win ties). [alive] turns false on
+   removal; the expiry heap skips dead entries instead of searching for
+   them. [next] links the entries of one exact-match chain; {!vacant}
+   ends a chain. *)
+open Flow_entry
 
 (* Ends every chain, and fills the band's unused cells and the expiry
    heap's, so they keep no removed entry alive. Never linked into a
-   chain, so its [next] stays itself. Its entry, which no table holds,
-   is what a lookup that matches nothing returns. *)
-let miss = Flow_entry.make ~fields:Match_fields.any []
-let rec vacant = { entry = miss; seq = -1; alive = false; next = vacant }
+   chain, so its [next] stays itself. No table holds it: it is what a
+   lookup that matches nothing returns. *)
+let rec vacant =
+  { rule = rule ~fields:Match_fields.any []; installed_at = Sim.Time.zero;
+    last_hit = Sim.Time.zero; packets = 0; bytes = 0; seq = -1; alive = false;
+    next = vacant }
+
+let miss = vacant
 
 type t = {
   capacity : int option;
-  mutable chains : slot array;
+  mutable chains : Flow_entry.t array;
       (* Entries whose match is exactly one 5-tuple (the shape
          controllers install to cache per-flow decisions), in chains
          hung from the cell their tuple's hash selects. The length is a
          power of two; each chain is in table order. *)
-  mutable chained : int;  (* slots in [chains] *)
-  mutable band : slot array;
+  mutable chained : int;  (* entries in [chains] *)
+  mutable band : Flow_entry.t array;
   mutable band_len : int;
       (* Every other entry, in table order, in [band.(0 .. band_len-1)];
          the cells beyond hold [vacant]. *)
   mutable count : int;
   mutable next_seq : int;
-  deadlines : slot Sim.Heap.t;
-      (* One slot per timed entry, keyed by a lower bound (ns) on its
-         expiry. Hits only push deadlines later, so a popped live slot
+  deadlines : Flow_entry.t Sim.Heap.t;
+      (* Each timed entry, keyed by a lower bound (ns) on its expiry.
+         Hits only push deadlines later, so a popped live entry
          that has not expired is re-pushed at its true deadline. *)
   mutable timed : int;  (* live entries with a timeout *)
   mutable hit_count : int;
@@ -109,29 +110,29 @@ let timeout_ns base = function
 
 (* The earlier of an entry's two deadlines, in ns; [max_int] for an
    entry without a timeout. *)
-let deadline_of (e : Flow_entry.t) =
+let deadline_of e =
   Int.min
-    (timeout_ns e.last_hit e.idle_timeout)
-    (timeout_ns e.installed_at e.hard_timeout)
+    (timeout_ns e.last_hit e.rule.idle_timeout)
+    (timeout_ns e.installed_at e.rule.hard_timeout)
 
-let is_timed (e : Flow_entry.t) = e.idle_timeout <> None || e.hard_timeout <> None
+let is_timed r = r.idle_timeout <> None || r.hard_timeout <> None
 
 (* Does [a] come before [b] in table order? *)
 let before a b =
-  a.entry.priority > b.entry.priority
-  || (a.entry.priority = b.entry.priority && a.seq > b.seq)
+  a.rule.priority > b.rule.priority
+  || (a.rule.priority = b.rule.priority && a.seq > b.seq)
 
 let kill t s =
   s.alive <- false;
   t.count <- t.count - 1;
-  if is_timed s.entry then t.timed <- t.timed - 1
+  if is_timed s.rule then t.timed <- t.timed - 1
 
 (* The table's helpers are closed functions taking their operands as
    arguments: a local closure would be allocated on every flow-mod. *)
 
 (* Take [s] out of its chain, [prev] being its predecessor ([vacant]
    when [s] heads chain [i]), and kill it. Its [next] is reset, so a
-   dead slot still in the expiry heap keeps no chain alive. *)
+   dead entry still in the expiry heap keeps no chain alive. *)
 let unlink t i prev s =
   if prev == vacant then t.chains.(i) <- s.next else prev.next <- s.next;
   s.next <- vacant;
@@ -148,8 +149,8 @@ let rec chain_filter_from t i prev s gone a b =
     else chain_filter_from t i s next gone a b
   end
 
-(* Kill every slot of chain [i] satisfying [gone a b]. A chain holds at
-   most 2 slots on average, so a delete that can match only one slot
+(* Kill every entry of chain [i] satisfying [gone a b]. A chain holds
+   at most 2 entries on average, so a delete that can match only one
    walks it to the end as well. *)
 let chain_filter t i gone a b =
   chain_filter_from t i vacant t.chains.(i) gone a b
@@ -173,7 +174,7 @@ let grow_chains t =
       let cur = !s in
       s := cur.next;
       cur.next <- vacant;
-      let j = exact_hash cur.entry.fields land mask in
+      let j = exact_hash cur.rule.fields land mask in
       if j = i then low := append chains j !low cur
       else high := append chains j !high cur
     done
@@ -189,7 +190,7 @@ let rec chain_insert_after prev s =
   end
 
 (* Link [s] into the chain of [hash] at its place in table order, and
-   double the chain array once the chained slots outnumber its cells
+   double the chain array once the chained entries outnumber its cells
    twice over. *)
 let chain_insert t hash s =
   let i = chain_of t hash in
@@ -203,9 +204,9 @@ let chain_insert t hash s =
   if t.chained > 2 * Array.length t.chains then grow_chains t
 
 let same_entry s priority fields =
-  s.entry.priority = priority && Match_fields.equal s.entry.fields fields
+  s.rule.priority = priority && Match_fields.equal s.rule.fields fields
 
-let is_slot s slot () = s == slot
+let is_entry s e () = s == e
 
 (* The first index in [lo, hi) at or below priority [p]: the band is
    sorted by priority descending, so a binary search finds it. *)
@@ -213,12 +214,12 @@ let rec band_search band p lo hi =
   if lo >= hi then lo
   else
     let mid = (lo + hi) lsr 1 in
-    if band.(mid).entry.priority > p then band_search band p (mid + 1) hi
+    if band.(mid).rule.priority > p then band_search band p (mid + 1) hi
     else band_search band p lo mid
 
 let band_start t p = band_search t.band p 0 t.band_len
 
-(* Kill the band slot at [i] and close the gap. *)
+(* Kill the band entry at [i] and close the gap. *)
 let band_delete t i =
   kill t t.band.(i);
   let last = t.band_len - 1 in
@@ -226,7 +227,7 @@ let band_delete t i =
   t.band.(last) <- vacant;
   t.band_len <- last
 
-(* A new slot comes before every slot of its priority (its [seq] is the
+(* A new entry comes before every entry of its priority (its [seq] is the
    newest), so it goes at [band_start]. *)
 let band_insert t s =
   if t.band_len = Array.length t.band then begin
@@ -234,22 +235,22 @@ let band_insert t s =
     Array.blit t.band 0 grown 0 t.band_len;
     t.band <- grown
   end;
-  let i = band_start t s.entry.priority in
+  let i = band_start t s.rule.priority in
   Array.blit t.band i t.band (i + 1) (t.band_len - i);
   t.band.(i) <- s;
   t.band_len <- t.band_len + 1
 
 let rec band_delete_in_run t p pred arg i =
-  if i < t.band_len && t.band.(i).entry.priority = p then
+  if i < t.band_len && t.band.(i).rule.priority = p then
     if pred t.band.(i) arg then band_delete t i
     else band_delete_in_run t p pred arg (i + 1)
 
-(* Kill the first slot of priority [p] satisfying [pred arg], scanning
+(* Kill the first entry of priority [p] satisfying [pred arg], scanning
    only the contiguous run of that priority. *)
 let band_delete_first t p pred arg =
   band_delete_in_run t p pred arg (band_start t p)
 
-(* Kill every band slot satisfying [pred arg], compacting in place. *)
+(* Kill every band entry satisfying [pred arg], compacting in place. *)
 let band_filter t pred arg =
   let kept = ref 0 in
   for i = 0 to t.band_len - 1 do
@@ -263,10 +264,10 @@ let band_filter t pred arg =
   Array.fill t.band !kept (t.band_len - !kept) vacant;
   t.band_len <- !kept
 
-let drop_slot t s =
-  let hash = exact_hash s.entry.fields in
-  if hash < 0 then band_delete_first t s.entry.priority ( == ) s
-  else chain_filter t (chain_of t hash) is_slot s ()
+let drop t s =
+  let hash = exact_hash s.rule.fields in
+  if hash < 0 then band_delete_first t s.rule.priority ( == ) s
+  else chain_filter t (chain_of t hash) is_entry s ()
 
 let rec iter_chain f a s =
   if s != vacant then begin
@@ -274,8 +275,8 @@ let rec iter_chain f a s =
     iter_chain f a s.next
   end
 
-(* [f a s] for every slot [s]. *)
-let iter_slots t f a =
+(* [f a s] for every entry [s]. *)
+let iter_entries t f a =
   for i = 0 to Array.length t.chains - 1 do
     iter_chain f a t.chains.(i)
   done;
@@ -284,33 +285,33 @@ let iter_slots t f a =
   done
 
 let push_deadline t s =
-  let d = deadline_of s.entry in
+  let d = deadline_of s in
   if d < max_int then Sim.Heap.push t.deadlines ~key:d s
 
-(* Dead slots stay in the heap until popped; rebuild it once they
+(* Dead entries stay in the heap until popped; rebuild it once they
    outnumber the live ones, so replacement churn cannot grow it. The
    rebuild reuses the heap's arrays and allocates nothing. *)
 let compact t =
   if Sim.Heap.size t.deadlines > 2 * t.timed then begin
     Sim.Heap.clear t.deadlines;
-    iter_slots t push_deadline t
+    iter_entries t push_deadline t
   end
 
 (* Only reactive entries (cookie 0) are evictable: a controller's
    compiled entries, guards and routes carry a cookie, and evicting one
    would change what the table decides, not only what it caches. *)
-let evictable s = s.entry.cookie = 0
+let evictable s = s.rule.cookie = 0
 
 (* Evict the least recently hit evictable entry (ties go to the entry
    first in table order); false when there is none. *)
 let evict_lru t =
   let victim = ref None in
-  iter_slots t
+  iter_entries t
     (fun victim s ->
       if evictable s then
         match !victim with
         | Some v
-          when let c = Sim.Time.compare s.entry.last_hit v.entry.last_hit in
+          when let c = Sim.Time.compare s.last_hit v.last_hit in
                c > 0 || (c = 0 && before v s) ->
             ()
         | _ -> victim := Some s)
@@ -318,18 +319,18 @@ let evict_lru t =
   match !victim with
   | None -> false
   | Some s ->
-      drop_slot t s;
+      drop t s;
       t.eviction_count <- t.eviction_count + 1;
-      Option.iter (fun f -> f s.entry) t.on_evict;
+      Option.iter (fun f -> f s) t.on_evict;
       true
 
-let same_fields s fields = Match_fields.equal s.entry.fields fields
+let same_fields s fields = Match_fields.equal s.rule.fields fields
 
-let add t (entry : Flow_entry.t) =
-  let hash = exact_hash entry.fields in
+let add t ~now rule =
+  let hash = exact_hash rule.fields in
   (* Replace an identical (fields, priority) entry. *)
-  if hash < 0 then band_delete_first t entry.priority same_fields entry.fields
-  else chain_filter t (chain_of t hash) same_entry entry.priority entry.fields;
+  if hash < 0 then band_delete_first t rule.priority same_fields rule.fields
+  else chain_filter t (chain_of t hash) same_entry rule.priority rule.fields;
   let room =
     match t.capacity with
     | Some cap when t.count >= cap -> evict_lru t
@@ -337,22 +338,25 @@ let add t (entry : Flow_entry.t) =
   in
   if not room then t.refusal_count <- t.refusal_count + 1
   else begin
-    let s = { entry; seq = t.next_seq; alive = true; next = vacant } in
+    let s =
+      { rule; installed_at = now; last_hit = now; packets = 0; bytes = 0;
+        seq = t.next_seq; alive = true; next = vacant }
+    in
     t.next_seq <- t.next_seq + 1;
     t.count <- t.count + 1;
     if hash < 0 then band_insert t s else chain_insert t hash s;
-    if is_timed entry then begin
+    if is_timed rule then begin
       t.timed <- t.timed + 1;
       push_deadline t s
     end
   end;
   compact t
 
-(* The first slot of a chain that matches; [vacant] when none does.
+(* The first entry of a chain that matches; [vacant] when none does.
    A chain holds the tuples that share its cell, so the match test
-   also sorts out which slots are the packet's. *)
+   also sorts out which entries are the packet's. *)
 let rec find_in_chain ~in_port pkt s =
-  if s == vacant || Match_fields.matches_flow s.entry.fields ~in_port pkt
+  if s == vacant || Match_fields.matches_flow s.rule.fields ~in_port pkt
   then s
   else find_in_chain ~in_port pkt s.next
 
@@ -364,7 +368,7 @@ let rec scan_band t ~in_port pkt exact i =
   else
     let w = t.band.(i) in
     if exact != vacant && before exact w then exact
-    else if Match_fields.matches_flow w.entry.fields ~in_port pkt then w
+    else if Match_fields.matches_flow w.rule.fields ~in_port pkt then w
     else scan_band t ~in_port pkt exact (i + 1)
 
 let lookup_flow t ~in_port pkt =
@@ -381,7 +385,7 @@ let lookup_flow t ~in_port pkt =
   let s = scan_band t ~in_port pkt exact 0 in
   if s == vacant then t.miss_count <- t.miss_count + 1
   else t.hit_count <- t.hit_count + 1;
-  s.entry
+  s
 
 let lookup t ~in_port pkt =
   let e = lookup_flow t ~in_port pkt in
@@ -395,7 +399,7 @@ let remove t ~priority ~fields =
   else chain_filter t (chain_of t hash) same_entry priority fields;
   compact t
 
-let covered s fields = Match_fields.covers fields s.entry.fields
+let covered s fields = Match_fields.covers fields s.rule.fields
 let covered_by s fields () = covered s fields
 
 let remove_matching t ~fields =
@@ -405,7 +409,7 @@ let remove_matching t ~fields =
   done;
   compact t
 
-(* Drop the slots due by [now_ns]; [n] counts them. A closed function,
+(* Drop the entries due by [now_ns]; [n] counts them. A closed function,
    so the per-packet call allocates nothing. *)
 let rec expire_due t now_ns n =
   if Sim.Heap.is_empty t.deadlines || now_ns <= Sim.Heap.min_key t.deadlines
@@ -414,8 +418,8 @@ let rec expire_due t now_ns n =
     let s = Sim.Heap.take t.deadlines in
     if not s.alive then expire_due t now_ns n
     else
-      if now_ns > deadline_of s.entry then begin
-        drop_slot t s;
+      if now_ns > deadline_of s then begin
+        drop t s;
         expire_due t now_ns (n + 1)
       end
       else begin
@@ -435,7 +439,6 @@ let entries t =
   let band = List.init t.band_len (Array.get t.band) in
   let all = Array.fold_right chain_to_list t.chains band in
   List.stable_sort (fun a b -> if before a b then -1 else 1) all
-  |> List.map (fun s -> s.entry)
 
 let misses t = t.miss_count
 let hits t = t.hit_count

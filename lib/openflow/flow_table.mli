@@ -2,17 +2,19 @@
     exact-match fast path, per OpenFlow 1.0 semantics.
 
     Table order is priority descending, then installation descending
-    (newer wins ties). Five-tuple-shaped entries (layer 2 and ingress
+    (newer wins ties). An installed entry is one {!Flow_entry.t}
+    record, which holds the flow-mod's rule by reference beside the
+    table's own fields. Five-tuple-shaped entries (layer 2 and ingress
     port wildcarded, /32 addresses, protocol and both ports given) live
-    in intrusive chains: each entry's slot links to the next one of its
+    in intrusive chains: each entry links to the next one of its
     chain, and the chains hang from a power-of-two array indexed by the
     5-tuple's hash, which is taken from the fields' ints without
     building a key. Each chain is kept in table order, and the array
     doubles once the chained entries outnumber its cells twice over.
     Every other entry lives in the wildcard band, a growable array kept
     in table order. Timed entries sit in a min-heap of deadline lower
-    bounds; removal leaves a dead heap slot behind, and the heap is
-    rebuilt once dead slots outnumber live ones (amortised O(1) per
+    bounds; removal leaves a dead entry in the heap, and the heap is
+    rebuilt once dead entries outnumber live ones (amortised O(1) per
     removal). Costs below are for [n] entries, [c] entries in one chain
     (at most 2 on average), [w] wildcard entries and [r] wildcard
     entries of one priority. *)
@@ -29,12 +31,13 @@ val create : ?capacity:int -> unit -> t
     no reactive entry is left, the add is refused and counted (see
     {!refusals}), as an OpenFlow switch answers [ALL_TABLES_FULL]. *)
 
-val add : t -> Flow_entry.t -> unit
-(** Install an entry. An entry with identical fields and priority
-    replaces the old one (OpenFlow overlap semantics for identical
-    matches). O(c + log n) for a five-tuple-shaped entry; otherwise an
-    O(log w + r) position search plus a memmove of the band's tail.
-    Either way it allocates only the slot the table keeps and,
+val add : t -> now:Sim.Time.t -> Flow_entry.rule -> unit
+(** Install [rule] as an entry installed (and last hit) at [now]. An
+    entry with identical fields and priority replaces the old one
+    (OpenFlow overlap semantics for identical matches). O(c + log n)
+    for a five-tuple-shaped rule; otherwise an O(log w + r) position
+    search plus a memmove of the band's tail. Either way it allocates
+    only the entry's 9-word record, which keeps [rule] itself, and,
     amortised, the growth of the chain array, the band and the expiry
     heap; O(n) more when a full table must evict. *)
 

@@ -11,17 +11,6 @@ type packet_in = {
 
 type flow_mod_command = Add | Delete | Delete_strict
 
-type flow_mod = {
-  command : flow_mod_command;
-  table_id : int;
-  fields : Match_fields.t;
-  priority : int;
-  actions : Action.t list;
-  idle_timeout : Sim.Time.t option;
-  hard_timeout : Sim.Time.t option;
-  cookie : int;
-}
-
 type packet_out = {
   out_packet : Packet.t;
   out_port : [ `Port of int | `Flood | `Table ];
@@ -46,28 +35,26 @@ type stats_reply = {
 type to_controller = Packet_in of packet_in | Stats_reply of stats_reply
 
 type to_switch =
-  | Flow_mod of flow_mod
+  | Flow_mod of {
+      command : flow_mod_command;
+      table_id : int;
+      rule : Flow_entry.rule;
+    }
   | Packet_out of packet_out
   | Stats_request of { xid : int }
   | Barrier
 
-let add_flow ?(table_id = 0) ?(priority = 0x8000) ?idle_timeout ?hard_timeout
-    ?(cookie = 0) ~fields actions =
-  Flow_mod
-    { command = Add; table_id; fields; priority; actions; idle_timeout; hard_timeout; cookie }
+let add_flow ?(table_id = 0) ?priority ?idle_timeout ?hard_timeout ?cookie ~fields
+    actions =
+  let rule = Flow_entry.rule ?priority ?idle_timeout ?hard_timeout ?cookie ~fields actions in
+  Flow_mod { command = Add; table_id; rule }
 
 let delete command ~table_id ~priority ~fields =
-  Flow_mod
-    {
-      command;
-      table_id;
-      fields;
-      priority;
-      actions = [];
-      idle_timeout = None;
-      hard_timeout = None;
-      cookie = 0;
-    }
+  let rule =
+    { Flow_entry.fields; priority; actions = []; idle_timeout = None; hard_timeout = None;
+      cookie = 0 }
+  in
+  Flow_mod { command; table_id; rule }
 
 let delete_flow ~fields = delete Delete ~table_id:0 ~priority:0 ~fields
 let delete_strict ~table_id ~priority ~fields = delete Delete_strict ~table_id ~priority ~fields
@@ -81,16 +68,16 @@ let pp_to_controller ppf = function
         r.st_dpid r.st_xid (List.length r.st_flows) r.st_lookups r.st_matched
 
 let pp_to_switch ppf = function
-  | Flow_mod fm ->
+  | Flow_mod { command; table_id; rule } ->
       let cmd =
-        match fm.command with
+        match command with
         | Add -> "add"
         | Delete -> "del"
         | Delete_strict -> "del-strict"
       in
-      let table = if fm.table_id = 0 then "" else Printf.sprintf " table=%d" fm.table_id in
-      Format.fprintf ppf "flow-mod %s%s prio=%d %a -> %a" cmd table fm.priority
-        Match_fields.pp fm.fields Action.pp_list fm.actions
+      let table = if table_id = 0 then "" else Printf.sprintf " table=%d" table_id in
+      Format.fprintf ppf "flow-mod %s%s prio=%d %a -> %a" cmd table rule.priority
+        Match_fields.pp rule.fields Action.pp_list rule.actions
   | Packet_out po ->
       let dest =
         match po.out_port with

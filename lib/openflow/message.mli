@@ -15,17 +15,6 @@ type packet_in = {
 
 type flow_mod_command = Add | Delete | Delete_strict
 
-type flow_mod = {
-  command : flow_mod_command;
-  table_id : int;  (** 0 or 1; always 0 for a [Delete]. *)
-  fields : Match_fields.t;
-  priority : int;
-  actions : Action.t list;
-  idle_timeout : Sim.Time.t option;
-  hard_timeout : Sim.Time.t option;
-  cookie : int;
-}
-
 type packet_out = {
   out_packet : Packet.t;
   out_port : [ `Port of int | `Flood | `Table ];
@@ -51,7 +40,14 @@ type stats_reply = {
 type to_controller = Packet_in of packet_in | Stats_reply of stats_reply
 
 type to_switch =
-  | Flow_mod of flow_mod
+  | Flow_mod of {
+      command : flow_mod_command;
+      table_id : int;  (** 0 or 1; always 0 for a [Delete]. *)
+      rule : Flow_entry.rule;
+          (** What an [Add] installs, kept by reference in the table
+              ({!Flow_table.add}). A delete reads only its fields and
+              priority. *)
+    }
   | Packet_out of packet_out
   | Stats_request of { xid : int }
   | Barrier

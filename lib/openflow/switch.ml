@@ -8,7 +8,8 @@ type t = {
   tables : Flow_table.t array;
   forwards : forward_decision array;
       (* [Forward [p]] at [p], for 0 up to the highest port: what a hit
-         on a single output returns, built once. *)
+         on a single output returns, and its list what a packet-out to
+         [p] emits on, built once. *)
 }
 
 let create ?capacity ~dpid ~ports () =
@@ -54,7 +55,7 @@ let rec run t ~now ~in_port pkt id =
   if entry == Flow_table.miss then Send_to_controller
   else begin
     Flow_entry.hit entry ~now ~size:(Packet.size pkt);
-    match entry.actions with
+    match entry.rule.actions with
     | [ Action.Goto_table next ] when next > id -> run t ~now ~in_port pkt next
     | actions -> resolve_actions t ~in_port actions
   end
@@ -69,28 +70,25 @@ type apply_result =
 let apply t ~now msg =
   match msg with
   | Message.Barrier -> Nothing
-  | Message.Flow_mod fm -> (
-      match fm.command with
+  | Message.Flow_mod { command; table_id; rule } -> (
+      let table = t.tables.(table_id) in
+      match command with
       | Message.Add ->
-          Flow_table.add t.tables.(fm.table_id)
-            (Flow_entry.make ~priority:fm.priority
-               ?idle_timeout:fm.idle_timeout ?hard_timeout:fm.hard_timeout
-               ~cookie:fm.cookie ~installed_at:now ~fields:fm.fields fm.actions);
+          Flow_table.add table ~now rule;
           Nothing
       | Message.Delete ->
-          Flow_table.remove_matching t.tables.(fm.table_id) ~fields:fm.fields;
+          Flow_table.remove_matching table ~fields:rule.fields;
           Nothing
       | Message.Delete_strict ->
-          Flow_table.remove t.tables.(fm.table_id) ~priority:fm.priority
-            ~fields:fm.fields;
+          Flow_table.remove table ~priority:rule.priority ~fields:rule.fields;
           Nothing)
   | Message.Stats_request { xid } ->
       let flows =
         List.map
           (fun (e : Flow_entry.t) ->
             {
-              Message.st_fields = e.fields;
-              st_priority = e.priority;
+              Message.st_fields = e.rule.fields;
+              st_priority = e.rule.priority;
               st_packets = e.packets;
               st_bytes = e.bytes;
               st_age = Sim.Time.sub now e.installed_at;
@@ -108,7 +106,10 @@ let apply t ~now msg =
            })
   | Message.Packet_out po -> (
       match po.out_port with
-      | `Port p -> Emit ([ p ], po.out_packet)
+      | `Port p -> (
+          match forward t p with
+          | Forward ports -> Emit (ports, po.out_packet)
+          | Send_to_controller | Dropped -> Nothing)
       | `Flood -> Emit (t.ports, po.out_packet)
       | `Table -> (
           (* Run through the table with a pseudo ingress port of 0. *)

@@ -185,6 +185,24 @@ let mem s (fl : Five_tuple.t) =
       pt fl.src_port; pt fl.dst_port;
     |]
 
+(* [Fdd.prefix_count] counts the blocks [Fdd.prefixes_of_interval]
+   builds, on intervals drawn near aligned boundaries and anywhere. *)
+let prop_prefix_count =
+  let top = (1 lsl 32) - 1 in
+  let gen_addr =
+    QCheck.Gen.(
+      oneof
+        [
+          int_bound top;
+          map2 (fun k d -> max 0 (min top ((1 lsl k) + d))) (int_bound 32) (int_range (-2) 2);
+        ])
+  in
+  QCheck.Test.make ~name:"prefix count agrees with the prefix list" ~count:500
+    (QCheck.make QCheck.Gen.(pair gen_addr gen_addr) ~print:QCheck.Print.(pair int int))
+    (fun (a, b) ->
+      let iv = (min a b, max a b) in
+      Analysis.Fdd.prefix_count iv = List.length (Analysis.Fdd.prefixes_of_interval iv))
+
 (* The space of a rule is what a one-rule pass ruleset with default
    block passes; the set operations are the pointwise connectives; a
    witness lies in its space and exists iff the space is non-empty. *)
@@ -588,7 +606,7 @@ let test_precompile_disjoint_offload () =
   Alcotest.(check bool) "the block compiled" true (installed <> []);
   Alcotest.(check bool) "no drop meeting keep-state replies" true
     (List.for_all
-       (fun e -> e.Openflow.Flow_entry.actions <> Openflow.Action.drop)
+       (fun e -> e.Openflow.Flow_entry.rule.actions <> Openflow.Action.drop)
        installed)
 
 let () =
@@ -602,6 +620,7 @@ let () =
           Alcotest.test_case "table rules" `Quick test_space_of_table_rule;
           Alcotest.test_case "to_string" `Quick test_space_to_string;
           QCheck_alcotest.to_alcotest prop_space_ops;
+          QCheck_alcotest.to_alcotest prop_prefix_count;
         ] );
       ( "checks",
         [

@@ -1398,7 +1398,7 @@ let test_precompiled_block_never_reaches_controller () =
 (* The drop entries installed on a switch. *)
 let drops table =
   List.filter
-    (fun e -> e.Openflow.Flow_entry.actions = Openflow.Action.drop)
+    (fun e -> e.Openflow.Flow_entry.rule.actions = Openflow.Action.drop)
     (Openflow.Flow_table.entries table)
 
 let test_precompiled_sync_on_policy_change () =
@@ -1418,7 +1418,7 @@ let test_precompiled_sync_on_policy_change () =
   match drops table with
   | [ e ] ->
       Alcotest.(check bool) "matches port 23" true
-        (e.Openflow.Flow_entry.fields.Openflow.Match_fields.tp_dst = Some 23)
+        (e.Openflow.Flow_entry.rule.fields.Openflow.Match_fields.tp_dst = Some 23)
   | _ -> Alcotest.fail "expected exactly one drop"
 
 let test_precompile_stops_at_informational_quick () =
@@ -1438,7 +1438,7 @@ let test_precompile_stops_at_informational_quick () =
   Alcotest.(check (list (option int))) "ports 445 and 23" [ Some 23; Some 445 ]
     (List.sort compare
        (List.map
-          (fun e -> e.Openflow.Flow_entry.fields.Openflow.Match_fields.tp_dst)
+          (fun e -> e.Openflow.Flow_entry.rule.fields.Openflow.Match_fields.tp_dst)
           (drops table)))
 
 (* The drops-only table a controller without [proactive] installs. *)
@@ -1754,7 +1754,7 @@ let same_instant_verdict action =
       (fun dpid ->
         List.filter
           (fun (e : Openflow.Flow_entry.t) ->
-            e.cookie = 0 && (e.fields.nw_src = host || e.fields.nw_dst = host))
+            e.rule.cookie = 0 && (e.rule.fields.nw_src = host || e.rule.fields.nw_dst = host))
           (Openflow.Flow_table.entries (Openflow.Switch.table (Net.switch s.network dpid))))
       (Net.switches_in_domain s.network 0)
   in
