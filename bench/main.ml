@@ -766,6 +766,22 @@ let bench_proto =
            ignore (Identxx.Signed.verify ks signed)));
     Test.make ~name:"proto/response-verify-warm"
       (Staged.stage (fun () -> ignore (Identxx.Signed.verify ks signed)));
+    (* The readers of that answer, each alone: one [@src[key]] value, the
+       audit summary's keys, the values a decision-cache key reads (the
+       hints above), and the signature section. *)
+    Test.make ~name:"proto/response-latest"
+      (Staged.stage (fun () ->
+           ignore (Identxx.Response.latest signed Identxx.Key_value.app_name)));
+    Test.make ~name:"proto/response-latest-slices"
+      (let keys = Identxx_core.Audit.interesting_keys in
+       let found = Array.make (List.length keys) Identxx.Slice.none in
+       Staged.stage (fun () -> Identxx.Response.latest_slices signed keys found));
+    Test.make ~name:"proto/response-fold-values"
+      (let count n _ _ len = n + len in
+       let fold key = Identxx.Response.fold_values signed key count 0 in
+       Staged.stage (fun () -> ignore (fold "userID" + fold "name" + fold "exe-hash")));
+    Test.make ~name:"proto/response-signature"
+      (Staged.stage (fun () -> ignore (Identxx.Signed.signature signed)));
   ]
 
 let bench_crypto =

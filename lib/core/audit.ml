@@ -30,7 +30,7 @@ type t = {
          their values; a power of two long. Emptied when the log trims,
          and whenever they would outnumber the entries. *)
   mutable interned : int;
-  found : int array;
+  found : Identxx.Slice.t array;
       (* Where each interesting key's latest value sits in the answer
          being summarized ({!Identxx.Response.latest_slices}). *)
   mutable count : int;
@@ -56,7 +56,7 @@ let create ?(capacity = 10_000) () =
     length = 0;
     buckets = Array.make 16 [];
     interned = 0;
-    found = Array.make (List.length interesting_keys) (-1);
+    found = Array.make (List.length interesting_keys) Identxx.Slice.none;
     count = 0;
     blocked = 0;
     rejections = [];
@@ -78,9 +78,6 @@ let trimmed t l length =
    values are hashed and compared where they sit in its payload, and a
    list is built only for a summary not yet interned. *)
 
-let start f = f lsr 32
-let stop f = f land 0xffff_ffff
-
 let mix h c = (h lxor c) * 0x01000193 land 0x3fff_ffff
 
 let rec mix_sub h s i stop =
@@ -96,7 +93,8 @@ let rec hash_found found s j h =
   else
     let f = found.(j) in
     hash_found found s (j + 1)
-      (if f < 0 then h else mix_value h j s (start f) (stop f))
+      (if f = Identxx.Slice.none then h
+       else mix_value h j s (Identxx.Slice.start f) (Identxx.Slice.stop f))
 
 (* The same hash of a summary, its pairs in the order of [keys] from the
    [j]th on. *)
@@ -115,13 +113,13 @@ let rec same found s j keys (summary : summary) =
   | [] -> summary = []
   | key :: keys -> (
       let f = found.(j) in
-      if f < 0 then same found s (j + 1) keys summary
+      if f = Identxx.Slice.none then same found s (j + 1) keys summary
       else
         match summary with
         | (k, v) :: rest ->
             String.equal k key
-            && String.length v = stop f - start f
-            && Identxx.Key_value.is_at v s (start f)
+            && String.length v = Identxx.Slice.length f
+            && Identxx.Key_value.is_at v s (Identxx.Slice.start f)
             && same found s (j + 1) keys rest
         | [] -> false)
 
@@ -135,8 +133,8 @@ let rec build found s j = function
   | [] -> []
   | key :: keys ->
       let f = found.(j) in
-      if f < 0 then build found s (j + 1) keys
-      else (key, String.sub s (start f) (stop f - start f)) :: build found s (j + 1) keys
+      if f = Identxx.Slice.none then build found s (j + 1) keys
+      else (key, Identxx.Slice.sub s f) :: build found s (j + 1) keys
 
 let bucket t h = h land (Array.length t.buckets - 1)
 
@@ -161,7 +159,8 @@ let add_summary t h summary =
   t.interned <- t.interned + 1
 
 let rec none_found found j =
-  j = Array.length found || (found.(j) < 0 && none_found found (j + 1))
+  j = Array.length found
+  || (found.(j) = Identxx.Slice.none && none_found found (j + 1))
 
 (* An answer's summary: [[]] when absent or binding none of the keys,
    else its interned copy, added on a miss. *)

@@ -712,13 +712,13 @@ let post_to_waiter t w msg =
    (its timeout or breaker trip). The exchange [p] initiated with the
    host, if any, closes and returns every waiter, in join order;
    otherwise [p] is the only waiter. *)
-let close_exchange t p ~host ~end_ answer =
+let close_exchange t p ~host ~end_ ~signer answer =
   match p.p_exchange with
   | Some ex when Ipv4.equal host p.p_flow.Five_tuple.dst ->
       (* Forget it once settled: a duplicate answer naming this flow
          must not settle a newer exchange with the host. *)
       p.p_exchange <- None;
-      Fastpath.Answers.settle t.answers ~now:t.now ex answer
+      Fastpath.Answers.settle t.answers ~now:t.now ~signer ex answer
   | Some _ | None -> [ { w_flow = p.p_flow; w_end = end_ } ]
 
 (* --- querying daemons (Figure 1, step 3) --- *)
@@ -850,7 +850,7 @@ let expire_end t p end_ =
     (fun w ->
       if not (Five_tuple.equal w.w_flow p.p_flow) then
         post_to_waiter t w (Settle (w, failed, None)))
-    (close_exchange t p ~host:ip ~end_ None);
+    (close_exchange t p ~host:ip ~end_ ~signer:"" None);
   settle_end t p end_ Timed_out
 
 (* The timer posts into the flow's shard's run queue, so timeout
@@ -1080,21 +1080,22 @@ let settle_answer t p ~from_ip response sg =
      per-flow trace ids must not reach policy evaluation or a
      settled answer (a reused trace section would both leak into
      later flows' decisions and defeat decision-cache key
-     matching). The scope is the stripped answer's: the reading of
-     the signature section still holds when there was nothing to
-     strip, and then there were no timings either. *)
+     matching). The scope and the signer are the stripped answer's:
+     the reading of the signature section still holds when there was
+     nothing to strip, and then there were no timings either. *)
   let stripped = Identxx.Response.strip_trace response in
   let untraced = stripped == response in
   let dtrace =
     if untraced then None else Identxx.Response.trace_info response
   in
-  let scope =
-    if untraced then Identxx.Signed.scope_of sg
-    else Identxx.Signed.scope stripped
-  in
+  let sg = if untraced then sg else Identxx.Signed.signature stripped in
+  let scope = Identxx.Signed.scope_of sg
+  and signer = match sg with Some sg -> Identxx.Signed.signer sg | None -> "" in
   let response = stripped in
   let end_ = end_of flow from_ip in
-  let ws = close_exchange t p ~host:from_ip ~end_ (Some (scope, response)) in
+  let ws =
+    close_exchange t p ~host:from_ip ~end_ ~signer (Some (scope, response))
+  in
   (* An (authenticated, if required) answer: the host is alive. *)
   Fastpath.note_response t.fp from_ip;
   (* A waiter takes the answer only as far as its declared scope

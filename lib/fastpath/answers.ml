@@ -25,7 +25,7 @@ type 'w entry =
   | In_flight of 'w exchange
   | Settled of {
       response : Identxx.Response.t;
-      signer : string option;
+      signer : string;
       expires_at : Sim.Time.t;
     }
 
@@ -155,7 +155,7 @@ let compact t =
 
 (* Turn the current in-flight entry at [key] settled. It is not yet
    settled, so making room never evicts it. *)
-let keep t ~now key response =
+let keep t ~now key ~signer response =
   let ttl =
     match self_expiry response with
     | Some bound -> Sim.Time.min t.ttl bound
@@ -170,14 +170,14 @@ let keep t ~now key response =
     (Settled
        {
          response;
-         signer = Identxx.Response.latest response Identxx.Signed.signer_key;
+         signer;
          expires_at = Sim.Time.add now ttl;
        });
   t.settled <- t.settled + 1;
   Queue.add key t.order;
   compact t
 
-let settle t ~now ex answer =
+let settle t ~now ~signer ex answer =
   let ws = List.rev ex.waiters in
   ex.waiters <- [];
   (match Tbl.find_opt t.entries ex.key with
@@ -185,7 +185,7 @@ let settle t ~now ex answer =
       match answer with
       | Some ((Identxx.Signed.Socket | Identxx.Signed.Host), response)
         when t.reuse ->
-          keep t ~now ex.key response
+          keep t ~now ex.key ~signer response
       | Some _ | None -> Tbl.remove t.entries ex.key)
   | Some _ | None -> ());
   ws
@@ -210,7 +210,7 @@ let drop_host t host =
 
 let invalidate_signer t signer =
   drop_matching t (fun _ -> function
-    | Settled e -> e.signer = Some signer
+    | Settled e -> String.equal e.signer signer
     | In_flight _ -> false)
 
 let size t = t.settled

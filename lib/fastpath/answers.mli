@@ -87,6 +87,7 @@ val join :
 val settle :
   'w t ->
   now:Sim.Time.t ->
+  signer:string ->
   'w exchange ->
   (Identxx.Signed.scope * Identxx.Response.t) option ->
   'w list
@@ -97,8 +98,9 @@ val settle :
     narrowest declared scope, or [None] for its timeout or breaker
     trip. Only a {e current} exchange, one no host change dropped,
     touches the table: with reuse on and a [Socket] or [Host] answer,
-    its entry turns settled in place, signed by the response's
-    {!Identxx.Signed.signer_key} if any; otherwise it leaves. *)
+    its entry turns settled in place, signed by [signer], the handle its
+    signature section names ({!Identxx.Signed.signer}; [""] for no
+    answer, and for an answer without one); otherwise it leaves. *)
 
 val drop_host : 'w t -> Ipv4.t -> unit
 (** A change on the host: drop its entries in both states. Dropped

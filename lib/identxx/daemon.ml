@@ -232,12 +232,12 @@ let globals t cfg =
       t.globals <- Some g;
       g
 
-(* Whether one of [lines]' lines from [j] on has the key
-   [String.sub s i len]. *)
-let rec line_with lines s i len j =
-  j < String.length lines
-  && (Payload.is_key_sub lines j s i len
-     || line_with lines s i len (Payload.line_end lines j + 1))
+(* Ends the walk with [Exit] at the first pair line [j, k] of a section's
+   lines whose key is [hint], a slice of the query's payload [s]. *)
+let stop_at_hint s hint lines j k _ =
+  if k - j = Slice.length hint && Payload.same_sub lines j s (Slice.start hint) (k - j)
+  then raise_notrace Exit
+  else hint
 
 (* Whether a static section's rendered lines hold a line with the query's
    hint [String.sub s i len], read where it sits. A key whose bit the
@@ -246,7 +246,13 @@ let rec line_with lines s i len j =
 let has_key (part : Payload.part) s i len =
   part.keys land Payload.key_bit_sub s i len <> 0
   && Payload.index_in s ':' i (i + len) = i + len
-  && line_with part.text s i len 0
+  &&
+  match
+    Payload.fold_pairs stop_at_hint s (Slice.v i (i + len)) part.text 0
+      (String.length part.text)
+  with
+  | _ -> false
+  | exception Exit -> true
 
 (* Whether a static section goes out in answer to [q]: when it holds one
    of the query's plain hints, or when the query hinted no plain key at

@@ -81,7 +81,7 @@ let handle_packet t pkt =
       | Ok query -> (
           let d1 = clock () in
           (* Only a traced query reports its decode. *)
-          let decode = if query.Query.trace_at < 0 then None else Some (d0, d1) in
+          let decode = if query.Query.trace_at = Slice.none then None else Some (d0, d1) in
           match Daemon.respond ?decode t.daemon ~peer:from_ip query with
           | None -> None
           | Some (response, _role) ->

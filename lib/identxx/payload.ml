@@ -8,10 +8,6 @@ let put b pos s =
   Bytes.blit_string s 0 b pos (String.length s);
   pos + String.length s
 
-let put_sub b pos s i len =
-  Bytes.blit_string s i b pos len;
-  pos + len
-
 let put_char b pos c =
   Bytes.unsafe_set b pos c;
   pos + 1
@@ -124,49 +120,62 @@ let rec line_break s i =
     in
     if t = 0L then line_break s (i + 8) else i + lowest t
 
-(* The line after the first '\n' from [k] when it starts with [c] or
-   is blank; else the same from that line on. *)
-let rec after_newline s c k =
-  let p = line_end s k + 1 in
+(* The first line from [i >= 1] on that starts with [c] or is blank; the
+   payload's length when there is none. *)
+let rec line_from s c i =
+  let p = line_end s (i - 1) + 1 in
   if p >= String.length s then String.length s
   else
     match String.unsafe_get s p with
     | '\n' -> p
     | x when x = c -> p
-    | _ -> after_newline s c p
-
-let line_from s c i =
-  if i < 1 then invalid_arg "Payload.line_from" else after_newline s c (i - 1)
+    | _ -> line_from s c (p + 1)
 
 let rec section_stop s i =
   let next = line_end s i + 1 in
   if next >= String.length s || String.unsafe_get s next = '\n' then next
   else section_stop s next
 
-let is_key s i key =
-  let n = String.length key in
-  i + n < String.length s
-  && String.unsafe_get s (i + n) = ':'
-  && Key_value.is_at key s i
-
 let rec same_sub a i b j len =
   len = 0
   || String.unsafe_get a i = String.unsafe_get b j && same_sub a (i + 1) b (j + 1) (len - 1)
 
-let is_key_sub s i k pos len =
-  i + len < String.length s
-  && String.unsafe_get s (i + len) = ':'
-  && same_sub s i k pos len
+(* --- the walkers ---
 
-let rec find s i stop key found =
-  let p = line_from s key.[0] i in
-  if p >= stop then found
-  else if is_key s p key then
-    let v = p + String.length key + 2 in
-    find s (line_end s v + 1) stop key v
-  else find s (p + 1) stop key found
+   Each takes a top-level function and its state rather than a closure:
+   without flambda, a closure that captures variables is allocated on
+   every call. *)
 
-let find s i stop key = find s i stop key (-1)
+let rec fold_pairs f st acc s i stop =
+  if i >= stop then acc
+  else if String.unsafe_get s i = '\n' then fold_pairs f st acc s (i + 1) stop
+  else
+    let k = colon s i in
+    let e = line_end s (k + 2) in
+    fold_pairs f st (f st acc s i k e) s (e + 1) stop
+
+let rec fold_sections f st acc s i =
+  if i >= String.length s then acc
+  else
+    let stop = section_stop s i in
+    fold_sections f st (f st acc s i stop) s (stop + 1)
+
+let rec fold_lines pre f st acc s n i stop =
+  let p = line_from s (String.unsafe_get pre 0) i in
+  if p >= stop then acc
+  else if String.unsafe_get s p = '\n' then
+    fold_lines pre f st (f st acc s n p p) s (n + 1) (p + 1) stop
+  else if Key_value.is_at pre s p then
+    let q = p + String.length pre in
+    let e = line_end s q in
+    fold_lines pre f st (f st acc s n q e) s n (e + 1) stop
+  else fold_lines pre f st acc s n (p + 1) stop
+
+let fold_lines pre f st acc s i stop =
+  if i < 1 then invalid_arg "Payload.fold_lines" else fold_lines pre f st acc s 0 i stop
+
+let last_value () found s _ q _ = if String.unsafe_get s q = ':' then q + 2 else found
+let find s i stop key = fold_lines key last_value () (-1) s i stop
 
 let is_trace s i stop =
   find s i stop Key_value.trace_id >= 0 && find s i stop Key_value.trace_spans >= 0

@@ -8,7 +8,13 @@
     Each section is at least one line ["<key>: <value>\n"] of a valid
     pair ({!Key_value.pair}). The readers below rely on that shape: every
     line they start on ends in ['\n'], and a line's first [':'] ends its
-    key. *)
+    key.
+
+    This module is the one that knows where a canonical payload's keys,
+    values and sections sit. The library's readers walk it with three
+    walkers — {!fold_pairs} over pair lines, {!fold_sections} over
+    sections, {!fold_lines} over the lines with one prefix, section
+    breaks reported — and note where a value sits as a {!Slice.t}. *)
 
 open Netcore
 
@@ -18,10 +24,6 @@ type t = { proto : Proto.t; src_port : int; dst_port : int; payload : string }
 
 val put : Bytes.t -> int -> string -> int
 (** [put b pos s] writes [s] at [pos]; the position after it. *)
-
-val put_sub : Bytes.t -> int -> string -> int -> int -> int
-(** [put_sub b pos s i len] writes [String.sub s i len] at [pos]; the
-    position after it. *)
 
 val put_char : Bytes.t -> int -> char -> int
 
@@ -86,32 +88,53 @@ val colon : string -> int -> int
 (** The first [':'] from the position, or the end: in a canonical
     payload, the one that ends the key of the line starting there. *)
 
-val line_from : string -> char -> int -> int
-(** [line_from s c i]: the first line from position [i >= 1] on that
-    starts with [c] or is blank, read a word at a time; the payload's
-    length when there is none. Lines are told apart by the ['\n'] before
-    them, so [i] need not start one. *)
+val same_sub : string -> int -> string -> int -> int -> bool
+(** [same_sub a i b j len]: whether the [len] bytes of [a] from [i] are
+    those of [b] from [j]. *)
 
 val section_stop : string -> int -> int
 (** The end of the section whose first line starts at the position: just
     past its last line's ['\n']. The next section, if any, starts one
     byte later. *)
 
-val is_key : string -> int -> string -> bool
-(** Whether the line starting at the position has the valid key. *)
+(** {2 Walkers}
 
-val same_sub : string -> int -> string -> int -> int -> bool
-(** [same_sub a i b j len]: whether the [len] bytes of [a] from [i] are
-    those of [b] from [j]. *)
+    The three walks over canonical lines. Each calls a top-level
+    function with a state [st] that it passes on unchanged and an
+    accumulator [acc] that it threads, so a walk allocates nothing of
+    its own. A step may end a walk by raising. *)
 
-val is_key_sub : string -> int -> string -> int -> int -> bool
-(** [is_key_sub s i k pos len]: {!is_key} of the key
-    [String.sub k pos len], a valid key, read where it sits. *)
+val fold_pairs :
+  ('st -> 'a -> string -> int -> int -> int -> 'a) ->
+  'st -> 'a -> string -> int -> int -> 'a
+(** [fold_pairs f st acc s i stop]: [f st acc s i k e] for each pair line
+    from line position [i] up to [stop], in order, blank lines skipped:
+    its key is [[i, k)] and its value [[k + 2, e)], [e] the line's
+    ['\n']. Walks a payload's sections or a {!part}'s [text]. *)
+
+val fold_sections :
+  ('st -> 'a -> string -> int -> int -> 'a) -> 'st -> 'a -> string -> int -> 'a
+(** [fold_sections f st acc s i]: [f st acc s i stop] for each section from
+    the one starting at [i] to the payload's last, in order: its lines
+    run from [i] to [stop], just past its last ['\n'], and the next
+    starts at [stop + 1]. *)
+
+val fold_lines :
+  string ->
+  ('st -> 'a -> string -> int -> int -> int -> 'a) ->
+  'st -> 'a -> string -> int -> int -> 'a
+(** [fold_lines pre f st acc s i stop], [i >= 1]: for each line from [i]
+    up to [stop], in order, [f st acc s n q e] when the line starts with
+    the non-empty [pre], [q] just past [pre] and [e] the line's
+    ['\n']; and [f st acc s n p p] at each blank line [p], the break
+    that ends a section. [n] counts the breaks passed since [i]. Only
+    lines starting with [pre]'s first byte are read past it, found a
+    word at a time. *)
 
 val find : string -> int -> int -> string -> int
-(** [find s i stop key]: where the value of the last binding of [key]
-    among the lines from [i] to [stop] starts; [-1] when none binds
-    it. *)
+(** [find s i stop key]: where the value of the last binding of the
+    valid [key] among the lines from [i] to [stop] starts; [-1] when
+    none binds it. A {!fold_lines} of [key]. *)
 
 val is_trace : string -> int -> int -> bool
 (** Whether the section between the positions carries both the

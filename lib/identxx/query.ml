@@ -6,8 +6,8 @@ type t = {
   dst_port : int;
   payload : string;
   hint_bits : int;
-  nonce_at : int;
-  trace_at : int;
+  nonce_at : Slice.t;
+  trace_at : Slice.t;
 }
 
 (* The trace context rides as one more key: a key may contain anything
@@ -24,13 +24,6 @@ let nonce_key_prefix = "@nonce/"
 (* Both prefixes are this long. *)
 let prefix_length = 7
 
-(* A slice [start, stop) of the payload, packed into one int, or
-   [none]. *)
-let none = -1
-let slice start stop = (start lsl 32) lor stop
-let start f = f lsr 32
-let stop f = f land 0xffff_ffff
-
 let rec hex_from s i stop =
   i >= stop
   || (match String.unsafe_get s i with '0' .. '9' | 'a' .. 'f' -> true | _ -> false)
@@ -39,9 +32,6 @@ let rec hex_from s i stop =
 let valid_nonce_at s i stop = stop - i >= 1 && stop - i <= 64 && hex_from s i stop
 
 (* --- reading lines --- *)
-
-(* The end of the line starting at [i]: the next LF, or the end. *)
-let line_end s i = Payload.index_in s '\n' i (String.length s)
 
 (* Whether [i, stop) is empty once trimmed, as [String.trim] sees it. *)
 let rec blank s i stop =
@@ -85,17 +75,17 @@ let plain s i stop = (not (blank s i stop)) && String.unsafe_get s i <> '@'
 let rec plain_bits s i bits =
   if i >= String.length s then bits
   else
-    let e = line_end s i in
+    let e = Payload.line_end s i in
     plain_bits s (e + 1)
       (if plain s i e then bits lor Payload.key_bit_sub s i (e - i) else bits)
 
 (* Where the key lines start: after the header line. *)
-let keys_start s = line_end s 0 + 1
+let keys_start s = Payload.line_end s 0 + 1
 
 let rec exists_from s i f a =
   i < String.length s
   &&
-  let e = line_end s i in
+  let e = Payload.line_end s i in
   (plain s i e && f a s i (e - i)) || exists_from s (e + 1) f a
 
 let exists_hint t f a = exists_from t.payload (keys_start t.payload) f a
@@ -104,14 +94,10 @@ let exists_hint t f a = exists_from t.payload (keys_start t.payload) f a
 
 type hints = { block : string; bits : int }
 
-let blit s b pos =
-  Bytes.blit_string s 0 b pos (String.length s);
-  pos + String.length s
-
 let rec put_keys b pos = function
   | [] -> pos
   | k :: rest ->
-      let pos = blit k b pos in
+      let pos = Payload.put b pos k in
       Bytes.unsafe_set b pos '\n';
       put_keys b (pos + 1) rest
 
@@ -143,21 +129,23 @@ let body_length h ~proto ~src_port ~dst_port =
 let buffer h ~proto ~src_port ~dst_port extra =
   let n = body_length h ~proto ~src_port ~dst_port in
   let b = Bytes.create (n + extra) in
-  ignore (blit h.block b (Header.write b 0 proto src_port dst_port) : int);
+  ignore (Payload.put b (Header.write b 0 proto src_port dst_port) h.block : int);
   b
 
 (* Put a hint line at [pos]: [prefix], [text], newline; the slice of
    [text]. *)
 let put_hint b pos prefix text =
-  let p = blit prefix b pos in
-  let e = blit text b p in
+  let p = Payload.put b pos prefix in
+  let e = Payload.put b p text in
   Bytes.unsafe_set b e '\n';
-  slice p e
+  Slice.v p e
 
 (* The view, the trace hint written at [pos] when there is one. *)
 let finish b h ~proto ~src_port ~dst_port ~nonce_at pos trace =
   let trace_at =
-    match trace with None -> none | Some text -> put_hint b pos trace_key_prefix text
+    match trace with
+    | None -> Slice.none
+    | Some text -> put_hint b pos trace_key_prefix text
   in
   {
     proto;
@@ -174,10 +162,10 @@ let render h ~proto ~src_port ~dst_port ?nonce trace =
   let b = buffer h ~proto ~src_port ~dst_port (hint_length (hint_length 0 trace) nonce) in
   let pos = body_length h ~proto ~src_port ~dst_port in
   match nonce with
-  | None -> finish b h ~proto ~src_port ~dst_port ~nonce_at:none pos trace
+  | None -> finish b h ~proto ~src_port ~dst_port ~nonce_at:Slice.none pos trace
   | Some n ->
       let nonce_at = put_hint b pos nonce_key_prefix n in
-      finish b h ~proto ~src_port ~dst_port ~nonce_at (stop nonce_at + 1) trace
+      finish b h ~proto ~src_port ~dst_port ~nonce_at (Slice.stop nonce_at + 1) trace
 
 (* A drawn nonce is 16 hex digits. *)
 let drawn_length = 16
@@ -192,11 +180,11 @@ let write h ~(flow : Five_tuple.t) ~nonce ~trace =
         buffer h ~proto ~src_port ~dst_port
           (hint_length (prefix_length + drawn_length + 1) trace)
       in
-      let p = blit nonce_key_prefix b (body_length h ~proto ~src_port ~dst_port) in
+      let p = Payload.put b (body_length h ~proto ~src_port ~dst_port) nonce_key_prefix in
       let e = p + drawn_length in
       Sim.Prng.write_hex64 prng b p;
       Bytes.unsafe_set b e '\n';
-      finish b h ~proto ~src_port ~dst_port ~nonce_at:(slice p e) (e + 1) trace
+      finish b h ~proto ~src_port ~dst_port ~nonce_at:(Slice.v p e) (e + 1) trace
 
 let make ?nonce ?trace ~(flow : Five_tuple.t) keys =
   (match nonce with
@@ -212,21 +200,20 @@ let of_keys ~proto ~src_port ~dst_port ?nonce ?trace keys =
 (* --- reading the view --- *)
 
 let nonce t =
-  if t.nonce_at = none then None
-  else Some (String.sub t.payload (start t.nonce_at) (stop t.nonce_at - start t.nonce_at))
+  if t.nonce_at = Slice.none then None else Some (Slice.sub t.payload t.nonce_at)
 
 let trace t =
-  if t.trace_at = none then None
+  if t.trace_at = Slice.none then None
   else
-    Obs.Trace_context.of_sub t.payload (start t.trace_at)
-      (stop t.trace_at - start t.trace_at)
+    Obs.Trace_context.of_sub t.payload (Slice.start t.trace_at)
+      (Slice.length t.trace_at)
 
 (* The keys of the lines from [i] on, in order: each line that is not
    blank, a nonce or a trace context. *)
 let rec keys_from s i =
   if i >= String.length s then []
   else
-    let e = line_end s i in
+    let e = Payload.line_end s i in
     match classify s i e with
     | Blank | Nonce | Trace -> keys_from s (e + 1)
     | Key | Malformed ->
@@ -259,17 +246,17 @@ let rec read s header i bits nonce trace =
         trace_at = trace;
       }
   else
-    let e = line_end s i in
+    let e = Payload.line_end s i in
     match classify s i e with
     | Blank -> read s header (e + 1) bits nonce trace
     | Malformed -> Error "query: malformed key"
     | Nonce ->
         read s header (e + 1) bits
-          (if nonce = none then slice (i + prefix_length) e else nonce)
+          (if nonce = Slice.none then Slice.v (i + prefix_length) e else nonce)
           trace
     | Trace ->
         read s header (e + 1) bits nonce
-          (if trace = none then slice (i + prefix_length) e else trace)
+          (if trace = Slice.none then Slice.v (i + prefix_length) e else trace)
     | Key ->
         read s header (e + 1)
           (if String.unsafe_get s i = '@' then bits
@@ -277,7 +264,7 @@ let rec read s header i bits nonce trace =
           nonce trace
 
 let decode s =
-  let h = line_end s 0 in
+  let h = Payload.line_end s 0 in
   let header = Header.parse s 0 h in
   if header < 0 then Error (Header.error "query" header)
-  else read s header (h + 1) 0 none none
+  else read s header (h + 1) 0 Slice.none Slice.none

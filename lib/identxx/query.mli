@@ -27,10 +27,10 @@ type t = private {
   hint_bits : int;
       (** The bits of the plain hints ([Payload.key_bit_sub]), or'd:
           [0] exactly when the query hints no plain key. *)
-  nonce_at : int;
-      (** Where the first nonce hint's digits sit in [payload], as
-          [(start lsl 32) lor stop], or [-1]. *)
-  trace_at : int;  (** The same for the first trace-context hint. *)
+  nonce_at : Slice.t;
+      (** Where the first nonce hint's digits sit in [payload], or
+          {!Slice.none}. *)
+  trace_at : Slice.t;  (** The same for the first trace-context hint. *)
 }
 (** A query is a view over its payload: readers scan or compare its
     hints where they sit. Only this library builds one.

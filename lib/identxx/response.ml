@@ -55,107 +55,72 @@ let append_section t section =
    sections. A key that is not valid binds nothing: no line can carry
    it. *)
 
-(* [f] over every binding of [key] from [i] on, in order: the payload,
-   and where the value starts and how long it is. Only the lines that
-   start with the key's first byte are read past it. *)
-let rec fold_from s key i f acc =
-  let p = Payload.line_from s key.[0] i in
-  if p >= String.length s then acc
-  else if Payload.is_key s p key then
-    let v = p + String.length key + 2 in
-    let e = Payload.line_end s v in
-    fold_from s key (e + 1) f (f acc s v (e - v))
-  else fold_from s key (p + 1) f acc
+(* A {!Payload.fold_lines} step over the lines that start with a key's
+   bytes, up to [q]: [user acc s pos len] over the value when the line
+   binds that key. *)
+let value_of user acc s _ q e =
+  if String.unsafe_get s q = ':' then user acc s (q + 2) (e - q - 2) else acc
 
 let fold_values t key f acc =
-  if Key_value.valid_key key then fold_from t.payload key (Payload.body t) f acc
+  if Key_value.valid_key key then
+    Payload.fold_lines key value_of f acc t.payload (Payload.body t)
+      (String.length t.payload)
   else acc
+
+(* The last binding of [key] from [i] to [stop]. *)
+let value_in s i stop key =
+  match Payload.find s i stop key with
+  | -1 -> None
+  | v -> Some (String.sub s v (Payload.line_end s v - v))
 
 (* The last binding wins: the latest section's, and its last. *)
 let latest t key =
   if not (Key_value.valid_key key) then None
-  else
-    let s = t.payload in
-    match Payload.find s (Payload.body t) (String.length s) key with
-    | -1 -> None
-    | v -> Some (String.sub s v (Payload.line_end s v - v))
+  else value_in t.payload (Payload.body t) (String.length t.payload) key
 
-(* Note in [found] where the value starts when the line at [i], whose
-   key ends at [k], binds the [j]th key or one after it. *)
-let rec mark s i k found j = function
-  | [] -> ()
+(* Which of [keys], from the [j]th on, is [String.sub s i len]; -1 when
+   none is. *)
+let rec key_index s i len j = function
+  | [] -> -1
   | key :: rest ->
-      if String.length key = k - i && Key_value.is_at key s i then
-        found.(j) <- k + 2
-      else mark s i k found (j + 1) rest
+      if String.length key = len && Key_value.is_at key s i then j
+      else key_index s i len (j + 1) rest
 
-let rec mark_from s keys found i =
-  if i < String.length s then
-    if String.unsafe_get s i = '\n' then mark_from s keys found (i + 1)
-    else begin
-      let k = Payload.colon s i in
-      mark s i k found 0 keys;
-      mark_from s keys found (Payload.line_end s k + 1)
-    end
-
-let rec collect s found j = function
-  | [] -> []
-  | key :: rest -> (
-      match found.(j) with
-      | -1 -> collect s found (j + 1) rest
-      | v ->
-          (key, String.sub s v (Payload.line_end s v - v))
-          :: collect s found (j + 1) rest)
-
-let latest_each t keys =
-  let found = Array.make (List.length keys) (-1) in
-  mark_from t.payload keys found (Payload.body t);
-  collect t.payload found 0 keys
+(* Note in [found] where the value of the pair line [i, k, e] sits when
+   its key is one of [keys]. *)
+let note_latest keys found s i k e =
+  (match key_index s i (k - i) 0 keys with
+  | -1 -> ()
+  | j -> found.(j) <- Slice.v (k + 2) e);
+  found
 
 let latest_slices t keys found =
-  Array.fill found 0 (Array.length found) (-1);
-  mark_from t.payload keys found (Payload.body t);
-  for j = 0 to Array.length found - 1 do
-    let v = found.(j) in
-    if v >= 0 then found.(j) <- (v lsl 32) lor Payload.line_end t.payload v
-  done
+  Array.fill found 0 (Array.length found) Slice.none;
+  ignore
+    (Payload.fold_pairs note_latest keys found t.payload (Payload.body t)
+       (String.length t.payload)
+      : Slice.t array)
 
 let all_values t key =
   List.rev (fold_values t key (fun acc s v len -> String.sub s v len :: acc) [])
 
-let concat_values t key = String.concat "," (all_values t key)
+let add_key () acc s i k _ =
+  if key_index s i (k - i) 0 acc >= 0 then acc
+  else Key_value.key_of_slice s i (k - i) :: acc
 
-let rec keys_from s i acc =
-  if i >= String.length s then List.rev acc
-  else if String.unsafe_get s i = '\n' then keys_from s (i + 1) acc
-  else
-    let k = Payload.colon s i in
-    let len = k - i in
-    let seen key = String.length key = len && Key_value.is_at key s i in
-    keys_from s
-      (Payload.line_end s k + 1)
-      (if List.exists seen acc then acc else Key_value.key_of_slice s i len :: acc)
+let keys t =
+  List.rev
+    (Payload.fold_pairs add_key () [] t.payload (Payload.body t)
+       (String.length t.payload))
 
-let keys t = keys_from t.payload (Payload.body t) []
+let add_pair () acc s i k e =
+  Key_value.pair (Key_value.key_of_slice s i (k - i)) (String.sub s (k + 2) (e - k - 2))
+  :: acc
 
-(* The pairs of the lines from [i] to [stop]. *)
-let rec pairs s i stop =
-  if i >= stop then []
-  else
-    let k = Payload.colon s i in
-    let e = Payload.line_end s k in
-    Key_value.pair
-      (Key_value.key_of_slice s i (k - i))
-      (String.sub s (k + 2) (e - k - 2))
-    :: pairs s (e + 1) stop
+let add_section () acc s i stop = List.rev (Payload.fold_pairs add_pair () [] s i stop) :: acc
 
-let rec sections_from s i =
-  if i >= String.length s then []
-  else
-    let stop = Payload.section_stop s i in
-    pairs s i stop :: sections_from s (stop + 1)
-
-let sections t = sections_from t.payload (Payload.body t)
+let sections t =
+  List.rev (Payload.fold_sections add_section () [] t.payload (Payload.body t))
 
 let encode t = t.payload
 
@@ -294,61 +259,50 @@ let attach_trace t ~trace_id ~parent ~spans =
       Key_value.pair trace_spans_key (encode_trace_spans spans);
     ]
 
-(* The sections from [i] on that carry no trace section's keys, as
-   [(start, stop)] slices. *)
-let rec untraced s i =
-  if i >= String.length s then []
-  else
-    let stop = Payload.section_stop s i in
-    if Payload.is_trace s i stop then untraced s (stop + 1)
-    else (i, stop) :: untraced s (stop + 1)
+(* [n] plus the blank line and the lines of the section [i, stop) when
+   it is no trace section. *)
+let kept_length () n s i stop = if Payload.is_trace s i stop then n else n + stop - i + 1
 
-let rec traced s i =
-  i < String.length s
-  &&
-  let stop = Payload.section_stop s i in
-  Payload.is_trace s i stop || traced s (stop + 1)
+(* The same, written at [pos] of [b]; the position after them. *)
+let copy_kept b pos s i stop =
+  if Payload.is_trace s i stop then pos
+  else begin
+    Bytes.unsafe_set b pos '\n';
+    Bytes.blit_string s i b (pos + 1) (stop - i);
+    pos + 1 + stop - i
+  end
 
 let strip_trace t =
   let s = t.payload and body = Payload.body t in
   (* No trace section without a [trace-id] line: one pass settles the
-     common case. *)
-  if Payload.find s body (String.length s) trace_id_key < 0 || not (traced s body)
-  then t
+     common case. The header's last '\n' stands where the blank line
+     before the first section would. *)
+  if Payload.find s body (String.length s) trace_id_key < 0 then t
   else
-    let kept = untraced s body in
-    let n =
-      List.fold_left (fun n (i, stop) -> n + stop - i + 1) body kept
-      - if is_empty kept then 0 else 1
-    in
-    let b = Bytes.create n in
-    Bytes.blit_string s 0 b 0 body;
-    ignore
-      (List.fold_left
-         (fun pos (i, stop) ->
-           let pos = if pos > body then Payload.put_char b pos '\n' else pos in
-           Bytes.blit_string s i b pos (stop - i);
-           pos + stop - i)
-         body kept
-        : int);
-    Payload.view ~proto:t.proto ~src_port:t.src_port ~dst_port:t.dst_port b
+    let n = Payload.fold_sections kept_length () (body - 1) s body in
+    if n = String.length s then t
+    else begin
+      let b = Bytes.create (max n body) in
+      Bytes.blit_string s 0 b 0 body;
+      ignore (Payload.fold_sections copy_kept b (body - 1) s body : int);
+      Payload.view ~proto:t.proto ~src_port:t.src_port ~dst_port:t.dst_port b
+    end
 
-(* The first section from [i] on that binds all three trace keys with
-   spans that parse. *)
-let rec trace_from s i =
-  if i >= String.length s then None
-  else
-    let stop = Payload.section_stop s i in
-    let value key =
-      match Payload.find s i stop key with
-      | -1 -> None
-      | v -> Some (String.sub s v (Payload.line_end s v - v))
-    in
-    match (value trace_id_key, value trace_parent_key, value trace_spans_key) with
-    | Some id, Some parent, Some spans -> (
-        match decode_trace_spans spans with
-        | Some spans -> Some (id, parent, spans)
-        | None -> trace_from s (stop + 1))
-    | _ -> trace_from s (stop + 1)
+(* [found], or the section [i, stop) when none was found yet and it binds
+   all three trace keys with spans that parse. *)
+let trace_section () found s i stop =
+  match found with
+  | Some _ -> found
+  | None -> (
+      match
+        ( value_in s i stop trace_id_key,
+          value_in s i stop trace_parent_key,
+          value_in s i stop trace_spans_key )
+      with
+      | Some id, Some parent, Some spans -> (
+          match decode_trace_spans spans with
+          | Some spans -> Some (id, parent, spans)
+          | None -> None)
+      | _ -> None)
 
-let trace_info t = trace_from t.payload (Payload.body t)
+let trace_info t = Payload.fold_sections trace_section () None t.payload (Payload.body t)

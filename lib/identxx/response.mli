@@ -41,23 +41,15 @@ val latest : t -> string -> string option
     added to the response" (§3.3). Allocates the value and its
     option. *)
 
-val latest_each : t -> string list -> (string * string) list
-(** [(key, latest t key)] for each of the distinct keys that has a
-    binding, in the keys' order, read in one pass over the payload. *)
-
-val latest_slices : t -> string list -> int array -> unit
+val latest_slices : t -> string list -> Slice.t array -> unit
 (** [latest_slices t keys found] sets [found.(j)], for the [j]th of the
-    distinct keys, to where {!latest}'s value sits in the payload,
-    [(start lsl 32) lor stop], or to [-1] when the key has no binding;
-    [found] is as long as [keys]. One pass, as {!latest_each}, and
-    allocates nothing. *)
+    distinct keys, to where {!latest}'s value sits in the payload, or to
+    {!Slice.none} when the key has no binding; [found] is as long as
+    [keys]. One pass over the payload, and allocates nothing. *)
 
 val all_values : t -> string -> string list
 (** Every binding of the key in section order (for the [*@src[key]]
     concatenation access of §3.3). *)
-
-val concat_values : t -> string -> string
-(** [all_values] joined with [","] — the [*@] form. *)
 
 val fold_values : t -> string -> ('a -> string -> int -> int -> 'a) -> 'a -> 'a
 (** [fold_values t key f acc] folds [f] over the bindings of [all_values]

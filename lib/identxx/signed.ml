@@ -34,17 +34,11 @@ let section_tag key section =
   add_pairs st section;
   Idcrypto.Sign.finish_short st
 
-(* Stream the pairs of the canonical lines from [i] to [stop] of [s]
-   (a payload, or a section's cached lines): each key, then its
-   value. *)
-let rec add_lines st s i stop =
-  if i < stop then begin
-    let k = Payload.colon s i in
-    let e = Payload.line_end s (k + 2) in
-    Idcrypto.Sign.add_sub st s i (k - i);
-    Idcrypto.Sign.add_sub st s (k + 2) (e - k - 2);
-    add_lines st s (e + 1) stop
-  end
+(* Stream a pair line ({!Payload.fold_pairs}) of a payload or of a
+   section's cached lines: its key, then its value. *)
+let add_pair st () s i k e =
+  Idcrypto.Sign.add_sub st s i (k - i);
+  Idcrypto.Sign.add_sub st s (k + 2) (e - k - 2)
 
 (* The first element of a binding: the flow header, fed in parts, never
    built. *)
@@ -109,20 +103,20 @@ let add_ip st ip =
    [st]: the domain, the flow header, the answering host, its peer, the
    nonce, the tag list and the scope list as they go on the wire (the
    scope list only when the answer declares one). The nonce is the
-   [nonce_len] bytes of [nonce] from [nonce_at]. *)
+   slice [nonce_f] of [nonce]. *)
 let start_binding tag st ~proto ~src_port ~dst_port ~host ~peer ~nonce
-    ~nonce_at ~nonce_len ~tags ~scopes =
+    ~nonce_f ~tags ~scopes =
   Idcrypto.Sign.add st binding_domain;
   add_header st proto src_port dst_port;
   add_ip st host;
   add_ip st peer;
-  Idcrypto.Sign.add_sub st nonce nonce_at nonce_len;
+  Idcrypto.Sign.add_sub st nonce (Slice.start nonce_f) (Slice.length nonce_f);
   add_joined tag st tags;
   match scopes with Some l -> add_joined scope_to_string st l | None -> ()
 
 let line_length key n = String.length key + n + 3
 
-let signature_length tag ~public ~tags ~scopes ~host ~peer ~nonce_len =
+let signature_length tag ~public ~tags ~scopes ~host ~peer ~nonce_f =
   line_length signer_key (String.length public)
   + line_length tags_key (joined_length tag 0 tags)
   + (match scopes with
@@ -130,13 +124,13 @@ let signature_length tag ~public ~tags ~scopes ~host ~peer ~nonce_len =
     | None -> 0)
   + line_length host_key (Ipv4.text_length host)
   + line_length peer_key (Ipv4.text_length peer)
-  + line_length nonce_key nonce_len
+  + line_length nonce_key (Slice.length nonce_f)
   + line_length sig_key sig_length
 
 (* Write the signature section at [pos], [b]'s last [signature_length]
    bytes; [st] holds the whole binding. *)
 let write_signature tag b pos st ~public ~tags ~scopes ~host ~peer ~nonce
-    ~nonce_at ~nonce_len =
+    ~nonce_f =
   let ends pos = Payload.put_char b pos '\n' in
   let pos = ends (Payload.put b (Payload.put_key b pos signer_key) public) in
   let pos = ends (put_joined tag b (Payload.put_key b pos tags_key) tags) in
@@ -148,20 +142,20 @@ let write_signature tag b pos st ~public ~tags ~scopes ~host ~peer ~nonce
   in
   let pos = ends (Ipv4.write_text b (Payload.put_key b pos host_key) host) in
   let pos = ends (Ipv4.write_text b (Payload.put_key b pos peer_key) peer) in
-  let pos =
-    ends (Payload.put_sub b (Payload.put_key b pos nonce_key) nonce nonce_at nonce_len)
-  in
+  let pos = Payload.put_key b pos nonce_key in
+  Bytes.blit_string nonce (Slice.start nonce_f) b pos (Slice.length nonce_f);
+  let pos = ends (pos + Slice.length nonce_f) in
   let pos = Payload.put_key b pos sig_key in
   Idcrypto.Sign.finish_into st b pos;
   Bytes.unsafe_set b (pos + sig_length) '\n'
 
 (* The caller's handle, tags and nonce go on the wire as values: they
    hold no line break ({!Key_value.valid_value}, a word at a time). *)
-let check_sub key v i len =
-  if Payload.line_break v i < i + len then
+let check_sub key v f =
+  if Payload.line_break v (Slice.start f) < Slice.stop f then
     invalid_arg ("Key_value.pair: bad value for " ^ key)
 
-let check_value key v = check_sub key v 0 (String.length v)
+let check_value key v = check_sub key v (Slice.v 0 (String.length v))
 
 let rec check_tags tag = function
   | [] -> ()
@@ -169,69 +163,68 @@ let rec check_tags tag = function
       check_value tags_key (tag t);
       check_tags tag rest
 
-let check_values tag ~public ~tags ~nonce ~nonce_at ~nonce_len =
+let check_values tag ~public ~tags ~nonce ~nonce_f =
   check_value signer_key public;
   check_tags tag tags;
-  check_sub nonce_key nonce nonce_at nonce_len
+  check_sub nonce_key nonce nonce_f
 
-(* The pairs of each section of [s] from [i] whose tag is {!per_flow}. *)
-let rec add_per_flow_view st s i tags =
+(* The pairs of the section [i, stop) of [s] when the first of [tags],
+   its tag, is {!per_flow}; the tags after it. *)
+let add_per_flow_section st tags s i stop =
   match tags with
-  | tag :: rest when i < String.length s ->
-      let stop = Payload.section_stop s i in
-      if String.equal tag per_flow then add_lines st s i stop;
-      add_per_flow_view st s (stop + 1) rest
-  | _ -> ()
+  | tag :: rest ->
+      if String.equal tag per_flow then Payload.fold_pairs add_pair st () s i stop;
+      rest
+  | [] -> []
 
 let sign_with ~public ~key ~tags ?scopes ~host ~peer ?(nonce = "-")
     (r : Response.t) =
-  let nonce_at = 0 and nonce_len = String.length nonce in
-  check_values Fun.id ~public ~tags ~nonce ~nonce_at ~nonce_len;
+  let nonce_f = Slice.v 0 (String.length nonce) in
+  check_values Fun.id ~public ~tags ~nonce ~nonce_f;
   let proto = r.Response.proto
   and src_port = r.Response.src_port
   and dst_port = r.Response.dst_port
   and s = r.Response.payload in
   let st = Idcrypto.Sign.keyed key in
   start_binding Fun.id st ~proto ~src_port ~dst_port ~host ~peer ~nonce
-    ~nonce_at ~nonce_len ~tags ~scopes;
+    ~nonce_f ~tags ~scopes;
   let body = Header.length proto src_port dst_port in
-  add_per_flow_view st s body tags;
+  ignore (Payload.fold_sections add_per_flow_section st tags s body : string list);
   let n = String.length s in
   let sep = if n > body then 1 else 0 in
   let b =
     Bytes.create
       (n + sep
-      + signature_length Fun.id ~public ~tags ~scopes ~host ~peer ~nonce_len)
+      + signature_length Fun.id ~public ~tags ~scopes ~host ~peer ~nonce_f)
   in
   Bytes.blit_string s 0 b 0 n;
   if sep = 1 then Bytes.unsafe_set b n '\n';
   write_signature Fun.id b (n + sep) st ~public ~tags ~scopes ~host ~peer ~nonce
-    ~nonce_at ~nonce_len;
+    ~nonce_f;
   Payload.view ~proto ~src_port ~dst_port b
 
-(* The {!section_tag} of each section of [s] from [i], streamed from its
-   lines where they sit. *)
-let rec section_tags key s i =
-  if i >= String.length s then []
-  else
-    let stop = Payload.section_stop s i in
-    let st = Idcrypto.Sign.keyed key in
-    Idcrypto.Sign.add st section_domain;
-    add_lines st s i stop;
-    let tag = Idcrypto.Sign.finish_short st in
-    tag :: section_tags key s (stop + 1)
+(* The {!section_tag} of the section [i, stop) of [s], streamed from its
+   lines where they sit, before [tags]. *)
+let add_section_tag key tags s i stop =
+  let st = Idcrypto.Sign.keyed key in
+  Idcrypto.Sign.add st section_domain;
+  Payload.fold_pairs add_pair st () s i stop;
+  Idcrypto.Sign.finish_short st :: tags
 
 let sign ~(keypair : Idcrypto.Sign.keypair) ~host ~peer ?nonce (r : Response.t) =
   let key = Idcrypto.Sign.prepare keypair.Idcrypto.Sign.secret in
   sign_with ~public:keypair.Idcrypto.Sign.public ~key
-    ~tags:(section_tags key r.Response.payload (Payload.body r))
+    ~tags:
+      (List.rev
+         (Payload.fold_sections add_section_tag key [] r.Response.payload
+            (Payload.body r)))
     ~host ~peer ?nonce r
 
 let rec add_per_flow_parts st = function
   | [] -> ()
   | (p : Payload.part) :: rest ->
       if String.equal p.tag per_flow then
-        add_lines st p.text 0 (String.length p.text);
+        Payload.fold_pairs add_pair st () p.text 0 (String.length p.text);
       add_per_flow_parts st rest
 
 let part_tag (p : Payload.part) = p.tag
@@ -240,100 +233,90 @@ let part_tag (p : Payload.part) = p.tag
    none. *)
 let no_nonce = "-"
 
-let query_nonce (q : Query.t) =
-  if q.nonce_at < 0 then no_nonce else q.payload
-
-let query_nonce_at (q : Query.t) = if q.nonce_at < 0 then 0 else q.nonce_at lsr 32
-
-let query_nonce_len (q : Query.t) =
-  if q.nonce_at < 0 then String.length no_nonce
-  else (q.nonce_at land 0xffff_ffff) - (q.nonce_at lsr 32)
-
 let assemble ~public ~key ~host ~peer ~(query : Query.t) ~scopes parts =
   let proto = query.proto
   and src_port = query.src_port
   and dst_port = query.dst_port
-  and nonce = query_nonce query
-  and nonce_at = query_nonce_at query
-  and nonce_len = query_nonce_len query in
-  check_values part_tag ~public ~tags:parts ~nonce ~nonce_at ~nonce_len;
+  and nonce = if query.nonce_at = Slice.none then no_nonce else query.payload
+  and nonce_f =
+    if query.nonce_at = Slice.none then Slice.v 0 (String.length no_nonce)
+    else query.nonce_at
+  in
+  check_values part_tag ~public ~tags:parts ~nonce ~nonce_f;
   let scopes = Some scopes in
   let st = Idcrypto.Sign.keyed key in
   start_binding part_tag st ~proto ~src_port ~dst_port ~host ~peer ~nonce
-    ~nonce_at ~nonce_len ~tags:parts ~scopes;
+    ~nonce_f ~tags:parts ~scopes;
   add_per_flow_parts st parts;
   let n = Payload.length ~proto ~src_port ~dst_port parts in
   let sep = match parts with [] -> 0 | _ :: _ -> 1 in
   let b =
     Bytes.create
       (n + sep
-      + signature_length part_tag ~public ~tags:parts ~scopes ~host ~peer ~nonce_len)
+      + signature_length part_tag ~public ~tags:parts ~scopes ~host ~peer ~nonce_f)
   in
   ignore (Payload.write b ~proto ~src_port ~dst_port parts : int);
   if sep = 1 then Bytes.unsafe_set b n '\n';
   write_signature part_tag b (n + sep) st ~public ~tags:parts ~scopes ~host
-    ~peer ~nonce ~nonce_at ~nonce_len;
+    ~peer ~nonce ~nonce_f;
   Payload.view ~proto ~src_port ~dst_port b
 
 (* --- verifying ---
 
    The signature section is read as slices of the payload: each field
    is the value of its last binding, from where it starts to its line's
-   end, packed into one int. *)
+   end. *)
 
 type verdict = Valid of int | Unsigned | Invalid
 
-(* A slice [start, stop) of the payload, or [none]. *)
-let none = -1
-let slice start stop = (start lsl 32) lor stop
-let start f = f lsr 32
-let stop f = f land 0xffff_ffff
-
 (* The first signature section: the [covered] sections before it, where
-   it ends ([ends]; a section follows only when [ends] is short of the
-   payload's end), its signer, and the slice of each other field, [none]
-   where it has none. The reading is made at the section's first field
-   line and reused, fields cleared, while a section turns out to be no
-   signature section. *)
+   it ends ([ends], -1 until found; a section follows only when [ends]
+   is short of the payload's end), its signer, and the slice of each
+   other field, [Slice.none] where it has none. The reading is made at
+   the first field line and reused, fields cleared, while a section
+   turns out to be no signature section. *)
 type signature = {
   s : string;
   mutable covered : int;
   mutable ends : int;
   mutable signer : string;
-  mutable signer_f : int;
-  mutable sig_f : int;
-  mutable tags_f : int;
-  mutable host_f : int;
-  mutable peer_f : int;
-  mutable nonce_f : int;
-  mutable scopes_f : int;
+  mutable signer_f : Slice.t;
+  mutable sig_f : Slice.t;
+  mutable tags_f : Slice.t;
+  mutable host_f : Slice.t;
+  mutable peer_f : Slice.t;
+  mutable nonce_f : Slice.t;
+  mutable scopes_f : Slice.t;
 }
 
 let reading s =
   {
     s;
     covered = 0;
-    ends = 0;
+    ends = -1;
     signer = "";
-    signer_f = none;
-    sig_f = none;
-    tags_f = none;
-    host_f = none;
-    peer_f = none;
-    nonce_f = none;
-    scopes_f = none;
+    signer_f = Slice.none;
+    sig_f = Slice.none;
+    tags_f = Slice.none;
+    host_f = Slice.none;
+    peer_f = Slice.none;
+    nonce_f = Slice.none;
+    scopes_f = Slice.none;
   }
 
 let clear sg =
-  sg.signer_f <- none;
-  sg.sig_f <- none;
-  sg.tags_f <- none;
-  sg.host_f <- none;
-  sg.peer_f <- none;
-  sg.nonce_f <- none;
-  sg.scopes_f <- none
+  sg.signer_f <- Slice.none;
+  sg.sig_f <- Slice.none;
+  sg.tags_f <- Slice.none;
+  sg.host_f <- Slice.none;
+  sg.peer_f <- Slice.none;
+  sg.nonce_f <- Slice.none;
+  sg.scopes_f <- Slice.none
 
-let add_field st sg f = Idcrypto.Sign.add_sub st sg.s (start f) (stop f - start f)
+(* A section carrying both a signer and a tag is a signature section. *)
+let complete sg = sg.signer_f <> Slice.none && sg.sig_f <> Slice.none
+
+let add_field st sg f = Idcrypto.Sign.add_sub st sg.s (Slice.start f) (Slice.length f)
 
 (* The field list [pos, stop) of a tag or scope list is read in place:
    field [i] is the slice up to the next ',' (or the list's end). *)
@@ -342,16 +325,16 @@ let field_end s i stop = Payload.index_in s ',' i stop
 let is_per_flow s pos stop =
   stop = pos + 1 && String.unsafe_get s pos = per_flow.[0]
 
-(* The pairs of each of the [n] sections from [i] whose field of the tag
-   list [pos, tags_end) is {!per_flow}. Only a per-flow field holds a
-   '-' (a tag is hex): without one, no section is walked. *)
-let rec add_per_flow st s i pos tags_end n =
-  if n > 0 && Payload.index_in s '-' pos tags_end < tags_end then begin
-    let field = field_end s pos tags_end in
-    let stop = Payload.section_stop s i in
-    if is_per_flow s pos field then add_lines st s i stop;
-    add_per_flow st s (stop + 1) (field + 1) tags_end (n - 1)
-  end
+(* The pairs of the section [i, stop) of [s] when the first field of
+   [tags], what is left of a tag list, is {!per_flow}; the fields after
+   it, [Slice.none] after the last. *)
+let add_per_flow st tags s i stop =
+  if tags = Slice.none then tags
+  else
+    let field = field_end s (Slice.start tags) (Slice.stop tags) in
+    if is_per_flow s (Slice.start tags) field then
+      Payload.fold_pairs add_pair st () s i stop;
+    if field >= Slice.stop tags then Slice.none else Slice.v (field + 1) (Slice.stop tags)
 
 (* Whether [bytes], a cached section's canonical encoding, holds exactly
    the covered elements of the section whose lines start at [i]: where
@@ -376,6 +359,8 @@ let rec same_lines bytes pos s i =
       else if pos = String.length bytes then -1
       else same_lines bytes pos s (e + 1)
 
+(* The keys and values of the lines from [i] to [stop], in order. A
+   fold would build them backwards and reverse them. *)
 let rec elements s i stop =
   if i >= stop then []
   else
@@ -397,7 +382,7 @@ let section_ok ks ~public s pos field i =
       | None -> -1
       | Some st ->
           Idcrypto.Sign.add st section_domain;
-          add_lines st s i stop;
+          Payload.fold_pairs add_pair st () s i stop;
           if Idcrypto.Sign.matches_short_sub st s pos (field - pos) then begin
             Idcrypto.Sign.cache_section ks ~public
               ~tag:(String.sub s pos (field - pos))
@@ -425,15 +410,18 @@ let rec statics_ok ks ~public s i pos tags_end n =
     in
     stop >= 0 && statics_ok ks ~public s (stop + 1) (field + 1) tags_end (n - 1)
 
-(* Whether the line at [i] starts with "response-", as every field's
-   key does. *)
-let is_field_line s i = Key_value.is_at "response-" s i
+(* The prefix of every field's key. *)
+let field_prefix = "response-"
 
-(* Note the field line at [i], whose key ends at [k] and value at [e],
-   in the reading. The length, between 12 and 15 for every field's key,
-   settles most keys without a comparison. *)
-let note sg i k e =
-  let s = sg.s and f = slice (k + 2) e in
+(* Note the field line of the [n]th section whose key runs past
+   [field_prefix] at [q] and whose line ends at [e] in the reading. The
+   key's length, between 12 and 15 for every field's key, settles most
+   keys without a comparison. *)
+let note sg n q e =
+  let s = sg.s and i = q - String.length field_prefix in
+  let k = Payload.index_in s ':' q e in
+  let f = Slice.v (k + 2) e in
+  sg.covered <- n;
   match k - i with
   | 12 -> if Key_value.is_at sig_key s i then sg.sig_f <- f
   | 13 ->
@@ -446,43 +434,44 @@ let note sg i k e =
       else if Key_value.is_at scopes_key s i then sg.scopes_f <- f
   | _ -> ()
 
-(* The first section from [i] on that carries both a signer and a tag,
-   the section before [i] being the [covered]th; [sg], when made, holds
-   what that section's field lines said so far. Only the lines that
-   start with 'r' or are blank — every field's key starts "response-" —
-   are looked for, a word at a time; each field line is read once. *)
-let rec find_signature s covered sg i =
-  let n = String.length s in
-  let p = Payload.line_from s 'r' i in
-  if p >= n || String.unsafe_get s p = '\n' then
-    match sg with
-    | Some r when r.signer_f <> none && r.sig_f <> none ->
-        r.covered <- covered;
-        r.ends <- p;
-        r.signer <- String.sub s (start r.signer_f) (stop r.signer_f - start r.signer_f);
-        sg
-    | _ ->
-        if p >= n then None
-        else begin
-          Option.iter clear sg;
-          find_signature s (covered + 1) sg (p + 1)
-        end
-  else if not (is_field_line s p) then find_signature s covered sg (p + 1)
-  else
-    let sg = match sg with Some _ -> sg | None -> Some (reading s) in
-    let k = Payload.colon s p in
-    let e = Payload.line_end s (k + 2) in
-    note (Option.get sg) p k e;
-    find_signature s covered sg (e + 1)
+(* Read the field line of the [n]th section past [field_prefix] at [q],
+   or the break [q = e] that ends that section, into the reading [sg],
+   made at the first field line, until a signature section is found. *)
+let read_field () sg s n q e =
+  match sg with
+  | Some r when r.ends >= 0 -> sg
+  | Some r when q = e ->
+      if complete r then r.ends <- e else clear r;
+      sg
+  | None when q = e -> sg
+  | Some r ->
+      note r n q e;
+      sg
+  | None ->
+      let r = reading s in
+      note r n q e;
+      Some r
 
+(* One pass over the lines that start with 'r', every field's first
+   byte, and the blank ones. *)
 let signature (r : Response.t) =
-  find_signature r.Response.payload 0 None
-    (Header.length r.Response.proto r.Response.src_port r.Response.dst_port)
+  let s = r.Response.payload in
+  match
+    Payload.fold_lines field_prefix read_field () None s (Payload.body r)
+      (String.length s)
+  with
+  | Some sg as found when sg.ends >= 0 || complete sg ->
+      if sg.ends < 0 then sg.ends <- String.length s;
+      sg.signer <- Slice.sub s sg.signer_f;
+      found
+  | Some _ | None -> None
 
 let check ks (r : Response.t) = function
   | None -> Unsigned
   | Some sg ->
-      if sg.tags_f = none || sg.host_f = none || sg.peer_f = none || sg.nonce_f = none
+      if
+        sg.tags_f = Slice.none || sg.host_f = Slice.none || sg.peer_f = Slice.none
+        || sg.nonce_f = Slice.none
       then Invalid
       else (
         match Idcrypto.Sign.verifier ks ~public:sg.signer with
@@ -493,18 +482,20 @@ let check ks (r : Response.t) = function
               Header.length r.Response.proto r.Response.src_port
                 r.Response.dst_port
             in
-            let tags = start sg.tags_f and tags_end = stop sg.tags_f in
+            let tags = Slice.start sg.tags_f and tags_end = Slice.stop sg.tags_f in
             Idcrypto.Sign.add st binding_domain;
             add_header st r.Response.proto r.Response.src_port r.Response.dst_port;
             add_field st sg sg.host_f;
             add_field st sg sg.peer_f;
             add_field st sg sg.nonce_f;
             add_field st sg sg.tags_f;
-            if sg.scopes_f <> none then add_field st sg sg.scopes_f;
-            add_per_flow st s body tags tags_end sg.covered;
+            if sg.scopes_f <> Slice.none then add_field st sg sg.scopes_f;
+            (* Only a per-flow field holds a '-' (a tag is hex): without
+               one, no section is walked. *)
+            if Payload.index_in s '-' tags tags_end < tags_end then
+              ignore (Payload.fold_sections add_per_flow st sg.tags_f s body : Slice.t);
             if
-              Idcrypto.Sign.matches_sub st s (start sg.sig_f)
-                (stop sg.sig_f - start sg.sig_f)
+              Idcrypto.Sign.matches_sub st s (Slice.start sg.sig_f) (Slice.length sg.sig_f)
               && (if sg.covered = 0 then tags_end = tags
                   else
                     statics_ok ks ~public:sg.signer s body tags tags_end
@@ -524,32 +515,25 @@ let closes sg =
   Payload.section_stop sg.s next >= n && Payload.is_trace sg.s next n
 
 let echoes (sg : signature) ~host ~peer ~(query : Query.t option) =
-  sg.host_f <> none && sg.peer_f <> none && sg.nonce_f <> none
-  && Ipv4.is_text_sub host sg.s (start sg.host_f) (stop sg.host_f)
-  && Ipv4.is_text_sub peer sg.s (start sg.peer_f) (stop sg.peer_f)
+  sg.host_f <> Slice.none && sg.peer_f <> Slice.none && sg.nonce_f <> Slice.none
+  && Ipv4.is_text_sub host sg.s (Slice.start sg.host_f) (Slice.stop sg.host_f)
+  && Ipv4.is_text_sub peer sg.s (Slice.start sg.peer_f) (Slice.stop sg.peer_f)
   &&
   match query with
-  | Some q when q.nonce_at >= 0 ->
-      let len = query_nonce_len q in
-      len = stop sg.nonce_f - start sg.nonce_f
-      && Payload.same_sub q.payload (query_nonce_at q) sg.s (start sg.nonce_f) len
+  | Some q when q.nonce_at <> Slice.none ->
+      Slice.length q.nonce_at = Slice.length sg.nonce_f
+      && Payload.same_sub q.payload (Slice.start q.nonce_at) sg.s
+           (Slice.start sg.nonce_f) (Slice.length sg.nonce_f)
   | Some _ | None -> false
 
-let rec same_name name scopes pos i =
-  i >= String.length name
-  || String.unsafe_get scopes (pos + i) = String.unsafe_get name i
-     && same_name name scopes pos (i + 1)
-
-let is_name name scopes pos stop =
-  stop - pos = String.length name && same_name name scopes pos 0
-
-(* The scope named by the field [pos, stop) of [scopes]; [None] for a
-   name this verifier does not know. *)
-let scope_at scopes pos stop =
-  if is_name "socket" scopes pos stop then Some Socket
-  else if is_name "host" scopes pos stop then Some Host
-  else if is_name "flow" scopes pos stop then Some Flow
-  else None
+(* The scope named by the field [pos, stop) of [s]; [None] for a name
+   this verifier does not know. *)
+let scope_at s pos stop =
+  match stop - pos with
+  | 6 when Payload.same_sub s pos "socket" 0 6 -> Some Socket
+  | 4 when Payload.same_sub s pos "host" 0 4 -> Some Host
+  | 4 when Payload.same_sub s pos "flow" 0 4 -> Some Flow
+  | _ -> None
 
 let narrower a b =
   match (a, b) with
@@ -572,8 +556,10 @@ let rec narrowest s pos stop n acc =
    one scope per section before it. *)
 let scope_of = function
   | Some sg
-    when sg.ends >= String.length sg.s && sg.covered > 0 && sg.scopes_f <> none ->
-      narrowest sg.s (start sg.scopes_f) (stop sg.scopes_f) sg.covered Host
+    when sg.ends >= String.length sg.s && sg.covered > 0
+         && sg.scopes_f <> Slice.none ->
+      narrowest sg.s (Slice.start sg.scopes_f) (Slice.stop sg.scopes_f) sg.covered
+        Host
   | Some _ | None -> Flow
 
 let scope r = scope_of (signature r)

@@ -44,9 +44,9 @@ let reuse_table ?capacity ~ttl () =
 
 (* [flow]'s destination answers [response], declaring [scope]: the
    exchange opens and settles at once. *)
-let store ?(scope = socket) t ~now ~hints ~flow response =
+let store ?(scope = socket) ?(signer = "") t ~now ~hints ~flow response =
   match Answers.join t ~hints ~flow ~joinable:false () with
-  | `First ex -> ignore (Answers.settle t ~now ex (Some (scope, response)))
+  | `First ex -> ignore (Answers.settle t ~now ~signer ex (Some (scope, response)))
   | `Joined | `Alone -> Alcotest.fail "no exchange opened"
 
 let test_attr_ttl () =
@@ -135,9 +135,9 @@ let test_open_join_settle () =
   check
     Alcotest.(list string)
     "settle returns join order" [ "w1"; "w2" ]
-    (Answers.settle t ~now:Sim.Time.zero ex (Some (socket, resp ())));
+    (Answers.settle t ~now:Sim.Time.zero ~signer:"" ex (Some (socket, resp ())));
   check Alcotest.(list string) "settled exchange is gone" []
-    (Answers.settle t ~now:Sim.Time.zero ex None);
+    (Answers.settle t ~now:Sim.Time.zero ~signer:"" ex None);
   check Alcotest.int "without reuse nothing settles" 0 (Answers.size t);
   check Alcotest.int "two left in flight" 2 (Answers.in_flight t);
   check Alcotest.int "exchanges opened" 3 (Answers.started t);
@@ -152,7 +152,7 @@ let test_scope_decides_what_settles () =
   (* A listener's answer turns its entry settled: it answers the next
      flow to the socket, from another client. *)
   let ex = open_ 80 in
-  ignore (Answers.settle t ~now ex (Some (socket, resp ())));
+  ignore (Answers.settle t ~now ~signer:"" ex (Some (socket, resp ())));
   check Alcotest.int "settled, not in flight" 0 (Answers.in_flight t);
   check Alcotest.int "one settled" 1 (Answers.size t);
   check Alcotest.bool "another client's flow reuses it" true
@@ -160,7 +160,7 @@ let test_scope_decides_what_settles () =
   (* A connected socket's answer holds for its own flow only: its entry
      leaves. *)
   let ex = open_ 81 in
-  ignore (Answers.settle t ~now ex (Some (Identxx.Signed.Flow, resp ())));
+  ignore (Answers.settle t ~now ~signer:"" ex (Some (Identxx.Signed.Flow, resp ())));
   check Alcotest.int "nothing left in flight" 0 (Answers.in_flight t);
   check Alcotest.int "still one settled" 1 (Answers.size t);
   check Alcotest.bool "the flow-scoped answer is not reused" true
@@ -168,7 +168,7 @@ let test_scope_decides_what_settles () =
   (* So does a failed exchange's. *)
   let ex = open_ 82 in
   check Alcotest.(list unit) "the failure settles its waiter" [ () ]
-    (Answers.settle t ~now ex None);
+    (Answers.settle t ~now ~signer:"" ex None);
   check Alcotest.int "a failure leaves nothing" 0 (Answers.in_flight t)
 
 let test_host_change_detaches () =
@@ -184,12 +184,12 @@ let test_host_change_detaches () =
   check
     Alcotest.(list string)
     "the detached exchange still settles its waiter" [ "before" ]
-    (Answers.settle t ~now old (Some (socket, resp ())));
+    (Answers.settle t ~now ~signer:"" old (Some (socket, resp ())));
   check Alcotest.int "its late answer stores nothing" 0 (Answers.size t);
   check Alcotest.int "the newer exchange stays in flight" 1
     (Answers.in_flight t);
   check Alcotest.int "and counts no invalidation" 0 (Answers.invalidations t);
-  ignore (Answers.settle t ~now fresh (Some (socket, resp ())));
+  ignore (Answers.settle t ~now ~signer:"" fresh (Some (socket, resp ())));
   check Alcotest.int "the newer answer settles" 1 (Answers.size t);
   Answers.drop_host t (ip "10.0.0.2");
   check Alcotest.int "a change drops settled entries too" 0 (Answers.size t);
@@ -217,8 +217,8 @@ let test_invalidate_signer () =
   let signed_by signer =
     resp ~pairs:[ ("name", "httpd"); (Identxx.Signed.signer_key, signer) ] ()
   in
-  store t ~now ~hints ~flow:(flow_to 80) (signed_by "key-a");
-  store t ~now ~hints ~flow:(flow_to 81) (signed_by "key-b");
+  store t ~signer:"key-a" ~now ~hints ~flow:(flow_to 80) (signed_by "key-a");
+  store t ~signer:"key-b" ~now ~hints ~flow:(flow_to 81) (signed_by "key-b");
   store t ~now ~hints ~flow:(flow_to 82) (resp ());
   Answers.invalidate_signer t "key-a";
   check Alcotest.int "one invalidation" 1 (Answers.invalidations t);

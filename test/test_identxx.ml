@@ -177,7 +177,7 @@ let test_response_latest_and_star () =
   check Alcotest.(option string) "single binding" (Some "alice")
     (Identxx.Response.latest r "userID");
   check Alcotest.string "star concatenation" "skype,not-skype"
-    (Identxx.Response.concat_values r "name");
+    (String.concat "," (Identxx.Response.all_values r "name"));
   check Alcotest.(list string) "keys in order" [ "userID"; "name"; "branch" ]
     (Identxx.Response.keys r)
 
@@ -1561,7 +1561,9 @@ let prop_view_matches_list_decoder =
       match (Identxx.Response.decode p, List_decoder.decode p) with
       | Error a, Error b -> String.equal a b
       | Ok v, Ok ((proto, src_port, dst_port, sections) as lists) ->
-          let probe = "absent" :: List_decoder.keys sections in
+          let probe = List.sort_uniq compare ("absent" :: List_decoder.keys sections) in
+          let found = Array.make (List.length probe) Identxx.Slice.none in
+          Identxx.Response.latest_slices v probe found;
           v.proto = proto && v.src_port = src_port && v.dst_port = dst_port
           && Identxx.Response.sections v = sections
           && Identxx.Response.keys v = List_decoder.keys sections
@@ -1570,12 +1572,18 @@ let prop_view_matches_list_decoder =
                (fun k ->
                  Identxx.Response.latest v k = List_decoder.latest sections k
                  && Identxx.Response.all_values v k
-                    = List_decoder.all_values sections k)
+                    = List_decoder.all_values sections k
+                 && Identxx.Response.fold_values v k
+                      (fun acc s i len -> String.sub s i len :: acc)
+                      []
+                    = List.rev (List_decoder.all_values sections k))
                probe
-          && Identxx.Response.latest_each v probe
-             = List.filter_map
-                 (fun k -> Option.map (fun x -> (k, x)) (List_decoder.latest sections k))
-                 probe
+          && List.for_all2
+               (fun k f ->
+                 (if f = Identxx.Slice.none then None
+                  else Some (Identxx.Slice.sub (Identxx.Response.encode v) f))
+                 = List_decoder.latest sections k)
+               probe (Array.to_list found)
       | Ok _, Error _ | Error _, Ok _ -> false)
 
 (* [Signed.verify] over the decoded lists, as it was before it read the
