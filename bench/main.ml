@@ -1027,6 +1027,40 @@ let bench_audit_record =
          Identxx_core.Audit.record audit ~at:Sim.Time.zero ~flow:fl ~verdict
            ~src ~dst))
 
+(* The front end's pending-table probe: the two lookups
+   [Controller.names_pending] makes for each daemon answer, against [n]
+   flows pending at once (silent daemons, a far-off timeout). Each call
+   probes one pending flow and one that is not, so both lookups of a
+   miss and the second of a hit are priced; flat in [n], 0 words. *)
+let bench_pending_probe =
+  Test.make_indexed ~name:"core/pending-probe" ~args:[ 10; 1000 ] (fun n ->
+      let config = { C.default_config with C.query_timeout = Sim.Time.s 1000 } in
+      let s = Deploy.simple_network ~config () in
+      PS.add_exn (C.policy s.Deploy.controller) ~name:"00"
+        "block all\npass all with eq(@src[name], firefox) with eq(@dst[name], httpd)";
+      List.iter
+        (fun h ->
+          Identxx.Daemon.set_behaviour (Identxx.Host.daemon h) Identxx.Daemon.Silent)
+        [ s.Deploy.client; s.Deploy.server ];
+      let client = Identxx.Host.ip s.Deploy.client
+      and server = Identxx.Host.ip s.Deploy.server in
+      let flow i =
+        Five_tuple.tcp ~src:client ~dst:server ~src_port:(10000 + i) ~dst_port:80
+      in
+      for i = 0 to n - 1 do
+        Openflow.Network.send_from_host s.Deploy.network ~name:"client"
+          (Identxx.Host.first_packet s.Deploy.client ~flow:(flow i))
+      done;
+      Sim.Engine.run ~until:(Sim.Time.s 1) s.Deploy.engine;
+      if C.pending_count s.Deploy.controller <> n then
+        failwith "core/pending-probe: flows not pending";
+      let hit = response (flow (n / 2)) [] and miss = response (flow n) [] in
+      Staged.stage (fun () ->
+          ignore
+            (C.names_pending s.Deploy.controller ~from_ip:server ~to_ip:client hit);
+          ignore
+            (C.names_pending s.Deploy.controller ~from_ip:server ~to_ip:client miss)))
+
 (* --- daemon answer path ------------------------------------------------ *)
 
 let bench_daemon =
@@ -1286,6 +1320,7 @@ let tests =
        bench_host_attach;
        bench_conn_state;
        bench_audit_record;
+       bench_pending_probe;
        bench_obs_flow_setup;
        bench_obs_flow_setup_health;
      ]

@@ -78,6 +78,8 @@ type pending = {
       (* An end settled silent: the flow counts once as timed out. *)
   mutable p_live : bool;
       (* In the pending table: cleared when the flow is decided. *)
+  mutable p_next : pending;
+      (* The next flow of its pending-table chain ({!Pending_table}). *)
 }
 
 let leg p = function `Src -> p.p_src | `Dst -> p.p_dst
@@ -129,11 +131,16 @@ type input =
       to_ip : Ipv4.t;
       query : Identxx.Query.t;
     }  (* Another controller's query, crossing our domain. *)
-  | Settle of
-      waiter * settled * (string * string * (string * float * float) list) option
+  | Settle of {
+      flow : Five_tuple.t;
+      end_ : [ `Src | `Dst ];
+      settled : settled;
+      dtrace : (string * string * (string * float * float) list) option;
+    }
       (* Settle a waiter's end; the first waiter an answer covers also
          gets the daemon's timings ({!Identxx.Response.trace_info}). *)
-  | Requery of waiter (* A waiter the answer did not cover asks itself. *)
+  | Requery of { flow : Five_tuple.t; end_ : [ `Src | `Dst ] }
+      (* A waiter the answer did not cover asks itself. *)
   | Timeout of pending (* The flow's query timer fired. *)
   | Vacant (* Fills a mailbox's free slots; never posted. *)
 
@@ -161,12 +168,39 @@ type stats = {
   breaker_fastpaths : int;
 }
 
-module Flow_tbl = Hashtbl.Make (struct
-  type t = Five_tuple.t
+(* Ends every pending-table chain and stands for "no pending flow": a
+   lookup that finds none returns it. Never in the table, so never
+   live. *)
+let rec no_pending =
+  let idle () =
+    { answer = None; awaiting = false; qspan = Obs.Span.null; sent = -1; query = None }
+  in
+  {
+    p_flow = Five_tuple.tcp ~src:Ipv4.any ~dst:Ipv4.any ~src_port:0 ~dst_port:0;
+    p_packets = [];
+    p_src = idle ();
+    p_dst = idle ();
+    retries_left = 0;
+    p_timeout = Shard.Engine.no_timer;
+    p_started = Sim.Time.zero;
+    p_ctx = None;
+    p_span = Obs.Span.null;
+    p_exchange = None;
+    p_silent = false;
+    p_live = false;
+    p_next = no_pending;
+  }
 
-  let equal = Five_tuple.equal
-  let hash = Five_tuple.hash
+module Pending = Pending_table.Make (struct
+  type t = pending
+
+  let vacant = no_pending
+  let flow p = p.p_flow
+  let next p = p.p_next
+  let set_next p n = p.p_next <- n
 end)
+
+module Ip_tbl = Hashtbl.Make (Ipv4)
 
 (* Flow setup reports each lifecycle point here, with one call where
    the point happens, and the point feeds every sink it concerns: the
@@ -513,7 +547,12 @@ type t = {
   decision : Decision.t;
   conn_state : Conn_state.t;
   ev : Events.t; (* every per-flow sink *)
-  pending : pending Flow_tbl.t;
+  pending : Pending.t;
+  prefixes : Prefix.t option Ip_tbl.t;
+      (* [Some (Prefix.host ip)] of each attached host a reactive match
+         named, which every later match naming it shares. Only
+         addresses [host_by_ip] knows enter, so a spoofed source cannot
+         grow it. *)
   fp : Fastpath.t; (* the decision cache and the breaker *)
   answers : waiter Fastpath.Answers.t;
   shard_engine : input Shard.Engine.t;
@@ -536,7 +575,11 @@ type t = {
   clock : unit -> Sim.Time.t;
   host_by_ip : Ipv4.t -> string option;
   hosts : unit -> (string * Ipv4.t) list; (* attached, with addresses *)
-  iter_path : src:Ipv4.t -> dst:Ipv4.t -> (Msg.switch_id -> int -> unit) -> bool;
+  iter_path :
+    'a. src:Ipv4.t -> dst:Ipv4.t -> ('a -> Msg.switch_id -> int -> unit) -> 'a -> bool;
+  add_hop : Openflow.Match_fields.t -> Msg.switch_id -> int -> unit;
+      (* Queue the flow-mod that installs a reactive match at one hop of
+         its path. Built once, so a path walk allocates no closure. *)
   domain : unit -> Msg.switch_id list; (* its switches, ascending *)
 }
 
@@ -585,7 +628,8 @@ let stats t =
     breaker_fastpaths = fc.Fastpath.breaker_fastpaths;
   }
 
-let pending_count t = Flow_tbl.length t.pending
+let pending_count t = Pending.length t.pending
+let host_prefixes t = Ip_tbl.length t.prefixes
 
 let coalesced_queries t = Fastpath.Answers.coalesced t.answers
 let wire_exchanges t = Fastpath.Answers.started t.answers
@@ -607,15 +651,32 @@ let forward_toward t ~dpid ~dst_ip pkt =
 
 (* --- installing the verdict (Figure 1, step 4) --- *)
 
-(* One match serves every hop's flow-mod, and the entries they install
-   share it. *)
-let install_path t flow =
-  let fields = Openflow.Match_fields.of_five_tuple flow in
-  t.iter_path ~src:flow.Five_tuple.src ~dst:flow.Five_tuple.dst
-    (fun dpid out_port ->
-      Shard.Batch.add t.batch dpid
-        (Msg.add_flow ?idle_timeout:t.cfg.entry_idle_timeout ~fields
-           (Openflow.Action.output out_port)))
+(* [ip]'s exact prefix as a match field, shared when [ip] is a known
+   host's. *)
+let host_prefix t ip =
+  match Ip_tbl.find t.prefixes ip with
+  | prefix -> prefix
+  | exception Not_found ->
+      let prefix = Some (Prefix.host ip) in
+      if Option.is_some (t.host_by_ip ip) then Ip_tbl.add t.prefixes ip prefix;
+      prefix
+
+(* The exact match of [flow], or of its reverse. *)
+let flow_match t ~reverse (flow : Five_tuple.t) =
+  let src = if reverse then flow.dst else flow.src
+  and dst = if reverse then flow.src else flow.dst in
+  Openflow.Match_fields.exact ~nw_src:(host_prefix t src)
+    ~nw_dst:(host_prefix t dst) ~proto:flow.proto
+    ~src_port:(if reverse then flow.dst_port else flow.src_port)
+    ~dst_port:(if reverse then flow.src_port else flow.dst_port)
+
+(* Install [flow], or its reverse, along its path: one match serves
+   every hop's flow-mod, and the entries they install share it. *)
+let install_path t ~reverse (flow : Five_tuple.t) =
+  t.iter_path
+    ~src:(if reverse then flow.dst else flow.src)
+    ~dst:(if reverse then flow.src else flow.dst)
+    t.add_hop (flow_match t ~reverse flow)
 
 (* Send a buffered packet back through its switch's (now updated)
    table. Flow-mods were enqueued first, and the control channel is
@@ -623,6 +684,14 @@ let install_path t flow =
 let release t (pi : Msg.packet_in) =
   Shard.Batch.add t.batch pi.Msg.dpid
     (Msg.Packet_out { Msg.out_packet = pi.Msg.packet; out_port = `Table })
+
+(* Release the buffered [packets], held newest first, in the order they
+   arrived. *)
+let rec release_all t = function
+  | [] -> ()
+  | pi :: older ->
+      release_all t older;
+      release t pi
 
 let compute_verdict t ~flow ~src ~dst =
   let input = { Decision.flow; src_response = src; dst_response = dst } in
@@ -657,19 +726,19 @@ let apply_verdict t ~span ~started ~ctx ~via ~flow ~packets ~src ~dst verdict =
   Events.installed t.ev ~now span flow
     (match verdict.Pf.Eval.decision with
     | Pf.Ast.Pass ->
-        let installed = install_path t flow in
+        let installed = install_path t ~reverse:false flow in
         if verdict.Pf.Eval.keep_state then begin
           Conn_state.note t.conn_state ~now flow;
-          ignore (install_path t (Five_tuple.reverse flow))
+          ignore (install_path t ~reverse:true flow)
         end;
-        if installed then (List.iter (release t) (List.rev packets); `Path)
+        if installed then (release_all t packets; `Path)
         else `No_path
     | Pf.Ast.Block -> (
         match packets with
         | pi :: _ ->
             Shard.Batch.add t.batch pi.Msg.dpid
               (Msg.add_flow ?idle_timeout:t.cfg.entry_idle_timeout
-                 ~fields:(Openflow.Match_fields.of_five_tuple flow)
+                 ~fields:(flow_match t ~reverse:false flow)
                  Openflow.Action.drop);
             `Drop
         | [] -> `No_path))
@@ -678,7 +747,7 @@ let apply_verdict t ~span ~started ~ctx ~via ~flow ~packets ~src ~dst verdict =
 let maybe_finalize t p =
   if (not p.p_src.awaiting) && not p.p_dst.awaiting then begin
     Shard.Engine.cancel p.p_timeout;
-    Flow_tbl.remove t.pending p.p_flow;
+    Pending.remove t.pending p;
     p.p_live <- false;
     let src = p.p_src.answer and dst = p.p_dst.answer in
     apply_verdict t ~span:p.p_span ~started:p.p_started
@@ -700,26 +769,24 @@ let settle_end ?dtrace t p end_ settled =
 
 let shard_of t flow = Shard.Engine.shard_of_flow t.shard_engine flow
 
-(* Deliver [msg] to waiter [w] on its flow's shard. An exchange's
-   waiters are delivered to in join order, and every delivery is posted
-   — never run inline — so the global execution order is the join order
+(* Deliver [msg] to a waiter on [flow]'s shard. An exchange's waiters
+   are delivered to in join order, and every delivery is posted — never
+   run inline — so the global execution order is the join order
    whatever the shard count. *)
-let post_to_waiter t w msg =
-  Shard.Engine.post t.shard_engine ~shard:(shard_of t w.w_flow) msg
+let post_to_waiter t flow msg =
+  Shard.Engine.post t.shard_engine ~shard:(shard_of t flow) msg
 
-(* [p]'s query to [host], asking about its [end_], reached its outcome:
-   [answer] (the answer's declared scope and the response) or [None]
-   (its timeout or breaker trip). The exchange [p] initiated with the
-   host, if any, closes and returns every waiter, in join order;
-   otherwise [p] is the only waiter. *)
-let close_exchange t p ~host ~end_ ~signer answer =
+(* [p]'s query to [host] reached its outcome: the exchange [p]
+   initiated with the host, if any, which the caller settles and whose
+   waiters it tells, in join order. Without one, [p] is the only waiter.
+   [p] forgets it: a duplicate answer naming this flow must not settle a
+   newer exchange with the host. *)
+let take_exchange p ~host =
   match p.p_exchange with
-  | Some ex when Ipv4.equal host p.p_flow.Five_tuple.dst ->
-      (* Forget it once settled: a duplicate answer naming this flow
-         must not settle a newer exchange with the host. *)
+  | Some _ as ex when Ipv4.equal host p.p_flow.Five_tuple.dst ->
       p.p_exchange <- None;
-      Fastpath.Answers.settle t.answers ~now:t.now ~signer ex answer
-  | Some _ | None -> [ { w_flow = p.p_flow; w_end = end_ } ]
+      ex
+  | Some _ | None -> None
 
 (* --- querying daemons (Figure 1, step 3) --- *)
 
@@ -845,12 +912,16 @@ let expire_end t p end_ =
   let ip = end_ip p.p_flow end_ and now = t.now in
   let tripped = Fastpath.note_timeout t.fp ~now ip in
   if tripped then Events.breaker_tripped t.ev ~now p.p_span ip;
-  let failed = Failed (if tripped then "breaker-open" else "timeout") in
-  List.iter
-    (fun w ->
-      if not (Five_tuple.equal w.w_flow p.p_flow) then
-        post_to_waiter t w (Settle (w, failed, None)))
-    (close_exchange t p ~host:ip ~end_ ~signer:"" None);
+  (match take_exchange p ~host:ip with
+  | None -> ()
+  | Some ex ->
+      let failed = Failed (if tripped then "breaker-open" else "timeout") in
+      List.iter
+        (fun w ->
+          if not (Five_tuple.equal w.w_flow p.p_flow) then
+            post_to_waiter t w.w_flow
+              (Settle { flow = w.w_flow; end_ = w.w_end; settled = failed; dtrace = None }))
+        (Fastpath.Answers.settle t.answers ~now ~signer:"" ex None));
   settle_end t p end_ Timed_out
 
 (* The timer posts into the flow's shard's run queue, so timeout
@@ -926,7 +997,7 @@ let start_flow t (pi : Msg.packet_in) (flow : Five_tuple.t) =
      re-admitted without a fresh ident++ exchange. *)
   if Conn_state.permits t.conn_state ~now flow then begin
     Events.readmitted t.ev ~now sp;
-    if install_path t flow then release t pi
+    if install_path t ~reverse:false flow then release t pi
   end
   else begin
     (* Only the ends the flow's verdict can read are asked (see
@@ -963,10 +1034,11 @@ let start_flow t (pi : Msg.packet_in) (flow : Five_tuple.t) =
             p_exchange = None;
             p_silent = false;
             p_live = true;
+            p_next = no_pending;
           }
         in
         arm_timeout t p;
-        Flow_tbl.replace t.pending flow p;
+        Pending.add t.pending p;
         issue_end t p `Src;
         issue_end t p `Dst;
         maybe_finalize t p
@@ -997,31 +1069,27 @@ let handle_transit t ~dpid ~from_ip ~to_ip response pkt =
   in
   forward_toward t ~dpid ~dst_ip:to_ip pkt
 
-(* A pending-table key a daemon answer can name. The daemon echoes the
-   flow's proto and ports; the answer runs from the answering end to the
-   query's reply-to, i.e. the other end. So the flow is the key from
-   [src] to [dst], either way round. *)
-let answer_key ~src ~dst (r : Identxx.Response.t) =
-  {
-    Five_tuple.src;
-    dst;
-    proto = r.Identxx.Response.proto;
-    src_port = r.Identxx.Response.src_port;
-    dst_port = r.Identxx.Response.dst_port;
-  }
+(* The pending flow an answer from [from_ip] to [to_ip] names;
+   [no_pending] for none. The daemon echoes the flow's proto and ports,
+   and the answer runs from the answering end to the query's reply-to,
+   the other end. So the flow runs from one of the two addresses to the
+   other, with the echoed ports: the table is probed with the answering
+   host as source, then as destination. When both are pending, the one
+   awaiting its source wins, then the other. *)
+let named_pending t ~from_ip ~to_ip (r : Identxx.Response.t) =
+  let proto = r.proto and src_port = r.src_port and dst_port = r.dst_port in
+  let by_src =
+    Pending.probe t.pending ~src:from_ip ~dst:to_ip ~proto ~src_port ~dst_port
+  in
+  if by_src.p_src.awaiting then by_src
+  else
+    let by_dst =
+      Pending.probe t.pending ~src:to_ip ~dst:from_ip ~proto ~src_port ~dst_port
+    in
+    if by_dst != no_pending then by_dst else by_src
 
-(* The pending flow an answer from [from_ip] to [to_ip] names, by its
-   two keys (the answering host as source, or as destination): when both
-   are pending, the one awaiting its source wins, then the other. *)
-let named_pending t ~from_ip ~to_ip response =
-  match Flow_tbl.find_opt t.pending (answer_key ~src:from_ip ~dst:to_ip response) with
-  | Some p when p.p_src.awaiting -> Some p
-  | by_src -> (
-      match
-        Flow_tbl.find_opt t.pending (answer_key ~src:to_ip ~dst:from_ip response)
-      with
-      | Some _ as by_dst -> by_dst
-      | None -> by_src)
+let names_pending t ~from_ip ~to_ip response =
+  named_pending t ~from_ip ~to_ip response != no_pending
 
 (* Under [require_signed_responses], whether [response], whose
    signature section reads [sg], may settle [p]'s query to [from_ip]. It
@@ -1061,17 +1129,19 @@ let answer_accepted t p ~from_ip ~to_ip response sg =
       false
 
 (* Whether an answer about [flow]'s [end_], declaring [scope], answers
-   waiter [w] too: the flow itself always; another flow to the same
-   listening socket under [Socket] or [Host].
+   the waiter on [w_end] of [w_flow] too: the same end of the flow
+   itself under [Flow]; a destination of any flow to the same listening
+   socket under [Socket] or [Host]. So a source's answer declaring
+   [Socket] or [Host] answers no waiter, not even its own query.
    The answer table only parks destination waiters asking the same host
    about the same socket, so the socket needs no second check. *)
-let covers scope ~flow ~end_ w =
+let covers scope ~flow ~end_ w_flow w_end =
   match scope with
-  | Identxx.Signed.Socket | Identxx.Signed.Host -> w.w_end = `Dst && end_ = `Dst
-  | Identxx.Signed.Flow -> w.w_end = end_ && Five_tuple.equal w.w_flow flow
+  | Identxx.Signed.Socket | Identxx.Signed.Host -> w_end = `Dst && end_ = `Dst
+  | Identxx.Signed.Flow -> w_end = end_ && Five_tuple.equal w_flow flow
 
 (* An accepted answer from [from_ip], whose signature section reads
-   [sg], settles [p]'s query to that host ({!close_exchange}), each
+   [sg], settles [p]'s query to that host ({!take_exchange}), each
    waiter on its flow's shard. *)
 let settle_answer t p ~from_ip response sg =
   let flow = p.p_flow in
@@ -1093,26 +1163,35 @@ let settle_answer t p ~from_ip response sg =
   and signer = match sg with Some sg -> Identxx.Signed.signer sg | None -> "" in
   let response = stripped in
   let end_ = end_of flow from_ip in
-  let ws =
-    close_exchange t p ~host:from_ip ~end_ ~signer (Some (scope, response))
-  in
   (* An (authenticated, if required) answer: the host is alive. *)
   Fastpath.note_response t.fp from_ip;
   (* A waiter takes the answer only as far as its declared scope
-     reaches; any other asks for itself. The initiator settles first
-     and alone carries the daemon's timing piggyback (the timings
-     are real once). *)
-  let first = ref true and answered = Answered response in
-  List.iter
-    (fun w ->
-      post_to_waiter t w
-        (if covers scope ~flow ~end_ w then begin
-           let dtrace = if !first then dtrace else None in
-           first := false;
-           Settle (w, answered, dtrace)
-         end
-         else Requery w))
-    ws
+     reaches; any other asks for itself. *)
+  match take_exchange p ~host:from_ip with
+  | None ->
+      (* [p]'s own query is the only waiter. *)
+      post_to_waiter t flow
+        (if covers scope ~flow ~end_ flow end_ then
+           Settle { flow; end_; settled = Answered response; dtrace }
+         else Requery { flow; end_ })
+  | Some ex ->
+      let ws =
+        Fastpath.Answers.settle t.answers ~now:t.now ~signer ex
+          (Some (scope, response))
+      in
+      (* The initiator settles first and alone carries the daemon's
+         timing piggyback (the timings are real once). *)
+      let first = ref true and answered = Answered response in
+      List.iter
+        (fun w ->
+          post_to_waiter t w.w_flow
+            (if covers scope ~flow ~end_ w.w_flow w.w_end then begin
+               let dtrace = if !first then dtrace else None in
+               first := false;
+               Settle { flow = w.w_flow; end_ = w.w_end; settled = answered; dtrace }
+             end
+             else Requery { flow = w.w_flow; end_ = w.w_end }))
+        ws
 
 (* The one response path: an answer pairs with the pending flow [p] it
    names, on that flow's shard, and settles the flow's query to the
@@ -1131,9 +1210,9 @@ let take_answer t p ~from_ip ~to_ip response =
    before its shard took it: it pairs with the flow it names now, if
    any; else it is transit. *)
 let stray_answer t (pi : Msg.packet_in) ~from_ip ~to_ip response =
-  match named_pending t ~from_ip ~to_ip response with
-  | Some p -> take_answer t p ~from_ip ~to_ip response
-  | None -> handle_transit t ~dpid:pi.Msg.dpid ~from_ip ~to_ip response pi.Msg.packet
+  let p = named_pending t ~from_ip ~to_ip response in
+  if p != no_pending then take_answer t p ~from_ip ~to_ip response
+  else handle_transit t ~dpid:pi.Msg.dpid ~from_ip ~to_ip response pi.Msg.packet
 
 (* The controller's one way in: [input] at [now]. A switch's packet-in
    is classified once (pure) and its real work posted, with what the
@@ -1149,14 +1228,14 @@ let step t ~now input =
       | Identxx.Wire.Response { from_ip; to_ip; response } -> (
           (* Routed once: the flow it names, found here, travels with it
              to that flow's shard. *)
-          match named_pending t ~from_ip ~to_ip response with
-          | Some named ->
-              Shard.Engine.post t.shard_engine
-                ~shard:(if shard_count t = 1 then 0 else shard_of t named.p_flow)
-                (Answer { pi; response; from_ip; to_ip; named })
-          | None ->
-              Shard.Engine.post t.shard_engine ~shard:0
-                (Stray_answer { pi; response; from_ip; to_ip }))
+          let named = named_pending t ~from_ip ~to_ip response in
+          if named != no_pending then
+            Shard.Engine.post t.shard_engine
+              ~shard:(if shard_count t = 1 then 0 else shard_of t named.p_flow)
+              (Answer { pi; response; from_ip; to_ip; named })
+          else
+            Shard.Engine.post t.shard_engine ~shard:0
+              (Stray_answer { pi; response; from_ip; to_ip }))
       | Identxx.Wire.Query { from_ip; to_ip; query } ->
           Shard.Engine.post t.shard_engine ~shard:0
             (Foreign_query { pi; from_ip; to_ip; query })
@@ -1176,10 +1255,10 @@ let step t ~now input =
       Fastpath.flush_decisions t.fp;
       send_domain t (Fun.const (Proactive.sync t.compiled ~proactive:t.cfg.proactive t.plan))
   | Topology_changed -> send_domain t (Proactive.sync_routes t.compiled t.topo (t.hosts ()))
-  | Flow_miss (pi, flow) -> (
-      match Flow_tbl.find_opt t.pending flow with
-      | Some p -> p.p_packets <- pi :: p.p_packets
-      | None -> start_flow t pi flow)
+  | Flow_miss (pi, flow) ->
+      let p = Pending.find t.pending flow in
+      if p != no_pending then p.p_packets <- pi :: p.p_packets
+      else start_flow t pi flow
   | Answer { pi; response; from_ip; to_ip; named } ->
       (* The flow the answer named on arrival, unless decided since. *)
       if named.p_live then take_answer t named ~from_ip ~to_ip response
@@ -1200,18 +1279,17 @@ let step t ~now input =
                ~dst_port:(tcp_port pi.Msg.packet `Src)
                (Identxx.Response.make ~flow [ section ]))
       | None -> forward_toward t ~dpid ~dst_ip:to_ip pi.Msg.packet)
-  | Settle (w, settled, dtrace) -> (
+  | Settle { flow; end_; settled; dtrace } ->
       (* Unless its flow already decided (its own timeout won). *)
-      match Flow_tbl.find_opt t.pending w.w_flow with
-      | Some p -> settle_end ?dtrace t p w.w_end settled
-      | None -> ())
-  | Requery w -> (
+      let p = Pending.find t.pending flow in
+      if p != no_pending then settle_end ?dtrace t p end_ settled
+  | Requery { flow; end_ } ->
       (* Its own query, with its own nonce and trace context. *)
-      match Flow_tbl.find_opt t.pending w.w_flow with
-      | Some p when (leg p w.w_end).awaiting ->
-          Events.note t.ev ~now p.p_span (end_ip w.w_flow w.w_end) `Query_out_of_scope;
-          resend t p w.w_end
-      | Some _ | None -> ())
+      let p = Pending.find t.pending flow in
+      if p != no_pending && (leg p end_).awaiting then begin
+        Events.note t.ev ~now p.p_span (end_ip flow end_) `Query_out_of_scope;
+        resend t p end_
+      end
   | Timeout p -> on_timeout t p
   | Vacant -> ()
 
@@ -1311,7 +1389,8 @@ let create ?(config = default_config) ?keystore ?functions ?obs ?spans
         decision;
         conn_state = Conn_state.create ();
         ev = Events.create ~obs ~spans ~recorder ~labels;
-        pending = Flow_tbl.create 64;
+        pending = Pending.create 64;
+        prefixes = Ip_tbl.create 16;
         fp = Fastpath.create config.fastpath;
         answers;
         shard_engine =
@@ -1340,14 +1419,19 @@ let create ?(config = default_config) ?keystore ?functions ?obs ?spans
                 | ip -> Some (host, ip)
                 | exception (Not_found | Invalid_argument _) -> None)
               (Topo.hosts topo));
-        iter_path = (fun ~src ~dst f -> Net.iter_path network ~src ~dst f);
+        iter_path = (fun ~src ~dst f a -> Net.iter_path network ~src ~dst f a);
+        add_hop =
+          (fun fields dpid out_port ->
+            Shard.Batch.add batch dpid
+              (Msg.add_flow ?idle_timeout:config.entry_idle_timeout ~fields
+                 (Openflow.Action.output out_port)));
         domain = (fun () -> Net.switches_in_domain network id);
       }
   in
   let t = Lazy.force t in
   Obs.Registry.gauge_fn obs ~help:"Flows awaiting daemon responses." ~labels
     "identxx_controller_pending_flows" (fun () ->
-      float_of_int (Flow_tbl.length t.pending));
+      float_of_int (Pending.length t.pending));
   (* Per-collector, not per-controller: collectors may be shared, so no
      controller label — re-registration just replaces the callback. *)
   List.iter

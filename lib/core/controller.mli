@@ -286,3 +286,14 @@ val handle_message : t -> Openflow.Message.to_controller -> unit
     into the step function. *)
 
 val pending_count : t -> int
+
+val names_pending :
+  t -> from_ip:Ipv4.t -> to_ip:Ipv4.t -> Identxx.Response.t -> bool
+(** Whether a daemon answer from [from_ip] to [to_ip] names a pending
+    flow: the probe {!handle_message} routes each answer by, which reads
+    the answer's addresses and echoed ports where they sit and
+    allocates nothing. *)
+
+val host_prefixes : t -> int
+(** Hosts whose exact prefix the reactive matches share: only addresses
+    of attached hosts enter, so spoofed sources do not grow it. *)

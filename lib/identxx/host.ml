@@ -90,6 +90,4 @@ let handle_packet t pkt =
                    ~dst_port:tcp.Packet.tcp_src response)))
   | _ -> None
 
-let first_packet t ~flow =
-  let pkt = Packet.of_five_tuple flow in
-  { pkt with Packet.eth_src = t.mac }
+let first_packet t ~flow = Packet.of_five_tuple ~eth_src:t.mac flow

@@ -85,11 +85,13 @@ let udp_datagram ?(eth_src = Mac.zero) ?(eth_dst = Mac.zero)
         };
   }
 
-let of_five_tuple ?(payload = "") (ft : Five_tuple.t) =
+(* [eth_src] is passed on as given, so a caller's MAC costs no copy of
+   the frame. *)
+let of_five_tuple ?eth_src ?(payload = "") (ft : Five_tuple.t) =
   match ft.proto with
   | Proto.Tcp ->
       let pkt =
-        tcp_syn ~src:ft.src ~dst:ft.dst ~src_port:ft.src_port
+        tcp_syn ?eth_src ~src:ft.src ~dst:ft.dst ~src_port:ft.src_port
           ~dst_port:ft.dst_port ()
       in
       if payload = "" then pkt
@@ -99,12 +101,12 @@ let of_five_tuple ?(payload = "") (ft : Five_tuple.t) =
             { pkt with eth_payload = Ip { ip with payload = Tcp { tcp with tcp_payload = payload } } }
         | _ -> pkt)
   | Proto.Udp ->
-      udp_datagram ~src:ft.src ~dst:ft.dst ~src_port:ft.src_port
+      udp_datagram ?eth_src ~src:ft.src ~dst:ft.dst ~src_port:ft.src_port
         ~dst_port:ft.dst_port ~payload ()
   | Proto.Icmp ->
       (* A well-formed echo request, so the wire form round-trips. *)
       {
-        eth_src = Mac.zero;
+        eth_src = Option.value eth_src ~default:Mac.zero;
         eth_dst = Mac.zero;
         vlan = Vlan.untagged;
         eth_payload =
@@ -118,7 +120,7 @@ let of_five_tuple ?(payload = "") (ft : Five_tuple.t) =
       }
   | proto ->
       {
-        eth_src = Mac.zero;
+        eth_src = Option.value eth_src ~default:Mac.zero;
         eth_dst = Mac.zero;
         vlan = Vlan.untagged;
         eth_payload =

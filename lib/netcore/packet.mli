@@ -70,9 +70,10 @@ val udp_datagram :
   unit ->
   t
 
-val of_five_tuple : ?payload:string -> Five_tuple.t -> t
+val of_five_tuple : ?eth_src:Mac.t -> ?payload:string -> Five_tuple.t -> t
 (** A packet whose headers realize the given 5-tuple (TCP flows get a SYN;
-    UDP flows a datagram; other protocols a raw IP payload). *)
+    UDP flows a datagram; other protocols a raw IP payload), from
+    [eth_src] (default {!Mac.zero}). *)
 
 val five_tuple : t -> Five_tuple.t option
 (** The ident++ 5-tuple of an IPv4 TCP/UDP packet; for other IP packets

@@ -44,16 +44,22 @@ let some_proto = function
   | Proto.Icmp -> some_icmp
   | Proto.Other _ as p -> Some p
 
-let of_five_tuple (ft : Five_tuple.t) =
+let exact ~nw_src ~nw_dst ~proto ~src_port ~dst_port =
   {
     any with
     dl_type = some_ipv4;
-    nw_src = Some (Prefix.host ft.src);
-    nw_dst = Some (Prefix.host ft.dst);
-    nw_proto = some_proto ft.proto;
-    tp_src = Some ft.src_port;
-    tp_dst = Some ft.dst_port;
+    nw_src;
+    nw_dst;
+    nw_proto = some_proto proto;
+    tp_src = Some src_port;
+    tp_dst = Some dst_port;
   }
+
+let of_five_tuple (ft : Five_tuple.t) =
+  exact
+    ~nw_src:(Some (Prefix.host ft.src))
+    ~nw_dst:(Some (Prefix.host ft.dst))
+    ~proto:ft.proto ~src_port:ft.src_port ~dst_port:ft.dst_port
 
 let field_matches field value ~eq =
   match field with None -> true | Some f -> eq f value

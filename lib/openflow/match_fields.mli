@@ -24,6 +24,18 @@ val any : t
 val of_five_tuple : Five_tuple.t -> t
 (** Match on the ident++ 5-tuple only (layer-2 fields wildcarded). *)
 
+val exact :
+  nw_src:Prefix.t option ->
+  nw_dst:Prefix.t option ->
+  proto:Proto.t ->
+  src_port:int ->
+  dst_port:int ->
+  t
+(** {!of_five_tuple} of the flow from [src_port] to [dst_port] over
+    [proto], its address fields given: [Some (Prefix.host a)] of each
+    end, which a caller building many matches keeps one of per address
+    and shares. *)
+
 val matches_flow : t -> in_port:int -> Packet.t -> bool
 (** Whether the packet, entering at [in_port], matches: each field
     against the packet's own, its network fields as

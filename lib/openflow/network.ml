@@ -297,9 +297,9 @@ let host_ip t name = (host_state t name).h_ip
 
 let host_by_ip t ip = Ip_tbl.find_opt t.host_of_ip ip
 
-let iter_path t ~src ~dst f =
+let iter_path t ~src ~dst f a =
   match (Ip_tbl.find t.host_of_ip src, Ip_tbl.find t.host_of_ip dst) with
-  | src, dst -> Topology.iter_path t.topology ~src ~dst f
+  | src, dst -> Topology.iter_path t.topology ~src ~dst f a
   | exception Not_found -> false
 
 let send_from_host t ~name pkt =

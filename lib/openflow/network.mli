@@ -70,8 +70,13 @@ val host_by_ip : t -> Ipv4.t -> string option
     its old one. *)
 
 val iter_path :
-  t -> src:Ipv4.t -> dst:Ipv4.t -> (Message.switch_id -> int -> unit) -> bool
-(** {!Topology.iter_path} between the hosts at two addresses: [f dpid
+  t ->
+  src:Ipv4.t ->
+  dst:Ipv4.t ->
+  ('a -> Message.switch_id -> int -> unit) ->
+  'a ->
+  bool
+(** {!Topology.iter_path} between the hosts at two addresses: [f a dpid
     out_port] for each switch on the path, in order. False, with no
     call, when either address is unknown or no path joins them. *)
 

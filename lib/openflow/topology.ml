@@ -243,28 +243,28 @@ let rec reaches r cur dst limit =
      | _, via -> reaches r via dst (limit - 1)
      | exception Not_found -> false
 
-let rec walk r cur dst last_port f =
-  if cur = dst then f cur last_port
+let rec walk r cur dst last_port f a =
+  if cur = dst then f a cur last_port
   else
     let out, via = Routing.next_exn r ~src:cur ~dst in
-    f cur out;
-    walk r via dst last_port f
+    f a cur out;
+    walk r via dst last_port f a
 
-let iter_path t ~src ~dst f =
+let iter_path t ~src ~dst f x =
   src <> dst
   &&
   match (Hashtbl.find t.attachments src, Hashtbl.find t.attachments dst) with
   | a, b ->
       let a_sw = sw_of a and b_sw = sw_of b in
       if a_sw = b_sw then begin
-        f a_sw b.port;
+        f x a_sw b.port;
         true
       end
       else
         let r = ensure_routing t in
         reaches r a_sw b_sw (Routing.switch_count r)
         && begin
-             walk r a_sw b_sw b.port f;
+             walk r a_sw b_sw b.port f x;
              true
            end
   | exception Not_found -> false
@@ -277,8 +277,8 @@ let switch_path t ~src ~dst =
     let in_port =
       ref (match host_attachment t src with Some a -> a.port | None -> 0)
     in
-    let add dpid out =
+    let add () dpid out =
       hops := (dpid, !in_port, out) :: !hops;
       Option.iter (fun far -> in_port := far.port) (peer t (Sw dpid) out)
     in
-    if iter_path t ~src ~dst add then Some (List.rev !hops) else None
+    if iter_path t ~src ~dst add () then Some (List.rev !hops) else None

@@ -78,10 +78,16 @@ val switch_path :
     next-hop tables. *)
 
 val iter_path :
-  t -> src:string -> dst:string -> (Message.switch_id -> int -> unit) -> bool
-(** [iter_path t ~src ~dst f] calls [f dpid out_port] for each switch on
-    the path {!switch_path} lists, in order, without building a list.
-    False, with no call, when there is no path or [src = dst]. *)
+  t ->
+  src:string ->
+  dst:string ->
+  ('a -> Message.switch_id -> int -> unit) ->
+  'a ->
+  bool
+(** [iter_path t ~src ~dst f a] calls [f a dpid out_port] for each
+    switch on the path {!switch_path} lists, in order, without building
+    a list: a closed [f] with its state in [a] allocates no closure per
+    walk. False, with no call, when there is no path or [src = dst]. *)
 
 val next_hop : t -> from:Message.switch_id -> dst_host:string -> int option
 (** The output port at switch [from] on a shortest path toward

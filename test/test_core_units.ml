@@ -844,6 +844,118 @@ let test_decide_alloc_flat () =
           app short long)
     [ ("firefox", 22.); ("dropbox", 22.) ]
 
+(* --- Pending_table --- *)
+
+(* A pending-table entry: its flow and its chain link. *)
+type pentry = { pflow : Five_tuple.t; mutable pnext : pentry }
+
+let rec no_pentry =
+  { pflow = Five_tuple.tcp ~src:Ipv4.any ~dst:Ipv4.any ~src_port:0 ~dst_port:0;
+    pnext = no_pentry }
+
+module PT = Identxx_core.Pending_table.Make (struct
+  type t = pentry
+
+  let vacant = no_pentry
+  let flow e = e.pflow
+  let next e = e.pnext
+  let set_next e n = e.pnext <- n
+end)
+
+type pop = P_add of int | P_remove of int | P_remove_absent of int | P_probe of int
+
+(* The in-place table against a [Hashtbl] model, over random adds,
+   removes and probes. Flows come from three addresses, two protocols
+   and three ports a side, so most of them are also pending the other
+   way round (the same ports between the same two hosts, as an answer's
+   two probes read them). The table starts at one cell, so every flow
+   collides until it grows, and grows past its first size many times
+   over. After each step the table holds what the model holds: its
+   length, and for the step's flow and its other orientation the same
+   entry (physically) or none, by [find] and by [probe]. *)
+let prop_pending_table =
+  let addrs = [| ip "10.0.0.1"; ip "10.0.0.2"; ip "10.0.1.1" |]
+  and ports = [| 80; 40000; 40001 |] in
+  let flows =
+    Array.of_list
+      (List.concat_map
+         (fun src ->
+           List.concat_map
+             (fun dst ->
+               List.concat_map
+                 (fun proto ->
+                   List.concat_map
+                     (fun src_port ->
+                       List.map
+                         (fun dst_port ->
+                           Five_tuple.make ~src ~dst ~proto ~src_port ~dst_port)
+                         (Array.to_list ports))
+                     (Array.to_list ports))
+                 [ Proto.Tcp; Proto.Udp ])
+             (Array.to_list addrs))
+         (Array.to_list addrs))
+  in
+  let n = Array.length flows in
+  let gen =
+    QCheck.Gen.(
+      list_size (int_range 1 600)
+        (frequency
+           [
+             (5, map (fun i -> P_add i) (int_bound (n - 1)));
+             (2, map (fun i -> P_remove i) (int_bound (n - 1)));
+             (1, map (fun i -> P_remove_absent i) (int_bound (n - 1)));
+             (3, map (fun i -> P_probe i) (int_bound (n - 1)));
+           ]))
+  in
+  let print ops =
+    String.concat "; "
+      (List.map
+         (function
+           | P_add i -> "add " ^ string_of_int i
+           | P_remove i -> "remove " ^ string_of_int i
+           | P_remove_absent i -> "remove-absent " ^ string_of_int i
+           | P_probe i -> "probe " ^ string_of_int i)
+         ops)
+  in
+  QCheck.Test.make ~name:"pending table agrees with a Hashtbl model" ~count:300
+    (QCheck.make gen ~print)
+    (fun ops ->
+      let table = PT.create 1 and model = Hashtbl.create 16 in
+      let agrees (f : Five_tuple.t) =
+        let want = Option.value (Hashtbl.find_opt model f) ~default:no_pentry in
+        PT.find table f == want
+        && PT.probe table ~src:f.src ~dst:f.dst ~proto:f.proto ~src_port:f.src_port
+             ~dst_port:f.dst_port
+           == want
+      in
+      let other_way (f : Five_tuple.t) = { f with src = f.dst; dst = f.src } in
+      List.for_all
+        (fun op ->
+          let i =
+            match op with P_add i | P_remove i | P_remove_absent i | P_probe i -> i
+          in
+          let f = flows.(i) in
+          (match op with
+          | P_add _ ->
+              if not (Hashtbl.mem model f) then begin
+                let e = { pflow = f; pnext = no_pentry } in
+                PT.add table e;
+                Hashtbl.replace model f e
+              end
+          | P_remove _ -> (
+              match Hashtbl.find_opt model f with
+              | Some e ->
+                  PT.remove table e;
+                  Hashtbl.remove model f
+              | None -> ())
+          | P_remove_absent _ ->
+              (* An entry for the same flow that is not the one held. *)
+              PT.remove table { pflow = f; pnext = no_pentry }
+          | P_probe _ -> ());
+          PT.length table = Hashtbl.length model && agrees f && agrees (other_way f))
+        ops
+      && Array.for_all agrees flows)
+
 let () =
   Alcotest.run "core_units"
     [
@@ -885,6 +997,7 @@ let () =
             test_policy_store_rule_reads_into_next_file;
           QCheck_alcotest.to_alcotest prop_policy_store_load;
         ] );
+      ("pending", [ QCheck_alcotest.to_alcotest prop_pending_table ]);
       ( "query_plan",
         [ QCheck_alcotest.to_alcotest prop_intercept_table ] );
       ("services", [ Alcotest.test_case "lookup" `Quick test_services_lookup ]);
