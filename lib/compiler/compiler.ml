@@ -9,7 +9,7 @@ type decision = Decide of Pf.Ast.action | Punt
 
 type entry = {
   e_fields : MF.t;
-  e_priority : int;
+  mutable e_priority : int;
   e_decision : decision;
   e_lines : int list;
 }
@@ -322,10 +322,12 @@ let no_entry = { e_fields = MF.any; e_priority = unnumbered; e_decision = Punt; 
    keeps the installed coverage what it is); the tail collapse drops it
    when [dropped] says ['d']. [other] has the decision bits that keep a
    rule from collapsing: all but the final rule's, or none when that
-   rule punts. *)
+   rule punts. [fresh] says ['f'] for a rule this compile built, which
+   nothing else holds yet, so numbering sets its priority in place. *)
 type writer = {
   old : entry array;
   rules : entry array;
+  fresh : Bytes.t;
   vols : float array;
   dropped : Bytes.t;
   mutable n : int;
@@ -439,15 +441,19 @@ let above level (m : MF.t) =
    sat where it does and has its match; else a rule matching [m]. *)
 let emit w leaf o m ctx =
   let i = w.n in
+  let e = if o < 0 then no_entry else w.old.(o) in
   w.rules.(i) <-
-    (if o < 0 then
-       { e_fields = m; e_priority = unnumbered; e_decision = leaf.l_decision; e_lines = leaf.l_lines }
-     else
-       let e = w.old.(o) in
-       if e.e_decision <> leaf.l_decision then
+    (if o >= 0 && e.e_decision = leaf.l_decision
+        && (e.e_lines == leaf.l_lines || e.e_lines = leaf.l_lines)
+     then e
+     else begin
+       Bytes.set w.fresh i 'f';
+       if o < 0 then
+         { e_fields = m; e_priority = unnumbered; e_decision = leaf.l_decision; e_lines = leaf.l_lines }
+       else if e.e_decision <> leaf.l_decision then
          { e with e_priority = unnumbered; e_decision = leaf.l_decision; e_lines = leaf.l_lines }
-       else if e.e_lines == leaf.l_lines || e.e_lines = leaf.l_lines then e
-       else { e with e_lines = leaf.l_lines });
+       else { e with e_lines = leaf.l_lines }
+     end);
   let v = ref 1.0 in
   for l = levels - 1 downto 0 do
     v := !v *. w.share.(l)
@@ -527,21 +533,27 @@ let rec final_decision pl =
 let rec next_numbered t k =
   if k < Array.length t && t.(k).e_priority = unnumbered then next_numbered t (k + 1) else k
 
+(* [t.(i)] at priority [p]: set in place when [fresh] says ['f'] at
+   [i], else a copy. *)
+let reprioritize t fresh i p =
+  if t.(i).e_priority <> p then
+    if Bytes.get fresh i = 'f' then t.(i).e_priority <- p
+    else t.(i) <- { (t.(i)) with e_priority = p }
+
 (* [t.(j)] to [t.(k - 1)], spaced evenly between [above] and [below]. *)
-let spread t above below j k =
+let spread t fresh above below j k =
   for x = j to k - 1 do
-    let p = above - ((above - below) * (x - j + 1) / (k - j + 1)) in
-    if t.(x).e_priority <> p then t.(x) <- { (t.(x)) with e_priority = p }
+    reprioritize t fresh x (above - ((above - below) * (x - j + 1) / (k - j + 1)))
   done
 
 (* Whether each gap from [t.(j)] on, below [above], has room for the
    unnumbered entries in it; unless [dry], space them in it. *)
-let rec fill ~dry t above j =
+let rec fill ~dry t fresh above j =
   let k = next_numbered t j in
   let below = if k = Array.length t then priority_floor - 1 else t.(k).e_priority in
   above - below > k - j
-  && (dry || (spread t above below j k; true))
-  && (k = Array.length t || fill ~dry t below (k + 1))
+  && (dry || (spread t fresh above below j k; true))
+  && (k = Array.length t || fill ~dry t fresh below (k + 1))
 
 (* Give each entry of [t] left [unnumbered] a priority, strictly
    descending inside [\[priority_floor, priority_top\]]: spaced evenly
@@ -549,10 +561,10 @@ let rec fill ~dry t above j =
    neighbours at [priority_top + 1] and [priority_floor - 1]. When some
    gap has no room, the whole table is spread evenly over the band, as
    it is on a first install. *)
-let number t =
+let number t fresh =
   let top = priority_top + 1 in
-  if not (fill ~dry:true t top 0 && fill ~dry:false t top 0) then
-    spread t top (priority_floor - 1) 0 (Array.length t)
+  if not (fill ~dry:true t fresh top 0 && fill ~dry:false t fresh top 0) then
+    spread t fresh top (priority_floor - 1) 0 (Array.length t)
 
 (* [t] as a list that shares the longest run of entries ending it that
    the last compile's table ends in too, record for record. *)
@@ -606,6 +618,7 @@ let compile ?cache ?(max_entries = default_max_entries)
     {
       old = cache.last_rules;
       rules = Array.make size no_entry;
+      fresh = Bytes.make size ' ';
       vols = Array.create_float size;
       dropped = Bytes.make size 'k';
       n = 0;
@@ -636,6 +649,7 @@ let compile ?cache ?(max_entries = default_max_entries)
   let truncated = !count > max_entries in
   let keep = if truncated then max_entries - 1 else !count in
   let table = Array.make (if truncated then max_entries else keep) no_entry in
+  let table_fresh = Bytes.make (Array.length table) ' ' in
   let m = Array.length cache.last_table in
   if truncated && m > 0 && cache.last_table.(m - 1).e_decision = Punt then
     table.(keep) <- cache.last_table.(m - 1);
@@ -645,13 +659,16 @@ let compile ?cache ?(max_entries = default_max_entries)
   for i = 0 to size - 1 do
     if kept i then begin
       let static = match rules.(i).e_decision with Decide _ -> true | Punt -> false in
-      if !j < keep then table.(!j) <- rules.(i);
+      if !j < keep then begin
+        table.(!j) <- rules.(i);
+        Bytes.set table_fresh !j (Bytes.get w.fresh i)
+      end;
       if static && !j < keep then installed := !installed +. w.vols.(i)
       else if static then lost := !lost +. w.vols.(i);
       incr j
     end
   done;
-  number table;
+  number table table_fresh;
   (* What the next compile keeps: every rule the table holds at its
      priority, the others unnumbered. *)
   let j = ref 0 in
@@ -660,8 +677,7 @@ let compile ?cache ?(max_entries = default_max_entries)
       rules.(i) <- table.(!j);
       incr j
     end
-    else if rules.(i).e_priority <> unnumbered then
-      rules.(i) <- { (rules.(i)) with e_priority = unnumbered }
+    else reprioritize rules w.fresh i unnumbered
   done;
   let entries = share_suffix cache table in
   cache.last_root <- pl;

@@ -60,8 +60,11 @@ type decision =
 
 type entry = {
   e_fields : Openflow.Match_fields.t;
-  e_priority : int;
-      (** Strictly descending by position (see above). *)
+  mutable e_priority : int;
+      (** Strictly descending by position (see above). Mutable only so
+          that {!compile} numbers an entry it has just built in place,
+          which builds each new entry once; an entry it returns is
+          never written again. *)
   e_decision : decision;
   e_lines : int list;
       (** Possible deciding policy lines (0 = implicit default); empty

@@ -21,14 +21,30 @@ type rejection = {
 
 type summary = (string * string) list
 
+(* The log is a ring of columns, one row per held entry: two packed
+   flow words with the decision and [log] bits, the time, and the rule
+   and both summaries as pointers. The columns double from
+   [initial_rows] up to [capacity]; until they reach it they never wrap,
+   so the oldest row is row 0. *)
 type t = {
   capacity : int;
-  mutable entries : entry list; (* newest first *)
-  mutable length : int; (* List.length entries, kept so record is O(1) *)
+  mutable lo : int array; (* source address and port, decision bits *)
+  mutable hi : int array; (* destination address and port, protocol *)
+  mutable at : int array;
+  mutable rules : Pf.Ast.rule array; (* [no_rule] for none *)
+  mutable src_info : summary array;
+  mutable dst_info : summary array;
+  mutable trace_ids : string option array;
+      (* Empty until a record carries a trace, then as long as [at]. *)
+  mutable odd_flows : Five_tuple.t array;
+      (* Empty until a flow does not pack ([odd_code]), then as long as
+         [at]; only such a flow's row is read from it. *)
+  mutable next : int; (* the row the next record writes *)
+  mutable held : int;
   mutable buckets : summary list array;
       (* Interned summaries, each the one shared copy, by the hash of
-         their values; a power of two long. Emptied when the log trims,
-         and whenever they would outnumber the entries. *)
+         their values; a power of two long. Emptied whenever they would
+         outnumber the held entries. *)
   mutable interned : int;
   found : Identxx.Slice.t array;
       (* Where each interesting key's latest value sits in the answer
@@ -48,12 +64,37 @@ let interesting_keys =
     Identxx.Key_value.rule_maker;
   ]
 
+(* A rule that no verdict carries: the [rules] column's "no rule". *)
+let no_rule =
+  {
+    Pf.Ast.action = Pf.Ast.Pass;
+    quick = false;
+    log = false;
+    proto = None;
+    from_ = Pf.Ast.endpoint_any;
+    to_ = Pf.Ast.endpoint_any;
+    conds = [];
+    keep_state = false;
+    line = 0;
+  }
+
+let initial_rows = 16
+
 let create ?(capacity = 10_000) () =
   if capacity <= 0 then invalid_arg "Audit.create: capacity must be positive";
+  let rows = min capacity initial_rows in
   {
     capacity;
-    entries = [];
-    length = 0;
+    lo = Array.make rows 0;
+    hi = Array.make rows 0;
+    at = Array.make rows 0;
+    rules = Array.make rows no_rule;
+    src_info = Array.make rows [];
+    dst_info = Array.make rows [];
+    trace_ids = [||];
+    odd_flows = [||];
+    next = 0;
+    held = 0;
     buckets = Array.make 16 [];
     interned = 0;
     found = Array.make (List.length interesting_keys) Identxx.Slice.none;
@@ -63,8 +104,8 @@ let create ?(capacity = 10_000) () =
     rejections_length = 0;
   }
 
-(* Trim lazily: only when a list exceeds capacity by a margin, to keep
-   recording O(1) amortized. *)
+(* Rejections trim lazily: only when their list exceeds capacity by a
+   margin, to keep recording one O(1) amortized. *)
 let trimmed t l length =
   if length > t.capacity + (t.capacity / 4) then
     (List.filteri (fun i _ -> i < t.capacity) l, t.capacity)
@@ -143,7 +184,7 @@ let forget_summaries t =
   t.interned <- 0
 
 (* Twice the buckets once they hold twice as many summaries. *)
-let grow t =
+let grow_buckets t =
   let old = t.buckets in
   t.buckets <- Array.make (2 * Array.length old) [];
   Array.iter
@@ -153,7 +194,7 @@ let grow t =
     old
 
 let add_summary t h summary =
-  if t.interned >= 2 * Array.length t.buckets then grow t;
+  if t.interned >= 2 * Array.length t.buckets then grow_buckets t;
   let i = bucket t h in
   t.buckets.(i) <- summary :: t.buckets.(i);
   t.interned <- t.interned + 1
@@ -175,31 +216,109 @@ let intern t = function
         match find_in found s t.buckets.(bucket t h) with
         | _ :: _ as shared -> shared
         | [] ->
-            if t.interned >= t.length then forget_summaries t;
+            if t.interned >= t.held then forget_summaries t;
             let summary = build found s 0 interesting_keys in
             add_summary t h summary;
             summary
 
-let record ?trace_id t ~at ~flow ~(verdict : Pf.Eval.verdict) ~src ~dst =
-  let entry =
+(* --- packing a row ---
+
+   [lo] is the source address and port with the decision and [log] bits
+   above them; [hi] is the destination address and port with a protocol
+   code above. The code keeps [Proto.t] exactly: the named protocols by
+   their numbers, [Other n] as [256 + n], so [Other 6] stays apart from
+   [Tcp]. A flow with a port or protocol number that an IP header cannot
+   carry has [odd_code], and its row reads the flow from [odd_flows]. *)
+
+let block_bit = 1 lsl 48
+let log_bit = 1 lsl 49
+let odd_code = 512
+let odd_hi = odd_code lsl 48
+
+let proto_code : Proto.t -> int = function
+  | Icmp -> 1
+  | Tcp -> 6
+  | Udp -> 17
+  | Other n -> if n >= 0 && n <= 0xff then 256 + n else odd_code
+
+let proto_of_code c = if c < 256 then Proto.of_int c else Proto.Other (c - 256)
+let port_ok p = p >= 0 && p <= 0xffff
+
+let pack_lo (flow : Five_tuple.t) =
+  (Ipv4.to_int flow.src lsl 16) lor flow.src_port
+
+let pack_hi (flow : Five_tuple.t) =
+  let code = proto_code flow.proto in
+  if code = odd_code || not (port_ok flow.src_port && port_ok flow.dst_port)
+  then odd_hi
+  else (code lsl 48) lor (Ipv4.to_int flow.dst lsl 16) lor flow.dst_port
+
+let unpack t i : Five_tuple.t =
+  let lo = t.lo.(i) and hi = t.hi.(i) in
+  let code = hi lsr 48 in
+  if hi = odd_hi then t.odd_flows.(i)
+  else
     {
-      at;
-      flow;
-      trace_id;
-      decision = verdict.Pf.Eval.decision;
-      rule = verdict.Pf.Eval.matched;
-      flagged = verdict.Pf.Eval.log;
-      src_info = intern t src;
-      dst_info = intern t dst;
+      src = Ipv4.of_int ((lo lsr 16) land 0xffff_ffff);
+      src_port = lo land 0xffff;
+      dst = Ipv4.of_int ((hi lsr 16) land 0xffff_ffff);
+      dst_port = hi land 0xffff;
+      proto = proto_of_code code;
     }
+
+(* Twice the rows, up to [capacity]. Only a log that has not reached its
+   capacity grows, so its rows are in order from row 0. *)
+let grow_rows t =
+  let rows = min t.capacity (2 * Array.length t.at) in
+  (* An empty side column stays empty; a row past [held] is written
+     before it is read, so any value fills it. *)
+  let widen col =
+    if Array.length col = 0 then col
+    else
+      let wide = Array.make rows col.(0) in
+      Array.blit col 0 wide 0 t.held;
+      wide
   in
+  t.lo <- widen t.lo;
+  t.hi <- widen t.hi;
+  t.at <- widen t.at;
+  t.rules <- widen t.rules;
+  t.src_info <- widen t.src_info;
+  t.dst_info <- widen t.dst_info;
+  t.trace_ids <- widen t.trace_ids;
+  t.odd_flows <- widen t.odd_flows
+
+let record ?trace_id t ~at ~flow ~(verdict : Pf.Eval.verdict) ~src ~dst =
+  let src_info = intern t src in
+  let dst_info = intern t dst in
+  if t.held = Array.length t.at && t.held < t.capacity then grow_rows t;
+  let i = t.next in
+  let block = verdict.Pf.Eval.decision = Pf.Ast.Block in
+  let hi = pack_hi flow in
+  t.lo.(i) <-
+    (if hi = odd_hi then 0 else pack_lo flow)
+    lor (if block then block_bit else 0)
+    lor (if verdict.Pf.Eval.log then log_bit else 0);
+  t.hi.(i) <- hi;
+  t.at.(i) <- (at : Sim.Time.t :> int);
+  t.rules.(i) <-
+    (match verdict.Pf.Eval.matched with Some r -> r | None -> no_rule);
+  t.src_info.(i) <- src_info;
+  t.dst_info.(i) <- dst_info;
+  if Array.length t.trace_ids > 0 || Option.is_some trace_id then begin
+    if Array.length t.trace_ids = 0 then
+      t.trace_ids <- Array.make (Array.length t.at) None;
+    t.trace_ids.(i) <- trace_id
+  end;
+  if hi = odd_hi then begin
+    if Array.length t.odd_flows = 0 then
+      t.odd_flows <- Array.make (Array.length t.at) flow;
+    t.odd_flows.(i) <- flow
+  end;
+  t.next <- (if i + 1 = Array.length t.at then 0 else i + 1);
+  if t.held < Array.length t.at then t.held <- t.held + 1;
   t.count <- t.count + 1;
-  if verdict.Pf.Eval.decision = Pf.Ast.Block then t.blocked <- t.blocked + 1;
-  let entries, length = trimmed t (entry :: t.entries) (t.length + 1) in
-  (* A trim drops entries: drop the table that shares their summaries. *)
-  if length <= t.length then forget_summaries t;
-  t.entries <- entries;
-  t.length <- length
+  if block then t.blocked <- t.blocked + 1
 
 let record_rejection t ~at ~flow ~host ?signer reason =
   let rejections, length =
@@ -213,15 +332,54 @@ let record_rejection t ~at ~flow ~host ?signer reason =
 
 let rejections t = t.rejections
 
-let entries t = t.entries
-let rule_line e = Option.map (fun (r : Pf.Ast.rule) -> r.Pf.Ast.line) e.rule
+(* The [k]th held entry, oldest first. *)
+let entry t k =
+  let i =
+    if t.held < Array.length t.at then k
+    else (t.next + k) mod Array.length t.at
+  in
+  let lo = t.lo.(i) and rule = t.rules.(i) in
+  {
+    at = Sim.Time.ns t.at.(i);
+    flow = unpack t i;
+    decision = (if lo land block_bit <> 0 then Pf.Ast.Block else Pf.Ast.Pass);
+    rule = (if rule == no_rule then None else Some rule);
+    flagged = lo land log_bit <> 0;
+    src_info = t.src_info.(i);
+    dst_info = t.dst_info.(i);
+    trace_id = (if Array.length t.trace_ids = 0 then None else t.trace_ids.(i));
+  }
+
+(* The held entries that [keep], newest first. *)
+let collect t keep =
+  let rec go k acc =
+    if k = t.held then acc
+    else
+      let e = entry t k in
+      go (k + 1) (if keep e then e :: acc else acc)
+  in
+  go 0 []
+
+let entries t = collect t (fun _ -> true)
+let flagged t = collect t (fun e -> e.flagged)
+let length t = t.held
+let rule_line (e : entry) = Option.map (fun (r : Pf.Ast.rule) -> r.Pf.Ast.line) e.rule
 let summaries t = t.interned
-let flagged t = List.filter (fun e -> e.flagged) t.entries
 let count t = t.count
 let blocked_count t = t.blocked
+
 let clear t =
-  t.entries <- [];
-  t.length <- 0;
+  let fresh = create ~capacity:t.capacity () in
+  t.lo <- fresh.lo;
+  t.hi <- fresh.hi;
+  t.at <- fresh.at;
+  t.rules <- fresh.rules;
+  t.src_info <- fresh.src_info;
+  t.dst_info <- fresh.dst_info;
+  t.trace_ids <- [||];
+  t.odd_flows <- [||];
+  t.next <- 0;
+  t.held <- 0;
   forget_summaries t;
   t.count <- 0;
   t.blocked <- 0;
@@ -234,7 +392,7 @@ let pp_info ppf info =
     (fun ppf (k, v) -> Format.fprintf ppf "%s=%s" k v)
     ppf info
 
-let pp_entry ppf e =
+let pp_entry ppf (e : entry) =
   Format.fprintf ppf "%a %s %a%s src{%a} dst{%a}%s%s" Sim.Time.pp e.at
     (match e.decision with Pf.Ast.Pass -> "PASS " | Pf.Ast.Block -> "BLOCK")
     Five_tuple.pp e.flow
@@ -246,4 +404,6 @@ let pp_entry ppf e =
     (match e.trace_id with Some id -> " trace=" ^ id | None -> "")
 
 let pp ppf t =
-  List.iter (fun e -> Format.fprintf ppf "%a@." pp_entry e) (List.rev t.entries)
+  for k = 0 to t.held - 1 do
+    Format.fprintf ppf "%a@." pp_entry (entry t k)
+  done

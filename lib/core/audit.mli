@@ -10,10 +10,18 @@
     The log is on for every flow, so an entry points at what it records
     rather than copying it: the matched rule is the policy's own value,
     and equal summaries (flows of one process carry equal pairs) share
-    one list, interned in a per-log table that is emptied whenever the
-    log trims; an answer's summary is found there without being copied
-    ({!record}). An entry costs about 18 words (its list cell, record
-    and flow) beside what it shares. *)
+    one list, interned in a per-log table that is emptied whenever it
+    would hold more summaries than the log holds entries; an answer's
+    summary is found there without being copied ({!record}).
+
+    The log is a ring of columns, not a list of records: a held entry is
+    one row of six words (the flow packed in two ints with the decision
+    and [log] bits, the time, and pointers to the rule and both
+    summaries), plus a seventh, the trace id, only once a traced
+    decision has been recorded. The rows double up to the capacity, so
+    a log costs 6 to 12 words an entry beside what it shares, and
+    {!entries}, {!flagged} and {!pp} build their [entry] values when
+    called. *)
 
 open Netcore
 
@@ -39,7 +47,7 @@ type entry = {
 type t
 
 val create : ?capacity:int -> unit -> t
-(** Keeps the most recent [capacity] entries (default 10000). *)
+(** Keeps exactly the most recent [capacity] entries (default 10000). *)
 
 val record :
   ?trace_id:string ->
@@ -55,10 +63,15 @@ val record :
     value — is looked up among the interned ones by hashing and
     comparing its values where they sit in the payload; only a summary
     not interned yet is copied out, as a list. A record whose answers'
-    summaries are interned allocates its entry alone. *)
+    summaries are interned allocates nothing once the log's rows have
+    grown to hold it. *)
 
 val entries : t -> entry list
-(** Newest first. *)
+(** Newest first, built on each call: the rules and summaries are the
+    recorded ones, physically. *)
+
+val length : t -> int
+(** The entries held: [List.length (entries t)], in O(1). *)
 
 val rule_line : entry -> int option
 (** The matching rule's line in the concatenated policy. *)

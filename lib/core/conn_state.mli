@@ -1,6 +1,16 @@
 (** Connection state for [keep state] rules: remembering approved flows
     so reply traffic passes without re-consulting policy, with idle
-    expiry. *)
+    expiry.
+
+    The table is open addressing over one int array: a slot is three
+    ints, the flow packed in two (source address and port; destination
+    address, port and protocol number) and its last-seen time, and at
+    most half the slots are in use, so an entry costs 6 to 12 words.
+    {!note} and {!permits} allocate nothing; {!expire} and {!revoke}
+    rebuild the table from the entries they keep. A flow whose port or
+    protocol number an IP header cannot carry (an [Other n] outside
+    [0, 255], as no packet parses) is never recorded: {!note} ignores
+    it and {!permits} is [false] for it. *)
 
 open Netcore
 
@@ -31,3 +41,5 @@ val expire : t -> now:Sim.Time.t -> int
     dropped. {!permits} already treats such an entry as absent. *)
 
 val clear : t -> unit
+(** Drop every entry; the next sweep is due at 128 entries again, so the
+    bound of {!note} holds from the clear on. *)

@@ -57,6 +57,9 @@ type leg = {
   mutable query : Identxx.Query.t option;
       (* Written at the query's first send, its nonce drawn then when
          answers must be signed; a retry resends it. *)
+  mutable requeried : bool;
+      (* An answer that did not cover this end re-asked it once; the
+         next such answer fails it. *)
 }
 
 type pending = {
@@ -173,7 +176,14 @@ type stats = {
    live. *)
 let rec no_pending =
   let idle () =
-    { answer = None; awaiting = false; qspan = Obs.Span.null; sent = -1; query = None }
+    {
+      answer = None;
+      awaiting = false;
+      qspan = Obs.Span.null;
+      sent = -1;
+      query = None;
+      requeried = false;
+    }
   in
   {
     p_flow = Five_tuple.tcp ~src:Ipv4.any ~dst:Ipv4.any ~src_port:0 ~dst_port:0;
@@ -955,7 +965,14 @@ let on_timeout t p =
    ([pre], as {!fast_resolve} returns it). *)
 let new_leg ~want pre =
   let awaiting = want && Option.is_none pre in
-  { answer = Option.join pre; awaiting; qspan = Obs.Span.null; sent = -1; query = None }
+  {
+    answer = Option.join pre;
+    awaiting;
+    qspan = Obs.Span.null;
+    sent = -1;
+    query = None;
+    requeried = false;
+  }
 
 (* The fast path, before any Figure-1 exchange: try to resolve [end_]
    of [flow], if [want]ed, from a settled answer, or, for a host whose
@@ -1284,12 +1301,18 @@ let step t ~now input =
       let p = Pending.find t.pending flow in
       if p != no_pending then settle_end ?dtrace t p end_ settled
   | Requery { flow; end_ } ->
-      (* Its own query, with its own nonce and trace context. *)
+      (* Its own query, with its own nonce and trace context, once: a
+         host that answers the same way again does not speak for this
+         end, and asking on would not change its answer. *)
       let p = Pending.find t.pending flow in
-      if p != no_pending && (leg p end_).awaiting then begin
-        Events.note t.ev ~now p.p_span (end_ip flow end_) `Query_out_of_scope;
-        resend t p end_
-      end
+      let l = leg p end_ in
+      if p != no_pending && l.awaiting then
+        if l.requeried then settle_end t p end_ (Failed "out-of-scope")
+        else begin
+          l.requeried <- true;
+          Events.note t.ev ~now p.p_span (end_ip flow end_) `Query_out_of_scope;
+          resend t p end_
+        end
   | Timeout p -> on_timeout t p
   | Vacant -> ()
 

@@ -119,9 +119,9 @@ let put_lp_sub c s pos len =
 
 (* "-" for a silent end, "R" then what the policy can read for an
    answer. A read key's values go in [Response.all_values] order, each
-   copied from where it sits in the payload, closed by ';'; with
-   [sections], every pair of every section, each section opened by
-   '|'. *)
+   copied from where it sits in the payload, closed by ';'; without
+   read keys, every pair of every section, each section opened by '|',
+   copied from the payload the same way. *)
 let rec put_reads c r = function
   | [] -> ()
   | key :: keys ->
@@ -129,45 +129,35 @@ let rec put_reads c r = function
       put_char c ';';
       put_reads c r keys
 
-let put_sections c sections =
-  List.iter
-    (fun section ->
-      put_char c '|';
-      List.iter
-        (fun (p : Identxx.Key_value.pair) ->
-          ignore (put_lp_sub c p.key 0 (String.length p.key) : cursor);
-          ignore (put_lp_sub c p.value 0 (String.length p.value) : cursor))
-        section)
-    sections
+let open_section c =
+  put_char c '|';
+  c
 
-let put_answer c reads sections = function
+let put_pair c s i k e = put_lp_sub (put_lp_sub c s i (k - i)) s (k + 2) (e - k - 2)
+
+let put_answer c reads = function
   | None -> put_char c '-'
   | Some r -> (
       put_char c 'R';
-      match reads with Some keys -> put_reads c r keys | None -> put_sections c sections)
+      match reads with
+      | Some keys -> put_reads c r keys
+      | None -> ignore (Identxx.Response.fold_pairs r open_section put_pair c : cursor))
 
-let put_key c shape (flow : Five_tuple.t) ~src ~dst ~src_sections ~dst_sections =
+let put_key c shape (flow : Five_tuple.t) ~src ~dst =
   c.pos <- 0;
   put_int c '>' (Ipv4.to_int flow.src);
   put_int c '/' (Ipv4.to_int flow.dst);
   put_int c ':' (Proto.to_int flow.proto);
   if shape.src_port then put_int c ':' flow.src_port else put_string c "*:";
   put_int c ',' flow.dst_port;
-  put_answer c shape.reads src_sections src;
-  put_answer c shape.reads dst_sections dst
-
-(* Every section, decoded once for both passes, when the key carries
-   them all. *)
-let sections_for shape = function
-  | Some r when shape.reads = None -> Identxx.Response.sections r
-  | Some _ | None -> []
+  put_answer c shape.reads src;
+  put_answer c shape.reads dst
 
 let decision_key shape ~(flow : Five_tuple.t) ~src ~dst =
-  let src_sections = sections_for shape src and dst_sections = sections_for shape dst in
   let c = { b = Bytes.empty; pos = 0 } in
-  put_key c shape flow ~src ~dst ~src_sections ~dst_sections;
+  put_key c shape flow ~src ~dst;
   c.b <- Bytes.create c.pos;
-  put_key c shape flow ~src ~dst ~src_sections ~dst_sections;
+  put_key c shape flow ~src ~dst;
   Bytes.unsafe_to_string c.b
 
 let find_decision t ~key = Decision_cache.find t.decisions ~key

@@ -122,6 +122,13 @@ let add_section () acc s i stop = List.rev (Payload.fold_pairs add_pair () [] s 
 let sections t =
   List.rev (Payload.fold_sections add_section () [] t.payload (Payload.body t))
 
+let pair_at (_, pair) acc s i k e = pair acc s i k e
+let section_at ((section, _) as st) acc s i stop =
+  Payload.fold_pairs pair_at st (section acc) s i stop
+
+let fold_pairs t section pair acc =
+  Payload.fold_sections section_at (section, pair) acc t.payload (Payload.body t)
+
 let encode t = t.payload
 
 (* --- decoding ---

@@ -63,6 +63,14 @@ val sections : t -> Key_value.section list
 (** The sections, decoded from the payload on every call: for tests and
     other callers off the flow-setup path. *)
 
+val fold_pairs :
+  t -> ('a -> 'a) -> ('a -> string -> int -> int -> int -> 'a) -> 'a -> 'a
+(** [fold_pairs t section pair acc] walks {!sections} where they sit:
+    [section acc] as each section opens, then [pair acc payload i k e]
+    for each of its pairs in order, the key [String.sub payload i
+    (k - i)] and the value [String.sub payload (k + 2) (e - k - 2)].
+    Copies nothing. *)
+
 val encode : t -> string
 (** The payload; allocates nothing:
     {v

@@ -92,8 +92,8 @@ let set_attr sp k v =
 let force_sample sp = if sp.live then sp.sp_keep <- true
 let is_sampled sp = sp.sp_keep
 
-(* Roots are retained newest-first with the same lazy trim as
-   Audit.record, so finishing stays O(1) amortized. *)
+(* Roots are retained newest-first and trimmed lazily, past a quarter
+   over capacity, so finishing stays O(1) amortized. *)
 let retain t sp =
   t.total <- t.total + 1;
   t.roots <- sp :: t.roots;

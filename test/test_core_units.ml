@@ -62,6 +62,29 @@ let test_conn_state_stays_bounded () =
   if !largest > 2 * live then
     Alcotest.failf "%d entries for %d live flows" !largest live
 
+(* A clear starts the sweep schedule over: after 5,000 flows noted at
+   once and cleared, flows noted one per 10 ms under a one-second idle
+   timeout (about 101 inside it) never grow the table past 2 * 101 or
+   the 128 floor. While a clear kept the old sweep point, the table
+   grew to 8,191 entries, nearly all stale, before its next sweep. *)
+let test_conn_state_bounded_after_clear () =
+  let cs = Identxx_core.Conn_state.create ~idle_timeout:(Sim.Time.s 1) () in
+  let note i ~now =
+    Identxx_core.Conn_state.note cs ~now
+      (Five_tuple.tcp ~src:(Ipv4.of_int (0x0a00_0000 + i)) ~dst:(ip "10.255.0.1")
+         ~src_port:40000 ~dst_port:80)
+  in
+  for i = 1 to 5_000 do
+    note i ~now:Sim.Time.zero
+  done;
+  Identxx_core.Conn_state.clear cs;
+  let largest = ref 0 in
+  for i = 1 to 10_000 do
+    note (10_000 + i) ~now:(Sim.Time.ms (10 * i));
+    largest := max !largest (Identxx_core.Conn_state.size cs)
+  done;
+  if !largest > 2 * 101 then Alcotest.failf "%d entries for about 101 live flows" !largest
+
 (* --- Audit --- *)
 
 let verdict ?(decision = Pf.Ast.Pass) ?(log = false) () =
@@ -88,8 +111,9 @@ let test_audit_capacity_trims () =
     Identxx_core.Audit.record a ~at:Sim.Time.zero ~flow:f ~verdict:(verdict ())
       ~src:None ~dst:None
   done;
-  check Alcotest.bool "bounded" true
-    (List.length (Identxx_core.Audit.entries a) <= 13);
+  check Alcotest.int "the newest 10 held" 10
+    (List.length (Identxx_core.Audit.entries a));
+  check Alcotest.int "length" 10 (Identxx_core.Audit.length a);
   check Alcotest.int "total count still exact" 100 (Identxx_core.Audit.count a)
 
 let test_audit_summarizes_responses () =
@@ -143,14 +167,16 @@ let test_audit_interns_summaries () =
 
 (* [Audit.record] interns an answer's summary in place: its values are
    hashed and compared where they sit in the payload, and a list is
-   built only for a summary not yet interned. A record whose two answers
-   hit interned summaries allocates exactly what one without answers
-   does (its entry and list cell): 0 words for the summaries, where each
-   was built as a list and dropped on the hit (33 words an answer on
-   enterprise-steady). The interned summary is the list of each
+   built only for a summary not yet interned. Once the log's rows have
+   grown to its capacity, a record allocates nothing, with or without
+   answers: no summary, where each was built as a list and dropped on
+   the hit (33 words an answer on enterprise-steady), and no entry,
+   where each was a record, a flow and a list cell (about 13 words
+   amortized with the trims). The interned summary is the list of each
    interesting key's [Response.latest] value, shared. *)
 let test_audit_record_hit_alloc () =
-  let a = Identxx_core.Audit.create () in
+  let capacity = 64 in
+  let a = Identxx_core.Audit.create ~capacity () in
   let f = flow "1.1.1.1" "2.2.2.2" in
   let r =
     pairs_response f
@@ -164,7 +190,9 @@ let test_audit_record_hit_alloc () =
     let record () =
       Identxx_core.Audit.record a ~at:Sim.Time.zero ~flow:f ~verdict:v ~src ~dst
     in
-    record ();
+    for _ = 1 to capacity do
+      record ()
+    done;
     let rounds = 100 in
     let before = Gc.minor_words () in
     for _ = 1 to rounds do
@@ -172,9 +200,8 @@ let test_audit_record_hit_alloc () =
     done;
     (Gc.minor_words () -. before) /. float_of_int rounds
   in
-  let bare = words None None in
-  check (Alcotest.float 0.) "no summary words on a hit" bare
-    (words (Some r) (Some r));
+  check (Alcotest.float 0.) "no words without answers" 0. (words None None);
+  check (Alcotest.float 0.) "no words on a hit" 0. (words (Some r) (Some r));
   match Identxx_core.Audit.entries a with
   | e :: _ ->
       check Alcotest.bool "the one interned summary, shared" true
@@ -224,7 +251,7 @@ let test_audit_stays_bounded () =
     let src = pairs_response f [ ("userID", "u" ^ string_of_int i) ] in
     Identxx_core.Audit.record a ~at:(Sim.Time.ms i) ~flow:f
       ~verdict:(verdict ()) ~src:(Some src) ~dst:None;
-    let held = List.length (Identxx_core.Audit.entries a) in
+    let held = Identxx_core.Audit.length a in
     if Identxx_core.Audit.summaries a > held then
       Alcotest.failf "%d summaries for %d entries"
         (Identxx_core.Audit.summaries a) held;
@@ -232,6 +259,374 @@ let test_audit_stays_bounded () =
   done;
   if !largest > 60_000 then
     Alcotest.failf "%d reachable words for a log of 1,000" !largest
+
+(* --- the packed layouts against list and Hashtbl models --- *)
+
+(* Flows whose packing is tested: every protocol kind, [Other n] on a
+   named protocol's number (which must stay [Other]), the edge ports,
+   and flows no IP header carries (a protocol number past 255, a port
+   past 65535), which the audit log keeps aside and the keep-state
+   table never holds. *)
+let packed_flows =
+  let addrs = [ ip "10.0.0.1"; ip "10.0.0.2"; Ipv4.of_int 0xffff_ffff; Ipv4.any ] in
+  let protos =
+    Proto.[ Tcp; Udp; Icmp; Other 0; Other 6; Other 47; Other 255 ]
+  in
+  let tuples =
+    List.concat_map
+      (fun proto ->
+        List.concat_map
+          (fun (src, dst) ->
+            List.map
+              (fun (src_port, dst_port) ->
+                { Five_tuple.src; dst; proto; src_port; dst_port })
+              [ (40000, 80); (80, 40000); (0, 0xffff) ])
+          [
+            (List.nth addrs 0, List.nth addrs 1);
+            (List.nth addrs 1, List.nth addrs 0);
+            (List.nth addrs 2, List.nth addrs 3);
+          ])
+      protos
+  in
+  let unpackable =
+    [
+      { (List.hd tuples) with Five_tuple.proto = Proto.Other 300 };
+      { (List.hd tuples) with Five_tuple.proto = Proto.Other (-1) };
+      { (List.hd tuples) with Five_tuple.dst_port = 70_000 };
+    ]
+  in
+  Array.of_list (tuples @ unpackable)
+
+let packs (f : Five_tuple.t) =
+  let p = Proto.to_int f.proto in
+  p >= 0 && p <= 255 && f.src_port <= 0xffff && f.dst_port <= 0xffff
+
+let audit_rules =
+  match Pf.Env.of_string "pass all\nblock log all\npass log all" with
+  | Ok env -> Array.of_list (Pf.Env.rules env)
+  | Error e -> failwith e
+
+let audit_answers =
+  [|
+    None;
+    Some [ ("userID", "alice"); ("name", "firefox") ];
+    Some [ ("userID", "alice"); ("name", "firefox"); ("blob", "x") ];
+    Some [ ("userID", "bob"); ("groupID", "staff"); ("version", "2") ];
+    Some [ ("blob", "only unread keys") ];
+    Some [];
+  |]
+
+type audit_op = {
+  a_flow : int;
+  a_block : bool;
+  a_log : bool;
+  a_rule : int; (* -1: no rule *)
+  a_src : int;
+  a_dst : int;
+  a_trace : string option;
+}
+
+(* Random decisions into a log of 1 to 12 entries, past several
+   wrap-arounds, against a list of the entries a log keeps: the newest
+   [capacity], newest first, each field as recorded, the rule the
+   policy's own value, and each summary the latest value of each
+   interesting key the answer binds. *)
+let prop_audit_ring =
+  let n = Array.length packed_flows in
+  let op =
+    QCheck.Gen.(
+      let* a_flow = int_bound (n - 1) in
+      let* a_block = bool in
+      let* a_log = bool in
+      let* a_rule = int_range (-1) (Array.length audit_rules - 1) in
+      let* a_src = int_bound (Array.length audit_answers - 1) in
+      let* a_dst = int_bound (Array.length audit_answers - 1) in
+      let* a_trace = opt ~ratio:0.3 (oneofl [ "t1"; "t2" ]) in
+      return { a_flow; a_block; a_log; a_rule; a_src; a_dst; a_trace })
+  in
+  let gen = QCheck.Gen.(pair (int_range 1 12) (list_size (int_bound 60) op)) in
+  let print (capacity, ops) =
+    Printf.sprintf "capacity %d: %s" capacity
+      (String.concat "; "
+         (List.map
+            (fun o ->
+              Printf.sprintf "%s%s%s rule %d src %d dst %d%s"
+                (Five_tuple.to_string packed_flows.(o.a_flow))
+                (if o.a_block then " block" else " pass")
+                (if o.a_log then " log" else "")
+                o.a_rule o.a_src o.a_dst
+                (match o.a_trace with Some t -> " trace " ^ t | None -> ""))
+            ops))
+  in
+  let summary = function
+    | None -> []
+    | Some pairs ->
+        List.filter_map
+          (fun k -> Option.map (fun v -> (k, v)) (List.assoc_opt k (List.rev pairs)))
+          Identxx_core.Audit.interesting_keys
+  in
+  QCheck.Test.make ~name:"audit ring agrees with a list model" ~count:500
+    (QCheck.make gen ~print)
+    (fun (capacity, ops) ->
+      let a = Identxx_core.Audit.create ~capacity () in
+      let model = ref [] and i = ref 0 in
+      List.iter
+        (fun o ->
+          incr i;
+          let flow = packed_flows.(o.a_flow) in
+          let rule = if o.a_rule < 0 then None else Some audit_rules.(o.a_rule) in
+          let answer k = Option.map (pairs_response flow) audit_answers.(k) in
+          let verdict =
+            {
+              Pf.Eval.decision = (if o.a_block then Pf.Ast.Block else Pf.Ast.Pass);
+              matched = rule;
+              keep_state = false;
+              log = o.a_log;
+            }
+          in
+          Identxx_core.Audit.record ?trace_id:o.a_trace a ~at:(Sim.Time.ms !i) ~flow
+            ~verdict ~src:(answer o.a_src) ~dst:(answer o.a_dst);
+          model :=
+            List.filteri
+              (fun j _ -> j < capacity)
+              ( (!i, flow, verdict, audit_answers.(o.a_src), audit_answers.(o.a_dst),
+                 o.a_trace)
+              :: !model ))
+        ops;
+      let fail fmt = QCheck.Test.fail_reportf fmt in
+      let entries = Identxx_core.Audit.entries a in
+      if List.length entries <> List.length !model then
+        fail "%d entries, the model %d" (List.length entries) (List.length !model);
+      List.iter2
+        (fun (e : Identxx_core.Audit.entry) (at, flow, (v : Pf.Eval.verdict), src, dst, trace) ->
+          if e.at <> Sim.Time.ms at then fail "entry %d at %a" at Sim.Time.pp e.at;
+          if e.flow <> flow then
+            fail "entry %d: flow %s, recorded %s" at (Five_tuple.to_string e.flow)
+              (Five_tuple.to_string flow);
+          if e.decision <> v.decision || e.flagged <> v.log then fail "entry %d: verdict" at;
+          (match (e.rule, v.matched) with
+          | None, None -> ()
+          | Some r, Some r' when r == r' -> ()
+          | _ -> fail "entry %d: not the policy's own rule" at);
+          if e.src_info <> summary src || e.dst_info <> summary dst then
+            fail "entry %d: summaries" at;
+          if e.trace_id <> trace then fail "entry %d: trace" at)
+        entries !model;
+      let held = List.length !model in
+      if Identxx_core.Audit.length a <> held then fail "length %d" (Identxx_core.Audit.length a);
+      if Identxx_core.Audit.count a <> List.length ops then fail "count";
+      if
+        Identxx_core.Audit.blocked_count a
+        <> List.length (List.filter (fun o -> o.a_block) ops)
+      then fail "blocked count";
+      if
+        List.map (fun (e : Identxx_core.Audit.entry) -> e.at) (Identxx_core.Audit.flagged a)
+        <> List.filter_map
+             (fun (at, _, (v : Pf.Eval.verdict), _, _, _) ->
+               if v.log then Some (Sim.Time.ms at) else None)
+             !model
+      then fail "flagged";
+      if Identxx_core.Audit.summaries a > held then
+        fail "%d summaries for %d entries" (Identxx_core.Audit.summaries a) held;
+      let printed = Format.asprintf "%a" Identxx_core.Audit.pp a
+      and oldest_first =
+        String.concat ""
+          (List.rev_map
+             (fun e -> Format.asprintf "%a@." Identxx_core.Audit.pp_entry e)
+             entries)
+      in
+      if printed <> oldest_first then fail "pp: %S" printed;
+      true)
+
+type conn_op =
+  | C_note of int
+  | C_permits of int
+  | C_bulk of int (* note this many flows seen once *)
+  | C_advance of int (* simulated seconds *)
+  | C_expire
+  | C_revoke of int
+  | C_clear
+
+module Flow_tbl = Hashtbl.Make (Five_tuple)
+
+(* Random keep-state operations, with flows noted both ways and bulk
+   arrivals that cross the 128-entry sweep and grow the table, against
+   a Hashtbl of last-seen times that applies [Conn_state]'s rules as
+   its interface states them. *)
+let prop_conn_state_model =
+  let n = Array.length packed_flows in
+  let gen =
+    QCheck.Gen.(
+      list_size (int_bound 120)
+        (frequency
+           [
+             (6, map (fun i -> C_note i) (int_bound (n - 1)));
+             (6, map (fun i -> C_permits i) (int_bound (n - 1)));
+             (1, map (fun k -> C_bulk k) (int_range 1 150));
+             (3, map (fun s -> C_advance s) (int_range 1 8));
+             (1, return C_expire);
+             (1, map (fun i -> C_revoke i) (int_bound (n - 1)));
+             (1, return C_clear);
+           ]))
+  in
+  let print ops =
+    String.concat "; "
+      (List.map
+         (function
+           | C_note i -> "note " ^ Five_tuple.to_string packed_flows.(i)
+           | C_permits i -> "permits " ^ Five_tuple.to_string packed_flows.(i)
+           | C_bulk k -> Printf.sprintf "bulk %d" k
+           | C_advance s -> Printf.sprintf "advance %ds" s
+           | C_expire -> "expire"
+           | C_revoke i -> "revoke " ^ Ipv4.to_string packed_flows.(i).src
+           | C_clear -> "clear")
+         ops)
+  in
+  QCheck.Test.make ~name:"keep-state table agrees with a Hashtbl model" ~count:500
+    (QCheck.make gen ~print)
+    (fun ops ->
+      let idle = Sim.Time.s 10 in
+      let cs = Identxx_core.Conn_state.create ~idle_timeout:idle () in
+      let model = Flow_tbl.create 16 and sweep_at = ref 128 in
+      let now = ref Sim.Time.zero and bulk = ref 0 in
+      let fresh last = Sim.Time.compare !now (Sim.Time.add last idle) <= 0 in
+      let drop doomed =
+        let gone = Flow_tbl.fold (fun f last acc -> if doomed f last then f :: acc else acc) model [] in
+        List.iter (Flow_tbl.remove model) gone;
+        List.length gone
+      in
+      let note f =
+        if packs f then begin
+          Flow_tbl.replace model f !now;
+          if Flow_tbl.length model >= !sweep_at then begin
+            ignore (drop (fun _ last -> not (fresh last)));
+            sweep_at := max 128 (2 * Flow_tbl.length model)
+          end
+        end;
+        Identxx_core.Conn_state.note cs ~now:!now f
+      in
+      let check what want got =
+        want = got
+        || QCheck.Test.fail_reportf "%s: the model says %d, the table %d" what want got
+      in
+      List.for_all
+        (fun op ->
+          (match op with
+          | C_note i -> note packed_flows.(i)
+          | C_permits i ->
+              let f = packed_flows.(i) in
+              let hit g =
+                match Flow_tbl.find_opt model g with
+                | Some last when fresh last ->
+                    Flow_tbl.replace model g !now;
+                    true
+                | Some _ | None -> false
+              in
+              let want = hit f || hit (Five_tuple.reverse f) in
+              ignore
+                (check ("permits " ^ Five_tuple.to_string f) (Bool.to_int want)
+                   (Bool.to_int (Identxx_core.Conn_state.permits cs ~now:!now f)))
+          | C_bulk k ->
+              for _ = 1 to k do
+                incr bulk;
+                note
+                  (Five_tuple.udp ~src:(Ipv4.of_int (0x0b00_0000 + !bulk))
+                     ~dst:(ip "10.0.0.2") ~src_port:(!bulk land 0xffff) ~dst_port:53)
+              done
+          | C_advance s -> now := Sim.Time.add !now (Sim.Time.s s)
+          | C_expire ->
+              let want = drop (fun _ last -> not (fresh last)) in
+              ignore (check "expire" want (Identxx_core.Conn_state.expire cs ~now:!now))
+          | C_revoke i ->
+              let target = packed_flows.(i).src in
+              let want =
+                drop (fun f _ -> Ipv4.equal f.src target || Ipv4.equal f.dst target)
+              in
+              ignore (check "revoke" want (Identxx_core.Conn_state.revoke cs ~ip:target))
+          | C_clear ->
+              Flow_tbl.reset model;
+              sweep_at := 128;
+              Identxx_core.Conn_state.clear cs);
+          check "size" (Flow_tbl.length model) (Identxx_core.Conn_state.size cs))
+        ops)
+
+(* --- footprints and allocation of the packed layouts --- *)
+
+(* A held audit entry is one row of six words: two packed flow ints,
+   the time, and the rule and both summaries as pointers. A log that
+   has seen [n] decisions has fewer than twice [n] rows, so its words
+   per entry, beside the summaries and rules it shares, stay between 6
+   and 12 whatever [n]. Measured 6.19 at 1,000 entries (1,024 rows) and
+   6.00 at 10,000 (the capacity); the budget keeps 5% over the first.
+   They were 20.0 at both while each entry was a list cell, a record, a
+   flow and the rule's option. *)
+let test_audit_footprint () =
+  let f = flow "1.1.1.1" "2.2.2.2" in
+  let src = Some (pairs_response f [ ("userID", "alice"); ("name", "firefox") ]) in
+  let rules = Obj.repr audit_rules in
+  let per_entry n =
+    let a = Identxx_core.Audit.create () in
+    for i = 1 to n do
+      Identxx_core.Audit.record a ~at:(Sim.Time.ms i)
+        ~flow:(flow ~sp:(1024 + i) "1.1.1.1" "2.2.2.2")
+        ~verdict:{ (verdict ()) with matched = Some audit_rules.(i mod 3) }
+        ~src ~dst:src
+    done;
+    let shared =
+      Obj.reachable_words (Obj.repr (List.hd (Identxx_core.Audit.entries a)).src_info)
+      + Obj.reachable_words rules
+    in
+    float_of_int (Obj.reachable_words (Obj.repr a) - shared) /. float_of_int n
+  in
+  List.iter
+    (fun n ->
+      let w = per_entry n in
+      if w > 6.5 then Alcotest.failf "%.2f words an entry at %d entries" w n)
+    [ 1_000; 10_000 ]
+
+(* A keep-state entry is a slot of three ints (two packed flow ints and
+   the last-seen time), at most half the slots in use: 6 to 12 words an
+   entry. Measured 6.15 at 1,000 flows (2,048 slots) and 11.18 at 1,100
+   (4,096 slots, just grown); the budget keeps 5% over 12. The Hashtbl
+   read 12.5 and 12.9: a bucket cell, a time ref and the flow each. *)
+let test_conn_state_footprint () =
+  let per_entry n =
+    let cs = Identxx_core.Conn_state.create () in
+    for i = 1 to n do
+      Identxx_core.Conn_state.note cs ~now:Sim.Time.zero
+        (Five_tuple.tcp ~src:(Ipv4.of_int (0x0a00_0000 + i)) ~dst:(ip "10.255.0.1")
+           ~src_port:40000 ~dst_port:80)
+    done;
+    float_of_int (Obj.reachable_words (Obj.repr cs)) /. float_of_int n
+  in
+  List.iter
+    (fun n ->
+      let w = per_entry n in
+      if w > 12.6 then Alcotest.failf "%.2f words an entry at %d flows" w n)
+    [ 1_000; 1_100 ]
+
+(* [permits] probes the flow's packed ints, then the reverse's, from
+   the flow's fields: no reversed tuple, no option. 0 words for a hit
+   either way and for a miss (it was 6 for the reverse a miss built,
+   and 2 for each lookup's option). *)
+let test_conn_state_permits_alloc () =
+  let cs = Identxx_core.Conn_state.create () in
+  let f = flow "10.0.0.1" "10.0.0.2" in
+  let rev = Five_tuple.reverse f and other = flow "10.0.0.3" "10.0.0.2" in
+  Identxx_core.Conn_state.note cs ~now:Sim.Time.zero f;
+  let words probe =
+    let before = Gc.minor_words () in
+    for _ = 1 to 100 do
+      ignore (Sys.opaque_identity (Identxx_core.Conn_state.permits cs ~now:Sim.Time.zero probe))
+    done;
+    Gc.minor_words () -. before
+  in
+  check (Alcotest.float 0.) "a hit" 0. (words f);
+  check (Alcotest.float 0.) "a reverse hit" 0. (words rev);
+  check (Alcotest.float 0.) "a miss" 0. (words other);
+  let before = Gc.minor_words () in
+  Identxx_core.Conn_state.note cs ~now:Sim.Time.zero f;
+  check (Alcotest.float 0.) "a note" 0. (Gc.minor_words () -. before)
 
 (* --- Policy_store --- *)
 
@@ -966,6 +1361,12 @@ let () =
           Alcotest.test_case "idle expiry" `Quick test_conn_state_idle_expiry;
           Alcotest.test_case "stays bounded by the idle timeout" `Quick
             test_conn_state_stays_bounded;
+          Alcotest.test_case "stays bounded after a clear" `Quick
+            test_conn_state_bounded_after_clear;
+          Alcotest.test_case "permits allocates nothing" `Quick
+            test_conn_state_permits_alloc;
+          Alcotest.test_case "footprint per entry" `Quick test_conn_state_footprint;
+          QCheck_alcotest.to_alcotest prop_conn_state_model;
         ] );
       ( "audit",
         [
@@ -980,6 +1381,9 @@ let () =
           Alcotest.test_case "rule line" `Quick test_audit_rule_line;
           Alcotest.test_case "stays bounded by its capacity" `Quick
             test_audit_stays_bounded;
+          Alcotest.test_case "footprint per entry, flat in entries" `Quick
+            test_audit_footprint;
+          QCheck_alcotest.to_alcotest prop_audit_ring;
         ] );
       ( "policy_store",
         [

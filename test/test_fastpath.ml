@@ -560,6 +560,120 @@ let test_decision_key_is_memo =
       let key (flow, src, dst) = Fastpath.decision_key shape ~flow ~src ~dst in
       key a <> key b || verdict env a = verdict env b)
 
+(* The decision key as the fast path once wrote it, decoding each
+   answer into [Key_value.pair] lists with [Response.sections] when the
+   policy calls allowed(): the oracle for the writer that copies each
+   pair from the payload where it sits. *)
+let list_key (shape : Fastpath.decision_shape) (flow : Five_tuple.t) ~src ~dst =
+  let b = Buffer.create 64 in
+  let lp s = Printf.bprintf b "%d:%s" (String.length s) s in
+  Printf.bprintf b "%d>%d/%d:" (Ipv4.to_int flow.src) (Ipv4.to_int flow.dst)
+    (Proto.to_int flow.proto);
+  if shape.src_port then Printf.bprintf b "%d:" flow.src_port
+  else Buffer.add_string b "*:";
+  Printf.bprintf b "%d," flow.dst_port;
+  let answer = function
+    | None -> Buffer.add_char b '-'
+    | Some r -> (
+        Buffer.add_char b 'R';
+        match shape.reads with
+        | Some keys ->
+            List.iter
+              (fun k ->
+                List.iter lp (Identxx.Response.all_values r k);
+                Buffer.add_char b ';')
+              keys
+        | None ->
+            List.iter
+              (fun section ->
+                Buffer.add_char b '|';
+                List.iter
+                  (fun (p : Identxx.Key_value.pair) ->
+                    lp p.key;
+                    lp p.value)
+                  section)
+              (Identxx.Response.sections r))
+  in
+  answer src;
+  answer dst;
+  Buffer.contents b
+
+(* Memo_gen's policies and answers, plus answers whose values are any
+   printable bytes (separators and digits included), so a value that
+   looks like a length or a section mark is copied as it is. *)
+let prop_decision_key_matches_list_writer =
+  let open QCheck.Gen in
+  let value =
+    map
+      (String.map (fun c -> if c = '\n' then ' ' else c))
+      (string_size ~gen:printable (int_bound 12))
+  in
+  let wide_pair =
+    map2 Identxx.Key_value.pair (oneofl [ "userID"; "name"; "a"; "r" ]) value
+  in
+  let wide =
+    map
+      (fun ss -> Some (Identxx.Response.make ~flow:(key_flow 40000) ss))
+      (list_size (int_bound 3) (list_size (int_bound 4) wide_pair))
+  in
+  let answer = frequency [ (2, Memo_gen.response); (1, wide) ] in
+  let gen =
+    map3 (fun policy (a : Five_tuple.t * _ * _) (src, dst) ->
+        let flow, _, _ = a in
+        (policy, flow, src, dst))
+      Memo_gen.policy Memo_gen.input (pair answer answer)
+  in
+  let print (policy, (flow : Five_tuple.t), src, dst) =
+    let answer = function
+      | None -> "absent"
+      | Some r -> String.escaped (Identxx.Response.encode r)
+    in
+    Printf.sprintf "%s\nport %d, src %s, dst %s" policy flow.src_port
+      (answer src) (answer dst)
+  in
+  QCheck.Test.make ~count:2000 ~name:"the key is the list writer's, byte for byte"
+    (QCheck.make ~print gen)
+    (fun (policy, flow, src, dst) ->
+      let shape = shape_of policy in
+      let got = Fastpath.decision_key shape ~flow ~src ~dst
+      and want = list_key shape flow ~src ~dst in
+      got = want
+      || QCheck.Test.fail_reportf "key %S, list writer %S" got want)
+
+(* Under allowed(), the key copies every pair of both answers from the
+   payloads where they sit: beside the key string itself, a key costs
+   15 words (its cursor and each walk's state) for 4 pairs an answer as
+   for 60. While it decoded each answer into pair lists first, it cost
+   201 and 1,657 words (13 a pair). *)
+let test_decision_key_alloc_flat_in_pairs () =
+  let shape = shape_of "block all\npass all with allowed(@dst[requirements])" in
+  let answer n =
+    Some
+      (Identxx.Response.make ~flow:(key_flow 40000)
+         [
+           List.init n (fun i ->
+               Identxx.Key_value.pair
+                 (Printf.sprintf "k%d" i)
+                 (Printf.sprintf "v%d" i));
+           [ Identxx.Key_value.pair "userID" "alice" ];
+         ])
+  in
+  let words n =
+    let src = answer n and dst = answer n and flow = key_flow 40000 in
+    let key () = Fastpath.decision_key shape ~flow ~src ~dst in
+    let k = key () in
+    let rounds = 100 in
+    let before = Gc.minor_words () in
+    for _ = 1 to rounds do
+      ignore (Sys.opaque_identity (key ()))
+    done;
+    ((Gc.minor_words () -. before) /. float_of_int rounds)
+    -. float_of_int ((String.length k / 8) + 2)
+  in
+  let few = words 4 and many = words 60 in
+  check (Alcotest.float 0.) "flat in the pair count" few many;
+  if few > 16. then Alcotest.failf "%.1f words beside the key" few
+
 (* --- Asking less decides the same --- *)
 
 (* Random policies whose rules differ by ports, so a flow's candidate
@@ -1086,6 +1200,9 @@ let () =
           Alcotest.test_case "allowed() reads the source port" `Quick
             test_decision_key_allowed_src_port;
           QCheck_alcotest.to_alcotest test_decision_key_is_memo;
+          QCheck_alcotest.to_alcotest prop_decision_key_matches_list_writer;
+          Alcotest.test_case "allowed() key allocation, flat in pairs" `Quick
+            test_decision_key_alloc_flat_in_pairs;
           QCheck_alcotest.to_alcotest test_asking_less_decides_the_same;
         ] );
       ( "controller integration",
