@@ -36,9 +36,6 @@ type t = {
   mutable dst_info : summary array;
   mutable trace_ids : string option array;
       (* Empty until a record carries a trace, then as long as [at]. *)
-  mutable odd_flows : Five_tuple.t array;
-      (* Empty until a flow does not pack ([odd_code]), then as long as
-         [at]; only such a flow's row is read from it. *)
   mutable next : int; (* the row the next record writes *)
   mutable held : int;
   mutable buckets : summary list array;
@@ -92,7 +89,6 @@ let create ?(capacity = 10_000) () =
     src_info = Array.make rows [];
     dst_info = Array.make rows [];
     trace_ids = [||];
-    odd_flows = [||];
     next = 0;
     held = 0;
     buckets = Array.make 16 [];
@@ -223,54 +219,17 @@ let intern t = function
 
 (* --- packing a row ---
 
-   [lo] is the source address and port with the decision and [log] bits
-   above them; [hi] is the destination address and port with a protocol
-   code above. The code keeps [Proto.t] exactly: the named protocols by
-   their numbers, [Other n] as [256 + n], so [Other 6] stays apart from
-   [Tcp]. A flow with a port or protocol number that an IP header cannot
-   carry has [odd_code], and its row reads the flow from [odd_flows]. *)
+   [lo] is the flow's first int ({!Five_tuple.pack_src}) with the
+   decision and [log] bits above it; [hi] is its second. *)
 
 let block_bit = 1 lsl 48
 let log_bit = 1 lsl 49
-let odd_code = 512
-let odd_hi = odd_code lsl 48
-
-let proto_code : Proto.t -> int = function
-  | Icmp -> 1
-  | Tcp -> 6
-  | Udp -> 17
-  | Other n -> if n >= 0 && n <= 0xff then 256 + n else odd_code
-
-let proto_of_code c = if c < 256 then Proto.of_int c else Proto.Other (c - 256)
-let port_ok p = p >= 0 && p <= 0xffff
-
-let pack_lo (flow : Five_tuple.t) =
-  (Ipv4.to_int flow.src lsl 16) lor flow.src_port
-
-let pack_hi (flow : Five_tuple.t) =
-  let code = proto_code flow.proto in
-  if code = odd_code || not (port_ok flow.src_port && port_ok flow.dst_port)
-  then odd_hi
-  else (code lsl 48) lor (Ipv4.to_int flow.dst lsl 16) lor flow.dst_port
-
-let unpack t i : Five_tuple.t =
-  let lo = t.lo.(i) and hi = t.hi.(i) in
-  let code = hi lsr 48 in
-  if hi = odd_hi then t.odd_flows.(i)
-  else
-    {
-      src = Ipv4.of_int ((lo lsr 16) land 0xffff_ffff);
-      src_port = lo land 0xffff;
-      dst = Ipv4.of_int ((hi lsr 16) land 0xffff_ffff);
-      dst_port = hi land 0xffff;
-      proto = proto_of_code code;
-    }
 
 (* Twice the rows, up to [capacity]. Only a log that has not reached its
    capacity grows, so its rows are in order from row 0. *)
 let grow_rows t =
   let rows = min t.capacity (2 * Array.length t.at) in
-  (* An empty side column stays empty; a row past [held] is written
+  (* An empty trace column stays empty; a row past [held] is written
      before it is read, so any value fills it. *)
   let widen col =
     if Array.length col = 0 then col
@@ -285,8 +244,7 @@ let grow_rows t =
   t.rules <- widen t.rules;
   t.src_info <- widen t.src_info;
   t.dst_info <- widen t.dst_info;
-  t.trace_ids <- widen t.trace_ids;
-  t.odd_flows <- widen t.odd_flows
+  t.trace_ids <- widen t.trace_ids
 
 let record ?trace_id t ~at ~flow ~(verdict : Pf.Eval.verdict) ~src ~dst =
   let src_info = intern t src in
@@ -294,12 +252,11 @@ let record ?trace_id t ~at ~flow ~(verdict : Pf.Eval.verdict) ~src ~dst =
   if t.held = Array.length t.at && t.held < t.capacity then grow_rows t;
   let i = t.next in
   let block = verdict.Pf.Eval.decision = Pf.Ast.Block in
-  let hi = pack_hi flow in
   t.lo.(i) <-
-    (if hi = odd_hi then 0 else pack_lo flow)
+    Five_tuple.pack_src flow
     lor (if block then block_bit else 0)
     lor (if verdict.Pf.Eval.log then log_bit else 0);
-  t.hi.(i) <- hi;
+  t.hi.(i) <- Five_tuple.pack_dst flow;
   t.at.(i) <- (at : Sim.Time.t :> int);
   t.rules.(i) <-
     (match verdict.Pf.Eval.matched with Some r -> r | None -> no_rule);
@@ -309,11 +266,6 @@ let record ?trace_id t ~at ~flow ~(verdict : Pf.Eval.verdict) ~src ~dst =
     if Array.length t.trace_ids = 0 then
       t.trace_ids <- Array.make (Array.length t.at) None;
     t.trace_ids.(i) <- trace_id
-  end;
-  if hi = odd_hi then begin
-    if Array.length t.odd_flows = 0 then
-      t.odd_flows <- Array.make (Array.length t.at) flow;
-    t.odd_flows.(i) <- flow
   end;
   t.next <- (if i + 1 = Array.length t.at then 0 else i + 1);
   if t.held < Array.length t.at then t.held <- t.held + 1;
@@ -341,7 +293,7 @@ let entry t k =
   let lo = t.lo.(i) and rule = t.rules.(i) in
   {
     at = Sim.Time.ns t.at.(i);
-    flow = unpack t i;
+    flow = Five_tuple.unpack lo t.hi.(i);
     decision = (if lo land block_bit <> 0 then Pf.Ast.Block else Pf.Ast.Pass);
     rule = (if rule == no_rule then None else Some rule);
     flagged = lo land log_bit <> 0;
@@ -377,7 +329,6 @@ let clear t =
   t.src_info <- fresh.src_info;
   t.dst_info <- fresh.dst_info;
   t.trace_ids <- [||];
-  t.odd_flows <- [||];
   t.next <- 0;
   t.held <- 0;
   forget_summaries t;

@@ -15,9 +15,10 @@
     summary is found there without being copied ({!record}).
 
     The log is a ring of columns, not a list of records: a held entry is
-    one row of six words (the flow packed in two ints with the decision
-    and [log] bits, the time, and pointers to the rule and both
-    summaries), plus a seventh, the trace id, only once a traced
+    one row of six words (the flow packed in two ints,
+    {!Netcore.Five_tuple.pack_src} with the decision and [log] bits
+    above it and {!Netcore.Five_tuple.pack_dst}, the time, and pointers
+    to the rule and both summaries), plus a seventh, the trace id, only once a traced
     decision has been recorded. The rows double up to the capacity, so
     a log costs 6 to 12 words an entry beside what it shares, and
     {!entries}, {!flagged} and {!pp} build their [entry] values when

@@ -24,19 +24,6 @@ let create ?(idle_timeout = Sim.Time.s 60) () =
     sweep_at = min_sweep;
   }
 
-(* A flow as two ints: the source address and port, and the destination
-   address and port under the protocol number. [Five_tuple.equal] flows,
-   and only they, pack alike. A flow whose port or protocol number an IP
-   header cannot carry does not pack ([packs]); the table never holds
-   one. *)
-let[@inline] end_word ip port = (Ipv4.to_int ip lsl 16) lor port
-let[@inline] with_proto proto word = (Proto.to_int proto lsl 48) lor word
-let[@inline] port_ok p = p >= 0 && p <= 0xffff
-
-let packs (flow : Five_tuple.t) =
-  let p = Proto.to_int flow.proto in
-  p >= 0 && p <= 0xff && port_ok flow.src_port && port_ok flow.dst_port
-
 let[@inline] hash lo hi =
   let h = (lo * 0x1e37_79b9_7f4a_7c15) + hi in
   let h = (h lxor (h lsr 31)) * 0x3f58_476d_1ce4_e5b9 in
@@ -66,12 +53,12 @@ let hit t ~now lo hi =
        true
      end
 
-let permits t ~now (flow : Five_tuple.t) =
-  packs flow
-  && (hit t ~now (end_word flow.src flow.src_port)
-        (with_proto flow.proto (end_word flow.dst flow.dst_port))
-     || hit t ~now (end_word flow.dst flow.dst_port)
-          (with_proto flow.proto (end_word flow.src flow.src_port)))
+(* The flow, or its reverse: the same two ends swapped, the protocol
+   number staying in bits 48-55 of the second int. *)
+let permits t ~now flow =
+  let lo = Five_tuple.pack_src flow and hi = Five_tuple.pack_dst flow in
+  let proto = hi land lnot 0xffff_ffff_ffff in
+  hit t ~now lo hi || hit t ~now (hi lxor proto) (lo lor proto)
 
 let put t lo hi last =
   let s = find t lo hi in
@@ -121,17 +108,14 @@ let expire t ~now = drop t (fun _ _ last -> not (fresh t ~now last))
 (* Sweep once the table has doubled since the last sweep: amortised O(1)
    per note, and the table stays within twice the flows still inside
    the idle timeout. *)
-let note t ~now (flow : Five_tuple.t) =
-  if packs flow then begin
-    let lo = end_word flow.src flow.src_port
-    and hi = with_proto flow.proto (end_word flow.dst flow.dst_port) in
-    if 2 * (t.size + 1) > slots t && t.cells.(3 * find t lo hi) = free then
-      rebuild t (2 * slots t) (fun _ _ _ -> true);
-    put t lo hi (now : Sim.Time.t :> int);
-    if t.size >= t.sweep_at then begin
-      ignore (expire t ~now);
-      t.sweep_at <- max min_sweep (2 * t.size)
-    end
+let note t ~now flow =
+  let lo = Five_tuple.pack_src flow and hi = Five_tuple.pack_dst flow in
+  if 2 * (t.size + 1) > slots t && t.cells.(3 * find t lo hi) = free then
+    rebuild t (2 * slots t) (fun _ _ _ -> true);
+  put t lo hi (now : Sim.Time.t :> int);
+  if t.size >= t.sweep_at then begin
+    ignore (expire t ~now);
+    t.sweep_at <- max min_sweep (2 * t.size)
   end
 
 let clear t =

@@ -3,14 +3,11 @@
     expiry.
 
     The table is open addressing over one int array: a slot is three
-    ints, the flow packed in two (source address and port; destination
-    address, port and protocol number) and its last-seen time, and at
-    most half the slots are in use, so an entry costs 6 to 12 words.
-    {!note} and {!permits} allocate nothing; {!expire} and {!revoke}
-    rebuild the table from the entries they keep. A flow whose port or
-    protocol number an IP header cannot carry (an [Other n] outside
-    [0, 255], as no packet parses) is never recorded: {!note} ignores
-    it and {!permits} is [false] for it. *)
+    ints, the flow packed in two ({!Netcore.Five_tuple.pack_src} and
+    {!Netcore.Five_tuple.pack_dst}) and its last-seen time, and at most
+    half the slots are in use, so an entry costs 6 to 12 words. {!note}
+    and {!permits} allocate nothing; {!expire} and {!revoke} rebuild the
+    table from the entries they keep. *)
 
 open Netcore
 

@@ -51,6 +51,9 @@ type waiter = { w_flow : Five_tuple.t; w_end : [ `Src | `Dst ] }
 (* One queried end of a pending flow. *)
 type leg = {
   mutable answer : Identxx.Response.t option;
+      (* The fast path's, or an answer that covers the end, set when
+         the answer is taken, before its [Settle] runs; kept only if the
+         end settles answered. *)
   mutable awaiting : bool; (* its query is out and has not settled *)
   mutable qspan : Obs.Span.span;
   mutable sent : int; (* first query send time, ns; -1 = never sent *)
@@ -82,10 +85,22 @@ type pending = {
   mutable p_live : bool;
       (* In the pending table: cleared when the flow is decided. *)
   mutable p_next : pending;
-      (* The next flow of its pending-table chain ({!Pending_table}). *)
+      (* The next flow of its pending-table chain ({!pending_entry}). *)
 }
 
 let leg p = function `Src -> p.p_src | `Dst -> p.p_dst
+
+(* Whether the end may take an answer: it awaits one, and none taken is
+   on its way to settle it. A leg's [answer] reads three ways:
+   - not [awaiting]: settled, by the fast path, an intercept, an
+     answer ([Some]), or with none ([None]);
+   - [Some] while [awaiting]: taken ({!settle_answer}) and in flight,
+     its [Settle] posted; a retry round still re-asks the end, and a
+     [Requery] for it may still run first;
+   - [None] while [awaiting]: open.
+   {!settle_end} ends the in-flight state: [Answered] keeps the taken
+   answer (or the one it carries), [Timed_out] and [Failed] clear it. *)
+let takes_answer l = l.awaiting && Option.is_none l.answer
 
 let end_ip (flow : Five_tuple.t) = function
   | `Src -> flow.Five_tuple.src
@@ -121,13 +136,7 @@ type input =
     }
       (* A daemon answer from [from_ip] to the query's reply-to [to_ip],
          and the pending flow it named when it arrived
-         ([named_pending]). *)
-  | Stray_answer of {
-      pi : Msg.packet_in;
-      response : Identxx.Response.t;
-      from_ip : Ipv4.t;
-      to_ip : Ipv4.t;
-    }  (* An answer that named no pending flow when it arrived. *)
+         ([named_pending]), [no_pending] for none. *)
   | Foreign_query of {
       pi : Msg.packet_in;
       from_ip : Ipv4.t;
@@ -201,14 +210,24 @@ let rec no_pending =
     p_next = no_pending;
   }
 
-module Pending = Pending_table.Make (struct
-  type t = pending
+(* The pending flows, in chains by the hash of their flows. Their keys
+   are distinct, so the chains keep no order. *)
+let pending_entry =
+  {
+    Flow_chains.vacant = no_pending;
+    hash = (fun p -> Five_tuple.hash p.p_flow);
+    before = (fun _ _ -> false);
+    next = (fun p -> p.p_next);
+    set_next = (fun p n -> p.p_next <- n);
+  }
 
-  let vacant = no_pending
-  let flow p = p.p_flow
-  let next p = p.p_next
-  let set_next p n = p.p_next <- n
-end)
+(* A pending flow's key, as {!Flow_chains.probe} reads it. *)
+let p_flow p = p.p_flow
+
+(* The pending flow of [flow], [no_pending] for none. *)
+let find_pending pending (flow : Five_tuple.t) =
+  Flow_chains.probe pending p_flow ~src:flow.src ~dst:flow.dst ~proto:flow.proto
+    ~src_port:flow.src_port ~dst_port:flow.dst_port
 
 module Ip_tbl = Hashtbl.Make (Ipv4)
 
@@ -557,7 +576,7 @@ type t = {
   decision : Decision.t;
   conn_state : Conn_state.t;
   ev : Events.t; (* every per-flow sink *)
-  pending : Pending.t;
+  pending : pending Flow_chains.t;
   prefixes : Prefix.t option Ip_tbl.t;
       (* [Some (Prefix.host ip)] of each attached host a reactive match
          named, which every later match naming it shares. Only
@@ -638,7 +657,7 @@ let stats t =
     breaker_fastpaths = fc.Fastpath.breaker_fastpaths;
   }
 
-let pending_count t = Pending.length t.pending
+let pending_count t = t.pending.Flow_chains.count
 let host_prefixes t = Ip_tbl.length t.prefixes
 
 let coalesced_queries t = Fastpath.Answers.coalesced t.answers
@@ -757,7 +776,7 @@ let apply_verdict t ~span ~started ~ctx ~via ~flow ~packets ~src ~dst verdict =
 let maybe_finalize t p =
   if (not p.p_src.awaiting) && not p.p_dst.awaiting then begin
     Shard.Engine.cancel p.p_timeout;
-    Pending.remove t.pending p;
+    Flow_chains.remove t.pending (Five_tuple.hash p.p_flow) p;
     p.p_live <- false;
     let src = p.p_src.answer and dst = p.p_dst.answer in
     apply_verdict t ~span:p.p_span ~started:p.p_started
@@ -771,7 +790,10 @@ let maybe_finalize t p =
 let settle_end ?dtrace t p end_ settled =
   let l = leg p end_ in
   if l.awaiting then begin
-    (match settled with Answered r -> l.answer <- Some r | Timed_out | Failed _ -> ());
+    (match (settled, l.answer) with
+    | Answered r, Some taken when taken == r -> ()
+    | Answered r, _ -> l.answer <- Some r
+    | (Timed_out | Failed _), _ -> l.answer <- None);
     Events.query_settled t.ev ~now:t.now ?dtrace p end_ settled;
     l.awaiting <- false;
     maybe_finalize t p
@@ -1055,7 +1077,7 @@ let start_flow t (pi : Msg.packet_in) (flow : Five_tuple.t) =
           }
         in
         arm_timeout t p;
-        Pending.add t.pending p;
+        Flow_chains.add t.pending (Five_tuple.hash p.p_flow) p;
         issue_end t p `Src;
         issue_end t p `Dst;
         maybe_finalize t p
@@ -1092,16 +1114,16 @@ let handle_transit t ~dpid ~from_ip ~to_ip response pkt =
    the other end. So the flow runs from one of the two addresses to the
    other, with the echoed ports: the table is probed with the answering
    host as source, then as destination. When both are pending, the one
-   awaiting its source wins, then the other. *)
+   that takes an answer from its source wins, then the other. *)
 let named_pending t ~from_ip ~to_ip (r : Identxx.Response.t) =
   let proto = r.proto and src_port = r.src_port and dst_port = r.dst_port in
   let by_src =
-    Pending.probe t.pending ~src:from_ip ~dst:to_ip ~proto ~src_port ~dst_port
+    Flow_chains.probe t.pending p_flow ~src:from_ip ~dst:to_ip ~proto ~src_port ~dst_port
   in
-  if by_src.p_src.awaiting then by_src
+  if takes_answer by_src.p_src then by_src
   else
     let by_dst =
-      Pending.probe t.pending ~src:to_ip ~dst:from_ip ~proto ~src_port ~dst_port
+      Flow_chains.probe t.pending p_flow ~src:to_ip ~dst:from_ip ~proto ~src_port ~dst_port
     in
     if by_dst != no_pending then by_dst else by_src
 
@@ -1183,13 +1205,17 @@ let settle_answer t p ~from_ip response sg =
   (* An (authenticated, if required) answer: the host is alive. *)
   Fastpath.note_response t.fp from_ip;
   (* A waiter takes the answer only as far as its declared scope
-     reaches; any other asks for itself. *)
+     reaches; any other asks for itself. [p]'s end keeps an answer that
+     covers it at once, so an answer taken after this one names another
+     flow. *)
+  let covered = covers scope ~flow ~end_ flow end_ in
+  let l = leg p end_ in
+  if covered && takes_answer l then l.answer <- Some response;
   match take_exchange p ~host:from_ip with
   | None ->
       (* [p]'s own query is the only waiter. *)
       post_to_waiter t flow
-        (if covers scope ~flow ~end_ flow end_ then
-           Settle { flow; end_; settled = Answered response; dtrace }
+        (if covered then Settle { flow; end_; settled = Answered response; dtrace }
          else Requery { flow; end_ })
   | Some ex ->
       let ws =
@@ -1223,11 +1249,18 @@ let take_answer t p ~from_ip ~to_ip response =
     || answer_accepted t p ~from_ip ~to_ip response sg
   then settle_answer t p ~from_ip response sg
 
-(* An answer whose flow was not pending when it arrived, or was decided
-   before its shard took it: it pairs with the flow it names now, if
-   any; else it is transit. *)
-let stray_answer t (pi : Msg.packet_in) ~from_ip ~to_ip response =
-  let p = named_pending t ~from_ip ~to_ip response in
+(* An answer the shard takes: it pairs with [named], the flow it named
+   on arrival, while that flow is live and the answering end of it
+   takes an answer; else with the flow it names now, if any; else it is
+   transit. Answers that arrive together all name the flow awaiting
+   their host as its source, and only the first finds that end still
+   taking one. *)
+let answer t (pi : Msg.packet_in) ~from_ip ~to_ip response named =
+  let p =
+    if named.p_live && takes_answer (leg named (end_of named.p_flow from_ip))
+    then named
+    else named_pending t ~from_ip ~to_ip response
+  in
   if p != no_pending then take_answer t p ~from_ip ~to_ip response
   else handle_transit t ~dpid:pi.Msg.dpid ~from_ip ~to_ip response pi.Msg.packet
 
@@ -1246,13 +1279,11 @@ let step t ~now input =
           (* Routed once: the flow it names, found here, travels with it
              to that flow's shard. *)
           let named = named_pending t ~from_ip ~to_ip response in
-          if named != no_pending then
-            Shard.Engine.post t.shard_engine
-              ~shard:(if shard_count t = 1 then 0 else shard_of t named.p_flow)
-              (Answer { pi; response; from_ip; to_ip; named })
-          else
-            Shard.Engine.post t.shard_engine ~shard:0
-              (Stray_answer { pi; response; from_ip; to_ip }))
+          Shard.Engine.post t.shard_engine
+            ~shard:
+              (if named == no_pending || shard_count t = 1 then 0
+               else shard_of t named.p_flow)
+            (Answer { pi; response; from_ip; to_ip; named }))
       | Identxx.Wire.Query { from_ip; to_ip; query } ->
           Shard.Engine.post t.shard_engine ~shard:0
             (Foreign_query { pi; from_ip; to_ip; query })
@@ -1273,15 +1304,11 @@ let step t ~now input =
       send_domain t (Fun.const (Proactive.sync t.compiled ~proactive:t.cfg.proactive t.plan))
   | Topology_changed -> send_domain t (Proactive.sync_routes t.compiled t.topo (t.hosts ()))
   | Flow_miss (pi, flow) ->
-      let p = Pending.find t.pending flow in
+      let p = find_pending t.pending flow in
       if p != no_pending then p.p_packets <- pi :: p.p_packets
       else start_flow t pi flow
   | Answer { pi; response; from_ip; to_ip; named } ->
-      (* The flow the answer named on arrival, unless decided since. *)
-      if named.p_live then take_answer t named ~from_ip ~to_ip response
-      else stray_answer t pi ~from_ip ~to_ip response
-  | Stray_answer { pi; response; from_ip; to_ip } ->
-      stray_answer t pi ~from_ip ~to_ip response
+      answer t pi ~from_ip ~to_ip response named
   | Foreign_query { pi; from_ip; to_ip; query } -> (
       (* "Intercepted queries are not allowed to cause new queries." *)
       let dpid = pi.Msg.dpid in
@@ -1298,13 +1325,13 @@ let step t ~now input =
       | None -> forward_toward t ~dpid ~dst_ip:to_ip pi.Msg.packet)
   | Settle { flow; end_; settled; dtrace } ->
       (* Unless its flow already decided (its own timeout won). *)
-      let p = Pending.find t.pending flow in
+      let p = find_pending t.pending flow in
       if p != no_pending then settle_end ?dtrace t p end_ settled
   | Requery { flow; end_ } ->
       (* Its own query, with its own nonce and trace context, once: a
          host that answers the same way again does not speak for this
          end, and asking on would not change its answer. *)
-      let p = Pending.find t.pending flow in
+      let p = find_pending t.pending flow in
       let l = leg p end_ in
       if p != no_pending && l.awaiting then
         if l.requeried then settle_end t p end_ (Failed "out-of-scope")
@@ -1412,7 +1439,7 @@ let create ?(config = default_config) ?keystore ?functions ?obs ?spans
         decision;
         conn_state = Conn_state.create ();
         ev = Events.create ~obs ~spans ~recorder ~labels;
-        pending = Pending.create 64;
+        pending = Flow_chains.create pending_entry 64;
         prefixes = Ip_tbl.create 16;
         fp = Fastpath.create config.fastpath;
         answers;
@@ -1454,7 +1481,7 @@ let create ?(config = default_config) ?keystore ?functions ?obs ?spans
   let t = Lazy.force t in
   Obs.Registry.gauge_fn obs ~help:"Flows awaiting daemon responses." ~labels
     "identxx_controller_pending_flows" (fun () ->
-      float_of_int (Pending.length t.pending));
+      float_of_int t.pending.Flow_chains.count);
   (* Per-collector, not per-controller: collectors may be shared, so no
      controller label — re-registration just replaces the callback. *)
   List.iter

@@ -317,7 +317,9 @@ let respond ?decode t ~peer (q : Query.t) =
         match Process_table.owner_of_flow t.processes ~flow:as_src with
         | Some p -> (As_source, as_src, Some p, Signed.Flow)
         | None -> (
-            let as_dst = { as_src with src = peer; dst = t.ip } in
+            let as_dst =
+              Five_tuple.make ~src:peer ~dst:t.ip ~proto ~src_port ~dst_port
+            in
             match
               Process_table.owner_of_flow t.processes
                 ~flow:(Five_tuple.reverse as_dst)

@@ -9,9 +9,18 @@ type t = {
 let check_port p =
   if p < 0 || p > 0xffff then invalid_arg "Five_tuple: port out of range"
 
+(* The protocols an IP header carries, each number in one form only:
+   [Other] holds a number in [0, 255] that no named protocol has. *)
+let check_proto : Proto.t -> unit = function
+  | Icmp | Tcp | Udp -> ()
+  | Other n ->
+      if n < 0 || n > 0xff || n = 1 || n = 6 || n = 17 then
+        invalid_arg "Five_tuple: protocol out of range"
+
 let make ~src ~dst ~proto ~src_port ~dst_port =
   check_port src_port;
   check_port dst_port;
+  check_proto proto;
   { src; dst; proto; src_port; dst_port }
 
 let tcp ~src ~dst ~src_port ~dst_port =
@@ -22,6 +31,23 @@ let udp ~src ~dst ~src_port ~dst_port =
 
 let reverse t =
   { t with src = t.dst; dst = t.src; src_port = t.dst_port; dst_port = t.src_port }
+
+(* An end is its address above its port, 48 bits; the destination's
+   word has the protocol number above that. *)
+let[@inline] end_word ip port = (Ipv4.to_int ip lsl 16) lor port
+let[@inline] pack_src t = end_word t.src t.src_port
+
+let[@inline] pack_dst t =
+  (Proto.to_int t.proto lsl 48) lor end_word t.dst t.dst_port
+
+let unpack src dst =
+  {
+    src = Ipv4.of_int ((src lsr 16) land 0xffff_ffff);
+    src_port = src land 0xffff;
+    dst = Ipv4.of_int ((dst lsr 16) land 0xffff_ffff);
+    dst_port = dst land 0xffff;
+    proto = Proto.of_int ((dst lsr 48) land 0xff);
+  }
 
 let to_string t =
   Printf.sprintf "%s %s:%d -> %s:%d" (Proto.to_string t.proto)

@@ -2,7 +2,7 @@
     paper): IP source and destination addresses, IP protocol, and
     transport source and destination ports. *)
 
-type t = {
+type t = private {
   src : Ipv4.t;
   dst : Ipv4.t;
   proto : Proto.t;
@@ -12,10 +12,28 @@ type t = {
 
 val make :
   src:Ipv4.t -> dst:Ipv4.t -> proto:Proto.t -> src_port:int -> dst_port:int -> t
-(** @raise Invalid_argument if a port is outside [0, 65535]. *)
+(** Every flow an IP header carries, and only those: so every flow-keyed
+    table can pack any flow ({!pack_src}).
+    @raise Invalid_argument if a port is outside [0, 65535], or [proto]
+    is an [Other n] whose [n] is outside [0, 255] or names ICMP, TCP or
+    UDP (as {!Proto.of_int} never builds it). *)
 
 val tcp : src:Ipv4.t -> dst:Ipv4.t -> src_port:int -> dst_port:int -> t
 val udp : src:Ipv4.t -> dst:Ipv4.t -> src_port:int -> dst_port:int -> t
+
+val pack_src : t -> int
+(** The flow's first int: its source address above its source port, in
+    bits 0-47. A caller may keep bits of its own from bit 48 up: {!unpack}
+    ignores them. *)
+
+val pack_dst : t -> int
+(** The flow's second int: its destination address above its destination
+    port, in bits 0-47, with the protocol number in bits 48-55. Two flows
+    pack alike, both ints, exactly when they are {!equal}. *)
+
+val unpack : int -> int -> t
+(** The flow of [pack_src] and [pack_dst], ignoring the first int's bits
+    from 48 up. *)
 
 val reverse : t -> t
 (** Swap source and destination (address and port). *)

@@ -20,19 +20,48 @@ let rec vacant =
 
 let miss = vacant
 
+(* [Five_tuple.hash] of the 5-tuple an entry's fields pin down exactly,
+   when the entry is "five-tuple shaped": layer-2 fields and ingress
+   port wildcarded, /32 addresses, protocol and both ports given. -1
+   when not. The hash is taken from the fields' ints: no tuple is
+   built. *)
+let exact_hash (fields : Match_fields.t) =
+  match fields with
+  | { Match_fields.in_port = None; dl_src = None; dl_dst = None;
+      dl_vlan = None; dl_type = _; nw_src = Some src; nw_dst = Some dst;
+      nw_proto = Some proto; tp_src = Some src_port; tp_dst = Some dst_port }
+    when Prefix.length src = 32 && Prefix.length dst = 32 ->
+      Five_tuple.hash_ints
+        ~src:(Ipv4.to_int (Prefix.network src))
+        ~dst:(Ipv4.to_int (Prefix.network dst))
+        ~proto:(Proto.to_int proto) ~src_port ~dst_port
+  | _ -> -1
+
+(* Does [a] come before [b] in table order? *)
+let before a b =
+  a.rule.priority > b.rule.priority
+  || (a.rule.priority = b.rule.priority && a.seq > b.seq)
+
+(* How the exact-match chains read and link an installed entry. *)
+let exact_entry =
+  {
+    Flow_chains.vacant;
+    hash = (fun s -> exact_hash s.rule.fields);
+    before;
+    next = (fun (s : Flow_entry.t) -> s.next);
+    set_next = (fun (s : Flow_entry.t) n -> s.next <- n);
+  }
+
 type t = {
   capacity : int option;
-  mutable chains : Flow_entry.t array;
+  chains : Flow_entry.t Flow_chains.t;
       (* Entries whose match is exactly one 5-tuple (the shape
-         controllers install to cache per-flow decisions), in chains
-         hung from the cell their tuple's hash selects. The length is a
-         power of two; each chain is in table order. *)
-  mutable chained : int;  (* entries in [chains] *)
+         controllers install to cache per-flow decisions), each chain
+         in table order. *)
   mutable band : Flow_entry.t array;
   mutable band_len : int;
       (* Every other entry, in table order, in [band.(0 .. band_len-1)];
          the cells beyond hold [vacant]. *)
-  mutable count : int;
   mutable next_seq : int;
   deadlines : Flow_entry.t Sim.Heap.t;
       (* Each timed entry, keyed by a lower bound (ns) on its expiry.
@@ -52,11 +81,9 @@ let create ?capacity () =
   | _ -> ());
   {
     capacity;
-    chains = Array.make 16 vacant;
-    chained = 0;
+    chains = Flow_chains.create exact_entry 16;
     band = [||];
     band_len = 0;
-    count = 0;
     next_seq = 0;
     deadlines = Sim.Heap.create vacant;
     timed = 0;
@@ -67,26 +94,7 @@ let create ?capacity () =
     on_evict = None;
   }
 
-let size t = t.count
-
-(* [Five_tuple.hash] of the 5-tuple an entry's fields pin down exactly,
-   when the entry is "five-tuple shaped": layer-2 fields and ingress
-   port wildcarded, /32 addresses, protocol and both ports given. -1
-   when not. The hash is taken from the fields' ints: no tuple is
-   built. *)
-let exact_hash (fields : Match_fields.t) =
-  match fields with
-  | { Match_fields.in_port = None; dl_src = None; dl_dst = None;
-      dl_vlan = None; dl_type = _; nw_src = Some src; nw_dst = Some dst;
-      nw_proto = Some proto; tp_src = Some src_port; tp_dst = Some dst_port }
-    when Prefix.length src = 32 && Prefix.length dst = 32 ->
-      Five_tuple.hash_ints
-        ~src:(Ipv4.to_int (Prefix.network src))
-        ~dst:(Ipv4.to_int (Prefix.network dst))
-        ~proto:(Proto.to_int proto) ~src_port ~dst_port
-  | _ -> -1
-
-let chain_of t hash = hash land (Array.length t.chains - 1)
+let size t = t.chains.Flow_chains.count + t.band_len
 
 let ip_hash (ip : Packet.ipv4) ~src_port ~dst_port =
   Five_tuple.hash_ints ~src:(Ipv4.to_int ip.ip_src) ~dst:(Ipv4.to_int ip.ip_dst)
@@ -117,96 +125,28 @@ let deadline_of e =
 
 let is_timed r = r.idle_timeout <> None || r.hard_timeout <> None
 
-(* Does [a] come before [b] in table order? *)
-let before a b =
-  a.rule.priority > b.rule.priority
-  || (a.rule.priority = b.rule.priority && a.seq > b.seq)
-
 let kill t s =
   s.alive <- false;
-  t.count <- t.count - 1;
   if is_timed s.rule then t.timed <- t.timed - 1
 
 (* The table's helpers are closed functions taking their operands as
    arguments: a local closure would be allocated on every flow-mod. *)
+let same_fields s fields = Match_fields.equal s.rule.fields fields
 
-(* Take [s] out of its chain, [prev] being its predecessor ([vacant]
-   when [s] heads chain [i]), and kill it. Its [next] is reset, so a
-   dead entry still in the expiry heap keeps no chain alive. *)
-let unlink t i prev s =
-  if prev == vacant then t.chains.(i) <- s.next else prev.next <- s.next;
-  s.next <- vacant;
-  t.chained <- t.chained - 1;
-  kill t s
+(* The entry of the chain from [s] with these fields and priority;
+   [vacant] when there is none. *)
+let rec find_same s priority fields =
+  if s == vacant || (s.rule.priority = priority && same_fields s fields) then s
+  else find_same s.next priority fields
 
-let rec chain_filter_from t i prev s gone a b =
+(* Unlink and kill the chained entry [s]; a no-op on [vacant]. Its link
+   is reset, so a dead entry still in the expiry heap keeps no chain
+   alive. *)
+let unchain t hash s =
   if s != vacant then begin
-    let next = s.next in
-    if gone s a b then begin
-      unlink t i prev s;
-      chain_filter_from t i prev next gone a b
-    end
-    else chain_filter_from t i s next gone a b
+    Flow_chains.remove t.chains hash s;
+    kill t s
   end
-
-(* Kill every entry of chain [i] satisfying [gone a b]. A chain holds
-   at most 2 entries on average, so a delete that can match only one
-   walks it to the end as well. *)
-let chain_filter t i gone a b =
-  chain_filter_from t i vacant t.chains.(i) gone a b
-
-(* Append [s] after [tail] in chain [j] of [chains], and return it as
-   the new tail. *)
-let append chains j tail s =
-  if tail == vacant then chains.(j) <- s else tail.next <- s;
-  s
-
-(* Double the chain array. Chain [i] splits into chains [i] and
-   [i + n], each filled in the old chain's order, so every chain stays
-   in table order. *)
-let grow_chains t =
-  let n = Array.length t.chains in
-  let chains = Array.make (2 * n) vacant in
-  let mask = (2 * n) - 1 in
-  for i = 0 to n - 1 do
-    let low = ref vacant and high = ref vacant and s = ref t.chains.(i) in
-    while !s != vacant do
-      let cur = !s in
-      s := cur.next;
-      cur.next <- vacant;
-      let j = exact_hash cur.rule.fields land mask in
-      if j = i then low := append chains j !low cur
-      else high := append chains j !high cur
-    done
-  done;
-  t.chains <- chains
-
-let rec chain_insert_after prev s =
-  let next = prev.next in
-  if next != vacant && before next s then chain_insert_after next s
-  else begin
-    s.next <- next;
-    prev.next <- s
-  end
-
-(* Link [s] into the chain of [hash] at its place in table order, and
-   double the chain array once the chained entries outnumber its cells
-   twice over. *)
-let chain_insert t hash s =
-  let i = chain_of t hash in
-  let head = t.chains.(i) in
-  if head != vacant && before head s then chain_insert_after head s
-  else begin
-    s.next <- head;
-    t.chains.(i) <- s
-  end;
-  t.chained <- t.chained + 1;
-  if t.chained > 2 * Array.length t.chains then grow_chains t
-
-let same_entry s priority fields =
-  s.rule.priority = priority && Match_fields.equal s.rule.fields fields
-
-let is_entry s e () = s == e
 
 (* The first index in [lo, hi) at or below priority [p]: the band is
    sorted by priority descending, so a binary search finds it. *)
@@ -264,22 +204,23 @@ let band_filter t pred arg =
   Array.fill t.band !kept (t.band_len - !kept) vacant;
   t.band_len <- !kept
 
+(* Kill the entry with these fields and priority, if any; [hash] is
+   [exact_hash fields]. [add] keeps at most one such entry, and entries
+   with equal fields share one chain. *)
+let delete_same t hash priority fields =
+  if hash < 0 then band_delete_first t priority same_fields fields
+  else unchain t hash (find_same (Flow_chains.chain t.chains hash) priority fields)
+
 let drop t s =
   let hash = exact_hash s.rule.fields in
   if hash < 0 then band_delete_first t s.rule.priority ( == ) s
-  else chain_filter t (chain_of t hash) is_entry s ()
+  else unchain t hash s
 
-let rec iter_chain f a s =
-  if s != vacant then begin
-    f a s;
-    iter_chain f a s.next
-  end
-
-(* [f a s] for every entry [s]. *)
+(* [f a s] for every entry [s]; [apply] passes [f] and [a] as the
+   chains' two operands. *)
+let apply f a s = f a s
 let iter_entries t f a =
-  for i = 0 to Array.length t.chains - 1 do
-    iter_chain f a t.chains.(i)
-  done;
+  Flow_chains.iter t.chains apply f a;
   for i = 0 to t.band_len - 1 do
     f a t.band.(i)
   done
@@ -324,16 +265,13 @@ let evict_lru t =
       Option.iter (fun f -> f s) t.on_evict;
       true
 
-let same_fields s fields = Match_fields.equal s.rule.fields fields
-
 let add t ~now rule =
   let hash = exact_hash rule.fields in
   (* Replace an identical (fields, priority) entry. *)
-  if hash < 0 then band_delete_first t rule.priority same_fields rule.fields
-  else chain_filter t (chain_of t hash) same_entry rule.priority rule.fields;
+  delete_same t hash rule.priority rule.fields;
   let room =
     match t.capacity with
-    | Some cap when t.count >= cap -> evict_lru t
+    | Some cap when size t >= cap -> evict_lru t
     | _ -> true
   in
   if not room then t.refusal_count <- t.refusal_count + 1
@@ -343,8 +281,7 @@ let add t ~now rule =
         seq = t.next_seq; alive = true; next = vacant }
     in
     t.next_seq <- t.next_seq + 1;
-    t.count <- t.count + 1;
-    if hash < 0 then band_insert t s else chain_insert t hash s;
+    if hash < 0 then band_insert t s else Flow_chains.add t.chains hash s;
     if is_timed rule then begin
       t.timed <- t.timed + 1;
       push_deadline t s
@@ -376,11 +313,11 @@ let lookup_flow t ~in_port pkt =
      the candidates are the packet's chain and the wildcards. Every
      match test reads the packet's own fields. *)
   let exact =
-    if t.chained = 0 then vacant
+    if t.chains.Flow_chains.count = 0 then vacant
     else
       let hash = packet_hash pkt in
       if hash < 0 then vacant
-      else find_in_chain ~in_port pkt t.chains.(chain_of t hash)
+      else find_in_chain ~in_port pkt (Flow_chains.chain t.chains hash)
   in
   let s = scan_band t ~in_port pkt exact 0 in
   if s == vacant then t.miss_count <- t.miss_count + 1
@@ -392,21 +329,16 @@ let lookup t ~in_port pkt =
   if e == miss then None else Some e
 
 let remove t ~priority ~fields =
-  (* [add] keeps at most one entry per (fields, priority), and entries
-     with equal fields share one chain. *)
-  let hash = exact_hash fields in
-  if hash < 0 then band_delete_first t priority same_fields fields
-  else chain_filter t (chain_of t hash) same_entry priority fields;
+  delete_same t (exact_hash fields) priority fields;
   compact t
 
 let covered s fields = Match_fields.covers fields s.rule.fields
-let covered_by s fields () = covered s fields
+let unchain_covered t fields s =
+  if covered s fields then unchain t (exact_hash s.rule.fields) s
 
 let remove_matching t ~fields =
   band_filter t covered fields;
-  for i = 0 to Array.length t.chains - 1 do
-    chain_filter t i covered_by fields ()
-  done;
+  Flow_chains.iter t.chains unchain_covered t fields;
   compact t
 
 (* Drop the entries due by [now_ns]; [n] counts them. A closed function,
@@ -432,13 +364,10 @@ let expire t ~now =
   compact t;
   evicted
 
-let rec chain_to_list s acc =
-  if s == vacant then acc else chain_to_list s.next (s :: acc)
-
 let entries t =
-  let band = List.init t.band_len (Array.get t.band) in
-  let all = Array.fold_right chain_to_list t.chains band in
-  List.stable_sort (fun a b -> if before a b then -1 else 1) all
+  let all = ref [] in
+  iter_entries t (fun all s -> all := s :: !all) all;
+  List.stable_sort (fun a b -> if before a b then -1 else 1) !all
 
 let misses t = t.miss_count
 let hits t = t.hit_count

@@ -6,11 +6,8 @@
     record, which holds the flow-mod's rule by reference beside the
     table's own fields. Five-tuple-shaped entries (layer 2 and ingress
     port wildcarded, /32 addresses, protocol and both ports given) live
-    in intrusive chains: each entry links to the next one of its
-    chain, and the chains hang from a power-of-two array indexed by the
-    5-tuple's hash, which is taken from the fields' ints without
-    building a key. Each chain is kept in table order, and the array
-    doubles once the chained entries outnumber its cells twice over.
+    in {!Netcore.Flow_chains}, each chain in table order, hashed by the
+    5-tuple taken from the fields' ints without building a key.
     Every other entry lives in the wildcard band, a growable array kept
     in table order. Timed entries sit in a min-heap of deadline lower
     bounds; removal leaves a dead entry in the heap, and the heap is

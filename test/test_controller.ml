@@ -1899,11 +1899,12 @@ let test_direct_settle_out_of_scope_requeries () =
   Alcotest.(check int) "asked no more" 2 (C.stats s.controller).C.queries_sent
 
 (* Two flows pending between the same two hosts with the same ports,
-   one each way, the second opened 10 us after the first: each answer
-   names both, and while both are pending the flow awaiting the
-   answering host as its source takes it, the other flow the host's
-   next answer. Each end gets an answer, so nothing times out. *)
-let test_pending_both_ways () =
+   one each way, the second opened [apart] us after the first: each
+   answer names both, and while both are pending the flow whose source
+   still takes an answer from the answering host gets it, the other
+   flow the host's next answer. Each end gets an answer, so nothing
+   times out. *)
+let pending_both_ways ~apart () =
   let s = Deploy.simple_network () in
   Identxx_core.Policy_store.add_exn (C.policy s.controller) ~name:"00"
     (both_ends_policy [ "firefox" ]);
@@ -1916,13 +1917,109 @@ let test_pending_both_ways () =
     Net.send_from_host s.network ~name (Identxx.Host.first_packet from ~flow)
   in
   open_flow ~from:s.client ~name:"client" ~to_:s.server;
-  Sim.Engine.schedule s.engine ~delay:(Sim.Time.us 10) (fun () ->
+  Sim.Engine.schedule s.engine ~delay:(Sim.Time.us apart) (fun () ->
       open_flow ~from:s.server ~name:"server" ~to_:s.client);
   Sim.Engine.run s.engine;
   let st = C.stats s.controller in
   Alcotest.(check int) "two flows" 2 st.C.flows_seen;
   Alcotest.(check int) "four answers taken" 4 st.C.responses_received;
   Alcotest.(check int) "no end timed out" 0 st.C.query_timeouts;
+  Alcotest.(check int) "both passed" 2 st.C.allowed;
+  Alcotest.(check int) "nothing pending" 0 (C.pending_count s.controller)
+
+(* Opened in one instant, each host's two answers arrive together and
+   both name, on arrival, the flow awaiting that host as its source.
+   The first takes that end; the second finds it taken and names the
+   other flow. *)
+let test_pending_both_ways_at_once () = pending_both_ways ~apart:0 ()
+
+(* A TCP and a UDP flow from one process between the same two hosts
+   with the same ports, opened at once: the source's answer to each
+   query echoes its flow's protocol, so it names that flow alone, and
+   each flow decides on its own answer before its timeout. The source
+   port is the first from 40000 at which the two flows' hashes agree in
+   their low 12 bits, so they share a chain in any pending table of up
+   to 4,096 cells and only the protocol tells them apart. *)
+let test_pending_tcp_and_udp () =
+  let s = Deploy.simple_network () in
+  Identxx_core.Policy_store.add_exn (C.policy s.controller) ~name:"00"
+    (app_policy [ "firefox" ]);
+  let src = Identxx.Host.ip s.client and dst = Identxx.Host.ip s.server in
+  let rec colliding src_port =
+    let hash proto =
+      Five_tuple.hash (Five_tuple.make ~src ~dst ~proto ~src_port ~dst_port:80) land 0xfff
+    in
+    if hash Proto.Tcp = hash Proto.Udp then src_port else colliding (src_port + 1)
+  in
+  let src_port = colliding 40000 in
+  let proc = Identxx.Host.run s.client ~user:"alice" ~exe:"/usr/bin/firefox" () in
+  List.iter
+    (fun proto ->
+      let flow = Identxx.Host.connect s.client ~proc ~dst ~src_port ~dst_port:80 ~proto () in
+      Net.send_from_host s.network ~name:"client"
+        (Identxx.Host.first_packet s.client ~flow))
+    [ Proto.Tcp; Proto.Udp ];
+  Sim.Engine.run s.engine;
+  let st = C.stats s.controller in
+  Alcotest.(check int) "two flows" 2 st.C.flows_seen;
+  Alcotest.(check int) "two answers taken" 2 st.C.responses_received;
+  Alcotest.(check int) "no end timed out" 0 st.C.query_timeouts;
+  Alcotest.(check int) "both passed" 2 st.C.allowed;
+  Alcotest.(check int) "nothing pending" 0 (C.pending_count s.controller)
+
+(* An answer is taken (kept in its end's leg) when its shard runs it,
+   and settles the end when the [Settle] it posts runs. Here the flow's
+   timeout, with a retry left, runs in between: each message costs the
+   one shard 10 us, the answer reaches it 100 us before the 1 ms timeout
+   behind 20 buffered packets, so the timer's message queues after the
+   answer and before the [Settle] the answer posts. The retry round asks
+   the silent source again, since its end still awaits; the [Settle]
+   then settles it with the taken answer, so the flow passes on it and
+   no end times out. The order is read off the counters, one event at a
+   time: the answer is taken, then the retry round goes out, then the
+   flow passes. *)
+let test_timeout_between_take_and_settle () =
+  let config =
+    {
+      C.default_config with
+      C.query_timeout = Sim.Time.ms 1;
+      query_retries = 1;
+      shards = Some (C.sharded ~service:(Sim.Time.us 10) 1);
+    }
+  in
+  let s = Deploy.simple_network ~config () in
+  Identxx_core.Policy_store.add_exn (C.policy s.controller) ~name:"00"
+    (app_policy [ "firefox" ]);
+  Identxx.Daemon.set_behaviour (Identxx.Host.daemon s.client) Identxx.Daemon.Silent;
+  let client = Identxx.Host.ip s.client and server = Identxx.Host.ip s.server in
+  let proc = Identxx.Host.run s.client ~user:"alice" ~exe:"/usr/bin/firefox" () in
+  let flow = Identxx.Host.connect s.client ~proc ~dst:server ~dst_port:80 () in
+  let send pkt = Net.send_from_host s.network ~name:"client" pkt in
+  send (Identxx.Host.first_packet s.client ~flow);
+  Sim.Engine.schedule s.engine ~delay:(Sim.Time.us 900) (fun () ->
+      for _ = 1 to 20 do
+        send (Identxx.Host.first_packet s.client ~flow)
+      done;
+      send
+        (Identxx.Wire.response_packet ~to_ip:server ~from_ip:client ~dst_port:49152
+           (Identxx.Response.make ~flow [ [ Identxx.Key_value.pair "name" "firefox" ] ])));
+  (* The step at which each counter first turned nonzero. *)
+  let taken = ref 0 and retried = ref 0 and passed = ref 0 and n = ref 0 in
+  let first r v = if !r = 0 && v > 0 then r := !n in
+  while Sim.Engine.step s.engine do
+    incr n;
+    let st = C.stats s.controller in
+    first taken st.C.responses_received;
+    first retried st.C.query_retries_sent;
+    first passed st.C.allowed
+  done;
+  let st = C.stats s.controller in
+  Alcotest.(check bool) "taken, then a retry round, then passed" true
+    (0 < !taken && !taken < !retried && !retried < !passed);
+  Alcotest.(check int) "the source asked again" 2 st.C.queries_sent;
+  Alcotest.(check int) "one answer taken" 1 st.C.responses_received;
+  Alcotest.(check int) "no end timed out" 0 st.C.query_timeouts;
+  Alcotest.(check int) "passed" 1 st.C.allowed;
   Alcotest.(check int) "nothing pending" 0 (C.pending_count s.controller)
 
 (* Packets that miss while their flow is pending are buffered, and the
@@ -2060,7 +2157,13 @@ let () =
           Alcotest.test_case "direct settle out of scope requeries" `Quick
             test_direct_settle_out_of_scope_requeries;
           Alcotest.test_case "a flow pending both ways" `Quick
-            test_pending_both_ways;
+            (pending_both_ways ~apart:10);
+          Alcotest.test_case "a flow pending both ways, opened at once" `Quick
+            test_pending_both_ways_at_once;
+          Alcotest.test_case "TCP and UDP pending on one port pair" `Quick
+            test_pending_tcp_and_udp;
+          Alcotest.test_case "a timeout between take and settle" `Quick
+            test_timeout_between_take_and_settle;
           Alcotest.test_case "buffered packets released in order" `Quick
             test_buffered_packets_released_in_order;
           Alcotest.test_case "pending probe allocation, flat in pending flows"

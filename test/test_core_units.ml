@@ -262,16 +262,12 @@ let test_audit_stays_bounded () =
 
 (* --- the packed layouts against list and Hashtbl models --- *)
 
-(* Flows whose packing is tested: every protocol kind, [Other n] on a
-   named protocol's number (which must stay [Other]), the edge ports,
-   and flows no IP header carries (a protocol number past 255, a port
-   past 65535), which the audit log keeps aside and the keep-state
-   table never holds. *)
+(* Flows whose packing is tested: every protocol kind a flow can carry
+   (the named ones and [Other] at both ends of the byte and between),
+   the edge ports and the edge addresses. *)
 let packed_flows =
   let addrs = [ ip "10.0.0.1"; ip "10.0.0.2"; Ipv4.of_int 0xffff_ffff; Ipv4.any ] in
-  let protos =
-    Proto.[ Tcp; Udp; Icmp; Other 0; Other 6; Other 47; Other 255 ]
-  in
+  let protos = Proto.[ Tcp; Udp; Icmp; Other 0; Other 47; Other 255 ] in
   let tuples =
     List.concat_map
       (fun proto ->
@@ -279,7 +275,7 @@ let packed_flows =
           (fun (src, dst) ->
             List.map
               (fun (src_port, dst_port) ->
-                { Five_tuple.src; dst; proto; src_port; dst_port })
+                Five_tuple.make ~src ~dst ~proto ~src_port ~dst_port)
               [ (40000, 80); (80, 40000); (0, 0xffff) ])
           [
             (List.nth addrs 0, List.nth addrs 1);
@@ -288,18 +284,7 @@ let packed_flows =
           ])
       protos
   in
-  let unpackable =
-    [
-      { (List.hd tuples) with Five_tuple.proto = Proto.Other 300 };
-      { (List.hd tuples) with Five_tuple.proto = Proto.Other (-1) };
-      { (List.hd tuples) with Five_tuple.dst_port = 70_000 };
-    ]
-  in
-  Array.of_list (tuples @ unpackable)
-
-let packs (f : Five_tuple.t) =
-  let p = Proto.to_int f.proto in
-  p >= 0 && p <= 255 && f.src_port <= 0xffff && f.dst_port <= 0xffff
+  Array.of_list tuples
 
 let audit_rules =
   match Pf.Env.of_string "pass all\nblock log all\npass log all" with
@@ -496,12 +481,10 @@ let prop_conn_state_model =
         List.length gone
       in
       let note f =
-        if packs f then begin
-          Flow_tbl.replace model f !now;
-          if Flow_tbl.length model >= !sweep_at then begin
-            ignore (drop (fun _ last -> not (fresh last)));
-            sweep_at := max 128 (2 * Flow_tbl.length model)
-          end
+        Flow_tbl.replace model f !now;
+        if Flow_tbl.length model >= !sweep_at then begin
+          ignore (drop (fun _ last -> not (fresh last)));
+          sweep_at := max 128 (2 * Flow_tbl.length model)
         end;
         Identxx_core.Conn_state.note cs ~now:!now f
       in
@@ -1239,23 +1222,39 @@ let test_decide_alloc_flat () =
           app short long)
     [ ("firefox", 22.); ("dropbox", 22.) ]
 
-(* --- Pending_table --- *)
+(* --- Netcore.Flow_chains --- *)
 
-(* A pending-table entry: its flow and its chain link. *)
-type pentry = { pflow : Five_tuple.t; mutable pnext : pentry }
+(* A chained entry: its flow, its rank in table order and its link. *)
+type pentry = { pflow : Five_tuple.t; prank : int; mutable pnext : pentry }
 
 let rec no_pentry =
   { pflow = Five_tuple.tcp ~src:Ipv4.any ~dst:Ipv4.any ~src_port:0 ~dst_port:0;
-    pnext = no_pentry }
+    prank = 0; pnext = no_pentry }
 
-module PT = Identxx_core.Pending_table.Make (struct
-  type t = pentry
+(* Chains as the controller keeps its pending flows, in no order. *)
+let pentry =
+  {
+    Flow_chains.vacant = no_pentry;
+    hash = (fun e -> Five_tuple.hash e.pflow);
+    before = (fun _ _ -> false);
+    next = (fun e -> e.pnext);
+    set_next = (fun e n -> e.pnext <- n);
+  }
 
-  let vacant = no_pentry
-  let flow e = e.pflow
-  let next e = e.pnext
-  let set_next e n = e.pnext <- n
-end)
+(* Chains as a flow table keeps its exact entries: by rank, highest
+   first. *)
+let ranked = { pentry with before = (fun a b -> a.prank > b.prank) }
+
+(* The first entry of [f] in [table], by the probe the controller
+   routes each answer with. *)
+let probe table (f : Five_tuple.t) =
+  Flow_chains.probe table (fun e -> e.pflow) ~src:f.src ~dst:f.dst ~proto:f.proto
+    ~src_port:f.src_port ~dst_port:f.dst_port
+
+(* Whether [e] is linked in the chain its own hash selects. *)
+let in_own_chain table e =
+  let rec walk x = x != no_pentry && (x == e || walk x.pnext) in
+  walk (Flow_chains.chain table (pentry.hash e))
 
 type pop = P_add of int | P_remove of int | P_remove_absent of int | P_probe of int
 
@@ -1267,7 +1266,11 @@ type pop = P_add of int | P_remove of int | P_remove_absent of int | P_probe of 
    collides until it grows, and grows past its first size many times
    over. After each step the table holds what the model holds: its
    length, and for the step's flow and its other orientation the same
-   entry (physically) or none, by [find] and by [probe]. *)
+   entry (physically) or none, by {!Flow_chains.probe}, which compares
+   addresses, ports and protocol (the flows include a TCP and a UDP
+   flow of each address and port pair); at the end every held entry is
+   linked in the chain of its own hash and [iter] visits exactly the
+   held entries. *)
 let prop_pending_table =
   let addrs = [| ip "10.0.0.1"; ip "10.0.0.2"; ip "10.0.1.1" |]
   and ports = [| 80; 40000; 40001 |] in
@@ -1315,15 +1318,16 @@ let prop_pending_table =
   QCheck.Test.make ~name:"pending table agrees with a Hashtbl model" ~count:300
     (QCheck.make gen ~print)
     (fun ops ->
-      let table = PT.create 1 and model = Hashtbl.create 16 in
+      let table = Flow_chains.create pentry 1 and model = Hashtbl.create 16 in
       let agrees (f : Five_tuple.t) =
         let want = Option.value (Hashtbl.find_opt model f) ~default:no_pentry in
-        PT.find table f == want
-        && PT.probe table ~src:f.src ~dst:f.dst ~proto:f.proto ~src_port:f.src_port
-             ~dst_port:f.dst_port
-           == want
+        probe table f == want
       in
-      let other_way (f : Five_tuple.t) = { f with src = f.dst; dst = f.src } in
+      let other_way (f : Five_tuple.t) =
+        Five_tuple.make ~src:f.dst ~dst:f.src ~proto:f.proto ~src_port:f.src_port
+          ~dst_port:f.dst_port
+      in
+      let visited = ref 0 in
       List.for_all
         (fun op ->
           let i =
@@ -1333,23 +1337,87 @@ let prop_pending_table =
           (match op with
           | P_add _ ->
               if not (Hashtbl.mem model f) then begin
-                let e = { pflow = f; pnext = no_pentry } in
-                PT.add table e;
+                let e = { pflow = f; prank = 0; pnext = no_pentry } in
+                Flow_chains.add table (pentry.hash e) e;
                 Hashtbl.replace model f e
               end
           | P_remove _ -> (
               match Hashtbl.find_opt model f with
               | Some e ->
-                  PT.remove table e;
+                  Flow_chains.remove table (pentry.hash e) e;
                   Hashtbl.remove model f
               | None -> ())
           | P_remove_absent _ ->
               (* An entry for the same flow that is not the one held. *)
-              PT.remove table { pflow = f; pnext = no_pentry }
+              Flow_chains.remove table (Five_tuple.hash f)
+                { pflow = f; prank = 0; pnext = no_pentry }
           | P_probe _ -> ());
-          PT.length table = Hashtbl.length model && agrees f && agrees (other_way f))
+          table.Flow_chains.count = Hashtbl.length model && agrees f && agrees (other_way f))
         ops
-      && Array.for_all agrees flows)
+      && Array.for_all agrees flows
+      && Hashtbl.fold (fun _ e ok -> ok && in_own_chain table e) model true
+      && begin
+           Flow_chains.iter table (fun visited () _ -> incr visited) visited ();
+           !visited = Hashtbl.length model
+         end)
+
+(* Entries of random ranks, several a flow, added to a table of one
+   cell and removed, so it grows many times over: after every step each
+   chain holds its entries highest rank first (a doubling splits each
+   chain in order), each held entry is linked in the chain of its own
+   hash, a probe of its flow finds the first of that flow's entries,
+   and the table holds what was added and not removed. *)
+let prop_chains_keep_order =
+  let flows =
+    Array.init 24 (fun i ->
+        Five_tuple.tcp ~src:(ip "10.0.0.1") ~dst:(ip "10.0.0.2")
+          ~src_port:(40000 + (i mod 6)) ~dst_port:(80 + (i / 6)))
+  in
+  let gen =
+    QCheck.Gen.(
+      list_size (int_range 1 300)
+        (pair (int_bound (Array.length flows - 1)) (frequency [ (4, return true); (1, return false) ])))
+  in
+  let print ops =
+    String.concat "; "
+      (List.map (fun (i, add) -> (if add then "add " else "remove ") ^ string_of_int i) ops)
+  in
+  QCheck.Test.make ~name:"flow chains keep table order across growth" ~count:300
+    (QCheck.make gen ~print)
+    (fun ops ->
+      let table = Flow_chains.create ranked 1 and held = ref [] in
+      let rec ordered e =
+        e.pnext == no_pentry || (e.prank > e.pnext.prank && ordered e.pnext)
+      in
+      List.for_all
+        (fun (step, (i, add)) ->
+          let f = flows.(i) in
+          (if add then begin
+             (* Random-looking ranks, distinct by the step. *)
+             let e = { pflow = f; prank = ((step * 7919) mod 1000 * 1000) + step; pnext = no_pentry } in
+             Flow_chains.add table (pentry.hash e) e;
+             held := e :: !held
+           end
+           else
+             match List.find_opt (fun e -> Five_tuple.equal e.pflow f) !held with
+             | Some e ->
+                 Flow_chains.remove table (pentry.hash e) e;
+                 held := List.filter (fun x -> x != e) !held
+             | None -> ());
+          table.Flow_chains.count = List.length !held
+          && List.for_all
+               (fun e ->
+                 let head = Flow_chains.chain table (pentry.hash e) in
+                 let first =
+                   List.fold_left
+                     (fun best x ->
+                       if Five_tuple.equal x.pflow e.pflow && x.prank > best.prank then x
+                       else best)
+                     e !held
+                 in
+                 ordered head && in_own_chain table e && probe table e.pflow == first)
+               !held)
+        (List.mapi (fun step op -> (step, op)) ops))
 
 let () =
   Alcotest.run "core_units"
@@ -1401,7 +1469,9 @@ let () =
             test_policy_store_rule_reads_into_next_file;
           QCheck_alcotest.to_alcotest prop_policy_store_load;
         ] );
-      ("pending", [ QCheck_alcotest.to_alcotest prop_pending_table ]);
+      ( "pending",
+        List.map QCheck_alcotest.to_alcotest
+          [ prop_pending_table; prop_chains_keep_order ] );
       ( "query_plan",
         [ QCheck_alcotest.to_alcotest prop_intercept_table ] );
       ("services", [ Alcotest.test_case "lookup" `Quick test_services_lookup ]);

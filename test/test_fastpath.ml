@@ -60,11 +60,15 @@ let test_attr_ttl () =
   check Alcotest.bool "key order ignored, other flow" true
     (Answers.find c ~now:(Sim.Time.ms 9)
        ~hints:(Answers.hint_key [ "name"; "userID"; "name" ])
-       ~flow:{ flow with Five_tuple.src = ip "10.0.0.7"; src_port = 41000 }
+       ~flow:
+         (Five_tuple.make ~src:(ip "10.0.0.7") ~dst:flow.dst ~proto:flow.proto
+            ~src_port:41000 ~dst_port:flow.dst_port)
     <> None);
   check Alcotest.bool "another port misses" true
     (Answers.find c ~now:(Sim.Time.ms 9) ~hints
-       ~flow:{ flow with Five_tuple.dst_port = 443 }
+       ~flow:
+         (Five_tuple.make ~src:flow.src ~dst:flow.dst ~proto:flow.proto
+            ~src_port:flow.src_port ~dst_port:443)
     = None);
   check Alcotest.bool "expired at ttl" true
     (Answers.find c ~now:(Sim.Time.ms 10) ~hints ~flow = None);
@@ -518,7 +522,11 @@ module Memo_gen = struct
       [
         ( 4,
           let src_port = if flow.src_port = 40000 then 40001 else 40000 in
-          return ({ flow with src_port }, src, dst) );
+          return
+            ( Five_tuple.make ~src:flow.src ~dst:flow.dst ~proto:flow.proto
+                ~src_port ~dst_port:flow.dst_port,
+              src,
+              dst ) );
         (3, map (fun src -> (flow, src, dst)) (perturb_answer src));
         (3, map (fun dst -> (flow, src, dst)) (perturb_answer dst));
       ]

@@ -147,6 +147,28 @@ let test_five_tuple_rejects_bad_port () =
       ignore
         (Five_tuple.tcp ~src:Ipv4.any ~dst:Ipv4.any ~src_port:70000 ~dst_port:80))
 
+(* A flow is what an IP header carries: no protocol number past a
+   byte, and no [Other] on a named protocol's number, which would pack
+   and compare as the named one. The byte's other numbers are flows. *)
+let test_five_tuple_rejects_odd_protocols () =
+  let flow proto =
+    Five_tuple.make ~src:Ipv4.any ~dst:Ipv4.any ~proto ~src_port:1 ~dst_port:2
+  in
+  List.iter
+    (fun n ->
+      Alcotest.check_raises
+        (Printf.sprintf "Other %d" n)
+        (Invalid_argument "Five_tuple: protocol out of range")
+        (fun () -> ignore (flow (Proto.Other n))))
+    [ 300; -1; 256; 1; 6; 17 ];
+  List.iter
+    (fun n ->
+      check Alcotest.int
+        (Printf.sprintf "Other %d" n)
+        n
+        (Proto.to_int (flow (Proto.Other n)).Five_tuple.proto))
+    [ 0; 47; 255 ]
+
 (* Every exact-match table lookup and shard choice hashes a five-tuple,
    so hashing one allocates nothing. *)
 let test_five_tuple_hash_alloc () =
@@ -439,9 +461,9 @@ let prop_ipv4_string_roundtrip =
     (QCheck.make gen_ip ~print:Ipv4.to_string) (fun a ->
       Ipv4.equal a (Ipv4.of_string (Ipv4.to_string a)))
 
-(* Five-tuples at the edges of every field: protocols past the named
-   ones (any int, as [Proto.Other] admits), ports 0 and 65535, addresses
-   up to 2^32 - 1. *)
+(* Five-tuples at the edges of every field: every protocol a flow can
+   carry (each [Proto.Other] number in [0, 255] that no named protocol
+   has), ports 0 and 65535, addresses up to 2^32 - 1. *)
 let gen_five_tuple =
   QCheck.Gen.(
     let edge_port = oneof [ return 0; return 0xffff; gen_port ] in
@@ -451,13 +473,12 @@ let gen_five_tuple =
       oneof
         [
           oneofl Proto.[ Icmp; Tcp; Udp ];
-          map (fun n -> Proto.Other n) (int_bound 255);
-          map (fun n -> Proto.Other n) int;
+          map Proto.of_int (int_bound 255);
         ]
     in
     let* src_port = edge_port in
     let* dst_port = edge_port in
-    return { Five_tuple.src; dst; proto; src_port; dst_port })
+    return (Five_tuple.make ~src ~dst ~proto ~src_port ~dst_port))
 
 let prop_five_tuple_hash_is_runtime_hash =
   QCheck.Test.make ~name:"five-tuple hash is Hashtbl.hash of its fields"
@@ -473,6 +494,16 @@ let prop_five_tuple_hash_is_runtime_hash =
             Proto.to_int t.proto,
             t.src_port,
             t.dst_port ))
+
+(* [hash_ints] over any ints, not only a flow's: it replays the
+   runtime's hash of the int tuple whatever the ints. *)
+let prop_hash_ints_is_runtime_hash =
+  QCheck.Test.make ~name:"hash_ints is Hashtbl.hash of any five ints"
+    ~count:2000
+    QCheck.(tup5 int int int int int)
+    (fun (src, dst, proto, src_port, dst_port) ->
+      Five_tuple.hash_ints ~src ~dst ~proto ~src_port ~dst_port
+      = Hashtbl.hash (src, dst, proto, src_port, dst_port))
 
 (* [is_text_sub] against strings near an address's text: the text itself,
    another address's, and the text with one character changed, dropped
@@ -551,6 +582,8 @@ let () =
             test_five_tuple_reverse_involution;
           Alcotest.test_case "rejects bad port" `Quick
             test_five_tuple_rejects_bad_port;
+          Alcotest.test_case "rejects odd protocols" `Quick
+            test_five_tuple_rejects_odd_protocols;
           Alcotest.test_case "hash allocates nothing" `Quick
             test_five_tuple_hash_alloc;
         ] );
@@ -591,6 +624,7 @@ let () =
             prop_ipv4_string_roundtrip;
             prop_mac_string_roundtrip;
             prop_five_tuple_hash_is_runtime_hash;
+            prop_hash_ints_is_runtime_hash;
             prop_ipv4_is_text;
           ] );
     ]
