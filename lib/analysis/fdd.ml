@@ -40,76 +40,258 @@ type st = {
 (* [L_space] leaves make a diagram a flow space: in or out. *)
 type leaf = L_state of st | L_verdict of verdict | L_space of bool
 
-type node =
-  | Leaf of leaf
-  | N of { level : int; parts : (int * int) array }
-      (* parts.(i) = (hi, child id): child for values in
-         (previous hi + 1 .. hi]; his strictly ascending, last =
-         dim_top.(level); adjacent children distinct; >= 2 parts. *)
-
 type t = int
 
 (* --- the global hash-consed store --- *)
 
-module Tab = Hashtbl.Make (struct
-  type t = node
+(* Node [id] is [nodes.(id)]. An interior node is one flat array: its
+   level, then its parts as (hi, child) pairs, part [i] at [1 + 2i] and
+   [2 + 2i]. Part [i] runs from the previous part's hi + 1 (0 for the
+   first) to its own hi; his strictly ascending, the last
+   [dim_top.(level)]; adjacent children distinct; at least two parts.
+   Every leaf is the one [leaf_mark], whose level is [levels], and its
+   value is [leaves.(id)]. *)
+let leaf_mark = [| levels |]
+let parts_of a = (Array.length a - 1) / 2
 
-  let equal = ( = )
-  let hash = Hashtbl.hash
-end)
+(* An int-keyed memo of node ids, open addressing; [clear] empties it
+   in O(1) by starting a new generation. *)
+module Memo = struct
+  type t = {
+    mutable keys : int array;
+    mutable vals : int array;
+    mutable gens : int array;  (* a slot is live iff its generation is [gen] *)
+    mutable gen : int;
+    mutable count : int;
+  }
 
-let dummy = Leaf (L_state { finals = []; running = false; currents = []; deps = [] })
-let store = ref (Array.make 1024 dummy)
-let store_size = ref 0
-let tab : int Tab.t = Tab.create 4096
-let get id = !store.(id)
+  let create n =
+    { keys = Array.make n 0; vals = Array.make n 0; gens = Array.make n 0; gen = 1; count = 0 }
 
-let intern nd =
-  match Tab.find_opt tab nd with
-  | Some id -> id
-  | None ->
-      if !store_size >= Array.length !store then begin
-        let bigger = Array.make (2 * Array.length !store) dummy in
-        Array.blit !store 0 bigger 0 !store_size;
-        store := bigger
-      end;
-      let id = !store_size in
-      !store.(id) <- nd;
-      incr store_size;
-      Tab.add tab nd id;
+  let clear m =
+    m.gen <- m.gen + 1;
+    m.count <- 0
+
+  let length m = m.count
+
+  let slot key mask =
+    let h = key * 0x2545F4914F6CDD1D in
+    (h lxor (h lsr 29)) land mask
+
+  (* The value under [key], or -1. *)
+  let find m key =
+    let mask = Array.length m.keys - 1 in
+    let i = ref (slot key mask) and r = ref (-2) in
+    while !r = -2 do
+      if m.gens.(!i) <> m.gen then r := -1
+      else if m.keys.(!i) = key then r := m.vals.(!i)
+      else i := (!i + 1) land mask
+    done;
+    !r
+
+  (* [key] must be absent. *)
+  let rec add m key v =
+    if 2 * (m.count + 1) > Array.length m.keys then grow m;
+    let mask = Array.length m.keys - 1 in
+    let i = ref (slot key mask) in
+    while m.gens.(!i) = m.gen do
+      i := (!i + 1) land mask
+    done;
+    m.keys.(!i) <- key;
+    m.vals.(!i) <- v;
+    m.gens.(!i) <- m.gen;
+    m.count <- m.count + 1
+
+  and grow m =
+    let keys = m.keys and vals = m.vals and gens = m.gens in
+    let n = 2 * Array.length keys in
+    m.keys <- Array.make n 0;
+    m.vals <- Array.make n 0;
+    m.gens <- Array.make n 0;
+    m.count <- 0;
+    for i = 0 to Array.length keys - 1 do
+      if gens.(i) = m.gen then add m keys.(i) vals.(i)
+    done
+end
+
+(* The store: [size] nodes, interior ones found by content through
+   [slots] (ids by hash, -1 free), leaves through [leaf_ids]. [buf] is
+   a stack of the (hi, child) parts of nodes under construction, up to
+   [top]; [memo] is the memo of one rule application or space
+   operation, cleared when the next starts. *)
+type store = {
+  mutable nodes : int array array;
+  mutable leaves : leaf array;
+  mutable size : int;
+  mutable slots : int array;
+  leaf_ids : (leaf, int) Hashtbl.t;
+  mutable buf : int array;
+  mutable top : int;
+  memo : Memo.t;
+}
+
+let no_leaf = L_space false
+
+let store =
+  let nodes = Array.make 256 leaf_mark in
+  {
+    nodes;
+    leaves = Array.make 256 no_leaf;
+    size = 0;
+    slots = Array.make 512 (-1);
+    leaf_ids = Hashtbl.create 64;
+    buf = Array.make 64 0;
+    top = 0;
+    memo = Memo.create 64;
+  }
+
+let mix h w = (h lxor w) * 0x100000001b3
+
+(* The hash of a node at [level] whose parts are [a.(off)] to
+   [a.(off + len - 1)]. *)
+let node_hash level a off len =
+  let h = ref (mix 0 level) in
+  for i = off to off + len - 1 do
+    h := mix !h a.(i)
+  done;
+  !h lxor (!h lsr 32)
+
+let add_node a l =
+  let s = store in
+  if s.size = Array.length s.nodes then begin
+    let nodes = Array.make (2 * s.size) leaf_mark and leaves = Array.make (2 * s.size) no_leaf in
+    Array.blit s.nodes 0 nodes 0 s.size;
+    Array.blit s.leaves 0 leaves 0 s.size;
+    s.nodes <- nodes;
+    s.leaves <- leaves
+  end;
+  let id = s.size in
+  s.nodes.(id) <- a;
+  s.leaves.(id) <- l;
+  s.size <- id + 1;
+  id
+
+let place slots h id =
+  let mask = Array.length slots - 1 in
+  let i = ref (h land mask) in
+  while slots.(!i) >= 0 do
+    i := (!i + 1) land mask
+  done;
+  slots.(!i) <- id
+
+let grow_slots () =
+  let s = store in
+  let slots = Array.make (2 * Array.length s.slots) (-1) in
+  for i = 0 to Array.length s.slots - 1 do
+    let id = s.slots.(i) in
+    if id >= 0 then
+      let a = s.nodes.(id) in
+      place slots (node_hash a.(0) a 1 (Array.length a - 1)) id
+  done;
+  s.slots <- slots
+
+let same_node level buf base len a =
+  Array.length a = len + 1
+  && a.(0) = level
+  &&
+  let i = ref 0 in
+  while !i < len && a.(!i + 1) = buf.(base + !i) do
+    incr i
+  done;
+  !i = len
+
+(* The interior node at [level] whose parts are [buf.(base)] to
+   [buf.(top - 1)], interned: found, or copied out of the stack. *)
+let intern_parts level base top =
+  let s = store in
+  let len = top - base in
+  let mask = Array.length s.slots - 1 in
+  let i = ref (node_hash level s.buf base len land mask) and found = ref (-1) in
+  while !found < 0 && s.slots.(!i) >= 0 do
+    let id = s.slots.(!i) in
+    if same_node level s.buf base len s.nodes.(id) then found := id
+    else i := (!i + 1) land mask
+  done;
+  if !found >= 0 then !found
+  else begin
+    let a = Array.make (len + 1) level in
+    Array.blit s.buf base a 1 len;
+    let id = add_node a no_leaf in
+    s.slots.(!i) <- id;
+    if 2 * s.size > Array.length s.slots then grow_slots ();
+    id
+  end
+
+let intern_leaf l =
+  match Hashtbl.find store.leaf_ids l with
+  | id -> id
+  | exception Not_found ->
+      let id = add_node leaf_mark l in
+      Hashtbl.add store.leaf_ids l id;
       id
 
 let sorted l = List.sort_uniq compare l
-let mk_state s = intern (Leaf (L_state s))
-let mk_verdict v = intern (Leaf (L_verdict v))
+let mk_state s = intern_leaf (L_state s)
+let mk_verdict v = intern_leaf (L_verdict v)
 
-(* Canonicalize a (hi, child) partition: merge adjacent equal children,
-   collapse the node when only one part remains. *)
-let mk_node level parts =
-  let rec merge acc = function
-    | [] -> List.rev acc
-    | [ p ] -> List.rev (p :: acc)
-    | (_, c1) :: ((_, c2) :: _ as rest) when c1 = c2 -> merge acc rest
-    | p :: rest -> merge (p :: acc) rest
-  in
-  match merge [] parts with
-  | [ (_, c) ] -> c
-  | ps -> intern (N { level; parts = Array.of_list ps })
+(* Building a node: its parts are pushed in order above the stack's
+   [top] at the time it started, its [base], and [build] canonicalizes
+   them: adjacent equal children merge as they are pushed, and a node
+   left with one part is its child. A child is built above its
+   parent's parts, and popped before the parent pushes it. *)
+let push base hi c =
+  let s = store in
+  let top = s.top in
+  if top > base && s.buf.(top - 1) = c then s.buf.(top - 2) <- hi
+  else begin
+    if top + 2 > Array.length s.buf then begin
+      let buf = Array.make (2 * Array.length s.buf) 0 in
+      Array.blit s.buf 0 buf 0 top;
+      s.buf <- buf
+    end;
+    s.buf.(top) <- hi;
+    s.buf.(top + 1) <- c;
+    s.top <- top + 2
+  end
 
-(* The behaviour of [id] along [level] as full-coverage (lo, hi, child)
-   segments. Only valid when [id] tests no dimension below [level],
-   which every traversal here maintains. *)
-let segments level id =
-  match get id with
-  | N { level = l; parts } when l = level ->
-      let segs = ref [] and lo = ref 0 in
-      Array.iter
-        (fun (hi, c) ->
-          segs := (!lo, hi, c) :: !segs;
-          lo := hi + 1)
-        parts;
-      List.rev !segs
-  | _ -> [ (0, dim_top.(level), id) ]
+let build level base =
+  let s = store in
+  let r = if s.top - base = 2 then s.buf.(base + 1) else intern_parts level base s.top in
+  s.top <- base;
+  r
+
+(* --- reading a node along a level --- *)
+
+(* A node that tests a dimension below [level] (or a leaf) reads there
+   as one part covering the level, whose child is the node itself.
+   Every traversal here reads a node at its own level or above. *)
+let level_of id = store.nodes.(id).(0)
+
+let part_count level id =
+  let a = store.nodes.(id) in
+  if a.(0) = level then parts_of a else 1
+
+let part_hi level id i =
+  let a = store.nodes.(id) in
+  if a.(0) = level then a.(1 + (2 * i)) else dim_top.(level)
+
+let part_child level id i =
+  let a = store.nodes.(id) in
+  if a.(0) = level then a.(2 + (2 * i)) else id
+
+(* Walk [a] and [b] read at [level] in lockstep, calling
+   [k lo hi child_a child_b] for each aligned piece. *)
+let merge_parts level a b k =
+  let na = part_count level a and nb = part_count level b in
+  let i = ref 0 and j = ref 0 and lo = ref 0 in
+  while !i < na && !j < nb do
+    let ha = part_hi level a !i and hb = part_hi level b !j in
+    let hi = min ha hb in
+    k !lo hi (part_child level a !i) (part_child level b !j);
+    lo := hi + 1;
+    if ha = hi then incr i;
+    if hb = hi then incr j
+  done
 
 (* --- rule header constraints as interval lists per dimension --- *)
 
@@ -135,9 +317,24 @@ let complement_ivals top ivs =
 let prefix_ival p = (Ipv4.to_int (Prefix.first p), Ipv4.to_int (Prefix.last p))
 let addr_top = dim_top.(1)
 
+(* A normalized interval list as one flat array of (lo, hi) pairs. *)
+let flat ivs =
+  let a = Array.make (2 * List.length ivs) 0 in
+  List.iteri
+    (fun i (lo, hi) ->
+      a.(2 * i) <- lo;
+      a.((2 * i) + 1) <- hi)
+    ivs;
+  a
+
+(* Each dimension whole, flat. Never written: steps share them. *)
+let whole = Array.map (fun top -> [| 0; top |]) dim_top
+
 let addr_ivals ~lookup (spec : Pf.Ast.addr_spec option) =
   match spec with
-  | None -> Some [ (0, addr_top) ]
+  | None | Some { Pf.Ast.negated = false; addr = Pf.Ast.Addr_any } -> Some whole.(1)
+  | Some { Pf.Ast.negated = false; addr = Pf.Ast.Addr_prefix p } ->
+      Some [| Ipv4.to_int (Prefix.first p); Ipv4.to_int (Prefix.last p) |]
   | Some { Pf.Ast.negated; addr } -> (
       let positive =
         match addr with
@@ -150,16 +347,17 @@ let addr_ivals ~lookup (spec : Pf.Ast.addr_spec option) =
       | None -> None
       | Some ivs ->
           let ivs = norm_ivals ivs in
-          Some (if negated then complement_ivals addr_top ivs else ivs))
+          Some (flat (if negated then complement_ivals addr_top ivs else ivs)))
 
-let port_ivals top = function
-  | None -> [ (0, top) ]
+let port_ivals level = function
+  | None -> whole.(level)
   | Some pm ->
       let lo, hi = Pf.Ast.port_interval pm in
-      norm_ivals [ (max 0 lo, min top hi) ]
+      let lo = max 0 lo and hi = min dim_top.(level) hi in
+      if lo <= hi then [| lo; hi |] else [||]
 
-(* One normalized interval list per dimension, or [None] when the rule
-   names a table the [lookup] cannot resolve. *)
+(* One normalized interval list per dimension, flat, or [None] when the
+   rule names a table the [lookup] cannot resolve. *)
 let dims_of_rule ~lookup (r : Pf.Ast.rule) =
   match
     (addr_ivals ~lookup r.Pf.Ast.from_.addr, addr_ivals ~lookup r.Pf.Ast.to_.addr)
@@ -167,19 +365,12 @@ let dims_of_rule ~lookup (r : Pf.Ast.rule) =
   | Some src, Some dst ->
       let proto =
         match r.Pf.Ast.proto with
-        | None -> [ (0, dim_top.(0)) ]
+        | None -> whole.(0)
         | Some p ->
             let v = Proto.to_int p in
-            [ (v, v) ]
+            [| v; v |]
       in
-      Some
-        [|
-          proto;
-          src;
-          dst;
-          port_ivals dim_top.(3) r.Pf.Ast.from_.port;
-          port_ivals dim_top.(4) r.Pf.Ast.to_.port;
-        |]
+      Some [| proto; src; dst; port_ivals 3 r.Pf.Ast.from_.port; port_ivals 4 r.Pf.Ast.to_.port |]
   | _ -> None
 
 (* --- abstract state transitions (§3.3 quick/last-match) --- *)
@@ -211,59 +402,79 @@ let apply_cond stt ~action ~line ~quick =
 
 (* --- applying one rule to the whole diagram --- *)
 
-(* Split the diagram along the rule's header intervals: inside every
-   dimension, rewrite the leaf with [tr]; anywhere outside, keep the
-   existing subdiagram. Memoized on (level, node). *)
-let apply_rule root dims tr =
-  let memo = Hashtbl.create 64 in
-  let rec inside level id =
-    if level = levels then tr id
-    else
-      let key = (level, id) in
-      match Hashtbl.find_opt memo key with
-      | Some r -> r
-      | None ->
-          let parts = ref [] in
-          List.iter
-            (fun (lo, hi, child) ->
-              let cur = ref lo in
-              List.iter
-                (fun (a, b) ->
-                  let a = max a lo and b = min b hi in
-                  if a <= b then begin
-                    if a > !cur then parts := (a - 1, child) :: !parts;
-                    parts := (b, inside (level + 1) child) :: !parts;
-                    cur := b + 1
-                  end)
-                dims.(level);
-              if !cur <= hi then parts := (hi, child) :: !parts)
-            (segments level id);
-          let r = mk_node level (List.rev !parts) in
-          Hashtbl.add memo key r;
-          r
-  in
-  inside 0 root
+(* Split the diagram along the rule's header intervals [dims]: inside
+   every dimension, rewrite the leaf with [tr]; anywhere outside, keep
+   the existing subdiagram. Memoized on (level, node) in the store's
+   memo, so an application allocates the nodes it interns and what
+   [tr] makes, nothing else. *)
+let rec inside dims tr level id =
+  if level = levels then tr id
+  else
+    let key = (id lsl 3) lor level in
+    let r = Memo.find store.memo key in
+    if r >= 0 then r
+    else begin
+      let base = store.top in
+      let a = store.nodes.(id) in
+      if a.(0) = level then begin
+        let lo = ref 0 in
+        for p = 0 to parts_of a - 1 do
+          let hi = a.(1 + (2 * p)) in
+          split dims tr level base !lo hi a.(2 + (2 * p));
+          lo := hi + 1
+        done
+      end
+      else split dims tr level base 0 dim_top.(level) id;
+      let r = build level base in
+      Memo.add store.memo key r;
+      r
+    end
 
-let map_leaves ?(memo = Hashtbl.create 64) f root =
-  let rec go id =
-    match Hashtbl.find_opt memo id with
-    | Some r -> r
-    | None ->
-        let r =
-          match get id with
-          | Leaf l -> f l
-          | N { level; parts } ->
-              mk_node level
-                (Array.to_list (Array.map (fun (hi, c) -> (hi, go c)) parts))
-        in
-        Hashtbl.add memo id r;
-        r
-  in
-  go root
+(* The parts of the segment [lo, hi] whose child is [child]: inside
+   each of the rule's intervals it meets, the child rewritten below;
+   elsewhere, the child. *)
+and split dims tr level base lo hi child =
+  let ivs = dims.(level) in
+  let cur = ref lo in
+  for k = 0 to (Array.length ivs / 2) - 1 do
+    let a = max ivs.(2 * k) lo and b = min ivs.((2 * k) + 1) hi in
+    if a <= b then begin
+      if a > !cur then push base (a - 1) child;
+      push base b (inside dims tr (level + 1) child);
+      cur := b + 1
+    end
+  done;
+  if !cur <= hi then push base hi child
+
+let apply_rule root dims tr =
+  Memo.clear store.memo;
+  inside dims tr 0 root
+
+(* [root] with every leaf [l] replaced by [f l], memoized by node in
+   [memo]. *)
+let rec map_leaves memo f id =
+  let r = Memo.find memo id in
+  if r >= 0 then r
+  else begin
+    let a = store.nodes.(id) in
+    let r =
+      if a == leaf_mark then f store.leaves.(id)
+      else begin
+        let base = store.top in
+        for p = 0 to parts_of a - 1 do
+          let c = map_leaves memo f a.(2 + (2 * p)) in
+          push base a.(1 + (2 * p)) c
+        done;
+        build a.(0) base
+      end
+    in
+    Memo.add memo id r;
+    r
+  end
 
 let map_verdicts f root =
-  map_leaves
-    (function L_verdict v -> mk_verdict (f v) | l -> intern (Leaf l))
+  map_leaves (Memo.create 64)
+    (function L_verdict v -> mk_verdict (f v) | l -> intern_leaf l)
     root
 
 (* --- compilation --- *)
@@ -288,7 +499,7 @@ let finalize_state line_inputs stt =
 type step = {
   s_prev : int;
   s_rule : Pf.Ast.rule;
-  s_dims : interval list array;
+  s_dims : int array array;
   s_inputs : Pf.Ast.cond_input list;
   s_root : int;
 }
@@ -300,23 +511,30 @@ type step = {
 type steps = {
   fold : step list;
   inputs : (int, Pf.Ast.cond_input list) Hashtbl.t;
-  finals : (int, int) Hashtbl.t option;
+  finals : Memo.t option;
   full : int;
 }
 
 (* Without [finals], [inputs] is never read. *)
 let no_steps = { fold = []; inputs = Hashtbl.create 1; finals = None; full = 0 }
 
-(* Whether [r], applied to [root], is the rule [s] recorded. A rule
-   structurally equal in its headers and naming no table has the same
-   intervals; any other is compared by its intervals. *)
-let same_step ~lookup root (r : Pf.Ast.rule) s =
+(* Whether [r], applied to [root], is the rule [s] recorded, but for
+   its intervals: a rule structurally equal in its headers and naming
+   no table ([same_headers]) has the same; any other is compared by
+   its intervals. *)
+let same_key root (r : Pf.Ast.rule) s =
   let o = s.s_rule in
   s.s_prev = root && r.action = o.action && r.line = o.line && r.quick = o.quick
   && Pf.Ast.cond_free r = Pf.Ast.cond_free o
-  && ((r.proto = o.proto && r.from_ = o.from_ && r.to_ = o.to_
-      && Pf.Ast.tables_of_rule r = [])
-     || dims_of_rule ~lookup r = Some s.s_dims)
+
+let same_headers (r : Pf.Ast.rule) s =
+  let o = s.s_rule in
+  r.proto = o.proto && r.from_ = o.from_ && r.to_ = o.to_ && Pf.Ast.tables_of_rule r = []
+
+(* The step [s] for [r], which differs from its rule at most in its
+   [with] conditions. *)
+let keep_step (r : Pf.Ast.rule) s =
+  if r.conds = s.s_rule.conds then s else { s with s_rule = r; s_inputs = Pf.Ast.rule_inputs r }
 
 let same_inputs a b =
   Hashtbl.length a = Hashtbl.length b
@@ -341,16 +559,18 @@ let recompile_rules ?(default = Pf.Ast.Pass) prev ~lookup rules =
     | [] -> []
     | (r : Pf.Ast.rule) :: rest -> (
         match prev with
-        | s :: prev' when same_step ~lookup root r s ->
-            let s =
-              if r.conds = s.s_rule.conds then s
-              else { s with s_rule = r; s_inputs = Pf.Ast.rule_inputs r }
-            in
+        | s :: prev' when same_key root r s && same_headers r s ->
+            let s = keep_step r s in
             note_inputs r s.s_inputs;
             s :: fold s.s_root prev' rest
         | _ -> (
-            match dims_of_rule ~lookup r with
-            | Some dims when not (Array.exists (fun ivs -> ivs = []) dims) ->
+            (* The intervals, computed once: to compare, then to apply. *)
+            match (dims_of_rule ~lookup r, prev) with
+            | Some dims, s :: prev' when same_key root r s && dims = s.s_dims ->
+                let s = keep_step r s in
+                note_inputs r s.s_inputs;
+                s :: fold s.s_root prev' rest
+            | Some dims, _ when not (Array.exists (fun ivs -> Array.length ivs = 0) dims) ->
                 let i = Pf.Ast.rule_inputs r in
                 note_inputs r i;
                 let tr =
@@ -360,32 +580,31 @@ let recompile_rules ?(default = Pf.Ast.Pass) prev ~lookup rules =
                 in
                 let root' =
                   apply_rule root dims (fun id ->
-                      match get id with
-                      | Leaf (L_state s) -> mk_state (tr s)
+                      match store.leaves.(id) with
+                      | L_state s -> mk_state (tr s)
                       | _ -> invalid_arg "Fdd: rule applied to a finalized diagram")
                 in
                 { s_prev = root; s_rule = r; s_dims = dims; s_inputs = i; s_root = root' }
                 :: fold root' [] rest
-            | Some _ | None -> fold root prev rest))
+            | (Some _ | None), _ -> fold root prev rest))
   in
   let fold = fold init prev.fold rules in
   let root = List.fold_left (fun _ s -> s.s_root) init fold in
   let finals, full =
     match prev.finals with
-    | Some m when Hashtbl.length m <= 4 * prev.full && same_inputs inputs prev.inputs
-      ->
+    | Some m when Memo.length m <= 4 * prev.full && same_inputs inputs prev.inputs ->
         (m, prev.full)
-    | Some _ | None -> (Hashtbl.create 64, 0)
+    | Some _ | None -> (Memo.create 64, 0)
   in
   let line_inputs l = Option.value ~default:[] (Hashtbl.find_opt inputs l) in
   let fdd =
-    map_leaves ~memo:finals
+    map_leaves finals
       (function
         | L_state s -> mk_verdict (finalize_state line_inputs s)
-        | l -> intern (Leaf l))
+        | l -> intern_leaf l)
       root
   in
-  let full = if full = 0 then Hashtbl.length finals else full in
+  let full = if full = 0 then Memo.length finals else full in
   (fdd, { fold; inputs; finals = Some finals; full })
 
 let compile_rules ?default ~lookup rules =
@@ -405,22 +624,23 @@ let dim_value (fl : Five_tuple.t) = function
   | 3 -> fl.src_port
   | _ -> fl.dst_port
 
-let lookup root flow =
-  let rec go id =
-    match get id with
-    | Leaf (L_verdict v) -> v
-    | Leaf _ -> invalid_arg "Fdd.lookup: not a finalized diagram"
-    | N { level; parts } ->
-        let v = dim_value flow level in
-        (* first part with hi >= v *)
-        let lo = ref 0 and hi = ref (Array.length parts - 1) in
-        while !lo < !hi do
-          let mid = (!lo + !hi) / 2 in
-          if fst parts.(mid) >= v then hi := mid else lo := mid + 1
-        done;
-        go (snd parts.(!lo))
-  in
-  go root
+(* At each node, a binary search for the first part whose hi is at
+   least the flow's value. *)
+let rec lookup id flow =
+  let a = store.nodes.(id) in
+  if a == leaf_mark then
+    match store.leaves.(id) with
+    | L_verdict v -> v
+    | _ -> invalid_arg "Fdd.lookup: not a finalized diagram"
+  else begin
+    let v = dim_value flow a.(0) in
+    let lo = ref 0 and hi = ref (parts_of a - 1) in
+    while !lo < !hi do
+      let mid = (!lo + !hi) / 2 in
+      if a.(1 + (2 * mid)) >= v then hi := mid else lo := mid + 1
+    done;
+    lookup a.(2 + (2 * !lo)) flow
+  end
 
 (* --- statistics --- *)
 
@@ -429,9 +649,10 @@ let node_count root =
   let rec go id =
     if not (Hashtbl.mem seen id) then begin
       Hashtbl.add seen id ();
-      match get id with
-      | Leaf _ -> ()
-      | N { parts; _ } -> Array.iter (fun (_, c) -> go c) parts
+      let a = store.nodes.(id) in
+      for p = 0 to parts_of a - 1 do
+        go a.(2 + (2 * p))
+      done
     end
   in
   go root;
@@ -449,18 +670,19 @@ let volume pred root =
     match Hashtbl.find_opt memo id with
     | Some v -> v
     | None ->
+        let a = store.nodes.(id) in
         let v =
-          match get id with
-          | Leaf (L_verdict v) -> if pred v then 1.0 else 0.0
-          | Leaf _ -> 0.0
-          | N { level; parts } ->
-              let lo = ref 0 and acc = ref 0.0 in
-              Array.iter
-                (fun (hi, c) ->
-                  acc := !acc +. (width level (!lo, hi) *. go c);
-                  lo := hi + 1)
-                parts;
-              !acc
+          if a == leaf_mark then
+            match store.leaves.(id) with L_verdict v -> if pred v then 1.0 else 0.0 | _ -> 0.0
+          else begin
+            let lo = ref 0 and acc = ref 0.0 in
+            for p = 0 to parts_of a - 1 do
+              let hi = a.(1 + (2 * p)) in
+              acc := !acc +. (width a.(0) (!lo, hi) *. go a.(2 + (2 * p)));
+              lo := hi + 1
+            done;
+            !acc
+          end
         in
         Hashtbl.add memo id v;
         v
@@ -480,25 +702,9 @@ let outcome = function
   | Reactive _ -> O_reactive
 
 let leaf_verdict id =
-  match get id with
-  | Leaf (L_verdict v) -> v
+  match store.leaves.(id) with
+  | L_verdict v -> v
   | _ -> invalid_arg "Fdd: not a finalized diagram"
-
-(* Walk two full-coverage segment lists in lockstep, calling
-   [k lo hi child_a child_b] for each aligned piece. *)
-let merge_segments sa sb k =
-  let rec go sa sb =
-    match (sa, sb) with
-    | [], [] -> ()
-    | (lo, hi1, c1) :: ra, (_, hi2, c2) :: rb ->
-        let hi = min hi1 hi2 in
-        k lo hi c1 c2;
-        let ra = if hi1 = hi then ra else (hi + 1, hi1, c1) :: ra in
-        let rb = if hi2 = hi then rb else (hi + 1, hi2, c2) :: rb in
-        go ra rb
-    | _ -> ()
-  in
-  go sa sb
 
 type counterexample = { flow : Five_tuple.t; left : verdict; right : verdict }
 
@@ -539,8 +745,7 @@ let equiv a b =
       end
       else if not (Hashtbl.mem visited (level, ida, idb)) then begin
         Hashtbl.add visited (level, ida, idb) ();
-        merge_segments (segments level ida) (segments level idb)
-          (fun lo _hi ca cb ->
+        merge_parts level ida idb (fun lo _hi ca cb ->
             pt.(level) <- lo;
             go (level + 1) ca cb)
       end
@@ -573,8 +778,7 @@ let diff ?(limit = 64) a b =
       | Some v -> v
       | None ->
           let acc = ref 0.0 in
-          merge_segments (segments level ida) (segments level idb)
-            (fun lo hi ca cb ->
+          merge_parts level ida idb (fun lo hi ca cb ->
               acc := !acc +. (width level (lo, hi) *. frac (level + 1) ca cb));
           Hashtbl.add memo (level, ida, idb) !acc;
           !acc
@@ -600,8 +804,7 @@ let diff ?(limit = 64) a b =
             :: !deltas
         end
       else
-        merge_segments (segments level ida) (segments level idb)
-          (fun lo hi ca cb ->
+        merge_parts level ida idb (fun lo hi ca cb ->
             bounds.(level) <- (lo, hi);
             go (level + 1) ca cb)
   and frac level ida idb =
@@ -632,12 +835,15 @@ let iter_leaves ?(limit = max_int) root f =
         incr n;
         f (region_of bounds) id
       end
-    else
-      List.iter
-        (fun (lo, hi, c) ->
-          bounds.(level) <- (lo, hi);
-          go (level + 1) c)
-        (segments level id)
+    else begin
+      let lo = ref 0 in
+      for i = 0 to part_count level id - 1 do
+        let hi = part_hi level id i in
+        bounds.(level) <- (!lo, hi);
+        go (level + 1) (part_child level id i);
+        lo := hi + 1
+      done
+    end
   in
   (try go 0 root with Exit -> ());
   !truncated
@@ -773,37 +979,37 @@ let lines_to_string lines =
 module Space = struct
   type nonrec t = t
 
-  let empty = intern (Leaf (L_space false))
-  let all = intern (Leaf (L_space true))
+  let empty = intern_leaf (L_space false)
+  let all = intern_leaf (L_space true)
   let is_empty s = s = empty
   let equal = Int.equal
-  let level_of id = match get id with N { level; _ } -> level | Leaf _ -> levels
 
   let of_rule ~lookup r =
     match dims_of_rule ~lookup r with
     | None -> empty
     | Some dims -> apply_rule empty dims (fun _ -> all)
 
-  (* One memoized product walk. [settle a b] is the result when it
-     follows without descending, or -1. *)
+  (* One product walk, memoized by pair in the store's memo. [settle a
+     b] is the result when it follows without descending, or -1. *)
+  let rec combine_in settle a b =
+    match settle a b with
+    | -1 ->
+        let key = (a lsl 31) lor b in
+        let r = Memo.find store.memo key in
+        if r >= 0 then r
+        else begin
+          let level = min (level_of a) (level_of b) in
+          let base = store.top in
+          merge_parts level a b (fun _ hi ca cb -> push base hi (combine_in settle ca cb));
+          let r = build level base in
+          Memo.add store.memo key r;
+          r
+        end
+    | r -> r
+
   let combine settle a b =
-    let memo = Hashtbl.create 16 in
-    let rec go a b =
-      match settle a b with
-      | -1 -> (
-          match Hashtbl.find_opt memo (a, b) with
-          | Some r -> r
-          | None ->
-              let level = min (level_of a) (level_of b) in
-              let parts = ref [] in
-              merge_segments (segments level a) (segments level b)
-                (fun _ hi ca cb -> parts := (hi, go ca cb) :: !parts);
-              let r = mk_node level (List.rev !parts) in
-              Hashtbl.add memo (a, b) r;
-              r)
-      | r -> r
-    in
-    go a b
+    Memo.clear store.memo;
+    combine_in settle a b
 
   let union =
     combine (fun a b ->
@@ -828,47 +1034,59 @@ module Space = struct
   let covers ~outer ~inner = is_empty (diff inner outer)
   let overlaps a b = not (is_empty (inter a b))
 
-  let overlaps_box s (box : interval array) =
-    let rec go id =
-      match get id with
-      | Leaf l -> l = L_space true
-      | N { level; parts } ->
-          let lo, hi = box.(level) in
-          let rec scan i plo =
-            i < Array.length parts
-            && plo <= hi
-            &&
-            let phi, c = parts.(i) in
-            (phi >= lo && go c) || scan (i + 1) (phi + 1)
-          in
-          scan 0 0
-    in
-    go s
+  let rec overlaps_in (box : interval array) id =
+    let a = store.nodes.(id) in
+    if a == leaf_mark then id = all
+    else begin
+      let lo, hi = box.(a.(0)) in
+      let n = parts_of a and i = ref 0 and plo = ref 0 and hit = ref false in
+      while (not !hit) && !i < n && !plo <= hi do
+        let phi = a.(1 + (2 * !i)) in
+        hit := phi >= lo && overlaps_in box a.(2 + (2 * !i));
+        plo := phi + 1;
+        incr i
+      done;
+      !hit
+    end
+
+  let overlaps_box s box = overlaps_in box s
 
   (* Tried first in the proto dimension, so witnesses read as the
      common protocols. *)
   let preferred_protos = List.map Proto.to_int [ Proto.Tcp; Proto.Udp; Proto.Icmp ]
 
+  (* At each level, the first preferred protocol whose part is in the
+     space, else the lowest value of the first part that is. *)
   let witness s =
     if is_empty s then None
     else begin
       let pt = Array.make levels 0 in
       let rec go level id =
         if level < levels then begin
-          let live = List.filter (fun (_, _, c) -> c <> empty) (segments level id) in
-          let pick v =
-            List.find_map
-              (fun (lo, hi, c) -> if lo <= v && v <= hi then Some (v, c) else None)
-              live
+          let live i = part_child level id i <> empty in
+          let holding v =
+            let i = ref 0 in
+            while part_hi level id !i < v do
+              incr i
+            done;
+            !i
           in
-          let lowest = List.map (fun (lo, _, _) -> lo) live in
-          let v, c =
-            Option.get
-              (List.find_map pick
-                 ((if level = 0 then preferred_protos else []) @ lowest))
+          let preferred =
+            if level = 0 then List.find_opt (fun v -> live (holding v)) preferred_protos
+            else None
+          in
+          let v, i =
+            match preferred with
+            | Some v -> (v, holding v)
+            | None ->
+                let i = ref 0 in
+                while not (live !i) do
+                  incr i
+                done;
+                ((if !i = 0 then 0 else part_hi level id (!i - 1) + 1), !i)
           in
           pt.(level) <- v;
-          go (level + 1) c
+          go (level + 1) (part_child level id i)
         end
       in
       go 0 s;
@@ -883,12 +1101,6 @@ end
 
 (* --- structural export for the flow-table compiler --- *)
 
-let parts level id =
-  match get id with
-  | N { level = l; parts } when l = level ->
-      Array.mapi
-        (fun i (hi, c) -> (((if i = 0 then 0 else fst parts.(i - 1) + 1), hi), c))
-        parts
-  | _ -> [| ((0, dim_top.(level)), id) |]
-
 let leaf = leaf_verdict
+let store_size () = store.size
+let of_id i = if i < 0 || i >= store.size then invalid_arg "Fdd.of_id" else i

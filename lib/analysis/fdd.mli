@@ -35,8 +35,9 @@
     deduplicated across compiles), so values from different {!compile}
     calls can be compared and combined freely. *)
 
-type t
-(** A compiled diagram (an index into the shared node store). *)
+type t = private int
+(** A compiled diagram: its root's id in the shared node store. Ids
+    number nodes in the order they were interned. *)
 
 type interval = int * int
 (** Inclusive integer interval. *)
@@ -266,14 +267,33 @@ val lines_to_string : int list -> string
     diagram is read one level at a time, from level 0 (proto) through
     4 (dport); a node id read at level 5 is a leaf. Equal ids at one
     level are identical subdiagrams, so memo tables keyed on
-    [(level, id)] survive recompiles of unchanged policy regions. *)
+    [(level, id)] survive recompiles of unchanged policy regions.
 
-val parts : int -> t -> (interval * t) array
-(** [parts level d]: [d]'s children along dimension [level], as
-    maximal intervals partitioning [[0, top]], ascending, adjacent
-    children distinct. A node that tests a lower dimension is one part
-    covering the level, whose child is the node itself. *)
+    [d] read along dimension [level] has {!part_count}[ level d]
+    children, as maximal intervals partitioning [[0, top]], ascending,
+    adjacent children distinct: part [i] runs from
+    [part_hi level d (i - 1) + 1] (0 for the first) to
+    [part_hi level d i]. A node that tests a lower dimension is one
+    part covering the level, whose child is the node itself. The
+    accessors read the node in place and allocate nothing. *)
+
+val part_count : int -> t -> int
+(** [part_count level d]: the number of [d]'s parts along [level]. *)
+
+val part_hi : int -> t -> int -> int
+(** [part_hi level d i]: the last value of part [i]. *)
+
+val part_child : int -> t -> int -> t
+(** [part_child level d i]: the child of part [i]. *)
 
 val leaf : t -> verdict
 (** The verdict of a diagram read at level 5.
     @raise Invalid_argument for an internal node. *)
+
+val store_size : unit -> int
+(** The nodes interned so far, every compile's: ids [0] to
+    [store_size () - 1], in the order they were interned. *)
+
+val of_id : int -> t
+(** The node with id [i].
+    @raise Invalid_argument unless [0 <= i < store_size ()]. *)

@@ -7,6 +7,15 @@ let src = Logs.Src.create "identxx.proactive" ~doc:"ident++ proactive tables"
 
 module Log = (val Logs.src_log src : Logs.LOG)
 
+(* One switch's table-1 routes as sent: to host [i] of [r_addrs], out of
+   port [r_ports.(i)], or none (-1). [r_spare] takes the next sync's
+   ports, and the two swap. *)
+type routes = {
+  mutable r_addrs : Ipv4.t array;
+  mutable r_ports : int array;
+  mutable r_spare : int array;
+}
+
 type t = {
   mutable table : Compiler.table; (* The abstract compiled table installed. *)
   mutable state : Space.t * Space.t;
@@ -15,8 +24,13 @@ type t = {
          entries overlapping the reverse space were installed as punts,
          and a change in either forces a full reinstall. *)
   cache : Compiler.cache;
-  routes : (Msg.switch_id, (Ipv4.t * int) list) Hashtbl.t;
-      (* Per switch, the table-1 routes sent: host address, port. *)
+  mutable hosts : (string * Ipv4.t) list;
+  mutable names : string array;
+  mutable addrs : Ipv4.t array;
+  mutable distinct : bool;
+      (* The host list the routes were last synced against, its names
+         and addresses in order, and whether no address repeats. *)
+  routes : (Msg.switch_id, routes) Hashtbl.t;
   recompiles : Obs.Registry.Counter.t;
   delta_add : Obs.Registry.Counter.t;
   delta_del : Obs.Registry.Counter.t;
@@ -44,6 +58,10 @@ let create reg ~labels =
       table = empty_table;
       state = (Space.empty, Space.empty);
       cache = Compiler.create_cache ();
+      hosts = [];
+      names = [||];
+      addrs = [||];
+      distinct = true;
       routes = Hashtbl.create 16;
       recompiles =
         Obs.Registry.counter reg
@@ -110,35 +128,94 @@ let guards_of (tbl : Compiler.table) = if tbl.Compiler.entries = [] then [] else
 let route_priority = 0x8000
 let route_fields ip = { Openflow.Match_fields.any with nw_dst = Some (Prefix.host ip) }
 
+let rec same_hosts names addrs i = function
+  | [] -> i = Array.length names
+  | (name, ip) :: rest ->
+      i < Array.length names
+      && String.equal name names.(i)
+      && Ipv4.equal ip addrs.(i)
+      && same_hosts names addrs (i + 1) rest
+
+let set_hosts t hosts =
+  if not (same_hosts t.names t.addrs 0 hosts) then begin
+    t.names <- Array.of_list (List.map fst hosts);
+    t.addrs <- Array.of_list (List.map snd hosts);
+    t.distinct <-
+      List.compare_length_with (List.sort_uniq Ipv4.compare (List.map snd hosts))
+        (Array.length t.addrs)
+      = 0
+  end;
+  t.hosts <- hosts
+
+(* The port of the first route in [addrs], [ports] to [ip], or -1:
+   when [aligned] (no address repeats, and the two lists are one), the
+   route of host [i], whose address is [ip]. *)
+let route_port ~aligned addrs ports i ip =
+  if aligned then ports.(i)
+  else begin
+    let k = ref 0 and p = ref (-1) in
+    while !p < 0 && !k < Array.length addrs do
+      if Ipv4.equal addrs.(!k) ip then p := ports.(!k);
+      incr k
+    done;
+    !p
+  end
+
+(* Whether the route [r] sent to its host [i] is gone from [cur]. *)
+let gone t r cur ~aligned i =
+  r.r_ports.(i) >= 0 && route_port ~aligned t.addrs cur i r.r_addrs.(i) < 0
+
+(* Whether host [i]'s route in [cur] is one [r] did not send. *)
+let moved t r cur ~aligned i =
+  cur.(i) >= 0 && route_port ~aligned r.r_addrs r.r_ports i t.addrs.(i) <> cur.(i)
+
 let sync_routes t topo hosts dpid =
-  let old = Option.value ~default:[] (Hashtbl.find_opt t.routes dpid) in
-  let cur =
-    List.filter_map
-      (fun (host, ip) ->
-        Topo.next_hop topo ~from:dpid ~dst_host:host
-        |> Option.map (fun port -> (ip, port)))
-      hosts
+  if hosts != t.hosts then set_hosts t hosts;
+  let r =
+    match Hashtbl.find t.routes dpid with
+    | r -> r
+    | exception Not_found ->
+        let r = { r_addrs = [||]; r_ports = [||]; r_spare = [||] } in
+        Hashtbl.replace t.routes dpid r;
+        r
   in
-  Hashtbl.replace t.routes dpid cur;
+  let n = Array.length t.addrs and m = Array.length r.r_addrs in
+  if Array.length r.r_spare <> n then r.r_spare <- Array.make n (-1);
+  let cur = r.r_spare in
+  for i = 0 to n - 1 do
+    cur.(i) <- Topo.next_hop_port topo ~from:dpid ~dst_host:t.names.(i)
+  done;
+  let aligned = t.distinct && r.r_addrs == t.addrs in
+  let count = ref 0 in
+  for i = 0 to m - 1 do
+    if gone t r cur ~aligned i then incr count
+  done;
+  for i = 0 to n - 1 do
+    if moved t r cur ~aligned i then incr count
+  done;
   (* Its deletes before its adds. *)
-  Array.of_list
-    (List.filter_map
-       (fun (ip, _) ->
-         if List.mem_assoc ip cur then None
-         else
-           Some
-             (Msg.delete_strict ~table_id:1 ~priority:route_priority
-                ~fields:(route_fields ip)))
-       old
-    @ List.filter_map
-        (fun (ip, port) ->
-          if List.assoc_opt ip old = Some port then None
-          else
-            Some
-              (Msg.add_flow ~table_id:1 ~priority:route_priority
-                 ~cookie:Compiler.proactive_cookie ~fields:(route_fields ip)
-                 [ Openflow.Action.Output port ]))
-        cur)
+  let msgs = Array.make !count Msg.Barrier and k = ref 0 in
+  for i = 0 to m - 1 do
+    if gone t r cur ~aligned i then begin
+      msgs.(!k) <-
+        Msg.delete_strict ~table_id:1 ~priority:route_priority
+          ~fields:(route_fields r.r_addrs.(i));
+      incr k
+    end
+  done;
+  for i = 0 to n - 1 do
+    if moved t r cur ~aligned i then begin
+      msgs.(!k) <-
+        Msg.add_flow ~table_id:1 ~priority:route_priority ~cookie:Compiler.proactive_cookie
+          ~fields:(route_fields t.addrs.(i))
+          [ Openflow.Action.Output cur.(i) ];
+      incr k
+    end
+  done;
+  r.r_spare <- r.r_ports;
+  r.r_ports <- cur;
+  r.r_addrs <- t.addrs;
+  msgs
 
 (* The (forward, reverse) flow spaces of the keep-state pass rules,
    over-approximated. State matching precedes the ruleset: a pass entry

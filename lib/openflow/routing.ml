@@ -259,9 +259,4 @@ let link_down t (u, pu) (v, pv) =
           cascade t tree pq ~admit:(Hashtbl.mem affected))
     t.trees
 
-let next_hop_port t ~src ~dst =
-  match Hashtbl.find_opt t.trees dst with
-  | None -> None
-  | Some tree -> Option.map fst (Hashtbl.find_opt tree.parent src)
-
 let next_exn t ~src ~dst = Hashtbl.find (Hashtbl.find t.trees dst).parent src

@@ -1,7 +1,7 @@
 (** Precomputed all-pairs routing state over the switch graph.
 
     One shortest-path tree is maintained per destination switch
-    ("routing epoch" state), giving O(1) [next_hop_port] and [distance]
+    ("routing epoch" state), giving O(1) [next_exn] and [distance]
     lookups. Topology events update the trees {e incrementally}: a
     link-down recomputes only the subtree that routed over the failed
     edge (per destination, skipping destinations whose tree never used
@@ -57,10 +57,6 @@ val recompute : t -> unit
 (** Full from-scratch rebuild of every tree (one Dijkstra per
     destination switch). The comparison baseline for the incremental
     path, and the bulk-load finisher after {!load_link}. *)
-
-val next_hop_port : t -> src:int -> dst:int -> int option
-(** The output port at [src] on a shortest path toward switch [dst];
-    [None] when unreachable or either dpid is unknown. O(1). *)
 
 val next_exn : t -> src:int -> dst:int -> int * int
 (** [(out_port, next switch)] together, as the tree stores them: it

@@ -222,14 +222,18 @@ let ensure_routing t =
 let recompute_routes t = Routing.recompute (ensure_routing t)
 let routing_stats t = Routing.stats (ensure_routing t)
 
+let next_hop_port t ~from ~dst_host =
+  match Hashtbl.find t.attachments dst_host with
+  | exception Not_found -> -1
+  | { node = Sw d; port } when d = from -> port
+  | { node = Sw d; _ } -> (
+      match Routing.next_exn (ensure_routing t) ~src:from ~dst:d with
+      | port, _ -> port
+      | exception Not_found -> -1)
+  | { node = Host _; _ } -> -1
+
 let next_hop t ~from ~dst_host =
-  match host_attachment t dst_host with
-  | None -> None
-  | Some ep -> (
-      match ep.node with
-      | Sw d when d = from -> Some ep.port
-      | Sw d -> Routing.next_hop_port (ensure_routing t) ~src:from ~dst:d
-      | Host _ -> None)
+  match next_hop_port t ~from ~dst_host with -1 -> None | port -> Some port
 
 let sw_of ep = match ep.node with Sw d -> d | Host _ -> assert false
 

@@ -95,6 +95,10 @@ val next_hop : t -> from:Message.switch_id -> dst_host:string -> int option
     forward intercepted ident++ packets hop by hop (§3.4). O(1): a
     host-attachment lookup plus a next-hop table lookup. *)
 
+val next_hop_port : t -> from:Message.switch_id -> dst_host:string -> int
+(** {!next_hop}'s port, or -1 when unreachable: allocates nothing,
+    for a caller that asks it of every (switch, host) pair. *)
+
 val recompute_routes : t -> unit
 (** Force a full from-scratch rebuild of the routing state (one
     Dijkstra per destination switch) — the comparison baseline for the
