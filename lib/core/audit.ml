@@ -48,8 +48,7 @@ type t = {
          being summarized ({!Identxx.Response.latest_slices}). *)
   mutable count : int;
   mutable blocked : int;
-  mutable rejections : rejection list; (* newest first *)
-  mutable rejections_length : int;
+  rejections : rejection Queue.t; (* oldest first, at most [capacity] *)
 }
 
 let interesting_keys =
@@ -96,16 +95,8 @@ let create ?(capacity = 10_000) () =
     found = Array.make (List.length interesting_keys) Identxx.Slice.none;
     count = 0;
     blocked = 0;
-    rejections = [];
-    rejections_length = 0;
+    rejections = Queue.create ();
   }
-
-(* Rejections trim lazily: only when their list exceeds capacity by a
-   margin, to keep recording one O(1) amortized. *)
-let trimmed t l length =
-  if length > t.capacity + (t.capacity / 4) then
-    (List.filteri (fun i _ -> i < t.capacity) l, t.capacity)
-  else (l, length)
 
 (* --- interning summaries in place ---
 
@@ -273,16 +264,13 @@ let record ?trace_id t ~at ~flow ~(verdict : Pf.Eval.verdict) ~src ~dst =
   if block then t.blocked <- t.blocked + 1
 
 let record_rejection t ~at ~flow ~host ?signer reason =
-  let rejections, length =
-    trimmed t
-      ({ r_at = at; r_flow = flow; r_host = host; r_signer = signer; r_reason = reason }
-      :: t.rejections)
-      (t.rejections_length + 1)
-  in
-  t.rejections <- rejections;
-  t.rejections_length <- length
+  if Queue.length t.rejections >= t.capacity then
+    ignore (Queue.take t.rejections : rejection);
+  Queue.add
+    { r_at = at; r_flow = flow; r_host = host; r_signer = signer; r_reason = reason }
+    t.rejections
 
-let rejections t = t.rejections
+let rejections t = Queue.fold (fun acc r -> r :: acc) [] t.rejections
 
 (* The [k]th held entry, oldest first. *)
 let entry t k =
@@ -334,8 +322,7 @@ let clear t =
   forget_summaries t;
   t.count <- 0;
   t.blocked <- 0;
-  t.rejections <- [];
-  t.rejections_length <- 0
+  Queue.clear t.rejections
 
 let pp_info ppf info =
   Format.pp_print_list

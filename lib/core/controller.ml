@@ -1409,6 +1409,37 @@ let revoke_file t ~name =
 let create ?(config = default_config) ?keystore ?functions ?obs ?spans
     ?(recorder = Obs.Recorder.null) ~network ~id () =
   let module Net = Openflow.Network in
+  (* The topology's hosts that have an address, with it. A link change
+     leaves both, so it gets the previous list, the same physical value
+     {!Proactive.sync_routes} recognises. *)
+  let attached_hosts network topo =
+    let attached () =
+      List.filter_map
+        (fun host ->
+          match Net.host_ip network host with
+          | ip -> Some (host, ip)
+          | exception (Not_found | Invalid_argument _) -> None)
+        (Topo.hosts topo)
+    in
+    (* Whether [attached] is still the attached part of [names]. *)
+    let rec still names attached =
+      match (names, attached) with
+      | [], [] -> true
+      | [], _ :: _ -> false
+      | name :: names, (host, ip) :: rest when String.equal name host -> (
+          match Net.host_ip network name with
+          | ip' -> Ipv4.equal ip ip' && still names rest
+          | exception (Not_found | Invalid_argument _) -> false)
+      | name :: names, _ -> (
+          match Net.host_ip network name with
+          | _ -> false
+          | exception (Not_found | Invalid_argument _) -> still names attached)
+    in
+    let last = ref [] in
+    fun () ->
+      if not (still (Topo.hosts topo) !last) then last := attached ();
+      !last
+  in
   let policy = Policy_store.create () in
   let decision =
     Decision.create ~default:config.default ?keystore ?functions ~policy ()
@@ -1461,14 +1492,7 @@ let create ?(config = default_config) ?keystore ?functions ?obs ?spans
         topo;
         clock;
         host_by_ip = Net.host_by_ip network;
-        hosts =
-          (fun () ->
-            List.filter_map
-              (fun host ->
-                match Net.host_ip network host with
-                | ip -> Some (host, ip)
-                | exception (Not_found | Invalid_argument _) -> None)
-              (Topo.hosts topo));
+        hosts = attached_hosts network topo;
         iter_path = (fun ~src ~dst f a -> Net.iter_path network ~src ~dst f a);
         add_hop =
           (fun fields dpid out_port ->

@@ -7,13 +7,15 @@
     its signed scope list ({!Identxx.Signed.scope}). Two kinds of reuse
     follow, and both key on the same triple: the destination host, the
     proto and port of its socket, and the query's canonical hint list
-    (a daemon leaves out what was not asked for). So one entry per key,
-    in one of two states:
-    - [In_flight]: a query is on the wire. Its initiator holds the
-      {!exchange}; concurrent flows asking the same question may park on
-      it as waiters instead of sending their own.
-    - [Settled]: the answer arrived and declared [Socket] or [Host]
-      scope, and reuse is on: it answers later queries until its expiry.
+    (a daemon leaves out what was not asked for). So a key is in at most
+    one of two tables:
+    - the exchanges in flight: a query is on the wire. Its initiator
+      holds the {!exchange}; concurrent flows asking the same question
+      may park on it as waiters instead of sending their own.
+    - the settled answers: the answer arrived and declared [Socket] or
+      [Host] scope, and reuse is on: it answers later queries until its
+      expiry. At most [capacity] of them, oldest out first
+      ({!Netcore.Fifo_map}).
 
     A join is expected to hold, not assumed to: whether the answer
     covers each waiter is the daemon's to say, in the answer's declared
@@ -23,7 +25,7 @@
 
     A host change (login/logout, process exit, a listener re-bound; see
     {!Identxx.Daemon.on_change}) drops the host's entries in both
-    states. An exchange it drops still settles its waiters, but its
+    tables. An exchange it drops still settles its waiters, but its
     answer predates the change, so it stores nothing.
 
     The table is generic in the waiter type ['w]. Waiters are returned
@@ -39,10 +41,9 @@ type 'w exchange
 val create : ?capacity:int -> ttl:Sim.Time.t -> reuse:bool -> unit -> 'w t
 (** [reuse] turns settled answers on (the controller's fast path):
     without it, nothing settles and {!find} always misses, uncounted.
-    [capacity] bounds the settled entries (FIFO eviction, default 4096),
-    and the FIFO order queue stays within twice the capacity however
-    many entries leave by expiry or invalidation. [ttl] bounds each
-    settled entry's life. *)
+    [capacity] bounds the settled entries (default 4096), however many
+    leave by expiry or invalidation. [ttl] bounds each settled entry's
+    life. *)
 
 val expires_key : string
 (** ["expires"] — the response key read for an answer's self-imposed
@@ -97,13 +98,13 @@ val settle :
     valid answer naming the initiator's flow, with the answer's
     narrowest declared scope, or [None] for its timeout or breaker
     trip. Only a {e current} exchange, one no host change dropped,
-    touches the table: with reuse on and a [Socket] or [Host] answer,
-    its entry turns settled in place, signed by [signer], the handle its
-    signature section names ({!Identxx.Signed.signer}; [""] for no
-    answer, and for an answer without one); otherwise it leaves. *)
+    touches the tables: it leaves the exchanges, and with reuse on and a
+    [Socket] or [Host] answer, its answer settles, signed by [signer],
+    the handle its signature section names ({!Identxx.Signed.signer};
+    [""] for no answer, and for an answer without one). *)
 
 val drop_host : 'w t -> Ipv4.t -> unit
-(** A change on the host: drop its entries in both states. Dropped
+(** A change on the host: drop its entries in both tables. Dropped
     settled entries count as invalidations. *)
 
 val invalidate_signer : 'w t -> string -> unit

@@ -1,7 +1,7 @@
 open Netcore
 module Answers = Answers
-module Decision_cache = Decision_cache
 module Breaker = Breaker
+module Verdicts = Fifo_map.Make (String)
 
 type config = {
   enabled : bool;
@@ -24,12 +24,24 @@ let default_config =
 
 let disabled = { default_config with enabled = false }
 
-type t = { cfg : config; decisions : Decision_cache.t; breaker : Breaker.t }
+(* A memoized verdict, with the hosts its flow touched: a change on
+   either drops it. *)
+type decision = { verdict : Pf.Eval.verdict; src : Ipv4.t; dst : Ipv4.t }
+
+type t = {
+  cfg : config;
+  decisions : decision Verdicts.t;
+  mutable hits : int;
+  mutable misses : int;
+  breaker : Breaker.t;
+}
 
 let create cfg =
   {
     cfg;
-    decisions = Decision_cache.create ~capacity:cfg.decision_capacity ();
+    decisions = Verdicts.create ~capacity:cfg.decision_capacity 256;
+    hits = 0;
+    misses = 0;
     breaker =
       Breaker.create ~threshold:cfg.breaker_threshold
         ~backoff:cfg.breaker_backoff ();
@@ -160,17 +172,29 @@ let decision_key shape ~(flow : Five_tuple.t) ~src ~dst =
   put_key c shape flow ~src ~dst;
   Bytes.unsafe_to_string c.b
 
-let find_decision t ~key = Decision_cache.find t.decisions ~key
-let store_decision t ~key ~flow verdict = Decision_cache.store t.decisions ~key ~flow verdict
+let find_decision t ~key =
+  match Verdicts.find t.decisions key with
+  | d ->
+      t.hits <- t.hits + 1;
+      Some d.verdict
+  | exception Not_found ->
+      t.misses <- t.misses + 1;
+      None
+
+let store_decision t ~key ~(flow : Five_tuple.t) verdict =
+  Verdicts.add t.decisions key { verdict; src = flow.src; dst = flow.dst }
 
 let note_host_changed t ip =
-  if t.cfg.enabled then ignore (Decision_cache.purge_ip t.decisions ip : int)
+  if t.cfg.enabled then
+    Verdicts.filter_inplace
+      (fun _ d -> not (Ipv4.equal d.src ip || Ipv4.equal d.dst ip))
+      t.decisions
 
 let revoke_ip t ip =
   note_host_changed t ip;
   note_response t ip
 
-let flush_decisions t = Decision_cache.clear t.decisions
+let flush_decisions t = Verdicts.clear t.decisions
 
 (* The caches keep their own plain-int counters on the hot path; the
    registry reads them through callbacks at snapshot time, so metrics
@@ -184,15 +208,15 @@ let register_metrics t ?(labels = []) reg =
         ~labels:(labels @ [ ("cache", "decision"); ("event", event) ])
         "identxx_fastpath_cache_events_total" read)
     [
-      ("hit", fun () -> Decision_cache.hits t.decisions);
-      ("miss", fun () -> Decision_cache.misses t.decisions);
-      ("eviction", fun () -> Decision_cache.evictions t.decisions);
+      ("hit", fun () -> t.hits);
+      ("miss", fun () -> t.misses);
+      ("eviction", fun () -> t.decisions.evictions);
     ];
   Obs.Registry.gauge_fn reg
     ~help:"Entries currently held by the cache."
     ~labels:(labels @ [ ("cache", "decision") ])
     "identxx_fastpath_cache_size"
-    (fun () -> float_of_int (Decision_cache.size t.decisions));
+    (fun () -> float_of_int (Verdicts.length t.decisions));
   Obs.Registry.counter_fn reg
     ~help:"Closed-to-open breaker transitions (including failed probes)."
     ~labels "identxx_fastpath_breaker_trips_total"
@@ -221,9 +245,9 @@ type counters = {
 
 let counters t =
   {
-    decision_hits = Decision_cache.hits t.decisions;
-    decision_misses = Decision_cache.misses t.decisions;
-    decision_evictions = Decision_cache.evictions t.decisions;
+    decision_hits = t.hits;
+    decision_misses = t.misses;
+    decision_evictions = t.decisions.evictions;
     breaker_trips = Breaker.trips t.breaker;
     breaker_fastpaths = Breaker.fastpaths t.breaker;
   }

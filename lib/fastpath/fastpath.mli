@@ -7,9 +7,11 @@
       the hint list, dropped on daemon-side change events and TTL
       expiry. The controller owns one table, and one {!t}, which holds
       the other two; its shards read both and hold neither;
-    - {!Decision_cache}: memoized verdicts keyed by (flow class, the
-      answer values the policy reads; see {!decision_key}), cleared
-      ({!flush_decisions}) as the controller installs each revision;
+    - the decision cache in {!t}: memoized verdicts keyed by (flow
+      class, the answer values the policy reads; see {!decision_key}),
+      at most [decision_capacity] of them, oldest out first
+      ({!Netcore.Fifo_map}), cleared ({!flush_decisions}) as the
+      controller installs each revision;
     - {!Breaker}: a per-host circuit breaker that, after [threshold]
       consecutive query timeouts, treats the host as non-ident++ for a
       backoff window and lets flows decide immediately with absent
@@ -21,7 +23,6 @@
 open Netcore
 
 module Answers = Answers
-module Decision_cache = Decision_cache
 module Breaker = Breaker
 
 type config = {

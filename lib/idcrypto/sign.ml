@@ -107,11 +107,12 @@ module Pool = Weak.Make (struct
   let hash = Hashtbl.hash
 end)
 
+module Sections = Netcore.Fifo_map.Make (Int)
+
 type keystore = {
   principals : (string, principal) Hashtbl.t;
   bound : (string, int) Hashtbl.t; (* host -> principals bound to it *)
-  sections : (int, section) Hashtbl.t; (* by {!slice_hash} of the tag *)
-  order : int Queue.t; (* keys in insertion order, for FIFO eviction *)
+  sections : section Sections.t; (* by {!slice_hash} of the tag *)
   pool : Pool.t;
 }
 
@@ -121,8 +122,7 @@ let keystore () =
   {
     principals = Hashtbl.create 16;
     bound = Hashtbl.create 16;
-    sections = Hashtbl.create 16;
-    order = Queue.create ();
+    sections = Sections.create ~capacity:section_capacity 16;
     pool = Pool.create 16;
   }
 
@@ -147,9 +147,7 @@ let add_principal ks ~public ~secret hosts =
   | Some old ->
       (* Tags cached under the handle were checked against its old
          secret, and it answers only for its new hosts. *)
-      Hashtbl.filter_map_inplace
-        (fun _ s -> if s.signer = public then None else Some s)
-        ks.sections;
+      Sections.filter_inplace (fun _ s -> not (String.equal s.signer public)) ks.sections;
       bind ks (-1) old.hosts
   | None -> ());
   bind ks 1 hosts;
@@ -248,7 +246,7 @@ let element_of bytes pos s i = if pos < 0 then -1 else element_from bytes pos s 
 let cached_section ks ~public tags pos len =
   if pos < 0 || len < 0 || pos > String.length tags - len then ""
   else
-    match Hashtbl.find ks.sections (slice_hash tags pos (pos + len) 0) with
+    match Sections.find ks.sections (slice_hash tags pos (pos + len) 0) with
     | e ->
         if
           String.length e.tag = len
@@ -259,17 +257,9 @@ let cached_section ks ~public tags pos len =
     | exception Not_found -> ""
 
 let cache_section ks ~public ~tag data =
-  let key = slice_hash tag 0 (String.length tag) 0 in
-  if not (Hashtbl.mem ks.sections key) then begin
-    (* The queue may hold keys already dropped; evict until a live entry
-       actually goes. *)
-    while Hashtbl.length ks.sections >= section_capacity do
-      Hashtbl.remove ks.sections (Queue.pop ks.order)
-    done;
-    Queue.add key ks.order
-  end;
-  Hashtbl.replace ks.sections key
+  Sections.add ks.sections
+    (slice_hash tag 0 (String.length tag) 0)
     { tag; signer = public; bytes = Pool.merge ks.pool (canonical data) }
 
-let cached_sections ks = Hashtbl.length ks.sections
+let cached_sections ks = Sections.length ks.sections
 

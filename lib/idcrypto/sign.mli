@@ -136,8 +136,10 @@ val matches_short_sub : stream -> string -> int -> int -> bool
 
     A verifier that sees the same signed data again need not hash it
     again. The keystore keeps up to {!section_capacity} entries, oldest
-    out first, from a tag to its signer and the canonical bytes the tag
-    verified over. A later copy of the tag is confirmed by comparing its
+    out first ({!Netcore.Fifo_map}), from a tag to its signer and the
+    canonical bytes the tag verified over. Its memory stays bounded by
+    that capacity however often re-registering a signer drops its
+    entries. A later copy of the tag is confirmed by comparing its
     elements with those bytes, which is cheaper than an HMAC. *)
 
 val section_capacity : int

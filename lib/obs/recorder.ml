@@ -17,34 +17,22 @@ type stored = {
 type t = {
   mutable on : bool;
   cap : int;
-  mutable ring : stored list; (* newest first *)
-  mutable retained : int;
+  ring : stored Queue.t; (* oldest first, at most [cap] *)
   mutable total : int;
 }
 
 let create ?(capacity = 4096) ?(enabled = true) () =
   if capacity < 1 then invalid_arg "Obs.Recorder.create: capacity must be >= 1";
-  { on = enabled; cap = capacity; ring = []; retained = 0; total = 0 }
+  { on = enabled; cap = capacity; ring = Queue.create (); total = 0 }
 
-let null = { on = false; cap = 1; ring = []; retained = 0; total = 0 }
+let null = { on = false; cap = 1; ring = Queue.create (); total = 0 }
 let enabled t = t.on
 let set_enabled t v = if t != null then t.on <- v
 
-let rec take n = function
-  | x :: rest when n > 0 -> x :: take (n - 1) rest
-  | _ -> []
-
 let push t s =
-  t.ring <- s :: t.ring;
-  t.retained <- t.retained + 1;
   t.total <- t.total + 1;
-  (* Lazy trim (the Span collector idiom): let the ring overshoot by
-     cap/4 and cut back in one batch, keeping steady-state recording
-     O(1) amortised. *)
-  if t.retained > t.cap + (t.cap / 4) then begin
-    t.ring <- take t.cap t.ring;
-    t.retained <- t.cap
-  end
+  if Queue.length t.ring >= t.cap then ignore (Queue.take t.ring : stored);
+  Queue.add s t.ring
 
 let record t ~at ?(attrs = []) kind =
   if t.on then
@@ -53,14 +41,15 @@ let record t ~at ?(attrs = []) kind =
 let record_lazy t ~at kind attrs =
   if t.on then push t { s_at = at; s_kind = kind; s_attrs = attrs }
 
-let count t = min t.retained t.cap
+let count t = Queue.length t.ring
 let dropped t = t.total - count t
 
+(* Newest first. *)
 let events t =
-  List.map
-    (fun s ->
-      { ev_at = s.s_at; ev_kind = s.s_kind; ev_attrs = Lazy.force s.s_attrs })
-    (take t.cap t.ring)
+  Queue.fold
+    (fun acc s ->
+      { ev_at = s.s_at; ev_kind = s.s_kind; ev_attrs = Lazy.force s.s_attrs } :: acc)
+    [] t.ring
 
 let event_to_json e =
   Json.Obj

@@ -9,9 +9,9 @@
     gate attr formatting on {!enabled} (the {!Span} discipline) so a
     disabled recorder costs one load and one branch — and hot sites
     use {!record_lazy} so an {e enabled} recorder defers the attribute
-    formatting too, until the event is actually read. Retention uses
-    the span collector's lazy-trim ring: newest-first, trimmed in
-    batches so steady-state recording stays O(1) amortised. *)
+    formatting too, until the event is actually read. Retention is a
+    queue of exactly [capacity] events, as the span collector keeps its
+    roots: each event past it drops the oldest, O(1). *)
 
 type t
 

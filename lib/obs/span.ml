@@ -14,8 +14,7 @@ type t = {
   capacity : int;
   mutable on : bool;
   mutable rate : float;  (* head sample rate in [0, 1] *)
-  mutable roots : span list;  (* finished, newest first *)
-  mutable retained : int;
+  roots : span Queue.t;  (* finished, oldest first, at most [capacity] *)
   mutable total : int;
   mutable sampled_out : int;
 }
@@ -26,8 +25,7 @@ let create ?(capacity = 1024) ?(enabled = true) () =
     capacity;
     on = enabled;
     rate = 1.;
-    roots = [];
-    retained = 0;
+    roots = Queue.create ();
     total = 0;
     sampled_out = 0;
   }
@@ -92,21 +90,10 @@ let set_attr sp k v =
 let force_sample sp = if sp.live then sp.sp_keep <- true
 let is_sampled sp = sp.sp_keep
 
-(* Roots are retained newest-first and trimmed lazily, past a quarter
-   over capacity, so finishing stays O(1) amortized. *)
 let retain t sp =
   t.total <- t.total + 1;
-  t.roots <- sp :: t.roots;
-  t.retained <- t.retained + 1;
-  if t.retained > t.capacity + (t.capacity / 4) then begin
-    let rec take n = function
-      | [] -> []
-      | _ when n = 0 -> []
-      | x :: rest -> x :: take (n - 1) rest
-    in
-    t.roots <- take t.capacity t.roots;
-    t.retained <- t.capacity
-  end
+  if Queue.length t.roots >= t.capacity then ignore (Queue.take t.roots : span);
+  Queue.add sp t.roots
 
 (* The sampling decision is only enforced here, at the end of the root:
    an unsampled root stays live while open, so a late error (deny,
@@ -123,14 +110,13 @@ let finish t ~at sp =
 let duration sp =
   match sp.sp_end with Some e -> Some (e -. sp.sp_start) | None -> None
 
-let finished t = List.rev t.roots
+let finished t = List.of_seq (Queue.to_seq t.roots)
 let count t = t.total
 let sampled_out t = t.sampled_out
-let capacity_dropped t = t.total - t.retained
+let capacity_dropped t = t.total - Queue.length t.roots
 
 let clear t =
-  t.roots <- [];
-  t.retained <- 0;
+  Queue.clear t.roots;
   t.total <- 0;
   t.sampled_out <- 0
 

@@ -22,8 +22,7 @@ type t = {
   depth : int;
   mutable opened_at : float;
   mutable baseline : Registry.series list;
-  mutable ring : window list; (* newest first *)
-  mutable retained : int;
+  ring : window Queue.t; (* oldest first, at most [depth] *)
   mutable closed : int;
 }
 
@@ -36,12 +35,11 @@ let create ?(depth = 64) ~interval ~now registry =
     depth;
     opened_at = now;
     baseline = Registry.snapshot registry;
-    ring = [];
-    retained = 0;
+    ring = Queue.create ();
     closed = 0;
   }
 
-let windows t = t.ring
+let windows t = Queue.fold (fun acc w -> w :: acc) [] t.ring
 let closed t = t.closed
 
 (* Subtract the previous snapshot's cumulative histogram buckets from
@@ -94,12 +92,8 @@ let close t ~now =
   let w =
     { w_seq = t.closed; w_from = t.opened_at; w_until = now; w_series = series }
   in
-  t.ring <- w :: t.ring;
-  t.retained <- t.retained + 1;
-  if t.retained > t.depth + (t.depth / 4) then begin
-    t.ring <- List.filteri (fun i _ -> i < t.depth) t.ring;
-    t.retained <- t.depth
-  end;
+  if Queue.length t.ring >= t.depth then ignore (Queue.take t.ring : window);
+  Queue.add w t.ring;
   t.opened_at <- now;
   t.baseline <- snap;
   w

@@ -20,6 +20,9 @@ end)
 
 type t = {
   mutable nodes : unit Node_map.t;
+  mutable hosts : string list option;
+      (* The host nodes in [nodes]' order, built by the first read after
+         they change, so reads across link changes get the same list. *)
   mutable links : link list;
   (* (node, port) -> far endpoint + latency, both directions. *)
   wiring : (endpoint * Sim.Time.t) Wiring.t;
@@ -42,6 +45,7 @@ type t = {
 let create () =
   {
     nodes = Node_map.empty;
+    hosts = None;
     links = [];
     wiring = Wiring.create 64;
     probe = { k_node = Host ""; k_port = 0 };
@@ -73,6 +77,7 @@ let add_switch t dpid =
 
 let add_host t name =
   add_node t (Host name);
+  t.hosts <- None;
   touch t
 
 let node_to_string = function
@@ -179,6 +184,7 @@ let remove_host t name =
   List.iter (fun p -> unlink t (n, p)) (ports_of t n);
   Hashtbl.remove t.ports n;
   t.nodes <- Node_map.remove n t.nodes;
+  t.hosts <- None;
   touch t
 
 let switches t =
@@ -188,10 +194,17 @@ let switches t =
   |> List.rev
 
 let hosts t =
-  Node_map.fold
-    (fun n () acc -> match n with Host h -> h :: acc | Sw _ -> acc)
-    t.nodes []
-  |> List.rev
+  match t.hosts with
+  | Some hosts -> hosts
+  | None ->
+      let hosts =
+        Node_map.fold
+          (fun n () acc -> match n with Host h -> h :: acc | Sw _ -> acc)
+          t.nodes []
+        |> List.rev
+      in
+      t.hosts <- Some hosts;
+      hosts
 
 let links t = List.rev t.links
 

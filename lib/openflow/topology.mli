@@ -53,6 +53,9 @@ val touch : t -> unit
 
 val switches : t -> Message.switch_id list
 val hosts : t -> string list
+(** The host names in sorted order: the same list, physically, until a
+    host is added or removed. *)
+
 val links : t -> link list
 
 val wire : t -> node -> int -> endpoint * Sim.Time.t

@@ -1,4 +1,5 @@
 open Netcore
+module Texts = Fifo_map.Make (String)
 
 type t = {
   macros : (string * string) list;
@@ -10,13 +11,8 @@ type t = {
   multi_lists : (string, Items.t) Hashtbl.t;
       (* The lists [member] and [includes] take from the policy itself,
          split once, by their text. *)
-  requirements : memo Lazy.t; (* made by the first allowed() *)
-}
-
-(* allowed()'s rules texts, parsed; oldest first in [order]. *)
-and memo = {
-  parsed : (string, (Ast.rule list, string) result) Hashtbl.t;
-  order : string Queue.t;
+  requirements : (Ast.rule list, string) result Texts.t Lazy.t;
+      (* allowed()'s rules texts, parsed; made by the first allowed() *)
 }
 
 let ( let* ) = Result.bind
@@ -46,6 +42,12 @@ let tables_in_rule (rule : Ast.rule) =
     | Some _ | None -> []
   in
   of_endpoint rule.from_ @ of_endpoint rule.to_
+
+(* allowed() gets the same requirements text for every flow of an
+   application, so its parse is memoized. The memo is bounded against
+   daemons that cycle texts, and evicts one entry at a time, so such a
+   daemon cannot force every other application's text to be re-parsed. *)
+let requirement_limit = 1024
 
 let build decls =
   (* Later definitions shadow earlier ones: keep the last binding. *)
@@ -135,7 +137,7 @@ let build decls =
           | _ -> ())
         r.Ast.conds)
     rules;
-  let requirements = lazy { parsed = Hashtbl.create 16; order = Queue.create () } in
+  let requirements = lazy (Texts.create ~capacity:requirement_limit 16) in
   Ok { macros; tables; dicts; rules; intercepts; spec_lists; multi_lists; requirements }
 
 let of_string s =
@@ -159,22 +161,13 @@ let dict t name = List.assoc_opt name t.dicts
 
 let table_names t = List.map fst t.tables
 
-(* allowed() gets the same requirements text for every flow of an
-   application, so its parse is memoized. The memo is bounded against
-   daemons that cycle texts, and evicts one entry at a time, so such a
-   daemon cannot force every other application's text to be re-parsed. *)
-let requirement_limit = 1024
-
 let requirement t text =
   let m = Lazy.force t.requirements in
-  match Hashtbl.find_opt m.parsed text with
-  | Some r -> r
-  | None ->
+  match Texts.find m text with
+  | r -> r
+  | exception Not_found ->
       let r = Parser.parse_rules text in
-      if Hashtbl.length m.parsed >= requirement_limit then
-        Hashtbl.remove m.parsed (Queue.take m.order);
-      Hashtbl.add m.parsed text r;
-      Queue.add text m.order;
+      Texts.add m text r;
       r
 
 let referenced_keys t =

@@ -114,7 +114,17 @@ let test_audit_capacity_trims () =
   check Alcotest.int "the newest 10 held" 10
     (List.length (Identxx_core.Audit.entries a));
   check Alcotest.int "length" 10 (Identxx_core.Audit.length a);
-  check Alcotest.int "total count still exact" 100 (Identxx_core.Audit.count a)
+  check Alcotest.int "total count still exact" 100 (Identxx_core.Audit.count a);
+  (* Rejections are kept to the same capacity, the newest first. *)
+  for i = 1 to 12 do
+    Identxx_core.Audit.record_rejection a ~at:(Sim.Time.ms i) ~flow:f
+      ~host:(ip "2.2.2.2") "unauthenticated"
+  done;
+  check Alcotest.(list int) "the newest 10 rejections"
+    (List.init 10 (fun i -> 12 - i))
+    (List.map
+       (fun (r : Identxx_core.Audit.rejection) -> Sim.Time.to_ns r.r_at / 1_000_000)
+       (Identxx_core.Audit.rejections a))
 
 let test_audit_summarizes_responses () =
   let a = Identxx_core.Audit.create () in

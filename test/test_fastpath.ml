@@ -265,7 +265,7 @@ let test_breaker_transitions () =
     (Fastpath.Breaker.consult b ~now:(t 230) h = `Ask);
   check Alcotest.int "history forgotten" 0 (Fastpath.Breaker.tracked b)
 
-(* --- Decision_cache unit tests --- *)
+(* --- The decision cache, through Fastpath's own functions --- *)
 
 let verdict_pass =
   { Pf.Eval.decision = Pf.Ast.Pass; matched = None; keep_state = false; log = false }
@@ -274,24 +274,44 @@ let flow_of i =
   Five_tuple.tcp ~src:(Ipv4.of_octets 10 0 0 i) ~dst:(ip "10.0.0.99")
     ~src_port:(50000 + i) ~dst_port:80
 
+let decision_cache capacity =
+  Fastpath.create { Fastpath.default_config with decision_capacity = capacity }
+
+(* The decisions held, as the size gauge reads them. *)
+let decisions_held fp =
+  let reg = Obs.Registry.create () in
+  Fastpath.register_metrics fp reg;
+  match
+    List.find_opt
+      (fun (s : Obs.Registry.series) ->
+        s.name = "identxx_fastpath_cache_size"
+        && List.assoc_opt "cache" s.labels = Some "decision")
+      (Obs.Registry.snapshot reg)
+  with
+  | Some { value = Obs.Registry.Gauge_v n; _ } -> int_of_float n
+  | Some _ | None -> Alcotest.fail "no decision-cache size gauge"
+
 let test_decision_epoch_and_purge () =
-  let c = Fastpath.Decision_cache.create ~capacity:8 () in
-  Fastpath.Decision_cache.store c ~key:"k1" ~flow:(flow_of 1) verdict_pass;
+  let c = decision_cache 8 in
+  Fastpath.store_decision c ~key:"k1" ~flow:(flow_of 1) verdict_pass;
   check Alcotest.bool "hit under the same policy" true
-    (Fastpath.Decision_cache.find c ~key:"k1" <> None);
+    (Fastpath.find_decision c ~key:"k1" <> None);
   (* A new revision's step clears everything at once. *)
-  Fastpath.Decision_cache.clear c;
+  Fastpath.flush_decisions c;
   check Alcotest.bool "miss after the flush" true
-    (Fastpath.Decision_cache.find c ~key:"k1" = None);
-  check Alcotest.int "cache emptied" 0 (Fastpath.Decision_cache.size c);
-  Fastpath.Decision_cache.store c ~key:"a" ~flow:(flow_of 1) verdict_pass;
-  Fastpath.Decision_cache.store c ~key:"b" ~flow:(flow_of 2) verdict_pass;
-  check Alcotest.int "purge by ip" 1
-    (Fastpath.Decision_cache.purge_ip c (Ipv4.of_octets 10 0 0 1));
+    (Fastpath.find_decision c ~key:"k1" = None);
+  check Alcotest.int "cache emptied" 0 (decisions_held c);
+  Fastpath.store_decision c ~key:"a" ~flow:(flow_of 1) verdict_pass;
+  Fastpath.store_decision c ~key:"b" ~flow:(flow_of 2) verdict_pass;
+  Fastpath.note_host_changed c (Ipv4.of_octets 10 0 0 1);
+  check Alcotest.int "purge by ip" 1 (decisions_held c);
   check Alcotest.bool "purged entry gone" true
-    (Fastpath.Decision_cache.find c ~key:"a" = None);
+    (Fastpath.find_decision c ~key:"a" = None);
   check Alcotest.bool "other entry survives" true
-    (Fastpath.Decision_cache.find c ~key:"b" <> None)
+    (Fastpath.find_decision c ~key:"b" <> None);
+  let n = Fastpath.counters c in
+  check Alcotest.(pair int int) "hits and misses" (2, 2)
+    (n.decision_hits, n.decision_misses)
 
 (* An entry that leaves by expiry, invalidation or purge keeps its
    place in the FIFO order queue, and nothing pops it while the table
@@ -321,14 +341,14 @@ let test_attr_order_bounded () =
   check_bounded "attr cache" (Obj.reachable_words (Obj.repr c))
 
 let test_decision_order_bounded () =
-  let c = Fastpath.Decision_cache.create ~capacity:64 () in
-  Fastpath.Decision_cache.store c ~key:"live" ~flow:(flow_of 2) verdict_pass;
+  let c = decision_cache 64 in
+  Fastpath.store_decision c ~key:"live" ~flow:(flow_of 2) verdict_pass;
   for _ = 1 to 100_000 do
-    Fastpath.Decision_cache.store c ~key:"k" ~flow:(flow_of 1) verdict_pass;
-    ignore (Fastpath.Decision_cache.purge_ip c (Ipv4.of_octets 10 0 0 1) : int)
+    Fastpath.store_decision c ~key:"k" ~flow:(flow_of 1) verdict_pass;
+    Fastpath.note_host_changed c (Ipv4.of_octets 10 0 0 1)
   done;
-  check Alcotest.int "one live entry" 1 (Fastpath.Decision_cache.size c);
-  check Alcotest.int "nothing evicted" 0 (Fastpath.Decision_cache.evictions c);
+  check Alcotest.int "one live entry" 1 (decisions_held c);
+  check Alcotest.int "nothing evicted" 0 (Fastpath.counters c).decision_evictions;
   check_bounded "decision cache" (Obj.reachable_words (Obj.repr c))
 
 let key_flow p =

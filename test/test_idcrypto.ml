@@ -464,6 +464,33 @@ let test_keystore_section_cache () =
   check Alcotest.int "re-registering drops the signer's entries" 0
     (Idcrypto.Sign.cached_sections ks)
 
+(* Re-registering a signer drops its cached sections, but their keys
+   stay queued for eviction; the keystore must stay bounded by its
+   capacity anyway. Each round re-registers the one signer and re-caches
+   its one section, so the keystore holds one section throughout. *)
+let test_keystore_reregister_bounded () =
+  let ks = Idcrypto.Sign.keystore () in
+  let kp = Idcrypto.Sign.generate "signer" in
+  let round () =
+    Idcrypto.Sign.register ks kp;
+    Idcrypto.Sign.cache_section ks ~public:kp.Idcrypto.Sign.public
+      ~tag:(String.make 32 'a') [ "k"; "v" ]
+  in
+  round ();
+  let base = Obj.reachable_words (Obj.repr ks) in
+  (* Up to twice the capacity of keys queued, a 3-word cell each. *)
+  let bound = base + (3 * 2 * Idcrypto.Sign.section_capacity) in
+  for i = 1 to 10_000 do
+    round ();
+    if i mod 1000 = 0 then begin
+      let words = Obj.reachable_words (Obj.repr ks) in
+      if words > bound then
+        Alcotest.failf "%d reachable words after %d rounds (bound %d)" words i
+          bound
+    end
+  done;
+  check Alcotest.int "one section held" 1 (Idcrypto.Sign.cached_sections ks)
+
 let prop_sign_verify_roundtrip =
   QCheck.Test.make ~name:"sign/verify roundtrip on random data" ~count:200
     QCheck.(list_of_size (QCheck.Gen.int_range 0 5) string)
@@ -550,6 +577,8 @@ let () =
             test_keystore_host_binding;
           Alcotest.test_case "keystore section cache" `Quick
             test_keystore_section_cache;
+          Alcotest.test_case "keystore bounded across re-registers" `Quick
+            test_keystore_reregister_bounded;
         ] );
       ( "properties",
         qc

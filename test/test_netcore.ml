@@ -542,6 +542,124 @@ let prop_mac_string_roundtrip =
        ~print:Mac.to_string)
     (fun m -> Mac.equal m (Mac.of_string (Mac.to_string m)))
 
+(* --- Fifo_map against a list model --- *)
+
+module Fifo = Fifo_map.Make (Int)
+
+type fifo_op =
+  | Add of int * int
+  | Find of int
+  | Remove of int
+  | Filter of int  (** drop the keys [k] with [k mod 3 = r] *)
+  | Clear
+
+let pp_fifo_op = function
+  | Add (k, v) -> Printf.sprintf "add %d %d" k v
+  | Find k -> Printf.sprintf "find %d" k
+  | Remove k -> Printf.sprintf "remove %d" k
+  | Filter r -> Printf.sprintf "filter %d" r
+  | Clear -> "clear"
+
+(* The policy written out on lists: the held bindings, every key queued
+   as it entered (oldest first), and the evictions. *)
+type fifo_model = { held : (int * int) list; queue : int list; evicted : int }
+
+let model_add cap m k v =
+  if List.mem_assoc k m.held then
+    { m with held = (k, v) :: List.remove_assoc k m.held }
+  else begin
+    let rec make_room m =
+      if List.length m.held < cap then m
+      else
+        match m.queue with
+        | [] -> assert false
+        | oldest :: queue ->
+            if List.mem_assoc oldest m.held then
+              make_room
+                {
+                  held = List.remove_assoc oldest m.held;
+                  queue;
+                  evicted = m.evicted + 1;
+                }
+            else make_room { m with queue }
+    in
+    let m = make_room m in
+    let m = { m with held = (k, v) :: m.held; queue = m.queue @ [ k ] } in
+    if List.length m.queue <= 2 * cap then m
+    else
+      (* Each held key's first place. *)
+      let first =
+        List.fold_left
+          (fun acc k ->
+            if List.mem_assoc k m.held && not (List.mem k acc) then k :: acc
+            else acc)
+          [] m.queue
+      in
+      { m with queue = List.rev first }
+  end
+
+let model_step cap m = function
+  | Add (k, v) -> model_add cap m k v
+  | Find _ -> m
+  | Remove k -> { m with held = List.remove_assoc k m.held }
+  | Filter r -> { m with held = List.filter (fun (k, _) -> k mod 3 <> r) m.held }
+  | Clear -> { m with held = []; queue = [] }
+
+let fifo_keys = 12
+
+let gen_fifo_case =
+  QCheck.Gen.(
+    pair (int_range 1 8)
+      (list_size (int_range 0 200)
+         (frequency
+            [
+              (6, map2 (fun k v -> Add (k, v)) (int_bound (fifo_keys - 1)) (int_bound 99));
+              (2, map (fun k -> Find k) (int_bound (fifo_keys - 1)));
+              (2, map (fun k -> Remove k) (int_bound (fifo_keys - 1)));
+              (1, map (fun r -> Filter r) (int_bound 2));
+              (1, return Clear);
+            ])))
+
+let prop_fifo_map_model =
+  QCheck.Test.make ~name:"fifo map follows its list model" ~count:500
+    (QCheck.make gen_fifo_case
+       ~shrink:(QCheck.Shrink.pair QCheck.Shrink.int (fun ops -> QCheck.Shrink.list ops))
+       ~print:(fun (cap, ops) ->
+         Printf.sprintf "capacity %d: %s" cap
+           (String.concat "; " (List.map pp_fifo_op ops))))
+    (fun (cap, ops) ->
+      let t = Fifo.create ~capacity:cap 4 in
+      let find k = match Fifo.find t k with v -> Some v | exception Not_found -> None in
+      let step m op =
+        (match op with
+        | Add (k, v) -> Fifo.add t k v
+        | Find k ->
+            if find k <> List.assoc_opt k m.held then
+              QCheck.Test.fail_reportf "find %d disagrees" k
+        | Remove k -> Fifo.remove t k
+        | Filter r -> Fifo.filter_inplace (fun k _ -> k mod 3 <> r) t
+        | Clear -> Fifo.clear t);
+        let m = model_step cap m op in
+        for k = 0 to fifo_keys - 1 do
+          if find k <> List.assoc_opt k m.held then
+            QCheck.Test.fail_reportf "after %s: key %d held wrongly" (pp_fifo_op op) k
+        done;
+        if Fifo.length t <> List.length m.held then
+          QCheck.Test.fail_reportf "after %s: length %d, model %d" (pp_fifo_op op)
+            (Fifo.length t) (List.length m.held);
+        if List.of_seq (Queue.to_seq t.order) <> m.queue then
+          QCheck.Test.fail_reportf "after %s: eviction order differs" (pp_fifo_op op);
+        if Queue.length t.order > (2 * cap) + 1 then
+          QCheck.Test.fail_reportf "after %s: %d keys queued" (pp_fifo_op op)
+            (Queue.length t.order);
+        if t.evictions <> m.evicted then
+          QCheck.Test.fail_reportf "after %s: %d evictions, model %d" (pp_fifo_op op)
+            t.evictions m.evicted;
+        m
+      in
+      ignore (List.fold_left step { held = []; queue = []; evicted = 0 } ops : fifo_model);
+      true)
+
 let () =
   let qc = List.map QCheck_alcotest.to_alcotest in
   Alcotest.run "netcore"
@@ -626,5 +744,6 @@ let () =
             prop_five_tuple_hash_is_runtime_hash;
             prop_hash_ints_is_runtime_hash;
             prop_ipv4_is_text;
+            prop_fifo_map_model;
           ] );
     ]

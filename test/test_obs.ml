@@ -273,18 +273,27 @@ let test_span_tree () =
   | Ok _ -> ()
   | Error e -> Alcotest.failf "span export reparse: %s" e
 
+(* The collector holds exactly its capacity, the newest roots. *)
 let test_span_retention () =
-  let t = Span.create ~capacity:3 () in
-  for i = 1 to 5 do
-    let sp = Span.start t ~at:(float_of_int i) "s" in
-    Span.finish t ~at:(float_of_int i +. 0.5) sp
-  done;
-  check Alcotest.int "cap respected" 3 (List.length (Span.finished t));
-  check Alcotest.int "lifetime count" 5 (Span.count t);
-  check
-    (Alcotest.option Alcotest.int)
-    "dropped counted" (Some 2)
-    (Option.bind (Json.member "dropped" (Span.export t)) Json.to_int)
+  List.iter
+    (fun cap ->
+      let t = Span.create ~capacity:cap () in
+      for i = 1 to cap + 2 do
+        let sp = Span.start t ~at:(float_of_int i) (string_of_int i) in
+        Span.finish t ~at:(float_of_int i +. 0.5) sp
+      done;
+      let finished = Span.finished t in
+      check Alcotest.int "cap respected" cap (List.length finished);
+      check Alcotest.(list string) "the newest, oldest first"
+        (List.init cap (fun i -> string_of_int (i + 3)))
+        (List.map Span.name finished);
+      check Alcotest.int "lifetime count" (cap + 2) (Span.count t);
+      check Alcotest.int "capacity drops" 2 (Span.capacity_dropped t);
+      check
+        (Alcotest.option Alcotest.int)
+        "dropped counted" (Some 2)
+        (Option.bind (Json.member "dropped" (Span.export t)) Json.to_int))
+    [ 3; 8 ]
 
 let test_span_sampling () =
   let t = Span.create () in
@@ -464,6 +473,13 @@ let test_window_deltas () =
 let test_window_tick_and_ring () =
   let r = R.create () in
   let w = Window.create ~depth:3 ~interval:1. ~now:0. r in
+  let w8 = Window.create ~depth:8 ~interval:1. ~now:0. r in
+  for i = 1 to 10 do
+    ignore (Window.close w8 ~now:(float_of_int i))
+  done;
+  check Alcotest.(list int) "ring holds exactly its depth, newest first"
+    [ 10; 9; 8; 7; 6; 5; 4; 3 ]
+    (List.map (fun win -> win.Window.w_seq) (Window.windows w8));
   check Alcotest.bool "early tick is a no-op" true
     (Window.tick w ~now:0.5 = None);
   (* A stalled driver produces one long window, not a burst. *)
@@ -622,15 +638,18 @@ let test_health_exports () =
 (* --- flight recorder --- *)
 
 let test_recorder_ring () =
-  let t = Recorder.create ~capacity:4 ~enabled:true () in
-  for i = 1 to 10 do
-    Recorder.record t ~at:(float_of_int i) "e"
-  done;
-  check Alcotest.int "count capped" 4 (Recorder.count t);
-  check Alcotest.int "dropped" 6 (Recorder.dropped t);
-  (match Recorder.events t with
-  | newest :: _ -> check (Alcotest.float 1e-9) "newest kept" 10. newest.Recorder.ev_at
-  | [] -> Alcotest.fail "empty ring");
+  List.iter
+    (fun cap ->
+      let t = Recorder.create ~capacity:cap ~enabled:true () in
+      for i = 1 to 10 do
+        Recorder.record t ~at:(float_of_int i) "e"
+      done;
+      check Alcotest.int "count capped" cap (Recorder.count t);
+      check Alcotest.int "dropped" (10 - cap) (Recorder.dropped t);
+      check Alcotest.(list (float 1e-9)) "the newest, newest first"
+        (List.init cap (fun i -> float_of_int (10 - i)))
+        (List.map (fun e -> e.Recorder.ev_at) (Recorder.events t)))
+    [ 4; 8 ];
   (* The null recorder swallows everything, even set_enabled. *)
   Recorder.set_enabled Recorder.null true;
   check Alcotest.bool "null stays disabled" false (Recorder.enabled Recorder.null);

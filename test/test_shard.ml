@@ -400,8 +400,9 @@ let test_span_drop_invariance () =
       check Alcotest.int "nothing sampled out (1)" 0 s1;
       check Alcotest.int "sampling drops invariant" s1 s2;
       check Alcotest.int "sampling drops invariant (8)" s1 s8;
-      (* Lazy trim may briefly hold cap + cap/4; every finished root is
-         either retained or counted dropped. *)
+      (* The collector holds exactly its capacity; every finished root
+         is either retained or counted dropped. *)
+      check Alcotest.int "capacity held" 4 k1;
       check Alcotest.int "all 15 roots accounted for" 15 (c1 + k1);
       check Alcotest.int "retained invariant 1 vs 2" k1 k2;
       check Alcotest.int "retained invariant 1 vs 8" k1 k8

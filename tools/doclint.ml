@@ -632,6 +632,17 @@ let exported_values ~modname path =
     | [] -> List.rev acc
     | ("module", _) :: (m, _) :: (":", _) :: ("sig", _) :: rest ->
         go rest (Some m :: stack) acc
+    | ("module", _) :: (m, _) :: ("(", _) :: rest when is_module_name m -> (
+        (* A functor's values are [m]'s: a caller names them through an
+           alias of its application ([module V = F.Make (K)]). *)
+        let rec result = function
+          | (")", _) :: (":", _) :: ("sig", _) :: rest -> Some rest
+          | (")", _) :: _ | [] -> None
+          | _ :: rest -> result rest
+        in
+        match result rest with
+        | Some rest -> go rest (Some m :: stack) acc
+        | None -> go rest stack acc)
     | ("module", _) :: ("type", _) :: _ :: ("=", _) :: ("sig", _) :: rest ->
         go rest (None :: stack) acc
     | ("sig", _) :: rest -> go rest (owner :: stack) acc
